@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet vet-stats fmt test race bench bench-compare bench-regression fuzz-smoke incr-smoke lint-smoke serve serve-smoke cluster-smoke ci
+.PHONY: build vet vet-stats fmt test race bench bench-compare bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -29,8 +29,12 @@ fmt:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, then the one test whose
+# point is concurrency — N queries sharing one DB's interned base —
+# repeated so the detector sees more than one interleaving.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase' ./internal/eval
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.
@@ -76,6 +80,15 @@ bench-regression:
 	$(GO) run ./cmd/benchdiff -label P8 -peak-mem -baseline BENCH_8.json -current bench-out/bench8.json
 	$(GO) run ./cmd/benchdiff -label P9 -baseline BENCH_9.json -current bench-out/bench9.json
 	$(GO) run ./cmd/benchdiff -label P10 -baseline BENCH_10.json -current bench-out/bench10.json
+
+# The end-to-end benchmark (BENCHMARK.json, bench/): one serving run as
+# the benchmark driver launches it — last output line is the result,
+# every answer is checked against an oracle — plus the harness's own
+# unit tests (bench/ is a module of its own, so `make test` skips them).
+# The CI bench-e2e job runs this non-blocking.
+bench-e2e:
+	bash bench/run.sh --workload serve-point --seed 1 --seconds 25 --trace 0
+	cd bench && $(GO) test ./...
 
 # A short native-fuzzing pass over the parser. Long enough to exercise
 # the mutator, short enough for CI; sustained campaigns should raise

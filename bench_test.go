@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/tcm"
 	"repro/internal/workload"
 )
@@ -350,4 +351,61 @@ func BenchmarkA3SeminaiveVsNaive(b *testing.B) {
 			}
 		})
 	}
+}
+
+// pointQueryBench is the serving path's unit of work: a goal-directed
+// point query (25 answers, ~25 derived tuples, one per round) over a
+// 2,000-fact EDB of 40 disjoint 50-edge chains.
+func pointQueryBench() (*Program, []Atom) {
+	var facts []Atom
+	for c := 0; c < 40; c++ {
+		for i := 0; i < 50; i++ {
+			n := float64(c*100 + i)
+			facts = append(facts, ast.NewAtom("edge", ast.N(n), ast.N(n+1)))
+		}
+	}
+	prog := MustParseProgram(`
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, Z), edge(Z, Y).
+		?- path(1725, Y).
+	`)
+	return prog, facts
+}
+
+func benchPointQuery(b *testing.B, prog *Program, db func() *DB) {
+	opts := engineOverride(DefaultEvalOptions())
+	opts.Elim = ElimOff // as sqod evaluates: it caches the boundedness verdict
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tuples, _, err := QueryWith(prog, db(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(tuples) != 25 {
+			b.Fatalf("answers = %d, want 25", len(tuples))
+		}
+	}
+}
+
+// BenchmarkPointQuerySharedEDB evaluates every query over one DB, the
+// way sqod serves a dataset snapshot: the interned base is built once.
+func BenchmarkPointQuerySharedEDB(b *testing.B) {
+	prog, facts := pointQueryBench()
+	shared := NewDBFrom(facts)
+	benchPointQuery(b, prog, func() *DB { return shared })
+}
+
+// BenchmarkPointQueryFreshEDB gives every query a database nothing has
+// evaluated yet, so each one pays for interning all 2,000 facts (the
+// clone itself is outside the timer).
+func BenchmarkPointQueryFreshEDB(b *testing.B) {
+	prog, facts := pointQueryBench()
+	src := NewDBFrom(facts)
+	benchPointQuery(b, prog, func() *DB {
+		b.StopTimer()
+		db := src.Clone()
+		b.StartTimer()
+		return db
+	})
 }

@@ -53,7 +53,6 @@ func (p *Program) MatchesGoal(tuple []Term) bool {
 	if len(tuple) != len(p.Goal) {
 		return false
 	}
-	var binding map[string]Term
 	for i, g := range p.Goal {
 		if g.IsConst() {
 			if !g.Equal(tuple[i]) {
@@ -61,16 +60,15 @@ func (p *Program) MatchesGoal(tuple []Term) bool {
 			}
 			continue
 		}
-		if binding == nil {
-			binding = make(map[string]Term, len(p.Goal))
-		}
-		if prev, ok := binding[g.Name]; ok {
-			if !prev.Equal(tuple[i]) {
-				return false
+		// A repeated variable must agree with its first occurrence.
+		for j, h := range p.Goal[:i] {
+			if h.IsVar() && h.Name == g.Name {
+				if !tuple[j].Equal(tuple[i]) {
+					return false
+				}
+				break
 			}
-			continue
 		}
-		binding[g.Name] = tuple[i]
 	}
 	return true
 }

@@ -12,7 +12,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,8 +51,8 @@ type cEvaluator struct {
 	workers int
 	stats   *Stats
 	idbPr   map[string]bool
-	in      *interner
-	edb     map[string]*irel
+	in      *interner        // private overlay on the base's interner
+	edb     map[string]*irel // the DB's interned base: shared, read-only
 	idb     map[string]*irel
 	delta   map[string]*irel // tuples new in the previous round (semi-naive)
 	plans   map[planKey]*plan
@@ -73,11 +72,17 @@ type cEvaluator struct {
 	shards int
 	part   shard.Partitioner
 	owners map[*irel][]uint8
+	// Task scratch reused across rounds: one result buffer per task slot
+	// and one run state per pool worker (runs[0] serves inline rounds).
+	// Touched outside tasks only at single-threaded round barriers.
+	results []cTaskResult
+	runs    []*cTaskRun
 }
 
-// prepare compiles the program's plans and interns the EDB relations
-// the program references. Interning is O(EDB) with small constants and
-// happens once per evaluation, before any join runs.
+// prepare layers a private overlay interner on the database's interned
+// base (built here only when edb has none that is current; see base.go)
+// and compiles the program's plans against it. With the base in hand
+// this is O(rules): no EDB tuple is touched.
 func (ev *cEvaluator) prepare(edb *DB) error {
 	if s := ev.opts.effectiveShards(); s > 0 {
 		ev.shards = s
@@ -89,7 +94,12 @@ func (ev *cEvaluator) prepare(edb *DB) error {
 	if err != nil {
 		return err
 	}
-	ev.in = newInterner()
+	base, built := edb.interned()
+	if built {
+		ev.stats.EDBRowsInterned = int64(base.rows)
+	}
+	ev.in = base.in.overlay()
+	ev.edb = base.rels
 	ev.plans = map[planKey]*plan{}
 	planStart := time.Now()
 	for i, r := range ev.prog.Rules {
@@ -110,39 +120,6 @@ func (ev *cEvaluator) prepare(edb *DB) error {
 		ev.cur = map[planKey]*plan{}
 		ev.planCache = map[planKey]map[string]*plan{}
 		ev.curEst = map[planKey][]float64{}
-	}
-
-	referenced := map[string]bool{}
-	for _, r := range ev.prog.Rules {
-		for _, a := range r.Pos {
-			if !ev.idbPr[a.Pred] {
-				referenced[a.Pred] = true
-			}
-		}
-		for _, a := range r.Neg {
-			referenced[a.Pred] = true
-		}
-	}
-	preds := make([]string, 0, len(referenced))
-	for pred := range referenced {
-		preds = append(preds, pred)
-	}
-	sort.Strings(preds) // deterministic interning order
-	ev.edb = make(map[string]*irel, len(preds))
-	for _, pred := range preds {
-		rel := edb.Lookup(pred)
-		if rel == nil {
-			continue
-		}
-		ir := newIrel(rel.Arity, rel.Len())
-		buf := make([]uint32, rel.Arity)
-		for _, t := range rel.tuples {
-			for j, v := range t {
-				buf[j] = ev.in.intern(v)
-			}
-			ir.add(buf)
-		}
-		ev.edb[pred] = ir
 	}
 
 	ev.idb = make(map[string]*irel, len(ev.idbPr))
@@ -173,7 +150,7 @@ func (ev *cEvaluator) planFor(ruleIdx, occ int) *plan {
 
 // planRound re-chooses this round's join orders from live relation
 // statistics (cost/adaptive; greedy returns immediately). Runs at the
-// round barrier, before tasks are built, so firstRelLen partitions the
+// round barrier, before tasks are built, so buildTasks partitions the
 // relation the chosen plan actually scans at depth 0.
 func (ev *cEvaluator) planRound(keys []planKey, prevDelta map[string]*irel) {
 	if ev.policy == PolicyGreedy {
@@ -242,19 +219,15 @@ func (ev *cEvaluator) taskParts() int {
 	return ev.workers
 }
 
-// firstRelLen mirrors evaluator.firstRelLen, except that the depth-0
-// relation is the plan's first subgoal in plan order (which the
-// partition ranges apply to), not necessarily Pos[0].
-func (ev *cEvaluator) firstRelLen(ruleIdx, occ int, prevDelta map[string]*irel) int {
-	pl := ev.planFor(ruleIdx, occ)
+// firstRel is the relation a task scans at depth 0 — the plan's first
+// subgoal in plan order (which partition ranges and shard owners apply
+// to), not necessarily Pos[0] — or nil for a rule without subgoals.
+func (ev *cEvaluator) firstRel(k planKey, prevDelta map[string]*irel) *irel {
+	pl := ev.planFor(k.ruleIdx, k.occ)
 	if len(pl.subs) == 0 {
-		return 0
+		return nil
 	}
-	rel := ev.subRel(&pl.subs[0], prevDelta)
-	if rel == nil {
-		return 0
-	}
-	return rel.n
+	return ev.subRel(&pl.subs[0], prevDelta)
 }
 
 func (ev *cEvaluator) subRel(sp *subPlan, prevDelta map[string]*irel) *irel {
@@ -285,23 +258,29 @@ func deltaTotal(d map[string]*irel) int {
 }
 
 // buildTasks plans the round's keys under the active policy and then
-// expands them into (possibly partitioned) tasks.
-func (ev *cEvaluator) buildTasks(tasks []task, keys []planKey, prevDelta map[string]*irel) []task {
+// expands them into (possibly partitioned) tasks. rows is the total
+// size of the tasks' depth-0 relations, runRound's measure of how much
+// work the round holds.
+func (ev *cEvaluator) buildTasks(tasks []task, keys []planKey, prevDelta map[string]*irel) (_ []task, rows int) {
 	ev.planRound(keys, prevDelta)
 	for _, k := range keys {
 		t := task{ruleIdx: k.ruleIdx, occ: k.occ}
-		if ev.shards > 0 {
-			if pl := ev.planFor(k.ruleIdx, k.occ); len(pl.subs) > 0 {
-				rel := ev.subRel(&pl.subs[0], prevDelta)
-				tasks = appendSharded(tasks, t, ev.ownersFor(rel), ev.shards)
-				continue
-			}
-			tasks = append(tasks, t)
-			continue
+		rel := ev.firstRel(k, prevDelta)
+		n := 0
+		if rel != nil {
+			n = rel.n
 		}
-		tasks = appendPartitioned(tasks, t, ev.firstRelLen(k.ruleIdx, k.occ, prevDelta), ev.taskParts())
+		rows += n
+		switch {
+		case ev.shards == 0:
+			tasks = appendPartitioned(tasks, t, n, ev.taskParts())
+		case len(ev.planFor(k.ruleIdx, k.occ).subs) > 0:
+			tasks = appendSharded(tasks, t, ev.ownersFor(rel), ev.shards)
+		default:
+			tasks = append(tasks, t)
+		}
 	}
-	return tasks
+	return tasks, rows
 }
 
 func (ev *cEvaluator) runNaive() error {
@@ -315,7 +294,8 @@ func (ev *cEvaluator) runNaive() error {
 		for i := range ev.prog.Rules {
 			keys = append(keys, planKey{i, -1})
 		}
-		if err := ev.runRound(ev.buildTasks(nil, keys, nil), nil); err != nil {
+		tasks, rows := ev.buildTasks(nil, keys, nil)
+		if err := ev.runRound(tasks, rows, nil); err != nil {
 			return err
 		}
 		if ev.stats.TuplesDerived == before {
@@ -337,10 +317,10 @@ func (ev *cEvaluator) runSeminaive() error {
 		}
 		keys = append(keys, planKey{i, -1})
 	}
-	if err := ev.runRound(ev.buildTasks(nil, keys, nil), nil); err != nil {
+	tasks, rows := ev.buildTasks(nil, keys, nil)
+	if err := ev.runRound(tasks, rows, nil); err != nil {
 		return err
 	}
-	var tasks []task
 	for {
 		if deltaTotal(ev.delta) == 0 {
 			return nil
@@ -360,8 +340,8 @@ func (ev *cEvaluator) runSeminaive() error {
 				keys = append(keys, planKey{i, occ})
 			}
 		}
-		tasks = ev.buildTasks(tasks[:0], keys, prevDelta)
-		if err := ev.runRound(tasks, prevDelta); err != nil {
+		tasks, rows = ev.buildTasks(tasks[:0], keys, prevDelta)
+		if err := ev.runRound(tasks, rows, prevDelta); err != nil {
 			return err
 		}
 	}
@@ -395,34 +375,84 @@ type cTaskResult struct {
 	err           error
 }
 
-// runRound mirrors evaluator.runRound: bounded worker pool, results
-// merged strictly in task order at the barrier.
-func (ev *cEvaluator) runRound(tasks []task, prevDelta map[string]*irel) error {
-	results := make([]cTaskResult, len(tasks))
+// reset empties the buffer for the next task, keeping its capacity.
+func (res *cTaskResult) reset() {
+	*res = cTaskResult{
+		headRows: res.headRows[:0],
+		rowIdx:   res.rowIdx[:0],
+		snaps:    res.snaps[:0],
+		segs:     res.segs[:0],
+	}
+}
+
+// scratchKeep bounds the task scratch kept for reuse, in values (head
+// ids, snapshot ids, dedup slots). Reuse exists for the many small
+// rounds of a goal-directed query; what one large task grew is released
+// as soon as its contents are consumed, so it is neither live through
+// later rounds and the result conversion nor cleared at a small task's
+// expense.
+const scratchKeep = 1024
+
+// trim releases the buffers a large task grew, once merged.
+func (res *cTaskResult) trim() {
+	if cap(res.headRows) > scratchKeep {
+		res.headRows, res.rowIdx = nil, nil
+	}
+	if cap(res.snaps) > scratchKeep {
+		res.snaps = nil
+	}
+}
+
+// inlineRoundRows is the round size — total depth-0 rows over the
+// round's tasks — below which runRound runs the tasks on the calling
+// goroutine. Measured on 40-round chain fixpoints at Workers 2:
+// starting and joining the pool costs about 5 µs a round and a depth-0
+// row about 0.33 µs of join and merge work, so two workers break even
+// near 30 rows; four times that leaves a fanned-out round room to win.
+// A goal-directed query's rounds derive a tuple or two each and all
+// fall below it.
+const inlineRoundRows = 128
+
+// runRound mirrors evaluator.runRound: bounded worker pool (or the
+// calling goroutine, for a round too small to pay for one), results
+// merged strictly in task order at the barrier. Where a task runs never
+// changes what it computes, so answers, Stats and provenance do not
+// depend on the choice.
+func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*irel) error {
+	for len(ev.results) < len(tasks) {
+		ev.results = append(ev.results, cTaskResult{})
+	}
+	results := ev.results[:len(tasks)]
 	workers := ev.workers
 	if workers > len(tasks) {
 		workers = len(tasks)
+	}
+	if rows < inlineRoundRows {
+		workers = 1
+	}
+	for len(ev.runs) < workers {
+		ev.runs = append(ev.runs, &cTaskRun{ev: ev})
 	}
 	if workers > 1 {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			go func() {
+			go func(tr *cTaskRun) {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(tasks) {
 						return
 					}
-					results[i] = ev.runTask(tasks[i], prevDelta)
+					tr.runTask(tasks[i], prevDelta, &results[i])
 				}
-			}()
+			}(ev.runs[w])
 		}
 		wg.Wait()
 	} else {
 		for i, t := range tasks {
-			results[i] = ev.runTask(t, prevDelta)
+			ev.runs[0].runTask(t, prevDelta, &results[i])
 			if results[i].err != nil {
 				break
 			}
@@ -449,6 +479,9 @@ func (ev *cEvaluator) runRound(tasks []task, prevDelta map[string]*irel) error {
 			return err
 		}
 		i = j
+	}
+	for i := range results {
+		results[i].trim()
 	}
 	ev.stats.RoundDeltas = append(ev.stats.RoundDeltas, roundDelta)
 	// Footprint at the round barrier, mirroring the legacy engine's
@@ -602,9 +635,11 @@ func (ev *cEvaluator) groundTpl(tpl atomTpl, snap []uint32) ast.Atom {
 	return ast.Atom{Pred: tpl.pred, Args: args}
 }
 
-// cTaskRun is the per-task evaluation state: a flat slot binding, a
-// private output buffer with its dedup set, and reusable probe/negation
-// scratch buffers. No allocation happens per candidate tuple.
+// cTaskRun is the evaluation state of one task at a time: a flat slot
+// binding, the task's output buffer with its dedup set, and probe/
+// negation scratch buffers. A run is owned by one pool worker and
+// re-pointed at task after task, round after round, so neither a task
+// nor a candidate tuple allocates once the buffers have grown.
 type cTaskRun struct {
 	ev     *cEvaluator
 	pl     *plan
@@ -622,7 +657,7 @@ type cTaskRun struct {
 	negBuf    []uint32
 	headBuf   []uint32
 	seen      rowHash // dedups headRows within this task
-	res       cTaskResult
+	res       *cTaskResult
 	base      int64
 	// Adaptive-policy state (nil matches/est under other policies):
 	// per-depth match counters and the planner's per-depth estimates,
@@ -632,52 +667,62 @@ type cTaskRun struct {
 	reordered bool
 }
 
-func (ev *cEvaluator) runTask(t task, prevDelta map[string]*irel) cTaskResult {
+// runTask points the run at task t and evaluates it into res.
+func (tr *cTaskRun) runTask(t task, prevDelta map[string]*irel, res *cTaskResult) {
+	ev := tr.ev
+	res.reset()
 	pl := ev.planFor(t.ruleIdx, t.occ)
 	if ev.policy == PolicyAdaptive {
 		// Early exit on empty intermediates: a rule with any empty
 		// positive subgoal cannot fire, whatever the join order.
 		for i := range pl.subs {
 			if rel := ev.subRel(&pl.subs[i], prevDelta); rel == nil || rel.n == 0 {
-				return cTaskResult{skips: 1}
+				res.skips = 1
+				return
 			}
 		}
 	}
-	tr := &cTaskRun{
-		ev:      ev,
-		pl:      pl,
-		delta:   prevDelta,
-		lo:      t.lo,
-		hi:      t.hi,
-		sharded: t.nShards > 0,
-		shard:   uint8(t.shard),
-		owners:  t.owners,
-		base:    ev.stats.TuplesDerived,
-	}
+	tr.pl, tr.delta, tr.res = pl, prevDelta, res
+	tr.lo, tr.hi = t.lo, t.hi
+	tr.sharded, tr.shard, tr.owners = t.nShards > 0, uint8(t.shard), t.owners
+	tr.base = ev.stats.TuplesDerived
+	tr.est, tr.matches, tr.reordered = nil, nil, false
 	if ev.policy == PolicyAdaptive && len(pl.subs) > 1 {
 		tr.est = ev.curEst[planKey{t.ruleIdx, t.occ}]
 		tr.matches = make([]int64, len(pl.subs))
 	}
-	tr.binding = make([]uint32, pl.nSlots)
-	tr.probeBufs = makeProbeBufs(pl)
-	if pl.maxNegArity > 0 {
-		tr.negBuf = make([]uint32, pl.maxNegArity)
-	}
+	// Stale values in reused buffers are never observable: a slot or
+	// scratch cell is only read after the live plan wrote it.
+	tr.binding = sizedU32(tr.binding, pl.nSlots)
+	tr.probeBufs = sizedProbeBufs(tr.probeBufs, pl)
+	tr.negBuf = sizedU32(tr.negBuf, pl.maxNegArity)
 	ha := len(pl.head.isConst)
-	tr.headBuf = make([]uint32, ha)
-	tr.seen = rowHash{data: &tr.res.headRows, arity: ha}
+	tr.headBuf = sizedU32(tr.headBuf, ha)
+	tr.seen.reset(&res.headRows, ha)
 	if err := tr.joinFrom(0); err != nil {
-		tr.res.err = err
+		res.err = err
 	}
-	return tr.res
+	if len(tr.seen.idxs) > scratchKeep {
+		tr.seen.hashes, tr.seen.idxs = nil, nil
+	}
 }
 
-func makeProbeBufs(pl *plan) [][]uint32 {
-	bufs := make([][]uint32, len(pl.subs))
+// sizedU32 returns buf resized to n values, reallocating only to grow.
+func sizedU32(buf []uint32, n int) []uint32 {
+	if cap(buf) < n {
+		return make([]uint32, n)
+	}
+	return buf[:n]
+}
+
+// sizedProbeBufs resizes the per-depth bound-value buffers for pl.
+func sizedProbeBufs(bufs [][]uint32, pl *plan) [][]uint32 {
+	for len(bufs) < len(pl.subs) {
+		bufs = append(bufs, nil)
+	}
+	bufs = bufs[:len(pl.subs)]
 	for i := range pl.subs {
-		if n := len(pl.subs[i].boundPos); n > 0 {
-			bufs[i] = make([]uint32, n)
-		}
+		bufs[i] = sizedU32(bufs[i], len(pl.subs[i].boundPos))
 	}
 	return bufs
 }
@@ -820,7 +865,7 @@ func (tr *cTaskRun) maybeReorder() {
 	for d := range tr.matches {
 		tr.matches[d] = 0
 	}
-	tr.probeBufs = makeProbeBufs(npl)
+	tr.probeBufs = sizedProbeBufs(tr.probeBufs, npl)
 }
 
 // tryRow is the compiled tryTuple: one candidate row at one depth.
@@ -964,7 +1009,11 @@ func (ev *cEvaluator) publicIDB() *DB {
 	out := NewDB()
 	var b strings.Builder
 	for pred, ir := range ev.idb {
-		rel := NewRelation(ir.arity)
+		// The fixpoint is over and only the rows are still needed: let
+		// the collector have the dedup set and indexes while the public
+		// copy — the evaluation's largest allocation — is being built.
+		ir.set, ir.indexes = rowHash{}, nil
+		rel := &Relation{Arity: ir.arity, seen: make(map[string]bool, ir.n)}
 		rel.tuples = make([]Tuple, 0, ir.n)
 		for i := 0; i < ir.n; i++ {
 			row := ir.row(i)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -30,6 +31,7 @@ func runEngine(t *testing.T, p *ast.Program, db *DB, opts Options) engineRun {
 		t.Fatalf("opts %+v: %v", opts, err)
 	}
 	out := engineRun{preds: map[string][]string{}, stats: *stats}
+	var provText strings.Builder
 	idbPreds := p.IDB()
 	for _, pred := range idb.Preds() {
 		out.preds[pred] = idb.SortedFacts(pred)
@@ -38,9 +40,10 @@ func runEngine(t *testing.T, p *ast.Program, db *DB, opts Options) engineRun {
 			if err != nil {
 				t.Fatalf("opts %+v: no derivation for %s: %v", opts, f, err)
 			}
-			out.prov += d.String()
+			provText.WriteString(d.String())
 		}
 	}
+	out.prov = provText.String()
 	return out
 }
 

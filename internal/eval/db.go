@@ -185,9 +185,14 @@ func valsKey(vals []ast.Term) string {
 	return b.String()
 }
 
-// DB is a database: a map from predicate names to relations.
+// DB is a database: a map from predicate names to relations. A nil *DB
+// reads as the empty database in Lookup, Contains and evaluation.
 type DB struct {
 	rels map[string]*Relation
+	// base caches the interned form the compiled engine evaluates over
+	// (see base.go); baseMu serializes its lazy build.
+	baseMu sync.Mutex
+	base   *edbBase
 }
 
 // NewDB returns an empty database.
@@ -205,7 +210,12 @@ func (db *DB) Rel(pred string, arity int) *Relation {
 }
 
 // Lookup returns the relation for pred, or nil if absent.
-func (db *DB) Lookup(pred string) *Relation { return db.rels[pred] }
+func (db *DB) Lookup(pred string) *Relation {
+	if db == nil {
+		return nil
+	}
+	return db.rels[pred]
+}
 
 // AddFact inserts a ground atom, reporting whether it was new.
 func (db *DB) AddFact(a ast.Atom) bool {
@@ -224,7 +234,7 @@ func (db *DB) AddFacts(atoms []ast.Atom) {
 
 // Contains reports whether the ground atom is present.
 func (db *DB) Contains(a ast.Atom) bool {
-	r := db.rels[a.Pred]
+	r := db.Lookup(a.Pred)
 	if r == nil {
 		return false
 	}
@@ -251,8 +261,8 @@ func (db *DB) Preds() []string {
 
 // Clone returns a deep copy of the database. The source relations are
 // already deduplicated, so tuples and seen keys are copied directly —
-// no tuple is re-rendered or re-hashed. Indexes are not copied; the
-// clone rebuilds them lazily on first lookup.
+// no tuple is re-rendered or re-hashed. Indexes and the interned base
+// are not copied; the clone rebuilds them lazily on first use.
 func (db *DB) Clone() *DB {
 	out := NewDB()
 	for p, r := range db.rels {

@@ -105,6 +105,15 @@ type Stats struct {
 	// diagnostic, excluded from Equal for the same reason as
 	// ElimApplied.
 	ElimChecked int
+	// EDBRowsInterned counts the EDB tuples this evaluation interned: the
+	// size of the database when the evaluation had to build its interned
+	// base (the first compiled evaluation of a DB, or the first after a
+	// mutation), 0 when it reused one — and always 0 on the legacy
+	// engine, which does not intern. The useful-outcome ratio of the
+	// serving path is TuplesDerived over this. Excluded from Equal: it
+	// depends on what was evaluated over the DB before, not on the
+	// program, database, and options.
+	EDBRowsInterned int64
 }
 
 // statsEqualExcluded names the Stats fields deliberately NOT compared
@@ -124,6 +133,7 @@ var statsEqualExcluded = map[string]bool{
 	"PeakMaterialized": true,
 	"ElimApplied":      true,
 	"ElimChecked":      true,
+	"EDBRowsInterned":  true,
 }
 
 // Equal reports whether two Stats are identical, including the

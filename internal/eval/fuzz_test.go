@@ -18,7 +18,10 @@ import (
 // many workers ran. Inputs that fail to parse or fail stratification
 // are skipped; inputs where the baseline errors (e.g. the MaxTuples
 // guard trips) skip the cross-policy comparison, since abort points
-// are not part of the contract.
+// are not part of the contract. Every compiled run is then repeated over
+// a clone of the database: the first ran on the shared DB's interned
+// base (reused from run to run), the repeat builds its own, and the two
+// must agree on answers and the full Stats.
 func FuzzPlan(f *testing.F) {
 	f.Add(`p(X, Y) :- e(X, Y).
 p(X, Y) :- e(X, Z), p(Z, Y).
@@ -123,6 +126,21 @@ odd(Y) :- even(X), succ(X, Y).
 			if got.derived != base.derived || got.rounds != base.rounds {
 				t.Fatalf("order-invariant stats diverged: %s (derived=%d rounds=%d) vs %s (derived=%d rounds=%d)",
 					r.label, got.derived, got.rounds, baseLabel, base.derived, base.rounds)
+			}
+			if !r.opts.CompilePlans {
+				continue
+			}
+			idb2, stats2, err := EvalCtx(context.Background(), p, db.Clone(), r.opts)
+			if err != nil {
+				t.Fatalf("%s errored on a fresh DB where the shared one succeeded: %v", r.label, err)
+			}
+			for pred := range p.IDB() {
+				if !reflect.DeepEqual(idb2.SortedFacts(pred), got.answers[pred]) {
+					t.Fatalf("%s: shared vs fresh DB answers diverged on %s", r.label, pred)
+				}
+			}
+			if !stats.Equal(stats2) {
+				t.Fatalf("%s: shared vs fresh DB stats diverged:\n%+v\n%+v", r.label, stats, stats2)
 			}
 		}
 	})

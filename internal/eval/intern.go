@@ -1,13 +1,18 @@
 package eval
 
 // Interned data layout for the compiled-plan engine (Options.
-// CompilePlans). Constant terms are assigned dense uint32 ids by a
-// per-evaluation interner, tuples become flat []uint32 rows, and both
-// the per-relation duplicate set and the bound-position hash indexes
-// key on integer hashes with exact row comparison — no string is built
-// or hashed anywhere on the join path. The interner is an internal
-// boundary: it is created inside EvalCtx and nothing outside the
-// engine ever sees an id.
+// CompilePlans). Constant terms are assigned dense uint32 ids by an
+// interner, tuples become flat []uint32 rows, and both the per-relation
+// duplicate set and the bound-position hash indexes key on integer
+// hashes with exact row comparison — no string is built or hashed
+// anywhere on the join path. The interner is an internal boundary:
+// nothing outside the engine ever sees an id.
+//
+// Interning is two-level. The constants of a database are interned
+// once per database snapshot into a frozen base (base.go); each
+// evaluation layers a small private overlay on top for the constants
+// only its program mentions, so preparing an evaluation costs
+// O(rules), not O(EDB).
 
 import (
 	"strings"
@@ -16,39 +21,74 @@ import (
 	"repro/internal/ast"
 )
 
-// interner maps constant terms to dense uint32 ids for one evaluation.
-// It is built single-threaded (plan compilation + EDB interning) and
-// read-only afterwards, except for the lazy key cache used when the
-// result is converted back to a public DB after the fixpoint.
+// interner maps constant terms to dense uint32 ids. A root interner
+// (under == nil) owns ids [0, len(terms)); an overlay owns the ids from
+// len(under.terms) up and resolves everything below through under,
+// which must be frozen. An interner is built single-threaded and
+// read-only afterwards, except for the lazy key cache used when results
+// are converted back to a public DB after the fixpoint.
 type interner struct {
+	under *interner // frozen lower level; nil for a root interner
+	off   uint32    // len(under.terms): the first id this level owns
 	ids   map[ast.Term]uint32
 	terms []ast.Term
-	keys  []string // lazy Term.Key cache, aligned with terms
+	keys  []string // Term.Key cache, aligned with terms; complete once frozen
 }
 
 func newInterner() *interner {
 	return &interner{ids: make(map[ast.Term]uint32, 64)}
 }
 
+// overlay returns a private interner layered on the frozen interner
+// under: terms under knows keep their ids, new ones get ids past them.
+func (under *interner) overlay() *interner {
+	return &interner{under: under, off: uint32(len(under.terms)), ids: map[ast.Term]uint32{}}
+}
+
+// freeze renders every term's key, after which the interner is
+// immutable and safe to share between goroutines and overlays.
+func (in *interner) freeze() {
+	in.keys = make([]string, len(in.terms))
+	for i, t := range in.terms {
+		in.keys[i] = t.Key()
+	}
+}
+
 // intern returns the id of t, assigning the next dense id on first use.
 func (in *interner) intern(t ast.Term) uint32 {
+	if in.under != nil {
+		if id, ok := in.under.ids[t]; ok {
+			return id
+		}
+	}
 	if id, ok := in.ids[t]; ok {
 		return id
 	}
-	id := uint32(len(in.terms))
+	id := in.off + uint32(len(in.terms))
 	in.terms = append(in.terms, t)
 	in.ids[t] = id
 	return id
 }
 
 // term is the inverse of intern.
-func (in *interner) term(id uint32) ast.Term { return in.terms[id] }
+func (in *interner) term(id uint32) ast.Term {
+	if id < in.off {
+		return in.under.terms[id]
+	}
+	return in.terms[id-in.off]
+}
 
 // termKey returns Term.Key for an id, rendering each distinct term at
-// most once. Only used during result conversion (single-threaded).
+// most once. Ids of the frozen level read its precomputed keys; the
+// lazy fill for this level's own ids is single-threaded (result
+// conversion and round barriers).
 func (in *interner) termKey(id uint32) string {
-	if in.keys == nil {
-		in.keys = make([]string, len(in.terms))
+	if id < in.off {
+		return in.under.keys[id]
+	}
+	id -= in.off
+	if len(in.keys) < len(in.terms) {
+		in.keys = append(in.keys, make([]string, len(in.terms)-len(in.keys))...)
 	}
 	k := in.keys[id]
 	if k == "" {
@@ -185,6 +225,14 @@ func (h *rowHash) place(slot int, hv uint64, idx int32) {
 	h.hashes[slot] = hv
 	h.idxs[slot] = idx
 	h.n++
+}
+
+// reset empties the table and points it at a new backing store.
+func (h *rowHash) reset(data *[]uint32, arity int) {
+	h.data, h.arity, h.n = data, arity, 0
+	for i := range h.idxs {
+		h.idxs[i] = -1
+	}
 }
 
 func (h *rowHash) init(size int) {

@@ -13,7 +13,11 @@ import (
 // views. The query-facing database is an immutable snapshot: every
 // mutation rebuilds a replacement from the canonical fact set and
 // swaps the pointer, so evaluations keep reading whichever snapshot
-// they resolved. Attached views are maintained incrementally — the
+// they resolved. A snapshot also carries its interned base (eval's
+// base.go) from query to query: the first query to evaluate a new
+// snapshot builds it — outside d.mu, never inside an update — and every
+// later query on that snapshot reuses it. Attached views are
+// maintained incrementally — the
 // same add/retract batch that mutates the fact set is pushed through
 // sqo.View.Apply, which propagates deltas instead of re-evaluating.
 type dataset struct {

@@ -34,6 +34,13 @@ type Metrics struct {
 	RuleFirings   atomic.Int64
 	JoinProbes    atomic.Int64
 
+	// Interned-base outcomes of completed query evaluations: a build
+	// interned the database's facts (the first query on a snapshot, or
+	// any query with per-request facts), a reuse interned none. Their
+	// ratio is how often the per-snapshot base pays off.
+	EDBBaseBuilds atomic.Int64
+	EDBBaseReuses atomic.Int64
+
 	// Join-order policy of completed query evaluations (one counter
 	// per policy; rendered as a labeled series).
 	EvalPolicyGreedy   atomic.Int64
@@ -129,11 +136,16 @@ func (m *Metrics) ObserveRequest(endpoint string, code int, d time.Duration) {
 }
 
 // AddStats folds one evaluation's engine counters into the registry.
-func (m *Metrics) AddStats(rounds int, derived, firings, probes int64) {
-	m.EvalRounds.Add(int64(rounds))
-	m.TuplesDerived.Add(derived)
-	m.RuleFirings.Add(firings)
-	m.JoinProbes.Add(probes)
+func (m *Metrics) AddStats(st *sqo.Stats) {
+	m.EvalRounds.Add(int64(st.Iterations))
+	m.TuplesDerived.Add(st.TuplesDerived)
+	m.RuleFirings.Add(st.RuleFirings)
+	m.JoinProbes.Add(st.JoinProbes)
+	if st.EDBRowsInterned > 0 {
+		m.EDBBaseBuilds.Add(1)
+	} else {
+		m.EDBBaseReuses.Add(1)
+	}
 }
 
 // AddPolicy counts one completed evaluation under its join-order
@@ -174,6 +186,9 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	counter("sqod_tuples_derived_total", "Distinct IDB tuples derived across all evaluations.", m.TuplesDerived.Load())
 	counter("sqod_rule_firings_total", "Rule firings across all evaluations.", m.RuleFirings.Load())
 	counter("sqod_join_probes_total", "Join probes across all evaluations.", m.JoinProbes.Load())
+
+	counter("sqod_edb_base_builds_total", "Query evaluations that interned their database (first query on a snapshot, or per-request facts).", m.EDBBaseBuilds.Load())
+	counter("sqod_edb_base_reuses_total", "Query evaluations that reused their snapshot's interned base.", m.EDBBaseReuses.Load())
 
 	b.WriteString("# HELP sqod_eval_policy_total Completed evaluations by join-order policy.\n# TYPE sqod_eval_policy_total counter\n")
 	fmt.Fprintf(&b, "sqod_eval_policy_total{policy=\"greedy\"} %d\n", m.EvalPolicyGreedy.Load())

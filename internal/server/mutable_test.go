@@ -306,3 +306,51 @@ func TestServerQueryRoundDeltas(t *testing.T) {
 		t.Fatalf("round_deltas present without opt-in:\n%s", raw)
 	}
 }
+
+// TestServerSnapshotBaseReuse: a dataset snapshot is interned by the
+// first query that evaluates it and reused by the next; per-request
+// facts evaluate over a private copy (a build of its own) without
+// leaking into the snapshot or disturbing its base; a fact update
+// swaps in a new snapshot, which the next query interns afresh.
+func TestServerSnapshotBaseReuse(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	registerDataset(t, ts.URL, "d", serverTestFacts)
+	query := func(extraFacts string) []string {
+		t.Helper()
+		var r queryResponse
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", queryRequest{
+			Program: serverTestProgram, Dataset: "d", Facts: extraFacts,
+		}, &r)
+		if code != http.StatusOK {
+			t.Fatalf("query: %d %s", code, raw)
+		}
+		return r.Answers
+	}
+	expect := func(step string, builds, reuses int64) {
+		t.Helper()
+		m := s.Metrics()
+		if b, r := m.EDBBaseBuilds.Load(), m.EDBBaseReuses.Load(); b != builds || r != reuses {
+			t.Fatalf("%s: builds=%d reuses=%d, want %d and %d", step, b, r, builds, reuses)
+		}
+	}
+
+	base := query("")
+	expect("first query on the snapshot", 1, 0)
+	query("")
+	expect("second query on the snapshot", 1, 1)
+	if got := query("startPoint(3)."); len(got) <= len(base) {
+		t.Fatalf("per-request fact had no effect: %v vs %v", got, base)
+	}
+	expect("query with per-request facts", 2, 1)
+	if got := query(""); !reflect.DeepEqual(got, base) {
+		t.Fatalf("per-request facts leaked into the snapshot: %v vs %v", got, base)
+	}
+	expect("snapshot query after a per-request copy", 2, 2)
+	if code, raw := doRaw(t, http.MethodPost, ts.URL+"/v1/datasets/d/facts", "startPoint(3).", nil); code != http.StatusOK {
+		t.Fatalf("facts add: %d %s", code, raw)
+	}
+	if got := query(""); len(got) <= len(base) {
+		t.Fatalf("update not visible to the next query: %v vs %v", got, base)
+	}
+	expect("first query after an update", 3, 2)
+}

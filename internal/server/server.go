@@ -757,7 +757,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "eval_error", "%v", err)
 		return
 	}
-	s.metrics.AddStats(stats.Iterations, stats.TuplesDerived, stats.RuleFirings, stats.JoinProbes)
+	s.metrics.AddStats(stats)
 	s.metrics.AddPolicy(policy)
 	if stats.MagicApplied {
 		s.metrics.EvalMagic.Add(1)

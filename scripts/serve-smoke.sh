@@ -55,6 +55,10 @@ echo "serve-smoke: second identical query (cache hit)"
 curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$QUERY" >"$WORK/q2.json" || fail "second query failed"
 jq -e '.cache_hit == true' "$WORK/q2.json" >/dev/null || fail "second query missed the cache: $(cat "$WORK/q2.json")"
 [ "$(jq -cS .answers "$WORK/q1.json")" = "$(jq -cS .answers "$WORK/q2.json")" ] || fail "cached answers differ from fresh answers"
+# The first query interned the dataset snapshot; the second reused that base.
+curl -fsS "$BASE/metrics" >"$WORK/base-metrics.txt" || fail "metrics scrape failed"
+grep -q '^sqod_edb_base_builds_total 1$' "$WORK/base-metrics.txt" || fail "expected one interned-base build after two queries on one snapshot"
+grep -q '^sqod_edb_base_reuses_total 1$' "$WORK/base-metrics.txt" || fail "second identical query did not reuse the snapshot's interned base"
 
 echo "serve-smoke: materialized view over a mutable dataset"
 curl -fsS -X POST "$BASE/v1/datasets/quickstart/views/paths" -H 'Content-Type: application/json' \

@@ -1,6 +1,7 @@
 package sqo
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -186,5 +187,41 @@ func TestFacadeEvalProv(t *testing.T) {
 	}
 	if _, err := explain(MustParseFacts(`path(3, 1).`)[0]); err == nil {
 		t.Fatal("underived fact must error")
+	}
+}
+
+// TestNilDBIsEmptyDatabase: a nil *DB used to be dereferenced by the
+// evaluators and by Materialize; it now reads as the empty database.
+func TestNilDBIsEmptyDatabase(t *testing.T) {
+	p := MustParseProgram(`
+		path(X, Y) :- step(X, Y).
+		path(X, Y) :- step(X, Z), path(Z, Y).
+		?- path(1, Y).
+	`)
+	for _, compile := range []bool{true, false} {
+		opts := DefaultEvalOptions()
+		opts.CompilePlans = compile
+		tuples, _, err := QueryCtx(context.Background(), p, nil, opts)
+		if err != nil || len(tuples) != 0 {
+			t.Fatalf("compile=%v: QueryCtx(nil) = %v, %v", compile, tuples, err)
+		}
+		if _, _, err := EvalCtx(context.Background(), p, nil, opts); err != nil {
+			t.Fatalf("compile=%v: EvalCtx(nil): %v", compile, err)
+		}
+	}
+	_, explain, _, err := EvalProv(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := explain(MustParseFacts(`step(1, 2).`)[0]); err == nil {
+		t.Fatal("provenance over a nil DB found an EDB fact")
+	}
+	v, err := Materialize(p, nil, ViewOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := v.Apply(MustParseFacts(`step(1, 2).`), nil)
+	if err != nil || len(ch.Added) != 1 {
+		t.Fatalf("view over a nil DB after one insert: %+v, %v", ch, err)
 	}
 }
