@@ -81,20 +81,24 @@ bench-regression:
 	$(GO) run ./cmd/benchdiff -label P9 -baseline BENCH_9.json -current bench-out/bench9.json
 	$(GO) run ./cmd/benchdiff -label P10 -baseline BENCH_10.json -current bench-out/bench10.json
 
-# The end-to-end benchmark (BENCHMARK.json, bench/): one serving run as
-# the benchmark driver launches it — last output line is the result,
-# every answer is checked against an oracle — plus the harness's own
-# unit tests (bench/ is a module of its own, so `make test` skips them).
-# The CI bench-e2e job runs this non-blocking.
+# The end-to-end benchmark (BENCHMARK.json, bench/): one serving run and
+# one cold-compile run as the benchmark driver launches them — last
+# output line is the result, every answer (every compiled program, byte
+# for byte, on optimize-cold) is checked against an oracle — plus the
+# harness's own unit tests (bench/ is a module of its own, so `make
+# test` skips them). The CI bench-e2e job runs this non-blocking.
 bench-e2e:
 	bash bench/run.sh --workload serve-point --seed 1 --seconds 25 --trace 0
+	bash bench/run.sh --workload optimize-cold --seed 1 --seconds 25 --trace 0
 	cd bench && $(GO) test ./...
 
-# A short native-fuzzing pass over the parser. Long enough to exercise
-# the mutator, short enough for CI; sustained campaigns should raise
+# A short native-fuzzing pass over the parser and over the order solver
+# (against its from-scratch reference). Long enough to exercise the
+# mutator, short enough for CI; sustained campaigns should raise
 # -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s
+	$(GO) test ./internal/order -run='^$$' -fuzz=FuzzOrder -fuzztime=10s
 
 # Randomized differential check of incremental view maintenance under
 # the race detector: after every prefix of a random add/retract

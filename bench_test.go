@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/order"
+	"repro/internal/rewrite"
 	"repro/internal/tcm"
 	"repro/internal/workload"
 )
@@ -408,4 +410,60 @@ func BenchmarkPointQueryFreshEDB(b *testing.B) {
 		b.StartTimer()
 		return db
 	})
+}
+
+// BenchmarkOrderImplies is the optimizer's inner question — does this
+// conjunction of order atoms imply that one — asked the way PushOrder
+// asks it: one Set, a vocabulary of candidate atoms over its variables
+// and the program's constants, some of them absent from the Set.
+func BenchmarkOrderImplies(b *testing.B) {
+	x, y, z := ast.V("X"), ast.V("Y"), ast.V("Z")
+	set := order.NewSet(
+		ast.NewCmp(x, ast.LT, y), ast.NewCmp(y, ast.LE, z),
+		ast.NewCmp(z, ast.LT, ast.N(9)), ast.NewCmp(x, ast.GE, ast.N(2)), ast.NewCmp(x, ast.NE, z))
+	var cands []ast.Cmp
+	for _, op := range []ast.CmpOp{ast.LT, ast.LE, ast.GT, ast.GE, ast.EQ, ast.NE} {
+		for _, l := range []ast.Term{x, y, z} {
+			for _, r := range []ast.Term{x, y, z, ast.N(2), ast.N(5), ast.N(9), ast.N(12)} {
+				cands = append(cands, ast.NewCmp(l, op, r))
+			}
+		}
+	}
+	implied := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cands {
+			if set.Implies(c) {
+				implied++
+			}
+		}
+	}
+	if implied != 48*b.N {
+		b.Fatalf("implied %d of %d candidates per pass, want 48", implied/b.N, len(cands))
+	}
+}
+
+// BenchmarkPushOrder runs the selection-pushing pass over the programs
+// the optimizer hands it (after NormalizeOrder and RewriteLocal) for
+// the 20 random programs of the optimize-cold workload.
+func BenchmarkPushOrder(b *testing.B) {
+	var inputs []*Program
+	for seed := int64(1); seed <= 20; seed++ {
+		src, ics, _ := workload.RandomProgram(seed)
+		res, err := Optimize(MustParseProgram(src), MustParseICs(ics))
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs = append(inputs, res.Pipeline.Local)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range inputs {
+			if _, err := rewrite.PushOrder(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -2,17 +2,19 @@
 // conjunctions of order atoms (γ θ δ with θ ∈ {<, <=, >, >=, =, !=})
 // interpreted over a dense total order containing all constants.
 //
-// The solver builds a constraint graph whose nodes are variables and
-// constants, condenses its ≤-cycles into equivalence classes, and then
-// checks for contradictions: a strict edge inside a class, two
-// distinct constants in one class, a ≠ pair forced equal, or a class
-// squeezed between constant bounds that leave it empty. Density of the
-// order guarantees everything else is realizable.
+// The solver builds a constraint graph whose nodes are the distinct
+// variables and constants (by value: Term.Equal), closes it
+// transitively once per Set, and then checks for contradictions: a
+// strict cycle — which covers two distinct constants forced equal and
+// a class squeezed between constant bounds that leave it empty — or a
+// ≠ pair forced equal. Density of the order guarantees everything else
+// is realizable.
 //
 // Implication is decided by refutation: C ⊨ a iff C ∧ ¬a is
 // unsatisfiable, which is sound and complete over a dense order
 // because the negation of each comparison operator is again a single
-// comparison.
+// comparison. The refutation does not rebuild anything: it extends the
+// cached closure of C by the one edge of ¬a.
 package order
 
 import (
@@ -24,27 +26,70 @@ import (
 
 // Set is a conjunction of order atoms. The zero value is the empty
 // (trivially satisfiable) conjunction.
+//
+// A Set is not safe for concurrent use, not even for reads:
+// Satisfiable, Implies, Contradicts and ForcedEqualities fill (and
+// Implies/Contradicts scribble scratch rows into) a cache of the closed
+// constraint graph that lives until the next Add. Give each goroutine
+// its own Set (Clone does not share the cache).
 type Set struct {
 	atoms []ast.Cmp
+
+	// The closed constraint graph of atoms, valid while closed is set.
+	// Nodes are the distinct terms of the atoms (Term.Equal decides
+	// identity, so 0 and -0 are one node) in order of first appearance.
+	closed bool
+	sat    bool
+	terms  []ast.Term
+	// With n = len(terms), adj[u*(n+2)+v] is the strongest constraint
+	// u → v the conjunction forces: 0 = none, 1 = u <= v, 2 = u < v.
+	// Rows and columns n and n+1 are scratch for the operands of a
+	// queried atom that the conjunction does not mention.
+	adj []uint8
+	neq [][2]int // pairs constrained to be different
 }
 
 // NewSet returns a Set holding the given atoms.
 func NewSet(atoms ...ast.Cmp) *Set {
-	s := &Set{}
+	s := &Set{atoms: make([]ast.Cmp, 0, len(atoms))}
 	for _, a := range atoms {
 		s.Add(a)
 	}
 	return s
 }
 
+// orient turns > and >= into < and <= with swapped operands.
+func orient(c ast.Cmp) ast.Cmp {
+	if c.Op == ast.GT || c.Op == ast.GE {
+		return c.Flip()
+	}
+	return c
+}
+
+// sameAtom reports whether a and b are one constraint up to operand
+// order: x > y is y < x, and = and != are symmetric.
+func sameAtom(a, b ast.Cmp) bool {
+	if a.Op != b.Op {
+		if a.Op != b.Op.Flip() {
+			return false
+		}
+		b = b.Flip()
+	}
+	if a.Left.Equal(b.Left) && a.Right.Equal(b.Right) {
+		return true
+	}
+	return (a.Op == ast.EQ || a.Op == ast.NE) && a.Left.Equal(b.Right) && a.Right.Equal(b.Left)
+}
+
 // Add appends an atom to the conjunction (duplicates are ignored).
 func (s *Set) Add(c ast.Cmp) {
 	for _, e := range s.atoms {
-		if e.Key() == c.Key() {
+		if sameAtom(e, c) {
 			return
 		}
 	}
 	s.atoms = append(s.atoms, c)
+	s.closed = false
 }
 
 // AddAll appends all atoms of the slice.
@@ -76,168 +121,215 @@ func (s *Set) String() string {
 	return strings.Join(parts, ", ")
 }
 
-// graph is the internal constraint-graph representation.
-type graph struct {
-	ids   map[string]int // term key -> node id
-	terms []ast.Term     // node id -> representative term
-	// adj[u][v] holds the strongest edge strength u → v:
-	// 0 = none, 1 = u <= v, 2 = u < v.
-	adj [][]uint8
-	neq [][2]int // pairs constrained to be different
-	bad bool     // immediate contradiction (e.g. 2 < 1 on constants)
+// find returns the node of t, or -1.
+func (s *Set) find(t ast.Term) int {
+	for i, o := range s.terms {
+		if o.Equal(t) {
+			return i
+		}
+	}
+	return -1
 }
 
-func (g *graph) node(t ast.Term) int {
-	k := t.Key()
-	if id, ok := g.ids[k]; ok {
-		return id
-	}
-	id := len(g.terms)
-	g.ids[k] = id
-	g.terms = append(g.terms, t)
-	for i := range g.adj {
-		g.adj[i] = append(g.adj[i], 0)
-	}
-	g.adj = append(g.adj, make([]uint8, id+1))
-	return id
-}
+func (s *Set) at(u, v int) uint8   { return s.adj[u*(len(s.terms)+2)+v] }
+func (s *Set) reach(u, v int) bool { return u == v || s.at(u, v) > 0 }
+func (s *Set) eq(u, v int) bool    { return s.reach(u, v) && s.reach(v, u) }
 
-func (g *graph) edge(u, v int, strength uint8) {
-	if g.adj[u][v] < strength {
-		g.adj[u][v] = strength
+func (s *Set) edge(u, v int, strength uint8) {
+	if e := &s.adj[u*(len(s.terms)+2)+v]; *e < strength {
+		*e = strength
 	}
 }
 
-// build constructs the constraint graph for the conjunction, adding
-// the implicit total order among the constants that appear.
-func (s *Set) build() *graph {
-	g := &graph{ids: map[string]int{}}
+// close builds the constraint graph of the conjunction — the atoms'
+// edges plus the implicit total order among the constants that appear
+// — closes it transitively and decides satisfiability, all into
+// storage kept from the previous build.
+func (s *Set) close() {
+	if s.closed {
+		return
+	}
+	s.terms, s.neq = s.terms[:0], s.neq[:0]
 	for _, a := range s.atoms {
-		u, v := g.node(a.Left), g.node(a.Right)
+		for _, t := range [2]ast.Term{a.Left, a.Right} {
+			if s.find(t) < 0 {
+				s.terms = append(s.terms, t)
+			}
+		}
+	}
+	n := len(s.terms)
+	w := n + 2
+	if cap(s.adj) < w*w {
+		s.adj = make([]uint8, w*w)
+	}
+	s.adj = s.adj[:w*w]
+	clear(s.adj)
+	for _, a := range s.atoms {
+		a = orient(a)
+		u, v := s.find(a.Left), s.find(a.Right)
 		switch a.Op {
 		case ast.LT:
-			g.edge(u, v, 2)
+			s.edge(u, v, 2)
 		case ast.LE:
-			g.edge(u, v, 1)
-		case ast.GT:
-			g.edge(v, u, 2)
-		case ast.GE:
-			g.edge(v, u, 1)
+			s.edge(u, v, 1)
 		case ast.EQ:
-			g.edge(u, v, 1)
-			g.edge(v, u, 1)
+			s.edge(u, v, 1)
+			s.edge(v, u, 1)
 		case ast.NE:
-			g.neq = append(g.neq, [2]int{u, v})
+			s.neq = append(s.neq, [2]int{u, v})
 		}
 	}
-	// Implicit order among constants.
-	var consts []int
-	for id, t := range g.terms {
-		if t.IsConst() {
-			consts = append(consts, id)
-		}
-	}
-	for i := 0; i < len(consts); i++ {
-		for j := i + 1; j < len(consts); j++ {
-			a, b := consts[i], consts[j]
-			switch g.terms[a].Compare(g.terms[b]) {
-			case -1:
-				g.edge(a, b, 2)
-			case 1:
-				g.edge(b, a, 2)
-			}
-		}
-	}
-	return g
-}
-
-// closure runs Floyd–Warshall over edge strengths: combining a path
-// through k, the strength of u→v is max over min-combinations; a path
-// is strict if any hop is strict.
-func (g *graph) closure() {
-	n := len(g.terms)
-	for k := 0; k < n; k++ {
-		for u := 0; u < n; u++ {
-			if g.adj[u][k] == 0 {
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if s.terms[a].IsVar() || s.terms[b].IsVar() {
 				continue
 			}
-			for v := 0; v < n; v++ {
-				if g.adj[k][v] == 0 {
-					continue
-				}
-				st := g.adj[u][k]
-				if g.adj[k][v] > st {
-					st = g.adj[k][v]
-				}
-				if g.adj[u][v] < st {
-					g.adj[u][v] = st
+			if s.terms[a].Compare(s.terms[b]) < 0 {
+				s.edge(a, b, 2)
+			} else {
+				s.edge(b, a, 2)
+			}
+		}
+	}
+	// Floyd–Warshall over edge strengths: a path is strict if any hop is.
+	for k := 0; k < n; k++ {
+		rk := s.adj[k*w : k*w+n]
+		for u := 0; u < n; u++ {
+			ru := s.adj[u*w : u*w+n]
+			uk := ru[k]
+			if uk == 0 {
+				continue
+			}
+			for v, kv := range rk {
+				if kv > 0 && ru[v] < max(uk, kv) {
+					ru[v] = max(uk, kv)
 				}
 			}
 		}
 	}
+	// Unsatisfiable iff some u < u (which covers two distinct constants
+	// forced equal, by their implicit strict edge) or a != pair is forced
+	// equal. Everything else is realizable over a dense order: take the
+	// strict partial order on equivalence classes, extend it to a linear
+	// order, and embed the classes into the rationals respecting the
+	// constants' positions; density provides room between and beyond
+	// all constants.
+	s.sat = true
+	for u := 0; u < n; u++ {
+		if s.at(u, u) == 2 {
+			s.sat = false
+		}
+	}
+	for _, p := range s.neq {
+		if s.eq(p[0], p[1]) {
+			s.sat = false
+		}
+	}
+	s.closed = true
 }
 
 // Satisfiable reports whether some assignment of the variables into
 // the dense order satisfies every atom of the conjunction.
 func (s *Set) Satisfiable() bool {
-	g := s.build()
-	if g.bad {
-		return false
+	s.close()
+	return s.sat
+}
+
+// scratch makes slot (n or n+1) the node of a term the conjunction
+// does not mention. A variable is unconstrained; a constant sits
+// strictly between its nearest neighbours among the constants present,
+// and inherits everything they reach or are reached from.
+func (s *Set) scratch(slot int, t ast.Term) {
+	n := len(s.terms)
+	w := n + 2
+	for i := 0; i < w; i++ {
+		s.adj[slot*w+i], s.adj[i*w+slot] = 0, 0
 	}
-	g.closure()
-	n := len(g.terms)
-	for u := 0; u < n; u++ {
-		if g.adj[u][u] == 2 {
-			return false // strict cycle: u < u
+	if t.IsVar() {
+		return
+	}
+	lo, hi := -1, -1 // greatest constant below t, least constant above
+	for c, o := range s.terms {
+		if o.IsVar() {
+			continue
+		}
+		if o.Compare(t) < 0 {
+			if lo < 0 || s.at(lo, c) > 0 {
+				lo = c
+			}
+		} else if hi < 0 || s.at(c, hi) > 0 {
+			hi = c
 		}
 	}
-	// u ≤ v ≤ u with any strict hop was caught above (strength max).
-	// Forced equalities: u ~ v iff adj[u][v] ≥ 1 and adj[v][u] ≥ 1.
-	eq := func(u, v int) bool { return u == v || (g.adj[u][v] >= 1 && g.adj[v][u] >= 1) }
-	// Two distinct constants forced equal is impossible (implicit strict
-	// edges make that a strict cycle, already caught). A ≠ pair forced
-	// equal is a contradiction:
-	for _, p := range g.neq {
-		if eq(p[0], p[1]) {
-			return false
+	for b := 0; b < n; b++ {
+		if lo >= 0 && s.reach(b, lo) {
+			s.adj[b*w+slot] = 2
+		}
+		if hi >= 0 && s.reach(hi, b) {
+			s.adj[slot*w+b] = 2
 		}
 	}
-	// A ≠ pair pinned to the same constant: u = c and v = c.
-	pin := make([]int, n) // pinned constant node, or -1
-	for u := 0; u < n; u++ {
-		pin[u] = -1
-		for v := 0; v < n; v++ {
-			if g.terms[v].IsConst() && eq(u, v) {
-				pin[u] = v
-				break
+}
+
+// unsatWith reports whether the conjunction together with c is
+// unsatisfiable. The closed graph is extended by c alone: a cycle or a
+// forced equality that c creates must pass through c's own edge, so
+// each case is a few lookups around its endpoints.
+func (s *Set) unsatWith(c ast.Cmp) bool {
+	s.close()
+	if !s.sat {
+		return true
+	}
+	c = orient(c)
+	n := len(s.terms)
+	u, v := s.find(c.Left), s.find(c.Right)
+	if u < 0 {
+		u = n
+		s.scratch(u, c.Left)
+	}
+	if v < 0 && u == n && c.Left.Equal(c.Right) {
+		v = u
+	} else if v < 0 {
+		v = n + 1
+		s.scratch(v, c.Right)
+		if u == n && c.Left.IsConst() && c.Right.IsConst() {
+			if c.Left.Compare(c.Right) < 0 {
+				s.edge(u, v, 2)
+			} else {
+				s.edge(v, u, 2)
 			}
 		}
 	}
-	for _, p := range g.neq {
-		if pin[p[0]] >= 0 && pin[p[1]] >= 0 &&
-			g.terms[pin[p[0]]].Compare(g.terms[pin[p[1]]]) == 0 {
-			return false
+	switch c.Op {
+	case ast.LT:
+		return s.reach(v, u)
+	case ast.NE:
+		return s.eq(u, v)
+	case ast.LE:
+		if !s.reach(v, u) {
+			return false // no cycle through u → v, so nothing new is forced
 		}
 	}
-	// Everything else is realizable over a dense order: take the strict
-	// partial order on equivalence classes (antisymmetric and acyclic
-	// by the checks above), extend it to a linear order, and embed the
-	// classes into the rationals respecting the constants' positions;
-	// density provides room between and beyond all constants.
-	return true
+	// u <= v closing a cycle, or u = v: the two become one class.
+	if s.at(u, v) == 2 || s.at(v, u) == 2 {
+		return true
+	}
+	via := func(a, b int) bool {
+		return s.reach(a, b) || s.reach(a, u) && s.reach(v, b) || s.reach(a, v) && s.reach(u, b)
+	}
+	for _, p := range s.neq {
+		if via(p[0], p[1]) && via(p[1], p[0]) {
+			return true
+		}
+	}
+	return false
 }
 
 // Implies reports whether the conjunction logically entails the given
-// atom over dense orders: s ⊨ c iff s ∧ ¬c is unsatisfiable.
+// atom over dense orders: s ⊨ c iff s ∧ ¬c is unsatisfiable (so an
+// unsatisfiable conjunction implies everything).
 // The empty conjunction implies only tautologies (e.g. X <= X, 1 < 2).
-func (s *Set) Implies(c ast.Cmp) bool {
-	if !s.Satisfiable() {
-		return true // ex falso
-	}
-	t := s.Clone()
-	t.Add(c.Negate())
-	return !t.Satisfiable()
-}
+func (s *Set) Implies(c ast.Cmp) bool { return s.unsatWith(c.Negate()) }
 
 // ImpliesAll reports whether every atom of cs is implied.
 func (s *Set) ImpliesAll(cs []ast.Cmp) bool {
@@ -251,11 +343,7 @@ func (s *Set) ImpliesAll(cs []ast.Cmp) bool {
 
 // Contradicts reports whether adding c makes the conjunction
 // unsatisfiable.
-func (s *Set) Contradicts(c ast.Cmp) bool {
-	t := s.Clone()
-	t.Add(c)
-	return !t.Satisfiable()
-}
+func (s *Set) Contradicts(c ast.Cmp) bool { return s.unsatWith(c) }
 
 // ForcedEqualities returns the pairs of distinct terms the conjunction
 // forces to be equal, as a list of (representative, term) pairs: each
@@ -267,59 +355,25 @@ func (s *Set) ForcedEqualities() map[string]ast.Term {
 	if !s.Satisfiable() {
 		return out
 	}
-	g := s.build()
-	g.closure()
-	n := len(g.terms)
-	eq := func(u, v int) bool { return u == v || (g.adj[u][v] >= 1 && g.adj[v][u] >= 1) }
-	// Pinning to constants counts as equality too: u between c and c.
-	class := make([]int, n)
-	for i := range class {
-		class[i] = -1
-	}
-	next := 0
-	for u := 0; u < n; u++ {
-		if class[u] >= 0 {
+	for u, t := range s.terms {
+		if t.IsConst() {
 			continue
 		}
-		class[u] = next
-		for v := u + 1; v < n; v++ {
-			if class[v] < 0 && eq(u, v) {
-				class[v] = next
+		rep := t
+		for v, o := range s.terms {
+			if !s.eq(u, v) {
+				continue
+			}
+			if o.IsConst() {
+				rep = o // the only constant of a satisfiable class
+				break
+			}
+			if o.Name < rep.Name {
+				rep = o
 			}
 		}
-		next++
-	}
-	// Attach classes pinned to a constant to that constant's class.
-	for u := 0; u < n; u++ {
-		if g.terms[u].IsConst() {
-			continue
-		}
-		for v := 0; v < n; v++ {
-			if g.terms[v].IsConst() && g.adj[u][v] >= 1 && g.adj[v][u] >= 1 {
-				class[u] = class[v]
-			}
-		}
-	}
-	// Representative per class: a constant if present, else least var.
-	rep := map[int]ast.Term{}
-	for u := 0; u < n; u++ {
-		c := class[u]
-		t := g.terms[u]
-		cur, ok := rep[c]
-		switch {
-		case !ok:
-			rep[c] = t
-		case cur.IsVar() && t.IsConst():
-			rep[c] = t
-		case cur.IsVar() && t.IsVar() && t.Name < cur.Name:
-			rep[c] = t
-		}
-	}
-	for u := 0; u < n; u++ {
-		t := g.terms[u]
-		r := rep[class[u]]
-		if t.IsVar() && !t.Equal(r) {
-			out[t.Name] = r
+		if !rep.Equal(t) {
+			out[t.Name] = rep
 		}
 	}
 	return out

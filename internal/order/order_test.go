@@ -1,6 +1,7 @@
 package order
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -186,6 +187,46 @@ func TestAddDeduplicates(t *testing.T) {
 	s := NewSet(cmp(x, ast.LT, y), cmp(x, ast.LT, y), cmp(y, ast.GT, x))
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (x<y, x<y, y>x are the same atom)", s.Len())
+	}
+}
+
+// 0 and -0 are one constant to Term.Equal and Term.Compare, so they
+// must be one node of the constraint graph.
+func TestNegativeZeroIsZero(t *testing.T) {
+	zero, negZero := ast.N(0), ast.N(math.Copysign(0, -1))
+	if NewSet(cmp(x, ast.LT, zero), cmp(x, ast.GT, negZero)).Satisfiable() {
+		t.Fatal("X < 0, X > -0 must be unsatisfiable")
+	}
+	s := NewSet(cmp(x, ast.LE, zero), cmp(x, ast.GE, negZero))
+	if !s.Implies(cmp(x, ast.EQ, zero)) || !s.Implies(cmp(x, ast.EQ, negZero)) {
+		t.Fatalf("%s must imply X = 0", s)
+	}
+	if rep, ok := s.ForcedEqualities()["X"]; !ok || !rep.Equal(zero) {
+		t.Fatalf("%s must pin X to 0, got %v", s, s.ForcedEqualities())
+	}
+	if n := NewSet(cmp(x, ast.NE, zero), cmp(negZero, ast.NE, x)).Len(); n != 1 {
+		t.Fatalf("X != 0 and -0 != X are one atom, Len = %d", n)
+	}
+}
+
+// A query on an unchanged Set reads the cached closure: no allocation,
+// whether or not the queried terms occur in the conjunction.
+func TestImpliesDoesNotAllocate(t *testing.T) {
+	s := NewSet(cmp(x, ast.LT, y), cmp(y, ast.LE, z), cmp(z, ast.LT, ast.N(5)), cmp(w, ast.NE, x))
+	queries := []ast.Cmp{
+		cmp(x, ast.LT, z),
+		cmp(x, ast.NE, ast.N(7)),          // constant absent from s
+		cmp(ast.V("Q"), ast.LE, y),        // variable absent from s
+		cmp(ast.S("k"), ast.GT, ast.N(9)), // both absent
+	}
+	s.Satisfiable()
+	if n := testing.AllocsPerRun(100, func() {
+		for _, q := range queries {
+			s.Implies(q)
+			s.Contradicts(q)
+		}
+	}); n != 0 {
+		t.Fatalf("Implies/Contradicts on an unchanged Set allocate %v times per run, want 0", n)
 	}
 }
 

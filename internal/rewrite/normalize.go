@@ -18,7 +18,7 @@
 package rewrite
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/order"
@@ -64,7 +64,8 @@ func NormalizeRule(r ast.Rule) (ast.Rule, bool) {
 	// (including now-trivial X = X and ground truths). Atom i is
 	// tested against the kept atoms plus the NOT-YET-PROCESSED ones
 	// only — never against an already-dropped atom — so two mutually
-	// implying atoms cannot erase each other (one of them survives).
+	// implying atoms cannot erase each other (one of them survives; of
+	// several copies of one atom, the last).
 	var kept []ast.Cmp
 	for i, c := range r.Cmp {
 		rest := order.NewSet()
@@ -78,16 +79,7 @@ func NormalizeRule(r ast.Rule) (ast.Rule, bool) {
 			kept = append(kept, c)
 		}
 	}
-	// Deduplicate kept by canonical key.
-	seen := map[string]bool{}
-	var uniq []ast.Cmp
-	for _, c := range kept {
-		if !seen[c.Key()] {
-			seen[c.Key()] = true
-			uniq = append(uniq, c)
-		}
-	}
-	r.Cmp = uniq
+	r.Cmp = kept
 	return r, true
 }
 
@@ -128,7 +120,38 @@ type Summary struct {
 }
 
 // argVar names the canonical variable for head argument position i.
-func argVar(i int) ast.Term { return ast.V(fmt.Sprintf("A%d", i)) }
+func argVar(i int) ast.Term { return ast.V("A" + strconv.Itoa(i)) }
+
+// argSubst maps the canonical variables A0..A(n-1) to an atom's
+// argument terms.
+func argSubst(args []ast.Term) unify.Subst {
+	s := make(unify.Subst, len(args))
+	for i, t := range args {
+		s[argVar(i).Name] = t
+	}
+	return s
+}
+
+// candidateCmps is the vocabulary of order atoms over the argument
+// positions of an n-ary predicate: comparisons among the canonical
+// variables A0..A(n-1) and against the given constants.
+func candidateCmps(n int, consts []ast.Term) []ast.Cmp {
+	var out []ast.Cmp
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			for _, op := range []ast.CmpOp{ast.LT, ast.LE, ast.EQ, ast.NE} {
+				out = append(out, ast.NewCmp(argVar(i), op, argVar(j)))
+				out = append(out, ast.NewCmp(argVar(j), op, argVar(i)))
+			}
+		}
+		for _, c := range consts {
+			for _, op := range []ast.CmpOp{ast.LT, ast.LE, ast.EQ, ast.NE, ast.GT, ast.GE} {
+				out = append(out, ast.NewCmp(argVar(i), op, c))
+			}
+		}
+	}
+	return out
+}
 
 // OrderSummaries computes, for each IDB predicate, the set of
 // candidate order atoms over its argument positions (and the program's
@@ -143,28 +166,9 @@ func OrderSummaries(p *ast.Program) map[string]*Summary {
 	}
 	consts := collectConstants(p)
 
-	candidates := func(n int) []ast.Cmp {
-		var out []ast.Cmp
-		ops := []ast.CmpOp{ast.LT, ast.LE, ast.EQ, ast.NE}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				for _, op := range ops {
-					out = append(out, ast.NewCmp(argVar(i), op, argVar(j)))
-					out = append(out, ast.NewCmp(argVar(j), op, argVar(i)))
-				}
-			}
-			for _, c := range consts {
-				for _, op := range []ast.CmpOp{ast.LT, ast.LE, ast.EQ, ast.NE, ast.GT, ast.GE} {
-					out = append(out, ast.NewCmp(argVar(i), op, c))
-				}
-			}
-		}
-		return out
-	}
-
 	sums := map[string]*Summary{}
 	for pred := range idb {
-		sums[pred] = &Summary{Pred: pred, Arity: ar[pred], Cmps: candidates(ar[pred])}
+		sums[pred] = &Summary{Pred: pred, Arity: ar[pred], Cmps: candidateCmps(ar[pred], consts)}
 	}
 
 	for changed := true; changed; {
@@ -205,10 +209,7 @@ func ruleImplied(r ast.Rule, sums map[string]*Summary, idb map[string]bool) *ord
 		}
 		// Instantiate the summary's A_i with the subgoal's argument
 		// terms.
-		s := unify.Subst{}
-		for i, t := range sub.Args {
-			s[fmt.Sprintf("A%d", i)] = t
-		}
+		s := argSubst(sub.Args)
 		for _, c := range sum.Cmps {
 			set.Add(s.ApplyCmp(c))
 		}
@@ -220,10 +221,7 @@ func ruleImplied(r ast.Rule, sums map[string]*Summary, idb map[string]bool) *ord
 // guarantees, translating head argument positions to the rule's head
 // terms.
 func filterImplied(cands []ast.Cmp, r ast.Rule, implied *order.Set) []ast.Cmp {
-	s := unify.Subst{}
-	for i, t := range r.Head.Args {
-		s[fmt.Sprintf("A%d", i)] = t
-	}
+	s := argSubst(r.Head.Args)
 	var out []ast.Cmp
 	for _, c := range cands {
 		if implied.Implies(s.ApplyCmp(c)) {
@@ -269,10 +267,7 @@ func Strengthen(p *ast.Program) *ast.Program {
 			if sum == nil {
 				continue
 			}
-			s := unify.Subst{}
-			for i, t := range sub.Args {
-				s[fmt.Sprintf("A%d", i)] = t
-			}
+			s := argSubst(sub.Args)
 			for _, c := range sum.Cmps {
 				inst := s.ApplyCmp(c)
 				if !set.Implies(inst) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/order"
-	"repro/internal/unify"
 )
 
 // PushOrder performs top-down order-constraint propagation — the
@@ -40,25 +39,18 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 	}
 	consts := collectConstants(p)
 
-	// candidates returns the context vocabulary for an n-ary predicate,
-	// over canonical argument variables A0..A(n-1).
-	candidates := func(n int) []ast.Cmp {
-		var out []ast.Cmp
-		ops := []ast.CmpOp{ast.LT, ast.LE, ast.EQ, ast.NE}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				for _, op := range ops {
-					out = append(out, ast.NewCmp(argVar(i), op, argVar(j)))
-					out = append(out, ast.NewCmp(argVar(j), op, argVar(i)))
-				}
-			}
-			for _, c := range consts {
-				for _, op := range []ast.CmpOp{ast.LT, ast.LE, ast.EQ, ast.NE, ast.GT, ast.GE} {
-					out = append(out, ast.NewCmp(argVar(i), op, c))
-				}
-			}
+	// vocabulary returns the context vocabulary for an n-ary predicate,
+	// over canonical argument variables A0..A(n-1), in canonical
+	// (deduplicated, key-sorted) order — so the implied subset of it is
+	// a canonical context as it stands. Built once per arity.
+	vocab := map[int][]ast.Cmp{}
+	vocabulary := func(n int) []ast.Cmp {
+		v, ok := vocab[n]
+		if !ok {
+			v = canonCtx(candidateCmps(n, consts))
+			vocab[n] = v
 		}
-		return out
+		return v
 	}
 
 	type classKey struct {
@@ -103,10 +95,7 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 			nr.Head.Pred = name
 			// Instantiate the context on the head arguments and add it
 			// to the body.
-			s := unify.Subst{}
-			for i, t := range nr.Head.Args {
-				s[fmt.Sprintf("A%d", i)] = t
-			}
+			s := argSubst(nr.Head.Args)
 			bodySet := order.NewSet(nr.Cmp...)
 			for _, c := range ctx {
 				// Safety guarantees head variables occur in the body,
@@ -132,21 +121,17 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 				if !idb[sub.Pred] {
 					continue
 				}
-				var childCtx []ast.Cmp
-				ss := unify.Subst{}
-				for i, t := range sub.Args {
-					ss[fmt.Sprintf("A%d", i)] = t
-				}
-				for _, c := range candidates(ar[sub.Pred]) {
+				var child []ast.Cmp
+				ss := argSubst(sub.Args)
+				for _, c := range vocabulary(ar[sub.Pred]) {
 					if fullSet.Implies(ss.ApplyCmp(c)) {
-						childCtx = append(childCtx, c)
+						child = append(child, c)
 					}
 				}
-				ctx := canonCtx(childCtx)
-				if len(ctx) > 0 && !contextUseful(p, idb, sub.Pred, ctx, candidates, ar) {
-					ctx = nil
+				if len(child) > 0 && !contextUseful(p, idb, sub.Pred, child, vocabulary, ar) {
+					child = nil
 				}
-				norm.Pos[j].Pred = intern(sub.Pred, ctx)
+				norm.Pos[j].Pred = intern(sub.Pred, child)
 			}
 			out.Rules = append(out.Rules, norm)
 		}
@@ -160,13 +145,10 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 // induces a non-empty context on some IDB subgoal (i.e. it survives a
 // recursion step).
 func contextUseful(p *ast.Program, idb map[string]bool, pred string, ctx []ast.Cmp,
-	candidates func(int) []ast.Cmp, ar map[string]int) bool {
+	vocabulary func(int) []ast.Cmp, ar map[string]int) bool {
 	for _, r := range p.RulesFor(pred) {
 		nr := r.Clone()
-		s := unify.Subst{}
-		for i, t := range nr.Head.Args {
-			s[fmt.Sprintf("A%d", i)] = t
-		}
+		s := argSubst(nr.Head.Args)
 		for _, c := range ctx {
 			nr.Cmp = append(nr.Cmp, s.ApplyCmp(c))
 		}
@@ -174,20 +156,17 @@ func contextUseful(p *ast.Program, idb map[string]bool, pred string, ctx []ast.C
 		if !ok {
 			return true // the context kills this rule outright
 		}
-		set := order.NewSet(norm.Cmp...)
+		set, own := order.NewSet(norm.Cmp...), order.NewSet(r.Cmp...)
 		for _, sub := range norm.Pos {
 			if !idb[sub.Pred] {
 				continue
 			}
-			ss := unify.Subst{}
-			for i, t := range sub.Args {
-				ss[fmt.Sprintf("A%d", i)] = t
-			}
-			for _, c := range candidates(ar[sub.Pred]) {
+			ss := argSubst(sub.Args)
+			for _, c := range vocabulary(ar[sub.Pred]) {
 				inst := ss.ApplyCmp(c)
 				// Count only constraints the context contributed, not
 				// ones the rule body implies on its own.
-				if set.Implies(inst) && !order.NewSet(r.Cmp...).Implies(ss.ApplyCmp(c)) {
+				if set.Implies(inst) && !own.Implies(inst) {
 					return true
 				}
 			}
@@ -196,16 +175,22 @@ func contextUseful(p *ast.Program, idb map[string]bool, pred string, ctx []ast.C
 	return false
 }
 
-// canonCtx deduplicates and sorts context atoms by key.
+// canonCtx deduplicates context atoms by key (the first of two atoms
+// sharing one stays) and sorts them by it.
 func canonCtx(ctx []ast.Cmp) []ast.Cmp {
-	seen := map[string]bool{}
-	var out []ast.Cmp
+	byKey := map[string]ast.Cmp{}
+	var keys []string
 	for _, c := range ctx {
-		if !seen[c.Key()] {
-			seen[c.Key()] = true
-			out = append(out, c)
+		k := c.Key()
+		if _, dup := byKey[k]; !dup {
+			byKey[k] = c
+			keys = append(keys, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sort.Strings(keys)
+	var out []ast.Cmp
+	for _, k := range keys {
+		out = append(out, byKey[k])
+	}
 	return out
 }

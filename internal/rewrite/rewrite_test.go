@@ -11,9 +11,14 @@ import (
 )
 
 func TestNormalizeRuleDropsUnsatisfiable(t *testing.T) {
-	r := parser.MustParseProgram(`p(X, Y) :- e(X, Y), X < Y, Y < X.`).Rules[0]
-	if _, ok := NormalizeRule(r); ok {
-		t.Fatal("rule with contradictory order atoms must be dropped")
+	for _, src := range []string{
+		`p(X, Y) :- e(X, Y), X < Y, Y < X.`,
+		`q(X) :- e(X), X < 0, X > -0.`, // the parser keeps -0; it is the constant 0
+	} {
+		r := parser.MustParseProgram(src).Rules[0]
+		if _, ok := NormalizeRule(r); ok {
+			t.Errorf("%s: rule with contradictory order atoms must be dropped", src)
+		}
 	}
 }
 
