@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet vet-stats fmt test race bench bench-compare bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke cluster-smoke ci
+.PHONY: build vet vet-stats vet-bench fmt test race bench bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,12 @@ vet-stats:
 	@mkdir -p bench-out
 	$(GO) build -o bench-out/statsequal ./cmd/statsequal
 	$(GO) vet -vettool=$(abspath bench-out/statsequal) ./internal/eval/
+
+# bench/ is a module of its own that imports this one through a replace
+# directive, so `make build vet test` never compile it: this is what
+# catches a product-API change that breaks the benchmark.
+vet-bench:
+	cd bench && $(GO) build ./... && $(GO) vet ./...
 
 # Fails (and lists the offenders) when any file is not gofmt-clean.
 fmt:
@@ -41,39 +47,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Legacy engine vs compiled join plans on the evaluation benchmarks,
-# via the SQO_EVAL_ENGINE override honored by benchEvalWith. Summarized
-# with benchstat when it is installed (go install
-# golang.org/x/perf/cmd/benchstat@v0.0.0-20230113213139-801c7ef9e5c5,
-# the version CI pins); falls back to printing the raw runs otherwise.
-BENCH_COMPARE_PAT ?= 'BenchmarkE1GoodPath|BenchmarkE3ABPaths|BenchmarkP1Parallel'
-BENCH_COMPARE_COUNT ?= 5
-
-bench-compare:
-	SQO_EVAL_ENGINE=legacy $(GO) test -run='^$$' -bench=$(BENCH_COMPARE_PAT) \
-		-benchmem -count=$(BENCH_COMPARE_COUNT) . | tee bench-legacy.txt
-	SQO_EVAL_ENGINE=compiled $(GO) test -run='^$$' -bench=$(BENCH_COMPARE_PAT) \
-		-benchmem -count=$(BENCH_COMPARE_COUNT) . | tee bench-compiled.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench-legacy.txt bench-compiled.txt; \
-	else \
-		echo "benchstat not installed; raw runs are in bench-legacy.txt and bench-compiled.txt"; \
-	fi
-
 # Re-run the JSON-emitting experiments and diff against the committed
 # baselines — the same commands the CI bench-regression job runs.
 # Regenerate a baseline deliberately with e.g.
 #   go run ./cmd/sqobench -run P6 -out BENCH_6.json
 bench-regression:
 	mkdir -p bench-out
-	$(GO) run ./cmd/sqobench -run P3 -out bench-out/bench3.json
 	$(GO) run ./cmd/sqobench -run P4 -out bench-out/bench4.json
 	$(GO) run ./cmd/sqobench -run P6 -out bench-out/bench6.json
 	$(GO) run ./cmd/sqobench -run P7 -out bench-out/bench7.json
 	$(GO) run ./cmd/sqobench -run P8 -out bench-out/bench8.json
 	$(GO) run ./cmd/sqobench -run P9 -out bench-out/bench9.json
 	$(GO) run ./cmd/sqobench -run P10 -out bench-out/bench10.json
-	$(GO) run ./cmd/benchdiff -label P3 -baseline BENCH_3.json -current bench-out/bench3.json
 	$(GO) run ./cmd/benchdiff -label P4 -baseline BENCH_4.json -current bench-out/bench4.json
 	$(GO) run ./cmd/benchdiff -label P6 -baseline BENCH_6.json -current bench-out/bench6.json
 	$(GO) run ./cmd/benchdiff -label P7 -baseline BENCH_7.json -current bench-out/bench7.json
@@ -143,4 +128,4 @@ serve-smoke:
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 
-ci: build vet vet-stats fmt test
+ci: build vet vet-stats vet-bench fmt test

@@ -47,8 +47,8 @@ func runE1() {
 	// path is materialized as an EDB relation and the program is the
 	// single goodPath rule. The residue Y > X skips the endPoint join
 	// for the backward path tuples — real work under the paper's
-	// 1995-era scan-based cost model, largely absorbed by hash
-	// indexes (both engines reported).
+	// 1995-era scan-based cost model, largely absorbed by the engine's
+	// hash indexes.
 	p := sqo.MustParseProgram(`
 		goodPath(X, Y) :- startPoint(X), path(X, Y), endPoint(Y).
 		?- goodPath.
@@ -62,16 +62,14 @@ func runE1() {
 	if *quick {
 		shapes = [][2]int{{20, 20}}
 	}
-	header("starts k", "fanout m", "engine", "orig probes", "opt probes", "speedup", "agree")
+	header("starts k", "fanout m", "orig probes", "opt probes", "speedup", "agree")
 	for _, sh := range shapes {
 		db := sqo.NewDBFrom(workload.StarPaths(sh[0], sh[1]))
-		for _, eng := range engines() {
-			mo := measureWith(p, db, eng.opts)
-			mr := measureWith(res.Program, db, eng.opts)
-			fmt.Printf("%8d | %8d | %7s | %11d | %10d | %7s | %v\n",
-				sh[0], sh[1], eng.name, mo.probes, mr.probes,
-				ratio(mo.probes, mr.probes), mo.answers == mr.answers)
-		}
+		mo := measure(p, db)
+		mr := measure(res.Program, db)
+		fmt.Printf("%8d | %8d | %11d | %10d | %7s | %v\n",
+			sh[0], sh[1], mo.probes, mr.probes,
+			ratio(mo.probes, mr.probes), mo.answers == mr.answers)
 	}
 }
 
@@ -91,16 +89,14 @@ func runE2() {
 	if *quick {
 		lows = []int{50, 100}
 	}
-	header("lowN", "engine", "orig derived", "opt derived", "derived speedup", "orig probes", "opt probes", "probe speedup")
+	header("lowN", "orig derived", "opt derived", "derived speedup", "orig probes", "opt probes", "probe speedup")
 	for _, low := range lows {
 		db := sqo.NewDBFrom(workload.GoodPath(low, 100, 40))
-		for _, eng := range engines() {
-			mo := measureWith(p, db, eng.opts)
-			mr := measureWith(res.Program, db, eng.opts)
-			fmt.Printf("%4d | %7s | %12d | %11d | %15s | %11d | %10d | %13s\n",
-				low, eng.name, mo.derived, mr.derived, ratio(mo.derived, mr.derived),
-				mo.probes, mr.probes, ratio(mo.probes, mr.probes))
-		}
+		mo := measure(p, db)
+		mr := measure(res.Program, db)
+		fmt.Printf("%4d | %12d | %11d | %15s | %11d | %10d | %13s\n",
+			low, mo.derived, mr.derived, ratio(mo.derived, mr.derived),
+			mo.probes, mr.probes, ratio(mo.probes, mr.probes))
 	}
 }
 
@@ -117,16 +113,14 @@ func runE3() {
 	if *quick {
 		shapes = [][3]int{{4, 10, 10}}
 	}
-	header("width", "bLen", "aLen", "engine", "orig probes", "opt probes", "speedup", "agree")
+	header("width", "bLen", "aLen", "orig probes", "opt probes", "speedup", "agree")
 	for _, sh := range shapes {
 		db := sqo.NewDBFrom(workload.ABComb(sh[0], sh[1], sh[2]))
-		for _, eng := range engines() {
-			mo := measureWith(p, db, eng.opts)
-			mr := measureWith(res.Program, db, eng.opts)
-			fmt.Printf("%5d | %4d | %4d | %7s | %11d | %10d | %7s | %v\n",
-				sh[0], sh[1], sh[2], eng.name, mo.probes, mr.probes,
-				ratio(mo.probes, mr.probes), mo.answers == mr.answers)
-		}
+		mo := measure(p, db)
+		mr := measure(res.Program, db)
+		fmt.Printf("%5d | %4d | %4d | %11d | %10d | %7s | %v\n",
+			sh[0], sh[1], sh[2], mo.probes, mr.probes,
+			ratio(mo.probes, mr.probes), mo.answers == mr.answers)
 	}
 }
 
@@ -345,18 +339,16 @@ func runA2() {
 	}
 	baseline := sqo.BaselineOptimize(p, ics)
 	db := sqo.NewDBFrom(workload.ABComb(8, 14, 14))
-	header("optimizer", "rules", "engine", "probes", "speedup")
-	for _, eng := range engines() {
-		mo := measureWith(p, db, eng.opts)
-		mb := measureWith(baseline, db, eng.opts)
-		mt := measureWith(res.Program, db, eng.opts)
-		fmt.Printf("%-12s | %5d | %7s | %8d | %s\n", "none", len(p.Rules), eng.name, mo.probes, "1.0x")
-		fmt.Printf("%-12s | %5d | %7s | %8d | %s\n", "[CGM88]", len(baseline.Rules), eng.name, mb.probes, ratio(mo.probes, mb.probes))
-		fmt.Printf("%-12s | %5d | %7s | %8d | %s\n", "query tree", len(res.Program.Rules), eng.name, mt.probes, ratio(mo.probes, mt.probes))
-	}
+	header("optimizer", "rules", "probes", "speedup")
+	mo := measure(p, db)
+	mb := measure(baseline, db)
+	mt := measure(res.Program, db)
+	fmt.Printf("%-12s | %5d | %8d | %s\n", "none", len(p.Rules), mo.probes, "1.0x")
+	fmt.Printf("%-12s | %5d | %8d | %s\n", "[CGM88]", len(baseline.Rules), mb.probes, ratio(mo.probes, mb.probes))
+	fmt.Printf("%-12s | %5d | %8d | %s\n", "query tree", len(res.Program.Rules), mt.probes, ratio(mo.probes, mt.probes))
 }
 
-// runA3 ablates the evaluation engine on a plain transitive closure.
+// runA3 ablates the fixpoint strategy on a plain transitive closure.
 func runA3() {
 	p := sqo.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -368,19 +360,17 @@ func runA3() {
 		name string
 		opts sqo.EvalOptions
 	}{
-		{"semi-naive + index", sqo.EvalOptions{Seminaive: true, UseIndex: true, CompilePlans: true}},
-		{"semi-naive, no index", sqo.EvalOptions{Seminaive: true, UseIndex: false, CompilePlans: true}},
-		{"naive + index", sqo.EvalOptions{Seminaive: false, UseIndex: true, CompilePlans: true}},
-		{"naive, no index", sqo.EvalOptions{Seminaive: false, UseIndex: false, CompilePlans: true}},
+		{"semi-naive", sqo.EvalOptions{Seminaive: true}},
+		{"naive", sqo.EvalOptions{Seminaive: false}},
 	}
-	header("engine", "probes", "time")
+	header("fixpoint", "probes", "time")
 	for _, c := range configs {
 		start := time.Now()
 		_, stats, err := sqo.EvalWith(p, db, c.opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-20s | %9d | %v\n", c.name, stats.JoinProbes, time.Since(start).Round(time.Microsecond))
+		fmt.Printf("%-10s | %9d | %v\n", c.name, stats.JoinProbes, time.Since(start).Round(time.Microsecond))
 	}
 }
 
@@ -531,21 +521,4 @@ func median(ds []time.Duration) time.Duration {
 // satAsNonContainment wraps the Proposition 5.1 reduction for E6.
 func satAsNonContainment(p *sqo.Program, ics []sqo.IC) (*sqo.Program, []sqo.Rule, error) {
 	return sqo.SatisfiabilityAsNonContainment(p, ics)
-}
-
-// engines lists the two join engines every comparison reports: the
-// scan-based engine matches the paper's 1995-era cost model, the
-// hash-indexed one a modern evaluator.
-type engineCfg struct {
-	name string
-	opts sqo.EvalOptions
-}
-
-func engines() []engineCfg {
-	scan := sqo.DefaultEvalOptions()
-	scan.UseIndex = false
-	return []engineCfg{
-		{"scan", scan},
-		{"indexed", sqo.DefaultEvalOptions()},
-	}
 }

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	sqobench [-run F1|E1|E2|E3|E4|E5|E6|E7|E8|A1|A2|A3|P1|P2|P3|P4|P5|P6|P7|P8|P9|P10] [-quick]
+//	sqobench [-run F1|E1|E2|E3|E4|E5|E6|E7|E8|A1|A2|A3|P1|P2|P4|P5|P6|P7|P8|P9|P10] [-quick]
 //	         [-out bench.json] [-cpuprofile cpu.prof] [-memprofile mem.prof]
 package main
 
@@ -27,7 +27,7 @@ import (
 
 var (
 	quick   = flag.Bool("quick", false, "smaller sweeps")
-	outPath = flag.String("out", "", "write machine-readable P3/P4/P6/P7/P8/P9/P10 results (JSON) to this file")
+	outPath = flag.String("out", "", "write machine-readable P4/P6/P7/P8/P9/P10 results (JSON) to this file")
 )
 
 func main() {
@@ -82,10 +82,9 @@ func main() {
 		{"E8", "Proposition 5.2: emptiness via initialization rules", runE8},
 		{"A1", "Ablation: pipeline passes on the threshold workload", runA1},
 		{"A2", "Ablation: [CGM88] per-rule baseline vs query tree", runA2},
-		{"A3", "Ablation: evaluation engine (semi-naive, indexes)", runA3},
+		{"A3", "Ablation: naive vs semi-naive fixpoint", runA3},
 		{"P1", "Parallel semi-naive scaling (workers sweep)", runP1},
 		{"P2", "Rewrite-cache amortization (cold vs cache hit)", runP2},
-		{"P3", "Compiled join plans vs legacy string-keyed engine", runP3},
 		{"P4", "Incremental view maintenance vs recompute", runP4},
 		{"P5", "Lint wall-clock per check family", runP5},
 		{"P6", "Join-order policies: greedy vs cost vs adaptive", runP6},

@@ -3,7 +3,7 @@
 // compared by the Equal method or deliberately listed in the
 // statsEqualExcluded set, and the exclusion set must not name stale or
 // double-accounted fields. The contract matters because differential
-// tests across engines, policies, and worker counts use Equal as the
+// tests across policies, shard counts, and worker counts use Equal as the
 // determinism oracle — a field added to Stats but forgotten in both
 // places silently escapes that oracle.
 //

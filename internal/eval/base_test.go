@@ -47,7 +47,7 @@ func TestSharedBaseDifferential(t *testing.T) {
 		for _, policy := range []JoinOrderPolicy{PolicyGreedy, PolicyCost, PolicyAdaptive} {
 			for _, workers := range []int{1, 4} {
 				for _, seminaive := range []bool{true, false} {
-					opts := Options{Seminaive: seminaive, UseIndex: true, CompilePlans: true, Policy: policy, Workers: workers}
+					opts := Options{Seminaive: seminaive, Policy: policy, Workers: workers}
 					label := fmt.Sprintf("%s policy=%s workers=%d seminaive=%v", name, policy, workers, seminaive)
 					reused := runEngine(t, p, shared, opts)
 					fresh := runEngine(t, p, shared.Clone(), opts)

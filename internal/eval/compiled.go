@@ -1,13 +1,12 @@
 package eval
 
-// The compiled-plan engine (Options.CompilePlans). It mirrors the
-// legacy evaluator's round structure — snapshot rounds, per-task output
-// buffers, merge strictly in task order — but runs every hot path over
-// interned data: rules become plans (plan.go), tuples become flat
-// []uint32 rows (intern.go), and the per-candidate binding is a flat
-// slot array instead of a map. Answers, Stats, and provenance are
-// bit-identical to the legacy engine for every worker count; the
-// differential tests in compiled_test.go enforce this.
+// The evaluation engine: snapshot rounds, per-task output buffers, merge
+// strictly in task order, every hot path over interned data — rules
+// become plans (plan.go), tuples become flat []uint32 rows (intern.go),
+// and the per-candidate binding is a flat slot array instead of a map.
+// Answers, Stats, and provenance are identical for every worker count;
+// answers are checked against internal/refeval, counters against pinned
+// values and provenance by a derivation-tree validator (compiled_test.go).
 
 import (
 	"context"
@@ -21,9 +20,8 @@ import (
 	"repro/internal/shard"
 )
 
-// evalCompiled evaluates p over edb with the compiled-plan engine,
-// recording provenance steps into prov when non-nil. The caller has
-// already validated p.
+// evalCompiled evaluates p over edb, recording provenance steps into
+// prov when non-nil. The caller has already validated p.
 func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, prov *Provenance) (*DB, *Stats, error) {
 	ev := &cEvaluator{
 		ctx:     ctx,
@@ -66,9 +64,9 @@ type cEvaluator struct {
 	planCache map[planKey]map[string]*plan
 	curEst    map[planKey][]float64
 	prov      *Provenance
-	// Sharding state (zero when Options.Shards < 2), mirroring the
-	// legacy engine: owner slices are extended only at single-threaded
-	// round barriers and read concurrently by tasks.
+	// Sharding state (zero when Options.Shards < 2): owner slices are
+	// extended only at single-threaded round barriers and read
+	// concurrently by tasks.
 	shards int
 	part   shard.Partitioner
 	owners map[*irel][]uint8
@@ -413,11 +411,13 @@ func (res *cTaskResult) trim() {
 // fall below it.
 const inlineRoundRows = 128
 
-// runRound mirrors evaluator.runRound: bounded worker pool (or the
-// calling goroutine, for a round too small to pay for one), results
-// merged strictly in task order at the barrier. Where a task runs never
-// changes what it computes, so answers, Stats and provenance do not
-// depend on the choice.
+// runRound executes the round's tasks on a bounded worker pool (or the
+// calling goroutine, for a round too small to pay for one) and merges
+// each task's buffered heads into the IDB (and current delta) strictly
+// in task order at the barrier. Tasks only read the frozen snapshot, so
+// the merge order alone determines tuple insertion order, and where a
+// task runs never changes what it computes: answers, Stats and
+// provenance do not depend on the choice.
 func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*irel) error {
 	for len(ev.results) < len(tasks) {
 		ev.results = append(ev.results, cTaskResult{})
@@ -484,8 +484,8 @@ func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*ire
 		results[i].trim()
 	}
 	ev.stats.RoundDeltas = append(ev.stats.RoundDeltas, roundDelta)
-	// Footprint at the round barrier, mirroring the legacy engine's
-	// computation exactly (deltaTotal tolerates the nil delta of naive
+	// Footprint at the round barrier: every IDB tuple plus the
+	// semi-naive delta copy (deltaTotal tolerates the nil delta of naive
 	// and init rounds).
 	peak := int64(0)
 	for _, ir := range ev.idb {
@@ -501,8 +501,8 @@ func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*ire
 	return nil
 }
 
-// mergeOne merges one unsharded task result, exactly the original
-// in-task-order merge.
+// mergeOne merges one unsharded task result, in the order the task
+// derived its heads.
 func (ev *cEvaluator) mergeOne(res *cTaskResult, t task, roundDelta map[string]int64) error {
 	if res.err != nil {
 		return res.err
@@ -609,8 +609,8 @@ func (ev *cEvaluator) mergeShardGroup(results []cTaskResult, tasks []task, round
 }
 
 // materialize converts a head row's slot snapshot back to the ground
-// ast rule instance the legacy engine records, producing byte-identical
-// provenance steps. Only runs at the merge for facts that are new.
+// ast rule instance provenance records. Only runs at the merge for
+// facts that are new.
 func (ev *cEvaluator) materialize(pl *plan, snap []uint32) (ast.Atom, provStep) {
 	head := ev.groundTpl(pl.head, snap)
 	inst := ast.Rule{Head: head}
@@ -645,9 +645,9 @@ type cTaskRun struct {
 	pl     *plan
 	delta  map[string]*irel
 	lo, hi int
-	// Sharded-task state, mirroring taskRun: only depth-0 rows owned by
-	// shard are probed, and cur records the live depth-0 row index for
-	// the barrier's k-way merge.
+	// Sharded-task state: only depth-0 rows owned by shard are probed,
+	// and cur records the live depth-0 row index for the barrier's k-way
+	// merge.
 	sharded   bool
 	shard     uint8
 	owners    []uint8
@@ -699,7 +699,7 @@ func (tr *cTaskRun) runTask(t task, prevDelta map[string]*irel, res *cTaskResult
 	ha := len(pl.head.isConst)
 	tr.headBuf = sizedU32(tr.headBuf, ha)
 	tr.seen.reset(&res.headRows, ha)
-	if err := tr.joinFrom(0); err != nil {
+	if err := tr.join(0); err != nil {
 		res.err = err
 	}
 	if len(tr.seen.idxs) > scratchKeep {
@@ -727,9 +727,9 @@ func sizedProbeBufs(bufs [][]uint32, pl *plan) [][]uint32 {
 	return bufs
 }
 
-// joinFrom extends the slot binding over the plan's subgoals starting
+// join extends the slot binding over the plan's subgoals starting
 // at the given join depth.
-func (tr *cTaskRun) joinFrom(depth int) error {
+func (tr *cTaskRun) join(depth int) error {
 	ev := tr.ev
 	if ev.opts.MaxTuples > 0 && tr.base+int64(tr.res.nHeads) > ev.opts.MaxTuples {
 		return fmt.Errorf("eval: %w (budget %d)", ErrBudget, ev.opts.MaxTuples)
@@ -750,7 +750,7 @@ func (tr *cTaskRun) joinFrom(depth int) error {
 			hi = rel.n
 		}
 	}
-	if ev.opts.UseIndex && sp.indexable && len(sp.boundPos) > 0 {
+	if sp.indexable && len(sp.boundPos) > 0 {
 		vals := tr.probeBufs[depth]
 		for k, c := range sp.boundConst {
 			if c {
@@ -868,7 +868,7 @@ func (tr *cTaskRun) maybeReorder() {
 	tr.probeBufs = sizedProbeBufs(tr.probeBufs, npl)
 }
 
-// tryRow is the compiled tryTuple: one candidate row at one depth.
+// tryRow tries one candidate row at one depth.
 // verify is true on the scan path, where bound positions must be
 // re-checked; index candidates match them by construction (the index
 // compares values exactly, so collisions never reach here).
@@ -915,7 +915,7 @@ func (tr *cTaskRun) tryRow(depth int, row []uint32, verify bool) error {
 	if tr.matches != nil {
 		tr.matches[depth]++
 	}
-	return tr.joinFrom(depth + 1)
+	return tr.join(depth + 1)
 }
 
 // evalCmp evaluates a compiled comparison. Equality on canonical intern
@@ -939,8 +939,7 @@ func (tr *cTaskRun) evalCmp(c *cmpPlan) bool {
 }
 
 // negContains reports whether the ground instance of a negated subgoal
-// is present in the EDB (negation ranges over EDB relations only,
-// matching filtersHold).
+// is present in the EDB (negation ranges over EDB relations only).
 func (tr *cTaskRun) negContains(tpl *atomTpl) bool {
 	rel := tr.ev.edb[tpl.pred]
 	if rel == nil {
@@ -957,9 +956,10 @@ func (tr *cTaskRun) negContains(tpl *atomTpl) bool {
 	return rel.contains(buf)
 }
 
-// finish emits the head row for a complete binding, mirroring
-// finishRule: firings count before dedup, per-task dedup plus a
-// snapshot-IDB membership check.
+// finish emits the head row for a complete binding: firings count
+// before dedup, then per-task dedup plus a snapshot-IDB membership
+// check (cross-task duplicates within a round are resolved at the
+// merge).
 func (tr *cTaskRun) finish() error {
 	pl := tr.pl
 	for i := range pl.finishCmps {

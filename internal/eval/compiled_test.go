@@ -6,24 +6,29 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/refeval"
+	"repro/internal/unify"
 )
 
 // --- differential harness -------------------------------------------------
 
 // engineRun captures everything observable from one evaluation:
 // relations (as sorted fact strings per predicate), Stats, and the
-// rendered derivation tree of every query answer.
+// rendered derivation tree of every derived fact.
 type engineRun struct {
 	preds map[string][]string
 	stats Stats
 	prov  string
 }
 
+// runEngine evaluates with provenance and validates the derivation tree
+// of every derived fact (checkDerivation) while rendering it.
 func runEngine(t *testing.T, p *ast.Program, db *DB, opts Options) engineRun {
 	t.Helper()
 	idb, prov, stats, err := evalProvOpts(context.Background(), p, db, opts)
@@ -33,12 +38,16 @@ func runEngine(t *testing.T, p *ast.Program, db *DB, opts Options) engineRun {
 	out := engineRun{preds: map[string][]string{}, stats: *stats}
 	var provText strings.Builder
 	idbPreds := p.IDB()
+	checked := map[string]bool{}
 	for _, pred := range idb.Preds() {
 		out.preds[pred] = idb.SortedFacts(pred)
 		for _, f := range idb.Facts(pred) {
 			d, err := prov.Tree(f, idbPreds, db)
 			if err != nil {
 				t.Fatalf("opts %+v: no derivation for %s: %v", opts, f, err)
+			}
+			if err := checkDerivation(p, idbPreds, db, idb, d, checked); err != nil {
+				t.Fatalf("opts %+v: derivation of %s: %v\n%s", opts, f, err, d)
 			}
 			provText.WriteString(d.String())
 		}
@@ -47,127 +56,243 @@ func runEngine(t *testing.T, p *ast.Program, db *DB, opts Options) engineRun {
 	return out
 }
 
-// requireCompiledIdentical runs the legacy and compiled engines over
-// every (Workers, Seminaive, UseIndex) combination and asserts the
-// answers, Stats, and provenance are bit-identical pairwise.
-func requireCompiledIdentical(t *testing.T, label string, p *ast.Program, db *DB) {
-	t.Helper()
-	for _, seminaive := range []bool{true, false} {
-		for _, useIndex := range []bool{true, false} {
-			for _, workers := range []int{1, 4} {
-				base := Options{Seminaive: seminaive, UseIndex: useIndex, Workers: workers}
-				legacy := base
-				compiled := base
-				compiled.CompilePlans = true
-				lr := runEngine(t, p, db, legacy)
-				cr := runEngine(t, p, db, compiled)
-				ctx := fmt.Sprintf("%s (seminaive=%v index=%v workers=%d)", label, seminaive, useIndex, workers)
-				if !lr.stats.Equal(&cr.stats) {
-					t.Fatalf("%s: stats differ:\nlegacy   %+v\ncompiled %+v", ctx, lr.stats, cr.stats)
-				}
-				if !reflect.DeepEqual(lr.preds, cr.preds) {
-					t.Fatalf("%s: relations differ:\nlegacy   %v\ncompiled %v", ctx, lr.preds, cr.preds)
-				}
-				if lr.prov != cr.prov {
-					t.Fatalf("%s: provenance differs:\nlegacy:\n%s\ncompiled:\n%s", ctx, lr.prov, cr.prov)
-				}
-			}
+// checkDerivation validates a derivation tree against the program and
+// the database alone, with no second engine to compare with: every
+// inner node's fact is in the IDB and is the head of its recorded rule,
+// the rule is a ground instance of a program rule whose order atoms hold
+// and whose negated atoms are absent from the EDB, and its positive body
+// is exactly the children's facts; every leaf is an EDB fact. checked
+// holds the facts whose nodes were validated already: a fact's subtree
+// is a function of the fact (one recorded step each), so it is walked
+// once per evaluation, not once per tree it occurs in.
+func checkDerivation(p *ast.Program, idbPreds map[string]bool, edb, idb *DB, d *Derivation, checked map[string]bool) error {
+	if d.Rule == nil {
+		if idbPreds[d.Fact.Pred] || !edb.Contains(d.Fact) {
+			return fmt.Errorf("leaf %s is not an EDB fact", d.Fact)
+		}
+		return nil
+	}
+	if checked[d.Fact.Key()] {
+		return nil
+	}
+	checked[d.Fact.Key()] = true
+	inst := *d.Rule
+	if !idb.Contains(d.Fact) || !inst.Head.Equal(d.Fact) {
+		return fmt.Errorf("node %s: not derived, or not the head of %s", d.Fact, inst)
+	}
+	if len(inst.Pos) != len(d.Children) {
+		return fmt.Errorf("node %s: %d positive subgoals, %d children", d.Fact, len(inst.Pos), len(d.Children))
+	}
+	for i, c := range d.Children {
+		if !inst.Pos[i].Equal(c.Fact) {
+			return fmt.Errorf("node %s: subgoal %s has child %s", d.Fact, inst.Pos[i], c.Fact)
+		}
+		if err := checkDerivation(p, idbPreds, edb, idb, c, checked); err != nil {
+			return err
 		}
 	}
+	for _, n := range inst.Neg {
+		if edb.Contains(n) {
+			return fmt.Errorf("node %s: negated atom %s is in the EDB", d.Fact, n)
+		}
+	}
+	for _, r := range p.Rules {
+		if instanceOf(r, inst) {
+			return nil
+		}
+	}
+	return fmt.Errorf("node %s: %s is an instance of no program rule with true order atoms", d.Fact, inst)
 }
 
-// plansAllStatic reports whether every plan of p keeps the legacy
-// static join order (greedy coincides with it). When true the
-// engines must agree bit-identically on Stats; when false only the
-// answers are comparable across engines.
-func plansAllStatic(p *ast.Program) bool {
-	idb := p.IDB()
-	in := newInterner()
-	for i, r := range p.Rules {
-		if !compilePlan(in, idb, r, i, -1).staticOrder {
+// instanceOf reports whether the ground rule inst (head, positive and
+// negated atoms; provenance records no order atoms) is r under one
+// substitution that also makes every order atom of r true.
+func instanceOf(r, inst ast.Rule) bool {
+	if len(r.Pos) != len(inst.Pos) || len(r.Neg) != len(inst.Neg) {
+		return false
+	}
+	pattern := append(append([]ast.Atom{r.Head}, r.Pos...), r.Neg...)
+	target := append(append([]ast.Atom{inst.Head}, inst.Pos...), inst.Neg...)
+	s := unify.Subst{}
+	for i := range pattern {
+		ok := target[i].Ground()
+		if ok {
+			s, ok = unify.Match(pattern[i], target[i], s)
+		}
+		if !ok {
 			return false
 		}
-		for occ, a := range r.Pos {
-			if idb[a.Pred] && !compilePlan(in, idb, r, i, occ).staticOrder {
-				return false
-			}
+	}
+	for _, c := range r.Cmp {
+		if g := s.ApplyCmp(c); g.Left.IsVar() || g.Right.IsVar() || !g.Eval() {
+			return false
 		}
 	}
 	return true
 }
 
+// refMaxDerived bounds the fixpoints the fuzz targets check against the
+// reference, whose joins are nested loops over whole relations.
+const refMaxDerived = 500
+
+// dbFacts lists every fact of db, the form internal/refeval takes.
+func dbFacts(db *DB) []ast.Atom {
+	var out []ast.Atom
+	for _, pred := range db.Preds() {
+		out = append(out, db.Facts(pred)...)
+	}
+	return out
+}
+
+// requireReference runs the engine over every (Seminaive, Workers)
+// combination and asserts that the relations equal the reference
+// evaluator's (so naive and semi-naive agree), that every derivation
+// tree is valid (runEngine), and that Stats and provenance are
+// bit-identical across worker counts. It returns the workers=1 runs,
+// semi-naive first.
+func requireReference(t *testing.T, label string, p *ast.Program, db *DB) [2]engineRun {
+	t.Helper()
+	want := refeval.Eval(p, dbFacts(db))
+	var runs [2]engineRun
+	for i, seminaive := range []bool{true, false} {
+		for _, workers := range []int{1, 4} {
+			r := runEngine(t, p, db, Options{Seminaive: seminaive, Workers: workers})
+			ctx := fmt.Sprintf("%s (seminaive=%v workers=%d)", label, seminaive, workers)
+			if !reflect.DeepEqual(r.preds, want) {
+				t.Fatalf("%s: relations differ:\nreference %v\nengine    %v", ctx, want, r.preds)
+			}
+			if workers == 1 {
+				runs[i] = r
+				continue
+			}
+			if !r.stats.Equal(&runs[i].stats) {
+				t.Fatalf("%s: stats vary with workers:\n%+v\n%+v", ctx, runs[i].stats, r.stats)
+			}
+			if r.prov != runs[i].prov {
+				t.Fatalf("%s: provenance varies with workers:\n%s\nvs\n%s", ctx, runs[i].prov, r.prov)
+			}
+		}
+	}
+	return runs
+}
+
 // --- named workloads ------------------------------------------------------
 
-func TestCompiledDifferentialTransClosure(t *testing.T) {
-	p := parser.MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	if !plansAllStatic(p) {
-		t.Fatal("greedy order diverges from static on transitive closure")
-	}
-	requireCompiledIdentical(t, "trans closure", p, chainEDB(40))
+// pinnedStats are the Equal-compared counters of one evaluation,
+// RoundDeltas rendered round by round as sorted pred:count lists.
+type pinnedStats struct {
+	iterations               int
+	firings, derived, probes int64
+	roundDeltas              string
 }
 
-func TestCompiledDifferentialGoodPath(t *testing.T) {
-	p := parser.MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		goodPath(X, Y) :- startPoint(X), path(X, Y), endPoint(Y).
-		?- goodPath.
-	`)
-	db := chainEDB(30)
-	db.AddFact(ast.NewAtom("startPoint", ast.N(3)))
-	db.AddFact(ast.NewAtom("endPoint", ast.N(20)))
-	if !plansAllStatic(p) {
-		t.Fatal("greedy order diverges from static on goodPath")
+func pinStats(s *Stats) pinnedStats {
+	var rounds []string
+	for _, m := range s.RoundDeltas {
+		var ks []string
+		for k, v := range m {
+			ks = append(ks, fmt.Sprintf("%s:%d", k, v))
+		}
+		sort.Strings(ks)
+		rounds = append(rounds, strings.Join(ks, ","))
 	}
-	requireCompiledIdentical(t, "goodPath", p, db)
+	return pinnedStats{s.Iterations, s.RuleFirings, s.TuplesDerived, s.JoinProbes, strings.Join(rounds, " ")}
 }
 
-func TestCompiledDifferentialMultiRule(t *testing.T) {
-	p := parser.MustParseProgram(`
-		reach(X, Y) :- edge(X, Y), !blocked(X).
-		reach(X, Y) :- edge(X, Z), reach(Z, Y), !blocked(X).
-		back(X, Y) :- edge(Y, X).
-		back(X, Y) :- back(X, Z), back(Z, Y).
-		meet(X, Y) :- reach(X, Y), back(X, Y).
-		joined(X, Z) :- reach(X, Y), reach(Y, Z).
-		far(X, Y) :- reach(X, Y), X < Y.
-		sym(X, Y) :- reach(X, Y), reach(Y, X), X != Y.
-		?- meet.
-	`)
-	db := NewDB()
+// countdown renders the RoundDeltas of a transitive closure over an
+// n-edge chain: n new paths in round one, one fewer each round, then
+// the empty round that ends the fixpoint.
+func countdown(pred string, n int) string {
+	var rounds []string
+	for k := n; k >= 1; k-- {
+		rounds = append(rounds, fmt.Sprintf("%s:%d", pred, k))
+	}
+	return strings.Join(append(rounds, ""), " ")
+}
+
+// TestNamedWorkloads checks four programs against the reference
+// evaluator and pins their counters. The pinned values were captured at
+// commit 7c56bc3, where the compiled engine and the since-deleted legacy
+// interpreter agreed on every one of them; they catch counter drift
+// (probe accounting, firing accounting, round structure) that no answer
+// comparison can see.
+func TestNamedWorkloads(t *testing.T) {
+	goodPathDB := chainEDB(30)
+	goodPathDB.AddFact(ast.NewAtom("startPoint", ast.N(3)))
+	goodPathDB.AddFact(ast.NewAtom("endPoint", ast.N(20)))
+	multiDB := NewDB()
 	for i := 0; i < 10; i++ {
-		db.AddFact(ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64((i+1)%10))))
-		db.AddFact(ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64((i*3)%10))))
+		multiDB.AddFact(ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64((i+1)%10))))
+		multiDB.AddFact(ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64((i*3)%10))))
 	}
-	db.AddFact(ast.NewAtom("blocked", ast.N(3)))
-	if !plansAllStatic(p) {
-		t.Fatal("greedy order diverges from static on multi-rule")
+	multiDB.AddFact(ast.NewAtom("blocked", ast.N(3)))
+	edgeDB := chainEDB(6)
+	edgeDB.AddFact(ast.NewAtom("start", ast.N(1)))
+	edgeDB.AddFact(ast.NewAtom("final", ast.N(5)))
+	edgeDB.AddFact(ast.NewAtom("selfstep", ast.N(2), ast.N(2)))
+	edgeDB.AddFact(ast.NewAtom("selfstep", ast.N(2), ast.N(3)))
+	goodPathDeltas := strings.Replace(countdown("path", 29), "path:12", "goodPath:1,path:12", 1)
+	multiDeltas := "back:20,reach:18 back:30,far:11,joined:30,meet:2,reach:22 " +
+		"back:50,far:10,joined:51,meet:22,reach:27,sym:16 far:8,joined:9,meet:43,reach:17,sym:28 " +
+		"far:6,meet:17,reach:5,sym:18 far:3,meet:5,reach:1,sym:8 far:1,meet:1,sym:2 "
+	edgeDeltas := "loop:1,reach:1 reach:1,tagged:1 reach:1,tagged:1 reach:1,tagged:1 reach:1,tagged:1 halt:1,reach:1,tagged:1 tagged:1 "
+	for _, w := range []struct {
+		name, src string
+		db        *DB
+		pinned    [2]pinnedStats // semi-naive, naive
+	}{
+		{"trans closure", `
+			path(X, Y) :- step(X, Y).
+			path(X, Y) :- step(X, Z), path(Z, Y).
+			?- path.
+		`, chainEDB(40), [2]pinnedStats{
+			{40, 780, 780, 1560, countdown("path", 39)},
+			{40, 21320, 780, 22880, countdown("path", 39)},
+		}},
+		{"goodPath", `
+			path(X, Y) :- step(X, Y).
+			path(X, Y) :- step(X, Z), path(Z, Y).
+			goodPath(X, Y) :- startPoint(X), path(X, Y), endPoint(Y).
+			?- goodPath.
+		`, goodPathDB, [2]pinnedStats{
+			{30, 436, 436, 1333, goodPathDeltas},
+			{30, 9003, 436, 10335, goodPathDeltas},
+		}},
+		{"multi-rule", `
+			reach(X, Y) :- edge(X, Y), !blocked(X).
+			reach(X, Y) :- edge(X, Z), reach(Z, Y), !blocked(X).
+			back(X, Y) :- edge(Y, X).
+			back(X, Y) :- back(X, Z), back(Z, Y).
+			meet(X, Y) :- reach(X, Y), back(X, Y).
+			joined(X, Z) :- reach(X, Y), reach(Y, Z).
+			far(X, Y) :- reach(X, Y), X < Y.
+			sym(X, Y) :- reach(X, Y), reach(Y, X), X != Y.
+			?- meet.
+		`, multiDB, [2]pinnedStats{
+			{8, 2839, 481, 3752, multiDeltas},
+			{8, 11198, 481, 13644, multiDeltas},
+		}},
+		// Zero-ary predicates, constants in heads and bodies, repeated
+		// variables, negation on an absent relation.
+		{"edge cases", `
+			halt :- reach(X), final(X).
+			reach(X) :- start(X).
+			reach(Y) :- reach(X), step(X, Y).
+			loop(X) :- selfstep(X, X).
+			tagged(X, 99) :- reach(X), !missing(X).
+			?- halt.
+		`, edgeDB, [2]pinnedStats{
+			{8, 14, 14, 27, edgeDeltas},
+			{8, 71, 14, 133, edgeDeltas},
+		}},
+	} {
+		runs := requireReference(t, w.name, parser.MustParseProgram(w.src), w.db)
+		for i, mode := range []string{"semi-naive", "naive"} {
+			if got := pinStats(&runs[i].stats); got != w.pinned[i] {
+				t.Errorf("%s, %s: counters moved:\ngot  %+v\nwant %+v", w.name, mode, got, w.pinned[i])
+			}
+		}
 	}
-	requireCompiledIdentical(t, "multi-rule", p, db)
-}
-
-func TestCompiledDifferentialEdgeCases(t *testing.T) {
-	// Zero-ary predicates, constants in heads and bodies, repeated
-	// variables, negation on an absent relation — every structural edge
-	// the legacy engine handles.
-	p := parser.MustParseProgram(`
-		halt :- reach(X), final(X).
-		reach(X) :- start(X).
-		reach(Y) :- reach(X), step(X, Y).
-		loop(X) :- selfstep(X, X).
-		tagged(X, 99) :- reach(X), !missing(X).
-		?- halt.
-	`)
-	db := chainEDB(6)
-	db.AddFact(ast.NewAtom("start", ast.N(1)))
-	db.AddFact(ast.NewAtom("final", ast.N(5)))
-	db.AddFact(ast.NewAtom("selfstep", ast.N(2), ast.N(2)))
-	db.AddFact(ast.NewAtom("selfstep", ast.N(2), ast.N(3)))
-	requireCompiledIdentical(t, "edge cases", p, db)
 }
 
 func TestCompiledZeroSubgoalRules(t *testing.T) {
@@ -184,27 +309,21 @@ func TestCompiledZeroSubgoalRules(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	requireCompiledIdentical(t, "zero-subgoal", p, NewDB())
-	idb, _, err := Eval(p, NewDB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idb.SortedFacts("flag"); !reflect.DeepEqual(got, []string{"flag(1)", "flag(2)"}) {
+	runs := requireReference(t, "zero-subgoal", p, NewDB())
+	if got := runs[0].preds["flag"]; !reflect.DeepEqual(got, []string{"flag(1)", "flag(2)"}) {
 		t.Fatalf("flag = %v", got)
 	}
 }
 
 // TestCompiledGreedyReorder pins a workload where the greedy planner
-// genuinely reorders (a constant-bearing subgoal moves first): the
-// compiled engine must still produce the same answers as legacy, and
-// its Stats must stay worker-invariant.
+// genuinely reorders (a constant-bearing subgoal moves first).
 func TestCompiledGreedyReorder(t *testing.T) {
 	p := parser.MustParseProgram(`
 		out(X, Y) :- e(X, Y), f(Y, 3).
 		?- out.
 	`)
-	if plansAllStatic(p) {
-		t.Fatal("expected greedy order to diverge (f has a constant)")
+	if got := greedyJoinOrder(p.Rules[0], -1); reflect.DeepEqual(got, []int{0, 1}) {
+		t.Fatal("expected greedy order to diverge from rule order (f has a constant)")
 	}
 	rng := rand.New(rand.NewSource(11))
 	db := NewDB()
@@ -212,33 +331,14 @@ func TestCompiledGreedyReorder(t *testing.T) {
 		db.AddFact(ast.NewAtom("e", ast.N(float64(rng.Intn(10))), ast.N(float64(rng.Intn(10)))))
 		db.AddFact(ast.NewAtom("f", ast.N(float64(rng.Intn(10))), ast.N(float64(rng.Intn(5)))))
 	}
-	legacyIDB, _, err := EvalWith(p, db, Options{Seminaive: true, UseIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats []*Stats
-	for _, w := range []int{1, 4} {
-		idb, st, err := EvalWith(p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(idb.SortedFacts("out"), legacyIDB.SortedFacts("out")) {
-			t.Fatalf("workers=%d: answers differ from legacy", w)
-		}
-		stats = append(stats, st)
-	}
-	if !stats[0].Equal(stats[1]) {
-		t.Fatalf("compiled stats vary with workers: %+v vs %+v", *stats[0], *stats[1])
-	}
+	requireReference(t, "greedy reorder", p, db)
 }
 
 // --- randomized programs --------------------------------------------------
 
 // TestCompiledDifferentialRandomPrograms generates random programs
 // (random rule subsets, constants, comparisons, negation) over random
-// databases. Answers must always match the legacy engine; whenever the
-// greedy order coincides with the static order, Stats and provenance
-// must be bit-identical too.
+// databases and holds each to requireReference.
 func TestCompiledDifferentialRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	extras := []string{
@@ -256,7 +356,7 @@ func TestCompiledDifferentialRandomPrograms(t *testing.T) {
 				continue
 			}
 			for {
-				i := indexByte(ex, '%')
+				i := strings.IndexByte(ex, '%')
 				if i < 0 {
 					break
 				}
@@ -280,58 +380,31 @@ func TestCompiledDifferentialRandomPrograms(t *testing.T) {
 				db.AddFact(ast.NewAtom("g", ast.N(float64(i))))
 			}
 		}
-		if plansAllStatic(p) {
-			requireCompiledIdentical(t, fmt.Sprintf("random trial %d", trial), p, db)
-			continue
-		}
-		// Reordered plans: require identical answers and per-engine
-		// worker-invariant stats.
-		legacy := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true})
-		var prev *engineRun
-		for _, w := range []int{1, 4} {
-			cr := runEngine(t, p, db, Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: w})
-			if !reflect.DeepEqual(cr.preds, legacy.preds) {
-				t.Fatalf("trial %d workers=%d: answers differ from legacy\n%s", trial, w, src)
-			}
-			if prev != nil && (!cr.stats.Equal(&prev.stats) || cr.prov != prev.prov) {
-				t.Fatalf("trial %d: compiled run varies with workers\n%s", trial, src)
-			}
-			c := cr
-			prev = &c
-		}
+		requireReference(t, fmt.Sprintf("random trial %d\n%s", trial, src), p, db)
 	}
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
+// --- budget and cancellation ---------------------------------------------
 
-// --- budget and cancellation parity --------------------------------------
-
-func TestCompiledBudgetParity(t *testing.T) {
+// TestBudgetErrorWorkerInvariant: exceeding MaxTuples wraps ErrBudget
+// with the same text at every worker count.
+func TestBudgetErrorWorkerInvariant(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
 		path(X, Y) :- step(X, Z), path(Z, Y).
 		?- path.
 	`)
 	db := chainEDB(100)
+	var texts []string
 	for _, w := range []int{1, 4} {
-		legacy := Options{Seminaive: true, UseIndex: true, MaxTuples: 50, Workers: w}
-		compiled := legacy
-		compiled.CompilePlans = true
-		_, _, lerr := EvalWith(p, db, legacy)
-		_, _, cerr := EvalWith(p, db, compiled)
-		if !errors.Is(lerr, ErrBudget) || !errors.Is(cerr, ErrBudget) {
-			t.Fatalf("workers=%d: expected budget errors, got %v / %v", w, lerr, cerr)
+		_, _, err := EvalWith(p, db, Options{Seminaive: true, MaxTuples: 50, Workers: w})
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("workers=%d: expected a budget error, got %v", w, err)
 		}
-		if lerr.Error() != cerr.Error() {
-			t.Fatalf("workers=%d: error text differs: %q vs %q", w, lerr, cerr)
-		}
+		texts = append(texts, err.Error())
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("error text differs: %q vs %q", texts[0], texts[1])
 	}
 }
 
@@ -456,10 +529,10 @@ func TestGreedyJoinOrder(t *testing.T) {
 		tri(X, Y, Z) :- e(X, Y), e(Y, Z), e(Z, X).
 		?- tri.
 	`).Rules[0]
-	// No constants anywhere: ties break to the lowest index, i.e. the
-	// legacy static order.
+	// No constants anywhere: ties break to the lowest index, i.e. rule
+	// order.
 	if got := greedyJoinOrder(r2, -1); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("tie-break must keep static order: %v", got)
+		t.Fatalf("tie-break must keep rule order: %v", got)
 	}
 	if got := greedyJoinOrder(r2, 2); !reflect.DeepEqual(got, []int{2, 0, 1}) {
 		t.Fatalf("delta-first then bound-greedy: %v", got)

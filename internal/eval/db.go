@@ -39,24 +39,16 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Relation is a set of same-arity tuples with hash indexes built on
-// demand for bound-position lookups.
+// Relation is a set of same-arity tuples in insertion order. Evaluation
+// joins over the interned copy of it (see base.go), not over this.
 //
 // Concurrency: any number of goroutines may read a relation (Len,
-// Contains, Tuples, lookup) concurrently — the lazy index build inside
-// lookup is internally synchronized. Mutation (Add) requires that no
-// reader runs concurrently; the evaluator guarantees this by only
-// adding tuples at single-threaded round barriers.
+// Contains, Tuples) concurrently. Mutation (Add) requires that no
+// reader runs concurrently.
 type Relation struct {
 	Arity  int
 	tuples []Tuple
 	seen   map[string]bool
-	// mu guards indexes: concurrent probes of the same un-indexed
-	// position mask would otherwise race on the lazy build.
-	mu sync.RWMutex
-	// indexes maps a position-mask key ("0,2") to an index from the
-	// key of the values at those positions to tuple slice indices.
-	indexes map[string]map[string][]int
 }
 
 // NewRelation returns an empty relation of the given arity.
@@ -81,36 +73,7 @@ func (r *Relation) Add(t Tuple) bool {
 	}
 	r.seen[k] = true
 	r.tuples = append(r.tuples, t)
-	// Maintain existing indexes incrementally instead of invalidating
-	// them: evaluation adds tuples continuously and a full rebuild per
-	// growth step would dominate the run time.
-	idx := len(r.tuples) - 1
-	r.mu.Lock()
-	for mk, index := range r.indexes {
-		pos := parseMask(mk)
-		key := valsKeyAt(t, pos)
-		index[key] = append(index[key], idx)
-	}
-	r.mu.Unlock()
 	return true
-}
-
-// parseMask inverts maskKey.
-func parseMask(mk string) []int {
-	if mk == "" {
-		return nil
-	}
-	var out []int
-	n := 0
-	for i := 0; i < len(mk); i++ {
-		if mk[i] == ',' {
-			out = append(out, n)
-			n = 0
-			continue
-		}
-		n = n*10 + int(mk[i]-'0')
-	}
-	return append(out, n)
 }
 
 // Contains reports membership.
@@ -123,73 +86,11 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // not modify the slice.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
-// lookup returns the indices of tuples whose values at positions pos
-// equal vals, using (and lazily building) a hash index. It is safe for
-// concurrent use by multiple readers: the lazy build is double-checked
-// under an RWMutex, so two goroutines probing the same un-indexed
-// position mask cannot race.
-func (r *Relation) lookup(pos []int, vals []ast.Term) []int {
-	mk := maskKey(pos)
-	r.mu.RLock()
-	idx, ok := r.indexes[mk]
-	r.mu.RUnlock()
-	if !ok {
-		r.mu.Lock()
-		idx, ok = r.indexes[mk]
-		if !ok {
-			idx = map[string][]int{}
-			for i, t := range r.tuples {
-				k := valsKeyAt(t, pos)
-				idx[k] = append(idx[k], i)
-			}
-			if r.indexes == nil {
-				r.indexes = map[string]map[string][]int{}
-			}
-			r.indexes[mk] = idx
-		}
-		r.mu.Unlock()
-	}
-	return idx[valsKey(vals)]
-}
-
-func maskKey(pos []int) string {
-	var b strings.Builder
-	for i, p := range pos {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", p)
-	}
-	return b.String()
-}
-
-func valsKeyAt(t Tuple, pos []int) string {
-	var b strings.Builder
-	for i, p := range pos {
-		if i > 0 {
-			b.WriteByte('\x01')
-		}
-		b.WriteString(t[p].Key())
-	}
-	return b.String()
-}
-
-func valsKey(vals []ast.Term) string {
-	var b strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteByte('\x01')
-		}
-		b.WriteString(v.Key())
-	}
-	return b.String()
-}
-
 // DB is a database: a map from predicate names to relations. A nil *DB
 // reads as the empty database in Lookup, Contains and evaluation.
 type DB struct {
 	rels map[string]*Relation
-	// base caches the interned form the compiled engine evaluates over
+	// base caches the interned form evaluation runs over
 	// (see base.go); baseMu serializes its lazy build.
 	baseMu sync.Mutex
 	base   *edbBase
@@ -261,8 +162,8 @@ func (db *DB) Preds() []string {
 
 // Clone returns a deep copy of the database. The source relations are
 // already deduplicated, so tuples and seen keys are copied directly —
-// no tuple is re-rendered or re-hashed. Indexes and the interned base
-// are not copied; the clone rebuilds them lazily on first use.
+// no tuple is re-rendered or re-hashed. The interned base is not
+// copied; the clone rebuilds it lazily on first use.
 func (db *DB) Clone() *DB {
 	out := NewDB()
 	for p, r := range db.rels {

@@ -251,7 +251,7 @@ func (dp *DeltaProgram) RunDelta(ctx context.Context, ruleIdx, occ int, subs []R
 		return 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
 	}
 	tr := dp.newRun(ctx, pl, subs, negs, emit)
-	err := tr.joinFrom(0)
+	err := tr.join(0)
 	return tr.probes, err
 }
 
@@ -296,7 +296,7 @@ func (dp *DeltaProgram) RunDeltaPolicy(ctx context.Context, ruleIdx, occ int, po
 		pl = dp.planForOrder(ruleIdx, occ, order)
 	}
 	tr := dp.newRun(ctx, pl, subs, negs, emit)
-	err := tr.joinFrom(0)
+	err := tr.join(0)
 	return tr.probes, err
 }
 
@@ -374,19 +374,19 @@ func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint3
 			return false, 0, nil
 		}
 	}
-	err := tr.joinFrom(0)
+	err := tr.join(0)
 	if err == errStopRun {
 		return true, tr.probes, nil
 	}
 	return false, tr.probes, err
 }
 
-// joinFrom mirrors cTaskRun.joinFrom over caller views: iteration is
+// join mirrors cTaskRun.join over caller views: iteration is
 // clamped to each view's prefix on both the index path (chains are in
 // ascending row order, so the first out-of-prefix candidate ends the
 // chain) and the scan path. Indexes are always used when the plan is
 // indexable — delta passes have no ablation knob.
-func (tr *dRun) joinFrom(depth int) error {
+func (tr *dRun) join(depth int) error {
 	pl := tr.pl
 	if depth == len(pl.subs) {
 		return tr.finish()
@@ -462,7 +462,7 @@ func (tr *dRun) tryRow(depth int, row []uint32, verify bool) error {
 			return nil
 		}
 	}
-	return tr.joinFrom(depth + 1)
+	return tr.join(depth + 1)
 }
 
 func (tr *dRun) evalCmp(c *cmpPlan) bool {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/bounded"
@@ -47,8 +45,7 @@ type Stats struct {
 
 	// The fields below are planning diagnostics, not evaluation
 	// semantics. They are excluded from Equal: they legitimately differ
-	// across engines (the legacy engine compiles no plans) and across
-	// join-order policies, which is exactly what the P6 shootout
+	// across join-order policies, which is exactly what the P6 shootout
 	// measures. All except PlanNanos remain deterministic for a fixed
 	// program, database, and options.
 
@@ -107,9 +104,8 @@ type Stats struct {
 	ElimChecked int
 	// EDBRowsInterned counts the EDB tuples this evaluation interned: the
 	// size of the database when the evaluation had to build its interned
-	// base (the first compiled evaluation of a DB, or the first after a
-	// mutation), 0 when it reused one — and always 0 on the legacy
-	// engine, which does not intern. The useful-outcome ratio of the
+	// base (the first evaluation of a DB, or the first after a
+	// mutation), 0 when it reused one. The useful-outcome ratio of the
 	// serving path is TuplesDerived over this. Excluded from Equal: it
 	// depends on what was evaluated over the DB before, not on the
 	// program, database, and options.
@@ -118,7 +114,7 @@ type Stats struct {
 
 // statsEqualExcluded names the Stats fields deliberately NOT compared
 // by Equal: planning, rewrite, and footprint diagnostics that
-// legitimately differ across engines, policies, and rewrites while the
+// legitimately differ across policies and rewrites while the
 // answers stay identical. The statsequal analyzer
 // (internal/analyzers/statsequal, run via go vet -vettool in CI) fails
 // the build when a new Stats field is neither compared in Equal nor
@@ -230,16 +226,15 @@ func ParseElimMode(s string) (ElimMode, error) {
 	return "", fmt.Errorf("eval: unknown elim mode %q (want auto, on, or off)", s)
 }
 
-// JoinOrderPolicy selects how the compiled-plan engine orders the
-// positive subgoals of each rule. Answers and provenance are identical
+// JoinOrderPolicy selects how the engine orders the positive subgoals
+// of each rule. Answers and provenance are identical
 // under every policy; only the work done to reach them (JoinProbes,
 // plan time) differs.
 type JoinOrderPolicy string
 
 const (
 	// PolicyGreedy orders joins statically by bound-position count at
-	// compile time, with no cardinality input. The default, and the
-	// only policy the legacy engine supports.
+	// compile time, with no cardinality input. The default.
 	PolicyGreedy JoinOrderPolicy = "greedy"
 	// PolicyCost reorders joins at every round barrier using the
 	// per-relation statistics maintained in the intern layer (row
@@ -273,9 +268,6 @@ type Options struct {
 	// Eval); naive evaluation recomputes every rule over the full
 	// database each round.
 	Seminaive bool
-	// UseIndex enables hash-index lookups on bound argument positions;
-	// when false every subgoal performs a full scan (for ablation).
-	UseIndex bool
 	// MaxTuples aborts evaluation when the total number of derived IDB
 	// tuples exceeds the bound (0 = unlimited). Guards runaway tests.
 	MaxTuples int64
@@ -285,18 +277,8 @@ type Options struct {
 	// execution with no goroutines. Answers and Stats are identical for
 	// every worker count.
 	Workers int
-	// CompilePlans selects the compiled-plan engine (the default via
-	// DefaultOptions): terms are interned to dense uint32 ids, rules are
-	// compiled once into join plans with slot-based bindings and greedy
-	// join ordering, and all joins run over flat integer rows. Answers,
-	// Stats, and provenance are bit-identical to the legacy engine for
-	// every worker count; false keeps the legacy string-keyed engine as
-	// an escape hatch (and as the differential-test baseline).
-	CompilePlans bool
-	// Policy selects the join-order policy of the compiled-plan engine
-	// (the empty string means PolicyGreedy, keeping the zero value
-	// backward compatible). PolicyCost and PolicyAdaptive require
-	// CompilePlans; EvalCtx rejects the combination otherwise.
+	// Policy selects the join-order policy (the empty string means
+	// PolicyGreedy).
 	Policy JoinOrderPolicy
 	// Magic controls the magic-sets demand rewrite in Query/QueryCtx
 	// (the empty string means MagicAuto). EvalCtx ignores it: its
@@ -333,7 +315,7 @@ type Options struct {
 
 // DefaultOptions are the options used by Eval.
 func DefaultOptions() Options {
-	return Options{Seminaive: true, UseIndex: true, CompilePlans: true, Policy: PolicyGreedy}
+	return Options{Seminaive: true, Policy: PolicyGreedy}
 }
 
 // effectivePolicy resolves the empty string to PolicyGreedy.
@@ -344,16 +326,12 @@ func (o Options) effectivePolicy() JoinOrderPolicy {
 	return o.Policy
 }
 
-// validatePolicy rejects unknown policy names, unknown magic modes,
-// and non-greedy policies on the legacy engine (which has no plans to
-// reorder).
+// validatePolicy rejects unknown policy names, magic and elim modes,
+// and shard settings.
 func (o Options) validatePolicy() error {
 	pol, err := ParseJoinOrderPolicy(string(o.Policy))
 	if err != nil {
 		return err
-	}
-	if pol != PolicyGreedy && !o.CompilePlans {
-		return fmt.Errorf("eval: join-order policy %q requires the compiled-plan engine (Options.CompilePlans)", pol)
 	}
 	if _, err := ParseMagicMode(string(o.Magic)); err != nil {
 		return err
@@ -427,65 +405,7 @@ func EvalCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *
 	if err := opts.validatePolicy(); err != nil {
 		return nil, nil, err
 	}
-	if opts.CompilePlans {
-		return evalCompiled(ctx, p, edb, opts, nil)
-	}
-	ev := &evaluator{
-		ctx:     ctx,
-		prog:    p,
-		edb:     edb,
-		idb:     NewDB(),
-		opts:    opts,
-		workers: opts.effectiveWorkers(),
-		stats:   &Stats{},
-	}
-	if err := ev.run(); err != nil {
-		return nil, nil, err
-	}
-	return ev.idb, ev.stats, nil
-}
-
-type evaluator struct {
-	ctx     context.Context
-	prog    *ast.Program
-	edb     *DB
-	idb     *DB
-	delta   *DB // tuples new in the previous round (semi-naive)
-	opts    Options
-	workers int
-	stats   *Stats
-	idbPr   map[string]bool
-	arity   map[string]int
-	prov    *Provenance // non-nil when provenance tracking is on
-	// Sharding state (zero when Options.Shards < 2): the resolved
-	// partitioner and the per-relation owner memo, written only at
-	// single-threaded round barriers.
-	shards int
-	part   shard.Partitioner
-	owners map[*Relation][]uint8
-}
-
-func (ev *evaluator) run() error {
-	if s := ev.opts.effectiveShards(); s > 0 {
-		ev.shards = s
-		ev.part = ev.opts.partitioner()
-		ev.owners = map[*Relation][]uint8{}
-	}
-	ev.idbPr = ev.prog.IDB()
-	ar, err := ev.prog.PredArity()
-	if err != nil {
-		return err
-	}
-	ev.arity = ar
-	// Materialize empty IDB relations so lookups are uniform.
-	for pred := range ev.idbPr {
-		ev.idb.Rel(pred, ar[pred])
-	}
-
-	if ev.opts.Seminaive {
-		return ev.runSeminaive()
-	}
-	return ev.runNaive()
+	return evalCompiled(ctx, p, edb, opts, nil)
 }
 
 // task is one unit of round work: evaluate one rule with one subgoal
@@ -508,25 +428,6 @@ type task struct {
 	owners  []uint8 // per-row shard owner of the depth-0 relation
 }
 
-// headDerivation is one head fact emitted by a task, with its recorded
-// provenance step when tracking is on.
-type headDerivation struct {
-	fact ast.Atom
-	step *provStep
-}
-
-// taskResult is the private output buffer of one task. rowIdx is only
-// filled by sharded tasks: the depth-0 row index that produced each
-// head, in ascending order, which the barrier's k-way merge uses to
-// reconstruct single-task derivation order (see shard.go).
-type taskResult struct {
-	heads   []headDerivation
-	rowIdx  []int32
-	probes  int64
-	firings int64
-	err     error
-}
-
 // minPartitionChunk is the smallest per-partition tuple range worth a
 // separate task; below it, goroutine and buffer overhead dominates.
 const minPartitionChunk = 8
@@ -538,8 +439,7 @@ const cancelPollMask = 0x3ff
 // appendPartitioned appends t split into up to workers contiguous
 // range partitions of the depth-0 relation (relLen tuples). The split
 // never changes results or stats: partitions cover the same tuple
-// ranges a single task would scan, in the same merged order. Shared by
-// both engines so their task lists (and so their Stats) coincide.
+// ranges a single task would scan, in the same merged order.
 func appendPartitioned(ts []task, t task, relLen, workers int) []task {
 	parts := workers
 	if parts > relLen/minPartitionChunk {
@@ -557,506 +457,6 @@ func appendPartitioned(ts []task, t task, relLen, workers int) []task {
 		ts = append(ts, task{ruleIdx: t.ruleIdx, occ: t.occ, lo: lo, hi: hi})
 	}
 	return ts
-}
-
-// firstRel returns the relation the task probes at depth 0 (the delta
-// relation for occ >= 0, otherwise the rule's first positive subgoal),
-// or nil when the rule has no positive subgoals.
-func (ev *evaluator) firstRel(r ast.Rule, occ int, prevDelta *DB) *Relation {
-	switch {
-	case occ >= 0:
-		return prevDelta.Lookup(r.Pos[occ].Pred)
-	case len(r.Pos) == 0:
-		return nil
-	}
-	pred := r.Pos[0].Pred
-	if ev.idbPr[pred] {
-		return ev.idb.Lookup(pred)
-	}
-	return ev.edb.Lookup(pred)
-}
-
-// firstRelLen returns the tuple count of the depth-0 relation, or 0
-// when the task cannot be partitioned.
-func (ev *evaluator) firstRelLen(r ast.Rule, occ int, prevDelta *DB) int {
-	rel := ev.firstRel(r, occ, prevDelta)
-	if rel == nil {
-		return 0
-	}
-	return rel.Len()
-}
-
-// appendTasks expands one (rule, occ) unit into round tasks: hash
-// shards when sharding is on and the rule has a depth-0 relation,
-// contiguous range partitions otherwise.
-func (ev *evaluator) appendTasks(ts []task, t task, r ast.Rule, prevDelta *DB) []task {
-	if ev.shards > 0 && len(r.Pos) > 0 {
-		rel := ev.firstRel(r, t.occ, prevDelta)
-		return appendSharded(ts, t, ev.ownersFor(rel), ev.shards)
-	}
-	return appendPartitioned(ts, t, ev.firstRelLen(r, t.occ, prevDelta), ev.workers)
-}
-
-// runNaive recomputes every rule over the full database until no new
-// tuples appear. Rounds use the same snapshot-and-merge execution as
-// semi-naive: rules see the IDB as of the start of the round.
-func (ev *evaluator) runNaive() error {
-	for {
-		if err := ev.ctx.Err(); err != nil {
-			return err
-		}
-		ev.stats.Iterations++
-		before := ev.stats.TuplesDerived
-		var tasks []task
-		for i, r := range ev.prog.Rules {
-			tasks = ev.appendTasks(tasks, task{ruleIdx: i, occ: -1}, r, nil)
-		}
-		if err := ev.runRound(tasks, nil); err != nil {
-			return err
-		}
-		if ev.stats.TuplesDerived == before {
-			return nil
-		}
-	}
-}
-
-// runSeminaive implements semi-naive evaluation with snapshot rounds:
-// each round, every rule is evaluated once per IDB subgoal occurrence,
-// with that occurrence restricted to the previous round's delta and all
-// other subgoals reading the IDB as of the round start. Derived facts
-// are buffered per task and merged at the round barrier, so evaluation
-// is deterministic and embarrassingly parallel within a round.
-func (ev *evaluator) runSeminaive() error {
-	// Round 0: initialization — only rules without IDB subgoals can
-	// fire.
-	ev.delta = NewDB()
-	for pred := range ev.idbPr {
-		ev.delta.Rel(pred, ev.arity[pred])
-	}
-	if err := ev.ctx.Err(); err != nil {
-		return err
-	}
-	ev.stats.Iterations++
-	var tasks []task
-	for i, r := range ev.prog.Rules {
-		if !r.IsInit(ev.idbPr) {
-			continue
-		}
-		tasks = ev.appendTasks(tasks, task{ruleIdx: i, occ: -1}, r, nil)
-	}
-	if err := ev.runRound(tasks, nil); err != nil {
-		return err
-	}
-	for {
-		if ev.delta.totalLen() == 0 {
-			return nil
-		}
-		if err := ev.ctx.Err(); err != nil {
-			return err
-		}
-		prevDelta := ev.delta
-		ev.delta = NewDB()
-		for pred := range ev.idbPr {
-			ev.delta.Rel(pred, ev.arity[pred])
-		}
-		ev.stats.Iterations++
-		tasks = tasks[:0]
-		for i, r := range ev.prog.Rules {
-			for _, occ := range ev.idbOccurrences(r) {
-				tasks = ev.appendTasks(tasks, task{ruleIdx: i, occ: occ}, r, prevDelta)
-			}
-		}
-		if err := ev.runRound(tasks, prevDelta); err != nil {
-			return err
-		}
-	}
-}
-
-// runRound executes the round's tasks — concurrently over a bounded
-// worker pool when Workers > 1 — and then merges each task's buffered
-// head facts into the IDB (and current delta) strictly in task order.
-// Tasks only read the frozen snapshot, so the merge order alone
-// determines tuple insertion order, making answers and Stats identical
-// for every worker count.
-func (ev *evaluator) runRound(tasks []task, prevDelta *DB) error {
-	results := make([]taskResult, len(tasks))
-	workers := ev.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					results[i] = ev.runTask(tasks[i], prevDelta)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, t := range tasks {
-			results[i] = ev.runTask(t, prevDelta)
-			if results[i].err != nil {
-				break
-			}
-		}
-	}
-
-	roundDelta := map[string]int64{}
-	for i := 0; i < len(results); {
-		if tasks[i].nShards == 0 {
-			res := &results[i]
-			if res.err != nil {
-				return res.err
-			}
-			ev.stats.JoinProbes += res.probes
-			ev.stats.RuleFirings += res.firings
-			for _, h := range res.heads {
-				ev.addHead(h, roundDelta, -1)
-			}
-			i++
-			continue
-		}
-		// A shard group: the nShards tasks of one (rule, occ) unit,
-		// merged by depth-0 row index to replay single-task order.
-		j := i + 1
-		for j < len(results) && tasks[j].nShards > 0 &&
-			tasks[j].ruleIdx == tasks[i].ruleIdx && tasks[j].occ == tasks[i].occ {
-			j++
-		}
-		if err := ev.mergeShardGroup(results[i:j], tasks[i:j], roundDelta); err != nil {
-			return err
-		}
-		i = j
-	}
-	ev.stats.RoundDeltas = append(ev.stats.RoundDeltas, roundDelta)
-	// Footprint at the round barrier: every IDB tuple plus the
-	// semi-naive delta copy (nil during naive/init rounds). Computed
-	// identically in the compiled engine so the two agree bit-for-bit.
-	peak := int64(ev.idb.totalLen())
-	if ev.delta != nil {
-		peak += int64(ev.delta.totalLen())
-	}
-	if peak > ev.stats.PeakMaterialized {
-		ev.stats.PeakMaterialized = peak
-	}
-	if ev.opts.MaxTuples > 0 && ev.stats.TuplesDerived > ev.opts.MaxTuples {
-		return fmt.Errorf("eval: %w (budget %d)", ErrBudget, ev.opts.MaxTuples)
-	}
-	return nil
-}
-
-// runTask evaluates one task against the round snapshot, buffering
-// derived heads. The delta-restricted occurrence (if any) is probed
-// first: it is usually the smallest relation and it is the subgoal the
-// task's tuple partition applies to.
-func (ev *evaluator) runTask(t task, prevDelta *DB) taskResult {
-	r := ev.prog.Rules[t.ruleIdx]
-	tr := &taskRun{
-		ev:       ev,
-		delta:    prevDelta,
-		deltaOcc: t.occ,
-		lo:       t.lo,
-		hi:       t.hi,
-		sharded:  t.nShards > 0,
-		shard:    uint8(t.shard),
-		owners:   t.owners,
-		order:    joinOrder(len(r.Pos), t.occ),
-		binding:  map[string]ast.Term{},
-		seen:     map[string]bool{},
-		base:     ev.stats.TuplesDerived,
-	}
-	if err := tr.joinFrom(r, 0); err != nil {
-		tr.res.err = err
-	}
-	return tr.res
-}
-
-// joinOrder returns the subgoal visiting order for a task: the delta
-// occurrence first (when present), then the remaining subgoals in rule
-// order. The order depends only on the rule and occurrence, never on
-// worker count, so probe counts stay deterministic.
-func joinOrder(n, occ int) []int {
-	order := make([]int, 0, n)
-	if occ >= 0 {
-		order = append(order, occ)
-	}
-	for i := 0; i < n; i++ {
-		if i != occ {
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
-// taskRun is the per-task evaluation state: a private binding, a
-// private output buffer, and private counters. It reads the round's
-// frozen snapshot through ev and never writes shared state.
-type taskRun struct {
-	ev       *evaluator
-	delta    *DB // previous round's delta (nil for init/naive tasks)
-	deltaOcc int
-	lo, hi   int // depth-0 tuple partition; hi == 0 → full relation
-	// Sharded-task state: only depth-0 rows with owners[row] == shard
-	// are probed, and cur tracks the live depth-0 row index so every
-	// buffered head can record which row produced it (see shard.go).
-	sharded bool
-	shard   uint8
-	owners  []uint8
-	cur     int32
-	order   []int // join depth → subgoal index
-	binding map[string]ast.Term
-	seen    map[string]bool // heads already buffered by this task
-	res     taskResult
-	base    int64 // TuplesDerived at round start, for the budget check
-}
-
-// joinFrom recursively extends the binding over positive subgoals
-// starting at join depth i, applying comparison and negation filters as
-// soon as they become ground, and emits head facts at the end.
-func (tr *taskRun) joinFrom(r ast.Rule, depth int) error {
-	ev := tr.ev
-	if ev.opts.MaxTuples > 0 && tr.base+int64(len(tr.res.heads)) > ev.opts.MaxTuples {
-		return fmt.Errorf("eval: %w (budget %d)", ErrBudget, ev.opts.MaxTuples)
-	}
-	if depth == len(r.Pos) {
-		return tr.finishRule(r)
-	}
-	subIdx := tr.order[depth]
-	sub := r.Pos[subIdx]
-	var rel *Relation
-	switch {
-	case tr.deltaOcc == subIdx:
-		rel = tr.delta.Lookup(sub.Pred)
-	case ev.idbPr[sub.Pred]:
-		rel = ev.idb.Lookup(sub.Pred)
-	default:
-		rel = ev.edb.Lookup(sub.Pred)
-	}
-	if rel == nil || rel.Len() == 0 {
-		return nil
-	}
-	lo, hi := 0, rel.Len()
-	if depth == 0 && tr.hi > 0 {
-		lo, hi = tr.lo, tr.hi
-		if hi > rel.Len() {
-			hi = rel.Len()
-		}
-	}
-
-	// Determine bound positions under the current binding.
-	var boundPos []int
-	var boundVals []ast.Term
-	for j, t := range sub.Args {
-		switch {
-		case t.IsConst():
-			boundPos = append(boundPos, j)
-			boundVals = append(boundVals, t)
-		default:
-			if v, ok := tr.binding[t.Name]; ok {
-				boundPos = append(boundPos, j)
-				boundVals = append(boundVals, v)
-			}
-		}
-	}
-
-	var candidates []int
-	indexed := ev.opts.UseIndex && len(boundPos) > 0
-	if indexed {
-		// NOTE: an empty result is a successful (and final) lookup —
-		// it must not fall back to a full scan.
-		candidates = rel.lookup(boundPos, boundVals)
-	}
-
-	tryTuple := func(t Tuple) error {
-		tr.res.probes++
-		// Poll for cancellation inside long scans so a cancelled query
-		// stops mid-round instead of finishing the whole round's joins.
-		// The mask keeps the ctx.Err poll off the hot path; probes is
-		// deterministic, so completed runs are unaffected.
-		if tr.res.probes&cancelPollMask == 0 {
-			if err := ev.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		// Extend the binding; track which variables we bind so we can
-		// undo on backtrack.
-		var boundHere []string
-		ok := true
-		for j, argT := range sub.Args {
-			if argT.IsConst() {
-				if !argT.Equal(t[j]) {
-					ok = false
-					break
-				}
-				continue
-			}
-			if v, exists := tr.binding[argT.Name]; exists {
-				if !v.Equal(t[j]) {
-					ok = false
-					break
-				}
-				continue
-			}
-			tr.binding[argT.Name] = t[j]
-			boundHere = append(boundHere, argT.Name)
-		}
-		if ok && tr.filtersHold(r) {
-			if err := tr.joinFrom(r, depth+1); err != nil {
-				return err
-			}
-		}
-		for _, v := range boundHere {
-			delete(tr.binding, v)
-		}
-		return nil
-	}
-
-	if indexed {
-		for _, ci := range candidates {
-			if ci < lo || ci >= hi {
-				continue
-			}
-			if depth == 0 && tr.sharded {
-				if tr.owners[ci] != tr.shard {
-					continue
-				}
-				tr.cur = int32(ci)
-			}
-			if err := tryTuple(rel.tuples[ci]); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			if depth == 0 && tr.sharded {
-				if tr.owners[i] != tr.shard {
-					continue
-				}
-				tr.cur = int32(i)
-			}
-			if err := tryTuple(rel.tuples[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// filtersHold applies every comparison and negated subgoal whose
-// variables are fully bound. Unbound filters are deferred (they will
-// be checked again deeper in the join; by safety they are ground by
-// the time all positive subgoals are matched).
-func (tr *taskRun) filtersHold(r ast.Rule) bool {
-	for _, c := range r.Cmp {
-		l, lok := resolve(c.Left, tr.binding)
-		rr, rok := resolve(c.Right, tr.binding)
-		if !lok || !rok {
-			continue
-		}
-		if !ast.NewCmp(l, c.Op, rr).Eval() {
-			return false
-		}
-	}
-	for _, n := range r.Neg {
-		g, ok := groundAtom(n, tr.binding)
-		if !ok {
-			continue
-		}
-		if tr.ev.edb.Contains(g) {
-			return false
-		}
-	}
-	return true
-}
-
-func resolve(t ast.Term, binding map[string]ast.Term) (ast.Term, bool) {
-	if !t.IsVar() {
-		return t, true
-	}
-	v, ok := binding[t.Name]
-	return v, ok
-}
-
-func groundAtom(a ast.Atom, binding map[string]ast.Term) (ast.Atom, bool) {
-	out := a.Clone()
-	for i, t := range out.Args {
-		v, ok := resolve(t, binding)
-		if !ok {
-			return ast.Atom{}, false
-		}
-		out.Args[i] = v
-	}
-	return out, true
-}
-
-// finishRule emits the head fact for a complete binding into the
-// task's private buffer. Heads already present in the snapshot IDB (or
-// already buffered by this task) are dropped; cross-task duplicates
-// within a round are resolved at the merge.
-func (tr *taskRun) finishRule(r ast.Rule) (err error) {
-	ev := tr.ev
-	// All filters are ground now; re-check (cheap, and covers filters
-	// that never became ground mid-join).
-	if !tr.filtersHold(r) {
-		return nil
-	}
-	head, ok := groundAtom(r.Head, tr.binding)
-	if !ok {
-		return fmt.Errorf("eval: unsafe rule slipped through validation: %s", r)
-	}
-	tr.res.firings++
-	k := head.Key()
-	if tr.seen[k] || ev.idb.Contains(head) {
-		return nil
-	}
-	tr.seen[k] = true
-	h := headDerivation{fact: head}
-	if ev.prov != nil {
-		inst := ast.Rule{Head: head}
-		for _, a := range r.Pos {
-			g, _ := groundAtom(a, tr.binding)
-			inst.Pos = append(inst.Pos, g)
-		}
-		for _, a := range r.Neg {
-			g, _ := groundAtom(a, tr.binding)
-			inst.Neg = append(inst.Neg, g)
-		}
-		h.step = &provStep{rule: inst, body: inst.Pos}
-	}
-	tr.res.heads = append(tr.res.heads, h)
-	if tr.sharded {
-		tr.res.rowIdx = append(tr.res.rowIdx, tr.cur)
-	}
-	return nil
-}
-
-func (db *DB) totalLen() int {
-	n := 0
-	for _, r := range db.rels {
-		n += r.Len()
-	}
-	return n
-}
-
-// idbOccurrences returns the indices of positive subgoals with IDB
-// predicates.
-func (ev *evaluator) idbOccurrences(r ast.Rule) []int {
-	var out []int
-	for i, a := range r.Pos {
-		if ev.idbPr[a.Pred] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Query evaluates the program and returns the tuples of its query

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/refeval"
 )
 
 // evalAllWorkers evaluates the program under every worker count and
@@ -56,7 +57,8 @@ func requireIdentical(t *testing.T, label string, workers []int, idbs []*DB, sta
 // TestParallelMatchesSequentialRandomGraphs is the engine-level
 // differential test: on random graphs, parallel evaluation must return
 // byte-identical relations AND byte-identical Stats for every worker
-// count, in both semi-naive and naive mode, indexed and scanned.
+// count, in both semi-naive and naive mode, and the relations must be
+// the reference evaluator's.
 func TestParallelMatchesSequentialRandomGraphs(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
@@ -74,13 +76,15 @@ func TestParallelMatchesSequentialRandomGraphs(t *testing.T) {
 			db.AddFact(ast.NewAtom("edge",
 				ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
 		}
-		for _, base := range []Options{
-			{Seminaive: true, UseIndex: true},
-			{Seminaive: true, UseIndex: false},
-			{Seminaive: false, UseIndex: true},
-		} {
+		want := refeval.Eval(prog, dbFacts(db))
+		for _, base := range []Options{{Seminaive: true}, {Seminaive: false}} {
 			idbs, stats := evalAllWorkers(t, prog, db, base, workers)
 			requireIdentical(t, "random graph", workers, idbs, stats)
+			for pred, facts := range want {
+				if got := idbs[0].SortedFacts(pred); !reflect.DeepEqual(got, facts) {
+					t.Fatalf("trial %d, %+v: %s differs from the reference:\n%v\nvs\n%v", trial, base, pred, got, facts)
+				}
+			}
 		}
 	}
 }
@@ -105,7 +109,7 @@ func TestParallelMultiRule(t *testing.T) {
 	}
 	db.AddFact(ast.NewAtom("blocked", ast.N(3)))
 	workers := []int{1, 2, 4, 8}
-	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true, UseIndex: true}, workers)
+	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true}, workers)
 	requireIdentical(t, "multi-rule", workers, idbs, stats)
 	if idbs[0].Count("meet") == 0 || idbs[0].Count("joined") == 0 {
 		t.Fatal("sanity: expected non-empty results")
@@ -122,7 +126,7 @@ func TestParallelLargeChain(t *testing.T) {
 	`)
 	db := chainEDB(80)
 	workers := []int{1, 4}
-	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true, UseIndex: true}, workers)
+	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true}, workers)
 	requireIdentical(t, "large chain", workers, idbs, stats)
 	if got := idbs[0].Count("path"); got != 80*79/2 {
 		t.Fatalf("path count = %d", got)
@@ -139,7 +143,7 @@ func TestParallelMaxTuplesBudget(t *testing.T) {
 	`)
 	db := chainEDB(100)
 	for _, w := range []int{1, 4} {
-		_, _, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true, MaxTuples: 50, Workers: w})
+		_, _, err := EvalWith(prog, db, Options{Seminaive: true, MaxTuples: 50, Workers: w})
 		if err == nil {
 			t.Fatalf("workers=%d: expected budget error", w)
 		}
@@ -161,7 +165,7 @@ func TestWorkersDefaultResolution(t *testing.T) {
 	`)
 	db := NewDB()
 	db.AddFact(ast.NewAtom("e", ast.N(1)))
-	idb, _, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true, Workers: 0})
+	idb, _, err := EvalWith(prog, db, Options{Seminaive: true, Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,22 +178,31 @@ func TestWorkersDefaultResolution(t *testing.T) {
 // index build race: many goroutines probe the same un-indexed position
 // mask (and several others) on a shared relation. Run with -race.
 func TestConcurrentLookupSameMask(t *testing.T) {
-	r := NewRelation(2)
-	for i := 0; i < 2000; i++ {
-		r.Add(Tuple{ast.N(float64(i % 50)), ast.N(float64(i))})
+	r := newIrel(2, 0)
+	for i := uint32(0); i < 2000; i++ {
+		r.add([]uint32{i % 50, i})
+	}
+	count := func(mask uint64, pos []int, vals ...uint32) int {
+		ix, n := r.index(mask, pos), 0
+		for ri := ix.lookup(r, vals); ri >= 0; ri = ix.next[ri] {
+			n++
+		}
+		return n
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if got := r.lookup([]int{0}, []ast.Term{ast.N(float64(i))}); len(got) != 40 {
-					t.Errorf("mask [0] val %d: %d ids, want 40", i, len(got))
+			for i := uint32(0); i < 50; i++ {
+				if got := count(1<<0, []int{0}, i); got != 40 {
+					t.Errorf("mask [0] val %d: %d rows, want 40", i, got)
 					return
 				}
-				_ = r.lookup([]int{1}, []ast.Term{ast.N(float64(i))})
-				_ = r.lookup([]int{0, 1}, []ast.Term{ast.N(float64(i % 50)), ast.N(float64(i))})
+				if count(1<<1, []int{1}, i) != 1 || count(1<<0|1<<1, []int{0, 1}, i, i) != 1 {
+					t.Errorf("masks [1], [0 1] val %d: want one row each", i)
+					return
+				}
 			}
 		}(g)
 	}
@@ -247,6 +260,6 @@ func TestPartitioningInvariance(t *testing.T) {
 			ast.N(float64(rng.Intn(40))), ast.N(float64(rng.Intn(40)))))
 	}
 	workers := []int{1, 2, 3, 5, 16, 64}
-	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true, UseIndex: true}, workers)
+	idbs, stats := evalAllWorkers(t, prog, db, Options{Seminaive: true}, workers)
 	requireIdentical(t, "partitioning", workers, idbs, stats)
 }

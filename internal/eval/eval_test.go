@@ -65,31 +65,6 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-func TestRelationIndexLookup(t *testing.T) {
-	r := NewRelation(2)
-	for i := 0; i < 10; i++ {
-		r.Add(Tuple{ast.N(float64(i % 3)), ast.N(float64(i))})
-	}
-	ids := r.lookup([]int{0}, []ast.Term{ast.N(1)})
-	if len(ids) != 4 { // i = 1, 4, 7 — wait: i%3==1 for 1,4,7 → 3 tuples... and i up to 9: 1,4,7 = 3
-		// recompute: i in 0..9 with i%3==1: 1,4,7 → 3 tuples.
-		if len(ids) != 3 {
-			t.Fatalf("lookup returned %d ids", len(ids))
-		}
-	}
-	// Index must be invalidated by Add.
-	r.Add(Tuple{ast.N(1), ast.N(100)})
-	ids = r.lookup([]int{0}, []ast.Term{ast.N(1)})
-	if len(ids) != 4 {
-		t.Fatalf("after add, lookup returned %d ids", len(ids))
-	}
-	// Compound index.
-	ids = r.lookup([]int{0, 1}, []ast.Term{ast.N(1), ast.N(100)})
-	if len(ids) != 1 {
-		t.Fatalf("compound lookup returned %d ids", len(ids))
-	}
-}
-
 func TestTransitiveClosure(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -245,7 +220,7 @@ func TestRepeatedVariablesInSubgoal(t *testing.T) {
 	}
 }
 
-func TestNaiveSeminaiveIndexedAgree(t *testing.T) {
+func TestNaiveSeminaiveAgree(t *testing.T) {
 	// Differential test over random graphs: all evaluator
 	// configurations must produce identical relations.
 	prog := parser.MustParseProgram(`
@@ -264,12 +239,7 @@ func TestNaiveSeminaiveIndexedAgree(t *testing.T) {
 				ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
 		}
 		var results []*DB
-		for _, opt := range []Options{
-			{Seminaive: true, UseIndex: true},
-			{Seminaive: true, UseIndex: false},
-			{Seminaive: false, UseIndex: true},
-			{Seminaive: false, UseIndex: false},
-		} {
+		for _, opt := range []Options{{Seminaive: true}, {Seminaive: false}} {
 			idb, _, err := EvalWith(prog, db, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -294,11 +264,11 @@ func TestSeminaiveFewerProbesThanNaive(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(30)
-	_, sn, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true})
+	_, sn, err := EvalWith(prog, db, Options{Seminaive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nv, err := EvalWith(prog, db, Options{Seminaive: false, UseIndex: true})
+	_, nv, err := EvalWith(prog, db, Options{Seminaive: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +284,7 @@ func TestMaxTuplesBudget(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
-	_, _, err := EvalWith(prog, db, Options{Seminaive: true, UseIndex: true, MaxTuples: 50})
+	_, _, err := EvalWith(prog, db, Options{Seminaive: true, MaxTuples: 50})
 	if err == nil {
 		t.Fatal("expected budget error")
 	}

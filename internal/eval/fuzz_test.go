@@ -8,20 +8,22 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/parser"
+	"repro/internal/refeval"
 )
 
-// FuzzPlan drives arbitrary parsed programs through the legacy engine
-// and the compiled engine under all three join-order policies, and
-// asserts the engine's core contract: the answer set and the
-// order-invariant statistics (iterations, rule firings, tuples
-// derived) never depend on which policy picked the join order or how
-// many workers ran. Inputs that fail to parse or fail stratification
-// are skipped; inputs where the baseline errors (e.g. the MaxTuples
-// guard trips) skip the cross-policy comparison, since abort points
-// are not part of the contract. Every compiled run is then repeated over
-// a clone of the database: the first ran on the shared DB's interned
-// base (reused from run to run), the repeat builds its own, and the two
-// must agree on answers and the full Stats.
+// FuzzPlan drives arbitrary parsed programs through the engine under
+// all three join-order policies and asserts its core contract: the
+// answer set is the reference evaluator's (internal/refeval; checked
+// while the fixpoint is small enough for a nested-loop interpreter),
+// and neither it nor the order-invariant statistics (iterations, tuples
+// derived) depend on which policy picked the join order or how many
+// workers ran. Inputs that fail to parse or fail stratification are
+// skipped; inputs where the first run errors (e.g. the MaxTuples guard
+// trips) skip the comparison, since abort points are not part of the
+// contract. Every run is then repeated over a clone of the database:
+// the first ran on the shared DB's interned base (reused from run to
+// run), the repeat builds its own, and the two must agree on answers
+// and the full Stats.
 func FuzzPlan(f *testing.F) {
 	f.Add(`p(X, Y) :- e(X, Y).
 p(X, Y) :- e(X, Z), p(Z, Y).
@@ -82,12 +84,11 @@ odd(Y) :- even(X), succ(X, Y).
 			opts  Options
 		}
 		runs := []run{
-			{"legacy", Options{Seminaive: true, UseIndex: true, Workers: 1}},
-			{"greedy", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1}},
-			{"cost", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1, Policy: PolicyCost}},
-			{"adaptive", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 1, Policy: PolicyAdaptive}},
-			{"cost-w3", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 3, Policy: PolicyCost}},
-			{"adaptive-w3", Options{Seminaive: true, UseIndex: true, CompilePlans: true, Workers: 3, Policy: PolicyAdaptive}},
+			{"greedy", Options{Seminaive: true, Workers: 1}},
+			{"cost", Options{Seminaive: true, Workers: 1, Policy: PolicyCost}},
+			{"adaptive", Options{Seminaive: true, Workers: 1, Policy: PolicyAdaptive}},
+			{"cost-w3", Options{Seminaive: true, Workers: 3, Policy: PolicyCost}},
+			{"adaptive-w3", Options{Seminaive: true, Workers: 3, Policy: PolicyAdaptive}},
 		}
 		type outcome struct {
 			answers map[string][]string
@@ -100,10 +101,10 @@ odd(Y) :- even(X), succ(X, Y).
 			r.opts.MaxTuples = 20000
 			idb, stats, err := EvalCtx(context.Background(), p, db, r.opts)
 			if err != nil {
-				// The baseline decides whether this input evaluates at
-				// all; abort points under resource guards may differ,
-				// so an erroring baseline skips the whole comparison.
-				if base != nil && stats.TuplesDerived < 20000 {
+				// The first run decides whether this input evaluates at
+				// all: every run derives the same tuples, so none may
+				// trip the guard once one has finished under it.
+				if base != nil {
 					t.Fatalf("%s errored where %s succeeded: %v", r.label, baseLabel, err)
 				}
 				return
@@ -118,7 +119,11 @@ odd(Y) :- even(X), succ(X, Y).
 			}
 			if base == nil {
 				base, baseLabel = got, r.label
-				continue
+				if got.derived <= refMaxDerived {
+					if want := refeval.Eval(p, dbFacts(db)); !reflect.DeepEqual(got.answers, want) {
+						t.Fatalf("answers differ from the reference:\n%v\nvs\n%v", got.answers, want)
+					}
+				}
 			}
 			if !reflect.DeepEqual(got.answers, base.answers) {
 				t.Fatalf("answers diverged: %s vs %s\n%v\nvs\n%v", r.label, baseLabel, got.answers, base.answers)
@@ -126,9 +131,6 @@ odd(Y) :- even(X), succ(X, Y).
 			if got.derived != base.derived || got.rounds != base.rounds {
 				t.Fatalf("order-invariant stats diverged: %s (derived=%d rounds=%d) vs %s (derived=%d rounds=%d)",
 					r.label, got.derived, got.rounds, baseLabel, base.derived, base.rounds)
-			}
-			if !r.opts.CompilePlans {
-				continue
 			}
 			idb2, stats2, err := EvalCtx(context.Background(), p, db.Clone(), r.opts)
 			if err != nil {

@@ -1,11 +1,10 @@
 package eval
 
-// Interned data layout for the compiled-plan engine (Options.
-// CompilePlans). Constant terms are assigned dense uint32 ids by an
-// interner, tuples become flat []uint32 rows, and both the per-relation
-// duplicate set and the bound-position hash indexes key on integer
-// hashes with exact row comparison — no string is built or hashed
-// anywhere on the join path. The interner is an internal boundary:
+// Interned data layout of the engine. Constant terms are assigned dense
+// uint32 ids by an interner, tuples become flat []uint32 rows, and both
+// the per-relation duplicate set and the bound-position hash indexes key
+// on integer hashes with exact row comparison — no string is built or
+// hashed anywhere on the join path. The interner is an internal boundary:
 // nothing outside the engine ever sees an id.
 //
 // Interning is two-level. The constants of a database are interned
@@ -263,8 +262,8 @@ func (h *rowHash) grow() {
 
 // rowIndex is a hash index from the values at a fixed set of argument
 // positions to the rows holding them, as head/next chains in ascending
-// row order (the same candidate order the legacy string-keyed index
-// returns, which keeps probe counts and provenance bit-identical).
+// row order (candidates in insertion order keep the recorded first
+// derivation of every fact independent of how the index hashes).
 // Built lazily under the owning irel's lock; appended to incrementally
 // at single-threaded round barriers.
 type rowIndex struct {
@@ -452,7 +451,8 @@ func (r *irel) contains(vals []uint32) bool { return r.set.find(vals) }
 
 // index returns the rowIndex for the given position bitmask, building
 // it lazily. Safe for concurrent readers: the build is double-checked
-// under an RWMutex, mirroring Relation.lookup.
+// under an RWMutex, so two tasks probing the same un-indexed position
+// mask cannot race.
 func (r *irel) index(mask uint64, pos []int) *rowIndex {
 	r.mu.RLock()
 	ix := r.indexes[mask]

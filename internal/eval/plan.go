@@ -1,8 +1,8 @@
 package eval
 
 // Compiled rule plans. A plan is built once per (rule, delta-occurrence)
-// pair before the fixpoint starts and fixes everything the legacy
-// engine re-derived per candidate tuple: the join order, each subgoal's
+// pair before the fixpoint starts and fixes everything an interpreter
+// would re-derive per candidate tuple: the join order, each subgoal's
 // bound argument positions (with constants pre-interned), variable →
 // binding-slot assignments, the earliest join depth at which every
 // comparison and negation filter is ground, and the head/body templates
@@ -94,7 +94,6 @@ type plan struct {
 	posTpls     []atomTpl
 	negTpls     []atomTpl
 	maxNegArity int
-	staticOrder bool // greedy order equals the legacy static order
 }
 
 // greedyJoinOrder orders the subgoals of r for a task restricted to
@@ -260,12 +259,10 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 		for name := range inAtom {
 			bound[name] = true
 		}
-		// Attach every filter that just became ground. The legacy engine
-		// re-checks all ground filters after every candidate extension;
-		// the checks are idempotent (comparison operands are fixed once
-		// bound, the EDB is frozen), so checking each filter exactly once
-		// at its earliest-ground depth prunes the identical branches and
-		// keeps probe counts bit-identical.
+		// Attach every filter that just became ground. The checks are
+		// idempotent (comparison operands are fixed once bound, the EDB
+		// is frozen), so checking each filter exactly once at its
+		// earliest-ground depth prunes every branch it ever would.
 		for i, c := range r.Cmp {
 			if !cmpDone[i] && allBound(c.Vars(nil)) {
 				sp.cmps = append(sp.cmps, compileCmp(in, slotOf, c))
@@ -280,7 +277,7 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 		}
 	}
 	// Zero-subgoal rules ground their (necessarily variable-free)
-	// filters at the finish step, mirroring finishRule.
+	// filters at the finish step.
 	for i, c := range r.Cmp {
 		if !cmpDone[i] {
 			pl.finishCmps = append(pl.finishCmps, compileCmp(in, slotOf, c))
@@ -304,7 +301,6 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 		}
 	}
 	pl.nSlots = len(slots)
-	pl.staticOrder = intsEqual(pl.order, joinOrder(n, occ))
 	return pl
 }
 

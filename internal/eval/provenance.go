@@ -39,9 +39,9 @@ func EvalProv(p *ast.Program, edb *DB) (*DB, *Provenance, *Stats, error) {
 	return evalProvOpts(context.Background(), p, edb, DefaultOptions())
 }
 
-// evalProvOpts is EvalProv with an explicit context and options,
-// dispatching to the engine opts select. The differential tests use it
-// to compare provenance across engines and worker counts.
+// evalProvOpts is EvalProv with an explicit context and options. The
+// differential tests use it to compare provenance across policies,
+// shard counts and worker counts.
 func evalProvOpts(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Provenance, *Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -53,27 +53,11 @@ func evalProvOpts(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*
 		return nil, nil, nil, err
 	}
 	prov := &Provenance{steps: map[string]provStep{}}
-	if opts.CompilePlans {
-		idb, stats, err := evalCompiled(ctx, p, edb, opts, prov)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return idb, prov, stats, nil
-	}
-	ev := &evaluator{
-		ctx:     ctx,
-		prog:    p,
-		edb:     edb,
-		idb:     NewDB(),
-		opts:    opts,
-		workers: opts.effectiveWorkers(),
-		stats:   &Stats{},
-		prov:    prov,
-	}
-	if err := ev.run(); err != nil {
+	idb, stats, err := evalCompiled(ctx, p, edb, opts, prov)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	return ev.idb, prov, ev.stats, nil
+	return idb, prov, stats, nil
 }
 
 // Tree reconstructs the derivation tree for a ground IDB fact. EDB

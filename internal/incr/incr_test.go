@@ -12,6 +12,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/parser"
+	"repro/internal/refeval"
 )
 
 // --- helpers ---------------------------------------------------------------
@@ -61,25 +62,30 @@ func viewFacts(t *testing.T, v *View, pred string) []string {
 }
 
 // requireConsistent checks the view against from-scratch evaluation of
-// the reference EDB under both engines × workers {1,4}: every IDB
-// relation must be identical.
+// the reference EDB, by the reference evaluator and by the engine at
+// workers {1,4}: every IDB relation must be identical.
 func requireConsistent(t *testing.T, label string, v *View, p *ast.Program, fs factSet) {
 	t.Helper()
+	facts := make([]ast.Atom, 0, len(fs))
+	for _, a := range fs {
+		facts = append(facts, a)
+	}
+	for pred, want := range refeval.Eval(p, facts) {
+		if got := viewFacts(t, v, pred); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s diverged from the reference:\nview %v\nfull %v", label, pred, got, want)
+		}
+	}
 	db := fs.db()
-	for _, compiled := range []bool{false, true} {
-		for _, w := range []int{1, 4} {
-			opts := eval.Options{Seminaive: true, UseIndex: true, CompilePlans: compiled, Workers: w}
-			idb, _, err := eval.EvalCtx(context.Background(), p, db, opts)
-			if err != nil {
-				t.Fatalf("%s: eval(compiled=%v workers=%d): %v", label, compiled, w, err)
-			}
-			for pred := range p.IDB() {
-				want := idb.SortedFacts(pred)
-				got := viewFacts(t, v, pred)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s diverged (compiled=%v workers=%d):\nview %v\nfull %v",
-						label, pred, compiled, w, got, want)
-				}
+	for _, w := range []int{1, 4} {
+		idb, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{Seminaive: true, Workers: w})
+		if err != nil {
+			t.Fatalf("%s: eval(workers=%d): %v", label, w, err)
+		}
+		for pred := range p.IDB() {
+			want := idb.SortedFacts(pred)
+			got := viewFacts(t, v, pred)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s diverged (workers=%d):\nview %v\nfull %v", label, pred, w, got, want)
 			}
 		}
 	}
@@ -445,8 +451,8 @@ func (pc incrProgram) universe() []ast.Atom {
 // TestIncrRandomizedDifferential is the main correctness gate (also
 // run under -race by `make incr-smoke`): randomized add/retract
 // sequences over several program shapes, checking after every batch
-// that the view matches from-scratch evaluation under both engines ×
-// workers {1,4}, that reported Changes equal the actual answer diff,
+// that the view matches from-scratch evaluation by the reference
+// evaluator and by the engine at workers {1,4}, that reported Changes equal the actual answer diff,
 // and (periodically) that derivation counts and provenance match a
 // fresh Materialize.
 func TestIncrRandomizedDifferential(t *testing.T) {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -129,13 +131,60 @@ type factUpdate struct {
 	views          []viewUpdate
 }
 
+// arityConflict reports, as a 400 arity_mismatch, the first fact whose
+// predicate arity already records at another arity; it records the
+// arities of the facts it passes. A relation holds tuples of one arity
+// (eval.Relation.Add panics otherwise), so every batch from outside is
+// held to this before it is logged or applied.
+func arityConflict(arity map[string]int, facts []sqo.Atom) error {
+	for _, a := range facts {
+		if ar, ok := arity[a.Pred]; ok && ar != len(a.Args) {
+			return &requestError{status: http.StatusBadRequest, code: "arity_mismatch",
+				msg: fmt.Sprintf("predicate %s is used with arity %d and with arity %d", a.Pred, ar, len(a.Args))}
+		}
+		arity[a.Pred] = len(a.Args)
+	}
+	return nil
+}
+
+// update is one mutation of the dataset, start to finish under its
+// lock: check that the fact set stays one arity per predicate once the
+// batch is in (dels leave first, so a PUT may change a predicate's
+// arity), then persist — nil in memory and on replay; the WAL append
+// otherwise, which keeps one dataset's records in application order —
+// then apply. Nothing is logged or applied when it returns an error.
+func (d *dataset) update(ctx context.Context, adds, dels []sqo.Atom, now time.Time, persist func() error) (factUpdate, DatasetInfo, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	gone := make(map[string]bool, len(dels))
+	for _, a := range dels {
+		gone[a.String()] = true
+	}
+	arity := map[string]int{}
+	for k, a := range d.facts {
+		if !gone[k] {
+			arity[a.Pred] = len(a.Args)
+		}
+	}
+	if err := arityConflict(arity, adds); err != nil {
+		return factUpdate{}, DatasetInfo{}, err
+	}
+	if persist != nil {
+		if err := persist(); err != nil {
+			return factUpdate{}, DatasetInfo{}, err
+		}
+	}
+	up := d.updateLocked(ctx, adds, dels, now)
+	return up, d.describeLocked(), nil
+}
+
 // updateLocked applies retractions then insertions to the canonical
 // fact set (an atom appearing in both is a no-op, matching
 // sqo.View.Apply's delete-then-insert semantics), swaps in a rebuilt
 // snapshot, and pushes the same batch through every attached view. A
 // view whose maintenance fails is left broken — it repairs itself on
 // the next read — so the dataset mutation itself always succeeds.
-// Callers hold d.mu.
+// The caller, update, holds d.mu.
 func (d *dataset) updateLocked(ctx context.Context, adds, dels []sqo.Atom, now time.Time) factUpdate {
 	var up factUpdate
 	addKeys := make(map[string]bool, len(adds))
@@ -230,22 +279,19 @@ func newDatasetStore(m *Metrics) *datasetStore {
 // record.
 func (st *datasetStore) create(name string, facts []sqo.Atom, now time.Time, persist func() error) (ds *dataset, created bool, err error) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if existing, ok := st.byName[name]; ok {
-		st.mu.Unlock()
 		return existing, false, nil
 	}
 	if persist != nil {
 		if err := persist(); err != nil {
-			st.mu.Unlock()
 			return nil, false, err
 		}
 	}
 	ds = newDataset(name, facts, now)
 	st.byName[name] = ds
-	n := len(st.byName)
-	st.mu.Unlock()
 	if st.metrics != nil {
-		st.metrics.Datasets.Store(int64(n))
+		st.metrics.Datasets.Store(int64(len(st.byName)))
 	}
 	return ds, true, nil
 }
@@ -265,22 +311,21 @@ func (st *datasetStore) get(name string) (*dataset, bool) {
 // the name. A persist error aborts the delete.
 func (st *datasetStore) delete(name string, persist func() error) (*dataset, bool, error) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	ds, ok := st.byName[name]
-	if ok {
-		if persist != nil {
-			if err := persist(); err != nil {
-				st.mu.Unlock()
-				return nil, false, err
-			}
+	if !ok {
+		return nil, false, nil
+	}
+	if persist != nil {
+		if err := persist(); err != nil {
+			return nil, false, err
 		}
-		delete(st.byName, name)
 	}
-	n := len(st.byName)
-	st.mu.Unlock()
-	if ok && st.metrics != nil {
-		st.metrics.Datasets.Store(int64(n))
+	delete(st.byName, name)
+	if st.metrics != nil {
+		st.metrics.Datasets.Store(int64(len(st.byName)))
 	}
-	return ds, ok, nil
+	return ds, true, nil
 }
 
 // list describes all datasets, sorted by name.

@@ -60,6 +60,7 @@ type Metrics struct {
 	QueryTimeouts atomic.Int64
 	QueryCancels  atomic.Int64
 	QueryBudgets  atomic.Int64
+	panics        atomic.Int64 // handler panics contained by Server.contain
 
 	// Static analysis.
 	LintRuns     atomic.Int64
@@ -201,6 +202,7 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	counter("sqod_query_timeouts_total", "Queries stopped by deadline expiry.", m.QueryTimeouts.Load())
 	counter("sqod_query_cancels_total", "Queries stopped by client cancellation.", m.QueryCancels.Load())
 	counter("sqod_query_budget_exceeded_total", "Queries stopped by the derived-tuple budget.", m.QueryBudgets.Load())
+	counter("sqod_panics_total", "Handler panics answered with 500 internal_error.", m.panics.Load())
 
 	counter("sqod_lint_runs_total", "Lint runs (POST /v1/lint plus registration diagnostics).", m.LintRuns.Load())
 	counter("sqod_lint_findings_total", "Findings emitted across all lint runs.", m.LintFindings.Load())

@@ -11,7 +11,7 @@ import (
 // restore rebuilds the mutable-dataset surface from recovered store
 // state: the checkpoint base first (datasets created whole, views
 // re-materialized once from their stored sources), then the WAL tail
-// in log order — fact batches flow through the same updateLocked path
+// in log order — fact batches flow through the same dataset.update path
 // live mutations use, so every view registered by the time a batch
 // replays is repaired incrementally (counting / delete-rederive)
 // rather than re-evaluated from scratch. Runs inside New, before the
@@ -44,9 +44,9 @@ func (s *Server) restore(rec *store.Recovered) {
 			}
 		case store.OpFacts:
 			if ds, ok := s.datasets.get(op.Dataset); ok {
-				ds.mu.Lock()
-				ds.updateLocked(ctx, op.Adds, op.Dels, time.Now())
-				ds.mu.Unlock()
+				if _, _, err := ds.update(ctx, op.Adds, op.Dels, time.Now(), nil); err != nil {
+					s.log.Warn("replaying fact batch: skipped", "dataset", op.Dataset, "err", err)
+				}
 			}
 		case store.OpViewRegister:
 			if ds, ok := s.datasets.get(op.Dataset); ok {

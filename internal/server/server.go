@@ -21,11 +21,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -219,16 +219,18 @@ func (s *Server) Handler() http.Handler {
 // statusWriter captures the response code for logging and metrics.
 type statusWriter struct {
 	http.ResponseWriter
-	code  int
-	bytes int
+	code    int
+	bytes   int
+	started bool // a header or body byte has gone out
 }
 
 func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
+	w.code, w.started = code, true
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(b []byte) (int, error) {
+	w.started = true
 	n, err := w.ResponseWriter.Write(b)
 	w.bytes += n
 	return n, err
@@ -249,14 +251,14 @@ func (s *Server) gated(endpoint string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// instrument wraps a handler with body limiting, latency observation,
-// and one structured log line per request.
+// instrument wraps a handler with body limiting, panic containment,
+// latency observation, and one structured log line per request.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
+		s.contain(endpoint, sw, r, h)
 		elapsed := time.Since(start)
 		s.metrics.ObserveRequest(endpoint, sw.code, elapsed)
 		s.log.Info("request",
@@ -269,6 +271,32 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			"remote", r.RemoteAddr,
 		)
 	})
+}
+
+// contain runs h and turns a panic in it into a 500 internal_error (when
+// the response has not started), one error line with the stack, and a
+// tick of sqod_panics_total — so one bad request costs one request, not
+// the connection's reply and the request's metrics and log line.
+// http.ErrAbortHandler is net/http's own abort signal and passes through.
+func (s *Server) contain(endpoint string, sw *statusWriter, r *http.Request, h http.HandlerFunc) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			panic(p)
+		}
+		s.metrics.panics.Add(1)
+		s.log.Error("panic in handler", "endpoint", endpoint, "method", r.Method, "path", r.URL.Path,
+			"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+		if sw.started {
+			sw.code = http.StatusInternalServerError // for the log and metrics; the client's status is out
+			return
+		}
+		writeError(sw, http.StatusInternalServerError, "internal_error", "internal error; see the server log")
+	}()
+	h(sw, r)
 }
 
 // errorBody is the uniform JSON error envelope.
@@ -314,19 +342,8 @@ func (s *Server) admit() (release func(), ok bool) {
 // the new one, so attached materialized views survive a PUT and are
 // maintained incrementally through it.
 func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "dataset name missing")
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
-	facts, err := sqo.ParseFacts(string(body))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse_error", "parsing facts: %v", err)
+	name, facts, ok := s.parseDatasetBody(w, r)
+	if !ok {
 		return
 	}
 	ds, created, err := s.datasets.create(name, facts, time.Now(), s.persistCreate(name, facts))
@@ -342,6 +359,26 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	adds, dels := ds.diffLocked(facts)
 	ds.mu.Unlock()
 	s.updateDataset(w, r, ds, adds, dels)
+}
+
+// parseDatasetBody reads a whole-dataset request (PUT, POST): the name
+// from the path and the body as ground facts that use each predicate at
+// one arity — checked here, before the create record can reach the WAL
+// or the registry lock is taken, because building the dataset's
+// relations panics on a mixed-arity predicate.
+func (s *Server) parseDatasetBody(w http.ResponseWriter, r *http.Request) (name string, facts []sqo.Atom, ok bool) {
+	if name = r.PathValue("name"); name == "" {
+		writeError(w, http.StatusBadRequest, "bad_request", "dataset name missing")
+		return "", nil, false
+	}
+	if facts, ok = parseFactsBody(w, r); !ok {
+		return "", nil, false
+	}
+	if err := arityConflict(map[string]int{}, facts); err != nil {
+		s.writeRequestError(w, err)
+		return "", nil, false
+	}
+	return name, facts, true
 }
 
 // persistCreate returns the WAL-append callback for a dataset create,
@@ -364,19 +401,8 @@ func (s *Server) writeStoreError(w http.ResponseWriter, op, name string, err err
 // handleDatasetPost registers a new dataset, answering 409 when the
 // name is already taken (PUT is the create-or-replace form).
 func (s *Server) handleDatasetPost(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if name == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "dataset name missing")
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
-	facts, err := sqo.ParseFacts(string(body))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse_error", "parsing facts: %v", err)
+	name, facts, ok := s.parseDatasetBody(w, r)
+	if !ok {
 		return
 	}
 	ds, created, err := s.datasets.create(name, facts, time.Now(), s.persistCreate(name, facts))
@@ -631,6 +657,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		facts, err := sqo.ParseFacts(req.Facts)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "parse_error", "parsing facts: %v", err)
+			return
+		}
+		arity := map[string]int{}
+		if db != nil {
+			for _, pred := range db.Preds() {
+				arity[pred] = db.Lookup(pred).Arity
+			}
+		}
+		if err := arityConflict(arity, facts); err != nil {
+			s.writeRequestError(w, err)
 			return
 		}
 		if db == nil {

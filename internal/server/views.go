@@ -47,8 +47,8 @@ func parseFactsBody(w http.ResponseWriter, r *http.Request) ([]sqo.Atom, bool) {
 }
 
 // updateDataset is the shared tail of every mutation handler: admit,
-// bound by the update deadline, apply under the dataset lock, account
-// metrics, respond.
+// bound by the update deadline, validate, log and apply under the
+// dataset lock (dataset.update), account metrics, respond.
 func (s *Server) updateDataset(w http.ResponseWriter, r *http.Request, ds *dataset, adds, dels []sqo.Atom) {
 	release, ok := s.admit()
 	if !ok {
@@ -62,20 +62,21 @@ func (s *Server) updateDataset(w http.ResponseWriter, r *http.Request, ds *datas
 	defer cancel()
 
 	start := time.Now()
-	ds.mu.Lock()
 	// Write-ahead: the mutation reaches the log (durable per the fsync
-	// policy) before it is applied or acknowledged. Under ds.mu, so the
-	// WAL records for one dataset land in application order.
+	// policy) before it is applied or acknowledged.
+	var persist func() error
 	if s.store != nil {
-		if err := s.store.AppendFacts(ds.name, adds, dels); err != nil {
-			ds.mu.Unlock()
-			s.writeStoreError(w, "update", ds.name, err)
-			return
-		}
+		persist = func() error { return s.store.AppendFacts(ds.name, adds, dels) }
 	}
-	up := ds.updateLocked(ctx, adds, dels, time.Now())
-	info := ds.describeLocked()
-	ds.mu.Unlock()
+	up, info, err := ds.update(ctx, adds, dels, time.Now(), persist)
+	var re *requestError
+	if errors.As(err, &re) {
+		s.writeRequestError(w, re)
+		return
+	} else if err != nil {
+		s.writeStoreError(w, "update", ds.name, err)
+		return
+	}
 
 	s.metrics.FactUpdates.Add(1)
 	s.metrics.ViewApplies.Add(int64(len(up.views)))
@@ -280,36 +281,41 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 
 	// The dataset lock covers materialization: a concurrent fact update
 	// between snapshotting the EDB and registering the view would
-	// otherwise be invisible to the view forever.
+	// otherwise be invisible to the view forever. It is released by
+	// defer — a panic in the engine must not strand it — and a failure
+	// is reported (fail) once it is.
 	start := time.Now()
-	ds.mu.Lock()
-	if _, exists := ds.views[vname]; exists {
-		ds.mu.Unlock()
-		writeError(w, http.StatusConflict, "view_exists", "view %q already exists on dataset %q", vname, name)
-		return
-	}
-	view, err := sqo.MaterializeCtx(ctx, prog, ds.db, sqo.ViewOptions{MaxTuples: maxTuples, Policy: s.policy})
-	if err != nil {
-		ds.mu.Unlock()
-		s.writeEvalError(w, err)
-		return
-	}
-	// The registration is logged before the view becomes visible (and
-	// before the 200): recovery re-materializes from the stored source,
-	// so only the definition needs to be durable, not the answers.
-	if s.store != nil {
-		err := s.store.AppendViewRegister(name, store.ViewDef{
-			Name: vname, Program: req.Program, ICs: req.ICs, Optimized: doOptimize,
-		})
-		if err != nil {
-			ds.mu.Unlock()
-			s.writeStoreError(w, "view create", vname, err)
-			return
+	mv, fail := func() (*matView, func()) {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
+		if _, exists := ds.views[vname]; exists {
+			return nil, func() {
+				writeError(w, http.StatusConflict, "view_exists", "view %q already exists on dataset %q", vname, name)
+			}
 		}
+		view, err := sqo.MaterializeCtx(ctx, prog, ds.db, sqo.ViewOptions{MaxTuples: maxTuples, Policy: s.policy})
+		if err != nil {
+			return nil, func() { s.writeEvalError(w, err) }
+		}
+		// The registration is logged before the view becomes visible (and
+		// before the 200): recovery re-materializes from the stored source,
+		// so only the definition needs to be durable, not the answers.
+		if s.store != nil {
+			err := s.store.AppendViewRegister(name, store.ViewDef{
+				Name: vname, Program: req.Program, ICs: req.ICs, Optimized: doOptimize,
+			})
+			if err != nil {
+				return nil, func() { s.writeStoreError(w, "view create", vname, err) }
+			}
+		}
+		mv := &matView{name: vname, program: prog, optimized: doOptimize, view: view, createdAt: time.Now()}
+		ds.views[vname] = mv
+		return mv, nil
+	}()
+	if fail != nil {
+		fail()
+		return
 	}
-	mv := &matView{name: vname, program: prog, optimized: doOptimize, view: view, createdAt: time.Now()}
-	ds.views[vname] = mv
-	ds.mu.Unlock()
 	s.metrics.Views.Add(1)
 
 	s.respondView(w, ds, mv, cacheHit, float64(time.Since(start).Microseconds())/1000,

@@ -160,15 +160,14 @@ func NewDBFrom(facts []Atom) *DB {
 func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return eval.Eval(p, edb) }
 
 // EvalOptions configures the evaluation engine: naive vs semi-naive,
-// hash indexes, the derived-tuple budget, the worker pool size
-// (Workers: 0 = one per CPU, 1 = sequential), plan compilation
-// (CompilePlans: interned terms + compiled join plans; see
-// DefaultEvalOptions), and the join-order policy (Policy; see
-// JoinOrderPolicy).
+// the derived-tuple budget, the worker pool size (Workers: 0 = one per
+// CPU, 1 = sequential), the join-order policy (Policy; see
+// JoinOrderPolicy), the goal-directed rewrites of Query/QueryCtx (Elim,
+// Magic, Stream) and in-process sharding (Shards, ShardPartitioner).
 type EvalOptions = eval.Options
 
-// JoinOrderPolicy selects how the compiled-plan engine orders the
-// subgoals of each rule: PolicyGreedy (static, most-bound-first),
+// JoinOrderPolicy selects how the engine orders the subgoals of each
+// rule: PolicyGreedy (static, most-bound-first),
 // PolicyCost (per-round orders from maintained relation statistics),
 // or PolicyAdaptive (cost orders plus run-time adaptivity). Answers,
 // derivation counts, and provenance are identical under every policy;
@@ -262,10 +261,9 @@ func EliminateRecursion(p *Program) (*Program, error) {
 }
 
 // DefaultEvalOptions returns the engine defaults used by Eval:
-// semi-naive, hash-indexed, compiled join plans with the greedy
-// join-order policy, one worker per CPU. Start from it when overriding
-// a single knob so new defaults (like CompilePlans) are picked up
-// automatically.
+// semi-naive with the greedy join-order policy, one worker per CPU.
+// Start from it when overriding a single knob: the zero EvalOptions
+// selects naive evaluation.
 func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
 
 // EvalWith evaluates with explicit engine options.

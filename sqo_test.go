@@ -198,16 +198,13 @@ func TestNilDBIsEmptyDatabase(t *testing.T) {
 		path(X, Y) :- step(X, Z), path(Z, Y).
 		?- path(1, Y).
 	`)
-	for _, compile := range []bool{true, false} {
-		opts := DefaultEvalOptions()
-		opts.CompilePlans = compile
-		tuples, _, err := QueryCtx(context.Background(), p, nil, opts)
-		if err != nil || len(tuples) != 0 {
-			t.Fatalf("compile=%v: QueryCtx(nil) = %v, %v", compile, tuples, err)
-		}
-		if _, _, err := EvalCtx(context.Background(), p, nil, opts); err != nil {
-			t.Fatalf("compile=%v: EvalCtx(nil): %v", compile, err)
-		}
+	opts := DefaultEvalOptions()
+	tuples, _, err := QueryCtx(context.Background(), p, nil, opts)
+	if err != nil || len(tuples) != 0 {
+		t.Fatalf("QueryCtx(nil) = %v, %v", tuples, err)
+	}
+	if _, _, err := EvalCtx(context.Background(), p, nil, opts); err != nil {
+		t.Fatalf("EvalCtx(nil): %v", err)
 	}
 	_, explain, _, err := EvalProv(p, nil)
 	if err != nil {
