@@ -66,15 +66,18 @@ bench-regression:
 	$(GO) run ./cmd/benchdiff -label P9 -baseline BENCH_9.json -current bench-out/bench9.json
 	$(GO) run ./cmd/benchdiff -label P10 -baseline BENCH_10.json -current bench-out/bench10.json
 
-# The end-to-end benchmark (BENCHMARK.json, bench/): one serving run and
-# one cold-compile run as the benchmark driver launches them — last
-# output line is the result, every answer (every compiled program, byte
-# for byte, on optimize-cold) is checked against an oracle — plus the
-# harness's own unit tests (bench/ is a module of its own, so `make
-# test` skips them). The CI bench-e2e job runs this non-blocking.
+# The end-to-end benchmark (BENCHMARK.json, bench/): one serving run,
+# one cold-compile run and one in-process fixpoint run (the workload
+# where the engine is at least 90% of wall) as the benchmark driver
+# launches them — last output line is the result, every answer (every
+# compiled program, byte for byte, on optimize-cold) is checked against
+# an oracle — plus the harness's own unit tests (bench/ is a module of
+# its own, so `make test` skips them). The CI bench-e2e job runs this
+# non-blocking.
 bench-e2e:
 	bash bench/run.sh --workload serve-point --seed 1 --seconds 25 --trace 0
 	bash bench/run.sh --workload optimize-cold --seed 1 --seconds 25 --trace 0
+	bash bench/run.sh --workload eval-fixpoint --seed 1 --seconds 25 --trace 0
 	cd bench && $(GO) test ./...
 
 # A short native-fuzzing pass over the parser and over the order solver

@@ -6,6 +6,7 @@ package sqo
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -393,6 +394,97 @@ func BenchmarkPointQueryFreshEDB(b *testing.B) {
 		b.StartTimer()
 		return db
 	})
+}
+
+// fixpointBench is a full fixpoint whose cost is the tuples it derives.
+type fixpointBench struct {
+	name string
+	prog *Program
+	db   *DB
+}
+
+// fixpointBenches: a long thin closure (200 rounds), a dense one that
+// rederives most tuples many times, and the Figure 1 two-flavour closure.
+func fixpointBenches() []fixpointBench {
+	tcEdge := MustParseProgram(`
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, Z), edge(Z, Y).
+		?- path.
+	`)
+	tcStep := MustParseProgram(`
+		path(X, Y) :- step(X, Y).
+		path(X, Y) :- step(X, Z), path(Z, Y).
+		?- path.
+	`)
+	return []fixpointBench{
+		{"tc-chain(200)", tcStep, NewDBFrom(workload.Chain(0, 200))},
+		{"tc-random(150,450)", tcEdge, NewDBFrom(workload.RandomGraph(150, 450, 7))},
+		{"ab-comb(8,14,14)", MustParseProgram(figure1Src), NewDBFrom(workload.ABComb(8, 14, 14))},
+	}
+}
+
+// BenchmarkQueryFixpoint reports what a derived tuple costs — ns/tuple
+// and allocs/tuple, the library twins of the end-to-end benchmark's
+// eval.ns_per_tuple and eval.allocs_per_tuple — for QueryCtx over the
+// three fixpointBenches, answers converted and all.
+func BenchmarkQueryFixpoint(b *testing.B) {
+	opts := DefaultEvalOptions()
+	opts.Elim = ElimOff // as sqod evaluates: it caches the boundedness verdict
+	for _, w := range fixpointBenches() {
+		b.Run(w.name, func(b *testing.B) {
+			_, stats, err := QueryWith(w.prog, w.db, opts) // builds the interned base
+			if err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := QueryWith(w.prog, w.db, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			tuples := float64(stats.TuplesDerived) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tuples, "ns/tuple")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/tuples, "allocs/tuple")
+		})
+	}
+}
+
+// TestQueryAllocationGuard bounds the allocations of the two shapes of
+// query the engine serves, in the style of TestImpliesDoesNotAllocate:
+// a full fixpoint must not allocate per derived tuple (19,879 tuples
+// here; a Tuple and a key string each used to make 42.9k allocations,
+// it now takes about 500), and a point query over a shared EDB stays
+// under 500 (735 before, about 330 now).
+func TestQueryAllocationGuard(t *testing.T) {
+	opts := DefaultEvalOptions()
+	opts.Elim = ElimOff
+	opts.Workers = 1
+	full := fixpointBenches()[1]
+	point, facts := pointQueryBench()
+	for _, c := range []struct {
+		name string
+		prog *Program
+		db   *DB
+		max  float64
+	}{
+		{"full tc-random(150,450)", full.prog, full.db, 10000},
+		{"point query, shared EDB", point, NewDBFrom(facts), 500},
+	} {
+		run := func() {
+			if _, _, err := QueryWith(c.prog, c.db, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // builds the interned base
+		if got := testing.AllocsPerRun(5, run); got > c.max {
+			t.Errorf("%s: %.0f allocations per query, want at most %.0f", c.name, got, c.max)
+		}
+	}
 }
 
 // BenchmarkOrderImplies is the optimizer's inner question — does this

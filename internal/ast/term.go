@@ -42,8 +42,17 @@ type Term struct {
 // V returns a variable term with the given name.
 func V(name string) Term { return Term{Kind: Var, Name: name} }
 
-// N returns a numeric constant term.
-func N(v float64) Term { return Term{Kind: Num, Val: v} }
+// N returns a numeric constant term. It is the only constructor of
+// numeric terms, and it stores negative zero as zero: Equal, Compare and
+// every map keyed on Term identify the two (float ==), so Key and String
+// — what tuple keys, fact keys and cache keys are made of — must render
+// them alike.
+func N(v float64) Term {
+	if v == 0 {
+		v = 0 // -0 == 0: drops the sign
+	}
+	return Term{Kind: Num, Val: v}
+}
 
 // S returns a string constant term.
 func S(s string) Term { return Term{Kind: Str, Name: s} }

@@ -4,14 +4,18 @@ package eval
 // strictly in task order, every hot path over interned data — rules
 // become plans (plan.go), tuples become flat []uint32 rows (intern.go),
 // and the per-candidate binding is a flat slot array instead of a map.
-// Answers, Stats, and provenance are identical for every worker count;
-// answers are checked against internal/refeval, counters against pinned
-// values and provenance by a derivation-tree validator (compiled_test.go).
+// A derived tuple is paid for once: one hash (carried from the task that
+// found it to the merge), one probe-and-insert into its IDB relation's
+// dedup set, one row append. The semi-naive delta is not a second copy
+// but the window of rows the last merge appended, and rows become terms
+// again only for the relations the caller asked for. Answers, Stats, and
+// provenance are identical for every worker count; answers are checked
+// against internal/refeval, counters against pinned values and
+// provenance by a derivation-tree validator (compiled_test.go).
 
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,9 +24,20 @@ import (
 	"repro/internal/shard"
 )
 
-// evalCompiled evaluates p over edb, recording provenance steps into
-// prov when non-nil. The caller has already validated p.
-func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, prov *Provenance) (*DB, *Stats, error) {
+// evalCompiled validates and evaluates p over edb, recording provenance
+// steps into prov when non-nil, and returns the evaluator holding the
+// interned fixpoint; publicIDB or answers converts what the caller
+// wants of it.
+func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, prov *Provenance) (*cEvaluator, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := opts.validatePolicy(); err != nil {
+		return nil, err
+	}
 	ev := &cEvaluator{
 		ctx:     ctx,
 		prog:    p,
@@ -33,13 +48,18 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 		prov:    prov,
 	}
 	if err := ev.prepare(edb); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ev.run(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ev.publicIDB(), ev.stats, nil
+	// Task scratch must not outlive the fixpoint into the conversion.
+	ev.results, ev.runs = nil, nil
+	return ev, nil
 }
+
+// window is a row range [lo, hi) of an append-only relation.
+type window struct{ lo, hi int }
 
 type cEvaluator struct {
 	ctx     context.Context
@@ -52,21 +72,28 @@ type cEvaluator struct {
 	in      *interner        // private overlay on the base's interner
 	edb     map[string]*irel // the DB's interned base: shared, read-only
 	idb     map[string]*irel
-	delta   map[string]*irel // tuples new in the previous round (semi-naive)
-	plans   map[planKey]*plan
+	// win is the semi-naive delta (nil under naive evaluation): rows
+	// win[pred] of ev.idb[pred] are the tuples the previous round's merge
+	// appended. The IDB is append-only, so a round's delta is a window
+	// on it, not a relation of its own.
+	win   map[string]window
+	plans map[planKey]*plan
 	// Cost/adaptive state (nil under greedy): cur holds the plans the
 	// current round runs, re-chosen at every round barrier from live
 	// relation statistics; planCache memoizes compiled plans by join
 	// order so a recurring order costs one map hit; curEst holds the
-	// per-depth match estimates backing the adaptive misestimate check.
-	// All three are touched only at single-threaded round barriers.
+	// per-depth match estimates backing the adaptive misestimate check;
+	// winEst holds the round's delta-window statistics per predicate.
+	// All four are touched only at single-threaded round barriers.
 	cur       map[planKey]*plan
 	planCache map[planKey]map[string]*plan
 	curEst    map[planKey][]float64
+	winEst    map[string]relEstimate
 	prov      *Provenance
-	// Sharding state (zero when Options.Shards < 2): owner slices are
-	// extended only at single-threaded round barriers and read
-	// concurrently by tasks.
+	// Sharding state (zero when Options.Shards < 2): one owner slice per
+	// depth-0 relation (EDB base and IDB relations — all live to the end
+	// of the run), extended only at single-threaded round barriers and
+	// read concurrently by tasks.
 	shards int
 	part   shard.Partitioner
 	owners map[*irel][]uint8
@@ -127,11 +154,49 @@ func (ev *cEvaluator) prepare(edb *DB) error {
 	return nil
 }
 
+// run is the fixpoint loop. Naive evaluation runs every rule over the
+// full relations each round. Semi-naive evaluation runs the init rules
+// once, then every (rule, IDB occurrence) pair with that occurrence
+// restricted to the previous round's delta window. Either way the round
+// that derives nothing is the last.
 func (ev *cEvaluator) run() error {
 	if ev.opts.Seminaive {
-		return ev.runSeminaive()
+		ev.win = make(map[string]window, len(ev.idb))
 	}
-	return ev.runNaive()
+	var keys []planKey
+	var tasks []task
+	for round := 0; ; round++ {
+		if err := ev.ctx.Err(); err != nil {
+			return err
+		}
+		ev.stats.Iterations++
+		keys = keys[:0]
+		for i, r := range ev.prog.Rules {
+			switch {
+			case !ev.opts.Seminaive:
+				keys = append(keys, planKey{i, -1})
+			case round == 0:
+				if r.IsInit(ev.idbPr) {
+					keys = append(keys, planKey{i, -1})
+				}
+			default:
+				for occ, a := range r.Pos {
+					if ev.idbPr[a.Pred] {
+						keys = append(keys, planKey{i, occ})
+					}
+				}
+			}
+		}
+		before := ev.stats.TuplesDerived
+		var rows int
+		tasks, rows = ev.buildTasks(tasks[:0], keys)
+		if err := ev.runRound(tasks, rows); err != nil {
+			return err
+		}
+		if ev.stats.TuplesDerived == before {
+			return nil
+		}
+	}
 }
 
 // planFor resolves the plan a task runs: the current round's
@@ -149,15 +214,25 @@ func (ev *cEvaluator) planFor(ruleIdx, occ int) *plan {
 // planRound re-chooses this round's join orders from live relation
 // statistics (cost/adaptive; greedy returns immediately). Runs at the
 // round barrier, before tasks are built, so buildTasks partitions the
-// relation the chosen plan actually scans at depth 0.
-func (ev *cEvaluator) planRound(keys []planKey, prevDelta map[string]*irel) {
+// relation the chosen plan actually scans at depth 0. A delta window's
+// statistics are a sketch over its rows, built here once per predicate
+// and round.
+func (ev *cEvaluator) planRound(keys []planKey) {
 	if ev.policy == PolicyGreedy {
 		return
 	}
 	start := time.Now()
+	ev.winEst = map[string]relEstimate{}
 	for _, k := range keys {
 		r := ev.prog.Rules[k.ruleIdx]
-		order, ests := costJoinOrder(r, k.occ, ev.estFor(r, k.occ, prevDelta), nil)
+		if k.occ >= 0 {
+			pred := r.Pos[k.occ].Pred
+			if _, ok := ev.winEst[pred]; !ok {
+				w := ev.win[pred]
+				ev.winEst[pred] = windowEstimate(ev.idb[pred], w.lo, w.hi)
+			}
+		}
+		order, ests := costJoinOrder(r, k.occ, ev.estFor(r, k.occ), nil)
 		ev.cur[k] = ev.planOrdered(k, r, order)
 		ev.curEst[k] = ests
 	}
@@ -188,21 +263,20 @@ func (ev *cEvaluator) planOrdered(k planKey, r ast.Rule, order []int) *plan {
 
 // estFor resolves subgoal statistics against the current snapshot
 // relations. Safe to call from inside a running task (adaptive
-// reorders): rounds only read frozen relations, and the sketches are
-// written solely at the merge barrier.
-func (ev *cEvaluator) estFor(r ast.Rule, occ int, prevDelta map[string]*irel) estFunc {
+// reorders): rounds only read frozen relations, a sketch that has to
+// catch up does so under its relation's lock, and the window estimates
+// were all computed by planRound.
+func (ev *cEvaluator) estFor(r ast.Rule, occ int) estFunc {
 	return func(si int) relEstimate {
 		a := r.Pos[si]
-		var rel *irel
 		switch {
 		case si == occ:
-			rel = prevDelta[a.Pred]
+			return ev.winEst[a.Pred]
 		case ev.idbPr[a.Pred]:
-			rel = ev.idb[a.Pred]
+			return irelEstimate(ev.idb[a.Pred])
 		default:
-			rel = ev.edb[a.Pred]
+			return irelEstimate(ev.edb[a.Pred])
 		}
-		return irelEstimate(rel)
 	}
 }
 
@@ -217,132 +291,48 @@ func (ev *cEvaluator) taskParts() int {
 	return ev.workers
 }
 
-// firstRel is the relation a task scans at depth 0 — the plan's first
-// subgoal in plan order (which partition ranges and shard owners apply
-// to), not necessarily Pos[0] — or nil for a rule without subgoals.
-func (ev *cEvaluator) firstRel(k planKey, prevDelta map[string]*irel) *irel {
-	pl := ev.planFor(k.ruleIdx, k.occ)
-	if len(pl.subs) == 0 {
-		return nil
-	}
-	return ev.subRel(&pl.subs[0], prevDelta)
-}
-
-func (ev *cEvaluator) subRel(sp *subPlan, prevDelta map[string]*irel) *irel {
-	switch sp.src {
-	case srcDelta:
-		return prevDelta[sp.pred]
-	case srcIDB:
-		return ev.idb[sp.pred]
-	default:
+// subRel resolves the relation a subgoal reads. The delta occurrence
+// reads its IDB relation like any other IDB subgoal; what restricts it
+// to the delta is the task's depth-0 row range (the delta occurrence is
+// always the plan's first subgoal).
+func (ev *cEvaluator) subRel(sp *subPlan) *irel {
+	if sp.src == srcEDB {
 		return ev.edb[sp.pred]
 	}
-}
-
-func (ev *cEvaluator) newDelta() map[string]*irel {
-	d := make(map[string]*irel, len(ev.idb))
-	for pred, ir := range ev.idb {
-		d[pred] = newIrel(ir.arity, 0)
-	}
-	return d
-}
-
-func deltaTotal(d map[string]*irel) int {
-	n := 0
-	for _, ir := range d {
-		n += ir.n
-	}
-	return n
+	return ev.idb[sp.pred]
 }
 
 // buildTasks plans the round's keys under the active policy and then
-// expands them into (possibly partitioned) tasks. rows is the total
-// size of the tasks' depth-0 relations, runRound's measure of how much
-// work the round holds.
-func (ev *cEvaluator) buildTasks(tasks []task, keys []planKey, prevDelta map[string]*irel) (_ []task, rows int) {
-	ev.planRound(keys, prevDelta)
+// expands them into (possibly partitioned) tasks over the rows of the
+// plan's first subgoal in plan order (not necessarily Pos[0]): the whole
+// relation, or the delta window. rows is the total of those ranges,
+// runRound's measure of how much work the round holds.
+func (ev *cEvaluator) buildTasks(tasks []task, keys []planKey) (_ []task, rows int) {
+	ev.planRound(keys)
 	for _, k := range keys {
 		t := task{ruleIdx: k.ruleIdx, occ: k.occ}
-		rel := ev.firstRel(k, prevDelta)
-		n := 0
-		if rel != nil {
-			n = rel.n
+		pl := ev.planFor(k.ruleIdx, k.occ)
+		var rel *irel
+		if len(pl.subs) > 0 {
+			sp := &pl.subs[0]
+			if rel = ev.subRel(sp); rel != nil {
+				t.hi = rel.n
+			}
+			if w := ev.win[sp.pred]; sp.src == srcDelta {
+				t.lo, t.hi = w.lo, w.hi
+			}
 		}
-		rows += n
+		rows += t.hi - t.lo
 		switch {
 		case ev.shards == 0:
-			tasks = appendPartitioned(tasks, t, n, ev.taskParts())
-		case len(ev.planFor(k.ruleIdx, k.occ).subs) > 0:
+			tasks = appendPartitioned(tasks, t, ev.taskParts())
+		case len(pl.subs) > 0:
 			tasks = appendSharded(tasks, t, ev.ownersFor(rel), ev.shards)
 		default:
 			tasks = append(tasks, t)
 		}
 	}
 	return tasks, rows
-}
-
-func (ev *cEvaluator) runNaive() error {
-	for {
-		if err := ev.ctx.Err(); err != nil {
-			return err
-		}
-		ev.stats.Iterations++
-		before := ev.stats.TuplesDerived
-		keys := make([]planKey, 0, len(ev.prog.Rules))
-		for i := range ev.prog.Rules {
-			keys = append(keys, planKey{i, -1})
-		}
-		tasks, rows := ev.buildTasks(nil, keys, nil)
-		if err := ev.runRound(tasks, rows, nil); err != nil {
-			return err
-		}
-		if ev.stats.TuplesDerived == before {
-			return nil
-		}
-	}
-}
-
-func (ev *cEvaluator) runSeminaive() error {
-	ev.delta = ev.newDelta()
-	if err := ev.ctx.Err(); err != nil {
-		return err
-	}
-	ev.stats.Iterations++
-	var keys []planKey
-	for i, r := range ev.prog.Rules {
-		if !r.IsInit(ev.idbPr) {
-			continue
-		}
-		keys = append(keys, planKey{i, -1})
-	}
-	tasks, rows := ev.buildTasks(nil, keys, nil)
-	if err := ev.runRound(tasks, rows, nil); err != nil {
-		return err
-	}
-	for {
-		if deltaTotal(ev.delta) == 0 {
-			return nil
-		}
-		if err := ev.ctx.Err(); err != nil {
-			return err
-		}
-		prevDelta := ev.delta
-		ev.delta = ev.newDelta()
-		ev.stats.Iterations++
-		keys = keys[:0]
-		for i, r := range ev.prog.Rules {
-			for occ, a := range r.Pos {
-				if !ev.idbPr[a.Pred] {
-					continue
-				}
-				keys = append(keys, planKey{i, occ})
-			}
-		}
-		tasks, rows = ev.buildTasks(tasks[:0], keys, prevDelta)
-		if err := ev.runRound(tasks, rows, prevDelta); err != nil {
-			return err
-		}
-	}
 }
 
 // planSeg records, for provenance under adaptive reorders, which plan
@@ -355,10 +345,12 @@ type planSeg struct {
 }
 
 // cTaskResult is the private output buffer of one compiled task: the
-// deduplicated head rows (flat, head-arity values each) and, when
+// deduplicated head rows (flat, head-arity values each) with the hash
+// each was deduplicated under, which the merge inserts it by, and, when
 // provenance is on, the slot-binding snapshot per head.
 type cTaskResult struct {
 	headRows []uint32
+	hashes   []uint64 // hashU32s per head
 	nHeads   int
 	rowIdx   []int32  // sharded tasks: depth-0 row index per head
 	snaps    []uint32 // nSlots values per head
@@ -377,29 +369,20 @@ type cTaskResult struct {
 func (res *cTaskResult) reset() {
 	*res = cTaskResult{
 		headRows: res.headRows[:0],
+		hashes:   res.hashes[:0],
 		rowIdx:   res.rowIdx[:0],
 		snaps:    res.snaps[:0],
 		segs:     res.segs[:0],
 	}
 }
 
-// scratchKeep bounds the task scratch kept for reuse, in values (head
-// ids, snapshot ids, dedup slots). Reuse exists for the many small
-// rounds of a goal-directed query; what one large task grew is released
-// as soon as its contents are consumed, so it is neither live through
-// later rounds and the result conversion nor cleared at a small task's
-// expense.
+// scratchKeep bounds the dedup table a run keeps from one task for the
+// next, in slots. Reuse exists for the many small rounds of a
+// goal-directed query, and emptying a table costs its size: what one
+// large task grew is dropped rather than cleared at every small task's
+// expense. (Result buffers empty for free; they keep what the largest
+// round grew until the fixpoint ends.)
 const scratchKeep = 1024
-
-// trim releases the buffers a large task grew, once merged.
-func (res *cTaskResult) trim() {
-	if cap(res.headRows) > scratchKeep {
-		res.headRows, res.rowIdx = nil, nil
-	}
-	if cap(res.snaps) > scratchKeep {
-		res.snaps = nil
-	}
-}
 
 // inlineRoundRows is the round size — total depth-0 rows over the
 // round's tasks — below which runRound runs the tasks on the calling
@@ -413,12 +396,13 @@ const inlineRoundRows = 128
 
 // runRound executes the round's tasks on a bounded worker pool (or the
 // calling goroutine, for a round too small to pay for one) and merges
-// each task's buffered heads into the IDB (and current delta) strictly
-// in task order at the barrier. Tasks only read the frozen snapshot, so
-// the merge order alone determines tuple insertion order, and where a
-// task runs never changes what it computes: answers, Stats and
-// provenance do not depend on the choice.
-func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*irel) error {
+// each task's buffered heads into the IDB strictly in task order at the
+// barrier; the rows the merge appended are the next round's delta.
+// Tasks only read the frozen snapshot, so the merge order alone
+// determines tuple insertion order, and where a task runs never changes
+// what it computes: answers, Stats and provenance do not depend on the
+// choice.
+func (ev *cEvaluator) runRound(tasks []task, rows int) error {
 	for len(ev.results) < len(tasks) {
 		ev.results = append(ev.results, cTaskResult{})
 	}
@@ -445,14 +429,14 @@ func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*ire
 					if i >= len(tasks) {
 						return
 					}
-					tr.runTask(tasks[i], prevDelta, &results[i])
+					tr.runTask(tasks[i], &results[i])
 				}
 			}(ev.runs[w])
 		}
 		wg.Wait()
 	} else {
 		for i, t := range tasks {
-			ev.runs[0].runTask(t, prevDelta, &results[i])
+			ev.runs[0].runTask(t, &results[i])
 			if results[i].err != nil {
 				break
 			}
@@ -480,18 +464,19 @@ func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*ire
 		}
 		i = j
 	}
-	for i := range results {
-		results[i].trim()
-	}
 	ev.stats.RoundDeltas = append(ev.stats.RoundDeltas, roundDelta)
-	// Footprint at the round barrier: every IDB tuple plus the
-	// semi-naive delta copy (deltaTotal tolerates the nil delta of naive
-	// and init rounds).
+	// The rows this merge appended become the delta window. Footprint at
+	// the round barrier: every IDB tuple plus the rows in the live window
+	// (none under naive evaluation).
 	peak := int64(0)
-	for _, ir := range ev.idb {
+	for pred, ir := range ev.idb {
 		peak += int64(ir.n)
+		if ev.win != nil {
+			w := window{ev.win[pred].hi, ir.n}
+			ev.win[pred] = w
+			peak += int64(w.hi - w.lo)
+		}
 	}
-	peak += int64(deltaTotal(ev.delta))
 	if peak > ev.stats.PeakMaterialized {
 		ev.stats.PeakMaterialized = peak
 	}
@@ -501,45 +486,55 @@ func (ev *cEvaluator) runRound(tasks []task, rows int, prevDelta map[string]*ire
 	return nil
 }
 
-// mergeOne merges one unsharded task result, in the order the task
-// derived its heads.
-func (ev *cEvaluator) mergeOne(res *cTaskResult, t task, roundDelta map[string]int64) error {
-	if res.err != nil {
-		return res.err
-	}
+// absorb adds a task's counters to Stats and reports the task's error.
+func (ev *cEvaluator) absorb(res *cTaskResult) error {
 	ev.stats.JoinProbes += res.probes
 	ev.stats.RuleFirings += res.firings
 	ev.stats.AdaptiveSkips += res.skips
 	ev.stats.AdaptiveReorders += res.reorders
 	ev.stats.PlansCompiled += res.plansCompiled
 	ev.stats.PlanNanos += res.planNanos
+	return res.err
+}
+
+// mergeHead appends head h of res, derived under plan pl, to rel unless
+// another derivation put it there first, reporting whether it was new.
+// This is all a derived tuple costs the barrier: the insert reuses the
+// hash the task computed.
+func (ev *cEvaluator) mergeHead(rel *irel, pl *plan, res *cTaskResult, h int, roundDelta map[string]int64) bool {
+	if !rel.addHashed(res.headRows[h*rel.arity:(h+1)*rel.arity], res.hashes[h]) {
+		return false
+	}
+	ev.stats.TuplesDerived++
+	roundDelta[pl.head.pred]++
+	if ev.prov != nil {
+		fact, step := ev.materialize(pl, res.snaps[h*pl.nSlots:(h+1)*pl.nSlots])
+		ev.prov.steps[fact.Key()] = step
+	}
+	return true
+}
+
+// mergeOne merges one unsharded task result, in the order the task
+// derived its heads.
+func (ev *cEvaluator) mergeOne(res *cTaskResult, t task, roundDelta map[string]int64) error {
+	if err := ev.absorb(res); err != nil {
+		return err
+	}
 	pl := ev.planFor(t.ruleIdx, t.occ)
-	ha := len(pl.head.isConst)
 	idbRel := ev.idb[pl.head.pred]
 	// Under adaptive reorders the task may have switched plans
-	// mid-run; provPl tracks the plan live for each head index so
-	// its snapshot is decoded with the right slot numbering. The
-	// snap stride itself is uniform — nSlots is order-invariant.
-	provPl, segIdx := pl, 0
+	// mid-run (segs, recorded only with provenance on); pl tracks the
+	// plan live for each head index so its snapshot is decoded with the
+	// right slot numbering. The snap stride itself is uniform — nSlots
+	// is order-invariant.
+	segIdx := 0
+	idbRel.reserve(res.nHeads)
 	for h := 0; h < res.nHeads; h++ {
-		row := res.headRows[h*ha : (h+1)*ha]
-		if !idbRel.add(row) {
-			continue // another task derived it first this round
+		for segIdx < len(res.segs) && res.segs[segIdx].fromHead <= h {
+			pl = res.segs[segIdx].pl
+			segIdx++
 		}
-		ev.stats.TuplesDerived++
-		roundDelta[pl.head.pred]++
-		if ev.delta != nil {
-			ev.delta[pl.head.pred].add(row)
-		}
-		if ev.prov != nil {
-			for segIdx < len(res.segs) && res.segs[segIdx].fromHead <= h {
-				provPl = res.segs[segIdx].pl
-				segIdx++
-			}
-			snap := res.snaps[h*provPl.nSlots : (h+1)*provPl.nSlots]
-			fact, step := ev.materialize(provPl, snap)
-			ev.prov.steps[fact.Key()] = step
-		}
+		ev.mergeHead(idbRel, pl, res, h, roundDelta)
 	}
 	return nil
 }
@@ -552,19 +547,11 @@ func (ev *cEvaluator) mergeOne(res *cTaskResult, t task, roundDelta map[string]i
 // plan and segs stay empty.
 func (ev *cEvaluator) mergeShardGroup(results []cTaskResult, tasks []task, roundDelta map[string]int64) error {
 	for i := range results {
-		res := &results[i]
-		if res.err != nil {
-			return res.err
+		if err := ev.absorb(&results[i]); err != nil {
+			return err
 		}
-		ev.stats.JoinProbes += res.probes
-		ev.stats.RuleFirings += res.firings
-		ev.stats.AdaptiveSkips += res.skips
-		ev.stats.AdaptiveReorders += res.reorders
-		ev.stats.PlansCompiled += res.plansCompiled
-		ev.stats.PlanNanos += res.planNanos
 	}
 	pl := ev.planFor(tasks[0].ruleIdx, tasks[0].occ)
-	ha := len(pl.head.isConst)
 	idbRel := ev.idb[pl.head.pred]
 	pos := make([]int, len(results))
 	for {
@@ -581,26 +568,14 @@ func (ev *cEvaluator) mergeShardGroup(results []cTaskResult, tasks []task, round
 		if best < 0 {
 			return nil
 		}
-		res := &results[best]
 		h := pos[best]
 		pos[best]++
-		row := res.headRows[h*ha : (h+1)*ha]
-		if !idbRel.add(row) {
+		if !ev.mergeHead(idbRel, pl, &results[best], h, roundDelta) {
 			continue // a lower-rowIdx derivation merged it first
 		}
-		ev.stats.TuplesDerived++
-		roundDelta[pl.head.pred]++
-		if ev.delta != nil {
-			ev.delta[pl.head.pred].add(row)
-		}
-		if ev.prov != nil {
-			snap := res.snaps[h*pl.nSlots : (h+1)*pl.nSlots]
-			fact, step := ev.materialize(pl, snap)
-			ev.prov.steps[fact.Key()] = step
-		}
 		key := ""
-		if ha > 0 {
-			key = ev.in.termKey(row[0])
+		if idbRel.arity > 0 {
+			key = ev.in.termKey(results[best].headRows[h*idbRel.arity])
 		}
 		if ev.part.Shard(key, ev.shards) != tasks[best].shard {
 			ev.stats.ShardExchanged++
@@ -635,16 +610,19 @@ func (ev *cEvaluator) groundTpl(tpl atomTpl, snap []uint32) ast.Atom {
 	return ast.Atom{Pred: tpl.pred, Args: args}
 }
 
-// cTaskRun is the evaluation state of one task at a time: a flat slot
-// binding, the task's output buffer with its dedup set, and probe/
-// negation scratch buffers. A run is owned by one pool worker and
+// cTaskRun is the evaluation state of one task at a time: the relation
+// each join depth reads and the one the head goes to (resolved once per
+// task, so a join frame does no map lookup), a flat slot binding, the
+// task's output buffer with its dedup set, and probe/negation scratch
+// buffers. A run is owned by one pool worker and
 // re-pointed at task after task, round after round, so neither a task
 // nor a candidate tuple allocates once the buffers have grown.
 type cTaskRun struct {
-	ev     *cEvaluator
-	pl     *plan
-	delta  map[string]*irel
-	lo, hi int
+	ev      *cEvaluator
+	pl      *plan
+	rels    []*irel // per join depth
+	headRel *irel
+	lo, hi  int // depth-0 row range
 	// Sharded-task state: only depth-0 rows owned by shard are probed,
 	// and cur records the live depth-0 row index for the barrier's k-way
 	// merge.
@@ -668,21 +646,23 @@ type cTaskRun struct {
 }
 
 // runTask points the run at task t and evaluates it into res.
-func (tr *cTaskRun) runTask(t task, prevDelta map[string]*irel, res *cTaskResult) {
+func (tr *cTaskRun) runTask(t task, res *cTaskResult) {
 	ev := tr.ev
 	res.reset()
 	pl := ev.planFor(t.ruleIdx, t.occ)
+	tr.setPlan(pl)
 	if ev.policy == PolicyAdaptive {
 		// Early exit on empty intermediates: a rule with any empty
-		// positive subgoal cannot fire, whatever the join order.
-		for i := range pl.subs {
-			if rel := ev.subRel(&pl.subs[i], prevDelta); rel == nil || rel.n == 0 {
+		// positive subgoal (or delta window) cannot fire, whatever the
+		// join order.
+		for d, rel := range tr.rels {
+			if rel == nil || rel.n == 0 || (d == 0 && t.lo == t.hi) {
 				res.skips = 1
 				return
 			}
 		}
 	}
-	tr.pl, tr.delta, tr.res = pl, prevDelta, res
+	tr.res, tr.headRel = res, ev.idb[pl.head.pred]
 	tr.lo, tr.hi = t.lo, t.hi
 	tr.sharded, tr.shard, tr.owners = t.nShards > 0, uint8(t.shard), t.owners
 	tr.base = ev.stats.TuplesDerived
@@ -694,7 +674,6 @@ func (tr *cTaskRun) runTask(t task, prevDelta map[string]*irel, res *cTaskResult
 	// Stale values in reused buffers are never observable: a slot or
 	// scratch cell is only read after the live plan wrote it.
 	tr.binding = sizedU32(tr.binding, pl.nSlots)
-	tr.probeBufs = sizedProbeBufs(tr.probeBufs, pl)
 	tr.negBuf = sizedU32(tr.negBuf, pl.maxNegArity)
 	ha := len(pl.head.isConst)
 	tr.headBuf = sizedU32(tr.headBuf, ha)
@@ -702,9 +681,19 @@ func (tr *cTaskRun) runTask(t task, prevDelta map[string]*irel, res *cTaskResult
 	if err := tr.join(0); err != nil {
 		res.err = err
 	}
-	if len(tr.seen.idxs) > scratchKeep {
-		tr.seen.hashes, tr.seen.idxs = nil, nil
+	if len(tr.seen.slots) > scratchKeep {
+		tr.seen.slots = nil
 	}
+}
+
+// setPlan makes pl the live plan: it resolves the relation each join
+// depth reads and sizes the per-depth probe buffers.
+func (tr *cTaskRun) setPlan(pl *plan) {
+	tr.pl, tr.rels = pl, tr.rels[:0]
+	for i := range pl.subs {
+		tr.rels = append(tr.rels, tr.ev.subRel(&pl.subs[i]))
+	}
+	tr.probeBufs = sizedProbeBufs(tr.probeBufs, pl)
 }
 
 // sizedU32 returns buf resized to n values, reallocating only to grow.
@@ -739,19 +728,18 @@ func (tr *cTaskRun) join(depth int) error {
 		return tr.finish()
 	}
 	sp := &pl.subs[depth]
-	rel := ev.subRel(sp, tr.delta)
+	rel := tr.rels[depth]
 	if rel == nil || rel.n == 0 {
 		return nil
 	}
 	lo, hi := 0, rel.n
-	if depth == 0 && tr.hi > 0 {
+	if depth == 0 {
 		lo, hi = tr.lo, tr.hi
-		if hi > rel.n {
-			hi = rel.n
-		}
 	}
-	if sp.indexable && len(sp.boundPos) > 0 {
-		vals := tr.probeBufs[depth]
+	bound := sp.indexable && len(sp.boundPos) > 0
+	var vals []uint32
+	if bound {
+		vals = tr.probeBufs[depth]
 		for k, c := range sp.boundConst {
 			if c {
 				vals[k] = sp.boundVal[k]
@@ -759,6 +747,8 @@ func (tr *cTaskRun) join(depth int) error {
 				vals[k] = tr.binding[sp.boundVal[k]]
 			}
 		}
+	}
+	if bound && sp.src != srcDelta {
 		ix := rel.index(sp.mask, sp.boundPos)
 		// An empty lookup is a successful (and final) answer; never
 		// fall back to a scan.
@@ -781,6 +771,11 @@ func (tr *cTaskRun) join(depth int) error {
 		}
 		return nil
 	}
+	// A scan of rows [lo, hi). For a delta atom that binds positions (it
+	// carries constants) the relation's index would chain through every
+	// round's rows, so its window is walked instead: rows that do not
+	// match are skipped without being counted, which tries exactly the
+	// rows, in the ascending order, an index over the window would chain.
 	for i := lo; i < hi; i++ {
 		if depth == 0 && tr.sharded {
 			if tr.owners[i] != tr.shard {
@@ -788,7 +783,11 @@ func (tr *cTaskRun) join(depth int) error {
 			}
 			tr.cur = int32(i)
 		}
-		if err := tr.tryRow(depth, rel.row(i), true); err != nil {
+		row := rel.row(i)
+		if bound && !projEqual(row, sp.boundPos, vals) {
+			continue
+		}
+		if err := tr.tryRow(depth, row, !bound); err != nil {
 			return err
 		}
 		if depth == 0 && tr.matches != nil {
@@ -848,7 +847,7 @@ func (tr *cTaskRun) maybeReorder() {
 	ev := tr.ev
 	r := ev.prog.Rules[pl.ruleIdx]
 	start := time.Now()
-	order, ests := costJoinOrder(r, pl.order[0], ev.estFor(r, pl.occ, tr.delta), override)
+	order, ests := costJoinOrder(r, pl.order[0], ev.estFor(r, pl.occ), override)
 	if intsEqual(order, pl.order) {
 		tr.res.planNanos += time.Since(start).Nanoseconds()
 		return
@@ -860,12 +859,11 @@ func (tr *cTaskRun) maybeReorder() {
 	if ev.prov != nil {
 		tr.res.segs = append(tr.res.segs, planSeg{fromHead: tr.res.nHeads, pl: npl})
 	}
-	tr.pl = npl
+	tr.setPlan(npl)
 	tr.est = ests
 	for d := range tr.matches {
 		tr.matches[d] = 0
 	}
-	tr.probeBufs = sizedProbeBufs(tr.probeBufs, npl)
 }
 
 // tryRow tries one candidate row at one depth.
@@ -959,7 +957,7 @@ func (tr *cTaskRun) negContains(tpl *atomTpl) bool {
 // finish emits the head row for a complete binding: firings count
 // before dedup, then per-task dedup plus a snapshot-IDB membership
 // check (cross-task duplicates within a round are resolved at the
-// merge).
+// merge). The row is hashed once, here, for all three.
 func (tr *cTaskRun) finish() error {
 	pl := tr.pl
 	for i := range pl.finishCmps {
@@ -981,15 +979,14 @@ func (tr *cTaskRun) finish() error {
 			row[j] = tr.binding[pl.head.vals[j]]
 		}
 	}
-	slot, hv, found := tr.seen.insertLookup(row)
-	if found {
-		return nil
-	}
-	if rel := tr.ev.idb[pl.head.pred]; rel != nil && rel.contains(row) {
+	hv := hashU32s(row)
+	slot, found := tr.seen.insertLookup(row, hv)
+	if found || tr.headRel.containsHashed(row, hv) {
 		return nil
 	}
 	idx := int32(tr.res.nHeads)
-	tr.res.headRows = append(tr.res.headRows, row...)
+	tr.res.headRows = append(grown(tr.res.headRows, len(row)), row...)
+	tr.res.hashes = append(grown(tr.res.hashes, 1), hv)
 	tr.res.nHeads++
 	tr.seen.place(slot, hv, idx)
 	if tr.sharded {
@@ -1001,30 +998,89 @@ func (tr *cTaskRun) finish() error {
 	return nil
 }
 
-// publicIDB converts the interned IDB back to a public DB. Rows are
-// already deduplicated, so tuples and seen keys are written directly;
-// the keys reuse each distinct term's rendered Term.Key, making the
-// conversion linear with small constants.
+// publicIDB converts every IDB relation back to a public DB.
 func (ev *cEvaluator) publicIDB() *DB {
 	out := NewDB()
-	var b strings.Builder
 	for pred, ir := range ev.idb {
-		// The fixpoint is over and only the rows are still needed: let
-		// the collector have the dedup set and indexes while the public
-		// copy — the evaluation's largest allocation — is being built.
-		ir.set, ir.indexes = rowHash{}, nil
-		rel := &Relation{Arity: ir.arity, seen: make(map[string]bool, ir.n)}
-		rel.tuples = make([]Tuple, 0, ir.n)
-		for i := 0; i < ir.n; i++ {
-			row := ir.row(i)
-			t := make(Tuple, ir.arity)
-			for j, id := range row {
-				t[j] = ev.in.term(id)
-			}
-			rel.seen[ev.in.rowKey(&b, row)] = true
-			rel.tuples = append(rel.tuples, t)
+		out.rels[pred] = &Relation{Arity: ir.arity, tuples: ev.tuples(ir, nil)}
+	}
+	return out
+}
+
+// answers converts the rows of pred's relation that match goal (see
+// ast.Program.MatchesGoal; an empty goal matches every row) to tuples,
+// in insertion order: nil when nothing matches or pred is not derived.
+// Ids are canonical, so the goal is checked on the interned rows and
+// only the answers are ever turned back into terms.
+func (ev *cEvaluator) answers(pred string, goal []ast.Term) []Tuple {
+	ir := ev.idb[pred]
+	switch {
+	case ir == nil:
+		return nil
+	case len(goal) == 0:
+		return ev.tuples(ir, nil)
+	case len(goal) != ir.arity:
+		return nil
+	}
+	// Position i must hold the id want[i] (a goal constant) or equal
+	// position same[i] (the first occurrence of a repeated variable;
+	// i itself otherwise).
+	want, same := make([]uint32, len(goal)), make([]int, len(goal))
+	for i, g := range goal {
+		same[i] = i
+		if g.IsConst() {
+			want[i] = ev.in.intern(g)
+			continue
 		}
-		out.rels[pred] = rel
+		for j, h := range goal[:i] {
+			if h.IsVar() && h.Name == g.Name {
+				same[i] = j
+				break
+			}
+		}
+	}
+	var rows []int32
+next:
+	for ri := 0; ri < ir.n; ri++ {
+		row := ir.row(ri)
+		for i, g := range goal {
+			if (g.IsConst() && row[i] != want[i]) || row[i] != row[same[i]] {
+				continue next
+			}
+		}
+		rows = append(rows, int32(ri))
+	}
+	if rows == nil {
+		return nil
+	}
+	return ev.tuples(ir, rows)
+}
+
+// tuples converts the listed rows of ir (nil: all of them) to tuples
+// that share one backing array of terms. Rows are already deduplicated;
+// no key string is built here — a Relation renders its key set on the
+// first Contains or Add, and most results are only ever listed.
+func (ev *cEvaluator) tuples(ir *irel, rows []int32) []Tuple {
+	// The fixpoint is over and only the rows are still needed: let the
+	// collector have the dedup set and indexes while the public copy —
+	// the evaluation's largest allocation — is being built.
+	ir.set, ir.indexes = rowHash{}, nil
+	n := ir.n
+	if rows != nil {
+		n = len(rows)
+	}
+	out := make([]Tuple, n)
+	terms := make([]ast.Term, n*ir.arity)
+	for i := range out {
+		ri := i
+		if rows != nil {
+			ri = int(rows[i])
+		}
+		t := terms[i*ir.arity : (i+1)*ir.arity : (i+1)*ir.arity]
+		for j, id := range ir.row(ri) {
+			t[j] = ev.in.term(id)
+		}
+		out[i] = t
 	}
 	return out
 }

@@ -210,8 +210,8 @@ func countdown(pred string, n int) string {
 	return strings.Join(append(rounds, ""), " ")
 }
 
-// TestNamedWorkloads checks four programs against the reference
-// evaluator and pins their counters. The pinned values were captured at
+// TestNamedWorkloads checks six programs against the reference
+// evaluator and pins their counters. The first four were captured at
 // commit 7c56bc3, where the compiled engine and the since-deleted legacy
 // interpreter agreed on every one of them; they catch counter drift
 // (probe accounting, firing accounting, round structure) that no answer
@@ -235,11 +235,13 @@ func TestNamedWorkloads(t *testing.T) {
 	multiDeltas := "back:20,reach:18 back:30,far:11,joined:30,meet:2,reach:22 " +
 		"back:50,far:10,joined:51,meet:22,reach:27,sym:16 far:8,joined:9,meet:43,reach:17,sym:28 " +
 		"far:6,meet:17,reach:5,sym:18 far:3,meet:5,reach:1,sym:8 far:1,meet:1,sym:2 "
+	constDeltas := "t:32 r:2,t:40 r:1,t:48 r:4,t:56 r:3,t:64 r:3,t:72 r:4,t:64 r:1,t:56 r:3,t:48 t:40 r:2,t:32 t:24 r:1 "
 	edgeDeltas := "loop:1,reach:1 reach:1,tagged:1 reach:1,tagged:1 reach:1,tagged:1 reach:1,tagged:1 halt:1,reach:1,tagged:1 tagged:1 "
 	for _, w := range []struct {
 		name, src string
 		db        *DB
 		pinned    [2]pinnedStats // semi-naive, naive
+		grid      bool           // also run requireDeltaWindowGrid
 	}{
 		{"trans closure", `
 			path(X, Y) :- step(X, Y).
@@ -248,7 +250,7 @@ func TestNamedWorkloads(t *testing.T) {
 		`, chainEDB(40), [2]pinnedStats{
 			{40, 780, 780, 1560, countdown("path", 39)},
 			{40, 21320, 780, 22880, countdown("path", 39)},
-		}},
+		}, false},
 		{"goodPath", `
 			path(X, Y) :- step(X, Y).
 			path(X, Y) :- step(X, Z), path(Z, Y).
@@ -257,7 +259,7 @@ func TestNamedWorkloads(t *testing.T) {
 		`, goodPathDB, [2]pinnedStats{
 			{30, 436, 436, 1333, goodPathDeltas},
 			{30, 9003, 436, 10335, goodPathDeltas},
-		}},
+		}, false},
 		{"multi-rule", `
 			reach(X, Y) :- edge(X, Y), !blocked(X).
 			reach(X, Y) :- edge(X, Z), reach(Z, Y), !blocked(X).
@@ -271,7 +273,7 @@ func TestNamedWorkloads(t *testing.T) {
 		`, multiDB, [2]pinnedStats{
 			{8, 2839, 481, 3752, multiDeltas},
 			{8, 11198, 481, 13644, multiDeltas},
-		}},
+		}, false},
 		// Zero-ary predicates, constants in heads and bodies, repeated
 		// variables, negation on an absent relation.
 		{"edge cases", `
@@ -284,12 +286,100 @@ func TestNamedWorkloads(t *testing.T) {
 		`, edgeDB, [2]pinnedStats{
 			{8, 14, 14, 27, edgeDeltas},
 			{8, 71, 14, 133, edgeDeltas},
-		}},
+		}, false},
+		// The two programs the semi-naive delta window has paths of its
+		// own for, pinned at commit 4937537, where the delta still was a
+		// relation of its own. An IDB occurrence carrying a constant: as
+		// the delta atom it is probed at depth 0 with a bound position,
+		// so the window is walked in row order and only matching rows
+		// count as probes.
+		{"constant in IDB occurrence", `
+			t(A, B) :- e(A, B).
+			t(A, C) :- t(A, B), e(B, C).
+			r(Y) :- t(1, X), f(X, Y).
+			?- r.
+		`, deltaWindowDB(), [2]pinnedStats{
+			{14, 848, 600, 1448, constDeltas},
+			{14, 6652, 600, 11290, constDeltas},
+		}, true},
+		// A non-linear rule: one relation read as delta window and as
+		// full snapshot by the same task.
+		{"non-linear closure", `
+			path(X, Y) :- step(X, Y).
+			path(X, Y) :- path(X, Z), path(Z, Y).
+			?- path.
+		`, deltaWindowDB(), [2]pinnedStats{
+			{6, 17984, 576, 19136, "path:32 path:40 path:104 path:256 path:144 "},
+			{6, 23272, 576, 24560, "path:32 path:40 path:104 path:256 path:144 "},
+		}, true},
 	} {
-		runs := requireReference(t, w.name, parser.MustParseProgram(w.src), w.db)
+		p := parser.MustParseProgram(w.src)
+		runs := requireReference(t, w.name, p, w.db)
+		if w.grid {
+			requireDeltaWindowGrid(t, w.name, p, w.db, w.pinned[0])
+		}
 		for i, mode := range []string{"semi-naive", "naive"} {
 			if got := pinStats(&runs[i].stats); got != w.pinned[i] {
 				t.Errorf("%s, %s: counters moved:\ngot  %+v\nwant %+v", w.name, mode, got, w.pinned[i])
+			}
+		}
+	}
+}
+
+// deltaWindowDB is a 24-node graph for TestDeltaWindowWorkloads: a cycle
+// with chords (so closures take several rounds and rederive many tuples)
+// over e/step, and f mapping every node to two values.
+func deltaWindowDB() *DB {
+	db := NewDB()
+	n := func(i int) ast.Term { return ast.N(float64(i % 24)) }
+	for i := 0; i < 24; i++ {
+		for _, pred := range []string{"e", "step"} {
+			db.AddFact(ast.NewAtom(pred, n(i), n(i+1)))
+			if i%3 == 0 {
+				db.AddFact(ast.NewAtom(pred, n(i), n(i+7)))
+			}
+		}
+		db.AddFact(ast.NewAtom("f", n(i), n(i*10)))
+		db.AddFact(ast.NewAtom("f", n(i), n(i+100)))
+	}
+	return db
+}
+
+// requireDeltaWindowGrid holds a program to the delta-window contract:
+// under every policy, every cell of shards {0,3} x workers {1,4} agrees
+// with that policy's single-worker unsharded run on Stats (plus
+// PeakMaterialized), on provenance and — provenance is rendered in
+// insertion order — on tuple order; answers are the reference
+// evaluator's; and the semi-naive counters equal pinned under every
+// policy (the orders coincide on these programs).
+func requireDeltaWindowGrid(t *testing.T, label string, p *ast.Program, db *DB, pinned pinnedStats) {
+	t.Helper()
+	want := refeval.Eval(p, dbFacts(db))
+	for _, pol := range allPolicies {
+		var base engineRun
+		for _, shards := range []int{0, 3} {
+			if shards > 0 && pol == PolicyAdaptive {
+				continue // rejected by validatePolicy
+			}
+			for _, workers := range []int{1, 4} {
+				r := runEngine(t, p, db, Options{Seminaive: true, Workers: workers, Shards: shards, Policy: pol})
+				ctx := fmt.Sprintf("%s (policy=%s shards=%d workers=%d)", label, pol, shards, workers)
+				if !reflect.DeepEqual(r.preds, want) {
+					t.Fatalf("%s: relations differ from the reference:\n%v\nvs\n%v", ctx, r.preds, want)
+				}
+				if shards == 0 && workers == 1 {
+					base = r
+					if got := pinStats(&r.stats); got != pinned {
+						t.Errorf("%s: counters moved:\ngot  %+v\nwant %+v", ctx, got, pinned)
+					}
+					continue
+				}
+				if !r.stats.Equal(&base.stats) || r.stats.PeakMaterialized != base.stats.PeakMaterialized {
+					t.Fatalf("%s: stats differ from the single-worker unsharded run:\n%+v\nvs\n%+v", ctx, base.stats, r.stats)
+				}
+				if r.prov != base.prov {
+					t.Fatalf("%s: provenance or tuple order differs from the single-worker unsharded run", ctx)
+				}
 			}
 		}
 	}

@@ -2,8 +2,9 @@ package eval
 
 // Cost-based join ordering (PolicyCost, PolicyAdaptive). The cost
 // model is deliberately tiny — the estimates it consumes are the
-// per-relation statistics the intern layer maintains for free (row
-// count, per-column distinct sketches; see stats.go) — because the
+// per-relation statistics the intern layer keeps (row count, and
+// per-column distinct sketches folded in when first read; see
+// stats.go) — because the
 // shootout this reproduces (PAPERS.md: "When Greedy Beats Optimal")
 // hinges on planning staying cheap relative to the joins it saves.
 //
@@ -32,11 +33,27 @@ func irelEstimate(rel *irel) relEstimate {
 	if rel == nil || rel.n == 0 {
 		return relEstimate{}
 	}
-	d := make([]int, rel.arity)
-	for j := range d {
-		d[j] = rel.distinct(j)
+	return sketchEstimate(rel.n, rel.sketches())
+}
+
+// windowEstimate is irelEstimate for rows [lo, hi) of rel — a semi-naive
+// delta window — from a sketch over just those rows, built on demand.
+func windowEstimate(rel *irel, lo, hi int) relEstimate {
+	if hi <= lo {
+		return relEstimate{}
 	}
-	return relEstimate{n: rel.n, distinct: d}
+	sk := make([]ColSketch, rel.arity)
+	rel.fold(sk, lo, hi)
+	return sketchEstimate(hi-lo, sk)
+}
+
+// sketchEstimate reads the per-column estimates of n > 0 rows.
+func sketchEstimate(n int, sk []ColSketch) relEstimate {
+	d := make([]int, len(sk))
+	for j := range sk {
+		d[j] = sk[j].Distinct()
+	}
+	return relEstimate{n: n, distinct: d}
 }
 
 // estFunc resolves the statistics of a subgoal (by index into

@@ -42,18 +42,36 @@ func (t Tuple) String() string {
 // Relation is a set of same-arity tuples in insertion order. Evaluation
 // joins over the interned copy of it (see base.go), not over this.
 //
+// The Tuple.Key set behind Contains and Add is built from the tuples on
+// first use: the relations an evaluation returns arrive deduplicated
+// and are mostly only listed (Tuples, Facts), so they never pay for a
+// key string per tuple.
+//
 // Concurrency: any number of goroutines may read a relation (Len,
-// Contains, Tuples) concurrently. Mutation (Add) requires that no
-// reader runs concurrently.
+// Contains, Tuples) concurrently — the key set is built once, whichever
+// reader needs it first. Mutation (Add) requires that no reader runs
+// concurrently.
 type Relation struct {
-	Arity  int
-	tuples []Tuple
-	seen   map[string]bool
+	Arity    int
+	tuples   []Tuple
+	seenOnce sync.Once
+	seen     map[string]bool // use keys()
 }
 
 // NewRelation returns an empty relation of the given arity.
 func NewRelation(arity int) *Relation {
-	return &Relation{Arity: arity, seen: map[string]bool{}}
+	return &Relation{Arity: arity}
+}
+
+// keys returns the key set, building it on first use.
+func (r *Relation) keys() map[string]bool {
+	r.seenOnce.Do(func() {
+		r.seen = make(map[string]bool, len(r.tuples))
+		for _, t := range r.tuples {
+			r.seen[t.Key()] = true
+		}
+	})
+	return r.seen
 }
 
 // Add inserts the tuple, reporting whether it was new. It panics on an
@@ -67,17 +85,17 @@ func (r *Relation) Add(t Tuple) bool {
 			panic("eval: variable in tuple " + t.String())
 		}
 	}
-	k := t.Key()
-	if r.seen[k] {
+	seen, k := r.keys(), t.Key()
+	if seen[k] {
 		return false
 	}
-	r.seen[k] = true
+	seen[k] = true
 	r.tuples = append(r.tuples, t)
 	return true
 }
 
 // Contains reports membership.
-func (r *Relation) Contains(t Tuple) bool { return r.seen[t.Key()] }
+func (r *Relation) Contains(t Tuple) bool { return r.keys()[t.Key()] }
 
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.tuples) }
@@ -161,21 +179,13 @@ func (db *DB) Preds() []string {
 }
 
 // Clone returns a deep copy of the database. The source relations are
-// already deduplicated, so tuples and seen keys are copied directly —
-// no tuple is re-rendered or re-hashed. The interned base is not
-// copied; the clone rebuilds it lazily on first use.
+// already deduplicated, so tuples are copied directly; each copy builds
+// its key set when it first needs one. The interned base is not copied;
+// the clone rebuilds it lazily on first use.
 func (db *DB) Clone() *DB {
 	out := NewDB()
 	for p, r := range db.rels {
-		nr := &Relation{
-			Arity:  r.Arity,
-			tuples: append([]Tuple(nil), r.tuples...),
-			seen:   make(map[string]bool, len(r.seen)),
-		}
-		for k := range r.seen {
-			nr.seen[k] = true
-		}
-		out.rels[p] = nr
+		out.rels[p] = &Relation{Arity: r.Arity, tuples: append([]Tuple(nil), r.tuples...)}
 	}
 	return out
 }

@@ -153,7 +153,7 @@ func (v RelView) Contains(row []uint32) bool {
 	if v.Rel == nil || v.Hi == 0 {
 		return false
 	}
-	idx := v.Rel.r.set.findIdx(row)
+	idx := v.Rel.r.set.findIdx(row, hashU32s(row))
 	return idx >= 0 && int(idx) < v.Hi
 }
 
@@ -305,12 +305,7 @@ func viewEstimate(v RelView) relEstimate {
 	if v.Rel == nil || v.Hi == 0 {
 		return relEstimate{}
 	}
-	rel := v.Rel.r
-	d := make([]int, rel.arity)
-	for j := range d {
-		d[j] = rel.distinct(j)
-	}
-	return relEstimate{n: v.Hi, distinct: d}
+	return sketchEstimate(v.Hi, v.Rel.r.sketches())
 }
 
 // planForOrder returns the cached plan for a cost-chosen order,

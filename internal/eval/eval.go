@@ -80,9 +80,10 @@ type Stats struct {
 	// is a distribution diagnostic that legitimately varies with the
 	// shard count.
 	ShardExchanged int64
-	// PeakMaterialized is the largest total number of materialized IDB
-	// tuples (relations plus the semi-naive delta) observed at any
-	// round barrier. This is the memory-footprint metric the P8
+	// PeakMaterialized is the largest total observed at any round
+	// barrier of IDB tuples plus the tuples in the live semi-naive delta
+	// window. The window is a range of IDB rows, not a copy; its size
+	// stays in the total so that recorded baselines remain comparable. This is the memory-footprint metric the P8
 	// experiment tracks: demand pruning and streaming unfolding lower
 	// it while leaving answers unchanged. Deterministic for a fixed
 	// program, database, and options, but excluded from Equal because
@@ -396,29 +397,26 @@ func EvalWith(p *ast.Program, edb *DB, opts Options) (*DB, *Stats, error) {
 // error is returned. Results and Stats remain deterministic for every
 // worker count whenever evaluation runs to completion.
 func EvalCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Stats, error) {
-	if err := p.Validate(); err != nil {
+	ev, err := evalCompiled(ctx, p, edb, opts, nil)
+	if err != nil {
 		return nil, nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := opts.validatePolicy(); err != nil {
-		return nil, nil, err
-	}
-	return evalCompiled(ctx, p, edb, opts, nil)
+	return ev.publicIDB(), ev.stats, nil
 }
 
 // task is one unit of round work: evaluate one rule with one subgoal
 // occurrence restricted to the previous delta (occ == -1 for no
-// restriction), optionally over a partition [lo, hi) of the tuples of
-// the relation probed first (hi == 0 means the full relation). Tasks
-// are independent: they read the round's frozen snapshot and write
-// only their own buffers.
+// restriction) over rows [lo, hi) of the relation probed first. The
+// range is in absolute row indexes of that relation: the whole of it,
+// the delta window of an IDB relation (for the delta occurrence, which
+// is always probed first), or one partition of either. Tasks are
+// independent: they read the round's frozen snapshot and write only
+// their own buffers.
 //
 // Under sharded evaluation (nShards > 0) the depth-0 partition is a
-// hash partition instead of a range: the task only probes depth-0 rows
-// whose precomputed owner (owners[row]) equals shard. Sharded tasks
-// are never additionally range-partitioned.
+// hash partition instead of a range: the task only probes the rows of
+// [lo, hi) whose precomputed owner (owners[row]) equals shard. Sharded
+// tasks are never additionally range-partitioned.
 type task struct {
 	ruleIdx int
 	occ     int
@@ -437,22 +435,23 @@ const minPartitionChunk = 8
 const cancelPollMask = 0x3ff
 
 // appendPartitioned appends t split into up to workers contiguous
-// range partitions of the depth-0 relation (relLen tuples). The split
-// never changes results or stats: partitions cover the same tuple
-// ranges a single task would scan, in the same merged order.
-func appendPartitioned(ts []task, t task, relLen, workers int) []task {
+// partitions of its depth-0 row range. The split never changes results
+// or stats: partitions cover the same rows a single task would scan, in
+// the same merged order.
+func appendPartitioned(ts []task, t task, workers int) []task {
+	n := t.hi - t.lo
 	parts := workers
-	if parts > relLen/minPartitionChunk {
-		parts = relLen / minPartitionChunk
+	if parts > n/minPartitionChunk {
+		parts = n / minPartitionChunk
 	}
 	if workers <= 1 || parts <= 1 {
 		return append(ts, t)
 	}
-	chunk := (relLen + parts - 1) / parts
-	for lo := 0; lo < relLen; lo += chunk {
+	chunk := (n + parts - 1) / parts
+	for lo := t.lo; lo < t.hi; lo += chunk {
 		hi := lo + chunk
-		if hi > relLen {
-			hi = relLen
+		if hi > t.hi {
+			hi = t.hi
 		}
 		ts = append(ts, task{ruleIdx: t.ruleIdx, occ: t.occ, lo: lo, hi: hi})
 	}
@@ -531,29 +530,16 @@ func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tup
 	if opts.Stream {
 		prog, _ = magic.Unfold(prog)
 	}
-	idb, stats, err := EvalCtx(ctx, prog, edb, opts)
+	ev, err := evalCompiled(ctx, prog, edb, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.MagicApplied = magicApplied
-	stats.ElimApplied = elimApplied
-	stats.ElimChecked = elimChecked
-	r := idb.Lookup(prog.Query)
-	if r == nil {
-		return nil, stats, nil
-	}
-	tuples := r.Tuples()
-	if len(p.Goal) == 0 {
-		return tuples, stats, nil
-	}
+	ev.stats.MagicApplied = magicApplied
+	ev.stats.ElimApplied = elimApplied
+	ev.stats.ElimChecked = elimChecked
 	// Restrict to the goal on both paths: bottom-up computes the whole
 	// relation, and the magic-rewritten relation can hold tuples for
 	// bindings demanded recursively beyond the goal's own constants.
-	var out []Tuple
-	for _, t := range tuples {
-		if p.MatchesGoal(t) {
-			out = append(out, t)
-		}
-	}
-	return out, stats, nil
+	// Only the query relation's matching rows are converted to tuples.
+	return ev.answers(prog.Query, p.Goal), ev.stats, nil
 }

@@ -14,7 +14,6 @@ package eval
 // O(rules), not O(EDB).
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/ast"
@@ -24,8 +23,7 @@ import (
 // (under == nil) owns ids [0, len(terms)); an overlay owns the ids from
 // len(under.terms) up and resolves everything below through under,
 // which must be frozen. An interner is built single-threaded and
-// read-only afterwards, except for the lazy key cache used when results
-// are converted back to a public DB after the fixpoint.
+// read-only afterwards, except for the lazy key cache (termKey).
 type interner struct {
 	under *interner // frozen lower level; nil for a root interner
 	off   uint32    // len(under.terms): the first id this level owns
@@ -79,8 +77,8 @@ func (in *interner) term(id uint32) ast.Term {
 
 // termKey returns Term.Key for an id, rendering each distinct term at
 // most once. Ids of the frozen level read its precomputed keys; the
-// lazy fill for this level's own ids is single-threaded (result
-// conversion and round barriers).
+// lazy fill for this level's own ids is single-threaded (round
+// barriers under sharding).
 func (in *interner) termKey(id uint32) string {
 	if id < in.off {
 		return in.under.keys[id]
@@ -97,19 +95,6 @@ func (in *interner) termKey(id uint32) string {
 	return k
 }
 
-// rowKey renders the Tuple.Key of an interned row (the exact string
-// Tuple.Key would produce), reusing b as scratch.
-func (in *interner) rowKey(b *strings.Builder, row []uint32) string {
-	b.Reset()
-	for i, id := range row {
-		if i > 0 {
-			b.WriteByte('\x01')
-		}
-		b.WriteString(in.termKey(id))
-	}
-	return b.String()
-}
-
 // hashU32s is FNV-1a over 32-bit words.
 func hashU32s(vals []uint32) uint64 {
 	h := uint64(14695981039346656037)
@@ -118,6 +103,19 @@ func hashU32s(vals []uint32) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+// grown returns s with room for n more elements, doubling its capacity
+// when it is full. Go's append grows a large slice by a quarter, which
+// over the life of a store that only grows allocates about five times
+// its final size; doubling allocates twice.
+func grown[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	out := make([]T, len(s), 2*cap(s)+n)
+	copy(out, s)
+	return out
 }
 
 func rowsEqual(a, b []uint32) bool {
@@ -138,125 +136,92 @@ func pow2(n int) int {
 }
 
 // rowHash is an open-addressed hash set over the rows of a flat
-// []uint32 store (arity values per row). It stores row indices and
-// compares rows by value, so membership answers are exact — a hash
-// collision costs a comparison, never a wrong answer. find is
-// read-only and safe for concurrent readers of a frozen store;
-// insertLookup/place mutate and require a single writer.
+// []uint32 store (arity values per row). A slot packs a row's index
+// with the low half of its hash — enough to place it again when the
+// table grows and to tell most neighbours apart in the one word a probe
+// reads — and rows are then compared by value, so membership answers
+// are exact: a collision costs a comparison, never a wrong answer.
+// Callers pass the row's hashU32s in, so a row that meets several
+// tables (a task's dedup set, the snapshot, the merge) is hashed once.
+// findIdx is read-only and safe for concurrent readers of a frozen
+// store; insertLookup/place mutate and require a single writer.
 type rowHash struct {
-	data   *[]uint32 // backing flat row store
-	arity  int
-	n      int
-	hashes []uint64
-	idxs   []int32 // row index per slot; -1 = empty
+	data  *[]uint32 // backing flat row store
+	arity int
+	n     int
+	slots []uint64 // uint32(hash)<<32 | row index + 1; 0 = empty
 }
 
-func (h *rowHash) rowAt(i int32) []uint32 {
-	d := *h.data
-	s := int(i) * h.arity
-	return d[s : s+h.arity]
-}
-
-// find reports membership without mutating the table.
-func (h *rowHash) find(vals []uint32) bool {
-	if h.n == 0 {
-		return false
-	}
-	mask := len(h.idxs) - 1
-	hv := hashU32s(vals)
-	for i := int(hv) & mask; ; i = (i + 1) & mask {
-		idx := h.idxs[i]
-		if idx < 0 {
-			return false
-		}
-		if h.hashes[i] == hv && rowsEqual(h.rowAt(idx), vals) {
-			return true
-		}
-	}
-}
-
-// findIdx is find returning the stored row index instead of a bool:
-// the index of vals in the backing store, or -1 when absent. Read-only;
-// lets prefix snapshots (RelView) answer membership for rows [0, hi)
-// of an append-only relation in O(1).
-func (h *rowHash) findIdx(vals []uint32) int32 {
+// findIdx returns the stored index of the row vals (whose hashU32s is
+// hv), or -1 when absent, without mutating the table. An index answers
+// membership for any prefix [0, hi) of an append-only store in O(1),
+// which is what RelView needs.
+func (h *rowHash) findIdx(vals []uint32, hv uint64) int32 {
 	if h.n == 0 {
 		return -1
 	}
-	mask := len(h.idxs) - 1
-	hv := hashU32s(vals)
-	for i := int(hv) & mask; ; i = (i + 1) & mask {
-		idx := h.idxs[i]
-		if idx < 0 {
-			return -1
+	_, idx := h.probe(vals, hv)
+	return idx
+}
+
+// probe walks vals' chain to the slot that holds it (returning its row
+// index) or to the empty slot that ends the chain (returning -1).
+func (h *rowHash) probe(vals []uint32, hv uint64) (slot int, idx int32) {
+	mask := len(h.slots) - 1
+	for i := int(uint32(hv)) & mask; ; i = (i + 1) & mask {
+		s := h.slots[i]
+		if s == 0 {
+			return i, -1
 		}
-		if h.hashes[i] == hv && rowsEqual(h.rowAt(idx), vals) {
-			return idx
+		if s>>32 == hv&0xffffffff {
+			d, at := *h.data, (int(uint32(s))-1)*h.arity
+			if rowsEqual(d[at:at+h.arity], vals) {
+				return i, int32(uint32(s)) - 1
+			}
 		}
 	}
 }
 
-// insertLookup probes for vals, growing the table first if needed. It
-// returns the slot where vals lives or should be placed, the hash, and
-// whether the row is already present.
-func (h *rowHash) insertLookup(vals []uint32) (slot int, hv uint64, found bool) {
-	if h.idxs == nil {
-		h.init(16)
-	} else if (h.n+1)*4 > len(h.idxs)*3 {
-		h.grow()
+// insertLookup probes for vals (whose hashU32s is hv), growing the table
+// first if needed. It returns the slot where vals lives or should be
+// placed and whether the row is already present.
+func (h *rowHash) insertLookup(vals []uint32, hv uint64) (slot int, found bool) {
+	if h.slots == nil {
+		h.slots = make([]uint64, 16)
+	} else if (h.n+1)*4 > len(h.slots)*3 {
+		h.grow(len(h.slots) * 2)
 	}
-	mask := len(h.idxs) - 1
-	hv = hashU32s(vals)
-	for i := int(hv) & mask; ; i = (i + 1) & mask {
-		idx := h.idxs[i]
-		if idx < 0 {
-			return i, hv, false
-		}
-		if h.hashes[i] == hv && rowsEqual(h.rowAt(idx), vals) {
-			return i, hv, true
-		}
-	}
+	slot, idx := h.probe(vals, hv)
+	return slot, idx >= 0
 }
 
 // place records row idx at a slot previously returned by insertLookup.
 // The caller must have appended the row's values to the store.
 func (h *rowHash) place(slot int, hv uint64, idx int32) {
-	h.hashes[slot] = hv
-	h.idxs[slot] = idx
+	h.slots[slot] = hv<<32 | uint64(idx+1)
 	h.n++
 }
 
 // reset empties the table and points it at a new backing store.
 func (h *rowHash) reset(data *[]uint32, arity int) {
 	h.data, h.arity, h.n = data, arity, 0
-	for i := range h.idxs {
-		h.idxs[i] = -1
-	}
+	clear(h.slots)
 }
 
-func (h *rowHash) init(size int) {
-	h.hashes = make([]uint64, size)
-	h.idxs = make([]int32, size)
-	for i := range h.idxs {
-		h.idxs[i] = -1
-	}
-}
-
-func (h *rowHash) grow() {
-	oldHashes, oldIdxs := h.hashes, h.idxs
-	h.init(len(oldIdxs) * 2)
-	mask := len(h.idxs) - 1
-	for s, idx := range oldIdxs {
-		if idx < 0 {
+// grow moves the table to size slots (a power of two that holds it).
+func (h *rowHash) grow(size int) {
+	old := h.slots
+	h.slots = make([]uint64, size)
+	mask := len(h.slots) - 1
+	for _, s := range old {
+		if s == 0 {
 			continue
 		}
-		hv := oldHashes[s]
-		i := int(hv) & mask
-		for h.idxs[i] >= 0 {
+		i := int(s>>32) & mask
+		for h.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		h.hashes[i] = hv
-		h.idxs[i] = idx
+		h.slots[i] = s
 	}
 }
 
@@ -265,7 +230,7 @@ func (h *rowHash) grow() {
 // row order (candidates in insertion order keep the recorded first
 // derivation of every fact independent of how the index hashes).
 // Built lazily under the owning irel's lock; appended to incrementally
-// at single-threaded round barriers.
+// by irel.add, which runs only at single-threaded round barriers.
 type rowIndex struct {
 	pos    []int
 	n      int // occupied entries
@@ -312,8 +277,9 @@ func (ix *rowIndex) projEqualRows(a, b []uint32) bool {
 	return true
 }
 
-func (ix *rowIndex) projEqualVals(row, vals []uint32) bool {
-	for k, p := range ix.pos {
+// projEqual reports whether row holds vals at the positions pos.
+func projEqual(row []uint32, pos []int, vals []uint32) bool {
+	for k, p := range pos {
 		if row[p] != vals[k] {
 			return false
 		}
@@ -377,7 +343,7 @@ func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
 		if head < 0 {
 			return -1
 		}
-		if ix.hashes[i] == hv && ix.projEqualVals(r.row(int(head)), vals) {
+		if ix.hashes[i] == hv && projEqual(r.row(int(head)), ix.pos, vals) {
 			return head
 		}
 	}
@@ -385,24 +351,28 @@ func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
 
 // irel is an interned relation: a set of same-arity []uint32 rows in a
 // single flat slice, a duplicate-elimination hash set, and lazily built
-// bound-position indexes. The same concurrency contract as Relation
-// applies: any number of goroutines may read (row, contains, index
-// probes) a frozen irel; add requires that no reader runs concurrently,
-// which the evaluator guarantees by mutating only at round barriers.
+// bound-position indexes. It is append-only, so a prefix or a window of
+// its rows is a relation too: the semi-naive delta of a round is rows
+// [lo, hi) of the IDB relation, never a copy. The same concurrency
+// contract as Relation applies: any number of goroutines may read (row,
+// contains, index probes, distinct) a frozen irel; add requires that no
+// reader runs concurrently, which the evaluator guarantees by mutating
+// only at round barriers.
 type irel struct {
 	arity int
 	n     int
 	data  []uint32
 	set   rowHash
-	// mu guards indexes: concurrent probes of the same un-indexed
-	// position mask would otherwise race on the lazy build.
+	// mu guards what readers build lazily — indexes and the sketch
+	// catch-up: concurrent probes of the same un-indexed position mask,
+	// or concurrent first estimates, would otherwise race.
 	mu      sync.RWMutex
 	indexes map[uint64]*rowIndex // keyed by position bitmask
-	// stats holds one distinct-value sketch per column (see stats.go),
-	// lazily allocated on first insert and updated on every insert, so
-	// planning-time cardinality estimates are always current. Same
-	// contract as data: written only by add, read only when frozen.
-	stats []ColSketch
+	// stats holds one distinct-value sketch per column over rows
+	// [0, statsN); add never touches it, sketches catches up on read
+	// (see stats.go).
+	stats  []ColSketch
+	statsN int
 }
 
 func newIrel(arity, sizeHint int) *irel {
@@ -410,7 +380,7 @@ func newIrel(arity, sizeHint int) *irel {
 	r.set = rowHash{data: &r.data, arity: arity}
 	if sizeHint > 0 {
 		r.data = make([]uint32, 0, sizeHint*arity)
-		r.set.init(pow2(sizeHint * 2))
+		r.set.slots = make([]uint64, pow2(sizeHint*2))
 	}
 	return r
 }
@@ -420,34 +390,42 @@ func (r *irel) row(i int) []uint32 {
 	return r.data[s : s+r.arity]
 }
 
-// add inserts a row, reporting whether it was new. Existing indexes are
-// maintained incrementally, exactly like Relation.Add. Single writer.
-func (r *irel) add(vals []uint32) bool {
-	slot, hv, found := r.set.insertLookup(vals)
+// add inserts a row, reporting whether it was new. Single writer.
+func (r *irel) add(vals []uint32) bool { return r.addHashed(vals, hashU32s(vals)) }
+
+// addHashed is add for a row whose hashU32s the caller already has: one
+// probe of the dedup set, one append to the row store, and one chain
+// append per index that exists. No lock is taken — the contract above
+// already rules out a concurrent reader.
+func (r *irel) addHashed(vals []uint32, hv uint64) bool {
+	slot, found := r.set.insertLookup(vals, hv)
 	if found {
 		return false
 	}
 	idx := int32(r.n)
-	r.data = append(r.data, vals...)
+	r.data = append(grown(r.data, len(vals)), vals...)
 	r.n++
 	r.set.place(slot, hv, idx)
-	if r.stats == nil && r.arity > 0 {
-		r.stats = make([]ColSketch, r.arity)
-	}
-	for j, v := range vals {
-		r.stats[j].Add(v)
-	}
-	r.mu.Lock()
 	for _, ix := range r.indexes {
 		ix.appendRow(r, idx)
 	}
-	r.mu.Unlock()
 	return true
+}
+
+// reserve makes room for n more rows, so that a merge about to add up
+// to n grows the row store and the dedup table at most once each.
+func (r *irel) reserve(n int) {
+	r.data = grown(r.data, n*r.arity)
+	if size := pow2((r.n+n)*4/3 + 1); size > len(r.set.slots) {
+		r.set.grow(size)
+	}
 }
 
 // contains reports membership; read-only and safe for concurrent use
 // on a frozen relation.
-func (r *irel) contains(vals []uint32) bool { return r.set.find(vals) }
+func (r *irel) contains(vals []uint32) bool { return r.containsHashed(vals, hashU32s(vals)) }
+
+func (r *irel) containsHashed(vals []uint32, hv uint64) bool { return r.set.findIdx(vals, hv) >= 0 }
 
 // index returns the rowIndex for the given position bitmask, building
 // it lazily. Safe for concurrent readers: the build is double-checked

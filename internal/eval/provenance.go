@@ -43,21 +43,12 @@ func EvalProv(p *ast.Program, edb *DB) (*DB, *Provenance, *Stats, error) {
 // differential tests use it to compare provenance across policies,
 // shard counts and worker counts.
 func evalProvOpts(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Provenance, *Stats, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := opts.validatePolicy(); err != nil {
-		return nil, nil, nil, err
-	}
 	prov := &Provenance{steps: map[string]provStep{}}
-	idb, stats, err := evalCompiled(ctx, p, edb, opts, prov)
+	ev, err := evalCompiled(ctx, p, edb, opts, prov)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return idb, prov, stats, nil
+	return ev.publicIDB(), prov, ev.stats, nil
 }
 
 // Tree reconstructs the derivation tree for a ground IDB fact. EDB

@@ -14,8 +14,9 @@ package eval
 // partitioning, merging buffers in task order replays the single-task
 // derivation order, but a hash partition interleaves depth-0 rows
 // across shards. Every sharded task therefore records the depth-0 row
-// index of each buffered head, and the barrier k-way-merges the
-// group's buffers by that index — reconstructing the exact order a
+// index of each buffered head (an index into the relation, also when
+// the task covers only its delta window), and the barrier k-way-merges
+// the group's buffers by that index — reconstructing the exact order a
 // single task would have derived heads in, so the first derivation of
 // every fact (which is what provenance records) is bit-identical at
 // any shard count.
@@ -49,7 +50,7 @@ func (o Options) partitioner() shard.Partitioner {
 }
 
 // appendSharded appends one task per shard, all filtering the same
-// depth-0 relation through the precomputed owners slice.
+// depth-0 row range through the precomputed owners slice.
 func appendSharded(ts []task, t task, owners []uint8, shards int) []task {
 	for s := 0; s < shards; s++ {
 		nt := t
@@ -59,9 +60,10 @@ func appendSharded(ts []task, t task, owners []uint8, shards int) []task {
 	return ts
 }
 
-// ownersFor returns the per-row shard owners of rel, extending the
-// memoized slice to cover rows appended since the last round. Owners are
-// keyed on the rendered term of each row's first column ("" for arity-0
+// ownersFor returns the per-row shard owners of rel — an EDB base or
+// an IDB relation, never a per-round temporary — extending the memoized
+// slice to cover rows appended since the last round. Owners are keyed
+// on the rendered term of each row's first column ("" for arity-0
 // relations, which puts all their rows on one shard). Called only at
 // single-threaded round barriers (so termKey is safe: the interner
 // stopped growing after prepare); tasks read the returned slice

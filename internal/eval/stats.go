@@ -1,13 +1,20 @@
 package eval
 
 // Per-relation statistics for the cost-based join-ordering policies
-// (Options.Policy). Every irel maintains, next to its row count, one
-// small fixed-size sketch per column estimating the number of distinct
-// values in that column. The sketches are updated on insert only —
-// irel is append-only, and the retraction path in internal/incr
-// rebuilds shrinking relations into fresh irels, whose sketches are
-// rebuilt from the surviving rows — so they are exact bookkeeping, not
-// a probabilistic deletion structure.
+// (Options.Policy). Every irel carries, next to its row count, one small
+// fixed-size sketch per column estimating the number of distinct values
+// in that column. A sketch's state is a pure function of the set of ids
+// added to it (exact mode keeps the set, spilled mode ORs hash bits), so
+// nothing is lost by feeding it late: add never touches the sketches,
+// and irel.sketches folds in the rows appended since the last read the
+// first time anyone asks. The estimates — and the bytes internal/store
+// persists — are bit-identical to sketches updated on every insert, and
+// an evaluation under the default greedy policy, which never asks, pays
+// nothing (updating on insert was 16% of a fixpoint's CPU). irel is
+// append-only, and the retraction path in internal/incr rebuilds
+// shrinking relations into fresh irels, whose sketches are rebuilt from
+// the surviving rows — so they are exact bookkeeping, not a
+// probabilistic deletion structure.
 //
 // Each sketch is hybrid: below sketchExactMax distinct values it keeps
 // the exact value set (a map), so estimates on small relations are
@@ -17,10 +24,7 @@ package eval
 //	distinct ≈ m · ln(m / zeroBits)
 //
 // which stays within a few percent up to several distinct values per
-// bit. Updates after the spill are one multiply, one shift, and one
-// bit-set — cheap enough to leave on unconditionally, which is what
-// keeps the statistics current across semi-naive rounds and
-// internal/incr deltas without any refresh machinery.
+// bit.
 
 import (
 	"encoding/binary"
@@ -116,13 +120,42 @@ func (c *ColSketch) Distinct() int {
 	return int(math.Round(float64(sketchBuckets) * math.Log(float64(sketchBuckets)/float64(zeros))))
 }
 
+// fold adds rows [lo, hi) of r to the per-column sketches sk.
+func (r *irel) fold(sk []ColSketch, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for j, v := range r.row(i) {
+			sk[j].Add(v)
+		}
+	}
+}
+
+// sketches returns the per-column sketches of a frozen relation, first
+// folding in the rows added since they were last read. The catch-up is
+// double-checked under r.mu like index(): the EDB base is shared, so
+// concurrent evaluations can ask for their first estimate at once.
+func (r *irel) sketches() []ColSketch {
+	r.mu.RLock()
+	current := r.statsN == r.n
+	r.mu.RUnlock()
+	if !current {
+		r.mu.Lock()
+		if r.stats == nil {
+			r.stats = make([]ColSketch, r.arity)
+		}
+		r.fold(r.stats, r.statsN, r.n)
+		r.statsN = r.n
+		r.mu.Unlock()
+	}
+	return r.stats
+}
+
 // distinct returns the estimated number of distinct values in column j
 // (0 for an empty relation). Read-only on a frozen relation.
 func (r *irel) distinct(j int) int {
-	if r.stats == nil {
+	if r.n == 0 {
 		return 0
 	}
-	return r.stats[j].Distinct()
+	return r.sketches()[j].Distinct()
 }
 
 // Equal reports whether two sketches carry bit-identical state: same

@@ -1,8 +1,15 @@
 package eval
 
 import (
+	"bytes"
+	"context"
 	"math"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
+
+	"repro/internal/parser"
 )
 
 // Small relations stay below the spill threshold, so estimates are
@@ -143,5 +150,90 @@ func TestSketchEncodeRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeColSketch([]byte{sketchModeSpilled, 1, 2}); err == nil {
 		t.Fatal("truncated bit table must error")
+	}
+}
+
+// TestSketchCatchUpInvisible: an irel never updates its sketches on
+// insert; it folds the rows added since the last read in when an
+// estimate is asked for. Over 1,000 seeded interleavings of inserts and
+// estimate reads — with value ranges on both sides of sketchExactMax, so
+// catch-ups straddle the spill — the sketches must equal, in state and
+// in encoded bytes, sketches fed eagerly on every new row.
+func TestSketchCatchUpInvisible(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newIrel(2, 0)
+		eager := make([]ColSketch, 2)
+		// Column 0 stays exact on even seeds and spills on odd ones;
+		// column 1 spills whenever the run is long enough.
+		span0 := uint32(sketchExactMax/2 + int(seed%2)*sketchExactMax*2)
+		check := func(when string) {
+			if r.n == 0 {
+				return // no rows, no sketches yet
+			}
+			got := r.sketches()
+			for j := range eager {
+				if r.distinct(j) != eager[j].Distinct() || !got[j].Equal(&eager[j]) ||
+					!bytes.Equal(got[j].AppendEncoded(nil), eager[j].AppendEncoded(nil)) {
+					t.Fatalf("seed %d, %s, column %d: lazy sketch (distinct %d) differs from eager (distinct %d) after %d rows",
+						seed, when, j, r.distinct(j), eager[j].Distinct(), r.n)
+				}
+			}
+		}
+		for op, ops := 0, 50+rng.Intn(400); op < ops; op++ {
+			if rng.Intn(20) == 0 {
+				check("mid-run read")
+				continue
+			}
+			row := []uint32{rng.Uint32() % span0, rng.Uint32() % 1000}
+			if r.add(row) {
+				eager[0].Add(row[0])
+				eager[1].Add(row[1])
+			}
+		}
+		check("final read")
+	}
+}
+
+// TestSketchCatchUpConcurrentFirstRead: the EDB base is shared by every
+// evaluation of a DB, and under the cost policy each of them asks its
+// relations for estimates — the first to ask folds the rows in. Eight
+// evaluations racing for that first read must agree on everything (run
+// under -race in CI).
+func TestSketchCatchUpConcurrentFirstRead(t *testing.T) {
+	p := parser.MustParseProgram(`
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, Z), edge(Z, Y).
+		hop(X, Z) :- edge(X, Y), edge(Y, Z), X < Z.
+		?- path.`)
+	// 6 x 40 edges: both columns spill. A greedy evaluation builds the
+	// base and reads no sketch.
+	db := disjointChainsDB(6, 40)
+	if _, _, err := Eval(p, db); err != nil {
+		t.Fatal(err)
+	}
+	want := runEngine(t, p, db.Clone(), Options{Seminaive: true, Policy: PolicyCost, Workers: 1})
+	runs := make([]engineRun, 8)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			idb, stats, err := EvalCtx(context.Background(), p, db, Options{Seminaive: true, Policy: PolicyCost, Workers: 2})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			runs[i] = engineRun{preds: map[string][]string{}, stats: *stats}
+			for _, pred := range idb.Preds() {
+				runs[i].preds[pred] = idb.SortedFacts(pred)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if !reflect.DeepEqual(r.preds, want.preds) || !r.stats.Equal(&want.stats) || r.stats.PlansCompiled != want.stats.PlansCompiled {
+			t.Fatalf("goroutine %d: answers or stats differ from a single evaluation over a fresh clone:\n%+v\nvs\n%+v", i, r.stats, want.stats)
+		}
 	}
 }

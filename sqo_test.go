@@ -2,9 +2,12 @@ package sqo
 
 import (
 	"context"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/refeval"
 	"repro/internal/tcm"
 	"repro/internal/workload"
 )
@@ -220,5 +223,41 @@ func TestNilDBIsEmptyDatabase(t *testing.T) {
 	ch, err := v.Apply(MustParseFacts(`step(1, 2).`), nil)
 	if err != nil || len(ch.Added) != 1 {
 		t.Fatalf("view over a nil DB after one insert: %+v, %v", ch, err)
+	}
+}
+
+// TestNegativeZeroIsZero: -0 and 0 are one constant to Equal, Compare
+// and the interner (float ==), so they must be one constant to every
+// Key-based consumer too — relation and fact keys, cache keys, the
+// printer. ast.N normalizes the sign away.
+func TestNegativeZeroIsZero(t *testing.T) {
+	unit, err := Parse("e(0). e(-0). e(0.0). e(1).\nq(X) :- e(X), X >= 0.\n?- q.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDBFrom(unit.Facts)
+	if got := db.Count("e"); got != 2 {
+		t.Fatalf("e has %d tuples, want 2 (0 and 1)", got)
+	}
+	tuples, _, err := Query(unit.Program, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tu := range tuples {
+		got = append(got, "q"+tu.String())
+	}
+	sort.Strings(got)
+	if want := refeval.Eval(unit.Program, unit.Facts)["q"]; !reflect.DeepEqual(got, want) || len(got) != 2 {
+		t.Fatalf("engine %v, reference %v, want two answers from both", got, want)
+	}
+	p := MustParseProgram("q(X) :- e(X), X >= -0.\n?- q(-0.0).")
+	src := FormatProgram(p)
+	if strings.Contains(src, "-0") {
+		t.Fatalf("negative zero survives printing:\n%s", src)
+	}
+	p2, err := ParseProgram(src)
+	if err != nil || FormatProgram(p2) != src {
+		t.Fatalf("FormatProgram does not round-trip (%v):\n%s", err, src)
 	}
 }
