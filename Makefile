@@ -66,16 +66,18 @@ bench-regression:
 	$(GO) run ./cmd/benchdiff -label P9 -baseline BENCH_9.json -current bench-out/bench9.json
 	$(GO) run ./cmd/benchdiff -label P10 -baseline BENCH_10.json -current bench-out/bench10.json
 
-# The end-to-end benchmark (BENCHMARK.json, bench/): one serving run,
-# one cold-compile run and one in-process fixpoint run (the workload
-# where the engine is at least 90% of wall) as the benchmark driver
-# launches them — last output line is the result, every answer (every
-# compiled program, byte for byte, on optimize-cold) is checked against
-# an oracle — plus the harness's own unit tests (bench/ is a module of
-# its own, so `make test` skips them). The CI bench-e2e job runs this
-# non-blocking.
+# The end-to-end benchmark (BENCHMARK.json, bench/): every workload —
+# point queries, the mixed run (the one with writes, a live view and a
+# SIGKILL recovery), a cold-compile run and an in-process fixpoint run
+# (the workload where the engine is at least 90% of wall) — as the
+# benchmark driver launches them — last output line is the result, every
+# answer (every compiled program, byte for byte, on optimize-cold) is
+# checked against an oracle — plus the harness's own unit tests (bench/
+# is a module of its own, so `make test` skips them). The CI bench-e2e
+# job runs this non-blocking.
 bench-e2e:
 	bash bench/run.sh --workload serve-point --seed 1 --seconds 25 --trace 0
+	bash bench/run.sh --workload serve-mixed --seed 1 --seconds 25 --trace 0
 	bash bench/run.sh --workload optimize-cold --seed 1 --seconds 25 --trace 0
 	bash bench/run.sh --workload eval-fixpoint --seed 1 --seconds 25 --trace 0
 	cd bench && $(GO) test ./...
@@ -91,9 +93,11 @@ fuzz-smoke:
 # Randomized differential check of incremental view maintenance under
 # the race detector: after every prefix of a random add/retract
 # sequence, View answers/counts/provenance must be bit-identical to a
-# from-scratch evaluation. The CI race job runs this too.
+# from-scratch evaluation; the long-sequence run does the same over
+# 2,000 batches per program and policy, far enough to cross tombstone
+# compaction many times. The CI race job runs this too.
 incr-smoke:
-	$(GO) test ./internal/incr -race -count=1 -run='TestIncrRandomizedDifferential'
+	$(GO) test ./internal/incr -race -count=1 -run='TestIncrRandomizedDifferential|TestIncrLongSequenceDifferential'
 
 # Run sqolint over the checked-in example programs: the clean examples
 # must exit 0, deadcode.dl must exit 1 (it contains an unsatisfiable

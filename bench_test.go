@@ -542,3 +542,116 @@ func BenchmarkPushOrder(b *testing.B) {
 		}
 	}
 }
+
+// viewUpdateBench materializes the view the end-to-end benchmark's
+// serve-mixed workload keeps live: goodPath over 40 disjoint 50-edge
+// chains (51k path tuples, 240 answers), compiled the way sqod compiles
+// it. leaf attaches a fresh leaf to a chain node and detaches it again
+// (up to 51 path tuples each way); cut removes a chain edge and restores
+// it (DRed over-deletes and re-derives up to 650).
+func viewUpdateBench(tb testing.TB) (v *View, leaf, cut func(i int)) {
+	var facts []Atom
+	for c := 0; c < 40; c++ {
+		for i := 0; i <= 50; i++ {
+			n := float64(c*100 + i)
+			if i < 50 {
+				facts = append(facts, ast.NewAtom("edge", ast.N(n), ast.N(n+1)))
+			}
+			switch i {
+			case 0, 10:
+				facts = append(facts, ast.NewAtom("startPoint", ast.N(n)))
+			case 40, 45, 50:
+				facts = append(facts, ast.NewAtom("endPoint", ast.N(n)))
+			}
+		}
+	}
+	res, err := Optimize(MustParseProgram(`
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, Z), edge(Z, Y).
+		goodPath(X, Y) :- startPoint(X), path(X, Y), endPoint(Y).
+		?- goodPath.
+	`), MustParseICs(`:- edge(X, Y), Y <= X.`))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, err = Materialize(res.Program, NewDBFrom(facts), ViewOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	apply := func(adds, dels []Atom) {
+		if _, err := v.Apply(adds, dels); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	leaf = func(i int) {
+		c, pos := i%40, i*7%51
+		e := []Atom{ast.NewAtom("edge", ast.N(float64(c*100+pos)), ast.N(float64(c*100+60+i/40%39)))}
+		apply(e, nil)
+		apply(nil, e)
+	}
+	cut = func(i int) {
+		c, pos := i%40, i*7%50
+		e := []Atom{ast.NewAtom("edge", ast.N(float64(c*100+pos)), ast.N(float64(c*100+pos+1)))}
+		apply(nil, e)
+		apply(e, nil)
+	}
+	return v, leaf, cut
+}
+
+// BenchmarkViewUpdate reports what one update pair costs a live view —
+// ns/pair and B/pair, the library twins of the end-to-end benchmark's
+// incr.apply_add_us + incr.apply_retract_us and incr.cascade_retract_ms.
+// Both should follow the tuples the pair changes, not the 51k the view
+// holds.
+func BenchmarkViewUpdate(b *testing.B) {
+	v, leaf, cut := viewUpdateBench(b)
+	for _, w := range []struct {
+		name string
+		pair func(int)
+	}{{"leaf-pair", leaf}, {"cut-restore-pair", cut}} {
+		b.Run(w.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.pair(i)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pair")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/pair")
+		})
+	}
+	if got, err := v.Answers(); err != nil || len(got) != 240 {
+		b.Fatalf("answers after the pairs = %d (%v), want 240", len(got), err)
+	}
+}
+
+// TestViewUpdateAllocationGuard bounds what a live view allocates for
+// the two things sqod asks of it between queries: a leaf attach + detach
+// pair stays under 256 KB (8.56 MB when a retraction copied and
+// re-indexed the relation it shrank, about 30 KB now), and reading the
+// 240 answers under 2,000 allocations (24,132 when every comparison of
+// the sort rendered two keys).
+func TestViewUpdateAllocationGuard(t *testing.T) {
+	v, leaf, _ := viewUpdateBench(t)
+	const pairs = 200
+	leaf(0) // builds the indexes the delta joins probe
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= pairs; i++ {
+		leaf(i)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / pairs; got > 256<<10 {
+		t.Errorf("leaf attach + detach pair allocates %d bytes, want at most %d", got, 256<<10)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := v.Answers(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 2000 {
+		t.Errorf("Answers: %.0f allocations, want at most 2000", got)
+	}
+}

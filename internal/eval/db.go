@@ -190,6 +190,23 @@ func (db *DB) Clone() *DB {
 	return out
 }
 
+// Replace returns a database that shares every relation of db but
+// pred's, which holds tuples in the order given, or is gone when there
+// are none. tuples are distinct, of one arity and the relation's from
+// now on: they are neither copied nor keyed, so replacing a relation
+// costs nothing per tuple and nothing at all for the rest of the DB.
+func (db *DB) Replace(pred string, tuples []Tuple) *DB {
+	out := &DB{rels: make(map[string]*Relation, len(db.rels)+1)}
+	for p, r := range db.rels {
+		out.rels[p] = r
+	}
+	delete(out.rels, pred)
+	if len(tuples) > 0 {
+		out.rels[pred] = &Relation{Arity: len(tuples[0]), tuples: tuples}
+	}
+	return out
+}
+
 // Facts returns all tuples of pred as ground atoms, in insertion
 // order.
 func (db *DB) Facts(pred string) []ast.Atom {

@@ -8,7 +8,7 @@ package eval
 // derivability plan per rule, all sharing a single interner whose ids
 // stay stable for the life of the handle. The caller owns relation
 // storage (IRel) and decides, per run, which version of each relation
-// every subgoal reads (RelView prefix snapshots); that per-subgoal
+// every subgoal reads (RelView: a prefix and an epoch); that per-subgoal
 // old/new freedom is exactly what the counting and DRed delta passes
 // need and what the in-engine evaluators never expose.
 
@@ -16,6 +16,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/ast"
@@ -86,79 +88,146 @@ func (dp *DeltaProgram) PredArity(pred string) (int, bool) {
 }
 
 // IRel is an interned relation owned by the caller: flat rows of
-// DeltaProgram-interned ids, append-only, set-semantic (Add dedups).
+// DeltaProgram-interned ids, set-semantic (Add dedups). Rows are only
+// ever appended; Remove marks a row dead where it lies (irel, intern.go),
+// so a retraction costs what it retracts and the indexes built so far
+// stay good.
 type IRel struct{ r *irel }
 
 // NewIRel returns an empty relation of the given arity.
 func (dp *DeltaProgram) NewIRel(arity int) *IRel {
-	return &IRel{r: newIrel(arity, 0)}
+	r := newIrel(arity, 0)
+	r.epoch = 1
+	return &IRel{r: r}
 }
 
-// Len returns the number of rows.
-func (ir *IRel) Len() int { return ir.r.n }
+// Len returns the number of live rows.
+func (ir *IRel) Len() int { return ir.r.n - ir.r.nDead }
 
 // Arity returns the relation's arity.
 func (ir *IRel) Arity() int { return ir.r.arity }
 
-// Row returns row i. The slice aliases internal storage: callers must
-// not modify it, and must not retain it across an Add (which may grow
-// the backing array).
+// Row returns the i-th row ever appended, live or not (View().Each
+// lists the live ones). The slice aliases internal storage: callers
+// must not modify it, and must not retain it across an Add (which may
+// grow the backing array).
 func (ir *IRel) Row(i int) []uint32 { return ir.r.row(i) }
 
-// Add appends a row unless already present, copying the values, and
-// reports whether the row was new.
-func (ir *IRel) Add(row []uint32) bool { return ir.r.add(row) }
+// Add appends a row unless a live copy is present, copying the values,
+// and reports whether the row was new.
+func (ir *IRel) Add(row []uint32) bool {
+	if ir.r.nDead > 0 {
+		return ir.r.addBack(row)
+	}
+	return ir.r.add(row)
+}
+
+// Remove takes a row out in O(1), reporting whether it was there.
+func (ir *IRel) Remove(row []uint32) bool { return ir.r.remove(row) }
 
 // Contains reports whether the relation holds the row.
-func (ir *IRel) Contains(row []uint32) bool { return ir.r.contains(row) }
+func (ir *IRel) Contains(row []uint32) bool { return ir.View().Contains(row) }
+
+// Compact drops the removed rows once they outnumber the live ones (or
+// the epochs run out), keeping the order of the rest. It voids every
+// RelView of the relation, so it runs between updates, never inside one.
+func (ir *IRel) Compact() {
+	if r := ir.r; r.nDead > r.n-r.nDead || r.epoch >= 1<<31 {
+		r.compact()
+	}
+}
 
 // DistinctEstimate returns the estimated number of distinct values in
 // column j — exact for small relations, a linear-counting sketch
 // estimate past the spill threshold (see stats.go). This is the
 // statistic RunDeltaPolicy's cost model consumes, exported so
 // incremental-maintenance tests can pin sketch maintenance across
-// retraction-driven rebuilds.
+// retractions.
 func (ir *IRel) DistinctEstimate(j int) int { return ir.r.distinct(j) }
 
-// View returns a snapshot of the relation's current contents. Because
-// IRel is append-only, the snapshot stays frozen while later rows are
-// added — the cheap MVCC that lets a delta pass read "old" state while
-// building "new".
+// View returns the relation's current contents: the rows appended so
+// far, less the ones removed so far. Rows appended later stay out of
+// it, which is what lets a delta pass read a relation it is adding to.
 func (ir *IRel) View() RelView {
 	if ir == nil {
 		return RelView{}
 	}
-	return RelView{Rel: ir, Hi: ir.r.n}
+	return RelView{Rel: ir, Hi: ir.r.n, Epoch: ir.r.epoch, live: ir.Len()}
 }
 
-// RelView is a prefix snapshot of an append-only relation: rows
-// [0, Hi) of Rel. The zero value is an empty relation.
-type RelView struct {
-	Rel *IRel
-	Hi  int
-}
-
-// Len returns the number of visible rows.
-func (v RelView) Len() int {
-	if v.Rel == nil {
-		return 0
+// Freeze returns View() and opens a new epoch, so that later removals
+// stay out of the returned view as well: it is the pre-update state of
+// the relation for as long as the update runs, at no cost — the cheap
+// MVCC that lets a delta pass read "old" state while building "new". A
+// relation keeps one frozen generation: the next Freeze, like Compact,
+// voids this view (a row re-added after it is found at its new copy).
+func (ir *IRel) Freeze() RelView {
+	v := ir.View()
+	if ir != nil {
+		ir.r.epoch++
 	}
-	return v.Hi
+	return v
 }
 
-// Contains reports membership within the prefix in O(1): the backing
-// hash set stores row indexes, so a hit beyond Hi is a row appended
-// after the snapshot and reads as absent.
+// RelView is a version of a relation: rows [0, Hi) of Rel less the ones
+// removed in or before Epoch. The zero value is an empty relation.
+type RelView struct {
+	Rel   *IRel
+	Hi    int
+	Epoch uint32
+	live  int
+}
+
+// Len returns the number of rows the view held when it was taken.
+func (v RelView) Len() int { return v.live }
+
+// Contains reports membership in O(1): the backing hash set stores row
+// indexes, so a hit beyond Hi is a row appended after the view was
+// taken and reads as absent, like one the view's epoch hides.
 func (v RelView) Contains(row []uint32) bool {
 	if v.Rel == nil || v.Hi == 0 {
 		return false
 	}
-	idx := v.Rel.r.set.findIdx(row, hashU32s(row))
-	return idx >= 0 && int(idx) < v.Hi
+	idx := int(v.Rel.r.set.findIdx(row, hashU32s(row)))
+	return idx >= 0 && idx < v.Hi && !v.Rel.r.hidden(idx, v.Epoch)
 }
 
-// Row returns row i of the snapshot (caller must not modify).
-func (v RelView) Row(i int) []uint32 { return v.Rel.r.row(i) }
+// Each calls f with every row of the view, in row order. The slice is
+// internal storage: f must not modify or keep it.
+func (v RelView) Each(f func(row []uint32)) {
+	for i := 0; i < v.Hi; i++ {
+		if !v.Rel.r.hidden(i, v.Epoch) {
+			f(v.Rel.r.row(i))
+		}
+	}
+}
+
+// SortedTuples returns the view's rows as tuples in Tuple.Key order,
+// rendering each key once and each term's share of it at most once per
+// program. Like InternFact it is for the relations' single writer.
+func (dp *DeltaProgram) SortedTuples(v RelView) []Tuple {
+	type keyed struct {
+		key string
+		t   Tuple
+	}
+	ks := make([]keyed, 0, v.Len())
+	v.Each(func(row []uint32) {
+		var b strings.Builder
+		for i, id := range row {
+			if i > 0 {
+				b.WriteByte('\x01')
+			}
+			b.WriteString(dp.in.termKey(id))
+		}
+		ks = append(ks, keyed{b.String(), dp.Tuple(row)})
+	})
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]Tuple, len(ks))
+	for i := range ks {
+		out[i] = ks[i].t
+	}
+	return out
+}
 
 // InternFact interns a ground tuple of pred, appending the row to buf
 // and returning it. Errors on unknown predicates, arity mismatches, and
@@ -305,7 +374,7 @@ func viewEstimate(v RelView) relEstimate {
 	if v.Rel == nil || v.Hi == 0 {
 		return relEstimate{}
 	}
-	return sketchEstimate(v.Hi, v.Rel.r.sketches())
+	return sketchEstimate(v.live, v.Rel.r.sketches())
 }
 
 // planForOrder returns the cached plan for a cost-chosen order,
@@ -379,8 +448,10 @@ func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint3
 // join mirrors cTaskRun.join over caller views: iteration is
 // clamped to each view's prefix on both the index path (chains are in
 // ascending row order, so the first out-of-prefix candidate ends the
-// chain) and the scan path. Indexes are always used when the plan is
-// indexable — delta passes have no ablation knob.
+// chain) and the scan path, and on both it passes over the rows the
+// view's epoch hides — they are not candidates and count no probe.
+// Indexes are always used when the plan is indexable — delta passes have
+// no ablation knob.
 func (tr *dRun) join(depth int) error {
 	pl := tr.pl
 	if depth == len(pl.subs) {
@@ -406,6 +477,9 @@ func (tr *dRun) join(depth int) error {
 			if int(ri) >= v.Hi {
 				break // ascending chain: everything further is post-snapshot
 			}
+			if rel.hidden(int(ri), v.Epoch) {
+				continue
+			}
 			if err := tr.tryRow(depth, rel.row(int(ri)), false); err != nil {
 				return err
 			}
@@ -413,6 +487,9 @@ func (tr *dRun) join(depth int) error {
 		return nil
 	}
 	for i := 0; i < v.Hi; i++ {
+		if rel.hidden(i, v.Epoch) {
+			continue
+		}
 		if err := tr.tryRow(depth, rel.row(i), true); err != nil {
 			return err
 		}

@@ -358,6 +358,13 @@ func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
 // contains, index probes, distinct) a frozen irel; add requires that no
 // reader runs concurrently, which the evaluator guarantees by mutating
 // only at round barriers.
+//
+// Removal exists for incremental maintenance only (IRel, delta.go) and
+// moves nothing: remove stamps the row dead, the dedup slot and every
+// index chain keep pointing at it, and the delta executor — the one
+// reader of relations that can have dead rows — skips what its view's
+// epoch hides. The fixpoint kernel's relations are never removed from,
+// so contains, add and cTaskRun know nothing of any of this.
 type irel struct {
 	arity int
 	n     int
@@ -373,6 +380,12 @@ type irel struct {
 	// (see stats.go).
 	stats  []ColSketch
 	statsN int
+	// dead[i] is the epoch in which row i was removed, 0 while it lives;
+	// rows past len(dead) live, and dead is nil until the first removal.
+	// epoch counts the freezes (IRel.Freeze) and is what a removal stamps.
+	dead  []uint32
+	nDead int
+	epoch uint32
 }
 
 func newIrel(arity, sizeHint int) *irel {
@@ -426,6 +439,78 @@ func (r *irel) reserve(n int) {
 func (r *irel) contains(vals []uint32) bool { return r.containsHashed(vals, hashU32s(vals)) }
 
 func (r *irel) containsHashed(vals []uint32, hv uint64) bool { return r.set.findIdx(vals, hv) >= 0 }
+
+// hidden reports whether row i was removed in or before epoch.
+func (r *irel) hidden(i int, epoch uint32) bool {
+	return i < len(r.dead) && r.dead[i] != 0 && r.dead[i] <= epoch
+}
+
+// remove stamps the row dead in the current epoch, reporting whether it
+// was live. The sketches start over: they can only grow, so the next
+// reader that asks re-folds the live rows.
+func (r *irel) remove(vals []uint32) bool {
+	idx := int(r.set.findIdx(vals, hashU32s(vals)))
+	if idx < 0 || r.hidden(idx, r.epoch) {
+		return false
+	}
+	if len(r.dead) < r.n {
+		r.dead = append(r.dead, make([]uint32, r.n-len(r.dead))...)
+	}
+	r.dead[idx] = r.epoch
+	r.nDead++
+	r.stats, r.statsN = nil, 0
+	return true
+}
+
+// addBack is add for a relation with dead rows, where vals may be one.
+// A row removed in this epoch comes back in place: the views frozen
+// before it left must keep seeing it. A row removed in an earlier epoch
+// must stay hidden from them, so it returns as a new row at the end and
+// the dedup slot moves to it; the dead copy is dropped by compact.
+func (r *irel) addBack(vals []uint32) bool {
+	hv := hashU32s(vals)
+	slot, idx := r.set.probe(vals, hv)
+	if idx < 0 || !r.hidden(int(idx), r.epoch) {
+		return r.addHashed(vals, hv)
+	}
+	if r.dead[idx] == r.epoch {
+		r.dead[idx] = 0
+		r.nDead--
+		if int(idx) < r.statsN {
+			r.fold(r.stats, int(idx), int(idx)+1)
+		}
+		return true
+	}
+	r.set.slots[slot] = hv<<32 | uint64(r.n+1)
+	r.data = append(grown(r.data, len(vals)), vals...)
+	r.n++
+	for _, ix := range r.indexes {
+		ix.appendRow(r, int32(r.n-1))
+	}
+	return true
+}
+
+// compact drops the dead rows, keeps the order of the rest and starts
+// the epochs over; every RelView taken before is void. Indexes and
+// sketches are rebuilt by their next reader.
+func (r *irel) compact() {
+	w := 0
+	for i := 0; i < r.n; i++ {
+		if !r.hidden(i, r.epoch) {
+			copy(r.data[w*r.arity:], r.row(i))
+			w++
+		}
+	}
+	r.n, r.data = w, r.data[:w*r.arity]
+	r.dead, r.nDead, r.epoch = nil, 0, 1
+	r.indexes, r.stats, r.statsN = nil, nil, 0
+	r.set.reset(&r.data, r.arity)
+	for i := 0; i < w; i++ {
+		hv := hashU32s(r.row(i))
+		slot, _ := r.set.insertLookup(r.row(i), hv)
+		r.set.place(slot, hv, int32(i))
+	}
+}
 
 // index returns the rowIndex for the given position bitmask, building
 // it lazily. Safe for concurrent readers: the build is double-checked

@@ -10,11 +10,10 @@ package eval
 // first time anyone asks. The estimates — and the bytes internal/store
 // persists — are bit-identical to sketches updated on every insert, and
 // an evaluation under the default greedy policy, which never asks, pays
-// nothing (updating on insert was 16% of a fixpoint's CPU). irel is
-// append-only, and the retraction path in internal/incr rebuilds
-// shrinking relations into fresh irels, whose sketches are rebuilt from
-// the surviving rows — so they are exact bookkeeping, not a
-// probabilistic deletion structure.
+// nothing (updating on insert was 16% of a fixpoint's CPU). A sketch
+// cannot forget a value, so a removal (internal/incr's retractions)
+// drops the relation's sketches and the next read folds the live rows
+// again — exact bookkeeping, not a probabilistic deletion structure.
 //
 // Each sketch is hybrid: below sketchExactMax distinct values it keeps
 // the exact value set (a map), so estimates on small relations are
@@ -120,9 +119,13 @@ func (c *ColSketch) Distinct() int {
 	return int(math.Round(float64(sketchBuckets) * math.Log(float64(sketchBuckets)/float64(zeros))))
 }
 
-// fold adds rows [lo, hi) of r to the per-column sketches sk.
+// fold adds the live rows among [lo, hi) of r to the per-column
+// sketches sk.
 func (r *irel) fold(sk []ColSketch, lo, hi int) {
 	for i := lo; i < hi; i++ {
+		if r.hidden(i, r.epoch) {
+			continue
+		}
 		for j, v := range r.row(i) {
 			sk[j].Add(v)
 		}
@@ -152,7 +155,7 @@ func (r *irel) sketches() []ColSketch {
 // distinct returns the estimated number of distinct values in column j
 // (0 for an empty relation). Read-only on a frozen relation.
 func (r *irel) distinct(j int) int {
-	if r.n == 0 {
+	if r.n == r.nDead {
 		return 0
 	}
 	return r.sketches()[j].Distinct()

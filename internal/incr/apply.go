@@ -109,11 +109,11 @@ func (v *View) ApplyCtx(ctx context.Context, adds, dels []ast.Atom) (Changes, er
 	}
 
 	// Freeze pre-update state of every relation, then ingest the EDB
-	// deltas (snapshots stay valid: deletions rebuild into a fresh
-	// relation, additions append past the frozen prefix).
+	// deltas (the frozen views stay valid: deletions are stamped with the
+	// epoch the freeze opened, additions append past the frozen prefix).
 	oldViews := map[string]eval.RelView{}
 	for pred, rel := range v.rels {
-		oldViews[pred] = rel.View()
+		oldViews[pred] = rel.Freeze()
 	}
 	deltaPlus, deltaMinus := v.ingestEDB(plus, minus)
 
@@ -137,15 +137,14 @@ func (v *View) ApplyCtx(ctx context.Context, adds, dels []ast.Atom) (Changes, er
 		}
 	}
 
-	v.stats.Applies++
-	v.version++
+	v.finishApply()
 	ch := Changes{}
 	if d := deltaPlus[v.prog.Query]; nonEmpty(d) {
-		ch.Added = v.externSorted(d.View())
+		ch.Added = v.dp.SortedTuples(d.View())
 		v.stats.TuplesAdded += int64(d.Len())
 	}
 	if d := deltaMinus[v.prog.Query]; nonEmpty(d) {
-		ch.Removed = v.externSorted(d.View())
+		ch.Removed = v.dp.SortedTuples(d.View())
 		v.stats.TuplesRemoved += int64(d.Len())
 	}
 	return ch, nil
@@ -174,25 +173,37 @@ func (v *View) ingestEDB(plus, minus map[string]map[string][]uint32) (deltaPlus,
 		ar := v.arity[pred]
 		dm := v.irelFromMap(ar, minus[pred])
 		dpl := v.irelFromMap(ar, plus[pred])
-		if dm.Len() > 0 {
-			v.rels[pred] = v.rebuildExcluding(v.rels[pred], dm)
+		if v.rels[pred] == nil {
+			v.rels[pred] = v.dp.NewIRel(ar)
 		}
-		rel := v.rels[pred]
-		if rel == nil {
-			rel = v.dp.NewIRel(ar)
-			v.rels[pred] = rel
-		}
-		for i := 0; i < dpl.Len(); i++ {
-			rel.Add(dpl.Row(i))
-		}
-		if dm.Len() > 0 {
-			deltaMinus[pred] = dm
-		}
-		if dpl.Len() > 0 {
-			deltaPlus[pred] = dpl
-		}
+		v.commit(pred, dm, dpl, deltaPlus, deltaMinus)
 	}
 	return deltaPlus, deltaMinus
+}
+
+// commit takes the rows of dm out of pred's relation, puts those of dpl
+// in, and records the two as the predicate's deltas.
+func (v *View) commit(pred string, dm, dpl *eval.IRel, deltaPlus, deltaMinus map[string]*eval.IRel) {
+	rel := v.rels[pred]
+	dm.View().Each(func(row []uint32) { rel.Remove(row) })
+	dpl.View().Each(func(row []uint32) { rel.Add(row) })
+	if dm.Len() > 0 {
+		deltaMinus[pred] = dm
+	}
+	if dpl.Len() > 0 {
+		deltaPlus[pred] = dpl
+	}
+}
+
+// without returns the rows of a that b does not hold.
+func (v *View) without(arity int, a, b eval.RelView) *eval.IRel {
+	out := v.dp.NewIRel(arity)
+	a.Each(func(row []uint32) {
+		if !b.Contains(row) {
+			out.Add(row)
+		}
+	})
+	return out
 }
 
 func (v *View) irelFromMap(arity int, m map[string][]uint32) *eval.IRel {
@@ -208,29 +219,16 @@ func (v *View) irelFromMap(arity int, m map[string][]uint32) *eval.IRel {
 	return ir
 }
 
-func (v *View) irelFromRows(arity int, rows [][]uint32) *eval.IRel {
-	ir := v.dp.NewIRel(arity)
-	for _, row := range rows {
-		ir.Add(row)
+// finishApply closes a successful update. No view of a relation is
+// held from one update to the next (lastGood is, but only while the
+// view is broken, and then no update finishes), so this is where the
+// relations drop the rows their dead outnumber.
+func (v *View) finishApply() {
+	v.stats.Applies++
+	v.version++
+	for _, rel := range v.rels {
+		rel.Compact()
 	}
-	return ir
-}
-
-// rebuildExcluding copies rel minus the dropped rows into a fresh
-// relation. The old object is left untouched for live snapshots.
-func (v *View) rebuildExcluding(rel *eval.IRel, drop *eval.IRel) *eval.IRel {
-	if rel == nil {
-		return v.dp.NewIRel(drop.Arity())
-	}
-	out := v.dp.NewIRel(rel.Arity())
-	for i := 0; i < rel.Len(); i++ {
-		row := rel.Row(i)
-		if drop.Contains(row) {
-			continue
-		}
-		out.Add(row)
-	}
-	return out
 }
 
 func nonEmpty(ir *eval.IRel) bool { return ir != nil && ir.Len() > 0 }
@@ -306,7 +304,7 @@ func (v *View) applyCounting(ctx context.Context, st *stratum, oldViews map[stri
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var addRows, delRows [][]uint32
+	dm, dpl := v.dp.NewIRel(v.arity[pred]), v.dp.NewIRel(v.arity[pred])
 	for _, k := range keys {
 		c := cnts[k]
 		if c < 0 {
@@ -318,27 +316,12 @@ func (v *View) applyCounting(ctx context.Context, st *stratum, oldViews map[stri
 		was, is := before[k] > 0, c > 0
 		switch {
 		case was && !is:
-			delRows = append(delRows, touched[k])
+			dm.Add(touched[k])
 		case !was && is:
-			addRows = append(addRows, touched[k])
+			dpl.Add(touched[k])
 		}
 	}
-	if len(addRows) == 0 && len(delRows) == 0 {
-		return nil
-	}
-	dm := v.irelFromRows(v.arity[pred], delRows)
-	dpl := v.irelFromRows(v.arity[pred], addRows)
-	if dm.Len() > 0 {
-		v.rels[pred] = v.rebuildExcluding(v.rels[pred], dm)
-		deltaMinus[pred] = dm
-	}
-	if dpl.Len() > 0 {
-		rel := v.rels[pred]
-		for i := 0; i < dpl.Len(); i++ {
-			rel.Add(dpl.Row(i))
-		}
-		deltaPlus[pred] = dpl
-	}
+	v.commit(pred, dm, dpl, deltaPlus, deltaMinus)
 	return nil
 }
 
@@ -438,38 +421,34 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 		}
 	}
 
-	// Phase 2: remove D, then rederive survivors until a fixpoint.
-	if roundTotal(D) > 0 {
+	// Phase 2: remove D, then rederive survivors until a fixpoint. A
+	// row put back was removed in this very epoch, so it returns in place
+	// and oldViews, which must go on seeing it, does.
+	for _, p := range st.preds {
+		D[p].View().Each(func(row []uint32) { v.rels[p].Remove(row) })
+	}
+	for progress := roundTotal(D) > 0; progress; {
+		progress = false
 		for _, p := range st.preds {
-			if D[p].Len() > 0 {
-				v.rels[p] = v.rebuildExcluding(v.rels[p], D[p])
+			var err error
+			D[p].View().Each(func(row []uint32) {
+				if err != nil || v.rels[p].Contains(row) {
+					return
+				}
+				if err = ctx.Err(); err != nil {
+					return
+				}
+				var ok bool
+				if ok, err = v.derivableAny(ctx, p, row); ok {
+					v.rels[p].Add(row)
+					progress = true
+				}
+			})
+			if err != nil {
+				return err
 			}
 		}
-		for {
-			progress := false
-			for _, p := range st.preds {
-				d := D[p]
-				for i := 0; i < d.Len(); i++ {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					row := d.Row(i)
-					if v.rels[p].Contains(row) {
-						continue
-					}
-					ok, err := v.derivableAny(ctx, p, row)
-					if err != nil {
-						return err
-					}
-					if ok {
-						v.rels[p].Add(row)
-						progress = true
-					}
-				}
-			}
-			if !progress {
-				break
-			}
+		if progress {
 			v.stats.DeltaRounds++
 		}
 	}
@@ -538,24 +517,11 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 	// not present before. A tuple overdeleted and then re-derived by
 	// phase 3 cancels out in both directions.
 	for _, p := range st.preds {
-		var netMinus, netPlus [][]uint32
-		d := D[p]
-		for i := 0; i < d.Len(); i++ {
-			if !v.rels[p].Contains(d.Row(i)) {
-				netMinus = append(netMinus, d.Row(i))
-			}
+		if d := v.without(v.arity[p], D[p].View(), v.curView(p)); d.Len() > 0 {
+			deltaMinus[p] = d
 		}
-		in, old := ins[p], oldViews[p]
-		for i := 0; i < in.Len(); i++ {
-			if !old.Contains(in.Row(i)) {
-				netPlus = append(netPlus, in.Row(i))
-			}
-		}
-		if len(netMinus) > 0 {
-			deltaMinus[p] = v.irelFromRows(v.arity[p], netMinus)
-		}
-		if len(netPlus) > 0 {
-			deltaPlus[p] = v.irelFromRows(v.arity[p], netPlus)
+		if d := v.without(v.arity[p], ins[p].View(), oldViews[p]); d.Len() > 0 {
+			deltaPlus[p] = d
 		}
 	}
 	return nil
@@ -590,7 +556,7 @@ func (v *View) derivableAny(ctx context.Context, pred string, row []uint32) (boo
 func (v *View) fullRebuild(ctx context.Context, plus, minus map[string]map[string][]uint32) (Changes, error) {
 	prevQ := v.lastGood
 	if !v.broken {
-		prevQ = v.curView(v.prog.Query)
+		prevQ = v.rels[v.prog.Query].Freeze()
 	}
 	v.ingestEDB(plus, minus)
 	v.stats.FullRebuilds++
@@ -601,30 +567,20 @@ func (v *View) fullRebuild(ctx context.Context, plus, minus map[string]map[strin
 	}
 	v.broken = false
 	v.lastGood = eval.RelView{}
-	v.version++
-	v.stats.Applies++
 
 	ch := Changes{}
 	newQ := v.curView(v.prog.Query)
-	var added, removed [][]uint32
-	for i := 0; i < newQ.Len(); i++ {
-		if !prevQ.Contains(newQ.Row(i)) {
-			added = append(added, newQ.Row(i))
-		}
+	ar := v.arity[v.prog.Query]
+	added, removed := v.without(ar, newQ, prevQ), v.without(ar, prevQ, newQ)
+	if added.Len() > 0 {
+		ch.Added = v.dp.SortedTuples(added.View())
+		v.stats.TuplesAdded += int64(added.Len())
 	}
-	for i := 0; i < prevQ.Len(); i++ {
-		if !newQ.Contains(prevQ.Row(i)) {
-			removed = append(removed, prevQ.Row(i))
-		}
+	if removed.Len() > 0 {
+		ch.Removed = v.dp.SortedTuples(removed.View())
+		v.stats.TuplesRemoved += int64(removed.Len())
 	}
-	if len(added) > 0 {
-		ch.Added = v.externSorted(v.irelFromRows(newQ.Rel.Arity(), added).View())
-		v.stats.TuplesAdded += int64(len(added))
-	}
-	if len(removed) > 0 {
-		ch.Removed = v.externSorted(v.irelFromRows(prevQ.Rel.Arity(), removed).View())
-		v.stats.TuplesRemoved += int64(len(removed))
-	}
+	v.finishApply()
 	return ch, nil
 }
 

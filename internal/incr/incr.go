@@ -104,10 +104,11 @@ type View struct {
 	negPreds map[string]bool
 	strata   []stratum
 	rulesFor map[string][]int
-	// rels holds the current version of every predicate, EDB and IDB,
-	// as append-only interned relations. A predicate that loses tuples
-	// gets a rebuilt relation; old RelView snapshots keep the previous
-	// object alive and unchanged.
+	// rels holds every predicate, EDB and IDB, as interned relations
+	// that live as long as the IDB does (rebuildIDB starts the derived
+	// ones over). A tuple a predicate loses is marked dead in place; the
+	// pre-update state an Apply reads is the same relation at the epoch
+	// before (eval.IRel.Freeze), and finishApply compacts between Applies.
 	rels map[string]*eval.IRel
 	// counts maps, for each counting-maintained predicate, packed row
 	// key → exact number of derivations.
@@ -391,7 +392,7 @@ func (v *View) FactsOf(pred string) ([]eval.Tuple, error) {
 	if err := v.repairLocked(context.Background()); err != nil {
 		return nil, err
 	}
-	return v.externSorted(v.curView(pred)), nil
+	return v.dp.SortedTuples(v.curView(pred)), nil
 }
 
 // Count returns the exact number of derivations of a ground fact, for
@@ -428,17 +429,12 @@ func (v *View) DerivationCounts(pred string) map[string]int64 {
 	if !ok {
 		return nil
 	}
-	rel := v.rels[pred]
 	out := make(map[string]int64, len(cnts))
-	if rel == nil {
-		return out
-	}
-	for i := 0; i < rel.Len(); i++ {
-		row := rel.Row(i)
+	v.curView(pred).Each(func(row []uint32) {
 		if c := cnts[rowKey(row)]; c > 0 {
 			out[v.dp.Atom(pred, row).String()] = c
 		}
-	}
+	})
 	return out
 }
 
@@ -485,27 +481,11 @@ func (v *View) edbMirror() *eval.DB {
 			continue
 		}
 		r := db.Rel(pred, rel.Arity())
-		tuples := make([]eval.Tuple, 0, rel.Len())
-		for i := 0; i < rel.Len(); i++ {
-			tuples = append(tuples, v.dp.Tuple(rel.Row(i)))
-		}
-		sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key() < tuples[j].Key() })
-		for _, t := range tuples {
+		for _, t := range v.dp.SortedTuples(rel.View()) {
 			r.Add(t)
 		}
 	}
 	return db
-}
-
-// externSorted converts a view's rows to public tuples sorted by
-// canonical key.
-func (v *View) externSorted(view eval.RelView) []eval.Tuple {
-	out := make([]eval.Tuple, 0, view.Len())
-	for i := 0; i < view.Len(); i++ {
-		out = append(out, v.dp.Tuple(view.Row(i)))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
 }
 
 // rowKey packs an interned row into a string map key.

@@ -6,30 +6,50 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	sqo "repro"
 )
 
 // dataset is one registered fact set plus its attached materialized
-// views. The query-facing database is an immutable snapshot: every
-// mutation rebuilds a replacement from the canonical fact set and
-// swaps the pointer, so evaluations keep reading whichever snapshot
-// they resolved. A snapshot also carries its interned base (eval's
+// views. The query-facing database is an immutable snapshot, published
+// through an atomic pointer: a query loads it and never touches d.mu, so
+// reads do not queue behind a writer's WAL append or view maintenance.
+// A mutation does not rebuild the snapshot; its successor shares every
+// relation the batch leaves alone and replaces the rest, each fact
+// entering or leaving at its key-sorted position, so the order of a
+// relation's tuples — which evaluation order and provenance follow — is
+// the one a from-scratch load of the same facts would give, whatever the
+// update history. A snapshot also carries its interned base (eval's
 // base.go) from query to query: the first query to evaluate a new
-// snapshot builds it — outside d.mu, never inside an update — and every
-// later query on that snapshot reuses it. Attached views are
-// maintained incrementally — the
-// same add/retract batch that mutates the fact set is pushed through
-// sqo.View.Apply, which propagates deltas instead of re-evaluating.
+// snapshot builds it and every later query on that snapshot reuses it.
+//
+// d.mu is the writers' and the view registry's lock. update holds it
+// across the arity check, the WAL append, the publication of the new
+// snapshot — after the append, so no query sees a fact that is not yet
+// durable — and the maintenance of every view, which keeps WAL order,
+// snapshot order and view order one order. Attached views are
+// maintained incrementally: the same add/retract batch that mutates the
+// fact set is pushed through sqo.View.Apply, which propagates deltas
+// instead of re-evaluating.
 type dataset struct {
 	name string
+	db   atomic.Pointer[sqo.DB] // the published snapshot of facts
 
 	mu           sync.Mutex
-	facts        map[string]sqo.Atom // canonical fact set, keyed by rendering
-	db           *sqo.DB             // immutable snapshot of facts
+	facts        map[string]sqo.Atom   // canonical fact set, keyed by rendering
+	preds        map[string]*predFacts // facts' keys by predicate
 	lastModified time.Time
 	views        map[string]*matView
+}
+
+// predFacts is one predicate's share of the fact set: its arity and its
+// keys in ascending order, parallel to the tuples of the snapshot's
+// relation for it.
+type predFacts struct {
+	arity int
+	keys  []string
 }
 
 // matView is one materialized view attached to a dataset.
@@ -45,39 +65,17 @@ func newDataset(name string, facts []sqo.Atom, now time.Time) *dataset {
 	ds := &dataset{
 		name:         name,
 		facts:        map[string]sqo.Atom{},
+		preds:        map[string]*predFacts{},
 		views:        map[string]*matView{},
 		lastModified: now,
 	}
-	for _, a := range facts {
-		ds.facts[a.String()] = a
-	}
-	ds.db = ds.buildDB()
+	ds.db.Store(sqo.NewDB())
+	ds.applyFacts(facts, nil)
 	return ds
 }
 
-// buildDB renders the canonical fact set as a fresh database in
-// key-sorted order, so evaluation and provenance are independent of
-// the dataset's update history. Callers hold ds.mu (or own the
-// dataset exclusively, as newDataset does).
-func (d *dataset) buildDB() *sqo.DB {
-	keys := make([]string, 0, len(d.facts))
-	for k := range d.facts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	db := sqo.NewDB()
-	for _, k := range keys {
-		db.AddFact(d.facts[k])
-	}
-	return db
-}
-
 // snapshot returns the current immutable database.
-func (d *dataset) snapshot() *sqo.DB {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.db
-}
+func (d *dataset) snapshot() *sqo.DB { return d.db.Load() }
 
 // DatasetInfo describes one registered dataset over the wire.
 type DatasetInfo struct {
@@ -96,8 +94,8 @@ func (d *dataset) describe() DatasetInfo {
 
 func (d *dataset) describeLocked() DatasetInfo {
 	preds := map[string]int{}
-	for _, p := range d.db.Preds() {
-		preds[p] = d.db.Count(p)
+	for p, pf := range d.preds {
+		preds[p] = len(pf.keys)
 	}
 	views := make([]string, 0, len(d.views))
 	for name := range d.views {
@@ -148,29 +146,41 @@ func arityConflict(arity map[string]int, facts []sqo.Atom) error {
 }
 
 // update is one mutation of the dataset, start to finish under its
-// lock: check that the fact set stays one arity per predicate once the
-// batch is in (dels leave first, so a PUT may change a predicate's
-// arity), then persist — nil in memory and on replay; the WAL append
-// otherwise, which keeps one dataset's records in application order —
-// then apply. Nothing is logged or applied when it returns an error.
-func (d *dataset) update(ctx context.Context, adds, dels []sqo.Atom, now time.Time, persist func() error) (factUpdate, DatasetInfo, error) {
+// lock: work out the batch when the caller names the outcome instead
+// (replace: adds is the fact set to end up with, and diffing it here is
+// what makes two concurrent PUTs leave one of their two bodies), check
+// that the fact set stays one arity per predicate once the batch is in
+// (dels leave first, so a PUT may change a predicate's arity), then
+// persist — nil in memory and on replay; the WAL append otherwise, which
+// keeps one dataset's records in application order — then apply. Nothing
+// is logged or applied when it returns an error.
+func (d *dataset) update(ctx context.Context, adds, dels []sqo.Atom, replace bool, now time.Time, persist func(adds, dels []sqo.Atom) error) (factUpdate, DatasetInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	gone := make(map[string]bool, len(dels))
+	if replace {
+		adds, dels = d.diffLocked(adds)
+	}
+	// A predicate keeps its arity unless every fact of it leaves.
+	gone, leaving := make(map[string]bool, len(dels)), map[string]int{}
 	for _, a := range dels {
-		gone[a.String()] = true
+		if k := a.String(); !gone[k] {
+			gone[k] = true
+			if _, ok := d.facts[k]; ok {
+				leaving[a.Pred]++
+			}
+		}
 	}
 	arity := map[string]int{}
-	for k, a := range d.facts {
-		if !gone[k] {
-			arity[a.Pred] = len(a.Args)
+	for _, a := range adds {
+		if pf := d.preds[a.Pred]; pf != nil && len(pf.keys) > leaving[a.Pred] {
+			arity[a.Pred] = pf.arity
 		}
 	}
 	if err := arityConflict(arity, adds); err != nil {
 		return factUpdate{}, DatasetInfo{}, err
 	}
 	if persist != nil {
-		if err := persist(); err != nil {
+		if err := persist(adds, dels); err != nil {
 			return factUpdate{}, DatasetInfo{}, err
 		}
 	}
@@ -178,37 +188,80 @@ func (d *dataset) update(ctx context.Context, adds, dels []sqo.Atom, now time.Ti
 	return up, d.describeLocked(), nil
 }
 
-// updateLocked applies retractions then insertions to the canonical
-// fact set (an atom appearing in both is a no-op, matching
-// sqo.View.Apply's delete-then-insert semantics), swaps in a rebuilt
-// snapshot, and pushes the same batch through every attached view. A
-// view whose maintenance fails is left broken — it repairs itself on
-// the next read — so the dataset mutation itself always succeeds.
-// The caller, update, holds d.mu.
-func (d *dataset) updateLocked(ctx context.Context, adds, dels []sqo.Atom, now time.Time) factUpdate {
-	var up factUpdate
+// edit is one fact entering (add) or leaving a predicate's relation.
+type edit struct {
+	key  string
+	args []sqo.Term
+	add  bool
+}
+
+// applyFacts applies retractions then insertions to the canonical fact
+// set (an atom appearing in both is a no-op, matching sqo.View.Apply's
+// delete-then-insert semantics) and publishes the snapshot that follows
+// from it: the predecessor with the relations of the touched predicates
+// replaced. What lies between two edits of a relation is copied in one
+// piece, so a fact costs a binary search for its place and the relation
+// one copy of its tuple headers; nothing is sorted, keyed or hashed but
+// the batch. The caller holds d.mu or owns the dataset.
+func (d *dataset) applyFacts(adds, dels []sqo.Atom) (added, removed int) {
 	addKeys := make(map[string]bool, len(adds))
 	for _, a := range adds {
 		addKeys[a.String()] = true
 	}
+	edits := map[string][]edit{}
 	for _, a := range dels {
 		k := a.String()
-		if addKeys[k] {
-			continue
-		}
-		if _, ok := d.facts[k]; ok {
+		if _, ok := d.facts[k]; ok && !addKeys[k] {
 			delete(d.facts, k)
-			up.removed++
+			removed++
+			edits[a.Pred] = append(edits[a.Pred], edit{key: k})
 		}
 	}
 	for _, a := range adds {
 		k := a.String()
 		if _, ok := d.facts[k]; !ok {
 			d.facts[k] = a
-			up.added++
+			added++
+			edits[a.Pred] = append(edits[a.Pred], edit{k, a.Args, true})
 		}
 	}
-	d.db = d.buildDB()
+	db := d.db.Load()
+	for pred, es := range edits {
+		sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
+		var keys []string
+		var tuples []sqo.Tuple
+		if pf := d.preds[pred]; pf != nil {
+			keys, tuples = pf.keys, db.Lookup(pred).Tuples()
+		}
+		n := len(keys) + len(es)
+		nk, nt, at := make([]string, 0, n), make([]sqo.Tuple, 0, n), 0
+		for _, e := range es {
+			i := at + sort.SearchStrings(keys[at:], e.key)
+			nk, nt, at = append(nk, keys[at:i]...), append(nt, tuples[at:i]...), i
+			if e.add {
+				nk, nt = append(nk, e.key), append(nt, e.args)
+			} else {
+				at++ // keys[i] is the fact that leaves
+			}
+		}
+		nk, nt = append(nk, keys[at:]...), append(nt, tuples[at:]...)
+		delete(d.preds, pred)
+		if len(nk) > 0 {
+			d.preds[pred] = &predFacts{arity: len(nt[0]), keys: nk}
+		}
+		db = db.Replace(pred, nt)
+	}
+	d.db.Store(db)
+	return added, removed
+}
+
+// updateLocked applies the batch to the fact set and the snapshot, and
+// pushes it through every attached view. A view whose maintenance fails
+// is left broken — it repairs itself on the next read — so the dataset
+// mutation itself always succeeds. The caller, update, holds d.mu.
+func (d *dataset) updateLocked(ctx context.Context, adds, dels []sqo.Atom, now time.Time) factUpdate {
+	var up factUpdate
+	up.added, up.removed = d.applyFacts(adds, dels)
 	d.lastModified = now
 
 	names := make([]string, 0, len(d.views))
@@ -249,12 +302,16 @@ func (d *dataset) diffLocked(target []sqo.Atom) (adds, dels []sqo.Atom) {
 			}
 		}
 	}
-	for k, a := range d.facts {
+	var gone []string
+	for k := range d.facts {
 		if !targetKeys[k] {
-			dels = append(dels, a)
+			gone = append(gone, k)
 		}
 	}
-	sort.Slice(dels, func(i, j int) bool { return dels[i].String() < dels[j].String() })
+	sort.Strings(gone)
+	for _, k := range gone {
+		dels = append(dels, d.facts[k])
+	}
 	return adds, dels
 }
 

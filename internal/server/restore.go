@@ -44,7 +44,7 @@ func (s *Server) restore(rec *store.Recovered) {
 			}
 		case store.OpFacts:
 			if ds, ok := s.datasets.get(op.Dataset); ok {
-				if _, _, err := ds.update(ctx, op.Adds, op.Dels, time.Now(), nil); err != nil {
+				if _, _, err := ds.update(ctx, op.Adds, op.Dels, false, time.Now(), nil); err != nil {
 					s.log.Warn("replaying fact batch: skipped", "dataset", op.Dataset, "err", err)
 				}
 			}
@@ -105,7 +105,7 @@ func (s *Server) restoreView(ctx context.Context, ds *dataset, def store.ViewDef
 	if _, exists := ds.views[def.Name]; exists {
 		return false
 	}
-	view, err := sqo.MaterializeCtx(ctx, prog, ds.db, sqo.ViewOptions{MaxTuples: s.cfg.MaxTuples, Policy: s.policy})
+	view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: s.cfg.MaxTuples, Policy: s.policy})
 	if err != nil {
 		s.log.Warn("restoring view: materialize failed", "dataset", ds.name, "view", def.Name, "err", err)
 		return false

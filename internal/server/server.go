@@ -355,10 +355,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ds.describe())
 		return
 	}
-	ds.mu.Lock()
-	adds, dels := ds.diffLocked(facts)
-	ds.mu.Unlock()
-	s.updateDataset(w, r, ds, adds, dels)
+	s.updateDataset(w, r, ds, facts, nil, true)
 }
 
 // parseDatasetBody reads a whole-dataset request (PUT, POST): the name

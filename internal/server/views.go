@@ -48,8 +48,9 @@ func parseFactsBody(w http.ResponseWriter, r *http.Request) ([]sqo.Atom, bool) {
 
 // updateDataset is the shared tail of every mutation handler: admit,
 // bound by the update deadline, validate, log and apply under the
-// dataset lock (dataset.update), account metrics, respond.
-func (s *Server) updateDataset(w http.ResponseWriter, r *http.Request, ds *dataset, adds, dels []sqo.Atom) {
+// dataset lock (dataset.update, which also explains replace), account
+// metrics, respond.
+func (s *Server) updateDataset(w http.ResponseWriter, r *http.Request, ds *dataset, adds, dels []sqo.Atom, replace bool) {
 	release, ok := s.admit()
 	if !ok {
 		w.Header().Set("Retry-After", "1")
@@ -64,11 +65,11 @@ func (s *Server) updateDataset(w http.ResponseWriter, r *http.Request, ds *datas
 	start := time.Now()
 	// Write-ahead: the mutation reaches the log (durable per the fsync
 	// policy) before it is applied or acknowledged.
-	var persist func() error
+	var persist func(adds, dels []sqo.Atom) error
 	if s.store != nil {
-		persist = func() error { return s.store.AppendFacts(ds.name, adds, dels) }
+		persist = func(adds, dels []sqo.Atom) error { return s.store.AppendFacts(ds.name, adds, dels) }
 	}
-	up, info, err := ds.update(ctx, adds, dels, time.Now(), persist)
+	up, info, err := ds.update(ctx, adds, dels, replace, time.Now(), persist)
 	var re *requestError
 	if errors.As(err, &re) {
 		s.writeRequestError(w, re)
@@ -109,7 +110,7 @@ func (s *Server) handleFactsAdd(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.updateDataset(w, r, ds, facts, nil)
+	s.updateDataset(w, r, ds, facts, nil, false)
 }
 
 // handleFactsDelete retracts facts from a dataset (DELETE
@@ -125,7 +126,7 @@ func (s *Server) handleFactsDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.updateDataset(w, r, ds, nil, facts)
+	s.updateDataset(w, r, ds, nil, facts, false)
 }
 
 // handleDatasetDelete unregisters a dataset and drops its views
@@ -293,7 +294,7 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusConflict, "view_exists", "view %q already exists on dataset %q", vname, name)
 			}
 		}
-		view, err := sqo.MaterializeCtx(ctx, prog, ds.db, sqo.ViewOptions{MaxTuples: maxTuples, Policy: s.policy})
+		view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: maxTuples, Policy: s.policy})
 		if err != nil {
 			return nil, func() { s.writeEvalError(w, err) }
 		}

@@ -75,6 +75,9 @@ type Term = ast.Term
 // DB is an extensional or intensional database.
 type DB = eval.DB
 
+// Tuple is one row of a relation: constant terms.
+type Tuple = eval.Tuple
+
 // Stats reports evaluation instrumentation (rounds, rule firings,
 // join probes, derived tuples).
 type Stats = eval.Stats
