@@ -8,7 +8,10 @@ package eval
 // found it to the merge), one probe-and-insert into its IDB relation's
 // dedup set, one row append. The semi-naive delta is not a second copy
 // but the window of rows the last merge appended, and rows become terms
-// again only for the relations the caller asked for. Answers, Stats, and
+// again only when the caller asks: a query's answers leave as a Result
+// (result.go) — the matching rows and the interner, nothing else of the
+// evaluator — whose Tuples() converts them and whose Ordered() writes
+// them out without. Answers, Stats, and
 // provenance are identical for every worker count; answers are checked
 // against internal/refeval, counters against pinned values and
 // provenance by a derivation-tree validator (compiled_test.go).
@@ -26,8 +29,8 @@ import (
 
 // evalCompiled validates and evaluates p over edb, recording provenance
 // steps into prov when non-nil, and returns the evaluator holding the
-// interned fixpoint; publicIDB or answers converts what the caller
-// wants of it.
+// interned fixpoint; publicIDB converts it, answers wraps the part of it
+// the caller asked for.
 func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, prov *Provenance) (*cEvaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -1002,25 +1005,35 @@ func (tr *cTaskRun) finish() error {
 func (ev *cEvaluator) publicIDB() *DB {
 	out := NewDB()
 	for pred, ir := range ev.idb {
-		out.rels[pred] = &Relation{Arity: ir.arity, tuples: ev.tuples(ir, nil)}
+		// The fixpoint is over and only the rows are still needed: let the
+		// collector have the dedup set and indexes while the public copy —
+		// the evaluation's largest allocation — is being built.
+		ir.set, ir.indexes = rowHash{}, nil
+		out.rels[pred] = &Relation{Arity: ir.arity, tuples: ev.result(ir).Tuples()}
 	}
 	return out
 }
 
-// answers converts the rows of pred's relation that match goal (see
-// ast.Program.MatchesGoal; an empty goal matches every row) to tuples,
-// in insertion order: nil when nothing matches or pred is not derived.
-// Ids are canonical, so the goal is checked on the interned rows and
-// only the answers are ever turned back into terms.
-func (ev *cEvaluator) answers(pred string, goal []ast.Term) []Tuple {
+// result wraps ir's rows as a Result: it shares the row store and the
+// evaluation's interner and points at nothing else of either.
+func (ev *cEvaluator) result(ir *irel) *Result {
+	return &Result{in: ev.in, arity: ir.arity, data: ir.data, n: ir.n}
+}
+
+// answers returns the rows of pred's relation that match goal (see
+// ast.Program.MatchesGoal; an empty goal matches every row), in
+// insertion order; the empty Result when nothing matches or pred is not
+// derived. Ids are canonical, so the goal is checked on the interned
+// rows, and no row becomes terms unless the caller asks (Result.Tuples).
+func (ev *cEvaluator) answers(pred string, goal []ast.Term) *Result {
 	ir := ev.idb[pred]
 	switch {
 	case ir == nil:
-		return nil
+		return &Result{}
 	case len(goal) == 0:
-		return ev.tuples(ir, nil)
+		return ev.result(ir)
 	case len(goal) != ir.arity:
-		return nil
+		return &Result{}
 	}
 	// Position i must hold the id want[i] (a goal constant) or equal
 	// position same[i] (the first occurrence of a repeated variable;
@@ -1039,7 +1052,7 @@ func (ev *cEvaluator) answers(pred string, goal []ast.Term) []Tuple {
 			}
 		}
 	}
-	var rows []int32
+	res := &Result{arity: ir.arity}
 next:
 	for ri := 0; ri < ir.n; ri++ {
 		row := ir.row(ri)
@@ -1048,39 +1061,7 @@ next:
 				continue next
 			}
 		}
-		rows = append(rows, int32(ri))
+		res.in, res.n, res.data = ev.in, res.n+1, append(res.data, row...)
 	}
-	if rows == nil {
-		return nil
-	}
-	return ev.tuples(ir, rows)
-}
-
-// tuples converts the listed rows of ir (nil: all of them) to tuples
-// that share one backing array of terms. Rows are already deduplicated;
-// no key string is built here — a Relation renders its key set on the
-// first Contains or Add, and most results are only ever listed.
-func (ev *cEvaluator) tuples(ir *irel, rows []int32) []Tuple {
-	// The fixpoint is over and only the rows are still needed: let the
-	// collector have the dedup set and indexes while the public copy —
-	// the evaluation's largest allocation — is being built.
-	ir.set, ir.indexes = rowHash{}, nil
-	n := ir.n
-	if rows != nil {
-		n = len(rows)
-	}
-	out := make([]Tuple, n)
-	terms := make([]ast.Term, n*ir.arity)
-	for i := range out {
-		ri := i
-		if rows != nil {
-			ri = int(rows[i])
-		}
-		t := terms[i*ir.arity : (i+1)*ir.arity : (i+1)*ir.arity]
-		for j, id := range ir.row(ri) {
-			t[j] = ev.in.term(id)
-		}
-		out[i] = t
-	}
-	return out
+	return res
 }

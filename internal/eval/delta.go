@@ -16,8 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/ast"
@@ -202,31 +200,35 @@ func (v RelView) Each(f func(row []uint32)) {
 	}
 }
 
+// Result copies the view's rows out as a Result that owes the relation
+// and the program nothing afterwards: the rows are its own, and its
+// interner is the prefix of the program's that exists now, which later
+// InternFact calls only extend. Take it under whatever excludes the
+// relation's writer; read it without.
+func (dp *DeltaProgram) Result(v RelView) *Result {
+	res := &Result{n: v.live}
+	if v.Rel != nil {
+		res.arity = v.Rel.r.arity
+		res.data = make([]uint32, 0, v.live*res.arity)
+		v.Each(func(row []uint32) { res.data = append(res.data, row...) })
+	}
+	// The key cache goes along, with the keys of these rows filled in now:
+	// the writer fills other entries later, never these.
+	for _, id := range res.data {
+		dp.in.termKey(id)
+	}
+	terms, keys := dp.in.terms, dp.in.keys
+	res.in = &interner{terms: terms[:len(terms):len(terms)], keys: keys[:len(keys):len(keys)]}
+	return res
+}
+
 // SortedTuples returns the view's rows as tuples in Tuple.Key order,
-// rendering each key once and each term's share of it at most once per
-// program. Like InternFact it is for the relations' single writer.
+// rendering each distinct constant's key once. Like InternFact it is for
+// the relations' single writer.
 func (dp *DeltaProgram) SortedTuples(v RelView) []Tuple {
-	type keyed struct {
-		key string
-		t   Tuple
-	}
-	ks := make([]keyed, 0, v.Len())
-	v.Each(func(row []uint32) {
-		var b strings.Builder
-		for i, id := range row {
-			if i > 0 {
-				b.WriteByte('\x01')
-			}
-			b.WriteString(dp.in.termKey(id))
-		}
-		ks = append(ks, keyed{b.String(), dp.Tuple(row)})
-	})
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]Tuple, len(ks))
-	for i := range ks {
-		out[i] = ks[i].t
-	}
-	return out
+	res := dp.Result(v)
+	perm, _, _ := res.order(ByKey)
+	return res.tuplesIn(perm)
 }
 
 // InternFact interns a ground tuple of pred, appending the row to buf

@@ -493,6 +493,18 @@ func QueryWith(p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
 // evaluated as written; Stats.ElimApplied/ElimChecked record the
 // outcome.
 func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
+	res, stats, err := QueryResultCtx(ctx, p, edb, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Tuples(), stats, nil
+}
+
+// QueryResultCtx is QueryCtx for a caller that wants the answers written
+// out rather than handed over: the same evaluation, returning the
+// answers as a Result — interned rows, converted to tuples only on
+// request — which is all of the evaluation that stays reachable.
+func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*Result, *Stats, error) {
 	if err := opts.validatePolicy(); err != nil {
 		return nil, nil, err
 	}
@@ -540,6 +552,6 @@ func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tup
 	// Restrict to the goal on both paths: bottom-up computes the whole
 	// relation, and the magic-rewritten relation can hold tuples for
 	// bindings demanded recursively beyond the goal's own constants.
-	// Only the query relation's matching rows are converted to tuples.
+	// Only the query relation's matching rows leave the evaluation.
 	return ev.answers(prog.Query, p.Goal), ev.stats, nil
 }

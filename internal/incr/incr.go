@@ -384,6 +384,19 @@ func (v *View) Answers() ([]eval.Tuple, error) {
 	return v.FactsOf(v.prog.Query)
 }
 
+// Result copies the query predicate's current rows out as an
+// eval.Result, repairing the view first like Answers. The copy is all
+// that happens under the view's lock: ordering, rendering and writing
+// the answers — to a socket, say — then run while the next Apply does.
+func (v *View) Result() (*eval.Result, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if err := v.repairLocked(context.Background()); err != nil {
+		return nil, err
+	}
+	return v.dp.Result(v.curView(v.prog.Query)), nil
+}
+
 // FactsOf returns any predicate's current tuples sorted by canonical
 // key (EDB predicates reflect every ingested delta).
 func (v *View) FactsOf(pred string) ([]eval.Tuple, error) {

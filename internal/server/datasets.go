@@ -25,8 +25,13 @@ import (
 // base.go) from query to query: the first query to evaluate a new
 // snapshot builds it and every later query on that snapshot reuses it.
 //
-// d.mu is the writers' and the view registry's lock. update holds it
-// across the arity check, the WAL append, the publication of the new
+// The view registry is published the same way — an immutable map behind
+// an atomic pointer, replaced whole by putView and dropViews — so a view
+// read finds its view without d.mu.
+//
+// d.mu is the writers' lock, for the facts and for the view registry.
+// update holds it across the arity check, the WAL append, the
+// publication of the new
 // snapshot — after the append, so no query sees a fact that is not yet
 // durable — and the maintenance of every view, which keeps WAL order,
 // snapshot order and view order one order. Attached views are
@@ -41,7 +46,8 @@ type dataset struct {
 	facts        map[string]sqo.Atom   // canonical fact set, keyed by rendering
 	preds        map[string]*predFacts // facts' keys by predicate
 	lastModified time.Time
-	views        map[string]*matView
+
+	views atomic.Pointer[map[string]*matView] // read with viewMap; replaced under mu
 }
 
 // predFacts is one predicate's share of the fact set: its arity and its
@@ -66,9 +72,9 @@ func newDataset(name string, facts []sqo.Atom, now time.Time) *dataset {
 		name:         name,
 		facts:        map[string]sqo.Atom{},
 		preds:        map[string]*predFacts{},
-		views:        map[string]*matView{},
 		lastModified: now,
 	}
+	ds.views.Store(&map[string]*matView{})
 	ds.db.Store(sqo.NewDB())
 	ds.applyFacts(facts, nil)
 	return ds
@@ -76,6 +82,34 @@ func newDataset(name string, facts []sqo.Atom, now time.Time) *dataset {
 
 // snapshot returns the current immutable database.
 func (d *dataset) snapshot() *sqo.DB { return d.db.Load() }
+
+// viewMap returns the current view registry. The map is never written
+// again; no lock is needed to read it.
+func (d *dataset) viewMap() map[string]*matView { return *d.views.Load() }
+
+// putView publishes a registry in which name is bound to mv, or to
+// nothing when mv is nil. The caller holds d.mu.
+func (d *dataset) putView(name string, mv *matView) {
+	next := map[string]*matView{}
+	for n, v := range d.viewMap() {
+		next[n] = v
+	}
+	if mv != nil {
+		next[name] = mv
+	} else {
+		delete(next, name)
+	}
+	d.views.Store(&next)
+}
+
+// dropViews empties the registry and returns how many views it held.
+func (d *dataset) dropViews() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.viewMap())
+	d.views.Store(&map[string]*matView{})
+	return n
+}
 
 // DatasetInfo describes one registered dataset over the wire.
 type DatasetInfo struct {
@@ -97,8 +131,8 @@ func (d *dataset) describeLocked() DatasetInfo {
 	for p, pf := range d.preds {
 		preds[p] = len(pf.keys)
 	}
-	views := make([]string, 0, len(d.views))
-	for name := range d.views {
+	views := make([]string, 0, len(d.viewMap()))
+	for name := range d.viewMap() {
 		views = append(views, name)
 	}
 	sort.Strings(views)
@@ -264,13 +298,14 @@ func (d *dataset) updateLocked(ctx context.Context, adds, dels []sqo.Atom, now t
 	up.added, up.removed = d.applyFacts(adds, dels)
 	d.lastModified = now
 
-	names := make([]string, 0, len(d.views))
-	for name := range d.views {
+	views := d.viewMap()
+	names := make([]string, 0, len(views))
+	for name := range views {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		mv := d.views[name]
+		mv := views[name]
 		start := time.Now()
 		ch, err := mv.view.ApplyCtx(ctx, adds, dels)
 		vu := viewUpdate{

@@ -1,0 +1,121 @@
+package server
+
+import (
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// The serving path's unit cost: one POST /v1/query through
+// Server.Handler() into a recorder — decode, cached compile, fixpoint,
+// order, render, write — on the benchmark's dataset (40 chains of 50
+// edges), for a whole relation (?- path., 51,000 answers) and for a
+// point query at the head of a chain (50 answers).
+
+const (
+	respChains   = 40
+	respChainLen = 50
+	respTC       = "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), edge(Z, Y).\n"
+	respICs      = ":- edge(X, Y), Y <= X.\n"
+)
+
+// responseFixture returns a handler over the chain dataset and the two
+// request bodies, with the rewrite cache and the interned base warm.
+func responseFixture(tb testing.TB) (h http.Handler, full, point string) {
+	tb.Helper()
+	var facts strings.Builder
+	for c := 0; c < respChains; c++ {
+		for i := 0; i < respChainLen; i++ {
+			fmt.Fprintf(&facts, "edge(%d, %d).\n", c*100+i, c*100+i+1)
+		}
+	}
+	h = New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)), Workers: 1}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/datasets/g", strings.NewReader(facts.String())))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("dataset put: %d %s", rec.Code, rec.Body)
+	}
+	body := func(goal string) string {
+		return fmt.Sprintf(`{"program": %q, "ics": %q, "dataset": "g"}`, respTC+goal, respICs)
+	}
+	full, point = body("?- path.\n"), body("?- path(0, Y).\n")
+	for _, b := range []string{full, point} {
+		postQuery(tb, h, b)
+	}
+	return h, full, point
+}
+
+// postQuery serves one query body and returns the recorded response.
+func postQuery(tb testing.TB, h http.Handler, body string) *httptest.ResponseRecorder {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("query: %d %s", rec.Code, rec.Body)
+	}
+	return rec
+}
+
+func BenchmarkQueryResponse(b *testing.B) {
+	h, full, point := responseFixture(b)
+	for _, c := range []struct {
+		name    string
+		body    string
+		answers int
+	}{
+		{"answers=50", point, 50},
+		{"answers=51000", full, 51000},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rec := postQuery(b, h, c.body); i == 0 && strings.Count(rec.Body.String(), "\n    \"(") != c.answers {
+					b.Fatalf("want %d answers, body starts %.200s", c.answers, rec.Body)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N) * float64(c.answers)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/answer")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/answer")
+		})
+	}
+}
+
+// TestQueryResponseAllocationGuard bounds what one response allocates:
+// a 51,000-answer body used to take 358,069 allocations and 27.4 MB (a
+// Tuple, a string and a sorted copy per answer, then encoding/json over
+// the lot) and takes a few thousand now; the 50-answer point response
+// must not pay for that (1,105 allocations at the parent commit, recorder and request included).
+func TestQueryResponseAllocationGuard(t *testing.T) {
+	h, full, point := responseFixture(t)
+	for _, c := range []struct {
+		name      string
+		body      string
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{"51,000 answers", full, 10000, 15 << 20},
+		{"50 answers", point, 1105, 1 << 20},
+	} {
+		run := func() { postQuery(t, h, c.body) }
+		if got := testing.AllocsPerRun(3, run); got > c.maxAllocs {
+			t.Errorf("%s: %.0f allocations per request, want at most %.0f", c.name, got, c.maxAllocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.maxBytes {
+			t.Errorf("%s: %d bytes per request, want at most %d", c.name, got, c.maxBytes)
+		}
+	}
+}

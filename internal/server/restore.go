@@ -36,11 +36,7 @@ func (s *Server) restore(rec *store.Recovered) {
 			s.datasets.create(op.Dataset, op.Adds, time.Now(), nil)
 		case store.OpDatasetDelete:
 			if ds, ok, _ := s.datasets.delete(op.Dataset, nil); ok {
-				ds.mu.Lock()
-				n := len(ds.views)
-				ds.views = map[string]*matView{}
-				ds.mu.Unlock()
-				s.metrics.Views.Add(int64(-n))
+				s.metrics.Views.Add(int64(-ds.dropViews()))
 			}
 		case store.OpFacts:
 			if ds, ok := s.datasets.get(op.Dataset); ok {
@@ -57,8 +53,8 @@ func (s *Server) restore(rec *store.Recovered) {
 		case store.OpViewDrop:
 			if ds, ok := s.datasets.get(op.Dataset); ok {
 				ds.mu.Lock()
-				if _, exists := ds.views[op.View.Name]; exists {
-					delete(ds.views, op.View.Name)
+				if _, exists := ds.viewMap()[op.View.Name]; exists {
+					ds.putView(op.View.Name, nil)
 					s.metrics.Views.Add(-1)
 					views--
 				}
@@ -102,7 +98,7 @@ func (s *Server) restoreView(ctx context.Context, ds *dataset, def store.ViewDef
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if _, exists := ds.views[def.Name]; exists {
+	if _, exists := ds.viewMap()[def.Name]; exists {
 		return false
 	}
 	view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: s.cfg.MaxTuples, Policy: s.policy})
@@ -110,7 +106,7 @@ func (s *Server) restoreView(ctx context.Context, ds *dataset, def store.ViewDef
 		s.log.Warn("restoring view: materialize failed", "dataset", ds.name, "view", def.Name, "err", err)
 		return false
 	}
-	ds.views[def.Name] = &matView{name: def.Name, program: prog, optimized: def.Optimized, view: view, createdAt: time.Now()}
+	ds.putView(def.Name, &matView{name: def.Name, program: prog, optimized: def.Optimized, view: view, createdAt: time.Now()})
 	s.metrics.Views.Add(1)
 	return true
 }

@@ -14,6 +14,18 @@
 // those updates: each mutation is pushed through sqo.View.Apply,
 // which maintains the answers incrementally (counting / DRed) under
 // the same admission control and a per-update deadline.
+//
+// Answers are written once. A query's answers reach its handler as an
+// interned result (sqo.QueryResult), a view's as a copy of its rows taken
+// under the view's lock, and writeAnswers streams either through
+// internal/jsonresp: each distinct constant rendered and JSON-escaped
+// once, rows ordered by constant rank, the body leaving in 64 KB chunks.
+// The body is byte for byte what json.Encoder with SetIndent("", "  ")
+// wrote when the envelope held a []string of Tuple.String renderings
+// (answers_test.go keeps that path as the oracle); /v1/query orders by
+// Tuple.String (sqo.ByString) and view reads by Tuple.Key (sqo.ByKey),
+// both through Result.Ordered; and no dataset or view mutex is held while
+// bytes go to a ResponseWriter, so a stalled client holds up only itself.
 package server
 
 import (
@@ -26,11 +38,11 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	sqo "repro"
+	"repro/internal/jsonresp"
 	"repro/internal/store"
 )
 
@@ -217,6 +229,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // statusWriter captures the response code for logging and metrics.
+// Unwrap lets http.ResponseController reach the connection through it
+// (Flush, SetWriteDeadline); body bytes still pass through Write.
 type statusWriter struct {
 	http.ResponseWriter
 	code    int
@@ -235,6 +249,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	w.bytes += n
 	return n, err
 }
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // gated wraps a dataset-touching handler so it fails fast with 503
 // "not_ready" while an asynchronous restore is still replaying durable
@@ -311,6 +327,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeAnswers is writeJSON for the two envelopes that carry answers
+// (queryResponse, viewResponse): a 200 whose "answers" member is the
+// result's tuples in the given order, each written as Tuple.String.
+func writeAnswers(w http.ResponseWriter, envelope any, result *sqo.QueryResult, order sqo.AnswerOrder) {
+	jsonresp.Write(w, http.StatusOK, envelope, func(a *jsonresp.Array) {
+		result.Ordered(order, jsonresp.AppendEscaped, a.Tuple)
+	})
 }
 
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
@@ -775,7 +800,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	evalStart := time.Now()
-	tuples, stats, err := sqo.QueryCtx(ctx, prog, db, evalOpts)
+	result, stats, err := sqo.QueryResultCtx(ctx, prog, db, evalOpts)
 	evalMS := float64(time.Since(evalStart).Microseconds()) / 1000
 	if err != nil {
 		if ctxErr := classifyCtxErr(err); ctxErr != nil {
@@ -799,15 +824,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.metrics.EvalElim.Add(1)
 	}
 
-	answers := make([]string, len(tuples))
-	for i, t := range tuples {
-		answers[i] = t.String()
-	}
-	sort.Strings(answers)
 	resp := queryResponse{
 		Query:       prog.Query,
-		Answers:     answers,
-		AnswerCount: len(answers),
+		Answers:     []string{}, // written by writeAnswers
+		AnswerCount: result.Len(),
 		Satisfiable: satisfiable,
 		Optimized:   doOptimize,
 		CacheHit:    cacheHit,
@@ -826,5 +846,5 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeRoundDeltas {
 		resp.RoundDeltas = stats.RoundDeltas
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswers(w, resp, result, sqo.ByString)
 }

@@ -146,10 +146,7 @@ func (s *Server) handleDatasetDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown_dataset", "dataset %q is not registered", name)
 		return
 	}
-	ds.mu.Lock()
-	nviews := len(ds.views)
-	ds.views = map[string]*matView{}
-	ds.mu.Unlock()
+	nviews := ds.dropViews()
 	s.metrics.Views.Add(int64(-nviews))
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name, "views_dropped": nviews})
 }
@@ -289,7 +286,7 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 	mv, fail := func() (*matView, func()) {
 		ds.mu.Lock()
 		defer ds.mu.Unlock()
-		if _, exists := ds.views[vname]; exists {
+		if _, exists := ds.viewMap()[vname]; exists {
 			return nil, func() {
 				writeError(w, http.StatusConflict, "view_exists", "view %q already exists on dataset %q", vname, name)
 			}
@@ -310,7 +307,7 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		mv := &matView{name: vname, program: prog, optimized: doOptimize, view: view, createdAt: time.Now()}
-		ds.views[vname] = mv
+		ds.putView(vname, mv)
 		return mv, nil
 	}()
 	if fail != nil {
@@ -325,7 +322,9 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleViewGet returns a view's current answers (GET
 // /v1/datasets/{name}/views/{view}); a view broken by a failed update
-// repairs itself (full rebuild) here.
+// repairs itself (full rebuild) here. The registry is read without the
+// dataset's lock, so the read does not queue behind an update's WAL
+// append or its maintenance of other views.
 func (s *Server) handleViewGet(w http.ResponseWriter, r *http.Request) {
 	name, vname := r.PathValue("name"), r.PathValue("view")
 	ds, ok := s.datasets.get(name)
@@ -333,9 +332,7 @@ func (s *Server) handleViewGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown_dataset", "dataset %q is not registered", name)
 		return
 	}
-	ds.mu.Lock()
-	mv, ok := ds.views[vname]
-	ds.mu.Unlock()
+	mv, ok := ds.viewMap()[vname]
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown_view", "view %q is not registered on dataset %q", vname, name)
 		return
@@ -352,7 +349,7 @@ func (s *Server) handleViewDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds.mu.Lock()
-	_, ok = ds.views[vname]
+	_, ok = ds.viewMap()[vname]
 	if ok && s.store != nil {
 		if err := s.store.AppendViewDrop(name, vname); err != nil {
 			ds.mu.Unlock()
@@ -360,7 +357,9 @@ func (s *Server) handleViewDelete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	delete(ds.views, vname)
+	if ok {
+		ds.putView(vname, nil)
+	}
 	ds.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown_view", "view %q is not registered on dataset %q", vname, name)
@@ -371,30 +370,28 @@ func (s *Server) handleViewDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // respondView renders a view's current answers and statistics.
-// Answers() repairs a broken view first, so a view that failed an
-// update deadline serves correct (rebuilt) answers here.
+// Result() repairs a broken view first, so a view that failed an
+// update deadline serves correct (rebuilt) answers here; it copies the
+// rows out under the view's lock, and they are ordered and written with
+// no lock held.
 func (s *Server) respondView(w http.ResponseWriter, ds *dataset, mv *matView, cacheHit bool, materializeMS float64, diagnostics []sqo.LintFinding) {
-	tuples, err := mv.view.Answers()
+	result, err := mv.view.Result()
 	if err != nil {
 		s.writeEvalError(w, err)
 		return
 	}
-	answers := make([]string, len(tuples))
-	for i, t := range tuples {
-		answers[i] = t.String()
-	}
-	writeJSON(w, http.StatusOK, viewResponse{
+	writeAnswers(w, viewResponse{
 		Name:          mv.name,
 		Dataset:       ds.name,
 		Query:         mv.program.Query,
-		Answers:       answers,
-		AnswerCount:   len(answers),
+		Answers:       []string{}, // written by writeAnswers
+		AnswerCount:   result.Len(),
 		Optimized:     mv.optimized,
 		CacheHit:      cacheHit,
 		Diagnostics:   diagnostics,
 		Stats:         toViewStats(mv.view.Stats()),
 		MaterializeMS: materializeMS,
-	})
+	}, result, sqo.ByKey)
 }
 
 // writeEvalError maps evaluation failures (cancellation, deadline,

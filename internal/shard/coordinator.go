@@ -30,6 +30,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/jsonresp"
 )
 
 // Config tunes the coordinator; Peers is required, everything else
@@ -538,7 +540,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	c.metrics.ObserveScatter(time.Since(start))
 
-	merged := map[string]bool{}
+	var lists [][]string
 	var failedPeers, failedDatasets []string
 	seenPeer := map[string]bool{}
 	for _, sh := range shards {
@@ -550,18 +552,12 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		for _, a := range sh.Answers {
-			merged[a] = true
-		}
+		lists = append(lists, sh.Answers)
 	}
-	answers := make([]string, 0, len(merged))
-	for a := range merged {
-		answers = append(answers, a)
-	}
-	sort.Strings(answers)
+	answers := mergeSorted(lists)
 	sort.Strings(failedPeers)
 	sort.Strings(failedDatasets)
-	coordJSON(w, http.StatusOK, struct {
+	jsonresp.Write(w, http.StatusOK, struct {
 		Answers        []string      `json:"answers"`
 		AnswerCount    int           `json:"answer_count"`
 		Degraded       bool          `json:"degraded"`
@@ -569,13 +565,51 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		FailedDatasets []string      `json:"failed_datasets,omitempty"`
 		Shards         []shardAnswer `json:"shards"`
 	}{
-		Answers:        answers,
+		Answers:        []string{}, // streamed below
 		AnswerCount:    len(answers),
 		Degraded:       len(failedDatasets) > 0,
 		FailedPeers:    failedPeers,
 		FailedDatasets: failedDatasets,
 		Shards:         shards,
+	}, func(a *jsonresp.Array) {
+		for _, s := range answers {
+			if !a.String(s) {
+				return
+			}
+		}
 	})
+}
+
+// mergeSorted returns the sorted union of lists, each value once: a
+// k-way merge that drops equal neighbours, a worker's answers being
+// sorted. One that is not (a worker at an older version) is sorted first,
+// on a copy: the response echoes each shard's answers as they came.
+func mergeSorted(lists [][]string) []string {
+	total := 0
+	for i, l := range lists {
+		if !sort.StringsAreSorted(l) {
+			l = append([]string(nil), l...)
+			sort.Strings(l)
+			lists[i] = l
+		}
+		total += len(l)
+	}
+	out := make([]string, 0, total)
+	for {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0] < lists[best][0]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		if s := lists[best][0]; len(out) == 0 || out[len(out)-1] != s {
+			out = append(out, s)
+		}
+		lists[best] = lists[best][1:]
+	}
 }
 
 // queryShard runs the scattered request against one dataset's owner.

@@ -8,7 +8,8 @@
 # -data-dir (pure in-memory, exactly as before durability existed);
 # a second pass starts a durable daemon, populates it, stops it, and
 # restarts on the same directory asserting datasets, facts, and live
-# views all survive. `make serve-smoke` and the CI serve-smoke job
+# views all survive and a full-relation query's body is byte-identical
+# (SHA-256) across the restart. `make serve-smoke` and the CI serve-smoke job
 # both run exactly this script.
 set -euo pipefail
 
@@ -177,6 +178,17 @@ curl -fsS -X POST "$BASE/v1/datasets/quickstart/views/paths" -H 'Content-Type: a
 curl -fsS -X POST "$BASE/v1/datasets/quickstart/facts" --data-binary 'step(5, 6).' >/dev/null || fail "durable fact insert failed"
 curl -fsS "$BASE/v1/datasets/quickstart/views/paths" >"$WORK/dv1.json" || fail "durable view get failed"
 jq -e '.answer_count == 11' "$WORK/dv1.json" >/dev/null || fail "unexpected durable view: $(cat "$WORK/dv1.json")"
+# A full-relation query: its body, less the three members that report
+# this request's timing and cache luck, must hash the same after the
+# restart below, and answer_count must be the length of answers.
+FULL='{
+  "program": "path(X, Y) :- step(X, Y). path(X, Y) :- step(X, Z), path(Z, Y). ?- path.",
+  "dataset": "quickstart"
+}'
+body_sha() { grep -Ev '^  "(optimize_ms|eval_ms|cache_hit)":' "$1" | sha256sum | cut -d' ' -f1; }
+curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$FULL" >"$WORK/full1.json" || fail "full query failed"
+jq -e '.answer_count == 11 and .answer_count == (.answers | length) and .answers == (.answers | sort)' "$WORK/full1.json" >/dev/null \
+	|| fail "full query: answer_count, answers and their order disagree: $(cat "$WORK/full1.json")"
 curl -fsS "$BASE/metrics" >"$WORK/dmetrics.txt" || fail "durable metrics scrape failed"
 grep -Eq '^sqod_wal_appends_total [1-9]' "$WORK/dmetrics.txt" || fail "sqod_wal_appends_total not positive"
 grep -Eq '^sqod_wal_bytes_total [1-9]' "$WORK/dmetrics.txt" || fail "sqod_wal_bytes_total not positive"
@@ -215,6 +227,10 @@ curl -fsS "$BASE/v1/datasets/quickstart/views/paths" >"$WORK/dv2.json" || fail "
 jq -e '.answer_count == 11' "$WORK/dv2.json" >/dev/null || fail "recovered view wrong: $(cat "$WORK/dv2.json")"
 [ "$(jq -cS .answers "$WORK/dv1.json")" = "$(jq -cS .answers "$WORK/dv2.json")" ] || fail "view answers differ across restart"
 grep -Eq '^sqod_recovery_seconds [0-9]' <(curl -fsS "$BASE/metrics") || fail "sqod_recovery_seconds missing after restart"
+curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$FULL" >"$WORK/full2.json" || fail "full query failed after restart"
+jq -e '.answer_count == (.answers | length)' "$WORK/full2.json" >/dev/null || fail "full query after restart: answer_count is not the length of answers"
+[ "$(body_sha "$WORK/full1.json")" = "$(body_sha "$WORK/full2.json")" ] \
+	|| fail "full-query body changed across the restart: $(diff "$WORK/full1.json" "$WORK/full2.json")"
 
 echo "serve-smoke: view still maintainable after recovery"
 curl -fsS -X POST "$BASE/v1/datasets/quickstart/facts" --data-binary 'step(6, 7).' >"$WORK/du1.json" || fail "post-recovery insert failed"

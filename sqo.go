@@ -302,6 +302,28 @@ func QueryCtx(ctx context.Context, p *Program, edb *DB, opts EvalOptions) ([]eva
 	return eval.QueryCtx(ctx, p, edb, opts)
 }
 
+// QueryResult is a query's answers while they are still the engine's
+// interned rows: Len, Tuples (converted when called) and Ordered, which
+// walks them in AnswerOrder with every distinct constant rendered once.
+// It is immutable and holds nothing of the evaluation but the query
+// relation's rows and their interner (see eval.Result).
+type QueryResult = eval.Result
+
+// AnswerOrder is an order of a QueryResult's answers: ByString, the
+// order of Tuple.String, or ByKey, the order of Tuple.Key.
+type AnswerOrder = eval.Order
+
+var (
+	ByString = eval.ByString
+	ByKey    = eval.ByKey
+)
+
+// QueryResultCtx is QueryCtx returning a QueryResult instead of tuples,
+// for callers that write the answers out rather than compute on them.
+func QueryResultCtx(ctx context.Context, p *Program, edb *DB, opts EvalOptions) (*QueryResult, *Stats, error) {
+	return eval.QueryResultCtx(ctx, p, edb, opts)
+}
+
 // Satisfiable decides whether the program's query predicate has any
 // derivation on a database satisfying the constraints (Theorem 5.1's
 // decision procedure, for the decidable constraint classes).
