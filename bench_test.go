@@ -50,21 +50,10 @@ func BenchmarkF1QueryTree(b *testing.B) {
 
 // benchEval factors the evaluate-original-vs-rewritten pattern.
 func benchEval(b *testing.B, prog *Program, db *DB) {
-	benchEvalWith(b, prog, db, DefaultEvalOptions())
-}
-
-// evalOptsWorkers is DefaultEvalOptions with a fixed worker count.
-func evalOptsWorkers(w int) EvalOptions {
-	o := DefaultEvalOptions()
-	o.Workers = w
-	return o
-}
-
-func benchEvalWith(b *testing.B, prog *Program, db *DB, opts EvalOptions) {
 	b.ReportAllocs()
 	var probes int64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := EvalWith(prog, db, opts)
+		_, stats, err := Eval(prog, db)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,12 +77,6 @@ func BenchmarkE1GoodPath(b *testing.B) {
 	db := NewDBFrom(workload.StarPaths(40, 40))
 	b.Run("original", func(b *testing.B) { benchEval(b, p, db) })
 	b.Run("rewritten", func(b *testing.B) { benchEval(b, res.Program, db) })
-	b.Run("original-seq", func(b *testing.B) {
-		benchEvalWith(b, p, db, evalOptsWorkers(1))
-	})
-	b.Run("original-par4", func(b *testing.B) {
-		benchEvalWith(b, p, db, evalOptsWorkers(4))
-	})
 }
 
 // BenchmarkE2Threshold evaluates the Section 3 threshold example.
@@ -110,12 +93,6 @@ func BenchmarkE2Threshold(b *testing.B) {
 	db := NewDBFrom(workload.GoodPath(200, 100, 40))
 	b.Run("original", func(b *testing.B) { benchEval(b, p, db) })
 	b.Run("rewritten", func(b *testing.B) { benchEval(b, res.Program, db) })
-	b.Run("original-seq", func(b *testing.B) {
-		benchEvalWith(b, p, db, evalOptsWorkers(1))
-	})
-	b.Run("original-par4", func(b *testing.B) {
-		benchEvalWith(b, p, db, evalOptsWorkers(4))
-	})
 }
 
 // BenchmarkE3ABPaths evaluates the Figure 1 two-flavour closure.
@@ -129,12 +106,6 @@ func BenchmarkE3ABPaths(b *testing.B) {
 	db := NewDBFrom(workload.ABComb(8, 14, 14))
 	b.Run("original", func(b *testing.B) { benchEval(b, p, db) })
 	b.Run("rewritten", func(b *testing.B) { benchEval(b, res.Program, db) })
-	b.Run("original-seq", func(b *testing.B) {
-		benchEvalWith(b, p, db, evalOptsWorkers(1))
-	})
-	b.Run("original-par4", func(b *testing.B) {
-		benchEvalWith(b, p, db, evalOptsWorkers(4))
-	})
 }
 
 // BenchmarkE4Construction measures query-tree construction cost as the
@@ -279,37 +250,6 @@ func BenchmarkA2BaselineVsQtree(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkP1ParallelTransClosure sweeps the worker pool size on a
-// large transitive closure. On a multi-core host the per-round delta
-// partitions spread across workers; on a single core all counts
-// degenerate to the same work (results stay identical by construction).
-func BenchmarkP1ParallelTransClosure(b *testing.B) {
-	p := MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	db := NewDBFrom(workload.Chain(1, 250))
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchEvalWith(b, p, db, evalOptsWorkers(w))
-		})
-	}
-}
-
-// BenchmarkP1ParallelGoodPath sweeps the worker pool size on the
-// Section 3 goodpath workload (three rules, so rule-level parallelism
-// composes with delta partitioning).
-func BenchmarkP1ParallelGoodPath(b *testing.B) {
-	p := MustParseProgram(goodPathSrc)
-	db := NewDBFrom(workload.GoodPath(600, 100, 150))
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchEvalWith(b, p, db, evalOptsWorkers(w))
-		})
-	}
 }
 
 // BenchmarkA3SeminaiveVsNaive compares the two fixpoint strategies on
@@ -463,7 +403,6 @@ func BenchmarkQueryFixpoint(b *testing.B) {
 func TestQueryAllocationGuard(t *testing.T) {
 	opts := DefaultEvalOptions()
 	opts.Elim = ElimOff
-	opts.Workers = 1
 	full := fixpointBenches()[1]
 	point, facts := pointQueryBench()
 	for _, c := range []struct {

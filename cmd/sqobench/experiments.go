@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"time"
 
@@ -371,60 +370,6 @@ func runA3() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10s | %9d | %v\n", c.name, stats.JoinProbes, time.Since(start).Round(time.Microsecond))
-	}
-}
-
-// runP1 measures parallel semi-naive scaling: a workers sweep on a
-// large transitive closure and a goodpath workload, reporting
-// wall-clock speedup over the sequential engine and checking that
-// answers and stats are identical at every worker count (the engine's
-// determinism guarantee). Speedup tracks available cores: on a
-// single-CPU host every worker count runs the same work on one core,
-// so ~1.0x there is expected, not a regression.
-func runP1() {
-	type pcase struct {
-		name string
-		prog *sqo.Program
-		db   *sqo.DB
-	}
-	tc := sqo.MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	gp := sqo.MustParseProgram(goodPathSrc)
-	cases := []pcase{
-		{"transclosure chain(250)", tc, sqo.NewDBFrom(workload.Chain(1, 250))},
-		{"goodpath(600,100,150)", gp, sqo.NewDBFrom(workload.GoodPath(600, 100, 150))},
-	}
-	if *quick {
-		cases = []pcase{
-			{"transclosure chain(120)", tc, sqo.NewDBFrom(workload.Chain(1, 120))},
-			{"goodpath(200,100,60)", gp, sqo.NewDBFrom(workload.GoodPath(200, 100, 60))},
-		}
-	}
-	fmt.Printf("host CPUs: %d\n", runtime.NumCPU())
-	header("workload", "workers", "time", "speedup", "agree")
-	for _, c := range cases {
-		var base measurement
-		for _, w := range []int{1, 2, 4, 8} {
-			opts := sqo.DefaultEvalOptions()
-			opts.Workers = w
-			m := measureWith(c.prog, c.db, opts)
-			// Best of 3 to damp scheduler noise.
-			for rep := 0; rep < 2; rep++ {
-				if r := measureWith(c.prog, c.db, opts); r.elapsed < m.elapsed {
-					m.elapsed = r.elapsed
-				}
-			}
-			if w == 1 {
-				base = m
-			}
-			agree := m.answers == base.answers && m.derived == base.derived && m.probes == base.probes
-			fmt.Printf("%-24s | %7d | %12v | %6.2fx | %v\n",
-				c.name, w, m.elapsed.Round(time.Microsecond),
-				float64(base.elapsed)/float64(m.elapsed), agree)
-		}
 	}
 }
 

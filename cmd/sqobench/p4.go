@@ -4,11 +4,10 @@ package main
 // recomputation. For each workload a view is materialized once; each
 // delta row then times View.Apply for the delta (best of 3, restoring
 // the base state with the inverse delta between repetitions) against
-// a from-scratch evaluation of the mutated database. Workers fixed at
-// 1: maintenance is single-writer, so the comparison is engine vs
-// engine, not engine vs parallelism. "agree" verifies the view's
-// answers match the from-scratch answers bit-for-bit after the delta.
-// With -out the rows are written as JSON (committed as BENCH_4.json).
+// a from-scratch evaluation of the mutated database. "agree" verifies
+// the view's answers match the from-scratch answers bit-for-bit after
+// the delta. With -out the rows are written as JSON (committed as
+// BENCH_4.json).
 
 import (
 	"encoding/json"
@@ -158,7 +157,6 @@ func runP4() {
 	}
 
 	evalOpts := sqo.DefaultEvalOptions()
-	evalOpts.Workers = 1
 
 	report := p4Report{
 		CPUs:   runtime.NumCPU(),

@@ -3,8 +3,7 @@ package main
 // P6: join-order policies of the compiled engine — greedy (static,
 // most-bound-first), cost (per-round orders from maintained relation
 // statistics), adaptive (cost orders plus run-time reordering and
-// empty-subgoal skips). Same programs, same databases, Workers fixed
-// at 1; plan time (statistics reads + order computation + plan
+// empty-subgoal skips). Same programs, same databases; plan time (statistics reads + order computation + plan
 // compilation) and run time (everything else) are reported separately
 // because the policies trade one for the other. Answers must agree
 // across all three policies on every workload — a disagreement is a
@@ -122,7 +121,6 @@ func runP6() {
 		agree := true
 		for _, pol := range []sqo.JoinOrderPolicy{sqo.PolicyGreedy, sqo.PolicyCost, sqo.PolicyAdaptive} {
 			opts := sqo.DefaultEvalOptions()
-			opts.Workers = 1
 			opts.Policy = pol
 			// Best of 3 on total wall clock; the winning run's
 			// plan/run split and counters stand.

@@ -1,10 +1,8 @@
 package main
 
-// P9: horizontal scale-out — the sharded evaluator and the cluster
-// scatter-gather path.
-//
-// Two sweeps, both pinned to determinism the same way the rest of the
-// suite is (the run aborts if answers diverge):
+// P9: horizontal scale-out — the cluster scatter-gather path, pinned to
+// determinism the same way the rest of the suite is (the run aborts if
+// answers diverge):
 //
 //   - serve-scatter: an in-process cluster (real internal/server
 //     workers behind httptest listeners, fronted by the real
@@ -15,11 +13,6 @@ package main
 //     and merged-answer counts (deterministic, exact-gated). The
 //     merged answers must be identical at every node count — placement
 //     moves data, never answers.
-//   - tc-shards: Options.Shards ∈ {1, 2, 4} on a transitive-closure
-//     workload, single process. Answers, derived tuples, and join
-//     probes must be bit-identical at every shard count (the tentpole
-//     invariant the differential tests pin); the cross-shard exchange
-//     counter and wall clock are what actually vary.
 //
 // With -out the rows are written as JSON (committed as BENCH_9.json
 // for regression tracking).
@@ -40,8 +33,6 @@ import (
 	"sync"
 	"time"
 
-	sqo "repro"
-	"repro/internal/ast"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -51,16 +42,13 @@ func quietBenchLogger() *slog.Logger {
 }
 
 type p9Row struct {
-	Workload  string `json:"workload"`
-	Config    string `json:"config"` // "nodes=2" or "shards=4"
-	Requests  int64  `json:"requests,omitempty"`
-	Answers   int64  `json:"answers"`
-	Derived   int64  `json:"derived,omitempty"`
-	Probes    int64  `json:"probes,omitempty"`
-	Exchanged int64  `json:"exchanged,omitempty"`
-	WallNs    int64  `json:"wall_ns"`
-	P99Ns     int64  `json:"p99_ns,omitempty"`
-	qps       float64
+	Workload string `json:"workload"`
+	Config   string `json:"config"` // "nodes=2"
+	Requests int64  `json:"requests,omitempty"`
+	Answers  int64  `json:"answers"`
+	WallNs   int64  `json:"wall_ns"`
+	P99Ns    int64  `json:"p99_ns,omitempty"`
+	qps      float64
 }
 
 type p9Report struct {
@@ -203,58 +191,13 @@ func p9Cluster(nodes, requests, concurrency int, datasets map[string]string) (p9
 	return row, warm.merged
 }
 
-// p9Shards measures Options.Shards on a transitive closure.
-func p9Shards(chainLen, shards int) (p9Row, []string) {
-	var facts []ast.Atom
-	for i := 0; i < chainLen; i++ {
-		facts = append(facts, ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64(i+1))))
-	}
-	unit, err := sqo.Parse(p9Program)
-	if err != nil {
-		log.Fatal(err)
-	}
-	db := sqo.NewDBFrom(facts)
-	opts := sqo.DefaultEvalOptions()
-	opts.Shards = shards
-	var row p9Row
-	var answers []string
-	for trial := 0; trial < 3; trial++ {
-		start := time.Now()
-		tuples, stats, err := sqo.QueryWith(unit.Program, db, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		wall := time.Since(start).Nanoseconds()
-		if trial == 0 || wall < row.WallNs {
-			row = p9Row{
-				Workload:  "tc-shards",
-				Config:    fmt.Sprintf("shards=%d", shards),
-				Answers:   int64(len(tuples)),
-				Derived:   stats.TuplesDerived,
-				Probes:    stats.JoinProbes,
-				Exchanged: stats.ShardExchanged,
-				WallNs:    wall,
-			}
-		}
-		answers = answers[:0]
-		for _, t := range tuples {
-			answers = append(answers, t.String())
-		}
-		sort.Strings(answers)
-	}
-	return row, answers
-}
-
 func runP9() {
 	nodeCounts := []int{1, 2, 4}
-	shardCounts := []int{1, 2, 4}
 	k, chainLen := 8, 30
 	requests, concurrency := 200, 8
-	tcChain := 300
 	if *quick {
 		k, chainLen = 4, 12
 		requests, concurrency = 40, 4
-		tcChain = 80
 	}
 
 	report := p9Report{
@@ -279,29 +222,6 @@ func runP9() {
 			row.Workload, row.Config, row.Requests, row.Answers, row.qps,
 			time.Duration(row.P99Ns).Round(10*time.Microsecond),
 			time.Duration(row.WallNs).Round(time.Millisecond))
-	}
-
-	fmt.Println()
-	header("workload", "config", "answers", "derived", "probes", "exchanged", "wall")
-	var baseAnswers []string
-	var baseRow p9Row
-	for i, s := range shardCounts {
-		row, answers := p9Shards(tcChain, s)
-		if i == 0 {
-			baseAnswers, baseRow = answers, row
-		} else {
-			if !equalStringSlices(answers, baseAnswers) {
-				log.Fatalf("P9: shards=%d answers diverge from shards=%d", s, shardCounts[0])
-			}
-			if row.Derived != baseRow.Derived || row.Probes != baseRow.Probes {
-				log.Fatalf("P9: shards=%d stats diverge (derived %d vs %d, probes %d vs %d)",
-					s, row.Derived, baseRow.Derived, row.Probes, baseRow.Probes)
-			}
-		}
-		report.Rows = append(report.Rows, row)
-		fmt.Printf("%-14s | %-9s | %7d | %8d | %8d | %9d | %8v\n",
-			row.Workload, row.Config, row.Answers, row.Derived, row.Probes, row.Exchanged,
-			time.Duration(row.WallNs).Round(10*time.Microsecond))
 	}
 
 	if *outPath != "" {

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	sqoc [-facts file] [-explain] [-baseline] [-stats] [-parallel n]
+//	sqoc [-facts file] [-explain] [-baseline] [-stats]
 //	     [-order greedy|cost|adaptive] [-magic auto|on|off]
 //	     [-elim auto|on|off] [-timeout d] [-budget n] [file]
 //
@@ -50,14 +50,11 @@ func main() {
 	stats := flag.Bool("stats", false, "print query-tree statistics")
 	why := flag.Bool("why", false, "print a derivation tree for each answer (requires facts)")
 	lintFlag := flag.Bool("lint", false, "run the semantic linter before optimizing; exit 1 on lint errors")
-	parallel := flag.Int("parallel", 0, "evaluation workers (0 = one per CPU, 1 = sequential)")
 	order := flag.String("order", "", "join-order policy: greedy (default), cost, or adaptive")
 	magicFlag := flag.String("magic", "", "magic-sets rewrite for goal queries like '?- path(a, Y).': auto (default), on, or off")
 	elimFlag := flag.String("elim", "", "bounded-recursion elimination (compile provably bounded fixpoints into flat joins): auto (default), on, or off")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on optimization + evaluation (0 = none)")
 	budget := flag.Int64("budget", 0, "derived-tuple budget per evaluation (0 = unlimited)")
-	shards := flag.Int("shards", 0, "hash-partition evaluation across this many shards (0/1 = off); answers are identical at any count")
-	shardPart := flag.String("shard-partitioner", "", "shard hash: modulo (default) or rendezvous")
 	flag.Parse()
 
 	policy, err := sqo.ParseJoinOrderPolicy(*order)
@@ -149,13 +146,10 @@ func main() {
 	if len(facts) > 0 {
 		db := sqo.NewDBFrom(facts)
 		opts := sqo.DefaultEvalOptions()
-		opts.Workers = *parallel
 		opts.MaxTuples = *budget
 		opts.Policy = policy
 		opts.Magic = magicMode
 		opts.Elim = elimMode
-		opts.Shards = *shards
-		opts.ShardPartitioner = *shardPart
 		origTuples, origStats, err := sqo.QueryCtx(ctx, unit.Program, db, opts)
 		if err != nil {
 			fatal(err, *timeout, *budget)

@@ -16,13 +16,10 @@ import (
 	"repro/internal/parser"
 )
 
-// TestSharedBaseDifferential: across policy x workers x magic x
-// naive/seminaive, evaluating over one long-lived DB (whose base every
-// configuration after the first reuses) gives the same relations, Stats
-// and provenance as evaluating over a fresh clone (which builds its
-// own). The DB is large enough (8 x 20 edges) that early rounds fan out
-// to the pool and late ones run inline, so Workers 1 vs 4 also pins the
-// round loop's choice of where a task runs.
+// TestSharedBaseDifferential: across policy x magic x naive/seminaive,
+// evaluating over one long-lived DB (whose base every configuration
+// after the first reuses) gives the same relations, Stats and provenance
+// as evaluating over a fresh clone (which builds its own).
 func TestSharedBaseDifferential(t *testing.T) {
 	progs := map[string]*ast.Program{
 		"tc-point": parser.MustParseProgram(`
@@ -43,41 +40,32 @@ func TestSharedBaseDifferential(t *testing.T) {
 	}
 
 	for name, p := range progs {
-		byWorkers := map[string]engineRun{} // first run of each config, keyed without workers
 		for _, policy := range []JoinOrderPolicy{PolicyGreedy, PolicyCost, PolicyAdaptive} {
-			for _, workers := range []int{1, 4} {
-				for _, seminaive := range []bool{true, false} {
-					opts := Options{Seminaive: seminaive, Policy: policy, Workers: workers}
-					label := fmt.Sprintf("%s policy=%s workers=%d seminaive=%v", name, policy, workers, seminaive)
-					reused := runEngine(t, p, shared, opts)
-					fresh := runEngine(t, p, shared.Clone(), opts)
-					requireSameRun(t, label+" reused vs fresh", reused, fresh)
-					if reused.stats.EDBRowsInterned != 0 {
-						t.Fatalf("%s: reused base interned %d rows", label, reused.stats.EDBRowsInterned)
-					}
-					if want := int64(8*20 + 2); fresh.stats.EDBRowsInterned != want {
-						t.Fatalf("%s: fresh DB interned %d rows, want %d", label, fresh.stats.EDBRowsInterned, want)
-					}
-					key := fmt.Sprintf("%s/%v", policy, seminaive)
-					if prev, ok := byWorkers[key]; ok {
-						requireSameRun(t, label+" vs workers=1", reused, prev)
-					} else {
-						byWorkers[key] = reused
-					}
+			for _, seminaive := range []bool{true, false} {
+				opts := Options{Seminaive: seminaive, Policy: policy}
+				label := fmt.Sprintf("%s policy=%s seminaive=%v", name, policy, seminaive)
+				reused := runEngine(t, p, shared, opts)
+				fresh := runEngine(t, p, shared.Clone(), opts)
+				requireSameRun(t, label+" reused vs fresh", reused, fresh)
+				if reused.stats.EDBRowsInterned != 0 {
+					t.Fatalf("%s: reused base interned %d rows", label, reused.stats.EDBRowsInterned)
+				}
+				if want := int64(8*20 + 2); fresh.stats.EDBRowsInterned != want {
+					t.Fatalf("%s: fresh DB interned %d rows, want %d", label, fresh.stats.EDBRowsInterned, want)
+				}
 
-					for _, magic := range []MagicMode{MagicOff, MagicOn} {
-						opts.Magic = magic
-						rt, rs, err := QueryCtx(context.Background(), p, shared, opts)
-						if err != nil {
-							t.Fatalf("%s magic=%s: %v", label, magic, err)
-						}
-						ft, fs, err := QueryCtx(context.Background(), p, shared.Clone(), opts)
-						if err != nil {
-							t.Fatalf("%s magic=%s: %v", label, magic, err)
-						}
-						if !reflect.DeepEqual(rt, ft) || !rs.Equal(fs) {
-							t.Fatalf("%s magic=%s: reused vs fresh differ:\n%v %+v\n%v %+v", label, magic, rt, rs, ft, fs)
-						}
+				for _, magic := range []MagicMode{MagicOff, MagicOn} {
+					opts.Magic = magic
+					rt, rs, err := QueryCtx(context.Background(), p, shared, opts)
+					if err != nil {
+						t.Fatalf("%s magic=%s: %v", label, magic, err)
+					}
+					ft, fs, err := QueryCtx(context.Background(), p, shared.Clone(), opts)
+					if err != nil {
+						t.Fatalf("%s magic=%s: %v", label, magic, err)
+					}
+					if !reflect.DeepEqual(rt, ft) || !rs.Equal(fs) {
+						t.Fatalf("%s magic=%s: reused vs fresh differ:\n%v %+v\n%v %+v", label, magic, rt, rs, ft, fs)
 					}
 				}
 			}
@@ -182,11 +170,9 @@ func TestConcurrentQueriesShareBase(t *testing.T) {
 	)
 	for g := 0; g < n; g++ {
 		wg.Add(1)
-		go func(workers int) {
+		go func() {
 			defer wg.Done()
-			opts := DefaultOptions()
-			opts.Workers = workers
-			got, stats, err := QueryCtx(context.Background(), p, db, opts)
+			got, stats, err := QueryCtx(context.Background(), p, db, DefaultOptions())
 			if err != nil {
 				t.Error(err)
 				return
@@ -199,7 +185,7 @@ func TestConcurrentQueriesShareBase(t *testing.T) {
 				builds++
 				mu.Unlock()
 			}
-		}(1 + g%3)
+		}()
 	}
 	wg.Wait()
 	if builds != 1 {

@@ -30,10 +30,19 @@ type relEstimate struct {
 
 // irelEstimate snapshots an interned relation (nil-safe).
 func irelEstimate(rel *irel) relEstimate {
-	if rel == nil || rel.n == 0 {
+	if rel == nil {
 		return relEstimate{}
 	}
-	return sketchEstimate(rel.n, rel.sketches())
+	return prefixEstimate(rel, rel.n)
+}
+
+// prefixEstimate is irelEstimate for rows [0, hi) of rel: what a round
+// knows of a relation it is appending to.
+func prefixEstimate(rel *irel, hi int) relEstimate {
+	if hi == 0 {
+		return relEstimate{}
+	}
+	return sketchEstimate(hi, rel.sketchesTo(hi))
 }
 
 // windowEstimate is irelEstimate for rows [lo, hi) of rel — a semi-naive

@@ -58,61 +58,86 @@ func TestEvalCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// TestEvalCtxCancelMidFixpoint cancels a long evaluation from another
-// goroutine and requires (a) a prompt return with context.Canceled,
-// and (b) no goroutine leak from the worker pool.
-func TestEvalCtxCancelMidFixpoint(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p, db := chainProgram(t, 600)
-		before := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := DefaultOptions()
-		opts.Workers = workers
-		done := make(chan error, 1)
-		start := time.Now()
-		go func() {
-			_, _, err := EvalCtx(ctx, p, db, opts)
-			done <- err
-		}()
-		time.Sleep(30 * time.Millisecond) // let the fixpoint get going
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("workers=%d: evaluation did not stop within 10s of cancel (started %v ago)",
-				workers, time.Since(start))
-		}
-		// The pool's goroutines must all have exited. NumGoroutine is
-		// noisy; poll briefly before declaring a leak.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if runtime.NumGoroutine() <= before {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: goroutines leaked: before=%d after=%d",
-					workers, before, runtime.NumGoroutine())
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+// pollCtx is a context whose Err starts reporting err on its after-th
+// call: a cancellation that arrives after a known amount of evaluation,
+// however fast the evaluation is. It also samples the goroutine count at
+// every poll, from inside the evaluation. Not synchronized: an
+// evaluation polls from the one goroutine it runs on.
+type pollCtx struct {
+	context.Context
+	after      int
+	err        error
+	polls      int
+	goroutines map[int]bool
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	c.goroutines[runtime.NumGoroutine()] = true
+	if c.polls >= c.after {
+		return c.err
+	}
+	return nil
+}
+
+// wideRound is a fixpoint whose work is all in its first round: n*n+n
+// join probes and n*n derived tuples before the next round barrier, so
+// only the poll inside the join can stop it early.
+func wideRound(t testing.TB, n int) (*ast.Program, *DB) {
+	t.Helper()
+	p, err := parser.ParseProgram("q(X, Y) :- e(X), e(Y).\n?- q.\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB()
+	for i := 0; i < n; i++ {
+		db.AddFact(ast.NewAtom("e", ast.N(float64(i))))
+	}
+	return p, db
+}
+
+// requireStopsAtPoll runs wideRound(n) under a context that reports
+// want from its after-th poll on and requires the error, a return at
+// that very poll, no more work than after poll intervals' worth — the
+// first poll is round 0's barrier, the rest come one per
+// cancelPollMask+1 probes, and every probe but the first n derives one
+// tuple — and a goroutine count that never moved. Nothing here depends
+// on how long the evaluation takes; without the poll in the join the
+// context is asked twice (two barriers) and the evaluation completes.
+func requireStopsAtPoll(t *testing.T, n, after int, want error) {
+	t.Helper()
+	p, db := wideRound(t, n)
+	if _, _, err := Eval(p, db); err != nil { // intern the base outside the measurement
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx := &pollCtx{Context: context.Background(), after: after, err: want, goroutines: map[int]bool{}}
+	prov := &Provenance{steps: map[string]provStep{}}
+	_, err := evalCompiled(ctx, p, db, DefaultOptions(), prov)
+	if !errors.Is(err, want) {
+		t.Fatalf("err = %v, want %v", err, want)
+	}
+	if ctx.polls != after {
+		t.Fatalf("evaluation polled %d times, want a return at poll %d", ctx.polls, after)
+	}
+	if got, max := len(prov.steps), (after-1)*(cancelPollMask+1); got == 0 || got > max {
+		t.Fatalf("%d tuples derived before the stop, want 1..%d", got, max)
+	}
+	if len(ctx.goroutines) != 1 || !ctx.goroutines[before] || runtime.NumGoroutine() != before {
+		t.Fatalf("goroutine count moved across the evaluation: %d before, %v during, %d after",
+			before, ctx.goroutines, runtime.NumGoroutine())
 	}
 }
 
+// TestEvalCtxCancelMidFixpoint: a cancellation that lands mid-round
+// stops the evaluation at the next poll inside the join.
+func TestEvalCtxCancelMidFixpoint(t *testing.T) {
+	requireStopsAtPoll(t, 300, 4, context.Canceled)
+	requireStopsAtPoll(t, 50, 2, context.Canceled) // a fixpoint of microseconds stops the same way
+}
+
 func TestEvalCtxDeadline(t *testing.T) {
-	p, db := chainProgram(t, 600)
-	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err := EvalCtx(ctx, p, db, DefaultOptions())
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("deadline overshoot: returned after %v", elapsed)
-	}
+	requireStopsAtPoll(t, 300, 7, context.DeadlineExceeded)
 }
 
 func TestErrBudgetSentinel(t *testing.T) {

@@ -8,9 +8,17 @@ package eval
 // derivability plan per rule, all sharing a single interner whose ids
 // stay stable for the life of the handle. The caller owns relation
 // storage (IRel) and decides, per run, which version of each relation
-// every subgoal reads (RelView: a prefix and an epoch); that per-subgoal
-// old/new freedom is exactly what the counting and DRed delta passes
-// need and what the in-engine evaluators never expose.
+// every subgoal reads (RelView: a row range and an epoch); that
+// per-subgoal old/new freedom is exactly what the counting and DRed
+// delta passes need and what the fixpoint never exposes.
+//
+// There is one join implementation (join.go) and this file holds two of
+// its three callers. RunDelta/RunDeltaPolicy hand every complete firing
+// to the caller's emit, which decides dedup and counting; Derivable
+// seeds the binding from a candidate head row and stops at the first
+// firing. The third caller is the fixpoint (compiled.go), whose emit
+// appends to the IDB relation being read. All three read each subgoal
+// through a RelView and none knows how the others use what is emitted.
 
 import (
 	"context"
@@ -23,6 +31,8 @@ import (
 
 // errStopRun stops a derivability run at its first complete firing.
 var errStopRun = errors.New("eval: stop delta run")
+
+func stopRun([]uint32) error { return errStopRun }
 
 // DeltaProgram is a compiled handle for delta evaluation of one
 // validated program. Its compiled surface is immutable after
@@ -38,8 +48,8 @@ type DeltaProgram struct {
 	plans     map[planKey]*plan
 	headPlans []*plan // per rule: head variables pre-bound (Derivable)
 	// Cost-ordered plans compiled on demand by RunDeltaPolicy, keyed by
-	// order signature. Guarded by mu — unlike the engine, delta runs
-	// have no single-threaded barrier to plan at.
+	// order signature. Guarded by mu — unlike the fixpoint, delta runs
+	// have no round barrier to plan at, and may run concurrently.
 	mu      sync.Mutex
 	byOrder map[planKey]map[string]*plan
 }
@@ -90,38 +100,43 @@ func (dp *DeltaProgram) PredArity(pred string) (int, bool) {
 // ever appended; Remove marks a row dead where it lies (irel, intern.go),
 // so a retraction costs what it retracts and the indexes built so far
 // stay good.
-type IRel struct{ r *irel }
+type IRel irel
+
+// rel is the relation as the engine knows it (nil for nil): the two
+// types share one layout, so the evaluator's own relations are read
+// through RelViews without a wrapper.
+func (ir *IRel) rel() *irel { return (*irel)(ir) }
 
 // NewIRel returns an empty relation of the given arity.
 func (dp *DeltaProgram) NewIRel(arity int) *IRel {
 	r := newIrel(arity, 0)
 	r.epoch = 1
-	return &IRel{r: r}
+	return (*IRel)(r)
 }
 
 // Len returns the number of live rows.
-func (ir *IRel) Len() int { return ir.r.n - ir.r.nDead }
+func (ir *IRel) Len() int { return ir.n - ir.nDead }
 
 // Arity returns the relation's arity.
-func (ir *IRel) Arity() int { return ir.r.arity }
+func (ir *IRel) Arity() int { return ir.arity }
 
 // Row returns the i-th row ever appended, live or not (View().Each
 // lists the live ones). The slice aliases internal storage: callers
 // must not modify it, and must not retain it across an Add (which may
 // grow the backing array).
-func (ir *IRel) Row(i int) []uint32 { return ir.r.row(i) }
+func (ir *IRel) Row(i int) []uint32 { return ir.rel().row(i) }
 
 // Add appends a row unless a live copy is present, copying the values,
 // and reports whether the row was new.
 func (ir *IRel) Add(row []uint32) bool {
-	if ir.r.nDead > 0 {
-		return ir.r.addBack(row)
+	if ir.nDead > 0 {
+		return ir.rel().addBack(row)
 	}
-	return ir.r.add(row)
+	return ir.rel().add(row)
 }
 
 // Remove takes a row out in O(1), reporting whether it was there.
-func (ir *IRel) Remove(row []uint32) bool { return ir.r.remove(row) }
+func (ir *IRel) Remove(row []uint32) bool { return ir.rel().remove(row) }
 
 // Contains reports whether the relation holds the row.
 func (ir *IRel) Contains(row []uint32) bool { return ir.View().Contains(row) }
@@ -130,7 +145,7 @@ func (ir *IRel) Contains(row []uint32) bool { return ir.View().Contains(row) }
 // the epochs run out), keeping the order of the rest. It voids every
 // RelView of the relation, so it runs between updates, never inside one.
 func (ir *IRel) Compact() {
-	if r := ir.r; r.nDead > r.n-r.nDead || r.epoch >= 1<<31 {
+	if r := ir.rel(); r.nDead > r.n-r.nDead || r.epoch >= 1<<31 {
 		r.compact()
 	}
 }
@@ -141,7 +156,7 @@ func (ir *IRel) Compact() {
 // statistic RunDeltaPolicy's cost model consumes, exported so
 // incremental-maintenance tests can pin sketch maintenance across
 // retractions.
-func (ir *IRel) DistinctEstimate(j int) int { return ir.r.distinct(j) }
+func (ir *IRel) DistinctEstimate(j int) int { return ir.rel().distinct(j) }
 
 // View returns the relation's current contents: the rows appended so
 // far, less the ones removed so far. Rows appended later stay out of
@@ -150,7 +165,16 @@ func (ir *IRel) View() RelView {
 	if ir == nil {
 		return RelView{}
 	}
-	return RelView{Rel: ir, Hi: ir.r.n, Epoch: ir.r.epoch, live: ir.Len()}
+	return RelView{Rel: ir, Hi: ir.n, Epoch: ir.epoch, live: ir.Len()}
+}
+
+// whole is the view of every row of a relation nothing is removed from
+// (nil-safe): how the fixpoint reads the EDB base.
+func (r *irel) whole() RelView {
+	if r == nil {
+		return RelView{}
+	}
+	return RelView{Rel: (*IRel)(r), Hi: r.n, live: r.n}
 }
 
 // Freeze returns View() and opens a new epoch, so that later removals
@@ -162,40 +186,46 @@ func (ir *IRel) View() RelView {
 func (ir *IRel) Freeze() RelView {
 	v := ir.View()
 	if ir != nil {
-		ir.r.epoch++
+		ir.epoch++
 	}
 	return v
 }
 
-// RelView is a version of a relation: rows [0, Hi) of Rel less the ones
-// removed in or before Epoch. The zero value is an empty relation.
+// RelView is a version of a relation: rows [Lo, Hi) of Rel less the ones
+// removed in or before Epoch. It is what the join kernel reads every
+// subgoal through, the fixpoint's included. View and Freeze return Lo 0;
+// a caller that keeps a mark from an earlier View can raise Lo to it and
+// read only the rows appended since, the way the fixpoint reads its
+// semi-naive delta (Len is unchanged by that: it stays the count of the
+// whole prefix). The zero value is an empty relation.
 type RelView struct {
-	Rel   *IRel
-	Hi    int
-	Epoch uint32
-	live  int
+	Rel    *IRel
+	Lo, Hi int
+	Epoch  uint32
+	live   int
 }
 
 // Len returns the number of rows the view held when it was taken.
 func (v RelView) Len() int { return v.live }
 
 // Contains reports membership in O(1): the backing hash set stores row
-// indexes, so a hit beyond Hi is a row appended after the view was
-// taken and reads as absent, like one the view's epoch hides.
+// indexes, so a hit outside [Lo, Hi) — a row appended after the view was
+// taken, say — reads as absent, like one the view's epoch hides.
 func (v RelView) Contains(row []uint32) bool {
-	if v.Rel == nil || v.Hi == 0 {
+	if v.Rel == nil || v.Hi <= v.Lo {
 		return false
 	}
-	idx := int(v.Rel.r.set.findIdx(row, hashU32s(row)))
-	return idx >= 0 && idx < v.Hi && !v.Rel.r.hidden(idx, v.Epoch)
+	idx := int(v.Rel.set.findIdx(row, hashU32s(row)))
+	return idx >= v.Lo && idx < v.Hi && !v.Rel.rel().hidden(idx, v.Epoch)
 }
 
 // Each calls f with every row of the view, in row order. The slice is
 // internal storage: f must not modify or keep it.
 func (v RelView) Each(f func(row []uint32)) {
-	for i := 0; i < v.Hi; i++ {
-		if !v.Rel.r.hidden(i, v.Epoch) {
-			f(v.Rel.r.row(i))
+	r := v.Rel.rel()
+	for i := v.Lo; i < v.Hi; i++ {
+		if !r.hidden(i, v.Epoch) {
+			f(r.row(i))
 		}
 	}
 }
@@ -208,7 +238,7 @@ func (v RelView) Each(f func(row []uint32)) {
 func (dp *DeltaProgram) Result(v RelView) *Result {
 	res := &Result{n: v.live}
 	if v.Rel != nil {
-		res.arity = v.Rel.r.arity
+		res.arity = v.Rel.arity
 		res.data = make([]uint32, 0, v.live*res.arity)
 		v.Each(func(row []uint32) { res.data = append(res.data, row...) })
 	}
@@ -265,37 +295,10 @@ func (dp *DeltaProgram) Atom(pred string, row []uint32) ast.Atom {
 	return ast.Atom{Pred: pred, Args: dp.Tuple(row)}
 }
 
-// dRun is the delta-plan executor: cTaskRun with caller-supplied
-// per-subgoal views instead of engine-owned snapshot relations, and an
-// emit callback instead of an output buffer (delta passes want every
-// firing, with the caller deciding dedup and counting semantics).
-type dRun struct {
-	dp        *DeltaProgram
-	ctx       context.Context
-	pl        *plan
-	subs      []RelView // indexed by subgoal index (subPlan.subIdx)
-	negs      func(string) RelView
-	emit      func([]uint32) error
-	binding   []uint32
-	probeBufs [][]uint32
-	negBuf    []uint32
-	headBuf   []uint32
-	probes    int64
-}
-
-func (dp *DeltaProgram) newRun(ctx context.Context, pl *plan, subs []RelView, negs func(string) RelView, emit func([]uint32) error) *dRun {
-	tr := &dRun{dp: dp, ctx: ctx, pl: pl, subs: subs, negs: negs, emit: emit}
-	tr.binding = make([]uint32, pl.nSlots)
-	tr.probeBufs = make([][]uint32, len(pl.subs))
-	for i := range pl.subs {
-		if n := len(pl.subs[i].boundPos); n > 0 {
-			tr.probeBufs[i] = make([]uint32, n)
-		}
-	}
-	if pl.maxNegArity > 0 {
-		tr.negBuf = make([]uint32, pl.maxNegArity)
-	}
-	tr.headBuf = make([]uint32, len(pl.head.isConst))
+// newRun points a fresh join (join.go) at pl over the caller's views.
+func (dp *DeltaProgram) newRun(ctx context.Context, pl *plan, subs []RelView, negs func(string) RelView, emit func([]uint32) error) *joinRun {
+	tr := &joinRun{ctx: ctx, in: dp.in, subs: subs, negs: negs, emit: emit}
+	tr.setPlan(pl)
 	return tr
 }
 
@@ -376,7 +379,7 @@ func viewEstimate(v RelView) relEstimate {
 	if v.Rel == nil || v.Hi == 0 {
 		return relEstimate{}
 	}
-	return sketchEstimate(v.live, v.Rel.r.sketches())
+	return sketchEstimate(v.live, v.Rel.rel().sketches())
 }
 
 // planForOrder returns the cached plan for a cost-chosen order,
@@ -419,8 +422,7 @@ func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint3
 	if got, want := len(subs), len(dp.prog.Rules[ruleIdx].Pos); got != want {
 		return false, 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
 	}
-	tr := dp.newRun(ctx, pl, subs, negs, nil)
-	tr.emit = func([]uint32) error { return errStopRun }
+	tr := dp.newRun(ctx, pl, subs, negs, stopRun)
 	// Seed the binding from the candidate row: constants must match
 	// outright; variable slots take the row's value, and a second pass
 	// catches repeated head variables whose positions disagree (the
@@ -445,151 +447,4 @@ func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint3
 		return true, tr.probes, nil
 	}
 	return false, tr.probes, err
-}
-
-// join mirrors cTaskRun.join over caller views: iteration is
-// clamped to each view's prefix on both the index path (chains are in
-// ascending row order, so the first out-of-prefix candidate ends the
-// chain) and the scan path, and on both it passes over the rows the
-// view's epoch hides — they are not candidates and count no probe.
-// Indexes are always used when the plan is indexable — delta passes have
-// no ablation knob.
-func (tr *dRun) join(depth int) error {
-	pl := tr.pl
-	if depth == len(pl.subs) {
-		return tr.finish()
-	}
-	sp := &pl.subs[depth]
-	v := tr.subs[sp.subIdx]
-	if v.Rel == nil || v.Hi == 0 {
-		return nil
-	}
-	rel := v.Rel.r
-	if sp.indexable && len(sp.boundPos) > 0 {
-		vals := tr.probeBufs[depth]
-		for k, c := range sp.boundConst {
-			if c {
-				vals[k] = sp.boundVal[k]
-			} else {
-				vals[k] = tr.binding[sp.boundVal[k]]
-			}
-		}
-		ix := rel.index(sp.mask, sp.boundPos)
-		for ri := ix.lookup(rel, vals); ri >= 0; ri = ix.next[ri] {
-			if int(ri) >= v.Hi {
-				break // ascending chain: everything further is post-snapshot
-			}
-			if rel.hidden(int(ri), v.Epoch) {
-				continue
-			}
-			if err := tr.tryRow(depth, rel.row(int(ri)), false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := 0; i < v.Hi; i++ {
-		if rel.hidden(i, v.Epoch) {
-			continue
-		}
-		if err := tr.tryRow(depth, rel.row(i), true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (tr *dRun) tryRow(depth int, row []uint32, verify bool) error {
-	tr.probes++
-	if tr.probes&cancelPollMask == 0 {
-		if err := tr.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	sp := &tr.pl.subs[depth]
-	if verify {
-		for k, p := range sp.boundPos {
-			want := sp.boundVal[k]
-			if !sp.boundConst[k] {
-				want = tr.binding[want]
-			}
-			if row[p] != want {
-				return nil
-			}
-		}
-	}
-	for k, p := range sp.bindPos {
-		tr.binding[sp.bindSlot[k]] = row[p]
-	}
-	for k, p := range sp.checkPos {
-		if row[p] != tr.binding[sp.checkSlot[k]] {
-			return nil
-		}
-	}
-	for i := range sp.cmps {
-		if !tr.evalCmp(&sp.cmps[i]) {
-			return nil
-		}
-	}
-	for i := range sp.negs {
-		if tr.negContains(&sp.negs[i]) {
-			return nil
-		}
-	}
-	return tr.join(depth + 1)
-}
-
-func (tr *dRun) evalCmp(c *cmpPlan) bool {
-	l, r := c.l, c.r
-	if !c.lConst {
-		l = tr.binding[l]
-	}
-	if !c.rConst {
-		r = tr.binding[r]
-	}
-	switch c.op {
-	case ast.EQ:
-		return l == r
-	case ast.NE:
-		return l != r
-	}
-	return ast.NewCmp(tr.dp.in.term(l), c.op, tr.dp.in.term(r)).Eval()
-}
-
-func (tr *dRun) negContains(tpl *atomTpl) bool {
-	if tr.negs == nil {
-		return false
-	}
-	buf := tr.negBuf[:len(tpl.isConst)]
-	for j, c := range tpl.isConst {
-		if c {
-			buf[j] = tpl.vals[j]
-		} else {
-			buf[j] = tr.binding[tpl.vals[j]]
-		}
-	}
-	return tr.negs(tpl.pred).Contains(buf)
-}
-
-func (tr *dRun) finish() error {
-	pl := tr.pl
-	for i := range pl.finishCmps {
-		if !tr.evalCmp(&pl.finishCmps[i]) {
-			return nil
-		}
-	}
-	for i := range pl.finishNegs {
-		if tr.negContains(&pl.finishNegs[i]) {
-			return nil
-		}
-	}
-	row := tr.headBuf
-	for j, c := range pl.head.isConst {
-		if c {
-			row[j] = pl.head.vals[j]
-		} else {
-			row[j] = tr.binding[pl.head.vals[j]]
-		}
-	}
-	return tr.emit(row)
 }

@@ -211,6 +211,75 @@ func TestIRelTombstonesAgainstRebuild(t *testing.T) {
 	}
 }
 
+// TestRelViewWindow: a view whose Lo is raised to an earlier view's Hi
+// reads exactly the rows appended in between — the shape of the
+// fixpoint's semi-naive delta window — on the index path, the scan path
+// and as the delta occurrence, probe counts included, and leaves out a
+// row of the window that was removed.
+func TestRelViewWindow(t *testing.T) {
+	dp, err := CompileDeltaProgram(parser.MustParseProgram(`
+		q(X, Y) :- k(X), r(X, Y).
+		s(X, Y) :- r(X, Y).
+		?- q.`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyRel := dp.NewIRel(1)
+	for x := uint32(0); x < 5; x++ {
+		keyRel.Add([]uint32{x})
+	}
+	rel := dp.NewIRel(2)
+	for i := uint32(0); i < 20; i++ {
+		rel.Add([]uint32{i % 5, i})
+	}
+	mark := rel.View().Hi
+	var later [][]uint32
+	for i := uint32(20); i < 32; i++ {
+		row := []uint32{i % 5, i}
+		rel.Add(row)
+		if i == 25 {
+			rel.Remove(row)
+			continue
+		}
+		later = append(later, row)
+	}
+	rel.Remove([]uint32{1, 1}) // below the mark: the window never held it
+	win := rel.View()
+	win.Lo = mark
+	if got := eachRows(win); !reflect.DeepEqual(got, later) {
+		t.Fatalf("Each over the window\n got %v\nwant %v", got, later)
+	}
+	if win.Contains([]uint32{2, 2}) || win.Contains([]uint32{0, 25}) || !win.Contains([]uint32{1, 31}) {
+		t.Fatal("Contains: the window holds a row from below its Lo or a removed one, or misses one of its own")
+	}
+	oracle := rebuilt(dp, later)
+	for rule, path := range []string{"index", "scan"} {
+		gotRows, gotProbes := joinRows(t, dp, rule, keyRel.View(), win)
+		wantRows, wantProbes := joinRows(t, dp, rule, keyRel.View(), oracle)
+		if !reflect.DeepEqual(gotRows, wantRows) || gotProbes != wantProbes {
+			t.Fatalf("%s join over the window: %d rows / %d probes, a relation of the later rows gives %d / %d",
+				path, len(gotRows), gotProbes, len(wantRows), wantProbes)
+		}
+	}
+	// As the delta occurrence of rule 0 (occ 1: r), read first.
+	var got, want []uint64
+	for _, c := range []struct {
+		v   RelView
+		out *[]uint64
+	}{{win, &got}, {oracle, &want}} {
+		_, err := dp.RunDelta(context.Background(), 0, 1, []RelView{keyRel.View(), c.v}, nil, func(h []uint32) error {
+			*c.out = append(*c.out, rowKey(h))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != len(later) {
+		t.Fatalf("delta join over the window emits %v, a relation of the later rows %v", got, want)
+	}
+}
+
 // TestIRelSketchesFollowRemovals: removal starts the sketches over and a
 // row that comes back in place is folded straight in, so the estimates
 // always equal those of a relation built from the live rows alone.

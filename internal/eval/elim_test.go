@@ -254,8 +254,7 @@ r(X) :- glue(X), r(Y), r(Z).
 			p.Goal = goal
 		}
 
-		off := Options{Seminaive: true,
-			Workers: 1, Elim: ElimOff, Magic: MagicOff, MaxTuples: 20000}
+		off := Options{Seminaive: true, Elim: ElimOff, Magic: MagicOff, MaxTuples: 20000}
 		baseTuples, baseStats, err := QueryCtx(context.Background(), p, db, off)
 		if err != nil {
 			return // baseline decides evaluability

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/ast"
 	"repro/internal/bounded"
 	"repro/internal/magic"
-	"repro/internal/shard"
 )
 
 // ErrBudget is wrapped by the error returned when evaluation exceeds
@@ -17,10 +15,9 @@ import (
 var ErrBudget = errors.New("derived-tuple budget exceeded")
 
 // Stats reports instrumentation collected during evaluation. All
-// counters are deterministic: for a fixed program, database, and
-// options they do not depend on Options.Workers, because every fixpoint
-// round evaluates against a frozen snapshot and merges per-task results
-// in a fixed order (see runRound).
+// counters are deterministic for a fixed program, database, and
+// options: an evaluation is one goroutine running its tasks in a fixed
+// order (see runRound).
 type Stats struct {
 	// Iterations is the number of fixpoint rounds executed.
 	Iterations int
@@ -71,15 +68,6 @@ type Stats struct {
 	// from bottom-up in every counter — that difference is the point —
 	// while the answers stay identical.
 	MagicApplied bool
-	// ShardExchanged counts, under sharded evaluation (Options.Shards >
-	// 1), the new tuples whose deriving shard is not their hash owner —
-	// the cross-shard delta traffic a distributed deployment would ship
-	// at each round barrier. Zero when sharding is off. Deterministic
-	// for a fixed program, database, and options (the partitioner hashes
-	// row contents, not intern ids), but excluded from Equal because it
-	// is a distribution diagnostic that legitimately varies with the
-	// shard count.
-	ShardExchanged int64
 	// PeakMaterialized is the largest total observed at any round
 	// barrier of IDB tuples plus the tuples in the live semi-naive delta
 	// window. The window is a range of IDB rows, not a copy; its size
@@ -126,7 +114,6 @@ var statsEqualExcluded = map[string]bool{
 	"AdaptiveSkips":    true,
 	"AdaptiveReorders": true,
 	"MagicApplied":     true,
-	"ShardExchanged":   true,
 	"PeakMaterialized": true,
 	"ElimApplied":      true,
 	"ElimChecked":      true,
@@ -246,8 +233,7 @@ const (
 	// PolicyAdaptive is cost ordering plus run-time adaptivity: rule
 	// tasks with an empty positive subgoal are skipped outright, and a
 	// running task reorders its remaining joins when an observed
-	// intermediate size is more than 10x its estimate. To keep results
-	// worker-invariant, adaptive tasks are never range-partitioned.
+	// intermediate size is more than 10x its estimate.
 	PolicyAdaptive JoinOrderPolicy = "adaptive"
 )
 
@@ -272,12 +258,6 @@ type Options struct {
 	// MaxTuples aborts evaluation when the total number of derived IDB
 	// tuples exceeds the bound (0 = unlimited). Guards runaway tests.
 	MaxTuples int64
-	// Workers bounds the number of goroutines that evaluate rule tasks
-	// concurrently within a fixpoint round. 0 means one worker per
-	// available CPU (runtime.GOMAXPROCS(0)); 1 forces fully sequential
-	// execution with no goroutines. Answers and Stats are identical for
-	// every worker count.
-	Workers int
 	// Policy selects the join-order policy (the empty string means
 	// PolicyGreedy).
 	Policy JoinOrderPolicy
@@ -298,20 +278,6 @@ type Options struct {
 	// inlined into their consumer, so their tuples are never
 	// materialized. Applied after the magic rewrite when both are on.
 	Stream bool
-	// Shards hash-partitions every rule's depth-0 relation by its first
-	// column and runs fixpoint rounds shard-parallel, exchanging deltas
-	// at the round barrier (see shard.go). 0 and 1 mean off. Answers,
-	// Stats, and provenance are bit-identical to unsharded evaluation
-	// at any shard count and worker count; Stats.ShardExchanged reports
-	// the cross-shard traffic a distributed deployment would ship. At
-	// most shard.MaxShards; incompatible with PolicyAdaptive, whose
-	// task-local reordering cannot stay shard-invariant.
-	Shards int
-	// ShardPartitioner names the hash partitioner used when Shards > 1:
-	// "modulo" (the default) or "rendezvous" (consistent hashing; see
-	// internal/shard). The choice never affects answers, only which
-	// shard owns which rows.
-	ShardPartitioner string
 }
 
 // DefaultOptions are the options used by Eval.
@@ -327,11 +293,9 @@ func (o Options) effectivePolicy() JoinOrderPolicy {
 	return o.Policy
 }
 
-// validatePolicy rejects unknown policy names, magic and elim modes,
-// and shard settings.
+// validatePolicy rejects unknown policy names and magic and elim modes.
 func (o Options) validatePolicy() error {
-	pol, err := ParseJoinOrderPolicy(string(o.Policy))
-	if err != nil {
+	if _, err := ParseJoinOrderPolicy(string(o.Policy)); err != nil {
 		return err
 	}
 	if _, err := ParseMagicMode(string(o.Magic)); err != nil {
@@ -339,18 +303,6 @@ func (o Options) validatePolicy() error {
 	}
 	if _, err := ParseElimMode(string(o.Elim)); err != nil {
 		return err
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("eval: negative shard count %d", o.Shards)
-	}
-	if o.Shards > shard.MaxShards {
-		return fmt.Errorf("eval: shard count %d exceeds the maximum %d", o.Shards, shard.MaxShards)
-	}
-	if _, err := shard.Parse(o.ShardPartitioner); err != nil {
-		return err
-	}
-	if o.Shards > 1 && pol == PolicyAdaptive {
-		return fmt.Errorf("eval: the adaptive policy is task-local and cannot keep Stats invariant across shard counts; use greedy or cost with Options.Shards")
 	}
 	return nil
 }
@@ -371,14 +323,6 @@ func (o Options) effectiveElim() ElimMode {
 	return o.Elim
 }
 
-// effectiveWorkers resolves Options.Workers to a concrete pool size.
-func (o Options) effectiveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Eval evaluates the program bottom-up over the given EDB and returns
 // a database containing the IDB relations (the EDB is not modified and
 // not included in the result).
@@ -394,68 +338,14 @@ func EvalWith(p *ast.Program, edb *DB, opts Options) (*DB, *Stats, error) {
 // EvalCtx is EvalWith under a context: cancellation (or deadline
 // expiry) stops the fixpoint promptly — it is checked at every round
 // barrier and periodically inside long join scans — and the context's
-// error is returned. Results and Stats remain deterministic for every
-// worker count whenever evaluation runs to completion.
+// error is returned. Results and Stats are deterministic whenever
+// evaluation runs to completion.
 func EvalCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Stats, error) {
 	ev, err := evalCompiled(ctx, p, edb, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	return ev.publicIDB(), ev.stats, nil
-}
-
-// task is one unit of round work: evaluate one rule with one subgoal
-// occurrence restricted to the previous delta (occ == -1 for no
-// restriction) over rows [lo, hi) of the relation probed first. The
-// range is in absolute row indexes of that relation: the whole of it,
-// the delta window of an IDB relation (for the delta occurrence, which
-// is always probed first), or one partition of either. Tasks are
-// independent: they read the round's frozen snapshot and write only
-// their own buffers.
-//
-// Under sharded evaluation (nShards > 0) the depth-0 partition is a
-// hash partition instead of a range: the task only probes the rows of
-// [lo, hi) whose precomputed owner (owners[row]) equals shard. Sharded
-// tasks are never additionally range-partitioned.
-type task struct {
-	ruleIdx int
-	occ     int
-	lo, hi  int
-	shard   int
-	nShards int     // 0 = unsharded
-	owners  []uint8 // per-row shard owner of the depth-0 relation
-}
-
-// minPartitionChunk is the smallest per-partition tuple range worth a
-// separate task; below it, goroutine and buffer overhead dominates.
-const minPartitionChunk = 8
-
-// cancelPollMask throttles the in-scan context poll to one ctx.Err()
-// call per (mask+1) join probes.
-const cancelPollMask = 0x3ff
-
-// appendPartitioned appends t split into up to workers contiguous
-// partitions of its depth-0 row range. The split never changes results
-// or stats: partitions cover the same rows a single task would scan, in
-// the same merged order.
-func appendPartitioned(ts []task, t task, workers int) []task {
-	n := t.hi - t.lo
-	parts := workers
-	if parts > n/minPartitionChunk {
-		parts = n / minPartitionChunk
-	}
-	if workers <= 1 || parts <= 1 {
-		return append(ts, t)
-	}
-	chunk := (n + parts - 1) / parts
-	for lo := t.lo; lo < t.hi; lo += chunk {
-		hi := lo + chunk
-		if hi > t.hi {
-			hi = t.hi
-		}
-		ts = append(ts, task{ruleIdx: t.ruleIdx, occ: t.occ, lo: lo, hi: hi})
-	}
-	return ts
 }
 
 // Query evaluates the program and returns the tuples of its query

@@ -16,8 +16,7 @@ import (
 // answer set is the reference evaluator's (internal/refeval; checked
 // while the fixpoint is small enough for a nested-loop interpreter),
 // and neither it nor the order-invariant statistics (iterations, tuples
-// derived) depend on which policy picked the join order or how many
-// workers ran. Inputs that fail to parse or fail stratification are
+// derived) depend on which policy picked the join order. Inputs that fail to parse or fail stratification are
 // skipped; inputs where the first run errors (e.g. the MaxTuples guard
 // trips) skip the comparison, since abort points are not part of the
 // contract. Every run is then repeated over a clone of the database:
@@ -84,11 +83,9 @@ odd(Y) :- even(X), succ(X, Y).
 			opts  Options
 		}
 		runs := []run{
-			{"greedy", Options{Seminaive: true, Workers: 1}},
-			{"cost", Options{Seminaive: true, Workers: 1, Policy: PolicyCost}},
-			{"adaptive", Options{Seminaive: true, Workers: 1, Policy: PolicyAdaptive}},
-			{"cost-w3", Options{Seminaive: true, Workers: 3, Policy: PolicyCost}},
-			{"adaptive-w3", Options{Seminaive: true, Workers: 3, Policy: PolicyAdaptive}},
+			{"greedy", Options{Seminaive: true}},
+			{"cost", Options{Seminaive: true, Policy: PolicyCost}},
+			{"adaptive", Options{Seminaive: true, Policy: PolicyAdaptive}},
 		}
 		type outcome struct {
 			answers map[string][]string

@@ -77,8 +77,7 @@ func (in *interner) term(id uint32) ast.Term {
 
 // termKey returns Term.Key for an id, rendering each distinct term at
 // most once. Ids of the frozen level read its precomputed keys; the
-// lazy fill for this level's own ids is single-threaded (round
-// barriers under sharding).
+// lazy fill for this level's own ids belongs to the level's one writer.
 func (in *interner) termKey(id uint32) string {
 	if id < in.off {
 		return in.under.keys[id]
@@ -141,10 +140,10 @@ func pow2(n int) int {
 // table grows and to tell most neighbours apart in the one word a probe
 // reads — and rows are then compared by value, so membership answers
 // are exact: a collision costs a comparison, never a wrong answer.
-// Callers pass the row's hashU32s in, so a row that meets several
-// tables (a task's dedup set, the snapshot, the merge) is hashed once.
-// findIdx is read-only and safe for concurrent readers of a frozen
-// store; insertLookup/place mutate and require a single writer.
+// Callers pass the row's hashU32s in, so a row is hashed once however
+// many probes it takes part in. findIdx is read-only and safe for
+// concurrent readers of a frozen store; insertLookup/place mutate and
+// require a single writer.
 type rowHash struct {
 	data  *[]uint32 // backing flat row store
 	arity int
@@ -230,7 +229,9 @@ func (h *rowHash) grow(size int) {
 // row order (candidates in insertion order keep the recorded first
 // derivation of every fact independent of how the index hashes).
 // Built lazily under the owning irel's lock; appended to incrementally
-// by irel.add, which runs only at single-threaded round barriers.
+// by irel.add. A reader that bounds itself to a prefix of the relation
+// may walk a chain while the relation's one writer — the same goroutine
+// — extends it: chains only grow at the far end.
 type rowIndex struct {
 	pos    []int
 	n      int // occupied entries
@@ -353,18 +354,19 @@ func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
 // single flat slice, a duplicate-elimination hash set, and lazily built
 // bound-position indexes. It is append-only, so a prefix or a window of
 // its rows is a relation too: the semi-naive delta of a round is rows
-// [lo, hi) of the IDB relation, never a copy. The same concurrency
-// contract as Relation applies: any number of goroutines may read (row,
-// contains, index probes, distinct) a frozen irel; add requires that no
-// reader runs concurrently, which the evaluator guarantees by mutating
-// only at round barriers.
+// [lo, hi) of the IDB relation, never a copy, and a fixpoint round reads
+// the prefix that existed at its barrier while it appends past it. The
+// same concurrency contract as Relation applies: any number of
+// goroutines may read (row, contains, index probes, distinct) a frozen
+// irel — the shared EDB base — and add requires that no other goroutine
+// reads, which holds because an IDB relation belongs to one evaluation
+// and an evaluation is one goroutine.
 //
 // Removal exists for incremental maintenance only (IRel, delta.go) and
 // moves nothing: remove stamps the row dead, the dedup slot and every
-// index chain keep pointing at it, and the delta executor — the one
-// reader of relations that can have dead rows — skips what its view's
-// epoch hides. The fixpoint kernel's relations are never removed from,
-// so contains, add and cTaskRun know nothing of any of this.
+// index chain keep pointing at it, and the join kernel skips what a
+// window's epoch hides. The fixpoint's relations are never removed from,
+// so add knows nothing of any of this.
 type irel struct {
 	arity int
 	n     int
@@ -424,21 +426,6 @@ func (r *irel) addHashed(vals []uint32, hv uint64) bool {
 	}
 	return true
 }
-
-// reserve makes room for n more rows, so that a merge about to add up
-// to n grows the row store and the dedup table at most once each.
-func (r *irel) reserve(n int) {
-	r.data = grown(r.data, n*r.arity)
-	if size := pow2((r.n+n)*4/3 + 1); size > len(r.set.slots) {
-		r.set.grow(size)
-	}
-}
-
-// contains reports membership; read-only and safe for concurrent use
-// on a frozen relation.
-func (r *irel) contains(vals []uint32) bool { return r.containsHashed(vals, hashU32s(vals)) }
-
-func (r *irel) containsHashed(vals []uint32, hv uint64) bool { return r.set.findIdx(vals, hv) >= 0 }
 
 // hidden reports whether row i was removed in or before epoch.
 func (r *irel) hidden(i int, epoch uint32) bool {

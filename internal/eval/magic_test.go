@@ -15,8 +15,8 @@ import (
 	"repro/internal/refeval"
 )
 
-// engineRuns is the policy × worker matrix the goal-directed
-// differential tests sweep; every cell must answer identically.
+// engineRuns is the policy row the goal-directed differential tests
+// sweep; every cell must answer identically.
 func engineRuns() []struct {
 	label string
 	opts  Options
@@ -25,11 +25,9 @@ func engineRuns() []struct {
 		label string
 		opts  Options
 	}{
-		{"greedy-w1", Options{Seminaive: true, Workers: 1}},
-		{"cost-w1", Options{Seminaive: true, Workers: 1, Policy: PolicyCost}},
-		{"adaptive-w1", Options{Seminaive: true, Workers: 1, Policy: PolicyAdaptive}},
-		{"greedy-w3", Options{Seminaive: true, Workers: 3}},
-		{"adaptive-w3", Options{Seminaive: true, Workers: 3, Policy: PolicyAdaptive}},
+		{"greedy", Options{Seminaive: true}},
+		{"cost", Options{Seminaive: true, Policy: PolicyCost}},
+		{"adaptive", Options{Seminaive: true, Policy: PolicyAdaptive}},
 	}
 }
 
@@ -430,8 +428,7 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 			p.Goal = goal
 		}
 
-		off := Options{Seminaive: true,
-			Workers: 1, Magic: MagicOff, MaxTuples: 20000}
+		off := Options{Seminaive: true, Magic: MagicOff, MaxTuples: 20000}
 		baseTuples, baseStats, err := QueryCtx(context.Background(), p, db, off)
 		if err != nil {
 			return // baseline decides evaluability

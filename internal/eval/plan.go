@@ -13,7 +13,7 @@ package eval
 // one), the next subgoal is the one with the most argument positions
 // that are constants or already-bound variables, tie-broken by the
 // lowest subgoal index. The score depends only on the rule's structure,
-// never on data or worker count, so Stats stay deterministic.
+// never on data, so Stats stay deterministic.
 //
 // Slot bindings need no save/restore on backtrack: the binding
 // progression along the join order is static, so a slot is only ever
@@ -29,7 +29,7 @@ type planKey struct {
 	occ     int
 }
 
-// relSrc says which snapshot relation a subgoal reads.
+// relSrc says which relation a subgoal reads.
 type relSrc uint8
 
 const (

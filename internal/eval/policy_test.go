@@ -20,15 +20,12 @@ import (
 // across policies would only hold if the policies never did anything.
 // The differential contract is therefore:
 //
-//   - answers are the reference evaluator's under every policy and
-//     worker count;
+//   - answers are the reference evaluator's under every policy;
 //   - every derived fact has a valid derivation tree under every policy
 //     (runEngine builds and validates one per fact);
 //   - the order-invariant Stats fields — Iterations, RuleFirings,
 //     TuplesDerived, RoundDeltas — are identical across policies (a
-//     join order permutes probes, never firings or derivations);
-//   - within each policy, answers, full Stats, and provenance are
-//     bit-identical for every worker count.
+//     join order permutes probes, never firings or derivations).
 
 // statsOrderInvariantEqual compares the Stats fields a join order
 // cannot change.
@@ -48,27 +45,14 @@ var allPolicies = []JoinOrderPolicy{PolicyGreedy, PolicyCost, PolicyAdaptive}
 // themselves.
 const refMaxFacts = 5000
 
-// requirePoliciesIdentical runs all three policies over workers {1, 4}
-// and asserts the contract above. It returns the per-policy
-// single-worker runs so callers can additionally assert on answers,
-// probe counts or adaptive counters.
+// requirePoliciesIdentical runs all three policies and asserts the
+// contract above. It returns the per-policy runs so callers can
+// additionally assert on answers, probe counts or adaptive counters.
 func requirePoliciesIdentical(t *testing.T, label string, p *ast.Program, db *DB) map[JoinOrderPolicy]engineRun {
 	t.Helper()
 	out := map[JoinOrderPolicy]engineRun{}
 	for _, pol := range allPolicies {
-		for _, w := range []int{1, 4} {
-			cr := runEngine(t, p, db, Options{Seminaive: true, Workers: w, Policy: pol})
-			ctx := fmt.Sprintf("%s (policy=%s workers=%d)", label, pol, w)
-			if w == 1 {
-				out[pol] = cr
-				continue
-			}
-			if prev := out[pol]; !cr.stats.Equal(&prev.stats) {
-				t.Fatalf("%s: stats vary with workers:\n%+v\nvs\n%+v", ctx, prev.stats, cr.stats)
-			} else if !reflect.DeepEqual(cr.preds, prev.preds) || cr.prov != prev.prov {
-				t.Fatalf("%s: answers or provenance vary with workers", ctx)
-			}
-		}
+		out[pol] = runEngine(t, p, db, Options{Seminaive: true, Policy: pol})
 		greedy := out[PolicyGreedy]
 		if cr := out[pol]; !reflect.DeepEqual(cr.preds, greedy.preds) {
 			t.Fatalf("%s: policy %s answers differ from greedy", label, pol)
@@ -233,7 +217,7 @@ func TestPolicyDifferentialAblations(t *testing.T) {
 	want := refeval.Eval(p, dbFacts(db))["path"]
 	for _, seminaive := range []bool{true, false} {
 		for _, pol := range allPolicies {
-			idb, _, err := EvalWith(p, db, Options{Seminaive: seminaive, Policy: pol, Workers: 2})
+			idb, _, err := EvalWith(p, db, Options{Seminaive: seminaive, Policy: pol})
 			if err != nil {
 				t.Fatalf("seminaive=%v policy=%s: %v", seminaive, pol, err)
 			}

@@ -31,17 +31,15 @@ type Derivation struct {
 }
 
 // EvalProv evaluates like Eval but also returns provenance for the
-// derived facts. Provenance is compatible with parallel rounds: steps
-// are built inside each task's private buffer and recorded at the
-// single-threaded round barrier, in deterministic merge order, so the
-// recorded derivation of every fact is the same for any worker count.
+// derived facts: the step recorded for a fact is the firing that first
+// appended it to its relation, materialized from the live binding, so
+// it is fixed by the evaluation's task order.
 func EvalProv(p *ast.Program, edb *DB) (*DB, *Provenance, *Stats, error) {
 	return evalProvOpts(context.Background(), p, edb, DefaultOptions())
 }
 
 // evalProvOpts is EvalProv with an explicit context and options. The
-// differential tests use it to compare provenance across policies,
-// shard counts and worker counts.
+// differential tests use it to compare provenance across policies.
 func evalProvOpts(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Provenance, *Stats, error) {
 	prov := &Provenance{steps: map[string]provStep{}}
 	ev, err := evalCompiled(ctx, p, edb, opts, prov)

@@ -133,20 +133,28 @@ func (r *irel) fold(sk []ColSketch, lo, hi int) {
 }
 
 // sketches returns the per-column sketches of a frozen relation, first
-// folding in the rows added since they were last read. The catch-up is
+// folding in the rows added since they were last read.
+func (r *irel) sketches() []ColSketch { return r.sketchesTo(r.n) }
+
+// sketchesTo returns the per-column sketches over rows [0, hi), folding
+// in the rows below hi that were added since they were last read — and
+// none from hi on, so a fixpoint round can ask while it appends (the
+// bounds one relation is asked with never decrease). The catch-up is
 // double-checked under r.mu like index(): the EDB base is shared, so
 // concurrent evaluations can ask for their first estimate at once.
-func (r *irel) sketches() []ColSketch {
+func (r *irel) sketchesTo(hi int) []ColSketch {
 	r.mu.RLock()
-	current := r.statsN == r.n
+	current := r.statsN >= hi
 	r.mu.RUnlock()
 	if !current {
 		r.mu.Lock()
 		if r.stats == nil {
 			r.stats = make([]ColSketch, r.arity)
 		}
-		r.fold(r.stats, r.statsN, r.n)
-		r.statsN = r.n
+		if r.statsN < hi {
+			r.fold(r.stats, r.statsN, hi)
+			r.statsN = hi
+		}
 		r.mu.Unlock()
 	}
 	return r.stats

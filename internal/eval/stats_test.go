@@ -28,7 +28,7 @@ func TestSketchExactOnSmallRelations(t *testing.T) {
 	}
 	// Duplicate rows never reach add (irel dedups), but duplicate
 	// column values across distinct rows must not inflate the count.
-	if !r.contains([]uint32{5, 5}) {
+	if !r.whole().Contains([]uint32{5, 5}) {
 		t.Fatal("setup: row (5,5) missing")
 	}
 }
@@ -212,14 +212,14 @@ func TestSketchCatchUpConcurrentFirstRead(t *testing.T) {
 	if _, _, err := Eval(p, db); err != nil {
 		t.Fatal(err)
 	}
-	want := runEngine(t, p, db.Clone(), Options{Seminaive: true, Policy: PolicyCost, Workers: 1})
+	want := runEngine(t, p, db.Clone(), Options{Seminaive: true, Policy: PolicyCost})
 	runs := make([]engineRun, 8)
 	var wg sync.WaitGroup
 	for i := range runs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			idb, stats, err := EvalCtx(context.Background(), p, db, Options{Seminaive: true, Policy: PolicyCost, Workers: 2})
+			idb, stats, err := EvalCtx(context.Background(), p, db, Options{Seminaive: true, Policy: PolicyCost})
 			if err != nil {
 				t.Error(err)
 				return

@@ -76,17 +76,15 @@ func requireConsistent(t *testing.T, label string, v *View, p *ast.Program, fs f
 		}
 	}
 	db := fs.db()
-	for _, w := range []int{1, 4} {
-		idb, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{Seminaive: true, Workers: w})
-		if err != nil {
-			t.Fatalf("%s: eval(workers=%d): %v", label, w, err)
-		}
-		for pred := range p.IDB() {
-			want := idb.SortedFacts(pred)
-			got := viewFacts(t, v, pred)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %s diverged (workers=%d):\nview %v\nfull %v", label, pred, w, got, want)
-			}
+	idb, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{Seminaive: true})
+	if err != nil {
+		t.Fatalf("%s: eval: %v", label, err)
+	}
+	for pred := range p.IDB() {
+		want := idb.SortedFacts(pred)
+		got := viewFacts(t, v, pred)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s diverged:\nview %v\nfull %v", label, pred, got, want)
 		}
 	}
 }

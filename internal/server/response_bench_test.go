@@ -34,7 +34,7 @@ func responseFixture(tb testing.TB) (h http.Handler, full, point string) {
 			fmt.Fprintf(&facts, "edge(%d, %d).\n", c*100+i, c*100+i+1)
 		}
 	}
-	h = New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)), Workers: 1}).Handler()
+	h = New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}).Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/datasets/g", strings.NewReader(facts.String())))
 	if rec.Code != http.StatusOK {

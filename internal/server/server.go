@@ -67,8 +67,6 @@ type Config struct {
 	UpdateTimeout time.Duration
 	// MaxTuples is the per-query derived-tuple budget (0 = unlimited).
 	MaxTuples int64
-	// Workers is the evaluation worker-pool size (0 = one per CPU).
-	Workers int
 	// JoinOrder is the default join-order policy for evaluations and
 	// views: "greedy" (or empty), "cost", or "adaptive". Queries can
 	// override it per request with join_order. Invalid names fall back
@@ -576,8 +574,6 @@ type queryRequest struct {
 	// evaluating (default true; false evaluates the program as sent,
 	// for A/B measurements).
 	Optimize *bool `json:"optimize,omitempty"`
-	// Workers overrides the evaluation pool size (0 → server default).
-	Workers int `json:"workers,omitempty"`
 	// MaxTuples overrides the derived-tuple budget (0 → server
 	// default).
 	MaxTuples int64 `json:"max_tuples,omitempty"`
@@ -785,16 +781,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	evalOpts := sqo.DefaultEvalOptions()
-	evalOpts.Workers = s.cfg.Workers
 	evalOpts.MaxTuples = s.cfg.MaxTuples
 	evalOpts.Policy = policy
 	evalOpts.Magic = magicMode
 	// Elimination already ran (or was declined) above; keep QueryCtx
 	// from re-running the analysis per request.
 	evalOpts.Elim = sqo.ElimOff
-	if req.Workers > 0 {
-		evalOpts.Workers = req.Workers
-	}
 	if req.MaxTuples > 0 {
 		evalOpts.MaxTuples = req.MaxTuples
 	}

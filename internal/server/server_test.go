@@ -324,6 +324,27 @@ func TestServerBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestServerRetiredWorkersField: "workers" was a /v1/query field until
+// the evaluator stopped running a pool. A client that still sends it
+// gets a 200 and the answers it would get without — the decoder ignores
+// fields the request type does not have.
+func TestServerRetiredWorkersField(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerDataset(t, ts.URL, "d", serverTestFacts)
+	var plain, retired queryResponse
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query",
+		map[string]any{"program": serverTestProgram, "dataset": "d"}, &plain); code != http.StatusOK {
+		t.Fatalf("status = %d %s", code, raw)
+	}
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query",
+		map[string]any{"program": serverTestProgram, "dataset": "d", "workers": 4}, &retired); code != http.StatusOK {
+		t.Fatalf("with \"workers\": status = %d %s", code, raw)
+	}
+	if len(plain.Answers) == 0 || !reflect.DeepEqual(retired.Answers, plain.Answers) || retired.Stats != plain.Stats {
+		t.Fatalf("answers or stats differ with the retired field:\n%+v\nvs\n%+v", retired, plain)
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerDataset(t, ts.URL, "d", serverTestFacts)

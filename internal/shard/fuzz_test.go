@@ -16,7 +16,7 @@ func FuzzPartition(f *testing.F) {
 		if n < 0 {
 			n = -n
 		}
-		n %= MaxShards + 2
+		n %= 258
 		for _, name := range []string{"modulo", "rendezvous"} {
 			p, err := Parse(name)
 			if err != nil {

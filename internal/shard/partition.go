@@ -1,7 +1,10 @@
 // Package shard is the distribution subsystem: deterministic hash
-// partitioners that split relations (and place datasets) across shards,
-// and a cluster coordinator that scatter-gathers queries over a set of
-// sqod worker nodes (coordinator.go).
+// partitioners that place datasets (and can split key spaces) across
+// shards, and a cluster coordinator that scatter-gathers queries over a
+// set of sqod worker nodes (coordinator.go). The coordinator places with
+// Place; Partitioner has had no caller in the tree since the evaluator
+// stopped sharding in process and stays as the package's tested
+// vocabulary for splitting one dataset across nodes.
 //
 // Partitioning is content-based: keys are the rendered canonical form
 // of a term (ast.Term.Key) or a dataset name, never per-evaluation
@@ -136,7 +139,3 @@ func Balance(p Partitioner, keys []string, n int) float64 {
 	}
 	return float64(maxc) / (float64(len(keys)) / float64(n))
 }
-
-// MaxShards bounds Options-level shard counts: owners are stored one
-// byte per row in the eval layer.
-const MaxShards = 256

@@ -64,16 +64,13 @@ func TestRandomProgramMagicDifferential(t *testing.T) {
 				t.Fatalf("seed %d goal %d: bottom-up answers differ from the reference\n got %v\nwant %v\ngoal %s\nprogram:\n%s",
 					seed, gi, got, want, gp.GoalAtom(), progSrc)
 			}
-			for _, workers := range []int{1, 4} {
-				for _, stream := range []bool{false, true} {
-					opts := sqo.DefaultEvalOptions()
-					opts.Workers = workers
-					opts.Stream = stream
-					got := answers(t, gp, db, opts)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d goal %d (workers=%d stream=%v): magic answers diverge\n got %v\nwant %v\ngoal %s\nprogram:\n%s",
-							seed, gi, workers, stream, got, want, gp.GoalAtom(), progSrc)
-					}
+			for _, stream := range []bool{false, true} {
+				opts := sqo.DefaultEvalOptions()
+				opts.Stream = stream
+				got := answers(t, gp, db, opts)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d goal %d (stream=%v): magic answers diverge\n got %v\nwant %v\ngoal %s\nprogram:\n%s",
+						seed, gi, stream, got, want, gp.GoalAtom(), progSrc)
 				}
 			}
 		}

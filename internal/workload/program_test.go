@@ -59,13 +59,9 @@ func TestRandomProgramDifferential(t *testing.T) {
 		db := sqo.NewDBFrom(facts)
 
 		want := refAnswers(prog, facts)
-		for _, workers := range []int{1, 4} {
-			opts := sqo.DefaultEvalOptions()
-			opts.Workers = workers
-			if got := answers(t, prog, db, opts); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: answers differ from the reference (workers=%d):\n got %v\nwant %v\nprogram:\n%s",
-					seed, workers, got, want, progSrc)
-			}
+		if got := answers(t, prog, db, sqo.DefaultEvalOptions()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: answers differ from the reference:\n got %v\nwant %v\nprogram:\n%s",
+				seed, got, want, progSrc)
 		}
 
 		// The rewrite must go through (adornment included) and preserve

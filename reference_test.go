@@ -1,14 +1,13 @@
 package sqo
 
-// Differential tests for the parallel semi-naive engine: for every
-// example program in examples/ (original AND optimizer-rewritten
-// form), and for randomized programs over random databases, parallel
-// evaluation must produce byte-identical answer sets and identical
-// Stats (Iterations, TuplesDerived, RuleFirings, JoinProbes) for every
-// worker count. The engine guarantees this by construction — rounds
-// evaluate a frozen snapshot and merge per-task buffers in rule order
-// at the round barrier — and these tests pin the guarantee. The answer
-// sets are also held to the reference evaluator's (internal/refeval).
+// Differential tests of the engine through the facade: every example
+// program in examples/ (original AND optimizer-rewritten form) and
+// randomized programs over random databases are held to the reference
+// evaluator's relations (internal/refeval), and a second evaluation of
+// the same inputs to the first one's Stats. The tests keep the names
+// they had when they swept the engine's worker pool (1, 2, 4, 8 workers
+// had to agree); the pool is gone, the programs and the reference check
+// stay.
 
 import (
 	"fmt"
@@ -19,8 +18,6 @@ import (
 	"repro/internal/refeval"
 	"repro/internal/workload"
 )
-
-var parallelWorkerCounts = []int{1, 2, 4, 8}
 
 // exampleCases mirrors the programs of the runnable examples/ set,
 // with representative databases.
@@ -121,44 +118,37 @@ func exampleCases(t *testing.T) []struct {
 	}
 }
 
-// assertWorkersAgree evaluates prog on db under every worker count and
-// fails unless relations and stats are identical across all of them
-// and — while the fixpoint is small enough for a nested-loop interpreter
-// (the 160-step goodpath chain is not) — the relations are the
-// reference evaluator's.
-func assertWorkersAgree(t *testing.T, label string, prog *Program, db *DB) {
+// assertReference evaluates prog on db twice and fails unless the two
+// runs agree on relations and Stats and — while the fixpoint is small
+// enough for a nested-loop interpreter (the 160-step goodpath chain is
+// not) — the relations are the reference evaluator's.
+func assertReference(t *testing.T, label string, prog *Program, db *DB) {
 	t.Helper()
-	var first *DB
-	var firstStats *Stats
-	for _, w := range parallelWorkerCounts {
-		idb, stats, err := EvalWith(prog, db, EvalOptions{Seminaive: true, Workers: w})
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", label, w, err)
+	idb, stats, err := EvalWith(prog, db, EvalOptions{Seminaive: true})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if stats.TuplesDerived <= 2000 {
+		var facts []Atom
+		for _, pred := range db.Preds() {
+			facts = append(facts, db.Facts(pred)...)
 		}
-		if first == nil {
-			first, firstStats = idb, stats
-			if stats.TuplesDerived > 2000 {
-				continue
-			}
-			var facts []Atom
-			for _, pred := range db.Preds() {
-				facts = append(facts, db.Facts(pred)...)
-			}
-			for pred, want := range refeval.Eval(prog, facts) {
-				if got := idb.SortedFacts(pred); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: %s differs from the reference:\n%v\nvs\n%v", label, pred, got, want)
-				}
-			}
-			continue
-		}
-		if !stats.Equal(firstStats) {
-			t.Fatalf("%s: stats differ at workers=%d:\n%+v\nvs\n%+v", label, w, *firstStats, *stats)
-		}
-		for _, pred := range first.Preds() {
-			want := first.SortedFacts(pred)
+		for pred, want := range refeval.Eval(prog, facts) {
 			if got := idb.SortedFacts(pred); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: workers=%d disagrees on %s:\n%v\nvs\n%v", label, w, pred, got, want)
+				t.Fatalf("%s: %s differs from the reference:\n%v\nvs\n%v", label, pred, got, want)
 			}
+		}
+	}
+	again, againStats, err := Eval(prog, db)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !againStats.Equal(stats) {
+		t.Fatalf("%s: stats differ between two runs:\n%+v\nvs\n%+v", label, *stats, *againStats)
+	}
+	for _, pred := range idb.Preds() {
+		if want, got := idb.Facts(pred), again.Facts(pred); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: two runs disagree on %s or its order:\n%v\nvs\n%v", label, pred, got, want)
 		}
 	}
 }
@@ -170,12 +160,12 @@ func TestParallelAgreesOnExamplePrograms(t *testing.T) {
 	for _, c := range exampleCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			assertWorkersAgree(t, c.name+"/original", c.prog, c.db)
+			assertReference(t, c.name+"/original", c.prog, c.db)
 			res, err := Optimize(c.prog, c.ics)
 			if err != nil {
 				t.Fatalf("%s: optimize: %v", c.name, err)
 			}
-			assertWorkersAgree(t, c.name+"/rewritten", res.Program, c.db)
+			assertReference(t, c.name+"/rewritten", res.Program, c.db)
 		})
 	}
 }
@@ -208,8 +198,7 @@ func randomProgram(rng *rand.Rand) (*Program, error) {
 }
 
 // TestParallelAgreesOnRandomPrograms is the randomized differential
-// test: random programs over random graphs, all worker counts, answers
-// and stats identical.
+// test: random programs over random graphs against the reference.
 func TestParallelAgreesOnRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	trials := 0
@@ -228,31 +217,6 @@ func TestParallelAgreesOnRandomPrograms(t *testing.T) {
 			f.Pred = "e"
 			db2.AddFact(f)
 		}
-		assertWorkersAgree(t, fmt.Sprintf("random-%d", trials), prog, db2)
-	}
-}
-
-// TestParallelDefaultWorkers checks that the Workers=0 default (one
-// worker per CPU) matches explicit sequential evaluation.
-func TestParallelDefaultWorkers(t *testing.T) {
-	prog := MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	db := NewDBFrom(workload.Chain(1, 60))
-	seq, seqStats, err := EvalWith(prog, db, EvalOptions{Seminaive: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, defStats, err := Eval(prog, db) // DefaultOptions: Workers = 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seqStats.Equal(defStats) {
-		t.Fatalf("stats differ:\n%+v\nvs\n%+v", *seqStats, *defStats)
-	}
-	if !reflect.DeepEqual(seq.SortedFacts("path"), def.SortedFacts("path")) {
-		t.Fatal("answers differ between default and sequential evaluation")
+		assertReference(t, fmt.Sprintf("random-%d", trials), prog, db2)
 	}
 }

@@ -156,17 +156,17 @@ func NewDBFrom(facts []Atom) *DB {
 	return db
 }
 
-// Eval evaluates the program bottom-up (semi-naive, hash-indexed,
-// parallel across one worker per CPU) over the extensional database,
-// returning the IDB relations. Results and Stats are deterministic
-// regardless of worker count.
+// Eval evaluates the program bottom-up (semi-naive, hash-indexed, on
+// the calling goroutine) over the extensional database, returning the
+// IDB relations. Results and Stats are deterministic.
 func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return eval.Eval(p, edb) }
 
-// EvalOptions configures the evaluation engine: naive vs semi-naive,
-// the derived-tuple budget, the worker pool size (Workers: 0 = one per
-// CPU, 1 = sequential), the join-order policy (Policy; see
-// JoinOrderPolicy), the goal-directed rewrites of Query/QueryCtx (Elim,
-// Magic, Stream) and in-process sharding (Shards, ShardPartitioner).
+// EvalOptions configures the evaluation engine: naive vs semi-naive
+// (Seminaive), the derived-tuple budget (MaxTuples), the join-order
+// policy (Policy; see JoinOrderPolicy) and the goal-directed rewrites
+// of Query/QueryCtx (Elim, Magic, Stream). An evaluation runs on the
+// goroutine that calls it; callers that want several cores run several
+// evaluations, which may share one DB.
 type EvalOptions = eval.Options
 
 // JoinOrderPolicy selects how the engine orders the subgoals of each
@@ -264,9 +264,9 @@ func EliminateRecursion(p *Program) (*Program, error) {
 }
 
 // DefaultEvalOptions returns the engine defaults used by Eval:
-// semi-naive with the greedy join-order policy, one worker per CPU.
-// Start from it when overriding a single knob: the zero EvalOptions
-// selects naive evaluation.
+// semi-naive with the greedy join-order policy. Start from it when
+// overriding a single knob: the zero EvalOptions selects naive
+// evaluation.
 func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
 
 // EvalWith evaluates with explicit engine options.
