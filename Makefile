@@ -83,14 +83,16 @@ bench-e2e:
 	cd bench && $(GO) test ./...
 
 # A short native-fuzzing pass over the parser, over the order solver
-# (against its from-scratch reference) and over the response writer
-# (against the render-sort-encode path it replaced). Long enough to exercise the
-# mutator, short enough for CI; sustained campaigns should raise
-# -fuzztime by hand.
+# (against its from-scratch reference), over the response writer
+# (against the render-sort-encode path it replaced) and over goal-directed
+# evaluation (magic, streaming and the one-root renaming fold against
+# bottom-up). Long enough to exercise the mutator, short enough for CI;
+# sustained campaigns should raise -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/order -run='^$$' -fuzz=FuzzOrder -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswerWriter -fuzztime=10s
+	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzMagic -fuzztime=10s
 
 # Randomized differential check of incremental view maintenance under
 # the race detector: after every prefix of a random add/retract

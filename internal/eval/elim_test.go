@@ -205,6 +205,11 @@ q(X, Y) :- right(Y), q(X, Z).
 	f.Add(`r(X) :- seed(X).
 r(X) :- glue(X), r(Y), r(Z).
 ?- r.`, uint8(4), uint8(1))
+	addRenamingSeeds(f)
+	f.Add(`buys_q0(X, Y) :- likes(X, Y).
+buys_q0(X, Y) :- trendy(X), buys_q0(Z, Y).
+buys(X, Y) :- buys_q0(X, Y).
+?- buys.`, uint8(11), uint8(1))
 
 	f.Fuzz(func(t *testing.T, src string, seed, bindMask uint8) {
 		unit, err := parser.Parse(src)

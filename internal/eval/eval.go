@@ -382,6 +382,13 @@ func QueryWith(p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
 // nothing is provably bounded (ErrNotBounded), the fixpoint is
 // evaluated as written; Stats.ElimApplied/ElimChecked record the
 // outcome.
+//
+// Before either, a query predicate whose only rule renames another IDB
+// predicate — the optimizer's one-root union, p(X1, …, Xn) :-
+// p_q0(X1, …, Xn) — is folded away (foldRenaming): the query relation
+// is the root's relation, not a copy of it, so Stats count each answer
+// once and RoundDeltas name the query predicate, not the root. The
+// answers and their order are those of evaluating the rule as written.
 func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
 	res, stats, err := QueryResultCtx(ctx, p, edb, opts)
 	if err != nil {
@@ -393,16 +400,18 @@ func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tup
 // QueryResultCtx is QueryCtx for a caller that wants the answers written
 // out rather than handed over: the same evaluation, returning the
 // answers as a Result — interned rows, converted to tuples only on
-// request — which is all of the evaluation that stays reachable.
+// request — which is all of the evaluation that stays reachable. With a
+// one-root renaming folded (see QueryCtx) those rows are the root's own
+// row store.
 func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*Result, *Stats, error) {
 	if err := opts.validatePolicy(); err != nil {
 		return nil, nil, err
 	}
-	prog := p
+	prog := foldRenaming(p)
 	elimApplied := false
 	elimChecked := 0
-	if opts.effectiveElim() != ElimOff && len(p.Rules) > 0 {
-		res, err := bounded.Rewrite(p, bounded.Options{})
+	if opts.effectiveElim() != ElimOff && len(prog.Rules) > 0 {
+		res, err := bounded.Rewrite(prog, bounded.Options{})
 		if res != nil {
 			elimChecked = len(res.Analyses)
 		}
@@ -444,4 +453,93 @@ func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) 
 	// bindings demanded recursively beyond the goal's own constants.
 	// Only the query relation's matching rows leave the evaluation.
 	return ev.answers(prog.Query, p.Goal), ev.stats, nil
+}
+
+// foldRenaming evaluates the optimizer's one-root union as what it is, a
+// renaming. The rewritten program defines the query predicate p as the
+// union of the query forest's roots (p :- p_q0. p :- p_q1. …); with one
+// root that union is p(X1, …, Xn) :- q(X1, …, Xn), and as a rule it
+// derives, hashes, stores and counts every answer twice. While p's only
+// rule is such a renaming — one positive atom, nothing negated, no order
+// atom, distinct variables in the same positions on both sides — and
+// q ≠ p is an IDB predicate with rules of its own, the rule is dropped
+// and q renamed p in every rule. It is sound because in the least model
+// p and q are the same relation, so one name for both changes no relation
+// anything reads; the answers are q's rows in q's order, which is the
+// order the renaming rule copied them in. Every rule for q must have
+// arity n, so that an arity mismatch between the two stays an error.
+// Stream, elim and magic then see one predicate where there were two:
+// run after magic, the fold would find p(X…) :- m_p(…), q(X…) instead
+// of a renaming, and the wrapper would have been adorned, seeded and
+// evaluated as a predicate of its own. The caller's program is never
+// written: when nothing folds it is returned as it is, allocation-free.
+func foldRenaming(p *ast.Program) *ast.Program {
+	for {
+		at := -1
+		for i, r := range p.Rules {
+			if r.Head.Pred == p.Query {
+				if at >= 0 {
+					return p // a union of two or more roots
+				}
+				at = i
+			}
+		}
+		if at < 0 {
+			return p
+		}
+		r := p.Rules[at]
+		if len(r.Pos) != 1 || len(r.Neg) > 0 || len(r.Cmp) > 0 ||
+			r.Pos[0].Pred == p.Query || len(r.Pos[0].Args) != len(r.Head.Args) {
+			return p
+		}
+		for i, t := range r.Head.Args {
+			if !t.IsVar() || r.Pos[0].Args[i] != t {
+				return p
+			}
+			for _, u := range r.Head.Args[:i] {
+				if u == t {
+					return p
+				}
+			}
+		}
+		q, hasRule := r.Pos[0].Pred, false
+		for _, s := range p.Rules {
+			if s.Head.Pred == q {
+				if len(s.Head.Args) != len(r.Head.Args) {
+					return p
+				}
+				hasRule = true
+			}
+		}
+		if !hasRule {
+			return p // q is EDB: p is a copy of stored facts
+		}
+		rename := func(as []ast.Atom) []ast.Atom {
+			var out []ast.Atom
+			for j, a := range as {
+				if a.Pred == q {
+					if out == nil {
+						out = append([]ast.Atom(nil), as...)
+					}
+					out[j].Pred = p.Query
+				}
+			}
+			if out == nil {
+				return as
+			}
+			return out
+		}
+		folded := &ast.Program{Query: p.Query, Goal: p.Goal, Rules: make([]ast.Rule, 0, len(p.Rules)-1)}
+		for i, s := range p.Rules {
+			if i == at {
+				continue
+			}
+			if s.Head.Pred == q {
+				s.Head.Pred = p.Query
+			}
+			s.Pos, s.Neg = rename(s.Pos), rename(s.Neg)
+			folded.Rules = append(folded.Rules, s)
+		}
+		p = folded
+	}
 }

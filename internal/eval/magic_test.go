@@ -354,6 +354,21 @@ func TestMagicPeakDeterministic(t *testing.T) {
 	}
 }
 
+// addRenamingSeeds seeds a fuzz target with the query shapes
+// foldRenaming decides on: the optimizer's one root, bound and unbound,
+// and the near misses — a permuted head, a second rule for the query
+// predicate, a chain of renamings.
+func addRenamingSeeds(f *testing.F) {
+	const root = `p_q0(X, Y) :- e(X, Y).
+p_q0(X, Y) :- e(X, Z), p_q0(Z, Y).
+`
+	f.Add(root+"p(X, Y) :- p_q0(X, Y).\n?- p.", uint8(6), uint8(0))
+	f.Add(root+"p(X, Y) :- p_q0(X, Y).\n?- p.", uint8(7), uint8(1))
+	f.Add(root+"p(X, Y) :- p_q0(Y, X).\n?- p.", uint8(8), uint8(1))
+	f.Add(root+"p(X, Y) :- p_q0(X, Y).\np(X, Y) :- f(X, Y).\n?- p.", uint8(9), uint8(2))
+	f.Add(root+"q(X, Y) :- p_q0(X, Y).\np(X, Y) :- q(X, Y).\n?- p.", uint8(10), uint8(1))
+}
+
 // FuzzMagic drives arbitrary programs with arbitrary binding patterns
 // through the goal-directed path and asserts the one contract that
 // matters: magic on (with and without streaming), across policies and
@@ -377,6 +392,7 @@ t(X, Y) :- s(X, Y), s(Y, X).
 	f.Add(`mid(X, Y) :- e(X, Y).
 q(X, Y) :- mid(X, Z), f(Z, Y).
 ?- q.`, uint8(5), uint8(1))
+	addRenamingSeeds(f)
 
 	f.Fuzz(func(t *testing.T, src string, seed, bindMask uint8) {
 		unit, err := parser.Parse(src)

@@ -278,6 +278,23 @@ func TestUnfoldSkipsRecursiveAndShared(t *testing.T) {
 	}
 }
 
+func TestUnfoldRenamesApartFromEarlierUnfolds(t *testing.T) {
+	// Unfolding a leaves a's body variable in q as Z#u; b's own Z must
+	// then be renamed past it, or q would join b's middle with c's input.
+	p := mustParse(t, `
+		a(X, Y) :- b(X, Z), c(Z, Y).
+		b(X, Y) :- e(X, Z), f(Z, Y).
+		c(X, Y) :- g(X, Y).
+		q(X, Y) :- a(X, Y).
+		?- q.
+	`)
+	out, n := Unfold(p)
+	if n != 3 {
+		t.Fatalf("eliminated = %d, want 3:\n  %s", n, strings.Join(ruleStrings(out), "\n  "))
+	}
+	containsRule(t, out, `q(X, Y) :- e(X, Z#u#u), f(Z#u#u, Z#u), g(Z#u, Y).`)
+}
+
 func TestUnfoldMultiRuleProducer(t *testing.T) {
 	// A producer with two rules splits the consumer into two rules.
 	p := mustParse(t, `

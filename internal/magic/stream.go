@@ -15,6 +15,7 @@ package magic
 // single-consumer shape.
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -93,16 +94,18 @@ func unfoldOne(p *ast.Program) *ast.Program {
 func inline(p *ast.Program, pred string, ci, k int) *ast.Program {
 	consumer := p.Rules[ci]
 	atom := consumer.Pos[k]
+	taken := map[string]bool{}
+	for _, v := range consumer.Vars() {
+		taken[v] = true
+	}
 	var unfolded []ast.Rule
 	for _, prod := range p.Rules {
 		if prod.Head.Pred != pred {
 			continue
 		}
 		// Rename the producer's variables apart from the consumer's.
-		// '#' cannot appear in source identifiers, so suffixed names
-		// are disjoint from every consumer variable (nested unfolds
-		// stack suffixes, which stays disjoint too).
-		prod = ast.RenameRule(prod, func(v string) string { return v + "#u" })
+		suffix := freshSuffix(prod, taken)
+		prod = ast.RenameRule(prod, func(v string) string { return v + suffix })
 		subst, ok := unifyArgs(atom.Args, prod.Head.Args)
 		if !ok {
 			continue // this producer can never feed the consumer
@@ -152,6 +155,21 @@ func inline(p *ast.Program, pred string, ci, k int) *ast.Program {
 		}
 	}
 	return out
+}
+
+// freshSuffix returns the shortest run of "#u" that, appended to each of
+// prod's variables, names none of the taken ones. '#' cannot appear in
+// source identifiers, so one "#u" is disjoint from every variable a user
+// wrote — but not from those an earlier unfold of another producer left
+// in the consumer: a producer's Z cannot become Z#u when the consumer
+// already has a Z#u of its own, or the two would be joined.
+func freshSuffix(prod ast.Rule, taken map[string]bool) string {
+	vars := prod.Vars()
+	for suffix := "#u"; ; suffix += "#u" {
+		if !slices.ContainsFunc(vars, func(v string) bool { return taken[v+suffix] }) {
+			return suffix
+		}
+	}
 }
 
 // recursivePreds returns the IDB predicates on a positive dependency

@@ -93,18 +93,23 @@ func BenchmarkQueryResponse(b *testing.B) {
 // TestQueryResponseAllocationGuard bounds what one response allocates:
 // a 51,000-answer body used to take 358,069 allocations and 27.4 MB (a
 // Tuple, a string and a sorted copy per answer, then encoding/json over
-// the lot) and takes a few thousand now; the 50-answer point response
-// must not pay for that (1,105 allocations at the parent commit, recorder and request included).
+// the lot) and takes a few hundred now; the 50-answer point response
+// must not pay for that (recorder and request included). Both bounds
+// lock in the one-root renaming fold — the query relation is its root's
+// rows, not a second copy of them: 9.66 → 6.5 MB for the whole relation
+// and 725 → 594 allocations for the point query, which no longer adorns,
+// seeds and plans the renaming rule as a predicate of its own.
 func TestQueryResponseAllocationGuard(t *testing.T) {
 	h, full, point := responseFixture(t)
 	for _, c := range []struct {
 		name      string
 		body      string
 		maxAllocs float64
-		maxBytes  uint64
+		maxBytes  uint64 // in a plain build
+		raceBytes uint64 // under -race, whose instrumentation allocates too
 	}{
-		{"51,000 answers", full, 10000, 15 << 20},
-		{"50 answers", point, 1105, 1 << 20},
+		{"51,000 answers", full, 10000, 8 << 20, 10 << 20},
+		{"50 answers", point, 700, 1 << 20, 1 << 20},
 	} {
 		run := func() { postQuery(t, h, c.body) }
 		if got := testing.AllocsPerRun(3, run); got > c.maxAllocs {
@@ -114,8 +119,12 @@ func TestQueryResponseAllocationGuard(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > c.maxBytes {
-			t.Errorf("%s: %d bytes per request, want at most %d", c.name, got, c.maxBytes)
+		maxBytes := c.maxBytes
+		if raceDetector {
+			maxBytes = c.raceBytes
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
+			t.Errorf("%s: %d bytes per request, want at most %d", c.name, got, maxBytes)
 		}
 	}
 }

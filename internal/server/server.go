@@ -593,7 +593,8 @@ type queryRequest struct {
 	// — compile provably bounded fixpoints into flat joins), "on", or
 	// "off". Answers are identical in every mode; only the evaluation
 	// strategy differs. The boundedness verdict is cached alongside
-	// the rewrite cache, keyed by program and goal.
+	// the rewrite cache, keyed by the program's rules: the goal's
+	// constants do not take an entry each.
 	Elim string `json:"elim,omitempty"`
 }
 
@@ -748,16 +749,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Pre-apply bounded-recursion elimination through the rewrite
-	// cache: the boundedness analysis is pure static work keyed by the
-	// (possibly optimized) program and its goal, so concurrent
-	// identical queries share one analysis and repeats hit the LRU. A
-	// negative verdict is cached too, as an entry with a nil Program —
-	// ErrNotBounded is an outcome here, not an error.
+	// cache: the boundedness analysis is pure static work on the
+	// (possibly optimized) program's rules — the goal is copied through,
+	// never read — so it is keyed and computed on the program with its
+	// goal stripped: point queries that differ only in their constants
+	// share one analysis and one LRU entry, and the request's goal is
+	// put back on a shallow copy of the cached program, which is never
+	// written. A negative verdict is cached too, as an entry with a nil
+	// Program — ErrNotBounded is an outcome here, not an error.
 	elimApplied := false
 	if elimMode != sqo.ElimOff {
-		key := "elim\x00" + CacheKey(prog, nil, sqo.Options{})
+		rules := &sqo.Program{Rules: prog.Rules, Query: prog.Query}
+		key := "elim\x00" + CacheKey(rules, nil, sqo.Options{})
 		res, _, err := s.cache.GetOrCompute(ctx, key, func() (*sqo.Result, error) {
-			rewritten, err := sqo.EliminateRecursion(prog)
+			rewritten, err := sqo.EliminateRecursion(rules)
 			if errors.Is(err, sqo.ErrNotBounded) {
 				return &sqo.Result{}, nil
 			}
@@ -775,8 +780,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if res.Program != nil {
-			prog = res.Program
-			elimApplied = true
+			withGoal := *res.Program
+			withGoal.Goal = prog.Goal
+			prog, elimApplied = &withGoal, true
 		}
 	}
 

@@ -211,6 +211,38 @@ func TestServerConcurrentIdenticalRequests(t *testing.T) {
 	}
 }
 
+// TestElimVerdictKeyedOnRules: the boundedness verdict depends on the
+// rules alone, so point queries that differ only in their goal's
+// constants share one elim entry — the second request hits it — and
+// each still gets its own goal's answers, which takes putting the
+// request's goal back on the goal-free cached program.
+func TestElimVerdictKeyedOnRules(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	registerDataset(t, ts.URL, "d", `likes(a, 1). likes(b, 2). trendy(c).`)
+	const rules = `
+		buys(X, Y) :- likes(X, Y).
+		buys(X, Y) :- trendy(X), buys(Z, Y).
+	`
+	noOpt := false // the elim verdict is then the only cache entry
+	for i, c := range []struct{ goal, want string }{{"a", "(a, 1)"}, {"b", "(b, 2)"}} {
+		var r queryResponse
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", queryRequest{
+			Program:  rules + "?- buys(" + c.goal + ", Y).",
+			Dataset:  "d",
+			Optimize: &noOpt,
+		}, &r)
+		if code != http.StatusOK {
+			t.Fatalf("query %s: %d %s", c.goal, code, raw)
+		}
+		if !r.Elim || !reflect.DeepEqual(r.Answers, []string{c.want}) {
+			t.Fatalf("query %s: elim %v, answers %v, want elim and [%s]", c.goal, r.Elim, r.Answers, c.want)
+		}
+		if st := s.Cache().Stats(); st.Size != 1 || st.Misses != 1 || st.Hits != int64(i) {
+			t.Fatalf("after query %s: cache %+v, want one entry, one miss, %d hits", c.goal, st, i)
+		}
+	}
+}
+
 // doJSONNoFatal is doJSON for use inside goroutines (no *testing.T).
 func doJSONNoFatal(url string, body any, out any) (int, []byte) {
 	b, err := json.Marshal(body)

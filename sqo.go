@@ -298,6 +298,20 @@ func QueryWith(p *Program, edb *DB, opts EvalOptions) ([]eval.Tuple, *Stats, err
 
 // QueryCtx is QueryWith under a context; see EvalCtx for the
 // cancellation contract.
+//
+// Query, QueryWith, QueryCtx and QueryResultCtx evaluate an optimized
+// program's one-root union — `p(X, Y) :- p_q0(X, Y).`, the only rule
+// of the query predicate — as the renaming it is: the query relation is
+// the root's relation, so every answer is derived once, not twice.
+// Sound because p and p_q0 are the same relation in the least model;
+// done before the magic rewrite, which would otherwise adorn and seed
+// the renaming as a predicate of its own. Answers and their order are
+// those of evaluating the rule as written; Stats count no copy (one
+// probe, one firing and one derived tuple fewer per answer than the
+// rule would cost) and RoundDeltas name the query predicate, not the
+// root. The optimizer's output, Explain, EvalCtx, EvalProv and views
+// keep the paper's form: they return or maintain every IDB relation by
+// name.
 func QueryCtx(ctx context.Context, p *Program, edb *DB, opts EvalOptions) ([]eval.Tuple, *Stats, error) {
 	return eval.QueryCtx(ctx, p, edb, opts)
 }
@@ -319,7 +333,9 @@ var (
 )
 
 // QueryResultCtx is QueryCtx returning a QueryResult instead of tuples,
-// for callers that write the answers out rather than compute on them.
+// for callers that write the answers out rather than compute on them;
+// with a one-root renaming folded (see QueryCtx) it holds the root's
+// own rows.
 func QueryResultCtx(ctx context.Context, p *Program, edb *DB, opts EvalOptions) (*QueryResult, *Stats, error) {
 	return eval.QueryResultCtx(ctx, p, edb, opts)
 }
