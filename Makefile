@@ -98,7 +98,7 @@ fuzz-smoke:
 # the race detector: after every prefix of a random add/retract
 # sequence, View answers/counts/provenance must be bit-identical to a
 # from-scratch evaluation; the long-sequence run does the same over
-# 2,000 batches per program and policy, far enough to cross tombstone
+# 2,000 batches per program, far enough to cross tombstone
 # compaction many times. The CI race job runs this too.
 incr-smoke:
 	$(GO) test ./internal/incr -race -count=1 -run='TestIncrRandomizedDifferential|TestIncrLongSequenceDifferential'

@@ -86,7 +86,7 @@ func main() {
 		{"P2", "Rewrite-cache amortization (cold vs cache hit)", runP2},
 		{"P4", "Incremental view maintenance vs recompute", runP4},
 		{"P5", "Lint wall-clock per check family", runP5},
-		{"P6", "Join-order policies: greedy vs cost vs adaptive", runP6},
+		{"P6", "Join order: exact-length ties, empty-subgoal skips, one mid-task reorder", runP6},
 		{"P7", "Durable store: update overhead and cold-start recovery", runP7},
 		{"P8", "Goal-directed evaluation: magic sets + streaming strata", runP8},
 		{"P9", "Horizontal scale-out: cluster scatter-gather", runP9},

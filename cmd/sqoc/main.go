@@ -10,8 +10,8 @@
 // Usage:
 //
 //	sqoc [-facts file] [-explain] [-baseline] [-stats]
-//	     [-order greedy|cost|adaptive] [-magic auto|on|off]
-//	     [-elim auto|on|off] [-timeout d] [-budget n] [file]
+//	     [-magic auto|on|off] [-elim auto|on|off]
+//	     [-timeout d] [-budget n] [file]
 //
 // Exit status:
 //
@@ -50,17 +50,12 @@ func main() {
 	stats := flag.Bool("stats", false, "print query-tree statistics")
 	why := flag.Bool("why", false, "print a derivation tree for each answer (requires facts)")
 	lintFlag := flag.Bool("lint", false, "run the semantic linter before optimizing; exit 1 on lint errors")
-	order := flag.String("order", "", "join-order policy: greedy (default), cost, or adaptive")
 	magicFlag := flag.String("magic", "", "magic-sets rewrite for goal queries like '?- path(a, Y).': auto (default), on, or off")
 	elimFlag := flag.String("elim", "", "bounded-recursion elimination (compile provably bounded fixpoints into flat joins): auto (default), on, or off")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on optimization + evaluation (0 = none)")
 	budget := flag.Int64("budget", 0, "derived-tuple budget per evaluation (0 = unlimited)")
 	flag.Parse()
 
-	policy, err := sqo.ParseJoinOrderPolicy(*order)
-	if err != nil {
-		log.Fatal(err)
-	}
 	magicMode, err := sqo.ParseMagicMode(*magicFlag)
 	if err != nil {
 		log.Fatal(err)
@@ -147,7 +142,6 @@ func main() {
 		db := sqo.NewDBFrom(facts)
 		opts := sqo.DefaultEvalOptions()
 		opts.MaxTuples = *budget
-		opts.Policy = policy
 		opts.Magic = magicMode
 		opts.Elim = elimMode
 		origTuples, origStats, err := sqo.QueryCtx(ctx, unit.Program, db, opts)

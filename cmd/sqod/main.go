@@ -29,8 +29,7 @@
 //
 //	sqod [-addr :8351] [-max-inflight n] [-cache-size n]
 //	     [-timeout 30s] [-max-timeout 5m] [-update-timeout 30s]
-//	     [-max-tuples n] [-join-order greedy|cost|adaptive]
-//	     [-data-dir path] [-fsync always|interval|never]
+//	     [-max-tuples n] [-data-dir path] [-fsync always|interval|never]
 //	     [-fsync-interval 100ms] [-checkpoint-every 4096]
 //	     [-drain 30s] [-log text|json] [-pprof=false]
 //
@@ -98,7 +97,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested timeouts")
 	updateTimeout := flag.Duration("update-timeout", 0, "per-update deadline for dataset mutations incl. view maintenance (0 = -timeout)")
 	maxTuples := flag.Int64("max-tuples", 0, "per-query derived-tuple budget (0 = unlimited)")
-	joinOrder := flag.String("join-order", "", "default join-order policy: greedy, cost, or adaptive")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory, no persistence)")
 	fsyncPolicy := flag.String("fsync", "always", "WAL durability: always, interval, or never (with -data-dir)")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "sync period under -fsync=interval")
@@ -189,7 +187,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		UpdateTimeout:  *updateTimeout,
 		MaxTuples:      *maxTuples,
-		JoinOrder:      *joinOrder,
 		Logger:         logger,
 		EnablePprof:    *enablePprof,
 		Store:          st,

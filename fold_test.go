@@ -56,7 +56,7 @@ func evalUnfolded(t *testing.T, p *Program, db *DB, opts EvalOptions) ([]Atom, *
 // optimizer's one-root renaming rule, to the evaluation that keeps it, on
 // the optimizer's output for workload.RandomProgram seeds and the
 // examples/ programs (Figure 1 and goodpath among them), whole-relation
-// and point queries, under magic × elim × stream × policy: the same
+// and point queries, under magic × elim × stream: the same
 // tuples in the same order, the reference evaluator's answers on the
 // program as written, and — where nothing else rewrites the program —
 // Stats that drop by exactly the copy, a probe, a firing and a derived
@@ -116,39 +116,37 @@ func TestFoldedQueryMatchesUnfolded(t *testing.T) {
 			for _, magicMode := range []MagicMode{MagicAuto, MagicOff} {
 				for _, elim := range []ElimMode{ElimAuto, ElimOff} {
 					for _, stream := range []bool{false, true} {
-						for _, policy := range []JoinOrderPolicy{PolicyGreedy, PolicyCost, PolicyAdaptive} {
-							opts := EvalOptions{Seminaive: true, Magic: magicMode, Elim: elim, Stream: stream, Policy: policy}
-							cell := fmt.Sprintf("%s magic=%s elim=%s stream=%v %s", label, magicMode, elim, stream, policy)
-							tuples, stats, err := QueryCtx(context.Background(), &prog, c.db, opts)
-							if err != nil {
-								t.Fatalf("%s: %v", cell, err)
-							}
-							unfolded, unfoldedStats := evalUnfolded(t, &prog, c.db, opts)
-							got, order := make([]string, len(tuples)), make([]string, len(unfolded))
-							for i, tup := range tuples {
-								got[i] = ast.NewAtom(prog.Query, tup...).String()
-							}
-							for i, f := range unfolded {
-								order[i] = f.String()
-							}
-							if !reflect.DeepEqual(got, order) {
-								t.Fatalf("%s: tuples or their order differ from the unfolded evaluation:\n got %v\nwant %v", cell, got, order)
-							}
-							slices.Sort(got) // the order was checked above
-							if want != nil && !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s: answers differ from the reference on the original:\n got %v\nwant %v", cell, got, want)
-							}
-							if magicMode != MagicOff || elim != ElimOff || stream {
-								continue
-							}
-							d := unfoldedStats.TuplesDerived - stats.TuplesDerived
-							if d != 0 {
-								folds++
-							}
-							if (d != 0 && d != int64(len(all))) ||
-								unfoldedStats.RuleFirings-stats.RuleFirings != d || unfoldedStats.JoinProbes-stats.JoinProbes != d {
-								t.Fatalf("%s: Stats moved by more than the copy of %d answers:\nfolded   %+v\nunfolded %+v", cell, len(all), *stats, *unfoldedStats)
-							}
+						opts := EvalOptions{Seminaive: true, Magic: magicMode, Elim: elim, Stream: stream}
+						cell := fmt.Sprintf("%s magic=%s elim=%s stream=%v", label, magicMode, elim, stream)
+						tuples, stats, err := QueryCtx(context.Background(), &prog, c.db, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						unfolded, unfoldedStats := evalUnfolded(t, &prog, c.db, opts)
+						got, order := make([]string, len(tuples)), make([]string, len(unfolded))
+						for i, tup := range tuples {
+							got[i] = ast.NewAtom(prog.Query, tup...).String()
+						}
+						for i, f := range unfolded {
+							order[i] = f.String()
+						}
+						if !reflect.DeepEqual(got, order) {
+							t.Fatalf("%s: tuples or their order differ from the unfolded evaluation:\n got %v\nwant %v", cell, got, order)
+						}
+						slices.Sort(got) // the order was checked above
+						if want != nil && !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: answers differ from the reference on the original:\n got %v\nwant %v", cell, got, want)
+						}
+						if magicMode != MagicOff || elim != ElimOff || stream {
+							continue
+						}
+						d := unfoldedStats.TuplesDerived - stats.TuplesDerived
+						if d != 0 {
+							folds++
+						}
+						if (d != 0 && d != int64(len(all))) ||
+							unfoldedStats.RuleFirings-stats.RuleFirings != d || unfoldedStats.JoinProbes-stats.JoinProbes != d {
+							t.Fatalf("%s: Stats moved by more than the copy of %d answers:\nfolded   %+v\nunfolded %+v", cell, len(all), *stats, *unfoldedStats)
 						}
 					}
 				}

@@ -2,10 +2,11 @@ package eval
 
 // The interned base of a database: one frozen interner holding every
 // constant of the DB (keys precomputed) and one irel per relation — flat
-// rows, dedup hash, column sketches, and the lazily built, internally
-// synchronized positional indexes. It is built by the first compiled
-// evaluation over the DB and shared, read-only, by every later one
-// (EvalCtx, QueryCtx, provenance runs, concurrent or not), which is
+// rows, dedup hash, and the lazily built, internally synchronized
+// positional indexes (which also hold the exact key counts join orders
+// read). It is built by the first compiled evaluation over the DB and
+// shared, read-only, by every later one (EvalCtx, QueryCtx, provenance
+// runs, concurrent or not), which is
 // what makes the cost of a goal-directed query proportional to what it
 // derives instead of to |EDB|. Evaluations never write to it: program
 // constants and magic seeds unknown to the base go to a private overlay
@@ -71,9 +72,8 @@ func (db *DB) interned() (base *edbBase, built bool) {
 }
 
 // buildBase interns every relation of db in sorted-predicate order and
-// tuple insertion order, so ids — and with them the column sketches —
-// are a function of the DB's contents alone, never of the program that
-// happened to be evaluated first.
+// tuple insertion order, so ids are a function of the DB's contents
+// alone, never of the program that happened to be evaluated first.
 func buildBase(db *DB) *edbBase {
 	b := &edbBase{
 		in:     newInterner(),

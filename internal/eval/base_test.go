@@ -16,7 +16,7 @@ import (
 	"repro/internal/parser"
 )
 
-// TestSharedBaseDifferential: across policy x magic x naive/seminaive,
+// TestSharedBaseDifferential: across magic x naive/seminaive,
 // evaluating over one long-lived DB (whose base every configuration
 // after the first reuses) gives the same relations, Stats and provenance
 // as evaluating over a fresh clone (which builds its own).
@@ -40,33 +40,31 @@ func TestSharedBaseDifferential(t *testing.T) {
 	}
 
 	for name, p := range progs {
-		for _, policy := range []JoinOrderPolicy{PolicyGreedy, PolicyCost, PolicyAdaptive} {
-			for _, seminaive := range []bool{true, false} {
-				opts := Options{Seminaive: seminaive, Policy: policy}
-				label := fmt.Sprintf("%s policy=%s seminaive=%v", name, policy, seminaive)
-				reused := runEngine(t, p, shared, opts)
-				fresh := runEngine(t, p, shared.Clone(), opts)
-				requireSameRun(t, label+" reused vs fresh", reused, fresh)
-				if reused.stats.EDBRowsInterned != 0 {
-					t.Fatalf("%s: reused base interned %d rows", label, reused.stats.EDBRowsInterned)
-				}
-				if want := int64(8*20 + 2); fresh.stats.EDBRowsInterned != want {
-					t.Fatalf("%s: fresh DB interned %d rows, want %d", label, fresh.stats.EDBRowsInterned, want)
-				}
+		for _, seminaive := range []bool{true, false} {
+			opts := Options{Seminaive: seminaive}
+			label := fmt.Sprintf("%s seminaive=%v", name, seminaive)
+			reused := runEngine(t, p, shared, opts)
+			fresh := runEngine(t, p, shared.Clone(), opts)
+			requireSameRun(t, label+" reused vs fresh", reused, fresh)
+			if reused.stats.EDBRowsInterned != 0 {
+				t.Fatalf("%s: reused base interned %d rows", label, reused.stats.EDBRowsInterned)
+			}
+			if want := int64(8*20 + 2); fresh.stats.EDBRowsInterned != want {
+				t.Fatalf("%s: fresh DB interned %d rows, want %d", label, fresh.stats.EDBRowsInterned, want)
+			}
 
-				for _, magic := range []MagicMode{MagicOff, MagicOn} {
-					opts.Magic = magic
-					rt, rs, err := QueryCtx(context.Background(), p, shared, opts)
-					if err != nil {
-						t.Fatalf("%s magic=%s: %v", label, magic, err)
-					}
-					ft, fs, err := QueryCtx(context.Background(), p, shared.Clone(), opts)
-					if err != nil {
-						t.Fatalf("%s magic=%s: %v", label, magic, err)
-					}
-					if !reflect.DeepEqual(rt, ft) || !rs.Equal(fs) {
-						t.Fatalf("%s magic=%s: reused vs fresh differ:\n%v %+v\n%v %+v", label, magic, rt, rs, ft, fs)
-					}
+			for _, magic := range []MagicMode{MagicOff, MagicOn} {
+				opts.Magic = magic
+				rt, rs, err := QueryCtx(context.Background(), p, shared, opts)
+				if err != nil {
+					t.Fatalf("%s magic=%s: %v", label, magic, err)
+				}
+				ft, fs, err := QueryCtx(context.Background(), p, shared.Clone(), opts)
+				if err != nil {
+					t.Fatalf("%s magic=%s: %v", label, magic, err)
+				}
+				if !reflect.DeepEqual(rt, ft) || !rs.Equal(fs) {
+					t.Fatalf("%s magic=%s: reused vs fresh differ:\n%v %+v\n%v %+v", label, magic, rt, rs, ft, fs)
 				}
 			}
 		}

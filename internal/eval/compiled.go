@@ -7,9 +7,9 @@ package eval
 // (join.go); this file is the fixpoint that drives it.
 //
 // A round records each IDB relation's length at its barrier, and every
-// read inside the round — scan, index chain, delta window, cost or
-// adaptive estimate — is bounded by that frozen length. So a rule may
-// append its heads to the very relation it is reading: a complete
+// read inside the round — scan, index chain, delta window, the fan-outs
+// a mid-task reorder weighs — is bounded by that frozen length. So a
+// rule may append its heads to the very relation it is reading: a complete
 // firing is hashed once and addHashed straight into its IDB relation,
 // one probe-and-insert into the dedup set and one row append, and if
 // it was new it is counted, and its provenance step materialized from
@@ -54,16 +54,15 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := opts.validatePolicy(); err != nil {
+	if err := opts.validateModes(); err != nil {
 		return nil, err
 	}
 	ev := &cEvaluator{
-		ctx:    ctx,
-		prog:   p,
-		opts:   opts,
-		policy: opts.effectivePolicy(),
-		stats:  &Stats{},
-		prov:   prov,
+		ctx:   ctx,
+		prog:  p,
+		opts:  opts,
+		stats: &Stats{},
+		prov:  prov,
 	}
 	if err := ev.prepare(edb); err != nil {
 		return nil, err
@@ -72,8 +71,9 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 		return nil, err
 	}
 	ev.stats.JoinProbes = ev.tr.probes
-	// Join scratch must not outlive the fixpoint into the conversion.
-	ev.tr = joinRun{}
+	// Join scratch must not outlive the fixpoint into the conversion, nor
+	// the reorder callback, which points back at ev.
+	ev.tr, ev.reorder = joinRun{}, nil
 	return ev, nil
 }
 
@@ -87,35 +87,27 @@ type idbRel struct {
 }
 
 type cEvaluator struct {
-	ctx    context.Context
-	prog   *ast.Program
-	opts   Options
-	policy JoinOrderPolicy
-	stats  *Stats
-	idbPr  map[string]bool
-	in     *interner        // private overlay on the base's interner
-	edb    map[string]*irel // the DB's interned base: shared, read-only
-	idb    map[string]*idbRel
-	plans  map[planKey]*plan
-	// Cost/adaptive state (nil under greedy): cur holds the plans the
-	// current round runs, re-chosen at every round barrier from live
-	// relation statistics; planCache memoizes compiled plans by join
-	// order so a recurring order costs one map hit; curEst holds the
-	// per-depth match estimates backing the adaptive misestimate check;
-	// winEst holds the round's delta-window statistics per predicate.
-	cur       map[planKey]*plan
-	planCache map[planKey]map[string]*plan
-	curEst    map[planKey][]float64
-	winEst    map[string]relEstimate
-	prov      *Provenance
+	ctx   context.Context
+	prog  *ast.Program
+	opts  Options
+	stats *Stats
+	idbPr map[string]bool
+	in    *interner        // private overlay on the base's interner
+	edb   map[string]*irel // the DB's interned base: shared, read-only
+	idb   map[string]*idbRel
+	plans map[planKey]*plan
+	prov  *Provenance
 	// tr is the evaluation's one join state, pointed at task after task,
-	// round after round. head, est and reordered belong to the task it is
-	// running: the relation its firings go to, the planner's per-depth
-	// estimates (adaptive) and whether it has used its one reorder.
-	tr        joinRun
-	head      *irel
-	est       []float64
-	reordered bool
+	// round after round. head and est belong to the task it is running:
+	// the relation its firings go to and, for a task that may reorder,
+	// the exact fan-out of each depth once asked for (0 until then).
+	// matches backs tr.matches from task to task, and reorder is
+	// maybeReorder as the func the join calls back.
+	tr      joinRun
+	head    *irel
+	est     []float64
+	matches []int64
+	reorder func()
 }
 
 // prepare layers a private overlay interner on the database's interned
@@ -136,29 +128,23 @@ func (ev *cEvaluator) prepare(edb *DB) error {
 	ev.edb = base.rels
 	ev.plans = map[planKey]*plan{}
 	planStart := time.Now()
-	for i, r := range ev.prog.Rules {
-		ev.plans[planKey{i, -1}] = compilePlan(ev.in, ev.idbPr, r, i, -1)
+	compile := func(i, occ int) {
+		r := ev.prog.Rules[i]
+		order := joinOrder(r, occ, false, ev.idbPr, ev.edbLen)
+		ev.plans[planKey{i, occ}] = compilePlan(ev.in, ev.idbPr, r, i, occ, false, order)
 		ev.stats.PlansCompiled++
+	}
+	for i, r := range ev.prog.Rules {
+		compile(i, -1)
 		for occ, a := range r.Pos {
 			if ev.idbPr[a.Pred] {
-				ev.plans[planKey{i, occ}] = compilePlan(ev.in, ev.idbPr, r, i, occ)
-				ev.stats.PlansCompiled++
+				compile(i, occ)
 			}
 		}
 	}
 	ev.stats.PlanNanos += time.Since(planStart).Nanoseconds()
 	ev.tr = joinRun{ctx: ev.ctx, in: ev.in, negs: ev.negView, emit: ev.derive}
-	if ev.policy != PolicyGreedy {
-		// The greedy plans above stay the constant-interning pass and
-		// the cache seed; the round loop re-chooses orders from live
-		// statistics before running each round's tasks.
-		ev.cur = map[planKey]*plan{}
-		ev.planCache = map[planKey]map[string]*plan{}
-		ev.curEst = map[planKey][]float64{}
-	}
-	if ev.policy == PolicyAdaptive {
-		ev.tr.between = ev.maybeReorder
-	}
+	ev.reorder = ev.maybeReorder
 
 	ev.idb = make(map[string]*idbRel, len(ev.idbPr))
 	for pred := range ev.idbPr {
@@ -206,91 +192,20 @@ func (ev *cEvaluator) run() error {
 	}
 }
 
-// planFor resolves the plan a task runs: the current round's
-// cost-chosen plan when the policy re-plans, the prepare-time greedy
-// plan otherwise.
-func (ev *cEvaluator) planFor(k planKey) *plan {
-	if ev.cur != nil {
-		if pl, ok := ev.cur[k]; ok {
-			return pl
-		}
+// edbLen is the length of an EDB predicate's relation in the base (0
+// for one the DB does not hold): the exact count join orders break ties
+// with.
+func (ev *cEvaluator) edbLen(pred string) int {
+	if r := ev.edb[pred]; r != nil {
+		return r.n
 	}
-	return ev.plans[k]
-}
-
-// planRound re-chooses this round's join orders from the relations'
-// statistics (cost/adaptive; greedy returns immediately). Runs at the
-// round barrier, before the first task. A delta window's statistics are
-// a sketch over its rows, built here once per predicate and round.
-func (ev *cEvaluator) planRound(keys []planKey) {
-	if ev.policy == PolicyGreedy {
-		return
-	}
-	start := time.Now()
-	ev.winEst = map[string]relEstimate{}
-	for _, k := range keys {
-		r := ev.prog.Rules[k.ruleIdx]
-		if k.occ >= 0 {
-			pred := r.Pos[k.occ].Pred
-			if _, ok := ev.winEst[pred]; !ok {
-				ir := ev.idb[pred]
-				ev.winEst[pred] = windowEstimate(ir.irel, ir.lo, ir.hi)
-			}
-		}
-		order, ests := costJoinOrder(r, k.occ, ev.estFor(r, k.occ), nil)
-		ev.cur[k] = ev.planOrdered(k, r, order)
-		ev.curEst[k] = ests
-	}
-	ev.stats.PlanNanos += time.Since(start).Nanoseconds()
-}
-
-// planOrdered returns a compiled plan for the given order, reusing the
-// prepare-time greedy plan when the orders coincide and memoizing
-// everything else by order signature.
-func (ev *cEvaluator) planOrdered(k planKey, r ast.Rule, order []int) *plan {
-	if base := ev.plans[k]; intsEqual(base.order, order) {
-		return base
-	}
-	sig := orderSig(order)
-	byOrder := ev.planCache[k]
-	if byOrder == nil {
-		byOrder = map[string]*plan{}
-		ev.planCache[k] = byOrder
-	}
-	pl := byOrder[sig]
-	if pl == nil {
-		pl = compilePlanOrdered(ev.in, ev.idbPr, r, k.ruleIdx, k.occ, false, order)
-		ev.stats.PlansCompiled++
-		byOrder[sig] = pl
-	}
-	return pl
-}
-
-// estFor resolves subgoal statistics against the round's frozen
-// prefixes, at the barrier and from inside a running task alike (adaptive
-// reorders): an IDB relation's sketches catch up to the frozen length
-// and no further, so the rows the running round has appended move no
-// estimate, and the window estimates were all computed by planRound.
-func (ev *cEvaluator) estFor(r ast.Rule, occ int) estFunc {
-	return func(si int) relEstimate {
-		a := r.Pos[si]
-		switch {
-		case si == occ:
-			return ev.winEst[a.Pred]
-		case ev.idbPr[a.Pred]:
-			ir := ev.idb[a.Pred]
-			return prefixEstimate(ir.irel, ir.hi)
-		default:
-			return irelEstimate(ev.edb[a.Pred])
-		}
-	}
+	return 0
 }
 
 // runRound runs the round's tasks one after another, each appending what
 // it derives to its head relation, and then moves every relation's marks
 // up: the rows this round appended are the next round's delta window.
 func (ev *cEvaluator) runRound(keys []planKey) error {
-	ev.planRound(keys)
 	roundDelta := map[string]int64{}
 	for _, k := range keys {
 		before := ev.stats.TuplesDerived
@@ -322,28 +237,24 @@ func (ev *cEvaluator) runRound(keys []planKey) error {
 // runTask evaluates one rule with one subgoal occurrence restricted to
 // the delta window (occ == -1 for no restriction). Tasks read the
 // round's frozen prefixes and append only past them, so a task never
-// sees what it, or a task before it in the round, derived.
+// sees what it, or a task before it in the round, derived. A task of
+// three or more subgoals watches its fan-outs for the one reorder it
+// may make (maybeReorder); with two, the subgoal after the pinned first
+// one has no alternative.
 func (ev *cEvaluator) runTask(k planKey) error {
 	tr := &ev.tr
-	ev.setPlan(ev.planFor(k))
-	tr.matches, ev.est, ev.reordered = nil, nil, false
-	if ev.policy == PolicyAdaptive {
-		// Early exit on empty intermediates: a rule with any empty
-		// positive subgoal (or delta window) cannot fire, whatever the
-		// join order.
-		for _, v := range tr.subs {
-			if v.Hi <= v.Lo {
-				ev.stats.AdaptiveSkips++
-				return nil
-			}
+	ev.setPlan(ev.plans[k])
+	tr.matches, tr.between = nil, nil
+	if n := len(tr.pl.subs); n >= 3 {
+		if cap(ev.matches) < n {
+			ev.matches, ev.est = make([]int64, n), make([]float64, n)
 		}
-		if len(tr.pl.subs) > 1 {
-			ev.est = ev.curEst[k]
-			tr.matches = make([]int64, len(tr.pl.subs))
-		}
+		tr.matches, ev.est, tr.between = ev.matches[:n], ev.est[:n], ev.reorder
+		clear(tr.matches)
+		clear(ev.est)
 	}
 	ev.head = ev.idb[tr.pl.head.pred].irel
-	return tr.join(0)
+	return tr.run()
 }
 
 // setPlan makes pl the join's live plan and points each subgoal at the
@@ -424,63 +335,133 @@ func (ev *cEvaluator) groundTpl(tpl atomTpl, snap []uint32) ast.Atom {
 	return ast.Atom{Pred: tpl.pred, Args: args}
 }
 
-// Adaptive mid-task reorder thresholds: an observation needs a minimum
-// sample before it is trusted, and must be more than adaptFactor above
-// the planner's estimate (the ">10x off" rule) to trigger.
+// Mid-task reorder thresholds: an observation needs a minimum sample
+// before it is trusted, and must be more than adaptFactor above the
+// exact fan-out its step was expected to have (the ">10x off" rule) to
+// trigger.
 const (
 	adaptMinMatches = 32
 	adaptFactor     = 10.0
 )
 
-// maybeReorder is the adaptive policy's checkpoint, run between
-// depth-0 rows (so no deeper join frame is live). It compares each
-// depth's observed fan-out — matches[d] per arrival, where arrivals at
-// depth d are matches[d-1] — against the plan estimate; on a >10x
-// misestimate it recomputes the tail order with the observation fed
-// back, compiles the new plan (the interner is only read: every rule
-// constant was interned in prepare), and swaps it in. The depth-0
-// subgoal is pinned — its iteration is in progress — and the binding
-// buffer carries over: nSlots is order-invariant, and a slot is only
-// read at depths where the live plan bound it, the same argument that
-// lets backtracking skip undo. At most one reorder per task.
+// maybeReorder is the fixpoint's one adaptive step, run between depth-0
+// rows (so no deeper join frame is live). It compares each depth's
+// observed fan-out — matches[d] per arrival, where arrivals at depth d
+// are matches[d-1] — with the exact fan-out of the probe that depth
+// makes (fanout). Both sides are exact; what the order could not know is
+// that the keys this task meets are not the average key. On a >10x
+// excess it orders the tail again, smallest fan-out first with the
+// observation standing in for the exact figure, compiles that plan (the
+// interner is only read: every rule constant was interned in prepare)
+// and swaps it in. The depth-0 subgoal stays — its iteration is in
+// progress — and the binding buffer carries over: nSlots is
+// order-invariant, and a slot is only read at depths where the live plan
+// bound it, the same argument that lets backtracking skip undo. At most
+// one reorder per task: the first excess ends the watch.
 func (ev *cEvaluator) maybeReorder() {
 	tr := &ev.tr
-	if ev.reordered || tr.matches == nil {
-		return
-	}
 	pl := tr.pl
 	var override map[int]float64
 	for d := 1; d < len(pl.subs); d++ {
-		arrivals := tr.matches[d-1]
-		if arrivals == 0 || tr.matches[d] < adaptMinMatches {
+		arrivals, m := tr.matches[d-1], tr.matches[d]
+		// Every fan-out is at least 1, so a depth that has not exceeded
+		// adaptFactor per arrival cannot trigger and costs no lookup.
+		if arrivals == 0 || m < adaptMinMatches || float64(m) <= adaptFactor*float64(arrivals) {
 			continue
 		}
-		est := ev.est[d]
-		if est < 1 {
-			est = 1
+		sp := &pl.subs[d]
+		if ev.est[d] == 0 {
+			ev.est[d] = fanout(tr.subs[sp.subIdx], sp.boundPos)
 		}
-		if float64(tr.matches[d]) > adaptFactor*est*float64(arrivals) {
+		if float64(m) > adaptFactor*ev.est[d]*float64(arrivals) {
 			if override == nil {
 				override = map[int]float64{}
 			}
-			override[pl.subs[d].subIdx] = float64(tr.matches[d]) / float64(arrivals)
+			override[sp.subIdx] = float64(m) / float64(arrivals)
 		}
 	}
 	if override == nil {
 		return
 	}
-	ev.reordered = true // one reorder per task, even if the order stands
+	tr.matches, tr.between = nil, nil
 	r := ev.prog.Rules[pl.ruleIdx]
 	start := time.Now()
-	order, ests := costJoinOrder(r, pl.order[0], ev.estFor(r, pl.occ), override)
-	if !intsEqual(order, pl.order) {
-		ev.setPlan(compilePlanOrdered(ev.in, ev.idbPr, r, pl.ruleIdx, pl.occ, false, order))
+	if order := tailOrder(r, pl.order[0], tr.subs, override); !intsEqual(order, pl.order) {
+		ev.setPlan(compilePlan(ev.in, ev.idbPr, r, pl.ruleIdx, pl.occ, false, order))
 		ev.stats.PlansCompiled++
 		ev.stats.AdaptiveReorders++
-		ev.est = ests
-		clear(tr.matches)
 	}
 	ev.stats.PlanNanos += time.Since(start).Nanoseconds()
+}
+
+// tailOrder orders the subgoals of r after first greedily by fan-out,
+// smallest first (ties to the lowest index), reading each subgoal's
+// relation through the view the task reads it through. An observed
+// fan-out in override replaces the exact one for a subgoal probed with
+// some but not all of its positions bound — a fully bound probe is a
+// membership check, which the observation says nothing about.
+func tailOrder(r ast.Rule, first int, views []RelView, override map[int]float64) []int {
+	n := len(r.Pos)
+	order := make([]int, 0, n)
+	used := make([]bool, n)
+	bound := map[string]bool{}
+	take := func(i int) {
+		order = append(order, i)
+		used[i] = true
+		for _, t := range r.Pos[i].Args {
+			if t.IsVar() {
+				bound[t.Name] = true
+			}
+		}
+	}
+	take(first)
+	for len(order) < n {
+		best, bestF := -1, 0.0
+		for i, a := range r.Pos {
+			if used[i] {
+				continue
+			}
+			var pos []int // kept by the index fanout may build
+			for j, t := range a.Args {
+				if t.IsConst() || bound[t.Name] {
+					pos = append(pos, j)
+				}
+			}
+			f := fanout(views[i], pos)
+			if ov, ok := override[i]; ok && len(pos) > 0 && len(pos) < len(a.Args) {
+				f = ov
+			}
+			if best < 0 || f < bestF {
+				best, bestF = i, f
+			}
+		}
+		take(best)
+	}
+	return order
+}
+
+// fanout is the exact number of rows a probe of v with the positions pos
+// (ascending) bound matches on average: the view's rows over the number
+// of distinct keys at those positions — all of its rows when nothing is
+// bound, one when everything is. v is a prefix of its relation, and
+// frozen: an EDB relation whole or an IDB relation up to the round's
+// frozen length. The index on pos may have grown past that length;
+// keysBelow counts only the keys first seen below it. Positions past 64
+// have no index and count as unbound.
+func fanout(v RelView, pos []int) float64 {
+	rel := v.Rel.rel()
+	rows := float64(v.Hi)
+	if len(pos) == 0 || pos[len(pos)-1] >= 64 {
+		return rows
+	}
+	if len(pos) == rel.arity {
+		return 1
+	}
+	var mask uint64
+	for _, p := range pos {
+		mask |= 1 << uint(p)
+	}
+	return rows / float64(rel.index(mask, pos).keysBelow(v.Hi))
 }
 
 // publicIDB converts every IDB relation back to a public DB.

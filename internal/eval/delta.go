@@ -13,8 +13,8 @@ package eval
 // delta passes need and what the fixpoint never exposes.
 //
 // There is one join implementation (join.go) and this file holds two of
-// its three callers. RunDelta/RunDeltaPolicy hand every complete firing
-// to the caller's emit, which decides dedup and counting; Derivable
+// its three callers. RunDelta hands every complete firing to the
+// caller's emit, which decides dedup and counting; Derivable
 // seeds the binding from a candidate head row and stops at the first
 // firing. The third caller is the fixpoint (compiled.go), whose emit
 // appends to the IDB relation being read. All three read each subgoal
@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/ast"
 )
@@ -35,11 +34,10 @@ var errStopRun = errors.New("eval: stop delta run")
 func stopRun([]uint32) error { return errStopRun }
 
 // DeltaProgram is a compiled handle for delta evaluation of one
-// validated program. Its compiled surface is immutable after
-// CompileDeltaProgram (the policy plan cache below is internally
-// synchronized) and safe for concurrent RunDelta/Derivable calls only
-// when the views passed in are not being written — the intended
-// single-writer discipline of incremental maintenance.
+// validated program. Its compiled surface changes only in OrderJoins and
+// is safe for concurrent RunDelta/Derivable calls only when the views
+// passed in are not being written — the intended single-writer
+// discipline of incremental maintenance.
 type DeltaProgram struct {
 	prog      *ast.Program
 	idbPr     map[string]bool
@@ -47,16 +45,13 @@ type DeltaProgram struct {
 	in        *interner
 	plans     map[planKey]*plan
 	headPlans []*plan // per rule: head variables pre-bound (Derivable)
-	// Cost-ordered plans compiled on demand by RunDeltaPolicy, keyed by
-	// order signature. Guarded by mu — unlike the fixpoint, delta runs
-	// have no round barrier to plan at, and may run concurrently.
-	mu      sync.Mutex
-	byOrder map[planKey]map[string]*plan
 }
 
 // CompileDeltaProgram validates p and compiles its plans. Unlike the
 // in-engine prepare step, every positive occurrence of every rule gets
-// a delta plan (occ ranges over all subgoals, not just IDB ones).
+// a delta plan (occ ranges over all subgoals, not just IDB ones). With
+// no relation lengths known yet, ties between EDB subgoals go to the
+// lower index until OrderJoins says otherwise.
 func CompileDeltaProgram(p *ast.Program) (*DeltaProgram, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -73,14 +68,31 @@ func CompileDeltaProgram(p *ast.Program) (*DeltaProgram, error) {
 		plans:     make(map[planKey]*plan, 2*len(p.Rules)),
 		headPlans: make([]*plan, len(p.Rules)),
 	}
-	for i, r := range p.Rules {
-		dp.plans[planKey{i, -1}] = compilePlan(dp.in, dp.idbPr, r, i, -1)
-		for occ := range r.Pos {
-			dp.plans[planKey{i, occ}] = compilePlan(dp.in, dp.idbPr, r, i, occ)
-		}
-		dp.headPlans[i] = compilePlanBound(dp.in, dp.idbPr, r, i, -1, true)
-	}
+	dp.OrderJoins(nil)
 	return dp, nil
+}
+
+// OrderJoins chooses every plan's join order the way the engine's
+// fixpoint would over EDB relations of the lengths edbLen reports: a tie
+// between two EDB subgoals goes to the shorter relation (nil: to the
+// lower index). A plan whose order stands is kept. It rewrites the
+// plans, so no RunDelta or Derivable may run alongside it.
+func (dp *DeltaProgram) OrderJoins(edbLen func(pred string) int) {
+	replan := func(old *plan, i, occ int, headBound bool) *plan {
+		r := dp.prog.Rules[i]
+		order := joinOrder(r, occ, headBound, dp.idbPr, edbLen)
+		if old != nil && intsEqual(old.order, order) {
+			return old
+		}
+		return compilePlan(dp.in, dp.idbPr, r, i, occ, headBound, order)
+	}
+	for i, r := range dp.prog.Rules {
+		for occ := -1; occ < len(r.Pos); occ++ {
+			k := planKey{i, occ}
+			dp.plans[k] = replan(dp.plans[k], i, occ, false)
+		}
+		dp.headPlans[i] = replan(dp.headPlans[i], i, -1, true)
+	}
 }
 
 // Program returns the compiled program. Callers must not mutate it.
@@ -114,8 +126,13 @@ func (dp *DeltaProgram) NewIRel(arity int) *IRel {
 	return (*IRel)(r)
 }
 
-// Len returns the number of live rows.
-func (ir *IRel) Len() int { return ir.n - ir.nDead }
+// Len returns the number of live rows (0 for nil).
+func (ir *IRel) Len() int {
+	if ir == nil {
+		return 0
+	}
+	return ir.n - ir.nDead
+}
 
 // Arity returns the relation's arity.
 func (ir *IRel) Arity() int { return ir.arity }
@@ -149,14 +166,6 @@ func (ir *IRel) Compact() {
 		r.compact()
 	}
 }
-
-// DistinctEstimate returns the estimated number of distinct values in
-// column j — exact for small relations, a linear-counting sketch
-// estimate past the spill threshold (see stats.go). This is the
-// statistic RunDeltaPolicy's cost model consumes, exported so
-// incremental-maintenance tests can pin sketch maintenance across
-// retractions.
-func (ir *IRel) DistinctEstimate(j int) int { return ir.rel().distinct(j) }
 
 // View returns the relation's current contents: the rows appended so
 // far, less the ones removed so far. Rows appended later stay out of
@@ -312,7 +321,10 @@ func (dp *DeltaProgram) newRun(ctx context.Context, pl *plan, subs []RelView, ne
 // firing/derivation accounting happens here — only join probes are
 // counted (the returned int64); delta passes own those semantics.
 // Emitting may append to the very relations being read: views bound
-// the iteration to their frozen prefix.
+// the iteration to their frozen prefix. The join order is the plan's
+// (OrderJoins); a pass has no mid-run reorder — it is short-lived, and
+// the emit contract (every firing, caller-owned dedup) leaves it no
+// checkpoint to swap plans at.
 func (dp *DeltaProgram) RunDelta(ctx context.Context, ruleIdx, occ int, subs []RelView, negs func(string) RelView, emit func([]uint32) error) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -325,87 +337,8 @@ func (dp *DeltaProgram) RunDelta(ctx context.Context, ruleIdx, occ int, subs []R
 		return 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
 	}
 	tr := dp.newRun(ctx, pl, subs, negs, emit)
-	err := tr.join(0)
+	err := tr.run()
 	return tr.probes, err
-}
-
-// RunDeltaPolicy is RunDelta under a join-order policy. Greedy (or "")
-// runs the precompiled plan unchanged. Cost and adaptive order the
-// join per call from the views' statistics — row counts come from each
-// view's prefix length, distinct estimates from the backing relation's
-// sketches (a full-relation approximation of the prefix; documented
-// slack the cost model tolerates) — and adaptive additionally returns
-// immediately when any positive subgoal's view is empty. There is no
-// mid-run reorder in delta passes: they are short-lived and the emit
-// contract (every firing, caller-owned dedup) leaves no safe
-// checkpoint. Emission order can differ across policies; the counting
-// and DRed passes are order-insensitive (signed sums and sets), which
-// is what keeps View answers, counts, and provenance identical under
-// every policy.
-func (dp *DeltaProgram) RunDeltaPolicy(ctx context.Context, ruleIdx, occ int, policy JoinOrderPolicy, subs []RelView, negs func(string) RelView, emit func([]uint32) error) (int64, error) {
-	if policy == "" || policy == PolicyGreedy {
-		return dp.RunDelta(ctx, ruleIdx, occ, subs, negs, emit)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	base, ok := dp.plans[planKey{ruleIdx, occ}]
-	if !ok {
-		return 0, fmt.Errorf("eval: no plan for rule %d occurrence %d", ruleIdx, occ)
-	}
-	r := dp.prog.Rules[ruleIdx]
-	if got, want := len(subs), len(r.Pos); got != want {
-		return 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
-	}
-	if policy == PolicyAdaptive && len(r.Pos) > 0 {
-		for _, v := range subs {
-			if v.Len() == 0 {
-				return 0, nil // early exit: the rule cannot fire
-			}
-		}
-	}
-	order, _ := costJoinOrder(r, occ, func(si int) relEstimate { return viewEstimate(subs[si]) }, nil)
-	pl := base
-	if !intsEqual(order, base.order) {
-		pl = dp.planForOrder(ruleIdx, occ, order)
-	}
-	tr := dp.newRun(ctx, pl, subs, negs, emit)
-	err := tr.join(0)
-	return tr.probes, err
-}
-
-// viewEstimate snapshots a view's statistics for the cost model.
-func viewEstimate(v RelView) relEstimate {
-	if v.Rel == nil || v.Hi == 0 {
-		return relEstimate{}
-	}
-	return sketchEstimate(v.live, v.Rel.rel().sketches())
-}
-
-// planForOrder returns the cached plan for a cost-chosen order,
-// compiling it on first use. The recompile only read-hits the shared
-// interner — every constant the rule mentions was interned when the
-// base plans were compiled — so it is safe alongside concurrent
-// greedy-plan readers.
-func (dp *DeltaProgram) planForOrder(ruleIdx, occ int, order []int) *plan {
-	sig := orderSig(order)
-	k := planKey{ruleIdx, occ}
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	if dp.byOrder == nil {
-		dp.byOrder = map[planKey]map[string]*plan{}
-	}
-	m := dp.byOrder[k]
-	if m == nil {
-		m = map[string]*plan{}
-		dp.byOrder[k] = m
-	}
-	if pl := m[sig]; pl != nil {
-		return pl
-	}
-	pl := compilePlanOrdered(dp.in, dp.idbPr, dp.prog.Rules[ruleIdx], ruleIdx, occ, false, order)
-	m[sig] = pl
-	return pl
 }
 
 // Derivable reports whether head — an interned row of rule ruleIdx's
@@ -442,7 +375,7 @@ func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint3
 			return false, 0, nil
 		}
 	}
-	err := tr.join(0)
+	err := tr.run()
 	if err == errStopRun {
 		return true, tr.probes, nil
 	}

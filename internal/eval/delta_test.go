@@ -280,45 +280,6 @@ func TestRelViewWindow(t *testing.T) {
 	}
 }
 
-// TestIRelSketchesFollowRemovals: removal starts the sketches over and a
-// row that comes back in place is folded straight in, so the estimates
-// always equal those of a relation built from the live rows alone.
-func TestIRelSketchesFollowRemovals(t *testing.T) {
-	dp, err := CompileDeltaProgram(parser.MustParseProgram(`s(X, Y) :- r(X, Y). ?- s.`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	rel := dp.NewIRel(2)
-	live := map[[2]uint32]bool{}
-	for step := 0; step < 2000; step++ {
-		row := [2]uint32{uint32(rng.Intn(40)), uint32(rng.Intn(40))}
-		switch rng.Intn(5) {
-		case 0, 1:
-			rel.Add(row[:])
-			live[row] = true
-		case 2, 3:
-			rel.Remove(row[:])
-			delete(live, row)
-		default:
-			rel.Freeze()
-		}
-		if step%7 != 0 {
-			continue // let additions and removals pile up between reads
-		}
-		fresh := dp.NewIRel(2)
-		for r := range live {
-			r := r
-			fresh.Add(r[:])
-		}
-		for j := 0; j < 2; j++ {
-			if got, want := rel.DistinctEstimate(j), fresh.DistinctEstimate(j); got != want {
-				t.Fatalf("step %d: column %d estimates %d distinct values, a fresh relation %d", step, j, got, want)
-			}
-		}
-	}
-}
-
 // TestSortedTuplesIsTupleKeyOrder: the keys SortedTuples builds from the
 // interner's cached term keys are Tuple.Key's, so its order is the one
 // sorting the tuples by Key gives — numbers, strings and quoted strings

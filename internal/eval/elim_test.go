@@ -35,8 +35,8 @@ const trendySrc = `
 
 // TestElimDifferentialBounded is the headline property: on a provably
 // bounded program, answers are the reference evaluator's with
-// elimination off, auto, and on — across every join-order policy,
-// worker count, magic mode, and streaming setting.
+// elimination off, auto, and on — across every magic mode and
+// streaming setting.
 func TestElimDifferentialBounded(t *testing.T) {
 	for _, variant := range []string{
 		trendySrc,
@@ -54,35 +54,30 @@ func TestElimDifferentialBounded(t *testing.T) {
 		db := trendyDB(6, 4)
 		var base []string
 		baseLabel := ""
-		for _, r := range engineRuns() {
-			for _, elim := range []ElimMode{ElimOff, ElimAuto, ElimOn} {
-				for _, magic := range []MagicMode{MagicOff, MagicAuto} {
-					for _, stream := range []bool{false, true} {
-						opts := r.opts
-						opts.Elim = elim
-						opts.Magic = magic
-						opts.Stream = stream
-						label := fmt.Sprintf("%s/elim=%s/magic=%s/stream=%v", r.label, elim, magic, stream)
-						tuples, stats, err := QueryCtx(context.Background(), p, db, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if wantElim := elim != ElimOff; stats.ElimApplied != wantElim {
-							t.Fatalf("%s: ElimApplied = %v, want %v", label, stats.ElimApplied, wantElim)
-						}
-						if elim != ElimOff && stats.ElimChecked == 0 {
-							t.Fatalf("%s: ElimChecked = 0, want > 0", label)
-						}
-						got := answerSet(tuples)
-						if base == nil {
-							requireAnswers(t, label, p, db, tuples)
-							base, baseLabel = got, label
-							continue
-						}
-						if !reflect.DeepEqual(got, base) {
-							t.Fatalf("answers diverged: %s (%d) vs %s (%d)\n%v\nvs\n%v",
-								label, len(got), baseLabel, len(base), got, base)
-						}
+		for _, elim := range []ElimMode{ElimOff, ElimAuto, ElimOn} {
+			for _, magic := range []MagicMode{MagicOff, MagicAuto} {
+				for _, stream := range []bool{false, true} {
+					opts := Options{Seminaive: true, Elim: elim, Magic: magic, Stream: stream}
+					label := fmt.Sprintf("elim=%s/magic=%s/stream=%v", elim, magic, stream)
+					tuples, stats, err := QueryCtx(context.Background(), p, db, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if wantElim := elim != ElimOff; stats.ElimApplied != wantElim {
+						t.Fatalf("%s: ElimApplied = %v, want %v", label, stats.ElimApplied, wantElim)
+					}
+					if elim != ElimOff && stats.ElimChecked == 0 {
+						t.Fatalf("%s: ElimChecked = 0, want > 0", label)
+					}
+					got := answerSet(tuples)
+					if base == nil {
+						requireAnswers(t, label, p, db, tuples)
+						base, baseLabel = got, label
+						continue
+					}
+					if !reflect.DeepEqual(got, base) {
+						t.Fatalf("answers diverged: %s (%d) vs %s (%d)\n%v\nvs\n%v",
+							label, len(got), baseLabel, len(base), got, base)
 					}
 				}
 			}
@@ -186,11 +181,11 @@ func TestElimModeValidation(t *testing.T) {
 
 // FuzzElim drives arbitrary programs with arbitrary binding patterns
 // through the elimination path and asserts the one contract that
-// matters: elim on (stacked with magic and streaming), across policies
-// and worker counts, answers exactly like plain bottom-up evaluation
-// of the same goal — which, while the fixpoint is small enough for it,
-// must answer like the reference evaluator. Mirrors FuzzMagic's EDB
-// construction; the bottom-up baseline decides evaluability.
+// matters: elim on, stacked with magic and streaming, answers exactly
+// like plain bottom-up evaluation of the same goal — which, while the
+// fixpoint is small enough for it, must answer like the reference
+// evaluator. Mirrors FuzzMagic's EDB construction; the bottom-up
+// baseline decides evaluability.
 func FuzzElim(f *testing.F) {
 	f.Add(`buys(X, Y) :- likes(X, Y).
 buys(X, Y) :- trendy(X), buys(Z, Y).
@@ -268,23 +263,19 @@ buys(X, Y) :- buys_q0(X, Y).
 			requireAnswers(t, "bottom-up", p, db, baseTuples)
 		}
 		want := answerSet(baseTuples)
-		for _, r := range engineRuns() {
-			for _, stream := range []bool{false, true} {
-				opts := r.opts
-				opts.Elim = ElimOn
-				opts.Stream = stream
-				opts.MaxTuples = 40000 // rewrites add tuples, so allow headroom
-				gotTuples, stats, err := QueryCtx(context.Background(), p, db, opts)
-				if err != nil {
-					if errors.Is(err, ErrBudget) {
-						continue // rewrite overhead can exceed even the headroom
-					}
-					t.Fatalf("%s/stream=%v errored where baseline succeeded: %v", r.label, stream, err)
+		for _, stream := range []bool{false, true} {
+			// Rewrites add tuples, so allow headroom.
+			opts := Options{Seminaive: true, Elim: ElimOn, Stream: stream, MaxTuples: 40000}
+			gotTuples, stats, err := QueryCtx(context.Background(), p, db, opts)
+			if err != nil {
+				if errors.Is(err, ErrBudget) {
+					continue // rewrite overhead can exceed even the headroom
 				}
-				if got := answerSet(gotTuples); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/stream=%v: answers diverged (elim applied %v)\n got %v\nwant %v\ngoal %s",
-						r.label, stream, stats.ElimApplied, got, want, p.GoalAtom())
-				}
+				t.Fatalf("stream=%v errored where baseline succeeded: %v", stream, err)
+			}
+			if got := answerSet(gotTuples); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stream=%v: answers diverged (elim applied %v)\n got %v\nwant %v\ngoal %s",
+					stream, stats.ElimApplied, got, want, p.GoalAtom())
 			}
 		}
 	})

@@ -41,25 +41,21 @@ type Stats struct {
 	RoundDeltas []map[string]int64
 
 	// The fields below are planning diagnostics, not evaluation
-	// semantics. They are excluded from Equal: they legitimately differ
-	// across join-order policies, which is exactly what the P6 shootout
-	// measures. All except PlanNanos remain deterministic for a fixed
+	// semantics. They are excluded from Equal: they describe how the
+	// answers were reached (join orders, rewrites, footprint), not what
+	// was derived. All except PlanNanos remain deterministic for a fixed
 	// program, database, and options.
 
 	// PlanNanos is wall-clock time spent choosing join orders and
 	// compiling plans, in nanoseconds. Measurement noise by nature;
 	// never assert on it.
 	PlanNanos int64
-	// PlansCompiled counts join-plan compilations, including per-round
-	// recompiles under the cost policy and mid-round recompiles under
-	// the adaptive policy.
+	// PlansCompiled counts join-plan compilations, including the one a
+	// mid-task reorder compiles.
 	PlansCompiled int64
-	// AdaptiveSkips counts rule tasks the adaptive policy discarded
-	// outright because a positive subgoal's relation was empty.
-	AdaptiveSkips int64
-	// AdaptiveReorders counts mid-round join reorders triggered by the
-	// adaptive policy's misestimate rule (observed intermediate size
-	// >10x its estimate).
+	// AdaptiveReorders counts mid-task join reorders: a step's observed
+	// fan-out exceeded the exact fan-out it was ordered by more than
+	// tenfold, and the rest of the task ran in a new order.
 	AdaptiveReorders int64
 	// MagicApplied reports whether the query was evaluated through the
 	// magic-sets demand rewrite (Query/QueryCtx with a bound goal and
@@ -103,15 +99,14 @@ type Stats struct {
 
 // statsEqualExcluded names the Stats fields deliberately NOT compared
 // by Equal: planning, rewrite, and footprint diagnostics that
-// legitimately differ across policies and rewrites while the
-// answers stay identical. The statsequal analyzer
+// legitimately differ across rewrites while the answers stay
+// identical. The statsequal analyzer
 // (internal/analyzers/statsequal, run via go vet -vettool in CI) fails
 // the build when a new Stats field is neither compared in Equal nor
 // listed here — adding a field means making that choice explicitly.
 var statsEqualExcluded = map[string]bool{
 	"PlanNanos":        true,
 	"PlansCompiled":    true,
-	"AdaptiveSkips":    true,
 	"AdaptiveReorders": true,
 	"MagicApplied":     true,
 	"PeakMaterialized": true,
@@ -214,40 +209,15 @@ func ParseElimMode(s string) (ElimMode, error) {
 	return "", fmt.Errorf("eval: unknown elim mode %q (want auto, on, or off)", s)
 }
 
-// JoinOrderPolicy selects how the engine orders the positive subgoals
-// of each rule. Answers and provenance are identical
-// under every policy; only the work done to reach them (JoinProbes,
-// plan time) differs.
-type JoinOrderPolicy string
-
-const (
-	// PolicyGreedy orders joins statically by bound-position count at
-	// compile time, with no cardinality input. The default.
-	PolicyGreedy JoinOrderPolicy = "greedy"
-	// PolicyCost reorders joins at every round barrier using the
-	// per-relation statistics maintained in the intern layer (row
-	// counts and per-column distinct estimates; see stats.go): each
-	// step greedily picks the subgoal with the smallest estimated
-	// match count given the bindings accumulated so far.
-	PolicyCost JoinOrderPolicy = "cost"
-	// PolicyAdaptive is cost ordering plus run-time adaptivity: rule
-	// tasks with an empty positive subgoal are skipped outright, and a
-	// running task reorders its remaining joins when an observed
-	// intermediate size is more than 10x its estimate.
-	PolicyAdaptive JoinOrderPolicy = "adaptive"
-)
-
-// ParseJoinOrderPolicy parses a policy name; the empty string means
-// PolicyGreedy (the zero value of Options.Policy).
-func ParseJoinOrderPolicy(s string) (JoinOrderPolicy, error) {
-	switch p := JoinOrderPolicy(s); p {
-	case "":
-		return PolicyGreedy, nil
-	case PolicyGreedy, PolicyCost, PolicyAdaptive:
-		return p, nil
-	}
-	return "", fmt.Errorf("eval: unknown join-order policy %q (want greedy, cost, or adaptive)", s)
-}
+// PolicyGreedy names the engine's join order, which is not a choice:
+// the greedy bound-position order with ties between EDB subgoals broken
+// by exact relation length (plan.go), tasks with an empty subgoal
+// skipped (join.go), and at most one mid-task reorder from exact
+// fan-outs (compiled.go).
+//
+// Deprecated: nothing reads it. It stays, untyped, so that code written
+// against the retired join-order knob keeps compiling.
+const PolicyGreedy = "greedy"
 
 // Options configures evaluation.
 type Options struct {
@@ -258,9 +228,6 @@ type Options struct {
 	// MaxTuples aborts evaluation when the total number of derived IDB
 	// tuples exceeds the bound (0 = unlimited). Guards runaway tests.
 	MaxTuples int64
-	// Policy selects the join-order policy (the empty string means
-	// PolicyGreedy).
-	Policy JoinOrderPolicy
 	// Magic controls the magic-sets demand rewrite in Query/QueryCtx
 	// (the empty string means MagicAuto). EvalCtx ignores it: its
 	// contract is the full IDB of the given program, which demand
@@ -282,22 +249,11 @@ type Options struct {
 
 // DefaultOptions are the options used by Eval.
 func DefaultOptions() Options {
-	return Options{Seminaive: true, Policy: PolicyGreedy}
+	return Options{Seminaive: true}
 }
 
-// effectivePolicy resolves the empty string to PolicyGreedy.
-func (o Options) effectivePolicy() JoinOrderPolicy {
-	if o.Policy == "" {
-		return PolicyGreedy
-	}
-	return o.Policy
-}
-
-// validatePolicy rejects unknown policy names and magic and elim modes.
-func (o Options) validatePolicy() error {
-	if _, err := ParseJoinOrderPolicy(string(o.Policy)); err != nil {
-		return err
-	}
+// validateModes rejects unknown magic and elim modes.
+func (o Options) validateModes() error {
 	if _, err := ParseMagicMode(string(o.Magic)); err != nil {
 		return err
 	}
@@ -404,7 +360,7 @@ func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tup
 // one-root renaming folded (see QueryCtx) those rows are the root's own
 // row store.
 func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*Result, *Stats, error) {
-	if err := opts.validatePolicy(); err != nil {
+	if err := opts.validateModes(); err != nil {
 		return nil, nil, err
 	}
 	prog := foldRenaming(p)

@@ -14,6 +14,7 @@ package eval
 // O(rules), not O(EDB).
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/ast"
@@ -231,10 +232,12 @@ func (h *rowHash) grow(size int) {
 // Built lazily under the owning irel's lock; appended to incrementally
 // by irel.add. A reader that bounds itself to a prefix of the relation
 // may walk a chain while the relation's one writer — the same goroutine
-// — extends it: chains only grow at the far end.
+// — extends it: chains only grow at the far end. firsts lists the row
+// that opened each key, ascending, so the number of distinct keys in any
+// prefix of the relation is exact and a binary search away (keysBelow).
 type rowIndex struct {
 	pos    []int
-	n      int // occupied entries
+	firsts []int32 // first row of each key, in row order; len = keys
 	hashes []uint64
 	heads  []int32 // first row of the chain per slot; -1 = empty
 	tails  []int32 // last row of the chain per slot
@@ -292,7 +295,7 @@ func projEqual(row []uint32, pos []int, vals []uint32) bool {
 // the index, extending the chain for its key.
 func (ix *rowIndex) appendRow(r *irel, ri int32) {
 	ix.next = append(ix.next, -1)
-	if (ix.n+1)*4 > len(ix.heads)*3 {
+	if (len(ix.firsts)+1)*4 > len(ix.heads)*3 {
 		ix.grow()
 	}
 	row := r.row(int(ri))
@@ -304,7 +307,7 @@ func (ix *rowIndex) appendRow(r *irel, ri int32) {
 			ix.hashes[i] = hv
 			ix.heads[i] = ri
 			ix.tails[i] = ri
-			ix.n++
+			ix.firsts = append(ix.firsts, ri)
 			return
 		}
 		if ix.hashes[i] == hv && ix.projEqualRows(r.row(int(head)), row) {
@@ -334,6 +337,11 @@ func (ix *rowIndex) grow() {
 	}
 }
 
+// keysBelow returns the number of distinct keys among rows [0, hi).
+func (ix *rowIndex) keysBelow(hi int) int {
+	return sort.Search(len(ix.firsts), func(k int) bool { return int(ix.firsts[k]) >= hi })
+}
+
 // lookup returns the first row whose values at ix.pos equal vals, or
 // -1; follow ix.next for the rest of the chain. Read-only.
 func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
@@ -357,10 +365,10 @@ func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
 // [lo, hi) of the IDB relation, never a copy, and a fixpoint round reads
 // the prefix that existed at its barrier while it appends past it. The
 // same concurrency contract as Relation applies: any number of
-// goroutines may read (row, contains, index probes, distinct) a frozen
-// irel — the shared EDB base — and add requires that no other goroutine
-// reads, which holds because an IDB relation belongs to one evaluation
-// and an evaluation is one goroutine.
+// goroutines may read (row, contains, index probes) a frozen irel — the
+// shared EDB base — and add requires that no other goroutine reads,
+// which holds because an IDB relation belongs to one evaluation and an
+// evaluation is one goroutine.
 //
 // Removal exists for incremental maintenance only (IRel, delta.go) and
 // moves nothing: remove stamps the row dead, the dedup slot and every
@@ -372,16 +380,10 @@ type irel struct {
 	n     int
 	data  []uint32
 	set   rowHash
-	// mu guards what readers build lazily — indexes and the sketch
-	// catch-up: concurrent probes of the same un-indexed position mask,
-	// or concurrent first estimates, would otherwise race.
+	// mu guards the indexes readers build lazily: concurrent probes of
+	// the same un-indexed position mask would otherwise race.
 	mu      sync.RWMutex
 	indexes map[uint64]*rowIndex // keyed by position bitmask
-	// stats holds one distinct-value sketch per column over rows
-	// [0, statsN); add never touches it, sketches catches up on read
-	// (see stats.go).
-	stats  []ColSketch
-	statsN int
 	// dead[i] is the epoch in which row i was removed, 0 while it lives;
 	// rows past len(dead) live, and dead is nil until the first removal.
 	// epoch counts the freezes (IRel.Freeze) and is what a removal stamps.
@@ -433,8 +435,7 @@ func (r *irel) hidden(i int, epoch uint32) bool {
 }
 
 // remove stamps the row dead in the current epoch, reporting whether it
-// was live. The sketches start over: they can only grow, so the next
-// reader that asks re-folds the live rows.
+// was live.
 func (r *irel) remove(vals []uint32) bool {
 	idx := int(r.set.findIdx(vals, hashU32s(vals)))
 	if idx < 0 || r.hidden(idx, r.epoch) {
@@ -445,7 +446,6 @@ func (r *irel) remove(vals []uint32) bool {
 	}
 	r.dead[idx] = r.epoch
 	r.nDead++
-	r.stats, r.statsN = nil, 0
 	return true
 }
 
@@ -463,9 +463,6 @@ func (r *irel) addBack(vals []uint32) bool {
 	if r.dead[idx] == r.epoch {
 		r.dead[idx] = 0
 		r.nDead--
-		if int(idx) < r.statsN {
-			r.fold(r.stats, int(idx), int(idx)+1)
-		}
 		return true
 	}
 	r.set.slots[slot] = hv<<32 | uint64(r.n+1)
@@ -478,8 +475,8 @@ func (r *irel) addBack(vals []uint32) bool {
 }
 
 // compact drops the dead rows, keeps the order of the rest and starts
-// the epochs over; every RelView taken before is void. Indexes and
-// sketches are rebuilt by their next reader.
+// the epochs over; every RelView taken before is void. Indexes are
+// rebuilt by their next reader.
 func (r *irel) compact() {
 	w := 0
 	for i := 0; i < r.n; i++ {
@@ -490,7 +487,7 @@ func (r *irel) compact() {
 	}
 	r.n, r.data = w, r.data[:w*r.arity]
 	r.dead, r.nDead, r.epoch = nil, 0, 1
-	r.indexes, r.stats, r.statsN = nil, nil, 0
+	r.indexes = nil
 	r.set.reset(&r.data, r.arity)
 	for i := 0; i < w; i++ {
 		hv := hashU32s(r.row(i))

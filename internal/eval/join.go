@@ -5,8 +5,9 @@ package eval
 // relation, a row range and an epoch — and hands every complete firing
 // to its caller; what a firing means (a new IDB tuple, a signed count, a
 // derivability witness) is the caller's business. The fixpoint
-// (compiled.go), RunDelta/RunDeltaPolicy and Derivable (delta.go) are
-// its three callers.
+// (compiled.go), RunDelta and Derivable (delta.go) are its three
+// callers, and each starts a join with run, so a rule with an empty
+// subgoal costs none of them a probe.
 
 import (
 	"context"
@@ -50,9 +51,10 @@ type joinRun struct {
 	negBuf    []uint32
 	headBuf   []uint32
 	probes    int64 // candidate rows tried, over the life of the run
-	// Adaptive-policy hooks (nil otherwise): matches counts the rows that
-	// passed every filter per depth, and between runs after each depth-0
-	// row, when no deeper join frame is live.
+	// Mid-task reorder hooks (nil otherwise; the fixpoint's only):
+	// matches counts the rows that passed every filter per depth, and
+	// between runs after each depth-0 row, when no deeper join frame is
+	// live.
 	matches []int64
 	between func()
 }
@@ -82,6 +84,20 @@ func sizedU32(buf []uint32, n int) []uint32 {
 		return make([]uint32, n)
 	}
 	return buf[:n]
+}
+
+// run joins the live plan from depth 0, unless a positive subgoal's view
+// is empty: then the rule cannot fire in any join order, and finding
+// that out at the depth that reads the empty view would cost the probes
+// of every depth before it (the early exit on empty inputs of "When
+// Greedy Beats Optimal").
+func (tr *joinRun) run() error {
+	for _, v := range tr.subs {
+		if v.Hi <= v.Lo || v.live == 0 {
+			return nil
+		}
+	}
+	return tr.join(0)
 }
 
 // join extends the slot binding over the plan's subgoals starting at the

@@ -11,9 +11,13 @@ package eval
 // The join order is chosen greedily: after the delta occurrence (which
 // must stay first — it is the smallest relation and the partitioned
 // one), the next subgoal is the one with the most argument positions
-// that are constants or already-bound variables, tie-broken by the
-// lowest subgoal index. The score depends only on the rule's structure,
-// never on data, so Stats stay deterministic.
+// that are constants or already-bound variables. Ties go to the lowest
+// subgoal index, except that between two EDB subgoals the shorter
+// relation wins — an exact count the interned base already has, which
+// puts a 5-row filter before the 30,000-row relation it filters. The
+// order depends on the rule and the EDB's lengths, never on derived
+// data, so Stats stay deterministic. The fixpoint may still reorder a
+// running task once, from exact fan-outs (compiled.go).
 //
 // Slot bindings need no save/restore on backtrack: the binding
 // progression along the join order is static, so a slot is only ever
@@ -96,22 +100,23 @@ type plan struct {
 	maxNegArity int
 }
 
-// greedyJoinOrder orders the subgoals of r for a task restricted to
-// delta occurrence occ (-1 for none). See the package comment above.
-func greedyJoinOrder(r ast.Rule, occ int) []int {
-	return greedyJoinOrderBound(r, occ, nil)
-}
-
-// greedyJoinOrderBound is greedyJoinOrder with a set of variables known
-// to be bound before the first subgoal is probed (head-bound
-// derivability plans seed the head's variables this way).
-func greedyJoinOrderBound(r ast.Rule, occ int, preBound map[string]bool) []int {
+// joinOrder orders the subgoals of r for a task restricted to delta
+// occurrence occ (-1 for none); headBound counts the head's variables
+// as bound before the first subgoal is probed (derivability plans).
+// edbLen returns the length of an EDB predicate's relation and is asked
+// only to break a tie between two EDB subgoals; nil breaks every tie by
+// index. See the comment at the top of the file.
+func joinOrder(r ast.Rule, occ int, headBound bool, idbPr map[string]bool, edbLen func(pred string) int) []int {
 	n := len(r.Pos)
 	order := make([]int, 0, n)
 	used := make([]bool, n)
 	bound := map[string]bool{}
-	for v := range preBound {
-		bound[v] = true
+	if headBound {
+		for _, t := range r.Head.Args {
+			if t.IsVar() {
+				bound[t.Name] = true
+			}
+		}
 	}
 	take := func(i int) {
 		order = append(order, i)
@@ -121,6 +126,10 @@ func greedyJoinOrderBound(r ast.Rule, occ int, preBound map[string]bool) []int {
 				bound[t.Name] = true
 			}
 		}
+	}
+	shorter := func(i, j int) bool {
+		a, b := r.Pos[i].Pred, r.Pos[j].Pred
+		return edbLen != nil && !idbPr[a] && !idbPr[b] && edbLen(a) < edbLen(b)
 	}
 	if occ >= 0 && occ < n {
 		take(occ)
@@ -137,7 +146,7 @@ func greedyJoinOrderBound(r ast.Rule, occ int, preBound map[string]bool) []int {
 					score++
 				}
 			}
-			if score > bestScore {
+			if score > bestScore || score == bestScore && shorter(i, best) {
 				best, bestScore = i, score
 			}
 		}
@@ -146,34 +155,21 @@ func greedyJoinOrderBound(r ast.Rule, occ int, preBound map[string]bool) []int {
 	return order
 }
 
-// compilePlan builds the plan for one (rule, occurrence) task, interning
-// every constant the rule mentions.
-func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int) *plan {
-	return compilePlanBound(in, idbPr, r, ruleIdx, occ, false)
-}
-
-// compilePlanBound is compilePlan with an optional head-bound mode:
-// when headBound is true the head's variables are assigned the lowest
-// slots (in order of first occurrence in the head) and treated as bound
-// from depth 0. The executor seeds those slots from a candidate head
-// row before joining, which turns the plan into a derivability check —
+// compilePlan builds the plan for one (rule, occurrence) task under the
+// given join order, interning every constant the rule mentions. With
+// headBound the head's variables are assigned the lowest slots (in
+// order of first occurrence in the head) and treated as bound from
+// depth 0. The executor seeds those slots from a candidate head row
+// before joining, which turns the plan into a derivability check —
 // every subgoal sees the head variables as bound positions, so the join
 // only explores instantiations that could derive exactly that row
-// (DRed's rederivation step in internal/incr).
-func compilePlanBound(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int, headBound bool) *plan {
-	return compilePlanOrdered(in, idbPr, r, ruleIdx, occ, headBound, nil)
-}
-
-// compilePlanOrdered is compilePlanBound with an explicit join order
-// (nil falls back to the greedy order). Orders come from the cost
-// policy (costJoinOrder); they are permutations of the subgoal indexes
-// and, for delta tasks, keep the occurrence at depth 0. Every plan for
-// the same (rule, occ) has the same nSlots — slots number the rule's
-// variables, not join depths — which is what lets the adaptive
-// executor swap plans mid-task without touching its binding buffer.
-func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int, headBound bool, order []int) *plan {
+// (DRed's rederivation step in internal/incr). Every plan for the same
+// (rule, occ) has the same nSlots — slots number the rule's variables,
+// not join depths — which is what lets the fixpoint swap plans mid-task
+// without touching its binding buffer.
+func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int, headBound bool, order []int) *plan {
 	n := len(r.Pos)
-	pl := &plan{ruleIdx: ruleIdx, occ: occ}
+	pl := &plan{ruleIdx: ruleIdx, occ: occ, order: order}
 
 	slots := map[string]uint32{}
 	slotOf := func(name string) uint32 {
@@ -193,10 +189,6 @@ func compilePlanOrdered(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx
 			}
 		}
 	}
-	if order == nil {
-		order = greedyJoinOrderBound(r, occ, bound)
-	}
-	pl.order = order
 	cmpDone := make([]bool, len(r.Cmp))
 	negDone := make([]bool, len(r.Neg))
 	allBound := func(vars []string) bool {

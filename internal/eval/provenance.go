@@ -39,7 +39,7 @@ func EvalProv(p *ast.Program, edb *DB) (*DB, *Provenance, *Stats, error) {
 }
 
 // evalProvOpts is EvalProv with an explicit context and options. The
-// differential tests use it to compare provenance across policies.
+// differential tests use it to compare provenance across options.
 func evalProvOpts(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Provenance, *Stats, error) {
 	prov := &Provenance{steps: map[string]provStep{}}
 	ev, err := evalCompiled(ctx, p, edb, opts, prov)

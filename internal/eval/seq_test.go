@@ -20,7 +20,7 @@ import (
 // the inputs. What is left of concurrency in this package is between
 // evaluations that share one database: TestConcurrentLookupSameMask
 // below, TestConcurrentQueriesShareBase and
-// TestSketchCatchUpConcurrentFirstRead.
+// TestFanoutReadsShareBase.
 
 // TestParallelMatchesSequentialRandomGraphs: on random graphs, semi-naive
 // and naive evaluation both return the reference evaluator's relations

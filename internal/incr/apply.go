@@ -282,7 +282,7 @@ func (v *View) applyCounting(ctx context.Context, st *stratum, oldViews map[stri
 					}
 				}
 				sign := sd.sign
-				probes, err := v.runDelta(ctx, ri, occ, subs, v.negView, func(h []uint32) error {
+				probes, err := v.dp.RunDelta(ctx, ri, occ, subs, v.negView, func(h []uint32) error {
 					k := rowKey(h)
 					if _, ok := before[k]; !ok {
 						before[k] = cnts[k]
@@ -392,7 +392,7 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 			if st.inStr[a.Pred] || !nonEmpty(deltaMinus[a.Pred]) {
 				continue
 			}
-			probes, err := v.runDelta(ctx, ri, occ, oldSubs(r, occ, deltaMinus[a.Pred]), v.negView, emitDel(r.Head.Pred))
+			probes, err := v.dp.RunDelta(ctx, ri, occ, oldSubs(r, occ, deltaMinus[a.Pred]), v.negView, emitDel(r.Head.Pred))
 			v.stats.DeltaProbes += probes
 			if err != nil {
 				return err
@@ -412,7 +412,7 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 				if !st.inStr[a.Pred] || prev[a.Pred].Len() == 0 {
 					continue
 				}
-				probes, err := v.runDelta(ctx, ri, occ, oldSubs(r, occ, prev[a.Pred]), v.negView, emitDel(r.Head.Pred))
+				probes, err := v.dp.RunDelta(ctx, ri, occ, oldSubs(r, occ, prev[a.Pred]), v.negView, emitDel(r.Head.Pred))
 				v.stats.DeltaProbes += probes
 				if err != nil {
 					return err
@@ -484,7 +484,7 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 			if st.inStr[a.Pred] || !nonEmpty(deltaPlus[a.Pred]) {
 				continue
 			}
-			probes, err := v.runDelta(ctx, ri, occ, curSubs(r, occ, deltaPlus[a.Pred]), v.negView, emitIns(r.Head.Pred))
+			probes, err := v.dp.RunDelta(ctx, ri, occ, curSubs(r, occ, deltaPlus[a.Pred]), v.negView, emitIns(r.Head.Pred))
 			v.stats.DeltaProbes += probes
 			if err != nil {
 				return err
@@ -504,7 +504,7 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 				if !st.inStr[a.Pred] || prev[a.Pred].Len() == 0 {
 					continue
 				}
-				probes, err := v.runDelta(ctx, ri, occ, curSubs(r, occ, prev[a.Pred]), v.negView, emitIns(r.Head.Pred))
+				probes, err := v.dp.RunDelta(ctx, ri, occ, curSubs(r, occ, prev[a.Pred]), v.negView, emitIns(r.Head.Pred))
 				v.stats.DeltaProbes += probes
 				if err != nil {
 					return err

@@ -55,15 +55,6 @@ type Options struct {
 	// initial fixpoint and any full rebuild (0 = unlimited). Exceeding
 	// it returns an error wrapping eval.ErrBudget.
 	MaxTuples int64
-	// Policy selects the join-order policy for the view's delta passes
-	// (empty means greedy; see eval.JoinOrderPolicy). Cost and adaptive
-	// order each delta join from the live relations' statistics
-	// sketches. Answers, derivation counts, Changes, and Explain output
-	// are identical under every policy — only probe counts differ.
-	// DRed's head-bound rederivation checks always run greedy: their
-	// plans are fully bound from depth 0, so there is nothing for
-	// cardinality estimates to improve.
-	Policy eval.JoinOrderPolicy
 }
 
 // Stats reports the cumulative work a view has done. Delta passes
@@ -141,9 +132,6 @@ func MaterializeCtx(ctx context.Context, p *ast.Program, edb *eval.DB, opts Opti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if _, err := eval.ParseJoinOrderPolicy(string(opts.Policy)); err != nil {
-		return nil, err
-	}
 	dp, err := eval.CompileDeltaProgram(p)
 	if err != nil {
 		return nil, err
@@ -201,11 +189,14 @@ func MaterializeCtx(ctx context.Context, p *ast.Program, edb *eval.DB, opts Opti
 }
 
 // rebuildIDB recomputes every IDB relation and derivation count from
-// the view's current EDB irels: fresh empty IDB relations, a
+// the view's current EDB irels: join orders chosen for the EDB's current
+// lengths, as the engine would choose them, fresh empty IDB relations, a
 // single-writer semi-naive fixpoint through the delta plans, then one
-// full-join pass per counting rule to establish counts. Callers hold
-// v.mu (or own the view exclusively, as Materialize does).
+// full-join pass per counting rule to establish counts. The delta passes
+// of later Applies keep these orders until the next rebuild. Callers
+// hold v.mu (or own the view exclusively, as Materialize does).
 func (v *View) rebuildIDB(ctx context.Context) error {
+	v.dp.OrderJoins(func(pred string) int { return v.rels[pred].Len() })
 	for pred := range v.idbPr {
 		v.rels[pred] = v.dp.NewIRel(v.arity[pred])
 	}
@@ -259,7 +250,7 @@ func (v *View) initFixpoint(ctx context.Context) error {
 		if !r.IsInit(v.idbPr) {
 			continue
 		}
-		probes, err := v.runDelta(ctx, ri, -1, v.subViews(r, -1, nil, views), v.negView, emit(r.Head.Pred))
+		probes, err := v.dp.RunDelta(ctx, ri, -1, v.subViews(r, -1, nil, views), v.negView, emit(r.Head.Pred))
 		v.stats.InitProbes += probes
 		if err != nil {
 			return err
@@ -290,7 +281,7 @@ func (v *View) initFixpoint(ctx context.Context) error {
 				if pd == nil || pd.Len() == 0 {
 					continue
 				}
-				probes, err := v.runDelta(ctx, ri, occ, v.subViews(r, occ, pd, views), v.negView, emit(r.Head.Pred))
+				probes, err := v.dp.RunDelta(ctx, ri, occ, v.subViews(r, occ, pd, views), v.negView, emit(r.Head.Pred))
 				v.stats.InitProbes += probes
 				if err != nil {
 					return err
@@ -315,7 +306,7 @@ func (v *View) initCounts(ctx context.Context) error {
 		v.counts[pred] = cnts
 		for _, ri := range st.rules {
 			r := v.prog.Rules[ri]
-			probes, err := v.runDelta(ctx, ri, -1, v.subViews(r, -1, nil, nil), v.negView, func(row []uint32) error {
+			probes, err := v.dp.RunDelta(ctx, ri, -1, v.subViews(r, -1, nil, nil), v.negView, func(row []uint32) error {
 				cnts[rowKey(row)]++
 				return nil
 			})
@@ -326,14 +317,6 @@ func (v *View) initCounts(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// runDelta dispatches a delta pass under the view's join-order policy
-// (Options.Policy); every delta call site goes through it so the
-// policy applies uniformly to the initial fixpoint, counting, and DRed
-// passes alike.
-func (v *View) runDelta(ctx context.Context, ri, occ int, subs []eval.RelView, negs func(string) eval.RelView, emit func([]uint32) error) (int64, error) {
-	return v.dp.RunDeltaPolicy(ctx, ri, occ, v.opts.Policy, subs, negs, emit)
 }
 
 // subViews assembles the per-subgoal views for one RunDelta call:

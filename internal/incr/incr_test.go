@@ -398,6 +398,7 @@ var incrPrograms = []incrProgram{
 		      link(X, Y) :- edge(Y, X).
 		      tri(X, Z) :- link(X, Y), link(Y, Z), X != Z.
 		      out(X) :- tri(X, Y), good(Y).
+		      near(X) :- link(X, Y), edge(Y, Z), good(Y).
 		      ?- out.`,
 		edb: map[string]int{"edge": 2, "good": 1},
 		dom: 5,

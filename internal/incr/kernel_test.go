@@ -13,13 +13,15 @@ import (
 // engine merges in place behind each relation's frozen length, the view
 // reads round-start RelViews of the relations it adds to — so on the
 // engine's six named workloads (internal/eval's TestNamedWorkloads,
-// greedy, semi-naive) they must count the same rounds, the same derived
-// tuples and the same join probes. InitProbes also counts the one
-// full-join pass per counting-maintained rule that establishes
-// derivation counts afterwards (initCounts), which the engine has no
-// part in: where a program has such rules the excess is pinned beside
-// the engine's figure. The same numbers hold at commit a056174, before
-// the two shared a kernel.
+// semi-naive) they must count the same rounds, the same derived tuples
+// and the same join probes. InitProbes also counts the one full-join
+// pass per counting-maintained rule that establishes derivation counts
+// afterwards (initCounts), which the engine has no part in: where a
+// program has such rules the excess is pinned beside the engine's
+// figure. The same numbers hold at commit a056174, before the two shared
+// a kernel. A seventh workload has rules whose greedy order ties two EDB
+// subgoals of different lengths, which the engine breaks by length: the
+// view must order its joins the same way.
 func TestInitFixpointMatchesEngine(t *testing.T) {
 	n := func(i int) ast.Term { return ast.N(float64(i)) }
 	chain := func(k int) *eval.DB {
@@ -53,6 +55,11 @@ func TestInitFixpointMatchesEngine(t *testing.T) {
 		}
 		windowDB.AddFact(ast.NewAtom("f", n(i), n((i*10)%24)))
 		windowDB.AddFact(ast.NewAtom("f", n(i), n((i+100)%24)))
+	}
+	tieDB := chain(60)
+	tieDB.AddFact(ast.NewAtom("seed", n(1), n(1)))
+	for i := 1; i <= 10; i++ {
+		tieDB.AddFact(ast.NewAtom("tag", n(i)))
 	}
 	for _, w := range []struct {
 		name, src   string
@@ -94,6 +101,11 @@ func TestInitFixpointMatchesEngine(t *testing.T) {
 			path(X, Y) :- step(X, Y).
 			path(X, Y) :- path(X, Z), path(Z, Y).
 			?- path.`, windowDB, 0},
+		{"EDB tie", `
+			r(X, Y) :- seed(X, Y).
+			r(X, Z) :- r(X, Y), step(Y, Z), tag(Y).
+			q(X) :- step(X, Y), tag(Y).
+			?- r.`, tieDB, 19}, // q: the 10 tag rows, then the step into each of 2..10
 	} {
 		p := parser.MustParseProgram(w.src)
 		_, es, err := eval.EvalWith(p, w.db, eval.Options{Seminaive: true})

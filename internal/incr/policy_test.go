@@ -12,139 +12,20 @@ import (
 	"repro/internal/parser"
 )
 
-// These tests cover the two incr-side obligations of the ordering-policy
-// work: (1) the per-column distinct sketches that feed the cost model
-// must stay correct across retractions, which in this layer means the
-// rebuilt relations after a deleting Apply must carry the same
-// statistics as a from-scratch materialization of the same EDB; and
-// (2) view maintenance must produce identical answers, derivation
-// counts, Changes, and provenance under every join-order policy —
-// policies may only change the order work happens in, never what is
-// derived or how often.
+// View maintenance must not depend on the join orders its delta passes
+// run in: a view keeps the orders chosen for the EDB it was materialized
+// over (eval.DeltaProgram.OrderJoins) while the EDB's lengths move under
+// it, so the same update can meet different orders in two views. The
+// counting and DRed passes are order-insensitive (signed sums and sets),
+// and these tests hold them to it.
 
-// sketchSnapshot renders every relation's row count and per-column
-// distinct estimates into a comparable map.
-func sketchSnapshot(v *View) map[string]string {
-	out := map[string]string{}
-	for pred, rel := range v.rels {
-		s := fmt.Sprintf("n=%d", rel.Len())
-		for j := 0; j < rel.Arity(); j++ {
-			s += fmt.Sprintf(" d%d=%d", j, rel.DistinctEstimate(j))
-		}
-		out[pred] = s
-	}
-	return out
-}
-
-// TestIncrSketchMaintainedAcrossRetractions drives a view through
-// add/delete batches (deletions force the counting layer to rebuild
-// relations, which is where stale sketches would survive if statistics
-// were not insert-complete) and checks that every relation's sketch
-// matches a fresh Materialize over the same final EDB. Both views hold
-// the same row sets, so exact counts and spill-mode estimates alike
-// must agree bit-for-bit.
-func TestIncrSketchMaintainedAcrossRetractions(t *testing.T) {
-	p := parser.MustParseProgram(`
-		path(X, Y) :- edge(X, Y).
-		path(X, Y) :- edge(X, Z), path(Z, Y).
-		tagged(X) :- path(X, Y), tag(Y).
-		?- tagged.`)
-	fs := factSet{}
-	var seed []ast.Atom
-	for i := 0; i < 12; i++ {
-		seed = append(seed, ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64(i+1))))
-	}
-	seed = append(seed, ast.NewAtom("tag", ast.N(5)), ast.NewAtom("tag", ast.N(9)))
-	fs.apply(seed, nil)
-	v, err := Materialize(p, fs.db(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(17))
-	for step := 0; step < 6; step++ {
-		var adds, dels []ast.Atom
-		for n := 3; n > 0; n-- {
-			i := rng.Intn(14)
-			adds = append(adds, ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64(rng.Intn(14)))))
-		}
-		for n := 2; n > 0; n-- {
-			i := rng.Intn(13)
-			dels = append(dels, ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64(i+1))))
-		}
-		if _, err := v.Apply(adds, dels); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		fs.apply(adds, dels)
-
-		fresh, err := Materialize(p, fs.db(), Options{})
-		if err != nil {
-			t.Fatalf("step %d: fresh Materialize: %v", step, err)
-		}
-		got, want := sketchSnapshot(v), sketchSnapshot(fresh)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: sketches diverged from fresh materialization:\nview  %v\nfresh %v", step, got, want)
-		}
-	}
-}
-
-// TestIncrSketchSpillAcrossRetraction repeats the check past the
-// exact→spill threshold. Spilled estimates hash interned term IDs, and
-// a maintained view interns terms in a different order than a fresh
-// build (it saw the since-retracted rows too), so estimates are not
-// bit-identical across views — only columns still in exact mode are.
-// What must hold after retraction: exact-mode columns match a fresh
-// build, and the spilled column estimates the surviving distinct count
-// within linear counting's error bound, not the pre-retraction count.
-func TestIncrSketchSpillAcrossRetraction(t *testing.T) {
-	p := parser.MustParseProgram(`
-		hit(X) :- wide(X, Y), probe(Y).
-		?- hit.`)
-	fs := factSet{}
-	var seed []ast.Atom
-	for i := 0; i < 600; i++ {
-		seed = append(seed, ast.NewAtom("wide", ast.N(float64(i%7)), ast.N(float64(i))))
-	}
-	seed = append(seed, ast.NewAtom("probe", ast.N(3)))
-	fs.apply(seed, nil)
-	v, err := Materialize(p, fs.db(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dels []ast.Atom
-	for i := 100; i < 400; i++ {
-		dels = append(dels, ast.NewAtom("wide", ast.N(float64(i%7)), ast.N(float64(i))))
-	}
-	if _, err := v.Apply(nil, dels); err != nil {
-		t.Fatal(err)
-	}
-	fs.apply(nil, dels)
-	fresh, err := Materialize(p, fs.db(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, fwide := v.rels["wide"], fresh.rels["wide"]
-	if wide.Len() != 300 || fwide.Len() != 300 {
-		t.Fatalf("wide has %d rows (fresh %d), want 300", wide.Len(), fwide.Len())
-	}
-	if got, want := wide.DistinctEstimate(0), fwide.DistinctEstimate(0); got != want {
-		t.Fatalf("exact-mode column 0 diverged: view %d, fresh %d", got, want)
-	}
-	if d := wide.DistinctEstimate(1); d < 225 || d > 375 {
-		t.Fatalf("wide column 1 distinct = %d, want within 25%% of 300 (pre-retraction count was 600)", d)
-	}
-}
-
-// incrPolicies are the option sets the Apply differential runs under.
-// The empty string exercises the zero-value (greedy) default path.
-var incrPolicies = []eval.JoinOrderPolicy{"", eval.PolicyCost, eval.PolicyAdaptive}
-
-// TestIncrPolicyDifferentialApply maintains one view per policy through
-// an identical randomized add/retract sequence over each program shape
-// and asserts that answers, Changes, derivation counts, and provenance
-// explanations never diverge across policies. The greedy view is also
-// checked against from-scratch evaluation, anchoring the whole set to
-// ground truth.
+// TestIncrPolicyDifferentialApply maintains two views through an
+// identical randomized add/retract sequence over each program shape: one
+// as Materialize ordered it, one with every tie between two EDB subgoals
+// broken the other way (the longer relation first), and asserts that
+// answers, Changes, derivation counts, and provenance explanations never
+// diverge. The first view is also checked against from-scratch
+// evaluation, anchoring the pair to ground truth.
 func TestIncrPolicyDifferentialApply(t *testing.T) {
 	for _, pc := range incrPrograms {
 		pc := pc
@@ -161,14 +42,15 @@ func TestIncrPolicyDifferentialApply(t *testing.T) {
 			}
 			fs.apply(seed, nil)
 
-			views := make([]*View, len(incrPolicies))
-			for i, pol := range incrPolicies {
-				v, err := Materialize(p, fs.db(), Options{Policy: pol})
+			views := make([]*View, 2)
+			for i := range views {
+				v, err := Materialize(p, fs.db(), Options{})
 				if err != nil {
-					t.Fatalf("Materialize(policy=%q): %v", pol, err)
+					t.Fatalf("Materialize: %v", err)
 				}
 				views[i] = v
 			}
+			views[1].dp.OrderJoins(func(pred string) int { return -views[1].rels[pred].Len() })
 			requireConsistent(t, "init", views[0], p, fs)
 
 			for step := 0; step < 6; step++ {
@@ -186,7 +68,7 @@ func TestIncrPolicyDifferentialApply(t *testing.T) {
 				for i, v := range views {
 					ch, err := v.Apply(adds, dels)
 					if err != nil {
-						t.Fatalf("%s: Apply(policy=%q): %v", label, incrPolicies[i], err)
+						t.Fatalf("%s: Apply (view %d): %v", label, i, err)
 					}
 					changes[i] = map[string][]string{
 						"added":   renderTuples(p.Query, ch.Added),
@@ -194,40 +76,32 @@ func TestIncrPolicyDifferentialApply(t *testing.T) {
 					}
 				}
 				requireConsistent(t, label, views[0], p, fs)
-				base := views[0]
+				base, other := views[0], views[1]
+				if !reflect.DeepEqual(changes[1], changes[0]) {
+					t.Fatalf("%s: Changes diverged:\n%v\n%v", label, changes[0], changes[1])
+				}
 				baseAnswers := answersOf(t, base)
-				for i := 1; i < len(views); i++ {
-					pol := incrPolicies[i]
-					if !reflect.DeepEqual(changes[i], changes[0]) {
-						t.Fatalf("%s: Changes diverged under policy %q:\ngreedy %v\n%-6s %v",
-							label, pol, changes[0], pol, changes[i])
+				if got := answersOf(t, other); !reflect.DeepEqual(got, baseAnswers) {
+					t.Fatalf("%s: answers diverged:\n%v\n%v", label, baseAnswers, got)
+				}
+				for pred := range p.IDB() {
+					if got, want := other.DerivationCounts(pred), base.DerivationCounts(pred); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %s derivation counts diverged:\n%v\n%v", label, pred, want, got)
 					}
-					if got := answersOf(t, views[i]); !reflect.DeepEqual(got, baseAnswers) {
-						t.Fatalf("%s: answers diverged under policy %q:\ngreedy %v\n%-6s %v",
-							label, pol, baseAnswers, pol, got)
+				}
+				for j := 0; j < len(baseAnswers) && j < 2; j++ {
+					// Explain recomputes provenance; keep it cheap.
+					fact := ast.NewAtom(p.Query, mustAnswerTuple(t, base, j)...)
+					want, err := base.Explain(fact)
+					if err != nil {
+						t.Fatalf("%s: Explain(%s): %v", label, fact, err)
 					}
-					for pred := range p.IDB() {
-						got, want := views[i].DerivationCounts(pred), base.DerivationCounts(pred)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: %s derivation counts diverged under policy %q:\ngreedy %v\n%-6s %v",
-								label, pred, pol, want, pol, got)
-						}
+					got, err := other.Explain(fact)
+					if err != nil {
+						t.Fatalf("%s: Explain(%s), ties reversed: %v", label, fact, err)
 					}
-					for j := 0; j < len(baseAnswers) && j < 2; j++ {
-						// Explain recomputes provenance; keep it cheap.
-						fact := ast.NewAtom(p.Query, mustAnswerTuple(t, base, j)...)
-						dg, err := base.Explain(fact)
-						if err != nil {
-							t.Fatalf("%s: greedy Explain(%s): %v", label, fact, err)
-						}
-						dp, err := views[i].Explain(fact)
-						if err != nil {
-							t.Fatalf("%s: policy %q Explain(%s): %v", label, pol, fact, err)
-						}
-						if dg.String() != dp.String() {
-							t.Fatalf("%s: provenance of %s diverged under policy %q:\ngreedy %s\n%-6s %s",
-								label, fact, pol, dg, pol, dp)
-						}
+					if got.String() != want.String() {
+						t.Fatalf("%s: provenance of %s diverged:\n%s\n%s", label, fact, want, got)
 					}
 				}
 			}
@@ -255,24 +129,13 @@ func mustAnswerTuple(t *testing.T, v *View, j int) eval.Tuple {
 	return all[j].t
 }
 
-// TestIncrRejectsUnknownPolicy: Materialize must fail fast on a policy
-// name the eval layer does not recognize, rather than silently running
-// greedy.
-func TestIncrRejectsUnknownPolicy(t *testing.T) {
-	p := parser.MustParseProgram(`q(X) :- e(X). ?- q.`)
-	_, err := Materialize(p, eval.NewDB(), Options{Policy: "fastest"})
-	if err == nil {
-		t.Fatal("Materialize accepted unknown policy")
-	}
-}
-
 // TestIncrLongSequenceDifferential is the gate on retraction by
 // tombstone (run under -race by `make incr-smoke`): sequences long
-// enough to cross compaction several times, under every policy, checked
-// after every batch against a fresh Materialize of the same facts —
-// answers, Changes, derivation counts, Explain trees and column
-// sketches — which is what a view whose retractions rebuilt its
-// relations would show. The batches are random with the cases that
+// enough to cross compaction several times, checked after every batch
+// against a fresh Materialize of the same facts — answers, Changes,
+// derivation counts, Explain trees and every relation's live length —
+// which is what a view whose retractions rebuilt its relations would
+// show. The batches are random with the cases that
 // marking rows dead in place can get wrong dealt in on a schedule: a
 // fact retracted and re-added in one batch, re-added in the next batch,
 // re-added after the relation that held it was compacted, and a fact cut
@@ -316,17 +179,13 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 				}
 			}
 			fs.apply(seed, nil)
-			views := make([]*View, len(incrPolicies))
-			for i, pol := range incrPolicies {
-				v, err := Materialize(p, fs.db(), Options{Policy: pol})
-				if err != nil {
-					t.Fatalf("Materialize(policy=%q): %v", pol, err)
-				}
-				views[i] = v
+			v, err := Materialize(p, fs.db(), Options{})
+			if err != nil {
+				t.Fatalf("Materialize: %v", err)
 			}
 			physical := func() map[string]int {
 				out := map[string]int{}
-				for pred, rel := range views[0].rels {
+				for pred, rel := range v.rels {
 					out[pred] = rel.View().Hi
 				}
 				return out
@@ -338,7 +197,7 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 			// share in one order.
 			order := func() map[string][]string {
 				out := map[string][]string{}
-				for pred, rel := range views[0].rels {
+				for pred, rel := range v.rels {
 					rel.View().Each(func(row []uint32) { out[pred] = append(out[pred], rowKey(row)) })
 				}
 				return out
@@ -402,7 +261,7 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 				lastDels = dels
 				rows = physical()
 
-				before := answersOf(t, views[0])
+				before := answersOf(t, v)
 				fs.apply(adds, dels)
 				fresh, err := Materialize(p, fs.db(), Options{})
 				if err != nil {
@@ -412,63 +271,56 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 				wantAdded, wantRemoved := diffStrings(before, after)
 				// An EDB predicate that lost its last fact keeps an empty
 				// relation in the view and has none in a fresh one.
-				sketches := func(v *View) map[string]string {
-					out := sketchSnapshot(v)
+				lengths := func(v *View) map[string]int {
+					out := map[string]int{}
 					for pred, rel := range v.rels {
-						if rel.Len() == 0 && !v.idbPr[pred] {
-							delete(out, pred)
+						if rel.Len() > 0 || v.idbPr[pred] {
+							out[pred] = rel.Len()
 						}
 					}
 					return out
 				}
-				wantSketch := sketches(fresh)
-				for i, v := range views {
-					vl := fmt.Sprintf("%s policy %q", label, incrPolicies[i])
-					ch, err := v.Apply(adds, dels)
+				ch, err := v.Apply(adds, dels)
+				if err != nil {
+					t.Fatalf("%s: Apply: %v", label, err)
+				}
+				if got := answersOf(t, v); !reflect.DeepEqual(got, after) {
+					t.Fatalf("%s: answers\nview  %v\nfresh %v", label, got, after)
+				}
+				if got := renderTuples(p.Query, ch.Added); !equalSets(got, wantAdded) {
+					t.Fatalf("%s: Changes.Added %v, want %v", label, got, wantAdded)
+				}
+				if got := renderTuples(p.Query, ch.Removed); !equalSets(got, wantRemoved) {
+					t.Fatalf("%s: Changes.Removed %v, want %v", label, got, wantRemoved)
+				}
+				for pred := range p.IDB() {
+					if got, want := v.DerivationCounts(pred), fresh.DerivationCounts(pred); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %s derivation counts\nview  %v\nfresh %v", label, pred, got, want)
+					}
+					if got, want := viewFacts(t, v, pred), viewFacts(t, fresh, pred); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %s\nview  %v\nfresh %v", label, pred, got, want)
+					}
+				}
+				for j := 0; j < len(after) && j < 2; j++ {
+					fact := ast.NewAtom(p.Query, mustAnswerTuple(t, fresh, j)...)
+					dv, err := v.Explain(fact)
 					if err != nil {
-						t.Fatalf("%s: Apply: %v", vl, err)
+						t.Fatalf("%s: Explain(%s): %v", label, fact, err)
 					}
-					if got := answersOf(t, v); !reflect.DeepEqual(got, after) {
-						t.Fatalf("%s: answers\nview  %v\nfresh %v", vl, got, after)
+					df, err := fresh.Explain(fact)
+					if err != nil {
+						t.Fatalf("%s: fresh Explain(%s): %v", label, fact, err)
 					}
-					if got := renderTuples(p.Query, ch.Added); !equalSets(got, wantAdded) {
-						t.Fatalf("%s: Changes.Added %v, want %v", vl, got, wantAdded)
+					if dv.String() != df.String() {
+						t.Fatalf("%s: provenance of %s\nview  %s\nfresh %s", label, fact, dv, df)
 					}
-					if got := renderTuples(p.Query, ch.Removed); !equalSets(got, wantRemoved) {
-						t.Fatalf("%s: Changes.Removed %v, want %v", vl, got, wantRemoved)
-					}
-					for pred := range p.IDB() {
-						if got, want := v.DerivationCounts(pred), fresh.DerivationCounts(pred); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: %s derivation counts\nview  %v\nfresh %v", vl, pred, got, want)
-						}
-						if got, want := viewFacts(t, v, pred), viewFacts(t, fresh, pred); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: %s\nview  %v\nfresh %v", vl, pred, got, want)
-						}
-					}
-					// Explain reads the EDB relations alone, which every
-					// policy maintains alike: one view explains after every
-					// batch, the others now and then.
-					for j := 0; j < len(after) && j < 2 && (i == 0 || step%16 == 0); j++ {
-						fact := ast.NewAtom(p.Query, mustAnswerTuple(t, fresh, j)...)
-						dv, err := v.Explain(fact)
-						if err != nil {
-							t.Fatalf("%s: Explain(%s): %v", vl, fact, err)
-						}
-						df, err := fresh.Explain(fact)
-						if err != nil {
-							t.Fatalf("%s: fresh Explain(%s): %v", vl, fact, err)
-						}
-						if dv.String() != df.String() {
-							t.Fatalf("%s: provenance of %s\nview  %s\nfresh %s", vl, fact, dv, df)
-						}
-					}
-					if got := sketches(v); !reflect.DeepEqual(got, wantSketch) {
-						t.Fatalf("%s: sketches\nview  %v\nfresh %v", vl, got, wantSketch)
-					}
-					for pred, rel := range v.rels {
-						if hi, live := rel.View().Hi, rel.Len(); hi > 2*live+8 {
-							t.Fatalf("%s: %s holds %d rows for %d live ones", vl, pred, hi, live)
-						}
+				}
+				if got, want := lengths(v), lengths(fresh); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: live lengths\nview  %v\nfresh %v", label, got, want)
+				}
+				for pred, rel := range v.rels {
+					if hi, live := rel.View().Hi, rel.Len(); hi > 2*live+8 {
+						t.Fatalf("%s: %s holds %d rows for %d live ones", label, pred, hi, live)
 					}
 				}
 				for pred, n := range physical() {
@@ -477,10 +329,10 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 					}
 				}
 				now := order()
-				rebuilt := views[0].Stats().FullRebuilds > rebuilds
-				rebuilds = views[0].Stats().FullRebuilds
+				rebuilt := v.Stats().FullRebuilds > rebuilds
+				rebuilds = v.Stats().FullRebuilds
 				for pred, was := range lay {
-					if rebuilt && views[0].idbPr[pred] {
+					if rebuilt && v.idbPr[pred] {
 						continue // a full rebuild derives the IDB afresh
 					}
 					if got, want := common(now[pred], was), common(was, now[pred]); !reflect.DeepEqual(got, want) {

@@ -79,7 +79,7 @@ func requireAnswerBodies(t testing.TB, label string, arity int, tuples []sqo.Tup
 		t.Fatalf("%s: %v", label, err)
 	}
 	qenv := queryResponse{Query: "q <&>", Answers: []string{}, AnswerCount: result.Len(), Satisfiable: true, Optimized: true,
-		JoinOrder: "greedy", Stats: queryStats{Rounds: stats.Iterations, TuplesDerived: stats.TuplesDerived}, OptimizeMS: 0.25, EvalMS: 1.5}
+		Stats: queryStats{Rounds: stats.Iterations, TuplesDerived: stats.TuplesDerived}, OptimizeMS: 0.25, EvalMS: 1.5}
 	if deltas {
 		qenv.RoundDeltas = stats.RoundDeltas
 	}

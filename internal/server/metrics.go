@@ -41,12 +41,6 @@ type Metrics struct {
 	EDBBaseBuilds atomic.Int64
 	EDBBaseReuses atomic.Int64
 
-	// Join-order policy of completed query evaluations (one counter
-	// per policy; rendered as a labeled series).
-	EvalPolicyGreedy   atomic.Int64
-	EvalPolicyCost     atomic.Int64
-	EvalPolicyAdaptive atomic.Int64
-
 	// EvalMagic counts completed query evaluations that went through
 	// the magic-sets demand rewrite (goal-directed point queries).
 	EvalMagic atomic.Int64
@@ -149,19 +143,6 @@ func (m *Metrics) AddStats(st *sqo.Stats) {
 	}
 }
 
-// AddPolicy counts one completed evaluation under its join-order
-// policy ("" counts as greedy, matching the engine's resolution).
-func (m *Metrics) AddPolicy(policy sqo.JoinOrderPolicy) {
-	switch policy {
-	case sqo.PolicyCost:
-		m.EvalPolicyCost.Add(1)
-	case sqo.PolicyAdaptive:
-		m.EvalPolicyAdaptive.Add(1)
-	default:
-		m.EvalPolicyGreedy.Add(1)
-	}
-}
-
 // ServeHTTP renders the registry in the Prometheus text exposition
 // format (version 0.0.4).
 func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
@@ -190,11 +171,6 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 
 	counter("sqod_edb_base_builds_total", "Query evaluations that interned their database (first query on a snapshot, or per-request facts).", m.EDBBaseBuilds.Load())
 	counter("sqod_edb_base_reuses_total", "Query evaluations that reused their snapshot's interned base.", m.EDBBaseReuses.Load())
-
-	b.WriteString("# HELP sqod_eval_policy_total Completed evaluations by join-order policy.\n# TYPE sqod_eval_policy_total counter\n")
-	fmt.Fprintf(&b, "sqod_eval_policy_total{policy=\"greedy\"} %d\n", m.EvalPolicyGreedy.Load())
-	fmt.Fprintf(&b, "sqod_eval_policy_total{policy=\"cost\"} %d\n", m.EvalPolicyCost.Load())
-	fmt.Fprintf(&b, "sqod_eval_policy_total{policy=\"adaptive\"} %d\n", m.EvalPolicyAdaptive.Load())
 
 	counter("sqod_eval_magic_total", "Queries evaluated via the magic-sets demand rewrite.", m.EvalMagic.Load())
 	counter("sqod_eval_elim_total", "Queries evaluated via bounded-recursion elimination.", m.EvalElim.Load())

@@ -101,7 +101,7 @@ func (s *Server) restoreView(ctx context.Context, ds *dataset, def store.ViewDef
 	if _, exists := ds.viewMap()[def.Name]; exists {
 		return false
 	}
-	view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: s.cfg.MaxTuples, Policy: s.policy})
+	view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: s.cfg.MaxTuples})
 	if err != nil {
 		s.log.Warn("restoring view: materialize failed", "dataset", ds.name, "view", def.Name, "err", err)
 		return false

@@ -67,11 +67,6 @@ type Config struct {
 	UpdateTimeout time.Duration
 	// MaxTuples is the per-query derived-tuple budget (0 = unlimited).
 	MaxTuples int64
-	// JoinOrder is the default join-order policy for evaluations and
-	// views: "greedy" (or empty), "cost", or "adaptive". Queries can
-	// override it per request with join_order. Invalid names fall back
-	// to greedy with a logged warning rather than refusing to start.
-	JoinOrder string
 	// MaxBodyBytes bounds request bodies. Default: 8 MiB.
 	MaxBodyBytes int64
 	// EnablePprof registers net/http/pprof handlers under /debug/pprof/
@@ -106,9 +101,8 @@ type Server struct {
 	metrics *Metrics
 	cache   *Cache
 	sem     chan struct{} // admission-control semaphore
-	policy  sqo.JoinOrderPolicy
-	store   *store.Store // nil when running in-memory
-	ready   atomic.Bool  // false until durable-state restore completes
+	store   *store.Store  // nil when running in-memory
+	ready   atomic.Bool   // false until durable-state restore completes
 
 	datasets *datasetStore
 }
@@ -133,12 +127,6 @@ func New(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	policy, err := sqo.ParseJoinOrderPolicy(cfg.JoinOrder)
-	if err != nil {
-		cfg.Logger.Warn("invalid join-order policy; falling back to greedy",
-			"join_order", cfg.JoinOrder, "err", err)
-		policy = sqo.PolicyGreedy
-	}
 	m := NewMetrics()
 	c := NewCache(cfg.CacheSize)
 	c.metrics = m
@@ -148,7 +136,6 @@ func New(cfg Config) *Server {
 		metrics:  m,
 		cache:    c,
 		sem:      make(chan struct{}, cfg.MaxInflight),
-		policy:   policy,
 		store:    cfg.Store,
 		datasets: newDatasetStore(m),
 	}
@@ -580,10 +567,6 @@ type queryRequest struct {
 	// IncludeRoundDeltas opts into per-round delta sizes in the
 	// response (round → relation → tuples derived that round).
 	IncludeRoundDeltas bool `json:"include_round_deltas,omitempty"`
-	// JoinOrder overrides the server's join-order policy for this
-	// query: "greedy", "cost", or "adaptive" (empty → server default).
-	// Answers are identical under every policy; only join work differs.
-	JoinOrder string `json:"join_order,omitempty"`
 	// Magic controls the magic-sets demand rewrite for goal queries
 	// (`?- pred(a, Y).`): "auto" (the default — rewrite when the goal
 	// binds an argument), "on", or "off". Answers are identical in
@@ -612,7 +595,6 @@ type queryResponse struct {
 	Satisfiable bool     `json:"satisfiable"`
 	Optimized   bool     `json:"optimized"`
 	CacheHit    bool     `json:"cache_hit"`
-	JoinOrder   string   `json:"join_order"`
 	// Magic reports whether this evaluation went through the
 	// magic-sets demand rewrite (false for unbound or absent goals,
 	// magic "off", or rewrite fallback).
@@ -640,15 +622,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Dataset == "" && req.Facts == "" {
 		writeError(w, http.StatusBadRequest, "bad_request", "one of dataset or facts is required")
 		return
-	}
-	policy := s.policy
-	if req.JoinOrder != "" {
-		p, err := sqo.ParseJoinOrderPolicy(req.JoinOrder)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-			return
-		}
-		policy = p
 	}
 	magicMode, err := sqo.ParseMagicMode(req.Magic)
 	if err != nil {
@@ -788,7 +761,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	evalOpts := sqo.DefaultEvalOptions()
 	evalOpts.MaxTuples = s.cfg.MaxTuples
-	evalOpts.Policy = policy
 	evalOpts.Magic = magicMode
 	// Elimination already ran (or was declined) above; keep QueryCtx
 	// from re-running the analysis per request.
@@ -814,7 +786,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.AddStats(stats)
-	s.metrics.AddPolicy(policy)
 	if stats.MagicApplied {
 		s.metrics.EvalMagic.Add(1)
 	}
@@ -829,7 +800,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Satisfiable: satisfiable,
 		Optimized:   doOptimize,
 		CacheHit:    cacheHit,
-		JoinOrder:   string(policy),
 		Magic:       stats.MagicApplied,
 		Elim:        elimApplied,
 		Stats: queryStats{

@@ -377,6 +377,48 @@ func TestServerRetiredWorkersField(t *testing.T) {
 	}
 }
 
+// TestServerJoinOrderKnob: "join_order" was a /v1/query field until the
+// engine kept one join order. Every value a client may still send — a
+// former policy name or one that never was — gets a 200 with the
+// answers and stats of the request without it, the response echoes no
+// join_order, and /metrics exports no per-policy series.
+func TestServerJoinOrderKnob(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerDataset(t, ts.URL, "g", serverTestFacts)
+	var plain queryResponse
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+		"program": serverTestProgram, "ics": serverTestICs, "dataset": "g",
+	}, &plain); code != http.StatusOK {
+		t.Fatalf("status = %d %s", code, raw)
+	}
+	for _, joinOrder := range []string{"", "greedy", "cost", "adaptive", "fastest"} {
+		var got queryResponse
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+			"program": serverTestProgram, "ics": serverTestICs, "dataset": "g",
+			"join_order": joinOrder,
+		}, &got)
+		if code != http.StatusOK {
+			t.Fatalf("join_order=%q: status = %d %s", joinOrder, code, raw)
+		}
+		if len(plain.Answers) == 0 || !reflect.DeepEqual(got.Answers, plain.Answers) || got.Stats != plain.Stats {
+			t.Fatalf("answers or stats differ with join_order=%q:\n%+v\nvs\n%+v", joinOrder, got, plain)
+		}
+		if strings.Contains(string(raw), "join_order") {
+			t.Fatalf("join_order=%q: the response echoes join_order: %s", joinOrder, raw)
+		}
+	}
+
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	body, _ := io.ReadAll(mresp.Body)
+	if strings.Contains(string(body), "sqod_eval_policy_total") {
+		t.Fatalf("metrics still export the per-policy series:\n%s", body)
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerDataset(t, ts.URL, "d", serverTestFacts)

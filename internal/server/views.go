@@ -291,7 +291,7 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusConflict, "view_exists", "view %q already exists on dataset %q", vname, name)
 			}
 		}
-		view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: maxTuples, Policy: s.policy})
+		view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: maxTuples})
 		if err != nil {
 			return nil, func() { s.writeEvalError(w, err) }
 		}

@@ -2,41 +2,15 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
-// TestGoldenAssignments pins concrete shard assignments forever: the
-// partitioners are part of the on-the-wire cluster contract (dataset
-// placement) and the eval determinism contract, so any change to the
-// hash is a breaking change and must fail loudly here.
+// TestGoldenAssignments pins concrete placements forever: Place is part
+// of the on-the-wire cluster contract — a coordinator and its
+// replacement must put every dataset on the same worker — so any change
+// to the hash is a breaking change and must fail loudly here.
 func TestGoldenAssignments(t *testing.T) {
-	cases := []struct {
-		part Partitioner
-		key  string
-		n2   int
-		n4   int
-		n8   int
-	}{
-		{Modulo{}, "", 1, 1, 5},
-		{Modulo{}, "n:0", 1, 3, 3},
-		{Modulo{}, "n:3", 0, 2, 6},
-		{Modulo{}, "n:17", 1, 1, 5},
-		{Modulo{}, "s:alice", 0, 0, 0},
-		{Modulo{}, "s:bob", 1, 3, 3},
-		{Rendezvous{}, "", 1, 3, 3},
-		{Rendezvous{}, "n:0", 0, 0, 0},
-		{Rendezvous{}, "n:3", 0, 3, 5},
-		{Rendezvous{}, "n:17", 1, 1, 1},
-		{Rendezvous{}, "s:alice", 0, 2, 7},
-		{Rendezvous{}, "s:bob", 1, 1, 7},
-	}
-	for _, c := range cases {
-		for _, g := range []struct{ n, want int }{{2, c.n2}, {4, c.n4}, {8, c.n8}} {
-			if got := c.part.Shard(c.key, g.n); got != g.want {
-				t.Errorf("%s.Shard(%q, %d) = %d, want %d", c.part.Name(), c.key, g.n, got, g.want)
-			}
-		}
-	}
 	peers := []string{"http://a:8080", "http://b:8080", "http://c:8080"}
 	for ds, want := range map[string]string{
 		"alpha": "http://c:8080",
@@ -49,81 +23,69 @@ func TestGoldenAssignments(t *testing.T) {
 	}
 }
 
+// TestShardRangeAndDeterminism: every placement is one of the peers, and
+// the same one on every call.
 func TestShardRangeAndDeterminism(t *testing.T) {
-	for _, p := range []Partitioner{Modulo{}, Rendezvous{}} {
-		for _, n := range []int{0, 1, 2, 3, 7, 256} {
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("n:%d", i)
-				got := p.Shard(key, n)
-				if got != p.Shard(key, n) {
-					t.Fatalf("%s: nondeterministic for %q", p.Name(), key)
-				}
-				if n < 2 {
-					if got != 0 {
-						t.Fatalf("%s.Shard(%q, %d) = %d, want 0", p.Name(), key, n, got)
-					}
-					continue
-				}
-				if got < 0 || got >= n {
-					t.Fatalf("%s.Shard(%q, %d) = %d out of range", p.Name(), key, n, got)
-				}
+	for _, n := range []int{1, 2, 3, 7, 64} {
+		peers := make([]string, n)
+		for i := range peers {
+			peers[i] = fmt.Sprintf("http://w%d:8351", i)
+		}
+		for i := 0; i < 200; i++ {
+			name := fmt.Sprintf("n:%d", i)
+			got := Place(name, peers)
+			if got != Place(name, peers) {
+				t.Fatalf("Place(%q) over %d peers is nondeterministic", name, n)
+			}
+			if !slices.Contains(peers, got) {
+				t.Fatalf("Place(%q) = %q, not one of the %d peers", name, got, n)
 			}
 		}
 	}
 }
 
-// TestRendezvousMinimalDisruption: growing the shard count moves only
-// keys won by the new shard — every key not assigned to shard n keeps
-// its old owner.
+// TestRendezvousMinimalDisruption: adding a peer moves only the
+// datasets the new peer wins — every other dataset keeps its owner — and
+// it wins some.
 func TestRendezvousMinimalDisruption(t *testing.T) {
-	p := Rendezvous{}
-	for n := 2; n <= 8; n++ {
+	peers := []string{"http://w0:8351"}
+	for n := 1; n < 8; n++ {
+		grown := append(slices.Clone(peers), fmt.Sprintf("http://w%d:8351", n))
 		moved := 0
 		for i := 0; i < 500; i++ {
-			key := fmt.Sprintf("n:%d", i)
-			old, niu := p.Shard(key, n), p.Shard(key, n+1)
+			name := fmt.Sprintf("dataset-%d", i)
+			old, niu := Place(name, peers), Place(name, grown)
 			if old != niu {
 				moved++
-				if niu != n {
-					t.Fatalf("n=%d: key %q moved %d -> %d, not to the new shard", n, key, old, niu)
+				if niu != grown[n] {
+					t.Fatalf("%d peers: %q moved %q -> %q, not to the new peer", n, name, old, niu)
 				}
 			}
 		}
 		if moved == 0 {
-			t.Fatalf("n=%d: new shard won zero of 500 keys", n)
+			t.Fatalf("%d peers: the new peer won none of 500 datasets", n)
 		}
+		peers = grown
 	}
 }
 
+// TestBalance: 2,000 datasets spread over 2, 4 and 8 peers with no peer
+// holding more than 1.35 times its fair share.
 func TestBalance(t *testing.T) {
-	keys := make([]string, 0, 2000)
-	for i := 0; i < 2000; i++ {
-		keys = append(keys, fmt.Sprintf("n:%d", i))
-	}
-	for _, p := range []Partitioner{Modulo{}, Rendezvous{}} {
-		for _, n := range []int{2, 4, 8} {
-			if r := Balance(p, keys, n); r > 1.35 {
-				t.Errorf("%s over %d shards: max/mean load %.2f too skewed", p.Name(), n, r)
+	for _, n := range []int{2, 4, 8} {
+		load := map[string]int{}
+		peers := make([]string, n)
+		for i := range peers {
+			peers[i] = fmt.Sprintf("http://w%d:8351", i)
+		}
+		for i := 0; i < 2000; i++ {
+			load[Place(fmt.Sprintf("dataset-%d", i), peers)]++
+		}
+		for peer, c := range load {
+			if r := float64(c) / (2000 / float64(n)); r > 1.35 {
+				t.Errorf("%d peers: %s holds %d datasets, %.2f times its share", n, peer, c, r)
 			}
 		}
-	}
-	if Balance(Modulo{}, nil, 4) != 1 || Balance(Modulo{}, keys, 0) != 1 {
-		t.Error("degenerate Balance inputs should report 1")
-	}
-}
-
-func TestParse(t *testing.T) {
-	for name, want := range map[string]string{"": "modulo", "modulo": "modulo", "rendezvous": "rendezvous"} {
-		p, err := Parse(name)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", name, err)
-		}
-		if p.Name() != want {
-			t.Fatalf("Parse(%q).Name() = %q, want %q", name, p.Name(), want)
-		}
-	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("Parse must reject unknown names")
 	}
 }
 

@@ -11,8 +11,8 @@ package store_test
 //
 //   - the prefix covers every acknowledged operation (an acked write
 //     is never lost),
-//   - the durable mirror — datasets, views, interned rows, per-column
-//     sketches — is bit-identical (store.DiffState), and
+//   - the durable mirror — datasets, views, interned rows — is
+//     bit-identical (store.DiffState), and
 //   - the recovered server answers every surviving view identically.
 //
 // The prefix search over [acked, total] is the crash semantics: the
@@ -248,8 +248,8 @@ func verifyRecovered(t *testing.T, dir string, sc crashScenario, acked int) {
 	for i := acked; i <= total; i++ {
 		// An ephemeral store under a live server replays the prefix the
 		// way the child originally ran it: same handlers, same WAL-op
-		// order, same symbol-id assignment — so spilled sketches must
-		// match bit for bit, not just approximately.
+		// order, same symbol-id assignment — so interned rows must
+		// match bit for bit.
 		memSt, memRec, err := store.Open("", store.Options{CheckpointEvery: sc.ckpt})
 		if err != nil {
 			t.Fatal(err)

@@ -2,14 +2,13 @@ package store
 
 // Checkpoint segments and the manifest. A segment is an immutable
 // snapshot of the whole store — symbol table, datasets, views,
-// interned rows, per-column sketches — written at checkpoint so the
-// WAL can be truncated. The format is flat and 4-byte aligned
+// interned rows — written at checkpoint so the WAL can be truncated. The format is flat and 4-byte aligned
 // throughout (strings are padded), so a reader can memory-map the file
 // and view each predicate's row block as a ready-to-scan [nrows×arity]
 // array of uint32 without any per-row decoding:
 //
 //	[4]byte   magic "sqos"
-//	uint32    format version (1)
+//	uint32    format version (2)
 //	uint32    nsyms
 //	  nsyms × { uint32 kind; num: 8B float bits | str: uint32 len + padded bytes }
 //	uint32    ndatasets
@@ -23,9 +22,14 @@ package store
 //	        uint32  name symbol
 //	        uint32  arity
 //	        uint32  nrows
-//	        arity × { uint32 len, sketch bytes (eval encoding), pad }
 //	        nrows × arity × uint32   row block, lexicographically sorted
 //	uint32    CRC32 (IEEE) of everything above
+//
+// Version 1 had, between nrows and the row block, one distinct-value
+// sketch per column ({ uint32 len, sketch bytes, pad } each) for a
+// join-order policy that no longer exists. Version-1 segments still
+// load: the reader checks that each sketch is well framed and skips it
+// (skipSketch), and the next checkpoint writes version 2.
 //
 // Every list is sorted (symbols by id, datasets/views/predicates by
 // name, rows lexicographically), so the file is a deterministic
@@ -46,13 +50,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/eval"
 )
 
 const (
 	segMagic   = "sqos"
-	segVersion = 1
+	segVersion = 2
 
 	manifestName = "MANIFEST"
 	segPrefix    = "seg"
@@ -128,14 +130,6 @@ func (s *Store) encodeSegment() []byte {
 			buf = appendU32(buf, s.syms.internStr(p))
 			buf = appendU32(buf, uint32(ps.arity))
 			buf = appendU32(buf, uint32(len(ps.rows)))
-			for j := 0; j < ps.arity; j++ {
-				enc := ps.sketches[j].AppendEncoded(nil)
-				buf = appendU32(buf, uint32(len(enc)))
-				buf = append(buf, enc...)
-				for len(buf)%4 != 0 {
-					buf = append(buf, 0)
-				}
-			}
 			for _, row := range ps.sortedRows() {
 				for _, v := range row {
 					buf = appendU32(buf, v)
@@ -224,8 +218,9 @@ func (s *Store) loadSegment(data []byte) error {
 		return fmt.Errorf("%w: segment: CRC mismatch", ErrCorrupt)
 	}
 	r := &segReader{data: body, off: 4}
-	if v := r.u32(); r.err == nil && v != segVersion {
-		return fmt.Errorf("%w: segment: unsupported version %d", ErrCorrupt, v)
+	version := r.u32()
+	if r.err == nil && version != 1 && version != segVersion {
+		return fmt.Errorf("%w: segment: unsupported version %d", ErrCorrupt, version)
 	}
 
 	nsyms := r.count(4)
@@ -304,21 +299,15 @@ func (s *Store) loadSegment(data []byte) error {
 			}
 			ps := newPredState(arity)
 			ds.preds[pname] = ps
-			for c := 0; c < arity && r.err == nil; c++ {
+			for c := 0; version == 1 && c < arity && r.err == nil; c++ {
 				n := int(r.u32())
 				b := r.bytes(n)
 				if pad := (4 - n%4) % 4; pad > 0 {
 					r.bytes(pad)
 				}
-				if r.err != nil {
-					break
+				if r.err == nil && !skipSketch(b) {
+					r.fail("bad sketch for %s.%s[%d]", name, pname, c)
 				}
-				sk, used, err := eval.DecodeColSketch(b)
-				if err != nil || used != n {
-					r.fail("bad sketch for %s.%s[%d]: %v", name, pname, c, err)
-					break
-				}
-				ps.sketches[c] = sk
 			}
 			if r.err != nil {
 				break
@@ -333,9 +322,8 @@ func (s *Store) loadSegment(data []byte) error {
 					row[c] = r.u32()
 				}
 				if r.err == nil {
-					// Rows land verbatim (sketches came from disk, not from
-					// re-adding), so recovered state is byte-for-byte the
-					// checkpointed state.
+					// Rows land verbatim, so recovered state is
+					// byte-for-byte the checkpointed state.
 					ps.rows[rowKey(row)] = row
 				}
 			}
@@ -348,6 +336,24 @@ func (s *Store) loadSegment(data []byte) error {
 		return fmt.Errorf("%w: segment: %d trailing bytes", ErrCorrupt, len(body)-r.off)
 	}
 	return nil
+}
+
+// skipSketch reports whether b is one well-framed version-1 column
+// sketch: a mode byte, then either a uvarint count of at most 129 and
+// that many 4-byte values (exact mode, 0) or a 4,096-bit table (spilled
+// mode, 1), and nothing after.
+func skipSketch(b []byte) bool {
+	if len(b) == 0 {
+		return false
+	}
+	switch b[0] {
+	case 0:
+		n, k := binary.Uvarint(b[1:])
+		return k > 0 && n <= 129 && len(b) == 1+k+4*int(n)
+	case 1:
+		return len(b) == 1+4096/8
+	}
+	return false
 }
 
 // --- manifest ---------------------------------------------------------

@@ -8,16 +8,15 @@
 // (wal.go) before it is acknowledged; rows travel in the interned
 // []uint32 format against a persistent symbol table. At checkpoint the
 // whole state is written as an immutable, memory-mappable segment file
-// (segment.go) — flat little-endian row images, the symbol table, and
-// one distinct-value sketch per column — after which the WAL is
-// truncated. Recovery loads the newest segment and replays the WAL
+// (segment.go) — flat little-endian row images and the symbol table —
+// after which the WAL is truncated. Recovery loads the newest segment and replays the WAL
 // tail; a torn or corrupt tail ends the log at the last complete
 // record, so an acknowledged operation is never lost and a partially
 // written one never partially applies.
 //
 // The Store also maintains the recovered state in memory (datasets →
-// predicates → deduplicated interned rows plus per-column sketches),
-// which is what checkpoints serialize and what the crash-recovery
+// predicates → deduplicated interned rows), which is what checkpoints
+// serialize and what the crash-recovery
 // differential test compares bit-for-bit against an uninterrupted
 // run. A Store opened with an empty directory path is ephemeral: the
 // same mirror and statistics with no I/O, used by benchmarks to
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/ast"
-	"repro/internal/eval"
 )
 
 // FsyncPolicy selects when WAL appends reach stable storage.
@@ -146,15 +144,14 @@ type Recovered struct {
 	Elapsed    time.Duration     // wall clock spent in Open
 }
 
-// predState is one predicate's interned rows and statistics.
+// predState is one predicate's interned rows.
 type predState struct {
-	arity    int
-	rows     map[string][]uint32 // canonical row bytes → row
-	sketches []eval.ColSketch    // one per column
+	arity int
+	rows  map[string][]uint32 // canonical row bytes → row
 }
 
 func newPredState(arity int) *predState {
-	return &predState{arity: arity, rows: map[string][]uint32{}, sketches: make([]eval.ColSketch, arity)}
+	return &predState{arity: arity, rows: map[string][]uint32{}}
 }
 
 func rowKey(row []uint32) string {
@@ -165,32 +162,11 @@ func rowKey(row []uint32) string {
 	return string(b)
 }
 
-// add inserts a row, updating the sketches; reports whether it was new.
-func (ps *predState) add(row []uint32) bool {
-	if len(row) != ps.arity {
-		return false // arity conflict: ignore rather than corrupt state
-	}
-	k := rowKey(row)
-	if _, ok := ps.rows[k]; ok {
-		return false
-	}
-	ps.rows[k] = row
-	for j, v := range row {
-		ps.sketches[j].Add(v)
-	}
-	return true
-}
-
-// rebuildSketches recomputes the per-column sketches from the
-// surviving rows. Called after retractions: sketch state is a pure
-// function of the value set, so this matches what an uninterrupted
-// insert-only history would hold.
-func (ps *predState) rebuildSketches() {
-	ps.sketches = make([]eval.ColSketch, ps.arity)
-	for _, row := range ps.rows {
-		for j, v := range row {
-			ps.sketches[j].Add(v)
-		}
+// add inserts a row (set semantics). A row whose arity conflicts is
+// ignored rather than allowed to corrupt state.
+func (ps *predState) add(row []uint32) {
+	if len(row) == ps.arity {
+		ps.rows[rowKey(row)] = row
 	}
 }
 
@@ -459,9 +435,7 @@ func (s *Store) apply(op *iop) {
 }
 
 // applyFacts applies retractions then insertions. A fact in both lists
-// is a no-op; predicates that lost rows get their sketches rebuilt
-// from the survivors (set semantics keep that bit-identical to an
-// insert-only history).
+// is a no-op.
 func (s *Store) applyFacts(ds *dsState, adds, dels []ifact) {
 	if len(dels) > 0 {
 		inAdds := make(map[uint32]map[string]bool)
@@ -473,24 +447,11 @@ func (s *Store) applyFacts(ds *dsState, adds, dels []ifact) {
 			}
 			m[rowKey(f.row)] = true
 		}
-		dirty := map[string]*predState{}
 		for _, f := range dels {
 			k := rowKey(f.row)
-			if inAdds[f.pred][k] {
-				continue
-			}
-			pname := s.syms.str(f.pred)
-			ps := ds.preds[pname]
-			if ps == nil {
-				continue
-			}
-			if _, ok := ps.rows[k]; ok {
+			if ps := ds.preds[s.syms.str(f.pred)]; ps != nil && !inAdds[f.pred][k] {
 				delete(ps.rows, k)
-				dirty[pname] = ps
 			}
-		}
-		for _, ps := range dirty {
-			ps.rebuildSketches()
 		}
 	}
 	for _, f := range adds {
@@ -579,25 +540,12 @@ func (s *Store) Rows(dataset, pred string) [][]uint32 {
 	return nil
 }
 
-// Sketches returns a predicate's per-column distinct sketches. The
-// returned slice is live; callers must treat it as read-only.
-func (s *Store) Sketches(dataset, pred string) []eval.ColSketch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ds := s.datasets[dataset]; ds != nil {
-		if ps := ds.preds[pred]; ps != nil {
-			return ps.sketches
-		}
-	}
-	return nil
-}
-
 // DiffState compares the full durable state of two stores — datasets,
-// views, interned rows, and per-column sketches — and returns a
-// human-readable description of the first difference, or "" when they
-// are bit-identical. Symbol-table-dependent state (spilled sketches)
-// compares equal only when both stores assigned identical ids, which
-// is exactly the reproducibility recovery must provide.
+// views and interned rows — and returns a human-readable description of
+// the first difference, or "" when they are bit-identical. Rows are
+// interned, so they compare equal only when both stores assigned
+// identical symbol ids, which is exactly the reproducibility recovery
+// must provide.
 func (s *Store) DiffState(o *Store) string {
 	a, b := s.Datasets(), o.Datasets()
 	if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -633,15 +581,6 @@ func (s *Store) DiffState(o *Store) string {
 			ar, br := s.Rows(name, p), o.Rows(name, p)
 			if fmt.Sprint(ar) != fmt.Sprint(br) {
 				return fmt.Sprintf("dataset %s pred %s rows differ (%d vs %d)", name, p, len(ar), len(br))
-			}
-			as, bs := s.Sketches(name, p), o.Sketches(name, p)
-			if len(as) != len(bs) {
-				return fmt.Sprintf("dataset %s pred %s sketch arity %d vs %d", name, p, len(as), len(bs))
-			}
-			for j := range as {
-				if !as[j].Equal(&bs[j]) {
-					return fmt.Sprintf("dataset %s pred %s column %d sketches differ", name, p, j)
-				}
 			}
 		}
 	}

@@ -25,7 +25,7 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Store, *Recovered) {
 }
 
 // The basic durability contract: everything appended before a clean
-// close is there after reopen, with identical rows and sketches.
+// close is there after reopen, with identical rows.
 func TestReopenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := mustOpen(t, dir, Options{})
@@ -74,13 +74,13 @@ func TestReopenRoundTrip(t *testing.T) {
 }
 
 // Checkpointing moves the state into a segment, truncates the WAL, and
-// recovery from the segment alone is bit-identical — including spilled
-// sketches, which depend on the symbol ids the WAL history assigned.
+// recovery from the segment alone is bit-identical — interned rows
+// included, which depend on the symbol ids the WAL history assigned.
 func TestCheckpointAndSegmentRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{})
 	var facts []ast.Atom
-	for i := 0; i < 400; i++ { // enough distinct ids to spill a sketch
+	for i := 0; i < 400; i++ {
 		facts = append(facts, fact("n", ast.N(float64(i)), ast.S(fmt.Sprintf("v%d", i%7))))
 	}
 	if err := s.AppendDatasetCreate("big", facts); err != nil {
@@ -114,9 +114,72 @@ func TestCheckpointAndSegmentRecovery(t *testing.T) {
 	if diff := s.DiffState(r); diff != "" {
 		t.Fatalf("recovered state differs: %s", diff)
 	}
-	sk := r.Sketches("big", "n")
-	if len(sk) != 2 || sk[0].Distinct() < 300 {
-		t.Fatalf("recovered sketches: %d cols, distinct %d", len(sk), sk[0].Distinct())
+	if rows := r.Rows("big", "n"); len(rows) != 401 {
+		t.Fatalf("recovered %d rows of n, want 401", len(rows))
+	}
+}
+
+// TestRecoverVersion1Segment: testdata/v1 is a store whose last
+// checkpoint was written in segment format 1, with one distinct-value
+// sketch per column — in exact and in spilled mode — between each
+// predicate's header and its rows. It recovers to the rows and views of
+// a store that ran the same operations, sketches skipped, and its next
+// checkpoint is written in format 2, without them.
+func TestRecoverVersion1Segment(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"MANIFEST", "seg-000002.sqos", "wal-000002.log"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, rec := mustOpen(t, dir, Options{})
+	defer r.Close()
+	if rec.WALRecords != 0 || len(rec.Datasets) != 2 {
+		t.Fatalf("recovered: %+v", rec)
+	}
+
+	// The operations the fixture's store ran before its checkpoint.
+	want, _ := mustOpen(t, "", Options{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(want.AppendDatasetCreate("g", []ast.Atom{edge("a", "b"), edge("b", "c"), edge("c", "d"), fact("weight", ast.S("a"), ast.N(1.5))}))
+	var ns []ast.Atom
+	for i := 0; i < 200; i++ { // 200 values in column 0: a spilled sketch
+		ns = append(ns, fact("n", ast.N(float64(i)), ast.S(fmt.Sprintf("v%d", i%7))))
+	}
+	must(want.AppendFacts("g", ns, nil))
+	must(want.AppendViewRegister("g", ViewDef{Name: "tc", Program: "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n?- tc.\n", ICs: ":- edge(X, X).", Optimized: true}))
+	must(want.AppendFacts("g", nil, []ast.Atom{edge("a", "b"), fact("n", ast.N(3), ast.S("v3"))}))
+	must(want.AppendDatasetCreate("h", []ast.Atom{fact("flag"), fact("p", ast.N(-2))}))
+	if diff := want.DiffState(r); diff != "" {
+		t.Fatalf("version-1 segment recovered to a different state: %s", diff)
+	}
+	if got := len(r.Rows("g", "n")); got != 199 {
+		t.Fatalf("n has %d rows, want 199", got)
+	}
+
+	must(r.Checkpoint())
+	seg, err := os.ReadFile(filepath.Join(dir, r.segName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(seg[4:]); v != segVersion {
+		t.Fatalf("checkpoint wrote format %d, want %d", v, segVersion)
+	}
+	again, _ := mustOpen(t, "", Options{})
+	if err := again.loadSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	if diff := want.DiffState(again); diff != "" {
+		t.Fatalf("format-2 rewrite recovered to a different state: %s", diff)
 	}
 }
 
@@ -261,8 +324,8 @@ func TestDatasetDeleteAndRecreate(t *testing.T) {
 }
 
 // Update semantics mirror the server: a fact in both adds and dels is
-// a no-op, retraction of a missing fact is a no-op, and retraction
-// rebuilds sketches so they match an insert-only history.
+// a no-op, retraction of a missing fact is a no-op, and a retracted fact
+// leaves the state an insert-only history of the rest would have.
 func TestFactUpdateSemantics(t *testing.T) {
 	a, _ := mustOpen(t, "", Options{})
 	if err := a.AppendDatasetCreate("d", nil); err != nil {
@@ -278,7 +341,8 @@ func TestFactUpdateSemantics(t *testing.T) {
 	if got := fmt.Sprint(a.Facts("d")); got != "[p(1) p(2)]" {
 		t.Fatalf("facts = %s", got)
 	}
-	// Retract p(2); sketches must equal a store that only ever saw p(1).
+	// Retract p(2): the state must equal a store's that saw p(2) come
+	// and go the same way.
 	if err := a.AppendFacts("d", nil, []ast.Atom{fact("p", ast.N(2))}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +357,8 @@ func TestFactUpdateSemantics(t *testing.T) {
 	if err := b.AppendFacts("d", nil, []ast.Atom{fact("p", ast.N(2))}); err != nil {
 		t.Fatal(err)
 	}
-	ska, skb := a.Sketches("d", "p"), b.Sketches("d", "p")
-	if len(ska) != 1 || !ska[0].Equal(&skb[0]) {
-		t.Fatal("sketches after retraction differ from insert-only history")
+	if diff := a.DiffState(b); diff != "" || fmt.Sprint(a.Facts("d")) != "[p(1)]" {
+		t.Fatalf("state after retraction: %s %v", diff, a.Facts("d"))
 	}
 }
 

@@ -77,8 +77,8 @@ type symbol struct {
 // symtab interns constants and names to dense uint32 ids. Ids are
 // assigned in first-reference order and never reused or compacted, so
 // a store that replays the same operation sequence always assigns the
-// same ids — the property that makes spilled sketches (which hash ids)
-// reproducible across recovery.
+// same ids — the property that makes recovered rows, which are ids,
+// bit-identical to the uninterrupted run's.
 type symtab struct {
 	byKey map[string]uint32
 	syms  []symbol

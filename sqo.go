@@ -162,35 +162,23 @@ func NewDBFrom(facts []Atom) *DB {
 func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return eval.Eval(p, edb) }
 
 // EvalOptions configures the evaluation engine: naive vs semi-naive
-// (Seminaive), the derived-tuple budget (MaxTuples), the join-order
-// policy (Policy; see JoinOrderPolicy) and the goal-directed rewrites
-// of Query/QueryCtx (Elim, Magic, Stream). An evaluation runs on the
+// (Seminaive), the derived-tuple budget (MaxTuples) and the
+// goal-directed rewrites of Query/QueryCtx (Elim, Magic, Stream). The
+// join order is not an option: rules are ordered greedily by bound
+// positions, ties between stored relations going to the shorter one; a
+// rule with an empty subgoal costs nothing; and a running rule may
+// reorder itself once when a join fans out tenfold past what the
+// relations' exact key counts predict. An evaluation runs on the
 // goroutine that calls it; callers that want several cores run several
 // evaluations, which may share one DB.
 type EvalOptions = eval.Options
 
-// JoinOrderPolicy selects how the engine orders the subgoals of each
-// rule: PolicyGreedy (static, most-bound-first),
-// PolicyCost (per-round orders from maintained relation statistics),
-// or PolicyAdaptive (cost orders plus run-time adaptivity). Answers,
-// derivation counts, and provenance are identical under every policy;
-// only join work differs.
-type JoinOrderPolicy = eval.JoinOrderPolicy
-
-// Join-order policies accepted by EvalOptions.Policy and
-// ViewOptions.Policy.
-const (
-	PolicyGreedy   = eval.PolicyGreedy
-	PolicyCost     = eval.PolicyCost
-	PolicyAdaptive = eval.PolicyAdaptive
-)
-
-// ParseJoinOrderPolicy parses a policy name ("greedy", "cost",
-// "adaptive"; the empty string means greedy), for wiring flags and
-// config knobs to EvalOptions.Policy.
-func ParseJoinOrderPolicy(s string) (JoinOrderPolicy, error) {
-	return eval.ParseJoinOrderPolicy(s)
-}
+// PolicyGreedy names the engine's one join order.
+//
+// Deprecated: nothing reads it; the join order is not an option. It
+// stays so that code written against the retired join-order knob keeps
+// compiling.
+const PolicyGreedy = eval.PolicyGreedy
 
 // MagicMode controls the magic-sets demand rewrite applied by
 // Query/QueryWith/QueryCtx when the program's query carries a goal
@@ -264,7 +252,7 @@ func EliminateRecursion(p *Program) (*Program, error) {
 }
 
 // DefaultEvalOptions returns the engine defaults used by Eval:
-// semi-naive with the greedy join-order policy. Start from it when
+// semi-naive evaluation. Start from it when
 // overriding a single knob: the zero EvalOptions selects naive
 // evaluation.
 func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
@@ -438,10 +426,18 @@ type View = incr.View
 // one View.Apply call.
 type ViewChanges = incr.Changes
 
-// ViewOptions configures incremental maintenance (derived-tuple
-// budget shared with full rebuilds, and the join-order policy for
-// delta passes; see JoinOrderPolicy).
-type ViewOptions = incr.Options
+// ViewOptions configures incremental maintenance.
+type ViewOptions struct {
+	// MaxTuples bounds the IDB tuples of the initial fixpoint and of any
+	// full rebuild (0 = unlimited); exceeding it returns an error
+	// wrapping ErrBudget.
+	MaxTuples int64
+	// Policy is ignored: a view orders its joins as the engine does.
+	//
+	// Deprecated: it stays so that code written against the retired
+	// join-order knob keeps compiling.
+	Policy string
+}
 
 // ViewStats reports incremental-maintenance instrumentation.
 type ViewStats = incr.Stats
@@ -449,13 +445,13 @@ type ViewStats = incr.Stats
 // Materialize evaluates the program once and returns a View that
 // maintains the result under fact insertions and retractions.
 func Materialize(p *Program, edb *DB, opts ViewOptions) (*View, error) {
-	return incr.Materialize(p, edb, opts)
+	return MaterializeCtx(context.Background(), p, edb, opts)
 }
 
 // MaterializeCtx is Materialize under a context; the initial fixpoint
 // honors the same cancellation contract as EvalCtx.
 func MaterializeCtx(ctx context.Context, p *Program, edb *DB, opts ViewOptions) (*View, error) {
-	return incr.MaterializeCtx(ctx, p, edb, opts)
+	return incr.MaterializeCtx(ctx, p, edb, incr.Options{MaxTuples: opts.MaxTuples})
 }
 
 // EvalProv evaluates the program while recording provenance, and
