@@ -40,7 +40,7 @@ test:
 # repeated so the detector sees more than one interleaving.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase' ./internal/eval
+	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently' ./internal/eval
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.

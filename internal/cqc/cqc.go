@@ -141,7 +141,7 @@ func ContainedOrderComplete(q1, q2 CQ) (bool, error) {
 	}
 	terms := ruleTerms(q1)
 	all := true
-	enumerateLinearizations(terms, q1Set, func(lin *order.Set) bool {
+	order.Linearizations(terms, q1Set, func(lin *order.Set) bool {
 		// For this linearization, is there a mapping?
 		q1lin := q1.Clone()
 		q1lin.Cmp = lin.Atoms()
@@ -178,57 +178,6 @@ func ruleTerms(r ast.Rule) []ast.Term {
 		add(c.Right)
 	}
 	return out
-}
-
-// enumerateLinearizations enumerates the total preorders of the given
-// terms consistent with the constraint set, invoking fn with each
-// (expressed as a constraint set pinning the full order). fn returns
-// false to stop early.
-func enumerateLinearizations(terms []ast.Term, base *order.Set, fn func(*order.Set) bool) {
-	// Build orderings recursively: maintain a sequence of equivalence
-	// groups; each new term either joins an existing group or is
-	// inserted between/around groups.
-	var rec func(i int, groups [][]ast.Term) bool
-	rec = func(i int, groups [][]ast.Term) bool {
-		if i == len(terms) {
-			lin := base.Clone()
-			// Express the preorder as constraints.
-			for gi, g := range groups {
-				for k := 1; k < len(g); k++ {
-					lin.Add(ast.NewCmp(g[0], ast.EQ, g[k]))
-				}
-				if gi+1 < len(groups) {
-					lin.Add(ast.NewCmp(g[0], ast.LT, groups[gi+1][0]))
-				}
-			}
-			if !lin.Satisfiable() {
-				return true // inconsistent with base; skip
-			}
-			return fn(lin)
-		}
-		t := terms[i]
-		// Join an existing group.
-		for gi := range groups {
-			ng := make([][]ast.Term, len(groups))
-			copy(ng, groups)
-			ng[gi] = append(append([]ast.Term{}, groups[gi]...), t)
-			if !rec(i+1, ng) {
-				return false
-			}
-		}
-		// Insert as a new group at every gap.
-		for pos := 0; pos <= len(groups); pos++ {
-			ng := make([][]ast.Term, 0, len(groups)+1)
-			ng = append(ng, groups[:pos]...)
-			ng = append(ng, []ast.Term{t})
-			ng = append(ng, groups[pos:]...)
-			if !rec(i+1, ng) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, nil)
 }
 
 // UCQContained reports whether the union of CQs qs1 is contained in

@@ -137,7 +137,7 @@ func linearizationSatisfiable(ctx context.Context, r ast.Rule, ics []ast.IC, opt
 	exceeded := false
 	unknown := false
 	var unknownErr error
-	enumerateLinearizations(terms, base, func(lin *order.Set) bool {
+	order.Linearizations(terms, base, func(lin *order.Set) bool {
 		count++
 		if count > opts.MaxLinearizations || (count%64 == 0 && ctx.Err() != nil) {
 			exceeded = true
@@ -337,50 +337,6 @@ func bodyTerms(r ast.Rule) []ast.Term {
 		add(c.Right)
 	}
 	return out
-}
-
-// enumerateLinearizations enumerates total preorders of the terms
-// consistent with base (same construction as package contain; kept
-// local to avoid a dependency cycle).
-func enumerateLinearizations(terms []ast.Term, base *order.Set, fn func(*order.Set) bool) {
-	var rec func(i int, groups [][]ast.Term) bool
-	rec = func(i int, groups [][]ast.Term) bool {
-		if i == len(terms) {
-			lin := base.Clone()
-			for gi, g := range groups {
-				for k := 1; k < len(g); k++ {
-					lin.Add(ast.NewCmp(g[0], ast.EQ, g[k]))
-				}
-				if gi+1 < len(groups) {
-					lin.Add(ast.NewCmp(g[0], ast.LT, groups[gi+1][0]))
-				}
-			}
-			if !lin.Satisfiable() {
-				return true
-			}
-			return fn(lin)
-		}
-		t := terms[i]
-		for gi := range groups {
-			ng := make([][]ast.Term, len(groups))
-			copy(ng, groups)
-			ng[gi] = append(append([]ast.Term{}, groups[gi]...), t)
-			if !rec(i+1, ng) {
-				return false
-			}
-		}
-		for pos := 0; pos <= len(groups); pos++ {
-			ng := make([][]ast.Term, 0, len(groups)+1)
-			ng = append(ng, groups[:pos]...)
-			ng = append(ng, []ast.Term{t})
-			ng = append(ng, groups[pos:]...)
-			if !rec(i+1, ng) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, nil)
 }
 
 // freezeOrdered freezes the atoms to numeric constants realizing the

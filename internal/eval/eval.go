@@ -360,39 +360,77 @@ func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tup
 // one-root renaming folded (see QueryCtx) those rows are the root's own
 // row store.
 func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*Result, *Stats, error) {
-	if err := opts.validateModes(); err != nil {
+	pq, err := Prepare(p, opts)
+	if err != nil {
 		return nil, nil, err
 	}
-	prog := foldRenaming(p)
-	elimApplied := false
-	elimChecked := 0
-	if opts.effectiveElim() != ElimOff && len(prog.Rules) > 0 {
-		res, err := bounded.Rewrite(prog, bounded.Options{})
+	return pq.Run(ctx, edb, p.Goal, opts)
+}
+
+// Prepared is a query's rewrite pipeline — fold, elim, magic — run once
+// for its rules and its goal's binding pattern, and run per goal: the
+// passes read the goal's shape, never its constants, so `?- path(17, Y).`
+// and `?- path(18, Y).` prepare to one value. It is immutable and safe to
+// run concurrently.
+type Prepared struct {
+	prog        *ast.Program  // the rewritten program; magic.Program when the magic rewrite applied
+	magic       *magic.Result // non-nil when the magic rewrite applied
+	pattern     magic.BindingPattern
+	elimApplied bool
+	elimChecked int
+}
+
+// Prepare runs QueryCtx's rewrites on p for p's goal binding pattern:
+// the one-root renaming fold, then — under opts.Elim and opts.Magic —
+// bounded-recursion elimination and the magic-sets rewrite, each falling
+// back silently when it does not apply. Only opts.Elim and opts.Magic
+// are read.
+func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
+	if err := opts.validateModes(); err != nil {
+		return nil, err
+	}
+	pq := &Prepared{prog: foldRenaming(p), pattern: magic.GoalPattern(p.Goal)}
+	if opts.effectiveElim() != ElimOff && len(pq.prog.Rules) > 0 {
+		res, err := bounded.Rewrite(pq.prog, bounded.Options{})
 		if res != nil {
-			elimChecked = len(res.Analyses)
+			pq.elimChecked = len(res.Analyses)
 		}
 		switch {
 		case err == nil:
-			prog = res.Program
-			elimApplied = true
+			pq.prog, pq.elimApplied = res.Program, true
 		case errors.Is(err, bounded.ErrNotBounded):
 			// Nothing provably bounded: evaluate the fixpoint as written.
 		default:
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	magicApplied := false
 	if opts.effectiveMagic() != MagicOff && len(p.Goal) > 0 {
-		res, err := magic.Rewrite(prog)
+		res, err := magic.Rewrite(pq.prog)
 		switch {
 		case err == nil:
-			prog = res.Program
-			magicApplied = true
+			pq.prog, pq.magic = res.Program, res
 		case errors.Is(err, magic.ErrNotApplicable):
 			// Fall back to bottom-up evaluation of the original program.
 		default:
-			return nil, nil, err
+			return nil, err
 		}
+	}
+	return pq, nil
+}
+
+// Run evaluates the prepared query for goal, which must have the binding
+// pattern of the goal Prepare saw: it binds the magic seed to goal's
+// constants, unfolds under opts.Stream — after binding, since unfolding
+// can inline the seed into a rule body — evaluates, and returns the
+// query relation's rows that match goal. opts.Elim and opts.Magic were
+// Prepare's to read; Run ignores them.
+func (pq *Prepared) Run(ctx context.Context, edb *DB, goal []ast.Term, opts Options) (*Result, *Stats, error) {
+	if pat := magic.GoalPattern(goal); pat != pq.pattern {
+		return nil, nil, fmt.Errorf("eval: goal pattern %q, prepared for %q", pat, pq.pattern)
+	}
+	prog := pq.prog
+	if pq.magic != nil {
+		prog = pq.magic.Bind(goal)
 	}
 	if opts.Stream {
 		prog, _ = magic.Unfold(prog)
@@ -401,14 +439,14 @@ func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) 
 	if err != nil {
 		return nil, nil, err
 	}
-	ev.stats.MagicApplied = magicApplied
-	ev.stats.ElimApplied = elimApplied
-	ev.stats.ElimChecked = elimChecked
+	ev.stats.MagicApplied = pq.magic != nil
+	ev.stats.ElimApplied = pq.elimApplied
+	ev.stats.ElimChecked = pq.elimChecked
 	// Restrict to the goal on both paths: bottom-up computes the whole
 	// relation, and the magic-rewritten relation can hold tuples for
 	// bindings demanded recursively beyond the goal's own constants.
 	// Only the query relation's matching rows leave the evaluation.
-	return ev.answers(prog.Query, p.Goal), ev.stats, nil
+	return ev.answers(prog.Query, goal), ev.stats, nil
 }
 
 // foldRenaming evaluates the optimizer's one-root union as what it is, a

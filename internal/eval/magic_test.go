@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -344,9 +345,11 @@ p_q0(X, Y) :- e(X, Z), p_q0(Z, Y).
 // through the goal-directed path and asserts the one contract that
 // matters: magic on, with and without streaming, answers exactly like
 // bottom-up evaluation of the same goal — which, while the fixpoint is
-// small enough for it, must answer like the reference evaluator.
-// Mirrors FuzzPlan's EDB construction; the bottom-up baseline decides
-// evaluability.
+// small enough for it, must answer like the reference evaluator — and
+// so must the query prepared at another goal of the same binding
+// pattern and run at this one, which is how sqod serves a point query
+// with a new constant. Mirrors FuzzPlan's EDB construction; the
+// bottom-up baseline decides evaluability.
 func FuzzMagic(f *testing.F) {
 	f.Add(`path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
@@ -400,19 +403,21 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 				db.AddFact(ast.NewAtom(pred, args...))
 			}
 		}
-		// Synthesize a goal from the binding mask: bit i set binds
-		// argument i to a random domain constant.
+		// Synthesize two goals of one pattern from the binding mask: bit
+		// i set binds argument i to a random domain constant.
 		n := arity[p.Query]
+		other := p.Goal
 		if n > 0 {
-			goal := make([]ast.Term, n)
+			goal, alt := make([]ast.Term, n), make([]ast.Term, n)
 			for i := 0; i < n; i++ {
 				if bindMask&(1<<i) != 0 {
-					goal[i] = ast.N(float64(rng.Intn(6)))
+					goal[i], alt[i] = ast.N(float64(rng.Intn(6))), ast.N(float64(rng.Intn(6)))
 				} else {
 					goal[i] = ast.V(fmt.Sprintf("G%d", i))
+					alt[i] = goal[i]
 				}
 			}
-			p.Goal = goal
+			p.Goal, other = goal, alt
 		}
 
 		off := Options{Seminaive: true, Magic: MagicOff, MaxTuples: 20000}
@@ -438,6 +443,67 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 				t.Fatalf("stream=%v: answers diverged\n got %v\nwant %v\ngoal %s",
 					stream, got, want, p.GoalAtom())
 			}
+			// Prepared at the other goal of the pattern, run at this one.
+			at := *p
+			at.Goal = other
+			pq, err := Prepare(&at, opts)
+			if err != nil {
+				t.Fatalf("stream=%v: Prepare at %s: %v", stream, at.GoalAtom(), err)
+			}
+			res, _, err := pq.Run(context.Background(), db, p.Goal, opts)
+			if err != nil {
+				t.Fatalf("stream=%v: prepared at %s, run errored where QueryCtx succeeded: %v", stream, at.GoalAtom(), err)
+			}
+			if got := answerSet(res.Tuples()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stream=%v: prepared at %s, run at %s: answers diverged\n got %v\nwant %v",
+					stream, at.GoalAtom(), p.GoalAtom(), got, want)
+			}
 		}
 	})
+}
+
+// TestPreparedRunsConcurrently: one Prepared — a magic rewrite whose
+// rules every Run shares — run from several goroutines at once, each at
+// its own constant, answers as QueryCtx does at that constant.
+func TestPreparedRunsConcurrently(t *testing.T) {
+	p := parser.MustParseProgram(`
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- edge(X, Z), path(Z, Y).
+		?- path(0, Y).`)
+	db := disjointChainsDB(4, 20)
+	opts := DefaultOptions()
+	pq, err := Prepare(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	got, want := make([][]string, n), make([][]string, n)
+	for i := range want {
+		at := *p
+		at.Goal = []ast.Term{ast.N(float64(i * 1000)), ast.V("Y")}
+		tuples, _, err := QueryCtx(context.Background(), &at, db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = answerSet(tuples)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, _, err := pq.Run(context.Background(), db, []ast.Term{ast.N(float64(i * 1000)), ast.V("Y")}, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = answerSet(res.Tuples())
+		}(i)
+	}
+	wg.Wait()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("goroutine %d: answers %v, want %v", i, got[i], want[i])
+		}
+	}
 }

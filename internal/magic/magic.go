@@ -29,6 +29,7 @@ package magic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -123,7 +124,8 @@ func Rewrite(p *ast.Program) (*Result, error) {
 	// Seed: the goal's bound constants, as a bodiless ground rule. It
 	// must be a rule, not an EDB fact — the engines read a predicate
 	// that has rules exclusively from the IDB, so an extensional seed
-	// would be invisible to the demand joins.
+	// would be invisible to the demand joins. It is the first rule and
+	// the only place the goal's constants enter the output (see Bind).
 	rw.out.Rules = append(rw.out.Rules, ast.Rule{
 		Head: ast.Atom{Pred: magicName(p.Query, pat), Args: cloneTerms(pat.Project(p.Goal))},
 	})
@@ -156,6 +158,17 @@ func Rewrite(p *ast.Program) (*Result, error) {
 		return nil, fmt.Errorf("%w: rewritten program too large (%d rules)", ErrNotApplicable, len(rw.out.Rules))
 	}
 	return &Result{Program: rw.out, Pattern: pat, MagicRules: rw.magicRules, SupRules: rw.supRules}, nil
+}
+
+// Bind returns the rewritten program for goal, which must have the
+// binding pattern r.Pattern: the output at another goal of that pattern
+// differs in the goal and the seed rule alone, so Bind builds those and
+// shares every other rule with r.Program, which it never writes. It
+// renders exactly as Rewrite does at goal.
+func (r *Result) Bind(goal []ast.Term) *ast.Program {
+	out := &ast.Program{Query: r.Program.Query, Goal: cloneTerms(goal), Rules: slices.Clone(r.Program.Rules)}
+	out.Rules[0] = ast.Rule{Head: ast.Atom{Pred: out.Rules[0].Head.Pred, Args: r.Pattern.Project(goal)}}
+	return out
 }
 
 type adornKey struct {

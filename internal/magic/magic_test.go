@@ -366,3 +366,33 @@ func TestUnfoldPreservesGoal(t *testing.T) {
 		t.Errorf("query/goal not preserved: query=%q goal=%v", out.Query, out.Goal)
 	}
 }
+
+// TestBindMatchesRewrite: rewriting at one goal and binding another of
+// the same pattern renders exactly as rewriting at the second goal, and
+// leaves the first rewrite as it was.
+func TestBindMatchesRewrite(t *testing.T) {
+	render := func(p *ast.Program) string { return p.String() + "?- " + p.GoalAtom().String() }
+	for _, c := range []struct{ rules, g1, g2 string }{
+		{"path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\n", "path(a, Y)", "path(b, Y)"},
+		{"path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), edge(Z, Y).\n", "path(X, 1)", "path(X, 2)"},
+		{"path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\n", "path(1, 2)", "path(3, 4)"},
+		{"q(X, Y, W) :- a(X, Z), p(Z, W), b(W, Y), X < Y, !c(W).\np(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\n", "q(1, Y, Y)", "q(2, V, V)"},
+	} {
+		p1, p2 := mustParse(t, c.rules+"?- "+c.g1+"."), mustParse(t, c.rules+"?- "+c.g2+".")
+		r1, err := Rewrite(p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := Rewrite(p2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := render(r1.Program)
+		if got, want := render(r1.Bind(p2.Goal)), render(r2.Program); got != want {
+			t.Errorf("Bind(Rewrite(%s), %s):\n%s\nRewrite at %s:\n%s", c.g1, c.g2, got, c.g2, want)
+		}
+		if after := render(r1.Program); after != before {
+			t.Errorf("Bind wrote the rewrite it binds:\n%s\nwas\n%s", after, before)
+		}
+	}
+}

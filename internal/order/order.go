@@ -379,6 +379,52 @@ func (s *Set) ForcedEqualities() map[string]ast.Term {
 	return out
 }
 
+// Linearizations enumerates the total preorders of terms consistent with
+// base, calling fn with each one as a copy of base plus the atoms that
+// pin it (t1 = t2 inside a group, t1 < t2 between consecutive groups).
+// fn returns false to stop early. Built recursively: each next term
+// joins an existing group or opens a new one at every gap.
+func Linearizations(terms []ast.Term, base *Set, fn func(*Set) bool) {
+	var rec func(i int, groups [][]ast.Term) bool
+	rec = func(i int, groups [][]ast.Term) bool {
+		if i == len(terms) {
+			lin := base.Clone()
+			for gi, g := range groups {
+				for k := 1; k < len(g); k++ {
+					lin.Add(ast.NewCmp(g[0], ast.EQ, g[k]))
+				}
+				if gi+1 < len(groups) {
+					lin.Add(ast.NewCmp(g[0], ast.LT, groups[gi+1][0]))
+				}
+			}
+			if !lin.Satisfiable() {
+				return true // inconsistent with base; skip
+			}
+			return fn(lin)
+		}
+		t := terms[i]
+		for gi := range groups {
+			ng := make([][]ast.Term, len(groups))
+			copy(ng, groups)
+			ng[gi] = append(append([]ast.Term{}, groups[gi]...), t)
+			if !rec(i+1, ng) {
+				return false
+			}
+		}
+		for pos := 0; pos <= len(groups); pos++ {
+			ng := make([][]ast.Term, 0, len(groups)+1)
+			ng = append(ng, groups[:pos]...)
+			ng = append(ng, []ast.Term{t})
+			ng = append(ng, groups[pos:]...)
+			if !rec(i+1, ng) {
+				return false
+			}
+		}
+		return true
+	}
+	rec(0, nil)
+}
+
 // EvalGround evaluates a conjunction whose atoms are all ground,
 // reporting whether every atom holds.
 func EvalGround(cs []ast.Cmp) bool {

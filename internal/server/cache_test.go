@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	sqo "repro"
+	"repro/internal/refeval"
 )
 
 const cacheTestProgram = `
@@ -305,5 +309,139 @@ func TestCacheCapacityFloor(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("len = %d, want 1", c.Len())
+	}
+}
+
+// TestServerCacheKeyedByBindingPattern: sqod keeps one prepared query per
+// program, constraints, optimize/magic/elim modes and goal binding
+// pattern, and binds each request's constants to it. Every case is a
+// run of /v1/query requests on a fresh server: each request must hit or
+// miss as stated, report the rewrites that apply, and answer what the
+// library answers for its own goal, and a hit must call neither the
+// optimizer nor Prepare (which runs elim and magic) — counted through the
+// package's rewrite variables; the answers come from the reference
+// evaluator (internal/refeval). The mutations the cases kill: binding the
+// seed from the cached goal ("constants": the hits answer for path(1, Y));
+// a key without the modes ("modes": the off requests hit the auto
+// entry); dropping the answer-time goal filter ("repeated variable":
+// path(X, X) answers every pair, and "constants" answers the demanded
+// bindings beyond the goal's).
+func TestServerCacheKeyedByBindingPattern(t *testing.T) {
+	const (
+		dataset = "step(1, 2). step(2, 3). step(3, 1). step(3, 4). step(5, 6). likes(a, 1). likes(b, 2). trendy(c)."
+		tc      = "path(X, Y) :- step(X, Y).\npath(X, Y) :- step(X, Z), path(Z, Y).\n"
+		buys    = "buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), buys(Z, Y).\n"
+	)
+	type request struct {
+		program     string
+		magic, elim string
+		noOpt, hit  bool
+	}
+	cases := []struct {
+		name string
+		reqs []request
+	}{
+		{"constants", []request{
+			{program: tc + "?- path(1, Y)."},
+			{program: tc + "?- path(2, Y).", hit: true},
+			{program: tc + "?- path(4, Y).", hit: true},
+			{program: tc + "?- path(5, Y).", hit: true},
+			{program: tc + "?- path(7, Y).", hit: true},
+			{program: tc + "?- path(1, Y).", hit: true},
+		}},
+		{"patterns", []request{
+			{program: tc + "?- path(X, 2)."},
+			{program: tc + "?- path(1, Y)."},
+			{program: tc + "?- path(X, 4).", hit: true},
+			{program: tc + "?- path(3, Y).", hit: true},
+			{program: tc + "?- path(1, 4)."},
+		}},
+		{"repeated variable", []request{
+			{program: tc + "?- path(X, Y)."},
+			{program: tc + "?- path(X, X).", hit: true},
+			{program: tc + "?- path(Z, Z).", hit: true},
+		}},
+		{"modes", []request{
+			{program: tc + "?- path(1, Y)."},
+			{program: tc + "?- path(1, Y).", magic: "off"},
+			{program: tc + "?- path(1, Y).", elim: "off"},
+			{program: tc + "?- path(1, Y).", magic: "off", elim: "off"},
+			{program: tc + "?- path(1, Y).", noOpt: true},
+			{program: tc + "?- path(2, Y).", magic: "off", hit: true},
+			{program: tc + "?- path(2, Y).", elim: "off", hit: true},
+			{program: tc + "?- path(2, Y).", noOpt: true, hit: true},
+		}},
+		{"elim verdict", []request{
+			{program: buys + "?- buys(a, Y).", noOpt: true},
+			{program: buys + "?- buys(b, Y).", noOpt: true, hit: true},
+			{program: buys + "?- buys(c, Y).", noOpt: true, hit: true},
+			{program: buys + "?- buys(b, Y).", noOpt: true, elim: "off"},
+		}},
+	}
+
+	var optimizes, prepares int
+	realOptimize, realPrepare := optimizeProgram, prepareQuery
+	t.Cleanup(func() { optimizeProgram, prepareQuery = realOptimize, realPrepare })
+	optimizeProgram = func(ctx context.Context, p *sqo.Program, ics []sqo.IC, opts sqo.Options) (*sqo.Result, error) {
+		optimizes++
+		return realOptimize(ctx, p, ics, opts)
+	}
+	prepareQuery = func(p *sqo.Program, opts sqo.EvalOptions) (*sqo.Prepared, error) {
+		prepares++
+		return realPrepare(p, opts)
+	}
+
+	facts := sqo.MustParseFacts(dataset)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			registerDataset(t, ts.URL, "d", dataset)
+			var hits int64
+			for _, r := range c.reqs {
+				label := fmt.Sprintf("%q magic=%q elim=%q optimize=%t", r.program[strings.Index(r.program, "?-"):], r.magic, r.elim, !r.noOpt)
+				before := [2]int{optimizes, prepares}
+				var resp queryResponse
+				code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+					"program": r.program, "dataset": "d", "magic": r.magic, "elim": r.elim, "optimize": !r.noOpt,
+				}, &resp)
+				if code != http.StatusOK {
+					t.Fatalf("%s: %d %s", label, code, raw)
+				}
+				if resp.CacheHit != r.hit {
+					t.Fatalf("%s: cache_hit %t, want %t", label, resp.CacheHit, r.hit)
+				}
+				wantRewrites := [2]int{}
+				if !r.hit {
+					wantRewrites = [2]int{1, 1}
+					if r.noOpt {
+						wantRewrites[0] = 0
+					}
+				}
+				if got := [2]int{optimizes - before[0], prepares - before[1]}; got != wantRewrites {
+					t.Fatalf("%s: %d optimizer and %d Prepare calls, want %v", label, got[0], got[1], wantRewrites)
+				}
+				p := sqo.MustParseProgram(r.program)
+				bound := slices.ContainsFunc(p.Goal, sqo.Term.IsConst)
+				if wantMagic := r.magic != "off" && bound; resp.Magic != wantMagic {
+					t.Fatalf("%s: magic %t, want %t", label, resp.Magic, wantMagic)
+				}
+				if wantElim := r.elim != "off" && p.Query == "buys"; resp.Elim != wantElim {
+					t.Fatalf("%s: elim %t, want %t", label, resp.Elim, wantElim)
+				}
+				want := refeval.Answers(p, facts)
+				for i, a := range want {
+					want[i] = strings.TrimPrefix(a, p.Query)
+				}
+				if !slices.Equal(resp.Answers, want) {
+					t.Fatalf("%s: answers %v, want %v", label, resp.Answers, want)
+				}
+				if r.hit {
+					hits++
+				}
+			}
+			if st := s.CacheStats(); st.Hits != hits || st.Misses != int64(len(c.reqs))-hits || st.Size != len(c.reqs)-int(hits) {
+				t.Fatalf("cache %+v, want %d hits, %d misses and as many entries", st, hits, int64(len(c.reqs))-hits)
+			}
+		})
 	}
 }

@@ -82,47 +82,3 @@ func TestServerMagicPointQuery(t *testing.T) {
 		t.Fatalf("metrics missing %q:\n%s", want, body)
 	}
 }
-
-// TestServerMagicCacheKeyedByGoal: two requests over the same rules
-// but different goal bindings must not share an optimizer cache entry
-// — the goal drives the adornment.
-func TestServerMagicCacheKeyedByGoal(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	registerDataset(t, ts.URL, "g", serverTestFacts)
-
-	type resp struct {
-		Answers  []string `json:"answers"`
-		CacheHit bool     `json:"cache_hit"`
-	}
-	query := func(program string) resp {
-		t.Helper()
-		var out resp
-		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
-			"program": program,
-			"dataset": "g",
-		}, &out)
-		if code != http.StatusOK {
-			t.Fatalf("query: %d %s", code, raw)
-		}
-		return out
-	}
-
-	from1 := query(magicTestProgram)
-	if from1.CacheHit {
-		t.Fatal("first query should miss the cache")
-	}
-	from2 := query(strings.Replace(magicTestProgram, "?- path(1, Y).", "?- path(2, Y).", 1))
-	if from2.CacheHit {
-		t.Fatal("different goal binding hit the first goal's cache entry")
-	}
-	if reflect.DeepEqual(from1.Answers, from2.Answers) {
-		t.Fatalf("distinct goals answered identically: %v", from1.Answers)
-	}
-	again := query(magicTestProgram)
-	if !again.CacheHit {
-		t.Fatal("identical goal query should hit the cache")
-	}
-	if !reflect.DeepEqual(again.Answers, from1.Answers) {
-		t.Fatalf("cached evaluation changed answers:\n%v\nvs\n%v", again.Answers, from1.Answers)
-	}
-}

@@ -3,9 +3,10 @@
 // submit programs with integrity constraints, and run optimized
 // queries. The Levy–Sagiv rewrite is an ahead-of-time transformation
 // whose cost amortizes over every query served against it, so the
-// server keeps an LRU cache of optimized programs (keyed by a
-// canonical hash of program + constraints + options, with singleflight
-// deduplication), bounds concurrent evaluations with fast 429s,
+// server keeps an LRU cache of optimized and prepared programs (keyed
+// by a canonical hash of program + goal binding pattern + constraints +
+// options, with singleflight deduplication; a point query binds its
+// constants per request), bounds concurrent evaluations with fast 429s,
 // cancels the fixpoint when a request times out or its client
 // disconnects, and exposes live counters at /metrics.
 //
@@ -54,7 +55,8 @@ type Config struct {
 	// queued behind work that may never finish in time. Default:
 	// 2×GOMAXPROCS.
 	MaxInflight int
-	// CacheSize bounds the optimized-program LRU cache. Default: 128.
+	// CacheSize bounds the rewrite cache (optimized programs and
+	// prepared queries). Default: 128.
 	CacheSize int
 	// DefaultTimeout applies to queries that set no timeout_ms.
 	// Default: 30s.
@@ -99,7 +101,7 @@ type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	metrics *Metrics
-	cache   *Cache
+	cache   *lru[*compiled]
 	sem     chan struct{} // admission-control semaphore
 	store   *store.Store  // nil when running in-memory
 	ready   atomic.Bool   // false until durable-state restore completes
@@ -128,7 +130,7 @@ func New(cfg Config) *Server {
 		cfg.Logger = slog.Default()
 	}
 	m := NewMetrics()
-	c := NewCache(cfg.CacheSize)
+	c := newLRU[*compiled](cfg.CacheSize)
 	c.metrics = m
 	s := &Server{
 		cfg:      cfg,
@@ -166,8 +168,9 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // Metrics exposes the server's registry (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Cache exposes the optimized-program cache (for tests and embedding).
-func (s *Server) Cache() *Cache { return s.cache }
+// CacheStats reports the rewrite cache's counters (for tests and
+// embedding).
+func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
 // Handler returns the server's routed HTTP handler with request
 // logging and latency instrumentation applied.
@@ -451,31 +454,109 @@ type optimizeResponse struct {
 	OptimizeMS  float64           `json:"optimize_ms"`
 }
 
-// optimizeCached parses, hashes, and rewrites through the cache.
-func (s *Server) optimizeCached(ctx context.Context, programSrc, icsSrc string) (*sqo.Result, bool, error) {
+// compiled is one entry of the rewrite cache, keyed by patternKey: the
+// optimizer's outcome for a program at a goal binding pattern (optimize,
+// view creation), or the query prepared for that pattern (query).
+type compiled struct {
+	res  *sqo.Result   // nil in a query entry that asked for no optimization
+	prep *sqo.Prepared // nil in an optimize entry
+}
+
+// The rewrites a cache miss runs, as variables so that a test can count
+// them.
+var (
+	optimizeProgram = sqo.OptimizeCtx
+	prepareQuery    = sqo.Prepare
+)
+
+// parseRequest parses a request's program, which must declare a query,
+// and, when withICs, its integrity constraints.
+func parseRequest(programSrc, icsSrc string, withICs bool) (*sqo.Program, []sqo.IC, error) {
 	prog, err := sqo.ParseProgram(programSrc)
 	if err != nil {
-		return nil, false, &requestError{status: http.StatusBadRequest, code: "parse_error", msg: fmt.Sprintf("parsing program: %v", err)}
+		return nil, nil, &requestError{status: http.StatusBadRequest, code: "parse_error", msg: fmt.Sprintf("parsing program: %v", err)}
 	}
 	if prog.Query == "" {
-		return nil, false, &requestError{status: http.StatusBadRequest, code: "bad_request", msg: "program has no query declaration ('?- pred.')"}
+		return nil, nil, &requestError{status: http.StatusBadRequest, code: "bad_request", msg: "program has no query declaration ('?- pred.')"}
+	}
+	if !withICs {
+		return prog, nil, nil
 	}
 	ics, err := sqo.ParseICs(icsSrc)
 	if err != nil {
-		return nil, false, &requestError{status: http.StatusBadRequest, code: "parse_error", msg: fmt.Sprintf("parsing ics: %v", err)}
+		return nil, nil, &requestError{status: http.StatusBadRequest, code: "parse_error", msg: fmt.Sprintf("parsing ics: %v", err)}
+	}
+	return prog, ics, nil
+}
+
+// optimizeCached parses, hashes, and rewrites through the cache. The
+// entry is shared by every goal of the request's binding pattern, so the
+// outcome returned carries the request's own goal.
+func (s *Server) optimizeCached(ctx context.Context, programSrc, icsSrc string) (*sqo.Result, bool, error) {
+	prog, ics, err := parseRequest(programSrc, icsSrc, true)
+	if err != nil {
+		return nil, false, err
 	}
 	opts := sqo.DefaultOptions()
-	key := CacheKey(prog, ics, opts)
-	res, hit, err := s.cache.GetOrCompute(ctx, key, func() (*sqo.Result, error) {
-		return sqo.OptimizeCtx(ctx, prog, ics, opts)
+	c, hit, err := s.cache.GetOrCompute(ctx, patternKey(prog, ics, opts, "optimize"), func() (*compiled, error) {
+		res, err := optimizeProgram(ctx, prog, ics, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &compiled{res: res}, nil
 	})
 	if err != nil {
-		if ctxErr := classifyCtxErr(err); ctxErr != nil {
-			return nil, hit, ctxErr
-		}
-		return nil, hit, &requestError{status: http.StatusUnprocessableEntity, code: "optimize_error", msg: err.Error()}
+		return nil, hit, asRequestError(err, "optimize_error")
 	}
-	return res, hit, nil
+	res, withGoal := *c.res, *c.res.Program
+	withGoal.Goal = prog.Goal
+	res.Program = &withGoal
+	return &res, hit, nil
+}
+
+// prepareCached parses a query and looks its prepared form up in the
+// cache: one key, one lookup. Only a miss optimizes (when asked to) and
+// prepares, and the entry serves every goal of the request's binding
+// pattern; the caller runs it for the returned program's goal.
+func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, optimize bool, opts sqo.EvalOptions) (*sqo.Program, *compiled, bool, error) {
+	prog, ics, err := parseRequest(programSrc, icsSrc, optimize)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	extra := fmt.Sprintf("query\x00%t\x00%s\x00%s", optimize, opts.Magic, opts.Elim)
+	c, hit, err := s.cache.GetOrCompute(ctx, patternKey(prog, ics, sqo.DefaultOptions(), extra), func() (*compiled, error) {
+		c, p := &compiled{}, prog
+		if optimize {
+			res, err := optimizeProgram(ctx, prog, ics, sqo.DefaultOptions())
+			if err != nil {
+				return nil, asRequestError(err, "optimize_error")
+			}
+			c.res, p = res, res.Program
+		}
+		var err error
+		if c.prep, err = prepareQuery(p, opts); err != nil {
+			return nil, err
+		}
+		return c, nil
+	})
+	if err != nil {
+		return nil, nil, hit, asRequestError(err, "eval_error")
+	}
+	return prog, c, hit, nil
+}
+
+// asRequestError maps a failed rewrite to its HTTP error: a requestError
+// as it is, the context's end as timeout or canceled, anything else as a
+// 422 under code.
+func asRequestError(err error, code string) error {
+	var re *requestError
+	if errors.As(err, &re) {
+		return err
+	}
+	if ctxErr := classifyCtxErr(err); ctxErr != nil {
+		return ctxErr
+	}
+	return &requestError{status: http.StatusUnprocessableEntity, code: code, msg: err.Error()}
 }
 
 // requestError carries an HTTP status through the handler helpers.
@@ -575,9 +656,9 @@ type queryRequest struct {
 	// Elim controls bounded-recursion elimination: "auto" (the default
 	// — compile provably bounded fixpoints into flat joins), "on", or
 	// "off". Answers are identical in every mode; only the evaluation
-	// strategy differs. The boundedness verdict is cached alongside
-	// the rewrite cache, keyed by the program's rules: the goal's
-	// constants do not take an entry each.
+	// strategy differs. The boundedness verdict is part of the query's
+	// prepared entry in the rewrite cache, computed once per binding
+	// pattern: the goal's constants do not take an entry each.
 	Elim string `json:"elim,omitempty"`
 }
 
@@ -693,84 +774,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	doOptimize := req.Optimize == nil || *req.Optimize
-	var (
-		prog        *sqo.Program
-		cacheHit    bool
-		satisfiable = true
-		optimizeMS  float64
-	)
-	if doOptimize {
-		optStart := time.Now()
-		res, hit, err := s.optimizeCached(ctx, req.Program, req.ICs)
-		if err != nil {
-			s.writeRequestError(w, err)
-			return
-		}
-		optimizeMS = float64(time.Since(optStart).Microseconds()) / 1000
-		prog, cacheHit, satisfiable = res.Program, hit, res.Satisfiable
-	} else {
-		p, err := sqo.ParseProgram(req.Program)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "parse_error", "parsing program: %v", err)
-			return
-		}
-		if p.Query == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", "program has no query declaration ('?- pred.')")
-			return
-		}
-		prog = p
-	}
-
-	// Pre-apply bounded-recursion elimination through the rewrite
-	// cache: the boundedness analysis is pure static work on the
-	// (possibly optimized) program's rules — the goal is copied through,
-	// never read — so it is keyed and computed on the program with its
-	// goal stripped: point queries that differ only in their constants
-	// share one analysis and one LRU entry, and the request's goal is
-	// put back on a shallow copy of the cached program, which is never
-	// written. A negative verdict is cached too, as an entry with a nil
-	// Program — ErrNotBounded is an outcome here, not an error.
-	elimApplied := false
-	if elimMode != sqo.ElimOff {
-		rules := &sqo.Program{Rules: prog.Rules, Query: prog.Query}
-		key := "elim\x00" + CacheKey(rules, nil, sqo.Options{})
-		res, _, err := s.cache.GetOrCompute(ctx, key, func() (*sqo.Result, error) {
-			rewritten, err := sqo.EliminateRecursion(rules)
-			if errors.Is(err, sqo.ErrNotBounded) {
-				return &sqo.Result{}, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			return &sqo.Result{Program: rewritten, Satisfiable: true}, nil
-		})
-		if err != nil {
-			if ctxErr := classifyCtxErr(err); ctxErr != nil {
-				s.writeRequestError(w, ctxErr)
-				return
-			}
-			writeError(w, http.StatusUnprocessableEntity, "eval_error", "%v", err)
-			return
-		}
-		if res.Program != nil {
-			withGoal := *res.Program
-			withGoal.Goal = prog.Goal
-			prog, elimApplied = &withGoal, true
-		}
-	}
-
 	evalOpts := sqo.DefaultEvalOptions()
 	evalOpts.MaxTuples = s.cfg.MaxTuples
-	evalOpts.Magic = magicMode
-	// Elimination already ran (or was declined) above; keep QueryCtx
-	// from re-running the analysis per request.
-	evalOpts.Elim = sqo.ElimOff
+	evalOpts.Magic, evalOpts.Elim = magicMode, elimMode
 	if req.MaxTuples > 0 {
 		evalOpts.MaxTuples = req.MaxTuples
 	}
 
+	optStart := time.Now()
+	prog, c, cacheHit, err := s.prepareCached(ctx, req.Program, req.ICs, doOptimize, evalOpts)
+	if err != nil {
+		s.writeRequestError(w, err)
+		return
+	}
+	optimizeMS := float64(time.Since(optStart).Microseconds()) / 1000
+
 	evalStart := time.Now()
-	result, stats, err := sqo.QueryResultCtx(ctx, prog, db, evalOpts)
+	result, stats, err := c.prep.Run(ctx, db, prog.Goal, evalOpts)
 	evalMS := float64(time.Since(evalStart).Microseconds()) / 1000
 	if err != nil {
 		if ctxErr := classifyCtxErr(err); ctxErr != nil {
@@ -789,7 +809,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if stats.MagicApplied {
 		s.metrics.EvalMagic.Add(1)
 	}
-	if elimApplied {
+	if stats.ElimApplied {
 		s.metrics.EvalElim.Add(1)
 	}
 
@@ -797,11 +817,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Query:       prog.Query,
 		Answers:     []string{}, // written by writeAnswers
 		AnswerCount: result.Len(),
-		Satisfiable: satisfiable,
+		Satisfiable: c.res == nil || c.res.Satisfiable,
 		Optimized:   doOptimize,
 		CacheHit:    cacheHit,
 		Magic:       stats.MagicApplied,
-		Elim:        elimApplied,
+		Elim:        stats.ElimApplied,
 		Stats: queryStats{
 			Rounds:        stats.Iterations,
 			TuplesDerived: stats.TuplesDerived,

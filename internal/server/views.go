@@ -261,13 +261,9 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		prog, cacheHit = res.Program, hit
 	} else {
-		p, err := sqo.ParseProgram(req.Program)
+		p, _, err := parseRequest(req.Program, "", false)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "parse_error", "parsing program: %v", err)
-			return
-		}
-		if p.Query == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", "program has no query declaration ('?- pred.')")
+			s.writeRequestError(w, err)
 			return
 		}
 		prog = p

@@ -2,7 +2,9 @@
 # serve-smoke.sh — end-to-end smoke test of the sqod daemon.
 #
 # Boots sqod on a private port, registers a dataset, runs the same
-# optimized query twice (the second must hit the rewrite cache),
+# optimized query twice (the second must hit the rewrite cache), runs a
+# point query at a second constant (it must hit the query prepared for
+# the first one's binding pattern and answer for its own constant),
 # scrapes /metrics for the cache counters, then sends SIGTERM and
 # asserts the daemon drains and exits 0. The first pass runs without
 # -data-dir (pure in-memory, exactly as before durability existed);
@@ -88,6 +90,15 @@ POINT='{
 curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$POINT" >"$WORK/m1.json" || fail "magic point query failed"
 jq -e '.magic == true and .answer_count == 4' "$WORK/m1.json" >/dev/null \
 	|| fail "point query did not evaluate via magic: $(cat "$WORK/m1.json")"
+
+echo "serve-smoke: point query with a second constant (prepared once per binding pattern)"
+POINT2='{
+  "program": "path(X, Y) :- step(X, Y). path(X, Y) :- step(X, Z), path(Z, Y). ?- path(2, Y).",
+  "dataset": "quickstart"
+}'
+curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$POINT2" >"$WORK/m3.json" || fail "second-constant point query failed"
+jq -e '.cache_hit == true and .magic == true and .answers == ["(2, 3)", "(2, 4)", "(2, 5)"]' "$WORK/m3.json" >/dev/null \
+	|| fail "a new constant missed the prepared query or got another goal's answers: $(cat "$WORK/m3.json")"
 
 echo "serve-smoke: same point query with magic off — answers must match"
 POINT_OFF='{

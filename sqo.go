@@ -328,6 +328,17 @@ func QueryResultCtx(ctx context.Context, p *Program, edb *DB, opts EvalOptions) 
 	return eval.QueryResultCtx(ctx, p, edb, opts)
 }
 
+// Prepared is a query whose rewrites have run: QueryResultCtx is Prepare
+// followed by Run. The rewrites read the goal's binding pattern, not its
+// constants, so one Prepared serves every goal of that pattern — Run
+// binds the constants (see eval.Prepared).
+type Prepared = eval.Prepared
+
+// Prepare runs the rewrites QueryCtx applies to p (the one-root renaming
+// fold, bounded-recursion elimination under opts.Elim, the magic-sets
+// rewrite under opts.Magic) once, for p's goal binding pattern.
+func Prepare(p *Program, opts EvalOptions) (*Prepared, error) { return eval.Prepare(p, opts) }
+
 // Satisfiable decides whether the program's query predicate has any
 // derivation on a database satisfying the constraints (Theorem 5.1's
 // decision procedure, for the decidable constraint classes).
