@@ -83,7 +83,8 @@ bench-e2e:
 	cd bench && $(GO) test ./...
 
 # A short native-fuzzing pass over the parser, over the order solver
-# (against its from-scratch reference), over the response writer
+# (against its from-scratch reference), over the linter (no panics,
+# deterministic findings), over the response writer
 # (against the render-sort-encode path it replaced) and over goal-directed
 # evaluation (magic, streaming and the one-root renaming fold against
 # bottom-up). Long enough to exercise the mutator, short enough for CI;
@@ -91,6 +92,7 @@ bench-e2e:
 fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/order -run='^$$' -fuzz=FuzzOrder -fuzztime=10s
+	$(GO) test ./internal/lint -run='^$$' -fuzz=FuzzLint -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswerWriter -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzMagic -fuzztime=10s
 

@@ -102,9 +102,12 @@ func (c Cmp) Equal(d Cmp) bool {
 
 // Eval evaluates the comparison on two constant terms. It panics if
 // either side is a variable.
-func (c Cmp) Eval() bool {
-	cmp := c.Left.Compare(c.Right)
-	switch c.Op {
+func (c Cmp) Eval() bool { return c.Op.Holds(c.Left.Compare(c.Right)) }
+
+// Holds reports whether op holds between two values whose comparison
+// (negative, zero or positive, as from Term.Compare) is cmp.
+func (op CmpOp) Holds(cmp int) bool {
+	switch op {
 	case LT:
 		return cmp < 0
 	case LE:

@@ -141,10 +141,10 @@ func ContainedOrderComplete(q1, q2 CQ) (bool, error) {
 	}
 	terms := ruleTerms(q1)
 	all := true
-	order.Linearizations(terms, q1Set, func(lin *order.Set) bool {
+	q1lin := q1.Clone()
+	order.Linearizations(terms, q1Set, func(groups [][]ast.Term) bool {
 		// For this linearization, is there a mapping?
-		q1lin := q1.Clone()
-		q1lin.Cmp = lin.Atoms()
+		q1lin.Cmp = appendPins(append(q1lin.Cmp[:0], q1.Cmp...), groups)
 		if !containedOrderMapping(q1lin, q2) {
 			all = false
 			return false
@@ -152,6 +152,21 @@ func ContainedOrderComplete(q1, q2 CQ) (bool, error) {
 		return true
 	})
 	return all, nil
+}
+
+// appendPins appends the atoms that pin a linearization, given as its
+// ascending groups: t1 = t2 inside a group, t1 < t2 between the first
+// terms of consecutive groups.
+func appendPins(dst []ast.Cmp, groups [][]ast.Term) []ast.Cmp {
+	for gi, g := range groups {
+		for _, t := range g[1:] {
+			dst = append(dst, ast.NewCmp(g[0], ast.EQ, t))
+		}
+		if gi+1 < len(groups) {
+			dst = append(dst, ast.NewCmp(g[0], ast.LT, groups[gi+1][0]))
+		}
+	}
+	return dst
 }
 
 // ruleTerms collects the distinct terms (variables and constants) of

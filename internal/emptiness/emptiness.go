@@ -17,6 +17,8 @@ package emptiness
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
@@ -137,14 +139,20 @@ func linearizationSatisfiable(ctx context.Context, r ast.Rule, ics []ast.IC, opt
 	exceeded := false
 	unknown := false
 	var unknownErr error
-	order.Linearizations(terms, base, func(lin *order.Set) bool {
+	order.Linearizations(terms, base, func(groups [][]ast.Term) bool {
 		count++
 		if count > opts.MaxLinearizations || (count%64 == 0 && ctx.Err() != nil) {
 			exceeded = true
 			return false
 		}
-		frozen, vals, ok := freezeOrdered(r.Pos, terms, lin)
+		frozen, vals, ok := freezeOrdered(r.Pos, groups)
 		if !ok {
+			// Not refuted, only not realized: the verdict may no longer
+			// be Unsatisfiable.
+			unknown = true
+			if unknownErr == nil {
+				unknownErr = fmt.Errorf("emptiness: a linearization has no realization among the constants")
+			}
 			return true
 		}
 		forbidden, err := groundNegated(r.Neg, vals)
@@ -339,91 +347,50 @@ func bodyTerms(r ast.Rule) []ast.Term {
 	return out
 }
 
-// freezeOrdered freezes the atoms to numeric constants realizing the
-// given linearization: terms in the same equivalence group share a
-// value, later groups get larger values, and constant terms keep their
-// own values (failing if the linearization contradicts them). It also
-// returns the term-key → value assignment so callers can ground atoms
-// outside the positive body (negated subgoals) consistently.
-func freezeOrdered(atoms []ast.Atom, terms []ast.Term, lin *order.Set) ([]ast.Atom, map[string]ast.Term, bool) {
-	// Assign each term a numeric value consistent with lin: walk the
-	// terms and use the linearization's implied order. We realize the
-	// order by sorting terms with lin.Implies.
-	vals := map[string]ast.Term{}
-	// Partition terms into classes and order them.
-	var classes [][]ast.Term
-	for _, t := range terms {
-		placed := false
-		for ci, c := range classes {
-			if lin.Implies(ast.NewCmp(t, ast.EQ, c[0])) {
-				classes[ci] = append(classes[ci], t)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			classes = append(classes, []ast.Term{t})
-		}
-	}
-	// Sort classes by the linear order.
-	for i := 0; i < len(classes); i++ {
-		for j := i + 1; j < len(classes); j++ {
-			if lin.Implies(ast.NewCmp(classes[j][0], ast.LT, classes[i][0])) {
-				classes[i], classes[j] = classes[j], classes[i]
-			}
-		}
-	}
-	// Assign values: constants keep their value; pure-variable classes
-	// get values interpolated between neighbouring constant classes.
-	// For simplicity (and since consistency of lin was already
-	// checked), assign value by class rank scaled around constants.
-	assigned := make([]ast.Term, len(classes))
-	for ci, c := range classes {
-		var constant *ast.Term
-		for _, t := range c {
+// freezeOrdered freezes the atoms to constants realizing a
+// linearization, given as its ascending groups of equal terms: a group
+// holding a constant takes that constant, and each run of variable-only
+// groups takes values strictly between its neighbouring constant
+// groups, of their kind — numbers below a number or below the first
+// string, strings above a string. It also returns the term-key → value
+// assignment so callers can ground atoms outside the positive body
+// (negated subgoals) consistently. It fails when the values it picks
+// are not strictly ascending: a run squeezed between two strings with
+// nothing between them, or between two adjacent floats.
+func freezeOrdered(atoms []ast.Atom, groups [][]ast.Term) ([]ast.Atom, map[string]ast.Term, bool) {
+	assigned := make([]ast.Term, len(groups)) // the zero Term is a variable: unassigned
+	for gi, g := range groups {
+		for _, t := range g {
 			if t.IsConst() {
-				tt := t
-				constant = &tt
+				assigned[gi] = t
 				break
 			}
 		}
-		if constant != nil {
-			assigned[ci] = *constant
-		}
 	}
-	// Interpolate variable-only classes.
-	prevVal := -1e9
-	for ci := range classes {
-		if assigned[ci].IsConst() {
-			if assigned[ci].Kind == ast.Num {
-				prevVal = assigned[ci].Val
-			}
-			continue
+	for lo := -1; lo < len(groups); {
+		hi := lo + 1
+		for hi < len(groups) && assigned[hi].IsVar() {
+			hi++
 		}
-		// Find the next constant class value.
-		nextVal := prevVal + 2
-		for cj := ci + 1; cj < len(classes); cj++ {
-			if assigned[cj].IsConst() && assigned[cj].Kind == ast.Num {
-				nextVal = assigned[cj].Val
-				break
-			}
+		var below, above *ast.Term
+		if lo >= 0 {
+			below = &assigned[lo]
 		}
-		v := (prevVal + nextVal) / 2
-		assigned[ci] = ast.N(v)
-		prevVal = v
+		if hi < len(groups) {
+			above = &assigned[hi]
+		}
+		between(assigned[lo+1:hi], below, above)
+		lo = hi
 	}
-	// Validate the realized order (mixed string/number constants can
-	// make a linearization unrealizable by this simple interpolation;
-	// skipping it is safe because such a linearization is covered by a
-	// neighbouring one over the purely numeric embedding).
-	for ci := 0; ci+1 < len(classes); ci++ {
-		if assigned[ci].Compare(assigned[ci+1]) >= 0 {
+	for gi := 0; gi+1 < len(assigned); gi++ {
+		if assigned[gi].Compare(assigned[gi+1]) >= 0 {
 			return nil, nil, false
 		}
 	}
-	for ci, c := range classes {
-		for _, t := range c {
-			vals[t.Key()] = assigned[ci]
+	vals := map[string]ast.Term{}
+	for gi, g := range groups {
+		for _, t := range g {
+			vals[t.Key()] = assigned[gi]
 		}
 	}
 	// Materialize.
@@ -441,4 +408,28 @@ func freezeOrdered(atoms []ast.Atom, terms []ast.Term, lin *order.Set) ([]ast.At
 		out[i] = g
 	}
 	return out, vals, true
+}
+
+// between fills run with ascending constants strictly between below
+// and above (nil: unbounded). Above a string only strings fit: the
+// string extended by NULs is the least string above it. Otherwise the
+// run is numeric, spaced by at least 1 and by the magnitude of its
+// bound so that it stays distinct in floating point.
+func between(run []ast.Term, below, above *ast.Term) {
+	m := float64(len(run))
+	for j := range run {
+		k := float64(j + 1)
+		switch {
+		case below != nil && below.Kind == ast.Str:
+			run[j] = ast.S(below.Name + strings.Repeat("\x00", j+1))
+		case below != nil && above != nil && above.Kind == ast.Num:
+			run[j] = ast.N(below.Val + (above.Val-below.Val)*k/(m+1))
+		case below != nil:
+			run[j] = ast.N(below.Val + k*max(1, math.Abs(below.Val)))
+		case above != nil && above.Kind == ast.Num:
+			run[j] = ast.N(above.Val - (m+1-k)*max(1, math.Abs(above.Val)))
+		default:
+			run[j] = ast.N(k)
+		}
+	}
 }

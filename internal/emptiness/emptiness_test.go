@@ -3,6 +3,7 @@ package emptiness
 import (
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 )
 
@@ -233,5 +234,38 @@ func TestRuleSatisfiableFDTheorem55Shape(t *testing.T) {
 	v, err = RuleSatisfiable(r2, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("only the last column is functionally determined: verdict = %v, err = %v", v, err)
+	}
+}
+
+// A linearization is realized relative to its neighbouring constants
+// and of their kind: a variable below -5e9 gets a number below it, one
+// above a string gets a string. Each rule here is satisfiable; values
+// interpolated from a fixed numeric floor used to miss all of them.
+func TestRuleSatisfiableRealizesAroundConstants(t *testing.T) {
+	for _, c := range []struct{ rule, ics string }{
+		{`p(X) :- e(X), X < -5000000000.`, ``},
+		{`p(X) :- e(X), X > "a".`, ``},
+		{`p(X, Y) :- e(X), e(Y), X > "a", Y > X.`, ``},
+		{`p(X) :- e(X), X > 1e300.`, ``},
+		{`p(X) :- e(X), X > "a".`, `:- e(X), X < "b".`}, // X above "b" too
+		{`p(X, Y) :- e(X), e(Y), X > 2, Y > X, Y < "a".`, ``},
+	} {
+		r := parser.MustParseProgram(c.rule).Rules[0]
+		v, err := RuleSatisfiable(r, parser.MustParseICs(c.ics), Options{})
+		if err != nil || v != Satisfiable {
+			t.Errorf("%s with {%s}: verdict = %v, err = %v; want satisfiable", c.rule, c.ics, v, err)
+		}
+	}
+}
+
+// A linearization the solver deems consistent (the order is dense in
+// its eyes) but no value realizes — no string lies strictly between
+// "a" and "a\x00" — leaves the verdict Unknown, never Unsatisfiable.
+func TestRuleSatisfiableUnrealizableIsUnknown(t *testing.T) {
+	r := parser.MustParseProgram(`p(X) :- e(X).`).Rules[0]
+	r.Cmp = []ast.Cmp{ast.NewCmp(ast.V("X"), ast.GT, ast.S("a")), ast.NewCmp(ast.V("X"), ast.LT, ast.S("a\x00"))}
+	v, err := RuleSatisfiable(r, nil, Options{})
+	if v != Unknown || err == nil {
+		t.Fatalf("verdict = %v, err = %v; want Unknown with a reason", v, err)
 	}
 }

@@ -40,6 +40,13 @@ q(X) :- a(X), a(X).
 ?- q.
 :- a(X), !b(X, X).
 :- b(X, Y), X >= Y.`)
+	// Satisfiable only below a large negative number or above a string.
+	f.Add(`p(X) :- e(X), X < -5000000000.
+?- p.`)
+	f.Add(`p(X) :- e(X), X > "a".
+?- p.`)
+	f.Add(`p(X, Y) :- e(X), e(Y), X > "a", Y > X.
+?- p.`)
 
 	opts := Options{
 		Emptiness: emptiness.Options{

@@ -88,6 +88,22 @@ p(X) :- a(X, Y), b(Y, Z).
 	}
 }
 
+// Satisfiable bodies whose only witnesses lie below a large negative
+// number or above a string constant are not L1/L2 errors.
+func TestNoFalseUnsatAroundConstants(t *testing.T) {
+	for _, body := range []string{
+		`e(X), X < -5000000000`,
+		`e(X), X > "a"`,
+		`e(X), e(Y), X > "a", Y > X`,
+	} {
+		rep := runOn(t, "p(X) :- "+body+".\n?- p.\n", ``, ``)
+		ids := findingIDs(rep)
+		if ids["unsat-body"] != 0 || ids["query-empty"] != 0 || rep.Errors != 0 {
+			t.Errorf("p(X) :- %s: want no unsat-body/query-empty errors, got %v", body, rep.Findings)
+		}
+	}
+}
+
 func TestUnreachableRule(t *testing.T) {
 	rep := runOn(t, `
 p(X) :- a(X, X).

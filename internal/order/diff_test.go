@@ -1,14 +1,17 @@
 package order
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
 )
 
-// The reference solver: the definitions the cached solver must agree
+// The reference solver: the definitions the incremental solver must agree
 // with, computed from scratch on every call. Satisfiability builds a
 // fresh graph and closes it; implication is refutation through it.
 
@@ -166,7 +169,7 @@ func agree(t *testing.T, s *Set, atoms []ast.Cmp, queries []ast.Cmp) {
 	}
 	for _, q := range queries {
 		imp, con := refImplies(atoms, q), refContradicts(atoms, q)
-		for round := 0; round < 2; round++ { // the second round reads a warm cache
+		for round := 0; round < 2; round++ { // the second round reads the closure after scratch writes
 			if got := s.Implies(q); got != imp {
 				t.Fatalf("{%s}: Implies(%v) = %v, reference %v (round %d)", s, q, got, imp, round)
 			}
@@ -188,9 +191,12 @@ func agree(t *testing.T, s *Set, atoms []ast.Cmp, queries []ast.Cmp) {
 
 // checkAgainstReference decodes one conjunction, a few query atoms and
 // two later additions from data, and checks the solver against the
-// reference before the additions, after an Add that follows queries
-// (the cache must be dropped), and on a Clone taken in between (it
-// must not see the original's Add, nor the original the clone's).
+// reference after every Add of the conjunction (each extends a closed
+// graph in place), after an Add that follows queries, and on a Clone
+// taken in between (it must not see the original's Add, nor the
+// original the clone's). Last, the original is Reset and refilled with
+// the conjunction in reverse: the storage it keeps must not leak the
+// old graph into the new one.
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
 	r := &byteReader{data: data}
@@ -203,8 +209,12 @@ func checkAgainstReference(t *testing.T, data []byte) {
 	for i := 0; i < 5; i++ {
 		queries = append(queries, r.atom(all))
 	}
-	s := NewSet(atoms...)
-	agree(t, s, atoms, queries)
+	s := NewSet()
+	agree(t, s, nil, queries)
+	for i, a := range atoms {
+		s.Add(a)
+		agree(t, s, atoms[:i+1], queries)
+	}
 
 	clone := s.Clone()
 	e1, e2 := r.atom(diffPool), r.atom(diffPool)
@@ -214,6 +224,12 @@ func checkAgainstReference(t *testing.T, data []byte) {
 	clone.Add(e2)
 	agree(t, clone, with(atoms, e2), queries)
 	agree(t, s, with(atoms, e1), queries)
+
+	s.Reset()
+	rev := slices.Clone(atoms)
+	slices.Reverse(rev)
+	s.AddAll(rev)
+	agree(t, s, rev, queries)
 }
 
 func TestSolverAgainstReference(t *testing.T) {
@@ -229,5 +245,103 @@ func FuzzOrder(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 6, 0, 3, 7, 0, 4, 6})    // X <= 0, X >= -0 ⊨ X = 0
 	f.Add([]byte{3, 0, 0, 1, 1, 0, 2, 0, 5, 2})    // X < Y < Z, X != Z
 	f.Add([]byte{1, 11, 0, 0, 0, 0, 16, 0, 3, 17}) // a < X against absent constants
-	f.Fuzz(func(t *testing.T, data []byte) { checkAgainstReference(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, data)
+		checkLinearizations(t, data)
+	})
+}
+
+// bruteLinearizations is the unpruned enumeration: every total
+// preorder of terms, built by the same recursion (each next term joins
+// an existing group or opens one at every gap), kept iff base plus the
+// pinning atoms is satisfiable.
+func bruteLinearizations(terms []ast.Term, base *Set, fn func([][]ast.Term) bool) {
+	var rec func(i int, groups [][]ast.Term) bool
+	rec = func(i int, groups [][]ast.Term) bool {
+		if i == len(terms) {
+			lin := base.Clone()
+			for gi, g := range groups {
+				for _, t := range g[1:] {
+					lin.Add(ast.NewCmp(g[0], ast.EQ, t))
+				}
+				if gi+1 < len(groups) {
+					lin.Add(ast.NewCmp(g[0], ast.LT, groups[gi+1][0]))
+				}
+			}
+			return !lin.Satisfiable() || fn(groups)
+		}
+		t := terms[i]
+		for gi := range groups {
+			ng := slices.Clone(groups)
+			ng[gi] = append(slices.Clone(groups[gi]), t)
+			if !rec(i+1, ng) {
+				return false
+			}
+		}
+		for pos := 0; pos <= len(groups); pos++ {
+			ng := slices.Insert(slices.Clone(groups), pos, []ast.Term{t})
+			if !rec(i+1, ng) {
+				return false
+			}
+		}
+		return true
+	}
+	rec(0, nil)
+}
+
+// renderGroups is a linearization as text, e.g. "[X 0] < [Y]".
+func renderGroups(groups [][]ast.Term) string {
+	var parts []string
+	for _, g := range groups {
+		parts = append(parts, fmt.Sprint(g))
+	}
+	return strings.Join(parts, " < ")
+}
+
+// collect renders the linearizations fn is handed, stopping after
+// limit of them (limit < 0: never).
+func collect(enum func([]ast.Term, *Set, func([][]ast.Term) bool), terms []ast.Term, base *Set, limit int) []string {
+	var out []string
+	enum(terms, base, func(groups [][]ast.Term) bool {
+		out = append(out, renderGroups(groups))
+		return len(out) != limit
+	})
+	return out
+}
+
+// checkLinearizations decodes a term list (drawn with repetition from
+// a pool of variables, numbers, strings and both zeros) and a base over
+// it, and checks that Linearizations hands fn exactly the brute force's
+// preorders, in its order, and stops where fn says so.
+func checkLinearizations(t *testing.T, data []byte) {
+	t.Helper()
+	r := &byteReader{data: data}
+	var terms []ast.Term
+	for i, n := 0, 1+r.next()%5; i < n; i++ {
+		terms = append(terms, diffPool[r.next()%len(diffPool)])
+	}
+	base := NewSet()
+	for i, m := 0, r.next()%4; i < m; i++ {
+		base.Add(r.atom(terms))
+	}
+	want := collect(bruteLinearizations, terms, base, -1)
+	got := collect(Linearizations, terms, base, -1)
+	if !slices.Equal(got, want) {
+		t.Fatalf("terms %v, base {%s}:\n got %d: %v\nwant %d: %v", terms, base, len(got), got, len(want), want)
+	}
+	if len(want) > 1 {
+		stop := 1 + r.next()%(len(want)-1)
+		if got := collect(Linearizations, terms, base, stop); !slices.Equal(got, want[:stop]) {
+			t.Fatalf("terms %v, base {%s}, stop after %d: got %v", terms, base, stop, got)
+		}
+	}
+}
+
+func TestLinearizationsAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	data := make([]byte, 24)
+	for trial := 0; trial < 3000; trial++ {
+		rng.Read(data)
+		checkLinearizations(t, data)
+	}
 }

@@ -2,22 +2,25 @@
 // conjunctions of order atoms (γ θ δ with θ ∈ {<, <=, >, >=, =, !=})
 // interpreted over a dense total order containing all constants.
 //
-// The solver builds a constraint graph whose nodes are the distinct
-// variables and constants (by value: Term.Equal), closes it
-// transitively once per Set, and then checks for contradictions: a
-// strict cycle — which covers two distinct constants forced equal and
-// a class squeezed between constant bounds that leave it empty — or a
-// ≠ pair forced equal. Density of the order guarantees everything else
-// is realizable.
+// The solver keeps a constraint graph whose nodes are the distinct
+// variables and constants (by value: Term.Equal), transitively closed
+// at all times: each Add relaxes every path through its one new edge,
+// and a new constant arrives with its place in the constants' order.
+// A conjunction is unsatisfiable iff the graph has a strict cycle —
+// which covers two distinct constants forced equal and a class
+// squeezed between constant bounds that leave it empty — or a ≠ pair
+// forced equal. Density of the order guarantees everything else is
+// realizable.
 //
 // Implication is decided by refutation: C ⊨ a iff C ∧ ¬a is
 // unsatisfiable, which is sound and complete over a dense order
 // because the negation of each comparison operator is again a single
-// comparison. The refutation does not rebuild anything: it extends the
-// cached closure of C by the one edge of ¬a.
+// comparison. The refutation does not rebuild anything: it reads the
+// closure of C around the one edge of ¬a.
 package order
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,34 +30,32 @@ import (
 // Set is a conjunction of order atoms. The zero value is the empty
 // (trivially satisfiable) conjunction.
 //
-// A Set is not safe for concurrent use, not even for reads:
-// Satisfiable, Implies, Contradicts and ForcedEqualities fill (and
-// Implies/Contradicts scribble scratch rows into) a cache of the closed
-// constraint graph that lives until the next Add. Give each goroutine
-// its own Set (Clone does not share the cache).
+// A Set is not safe for concurrent use, not even for reads: Implies
+// and Contradicts scribble scratch rows into its closure. Give each
+// goroutine its own Set (Clone shares nothing).
 type Set struct {
 	atoms []ast.Cmp
+	unsat bool
 
-	// The closed constraint graph of atoms, valid while closed is set.
-	// Nodes are the distinct terms of the atoms (Term.Equal decides
-	// identity, so 0 and -0 are one node) in order of first appearance.
-	closed bool
-	sat    bool
-	terms  []ast.Term
-	// With n = len(terms), adj[u*(n+2)+v] is the strongest constraint
-	// u → v the conjunction forces: 0 = none, 1 = u <= v, 2 = u < v.
-	// Rows and columns n and n+1 are scratch for the operands of a
-	// queried atom that the conjunction does not mention.
+	// The closed constraint graph of atoms, kept only while the
+	// conjunction is satisfiable. Nodes are the distinct terms of the
+	// atoms (Term.Equal decides identity, so 0 and -0 are one node) in
+	// order of first appearance.
+	terms []ast.Term
+	// adj[u*w+v] is the strongest constraint u → v the conjunction
+	// forces: 0 = none, 1 = u <= v, 2 = u < v. The stride w is at least
+	// len(terms)+2: rows and columns len(terms) and len(terms)+1 are
+	// scratch for the operands of a queried atom that the conjunction
+	// does not mention.
+	w   int
 	adj []uint8
 	neq [][2]int // pairs constrained to be different
 }
 
 // NewSet returns a Set holding the given atoms.
 func NewSet(atoms ...ast.Cmp) *Set {
-	s := &Set{atoms: make([]ast.Cmp, 0, len(atoms))}
-	for _, a := range atoms {
-		s.Add(a)
-	}
+	s := &Set{atoms: make([]ast.Cmp, 0, len(atoms)), terms: make([]ast.Term, 0, 2*len(atoms))}
+	s.AddAll(atoms)
 	return s
 }
 
@@ -81,7 +82,8 @@ func sameAtom(a, b ast.Cmp) bool {
 	return (a.Op == ast.EQ || a.Op == ast.NE) && a.Left.Equal(b.Right) && a.Right.Equal(b.Left)
 }
 
-// Add appends an atom to the conjunction (duplicates are ignored).
+// Add appends an atom to the conjunction (duplicates are ignored) and
+// extends the closure by its edges, in O(n²) for n terms.
 func (s *Set) Add(c ast.Cmp) {
 	for _, e := range s.atoms {
 		if sameAtom(e, c) {
@@ -89,7 +91,27 @@ func (s *Set) Add(c ast.Cmp) {
 		}
 	}
 	s.atoms = append(s.atoms, c)
-	s.closed = false
+	if s.unsat {
+		return // stays unsatisfiable; the graph is no longer read
+	}
+	c = orient(c)
+	u, v := s.node(c.Left), s.node(c.Right)
+	switch c.Op {
+	case ast.LT:
+		s.relax(u, v, 2)
+	case ast.LE:
+		s.relax(u, v, 1)
+	case ast.EQ:
+		s.relax(u, v, 1)
+		s.relax(v, u, 1)
+	case ast.NE:
+		s.neq = append(s.neq, [2]int{u, v})
+	}
+	for _, p := range s.neq {
+		if s.eq(p[0], p[1]) {
+			s.unsat = true
+		}
+	}
 }
 
 // AddAll appends all atoms of the slice.
@@ -99,13 +121,22 @@ func (s *Set) AddAll(cs []ast.Cmp) {
 	}
 }
 
+// Reset empties the set, keeping its storage for the atoms added
+// next. A slice returned by Atoms before the Reset is overwritten.
+func (s *Set) Reset() {
+	s.atoms, s.terms, s.neq, s.unsat = s.atoms[:0], s.terms[:0], s.neq[:0], false
+}
+
 // Atoms returns the atoms of the conjunction (shared slice; callers
 // must not modify it).
 func (s *Set) Atoms() []ast.Cmp { return s.atoms }
 
-// Clone returns a copy of the set.
+// Clone returns a copy of the set, closure included.
 func (s *Set) Clone() *Set {
-	return &Set{atoms: append([]ast.Cmp(nil), s.atoms...)}
+	return &Set{
+		atoms: slices.Clone(s.atoms), unsat: s.unsat,
+		terms: slices.Clone(s.terms), w: s.w, adj: slices.Clone(s.adj), neq: slices.Clone(s.neq),
+	}
 }
 
 // Len returns the number of distinct atoms.
@@ -131,117 +162,88 @@ func (s *Set) find(t ast.Term) int {
 	return -1
 }
 
-func (s *Set) at(u, v int) uint8   { return s.adj[u*(len(s.terms)+2)+v] }
+func (s *Set) at(u, v int) uint8   { return s.adj[u*s.w+v] }
 func (s *Set) reach(u, v int) bool { return u == v || s.at(u, v) > 0 }
 func (s *Set) eq(u, v int) bool    { return s.reach(u, v) && s.reach(v, u) }
 
 func (s *Set) edge(u, v int, strength uint8) {
-	if e := &s.adj[u*(len(s.terms)+2)+v]; *e < strength {
+	if e := &s.adj[u*s.w+v]; *e < strength {
 		*e = strength
 	}
 }
 
-// close builds the constraint graph of the conjunction — the atoms'
-// edges plus the implicit total order among the constants that appear
-// — closes it transitively and decides satisfiability, all into
-// storage kept from the previous build.
-func (s *Set) close() {
-	if s.closed {
+// reserve grows the matrix so that n nodes and the two scratch slots
+// fit, keeping the closure among the present nodes.
+func (s *Set) reserve(n int) {
+	if n+2 <= s.w {
 		return
 	}
-	s.terms, s.neq = s.terms[:0], s.neq[:0]
-	for _, a := range s.atoms {
-		for _, t := range [2]ast.Term{a.Left, a.Right} {
-			if s.find(t) < 0 {
-				s.terms = append(s.terms, t)
-			}
-		}
+	w := max(2*s.w, n+2, 8)
+	adj := make([]uint8, w*w)
+	for u := range s.terms {
+		copy(adj[u*w:u*w+len(s.terms)], s.adj[u*s.w:u*s.w+len(s.terms)])
+	}
+	s.w, s.adj = w, adj
+}
+
+// node returns the node of t, adding it if absent. A new node has no
+// edges but the constants' own order, which scratch computes exactly:
+// it creates no path between older nodes (the new constant's
+// neighbours are already ordered directly), so the closure stays
+// closed.
+func (s *Set) node(t ast.Term) int {
+	if u := s.find(t); u >= 0 {
+		return u
 	}
 	n := len(s.terms)
-	w := n + 2
-	if cap(s.adj) < w*w {
-		s.adj = make([]uint8, w*w)
+	s.reserve(n + 1)
+	s.scratch(n, t)
+	s.terms = append(s.terms, t)
+	return n
+}
+
+// relax closes the graph over a new edge u → v of the given
+// strength: every a that reaches u now reaches every b that v reaches,
+// as strongly as the strongest hop. One pass suffices while the
+// conjunction stays satisfiable (a path using the edge twice has a
+// cycle through it, and a cycle that is not strict adds no strength);
+// a strict cycle through the edge shows as u < u.
+func (s *Set) relax(u, v int, strength uint8) {
+	n, w := len(s.terms), s.w
+	if s.at(u, v) >= strength || u == v && strength == 1 {
+		return // already implied
 	}
-	s.adj = s.adj[:w*w]
-	clear(s.adj)
-	for _, a := range s.atoms {
-		a = orient(a)
-		u, v := s.find(a.Left), s.find(a.Right)
-		switch a.Op {
-		case ast.LT:
-			s.edge(u, v, 2)
-		case ast.LE:
-			s.edge(u, v, 1)
-		case ast.EQ:
-			s.edge(u, v, 1)
-			s.edge(v, u, 1)
-		case ast.NE:
-			s.neq = append(s.neq, [2]int{u, v})
-		}
-	}
+	rv := s.adj[v*w : v*w+n]
 	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if s.terms[a].IsVar() || s.terms[b].IsVar() {
+		au := s.adj[a*w+u]
+		if au == 0 && a != u {
+			continue
+		}
+		ra, hop := s.adj[a*w:a*w+n], max(au, strength)
+		for b, vb := range rv {
+			if vb == 0 && b != v {
 				continue
 			}
-			if s.terms[a].Compare(s.terms[b]) < 0 {
-				s.edge(a, b, 2)
-			} else {
-				s.edge(b, a, 2)
+			if x := max(hop, vb); ra[b] < x {
+				ra[b] = x
 			}
 		}
 	}
-	// Floyd–Warshall over edge strengths: a path is strict if any hop is.
-	for k := 0; k < n; k++ {
-		rk := s.adj[k*w : k*w+n]
-		for u := 0; u < n; u++ {
-			ru := s.adj[u*w : u*w+n]
-			uk := ru[k]
-			if uk == 0 {
-				continue
-			}
-			for v, kv := range rk {
-				if kv > 0 && ru[v] < max(uk, kv) {
-					ru[v] = max(uk, kv)
-				}
-			}
-		}
+	if s.at(u, u) == 2 {
+		s.unsat = true
 	}
-	// Unsatisfiable iff some u < u (which covers two distinct constants
-	// forced equal, by their implicit strict edge) or a != pair is forced
-	// equal. Everything else is realizable over a dense order: take the
-	// strict partial order on equivalence classes, extend it to a linear
-	// order, and embed the classes into the rationals respecting the
-	// constants' positions; density provides room between and beyond
-	// all constants.
-	s.sat = true
-	for u := 0; u < n; u++ {
-		if s.at(u, u) == 2 {
-			s.sat = false
-		}
-	}
-	for _, p := range s.neq {
-		if s.eq(p[0], p[1]) {
-			s.sat = false
-		}
-	}
-	s.closed = true
 }
 
 // Satisfiable reports whether some assignment of the variables into
 // the dense order satisfies every atom of the conjunction.
-func (s *Set) Satisfiable() bool {
-	s.close()
-	return s.sat
-}
+func (s *Set) Satisfiable() bool { return !s.unsat }
 
 // scratch makes slot (n or n+1) the node of a term the conjunction
 // does not mention. A variable is unconstrained; a constant sits
 // strictly between its nearest neighbours among the constants present,
 // and inherits everything they reach or are reached from.
 func (s *Set) scratch(slot int, t ast.Term) {
-	n := len(s.terms)
-	w := n + 2
+	n, w := len(s.terms), s.w
 	for i := 0; i < w; i++ {
 		s.adj[slot*w+i], s.adj[i*w+slot] = 0, 0
 	}
@@ -276,12 +278,12 @@ func (s *Set) scratch(slot int, t ast.Term) {
 // forced equality that c creates must pass through c's own edge, so
 // each case is a few lookups around its endpoints.
 func (s *Set) unsatWith(c ast.Cmp) bool {
-	s.close()
-	if !s.sat {
+	if s.unsat {
 		return true
 	}
 	c = orient(c)
 	n := len(s.terms)
+	s.reserve(n)
 	u, v := s.find(c.Left), s.find(c.Right)
 	if u < 0 {
 		u = n
@@ -380,49 +382,110 @@ func (s *Set) ForcedEqualities() map[string]ast.Term {
 }
 
 // Linearizations enumerates the total preorders of terms consistent with
-// base, calling fn with each one as a copy of base plus the atoms that
-// pin it (t1 = t2 inside a group, t1 < t2 between consecutive groups).
-// fn returns false to stop early. Built recursively: each next term
-// joins an existing group or opens a new one at every gap.
-func Linearizations(terms []ast.Term, base *Set, fn func(*Set) bool) {
-	var rec func(i int, groups [][]ast.Term) bool
-	rec = func(i int, groups [][]ast.Term) bool {
-		if i == len(terms) {
-			lin := base.Clone()
-			for gi, g := range groups {
-				for k := 1; k < len(g); k++ {
-					lin.Add(ast.NewCmp(g[0], ast.EQ, g[k]))
-				}
-				if gi+1 < len(groups) {
-					lin.Add(ast.NewCmp(g[0], ast.LT, groups[gi+1][0]))
-				}
-			}
-			if !lin.Satisfiable() {
-				return true // inconsistent with base; skip
-			}
-			return fn(lin)
-		}
-		t := terms[i]
-		for gi := range groups {
-			ng := make([][]ast.Term, len(groups))
-			copy(ng, groups)
-			ng[gi] = append(append([]ast.Term{}, groups[gi]...), t)
-			if !rec(i+1, ng) {
-				return false
+// base, calling fn with each one as its groups in ascending order: the
+// terms of a group are equal, every group is below the next, and each
+// group lists its terms in the order of terms. fn must not retain
+// groups, and returns false to stop early. terms must include every
+// term of base's atoms.
+//
+// The preorders are built recursively: each next term joins an existing
+// group or opens a new one at every gap. A placement is extended only
+// while it is consistent so far — every base atom whose operands are
+// both placed holds on the group ranks, and the placed constants are
+// in their own order. That is exact: inserting terms never reorders
+// placed ones, so a contradiction stays one, and a complete preorder
+// passing every check is consistent with base. fn therefore sees the
+// same preorders in the same order as a filter over all of them.
+func Linearizations(terms []ast.Term, base *Set, fn func(groups [][]ast.Term) bool) {
+	index := func(t ast.Term) int {
+		for i, o := range terms {
+			if o.Equal(t) {
+				return i
 			}
 		}
-		for pos := 0; pos <= len(groups); pos++ {
-			ng := make([][]ast.Term, 0, len(groups)+1)
-			ng = append(ng, groups[:pos]...)
-			ng = append(ng, []ast.Term{t})
-			ng = append(ng, groups[pos:]...)
-			if !rec(i+1, ng) {
+		panic("order: Linearizations terms do not include " + t.String())
+	}
+	// checks[i] holds the rank comparisons that become decidable when
+	// terms[i] is placed: a op b must hold on the ranks of a and b.
+	type check struct {
+		a, b int
+		op   ast.CmpOp
+	}
+	checks := make([][]check, len(terms))
+	for _, c := range base.atoms {
+		a, b := index(c.Left), index(c.Right)
+		last := max(a, b)
+		checks[last] = append(checks[last], check{a, b, c.Op})
+	}
+	for i, t := range terms {
+		for j, o := range terms[:i] {
+			switch {
+			case t.IsConst() && o.IsConst():
+				checks[i] = append(checks[i], check{j, i, constOrder(o, t)})
+			case t.Equal(o):
+				checks[i] = append(checks[i], check{j, i, ast.EQ})
+			}
+		}
+	}
+	rank := make([]int, len(terms))
+	consistent := func(i int) bool {
+		for _, c := range checks[i] {
+			if !c.op.Holds(rank[c.a] - rank[c.b]) {
 				return false
 			}
 		}
 		return true
 	}
-	rec(0, nil)
+	var groups [][]ast.Term
+	var rec func(i, g int) bool
+	rec = func(i, g int) bool {
+		if i == len(terms) {
+			groups = slices.Grow(groups[:0], g)[:g]
+			for k := range groups {
+				groups[k] = groups[k][:0]
+			}
+			for j, t := range terms {
+				groups[rank[j]] = append(groups[rank[j]], t)
+			}
+			return fn(groups)
+		}
+		for gi := 0; gi < g; gi++ {
+			rank[i] = gi
+			if consistent(i) && !rec(i+1, g) {
+				return false
+			}
+		}
+		for pos := 0; pos <= g; pos++ {
+			for j := range rank[:i] {
+				if rank[j] >= pos {
+					rank[j]++
+				}
+			}
+			rank[i] = pos
+			more := !consistent(i) || rec(i+1, g+1)
+			for j := range rank[:i] {
+				if rank[j] > pos {
+					rank[j]--
+				}
+			}
+			if !more {
+				return false
+			}
+		}
+		return true
+	}
+	rec(0, 0)
+}
+
+// constOrder is the relation between two constants: <, = or >.
+func constOrder(a, b ast.Term) ast.CmpOp {
+	switch c := a.Compare(b); {
+	case c < 0:
+		return ast.LT
+	case c > 0:
+		return ast.GT
+	}
+	return ast.EQ
 }
 
 // EvalGround evaluates a conjunction whose atoms are all ground,

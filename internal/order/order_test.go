@@ -209,7 +209,7 @@ func TestNegativeZeroIsZero(t *testing.T) {
 	}
 }
 
-// A query on an unchanged Set reads the cached closure: no allocation,
+// A query on an unchanged Set reads the kept closure: no allocation,
 // whether or not the queried terms occur in the conjunction.
 func TestImpliesDoesNotAllocate(t *testing.T) {
 	s := NewSet(cmp(x, ast.LT, y), cmp(y, ast.LE, z), cmp(z, ast.LT, ast.N(5)), cmp(w, ast.NE, x))

@@ -65,17 +65,14 @@ func NormalizeRule(r ast.Rule) (ast.Rule, bool) {
 	// tested against the kept atoms plus the NOT-YET-PROCESSED ones
 	// only — never against an already-dropped atom — so two mutually
 	// implying atoms cannot erase each other (one of them survives; of
-	// several copies of one atom, the last).
+	// several copies of one atom, the last). The rule's one Set is
+	// refilled per atom.
 	var kept []ast.Cmp
 	for i, c := range r.Cmp {
-		rest := order.NewSet()
-		for _, k := range kept {
-			rest.Add(k)
-		}
-		for j := i + 1; j < len(r.Cmp); j++ {
-			rest.Add(r.Cmp[j])
-		}
-		if !rest.Implies(c) {
+		set.Reset()
+		set.AddAll(kept)
+		set.AddAll(r.Cmp[i+1:])
+		if !set.Implies(c) {
 			kept = append(kept, c)
 		}
 	}

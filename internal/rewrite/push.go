@@ -3,9 +3,11 @@ package rewrite
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/order"
+	"repro/internal/unify"
 )
 
 // PushOrder performs top-down order-constraint propagation — the
@@ -43,11 +45,13 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 	// over canonical argument variables A0..A(n-1), in canonical
 	// (deduplicated, key-sorted) order — so the implied subset of it is
 	// a canonical context as it stands. Built once per arity.
-	vocab := map[int][]ast.Cmp{}
-	vocabulary := func(n int) []ast.Cmp {
+	vocab := map[int][]vocabAtom{}
+	vocabulary := func(n int) []vocabAtom {
 		v, ok := vocab[n]
 		if !ok {
-			v = canonCtx(candidateCmps(n, consts))
+			for _, c := range canonCtx(candidateCmps(n, consts)) {
+				v = append(v, newVocabAtom(c))
+			}
 			vocab[n] = v
 		}
 		return v
@@ -63,8 +67,8 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 	var queue []string
 	base := map[string]string{}
 
-	intern := func(pred string, ctx []ast.Cmp) string {
-		key := classKey{pred, ast.CmpsKey(ctx)}
+	intern := func(key classKey, ctx []ast.Cmp) string {
+		pred := key.pred
 		if n, ok := names[key]; ok {
 			return n
 		}
@@ -82,8 +86,27 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 		return name
 	}
 
+	// contextUseful's verdict per (predicate, context), and the closed
+	// order atoms of each predicate's rules, built on first use.
+	useful := map[classKey]bool{}
+	own := map[string][]*order.Set{}
+	isUseful := func(key classKey, ctx []ast.Cmp) bool {
+		u, ok := useful[key]
+		if !ok {
+			rules := p.RulesFor(key.pred)
+			if own[key.pred] == nil {
+				for _, r := range rules {
+					own[key.pred] = append(own[key.pred], order.NewSet(r.Cmp...))
+				}
+			}
+			u = contextUseful(rules, own[key.pred], idb, ctx, vocabulary, ar)
+			useful[key] = u
+		}
+		return u
+	}
+
 	out := &ast.Program{}
-	out.Query = intern(p.Query, nil)
+	out.Query = intern(classKey{p.Query, ""}, nil)
 
 	for len(queue) > 0 {
 		name := queue[0]
@@ -122,16 +145,16 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 					continue
 				}
 				var child []ast.Cmp
-				ss := argSubst(sub.Args)
-				for _, c := range vocabulary(ar[sub.Pred]) {
-					if fullSet.Implies(ss.ApplyCmp(c)) {
-						child = append(child, c)
+				for _, v := range vocabulary(ar[sub.Pred]) {
+					if fullSet.Implies(v.on(sub.Args)) {
+						child = append(child, v.c)
 					}
 				}
-				if len(child) > 0 && !contextUseful(p, idb, sub.Pred, child, vocabulary, ar) {
-					child = nil
+				key := classKey{sub.Pred, ast.CmpsKey(child)}
+				if len(child) > 0 && !isUseful(key, child) {
+					child, key = nil, classKey{sub.Pred, ""}
 				}
-				norm.Pos[j].Pred = intern(sub.Pred, child)
+				norm.Pos[j].Pred = intern(key, child)
 			}
 			out.Rules = append(out.Rules, norm)
 		}
@@ -140,39 +163,71 @@ func PushOrder(p *ast.Program) (*ast.Program, error) {
 }
 
 // contextUseful is the one-step lookahead for PushOrder: pushing ctx
-// into pred pays iff, instantiating the context on each of pred's
-// rules, some rule becomes unsatisfiable (dropped) or the context
-// induces a non-empty context on some IDB subgoal (i.e. it survives a
-// recursion step).
-func contextUseful(p *ast.Program, idb map[string]bool, pred string, ctx []ast.Cmp,
-	vocabulary func(int) []ast.Cmp, ar map[string]int) bool {
-	for _, r := range p.RulesFor(pred) {
-		nr := r.Clone()
-		s := argSubst(nr.Head.Args)
+// into a predicate with the given rules (and own[i], the closed order
+// atoms of rules[i]) pays iff, instantiating the context on each rule,
+// some rule becomes unsatisfiable (dropped) or the context induces a
+// non-empty context on some IDB subgoal (i.e. it survives a recursion
+// step). The subgoals are read as NormalizeRule would leave them, with
+// the forced equalities substituted; their implied atoms are read off
+// the unnormalized set, which implies the same atoms over the terms
+// that survive the substitution.
+func contextUseful(rules []ast.Rule, own []*order.Set, idb map[string]bool, ctx []ast.Cmp,
+	vocabulary func(int) []vocabAtom, ar map[string]int) bool {
+	for i, r := range rules {
+		set := own[i].Clone()
+		s := argSubst(r.Head.Args)
 		for _, c := range ctx {
-			nr.Cmp = append(nr.Cmp, s.ApplyCmp(c))
+			set.Add(s.ApplyCmp(c))
 		}
-		norm, ok := NormalizeRule(nr)
-		if !ok {
+		if !set.Satisfiable() {
 			return true // the context kills this rule outright
 		}
-		set, own := order.NewSet(norm.Cmp...), order.NewSet(r.Cmp...)
-		for _, sub := range norm.Pos {
+		eqs := unify.Subst(set.ForcedEqualities())
+		for _, sub := range r.Pos {
 			if !idb[sub.Pred] {
 				continue
 			}
-			ss := argSubst(sub.Args)
-			for _, c := range vocabulary(ar[sub.Pred]) {
-				inst := ss.ApplyCmp(c)
+			args := eqs.ApplyAtom(sub).Args
+			for _, v := range vocabulary(ar[sub.Pred]) {
+				inst := v.on(args)
 				// Count only constraints the context contributed, not
 				// ones the rule body implies on its own.
-				if set.Implies(inst) && !own.Implies(inst) {
+				if set.Implies(inst) && !own[i].Implies(inst) {
 					return true
 				}
 			}
 		}
 	}
 	return false
+}
+
+// vocabAtom is a context-vocabulary atom over A0..A(n-1) with its
+// operands resolved to argument positions (r < 0: the right operand is
+// the constant c.Right), so instantiating it is two slice reads.
+type vocabAtom struct {
+	c    ast.Cmp
+	l, r int
+}
+
+func newVocabAtom(c ast.Cmp) vocabAtom {
+	pos := func(t ast.Term) int {
+		if t.IsConst() {
+			return -1
+		}
+		i, _ := strconv.Atoi(t.Name[1:])
+		return i
+	}
+	return vocabAtom{c, pos(c.Left), pos(c.Right)}
+}
+
+// on instantiates the atom on an atom's argument terms.
+func (v vocabAtom) on(args []ast.Term) ast.Cmp {
+	inst := v.c
+	inst.Left = args[v.l]
+	if v.r >= 0 {
+		inst.Right = args[v.r]
+	}
+	return inst
 }
 
 // canonCtx deduplicates context atoms by key (the first of two atoms
