@@ -35,12 +35,13 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The whole suite under the race detector, then the one test whose
-# point is concurrency — N queries sharing one DB's interned base —
-# repeated so the detector sees more than one interleaving.
+# The whole suite under the race detector, then the tests whose point is
+# concurrency — N queries sharing one DB's interned base, and readers of
+# a snapshot while its successors derive their bases from it — repeated
+# so the detector sees more than one interleaving.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently' ./internal/eval
+	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently|TestDerivedBasesUnderConcurrentReaders' ./internal/eval
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.
@@ -85,9 +86,10 @@ bench-e2e:
 # A short native-fuzzing pass over the parser, over the order solver
 # (against its from-scratch reference), over the linter (no panics,
 # deterministic findings), over the response writer
-# (against the render-sort-encode path it replaced) and over goal-directed
+# (against the render-sort-encode path it replaced), over goal-directed
 # evaluation (magic, streaming and the one-root renaming fold against
-# bottom-up). Long enough to exercise the mutator, short enough for CI;
+# bottom-up) and over the engine (against the reference evaluator, and a
+# derived interned base against a from-scratch one). Long enough to exercise the mutator, short enough for CI;
 # sustained campaigns should raise -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s
@@ -95,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint -run='^$$' -fuzz=FuzzLint -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswerWriter -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzMagic -fuzztime=10s
+	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzPlan -fuzztime=10s
 
 # Randomized differential check of incremental view maintenance under
 # the race detector: after every prefix of a random add/retract

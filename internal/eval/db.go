@@ -194,9 +194,15 @@ func (db *DB) Clone() *DB {
 // pred's, which holds tuples in the order given, or is gone when there
 // are none. tuples are distinct, of one arity and the relation's from
 // now on: they are neither copied nor keyed, so replacing a relation
-// costs nothing per tuple and nothing at all for the rest of the DB.
+// costs nothing per tuple and nothing at all for the rest of the DB. The
+// new database starts with db's interned base, from which its first
+// evaluation derives its own (base.go), interning only the tuples db did
+// not hold.
 func (db *DB) Replace(pred string, tuples []Tuple) *DB {
 	out := &DB{rels: make(map[string]*Relation, len(db.rels)+1)}
+	db.baseMu.Lock()
+	out.base = db.base
+	db.baseMu.Unlock()
 	for p, r := range db.rels {
 		out.rels[p] = r
 	}

@@ -87,10 +87,12 @@ type Stats struct {
 	// diagnostic, excluded from Equal for the same reason as
 	// ElimApplied.
 	ElimChecked int
-	// EDBRowsInterned counts the EDB tuples this evaluation interned: the
-	// size of the database when the evaluation had to build its interned
-	// base (the first evaluation of a DB, or the first after a
-	// mutation), 0 when it reused one. The useful-outcome ratio of the
+	// EDBRowsInterned counts the EDB tuples this evaluation looked up in
+	// an interner building the DB's interned base: all of them when it
+	// built the base from scratch (the first evaluation of a DB), those
+	// the predecessor's base did not hold when it derived the base from it
+	// (the first evaluation after a mutation or a Replace — 0 after a
+	// retraction), 0 when it reused one. The useful-outcome ratio of the
 	// serving path is TuplesDerived over this. Excluded from Equal: it
 	// depends on what was evaluated over the DB before, not on the
 	// program, database, and options.

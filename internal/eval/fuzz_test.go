@@ -20,7 +20,11 @@ import (
 // built the DB's interned base, the repeat reuses it with every index
 // the first one built, and the two must agree on answers and the full
 // Stats — the join order reads the base's lengths and key counts, so it
-// must not matter whether it found an index or built it.
+// must not matter whether it found an index or built it. Last, a
+// successor of the database — one EDB relation Replaced with a tuple
+// dropped and one added that carries a new constant — derives its base
+// from that one, interning the one tuple, and must answer as a Clone of
+// it does, whose base is built from scratch.
 func FuzzPlan(f *testing.F) {
 	f.Add(`p(X, Y) :- e(X, Y).
 p(X, Y) :- e(X, Z), p(Z, Y).
@@ -101,6 +105,44 @@ odd(Y) :- even(X), succ(X, Y).
 		}
 		if !stats.Equal(stats2) || stats2.EDBRowsInterned != 0 {
 			t.Fatalf("fresh vs reused base stats diverged:\n%+v\n%+v", stats, stats2)
+		}
+
+		var pred string
+		for _, q := range db.Preds() {
+			if db.Lookup(q).Arity > 0 && !p.IDB()[q] {
+				pred = q
+				break
+			}
+		}
+		if pred == "" {
+			return
+		}
+		rel := db.Lookup(pred)
+		tuples := append([]Tuple(nil), rel.Tuples()...)
+		at := int(seed) % len(tuples)
+		tuples = append(tuples[:at], tuples[at+1:]...)
+		added := make(Tuple, rel.Arity)
+		for j := range added {
+			added[j] = ast.N(float64(rng.Intn(6)))
+		}
+		added[int(seed)%rel.Arity] = ast.S("fresh")
+		at = int(seed) % (len(tuples) + 1)
+		succ := db.Replace(pred, append(tuples[:at], append([]Tuple{added}, tuples[at:]...)...))
+		idb3, stats3, err := EvalCtx(context.Background(), p, succ, opts)
+		if err != nil {
+			return
+		}
+		idb4, stats4, err := EvalCtx(context.Background(), p, succ.Clone(), opts)
+		if err != nil {
+			t.Fatalf("errored over a fresh base where the derived one succeeded: %v", err)
+		}
+		for pred := range p.IDB() {
+			if !reflect.DeepEqual(idb3.SortedFacts(pred), idb4.SortedFacts(pred)) {
+				t.Fatalf("derived vs fresh base answers diverged on %s", pred)
+			}
+		}
+		if !stats3.Equal(stats4) || stats3.EDBRowsInterned != 1 {
+			t.Fatalf("derived vs fresh base stats diverged:\n%+v\n%+v", stats3, stats4)
 		}
 	})
 }

@@ -199,8 +199,9 @@ func FuzzAnswerWriter(f *testing.F) {
 
 // TestResultOutlivesItsSnapshot holds one query result across 100
 // further updates and queries of its dataset — each update replaces the
-// snapshot, each query builds a new interned base for it — and then
-// writes it: the body is the one written at query time.
+// snapshot, each query derives the new snapshot's interned base from the
+// one before, copying the interner when the update brings a new constant
+// — and then writes it: the body is the one written at query time.
 func TestResultOutlivesItsSnapshot(t *testing.T) {
 	ds := newDataset("g", nil, time.Now())
 	ctx := context.Background()

@@ -23,7 +23,8 @@ import (
 // the one a from-scratch load of the same facts would give, whatever the
 // update history. A snapshot also carries its interned base (eval's
 // base.go) from query to query: the first query to evaluate a new
-// snapshot builds it and every later query on that snapshot reuses it.
+// snapshot derives it from its predecessor's, interning only the facts
+// the update added, and every later query on that snapshot reuses it.
 //
 // The view registry is published the same way — an immutable map behind
 // an atomic pointer, replaced whole by putView and dropViews — so a view

@@ -169,8 +169,8 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	counter("sqod_rule_firings_total", "Rule firings across all evaluations.", m.RuleFirings.Load())
 	counter("sqod_join_probes_total", "Join probes across all evaluations.", m.JoinProbes.Load())
 
-	counter("sqod_edb_base_builds_total", "Query evaluations that interned their database (first query on a snapshot, or per-request facts).", m.EDBBaseBuilds.Load())
-	counter("sqod_edb_base_reuses_total", "Query evaluations that reused their snapshot's interned base.", m.EDBBaseReuses.Load())
+	counter("sqod_edb_base_builds_total", "Query evaluations that interned facts: the first query on a snapshot whose update added facts, or one with per-request facts.", m.EDBBaseBuilds.Load())
+	counter("sqod_edb_base_reuses_total", "Query evaluations that interned no fact: they reused their snapshot's interned base, or derived it from the previous snapshot's by copying rows.", m.EDBBaseReuses.Load())
 
 	counter("sqod_eval_magic_total", "Queries evaluated via the magic-sets demand rewrite.", m.EvalMagic.Load())
 	counter("sqod_eval_elim_total", "Queries evaluated via bounded-recursion elimination.", m.EvalElim.Load())
