@@ -21,9 +21,11 @@ vet-stats:
 
 # bench/ is a module of its own that imports this one through a replace
 # directive, so `make build vet test` never compile it: this is what
-# catches a product-API change that breaks the benchmark.
+# catches a product-API change that breaks the benchmark, and — through
+# the harness's own tests, its shadow pipeline's parity with the product
+# among them — an engine change that the benchmark would misreport.
 vet-bench:
-	cd bench && $(GO) build ./... && $(GO) vet ./...
+	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # Fails (and lists the offenders) when any file is not gofmt-clean.
 fmt:
@@ -74,8 +76,8 @@ bench-regression:
 # benchmark driver launches them — last output line is the result, every
 # answer (every compiled program, byte for byte, on optimize-cold) is
 # checked against an oracle — plus the harness's own unit tests (bench/
-# is a module of its own, so `make test` skips them). The CI bench-e2e
-# job runs this non-blocking.
+# is a module of its own, so `make test` skips them; `make vet-bench`
+# runs them too, blocking). The CI bench-e2e job runs this non-blocking.
 bench-e2e:
 	bash bench/run.sh --workload serve-point --seed 1 --seconds 25 --trace 0
 	bash bench/run.sh --workload serve-mixed --seed 1 --seconds 25 --trace 0

@@ -252,33 +252,6 @@ func BenchmarkA2BaselineVsQtree(b *testing.B) {
 	})
 }
 
-// BenchmarkA3SeminaiveVsNaive compares the two fixpoint strategies on
-// a plain transitive closure.
-func BenchmarkA3SeminaiveVsNaive(b *testing.B) {
-	p := MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	db := NewDBFrom(workload.Chain(1, 60))
-	for _, cfg := range []struct {
-		name string
-		opts EvalOptions
-	}{
-		{"seminaive", EvalOptions{Seminaive: true}},
-		{"naive", EvalOptions{Seminaive: false}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := EvalWith(p, db, cfg.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // pointQueryBench is the serving path's unit of work: a goal-directed
 // point query (25 answers, ~25 derived tuples, one per round) over a
 // 2,000-fact EDB of 40 disjoint 50-edge chains.

@@ -347,32 +347,6 @@ func runA2() {
 	fmt.Printf("%-12s | %5d | %8d | %s\n", "query tree", len(res.Program.Rules), mt.probes, ratio(mo.probes, mt.probes))
 }
 
-// runA3 ablates the fixpoint strategy on a plain transitive closure.
-func runA3() {
-	p := sqo.MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	db := sqo.NewDBFrom(workload.Chain(1, 60))
-	configs := []struct {
-		name string
-		opts sqo.EvalOptions
-	}{
-		{"semi-naive", sqo.EvalOptions{Seminaive: true}},
-		{"naive", sqo.EvalOptions{Seminaive: false}},
-	}
-	header("fixpoint", "probes", "time")
-	for _, c := range configs {
-		start := time.Now()
-		_, stats, err := sqo.EvalWith(p, db, c.opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-10s | %9d | %v\n", c.name, stats.JoinProbes, time.Since(start).Round(time.Microsecond))
-	}
-}
-
 // runP2 measures the amortization the sqod service's rewrite cache
 // buys. The first request for a (program, ICs, options) triple pays
 // the full query-tree construction; every later identical request

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	sqobench [-run F1|E1|E2|E3|E4|E5|E6|E7|E8|A1|A2|A3|P2|P4|P5|P6|P7|P8|P9|P10] [-quick]
+//	sqobench [-run F1|E1|E2|E3|E4|E5|E6|E7|E8|A1|A2|P2|P4|P5|P6|P7|P8|P9|P10] [-quick]
 //	         [-out bench.json] [-cpuprofile cpu.prof] [-memprofile mem.prof]
 package main
 
@@ -33,7 +33,7 @@ var (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sqobench: ")
-	runSel := flag.String("run", "", "run a single experiment (F1, E1..E8, A1..A3, P2, P4..P10)")
+	runSel := flag.String("run", "", "run a single experiment (F1, E1..E8, A1, A2, P2, P4..P10)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -82,7 +82,6 @@ func main() {
 		{"E8", "Proposition 5.2: emptiness via initialization rules", runE8},
 		{"A1", "Ablation: pipeline passes on the threshold workload", runA1},
 		{"A2", "Ablation: [CGM88] per-rule baseline vs query tree", runA2},
-		{"A3", "Ablation: naive vs semi-naive fixpoint", runA3},
 		{"P2", "Rewrite-cache amortization (cold vs cache hit)", runP2},
 		{"P4", "Incremental view maintenance vs recompute", runP4},
 		{"P5", "Lint wall-clock per check family", runP5},

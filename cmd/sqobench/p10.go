@@ -151,7 +151,7 @@ func runP10() {
 	}
 	fixpointOnly := []mode{
 		{"fixpoint", sqo.ElimOff, sqo.MagicOff},
-		{"elim", sqo.ElimOn, sqo.MagicOff},
+		{"elim", sqo.ElimAuto, sqo.MagicOff},
 	}
 	cases := []struct {
 		name  string
@@ -161,9 +161,9 @@ func runP10() {
 	}{
 		{"trendy-point", trendyPoint, p10TrendyFacts(people, items), []mode{
 			{"fixpoint", sqo.ElimOff, sqo.MagicOff},
-			{"fixpoint+magic", sqo.ElimOff, sqo.MagicOn},
-			{"elim", sqo.ElimOn, sqo.MagicOff},
-			{"elim+magic", sqo.ElimOn, sqo.MagicOn},
+			{"fixpoint+magic", sqo.ElimOff, sqo.MagicAuto},
+			{"elim", sqo.ElimAuto, sqo.MagicOff},
+			{"elim+magic", sqo.ElimAuto, sqo.MagicAuto},
 		}},
 		{"trendy-full", trendyFull, p10TrendyFacts(people, items), fixpointOnly},
 		{"piecewise-full", piecewise, p10TrendyFacts(people/2, items/2), fixpointOnly},

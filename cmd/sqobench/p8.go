@@ -167,8 +167,8 @@ func runP8() {
 		stream bool
 	}{
 		{"bottomup", sqo.MagicOff, false},
-		{"magic", sqo.MagicOn, false},
-		{"magic+stream", sqo.MagicOn, true},
+		{"magic", sqo.MagicAuto, false},
+		{"magic+stream", sqo.MagicAuto, true},
 	}
 
 	report := p8Report{

@@ -91,7 +91,7 @@ func TestFoldedQueryMatchesUnfolded(t *testing.T) {
 		for _, pred := range c.db.Preds() {
 			facts = append(facts, c.db.Facts(pred)...)
 		}
-		all, _ := evalUnfolded(t, c.prog, c.db, EvalOptions{Seminaive: true, Magic: MagicOff, Elim: ElimOff})
+		all, _ := evalUnfolded(t, c.prog, c.db, EvalOptions{Magic: MagicOff, Elim: ElimOff})
 		goals := [][]Term{nil}
 		if len(all) > 0 && len(all[0].Args) > 0 {
 			point := make([]Term, len(all[0].Args))
@@ -108,7 +108,7 @@ func TestFoldedQueryMatchesUnfolded(t *testing.T) {
 			// The reference interpreter is a nested loop: held to it while
 			// the program as written derives little (goodpath's chain does not).
 			var want []string
-			if _, st, err := QueryWith(&orig, c.db, EvalOptions{Seminaive: true, Magic: MagicOff, Elim: ElimOff}); err != nil {
+			if _, st, err := QueryWith(&orig, c.db, EvalOptions{Magic: MagicOff, Elim: ElimOff}); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			} else if st.TuplesDerived <= 2000 {
 				want = refeval.Answers(&orig, facts)
@@ -116,7 +116,7 @@ func TestFoldedQueryMatchesUnfolded(t *testing.T) {
 			for _, magicMode := range []MagicMode{MagicAuto, MagicOff} {
 				for _, elim := range []ElimMode{ElimAuto, ElimOff} {
 					for _, stream := range []bool{false, true} {
-						opts := EvalOptions{Seminaive: true, Magic: magicMode, Elim: elim, Stream: stream}
+						opts := EvalOptions{Magic: magicMode, Elim: elim, Stream: stream}
 						cell := fmt.Sprintf("%s magic=%s elim=%s stream=%v", label, magicMode, elim, stream)
 						tuples, stats, err := QueryCtx(context.Background(), &prog, c.db, opts)
 						if err != nil {

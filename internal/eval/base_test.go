@@ -21,8 +21,7 @@ import (
 	"repro/internal/parser"
 )
 
-// TestSharedBaseDifferential: across magic x naive/seminaive,
-// evaluating over one long-lived DB (whose base every configuration
+// TestSharedBaseDifferential: with and without magic, evaluating over one long-lived DB (whose base every configuration
 // after the first reuses) gives the same relations, Stats and provenance
 // as evaluating over a fresh clone (which builds its own).
 func TestSharedBaseDifferential(t *testing.T) {
@@ -45,32 +44,28 @@ func TestSharedBaseDifferential(t *testing.T) {
 	}
 
 	for name, p := range progs {
-		for _, seminaive := range []bool{true, false} {
-			opts := Options{Seminaive: seminaive}
-			label := fmt.Sprintf("%s seminaive=%v", name, seminaive)
-			reused := runEngine(t, p, shared, opts)
-			fresh := runEngine(t, p, shared.Clone(), opts)
-			requireSameRun(t, label+" reused vs fresh", reused, fresh)
-			if reused.stats.EDBRowsInterned != 0 {
-				t.Fatalf("%s: reused base interned %d rows", label, reused.stats.EDBRowsInterned)
-			}
-			if want := int64(8*20 + 2); fresh.stats.EDBRowsInterned != want {
-				t.Fatalf("%s: fresh DB interned %d rows, want %d", label, fresh.stats.EDBRowsInterned, want)
-			}
+		reused := runEngine(t, p, shared, Options{})
+		fresh := runEngine(t, p, shared.Clone(), Options{})
+		requireSameRun(t, name+" reused vs fresh", reused, fresh)
+		if reused.stats.EDBRowsInterned != 0 {
+			t.Fatalf("%s: reused base interned %d rows", name, reused.stats.EDBRowsInterned)
+		}
+		if want := int64(8*20 + 2); fresh.stats.EDBRowsInterned != want {
+			t.Fatalf("%s: fresh DB interned %d rows, want %d", name, fresh.stats.EDBRowsInterned, want)
+		}
 
-			for _, magic := range []MagicMode{MagicOff, MagicOn} {
-				opts.Magic = magic
-				rt, rs, err := QueryCtx(context.Background(), p, shared, opts)
-				if err != nil {
-					t.Fatalf("%s magic=%s: %v", label, magic, err)
-				}
-				ft, fs, err := QueryCtx(context.Background(), p, shared.Clone(), opts)
-				if err != nil {
-					t.Fatalf("%s magic=%s: %v", label, magic, err)
-				}
-				if !reflect.DeepEqual(rt, ft) || !rs.Equal(fs) {
-					t.Fatalf("%s magic=%s: reused vs fresh differ:\n%v %+v\n%v %+v", label, magic, rt, rs, ft, fs)
-				}
+		for _, magic := range []MagicMode{MagicOff, MagicAuto} {
+			opts := Options{Magic: magic}
+			rt, rs, err := QueryCtx(context.Background(), p, shared, opts)
+			if err != nil {
+				t.Fatalf("%s magic=%s: %v", name, magic, err)
+			}
+			ft, fs, err := QueryCtx(context.Background(), p, shared.Clone(), opts)
+			if err != nil {
+				t.Fatalf("%s magic=%s: %v", name, magic, err)
+			}
+			if !reflect.DeepEqual(rt, ft) || !rs.Equal(fs) {
+				t.Fatalf("%s magic=%s: reused vs fresh differ:\n%v %+v\n%v %+v", name, magic, rt, rs, ft, fs)
 			}
 		}
 	}
@@ -244,7 +239,7 @@ func requireSameAsClone(t *testing.T, label string, p *ast.Program, db *DB) int6
 	if !reflect.DeepEqual(got, want) || !gs.Equal(ws) {
 		t.Fatalf("%s: derived vs fresh base differ:\n%v %+v\n%v %+v", label, got, gs, want, ws)
 	}
-	opts := Options{Seminaive: true}
+	opts := Options{}
 	requireSameRun(t, label, runEngine(t, p, db, opts), runEngine(t, p, db.Clone(), opts))
 	return gs.EDBRowsInterned
 }

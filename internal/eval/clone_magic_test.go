@@ -114,7 +114,7 @@ func TestCloneThenMagicBothDirections(t *testing.T) {
 	off := DefaultOptions()
 	off.Magic = MagicOff
 	on := DefaultOptions()
-	on.Magic = MagicOn
+	on.Magic = MagicAuto
 
 	wantTuples, _, err := QueryCtx(context.Background(), p, db, off)
 	if err != nil {

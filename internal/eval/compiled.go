@@ -58,11 +58,11 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 		return nil, err
 	}
 	ev := &cEvaluator{
-		ctx:   ctx,
-		prog:  p,
-		opts:  opts,
-		stats: &Stats{},
-		prov:  prov,
+		ctx:       ctx,
+		prog:      p,
+		maxTuples: opts.MaxTuples,
+		stats:     &Stats{},
+		prov:      prov,
 	}
 	if err := ev.prepare(edb); err != nil {
 		return nil, err
@@ -70,10 +70,6 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 	if err := ev.run(); err != nil {
 		return nil, err
 	}
-	ev.stats.JoinProbes = ev.tr.probes
-	// Join scratch must not outlive the fixpoint into the conversion, nor
-	// the reorder callback, which points back at ev.
-	ev.tr, ev.reorder = joinRun{}, nil
 	return ev, nil
 }
 
@@ -87,13 +83,16 @@ type idbRel struct {
 }
 
 type cEvaluator struct {
-	ctx   context.Context
-	prog  *ast.Program
-	opts  Options
-	stats *Stats
-	idbPr map[string]bool
-	in    *interner        // private overlay on the base's interner
-	edb   map[string]*irel // the DB's interned base: shared, read-only
+	ctx       context.Context
+	prog      *ast.Program
+	maxTuples int64 // Options.MaxTuples
+	stats     *Stats
+	idbPr     map[string]bool
+	in        *interner // a private overlay on the base's, or the DeltaProgram's
+	// edb is every EDB relation the program reads, as the whole fixpoint
+	// reads it: the DB's interned base whole, or the caller's relations
+	// as they were when DeltaProgram.Fixpoint was called.
+	edb   map[string]RelView
 	idb   map[string]*idbRel
 	plans map[planKey]*plan
 	prov  *Provenance
@@ -125,7 +124,15 @@ func (ev *cEvaluator) prepare(edb *DB) error {
 		ev.stats.EDBRowsInterned = int64(base.rows)
 	}
 	ev.in = base.in.overlay()
-	ev.edb = base.rels
+	ev.edb = make(map[string]RelView, len(arity)-len(ev.idbPr))
+	ev.idb = make(map[string]*idbRel, len(ev.idbPr))
+	for pred, n := range arity {
+		if ev.idbPr[pred] {
+			ev.idb[pred] = &idbRel{irel: newIrel(n, 0)}
+		} else {
+			ev.edb[pred] = base.rels[pred].whole()
+		}
+	}
 	ev.plans = map[planKey]*plan{}
 	planStart := time.Now()
 	compile := func(i, occ int) {
@@ -143,22 +150,21 @@ func (ev *cEvaluator) prepare(edb *DB) error {
 		}
 	}
 	ev.stats.PlanNanos += time.Since(planStart).Nanoseconds()
-	ev.tr = joinRun{ctx: ev.ctx, in: ev.in, negs: ev.negView, emit: ev.derive}
-	ev.reorder = ev.maybeReorder
-
-	ev.idb = make(map[string]*idbRel, len(ev.idbPr))
-	for pred := range ev.idbPr {
-		ev.idb[pred] = &idbRel{irel: newIrel(arity[pred], 0)}
-	}
 	return nil
 }
 
-// run is the fixpoint loop. Naive evaluation runs every rule over the
-// full relations each round. Semi-naive evaluation runs the init rules
-// once, then every (rule, IDB occurrence) pair with that occurrence
-// restricted to the previous round's delta window. Either way the round
-// that derives nothing is the last.
+// run is the fixpoint loop: the init rules once, then every (rule, IDB
+// occurrence) pair with that occurrence restricted to the previous
+// round's delta window, until a round derives nothing.
 func (ev *cEvaluator) run() error {
+	ev.tr = joinRun{ctx: ev.ctx, in: ev.in, negs: ev.negView, emit: ev.derive}
+	ev.reorder = ev.maybeReorder
+	defer func() {
+		// Join scratch must not outlive the fixpoint into the conversion,
+		// nor the reorder callback, which points back at ev.
+		ev.stats.JoinProbes = ev.tr.probes
+		ev.tr, ev.reorder = joinRun{}, nil
+	}()
 	var keys []planKey
 	for round := 0; ; round++ {
 		if err := ev.ctx.Err(); err != nil {
@@ -167,18 +173,15 @@ func (ev *cEvaluator) run() error {
 		ev.stats.Iterations++
 		keys = keys[:0]
 		for i, r := range ev.prog.Rules {
-			switch {
-			case !ev.opts.Seminaive:
-				keys = append(keys, planKey{i, -1})
-			case round == 0:
+			if round == 0 {
 				if r.IsInit(ev.idbPr) {
 					keys = append(keys, planKey{i, -1})
 				}
-			default:
-				for occ, a := range r.Pos {
-					if ev.idbPr[a.Pred] {
-						keys = append(keys, planKey{i, occ})
-					}
+				continue
+			}
+			for occ, a := range r.Pos {
+				if ev.idbPr[a.Pred] {
+					keys = append(keys, planKey{i, occ})
 				}
 			}
 		}
@@ -192,15 +195,10 @@ func (ev *cEvaluator) run() error {
 	}
 }
 
-// edbLen is the length of an EDB predicate's relation in the base (0
-// for one the DB does not hold): the exact count join orders break ties
-// with.
-func (ev *cEvaluator) edbLen(pred string) int {
-	if r := ev.edb[pred]; r != nil {
-		return r.n
-	}
-	return 0
-}
+// edbLen is the number of rows the fixpoint reads of an EDB predicate
+// (0 for one it has no relation for): the exact count join orders break
+// ties with.
+func (ev *cEvaluator) edbLen(pred string) int { return ev.edb[pred].Len() }
 
 // runRound runs the round's tasks one after another, each appending what
 // it derives to its head relation, and then moves every relation's marks
@@ -219,14 +217,11 @@ func (ev *cEvaluator) runRound(keys []planKey) error {
 	}
 	ev.stats.RoundDeltas = append(ev.stats.RoundDeltas, roundDelta)
 	// Footprint at the round barrier: every IDB tuple plus the rows in the
-	// new delta window (none under naive evaluation).
+	// new delta window.
 	peak := int64(0)
 	for _, ir := range ev.idb {
 		ir.lo, ir.hi = ir.hi, ir.n
-		peak += int64(ir.n)
-		if ev.opts.Seminaive {
-			peak += int64(ir.hi - ir.lo)
-		}
+		peak += int64(ir.n + ir.hi - ir.lo)
 	}
 	if peak > ev.stats.PeakMaterialized {
 		ev.stats.PeakMaterialized = peak
@@ -258,8 +253,9 @@ func (ev *cEvaluator) runTask(k planKey) error {
 }
 
 // setPlan makes pl the join's live plan and points each subgoal at the
-// view it reads: an EDB relation whole, an IDB relation up to its frozen
-// length, the delta occurrence from the mark before.
+// view it reads: an EDB relation as the evaluation fixed it, an IDB
+// relation up to its frozen length, the delta occurrence from the mark
+// before.
 func (ev *cEvaluator) setPlan(pl *plan) {
 	tr := &ev.tr
 	tr.setPlan(pl)
@@ -271,7 +267,7 @@ func (ev *cEvaluator) setPlan(pl *plan) {
 		sp := &pl.subs[d]
 		var v RelView
 		if sp.src == srcEDB {
-			v = ev.edb[sp.pred].whole()
+			v = ev.edb[sp.pred]
 		} else {
 			ir := ev.idb[sp.pred]
 			v = RelView{Rel: (*IRel)(ir.irel), Hi: ir.hi, live: ir.hi}
@@ -285,7 +281,7 @@ func (ev *cEvaluator) setPlan(pl *plan) {
 
 // negView resolves a negated subgoal: negation ranges over EDB
 // relations only.
-func (ev *cEvaluator) negView(pred string) RelView { return ev.edb[pred].whole() }
+func (ev *cEvaluator) negView(pred string) RelView { return ev.edb[pred] }
 
 // derive receives every complete firing of the running task. Firings
 // count before dedup; the head row is hashed once, and that one
@@ -302,7 +298,7 @@ func (ev *cEvaluator) derive(row []uint32) error {
 		fact, step := ev.materialize(ev.tr.pl, ev.tr.binding)
 		ev.prov.steps[fact.Key()] = step
 	}
-	if budget := ev.opts.MaxTuples; budget > 0 && ev.stats.TuplesDerived > budget {
+	if budget := ev.maxTuples; budget > 0 && ev.stats.TuplesDerived > budget {
 		return fmt.Errorf("eval: %w (budget %d)", ErrBudget, budget)
 	}
 	return nil

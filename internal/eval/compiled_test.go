@@ -145,21 +145,17 @@ func dbFacts(db *DB) []ast.Atom {
 	return out
 }
 
-// requireReference runs the engine semi-naive and naive and asserts that
-// the relations equal the reference evaluator's (so the two agree) and
-// that every derivation tree is valid (runEngine). It returns the runs,
-// semi-naive first.
-func requireReference(t *testing.T, label string, p *ast.Program, db *DB) [2]engineRun {
+// requireReference runs the engine and asserts that the relations equal
+// the reference evaluator's and that every derivation tree is valid
+// (runEngine). It returns the run.
+func requireReference(t *testing.T, label string, p *ast.Program, db *DB) engineRun {
 	t.Helper()
 	want := refeval.Eval(p, dbFacts(db))
-	var runs [2]engineRun
-	for i, seminaive := range []bool{true, false} {
-		runs[i] = runEngine(t, p, db, Options{Seminaive: seminaive})
-		if !reflect.DeepEqual(runs[i].preds, want) {
-			t.Fatalf("%s (seminaive=%v): relations differ:\nreference %v\nengine    %v", label, seminaive, want, runs[i].preds)
-		}
+	run := runEngine(t, p, db, Options{})
+	if !reflect.DeepEqual(run.preds, want) {
+		t.Fatalf("%s: relations differ:\nreference %v\nengine    %v", label, want, run.preds)
 	}
-	return runs
+	return run
 }
 
 // --- named workloads ------------------------------------------------------
@@ -189,15 +185,14 @@ func pinOrder(r engineRun) pinnedOrder {
 	return pinnedOrder{fmt.Sprintf("%016x", h.Sum64()), r.stats.PeakMaterialized}
 }
 
-// namedOrders holds TestNamedWorkloads' order pins, semi-naive then
-// naive.
-var namedOrders = map[string][2]pinnedOrder{
-	"trans closure":              {{"ae32c446ef44205b", 781}, {"ae32c446ef44205b", 780}},
-	"goodPath":                   {{"5e1b2931dea069cd", 437}, {"5e1b2931dea069cd", 436}},
-	"multi-rule":                 {{"84bffd1744e0db14", 519}, {"bd6d1831913ce171", 481}},
-	"edge cases":                 {{"83ff31d267c16b40", 16}, {"83ff31d267c16b40", 14}},
-	"constant in IDB occurrence": {{"0dbafa0873c0f47e", 623}, {"0dbafa0873c0f47e", 600}},
-	"non-linear closure":         {{"f2ac969387a97669", 720}, {"95d7b55d7e112db5", 576}},
+// namedOrders holds TestNamedWorkloads' order pins.
+var namedOrders = map[string]pinnedOrder{
+	"trans closure":              {"ae32c446ef44205b", 781},
+	"goodPath":                   {"5e1b2931dea069cd", 437},
+	"multi-rule":                 {"84bffd1744e0db14", 519},
+	"edge cases":                 {"83ff31d267c16b40", 16},
+	"constant in IDB occurrence": {"0dbafa0873c0f47e", 623},
+	"non-linear closure":         {"f2ac969387a97669", 720},
 }
 
 func pinStats(s *Stats) pinnedStats {
@@ -254,25 +249,19 @@ func TestNamedWorkloads(t *testing.T) {
 	for _, w := range []struct {
 		name, src string
 		db        *DB
-		pinned    [2]pinnedStats // semi-naive, naive
+		pinned    pinnedStats
 	}{
 		{"trans closure", `
 			path(X, Y) :- step(X, Y).
 			path(X, Y) :- step(X, Z), path(Z, Y).
 			?- path.
-		`, chainEDB(40), [2]pinnedStats{
-			{40, 780, 780, 1560, countdown("path", 39)},
-			{40, 21320, 780, 22841, countdown("path", 39)},
-		}},
+		`, chainEDB(40), pinnedStats{40, 780, 780, 1560, countdown("path", 39)}},
 		{"goodPath", `
 			path(X, Y) :- step(X, Y).
 			path(X, Y) :- step(X, Z), path(Z, Y).
 			goodPath(X, Y) :- startPoint(X), path(X, Y), endPoint(Y).
 			?- goodPath.
-		`, goodPathDB, [2]pinnedStats{
-			{30, 436, 436, 1333, goodPathDeltas},
-			{30, 9003, 436, 10305, goodPathDeltas},
-		}},
+		`, goodPathDB, pinnedStats{30, 436, 436, 1333, goodPathDeltas}},
 		{"multi-rule", `
 			reach(X, Y) :- edge(X, Y), !blocked(X).
 			reach(X, Y) :- edge(X, Z), reach(Z, Y), !blocked(X).
@@ -283,10 +272,7 @@ func TestNamedWorkloads(t *testing.T) {
 			far(X, Y) :- reach(X, Y), X < Y.
 			sym(X, Y) :- reach(X, Y), reach(Y, X), X != Y.
 			?- meet.
-		`, multiDB, [2]pinnedStats{
-			{8, 2839, 481, 3752, multiDeltas},
-			{8, 11198, 481, 13624, multiDeltas},
-		}},
+		`, multiDB, pinnedStats{8, 2839, 481, 3752, multiDeltas}},
 		// Zero-ary predicates, constants in heads and bodies, repeated
 		// variables, negation on an absent relation.
 		{"edge cases", `
@@ -296,10 +282,7 @@ func TestNamedWorkloads(t *testing.T) {
 			loop(X) :- selfstep(X, X).
 			tagged(X, 99) :- reach(X), !missing(X).
 			?- halt.
-		`, edgeDB, [2]pinnedStats{
-			{8, 14, 14, 27, edgeDeltas},
-			{8, 71, 14, 133, edgeDeltas},
-		}},
+		`, edgeDB, pinnedStats{8, 14, 14, 27, edgeDeltas}},
 		// The two programs the semi-naive delta window has paths of its
 		// own for, pinned at commit 4937537, where the delta still was a
 		// relation of its own. An IDB occurrence carrying a constant: as
@@ -311,30 +294,22 @@ func TestNamedWorkloads(t *testing.T) {
 			t(A, C) :- t(A, B), e(B, C).
 			r(Y) :- t(1, X), f(X, Y).
 			?- r.
-		`, deltaWindowDB(), [2]pinnedStats{
-			{14, 848, 600, 1448, constDeltas},
-			{14, 6652, 600, 11290, constDeltas},
-		}},
+		`, deltaWindowDB(), pinnedStats{14, 848, 600, 1448, constDeltas}},
 		// A non-linear rule: one relation read as delta window and as
 		// full snapshot by the same task.
 		{"non-linear closure", `
 			path(X, Y) :- step(X, Y).
 			path(X, Y) :- path(X, Z), path(Z, Y).
 			?- path.
-		`, deltaWindowDB(), [2]pinnedStats{
-			{6, 17984, 576, 19136, "path:32 path:40 path:104 path:256 path:144 "},
-			{6, 23272, 576, 24560, "path:32 path:40 path:104 path:256 path:144 "},
-		}},
+		`, deltaWindowDB(), pinnedStats{6, 17984, 576, 19136, "path:32 path:40 path:104 path:256 path:144 "}},
 	} {
 		p := parser.MustParseProgram(w.src)
-		runs := requireReference(t, w.name, p, w.db)
-		for i, mode := range []string{"semi-naive", "naive"} {
-			if got := pinStats(&runs[i].stats); got != w.pinned[i] {
-				t.Errorf("%s, %s: counters moved:\ngot  %+v\nwant %+v", w.name, mode, got, w.pinned[i])
-			}
-			if got := pinOrder(runs[i]); got != namedOrders[w.name][i] {
-				t.Errorf("%s, %s: tuple order, provenance or footprint moved:\ngot  %+v\nwant %+v", w.name, mode, got, namedOrders[w.name][i])
-			}
+		run := requireReference(t, w.name, p, w.db)
+		if got := pinStats(&run.stats); got != w.pinned {
+			t.Errorf("%s: counters moved:\ngot  %+v\nwant %+v", w.name, got, w.pinned)
+		}
+		if got := pinOrder(run); got != namedOrders[w.name] {
+			t.Errorf("%s: tuple order, provenance or footprint moved:\ngot  %+v\nwant %+v", w.name, got, namedOrders[w.name])
 		}
 	}
 }
@@ -372,8 +347,8 @@ func TestCompiledZeroSubgoalRules(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	runs := requireReference(t, "zero-subgoal", p, NewDB())
-	if got := runs[0].preds["flag"]; !reflect.DeepEqual(got, []string{"flag(1)", "flag(2)"}) {
+	run := requireReference(t, "zero-subgoal", p, NewDB())
+	if got := run.preds["flag"]; !reflect.DeepEqual(got, []string{"flag(1)", "flag(2)"}) {
 		t.Fatalf("flag = %v", got)
 	}
 }
@@ -458,7 +433,7 @@ func TestBudgetErrorWorkerInvariant(t *testing.T) {
 		path(X, Y) :- step(X, Z), path(Z, Y).
 		?- path.
 	`)
-	_, _, err := EvalWith(p, chainEDB(100), Options{Seminaive: true, MaxTuples: 50})
+	_, _, err := EvalWith(p, chainEDB(100), Options{MaxTuples: 50})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected a budget error, got %v", err)
 	}

@@ -19,6 +19,8 @@ package eval
 // firing. The third caller is the fixpoint (compiled.go), whose emit
 // appends to the IDB relation being read. All three read each subgoal
 // through a RelView and none knows how the others use what is emitted.
+// There is one fixpoint loop too: Fixpoint runs the engine's over the
+// caller's relations, which is how a view is (re)materialized.
 
 import (
 	"context"
@@ -302,6 +304,42 @@ func (dp *DeltaProgram) Tuple(row []uint32) Tuple {
 // Atom converts an interned row of pred back to a ground atom.
 func (dp *DeltaProgram) Atom(pred string, row []uint32) ast.Atom {
 	return ast.Atom{Pred: pred, Args: dp.Tuple(row)}
+}
+
+// Fixpoint runs the engine's fixpoint (compiled.go) — its rounds, its
+// schedule, its mid-task reorder — over relations the caller owns, with
+// the handle's plans: the engine's own once OrderJoins has ordered them
+// for the EDB's lengths. rels must hold an empty relation for every IDB
+// predicate, which the rounds append to in place; every EDB relation is
+// read through its View as it is when Fixpoint is called, so removed
+// rows stay out, and a predicate rels does not hold is empty. maxTuples
+// bounds the tuples derived as Options.MaxTuples does. The Stats are
+// the engine's, filled in as far as the run got. Like OrderJoins it runs
+// alone: no other call on the handle or its relations may overlap it.
+func (dp *DeltaProgram) Fixpoint(ctx context.Context, rels map[string]*IRel, maxTuples int64) (*Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ev := &cEvaluator{
+		ctx:       ctx,
+		prog:      dp.prog,
+		maxTuples: maxTuples,
+		stats:     &Stats{},
+		idbPr:     dp.idbPr,
+		in:        dp.in,
+		edb:       make(map[string]RelView, len(dp.arity)-len(dp.idbPr)),
+		idb:       make(map[string]*idbRel, len(dp.idbPr)),
+		plans:     dp.plans,
+	}
+	for pred := range dp.arity {
+		if dp.idbPr[pred] {
+			ev.idb[pred] = &idbRel{irel: rels[pred].rel()}
+		} else {
+			ev.edb[pred] = rels[pred].View()
+		}
+	}
+	err := ev.run()
+	return ev.stats, err
 }
 
 // newRun points a fresh join (join.go) at pl over the caller's views.

@@ -54,10 +54,10 @@ func TestElimDifferentialBounded(t *testing.T) {
 		db := trendyDB(6, 4)
 		var base []string
 		baseLabel := ""
-		for _, elim := range []ElimMode{ElimOff, ElimAuto, ElimOn} {
+		for _, elim := range []ElimMode{ElimOff, ElimAuto} {
 			for _, magic := range []MagicMode{MagicOff, MagicAuto} {
 				for _, stream := range []bool{false, true} {
-					opts := Options{Seminaive: true, Elim: elim, Magic: magic, Stream: stream}
+					opts := Options{Elim: elim, Magic: magic, Stream: stream}
 					label := fmt.Sprintf("elim=%s/magic=%s/stream=%v", elim, magic, stream)
 					tuples, stats, err := QueryCtx(context.Background(), p, db, opts)
 					if err != nil {
@@ -135,7 +135,7 @@ func TestElimFallbackTC(t *testing.T) {
 		path(X, Y) :- edge(X, Z), path(Z, Y).
 		?- path(0, Y).`)
 	db := chainDB(30)
-	for _, elim := range []ElimMode{ElimOff, ElimAuto, ElimOn} {
+	for _, elim := range []ElimMode{ElimOff, ElimAuto} {
 		opts := DefaultOptions()
 		opts.Elim = elim
 		tuples, stats, err := QueryCtx(context.Background(), p, db, opts)
@@ -171,11 +171,10 @@ func TestElimModeValidation(t *testing.T) {
 	if _, _, err := EvalCtx(context.Background(), p, NewDB(), opts); err == nil {
 		t.Fatal("bad elim mode accepted by EvalCtx")
 	}
-	if _, err := ParseElimMode(""); err != nil {
-		t.Fatalf("empty mode: %v", err)
-	}
-	if _, err := ParseElimMode("on"); err != nil {
-		t.Fatalf("on: %v", err)
+	for _, name := range []string{"", "on", "auto"} {
+		if m, err := ParseElimMode(name); m != ElimAuto || err != nil {
+			t.Fatalf("ParseElimMode(%q) = %q, %v; want auto", name, m, err)
+		}
 	}
 }
 
@@ -254,7 +253,7 @@ buys(X, Y) :- buys_q0(X, Y).
 			p.Goal = goal
 		}
 
-		off := Options{Seminaive: true, Elim: ElimOff, Magic: MagicOff, MaxTuples: 20000}
+		off := Options{Elim: ElimOff, Magic: MagicOff, MaxTuples: 20000}
 		baseTuples, baseStats, err := QueryCtx(context.Background(), p, db, off)
 		if err != nil {
 			return // baseline decides evaluability
@@ -265,7 +264,7 @@ buys(X, Y) :- buys_q0(X, Y).
 		want := answerSet(baseTuples)
 		for _, stream := range []bool{false, true} {
 			// Rewrites add tuples, so allow headroom.
-			opts := Options{Seminaive: true, Elim: ElimOn, Stream: stream, MaxTuples: 40000}
+			opts := Options{Elim: ElimAuto, Stream: stream, MaxTuples: 40000}
 			gotTuples, stats, err := QueryCtx(context.Background(), p, db, opts)
 			if err != nil {
 				if errors.Is(err, ErrBudget) {

@@ -156,21 +156,19 @@ const (
 	// MagicAuto (the zero value) applies the rewrite whenever the goal
 	// binds at least one argument.
 	MagicAuto MagicMode = "auto"
-	// MagicOn behaves like MagicAuto — the rewrite still falls back to
-	// bottom-up when inapplicable — but states the intent explicitly.
-	MagicOn MagicMode = "on"
 	// MagicOff disables the rewrite; goals are evaluated bottom-up and
 	// filtered afterwards.
 	MagicOff MagicMode = "off"
 )
 
-// ParseMagicMode parses a magic mode name; the empty string means
-// MagicAuto (the zero value of Options.Magic).
+// ParseMagicMode parses a magic mode name; the empty string and "on"
+// mean MagicAuto ("on" is its older spelling: the rewrite falls back to
+// bottom-up when inapplicable either way).
 func ParseMagicMode(s string) (MagicMode, error) {
 	switch m := MagicMode(s); m {
-	case "":
+	case "", "on":
 		return MagicAuto, nil
-	case MagicAuto, MagicOn, MagicOff:
+	case MagicAuto, MagicOff:
 		return m, nil
 	}
 	return "", fmt.Errorf("eval: unknown magic mode %q (want auto, on, or off)", s)
@@ -191,21 +189,19 @@ const (
 	// ones. The structural pre-checks make this near-free on programs
 	// with no self-recursion.
 	ElimAuto ElimMode = "auto"
-	// ElimOn behaves like ElimAuto — elimination still falls back when
-	// nothing is provably bounded — but states the intent explicitly.
-	ElimOn ElimMode = "on"
 	// ElimOff disables the analysis; recursion is always evaluated as
 	// a fixpoint.
 	ElimOff ElimMode = "off"
 )
 
-// ParseElimMode parses an elimination mode name; the empty string
-// means ElimAuto (the zero value of Options.Elim).
+// ParseElimMode parses an elimination mode name; the empty string and
+// "on" mean ElimAuto ("on" is its older spelling: elimination falls back
+// when nothing is provably bounded either way).
 func ParseElimMode(s string) (ElimMode, error) {
 	switch m := ElimMode(s); m {
-	case "":
+	case "", "on":
 		return ElimAuto, nil
-	case ElimAuto, ElimOn, ElimOff:
+	case ElimAuto, ElimOff:
 		return m, nil
 	}
 	return "", fmt.Errorf("eval: unknown elim mode %q (want auto, on, or off)", s)
@@ -221,12 +217,9 @@ func ParseElimMode(s string) (ElimMode, error) {
 // against the retired join-order knob keeps compiling.
 const PolicyGreedy = "greedy"
 
-// Options configures evaluation.
+// Options configures evaluation. The zero value is the default: every
+// evaluation is semi-naive, and no option selects a schedule.
 type Options struct {
-	// Seminaive selects semi-naive evaluation (the default when using
-	// Eval); naive evaluation recomputes every rule over the full
-	// database each round.
-	Seminaive bool
 	// MaxTuples aborts evaluation when the total number of derived IDB
 	// tuples exceeds the bound (0 = unlimited). Guards runaway tests.
 	MaxTuples int64
@@ -249,9 +242,9 @@ type Options struct {
 	Stream bool
 }
 
-// DefaultOptions are the options used by Eval.
+// DefaultOptions are the options used by Eval: the zero Options.
 func DefaultOptions() Options {
-	return Options{Seminaive: true}
+	return Options{}
 }
 
 // validateModes rejects unknown magic and elim modes.

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -220,63 +219,6 @@ func TestRepeatedVariablesInSubgoal(t *testing.T) {
 	}
 }
 
-func TestNaiveSeminaiveAgree(t *testing.T) {
-	// Differential test over random graphs: all evaluator
-	// configurations must produce identical relations.
-	prog := parser.MustParseProgram(`
-		path(X, Y) :- edge(X, Y).
-		path(X, Y) :- edge(X, Z), path(Z, Y).
-		sym(X, Y) :- path(X, Y), path(Y, X), X != Y.
-		far(X, Y) :- path(X, Y), X < Y.
-		?- path.
-	`)
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		db := NewDB()
-		n := 3 + rng.Intn(6)
-		for i := 0; i < n*2; i++ {
-			db.AddFact(ast.NewAtom("edge",
-				ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
-		}
-		var results []*DB
-		for _, opt := range []Options{{Seminaive: true}, {Seminaive: false}} {
-			idb, _, err := EvalWith(prog, db, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, idb)
-		}
-		for _, pred := range []string{"path", "sym", "far"} {
-			want := results[0].SortedFacts(pred)
-			for i := 1; i < len(results); i++ {
-				if got := results[i].SortedFacts(pred); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d: config %d disagrees on %s:\n%v\nvs\n%v", trial, i, pred, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestSeminaiveFewerProbesThanNaive(t *testing.T) {
-	prog := parser.MustParseProgram(`
-		path(X, Y) :- step(X, Y).
-		path(X, Y) :- step(X, Z), path(Z, Y).
-		?- path.
-	`)
-	db := chainEDB(30)
-	_, sn, err := EvalWith(prog, db, Options{Seminaive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, nv, err := EvalWith(prog, db, Options{Seminaive: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn.JoinProbes >= nv.JoinProbes {
-		t.Fatalf("semi-naive (%d probes) should beat naive (%d probes)", sn.JoinProbes, nv.JoinProbes)
-	}
-}
-
 func TestMaxTuplesBudget(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -284,7 +226,7 @@ func TestMaxTuplesBudget(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
-	_, _, err := EvalWith(prog, db, Options{Seminaive: true, MaxTuples: 50})
+	_, _, err := EvalWith(prog, db, Options{MaxTuples: 50})
 	if err == nil {
 		t.Fatal("expected budget error")
 	}

@@ -94,7 +94,7 @@ func TestFoldRenamingShapes(t *testing.T) {
 				t.Fatalf("%s: a renamed predicate survived the fold:\n%s", label, folded)
 			}
 			for _, magic := range []MagicMode{MagicAuto, MagicOff} {
-				tuples, _, err := QueryCtx(context.Background(), p, db, Options{Seminaive: true, Magic: magic})
+				tuples, _, err := QueryCtx(context.Background(), p, db, Options{Magic: magic})
 				if c.name == "q arity differs" {
 					if err == nil {
 						t.Fatalf("%s: an arity mismatch evaluated", label)

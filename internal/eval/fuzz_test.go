@@ -80,7 +80,7 @@ odd(Y) :- even(X), succ(X, Y).
 			}
 		}
 
-		opts := Options{Seminaive: true, MaxTuples: 20000}
+		opts := Options{MaxTuples: 20000}
 		idb, stats, err := EvalCtx(context.Background(), p, db, opts)
 		if err != nil {
 			return

@@ -20,7 +20,7 @@ import (
 // mid-task reorder from exact fan-outs (compiled.go). An order may change
 // the probes a fixpoint makes and the order a task derives its heads in,
 // never what is derived. The differentials hold it to internal/refeval
-// (semi-naive and naive, every derivation tree validated); the workload
+// (every derivation tree validated); the workload
 // shapes each part exists for are pinned at exact probe counts.
 
 // --- differentials ----------------------------------------------------------
@@ -65,7 +65,7 @@ func TestPolicyDifferentialNegationCmp(t *testing.T) {
 }
 
 // TestPolicyDifferentialAblations: the left-linear closure, whose
-// recursive subgoal comes first and so heads every naive task.
+// recursive subgoal comes first in rule order.
 func TestPolicyDifferentialAblations(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -153,8 +153,8 @@ func TestJoinOrderFilterSkew(t *testing.T) {
 		?- q.
 	`)
 	db := filterSkewDB(4000)
-	runs := requireReference(t, "filter-skew", p, db)
-	if got := runs[0].stats.JoinProbes; got != 215 {
+	run := requireReference(t, "filter-skew", p, db)
+	if got := run.stats.JoinProbes; got != 215 {
 		t.Errorf("engine: %d probes, want 215", got)
 	}
 
@@ -224,7 +224,7 @@ const hotKeySrc = `
 
 func TestJoinOrderHotKeyReorders(t *testing.T) {
 	p := parser.MustParseProgram(hotKeySrc)
-	r := runEngine(t, p, hotKeyDB(), Options{Seminaive: true})
+	r := runEngine(t, p, hotKeyDB(), Options{})
 	// Too large for the reference evaluator; by construction mid(x, z)
 	// and alt(x, z) meet exactly at z in {0, 1} for each of the 50 src
 	// keys (the filler keys x >= 50 are not in src).
@@ -244,28 +244,26 @@ func TestJoinOrderHotKeyReorders(t *testing.T) {
 	}
 }
 
-// TestJoinOrderSkipsEmptySubgoal: q reads p, which stays empty, so
-// every task of q costs nothing — not the 20 probes of scanning e ahead
-// of it in each naive round (an empty EDB relation needs no skip: its
-// length puts it first) — and the same check stops a delta pass and a
-// derivability check before they probe.
+// TestJoinOrderSkipsEmptySubgoal: q and s read p, which stays empty, so
+// every task of theirs costs nothing — not, for s's task on r's delta,
+// the 20 rows of the window and the 20 probes of e(X, Y) ahead of p (an
+// empty EDB relation needs no skip: its length puts it first) — and the
+// same check stops a delta pass and a derivability check before they
+// probe.
 func TestJoinOrderSkipsEmptySubgoal(t *testing.T) {
 	p := parser.MustParseProgram(`
 		q(X) :- e(X, Y), p(Y).
 		p(Y) :- missing(Y).
 		r(X) :- e(X, Y).
+		s(X) :- r(X), e(X, Y), p(Y).
 		?- r.
 	`)
 	db := NewDB()
 	for i := 0; i < 20; i++ {
 		db.AddFact(ast.NewAtom("e", ast.N(float64(i)), ast.N(float64(i+1))))
 	}
-	runs := requireReference(t, "empty subgoal", p, db)
-	if got := runs[0].stats.JoinProbes; got != 20 {
-		t.Errorf("semi-naive: %d probes, want 20 (r's scan of e alone)", got)
-	}
-	if got := runs[1].stats.JoinProbes; got != 40 {
-		t.Errorf("naive: %d probes, want 40 (r's scan of e in each of two rounds)", got)
+	if got := requireReference(t, "empty subgoal", p, db).stats.JoinProbes; got != 20 {
+		t.Errorf("%d probes, want 20 (r's scan of e alone)", got)
 	}
 
 	dp, err := CompileDeltaProgram(p)

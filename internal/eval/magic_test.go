@@ -100,9 +100,9 @@ func TestMagicDifferentialTC(t *testing.T) {
 			var base []string
 			baseLabel := ""
 			var offDerived, onDerived int64
-			for _, mode := range []MagicMode{MagicOff, MagicAuto, MagicOn} {
+			for _, mode := range []MagicMode{MagicOff, MagicAuto} {
 				label := string(mode)
-				tuples, stats, err := QueryCtx(context.Background(), p, db, Options{Seminaive: true, Magic: mode})
+				tuples, stats, err := QueryCtx(context.Background(), p, db, Options{Magic: mode})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -230,8 +230,10 @@ func TestMagicModeValidation(t *testing.T) {
 	if _, _, err := EvalCtx(context.Background(), p, NewDB(), opts); err == nil {
 		t.Fatal("bad magic mode accepted by EvalCtx")
 	}
-	if _, err := ParseMagicMode(""); err != nil {
-		t.Fatalf("empty mode: %v", err)
+	for _, name := range []string{"", "on", "auto"} {
+		if m, err := ParseMagicMode(name); m != MagicAuto || err != nil {
+			t.Fatalf("ParseMagicMode(%q) = %q, %v; want auto", name, m, err)
+		}
 	}
 }
 
@@ -252,7 +254,7 @@ func TestStreamDifferential(t *testing.T) {
 	var base []string
 	var plainPeak, streamPeak int64
 	for _, stream := range []bool{false, true} {
-		tuples, stats, err := QueryCtx(context.Background(), p, db, Options{Seminaive: true, Stream: stream})
+		tuples, stats, err := QueryCtx(context.Background(), p, db, Options{Stream: stream})
 		if err != nil {
 			t.Fatalf("stream=%v: %v", stream, err)
 		}
@@ -315,7 +317,7 @@ func TestMagicPeakDeterministic(t *testing.T) {
 	db := chainDB(25)
 	var peak int64 = -1
 	for run := 0; run < 2; run++ {
-		_, stats, err := QueryCtx(context.Background(), p, db, Options{Seminaive: true})
+		_, stats, err := QueryCtx(context.Background(), p, db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +422,7 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 			p.Goal, other = goal, alt
 		}
 
-		off := Options{Seminaive: true, Magic: MagicOff, MaxTuples: 20000}
+		off := Options{Magic: MagicOff, MaxTuples: 20000}
 		baseTuples, baseStats, err := QueryCtx(context.Background(), p, db, off)
 		if err != nil {
 			return // baseline decides evaluability
@@ -431,7 +433,7 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 		want := answerSet(baseTuples)
 		for _, stream := range []bool{false, true} {
 			// Magic adds sup/demand tuples, so allow headroom.
-			opts := Options{Seminaive: true, Stream: stream, MaxTuples: 40000}
+			opts := Options{Stream: stream, MaxTuples: 40000}
 			gotTuples, _, err := QueryCtx(context.Background(), p, db, opts)
 			if err != nil {
 				if errors.Is(err, ErrBudget) {

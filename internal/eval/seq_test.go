@@ -22,9 +22,8 @@ import (
 // below, TestConcurrentQueriesShareBase and
 // TestFanoutReadsShareBase.
 
-// TestParallelMatchesSequentialRandomGraphs: on random graphs, semi-naive
-// and naive evaluation both return the reference evaluator's relations
-// and derive the same number of tuples.
+// TestParallelMatchesSequentialRandomGraphs: on random graphs, the engine
+// returns the reference evaluator's relations.
 func TestParallelMatchesSequentialRandomGraphs(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
@@ -41,10 +40,7 @@ func TestParallelMatchesSequentialRandomGraphs(t *testing.T) {
 			db.AddFact(ast.NewAtom("edge",
 				ast.N(float64(rng.Intn(n))), ast.N(float64(rng.Intn(n)))))
 		}
-		runs := requireReference(t, fmt.Sprintf("trial %d", trial), prog, db)
-		if semi, naive := runs[0].stats.TuplesDerived, runs[1].stats.TuplesDerived; semi != naive {
-			t.Fatalf("trial %d: semi-naive derived %d tuples, naive %d", trial, semi, naive)
-		}
+		requireReference(t, fmt.Sprintf("trial %d", trial), prog, db)
 	}
 }
 
@@ -67,7 +63,7 @@ func TestParallelMultiRule(t *testing.T) {
 		db.AddFact(ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64((i*5)%12))))
 	}
 	db.AddFact(ast.NewAtom("blocked", ast.N(3)))
-	preds := requireReference(t, "multi-rule", prog, db)[0].preds
+	preds := requireReference(t, "multi-rule", prog, db).preds
 	if len(preds["meet"]) == 0 || len(preds["joined"]) == 0 {
 		t.Fatal("sanity: expected non-empty results")
 	}
@@ -82,7 +78,7 @@ func TestParallelLargeChain(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(80)
-	idb, stats, err := EvalWith(prog, db, Options{Seminaive: true})
+	idb, stats, err := EvalWith(prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +88,7 @@ func TestParallelLargeChain(t *testing.T) {
 }
 
 // TestParallelMaxTuplesBudget: the budget guard fires inside the round
-// that crosses it, semi-naive or naive.
+// that crosses it.
 func TestParallelMaxTuplesBudget(t *testing.T) {
 	prog := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
@@ -100,11 +96,8 @@ func TestParallelMaxTuplesBudget(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
-	for _, seminaive := range []bool{true, false} {
-		_, _, err := EvalWith(prog, db, Options{Seminaive: seminaive, MaxTuples: 50})
-		if !errors.Is(err, ErrBudget) {
-			t.Fatalf("seminaive=%v: expected a budget error, got %v", seminaive, err)
-		}
+	if _, _, err := EvalWith(prog, db, Options{MaxTuples: 50}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("expected a budget error, got %v", err)
 	}
 }
 

@@ -345,80 +345,13 @@ func (v *View) applyCounting(ctx context.Context, st *stratum, oldViews map[stri
 // state. Completeness: any tuple of the new fixpoint not in old∖D is
 // reached by (2)'s progress loop or (3)'s propagation.
 func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]eval.RelView, deltaPlus, deltaMinus map[string]*eval.IRel) error {
-	newRound := func() map[string]*eval.IRel {
-		m := make(map[string]*eval.IRel, len(st.preds))
-		for _, p := range st.preds {
-			m[p] = v.dp.NewIRel(v.arity[p])
-		}
-		return m
-	}
-	roundTotal := func(m map[string]*eval.IRel) int {
-		n := 0
-		for _, ir := range m {
-			n += ir.Len()
-		}
-		return n
-	}
-
-	// Phase 1: overdelete over pre-update state.
-	D := newRound()
-	round := newRound()
-	emitDel := func(p string) func([]uint32) error {
-		old := oldViews[p]
-		return func(h []uint32) error {
-			if !old.Contains(h) {
-				return nil // a firing that never contributed a tuple
-			}
-			if D[p].Add(h) {
-				round[p].Add(h)
-			}
-			return nil
-		}
-	}
-	oldSubs := func(r ast.Rule, occ int, d *eval.IRel) []eval.RelView {
-		subs := make([]eval.RelView, len(r.Pos))
-		for j, a := range r.Pos {
-			if j == occ {
-				subs[j] = d.View()
-			} else {
-				subs[j] = oldViews[a.Pred]
-			}
-		}
-		return subs
-	}
-	for _, ri := range st.rules {
-		r := v.prog.Rules[ri]
-		for occ, a := range r.Pos {
-			if st.inStr[a.Pred] || !nonEmpty(deltaMinus[a.Pred]) {
-				continue
-			}
-			probes, err := v.dp.RunDelta(ctx, ri, occ, oldSubs(r, occ, deltaMinus[a.Pred]), v.negView, emitDel(r.Head.Pred))
-			v.stats.DeltaProbes += probes
-			if err != nil {
-				return err
-			}
-		}
-	}
-	for roundTotal(round) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		v.stats.DeltaRounds++
-		prev := round
-		round = newRound()
-		for _, ri := range st.rules {
-			r := v.prog.Rules[ri]
-			for occ, a := range r.Pos {
-				if !st.inStr[a.Pred] || prev[a.Pred].Len() == 0 {
-					continue
-				}
-				probes, err := v.dp.RunDelta(ctx, ri, occ, oldSubs(r, occ, prev[a.Pred]), v.negView, emitDel(r.Head.Pred))
-				v.stats.DeltaProbes += probes
-				if err != nil {
-					return err
-				}
-			}
-		}
+	// Phase 1: overdelete over pre-update state. A firing whose head the
+	// old state did not hold never contributed a tuple.
+	D := v.newRound(st)
+	err := v.propagate(ctx, st, deltaMinus, func(p string) eval.RelView { return oldViews[p] },
+		func(p string, h []uint32) bool { return oldViews[p].Contains(h) && D[p].Add(h) })
+	if err != nil {
+		return err
 	}
 
 	// Phase 2: remove D, then rederive survivors until a fixpoint. A
@@ -453,64 +386,17 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 		}
 	}
 
-	// Phase 3: semi-naive insertion over post-update state. Side views
-	// are frozen per RunDelta call; everything emitted lands in the
-	// next round's delta, so nothing is missed.
-	ins := newRound()
-	round = newRound()
-	emitIns := func(p string) func([]uint32) error {
-		return func(h []uint32) error {
-			if v.rels[p].Add(h) {
-				round[p].Add(h)
-				ins[p].Add(h)
-			}
-			return nil
+	// Phase 3: semi-naive insertion over post-update state.
+	ins := v.newRound(st)
+	err = v.propagate(ctx, st, deltaPlus, v.curView, func(p string, h []uint32) bool {
+		if !v.rels[p].Add(h) {
+			return false
 		}
-	}
-	curSubs := func(r ast.Rule, occ int, d *eval.IRel) []eval.RelView {
-		subs := make([]eval.RelView, len(r.Pos))
-		for j, a := range r.Pos {
-			if j == occ {
-				subs[j] = d.View()
-			} else {
-				subs[j] = v.curView(a.Pred)
-			}
-		}
-		return subs
-	}
-	for _, ri := range st.rules {
-		r := v.prog.Rules[ri]
-		for occ, a := range r.Pos {
-			if st.inStr[a.Pred] || !nonEmpty(deltaPlus[a.Pred]) {
-				continue
-			}
-			probes, err := v.dp.RunDelta(ctx, ri, occ, curSubs(r, occ, deltaPlus[a.Pred]), v.negView, emitIns(r.Head.Pred))
-			v.stats.DeltaProbes += probes
-			if err != nil {
-				return err
-			}
-		}
-	}
-	for roundTotal(round) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		v.stats.DeltaRounds++
-		prev := round
-		round = newRound()
-		for _, ri := range st.rules {
-			r := v.prog.Rules[ri]
-			for occ, a := range r.Pos {
-				if !st.inStr[a.Pred] || prev[a.Pred].Len() == 0 {
-					continue
-				}
-				probes, err := v.dp.RunDelta(ctx, ri, occ, curSubs(r, occ, prev[a.Pred]), v.negView, emitIns(r.Head.Pred))
-				v.stats.DeltaProbes += probes
-				if err != nil {
-					return err
-				}
-			}
-		}
+		ins[p].Add(h)
+		return true
+	})
+	if err != nil {
+		return err
 	}
 
 	// Net deltas: deletions of D that stayed out, insertions that were
@@ -527,16 +413,84 @@ func (v *View) applyDRed(ctx context.Context, st *stratum, oldViews map[string]e
 	return nil
 }
 
+// propagate is DRed's one round loop, run by phases 1 and 3: every rule
+// of the stratum joined with the seed delta at each occurrence of a
+// predicate from outside the stratum, then round after round with the
+// rows the round before accepted at each occurrence of a stratum
+// predicate, until a round accepts nothing. Every other subgoal reads
+// read(pred), taken afresh per pass, and accept decides what a firing's
+// head row of pred is worth: the rows it accepts are the next round's
+// delta. Each round after the seeds' counts as a DeltaRound.
+func (v *View) propagate(ctx context.Context, st *stratum, seeds map[string]*eval.IRel, read func(pred string) eval.RelView, accept func(pred string, row []uint32) bool) error {
+	round := v.newRound(st)
+	pass := func(ri, occ int, d *eval.IRel) error {
+		r := v.prog.Rules[ri]
+		subs := make([]eval.RelView, len(r.Pos))
+		for j, a := range r.Pos {
+			if j == occ {
+				subs[j] = d.View()
+			} else {
+				subs[j] = read(a.Pred)
+			}
+		}
+		head := r.Head.Pred
+		probes, err := v.dp.RunDelta(ctx, ri, occ, subs, v.negView, func(h []uint32) error {
+			if accept(head, h) {
+				round[head].Add(h)
+			}
+			return nil
+		})
+		v.stats.DeltaProbes += probes
+		return err
+	}
+	// deltas names the delta of each occurrence a pass reads: the seeds
+	// for the first pass, the last round's rows after.
+	deltas, inStr := seeds, false
+	for {
+		for _, ri := range st.rules {
+			for occ, a := range v.prog.Rules[ri].Pos {
+				if st.inStr[a.Pred] != inStr || !nonEmpty(deltas[a.Pred]) {
+					continue
+				}
+				if err := pass(ri, occ, deltas[a.Pred]); err != nil {
+					return err
+				}
+			}
+		}
+		if roundTotal(round) == 0 {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		v.stats.DeltaRounds++
+		deltas, inStr, round = round, true, v.newRound(st)
+	}
+}
+
+// newRound returns an empty relation for each predicate of the stratum.
+func (v *View) newRound(st *stratum) map[string]*eval.IRel {
+	m := make(map[string]*eval.IRel, len(st.preds))
+	for _, p := range st.preds {
+		m[p] = v.dp.NewIRel(v.arity[p])
+	}
+	return m
+}
+
+// roundTotal is the number of rows a round's relations hold.
+func roundTotal(m map[string]*eval.IRel) int {
+	n := 0
+	for _, ir := range m {
+		n += ir.Len()
+	}
+	return n
+}
+
 // derivableAny reports whether some rule for pred can fire with its
 // head bound to row over current state.
 func (v *View) derivableAny(ctx context.Context, pred string, row []uint32) (bool, error) {
 	for _, ri := range v.rulesFor[pred] {
-		r := v.prog.Rules[ri]
-		subs := make([]eval.RelView, len(r.Pos))
-		for j, a := range r.Pos {
-			subs[j] = v.curView(a.Pred)
-		}
-		ok, probes, err := v.dp.Derivable(ctx, ri, row, subs, v.negView)
+		ok, probes, err := v.dp.Derivable(ctx, ri, row, v.curViews(v.prog.Rules[ri]), v.negView)
 		v.stats.RederiveChecks++
 		v.stats.DeltaProbes += probes
 		if err != nil {

@@ -41,7 +41,6 @@ package incr
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -190,107 +189,26 @@ func MaterializeCtx(ctx context.Context, p *ast.Program, edb *eval.DB, opts Opti
 
 // rebuildIDB recomputes every IDB relation and derivation count from
 // the view's current EDB irels: join orders chosen for the EDB's current
-// lengths, as the engine would choose them, fresh empty IDB relations, a
-// single-writer semi-naive fixpoint through the delta plans, then one
-// full-join pass per counting rule to establish counts. The delta passes
-// of later Applies keep these orders until the next rebuild. Callers
-// hold v.mu (or own the view exclusively, as Materialize does).
+// lengths, as the engine would choose them, fresh empty IDB relations,
+// the engine's own fixpoint over them (eval.DeltaProgram.Fixpoint, which
+// reads each EDB relation through its View, tombstones hidden), then
+// one full-join pass per counting rule to establish counts. The delta
+// passes of later Applies keep these orders until the next rebuild.
+// Callers hold v.mu (or own the view exclusively, as Materialize does).
 func (v *View) rebuildIDB(ctx context.Context) error {
 	v.dp.OrderJoins(func(pred string) int { return v.rels[pred].Len() })
 	for pred := range v.idbPr {
 		v.rels[pred] = v.dp.NewIRel(v.arity[pred])
 	}
 	v.counts = map[string]map[string]int64{}
-	if err := v.initFixpoint(ctx); err != nil {
+	st, err := v.dp.Fixpoint(ctx, v.rels, v.opts.MaxTuples)
+	if err != nil {
 		return err
 	}
+	v.stats.InitRounds += st.Iterations
+	v.stats.InitTuples += st.TuplesDerived
+	v.stats.InitProbes += st.JoinProbes
 	return v.initCounts(ctx)
-}
-
-// initFixpoint mirrors the engine's semi-naive schedule (init rules at
-// round 0 with the full join, then delta-restricted IDB occurrences)
-// over the view's relations. Emission appends to the same relations
-// being read; the round-start snapshots (RelView prefixes) freeze what
-// each task sees, which is exactly the engine's frozen-snapshot
-// semantics with in-place merge.
-func (v *View) initFixpoint(ctx context.Context) error {
-	delta := map[string]*eval.IRel{}
-	var derived int64
-	emit := func(pred string) func([]uint32) error {
-		rel := v.rels[pred]
-		return func(row []uint32) error {
-			if !rel.Add(row) {
-				return nil
-			}
-			derived++
-			if v.opts.MaxTuples > 0 && derived > v.opts.MaxTuples {
-				return fmt.Errorf("incr: %w (budget %d)", eval.ErrBudget, v.opts.MaxTuples)
-			}
-			delta[pred].Add(row)
-			return nil
-		}
-	}
-	newDelta := func() {
-		for pred := range v.idbPr {
-			delta[pred] = v.dp.NewIRel(v.arity[pred])
-		}
-	}
-	snapshot := func() map[string]eval.RelView {
-		views := make(map[string]eval.RelView, len(v.rels))
-		for pred, rel := range v.rels {
-			views[pred] = rel.View()
-		}
-		return views
-	}
-
-	newDelta()
-	v.stats.InitRounds++
-	views := snapshot()
-	for ri, r := range v.prog.Rules {
-		if !r.IsInit(v.idbPr) {
-			continue
-		}
-		probes, err := v.dp.RunDelta(ctx, ri, -1, v.subViews(r, -1, nil, views), v.negView, emit(r.Head.Pred))
-		v.stats.InitProbes += probes
-		if err != nil {
-			return err
-		}
-	}
-	for {
-		total := 0
-		for _, d := range delta {
-			total += d.Len()
-		}
-		if total == 0 {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		prevDelta := delta
-		delta = map[string]*eval.IRel{}
-		newDelta()
-		v.stats.InitRounds++
-		views = snapshot()
-		for ri, r := range v.prog.Rules {
-			for occ, a := range r.Pos {
-				if !v.idbPr[a.Pred] {
-					continue
-				}
-				pd := prevDelta[a.Pred]
-				if pd == nil || pd.Len() == 0 {
-					continue
-				}
-				probes, err := v.dp.RunDelta(ctx, ri, occ, v.subViews(r, occ, pd, views), v.negView, emit(r.Head.Pred))
-				v.stats.InitProbes += probes
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	v.stats.InitTuples += derived
-	return nil
 }
 
 // initCounts establishes exact derivation counts for every
@@ -306,7 +224,7 @@ func (v *View) initCounts(ctx context.Context) error {
 		v.counts[pred] = cnts
 		for _, ri := range st.rules {
 			r := v.prog.Rules[ri]
-			probes, err := v.dp.RunDelta(ctx, ri, -1, v.subViews(r, -1, nil, nil), v.negView, func(row []uint32) error {
+			probes, err := v.dp.RunDelta(ctx, ri, -1, v.curViews(r), v.negView, func(row []uint32) error {
 				cnts[rowKey(row)]++
 				return nil
 			})
@@ -319,21 +237,11 @@ func (v *View) initCounts(ctx context.Context) error {
 	return nil
 }
 
-// subViews assembles the per-subgoal views for one RunDelta call:
-// subgoal occ reads the delta relation, every other subgoal reads
-// views[pred] when views is non-nil (a frozen snapshot) or the current
-// full relation otherwise.
-func (v *View) subViews(r ast.Rule, occ int, delta *eval.IRel, views map[string]eval.RelView) []eval.RelView {
+// curViews returns the current full view of each positive subgoal of r.
+func (v *View) curViews(r ast.Rule) []eval.RelView {
 	subs := make([]eval.RelView, len(r.Pos))
 	for j, a := range r.Pos {
-		switch {
-		case j == occ:
-			subs[j] = delta.View()
-		case views != nil:
-			subs[j] = views[a.Pred]
-		default:
-			subs[j] = v.curView(a.Pred)
-		}
+		subs[j] = v.curView(a.Pred)
 	}
 	return subs
 }

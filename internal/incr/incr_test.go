@@ -76,7 +76,7 @@ func requireConsistent(t *testing.T, label string, v *View, p *ast.Program, fs f
 		}
 	}
 	db := fs.db()
-	idb, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{Seminaive: true})
+	idb, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 	if err != nil {
 		t.Fatalf("%s: eval: %v", label, err)
 	}

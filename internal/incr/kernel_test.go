@@ -1,6 +1,8 @@
 package incr
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/ast"
@@ -8,20 +10,20 @@ import (
 	"repro/internal/parser"
 )
 
-// TestInitFixpointMatchesEngine: Materialize's initial fixpoint and the
-// engine's are two drivers of one schedule over one join kernel — the
-// engine merges in place behind each relation's frozen length, the view
-// reads round-start RelViews of the relations it adds to — so on the
-// engine's six named workloads (internal/eval's TestNamedWorkloads,
-// semi-naive) they must count the same rounds, the same derived tuples
-// and the same join probes. InitProbes also counts the one full-join
-// pass per counting-maintained rule that establishes derivation counts
-// afterwards (initCounts), which the engine has no part in: where a
-// program has such rules the excess is pinned beside the engine's
-// figure. The same numbers hold at commit a056174, before the two shared
-// a kernel. A seventh workload has rules whose greedy order ties two EDB
-// subgoals of different lengths, which the engine breaks by length: the
-// view must order its joins the same way.
+// TestInitFixpointMatchesEngine: Materialize's initial fixpoint is the
+// engine's own round loop (eval.DeltaProgram.Fixpoint) run over the
+// view's relations with the view's plans, so on the engine's six named
+// workloads (internal/eval's TestNamedWorkloads) it must count the same
+// rounds, the same derived tuples and the same join probes as EvalWith —
+// which holds only while the view orders its plans as the engine orders
+// its own and reads the EDB it interned as the engine reads its base.
+// InitProbes also counts the one full-join pass per counting-maintained
+// rule that establishes derivation counts afterwards (initCounts), which
+// the engine has no part in: where a program has such rules the excess
+// is pinned beside the engine's figure. A seventh workload has rules
+// whose greedy order ties two EDB subgoals of different lengths, which
+// the engine breaks by length: the view must order its joins the same
+// way.
 func TestInitFixpointMatchesEngine(t *testing.T) {
 	n := func(i int) ast.Term { return ast.N(float64(i)) }
 	chain := func(k int) *eval.DB {
@@ -108,7 +110,7 @@ func TestInitFixpointMatchesEngine(t *testing.T) {
 			?- r.`, tieDB, 19}, // q: the 10 tag rows, then the step into each of 2..10
 	} {
 		p := parser.MustParseProgram(w.src)
-		_, es, err := eval.EvalWith(p, w.db, eval.Options{Seminaive: true})
+		_, es, err := eval.EvalWith(p, w.db, eval.Options{})
 		if err != nil {
 			t.Fatalf("%s: eval: %v", w.name, err)
 		}
@@ -122,4 +124,104 @@ func TestInitFixpointMatchesEngine(t *testing.T) {
 				w.name, vs.InitRounds, vs.InitTuples, vs.InitProbes, es.Iterations, es.TuplesDerived, es.JoinProbes, w.countProbes)
 		}
 	}
+}
+
+// TestRebuildReadsTombstones: a rebuild runs the engine's fixpoint over
+// the view's own EDB relations, in which a retracted fact stays as a
+// tombstone until the dead outnumber the live. The view retracts a few
+// edges and marks (kept as tombstones), then takes an update that touches
+// the negated blocked — a full rebuild — and then a cancelled Apply,
+// which the next read repairs by rebuilding. After each rebuild its
+// answers, its derivation counts and provenance, and the counters the
+// rebuild added must equal a from-scratch evaluation of the same facts:
+// the rounds and tuples of EvalCtx and the probes of a fresh
+// Materialize (the engine's plus the counting passes').
+//
+//   - EDB read whole (Fixpoint: rels[pred].View() replaced by a view of
+//     every row ever appended): the retracted edges and marks come back,
+//     and the answers diverge at the first rebuild.
+func TestRebuildReadsTombstones(t *testing.T) {
+	p := parser.MustParseProgram(`
+		reach(X, Y) :- edge(X, Y), !blocked(X).
+		reach(X, Y) :- edge(X, Z), reach(Z, Y), !blocked(X).
+		out(Y) :- reach(1, Y), mark(Y).
+		?- out.`)
+	n := func(i int) ast.Term { return ast.N(float64(i)) }
+	fs := factSet{}
+	var facts []ast.Atom
+	for i := 1; i < 30; i++ {
+		facts = append(facts, ast.NewAtom("edge", n(i), n(i+1)))
+		if i%4 == 0 {
+			facts = append(facts, ast.NewAtom("edge", n(i), n(i+3)), ast.NewAtom("mark", n(i)))
+		}
+	}
+	facts = append(facts, ast.NewAtom("blocked", n(40)))
+	fs.apply(facts, nil)
+	v, err := Materialize(p, fs.db(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tombstones := func(label string) {
+		t.Helper()
+		for _, pred := range []string{"edge", "mark"} {
+			if rel := v.rels[pred]; rel.View().Hi == rel.Len() {
+				t.Fatalf("%s: %s holds no tombstone", label, pred)
+			}
+		}
+	}
+	requireRebuildEqual := func(label string, before Stats) {
+		t.Helper()
+		requireConsistent(t, label, v, p, fs)
+		requireFreshEqual(t, label, v, p, fs)
+		_, es, err := eval.EvalCtx(context.Background(), p, fs.db(), eval.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Materialize(p, fs.db(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, fst := v.Stats(), fresh.Stats()
+		if r, n, pr := st.InitRounds-before.InitRounds, st.InitTuples-before.InitTuples, st.InitProbes-before.InitProbes; r != es.Iterations || n != es.TuplesDerived || pr != fst.InitProbes {
+			t.Errorf("%s: the rebuild took %d rounds, %d tuples, %d probes; EvalCtx %d rounds, %d tuples, a fresh view %d probes",
+				label, r, n, pr, es.Iterations, es.TuplesDerived, fst.InitProbes)
+		}
+	}
+
+	dels := parser.MustParseFacts(`edge(8, 11). edge(13, 14). mark(20).`)
+	if _, err := v.Apply(nil, dels); err != nil {
+		t.Fatal(err)
+	}
+	fs.apply(nil, dels)
+	requireConsistent(t, "retract", v, p, fs)
+	tombstones("retract")
+
+	adds, dels := parser.MustParseFacts(`blocked(5).`), parser.MustParseFacts(`edge(24, 25).`)
+	before := v.Stats()
+	if _, err := v.Apply(adds, dels); err != nil {
+		t.Fatal(err)
+	}
+	fs.apply(adds, dels)
+	if st := v.Stats(); st.FullRebuilds != before.FullRebuilds+1 {
+		t.Fatalf("a negation-touching update made %d full rebuilds, want 1", st.FullRebuilds-before.FullRebuilds)
+	}
+	tombstones("negation-touching update")
+	requireRebuildEqual("negation-touching update", before)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dels = parser.MustParseFacts(`edge(2, 3). mark(12).`)
+	if _, err := v.ApplyCtx(ctx, nil, dels); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ApplyCtx error = %v, want context.Canceled", err)
+	}
+	fs.apply(nil, dels)
+	tombstones("cancelled apply")
+	before = v.Stats()
+	if _, err := v.Answers(); err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(); st.FullRebuilds != before.FullRebuilds+1 {
+		t.Fatalf("the read after a cancelled apply made %d full rebuilds, want 1", st.FullRebuilds-before.FullRebuilds)
+	}
+	requireRebuildEqual("repair", before)
 }

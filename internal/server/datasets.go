@@ -44,19 +44,29 @@ type dataset struct {
 	db   atomic.Pointer[sqo.DB] // the published snapshot of facts
 
 	mu           sync.Mutex
-	facts        map[string]sqo.Atom   // canonical fact set, keyed by rendering
-	preds        map[string]*predFacts // facts' keys by predicate
+	preds        map[string]*predFacts // the fact set, by predicate
 	lastModified time.Time
 
 	views atomic.Pointer[map[string]*matView] // read with viewMap; replaced under mu
 }
 
 // predFacts is one predicate's share of the fact set: its arity and its
-// keys in ascending order, parallel to the tuples of the snapshot's
-// relation for it.
+// facts' keys — their renderings — in ascending order, parallel to the
+// tuples of the snapshot's relation for it.
 type predFacts struct {
 	arity int
 	keys  []string
+}
+
+// has reports whether the fact set holds pred's fact with key k. The
+// caller holds d.mu or owns the dataset.
+func (d *dataset) has(pred, k string) bool {
+	pf := d.preds[pred]
+	if pf == nil {
+		return false
+	}
+	i := sort.SearchStrings(pf.keys, k)
+	return i < len(pf.keys) && pf.keys[i] == k
 }
 
 // matView is one materialized view attached to a dataset.
@@ -71,7 +81,6 @@ type matView struct {
 func newDataset(name string, facts []sqo.Atom, now time.Time) *dataset {
 	ds := &dataset{
 		name:         name,
-		facts:        map[string]sqo.Atom{},
 		preds:        map[string]*predFacts{},
 		lastModified: now,
 	}
@@ -128,9 +137,10 @@ func (d *dataset) describe() DatasetInfo {
 }
 
 func (d *dataset) describeLocked() DatasetInfo {
-	preds := map[string]int{}
+	preds, facts := map[string]int{}, 0
 	for p, pf := range d.preds {
 		preds[p] = len(pf.keys)
+		facts += len(pf.keys)
 	}
 	views := make([]string, 0, len(d.viewMap()))
 	for name := range d.viewMap() {
@@ -139,7 +149,7 @@ func (d *dataset) describeLocked() DatasetInfo {
 	sort.Strings(views)
 	return DatasetInfo{
 		Name:         d.name,
-		Facts:        len(d.facts),
+		Facts:        facts,
 		Predicates:   preds,
 		LastModified: d.lastModified,
 		Views:        views,
@@ -200,7 +210,7 @@ func (d *dataset) update(ctx context.Context, adds, dels []sqo.Atom, replace boo
 	for _, a := range dels {
 		if k := a.String(); !gone[k] {
 			gone[k] = true
-			if _, ok := d.facts[k]; ok {
+			if d.has(a.Pred, k) {
 				leaving[a.Pred]++
 			}
 		}
@@ -243,19 +253,22 @@ func (d *dataset) applyFacts(adds, dels []sqo.Atom) (added, removed int) {
 	for _, a := range adds {
 		addKeys[a.String()] = true
 	}
+	// moved holds the keys of the facts the batch has taken out or put in
+	// so far, so that a fact named twice moves once.
+	moved := map[string]bool{}
 	edits := map[string][]edit{}
 	for _, a := range dels {
 		k := a.String()
-		if _, ok := d.facts[k]; ok && !addKeys[k] {
-			delete(d.facts, k)
+		if !addKeys[k] && !moved[k] && d.has(a.Pred, k) {
+			moved[k] = true
 			removed++
 			edits[a.Pred] = append(edits[a.Pred], edit{key: k})
 		}
 	}
 	for _, a := range adds {
 		k := a.String()
-		if _, ok := d.facts[k]; !ok {
-			d.facts[k] = a
+		if !moved[k] && !d.has(a.Pred, k) {
+			moved[k] = true
 			added++
 			edits[a.Pred] = append(edits[a.Pred], edit{k, a.Args, true})
 		}
@@ -333,20 +346,29 @@ func (d *dataset) diffLocked(target []sqo.Atom) (adds, dels []sqo.Atom) {
 		k := a.String()
 		if !targetKeys[k] {
 			targetKeys[k] = true
-			if _, ok := d.facts[k]; !ok {
+			if !d.has(a.Pred, k) {
 				adds = append(adds, a)
 			}
 		}
 	}
-	var gone []string
-	for k := range d.facts {
-		if !targetKeys[k] {
-			gone = append(gone, k)
-		}
+	// The facts that leave, in key order: the predicates in order, and
+	// each one's keys, which are in order already. That is the order of
+	// all the keys sorted at once, because a key is its predicate followed
+	// by "(" or by nothing, and "(" sorts below every character a
+	// predicate name can hold.
+	preds := make([]string, 0, len(d.preds))
+	for p := range d.preds {
+		preds = append(preds, p)
 	}
-	sort.Strings(gone)
-	for _, k := range gone {
-		dels = append(dels, d.facts[k])
+	sort.Strings(preds)
+	db := d.db.Load()
+	for _, p := range preds {
+		tuples := db.Lookup(p).Tuples()
+		for i, k := range d.preds[p].keys {
+			if !targetKeys[k] {
+				dels = append(dels, sqo.Atom{Pred: p, Args: tuples[i]})
+			}
+		}
 	}
 	return adds, dels
 }

@@ -82,3 +82,37 @@ func TestServerMagicPointQuery(t *testing.T) {
 		t.Fatalf("metrics missing %q:\n%s", want, body)
 	}
 }
+
+// TestServerOnIsAuto: "on" is a spelling of "auto" for both the magic and
+// the elim mode, so a request that says "on" and one that says "auto"
+// (or nothing) prepare to one rewrite-cache entry: after the first, the
+// others hit it.
+func TestServerOnIsAuto(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerDataset(t, ts.URL, "g", serverTestFacts)
+	var first []string
+	for i, modes := range [][2]string{{"on", "on"}, {"auto", "auto"}, {"", ""}, {"on", "auto"}} {
+		var out struct {
+			Answers  []string `json:"answers"`
+			CacheHit bool     `json:"cache_hit"`
+			Magic    bool     `json:"magic"`
+		}
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+			"program": magicTestProgram,
+			"dataset": "g",
+			"magic":   modes[0],
+			"elim":    modes[1],
+		}, &out)
+		if code != http.StatusOK || !out.Magic {
+			t.Fatalf("magic=%q elim=%q: %d %s", modes[0], modes[1], code, raw)
+		}
+		if out.CacheHit != (i > 0) {
+			t.Fatalf("magic=%q elim=%q: cache_hit = %v, want %v", modes[0], modes[1], out.CacheHit, i > 0)
+		}
+		if i == 0 {
+			first = out.Answers
+		} else if !reflect.DeepEqual(out.Answers, first) {
+			t.Fatalf("magic=%q elim=%q: answers %v, want %v", modes[0], modes[1], out.Answers, first)
+		}
+	}
+}

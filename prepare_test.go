@@ -203,7 +203,7 @@ func TestRewritesIgnoreGoalConstants(t *testing.T) {
 				if c.db == nil {
 					continue
 				}
-				for _, opts := range []EvalOptions{{Seminaive: true}, {Seminaive: true, Magic: MagicOff, Elim: ElimOff, Stream: true}} {
+				for _, opts := range []EvalOptions{{}, {Magic: MagicOff, Elim: ElimOff, Stream: true}} {
 					pq, err := Prepare(first.Program, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)

@@ -124,7 +124,7 @@ func exampleCases(t *testing.T) []struct {
 // not) — the relations are the reference evaluator's.
 func assertReference(t *testing.T, label string, prog *Program, db *DB) {
 	t.Helper()
-	idb, stats, err := EvalWith(prog, db, EvalOptions{Seminaive: true})
+	idb, stats, err := EvalWith(prog, db, EvalOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -161,9 +161,8 @@ func NewDBFrom(facts []Atom) *DB {
 // IDB relations. Results and Stats are deterministic.
 func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return eval.Eval(p, edb) }
 
-// EvalOptions configures the evaluation engine: naive vs semi-naive
-// (Seminaive), the derived-tuple budget (MaxTuples) and the
-// goal-directed rewrites of Query/QueryCtx (Elim, Magic, Stream). The
+// EvalOptions configures the evaluation engine: the derived-tuple
+// budget (MaxTuples) and the goal-directed rewrites of Query/QueryCtx (Elim, Magic, Stream). The
 // join order is not an option: rules are ordered greedily by bound
 // positions, ties between stored relations going to the shorter one; a
 // rule with an empty subgoal costs nothing; and a running rule may
@@ -183,21 +182,19 @@ const PolicyGreedy = eval.PolicyGreedy
 // MagicMode controls the magic-sets demand rewrite applied by
 // Query/QueryWith/QueryCtx when the program's query carries a goal
 // with bound arguments (written `?- pred(a, Y).`): MagicAuto (the
-// default) and MagicOn rewrite such queries for goal-directed
-// evaluation, falling back to bottom-up when the rewrite is
-// inapplicable; MagicOff always evaluates bottom-up. Answers are
-// identical in every mode.
+// default) rewrites such queries for goal-directed evaluation, falling
+// back to bottom-up when the rewrite is inapplicable; MagicOff always
+// evaluates bottom-up. Answers are identical in every mode.
 type MagicMode = eval.MagicMode
 
 // Magic modes accepted by EvalOptions.Magic.
 const (
 	MagicAuto = eval.MagicAuto
-	MagicOn   = eval.MagicOn
 	MagicOff  = eval.MagicOff
 )
 
-// ParseMagicMode parses a magic mode name ("auto", "on", "off"; the
-// empty string means auto), for wiring flags and config knobs to
+// ParseMagicMode parses a magic mode name ("auto" or "off"; the empty
+// string and "on" mean auto), for wiring flags and config knobs to
 // EvalOptions.Magic.
 func ParseMagicMode(s string) (MagicMode, error) {
 	return eval.ParseMagicMode(s)
@@ -205,23 +202,21 @@ func ParseMagicMode(s string) (MagicMode, error) {
 
 // ElimMode controls the bounded-recursion elimination rewrite applied
 // by Query/QueryWith/QueryCtx ahead of the magic-sets rewrite:
-// ElimAuto (the default) and ElimOn run the boundedness analyzer and,
-// for predicates whose recursion is provably bounded, replace the
-// fixpoint with the equivalent flat union of conjunctive queries,
-// falling back to fixpoint evaluation when no predicate is provably
-// bounded; ElimOff skips the analysis entirely. Answers are identical
-// in every mode.
+// ElimAuto (the default) runs the boundedness analyzer and, for
+// predicates whose recursion is provably bounded, replaces the fixpoint
+// with the equivalent flat union of conjunctive queries, falling back to
+// fixpoint evaluation when no predicate is provably bounded; ElimOff
+// skips the analysis entirely. Answers are identical in every mode.
 type ElimMode = eval.ElimMode
 
 // Elim modes accepted by EvalOptions.Elim.
 const (
 	ElimAuto = eval.ElimAuto
-	ElimOn   = eval.ElimOn
 	ElimOff  = eval.ElimOff
 )
 
-// ParseElimMode parses an elim mode name ("auto", "on", "off"; the
-// empty string means auto), for wiring flags and config knobs to
+// ParseElimMode parses an elim mode name ("auto" or "off"; the empty
+// string and "on" mean auto), for wiring flags and config knobs to
 // EvalOptions.Elim.
 func ParseElimMode(s string) (ElimMode, error) {
 	return eval.ParseElimMode(s)
@@ -251,10 +246,8 @@ func EliminateRecursion(p *Program) (*Program, error) {
 	return res.Program, nil
 }
 
-// DefaultEvalOptions returns the engine defaults used by Eval:
-// semi-naive evaluation. Start from it when
-// overriding a single knob: the zero EvalOptions selects naive
-// evaluation.
+// DefaultEvalOptions returns the engine defaults used by Eval, which
+// are the zero EvalOptions: every evaluation is semi-naive.
 func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
 
 // EvalWith evaluates with explicit engine options.
