@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet vet-stats vet-bench fmt test race bench bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke cluster-smoke ci
+.PHONY: build vet vet-stats vet-bench fmt test race bench bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -60,13 +60,11 @@ bench-regression:
 	$(GO) run ./cmd/sqobench -run P6 -out bench-out/bench6.json
 	$(GO) run ./cmd/sqobench -run P7 -out bench-out/bench7.json
 	$(GO) run ./cmd/sqobench -run P8 -out bench-out/bench8.json
-	$(GO) run ./cmd/sqobench -run P9 -out bench-out/bench9.json
 	$(GO) run ./cmd/sqobench -run P10 -out bench-out/bench10.json
 	$(GO) run ./cmd/benchdiff -label P4 -baseline BENCH_4.json -current bench-out/bench4.json
 	$(GO) run ./cmd/benchdiff -label P6 -baseline BENCH_6.json -current bench-out/bench6.json
 	$(GO) run ./cmd/benchdiff -label P7 -baseline BENCH_7.json -current bench-out/bench7.json
 	$(GO) run ./cmd/benchdiff -label P8 -peak-mem -baseline BENCH_8.json -current bench-out/bench8.json
-	$(GO) run ./cmd/benchdiff -label P9 -baseline BENCH_9.json -current bench-out/bench9.json
 	$(GO) run ./cmd/benchdiff -label P10 -baseline BENCH_10.json -current bench-out/bench10.json
 
 # The end-to-end benchmark (BENCHMARK.json, bench/): every workload —
@@ -139,11 +137,5 @@ serve:
 # a clean drain. The same script backs the CI smoke job.
 serve-smoke:
 	./scripts/serve-smoke.sh
-
-# Boot a coordinator fronting two worker sqods, place datasets, run a
-# scattered query, SIGKILL one worker mid-run, and assert the explicit
-# degraded/failed_peers contract. The same script backs the CI job.
-cluster-smoke:
-	./scripts/cluster-smoke.sh
 
 ci: build vet vet-stats vet-bench fmt test

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	sqobench [-run F1|E1|E2|E3|E4|E5|E6|E7|E8|A1|A2|P2|P4|P5|P6|P7|P8|P9|P10] [-quick]
+//	sqobench [-run F1|E1|E2|E3|E4|E5|E6|E7|E8|A1|A2|P2|P4|P5|P6|P7|P8|P10] [-quick]
 //	         [-out bench.json] [-cpuprofile cpu.prof] [-memprofile mem.prof]
 package main
 
@@ -27,13 +27,13 @@ import (
 
 var (
 	quick   = flag.Bool("quick", false, "smaller sweeps")
-	outPath = flag.String("out", "", "write machine-readable P4/P6/P7/P8/P9/P10 results (JSON) to this file")
+	outPath = flag.String("out", "", "write machine-readable P4/P6/P7/P8/P10 results (JSON) to this file")
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sqobench: ")
-	runSel := flag.String("run", "", "run a single experiment (F1, E1..E8, A1, A2, P2, P4..P10)")
+	runSel := flag.String("run", "", "run a single experiment (F1, E1..E8, A1, A2, P2, P4..P8, P10)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -88,7 +88,6 @@ func main() {
 		{"P6", "Join order: exact-length ties, empty-subgoal skips, one mid-task reorder", runP6},
 		{"P7", "Durable store: update overhead and cold-start recovery", runP7},
 		{"P8", "Goal-directed evaluation: magic sets + streaming strata", runP8},
-		{"P9", "Horizontal scale-out: cluster scatter-gather", runP9},
 		{"P10", "Boundedness: recursion elimination vs fixpoint + fallback cost", runP10},
 	}
 	for _, e := range experiments {

@@ -30,7 +30,7 @@
 //	sqod [-addr :8351] [-max-inflight n] [-cache-size n]
 //	     [-timeout 30s] [-max-timeout 5m] [-update-timeout 30s]
 //	     [-max-tuples n] [-data-dir path] [-fsync always|interval|never]
-//	     [-fsync-interval 100ms] [-checkpoint-every 4096]
+//	     [-fsync-interval 100ms] [-checkpoint-every 4096] [-async-restore]
 //	     [-drain 30s] [-log text|json] [-pprof=false]
 //
 // Endpoints:
@@ -46,29 +46,14 @@
 //	DELETE /v1/datasets/{name}/views/{view}  drop a view
 //	POST   /v1/optimize                      {program, ics} → rewritten program
 //	POST   /v1/query                         {program, ics, dataset, timeout_ms, ...}
+//	POST   /v1/lint                          {program, ics} → static-analysis findings
 //	GET    /metrics                          Prometheus text metrics
 //	GET    /healthz                          liveness
+//	GET    /readyz                           readiness: 503 until durable state is recovered
 //	GET    /debug/pprof/                     runtime profiles (disable with -pprof=false)
 //
 // On SIGTERM or SIGINT the daemon stops accepting connections, drains
 // in-flight requests (up to -drain), and exits 0.
-//
-// # Cluster mode
-//
-// With -coordinator and -peers, sqod serves no data itself and instead
-// fronts a fleet of worker sqods: datasets are placed on workers by
-// rendezvous hashing over the dataset name, single-dataset operations
-// are proxied to the owner, and queries with "datasets": [...] are
-// scattered to each dataset's owner and gathered into one response
-// with an explicit degraded/failed_peers contract when workers are
-// unreachable (bounded, jittered retries first). Worker health is
-// probed via /readyz, which workers fail until WAL recovery completes
-// (-async-restore recovers in the background so /healthz answers
-// immediately).
-//
-//	sqod -coordinator -peers=http://w1:8351,http://w2:8351 \
-//	     [-peer-timeout 10s] [-peer-retries 2] [-peer-backoff 50ms]
-//	     [-probe-interval 2s] [-addr :8350]
 package main
 
 import (
@@ -80,12 +65,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -105,12 +88,6 @@ func main() {
 	logFormat := flag.String("log", "text", "log format: text or json")
 	enablePprof := flag.Bool("pprof", true, "serve net/http/pprof profiles under /debug/pprof/")
 	asyncRestore := flag.Bool("async-restore", false, "recover durable state in the background; /readyz reports 503 until done")
-	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator over -peers instead of serving data")
-	peersFlag := flag.String("peers", "", "comma-separated worker base URLs (coordinator mode)")
-	peerTimeout := flag.Duration("peer-timeout", 10*time.Second, "per-attempt deadline for upstream worker requests")
-	peerRetries := flag.Int("peer-retries", 2, "retries after a retryable upstream failure (transport error, 429/502/503/504)")
-	peerBackoff := flag.Duration("peer-backoff", 50*time.Millisecond, "base retry backoff (doubles per attempt, jittered)")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "worker /readyz probe period")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -121,32 +98,6 @@ func main() {
 		handler = slog.NewTextHandler(os.Stderr, nil)
 	}
 	logger := slog.New(handler)
-
-	if *coordinator {
-		if *dataDir != "" {
-			logger.Error("-coordinator serves no data; -data-dir belongs on workers")
-			os.Exit(2)
-		}
-		coord, err := shard.NewCoordinator(shard.Config{
-			Peers:         strings.Split(*peersFlag, ","),
-			PeerTimeout:   *peerTimeout,
-			Retries:       *peerRetries,
-			RetryBackoff:  *peerBackoff,
-			ProbeInterval: *probeInterval,
-			Logger:        logger,
-		})
-		if err != nil {
-			logger.Error("bad coordinator config", "err", err)
-			os.Exit(2)
-		}
-		coord.Start()
-		logger.Info("coordinator mode", "peers", coord.Peers())
-		serve(logger, *addr, coord.Handler(), *drain, func() error {
-			coord.Close()
-			return nil
-		})
-		return
-	}
 
 	// Durable mode: open (and recover) the store before the server
 	// exists, so New can replay the recovered state into datasets and
@@ -254,11 +205,9 @@ func serve(logger *slog.Logger, addr string, h http.Handler, drain time.Duration
 		logger.Error("listener error", "err", err)
 		os.Exit(1)
 	}
-	if shutdown != nil {
-		if err := shutdown(); err != nil {
-			logger.Error("shutdown hook failed", "err", err)
-			os.Exit(1)
-		}
+	if err := shutdown(); err != nil {
+		logger.Error("shutdown hook failed", "err", err)
+		os.Exit(1)
 	}
 	logger.Info("drained cleanly; exiting")
 	fmt.Fprintln(os.Stderr, "sqod: clean shutdown")

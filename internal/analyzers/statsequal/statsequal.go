@@ -3,9 +3,10 @@
 // compared by the Equal method or deliberately listed in the
 // statsEqualExcluded set, and the exclusion set must not name stale or
 // double-accounted fields. The contract matters because differential
-// tests across policies, shard counts, and worker counts use Equal as the
-// determinism oracle — a field added to Stats but forgotten in both
-// places silently escapes that oracle.
+// tests use Equal as the determinism oracle — across repeated runs, a
+// reused or derived interned base against a from-scratch one, and the
+// benchmark's shadow pipeline against the product — so a field added to
+// Stats but forgotten in both places silently escapes that oracle.
 //
 // The analysis is purely syntactic (go/ast, no type checking, no
 // third-party dependencies), which is all the pattern needs: the

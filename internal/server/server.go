@@ -91,8 +91,8 @@ type Config struct {
 	// of blocking New. Until it completes, /readyz reports 503 and every
 	// dataset-touching endpoint fails fast with code "not_ready" —
 	// /healthz stays pure liveness so orchestrators don't kill a node
-	// for the crime of recovering a large WAL. Cluster coordinators use
-	// /readyz to exclude still-restoring workers from placement.
+	// for the crime of recovering a large WAL. Load balancers and
+	// orchestrators use /readyz to hold traffic off a still-restoring node.
 	AsyncRestore bool
 }
 

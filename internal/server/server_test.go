@@ -378,7 +378,7 @@ func TestServerErrors(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		req      queryRequest
+		req      any
 		wantCode int
 		wantErr  string
 	}{
@@ -387,6 +387,9 @@ func TestServerErrors(t *testing.T) {
 		{"parse error", queryRequest{Program: "p(X :-", Dataset: "d"}, http.StatusBadRequest, "parse_error"},
 		{"no query decl", queryRequest{Program: "p(X, Y) :- e(X, Y).", Dataset: "d"}, http.StatusBadRequest, "bad_request"},
 		{"bad ics", queryRequest{Program: serverTestProgram, ICs: ":- nope(", Dataset: "d"}, http.StatusBadRequest, "parse_error"},
+		// The body a cluster coordinator once scattered names no facts
+		// source: refused, never evaluated over an empty EDB.
+		{"multi-dataset body", map[string]any{"program": serverTestProgram, "datasets": []string{"d"}}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

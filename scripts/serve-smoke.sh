@@ -25,6 +25,12 @@ fail() { echo "serve-smoke: FAIL: $*" >&2; sed 's/^/  sqod: /' "$WORK/sqod.log" 
 echo "serve-smoke: building sqod"
 go build -o "$WORK/sqod" ./cmd/sqod
 
+echo "serve-smoke: sqod has no cluster mode (-coordinator is not a flag)"
+STATUS=0
+"$WORK/sqod" -coordinator >"$WORK/sqod.log" 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "sqod -coordinator exited $STATUS (want 2)"
+grep -q 'flag provided but not defined: -coordinator' "$WORK/sqod.log" || fail "sqod -coordinator did not reject the flag"
+
 echo "serve-smoke: starting sqod on $ADDR"
 "$WORK/sqod" -addr "$ADDR" -drain 10s >"$WORK/sqod.log" 2>&1 &
 SQOD_PID=$!
@@ -213,8 +219,9 @@ grep -q "final checkpoint written" "$WORK/sqod.log" || fail "no final-checkpoint
 
 echo "serve-smoke: restarting on the same -data-dir (-async-restore)"
 # With -async-restore the daemon answers /healthz immediately while the
-# WAL replays in the background; /readyz (what a cluster coordinator
-# probes) stays 503 until recovery completes and gates the data plane.
+# WAL replays in the background; /readyz (what a load balancer or
+# orchestrator probes) stays 503 until recovery completes and gates the
+# data plane.
 "$WORK/sqod" -addr "$ADDR" -data-dir "$DATA" -async-restore -drain 10s >"$WORK/sqod.log" 2>&1 &
 SQOD_PID=$!
 for i in $(seq 1 100); do
