@@ -31,8 +31,8 @@ type Finding struct {
 	Message string
 }
 
-// Check analyzes one package's files. It looks for a struct type named
-// Stats, an Equal method with a Stats receiver, and a package-level
+// Check analyzes one package's files, every field of the struct
+// exported or not. It looks for a struct type named Stats, an Equal method with a Stats receiver, and a package-level
 // map literal named statsEqualExcluded. When the package does not
 // define both the struct and the method the check does not apply and
 // Check returns nil — the pattern under enforcement is specifically
@@ -90,10 +90,10 @@ func Check(files []*ast.File) []Finding {
 	var out []Finding
 	fields := map[string]bool{}
 	for _, f := range statsDecl.Fields.List {
+		// Unexported fields are held to the contract too: a record kept
+		// behind an accessor method (Stats.RoundDeltas) must still be
+		// compared or excluded.
 		for _, name := range f.Names {
-			if !name.IsExported() {
-				continue
-			}
 			fields[name.Name] = true
 			inEqual := compared[name.Name]
 			_, inExcluded := excluded[name.Name]

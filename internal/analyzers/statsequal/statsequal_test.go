@@ -56,6 +56,22 @@ func TestUncomparedUnexcludedField(t *testing.T) {
 	}
 }
 
+// A field behind an accessor method is still part of the contract.
+func TestUnexportedFieldChecked(t *testing.T) {
+	src := strings.Replace(cleanSrc, "Applied    bool", "Applied bool\n\trounds []int64", 1)
+	fs := Check(parseFiles(t, src))
+	if len(fs) != 1 || !strings.Contains(fs[0].Message, "rounds") ||
+		!strings.Contains(fs[0].Message, "neither compared") {
+		t.Fatalf("want one finding about rounds, got %v", fs)
+	}
+	src = strings.Replace(src,
+		"return s.Iterations == o.Iterations && s.Derived == o.Derived",
+		"return s.Iterations == o.Iterations && s.Derived == o.Derived && slices.Equal(s.rounds, o.rounds)", 1)
+	if fs := Check(parseFiles(t, src)); len(fs) != 0 {
+		t.Fatalf("compared unexported field: want no findings, got %v", fs)
+	}
+}
+
 func TestStaleExclusion(t *testing.T) {
 	src := strings.Replace(cleanSrc, `"Applied":   true,`, `"Applied": true,
 	"Removed": true,`, 1)

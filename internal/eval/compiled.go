@@ -46,11 +46,27 @@ import (
 // evalCompiled validates and evaluates p over edb, recording provenance
 // steps into prov when non-nil, and returns the evaluator holding the
 // interned fixpoint; publicIDB converts it, answers wraps the part of it
-// the caller asked for.
+// the caller asked for. It compiles p's plans for this one evaluation;
+// a Prepared query keeps them (eval.go).
 func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, prov *Provenance) (*cEvaluator, error) {
-	if err := p.Validate(); err != nil {
+	lay, err := newLayout(p)
+	if err != nil {
 		return nil, err
 	}
+	ev, err := newEvaluator(ctx, lay, opts, prov)
+	if err != nil {
+		return nil, err
+	}
+	ev.use(ev.compileSlot(ev.base(edb), -1))
+	if err := ev.run(); err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
+
+// newEvaluator starts an evaluation of lay's program: its IDB relations
+// are empty, and use gives it plans and an EDB.
+func newEvaluator(ctx context.Context, lay *layout, opts Options, prov *Provenance) (*cEvaluator, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -59,16 +75,14 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 	}
 	ev := &cEvaluator{
 		ctx:       ctx,
-		prog:      p,
+		lay:       lay,
 		maxTuples: opts.MaxTuples,
 		stats:     &Stats{},
 		prov:      prov,
+		idb:       make([]idbRel, lay.nIDB),
 	}
-	if err := ev.prepare(edb); err != nil {
-		return nil, err
-	}
-	if err := ev.run(); err != nil {
-		return nil, err
+	for k := range ev.idb {
+		ev.idb[k].irel = newIrel(lay.arity[k], 0)
 	}
 	return ev, nil
 }
@@ -84,17 +98,17 @@ type idbRel struct {
 
 type cEvaluator struct {
 	ctx       context.Context
-	prog      *ast.Program
+	lay       *layout
 	maxTuples int64 // Options.MaxTuples
 	stats     *Stats
-	idbPr     map[string]bool
-	in        *interner // a private overlay on the base's, or the DeltaProgram's
-	// edb is every EDB relation the program reads, as the whole fixpoint
-	// reads it: the DB's interned base whole, or the caller's relations
-	// as they were when DeltaProgram.Fixpoint was called.
-	edb   map[string]RelView
-	idb   map[string]*idbRel
-	plans map[planKey]*plan
+	in        *interner // a private overlay on the plans', or the DeltaProgram's
+	// edb is every EDB relation the program reads, by predicate id, as the
+	// whole fixpoint reads it: the DB's interned base whole, or the
+	// caller's relations as they were when DeltaProgram.Fixpoint was
+	// called. The IDB ids' entries are unused.
+	edb   []RelView
+	idb   []idbRel // by predicate id, below lay.nIDB
+	plans []*plan  // by plan index; read, never written
 	prov  *Provenance
 	// tr is the evaluation's one join state, pointed at task after task,
 	// round after round. head and est belong to the task it is running:
@@ -109,117 +123,119 @@ type cEvaluator struct {
 	reorder func()
 }
 
-// prepare layers a private overlay interner on the database's interned
-// base (built here only when edb has none that is current; see base.go)
-// and compiles the program's plans against it. With the base in hand
-// this is O(rules): no EDB tuple is touched.
-func (ev *cEvaluator) prepare(edb *DB) error {
-	ev.idbPr = ev.prog.IDB()
-	arity, err := ev.prog.PredArity()
-	if err != nil {
-		return err
-	}
+// planSlot is what evaluating one program over one interned base needs
+// and nothing else changes: every plan, compiled against the base's
+// lengths and interner, and the EDB relations as the fixpoint reads
+// them. It is immutable once built — a fixpoint reads its plans, and a
+// mid-task reorder compiles a plan of its own — so a Prepared query
+// keeps the last one and any number of its runs share it.
+type planSlot struct {
+	base *edbBase
+	// in is base.in, or a frozen level over it holding the rule constants
+	// the base lacks, at the ids every plan of the slot was compiled with.
+	in    *interner
+	edb   []RelView // by predicate id
+	plans []*plan   // by plan index; nil at skip and where nothing runs
+}
+
+// base returns edb's interned base, counting the tuples interned when
+// this evaluation had to build it.
+func (ev *cEvaluator) base(edb *DB) *edbBase {
 	base, built := edb.interned()
 	if built {
 		ev.stats.EDBRowsInterned = int64(base.rows)
 	}
-	ev.in = base.in.overlay()
-	ev.edb = make(map[string]RelView, len(arity)-len(ev.idbPr))
-	ev.idb = make(map[string]*idbRel, len(ev.idbPr))
-	for pred, n := range arity {
-		if ev.idbPr[pred] {
-			ev.idb[pred] = &idbRel{irel: newIrel(n, 0)}
-		} else {
-			ev.edb[pred] = base.rels[pred].whole()
-		}
+	return base
+}
+
+// compileSlot compiles, over base, each rule's full join and its plan
+// for every IDB occurrence, except the plan at index skip (-1: none),
+// counting them in the evaluation's Stats. Nothing of base is written:
+// the rule constants it lacks go to a level of the slot's own.
+func (ev *cEvaluator) compileSlot(base *edbBase, skip int) *planSlot {
+	lay := ev.lay
+	s := &planSlot{base: base, edb: make([]RelView, len(lay.preds)), plans: make([]*plan, lay.nPlans)}
+	for k := lay.nIDB; k < len(lay.preds); k++ {
+		s.edb[k] = base.rels[lay.preds[k]].whole()
 	}
-	ev.plans = map[planKey]*plan{}
-	planStart := time.Now()
-	compile := func(i, occ int) {
-		r := ev.prog.Rules[i]
-		order := joinOrder(r, occ, false, ev.idbPr, ev.edbLen)
-		ev.plans[planKey{i, occ}] = compilePlan(ev.in, ev.idbPr, r, i, occ, false, order)
-		ev.stats.PlansCompiled++
-	}
-	for i, r := range ev.prog.Rules {
-		compile(i, -1)
-		for occ, a := range r.Pos {
-			if ev.idbPr[a.Pred] {
-				compile(i, occ)
+	start := time.Now()
+	in := base.in.overlay()
+	edbLen := func(pred string) int { return s.edb[lay.ids[pred]].Len() }
+	for i, r := range lay.prog.Rules {
+		for occ := -1; occ < len(r.Pos); occ++ {
+			if k := lay.planIdx(i, occ); k != skip && (occ < 0 || lay.idbPr[r.Pos[occ].Pred]) {
+				s.plans[k] = compilePlan(in, lay, r, i, occ, false, joinOrder(r, occ, false, lay.idbPr, edbLen))
+				ev.stats.PlansCompiled++
 			}
 		}
 	}
-	ev.stats.PlanNanos += time.Since(planStart).Nanoseconds()
-	return nil
+	s.in = base.in
+	if len(in.terms) > 0 {
+		in.freeze()
+		s.in = in
+	}
+	ev.stats.PlanNanos += time.Since(start).Nanoseconds()
+	return s
+}
+
+// use points the evaluation at s's plans and EDB, under a private
+// overlay on s's interner.
+func (ev *cEvaluator) use(s *planSlot) {
+	ev.in, ev.edb, ev.plans = s.in.overlay(), s.edb, s.plans
 }
 
 // run is the fixpoint loop: the init rules once, then every (rule, IDB
 // occurrence) pair with that occurrence restricted to the previous
 // round's delta window, until a round derives nothing.
 func (ev *cEvaluator) run() error {
-	ev.tr = joinRun{ctx: ev.ctx, in: ev.in, negs: ev.negView, emit: ev.derive}
+	ev.tr = joinRun{ctx: ev.ctx, in: ev.in, negEDB: ev.edb, emit: ev.derive}
 	ev.reorder = ev.maybeReorder
+	ev.stats.rounds.preds = ev.lay.preds[:ev.lay.nIDB]
 	defer func() {
 		// Join scratch must not outlive the fixpoint into the conversion,
 		// nor the reorder callback, which points back at ev.
 		ev.stats.JoinProbes = ev.tr.probes
 		ev.tr, ev.reorder = joinRun{}, nil
 	}()
-	var keys []planKey
-	for round := 0; ; round++ {
+	tasks := ev.lay.init
+	for {
 		if err := ev.ctx.Err(); err != nil {
 			return err
 		}
 		ev.stats.Iterations++
-		keys = keys[:0]
-		for i, r := range ev.prog.Rules {
-			if round == 0 {
-				if r.IsInit(ev.idbPr) {
-					keys = append(keys, planKey{i, -1})
-				}
-				continue
-			}
-			for occ, a := range r.Pos {
-				if ev.idbPr[a.Pred] {
-					keys = append(keys, planKey{i, occ})
-				}
-			}
-		}
 		before := ev.stats.TuplesDerived
-		if err := ev.runRound(keys); err != nil {
+		if err := ev.runRound(tasks); err != nil {
 			return err
 		}
 		if ev.stats.TuplesDerived == before {
 			return nil
 		}
+		tasks = ev.lay.delta
 	}
 }
-
-// edbLen is the number of rows the fixpoint reads of an EDB predicate
-// (0 for one it has no relation for): the exact count join orders break
-// ties with.
-func (ev *cEvaluator) edbLen(pred string) int { return ev.edb[pred].Len() }
 
 // runRound runs the round's tasks one after another, each appending what
 // it derives to its head relation, and then moves every relation's marks
 // up: the rows this round appended are the next round's delta window.
-func (ev *cEvaluator) runRound(keys []planKey) error {
-	roundDelta := map[string]int64{}
-	for _, k := range keys {
+func (ev *cEvaluator) runRound(tasks []int) error {
+	log := &ev.stats.rounds
+	at := len(log.counts)
+	log.counts = append(log.counts, make([]int64, len(log.preds))...)
+	for _, k := range tasks {
 		before := ev.stats.TuplesDerived
 		err := ev.runTask(k)
-		if d := ev.stats.TuplesDerived - before; d > 0 {
-			roundDelta[ev.tr.pl.head.pred] += d
-		}
+		log.counts[at+ev.tr.pl.head.rel] += ev.stats.TuplesDerived - before
 		if err != nil {
+			log.counts = log.counts[:at]
 			return err
 		}
 	}
-	ev.stats.RoundDeltas = append(ev.stats.RoundDeltas, roundDelta)
+	log.n++
 	// Footprint at the round barrier: every IDB tuple plus the rows in the
 	// new delta window.
 	peak := int64(0)
-	for _, ir := range ev.idb {
+	for k := range ev.idb {
+		ir := &ev.idb[k]
 		ir.lo, ir.hi = ir.hi, ir.n
 		peak += int64(ir.n + ir.hi - ir.lo)
 	}
@@ -236,7 +252,7 @@ func (ev *cEvaluator) runRound(keys []planKey) error {
 // three or more subgoals watches its fan-outs for the one reorder it
 // may make (maybeReorder); with two, the subgoal after the pinned first
 // one has no alternative.
-func (ev *cEvaluator) runTask(k planKey) error {
+func (ev *cEvaluator) runTask(k int) error {
 	tr := &ev.tr
 	ev.setPlan(ev.plans[k])
 	tr.matches, tr.between = nil, nil
@@ -248,7 +264,7 @@ func (ev *cEvaluator) runTask(k planKey) error {
 		clear(tr.matches)
 		clear(ev.est)
 	}
-	ev.head = ev.idb[tr.pl.head.pred].irel
+	ev.head = ev.idb[tr.pl.head.rel].irel
 	return tr.run()
 }
 
@@ -267,9 +283,9 @@ func (ev *cEvaluator) setPlan(pl *plan) {
 		sp := &pl.subs[d]
 		var v RelView
 		if sp.src == srcEDB {
-			v = ev.edb[sp.pred]
+			v = ev.edb[sp.rel]
 		} else {
-			ir := ev.idb[sp.pred]
+			ir := &ev.idb[sp.rel]
 			v = RelView{Rel: (*IRel)(ir.irel), Hi: ir.hi, live: ir.hi}
 			if sp.src == srcDelta {
 				v.Lo = ir.lo
@@ -278,10 +294,6 @@ func (ev *cEvaluator) setPlan(pl *plan) {
 		tr.subs[sp.subIdx] = v
 	}
 }
-
-// negView resolves a negated subgoal: negation ranges over EDB
-// relations only.
-func (ev *cEvaluator) negView(pred string) RelView { return ev.edb[pred] }
 
 // derive receives every complete firing of the running task. Firings
 // count before dedup; the head row is hashed once, and that one
@@ -347,13 +359,14 @@ const (
 // makes (fanout). Both sides are exact; what the order could not know is
 // that the keys this task meets are not the average key. On a >10x
 // excess it orders the tail again, smallest fan-out first with the
-// observation standing in for the exact figure, compiles that plan (the
-// interner is only read: every rule constant was interned in prepare)
-// and swaps it in. The depth-0 subgoal stays — its iteration is in
-// progress — and the binding buffer carries over: nSlots is
-// order-invariant, and a slot is only read at depths where the live plan
-// bound it, the same argument that lets backtracking skip undo. At most
-// one reorder per task: the first excess ends the watch.
+// observation standing in for the exact figure, compiles that plan for
+// this task alone — never into the plans the evaluation shares — and
+// swaps it in (the interner is only read: every rule constant has the
+// id the task's own plan was compiled with). The depth-0 subgoal stays
+// — its iteration is in progress — and the binding buffer carries over:
+// nSlots is order-invariant, and a slot is only read at depths where the
+// live plan bound it, the same argument that lets backtracking skip
+// undo. At most one reorder per task: the first excess ends the watch.
 func (ev *cEvaluator) maybeReorder() {
 	tr := &ev.tr
 	pl := tr.pl
@@ -380,10 +393,10 @@ func (ev *cEvaluator) maybeReorder() {
 		return
 	}
 	tr.matches, tr.between = nil, nil
-	r := ev.prog.Rules[pl.ruleIdx]
+	r := ev.lay.prog.Rules[pl.ruleIdx]
 	start := time.Now()
 	if order := tailOrder(r, pl.order[0], tr.subs, override); !intsEqual(order, pl.order) {
-		ev.setPlan(compilePlan(ev.in, ev.idbPr, r, pl.ruleIdx, pl.occ, false, order))
+		ev.setPlan(compilePlan(ev.in, ev.lay, r, pl.ruleIdx, pl.occ, false, order))
 		ev.stats.PlansCompiled++
 		ev.stats.AdaptiveReorders++
 	}
@@ -463,12 +476,12 @@ func fanout(v RelView, pos []int) float64 {
 // publicIDB converts every IDB relation back to a public DB.
 func (ev *cEvaluator) publicIDB() *DB {
 	out := NewDB()
-	for pred, ir := range ev.idb {
+	for k, ir := range ev.idb {
 		// The fixpoint is over and only the rows are still needed: let the
 		// collector have the dedup set and indexes while the public copy —
 		// the evaluation's largest allocation — is being built.
 		ir.set, ir.indexes = rowHash{}, nil
-		out.rels[pred] = &Relation{Arity: ir.arity, tuples: ev.result(ir.irel).Tuples()}
+		out.rels[ev.lay.preds[k]] = &Relation{Arity: ir.arity, tuples: ev.result(ir.irel).Tuples()}
 	}
 	return out
 }
@@ -485,10 +498,12 @@ func (ev *cEvaluator) result(ir *irel) *Result {
 // derived. Ids are canonical, so the goal is checked on the interned
 // rows, and no row becomes terms unless the caller asks (Result.Tuples).
 func (ev *cEvaluator) answers(pred string, goal []ast.Term) *Result {
-	ir := ev.idb[pred]
-	switch {
-	case ir == nil:
+	k, ok := ev.lay.ids[pred]
+	if !ok || k >= ev.lay.nIDB {
 		return &Result{}
+	}
+	ir := ev.idb[k]
+	switch {
 	case len(goal) == 0:
 		return ev.result(ir.irel)
 	case len(goal) != ir.arity:

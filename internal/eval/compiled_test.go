@@ -197,7 +197,7 @@ var namedOrders = map[string]pinnedOrder{
 
 func pinStats(s *Stats) pinnedStats {
 	var rounds []string
-	for _, m := range s.RoundDeltas {
+	for _, m := range s.RoundDeltas() {
 		var ks []string
 		for k, v := range m {
 			ks = append(ks, fmt.Sprintf("%s:%d", k, v))

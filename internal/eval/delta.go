@@ -41,33 +41,27 @@ func stopRun([]uint32) error { return errStopRun }
 // passed in are not being written — the intended single-writer
 // discipline of incremental maintenance.
 type DeltaProgram struct {
-	prog      *ast.Program
-	idbPr     map[string]bool
-	arity     map[string]int
+	lay       *layout
 	in        *interner
-	plans     map[planKey]*plan
+	plans     []*plan // by plan index: every (rule, occurrence) pair
 	headPlans []*plan // per rule: head variables pre-bound (Derivable)
 }
 
 // CompileDeltaProgram validates p and compiles its plans. Unlike the
-// in-engine prepare step, every positive occurrence of every rule gets
-// a delta plan (occ ranges over all subgoals, not just IDB ones). With
+// fixpoint's own plans (compileSlot), every positive occurrence of every
+// rule gets a delta plan (occ ranges over all subgoals, not just IDB
+// ones). With
 // no relation lengths known yet, ties between EDB subgoals go to the
 // lower index until OrderJoins says otherwise.
 func CompileDeltaProgram(p *ast.Program) (*DeltaProgram, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	arity, err := p.PredArity()
+	lay, err := newLayout(p)
 	if err != nil {
 		return nil, err
 	}
 	dp := &DeltaProgram{
-		prog:      p,
-		idbPr:     p.IDB(),
-		arity:     arity,
+		lay:       lay,
 		in:        newInterner(),
-		plans:     make(map[planKey]*plan, 2*len(p.Rules)),
+		plans:     make([]*plan, lay.nPlans),
 		headPlans: make([]*plan, len(p.Rules)),
 	}
 	dp.OrderJoins(nil)
@@ -80,17 +74,18 @@ func CompileDeltaProgram(p *ast.Program) (*DeltaProgram, error) {
 // lower index). A plan whose order stands is kept. It rewrites the
 // plans, so no RunDelta or Derivable may run alongside it.
 func (dp *DeltaProgram) OrderJoins(edbLen func(pred string) int) {
+	lay := dp.lay
 	replan := func(old *plan, i, occ int, headBound bool) *plan {
-		r := dp.prog.Rules[i]
-		order := joinOrder(r, occ, headBound, dp.idbPr, edbLen)
+		r := lay.prog.Rules[i]
+		order := joinOrder(r, occ, headBound, lay.idbPr, edbLen)
 		if old != nil && intsEqual(old.order, order) {
 			return old
 		}
-		return compilePlan(dp.in, dp.idbPr, r, i, occ, headBound, order)
+		return compilePlan(dp.in, lay, r, i, occ, headBound, order)
 	}
-	for i, r := range dp.prog.Rules {
+	for i, r := range lay.prog.Rules {
 		for occ := -1; occ < len(r.Pos); occ++ {
-			k := planKey{i, occ}
+			k := lay.planIdx(i, occ)
 			dp.plans[k] = replan(dp.plans[k], i, occ, false)
 		}
 		dp.headPlans[i] = replan(dp.headPlans[i], i, -1, true)
@@ -98,15 +93,18 @@ func (dp *DeltaProgram) OrderJoins(edbLen func(pred string) int) {
 }
 
 // Program returns the compiled program. Callers must not mutate it.
-func (dp *DeltaProgram) Program() *ast.Program { return dp.prog }
+func (dp *DeltaProgram) Program() *ast.Program { return dp.lay.prog }
 
 // IsIDB reports whether pred is derived by some rule of the program.
-func (dp *DeltaProgram) IsIDB(pred string) bool { return dp.idbPr[pred] }
+func (dp *DeltaProgram) IsIDB(pred string) bool { return dp.lay.idbPr[pred] }
 
 // PredArity returns the arity of a predicate the program mentions.
 func (dp *DeltaProgram) PredArity(pred string) (int, bool) {
-	n, ok := dp.arity[pred]
-	return n, ok
+	k, ok := dp.lay.ids[pred]
+	if !ok {
+		return 0, false
+	}
+	return dp.lay.arity[k], true
 }
 
 // IRel is an interned relation owned by the caller: flat rows of
@@ -276,7 +274,7 @@ func (dp *DeltaProgram) SortedTuples(v RelView) []Tuple {
 // and returning it. Errors on unknown predicates, arity mismatches, and
 // non-ground arguments.
 func (dp *DeltaProgram) InternFact(pred string, args []ast.Term, buf []uint32) ([]uint32, error) {
-	ar, ok := dp.arity[pred]
+	ar, ok := dp.PredArity(pred)
 	if !ok {
 		return nil, fmt.Errorf("eval: predicate %s is not mentioned by the program", pred)
 	}
@@ -320,22 +318,22 @@ func (dp *DeltaProgram) Fixpoint(ctx context.Context, rels map[string]*IRel, max
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	lay := dp.lay
 	ev := &cEvaluator{
 		ctx:       ctx,
-		prog:      dp.prog,
+		lay:       lay,
 		maxTuples: maxTuples,
 		stats:     &Stats{},
-		idbPr:     dp.idbPr,
 		in:        dp.in,
-		edb:       make(map[string]RelView, len(dp.arity)-len(dp.idbPr)),
-		idb:       make(map[string]*idbRel, len(dp.idbPr)),
+		edb:       make([]RelView, len(lay.preds)),
+		idb:       make([]idbRel, lay.nIDB),
 		plans:     dp.plans,
 	}
-	for pred := range dp.arity {
-		if dp.idbPr[pred] {
-			ev.idb[pred] = &idbRel{irel: rels[pred].rel()}
+	for k, pred := range lay.preds {
+		if k < lay.nIDB {
+			ev.idb[k].irel = rels[pred].rel()
 		} else {
-			ev.edb[pred] = rels[pred].View()
+			ev.edb[k] = rels[pred].View()
 		}
 	}
 	err := ev.run()
@@ -367,11 +365,12 @@ func (dp *DeltaProgram) RunDelta(ctx context.Context, ruleIdx, occ int, subs []R
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pl, ok := dp.plans[planKey{ruleIdx, occ}]
-	if !ok {
+	rules := dp.lay.prog.Rules
+	if ruleIdx < 0 || ruleIdx >= len(rules) || occ < -1 || occ >= len(rules[ruleIdx].Pos) {
 		return 0, fmt.Errorf("eval: no plan for rule %d occurrence %d", ruleIdx, occ)
 	}
-	if got, want := len(subs), len(dp.prog.Rules[ruleIdx].Pos); got != want {
+	pl := dp.plans[dp.lay.planIdx(ruleIdx, occ)]
+	if got, want := len(subs), len(rules[ruleIdx].Pos); got != want {
 		return 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
 	}
 	tr := dp.newRun(ctx, pl, subs, negs, emit)
@@ -390,7 +389,7 @@ func (dp *DeltaProgram) Derivable(ctx context.Context, ruleIdx int, head []uint3
 		ctx = context.Background()
 	}
 	pl := dp.headPlans[ruleIdx]
-	if got, want := len(subs), len(dp.prog.Rules[ruleIdx].Pos); got != want {
+	if got, want := len(subs), len(dp.lay.prog.Rules[ruleIdx].Pos); got != want {
 		return false, 0, fmt.Errorf("eval: rule %d has %d subgoals, got %d views", ruleIdx, want, got)
 	}
 	tr := dp.newRun(ctx, pl, subs, negs, stopRun)

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/bounded"
@@ -30,15 +34,8 @@ type Stats struct {
 	// partial rule instantiations — the dominant cost of evaluation
 	// and the quantity semantic query optimization reduces.
 	JoinProbes int64
-	// RoundDeltas records, for each fixpoint round, how many new tuples
-	// were merged into each IDB relation that round (relation name →
-	// tuple count; relations with no new tuples are omitted, a round
-	// that derived nothing records an empty map). len(RoundDeltas) ==
-	// Iterations after a completed run, and the contents are
-	// deterministic like every other counter. This is what makes
-	// incremental-maintenance work (internal/incr) comparable with full
-	// runs in sqobench and /metrics.
-	RoundDeltas []map[string]int64
+	// rounds records what RoundDeltas reports, flat.
+	rounds roundLog
 
 	// The fields below are planning diagnostics, not evaluation
 	// semantics. They are excluded from Equal: they describe how the
@@ -46,12 +43,15 @@ type Stats struct {
 	// was derived. All except PlanNanos remain deterministic for a fixed
 	// program, database, and options.
 
-	// PlanNanos is wall-clock time spent choosing join orders and
-	// compiling plans, in nanoseconds. Measurement noise by nature;
-	// never assert on it.
+	// PlanNanos is wall-clock time this evaluation spent choosing join
+	// orders and compiling plans, in nanoseconds. Measurement noise by
+	// nature; never assert on it.
 	PlanNanos int64
-	// PlansCompiled counts join-plan compilations, including the one a
-	// mid-task reorder compiles.
+	// PlansCompiled counts the join plans this evaluation compiled,
+	// including the one a mid-task reorder compiles. A Prepared query's
+	// first run over a base compiles every plan, as any evaluation does;
+	// a later run over the same base reuses them and compiles only its
+	// magic seed's.
 	PlansCompiled int64
 	// AdaptiveReorders counts mid-task join reorders: a step's observed
 	// fan-out exceeded the exact fan-out it was ordered by more than
@@ -67,11 +67,12 @@ type Stats struct {
 	// PeakMaterialized is the largest total observed at any round
 	// barrier of IDB tuples plus the tuples in the live semi-naive delta
 	// window. The window is a range of IDB rows, not a copy; its size
-	// stays in the total so that recorded baselines remain comparable. This is the memory-footprint metric the P8
-	// experiment tracks: demand pruning and streaming unfolding lower
-	// it while leaving answers unchanged. Deterministic for a fixed
-	// program, database, and options, but excluded from Equal because
-	// it is a footprint diagnostic, not evaluation semantics.
+	// stays in the total so that recorded baselines remain comparable.
+	// This is the memory-footprint metric the P8 experiment tracks:
+	// demand pruning and streaming unfolding lower it while leaving
+	// answers unchanged. Deterministic for a fixed program, database,
+	// and options, but excluded from Equal because it is a footprint
+	// diagnostic, not evaluation semantics.
 	PeakMaterialized int64
 	// ElimApplied reports whether the query was evaluated through the
 	// bounded-recursion elimination rewrite (Query/QueryCtx with
@@ -99,6 +100,45 @@ type Stats struct {
 	EDBRowsInterned int64
 }
 
+// roundLog is the per-round record behind Stats.RoundDeltas, one flat
+// slice for the whole evaluation: counts[r*len(preds)+k] tuples of
+// preds[k] were merged in round r, for the n rounds that completed.
+type roundLog struct {
+	preds  []string // the IDB predicates by layout id; shared with the layout
+	n      int
+	counts []int64
+}
+
+// RoundDeltas records, for each fixpoint round, how many new tuples
+// were merged into each IDB relation that round (relation name → tuple
+// count; relations with no new tuples are omitted, a round that derived
+// nothing records an empty map). len(RoundDeltas()) == Iterations after
+// a completed run, and the contents are deterministic like every other
+// counter. This is what makes incremental-maintenance work
+// (internal/incr) comparable with full runs in sqobench and /metrics.
+// The maps are built on every call from the evaluation's flat record.
+func (s *Stats) RoundDeltas() []map[string]int64 {
+	if s.rounds.n == 0 {
+		return nil
+	}
+	out := make([]map[string]int64, s.rounds.n)
+	for r := range out {
+		out[r] = s.rounds.round(r)
+	}
+	return out
+}
+
+// round returns round r's deltas as a map.
+func (l *roundLog) round(r int) map[string]int64 {
+	m := map[string]int64{}
+	for k, c := range l.counts[r*len(l.preds) : (r+1)*len(l.preds)] {
+		if c > 0 {
+			m[l.preds[k]] = c
+		}
+	}
+	return m
+}
+
 // statsEqualExcluded names the Stats fields deliberately NOT compared
 // by Equal: planning, rewrite, and footprint diagnostics that
 // legitimately differ across rewrites while the answers stay
@@ -118,28 +158,21 @@ var statsEqualExcluded = map[string]bool{
 }
 
 // Equal reports whether two Stats are identical, including the
-// per-round delta sizes. Stats stopped being comparable with == when
-// RoundDeltas (a slice) was added; use this instead. The diagnostics
-// listed in statsEqualExcluded are deliberately not compared — see
-// their field docs.
+// per-round delta sizes (RoundDeltas), compared by relation name. The
+// diagnostics listed in statsEqualExcluded are deliberately not
+// compared — see their field docs.
 func (s *Stats) Equal(o *Stats) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
 	if s.Iterations != o.Iterations || s.RuleFirings != o.RuleFirings ||
 		s.TuplesDerived != o.TuplesDerived || s.JoinProbes != o.JoinProbes ||
-		len(s.RoundDeltas) != len(o.RoundDeltas) {
+		s.rounds.n != o.rounds.n {
 		return false
 	}
-	for i := range s.RoundDeltas {
-		a, b := s.RoundDeltas[i], o.RoundDeltas[i]
-		if len(a) != len(b) {
+	for r := 0; r < s.rounds.n; r++ {
+		if !maps.Equal(s.rounds.round(r), o.rounds.round(r)) {
 			return false
-		}
-		for k, v := range a {
-			if bv, ok := b[k]; !ok || bv != v {
-				return false
-			}
 		}
 	}
 	return true
@@ -365,14 +398,25 @@ func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) 
 // Prepared is a query's rewrite pipeline — fold, elim, magic — run once
 // for its rules and its goal's binding pattern, and run per goal: the
 // passes read the goal's shape, never its constants, so `?- path(17, Y).`
-// and `?- path(18, Y).` prepare to one value. It is immutable and safe to
-// run concurrently.
+// and `?- path(18, Y).` prepare to one value. It is safe to run
+// concurrently.
+//
+// It also keeps what a run needs that depends only on the rewritten
+// program and the database's interned base: the program validated and
+// numbered once (layout), and the plans compiled over the last base it
+// ran on (a planSlot, swapped atomically when a run meets another
+// base). The magic seed is the one rule whose constants change per
+// goal, so a run over that base compiles the seed's one-row plan and
+// nothing else. The slot pins at most one base.
 type Prepared struct {
 	prog        *ast.Program  // the rewritten program; magic.Program when the magic rewrite applied
 	magic       *magic.Result // non-nil when the magic rewrite applied
 	pattern     magic.BindingPattern
 	elimApplied bool
 	elimChecked int
+	lay         *layout // prog's; nil when prog is invalid
+	layErr      error
+	slot        atomic.Pointer[planSlot]
 }
 
 // Prepare runs QueryCtx's rewrites on p for p's goal binding pattern:
@@ -410,6 +454,8 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 			return nil, err
 		}
 	}
+	// A run reports an invalid program, as evaluating it would.
+	pq.lay, pq.layErr = newLayout(pq.prog)
 	return pq, nil
 }
 
@@ -419,18 +465,33 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 // can inline the seed into a rule body — evaluates, and returns the
 // query relation's rows that match goal. opts.Elim and opts.Magic were
 // Prepare's to read; Run ignores them.
+//
+// A run over the interned base the kept plans were compiled for
+// compiles only the magic seed's plan; a run over another base compiles
+// every plan and keeps them instead. Under opts.Stream a run compiles
+// every plan and keeps none: unfolding the bound program can inline the
+// seed's constants into any rule.
 func (pq *Prepared) Run(ctx context.Context, edb *DB, goal []ast.Term, opts Options) (*Result, *Stats, error) {
+	return pq.run(ctx, edb, goal, opts, nil)
+}
+
+// run is Run recording provenance steps into prov when non-nil.
+func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Options, prov *Provenance) (*Result, *Stats, error) {
 	if pat := magic.GoalPattern(goal); pat != pq.pattern {
 		return nil, nil, fmt.Errorf("eval: goal pattern %q, prepared for %q", pat, pq.pattern)
 	}
-	prog := pq.prog
-	if pq.magic != nil {
-		prog = pq.magic.Bind(goal)
-	}
+	var ev *cEvaluator
+	var err error
 	if opts.Stream {
+		prog := pq.prog
+		if pq.magic != nil {
+			prog = pq.magic.Bind(goal)
+		}
 		prog, _ = magic.Unfold(prog)
+		ev, err = evalCompiled(ctx, prog, edb, opts, prov)
+	} else {
+		ev, err = pq.runSlot(ctx, edb, goal, opts, prov)
 	}
-	ev, err := evalCompiled(ctx, prog, edb, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -441,7 +502,42 @@ func (pq *Prepared) Run(ctx context.Context, edb *DB, goal []ast.Term, opts Opti
 	// relation, and the magic-rewritten relation can hold tuples for
 	// bindings demanded recursively beyond the goal's own constants.
 	// Only the query relation's matching rows leave the evaluation.
-	return ev.answers(prog.Query, goal), ev.stats, nil
+	return ev.answers(pq.prog.Query, goal), ev.stats, nil
+}
+
+// runSlot evaluates the prepared program at goal over the plans its slot
+// holds for edb's base, compiling them into a new slot first when the
+// slot holds another base's (or none). With the magic rewrite applied,
+// the seed — rule 0 — is compiled for goal alone, into the run's private
+// overlay, and is the only plan the run does not share.
+func (pq *Prepared) runSlot(ctx context.Context, edb *DB, goal []ast.Term, opts Options, prov *Provenance) (*cEvaluator, error) {
+	if pq.layErr != nil {
+		return nil, pq.layErr
+	}
+	ev, err := newEvaluator(ctx, pq.lay, opts, prov)
+	if err != nil {
+		return nil, err
+	}
+	seed := -1
+	if pq.magic != nil {
+		seed = pq.lay.planIdx(0, -1)
+	}
+	base := ev.base(edb)
+	s := pq.slot.Load()
+	if s == nil || s.base != base {
+		s = ev.compileSlot(base, seed)
+		pq.slot.Store(s)
+	}
+	ev.use(s)
+	if seed >= 0 {
+		start := time.Now()
+		r := ast.Rule{Head: ast.Atom{Pred: pq.prog.Rules[0].Head.Pred, Args: pq.pattern.Project(goal)}}
+		ev.plans = slices.Clone(ev.plans)
+		ev.plans[seed] = compilePlan(ev.in, pq.lay, r, 0, -1, false, nil)
+		ev.stats.PlansCompiled++
+		ev.stats.PlanNanos += time.Since(start).Nanoseconds()
+	}
+	return ev, ev.run()
 }
 
 // foldRenaming evaluates the optimizer's one-root union as what it is, a

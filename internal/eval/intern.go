@@ -7,11 +7,15 @@ package eval
 // hashed anywhere on the join path. The interner is an internal boundary:
 // nothing outside the engine ever sees an id.
 //
-// Interning is two-level. The constants of a database are interned
-// once per database snapshot into a frozen base (base.go); each
-// evaluation layers a small private overlay on top for the constants
-// only its program mentions, so preparing an evaluation costs
-// O(rules), not O(EDB).
+// Interning is layered. The constants of a database are interned once
+// per database snapshot into a frozen base (base.go). The plans compiled
+// over that base put the rule constants it lacks into a frozen level of
+// their own, which a Prepared query keeps with its plans for as long as
+// the base serves it, so those constants keep their ids from run to run
+// (compiled.go). Each evaluation then layers a small private overlay on
+// top for what only it mentions — a goal's constants — so no evaluation
+// touches an EDB tuple to intern, and a prepared one reuses its plans
+// over a base it has run on.
 
 import (
 	"sort"
@@ -22,12 +26,13 @@ import (
 
 // interner maps constant terms to dense uint32 ids. A root interner
 // (under == nil) owns ids [0, len(terms)); an overlay owns the ids from
-// len(under.terms) up and resolves everything below through under,
-// which must be frozen. An interner is built single-threaded and
-// read-only afterwards, except for the lazy key cache (termKey).
+// under's last one up and resolves everything below through under,
+// which must be frozen (and may be an overlay itself). An interner is
+// built single-threaded and read-only afterwards, except for the lazy
+// key cache (termKey).
 type interner struct {
 	under *interner // frozen lower level; nil for a root interner
-	off   uint32    // len(under.terms): the first id this level owns
+	off   uint32    // the first id this level owns: under's off plus len(under.terms)
 	ids   map[ast.Term]uint32
 	terms []ast.Term
 	keys  []string // Term.Key cache, aligned with terms; complete once frozen
@@ -40,7 +45,7 @@ func newInterner() *interner {
 // overlay returns a private interner layered on the frozen interner
 // under: terms under knows keep their ids, new ones get ids past them.
 func (under *interner) overlay() *interner {
-	return &interner{under: under, off: uint32(len(under.terms)), ids: map[ast.Term]uint32{}}
+	return &interner{under: under, off: under.off + uint32(len(under.terms)), ids: map[ast.Term]uint32{}}
 }
 
 // freeze renders every term's key, after which the interner is
@@ -54,8 +59,8 @@ func (in *interner) freeze() {
 
 // intern returns the id of t, assigning the next dense id on first use.
 func (in *interner) intern(t ast.Term) uint32 {
-	if in.under != nil {
-		if id, ok := in.under.ids[t]; ok {
+	for u := in.under; u != nil; u = u.under {
+		if id, ok := u.ids[t]; ok {
 			return id
 		}
 	}
@@ -70,18 +75,18 @@ func (in *interner) intern(t ast.Term) uint32 {
 
 // term is the inverse of intern.
 func (in *interner) term(id uint32) ast.Term {
-	if id < in.off {
-		return in.under.terms[id]
+	for id < in.off {
+		in = in.under
 	}
 	return in.terms[id-in.off]
 }
 
 // termKey returns Term.Key for an id, rendering each distinct term at
-// most once. Ids of the frozen level read its precomputed keys; the
+// most once. Ids of the frozen levels read their precomputed keys; the
 // lazy fill for this level's own ids belongs to the level's one writer.
 func (in *interner) termKey(id uint32) string {
 	if id < in.off {
-		return in.under.keys[id]
+		return in.under.renderedKey(id)
 	}
 	id -= in.off
 	if len(in.keys) < len(in.terms) {
@@ -93,6 +98,19 @@ func (in *interner) termKey(id uint32) string {
 		in.keys[id] = k
 	}
 	return k
+}
+
+// renderedKey returns the key termKey has rendered for id, or "" when
+// none has been. It never renders, so it only reads; every id of a
+// frozen level has its key.
+func (in *interner) renderedKey(id uint32) string {
+	for id < in.off {
+		in = in.under
+	}
+	if own := int(id - in.off); own < len(in.keys) {
+		return in.keys[own]
+	}
+	return ""
 }
 
 // hashU32s is FNV-1a over 32-bit words.

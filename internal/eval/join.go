@@ -39,9 +39,11 @@ type joinRun struct {
 	in   *interner
 	pl   *plan
 	subs []RelView // indexed by subgoal index (subPlan.subIdx)
-	// negs resolves the relation a negated subgoal is checked against;
-	// nil reads every negated instance as absent.
-	negs func(pred string) RelView
+	// negEDB, when set, holds the relation a negated subgoal is checked
+	// against by predicate id (the fixpoint's EDB); otherwise negs resolves
+	// it by name, and nil reads every negated instance as absent.
+	negEDB []RelView
+	negs   func(pred string) RelView
 	// emit receives the instantiated head row of every complete firing.
 	// The slice is reused; a non-nil error aborts the join and is
 	// returned verbatim. It may append to the relations being read.
@@ -248,7 +250,13 @@ func (tr *joinRun) evalCmp(c *cmpPlan) bool {
 // negContains reports whether the ground instance of a negated subgoal
 // is present in the relation negs resolves it to.
 func (tr *joinRun) negContains(tpl *atomTpl) bool {
-	if tr.negs == nil {
+	var v RelView
+	switch {
+	case tr.negEDB != nil:
+		v = tr.negEDB[tpl.rel]
+	case tr.negs != nil:
+		v = tr.negs(tpl.pred)
+	default:
 		return false
 	}
 	buf := tr.negBuf[:len(tpl.isConst)]
@@ -259,7 +267,7 @@ func (tr *joinRun) negContains(tpl *atomTpl) bool {
 			buf[j] = tr.binding[tpl.vals[j]]
 		}
 	}
-	return tr.negs(tpl.pred).Contains(buf)
+	return v.Contains(buf)
 }
 
 // finish instantiates the head for a complete binding and hands it to

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -350,7 +351,9 @@ p_q0(X, Y) :- e(X, Z), p_q0(Z, Y).
 // small enough for it, must answer like the reference evaluator — and
 // so must the query prepared at another goal of the same binding
 // pattern and run at this one, which is how sqod serves a point query
-// with a new constant. Mirrors FuzzPlan's EDB construction; the
+// with a new constant; run a second time, on the plans the first run
+// left for the database's base, it answers the same in the same order
+// with the same Stats. Mirrors FuzzPlan's EDB construction; the
 // bottom-up baseline decides evaluability.
 func FuzzMagic(f *testing.F) {
 	f.Add(`path(X, Y) :- edge(X, Y).
@@ -452,7 +455,7 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 			if err != nil {
 				t.Fatalf("stream=%v: Prepare at %s: %v", stream, at.GoalAtom(), err)
 			}
-			res, _, err := pq.Run(context.Background(), db, p.Goal, opts)
+			res, stats, err := pq.Run(context.Background(), db, p.Goal, opts)
 			if err != nil {
 				t.Fatalf("stream=%v: prepared at %s, run errored where QueryCtx succeeded: %v", stream, at.GoalAtom(), err)
 			}
@@ -460,52 +463,81 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 				t.Fatalf("stream=%v: prepared at %s, run at %s: answers diverged\n got %v\nwant %v",
 					stream, at.GoalAtom(), p.GoalAtom(), got, want)
 			}
+			// Again, on the plans the first run left for this base.
+			again, againStats, err := pq.Run(context.Background(), db, p.Goal, opts)
+			if err != nil {
+				t.Fatalf("stream=%v: second run errored: %v", stream, err)
+			}
+			if !reflect.DeepEqual(again.Tuples(), res.Tuples()) || !againStats.Equal(stats) {
+				t.Fatalf("stream=%v: second run on cached plans differs:\n%v %+v\nfirst:\n%v %+v",
+					stream, again.Tuples(), againStats, res.Tuples(), stats)
+			}
 		}
 	})
 }
 
 // TestPreparedRunsConcurrently: one Prepared — a magic rewrite whose
 // rules every Run shares — run from several goroutines at once, each at
-// its own constant, answers as QueryCtx does at that constant.
+// its own constant and alternating between two databases, so that runs
+// swap the plans the Prepared keeps (one base's for the other's) while
+// others read them; every run answers as QueryCtx does at that constant
+// over that database, with the same Stats.
 func TestPreparedRunsConcurrently(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
 		path(X, Y) :- edge(X, Z), path(Z, Y).
 		?- path(0, Y).`)
+	// The second database cuts every chain short and adds a constant, so
+	// the two bases differ in lengths and in interner.
 	db := disjointChainsDB(4, 20)
+	dbs := [2]*DB{db, db.Replace("edge", append(slices.Clip(db.Lookup("edge").Tuples()[:50]),
+		Tuple{ast.N(0), ast.N(99999)}))}
 	opts := DefaultOptions()
 	pq, err := Prepare(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 8
-	got, want := make([][]string, n), make([][]string, n)
-	for i := range want {
-		at := *p
-		at.Goal = []ast.Term{ast.N(float64(i * 1000)), ast.V("Y")}
-		tuples, _, err := QueryCtx(context.Background(), &at, db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = answerSet(tuples)
+	const n, runs = 8, 6
+	goal := func(i int) []ast.Term { return []ast.Term{ast.N(float64(i * 1000)), ast.V("Y")} }
+	type answer struct {
+		tuples []Tuple
+		stats  *Stats
 	}
+	var want [n][2]answer
+	for i := range want {
+		for d, db := range dbs {
+			at := *p
+			at.Goal = goal(i)
+			tuples, stats, err := QueryCtx(context.Background(), &at, db, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][d] = answer{tuples, stats}
+		}
+	}
+	var got [n][runs]answer
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := pq.Run(context.Background(), db, []ast.Term{ast.N(float64(i * 1000)), ast.V("Y")}, opts)
-			if err != nil {
-				t.Error(err)
-				return
+			for r := 0; r < runs; r++ {
+				res, stats, err := pq.Run(context.Background(), dbs[(i+r)%2], goal(i), opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i][r] = answer{res.Tuples(), stats}
 			}
-			got[i] = answerSet(res.Tuples())
 		}(i)
 	}
 	wg.Wait()
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("goroutine %d: answers %v, want %v", i, got[i], want[i])
+	for i := range got {
+		for r, a := range got[i] {
+			w := want[i][(i+r)%2]
+			if !reflect.DeepEqual(a.tuples, w.tuples) || !a.stats.Equal(w.stats) {
+				t.Fatalf("goroutine %d run %d: %v %+v, want %v %+v", i, r, a.tuples, a.stats, w.tuples, w.stats)
+			}
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package eval
 
-// Compiled rule plans. A plan is built once per (rule, delta-occurrence)
-// pair before the fixpoint starts and fixes everything an interpreter
-// would re-derive per candidate tuple: the join order, each subgoal's
-// bound argument positions (with constants pre-interned), variable →
+// Compiled rule plans. A plan fixes everything an interpreter would
+// re-derive per candidate tuple: the join order, each subgoal's bound
+// argument positions (with constants pre-interned), variable →
 // binding-slot assignments, the earliest join depth at which every
 // comparison and negation filter is ground, and the head/body templates
-// used to emit facts and provenance.
+// used to emit facts and provenance. A plan depends on its rule, on the
+// interner its constants are looked up in and on the EDB's lengths, so
+// plans are compiled once per (program, base) — per evaluation for
+// EvalCtx, once per base for a Prepared query (compiled.go) — and the
+// fixpoint only reads them.
 //
 // The join order is chosen greedily: after the delta occurrence (which
 // must stay first — it is the smallest relation and the partitioned
@@ -26,12 +29,75 @@ package eval
 
 import "repro/internal/ast"
 
-// planKey identifies a compiled plan: rule index plus the subgoal index
-// restricted to the previous delta (-1 for none).
-type planKey struct {
-	ruleIdx int
-	occ     int
+// layout numbers a validated program's predicates and plans densely,
+// once: the evaluator's relations, plans and round deltas are slices
+// indexed by these ids, and no name is looked up while a fixpoint runs.
+// Predicate ids put the IDB predicates first, in order of their first
+// rule, then the EDB ones. Rule i's plan restricted to occurrence occ
+// (-1 for none) has the index ruleOff[i]+occ+1, whether or not anyone
+// compiles it: the fixpoint compiles the full join of every rule and the
+// IDB occurrences, DeltaProgram every occurrence.
+type layout struct {
+	prog    *ast.Program
+	preds   []string // by id
+	ids     map[string]int
+	arity   []int // by id
+	nIDB    int
+	idbPr   map[string]bool
+	ruleOff []int
+	nPlans  int
+	// The plans the fixpoint runs, in schedule order: round 0 runs every
+	// init rule's full join, every later round every (rule, IDB
+	// occurrence) pair.
+	init, delta []int
 }
+
+// newLayout validates p and numbers it.
+func newLayout(p *ast.Program) (*layout, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	arity, err := p.PredArity()
+	if err != nil {
+		return nil, err
+	}
+	lay := &layout{prog: p, ids: make(map[string]int, len(arity)), idbPr: p.IDB(), ruleOff: make([]int, len(p.Rules))}
+	add := func(pred string) {
+		if _, ok := lay.ids[pred]; !ok {
+			lay.ids[pred] = len(lay.preds)
+			lay.preds = append(lay.preds, pred)
+			lay.arity = append(lay.arity, arity[pred])
+		}
+	}
+	for _, r := range p.Rules {
+		add(r.Head.Pred)
+	}
+	lay.nIDB = len(lay.preds)
+	for _, r := range p.Rules {
+		for _, a := range r.Pos {
+			add(a.Pred)
+		}
+		for _, a := range r.Neg {
+			add(a.Pred)
+		}
+	}
+	for i, r := range p.Rules {
+		lay.ruleOff[i] = lay.nPlans
+		lay.nPlans += len(r.Pos) + 1
+		if r.IsInit(lay.idbPr) {
+			lay.init = append(lay.init, lay.ruleOff[i])
+		}
+		for occ, a := range r.Pos {
+			if lay.idbPr[a.Pred] {
+				lay.delta = append(lay.delta, lay.planIdx(i, occ))
+			}
+		}
+	}
+	return lay, nil
+}
+
+// planIdx is the index of rule i's plan restricted to occurrence occ.
+func (lay *layout) planIdx(i, occ int) int { return lay.ruleOff[i] + occ + 1 }
 
 // relSrc says which relation a subgoal reads.
 type relSrc uint8
@@ -46,6 +112,7 @@ const (
 // constant id or a binding-slot number.
 type atomTpl struct {
 	pred    string
+	rel     int // pred's layout id
 	isConst []bool
 	vals    []uint32 // constant id when isConst, else slot
 }
@@ -61,7 +128,7 @@ type cmpPlan struct {
 // subPlan is one join step.
 type subPlan struct {
 	subIdx int // index into Rule.Pos
-	pred   string
+	rel    int // the subgoal predicate's layout id
 	src    relSrc
 	// Argument positions bound before this subgoal is probed, and the
 	// constant id (boundConst) or slot (otherwise) each must equal.
@@ -167,7 +234,7 @@ func joinOrder(r ast.Rule, occ int, headBound bool, idbPr map[string]bool, edbLe
 // (rule, occ) has the same nSlots — slots number the rule's variables,
 // not join depths — which is what lets the fixpoint swap plans mid-task
 // without touching its binding buffer.
-func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ int, headBound bool, order []int) *plan {
+func compilePlan(in *interner, lay *layout, r ast.Rule, ruleIdx, occ int, headBound bool, order []int) *plan {
 	n := len(r.Pos)
 	pl := &plan{ruleIdx: ruleIdx, occ: occ, order: order}
 
@@ -205,11 +272,11 @@ func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ i
 		sub := r.Pos[si]
 		sp := &pl.subs[d]
 		sp.subIdx = si
-		sp.pred = sub.Pred
+		sp.rel = lay.ids[sub.Pred]
 		switch {
 		case si == occ:
 			sp.src = srcDelta
-		case idbPr[sub.Pred]:
+		case sp.rel < lay.nIDB:
 			sp.src = srcIDB
 		default:
 			sp.src = srcEDB
@@ -263,7 +330,7 @@ func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ i
 		}
 		for i, a := range r.Neg {
 			if !negDone[i] && allBound(a.Vars(nil)) {
-				sp.negs = append(sp.negs, compileAtomTpl(in, slotOf, a))
+				sp.negs = append(sp.negs, compileAtomTpl(in, lay, slotOf, a))
 				negDone[i] = true
 			}
 		}
@@ -277,16 +344,16 @@ func compilePlan(in *interner, idbPr map[string]bool, r ast.Rule, ruleIdx, occ i
 	}
 	for i, a := range r.Neg {
 		if !negDone[i] {
-			pl.finishNegs = append(pl.finishNegs, compileAtomTpl(in, slotOf, a))
+			pl.finishNegs = append(pl.finishNegs, compileAtomTpl(in, lay, slotOf, a))
 		}
 	}
 
-	pl.head = compileAtomTpl(in, slotOf, r.Head)
+	pl.head = compileAtomTpl(in, lay, slotOf, r.Head)
 	for _, a := range r.Pos {
-		pl.posTpls = append(pl.posTpls, compileAtomTpl(in, slotOf, a))
+		pl.posTpls = append(pl.posTpls, compileAtomTpl(in, lay, slotOf, a))
 	}
 	for _, a := range r.Neg {
-		tpl := compileAtomTpl(in, slotOf, a)
+		tpl := compileAtomTpl(in, lay, slotOf, a)
 		pl.negTpls = append(pl.negTpls, tpl)
 		if len(tpl.isConst) > pl.maxNegArity {
 			pl.maxNegArity = len(tpl.isConst)
@@ -313,9 +380,10 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-func compileAtomTpl(in *interner, slotOf func(string) uint32, a ast.Atom) atomTpl {
+func compileAtomTpl(in *interner, lay *layout, slotOf func(string) uint32, a ast.Atom) atomTpl {
 	tpl := atomTpl{
 		pred:    a.Pred,
+		rel:     lay.ids[a.Pred],
 		isConst: make([]bool, len(a.Args)),
 		vals:    make([]uint32, len(a.Args)),
 	}

@@ -117,12 +117,7 @@ func (r *Result) order(o Order) (perm []int32, cells []uint32, consts []constant
 		if !seen {
 			k = uint32(len(consts))
 			first[id] = k
-			t, key := r.in.term(id), ""
-			if id < r.in.off {
-				key = r.in.under.keys[id]
-			} else if own := int(id - r.in.off); own < len(r.in.keys) {
-				key = r.in.keys[own] // rendered before the Result was taken, or ""
-			}
+			t, key := r.in.term(id), r.in.renderedKey(id) // "" unless rendered before the Result was taken
 			if key == "" {
 				key = t.Key()
 			}

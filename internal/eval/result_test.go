@@ -255,8 +255,8 @@ func TestResultOutlivesItsEvaluation(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(ev, func(*cEvaluator) { collected <- "evaluator" })
-		runtime.SetFinalizer(ev.idb["path"].irel, func(*irel) { collected <- "path's irel (dedup set, indexes)" })
-		runtime.SetFinalizer(ev.idb["hop"].irel, func(*irel) { collected <- "hop" })
+		runtime.SetFinalizer(ev.idb[ev.lay.ids["path"]].irel, func(*irel) { collected <- "path's irel (dedup set, indexes)" })
+		runtime.SetFinalizer(ev.idb[ev.lay.ids["hop"]].irel, func(*irel) { collected <- "hop" })
 		return ev.answers("path", nil)
 	}()
 	want := byStringReference(res.Tuples())

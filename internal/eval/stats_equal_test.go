@@ -3,12 +3,13 @@ package eval
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // TestStatsEqualPartition proves, by reflection, that every Stats
-// field is either compared by Equal or deliberately listed in
-// statsEqualExcluded — and that the exclusion set names no stale
-// fields. Perturbing a compared field must break Equal; perturbing an
+// field, the unexported round record included, is either compared by
+// Equal or deliberately listed in statsEqualExcluded — and that the
+// exclusion set names no stale fields. Perturbing a compared field must break Equal; perturbing an
 // excluded one must not. The statsequal vet analyzer enforces the
 // same partition syntactically at build time; this test enforces it
 // behaviorally, so a field added to the struct but forgotten in both
@@ -28,6 +29,9 @@ func TestStatsEqualPartition(t *testing.T) {
 		f := typ.Field(i)
 		var a, b Stats
 		bv := reflect.ValueOf(&b).Elem().Field(i)
+		if !f.IsExported() {
+			bv = reflect.NewAt(f.Type, unsafe.Pointer(bv.UnsafeAddr())).Elem()
+		}
 		switch f.Type.Kind() {
 		case reflect.Bool:
 			bv.SetBool(true)
@@ -35,6 +39,12 @@ func TestStatsEqualPartition(t *testing.T) {
 			bv.SetInt(1)
 		case reflect.Slice:
 			bv.Set(reflect.MakeSlice(f.Type, 1, 1))
+		case reflect.Struct:
+			if f.Type != reflect.TypeOf(roundLog{}) {
+				t.Fatalf("field %s has type %s; teach this test to perturb it", f.Name, f.Type)
+			}
+			// One round that derived a tuple of p.
+			bv.Set(reflect.ValueOf(roundLog{preds: []string{"p"}, n: 1, counts: []int64{1}}))
 		default:
 			t.Fatalf("field %s has kind %s; teach this test to perturb it", f.Name, f.Type.Kind())
 		}

@@ -81,7 +81,7 @@ func requireAnswerBodies(t testing.TB, label string, arity int, tuples []sqo.Tup
 	qenv := queryResponse{Query: "q <&>", Answers: []string{}, AnswerCount: result.Len(), Satisfiable: true, Optimized: true,
 		Stats: queryStats{Rounds: stats.Iterations, TuplesDerived: stats.TuplesDerived}, OptimizeMS: 0.25, EvalMS: 1.5}
 	if deltas {
-		qenv.RoundDeltas = stats.RoundDeltas
+		qenv.RoundDeltas = stats.RoundDeltas()
 	}
 	rec := httptest.NewRecorder()
 	writeAnswers(rec, qenv, result, sqo.ByString)

@@ -104,7 +104,11 @@ func BenchmarkQueryResponse(b *testing.B) {
 // query runs the query prepared for its binding pattern, whatever its
 // constant: 598 → 517 allocations for a repeated one (one cache key, no
 // fold or magic rewrite) and 1,822 → 518 for a constant no request used
-// before, which used to be a cold compile.
+// before, which used to be a cold compile. The prepared query keeps its
+// plans for the dataset's base and its fixpoint addresses relations and
+// round deltas by dense id: 517 → 237 and 518 → 238, bounded at 260 each.
+// The race detector's sync.Pool drops add ~65 allocations (299–307
+// measured), bounded at 335.
 func TestQueryResponseAllocationGuard(t *testing.T) {
 	h, full, point := responseFixture(t)
 	// The head of every other chain: a point query with 50 answers and a
@@ -114,19 +118,23 @@ func TestQueryResponseAllocationGuard(t *testing.T) {
 		fresh = append(fresh, queryBody(fmt.Sprintf("?- path(%d, Y).\n", c*100)))
 	}
 	for _, c := range []struct {
-		name      string
-		body      func() string
-		maxAllocs float64
-		maxBytes  uint64 // in a plain build
-		raceBytes uint64 // under -race, whose instrumentation allocates too
+		name                  string
+		body                  func() string
+		maxAllocs, raceAllocs float64
+		maxBytes              uint64 // in a plain build
+		raceBytes             uint64 // under -race, whose instrumentation allocates too
 	}{
-		{"51,000 answers", func() string { return full }, 10000, 8 << 20, 10 << 20},
-		{"50 answers", func() string { return point }, 560, 1 << 20, 1 << 20},
-		{"50 answers, new constant each request", func() string { b := fresh[0]; fresh = fresh[1:]; return b }, 560, 1 << 20, 1 << 20},
+		{"51,000 answers", func() string { return full }, 10000, 10000, 8 << 20, 10 << 20},
+		{"50 answers", func() string { return point }, 260, 335, 1 << 20, 1 << 20},
+		{"50 answers, new constant each request", func() string { b := fresh[0]; fresh = fresh[1:]; return b }, 260, 335, 1 << 20, 1 << 20},
 	} {
 		run := func() { postQuery(t, h, c.body()) }
-		if got := testing.AllocsPerRun(3, run); got > c.maxAllocs {
-			t.Errorf("%s: %.0f allocations per request, want at most %.0f", c.name, got, c.maxAllocs)
+		maxAllocs := c.maxAllocs
+		if raceDetector {
+			maxAllocs = c.raceAllocs
+		}
+		if got := testing.AllocsPerRun(3, run); got > maxAllocs {
+			t.Errorf("%s: %.0f allocations per request, want at most %.0f", c.name, got, maxAllocs)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -832,7 +832,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		EvalMS:     evalMS,
 	}
 	if req.IncludeRoundDeltas {
-		resp.RoundDeltas = stats.RoundDeltas
+		resp.RoundDeltas = stats.RoundDeltas()
 	}
 	writeAnswers(w, resp, result, sqo.ByString)
 }
