@@ -35,6 +35,7 @@ package eval
 import (
 	"maps"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/ast"
 )
@@ -44,7 +45,12 @@ const (
 	growthSlack = 64
 )
 
+// lastBaseID numbers the bases built, so that what was compiled over one
+// can name it without keeping it alive.
+var lastBaseID atomic.Uint64
+
 type edbBase struct {
+	id   uint64 // unique for the life of the process
 	in   *interner
 	rels map[string]*irel
 	rows int // tuples looked up in an interner building this base
@@ -74,7 +80,7 @@ func (b *edbBase) current(db *DB) bool {
 
 // emptyBase serves evaluations over a nil DB.
 var emptyBase = func() *edbBase {
-	b := &edbBase{in: newInterner()}
+	b := &edbBase{id: lastBaseID.Add(1), in: newInterner()}
 	b.in.freeze()
 	return b
 }()
@@ -105,6 +111,7 @@ func buildBase(db *DB, prev *edbBase) *edbBase {
 		in = prev.in.overlay()
 	}
 	b := &edbBase{
+		id:     lastBaseID.Add(1),
 		rels:   make(map[string]*irel, len(db.rels)),
 		stamps: make(map[string]relStamp, len(db.rels)),
 	}

@@ -57,7 +57,8 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 	if err != nil {
 		return nil, err
 	}
-	ev.use(ev.compileSlot(ev.base(edb), -1))
+	base := ev.base(edb)
+	ev.use(ev.compileSlot(base, -1), base)
 	if err := ev.run(); err != nil {
 		return nil, err
 	}
@@ -124,18 +125,21 @@ type cEvaluator struct {
 }
 
 // planSlot is what evaluating one program over one interned base needs
-// and nothing else changes: every plan, compiled against the base's
-// lengths and interner, and the EDB relations as the fixpoint reads
-// them. It is immutable once built — a fixpoint reads its plans, and a
-// mid-task reorder compiles a plan of its own — so a Prepared query
-// keeps the last one and any number of its runs share it.
+// and no run changes: every plan, compiled against the base's lengths and
+// interner, and the rule constants the base lacks. It is immutable once
+// built — a fixpoint reads its plans, and a mid-task reorder compiles a
+// plan of its own — so a Prepared query keeps the last one and any number
+// of its runs share it. It names its base by number and holds nothing of
+// it: a slot that outlives its base pins none of the base's rows or
+// constants, only what the size of the program bounds.
 type planSlot struct {
-	base *edbBase
-	// in is base.in, or a frozen level over it holding the rule constants
-	// the base lacks, at the ids every plan of the slot was compiled with.
-	in    *interner
-	edb   []RelView // by predicate id
-	plans []*plan   // by plan index; nil at skip and where nothing runs
+	baseID uint64
+	// consts is a frozen level holding the rule constants the base lacks
+	// (nil: none), at the ids every plan of the slot was compiled with.
+	// It is kept detached from the base's interner; use puts a copy back
+	// over it.
+	consts *interner
+	plans  []*plan // by plan index; nil at skip and where nothing runs
 }
 
 // base returns edb's interned base, counting the tuples interned when
@@ -154,13 +158,10 @@ func (ev *cEvaluator) base(edb *DB) *edbBase {
 // the rule constants it lacks go to a level of the slot's own.
 func (ev *cEvaluator) compileSlot(base *edbBase, skip int) *planSlot {
 	lay := ev.lay
-	s := &planSlot{base: base, edb: make([]RelView, len(lay.preds)), plans: make([]*plan, lay.nPlans)}
-	for k := lay.nIDB; k < len(lay.preds); k++ {
-		s.edb[k] = base.rels[lay.preds[k]].whole()
-	}
+	s := &planSlot{baseID: base.id, plans: make([]*plan, lay.nPlans)}
 	start := time.Now()
 	in := base.in.overlay()
-	edbLen := func(pred string) int { return s.edb[lay.ids[pred]].Len() }
+	edbLen := func(pred string) int { return base.rels[pred].whole().Len() }
 	for i, r := range lay.prog.Rules {
 		for occ := -1; occ < len(r.Pos); occ++ {
 			if k := lay.planIdx(i, occ); k != skip && (occ < 0 || lay.idbPr[r.Pos[occ].Pred]) {
@@ -169,26 +170,40 @@ func (ev *cEvaluator) compileSlot(base *edbBase, skip int) *planSlot {
 			}
 		}
 	}
-	s.in = base.in
 	if len(in.terms) > 0 {
 		in.freeze()
-		s.in = in
+		in.under = nil
+		s.consts = in
 	}
 	ev.stats.PlanNanos += time.Since(start).Nanoseconds()
 	return s
 }
 
-// use points the evaluation at s's plans and EDB, under a private
-// overlay on s's interner.
-func (ev *cEvaluator) use(s *planSlot) {
-	ev.in, ev.edb, ev.plans = s.in.overlay(), s.edb, s.plans
+// negEDB returns the EDB relation a negated subgoal is checked against.
+func (ev *cEvaluator) negEDB(tpl *atomTpl) RelView { return ev.edb[tpl.rel] }
+
+// use points the evaluation at s's plans and at the EDB relations of
+// base, the base s was compiled over, under a private overlay on base's
+// interner and s's rule constants.
+func (ev *cEvaluator) use(s *planSlot, base *edbBase) {
+	in := base.in
+	if s.consts != nil {
+		lvl := *s.consts
+		lvl.under = in
+		in = &lvl
+	}
+	lay := ev.lay
+	ev.in, ev.plans, ev.edb = in.overlay(), s.plans, make([]RelView, len(lay.preds))
+	for k := lay.nIDB; k < len(lay.preds); k++ {
+		ev.edb[k] = base.rels[lay.preds[k]].whole()
+	}
 }
 
 // run is the fixpoint loop: the init rules once, then every (rule, IDB
 // occurrence) pair with that occurrence restricted to the previous
 // round's delta window, until a round derives nothing.
 func (ev *cEvaluator) run() error {
-	ev.tr = joinRun{ctx: ev.ctx, in: ev.in, negEDB: ev.edb, emit: ev.derive}
+	ev.tr = joinRun{ctx: ev.ctx, in: ev.in, negs: ev.negEDB, emit: ev.derive}
 	ev.reorder = ev.maybeReorder
 	ev.stats.rounds.preds = ev.lay.preds[:ev.lay.nIDB]
 	defer func() {

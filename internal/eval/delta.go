@@ -342,7 +342,10 @@ func (dp *DeltaProgram) Fixpoint(ctx context.Context, rels map[string]*IRel, max
 
 // newRun points a fresh join (join.go) at pl over the caller's views.
 func (dp *DeltaProgram) newRun(ctx context.Context, pl *plan, subs []RelView, negs func(string) RelView, emit func([]uint32) error) *joinRun {
-	tr := &joinRun{ctx: ctx, in: dp.in, subs: subs, negs: negs, emit: emit}
+	tr := &joinRun{ctx: ctx, in: dp.in, subs: subs, emit: emit}
+	if negs != nil {
+		tr.negs = func(tpl *atomTpl) RelView { return negs(tpl.pred) }
+	}
 	tr.setPlan(pl)
 	return tr
 }

@@ -407,7 +407,9 @@ func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) 
 // ran on (a planSlot, swapped atomically when a run meets another
 // base). The magic seed is the one rule whose constants change per
 // goal, so a run over that base compiles the seed's one-row plan and
-// nothing else. The slot pins at most one base.
+// nothing else. The slot names its base by number and keeps nothing of
+// it, so a Prepared held in a cache pins no database: only its plans and
+// the rule constants the base lacked.
 type Prepared struct {
 	prog        *ast.Program  // the rewritten program; magic.Program when the magic rewrite applied
 	magic       *magic.Result // non-nil when the magic rewrite applied
@@ -524,16 +526,15 @@ func (pq *Prepared) runSlot(ctx context.Context, edb *DB, goal []ast.Term, opts 
 	}
 	base := ev.base(edb)
 	s := pq.slot.Load()
-	if s == nil || s.base != base {
+	if s == nil || s.baseID != base.id {
 		s = ev.compileSlot(base, seed)
 		pq.slot.Store(s)
 	}
-	ev.use(s)
+	ev.use(s, base)
 	if seed >= 0 {
 		start := time.Now()
-		r := ast.Rule{Head: ast.Atom{Pred: pq.prog.Rules[0].Head.Pred, Args: pq.pattern.Project(goal)}}
 		ev.plans = slices.Clone(ev.plans)
-		ev.plans[seed] = compilePlan(ev.in, pq.lay, r, 0, -1, false, nil)
+		ev.plans[seed] = compilePlan(ev.in, pq.lay, pq.magic.Seed(goal), 0, -1, false, nil)
 		ev.stats.PlansCompiled++
 		ev.stats.PlanNanos += time.Since(start).Nanoseconds()
 	}

@@ -10,9 +10,10 @@ package eval
 // Interning is layered. The constants of a database are interned once
 // per database snapshot into a frozen base (base.go). The plans compiled
 // over that base put the rule constants it lacks into a frozen level of
-// their own, which a Prepared query keeps with its plans for as long as
-// the base serves it, so those constants keep their ids from run to run
-// (compiled.go). Each evaluation then layers a small private overlay on
+// their own, which a Prepared query keeps with its plans, detached from
+// the base's interner, for as long as the base serves it; each run puts a
+// copy of it back over that interner, so those constants keep their ids
+// from run to run (compiled.go). Each evaluation then layers a small private overlay on
 // top for what only it mentions — a goal's constants — so no evaluation
 // touches an EDB tuple to intern, and a prepared one reuses its plans
 // over a base it has run on.

@@ -39,11 +39,9 @@ type joinRun struct {
 	in   *interner
 	pl   *plan
 	subs []RelView // indexed by subgoal index (subPlan.subIdx)
-	// negEDB, when set, holds the relation a negated subgoal is checked
-	// against by predicate id (the fixpoint's EDB); otherwise negs resolves
-	// it by name, and nil reads every negated instance as absent.
-	negEDB []RelView
-	negs   func(pred string) RelView
+	// negs resolves the relation a negated subgoal is checked against;
+	// nil reads every negated instance as absent.
+	negs func(tpl *atomTpl) RelView
 	// emit receives the instantiated head row of every complete firing.
 	// The slice is reused; a non-nil error aborts the join and is
 	// returned verbatim. It may append to the relations being read.
@@ -250,15 +248,10 @@ func (tr *joinRun) evalCmp(c *cmpPlan) bool {
 // negContains reports whether the ground instance of a negated subgoal
 // is present in the relation negs resolves it to.
 func (tr *joinRun) negContains(tpl *atomTpl) bool {
-	var v RelView
-	switch {
-	case tr.negEDB != nil:
-		v = tr.negEDB[tpl.rel]
-	case tr.negs != nil:
-		v = tr.negs(tpl.pred)
-	default:
+	if tr.negs == nil {
 		return false
 	}
+	v := tr.negs(tpl)
 	buf := tr.negBuf[:len(tpl.isConst)]
 	for j, c := range tpl.isConst {
 		if c {

@@ -9,9 +9,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/parser"
@@ -44,8 +48,10 @@ type reusedQuery struct {
 // TestPreparedPlanReuseDifferential runs each of a few Prepared queries
 // along seeded random DB.Replace walks (TestDerivedBaseDifferential's
 // generator) and compares every run with a fresh QueryCtx at the same
-// goal — answers in their order, Stats, RoundDeltas — and with a fresh
-// Prepared's provenance. Goals include constants the EDB lacks; one
+// goal — answers in their order, Stats, RoundDeltas — and with an
+// evaluation of the program magic.Result.Bind builds for the goal, every
+// plan compiled for it alone: its answers filtered by the goal, Stats,
+// RoundDeltas and provenance. Goals include constants the EDB lacks; one
 // program has rule constants the EDB never holds, one a join-order tie
 // the walk's lengths keep flipping, one a mid-task reorder. The first run
 // over a base must compile every plan, as the fresh query does, and every
@@ -144,24 +150,32 @@ func TestPreparedPlanReuseDifferential(t *testing.T) {
 						!reflect.DeepEqual(got.RoundDeltas(), ws.RoundDeltas()) {
 						t.Fatalf("%s: reused plans differ from a fresh query:\n%v %+v\n%v %+v", label, res.Tuples(), got, want, ws)
 					}
-					fresh, err := Prepare(&at, opts)
+					// QueryCtx runs the slot's code too; the bound program,
+					// every plan compiled for this one evaluation, does not.
+					bound := q.pq.prog
+					if q.pq.magic != nil {
+						bound = q.pq.magic.Bind(at.Goal)
+					}
+					boundProv := &Provenance{steps: map[string]provStep{}}
+					ev, err := evalCompiled(ctx, bound, db, opts, boundProv)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					freshProv := &Provenance{steps: map[string]provStep{}}
-					if _, _, err := fresh.run(ctx, db, at.Goal, opts, freshProv); err != nil {
-						t.Fatal(err)
+					if bt := ev.answers(q.pq.prog.Query, at.Goal).Tuples(); !reflect.DeepEqual(res.Tuples(), bt) ||
+						!got.Equal(ev.stats) || !reflect.DeepEqual(got.RoundDeltas(), ev.stats.RoundDeltas()) {
+						t.Fatalf("%s: reused plans differ from the bound program:\n%v %+v\n%v %+v", label, res.Tuples(), got, bt, ev.stats)
 					}
-					if a, b := provText(prov), provText(freshProv); a != b {
-						t.Fatalf("%s: provenance differs:\n%s\nfresh:\n%s", label, a, b)
+					if a, b := provText(prov), provText(boundProv); a != b {
+						t.Fatalf("%s: provenance differs:\n%s\nbound program:\n%s", label, a, b)
 					}
 					seedPlans := int64(0)
 					if got.MagicApplied {
 						seedPlans = 1
 					}
 					if first := db.base != q.base; first {
-						if got.PlansCompiled != ws.PlansCompiled {
-							t.Fatalf("%s: first run over a base compiled %d plans, a fresh query %d", label, got.PlansCompiled, ws.PlansCompiled)
+						if got.PlansCompiled != ws.PlansCompiled || got.PlansCompiled != ev.stats.PlansCompiled {
+							t.Fatalf("%s: first run over a base compiled %d plans, a fresh query %d, the bound program %d",
+								label, got.PlansCompiled, ws.PlansCompiled, ev.stats.PlansCompiled)
 						}
 						seen["first run"]++
 					} else if n := got.PlansCompiled - got.AdaptiveReorders; n != seedPlans {
@@ -184,6 +198,69 @@ func TestPreparedPlanReuseDifferential(t *testing.T) {
 		if seen[c] == 0 {
 			t.Errorf("no walk reached the case %q: %v", c, seen)
 		}
+	}
+}
+
+// TestPreparedPinsNoBase holds a Prepared's kept plans to keeping nothing
+// of the database they were compiled over, as sqod's rewrite cache keeps
+// Prepareds beyond the datasets they ran on: several Prepareds — a magic
+// point query, a program with rule constants no database holds, a
+// bottom-up query — run over a dataset replaced again and again, and once
+// every database is dropped, each base's interner and each edge
+// relation's rows are collected while the Prepareds live on.
+func TestPreparedPinsNoBase(t *testing.T) {
+	var pqs []*Prepared
+	for _, src := range []string{
+		`path(X, Y) :- edge(X, Y). path(X, Y) :- path(X, Z), edge(Z, Y). ?- path(1, Y).`,
+		`path(X, Y) :- edge(X, Y). path(X, Y) :- path(X, Z), edge(Z, Y).
+		 tag(X, Y, near) :- path(X, Y), Y < 30. tag(X, Y, far) :- path(X, Y), Y >= 30.
+		 ?- tag(1, Y, T).`,
+		`hop(X, Z) :- edge(X, Y), edge(Y, Z). ?- hop.`,
+	} {
+		pq, err := Prepare(parser.MustParseProgram(src), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pqs = append(pqs, pq)
+	}
+	var collected atomic.Int64
+	const replaces = 4
+	runOverReplacedDataset(t, pqs, replaces, &collected)
+	want := int64(2 * (replaces + 1))
+	for i := 0; i < 50 && collected.Load() < want; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := collected.Load(); got != want {
+		t.Fatalf("%d of %d base interners and edge rows collected: a kept plan slot pins its base", got, want)
+	}
+	runtime.KeepAlive(pqs)
+}
+
+// runOverReplacedDataset runs every pq twice over a dataset and over each
+// of its successors, each with a new constant, watching every base's
+// interner and edge rows for collection.
+func runOverReplacedDataset(t *testing.T, pqs []*Prepared, replaces int, collected *atomic.Int64) {
+	var edges []Tuple
+	for i := 1; i < 40; i++ {
+		edges = append(edges, Tuple{ast.N(float64(i)), ast.N(float64(i + 1))})
+	}
+	db := NewDB().Replace("edge", edges)
+	for k := 0; k <= replaces; k++ {
+		if k > 0 {
+			edges = append(slices.Clip(edges), Tuple{ast.N(float64(40 + k)), ast.N(1000 + float64(k))})
+			db = db.Replace("edge", edges)
+		}
+		for _, pq := range pqs {
+			for range 2 {
+				if _, _, err := pq.Run(context.Background(), db, pq.prog.Goal, DefaultOptions()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		base, _ := db.interned()
+		runtime.SetFinalizer(base.in, func(*interner) { collected.Add(1) })
+		runtime.SetFinalizer(&base.rels["edge"].data[0], func(*uint32) { collected.Add(1) })
 	}
 }
 

@@ -167,8 +167,16 @@ func Rewrite(p *ast.Program) (*Result, error) {
 // renders exactly as Rewrite does at goal.
 func (r *Result) Bind(goal []ast.Term) *ast.Program {
 	out := &ast.Program{Query: r.Program.Query, Goal: cloneTerms(goal), Rules: slices.Clone(r.Program.Rules)}
-	out.Rules[0] = ast.Rule{Head: ast.Atom{Pred: out.Rules[0].Head.Pred, Args: r.Pattern.Project(goal)}}
+	out.Rules[0] = r.Seed(goal)
 	return out
+}
+
+// Seed returns the seed rule — Program.Rules[0], the one rule whose
+// constants are the goal's — for goal, which must have the binding
+// pattern r.Pattern: a fact of the query's magic predicate holding
+// goal's bound arguments.
+func (r *Result) Seed(goal []ast.Term) ast.Rule {
+	return ast.Rule{Head: ast.Atom{Pred: r.Program.Rules[0].Head.Pred, Args: r.Pattern.Project(goal)}}
 }
 
 type adornKey struct {

@@ -106,7 +106,7 @@ func BenchmarkQueryResponse(b *testing.B) {
 // fold or magic rewrite) and 1,822 → 518 for a constant no request used
 // before, which used to be a cold compile. The prepared query keeps its
 // plans for the dataset's base and its fixpoint addresses relations and
-// round deltas by dense id: 517 → 237 and 518 → 238, bounded at 260 each.
+// round deltas by dense id: 517 → 239 and 518 → 240, bounded at 260 each.
 // The race detector's sync.Pool drops add ~65 allocations (299–307
 // measured), bounded at 335.
 func TestQueryResponseAllocationGuard(t *testing.T) {

@@ -456,7 +456,9 @@ type optimizeResponse struct {
 
 // compiled is one entry of the rewrite cache, keyed by patternKey: the
 // optimizer's outcome for a program at a goal binding pattern (optimize,
-// view creation), or the query prepared for that pattern (query).
+// view creation), or the query prepared for that pattern (query). The key
+// names no dataset, and an entry keeps none alive: a Prepared keeps the
+// plans of its last run, which hold nothing of that run's snapshot.
 type compiled struct {
 	res  *sqo.Result   // nil in a query entry that asked for no optimization
 	prep *sqo.Prepared // nil in an optimize entry
