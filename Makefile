@@ -3,21 +3,13 @@
 
 GO ?= go
 
-.PHONY: build vet vet-stats vet-bench fmt test race bench bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke ci
+.PHONY: build vet vet-bench fmt test race bench bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
-
-# The repo's own analyzer (internal/analyzers/statsequal) run as a vet
-# pass: every eval.Stats field must be either compared by Stats.Equal
-# or deliberately listed in statsEqualExcluded.
-vet-stats:
-	@mkdir -p bench-out
-	$(GO) build -o bench-out/statsequal ./cmd/statsequal
-	$(GO) vet -vettool=$(abspath bench-out/statsequal) ./internal/eval/
 
 # bench/ is a module of its own that imports this one through a replace
 # directive, so `make build vet test` never compile it: this is what
@@ -138,4 +130,4 @@ serve:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-ci: build vet vet-stats vet-bench fmt test
+ci: build vet vet-bench fmt test

@@ -79,15 +79,16 @@ func Specialize(p *ast.Program) (*SpecProgram, error) {
 	}
 	sp.Query = intern(p.Query, ast.NewAtom(p.Query, rootArgs...))
 
-	var fresh ast.Freshener
+	ren := ast.NewRenamer()
 	for len(queue) > 0 {
 		name := queue[0]
 		queue = queue[1:]
 		base := sp.Base[name]
 		pattern := sp.Pattern[name]
+		ren.Avoid(pattern.Vars(nil)...)
 		for _, r := range p.RulesFor(base) {
 			// Rename the rule apart from the pattern.
-			rr := ast.RenameRule(r, fresh.Next())
+			rr := ast.RenameRule(r, ren.Next(r.Vars()))
 			s, ok := unify.Unify(rr.Head, pattern.Clone(), nil)
 			if !ok {
 				continue // rule cannot produce this pattern

@@ -1,7 +1,7 @@
 package ast
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -438,9 +438,9 @@ func TestRenameRuleDisjointness(t *testing.T) {
 		Neg:  []Atom{NewAtom("f", V("Y"))},
 		Cmp:  []Cmp{NewCmp(V("X"), LT, V("Y"))},
 	}
-	var fr Freshener
-	r1 := RenameRule(r, fr.Next())
-	r2 := RenameRule(r, fr.Next())
+	ren := NewRenamer(r.Vars()...)
+	r1 := RenameRule(r, ren.Next(r.Vars()))
+	r2 := RenameRule(r, ren.Next(r.Vars()))
 	vs1, vs2 := map[string]bool{}, map[string]bool{}
 	for _, v := range r1.Vars() {
 		vs1[v] = true
@@ -483,14 +483,39 @@ func TestCanonicalizeAtom(t *testing.T) {
 	}
 }
 
-func TestFreshenerFreshVar(t *testing.T) {
-	var f Freshener
-	a, b := f.FreshVar("X"), f.FreshVar("X")
-	if a == b {
-		t.Fatal("FreshVar must be unique")
+func TestRenamerAvoidsTakenNames(t *testing.T) {
+	// Nothing collides: the plain "_n" spelling, n counting up.
+	ren := NewRenamer("A")
+	if got := ren.Next([]string{"X"})("X"); got != "X_1" {
+		t.Fatalf("first renaming = %s, want X_1", got)
 	}
-	if !strings.Contains(a, "#") {
-		t.Fatal("FreshVar must use a character the parser rejects")
+	if got := ren.Next([]string{"X"})("X"); got != "X_2" {
+		t.Fatalf("second renaming = %s, want X_2", got)
+	}
+	// Avoided names in the suffix shape: _1 is free for {X, Y}; after
+	// _2, X_3 and Y_4 push {X, Y} to _5, and X_6 pushes {X} to _7.
+	ren = NewRenamer("X_3", "Y_4", "X_6")
+	f := ren.Next([]string{"X", "Y"})
+	if f("X") != "X_1" || f("Y") != "Y_1" {
+		t.Fatalf("uncolliding renaming = %s, %s", f("X"), f("Y"))
+	}
+	ren.Next(nil) // _2
+	f = ren.Next([]string{"X", "Y"})
+	if f("X") != "X_5" || f("Y") != "Y_5" {
+		t.Fatalf("renaming past taken names = %s, %s, want X_5, Y_5", f("X"), f("Y"))
+	}
+	if got := ren.Next([]string{"X"})("X"); got != "X_7" {
+		t.Fatalf("renaming = %s, want X_7", got)
+	}
+	if !ren.Collides([]string{"A", "Y_4"}) || ren.Collides([]string{"X", "Y_3"}) {
+		t.Fatal("Collides disagrees with the avoided names")
+	}
+	// Renamings from different calls never meet, whatever the base
+	// names: n follows the last '_'.
+	var zero Renamer
+	a, b := zero.Next([]string{"X_1"})("X_1"), zero.Next([]string{"X"})("X")
+	if a == b {
+		t.Fatalf("two renamings share %s", a)
 	}
 }
 
@@ -522,5 +547,45 @@ func TestIsInit(t *testing.T) {
 	}
 	if r2.IsInit(idb) {
 		t.Fatal("r2 is recursive")
+	}
+}
+
+func TestRecursionComponents(t *testing.T) {
+	// a and b call each other, c calls itself, d reads them all, e is
+	// a plain view: components come dependencies first, each sorted.
+	rule := func(head string, body ...string) Rule {
+		r := Rule{Head: NewAtom(head, V("X"))}
+		for _, b := range body {
+			r.Pos = append(r.Pos, NewAtom(b, V("X")))
+		}
+		return r
+	}
+	p := &Program{Rules: []Rule{
+		rule("d", "a", "c", "e"),
+		rule("a", "b", "edge"),
+		rule("b", "a"),
+		rule("b", "edge"),
+		rule("c", "c", "edge"),
+		rule("c", "edge"),
+		rule("e", "edge"),
+	}}
+	rc := p.Recursion()
+	wantComps := [][]string{{"a", "b"}, {"c"}, {"e"}, {"d"}}
+	if !reflect.DeepEqual(rc.Comps, wantComps) {
+		t.Fatalf("components = %v, want %v", rc.Comps, wantComps)
+	}
+	if want := []bool{true, true, false, false}; !reflect.DeepEqual(rc.Cyclic, want) {
+		t.Fatalf("cyclic = %v, want %v", rc.Cyclic, want)
+	}
+	if want := map[string]bool{"c": true}; !reflect.DeepEqual(rc.Self, want) {
+		t.Fatalf("self = %v, want %v", rc.Self, want)
+	}
+	for pred, want := range map[string]bool{"a": true, "b": true, "c": true, "d": false, "e": false, "edge": false} {
+		if rc.Recursive(pred) != want {
+			t.Errorf("Recursive(%s) = %v, want %v", pred, !want, want)
+		}
+	}
+	if !rc.Same("a", "b") || rc.Same("a", "c") || rc.Same("edge", "edge") {
+		t.Error("Same disagrees with the components")
 	}
 }

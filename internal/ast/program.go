@@ -82,6 +82,115 @@ func (p *Program) IDB() map[string]bool {
 	return idb
 }
 
+// Recursion is the strongly connected components of a program's IDB
+// dependency graph: an edge p → q when q occurs positively in the body
+// of a rule with head p (negation is EDB-only, so it adds no edges).
+type Recursion struct {
+	// Comps lists the components in topological order, dependencies
+	// first; each component is sorted.
+	Comps [][]string
+	// Cyclic reports, per component, whether it is recursive: it has
+	// more than one predicate, or its one predicate depends on itself.
+	Cyclic []bool
+	// Comp maps each IDB predicate to the index of its component.
+	Comp map[string]int
+	// Self holds the predicates some rule of which uses the predicate
+	// itself as a positive subgoal.
+	Self map[string]bool
+}
+
+// Recursive reports whether pred lies on a dependency cycle.
+func (rc *Recursion) Recursive(pred string) bool {
+	c, ok := rc.Comp[pred]
+	return ok && rc.Cyclic[c]
+}
+
+// Same reports whether the IDB predicates p and q are in one component,
+// i.e. each depends on the other (or p == q).
+func (rc *Recursion) Same(p, q string) bool {
+	cp, ok := rc.Comp[p]
+	cq, okq := rc.Comp[q]
+	return ok && okq && cp == cq
+}
+
+// Recursion runs Tarjan's SCC algorithm over the IDB dependency graph.
+// Tarjan completes an SCC only after every SCC reachable from it, so
+// the pop order is already topological with dependencies first. All
+// iteration is over sorted predicate lists, keeping the result
+// deterministic.
+func (p *Program) Recursion() *Recursion {
+	idb := p.IDB()
+	preds := make([]string, 0, len(idb))
+	for pred := range idb {
+		preds = append(preds, pred)
+	}
+	sort.Strings(preds)
+
+	rc := &Recursion{Comp: map[string]int{}, Self: map[string]bool{}}
+	succ := map[string][]string{}
+	for _, r := range p.Rules {
+		for _, a := range r.Pos {
+			if !idb[a.Pred] {
+				continue
+			}
+			succ[r.Head.Pred] = append(succ[r.Head.Pred], a.Pred)
+			if a.Pred == r.Head.Pred {
+				rc.Self[r.Head.Pred] = true
+			}
+		}
+	}
+	for pred := range succ {
+		sort.Strings(succ[pred])
+	}
+
+	index := map[string]int{}
+	low := map[string]int{}
+	onStack := map[string]bool{}
+	var stack []string
+	next := 0
+
+	var strongconnect func(string)
+	strongconnect = func(pred string) {
+		index[pred] = next
+		low[pred] = next
+		next++
+		stack = append(stack, pred)
+		onStack[pred] = true
+		for _, q := range succ[pred] {
+			if _, seen := index[q]; !seen {
+				strongconnect(q)
+				if low[q] < low[pred] {
+					low[pred] = low[q]
+				}
+			} else if onStack[q] && index[q] < low[pred] {
+				low[pred] = index[q]
+			}
+		}
+		if low[pred] == index[pred] {
+			var comp []string
+			for {
+				q := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[q] = false
+				comp = append(comp, q)
+				rc.Comp[q] = len(rc.Comps)
+				if q == pred {
+					break
+				}
+			}
+			sort.Strings(comp)
+			rc.Comps = append(rc.Comps, comp)
+			rc.Cyclic = append(rc.Cyclic, len(comp) > 1 || rc.Self[comp[0]])
+		}
+	}
+	for _, pred := range preds {
+		if _, seen := index[pred]; !seen {
+			strongconnect(pred)
+		}
+	}
+	return rc
+}
+
 // EDB returns the set of EDB predicates: those appearing only in rule
 // bodies (positively or negatively), never in heads.
 func (p *Program) EDB() map[string]bool {

@@ -1,6 +1,10 @@
 package ast
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+	"strings"
+)
 
 // RenameAtom returns a copy of a with every variable renamed by f.
 func RenameAtom(a Atom, f func(string) string) Atom {
@@ -54,23 +58,53 @@ func RenameIC(ic IC, f func(string) string) IC {
 	return out
 }
 
-// Freshener hands out rename functions that make variable sets
-// disjoint: each call to Next returns a renamer that appends a unique
-// suffix to every variable name.
-type Freshener struct{ n int }
-
-// Next returns a fresh renaming function.
-func (f *Freshener) Next() func(string) string {
-	f.n++
-	suffix := "_" + strconv.Itoa(f.n)
-	return func(v string) string { return v + suffix }
+// Renamer renames variables apart from a set of names it avoids. Each
+// call to Next picks a suffix "_n", n counting up from 1 across calls,
+// and skips every n under which a renamed variable would land on an
+// avoided name. Nothing is skipped unless a name collides, so renamed
+// rules keep the plain "_n" spelling and stay re-parseable. Renamings
+// from different calls never share a name: n follows the last '_'.
+// The avoided names are a slice, not a set: they are a few rules'
+// variables, and a renamer is made per containment test.
+type Renamer struct {
+	avoid []string
+	n     int
 }
 
-// FreshVar returns a variable name that cannot collide with
-// user-written variables (parser forbids '#').
-func (f *Freshener) FreshVar(base string) string {
-	f.n++
-	return base + "#" + strconv.Itoa(f.n)
+// NewRenamer returns a Renamer that never produces any of avoid.
+func NewRenamer(avoid ...string) *Renamer {
+	return &Renamer{avoid: slices.Clip(avoid)}
+}
+
+// Avoid adds names the renamer must never produce.
+func (r *Renamer) Avoid(names ...string) {
+	for _, v := range names {
+		if !slices.Contains(r.avoid, v) {
+			r.avoid = append(r.avoid, v)
+		}
+	}
+}
+
+// Collides reports whether any of vars is an avoided name.
+func (r *Renamer) Collides(vars []string) bool {
+	return slices.ContainsFunc(vars, func(v string) bool { return slices.Contains(r.avoid, v) })
+}
+
+// Next returns a renaming that is injective on vars and maps none of
+// them to an avoided name. It must only be applied to vars.
+func (r *Renamer) Next(vars []string) func(string) string {
+	for {
+		r.n++
+		suffix := "_" + strconv.Itoa(r.n)
+		lands := func(v string) bool {
+			return slices.ContainsFunc(r.avoid, func(a string) bool {
+				return len(a) == len(v)+len(suffix) && strings.HasPrefix(a, v) && strings.HasSuffix(a, suffix)
+			})
+		}
+		if !slices.ContainsFunc(vars, lands) {
+			return func(v string) string { return v + suffix }
+		}
+	}
 }
 
 // CanonicalizeAtom renames the variables of a to V0, V1, ... in order

@@ -31,7 +31,8 @@ func (r Rule) Clone() Rule {
 // Vars returns the variables of the rule in order of first occurrence
 // (head first, then positive subgoals, negated subgoals, order atoms).
 func (r Rule) Vars() []string {
-	vs := r.Head.Vars(nil)
+	// Most rules have a handful of variables: one allocation, not four.
+	vs := r.Head.Vars(make([]string, 0, 8))
 	for _, a := range r.Pos {
 		vs = a.Vars(vs)
 	}

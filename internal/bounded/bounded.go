@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/cqc"
+	"repro/internal/unify"
 )
 
 // ErrNotBounded is wrapped by Rewrite when no predicate of the program
@@ -144,18 +145,15 @@ type Result struct {
 // get verdict Unknown.
 func Analyze(p *ast.Program, opts Options) []Analysis {
 	opts.defaults()
-	idb := p.IDB()
-	deps := depGraph(p, idb)
+	rec := p.Recursion()
 	var preds []string
-	for pred := range idb {
-		if selfRecursive(p, pred) {
-			preds = append(preds, pred)
-		}
+	for pred := range rec.Self {
+		preds = append(preds, pred)
 	}
 	sort.Strings(preds)
 	out := make([]Analysis, 0, len(preds))
 	for _, pred := range preds {
-		out = append(out, analyzePred(p, pred, idb, deps, opts))
+		out = append(out, analyzePred(p, pred, rec, opts))
 	}
 	return out
 }
@@ -221,62 +219,12 @@ func summarize(as []Analysis) string {
 	return s
 }
 
-// selfRecursive reports whether some rule for pred has pred itself as
-// a positive subgoal.
-func selfRecursive(p *ast.Program, pred string) bool {
-	for _, r := range p.Rules {
-		if r.Head.Pred != pred {
-			continue
-		}
-		for _, a := range r.Pos {
-			if a.Pred == pred {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// depGraph returns the positive IDB dependency edges: head predicate →
-// IDB predicates in its rules' positive bodies. Negated subgoals are
-// EDB-only by Validate, so they add no edges.
-func depGraph(p *ast.Program, idb map[string]bool) map[string][]string {
-	deps := map[string][]string{}
-	for _, r := range p.Rules {
-		for _, a := range r.Pos {
-			if idb[a.Pred] {
-				deps[r.Head.Pred] = append(deps[r.Head.Pred], a.Pred)
-			}
-		}
-	}
-	return deps
-}
-
-// reaches reports whether `to` is reachable from `from` along deps
-// edges (one or more steps).
-func reaches(deps map[string][]string, from, to string) bool {
-	seen := map[string]bool{}
-	stack := append([]string(nil), deps[from]...)
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if q == to {
-			return true
-		}
-		if seen[q] {
-			continue
-		}
-		seen[q] = true
-		stack = append(stack, deps[q]...)
-	}
-	return false
-}
-
 // analyzePred runs the scope checks, structural pre-checks, and the
 // unfolding ladder for one self-recursive predicate.
-func analyzePred(p *ast.Program, pred string, idb map[string]bool, deps map[string][]string, o Options) Analysis {
+func analyzePred(p *ast.Program, pred string, recursion *ast.Recursion, o Options) Analysis {
 	res := Analysis{Pred: pred, Linear: true}
 	var exit, rec []ast.Rule
+	ren := ast.NewRenamer()
 	for _, r := range p.Rules {
 		if r.Head.Pred != pred {
 			continue
@@ -285,12 +233,13 @@ func analyzePred(p *ast.Program, pred string, idb map[string]bool, deps map[stri
 			res.Reason = "rules carry negated subgoals, which the containment procedure does not cover"
 			return res
 		}
+		ren.Avoid(r.Vars()...)
 		n := 0
 		for _, a := range r.Pos {
 			switch {
 			case a.Pred == pred:
 				n++
-			case idb[a.Pred] && reaches(deps, a.Pred, pred):
+			case recursion.Same(a.Pred, pred):
 				res.Reason = fmt.Sprintf("mutually recursive with %s; only self-recursion is analyzed", a.Pred)
 				return res
 			}
@@ -324,9 +273,8 @@ func analyzePred(p *ast.Program, pred string, idb map[string]bool, deps map[stri
 		res.Reason = fmt.Sprintf("%d exit disjuncts exceed the %d-disjunct budget", len(prev), o.MaxDisjuncts)
 		return res
 	}
-	fresh := 0
 	for k := 1; k <= o.MaxDepth; k++ {
-		next, grew, ok := unfoldLevel(pred, exit, rec, prev, &fresh, o)
+		next, grew, ok := unfoldLevel(pred, exit, rec, prev, ren, o)
 		if !ok {
 			res.Verdict = NotWithinBudget
 			res.Depth = k
@@ -384,7 +332,7 @@ func projectGrowth(exitN int, rec []ast.Rule, pred string) int {
 // the deduplicated next level, the disjuncts of that level that are
 // not already in prev (the only ones whose containment is in
 // question), and ok=false when a budget is exceeded.
-func unfoldLevel(pred string, exit, rec, prev []ast.Rule, fresh *int, o Options) (next, grew []ast.Rule, ok bool) {
+func unfoldLevel(pred string, exit, rec, prev []ast.Rule, ren *ast.Renamer, o Options) (next, grew []ast.Rule, ok bool) {
 	keys := map[string]bool{}
 	next = dedupe(exit, keys)
 	prevKeys := map[string]bool{}
@@ -402,7 +350,7 @@ func unfoldLevel(pred string, exit, rec, prev []ast.Rule, fresh *int, o Options)
 		var walk func(i int) bool
 		walk = func(i int) bool {
 			if i == len(occ) {
-				d, expanded := expand(r, occ, choice, fresh)
+				d, expanded := expand(r, occ, choice, ren)
 				if !expanded {
 					return true // heads never unify; this combination derives nothing
 				}
@@ -438,106 +386,42 @@ func unfoldLevel(pred string, exit, rec, prev []ast.Rule, fresh *int, o Options)
 // expand resolves rule r's p-subgoals (at body positions occ) against
 // the chosen disjuncts: each disjunct is renamed apart, its head
 // unified with the subgoal's arguments under one accumulated
-// substitution, and its body spliced in place of the subgoal.
-func expand(r ast.Rule, occ []int, choice []ast.Rule, fresh *int) (ast.Rule, bool) {
-	// '#' cannot appear in source identifiers, so suffixed names are
-	// disjoint from the rule's variables and from every other chosen
-	// disjunct's (the counter makes repeated choices distinct).
+// substitution, and its body spliced in place of the subgoal. ren
+// avoids the variables of p's rules, and its names from different
+// calls are distinct, so the renamed disjuncts are apart from r and
+// from each other.
+func expand(r ast.Rule, occ []int, choice []ast.Rule, ren *ast.Renamer) (ast.Rule, bool) {
 	renamed := make([]ast.Rule, len(choice))
 	for i, d := range choice {
-		*fresh++
-		n := *fresh
-		renamed[i] = ast.RenameRule(d, func(v string) string { return fmt.Sprintf("%s#b%d", v, n) })
+		renamed[i] = ast.RenameRule(d, ren.Next(d.Vars()))
 	}
-	subst := map[string]ast.Term{}
+	subst := unify.Subst{}
 	for i, oi := range occ {
-		if !unifyInto(subst, r.Pos[oi].Args, renamed[i].Head.Args) {
+		// Disjunct head first: its variables are bound in preference,
+		// so the rule's own names (head variables included) survive.
+		if !subst.UnifyArgs(renamed[i].Head.Args, r.Pos[oi].Args) {
 			return ast.Rule{}, false
 		}
 	}
-	out := ast.Rule{Head: substAtom(r.Head, subst), At: r.At}
+	out := ast.Rule{Head: subst.ApplyAtom(r.Head), At: r.At}
 	ri := 0
 	for i, a := range r.Pos {
 		if ri < len(occ) && occ[ri] == i {
 			for _, pa := range renamed[ri].Pos {
-				out.Pos = append(out.Pos, substAtom(pa, subst))
+				out.Pos = append(out.Pos, subst.ApplyAtom(pa))
 			}
 			for _, c := range renamed[ri].Cmp {
-				out.Cmp = append(out.Cmp, substCmp(c, subst))
+				out.Cmp = append(out.Cmp, subst.ApplyCmp(c))
 			}
 			ri++
 			continue
 		}
-		out.Pos = append(out.Pos, substAtom(a, subst))
+		out.Pos = append(out.Pos, subst.ApplyAtom(a))
 	}
 	for _, c := range r.Cmp {
-		out.Cmp = append(out.Cmp, substCmp(c, subst))
+		out.Cmp = append(out.Cmp, subst.ApplyCmp(c))
 	}
 	return out, true
-}
-
-// unifyInto unifies two argument lists under an accumulated
-// substitution, extending it in place. Like magic's unifyArgs this is
-// full syntactic unification over flat terms (disjunct heads may
-// repeat variables and hold constants), but threaded through one
-// growing map so several subgoals of the same rule unify consistently.
-func unifyInto(subst map[string]ast.Term, a, b []ast.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var walk func(t ast.Term) ast.Term
-	walk = func(t ast.Term) ast.Term {
-		for t.IsVar() {
-			next, ok := subst[t.Name]
-			if !ok {
-				return t
-			}
-			t = next
-		}
-		return t
-	}
-	for i := range a {
-		x, y := walk(a[i]), walk(b[i])
-		switch {
-		case x.IsVar() && y.IsVar() && x.Name == y.Name:
-		case y.IsVar():
-			// Prefer binding the disjunct-side variable so the rule's
-			// own names (head variables included) survive.
-			subst[y.Name] = x
-		case x.IsVar():
-			subst[x.Name] = y
-		case !x.Equal(y):
-			return false
-		}
-	}
-	// Flatten chains so substAtom can apply the map in one step.
-	for v := range subst {
-		subst[v] = walk(ast.V(v))
-	}
-	return true
-}
-
-func substTerm(t ast.Term, subst map[string]ast.Term) ast.Term {
-	if t.IsVar() {
-		if r, ok := subst[t.Name]; ok {
-			return r
-		}
-	}
-	return t
-}
-
-func substAtom(a ast.Atom, subst map[string]ast.Term) ast.Atom {
-	out := ast.Atom{Pred: a.Pred, At: a.At, Args: make([]ast.Term, len(a.Args))}
-	for i, t := range a.Args {
-		out.Args[i] = substTerm(t, subst)
-	}
-	return out
-}
-
-func substCmp(c ast.Cmp, subst map[string]ast.Term) ast.Cmp {
-	c.Left = substTerm(c.Left, subst)
-	c.Right = substTerm(c.Right, subst)
-	return c
 }
 
 // canonicalKey renames a rule's variables to V0, V1, ... in order of

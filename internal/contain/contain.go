@@ -119,9 +119,9 @@ func NotContainedAsSatisfiability(p *ast.Program, ucq []CQ) (*ast.Program, []ast
 	prog.Query = reducedQuery
 
 	var ics []ast.IC
-	var fr ast.Freshener
+	ren := ast.NewRenamer()
 	for _, q := range ucq {
-		qr := ast.RenameRule(q, fr.Next())
+		qr := ast.RenameRule(q, ren.Next(q.Vars()))
 		// Bind the CQ's head variables to the goal tuple: the goal
 		// atom reuses the head argument terms directly.
 		ic := ast.IC{

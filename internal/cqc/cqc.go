@@ -38,9 +38,7 @@ func Contained(q1, q2 CQ) (bool, error) {
 // (body atoms into body atoms, head onto head). When check is non-nil
 // it is invoked per candidate mapping and must approve it.
 func containmentMapping(q1, q2 CQ, check func(unify.Subst) bool) bool {
-	// Rename q2 apart from q1.
-	var fr ast.Freshener
-	q2 = ast.RenameRule(q2, fr.Next())
+	q2 = renameApart(q2, q1)
 	// The head must map exactly: seed the homomorphism search with the
 	// head match.
 	seed, ok := unify.Match(q2.Head, q1.Head, nil)
@@ -70,6 +68,12 @@ func containmentMapping(q1, q2 CQ, check func(unify.Subst) bool) bool {
 	return found
 }
 
+// renameApart renames q2's variables apart from q1's, so that a
+// mapping from q2 into q1 never binds a variable to itself.
+func renameApart(q2, q1 CQ) CQ {
+	return ast.RenameRule(q2, ast.NewRenamer(q1.Vars()...).Next(q2.Vars()))
+}
+
 // ContainedOrder reports whether q1 ⊑ q2 for CQs whose bodies may
 // carry order atoms (no negation). The test searches for a containment
 // mapping h such that q1's order constraints imply h(q2's order
@@ -92,9 +96,7 @@ func ContainedOrder(q1, q2 CQ) (bool, error) {
 // containedOrderMapping searches for a containment mapping h from q2
 // into q1 with q1.Cmp ⊨ h(q2.Cmp).
 func containedOrderMapping(q1, q2 CQ) bool {
-	var fr ast.Freshener
-	ren := fr.Next()
-	q2r := ast.RenameRule(q2, ren)
+	q2r := renameApart(q2, q1)
 	seed, ok := unify.Match(q2r.Head, q1.Head, nil)
 	if !ok {
 		return false

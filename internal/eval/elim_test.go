@@ -204,6 +204,7 @@ r(X) :- glue(X), r(Y), r(Z).
 buys_q0(X, Y) :- trendy(X), buys_q0(Z, Y).
 buys(X, Y) :- buys_q0(X, Y).
 ?- buys.`, uint8(11), uint8(1))
+	addSuffixedNameSeeds(f)
 
 	f.Fuzz(func(t *testing.T, src string, seed, bindMask uint8) {
 		unit, err := parser.Parse(src)

@@ -142,10 +142,9 @@ func (l *roundLog) round(r int) map[string]int64 {
 // statsEqualExcluded names the Stats fields deliberately NOT compared
 // by Equal: planning, rewrite, and footprint diagnostics that
 // legitimately differ across rewrites while the answers stay
-// identical. The statsequal analyzer
-// (internal/analyzers/statsequal, run via go vet -vettool in CI) fails
-// the build when a new Stats field is neither compared in Equal nor
-// listed here — adding a field means making that choice explicitly.
+// identical. TestStatsEqualPartition fails when a Stats field is
+// neither compared in Equal nor listed here — adding a field means
+// making that choice explicitly.
 var statsEqualExcluded = map[string]bool{
 	"PlanNanos":        true,
 	"PlansCompiled":    true,

@@ -344,6 +344,17 @@ p_q0(X, Y) :- e(X, Z), p_q0(Z, Y).
 	f.Add(root+"q(X, Y) :- p_q0(X, Y).\np(X, Y) :- q(X, Y).\n?- p.", uint8(10), uint8(1))
 }
 
+// addSuffixedNameSeeds seeds FuzzMagic and FuzzElim with programs whose
+// variables already carry the "_n" spelling renaming apart produces:
+// the optimizer and linter once spun forever on the first two, and the
+// boundedness check on the third.
+func addSuffixedNameSeeds(f *testing.F) {
+	f.Add("p(X_1, Y_1) :- e(X_1, Y_1), q(Y_1).\n?- p.\n:- e(X, Y), Y < X.", uint8(12), uint8(1))
+	f.Add("h(A) :- e(A, X_1), f(X_1), k(A).\nh(A) :- e(A, X), f(X).\n?- h.", uint8(13), uint8(1))
+	f.Add("p(X, Y) :- e(X, Y).\np(X_1, Y) :- f(X_1), p(X_1, Y).\n?- p.", uint8(14), uint8(1))
+	f.Add("a(X, Y) :- b(X, Z), c(Z, Y).\nb(X, Y) :- e(X, Z_1), f(Z_1, Y), g(Z).\nc(X, Y) :- e(X, Y).\nq(X, Y) :- a(X, Y), g(Z_1).\n?- q.", uint8(15), uint8(1))
+}
+
 // FuzzMagic drives arbitrary programs with arbitrary binding patterns
 // through the goal-directed path and asserts the one contract that
 // matters: magic on, with and without streaming, answers exactly like
@@ -372,6 +383,7 @@ t(X, Y) :- s(X, Y), s(Y, X).
 q(X, Y) :- mid(X, Z), f(Z, Y).
 ?- q.`, uint8(5), uint8(1))
 	addRenamingSeeds(f)
+	addSuffixedNameSeeds(f)
 
 	f.Fuzz(func(t *testing.T, src string, seed, bindMask uint8) {
 		unit, err := parser.Parse(src)

@@ -9,11 +9,9 @@ import (
 // TestStatsEqualPartition proves, by reflection, that every Stats
 // field, the unexported round record included, is either compared by
 // Equal or deliberately listed in statsEqualExcluded — and that the
-// exclusion set names no stale fields. Perturbing a compared field must break Equal; perturbing an
-// excluded one must not. The statsequal vet analyzer enforces the
-// same partition syntactically at build time; this test enforces it
-// behaviorally, so a field added to the struct but forgotten in both
-// places fails here first.
+// exclusion set names no stale fields. Perturbing a compared field must
+// break Equal; perturbing an excluded one must not. A field added to
+// the struct but forgotten in both places fails here.
 func TestStatsEqualPartition(t *testing.T) {
 	typ := reflect.TypeOf(Stats{})
 	fields := map[string]bool{}

@@ -1,10 +1,6 @@
 package incr
 
-import (
-	"sort"
-
-	"repro/internal/ast"
-)
+import "repro/internal/ast"
 
 // stratum is one maintenance unit: a strongly connected component of
 // the IDB dependency graph, in topological order (dependencies come in
@@ -18,90 +14,16 @@ type stratum struct {
 	rules     []int // indices of rules whose head is in preds, ascending
 }
 
-// buildStrata runs Tarjan's SCC algorithm over the IDB predicate
-// dependency graph (edge p → q when q occurs positively in the body of
-// a rule with head p; negation is EDB-only, so it never adds edges).
-// Tarjan completes an SCC only after every SCC reachable from it, so
-// the pop order is already topological with dependencies first. All
-// iteration is over sorted predicate lists, keeping the result
-// deterministic.
+// buildStrata turns the program's dependency components (ast's
+// Recursion: topological, dependencies first) into strata.
 func buildStrata(p *ast.Program) []stratum {
-	idb := p.IDB()
-	preds := make([]string, 0, len(idb))
-	for pred := range idb {
-		preds = append(preds, pred)
-	}
-	sort.Strings(preds)
-
-	succ := map[string][]string{}
-	selfDep := map[string]bool{}
-	for _, r := range p.Rules {
-		for _, a := range r.Pos {
-			if !idb[a.Pred] {
-				continue
-			}
-			succ[r.Head.Pred] = append(succ[r.Head.Pred], a.Pred)
-			if a.Pred == r.Head.Pred {
-				selfDep[r.Head.Pred] = true
-			}
-		}
-	}
-	for pred := range succ {
-		sort.Strings(succ[pred])
-	}
-
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	var sccs [][]string
-
-	var strongconnect func(string)
-	strongconnect = func(pred string) {
-		index[pred] = next
-		low[pred] = next
-		next++
-		stack = append(stack, pred)
-		onStack[pred] = true
-		for _, q := range succ[pred] {
-			if _, seen := index[q]; !seen {
-				strongconnect(q)
-				if low[q] < low[pred] {
-					low[pred] = low[q]
-				}
-			} else if onStack[q] && index[q] < low[pred] {
-				low[pred] = index[q]
-			}
-		}
-		if low[pred] == index[pred] {
-			var comp []string
-			for {
-				q := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[q] = false
-				comp = append(comp, q)
-				if q == pred {
-					break
-				}
-			}
-			sort.Strings(comp)
-			sccs = append(sccs, comp)
-		}
-	}
-	for _, pred := range preds {
-		if _, seen := index[pred]; !seen {
-			strongconnect(pred)
-		}
-	}
-
-	out := make([]stratum, 0, len(sccs))
-	for _, comp := range sccs {
-		st := stratum{preds: comp, inStr: map[string]bool{}}
+	rc := p.Recursion()
+	out := make([]stratum, 0, len(rc.Comps))
+	for ci, comp := range rc.Comps {
+		st := stratum{preds: comp, inStr: map[string]bool{}, recursive: rc.Cyclic[ci]}
 		for _, pred := range comp {
 			st.inStr[pred] = true
 		}
-		st.recursive = len(comp) > 1 || selfDep[comp[0]]
 		for i, r := range p.Rules {
 			if st.inStr[r.Head.Pred] {
 				st.rules = append(st.rules, i)

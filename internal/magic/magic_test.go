@@ -279,7 +279,7 @@ func TestUnfoldSkipsRecursiveAndShared(t *testing.T) {
 }
 
 func TestUnfoldRenamesApartFromEarlierUnfolds(t *testing.T) {
-	// Unfolding a leaves a's body variable in q as Z#u; b's own Z must
+	// Unfolding a leaves a's body variable in q as Z_1; b's own Z must
 	// then be renamed past it, or q would join b's middle with c's input.
 	p := mustParse(t, `
 		a(X, Y) :- b(X, Z), c(Z, Y).
@@ -292,7 +292,7 @@ func TestUnfoldRenamesApartFromEarlierUnfolds(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("eliminated = %d, want 3:\n  %s", n, strings.Join(ruleStrings(out), "\n  "))
 	}
-	containsRule(t, out, `q(X, Y) :- e(X, Z#u#u), f(Z#u#u, Z#u), g(Z#u, Y).`)
+	containsRule(t, out, `q(X, Y) :- e(X, Z_2), f(Z_2, Z_1), g(Z_1, Y).`)
 }
 
 func TestUnfoldMultiRuleProducer(t *testing.T) {

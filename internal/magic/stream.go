@@ -15,10 +15,10 @@ package magic
 // single-consumer shape.
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/ast"
+	"repro/internal/unify"
 )
 
 const (
@@ -53,7 +53,7 @@ func Unfold(p *ast.Program) (*ast.Program, int) {
 // predicate qualifies.
 func unfoldOne(p *ast.Program) *ast.Program {
 	idb := p.IDB()
-	rec := recursivePreds(p, idb)
+	rec := p.Recursion()
 	// Count positive body occurrences of each IDB predicate, keeping
 	// the location of the (hopefully unique) consumer.
 	type site struct{ rule, pos int }
@@ -69,7 +69,7 @@ func unfoldOne(p *ast.Program) *ast.Program {
 	}
 	var cands []string
 	for pred, n := range count {
-		if n != 1 || pred == p.Query || rec[pred] {
+		if n != 1 || pred == p.Query || rec.Recursive(pred) {
 			continue
 		}
 		if p.Rules[where[pred].rule].Head.Pred == pred {
@@ -94,43 +94,42 @@ func unfoldOne(p *ast.Program) *ast.Program {
 func inline(p *ast.Program, pred string, ci, k int) *ast.Program {
 	consumer := p.Rules[ci]
 	atom := consumer.Pos[k]
-	taken := map[string]bool{}
-	for _, v := range consumer.Vars() {
-		taken[v] = true
-	}
+	// The consumer may carry names an earlier unfold renamed apart, so
+	// the renamer avoids all of them.
+	ren := ast.NewRenamer(consumer.Vars()...)
 	var unfolded []ast.Rule
 	for _, prod := range p.Rules {
 		if prod.Head.Pred != pred {
 			continue
 		}
-		// Rename the producer's variables apart from the consumer's.
-		suffix := freshSuffix(prod, taken)
-		prod = ast.RenameRule(prod, func(v string) string { return v + suffix })
-		subst, ok := unifyArgs(atom.Args, prod.Head.Args)
-		if !ok {
+		prod = ast.RenameRule(prod, ren.Next(prod.Vars()))
+		// Producer head first: its variables are bound in preference,
+		// so consumer names (head variables included) survive.
+		subst := unify.Subst{}
+		if !subst.UnifyArgs(prod.Head.Args, atom.Args) {
 			continue // this producer can never feed the consumer
 		}
-		nr := ast.Rule{Head: substAtom(consumer.Head, subst), At: consumer.At}
+		nr := ast.Rule{Head: subst.ApplyAtom(consumer.Head), At: consumer.At}
 		for i, a := range consumer.Pos {
 			if i == k {
 				for _, pa := range prod.Pos {
-					nr.Pos = append(nr.Pos, substAtom(pa, subst))
+					nr.Pos = append(nr.Pos, subst.ApplyAtom(pa))
 				}
 				continue
 			}
-			nr.Pos = append(nr.Pos, substAtom(a, subst))
+			nr.Pos = append(nr.Pos, subst.ApplyAtom(a))
 		}
 		for _, n := range consumer.Neg {
-			nr.Neg = append(nr.Neg, substAtom(n, subst))
+			nr.Neg = append(nr.Neg, subst.ApplyAtom(n))
 		}
 		for _, n := range prod.Neg {
-			nr.Neg = append(nr.Neg, substAtom(n, subst))
+			nr.Neg = append(nr.Neg, subst.ApplyAtom(n))
 		}
 		for _, c := range consumer.Cmp {
-			nr.Cmp = append(nr.Cmp, substCmp(c, subst))
+			nr.Cmp = append(nr.Cmp, subst.ApplyCmp(c))
 		}
 		for _, c := range prod.Cmp {
-			nr.Cmp = append(nr.Cmp, substCmp(c, subst))
+			nr.Cmp = append(nr.Cmp, subst.ApplyCmp(c))
 		}
 		if len(nr.Pos) > maxUnfoldBody || nr.Safe() != nil {
 			return nil
@@ -155,115 +154,4 @@ func inline(p *ast.Program, pred string, ci, k int) *ast.Program {
 		}
 	}
 	return out
-}
-
-// freshSuffix returns the shortest run of "#u" that, appended to each of
-// prod's variables, names none of the taken ones. '#' cannot appear in
-// source identifiers, so one "#u" is disjoint from every variable a user
-// wrote — but not from those an earlier unfold of another producer left
-// in the consumer: a producer's Z cannot become Z#u when the consumer
-// already has a Z#u of its own, or the two would be joined.
-func freshSuffix(prod ast.Rule, taken map[string]bool) string {
-	vars := prod.Vars()
-	for suffix := "#u"; ; suffix += "#u" {
-		if !slices.ContainsFunc(vars, func(v string) bool { return taken[v+suffix] }) {
-			return suffix
-		}
-	}
-}
-
-// recursivePreds returns the IDB predicates on a positive dependency
-// cycle (reachable from themselves through positive IDB subgoals).
-func recursivePreds(p *ast.Program, idb map[string]bool) map[string]bool {
-	deps := map[string][]string{}
-	for _, r := range p.Rules {
-		for _, a := range r.Pos {
-			if idb[a.Pred] {
-				deps[r.Head.Pred] = append(deps[r.Head.Pred], a.Pred)
-			}
-		}
-	}
-	rec := map[string]bool{}
-	for pred := range idb {
-		seen := map[string]bool{}
-		stack := append([]string(nil), deps[pred]...)
-		for len(stack) > 0 {
-			q := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if q == pred {
-				rec[pred] = true
-				break
-			}
-			if seen[q] {
-				continue
-			}
-			seen[q] = true
-			stack = append(stack, deps[q]...)
-		}
-	}
-	return rec
-}
-
-// unifyArgs unifies a consumer atom's arguments with a (renamed-apart)
-// producer head's arguments, returning a substitution over both rules'
-// variables. Producer heads may repeat variables and hold constants,
-// so this is full syntactic unification over flat terms.
-func unifyArgs(a, b []ast.Term) (map[string]ast.Term, bool) {
-	if len(a) != len(b) {
-		return nil, false
-	}
-	subst := map[string]ast.Term{}
-	var walk func(t ast.Term) ast.Term
-	walk = func(t ast.Term) ast.Term {
-		for t.IsVar() {
-			next, ok := subst[t.Name]
-			if !ok {
-				return t
-			}
-			t = next
-		}
-		return t
-	}
-	for i := range a {
-		x, y := walk(a[i]), walk(b[i])
-		switch {
-		case x.IsVar() && y.IsVar() && x.Name == y.Name:
-		case y.IsVar():
-			// Prefer binding the producer-side variable so consumer
-			// names (head variables included) survive the rewrite.
-			subst[y.Name] = x
-		case x.IsVar():
-			subst[x.Name] = y
-		case !x.Equal(y):
-			return nil, false
-		}
-	}
-	// Flatten chains so substAtom can apply the map in one step.
-	for v := range subst {
-		subst[v] = walk(ast.V(v))
-	}
-	return subst, true
-}
-
-func substTerm(t ast.Term, subst map[string]ast.Term) ast.Term {
-	if t.IsVar() {
-		if r, ok := subst[t.Name]; ok {
-			return r
-		}
-	}
-	return t
-}
-
-func substAtom(a ast.Atom, subst map[string]ast.Term) ast.Atom {
-	out := ast.Atom{Pred: a.Pred, At: a.At, Args: make([]ast.Term, len(a.Args))}
-	for i, t := range a.Args {
-		out.Args[i] = substTerm(t, subst)
-	}
-	return out
-}
-
-func substCmp(c ast.Cmp, subst map[string]ast.Term) ast.Cmp {
-	c.Left = substTerm(c.Left, subst)
-	c.Right = substTerm(c.Right, subst)
-	return c
 }

@@ -51,19 +51,10 @@ func (res Residue) key() string {
 func Compute(r ast.Rule, ic ast.IC) []Residue {
 	// Rename the constraint apart from the rule so one-way matching is
 	// well-defined.
-	var fr ast.Freshener
-	taken := map[string]bool{}
-	for _, v := range r.Vars() {
-		taken[v] = true
+	ren := ast.NewRenamer(r.Vars()...)
+	if vs := ic.Vars(); ren.Collides(vs) {
+		ic = ast.RenameIC(ic, ren.Next(vs))
 	}
-	icr := ic
-	for hasCollision(ic, taken) {
-		icr = ast.RenameIC(icr, fr.Next())
-		if !hasCollision(icr, taken) {
-			break
-		}
-	}
-	ic = icr
 
 	var out []Residue
 	seen := map[string]bool{}
@@ -97,15 +88,6 @@ func Compute(r ast.Rule, ic ast.IC) []Residue {
 		})
 	}
 	return out
-}
-
-func hasCollision(ic ast.IC, taken map[string]bool) bool {
-	for _, v := range ic.Vars() {
-		if taken[v] {
-			return true
-		}
-	}
-	return false
 }
 
 // groundedIn reports whether every variable of the residue occurs in

@@ -137,9 +137,9 @@ func RewriteLocal(p *ast.Program, ics []ast.IC) (*ast.Program, []LocalPair, erro
 // transferred local literal is undetermined in r, and returns the two
 // case-split copies.
 func splitOn(r ast.Rule, lp LocalPair, idb map[string]bool) (ast.Rule, ast.Rule, bool) {
-	// Rename the anchor (and local atom) apart from the rule.
-	var fr ast.Freshener
-	ren := fr.Next()
+	// Rename the anchor (and local atom, whose variables are the
+	// anchor's) apart from the rule.
+	ren := ast.NewRenamer(r.Vars()...).Next(lp.Anchor.Vars(nil))
 	anchor := ast.RenameAtom(lp.Anchor, ren)
 	var lOrder *ast.Cmp
 	var lNeg *ast.Atom

@@ -93,20 +93,11 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// lintDiagnostics lints an already-validated program source for the
-// advisory diagnostics attached to optimize and view-create
-// responses. It never fails the request: parse errors (already
-// reported by the caller's own parsing) and empty reports both yield
-// nil.
-func (s *Server) lintDiagnostics(ctx context.Context, programSrc, icsSrc string) []sqo.LintFinding {
-	prog, err := sqo.ParseProgram(programSrc)
-	if err != nil {
-		return nil
-	}
-	ics, err := sqo.ParseICs(icsSrc)
-	if err != nil {
-		return nil
-	}
+// lintDiagnostics lints a request's program as submitted, parsed by the
+// caller, for the advisory diagnostics attached to optimize and
+// view-create responses. It never fails the request: an empty report
+// yields nil.
+func (s *Server) lintDiagnostics(ctx context.Context, prog *sqo.Program, ics []sqo.IC) []sqo.LintFinding {
 	rep := sqo.Lint(ctx, prog, ics, nil, sqo.LintOptions{MagicEnabled: true, ElimEnabled: true})
 	s.metrics.LintRuns.Add(1)
 	s.metrics.LintFindings.Add(int64(len(rep.Findings)))

@@ -136,6 +136,20 @@ func TestServerViewCreateCarriesDiagnostics(t *testing.T) {
 	if strings.Contains(string(raw), "diagnostics") {
 		t.Errorf("view GET must not carry diagnostics: %s", raw)
 	}
+
+	// Unoptimized, the view still lints against its ICs; ICs that do
+	// not parse drop the diagnostics, not the view.
+	resp.Diagnostics = nil
+	code, raw = doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/views/raw",
+		map[string]any{"program": deadRuleProgram, "ics": deadRuleICs, "optimize": false}, &resp)
+	if code != http.StatusOK || findingIDs(resp.Diagnostics)["dead-rule"] != 2 {
+		t.Errorf("unoptimized view create: status %d, body %s", code, raw)
+	}
+	code, raw = doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/views/badics",
+		map[string]any{"program": deadRuleProgram, "ics": ":- a(X", "optimize": false}, nil)
+	if code != http.StatusOK || strings.Contains(string(raw), "diagnostics") {
+		t.Errorf("unoptimized view create with unparsable ICs: status %d, body %s", code, raw)
+	}
 }
 
 func TestServerMetricsExposeLintCounters(t *testing.T) {

@@ -82,7 +82,11 @@ func (s *Server) restore(rec *store.Recovered) {
 func (s *Server) restoreView(ctx context.Context, ds *dataset, def store.ViewDef) bool {
 	var prog *sqo.Program
 	if def.Optimized {
-		res, _, err := s.optimizeCached(ctx, def.Program, def.ICs)
+		p, ics, err := parseRequest(def.Program, def.ICs, true)
+		var res *sqo.Result
+		if err == nil {
+			res, _, err = s.optimizeCached(ctx, p, ics)
+		}
 		if err != nil {
 			s.log.Warn("restoring view: optimize failed", "dataset", ds.name, "view", def.Name, "err", err)
 			return false

@@ -3,11 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
@@ -122,5 +126,63 @@ func TestPanicContained(t *testing.T) {
 		if !strings.Contains(logs.String(), want) {
 			t.Errorf("log lacks %q:\n%s", want, logs.String())
 		}
+	}
+}
+
+// TestSuffixedVariableNamesKeepSlots: variables already spelled like a
+// renaming's output (X_1) once made the optimizer bind a variable to
+// itself and spin forever, so each such /v1/optimize request held its
+// admission slot for as long as its client waited, and sqod answered
+// 429 to everything else. Every such request must now finish at once,
+// and an ordinary request after them must be served.
+func TestSuffixedVariableNamesKeepSlots(t *testing.T) {
+	const inflight = 2
+	s := New(Config{MaxInflight: inflight, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unlike httptest.Server's, this Close does not wait for running
+	// handlers, so a handler that never returns fails the test instead
+	// of hanging it.
+	srv := &http.Server{Handler: s.Handler()}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	post := func(body any) (int, error) {
+		b, err := json.Marshal(body)
+		if err != nil {
+			return 0, err
+		}
+		client := &http.Client{Timeout: 3 * time.Second}
+		resp, err := client.Post("http://"+ln.Addr().String()+"/v1/optimize", "application/json", bytes.NewReader(b))
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2*inflight; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Any status will do (429 included, while the slots are
+			// busy); the request has to finish.
+			post(optimizeRequest{
+				Program: "p(X_1, Y_1) :- e(X_1, Y_1), q(Y_1).\n?- p.",
+				ICs:     ":- e(X, Y), Y < X.",
+			})
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Error("optimize requests with suffixed variable names still running after 1s")
+	}
+	code, err := post(optimizeRequest{Program: serverTestProgram, ICs: serverTestICs})
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("ordinary optimize after them: %d, %v; want 200", code, err)
 	}
 }

@@ -491,14 +491,10 @@ func parseRequest(programSrc, icsSrc string, withICs bool) (*sqo.Program, []sqo.
 	return prog, ics, nil
 }
 
-// optimizeCached parses, hashes, and rewrites through the cache. The
-// entry is shared by every goal of the request's binding pattern, so the
-// outcome returned carries the request's own goal.
-func (s *Server) optimizeCached(ctx context.Context, programSrc, icsSrc string) (*sqo.Result, bool, error) {
-	prog, ics, err := parseRequest(programSrc, icsSrc, true)
-	if err != nil {
-		return nil, false, err
-	}
+// optimizeCached hashes a parsed request and rewrites it through the
+// cache. The entry is shared by every goal of the request's binding
+// pattern, so the outcome returned carries the request's own goal.
+func (s *Server) optimizeCached(ctx context.Context, prog *sqo.Program, ics []sqo.IC) (*sqo.Result, bool, error) {
 	opts := sqo.DefaultOptions()
 	c, hit, err := s.cache.GetOrCompute(ctx, patternKey(prog, ics, opts, "optimize"), func() (*compiled, error) {
 		res, err := optimizeProgram(ctx, prog, ics, opts)
@@ -595,7 +591,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	res, hit, err := s.optimizeCached(r.Context(), req.Program, req.ICs)
+	prog, ics, err := parseRequest(req.Program, req.ICs, true)
+	if err != nil {
+		s.writeRequestError(w, err)
+		return
+	}
+	res, hit, err := s.optimizeCached(r.Context(), prog, ics)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
@@ -605,7 +606,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		Satisfiable: res.Satisfiable,
 		Explain:     sqo.Explain(res),
 		Warnings:    res.Warnings,
-		Diagnostics: s.lintDiagnostics(r.Context(), req.Program, req.ICs),
+		Diagnostics: s.lintDiagnostics(r.Context(), prog, ics),
 		CacheHit:    hit,
 		OptimizeMS:  float64(time.Since(start).Microseconds()) / 1000,
 	})

@@ -249,24 +249,24 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	doOptimize := req.Optimize == nil || *req.Optimize
-	var (
-		prog     *sqo.Program
-		cacheHit bool
-	)
+	// src and ics are the request as submitted, for the diagnostics.
+	src, ics, err := parseRequest(req.Program, req.ICs, doOptimize)
+	if err != nil {
+		s.writeRequestError(w, err)
+		return
+	}
+	prog, cacheHit, diagnose := src, false, true
 	if doOptimize {
-		res, hit, err := s.optimizeCached(ctx, req.Program, req.ICs)
+		res, hit, err := s.optimizeCached(ctx, src, ics)
 		if err != nil {
 			s.writeRequestError(w, err)
 			return
 		}
 		prog, cacheHit = res.Program, hit
-	} else {
-		p, _, err := parseRequest(req.Program, "", false)
-		if err != nil {
-			s.writeRequestError(w, err)
-			return
-		}
-		prog = p
+	} else if ics, err = sqo.ParseICs(req.ICs); err != nil {
+		// Unoptimized, the ICs only feed the diagnostics: ones that do
+		// not parse cost those, not the view.
+		diagnose = false
 	}
 	maxTuples := s.cfg.MaxTuples
 	if req.MaxTuples > 0 {
@@ -312,8 +312,11 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Views.Add(1)
 
-	s.respondView(w, ds, mv, cacheHit, float64(time.Since(start).Microseconds())/1000,
-		s.lintDiagnostics(ctx, req.Program, req.ICs))
+	var diags []sqo.LintFinding
+	if diagnose {
+		diags = s.lintDiagnostics(ctx, src, ics)
+	}
+	s.respondView(w, ds, mv, cacheHit, float64(time.Since(start).Microseconds())/1000, diags)
 }
 
 // handleViewGet returns a view's current answers (GET

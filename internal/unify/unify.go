@@ -132,6 +132,23 @@ func unifyTerm(a, b ast.Term, s Subst) bool {
 	}
 }
 
+// UnifyArgs extends s in place so that the argument lists a and b
+// become equal, and reports whether they unify; on failure s may hold
+// part of the bindings. Where both sides are variables a's is bound,
+// so a caller that wants one side's names to survive passes the other
+// side as a.
+func (s Subst) UnifyArgs(a, b []ast.Term) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !unifyTerm(a[i], b[i], s) {
+			return false
+		}
+	}
+	return true
+}
+
 // Unify computes a most-general unifier of two atoms, extending the
 // given substitution (which may be nil). It returns the extended
 // substitution and whether unification succeeded. The input
@@ -144,10 +161,8 @@ func Unify(a, b ast.Atom, s Subst) (Subst, bool) {
 	if s != nil {
 		out = s.Clone()
 	}
-	for i := range a.Args {
-		if !unifyTerm(a.Args[i], b.Args[i], out) {
-			return nil, false
-		}
+	if !out.UnifyArgs(a.Args, b.Args) {
+		return nil, false
 	}
 	return out, true
 }
@@ -170,9 +185,10 @@ func matchTerm(p, t ast.Term, s Subst, pv map[string]bool) bool {
 // target. Variables of the target are treated as constants, so
 // distinct target variables stay distinct. The pattern's and target's
 // variable sets must be disjoint (rename apart first; see
-// ast.Freshener) — otherwise a shared name is treated as a pattern
-// variable. The input substitution is not modified; Match returns the
-// extended substitution on success.
+// ast.Renamer) — otherwise a shared name is treated as a pattern
+// variable, and a binding of it to itself never resolves. The input
+// substitution is not modified; Match returns the extended
+// substitution on success.
 func Match(pattern, target ast.Atom, s Subst) (Subst, bool) {
 	pv := map[string]bool{}
 	for _, v := range pattern.Vars(nil) {
