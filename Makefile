@@ -75,14 +75,18 @@ bench-e2e:
 	bash bench/run.sh --workload eval-fixpoint --seed 1 --seconds 25 --trace 0
 	cd bench && $(GO) test ./...
 
-# A short native-fuzzing pass over the parser, over the order solver
-# (against its from-scratch reference), over the linter (no panics,
-# deterministic findings), over the response writer
-# (against the render-sort-encode path it replaced), over goal-directed
-# evaluation (magic, streaming and the one-root renaming fold against
-# bottom-up) and over the engine (against the reference evaluator, and a
-# derived interned base against a from-scratch one). Long enough to exercise the mutator, short enough for CI;
-# sustained campaigns should raise -fuzztime by hand.
+# A short native-fuzzing pass over every fuzz target, the nine the
+# nightly job runs for 5 minutes each: the parser, the order solver
+# (against its from-scratch reference), the linter (no panics,
+# deterministic findings), the response writer (against the
+# render-sort-encode path it replaced), goal-directed evaluation (magic,
+# streaming and the one-root renaming fold against bottom-up), the engine
+# (against the reference evaluator, and a derived interned base against a
+# from-scratch one), bounded-recursion elimination (against bottom-up
+# and the reference evaluator), and the store's WAL replay and segment
+# loader (malformed input is ErrCorrupt, never a panic). Long enough to
+# exercise the mutator, short enough for CI; sustained campaigns should
+# raise -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/order -run='^$$' -fuzz=FuzzOrder -fuzztime=10s
@@ -90,6 +94,9 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswerWriter -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzMagic -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzPlan -fuzztime=10s
+	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzElim -fuzztime=10s
+	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzWAL -fuzztime=10s
+	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzSegment -fuzztime=10s
 
 # Randomized differential check of incremental view maintenance under
 # the race detector: after every prefix of a random add/retract

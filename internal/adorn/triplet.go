@@ -68,10 +68,6 @@ func (t Triplet) Key() string {
 	return b.String()
 }
 
-// FullyMapped reports whether no positive atom of the constraint
-// remains unmapped.
-func (t Triplet) FullyMapped() bool { return len(t.Unmapped) == 0 }
-
 // Adornment is a set of triplets attached to a (specialized)
 // predicate, canonically ordered by Key.
 type Adornment struct {

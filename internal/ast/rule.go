@@ -45,15 +45,6 @@ func (r Rule) Vars() []string {
 	return vs
 }
 
-// BodyVars returns the variables occurring in positive subgoals.
-func (r Rule) BodyVars() []string {
-	var vs []string
-	for _, a := range r.Pos {
-		vs = a.Vars(vs)
-	}
-	return vs
-}
-
 // IsInit reports whether the rule is an initialization rule w.r.t. the
 // given set of IDB predicates: no IDB predicate occurs in its body.
 func (r Rule) IsInit(idb map[string]bool) bool {

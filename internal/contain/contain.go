@@ -1,14 +1,14 @@
-// Package contain implements query containment: conjunctive-query
-// containment by containment mappings (with sound handling of order
-// atoms), union-of-CQ containment, containment of a datalog program in
-// a union of conjunctive queries, and both directions of the
+// Package contain decides containment of a datalog program in a union
+// of conjunctive queries, and implements both directions of the
 // LOGSPACE reduction between containment and satisfiability stated as
 // Proposition 5.1 of the paper.
 //
-// The CQ-level procedures live in the dependency-light internal/cqc
-// core (so the boundedness analyzer under eval can use them without
-// importing the query-tree stack) and are re-exported here unchanged;
-// this package adds the program-level reductions, which need qtree.
+// Containment of one conjunctive query in another — by containment
+// mappings, with order atoms, and of unions — is package cqc, a
+// dependency-light core that the boundedness analyzer under eval can use
+// without importing the query-tree stack. The reductions here need
+// qtree. A conjunctive query is a cqc.CQ: a single rule whose head lists
+// the distinguished variables.
 package contain
 
 import (
@@ -18,31 +18,6 @@ import (
 	"repro/internal/cqc"
 	"repro/internal/qtree"
 )
-
-// CQ is a conjunctive query, represented as a single rule: the head
-// lists the distinguished variables, the body is a conjunction of
-// positive EDB atoms, negated EDB atoms, and order atoms.
-type CQ = cqc.CQ
-
-// Contained reports whether q1 ⊑ q2 holds for conjunctive queries
-// without order atoms or negation; see cqc.Contained.
-func Contained(q1, q2 CQ) (bool, error) { return cqc.Contained(q1, q2) }
-
-// ContainedOrder reports whether q1 ⊑ q2 for CQs whose bodies may
-// carry order atoms (no negation), soundly; see cqc.ContainedOrder.
-func ContainedOrder(q1, q2 CQ) (bool, error) { return cqc.ContainedOrder(q1, q2) }
-
-// ContainedOrderComplete decides q1 ⊑ q2 for CQs with order atoms (no
-// negation) completely via Klug's linearization argument; see
-// cqc.ContainedOrderComplete.
-func ContainedOrderComplete(q1, q2 CQ) (bool, error) {
-	return cqc.ContainedOrderComplete(q1, q2)
-}
-
-// UCQContained reports whether the union of CQs qs1 is contained in
-// the union qs2 (pure CQs) by the Sagiv–Yannakakis theorem; see
-// cqc.UCQContained.
-func UCQContained(qs1, qs2 []CQ) (bool, error) { return cqc.UCQContained(qs1, qs2) }
 
 // goalPred is the fresh EDB predicate introduced by the Prop 5.1
 // reduction.
@@ -60,7 +35,7 @@ const reducedQuery = "contain_q"
 //
 // The CQ bodies must range over EDB predicates of p (they become
 // integrity constraints, which cannot mention IDB predicates).
-func ProgramContainedInUCQ(p *ast.Program, ucq []CQ) (bool, error) {
+func ProgramContainedInUCQ(p *ast.Program, ucq []cqc.CQ) (bool, error) {
 	prog, ics, err := NotContainedAsSatisfiability(p, ucq)
 	if err != nil {
 		return false, err
@@ -83,7 +58,7 @@ func ProgramContainedInUCQ(p *ast.Program, ucq []CQ) (bool, error) {
 // contain_q(X̄) :- q(X̄), goal(X̄), and one constraint
 // :- goal(X̄), body_φ per disjunct forbidding the candidate from being
 // an answer of φ.
-func NotContainedAsSatisfiability(p *ast.Program, ucq []CQ) (*ast.Program, []ast.IC, error) {
+func NotContainedAsSatisfiability(p *ast.Program, ucq []cqc.CQ) (*ast.Program, []ast.IC, error) {
 	if p.Query == "" {
 		return nil, nil, fmt.Errorf("contain: program has no query predicate")
 	}
@@ -139,7 +114,7 @@ func NotContainedAsSatisfiability(p *ast.Program, ucq []CQ) (*ast.Program, []ast
 // iff the returned program is NOT contained in the returned union of
 // conjunctive queries. The program gains a 0-ary wrapper predicate
 // derived from the query, and each constraint becomes a 0-ary CQ.
-func SatisfiabilityAsNonContainment(p *ast.Program, ics []ast.IC) (*ast.Program, []CQ, error) {
+func SatisfiabilityAsNonContainment(p *ast.Program, ics []ast.IC) (*ast.Program, []cqc.CQ, error) {
 	if p.Query == "" {
 		return nil, nil, fmt.Errorf("contain: program has no query predicate")
 	}
@@ -158,9 +133,9 @@ func SatisfiabilityAsNonContainment(p *ast.Program, ics []ast.IC) (*ast.Program,
 	})
 	prog.Query = "contain_q0"
 
-	var ucq []CQ
+	var ucq []cqc.CQ
 	for _, ic := range ics {
-		ucq = append(ucq, CQ{
+		ucq = append(ucq, cqc.CQ{
 			Head: ast.NewAtom("contain_q0"),
 			Pos:  ic.Pos,
 			Neg:  ic.Neg,

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/cqc"
 	"repro/internal/eval"
 	"repro/internal/parser"
 	"repro/internal/qtree"
 )
 
-func cq(t *testing.T, src string) CQ {
+func cq(t *testing.T, src string) cqc.CQ {
 	t.Helper()
 	p, err := parser.ParseProgram(src)
 	if err != nil {
@@ -23,12 +24,12 @@ func TestContainedBasics(t *testing.T) {
 	// path of length 2 is contained in "some edge exists from X".
 	q1 := cq(t, `q(X) :- e(X, Y), e(Y, Z).`)
 	q2 := cq(t, `q(X) :- e(X, Y).`)
-	got, err := Contained(q1, q2)
+	got, err := cqc.Contained(q1, q2)
 	if err != nil || !got {
 		t.Fatalf("q1 ⊑ q2 expected: %v %v", got, err)
 	}
 	// Converse fails.
-	got, err = Contained(q2, q1)
+	got, err = cqc.Contained(q2, q1)
 	if err != nil || got {
 		t.Fatalf("q2 ⋢ q1 expected: %v %v", got, err)
 	}
@@ -38,10 +39,10 @@ func TestContainedSelfLoop(t *testing.T) {
 	// e(X,X) ⊑ e(X,Y) (folding), not conversely.
 	q1 := cq(t, `q(X) :- e(X, X).`)
 	q2 := cq(t, `q(X) :- e(X, Y).`)
-	if got, _ := Contained(q1, q2); !got {
+	if got, _ := cqc.Contained(q1, q2); !got {
 		t.Fatal("self-loop query is contained in edge query")
 	}
-	if got, _ := Contained(q2, q1); got {
+	if got, _ := cqc.Contained(q2, q1); got {
 		t.Fatal("edge query is not contained in self-loop query")
 	}
 }
@@ -50,7 +51,7 @@ func TestContainedHeadMatters(t *testing.T) {
 	// Same bodies, different head projections.
 	q1 := cq(t, `q(X) :- e(X, Y).`)
 	q2 := cq(t, `q(Y) :- e(X, Y).`)
-	if got, _ := Contained(q1, q2); got {
+	if got, _ := cqc.Contained(q1, q2); got {
 		t.Fatal("head projection must distinguish the queries")
 	}
 }
@@ -58,8 +59,8 @@ func TestContainedHeadMatters(t *testing.T) {
 func TestContainedEquivalentRenaming(t *testing.T) {
 	q1 := cq(t, `q(A, B) :- e(A, C), e(C, B).`)
 	q2 := cq(t, `q(X, Y) :- e(X, Z), e(Z, Y).`)
-	got1, _ := Contained(q1, q2)
-	got2, _ := Contained(q2, q1)
+	got1, _ := cqc.Contained(q1, q2)
+	got2, _ := cqc.Contained(q2, q1)
 	if !got1 || !got2 {
 		t.Fatal("renamed copies must be equivalent")
 	}
@@ -68,7 +69,7 @@ func TestContainedEquivalentRenaming(t *testing.T) {
 func TestContainedRejectsOrderAtoms(t *testing.T) {
 	q1 := cq(t, `q(X) :- e(X, Y), X < Y.`)
 	q2 := cq(t, `q(X) :- e(X, Y).`)
-	if _, err := Contained(q1, q2); err == nil {
+	if _, err := cqc.Contained(q1, q2); err == nil {
 		t.Fatal("Contained must reject order atoms")
 	}
 }
@@ -77,15 +78,15 @@ func TestContainedOrder(t *testing.T) {
 	// q1 demands X < Y; q2 demands X <= Y: q1 ⊑ q2.
 	q1 := cq(t, `q(X, Y) :- e(X, Y), X < Y.`)
 	q2 := cq(t, `q(X, Y) :- e(X, Y), X <= Y.`)
-	if got, err := ContainedOrder(q1, q2); err != nil || !got {
+	if got, err := cqc.ContainedOrder(q1, q2); err != nil || !got {
 		t.Fatalf("q1 ⊑ q2 expected: %v %v", got, err)
 	}
-	if got, _ := ContainedOrder(q2, q1); got {
+	if got, _ := cqc.ContainedOrder(q2, q1); got {
 		t.Fatal("X <= Y is not contained in X < Y")
 	}
 	// Unsatisfiable left side is contained in anything.
 	q3 := cq(t, `q(X, Y) :- e(X, Y), X < Y, Y < X.`)
-	if got, _ := ContainedOrder(q3, q1); !got {
+	if got, _ := cqc.ContainedOrder(q3, q1); !got {
 		t.Fatal("empty query is contained in everything")
 	}
 }
@@ -98,17 +99,17 @@ func TestContainedOrderComplete(t *testing.T) {
 	q1 := cq(t, `q :- e(X, Y), e(Y, X).`)
 	q2 := cq(t, `q :- e(X, Y), e(Y, X), X <= Y.`)
 	// Single-mapping test fails...
-	if got, _ := ContainedOrder(q1, q2); got {
+	if got, _ := cqc.ContainedOrder(q1, q2); got {
 		t.Fatal("single-mapping test should not prove this containment")
 	}
 	// ...but the complete test succeeds: in every linear order, either
 	// X <= Y (identity mapping) or Y <= X (swap mapping).
-	got, err := ContainedOrderComplete(q1, q2)
+	got, err := cqc.ContainedOrderComplete(q1, q2)
 	if err != nil || !got {
 		t.Fatalf("linearization-complete test must prove containment: %v %v", got, err)
 	}
 	// Sanity: the converse is trivially true (q2 has more constraints).
-	if got, _ := ContainedOrderComplete(q2, q1); !got {
+	if got, _ := cqc.ContainedOrderComplete(q2, q1); !got {
 		t.Fatal("q2 ⊑ q1 must hold")
 	}
 }
@@ -116,21 +117,21 @@ func TestContainedOrderComplete(t *testing.T) {
 func TestContainedOrderCompleteNegative(t *testing.T) {
 	q1 := cq(t, `q(X, Y) :- e(X, Y).`)
 	q2 := cq(t, `q(X, Y) :- e(X, Y), X < Y.`)
-	if got, _ := ContainedOrderComplete(q1, q2); got {
+	if got, _ := cqc.ContainedOrderComplete(q1, q2); got {
 		t.Fatal("unconstrained query is not contained in the constrained one")
 	}
 }
 
 func TestUCQContained(t *testing.T) {
-	up := func(srcs ...string) []CQ {
-		var out []CQ
+	up := func(srcs ...string) []cqc.CQ {
+		var out []cqc.CQ
 		for _, s := range srcs {
 			out = append(out, cq(t, s))
 		}
 		return out
 	}
 	// {len-2 path, len-3 path} ⊑ {len-1 path from X}.
-	got, err := UCQContained(
+	got, err := cqc.UCQContained(
 		up(`q(X) :- e(X, Y), e(Y, Z).`, `q(X) :- e(X, Y), e(Y, Z), e(Z, W).`),
 		up(`q(X) :- e(X, Y).`),
 	)
@@ -138,7 +139,7 @@ func TestUCQContained(t *testing.T) {
 		t.Fatalf("containment expected: %v %v", got, err)
 	}
 	// Union not contained in a single stricter disjunct.
-	got, _ = UCQContained(
+	got, _ = cqc.UCQContained(
 		up(`q(X) :- e(X, Y).`),
 		up(`q(X) :- e(X, X).`, `q(X) :- e(X, Y), e(Y, X).`),
 	)
@@ -154,7 +155,7 @@ func TestProgramContainedInUCQ(t *testing.T) {
 		tc(X, Y) :- e(X, Z), tc(Z, Y).
 		?- tc.
 	`)
-	ucq := []CQ{
+	ucq := []cqc.CQ{
 		cq(t, `q(X, Y) :- e(X, Y).`),
 		cq(t, `q(X, Y) :- e(X, Z), e(Z, Y).`),
 	}
@@ -187,7 +188,7 @@ func TestProgramContainedInUCQFolding(t *testing.T) {
 		loop(X, X) :- e(X, X).
 		?- loop.
 	`)
-	ucq := []CQ{cq(t, `q(X, Y) :- e(X, Y).`)}
+	ucq := []cqc.CQ{cq(t, `q(X, Y) :- e(X, Y).`)}
 	got, err := ProgramContainedInUCQ(p, ucq)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestSatisfiabilityAsNonContainment(t *testing.T) {
 // canonical database of q1 must witness it exactly.
 func TestContainmentAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	mk := func() CQ {
+	mk := func() cqc.CQ {
 		// Random CQ: head q(X0), body of 1-3 e-atoms over 3 vars.
 		vars := []ast.Term{ast.V("X0"), ast.V("X1"), ast.V("X2")}
 		n := 1 + rng.Intn(3)
@@ -263,7 +264,7 @@ func TestContainmentAgainstBruteForce(t *testing.T) {
 		r.Pos = append(r.Pos, ast.NewAtom("e", vars[0], vars[rng.Intn(3)]))
 		return r
 	}
-	answersOn := func(q CQ, db *eval.DB) map[string]bool {
+	answersOn := func(q cqc.CQ, db *eval.DB) map[string]bool {
 		p := &ast.Program{Rules: []ast.Rule{q}, Query: q.Head.Pred}
 		idb, _, err := eval.Eval(p, db)
 		if err != nil {
@@ -277,7 +278,7 @@ func TestContainmentAgainstBruteForce(t *testing.T) {
 	}
 	for trial := 0; trial < 60; trial++ {
 		q1, q2 := mk(), mk()
-		got, err := Contained(q1, q2)
+		got, err := cqc.Contained(q1, q2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,11 +341,11 @@ func TestNotContainedAsSatisfiabilityArityCheck(t *testing.T) {
 		q(X, Y) :- e(X, Y).
 		?- q.
 	`)
-	bad := []CQ{cq(t, `r(X) :- e(X, Y).`)}
+	bad := []cqc.CQ{cq(t, `r(X) :- e(X, Y).`)}
 	if _, _, err := NotContainedAsSatisfiability(p, bad); err == nil {
 		t.Fatal("arity mismatch must be rejected")
 	}
-	badIDB := []CQ{cq(t, `r(X, Y) :- q(X, Y).`)}
+	badIDB := []cqc.CQ{cq(t, `r(X, Y) :- q(X, Y).`)}
 	if _, _, err := NotContainedAsSatisfiability(p, badIDB); err == nil {
 		t.Fatal("IDB predicates in CQ bodies must be rejected")
 	}

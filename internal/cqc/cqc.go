@@ -7,7 +7,7 @@
 // in particular — can decide containment without dragging the
 // query-tree machinery into their import closure. Package contain
 // builds the program-level reductions (Proposition 5.1) on top of
-// this core and re-exports it unchanged.
+// this core.
 package cqc
 
 import (

@@ -95,9 +95,6 @@ func (dp *DeltaProgram) OrderJoins(edbLen func(pred string) int) {
 // Program returns the compiled program. Callers must not mutate it.
 func (dp *DeltaProgram) Program() *ast.Program { return dp.lay.prog }
 
-// IsIDB reports whether pred is derived by some rule of the program.
-func (dp *DeltaProgram) IsIDB(pred string) bool { return dp.lay.idbPr[pred] }
-
 // PredArity returns the arity of a predicate the program mentions.
 func (dp *DeltaProgram) PredArity(pred string) (int, bool) {
 	k, ok := dp.lay.ids[pred]

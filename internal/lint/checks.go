@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/bounded"
-	"repro/internal/contain"
+	"repro/internal/cqc"
 	"repro/internal/emptiness"
 	"repro/internal/magic"
 )
@@ -363,7 +363,7 @@ func (l *linter) subsumedRules() {
 				if j == i || l.flagged[j] || subsumed[j] || !eligible(j) {
 					continue
 				}
-				ok, err := contain.ContainedOrder(l.p.Rules[i], l.p.Rules[j])
+				ok, err := cqc.ContainedOrder(l.p.Rules[i], l.p.Rules[j])
 				if err != nil || !ok {
 					continue
 				}

@@ -373,74 +373,21 @@ func (d *dataset) diffLocked(target []sqo.Atom) (adds, dels []sqo.Atom) {
 	return adds, dels
 }
 
-// datasetStore is the concurrent registry of named datasets.
+// datasetStore is the concurrent registry of named datasets. Only the
+// dataset operations (ops.go) add or remove one.
 type datasetStore struct {
-	mu      sync.RWMutex
-	byName  map[string]*dataset
-	metrics *Metrics
+	mu     sync.RWMutex
+	byName map[string]*dataset
 }
 
-func newDatasetStore(m *Metrics) *datasetStore {
-	return &datasetStore{byName: map[string]*dataset{}, metrics: m}
-}
-
-// create registers a new dataset; created is false (and the existing
-// dataset is returned) when the name is already taken. A non-nil
-// persist callback runs while the registry lock is held, after the
-// name is known to be free and before the dataset becomes visible: a
-// persist error aborts the create. Holding the lock across the
-// write-ahead append pins the WAL order to the registry order — no
-// fact append for the dataset can reach the log before its create
-// record.
-func (st *datasetStore) create(name string, facts []sqo.Atom, now time.Time, persist func() error) (ds *dataset, created bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if existing, ok := st.byName[name]; ok {
-		return existing, false, nil
-	}
-	if persist != nil {
-		if err := persist(); err != nil {
-			return nil, false, err
-		}
-	}
-	ds = newDataset(name, facts, now)
-	st.byName[name] = ds
-	if st.metrics != nil {
-		st.metrics.Datasets.Store(int64(len(st.byName)))
-	}
-	return ds, true, nil
-}
-
-// get returns the dataset named name.
-func (st *datasetStore) get(name string) (*dataset, bool) {
+// get returns the dataset named name, or a 404 unknown_dataset.
+func (st *datasetStore) get(name string) (*dataset, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ds, ok := st.byName[name]
-	return ds, ok
-}
-
-// delete removes the dataset named name, returning it so the caller
-// can release per-view accounting. A non-nil persist callback runs
-// while the registry lock is held, before the name is freed: the
-// delete record reaches the WAL before any create record can reuse
-// the name. A persist error aborts the delete.
-func (st *datasetStore) delete(name string, persist func() error) (*dataset, bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ds, ok := st.byName[name]
-	if !ok {
-		return nil, false, nil
+	if ds, ok := st.byName[name]; ok {
+		return ds, nil
 	}
-	if persist != nil {
-		if err := persist(); err != nil {
-			return nil, false, err
-		}
-	}
-	delete(st.byName, name)
-	if st.metrics != nil {
-		st.metrics.Datasets.Store(int64(len(st.byName)))
-	}
-	return ds, true, nil
+	return nil, unknownDataset(name)
 }
 
 // list describes all datasets, sorted by name.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -36,61 +35,44 @@ type lintResponse struct {
 }
 
 // handleLint lints a program against its constraints (POST /v1/lint).
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) error {
 	var req lintRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding JSON: %v", err)
-		return
+	if err := decode(r, &req); err != nil {
+		return err
 	}
 	prog, err := sqo.ParseProgram(req.Program)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse_error", "parsing program: %v", err)
-		return
+		return parseError("program", err)
 	}
 	ics, err := sqo.ParseICs(req.ICs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse_error", "parsing ics: %v", err)
-		return
+		return parseError("ics", err)
 	}
 	var facts []sqo.Atom
 	if req.Facts != "" {
-		facts, err = sqo.ParseFacts(req.Facts)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "parse_error", "parsing facts: %v", err)
-			return
+		if facts, err = sqo.ParseFacts(req.Facts); err != nil {
+			return parseError("facts", err)
 		}
 	}
+	return s.admitted(r, s.deadline(req.TimeoutMS), func(ctx context.Context) error {
+		start := time.Now()
+		writeJSON(w, http.StatusOK, lintResponse{
+			LintReport: s.lint(ctx, prog, ics, facts),
+			LintMS:     sinceMS(start),
+		})
+		return nil
+	})
+}
 
-	release, ok := s.admit()
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "overloaded", "too many in-flight requests (limit %d)", s.cfg.MaxInflight)
-		return
-	}
-	defer release()
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	start := time.Now()
-	// The server's query path applies the magic-sets and
-	// bounded-recursion-elimination rewrites by default, so the L6
-	// bound-query and L7 bounded-recursion advisories do not apply
-	// here.
+// lint runs the linter and counts the run and its findings. The
+// server's query path applies the magic-sets and
+// bounded-recursion-elimination rewrites by default, so the L6
+// bound-query and L7 bounded-recursion advisories do not apply here.
+func (s *Server) lint(ctx context.Context, prog *sqo.Program, ics []sqo.IC, facts []sqo.Atom) *sqo.LintReport {
 	rep := sqo.Lint(ctx, prog, ics, facts, sqo.LintOptions{MagicEnabled: true, ElimEnabled: true})
 	s.metrics.LintRuns.Add(1)
 	s.metrics.LintFindings.Add(int64(len(rep.Findings)))
-	writeJSON(w, http.StatusOK, lintResponse{
-		LintReport: rep,
-		LintMS:     float64(time.Since(start).Microseconds()) / 1000,
-	})
+	return rep
 }
 
 // lintDiagnostics lints a request's program as submitted, parsed by the
@@ -98,11 +80,8 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 // view-create responses. It never fails the request: an empty report
 // yields nil.
 func (s *Server) lintDiagnostics(ctx context.Context, prog *sqo.Program, ics []sqo.IC) []sqo.LintFinding {
-	rep := sqo.Lint(ctx, prog, ics, nil, sqo.LintOptions{MagicEnabled: true, ElimEnabled: true})
-	s.metrics.LintRuns.Add(1)
-	s.metrics.LintFindings.Add(int64(len(rep.Findings)))
-	if len(rep.Findings) == 0 {
-		return nil
+	if rep := s.lint(ctx, prog, ics, nil); len(rep.Findings) > 0 {
+		return rep.Findings
 	}
-	return rep.Findings
+	return nil
 }

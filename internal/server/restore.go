@@ -4,113 +4,63 @@ import (
 	"context"
 	"time"
 
-	sqo "repro"
 	"repro/internal/store"
 )
 
-// restore rebuilds the mutable-dataset surface from recovered store
-// state: the checkpoint base first (datasets created whole, views
-// re-materialized once from their stored sources), then the WAL tail
-// in log order — fact batches flow through the same dataset.update path
-// live mutations use, so every view registered by the time a batch
-// replays is repaired incrementally (counting / delete-rederive)
-// rather than re-evaluated from scratch. Runs inside New, before the
-// handler serves, with no deadline: recovery must finish, not race a
-// timer. Nothing here appends to the WAL — the store already holds
-// these operations.
-func (s *Server) restore(rec *store.Recovered) {
+// restore rebuilds the datasets and views from recovered store state
+// and reports how long that took. It replays the state as operations
+// through the mutations of ops.go, with no store to log to: the
+// checkpoint base first, as the creation of each dataset and then of
+// its views, then the WAL tail in log order. A fact batch therefore
+// repairs every view registered before it incrementally (counting /
+// delete-rederive), as a live update does, rather than re-evaluating it.
+// Runs before the handler serves — or, under AsyncRestore, while it
+// answers not_ready — with no deadline: recovery must finish, not race a
+// timer. An operation that fails (a program that no longer optimizes, a
+// budget blown by grown data) is logged and skipped, and must not take
+// the server down with it; its record stays in the store, so a later
+// restart retries it.
+func (s *Server) restore(rec *store.Recovered) time.Duration {
 	start := time.Now()
 	ctx := context.Background()
-	views := 0
+	var ops []store.Op
 	for _, snap := range rec.Datasets {
-		ds, _, _ := s.datasets.create(snap.Name, snap.Facts, start, nil)
+		ops = append(ops, store.Op{Kind: store.OpDatasetCreate, Dataset: snap.Name, Adds: snap.Facts})
 		for _, def := range snap.Views {
-			if s.restoreView(ctx, ds, def) {
-				views++
-			}
+			ops = append(ops, store.Op{Kind: store.OpViewRegister, Dataset: snap.Name, View: def})
 		}
 	}
-	for _, op := range rec.Tail {
-		switch op.Kind {
-		case store.OpDatasetCreate:
-			s.datasets.create(op.Dataset, op.Adds, time.Now(), nil)
-		case store.OpDatasetDelete:
-			if ds, ok, _ := s.datasets.delete(op.Dataset, nil); ok {
-				s.metrics.Views.Add(int64(-ds.dropViews()))
-			}
-		case store.OpFacts:
-			if ds, ok := s.datasets.get(op.Dataset); ok {
-				if _, _, err := ds.update(ctx, op.Adds, op.Dels, false, time.Now(), nil); err != nil {
-					s.log.Warn("replaying fact batch: skipped", "dataset", op.Dataset, "err", err)
-				}
-			}
-		case store.OpViewRegister:
-			if ds, ok := s.datasets.get(op.Dataset); ok {
-				if s.restoreView(ctx, ds, op.View) {
-					views++
-				}
-			}
-		case store.OpViewDrop:
-			if ds, ok := s.datasets.get(op.Dataset); ok {
-				ds.mu.Lock()
-				if _, exists := ds.viewMap()[op.View.Name]; exists {
-					ds.putView(op.View.Name, nil)
-					s.metrics.Views.Add(-1)
-					views--
-				}
-				ds.mu.Unlock()
-			}
+	for _, op := range append(ops, rec.Tail...) {
+		ds, err := s.datasets.get(op.Dataset)
+		switch {
+		case op.Kind == store.OpDatasetCreate:
+			_, _, err = s.createDataset(nil, op.Dataset, op.Adds)
+		case op.Kind == store.OpDatasetDelete:
+			_, err = s.deleteDataset(nil, op.Dataset)
+		case err != nil: // the operation is on a dataset that is not there
+		case op.Kind == store.OpFacts:
+			_, _, err = s.updateFacts(ctx, nil, ds, op.Adds, op.Dels, false)
+		case op.Kind == store.OpViewRegister:
+			_, err = s.createView(ctx, nil, ds, op.View, s.cfg.MaxTuples)
+		case op.Kind == store.OpViewDrop:
+			err = s.dropView(nil, ds, op.View.Name)
 		}
+		if err != nil {
+			s.log.Warn("replaying a recovered operation: skipped", "dataset", op.Dataset, "view", op.View.Name, "err", err)
+		}
+	}
+	datasets, views := s.datasets.list(), 0
+	for _, info := range datasets {
+		views += len(info.Views)
 	}
 	s.log.Info("store recovery complete",
-		"datasets", len(s.datasets.list()),
+		"datasets", len(datasets),
 		"views", views,
 		"wal_records", rec.WALRecords,
 		"wal_bytes", rec.WALBytes,
 		"wal_truncated", rec.Truncated,
 		"open_ms", float64(rec.Elapsed.Microseconds())/1000,
-		"restore_ms", float64(time.Since(start).Microseconds())/1000,
+		"restore_ms", sinceMS(start),
 	)
-	s.metrics.RecoverySeconds = (rec.Elapsed + time.Since(start)).Seconds()
-}
-
-// restoreView re-materializes one durable view definition over the
-// dataset's current snapshot. Failures (a program that no longer
-// optimizes, a budget blown by grown data) are logged and skipped —
-// the definition stays in the store, so a later restart retries — and
-// must not take the server down with them.
-func (s *Server) restoreView(ctx context.Context, ds *dataset, def store.ViewDef) bool {
-	var prog *sqo.Program
-	if def.Optimized {
-		p, ics, err := parseRequest(def.Program, def.ICs, true)
-		var res *sqo.Result
-		if err == nil {
-			res, _, err = s.optimizeCached(ctx, p, ics)
-		}
-		if err != nil {
-			s.log.Warn("restoring view: optimize failed", "dataset", ds.name, "view", def.Name, "err", err)
-			return false
-		}
-		prog = res.Program
-	} else {
-		p, err := sqo.ParseProgram(def.Program)
-		if err != nil || p.Query == "" {
-			s.log.Warn("restoring view: parse failed", "dataset", ds.name, "view", def.Name, "err", err)
-			return false
-		}
-		prog = p
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if _, exists := ds.viewMap()[def.Name]; exists {
-		return false
-	}
-	view, err := sqo.MaterializeCtx(ctx, prog, ds.db.Load(), sqo.ViewOptions{MaxTuples: s.cfg.MaxTuples})
-	if err != nil {
-		s.log.Warn("restoring view: materialize failed", "dataset", ds.name, "view", def.Name, "err", err)
-		return false
-	}
-	ds.putView(def.Name, &matView{name: def.Name, program: prog, optimized: def.Optimized, view: view, createdAt: time.Now()})
-	s.metrics.Views.Add(1)
-	return true
+	return rec.Elapsed + time.Since(start)
 }

@@ -27,6 +27,13 @@
 // Tuple.String (sqo.ByString) and view reads by Tuple.Key (sqo.ByKey),
 // both through Result.Ordered; and no dataset or view mutex is held while
 // bytes go to a ResponseWriter, so a stalled client holds up only itself.
+//
+// Every request takes one path. A handler returns its failure, and fail
+// alone turns an error into its status, code and counters; a request
+// that evaluates, rewrites or lints runs inside admitted, the one
+// admission slot and deadline; and each mutation is one operation
+// (ops.go) that its handler calls with the store and recovery calls
+// without.
 package server
 
 import (
@@ -58,7 +65,8 @@ type Config struct {
 	// CacheSize bounds the rewrite cache (optimized programs and
 	// prepared queries). Default: 128.
 	CacheSize int
-	// DefaultTimeout applies to queries that set no timeout_ms.
+	// DefaultTimeout bounds every admitted request that sets no
+	// timeout_ms: a query, a view creation, a lint, an optimize.
 	// Default: 30s.
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested timeouts. Default: 5m.
@@ -123,6 +131,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 5 * time.Minute
 	}
+	if cfg.UpdateTimeout <= 0 {
+		cfg.UpdateTimeout = cfg.DefaultTimeout
+	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
@@ -139,7 +150,7 @@ func New(cfg Config) *Server {
 		cache:    c,
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		store:    cfg.Store,
-		datasets: newDatasetStore(m),
+		datasets: &datasetStore{byName: map[string]*dataset{}},
 	}
 	if s.store != nil {
 		m.StoreStats = func() (int64, int64, int64) {
@@ -147,14 +158,16 @@ func New(cfg Config) *Server {
 			return c.Appends, c.Bytes, c.Checkpoints
 		}
 		if cfg.Recovered != nil {
-			if cfg.AsyncRestore {
-				go func() {
-					s.restore(cfg.Recovered)
-					s.ready.Store(true)
-				}()
-				return s
+			restore := func() {
+				m.RecoverySeconds = s.restore(cfg.Recovered).Seconds()
+				s.ready.Store(true)
 			}
-			s.restore(cfg.Recovered)
+			if cfg.AsyncRestore {
+				go restore()
+			} else {
+				restore()
+			}
+			return s
 		}
 	}
 	s.ready.Store(true)
@@ -192,18 +205,18 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	}))
-	mux.Handle("PUT /v1/datasets/{name}", s.gated("dataset_put", s.handleDatasetPut))
-	mux.Handle("POST /v1/datasets/{name}", s.gated("dataset_post", s.handleDatasetPost))
-	mux.Handle("DELETE /v1/datasets/{name}", s.gated("dataset_delete", s.handleDatasetDelete))
-	mux.Handle("GET /v1/datasets", s.gated("dataset_list", s.handleDatasetList))
-	mux.Handle("POST /v1/datasets/{name}/facts", s.gated("facts_add", s.handleFactsAdd))
-	mux.Handle("DELETE /v1/datasets/{name}/facts", s.gated("facts_delete", s.handleFactsDelete))
-	mux.Handle("POST /v1/datasets/{name}/views/{view}", s.gated("view_create", s.handleViewCreate))
-	mux.Handle("GET /v1/datasets/{name}/views/{view}", s.gated("view_get", s.handleViewGet))
-	mux.Handle("DELETE /v1/datasets/{name}/views/{view}", s.gated("view_delete", s.handleViewDelete))
-	mux.Handle("POST /v1/optimize", s.instrument("optimize", s.handleOptimize))
-	mux.Handle("POST /v1/lint", s.instrument("lint", s.handleLint))
-	mux.Handle("POST /v1/query", s.gated("query", s.handleQuery))
+	mux.Handle("PUT /v1/datasets/{name}", s.api("dataset_put", true, s.handleDatasetCreate))
+	mux.Handle("POST /v1/datasets/{name}", s.api("dataset_post", true, s.handleDatasetCreate))
+	mux.Handle("DELETE /v1/datasets/{name}", s.api("dataset_delete", true, s.handleDatasetDelete))
+	mux.Handle("GET /v1/datasets", s.api("dataset_list", true, s.handleDatasetList))
+	mux.Handle("POST /v1/datasets/{name}/facts", s.api("facts_add", true, s.handleFacts))
+	mux.Handle("DELETE /v1/datasets/{name}/facts", s.api("facts_delete", true, s.handleFacts))
+	mux.Handle("POST /v1/datasets/{name}/views/{view}", s.api("view_create", true, s.handleViewCreate))
+	mux.Handle("GET /v1/datasets/{name}/views/{view}", s.api("view_get", true, s.handleViewGet))
+	mux.Handle("DELETE /v1/datasets/{name}/views/{view}", s.api("view_delete", true, s.handleViewDelete))
+	mux.Handle("POST /v1/optimize", s.api("optimize", false, s.handleOptimize))
+	mux.Handle("POST /v1/lint", s.api("lint", false, s.handleLint))
+	mux.Handle("POST /v1/query", s.api("query", true, s.handleQuery))
 	if s.cfg.EnablePprof {
 		// net/http/pprof only self-registers on http.DefaultServeMux;
 		// a custom mux needs the handlers wired explicitly.
@@ -240,18 +253,22 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// gated wraps a dataset-touching handler so it fails fast with 503
+// api routes an endpoint whose handler returns its failure for fail to
+// answer. A gated endpoint touches datasets, so it fails fast with 503
 // "not_ready" while an asynchronous restore is still replaying durable
-// state — serving a partial dataset would silently return wrong
-// answers. Pure-compute endpoints (optimize, lint) stay ungated.
-func (s *Server) gated(endpoint string, h http.HandlerFunc) http.Handler {
+// state — serving a partial dataset would silently return wrong answers.
+// Pure-compute endpoints (optimize, lint) stay ungated.
+func (s *Server) api(endpoint string, gated bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
 	return s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() {
-			writeError(w, http.StatusServiceUnavailable, "not_ready",
-				"server is restoring durable state; retry shortly")
-			return
+		var err error
+		if gated && !s.ready.Load() {
+			err = errorf(http.StatusServiceUnavailable, "not_ready", "server is restoring durable state; retry shortly")
+		} else {
+			err = h(w, r)
 		}
-		h(w, r)
+		if err != nil {
+			s.fail(w, err)
+		}
 	})
 }
 
@@ -298,7 +315,7 @@ func (s *Server) contain(endpoint string, sw *statusWriter, r *http.Request, h h
 			sw.code = http.StatusInternalServerError // for the log and metrics; the client's status is out
 			return
 		}
-		writeError(sw, http.StatusInternalServerError, "internal_error", "internal error; see the server log")
+		writeJSON(sw, http.StatusInternalServerError, errorBody{Error: "internal error; see the server log", Code: "internal_error"})
 	}()
 	h(sw, r)
 }
@@ -326,8 +343,82 @@ func writeAnswers(w http.ResponseWriter, envelope any, result *sqo.QueryResult, 
 	})
 }
 
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code})
+// requestError is a failure whose answer is decided where it arises: a
+// malformed request, a missing dataset or view, a name already taken, a
+// program the optimizer refuses, a full server.
+type requestError struct {
+	status int
+	code   string
+	msg    string
+}
+
+func (e *requestError) Error() string { return e.msg }
+
+func errorf(status int, code, format string, args ...any) error {
+	return &requestError{status: status, code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+func parseError(what string, err error) error {
+	return errorf(http.StatusBadRequest, "parse_error", "parsing %s: %v", what, err)
+}
+
+func unknownDataset(name string) error {
+	return errorf(http.StatusNotFound, "unknown_dataset", "dataset %q is not registered", name)
+}
+
+func unknownView(name, dataset string) error {
+	return errorf(http.StatusNotFound, "unknown_view", "view %q is not registered on dataset %q", name, dataset)
+}
+
+// storeError is a failed write-ahead append. The mutation was NOT
+// applied: durability is part of the acknowledgment contract, so a store
+// failure fails the request.
+type storeError struct {
+	op, name string
+	err      error
+}
+
+func (e *storeError) Error() string { return fmt.Sprintf("durable %s failed: %v", e.op, e.err) }
+
+// optimizeError tags a failed rewrite as a 422 optimize_error, unless
+// the end of the request's context is what stopped it.
+func optimizeError(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return err
+	}
+	return errorf(http.StatusUnprocessableEntity, "optimize_error", "%v", err)
+}
+
+// fail answers a failed request; it is the one place an error becomes a
+// status, a code and a counter tick. A requestError answers as it says
+// (a 429 with Retry-After), a storeError as 500 store_error, the end of
+// the request's context as 504 timeout or 499 canceled, an exhausted
+// tuple budget as 422 budget_exceeded, and anything else — evaluation
+// refusing or failing on the request's program — as 422 eval_error.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	var re *requestError
+	var se *storeError
+	switch {
+	case errors.As(err, &re):
+		if re.status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1")
+		}
+	case errors.As(err, &se):
+		s.log.Error("wal append failed", "op", se.op, "name", se.name, "err", se.err)
+		re = &requestError{http.StatusInternalServerError, "store_error", se.Error()}
+	case errors.Is(err, context.DeadlineExceeded):
+		s.metrics.QueryTimeouts.Add(1)
+		re = &requestError{http.StatusGatewayTimeout, "timeout", "deadline exceeded"}
+	case errors.Is(err, context.Canceled):
+		s.metrics.QueryCancels.Add(1)
+		re = &requestError{499, "canceled", "request canceled"}
+	case errors.Is(err, sqo.ErrBudget):
+		s.metrics.QueryBudgets.Add(1)
+		re = &requestError{http.StatusUnprocessableEntity, "budget_exceeded", err.Error()}
+	default:
+		re = &requestError{http.StatusUnprocessableEntity, "eval_error", err.Error()}
+	}
+	writeJSON(w, re.status, errorBody{Error: re.msg, Code: re.code})
 }
 
 // admit reserves an evaluation slot, or reports failure immediately
@@ -347,89 +438,86 @@ func (s *Server) admit() (release func(), ok bool) {
 	}
 }
 
+// admitted is the step every request that evaluates, rewrites or lints
+// passes through: it runs op in an evaluation slot — failing at once
+// with 429 overloaded when none is free, rather than queueing behind
+// work that may never finish in time — under a context that ends at the
+// timeout or when the client disconnects, whichever comes first.
+func (s *Server) admitted(r *http.Request, timeout time.Duration, op func(ctx context.Context) error) error {
+	release, ok := s.admit()
+	if !ok {
+		return errorf(http.StatusTooManyRequests, "overloaded", "too many in-flight requests (limit %d)", s.cfg.MaxInflight)
+	}
+	defer release()
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	return op(ctx)
+}
+
+// deadline is a request's timeout: its timeout_ms when set, else
+// DefaultTimeout, and never more than MaxTimeout.
+func (s *Server) deadline(timeoutMS int) time.Duration {
+	d := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		d = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return min(d, s.cfg.MaxTimeout)
+}
+
+// decode reads a JSON request body into v.
+func decode(r *http.Request, v any) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return errorf(http.StatusBadRequest, "bad_request", "decoding JSON: %v", err)
+	}
+	return nil
+}
+
+// sinceMS is the time since start in milliseconds, to the microsecond.
+func sinceMS(start time.Time) float64 { return float64(time.Since(start).Microseconds()) / 1000 }
+
 // --- datasets ---------------------------------------------------------
 
-// handleDatasetPut registers or replaces a named dataset. The body is
-// datalog ground facts in source syntax. Replacing a live dataset is
-// expressed as the add/retract batch that turns the old fact set into
-// the new one, so attached materialized views survive a PUT and are
-// maintained incrementally through it.
-func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
-	name, facts, ok := s.parseDatasetBody(w, r)
-	if !ok {
-		return
-	}
-	ds, created, err := s.datasets.create(name, facts, time.Now(), s.persistCreate(name, facts))
+// handleDatasetCreate registers a dataset (PUT or POST
+// /v1/datasets/{name}); the body is datalog ground facts in source
+// syntax. When the name is taken, POST answers 409 and PUT replaces the
+// dataset: the replacement is the add/retract batch that turns the old
+// fact set into the new one, so attached materialized views survive a
+// PUT and are maintained incrementally through it.
+func (s *Server) handleDatasetCreate(w http.ResponseWriter, r *http.Request) error {
+	facts, err := parseDatasetBody(r)
 	if err != nil {
-		s.writeStoreError(w, "create", name, err)
-		return
+		return err
 	}
-	if created {
+	name := r.PathValue("name")
+	ds, created, err := s.createDataset(s.store, name, facts)
+	switch {
+	case err != nil:
+		return err
+	case created:
 		writeJSON(w, http.StatusOK, ds.describe())
-		return
-	}
-	s.updateDataset(w, r, ds, facts, nil, true)
-}
-
-// parseDatasetBody reads a whole-dataset request (PUT, POST): the name
-// from the path and the body as ground facts that use each predicate at
-// one arity — checked here, before the create record can reach the WAL
-// or the registry lock is taken, because building the dataset's
-// relations panics on a mixed-arity predicate.
-func (s *Server) parseDatasetBody(w http.ResponseWriter, r *http.Request) (name string, facts []sqo.Atom, ok bool) {
-	if name = r.PathValue("name"); name == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "dataset name missing")
-		return "", nil, false
-	}
-	if facts, ok = parseFactsBody(w, r); !ok {
-		return "", nil, false
-	}
-	if err := arityConflict(map[string]int{}, facts); err != nil {
-		s.writeRequestError(w, err)
-		return "", nil, false
-	}
-	return name, facts, true
-}
-
-// persistCreate returns the WAL-append callback for a dataset create,
-// or nil when the server runs in-memory.
-func (s *Server) persistCreate(name string, facts []sqo.Atom) func() error {
-	if s.store == nil {
 		return nil
+	case r.Method == http.MethodPut:
+		return s.updateDataset(w, r, ds, facts, nil, true)
 	}
-	return func() error { return s.store.AppendDatasetCreate(name, facts) }
+	return errorf(http.StatusConflict, "dataset_exists", "dataset %q is already registered (PUT replaces)", name)
 }
 
-// writeStoreError reports a failed write-ahead append. The mutation
-// was NOT applied — durability is part of the acknowledgment contract,
-// so a store failure fails the request.
-func (s *Server) writeStoreError(w http.ResponseWriter, op, name string, err error) {
-	s.log.Error("wal append failed", "op", op, "name", name, "err", err)
-	writeError(w, http.StatusInternalServerError, "store_error", "durable %s failed: %v", op, err)
-}
-
-// handleDatasetPost registers a new dataset, answering 409 when the
-// name is already taken (PUT is the create-or-replace form).
-func (s *Server) handleDatasetPost(w http.ResponseWriter, r *http.Request) {
-	name, facts, ok := s.parseDatasetBody(w, r)
-	if !ok {
-		return
-	}
-	ds, created, err := s.datasets.create(name, facts, time.Now(), s.persistCreate(name, facts))
+// parseDatasetBody reads a whole-dataset body (PUT, POST) as ground
+// facts that use each predicate at one arity — checked here, before the
+// create record can reach the WAL or the registry lock is taken, because
+// building the dataset's relations panics on a mixed-arity predicate.
+func parseDatasetBody(r *http.Request) ([]sqo.Atom, error) {
+	facts, err := parseFactsBody(r)
 	if err != nil {
-		s.writeStoreError(w, "create", name, err)
-		return
+		return nil, err
 	}
-	if !created {
-		writeError(w, http.StatusConflict, "dataset_exists", "dataset %q is already registered (PUT replaces)", name)
-		return
-	}
-	writeJSON(w, http.StatusOK, ds.describe())
+	return facts, arityConflict(map[string]int{}, facts)
 }
 
 // handleDatasetList lists registered datasets.
-func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, http.StatusOK, s.datasets.list())
+	return nil
 }
 
 // --- optimize ---------------------------------------------------------
@@ -476,17 +564,17 @@ var (
 func parseRequest(programSrc, icsSrc string, withICs bool) (*sqo.Program, []sqo.IC, error) {
 	prog, err := sqo.ParseProgram(programSrc)
 	if err != nil {
-		return nil, nil, &requestError{status: http.StatusBadRequest, code: "parse_error", msg: fmt.Sprintf("parsing program: %v", err)}
+		return nil, nil, parseError("program", err)
 	}
 	if prog.Query == "" {
-		return nil, nil, &requestError{status: http.StatusBadRequest, code: "bad_request", msg: "program has no query declaration ('?- pred.')"}
+		return nil, nil, errorf(http.StatusBadRequest, "bad_request", "program has no query declaration ('?- pred.')")
 	}
 	if !withICs {
 		return prog, nil, nil
 	}
 	ics, err := sqo.ParseICs(icsSrc)
 	if err != nil {
-		return nil, nil, &requestError{status: http.StatusBadRequest, code: "parse_error", msg: fmt.Sprintf("parsing ics: %v", err)}
+		return nil, nil, parseError("ics", err)
 	}
 	return prog, ics, nil
 }
@@ -499,12 +587,12 @@ func (s *Server) optimizeCached(ctx context.Context, prog *sqo.Program, ics []sq
 	c, hit, err := s.cache.GetOrCompute(ctx, patternKey(prog, ics, opts, "optimize"), func() (*compiled, error) {
 		res, err := optimizeProgram(ctx, prog, ics, opts)
 		if err != nil {
-			return nil, err
+			return nil, optimizeError(err)
 		}
 		return &compiled{res: res}, nil
 	})
 	if err != nil {
-		return nil, hit, asRequestError(err, "optimize_error")
+		return nil, hit, err
 	}
 	res, withGoal := *c.res, *c.res.Program
 	withGoal.Goal = prog.Goal
@@ -527,7 +615,7 @@ func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, o
 		if optimize {
 			res, err := optimizeProgram(ctx, prog, ics, sqo.DefaultOptions())
 			if err != nil {
-				return nil, asRequestError(err, "optimize_error")
+				return nil, optimizeError(err)
 			}
 			c.res, p = res, res.Program
 		}
@@ -537,94 +625,37 @@ func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, o
 		}
 		return c, nil
 	})
-	if err != nil {
-		return nil, nil, hit, asRequestError(err, "eval_error")
-	}
-	return prog, c, hit, nil
+	return prog, c, hit, err
 }
 
-// asRequestError maps a failed rewrite to its HTTP error: a requestError
-// as it is, the context's end as timeout or canceled, anything else as a
-// 422 under code.
-func asRequestError(err error, code string) error {
-	var re *requestError
-	if errors.As(err, &re) {
+// handleOptimize rewrites a program against its constraints (POST
+// /v1/optimize), under DefaultTimeout like every admitted request.
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
+	var req optimizeRequest
+	if err := decode(r, &req); err != nil {
 		return err
 	}
-	if ctxErr := classifyCtxErr(err); ctxErr != nil {
-		return ctxErr
-	}
-	return &requestError{status: http.StatusUnprocessableEntity, code: code, msg: err.Error()}
-}
-
-// requestError carries an HTTP status through the handler helpers.
-type requestError struct {
-	status int
-	code   string
-	msg    string
-}
-
-func (e *requestError) Error() string { return e.msg }
-
-func classifyCtxErr(err error) *requestError {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return &requestError{status: http.StatusGatewayTimeout, code: "timeout", msg: "deadline exceeded"}
-	case errors.Is(err, context.Canceled):
-		return &requestError{status: 499, code: "canceled", msg: "request canceled"}
-	}
-	return nil
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req optimizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding JSON: %v", err)
-		return
-	}
-	release, ok := s.admit()
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "overloaded", "too many in-flight requests (limit %d)", s.cfg.MaxInflight)
-		return
-	}
-	defer release()
-
-	start := time.Now()
-	prog, ics, err := parseRequest(req.Program, req.ICs, true)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	res, hit, err := s.optimizeCached(r.Context(), prog, ics)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, optimizeResponse{
-		Program:     sqo.FormatProgram(res.Program),
-		Satisfiable: res.Satisfiable,
-		Explain:     sqo.Explain(res),
-		Warnings:    res.Warnings,
-		Diagnostics: s.lintDiagnostics(r.Context(), prog, ics),
-		CacheHit:    hit,
-		OptimizeMS:  float64(time.Since(start).Microseconds()) / 1000,
-	})
-}
-
-func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
-	var re *requestError
-	if errors.As(err, &re) {
-		switch re.code {
-		case "timeout":
-			s.metrics.QueryTimeouts.Add(1)
-		case "canceled":
-			s.metrics.QueryCancels.Add(1)
+	return s.admitted(r, s.deadline(0), func(ctx context.Context) error {
+		start := time.Now()
+		prog, ics, err := parseRequest(req.Program, req.ICs, true)
+		if err != nil {
+			return err
 		}
-		writeError(w, re.status, re.code, "%s", re.msg)
-		return
-	}
-	writeError(w, http.StatusInternalServerError, "internal", "%v", err)
+		res, hit, err := s.optimizeCached(ctx, prog, ics)
+		if err != nil {
+			return err
+		}
+		writeJSON(w, http.StatusOK, optimizeResponse{
+			Program:     sqo.FormatProgram(res.Program),
+			Satisfiable: res.Satisfiable,
+			Explain:     sqo.Explain(res),
+			Warnings:    res.Warnings,
+			Diagnostics: s.lintDiagnostics(ctx, prog, ics),
+			CacheHit:    hit,
+			OptimizeMS:  sinceMS(start),
+		})
+		return nil
+	})
 }
 
 // --- query ------------------------------------------------------------
@@ -697,43 +728,37 @@ type queryResponse struct {
 	EvalMS      float64            `json:"eval_ms"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding JSON: %v", err)
-		return
+	if err := decode(r, &req); err != nil {
+		return err
 	}
 	if req.Dataset == "" && req.Facts == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "one of dataset or facts is required")
-		return
+		return errorf(http.StatusBadRequest, "bad_request", "one of dataset or facts is required")
 	}
 	magicMode, err := sqo.ParseMagicMode(req.Magic)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
+		return errorf(http.StatusBadRequest, "bad_request", "%v", err)
 	}
 	elimMode, err := sqo.ParseElimMode(req.Elim)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
+		return errorf(http.StatusBadRequest, "bad_request", "%v", err)
 	}
 
 	// Resolve the database before admission: cheap, and 404s should
 	// not consume evaluation slots.
 	var db *sqo.DB
 	if req.Dataset != "" {
-		ds, ok := s.datasets.get(req.Dataset)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown_dataset", "dataset %q is not registered", req.Dataset)
-			return
+		ds, err := s.datasets.get(req.Dataset)
+		if err != nil {
+			return err
 		}
 		db = ds.snapshot()
 	}
 	if req.Facts != "" {
 		facts, err := sqo.ParseFacts(req.Facts)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "parse_error", "parsing facts: %v", err)
-			return
+			return parseError("facts", err)
 		}
 		arity := map[string]int{}
 		if db != nil {
@@ -742,8 +767,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err := arityConflict(arity, facts); err != nil {
-			s.writeRequestError(w, err)
-			return
+			return err
 		}
 		if db == nil {
 			db = sqo.NewDBFrom(facts)
@@ -755,27 +779,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-
-	release, ok := s.admit()
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "overloaded", "too many in-flight requests (limit %d)", s.cfg.MaxInflight)
-		return
-	}
-	defer release()
-
-	// The request context is the root: client disconnects propagate
-	// into the fixpoint. The timeout rides on top of it.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
 	doOptimize := req.Optimize == nil || *req.Optimize
 	evalOpts := sqo.DefaultEvalOptions()
 	evalOpts.MaxTuples = s.cfg.MaxTuples
@@ -783,59 +786,50 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.MaxTuples > 0 {
 		evalOpts.MaxTuples = req.MaxTuples
 	}
-
-	optStart := time.Now()
-	prog, c, cacheHit, err := s.prepareCached(ctx, req.Program, req.ICs, doOptimize, evalOpts)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	optimizeMS := float64(time.Since(optStart).Microseconds()) / 1000
-
-	evalStart := time.Now()
-	result, stats, err := c.prep.Run(ctx, db, prog.Goal, evalOpts)
-	evalMS := float64(time.Since(evalStart).Microseconds()) / 1000
-	if err != nil {
-		if ctxErr := classifyCtxErr(err); ctxErr != nil {
-			s.writeRequestError(w, ctxErr)
-			return
+	return s.admitted(r, s.deadline(req.TimeoutMS), func(ctx context.Context) error {
+		optStart := time.Now()
+		prog, c, cacheHit, err := s.prepareCached(ctx, req.Program, req.ICs, doOptimize, evalOpts)
+		if err != nil {
+			return err
 		}
-		if errors.Is(err, sqo.ErrBudget) {
-			s.metrics.QueryBudgets.Add(1)
-			writeError(w, http.StatusUnprocessableEntity, "budget_exceeded", "%v", err)
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, "eval_error", "%v", err)
-		return
-	}
-	s.metrics.AddStats(stats)
-	if stats.MagicApplied {
-		s.metrics.EvalMagic.Add(1)
-	}
-	if stats.ElimApplied {
-		s.metrics.EvalElim.Add(1)
-	}
+		optimizeMS := sinceMS(optStart)
 
-	resp := queryResponse{
-		Query:       prog.Query,
-		Answers:     []string{}, // written by writeAnswers
-		AnswerCount: result.Len(),
-		Satisfiable: c.res == nil || c.res.Satisfiable,
-		Optimized:   doOptimize,
-		CacheHit:    cacheHit,
-		Magic:       stats.MagicApplied,
-		Elim:        stats.ElimApplied,
-		Stats: queryStats{
-			Rounds:        stats.Iterations,
-			TuplesDerived: stats.TuplesDerived,
-			RuleFirings:   stats.RuleFirings,
-			JoinProbes:    stats.JoinProbes,
-		},
-		OptimizeMS: optimizeMS,
-		EvalMS:     evalMS,
-	}
-	if req.IncludeRoundDeltas {
-		resp.RoundDeltas = stats.RoundDeltas()
-	}
-	writeAnswers(w, resp, result, sqo.ByString)
+		evalStart := time.Now()
+		result, stats, err := c.prep.Run(ctx, db, prog.Goal, evalOpts)
+		evalMS := sinceMS(evalStart)
+		if err != nil {
+			return err
+		}
+		s.metrics.AddStats(stats)
+		if stats.MagicApplied {
+			s.metrics.EvalMagic.Add(1)
+		}
+		if stats.ElimApplied {
+			s.metrics.EvalElim.Add(1)
+		}
+
+		resp := queryResponse{
+			Query:       prog.Query,
+			Answers:     []string{}, // written by writeAnswers
+			AnswerCount: result.Len(),
+			Satisfiable: c.res == nil || c.res.Satisfiable,
+			Optimized:   doOptimize,
+			CacheHit:    cacheHit,
+			Magic:       stats.MagicApplied,
+			Elim:        stats.ElimApplied,
+			Stats: queryStats{
+				Rounds:        stats.Iterations,
+				TuplesDerived: stats.TuplesDerived,
+				RuleFirings:   stats.RuleFirings,
+				JoinProbes:    stats.JoinProbes,
+			},
+			OptimizeMS: optimizeMS,
+			EvalMS:     evalMS,
+		}
+		if req.IncludeRoundDeltas {
+			resp.RoundDeltas = stats.RoundDeltas()
+		}
+		writeAnswers(w, resp, result, sqo.ByString)
+		return nil
+	})
 }

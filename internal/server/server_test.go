@@ -372,39 +372,6 @@ func TestServerJoinOrderKnob(t *testing.T) {
 	}
 }
 
-func TestServerErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	registerDataset(t, ts.URL, "d", serverTestFacts)
-
-	cases := []struct {
-		name     string
-		req      any
-		wantCode int
-		wantErr  string
-	}{
-		{"unknown dataset", queryRequest{Program: serverTestProgram, Dataset: "nope"}, http.StatusNotFound, "unknown_dataset"},
-		{"no facts source", queryRequest{Program: serverTestProgram}, http.StatusBadRequest, "bad_request"},
-		{"parse error", queryRequest{Program: "p(X :-", Dataset: "d"}, http.StatusBadRequest, "parse_error"},
-		{"no query decl", queryRequest{Program: "p(X, Y) :- e(X, Y).", Dataset: "d"}, http.StatusBadRequest, "bad_request"},
-		{"bad ics", queryRequest{Program: serverTestProgram, ICs: ":- nope(", Dataset: "d"}, http.StatusBadRequest, "parse_error"},
-		// The body a cluster coordinator once scattered names no facts
-		// source: refused, never evaluated over an empty EDB.
-		{"multi-dataset body", map[string]any{"program": serverTestProgram, "datasets": []string{"d"}}, http.StatusBadRequest, "bad_request"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var eb errorBody
-			code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", tc.req, &eb)
-			if code != tc.wantCode {
-				t.Fatalf("status = %d %s, want %d", code, raw, tc.wantCode)
-			}
-			if eb.Code != tc.wantErr {
-				t.Fatalf("error code = %q, want %q", eb.Code, tc.wantErr)
-			}
-		})
-	}
-}
-
 func TestServerInlineFactsDoNotMutateDataset(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerDataset(t, ts.URL, "d", serverTestFacts)

@@ -46,6 +46,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/bounded"
 	"repro/internal/contain"
+	"repro/internal/cqc"
 	"repro/internal/emptiness"
 	"repro/internal/eval"
 	"repro/internal/incr"
@@ -352,12 +353,12 @@ func Empty(p *Program, ics []IC, opts EmptinessOptions) (empty, decided bool, er
 
 // CQContained decides containment of pure conjunctive queries by
 // containment mapping.
-func CQContained(q1, q2 Rule) (bool, error) { return contain.Contained(q1, q2) }
+func CQContained(q1, q2 Rule) (bool, error) { return cqc.Contained(q1, q2) }
 
 // CQContainedOrder decides CQ containment in the presence of order
 // atoms, completely (via linearization case analysis).
 func CQContainedOrder(q1, q2 Rule) (bool, error) {
-	return contain.ContainedOrderComplete(q1, q2)
+	return cqc.ContainedOrderComplete(q1, q2)
 }
 
 // ProgramContainedInUCQ decides containment of a datalog program in a
