@@ -30,12 +30,14 @@ test:
 	$(GO) test ./...
 
 # The whole suite under the race detector, then the tests whose point is
-# concurrency — N queries sharing one DB's interned base, and readers of
-# a snapshot while its successors derive their bases from it — repeated
-# so the detector sees more than one interleaving.
+# concurrency — N queries sharing one DB's interned base, readers of a
+# snapshot while its successors derive their bases from it, and readers
+# scanning a shared relation's indexes while another reader appends the
+# one it first needed — repeated so the detector sees more than one
+# interleaving.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently|TestDerivedBasesUnderConcurrentReaders' ./internal/eval
+	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently|TestDerivedBasesUnderConcurrentReaders|TestConcurrentLookupSameMask|TestFanoutReadsShareBase' ./internal/eval
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.

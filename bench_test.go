@@ -5,6 +5,7 @@ package sqo
 // EXPERIMENTS.md; the cmd/sqobench harness prints the full tables.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -95,7 +96,9 @@ func BenchmarkE2Threshold(b *testing.B) {
 	b.Run("rewritten", func(b *testing.B) { benchEval(b, res.Program, db) })
 }
 
-// BenchmarkE3ABPaths evaluates the Figure 1 two-flavour closure.
+// BenchmarkE3ABPaths evaluates the Figure 1 two-flavour closure: both
+// programs as written (Eval), and the rewritten one as a query
+// (QueryCtx), which reads its three-root union from the roots' rows.
 func BenchmarkE3ABPaths(b *testing.B) {
 	p := MustParseProgram(figure1Src)
 	ics := MustParseICs(`:- a(X, Y), b(Y, Z).`)
@@ -106,6 +109,20 @@ func BenchmarkE3ABPaths(b *testing.B) {
 	db := NewDBFrom(workload.ABComb(8, 14, 14))
 	b.Run("original", func(b *testing.B) { benchEval(b, p, db) })
 	b.Run("rewritten", func(b *testing.B) { benchEval(b, res.Program, db) })
+	b.Run("rewritten-QueryCtx", func(b *testing.B) {
+		opts := DefaultEvalOptions()
+		opts.Elim = ElimOff // as in BenchmarkQueryFixpoint: only the union differs from "rewritten"
+		b.ReportAllocs()
+		var probes int64
+		for i := 0; i < b.N; i++ {
+			_, stats, err := QueryCtx(context.Background(), res.Program, db, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			probes = stats.JoinProbes
+		}
+		b.ReportMetric(float64(probes), "probes")
+	})
 }
 
 // BenchmarkE4Construction measures query-tree construction cost as the
@@ -318,9 +335,11 @@ type fixpointBench struct {
 
 // fixpointBenches: a long thin closure (200 rounds), a dense one that
 // rederives most tuples many times, the Figure 1 two-flavour closure, and
-// the first as the optimizer emits it — the query relation defined by
-// `path(V0, V1) :- path_q0(V0, V1).`, which QueryCtx folds so that the
-// answers are the root's rows instead of a copy of them.
+// the first and the third as the optimizer emits them — the query
+// relation defined by `path(V0, V1) :- path_q0(V0, V1).`, which QueryCtx
+// folds so that the answers are the root's rows instead of a copy of
+// them, and by the three-root union `p(V0, V1) :- p_q0(V0, V1).` …
+// `p(V0, V1) :- p_q2(V0, V1).`, which QueryCtx reads from the roots' rows.
 func fixpointBenches() []fixpointBench {
 	tcEdge := MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
@@ -336,11 +355,16 @@ func fixpointBenches() []fixpointBench {
 	if err != nil {
 		panic(err)
 	}
+	figure1, err := Optimize(MustParseProgram(figure1Src), MustParseICs(`:- a(X, Y), b(Y, Z).`))
+	if err != nil {
+		panic(err)
+	}
 	return []fixpointBench{
 		{"tc-chain(200)", tcStep, NewDBFrom(workload.Chain(0, 200))},
 		{"tc-random(150,450)", tcEdge, NewDBFrom(workload.RandomGraph(150, 450, 7))},
 		{"ab-comb(8,14,14)", MustParseProgram(figure1Src), NewDBFrom(workload.ABComb(8, 14, 14))},
 		{"tc-chain(200)-optimized", optimized.Program, NewDBFrom(workload.Chain(0, 200))},
+		{"ab-comb(8,14,14)-optimized", figure1.Program, NewDBFrom(workload.ABComb(8, 14, 14))},
 	}
 }
 

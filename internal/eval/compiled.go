@@ -507,21 +507,73 @@ func (ev *cEvaluator) result(ir *irel) *Result {
 	return &Result{in: ev.in, arity: ir.arity, data: ir.data, n: ir.n}
 }
 
-// answers returns the rows of pred's relation that match goal (see
-// ast.Program.MatchesGoal; an empty goal matches every row), in
-// insertion order; the empty Result when nothing matches or pred is not
-// derived. Ids are canonical, so the goal is checked on the interned
-// rows, and no row becomes terms unless the caller asks (Result.Tuples).
+// answers returns the rows of pred's relation that match goal, in
+// insertion order; the empty Result when pred is not derived or no row
+// matches.
 func (ev *cEvaluator) answers(pred string, goal []ast.Term) *Result {
 	k, ok := ev.lay.ids[pred]
 	if !ok || k >= ev.lay.nIDB {
 		return &Result{}
 	}
 	ir := ev.idb[k]
-	switch {
-	case len(goal) == 0:
+	if len(goal) == 0 {
 		return ev.result(ir.irel)
-	case len(goal) != ir.arity:
+	}
+	return ev.matching(ir.data, ir.arity, ir.n, goal)
+}
+
+// unionAnswers is answers for a query predicate defined as the union of
+// roots (layout ids, in rule order; see splitUnion), read from the roots'
+// own rows in the order the union's rules would have appended them: a
+// rule copies its root's delta window a round late, so round by round,
+// roots in rule order, each root's rows of the round in its order, the
+// first occurrence of a tuple winning. Whether a root's row occurred
+// before is a probe of every other root's dedup set: a hit counts if the
+// other root held the row by then — below its length at the round's end
+// for a root earlier in rule order, at the round's start for a later
+// one — and the round log has those lengths.
+func (ev *cEvaluator) unionAnswers(roots []int, goal []ast.Term) *Result {
+	res := &Result{in: ev.in, arity: ev.idb[roots[0]].arity}
+	log := &ev.stats.rounds
+	start, end := make([]int, len(roots)), make([]int, len(roots))
+	for r := 0; r < log.n; r++ {
+		for i, k := range roots {
+			end[i] = start[i] + int(log.counts[r*len(log.preds)+k])
+		}
+		for i, k := range roots {
+			ir := ev.idb[k]
+		rows:
+			for ri := start[i]; ri < end[i]; ri++ {
+				row := ir.row(ri)
+				hv := hashU32s(row)
+				for j, kj := range roots {
+					seen := start[j]
+					if j < i {
+						seen = end[j]
+					}
+					if j != i && seen > 0 {
+						if at := ev.idb[kj].set.findIdx(row, hv); at >= 0 && int(at) < seen {
+							continue rows
+						}
+					}
+				}
+				res.n, res.data = res.n+1, append(res.data, row...)
+			}
+		}
+		copy(start, end)
+	}
+	if len(goal) == 0 {
+		return res
+	}
+	return ev.matching(res.data, res.arity, res.n, goal)
+}
+
+// matching returns those of the n rows in data that match goal (see
+// ast.Program.MatchesGoal), in their order; the empty Result when none
+// does. Ids are canonical, so the goal is checked on the interned rows,
+// and no row becomes terms unless the caller asks (Result.Tuples).
+func (ev *cEvaluator) matching(data []uint32, arity, n int, goal []ast.Term) *Result {
+	if len(goal) != arity {
 		return &Result{}
 	}
 	// Position i must hold the id want[i] (a goal constant) or equal
@@ -541,10 +593,10 @@ func (ev *cEvaluator) answers(pred string, goal []ast.Term) *Result {
 			}
 		}
 	}
-	res := &Result{arity: ir.arity}
+	res := &Result{arity: arity}
 next:
-	for ri := 0; ri < ir.n; ri++ {
-		row := ir.row(ri)
+	for ri := 0; ri < n; ri++ {
+		row := data[ri*arity : (ri+1)*arity]
 		for i, g := range goal {
 			if (g.IsConst() && row[i] != want[i]) || row[i] != row[same[i]] {
 				continue next

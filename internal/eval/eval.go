@@ -372,6 +372,10 @@ func QueryWith(p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
 // is the root's relation, not a copy of it, so Stats count each answer
 // once and RoundDeltas name the query predicate, not the root. The
 // answers and their order are those of evaluating the rule as written.
+// A union of two or more roots that magic left alone is read from the
+// roots' own rows (splitUnion): no rule fires for the query predicate,
+// so Stats count none of its firings, tuples or rounds, and RoundDeltas
+// do not name it.
 func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
 	res, stats, err := QueryResultCtx(ctx, p, edb, opts)
 	if err != nil {
@@ -415,16 +419,20 @@ type Prepared struct {
 	pattern     magic.BindingPattern
 	elimApplied bool
 	elimChecked int
-	lay         *layout // prog's; nil when prog is invalid
+	lay         *layout // prog's less a split union's rules; nil when prog is invalid
 	layErr      error
-	slot        atomic.Pointer[planSlot]
+	// roots are the split union's roots by layout id, in rule order;
+	// nil when Prepare split none (splitUnion).
+	roots []int
+	slot  atomic.Pointer[planSlot]
 }
 
 // Prepare runs QueryCtx's rewrites on p for p's goal binding pattern:
 // the one-root renaming fold, then — under opts.Elim and opts.Magic —
 // bounded-recursion elimination and the magic-sets rewrite, each falling
-// back silently when it does not apply. Only opts.Elim and opts.Magic
-// are read.
+// back silently when it does not apply, and last, when magic did not
+// apply, it splits off a k-root union (splitUnion). Only opts.Elim and
+// opts.Magic are read.
 func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 	if err := opts.validateModes(); err != nil {
 		return nil, err
@@ -455,8 +463,17 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 			return nil, err
 		}
 	}
-	// A run reports an invalid program, as evaluating it would.
-	pq.lay, pq.layErr = newLayout(pq.prog)
+	run, roots := pq.prog, []string(nil)
+	if pq.magic == nil {
+		run, roots = splitUnion(pq.prog)
+	}
+	// A run reports an invalid program, as evaluating it would; splitting
+	// a union off leaves an invalid program invalid.
+	if pq.lay, pq.layErr = newLayout(run); pq.layErr == nil {
+		for _, q := range roots {
+			pq.roots = append(pq.roots, pq.lay.ids[q])
+		}
+	}
 	return pq, nil
 }
 
@@ -503,6 +520,9 @@ func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Opti
 	// relation, and the magic-rewritten relation can hold tuples for
 	// bindings demanded recursively beyond the goal's own constants.
 	// Only the query relation's matching rows leave the evaluation.
+	if pq.roots != nil && !opts.Stream {
+		return ev.unionAnswers(pq.roots, goal), ev.stats, nil
+	}
 	return ev.answers(pq.prog.Query, goal), ev.stats, nil
 }
 
@@ -545,14 +565,11 @@ func (pq *Prepared) runSlot(ctx context.Context, edb *DB, goal []ast.Term, opts 
 // union of the query forest's roots (p :- p_q0. p :- p_q1. …); with one
 // root that union is p(X1, …, Xn) :- q(X1, …, Xn), and as a rule it
 // derives, hashes, stores and counts every answer twice. While p's only
-// rule is such a renaming — one positive atom, nothing negated, no order
-// atom, distinct variables in the same positions on both sides — and
-// q ≠ p is an IDB predicate with rules of its own, the rule is dropped
+// rule is such a renaming of a root q (renamesRoot), the rule is dropped
 // and q renamed p in every rule. It is sound because in the least model
 // p and q are the same relation, so one name for both changes no relation
 // anything reads; the answers are q's rows in q's order, which is the
-// order the renaming rule copied them in. Every rule for q must have
-// arity n, so that an arity mismatch between the two stays an error.
+// order the renaming rule copied them in.
 // Stream, elim and magic then see one predicate where there were two:
 // run after magic, the fold would find p(X…) :- m_p(…), q(X…) instead
 // of a renaming, and the wrapper would have been adorned, seeded and
@@ -564,7 +581,7 @@ func foldRenaming(p *ast.Program) *ast.Program {
 		for i, r := range p.Rules {
 			if r.Head.Pred == p.Query {
 				if at >= 0 {
-					return p // a union of two or more roots
+					return p // a union of two or more roots: splitUnion's
 				}
 				at = i
 			}
@@ -573,32 +590,10 @@ func foldRenaming(p *ast.Program) *ast.Program {
 			return p
 		}
 		r := p.Rules[at]
-		if len(r.Pos) != 1 || len(r.Neg) > 0 || len(r.Cmp) > 0 ||
-			r.Pos[0].Pred == p.Query || len(r.Pos[0].Args) != len(r.Head.Args) {
+		if !renamesRoot(p, r) {
 			return p
 		}
-		for i, t := range r.Head.Args {
-			if !t.IsVar() || r.Pos[0].Args[i] != t {
-				return p
-			}
-			for _, u := range r.Head.Args[:i] {
-				if u == t {
-					return p
-				}
-			}
-		}
-		q, hasRule := r.Pos[0].Pred, false
-		for _, s := range p.Rules {
-			if s.Head.Pred == q {
-				if len(s.Head.Args) != len(r.Head.Args) {
-					return p
-				}
-				hasRule = true
-			}
-		}
-		if !hasRule {
-			return p // q is EDB: p is a copy of stored facts
-		}
+		q := r.Pos[0].Pred
 		rename := func(as []ast.Atom) []ast.Atom {
 			var out []ast.Atom
 			for j, a := range as {
@@ -627,4 +622,70 @@ func foldRenaming(p *ast.Program) *ast.Program {
 		}
 		p = folded
 	}
+}
+
+// splitUnion finds the optimizer's k-root union, p :- p_q0. … p :-
+// p_q(k-1)., in the program the fixpoint will run: k ≥ 2 rules for the
+// query predicate p, each renaming a distinct root (renamesRoot), and no
+// rule body reading p. It returns the program without those rules and
+// the roots in rule order, or p and nil. In the least model p is the
+// union of the roots and nothing reads it, so no other relation changes;
+// the answers are read from the roots' rows (unionAnswers). A program
+// that was invalid stays invalid.
+func splitUnion(p *ast.Program) (*ast.Program, []string) {
+	var roots []string
+	n := -1 // the union's arity
+	reads := func(as []ast.Atom) bool {
+		return slices.ContainsFunc(as, func(a ast.Atom) bool { return a.Pred == p.Query })
+	}
+	for _, r := range p.Rules {
+		if r.Head.Pred != p.Query {
+			if reads(r.Pos) || reads(r.Neg) {
+				return p, nil
+			}
+			continue
+		}
+		if !renamesRoot(p, r) || (n >= 0 && len(r.Head.Args) != n) || slices.Contains(roots, r.Pos[0].Pred) {
+			return p, nil
+		}
+		n = len(r.Head.Args)
+		roots = append(roots, r.Pos[0].Pred)
+	}
+	if len(roots) < 2 || (len(p.Goal) > 0 && len(p.Goal) != n) {
+		return p, nil
+	}
+	rest := &ast.Program{Query: p.Query, Goal: p.Goal, Rules: make([]ast.Rule, 0, len(p.Rules)-len(roots))}
+	for _, r := range p.Rules {
+		if r.Head.Pred != p.Query {
+			rest.Rules = append(rest.Rules, r)
+		}
+	}
+	return rest, roots
+}
+
+// renamesRoot reports whether r is p(X1, …, Xn) :- q(X1, …, Xn) — one
+// positive atom, nothing else, distinct variables in the same positions
+// on both sides — with q ≠ p an IDB predicate of prog every rule of which
+// has arity n: a renaming onto an EDB predicate copies stored facts, and
+// one onto a predicate of another arity must stay an error.
+func renamesRoot(prog *ast.Program, r ast.Rule) bool {
+	if len(r.Pos) != 1 || len(r.Neg) > 0 || len(r.Cmp) > 0 ||
+		r.Pos[0].Pred == r.Head.Pred || len(r.Pos[0].Args) != len(r.Head.Args) {
+		return false
+	}
+	for i, t := range r.Head.Args {
+		if !t.IsVar() || r.Pos[0].Args[i] != t || slices.Contains(r.Head.Args[:i], t) {
+			return false
+		}
+	}
+	hasRule := false
+	for _, s := range prog.Rules {
+		if s.Head.Pred == r.Pos[0].Pred {
+			if len(s.Head.Args) != len(r.Head.Args) {
+				return false
+			}
+			hasRule = true
+		}
+	}
+	return hasRule
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -101,6 +102,28 @@ func TestCycleTermination(t *testing.T) {
 	}
 	if len(tuples) != 4 { // (1,2),(2,1),(1,1),(2,2)
 		t.Fatalf("got %d tuples, want 4", len(tuples))
+	}
+}
+
+// TestEvalCmpMatchesTermCompare: the join's order comparison decides
+// every pair of interned constants as ast.Cmp.Eval does — two numbers by
+// value (NaN and the infinities included), a mixed or string pair
+// through Term.Compare — under each of the four order operators (= and
+// != compare canonical ids).
+func TestEvalCmpMatchesTermCompare(t *testing.T) {
+	terms := []ast.Term{ast.N(-1), ast.N(0), ast.N(2.5), ast.N(math.Inf(1)), ast.N(math.Inf(-1)),
+		ast.N(math.NaN()), ast.S("a"), ast.S("b"), ast.S("")}
+	in := newInterner()
+	tr := &joinRun{in: in}
+	for _, a := range terms {
+		for _, b := range terms {
+			for op := ast.LT; op <= ast.GE; op++ {
+				c := cmpPlan{op: op, lConst: true, rConst: true, l: in.intern(a), r: in.intern(b)}
+				if got, want := tr.evalCmp(&c), ast.NewCmp(a, op, b).Eval(); got != want {
+					t.Errorf("%v %v %v: %v, want %v", a, op, b, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -135,3 +135,89 @@ func TestFoldRenamingNoOp(t *testing.T) {
 		}
 	}
 }
+
+// unionShapes is splitUnion's shape table, over foldDB: which unions of
+// renamings are read from their roots, which are evaluated as rules, and
+// which programs must stay errors with or without a split.
+var unionShapes = []struct {
+	name  string
+	src   string
+	split bool
+	err   bool
+}{
+	{"two roots", `p(X, Y) :- q0(X, Y).
+		p(X, Y) :- q1(X, Y).
+		q0(X, Y) :- e(X, Y).
+		q0(X, Y) :- e(X, Z), q0(Z, Y).
+		q1(X, Y) :- f(X, Y).
+		q1(X, Y) :- e(X, Z), q1(Z, Y).`, true, false},
+	{"p read by a body", `p(X, Y) :- q0(X, Y).
+		p(X, Y) :- q1(X, Y).
+		q0(X, Y) :- e(X, Y).
+		q1(X, Y) :- f(X, Y).
+		q1(X, Y) :- e(X, Z), p(Z, Y).`, false, false},
+	{"one root twice", `p(X, Y) :- q0(X, Y).
+		p(X, Y) :- q0(X, Y).
+		q0(X, Y) :- e(X, Y).`, false, false},
+	{"an EDB root", `p(X, Y) :- q0(X, Y).
+		p(X, Y) :- f(X, Y).
+		q0(X, Y) :- e(X, Y).`, false, false},
+	{"a permuted head", `p(X, Y) :- q0(X, Y).
+		p(X, Y) :- q1(Y, X).
+		q0(X, Y) :- e(X, Y).
+		q1(X, Y) :- f(X, Y).`, false, false},
+	{"an order atom", `p(X, Y) :- q0(X, Y).
+		p(X, Y) :- q1(X, Y), Y < 9.
+		q0(X, Y) :- e(X, Y).
+		q1(X, Y) :- f(X, Y).`, false, false},
+	{"a root of another arity", `p(X, Y) :- q0(X, Y).
+		p(X, Y) :- q1(X, Y).
+		q0(X, Y) :- e(X, Y).
+		q1(X, Y, Z) :- e(X, Y), f(Y, Z).`, false, true},
+	{"unions of two arities", `p(X, Y) :- q0(X, Y).
+		p(X) :- q1(X).
+		q0(X, Y) :- e(X, Y).
+		q1(X) :- f(X, Y).`, false, true},
+}
+
+// TestSplitUnionShapes: splitUnion splits exactly the k-root unions of
+// renamings that nothing reads, never writes the caller's program, and
+// — split or not — QueryCtx answers as the reference evaluator does on
+// the program as written, the whole relation and a point query under
+// magic off (magic rewrites a bound goal, and a rewritten union is not
+// split); an invalid program, or a goal of another arity, stays an
+// error.
+func TestSplitUnionShapes(t *testing.T) {
+	db := foldDB()
+	for _, c := range unionShapes {
+		for _, goal := range []string{"?- p.", "?- p(1, Y).", "?- p(1)."} {
+			p := parser.MustParseProgram(c.src + goal)
+			label := c.name + " " + goal
+			before := p.String()
+			rest, roots := splitUnion(p)
+			if split := roots != nil; split != (c.split && goal != "?- p(1).") {
+				t.Fatalf("%s: split = %v (%v), want %v:\n%s", label, split, roots, c.split, rest)
+			}
+			if p.String() != before || (roots == nil) != (rest == p) {
+				t.Fatalf("%s: the caller's program was written, or a split returned it:\n%s", label, p)
+			}
+			for _, magic := range []MagicMode{MagicAuto, MagicOff} {
+				if pq, err := Prepare(p, Options{Magic: magic}); err == nil &&
+					(pq.roots != nil) != (roots != nil && !c.err && (magic == MagicOff || goal == "?- p.")) {
+					t.Fatalf("%s/%s: Prepare split %v, splitUnion %v", label, magic, pq.roots, roots)
+				}
+				tuples, _, err := QueryCtx(context.Background(), p, db, Options{Magic: magic})
+				if c.err || goal == "?- p(1)." {
+					if err == nil {
+						t.Fatalf("%s/%s: an invalid program evaluated", label, magic)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s/%s: %v", label, magic, err)
+				}
+				requireAnswers(t, label+"/"+string(magic), p, db, tuples)
+			}
+		}
+	}
+}

@@ -255,6 +255,7 @@ func (h *rowHash) grow(size int) {
 // that opened each key, ascending, so the number of distinct keys in any
 // prefix of the relation is exact and a binary search away (keysBelow).
 type rowIndex struct {
+	mask   uint64 // pos as a bitmask, which tells a relation's indexes apart
 	pos    []int
 	firsts []int32 // first row of each key, in row order; len = keys
 	hashes []uint64
@@ -263,8 +264,8 @@ type rowIndex struct {
 	next   []int32 // next[row] = next row with the same key; -1 = end
 }
 
-func buildRowIndex(r *irel, pos []int) *rowIndex {
-	ix := &rowIndex{pos: pos}
+func buildRowIndex(r *irel, mask uint64, pos []int) *rowIndex {
+	ix := &rowIndex{mask: mask, pos: pos}
 	ix.init(pow2(r.n*2 + 16))
 	ix.next = make([]int32, 0, r.n)
 	for i := 0; i < r.n; i++ {
@@ -400,9 +401,10 @@ type irel struct {
 	data  []uint32
 	set   rowHash
 	// mu guards the indexes readers build lazily: concurrent probes of
-	// the same un-indexed position mask would otherwise race.
+	// the same un-indexed position mask would otherwise race. A relation
+	// has a few, told apart by their masks.
 	mu      sync.RWMutex
-	indexes map[uint64]*rowIndex // keyed by position bitmask
+	indexes []*rowIndex
 	// dead[i] is the epoch in which row i was removed, 0 while it lives;
 	// rows past len(dead) live, and dead is nil until the first removal.
 	// epoch counts the freezes (IRel.Freeze) and is what a removal stamps.
@@ -518,23 +520,30 @@ func (r *irel) compact() {
 // index returns the rowIndex for the given position bitmask, building
 // it lazily. Safe for concurrent readers: the build is double-checked
 // under an RWMutex, so two tasks probing the same un-indexed position
-// mask cannot race.
+// mask cannot race, and a reader scans the indexes only under it.
 func (r *irel) index(mask uint64, pos []int) *rowIndex {
 	r.mu.RLock()
-	ix := r.indexes[mask]
+	ix := r.indexFor(mask)
 	r.mu.RUnlock()
 	if ix != nil {
 		return ix
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ix = r.indexes[mask]; ix != nil {
+	if ix = r.indexFor(mask); ix != nil {
 		return ix
 	}
-	ix = buildRowIndex(r, pos)
-	if r.indexes == nil {
-		r.indexes = map[uint64]*rowIndex{}
-	}
-	r.indexes[mask] = ix
+	ix = buildRowIndex(r, mask, pos)
+	r.indexes = append(r.indexes, ix)
 	return ix
+}
+
+// indexFor returns the built index for mask, or nil. The caller holds mu.
+func (r *irel) indexFor(mask uint64) *rowIndex {
+	for _, ix := range r.indexes {
+		if ix.mask == mask {
+			return ix
+		}
+	}
+	return nil
 }

@@ -51,6 +51,10 @@ type joinRun struct {
 	negBuf    []uint32
 	headBuf   []uint32
 	probes    int64 // candidate rows tried, over the life of the run
+	// ixs holds, per depth, the index an indexed subgoal is probed
+	// through, resolved at its first probe of the live plan: a task pays
+	// the relation's index lookup once, not at every entry to the depth.
+	ixs []*rowIndex
 	// Mid-task reorder hooks (nil otherwise; the fixpoint's only):
 	// matches counts the rows that passed every filter per depth, and
 	// between runs after each depth-0 row, when no deeper join frame is
@@ -63,13 +67,21 @@ type joinRun struct {
 // values in reused buffers are never observable: a slot or scratch cell
 // is only read after the live plan wrote it. The binding keeps its
 // contents when its size does not change — nSlots is the same for every
-// order of one rule — which is what a mid-join plan swap relies on.
+// order of one rule — which is what a mid-join plan swap relies on. The
+// resolved indexes are forgotten: every run of the kernel starts here,
+// so an index is never read through a plan or a view it was not
+// resolved for.
 func (tr *joinRun) setPlan(pl *plan) {
 	tr.pl = pl
 	if cap(tr.probeBufs) < len(pl.subs) {
 		tr.probeBufs = append(make([][]uint32, 0, len(pl.subs)), tr.probeBufs...)
 	}
 	tr.probeBufs = tr.probeBufs[:len(pl.subs)]
+	if cap(tr.ixs) < len(pl.subs) {
+		tr.ixs = make([]*rowIndex, len(pl.subs))
+	}
+	tr.ixs = tr.ixs[:len(pl.subs)]
+	clear(tr.ixs)
 	for i := range pl.subs {
 		tr.probeBufs[i] = sizedU32(tr.probeBufs[i], len(pl.subs[i].boundPos))
 	}
@@ -132,7 +144,11 @@ func (tr *joinRun) join(depth int) error {
 		}
 	}
 	if bound && sp.src != srcDelta {
-		ix := rel.index(sp.mask, sp.boundPos)
+		ix := tr.ixs[depth]
+		if ix == nil {
+			ix = rel.index(sp.mask, sp.boundPos)
+			tr.ixs[depth] = ix
+		}
 		// An empty lookup is a successful (and final) answer; never
 		// fall back to a scan.
 		for ri := ix.lookup(rel, vals); ri >= 0 && int(ri) < v.Hi; ri = ix.next[ri] {
@@ -226,8 +242,9 @@ func (tr *joinRun) tryRow(depth int, row []uint32, verify bool) error {
 }
 
 // evalCmp evaluates a compiled comparison. Equality on canonical intern
-// ids is id equality; the four order operators delegate to Term.Compare
-// on the resolved terms.
+// ids is id equality; the four order operators compare two numbers by
+// value, three-way as Term.Compare does (a NaN is neither below nor
+// above anything), and delegate any other pair to Term.Compare.
 func (tr *joinRun) evalCmp(c *cmpPlan) bool {
 	l, r := c.l, c.r
 	if !c.lConst {
@@ -242,7 +259,17 @@ func (tr *joinRun) evalCmp(c *cmpPlan) bool {
 	case ast.NE:
 		return l != r
 	}
-	return ast.NewCmp(tr.in.term(l), c.op, tr.in.term(r)).Eval()
+	a, b := tr.in.term(l), tr.in.term(r)
+	if a.Kind != ast.Num || b.Kind != ast.Num {
+		return ast.NewCmp(a, c.op, b).Eval()
+	}
+	switch {
+	case a.Val < b.Val:
+		return c.op.Holds(-1)
+	case a.Val > b.Val:
+		return c.op.Holds(1)
+	}
+	return c.op.Holds(0)
 }
 
 // negContains reports whether the ground instance of a negated subgoal

@@ -291,9 +291,12 @@ func QueryWith(p *Program, edb *DB, opts EvalOptions) ([]eval.Tuple, *Stats, err
 // those of evaluating the rule as written; Stats count no copy (one
 // probe, one firing and one derived tuple fewer per answer than the
 // rule would cost) and RoundDeltas name the query predicate, not the
-// root. The optimizer's output, Explain, EvalCtx, EvalProv and views
-// keep the paper's form: they return or maintain every IDB relation by
-// name.
+// root. A union of two or more roots (p :- p_q0. p :- p_q1. …) that the
+// magic rewrite left alone and no rule reads is read from the roots'
+// rows, in the order its rules would have appended them: Stats count no
+// firing, derived tuple or round of the query predicate. The optimizer's
+// output, Explain, EvalCtx, EvalProv and views keep the paper's form:
+// they return or maintain every IDB relation by name.
 func QueryCtx(ctx context.Context, p *Program, edb *DB, opts EvalOptions) ([]eval.Tuple, *Stats, error) {
 	return eval.QueryCtx(ctx, p, edb, opts)
 }
@@ -330,7 +333,8 @@ type Prepared = eval.Prepared
 
 // Prepare runs the rewrites QueryCtx applies to p (the one-root renaming
 // fold, bounded-recursion elimination under opts.Elim, the magic-sets
-// rewrite under opts.Magic) once, for p's goal binding pattern.
+// rewrite under opts.Magic, the k-root union's split) once, for p's goal
+// binding pattern.
 func Prepare(p *Program, opts EvalOptions) (*Prepared, error) { return eval.Prepare(p, opts) }
 
 // Satisfiable decides whether the program's query predicate has any
