@@ -601,3 +601,66 @@ func TestViewUpdateAllocationGuard(t *testing.T) {
 		t.Errorf("Answers: %.0f allocations, want at most 2000", got)
 	}
 }
+
+// compileCold is one cold compile of a parsed unit, as a request pays
+// for it: the optimizer, then the linter.
+func compileCold(tb testing.TB, u *Unit) (*Result, *LintReport) {
+	ctx := context.Background()
+	res, err := OptimizeCtx(ctx, u.Program, u.ICs, DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, Lint(ctx, u.Program, u.ICs, u.Facts, compileLintOpts)
+}
+
+// BenchmarkCompileCold is the library twin of the end-to-end
+// optimize-cold workload: TestCompileGolden's inputs through Parse,
+// OptimizeCtx, Lint and the rendering of the optimizer's output.
+func BenchmarkCompileCold(b *testing.B) {
+	corpus := compileCorpus(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, in := range corpus {
+			u, err := Parse(in.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, _ := compileCold(b, u)
+			_ = FormatProgram(res.Program) + Explain(res)
+		}
+	}
+}
+
+// TestCompileAllocationGuard bounds the allocations of a cold compile
+// (OptimizeCtx + Lint) of Figure 1 and of random-18, the heaviest of
+// compileCorpus's random programs, in the style of
+// TestQueryAllocationGuard. They took 6,517 and 21,488 (7,020 and
+// 22,696 under -race) while the optimizer rendered its keys through fmt
+// at every comparison and cloned a substitution per candidate atom;
+// about 3,360 and 13,970 now, the same under -race within 0.5%.
+func TestCompileAllocationGuard(t *testing.T) {
+	corpus := compileCorpus(t)
+	for _, c := range []struct {
+		name string
+		max  float64
+	}{
+		{"figure1", 3900},
+		{"random-18", 16000},
+	} {
+		var u *Unit
+		for _, in := range corpus {
+			if in.name == c.name {
+				var err error
+				if u, err = Parse(in.src); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if u == nil {
+			t.Fatalf("%s: not in the compile corpus", c.name)
+		}
+		if got := testing.AllocsPerRun(5, func() { compileCold(t, u) }); got > c.max {
+			t.Errorf("%s: %.0f allocations per compile, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}

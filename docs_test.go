@@ -11,9 +11,10 @@ import (
 	"testing"
 )
 
-// TestDocsCiteExistingPaths: every repository path README.md and
-// DESIGN.md cite exists, and every file:line they cite is within its
-// file. A path is one under a top-level source directory
+// TestDocsCiteExistingPaths: every repository path README.md,
+// DESIGN.md and EXPERIMENTS.md cite exists, and every file:line they
+// cite is within its file. (Removed code is history there, named
+// without its path.) A path is one under a top-level source directory
 // (`internal/eval`, `cmd/sqod`) or a file with a source or data
 // extension; one given by its trailing components alone (`compiled.go`,
 // `testdata/v1`) must be the tail of some repository path.
@@ -42,7 +43,7 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 	}
 	dirRe := regexp.MustCompile(`(?:^|[^\w./-])((?:internal|cmd|examples|scripts|bench|\.github)/[\w./-]*\w)`)
 	fileRe := regexp.MustCompile(`(?:^|[^\w./:-])([\w./-]*\w\.(?:go|json|md|sh|dl|golden|yml)\b)(?::(\d+))?`)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -2,8 +2,8 @@ package adorn
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/order"
@@ -31,32 +31,10 @@ type RuleTriplet struct {
 	HeadTriplet int
 }
 
-// key canonicalizes the rule triplet's logical content (IC, unmapped
-// set, sigma) ignoring provenance.
-func (rt RuleTriplet) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "I%d|", rt.IC)
-	for i, u := range rt.Unmapped {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", u)
-	}
-	b.WriteByte('|')
-	vars := make([]string, 0, len(rt.Sigma))
-	for v := range rt.Sigma {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	for i, v := range vars {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(v)
-		b.WriteByte('=')
-		b.WriteString(rt.Sigma[v].Key())
-	}
-	return b.String()
+// appendKey appends the canonical key of the rule triplet's logical
+// content (IC, unmapped set, sigma), ignoring provenance, to dst.
+func (rt RuleTriplet) appendKey(dst []byte) []byte {
+	return appendTripletKey(dst, rt.IC, rt.Unmapped, rt.Sigma, ast.Term.AppendKey)
 }
 
 // EDBTriplet is a triplet computed for one EDB subgoal occurrence of a
@@ -144,7 +122,7 @@ func BottomUp(sp *SpecProgram, ics []ast.IC) (*Result, error) {
 	renamed := make([]ast.IC, len(ics))
 	for i, ic := range ics {
 		renamed[i] = ast.RenameIC(ic, func(v string) string {
-			return fmt.Sprintf("%s%d_%s", icVarPrefix, i, v)
+			return icVarPrefix + strconv.Itoa(i) + "_" + v
 		})
 	}
 	plans := rewrite.PlanICs(renamed)
@@ -186,14 +164,15 @@ func BottomUp(sp *SpecProgram, ics []ast.IC) (*Result, error) {
 func combineRuleAll(res *Result, ri int, r ast.Rule, idb map[string]bool, seen map[string]bool) bool {
 	added := false
 	choice := make([]int, len(r.Pos))
+	var key []byte
 	var rec func(j int)
 	rec = func(j int) {
 		if j == len(r.Pos) {
-			key := comboKey(ri, choice)
-			if seen[key] {
+			key = appendComboKey(key[:0], 'r', ri, choice)
+			if seen[string(key)] {
 				return
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			if buildAdornedRule(res, ri, r, choice) {
 				added = true
 			}
@@ -214,13 +193,15 @@ func combineRuleAll(res *Result, ri int, r ast.Rule, idb map[string]bool, seen m
 	return added
 }
 
-func comboKey(ri int, choice []int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "r%d", ri)
+// appendComboKey appends "<tag><n>,<c0>,<c1>,..." to dst: a rule's
+// choice of child adornments, or a rule triplet's choice of child
+// triplets.
+func appendComboKey(dst []byte, tag byte, n int, choice []int) []byte {
+	dst = strconv.AppendInt(append(dst, tag), int64(n), 10)
 	for _, c := range choice {
-		fmt.Fprintf(&b, ",%d", c)
+		dst = strconv.AppendInt(append(dst, ','), int64(c), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // buildAdornedRule computes the rule adornment Ar for one choice of
@@ -231,18 +212,18 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 	ruleOrder := order.NewSet(r.Cmp...)
 
 	// Per-subgoal, per-constraint triplet lists in rule space, plus
-	// the node-space index of each (for provenance).
+	// the node-space index of each (for provenance): perSub[j][ic].
 	type rsTriplet struct {
 		unmapped []int
 		sigma    map[string]ast.Term
 		nodeIdx  int // index into child adornment triplets / EDB list
 	}
 	nSub := len(r.Pos)
-	perSub := make([]map[int][]rsTriplet, nSub)
+	perSub := make([][][]rsTriplet, nSub)
 	edbTriplets := make([]map[int][]EDBTriplet, nSub)
 
 	for j, sub := range r.Pos {
-		perSub[j] = map[int][]rsTriplet{}
+		perSub[j] = make([][]rsTriplet, len(res.Plans))
 		if choice[j] >= 0 {
 			// IDB subgoal: convert the child adornment's node-space
 			// triplets to rule space via the occurrence's arguments.
@@ -297,6 +278,8 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 	}
 	var pendings []pending
 	seenRT := map[string]bool{}
+	var pk []byte
+	var keep []string
 	residueSeen := map[string]bool{}
 
 	for _, plan := range res.Plans {
@@ -321,14 +304,19 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 		}
 		inconsistent := false
 		cur := make([]int, nSub)
-		var rec func(j int, unmapped []int, sigma map[string]ast.Term) bool
-		rec = func(j int, unmapped []int, sigma map[string]ast.Term) bool {
+		// σ of the chosen triplets so far, bound in place and undone
+		// through bound, the variables each choice added.
+		sigma := unify.Subst{}
+		var bound []string
+		var rec func(j int, unmapped []int) bool
+		rec = func(j int, unmapped []int) bool {
 			if inconsistent {
 				return false
 			}
 			if j == nSub {
 				// Restrict sigma to variables that must stay visible.
-				restricted := restrictSigma(sigma, ic, plan, unmapped)
+				keep = plan.VisibleVars(keep[:0], unmapped)
+				restricted := Restrict(sigma, keep)
 				if len(unmapped) == 0 {
 					if plan.PruneMode() {
 						inconsistent = true
@@ -349,14 +337,14 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 					IC:          icIdx,
 					Unmapped:    unmapped,
 					Sigma:       restricted,
-					ChildChoice: append([]int(nil), cur...),
 					HeadTriplet: -1,
 				}
-				pk := rt.key() + "|" + comboChoiceKey(cur)
-				if seenRT[pk] {
+				pk = appendComboKey(append(rt.appendKey(pk[:0]), '|'), 'c', len(cur), cur)
+				if seenRT[string(pk)] {
 					return true
 				}
-				seenRT[pk] = true
+				seenRT[string(pk)] = true
+				rt.ChildChoice = append([]int(nil), cur...)
 				headT, ok := projectHead(rt, r.Head)
 				p := pending{rt: rt}
 				if ok {
@@ -367,18 +355,21 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 				return true
 			}
 			for _, t := range lists[j] {
-				merged, ok := mergeSigma(sigma, t.sigma)
-				if !ok {
+				mark := len(bound)
+				var ok bool
+				if bound, ok = bindSigma(sigma, t.sigma, bound); !ok {
 					continue
 				}
 				cur[j] = t.nodeIdx
-				if !rec(j+1, intersect(unmapped, t.unmapped), merged) {
+				more := rec(j+1, intersect(unmapped, t.unmapped))
+				bound = sigma.Undo(bound, mark)
+				if !more {
 					return false
 				}
 			}
 			return true
 		}
-		rec(0, allAtoms, map[string]ast.Term{})
+		rec(0, allAtoms)
 		if inconsistent {
 			return false // the whole adorned rule is impossible
 		}
@@ -387,12 +378,14 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 	// Build the head adornment from projectable triplets (plus the
 	// trivial ones, which always project).
 	var headTriplets []Triplet
+	var headKeys []string
 	for _, p := range pendings {
 		if p.headKey != "" {
 			headTriplets = append(headTriplets, p.headT)
+			headKeys = append(headKeys, p.headKey)
 		}
 	}
-	headAd := NewAdornment(headTriplets)
+	headAd := newAdornment(headTriplets, headKeys)
 	id, _ := res.AdornID(r.Head.Pred, headAd)
 	ar.HeadAdornID = id
 	for _, p := range pendings {
@@ -413,14 +406,6 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 	return true // a new adorned rule was added (combo was unseen)
 }
 
-func comboChoiceKey(cur []int) string {
-	var b strings.Builder
-	for _, c := range cur {
-		fmt.Fprintf(&b, "%d,", c)
-	}
-	return b.String()
-}
-
 // trivialIdx returns the node-space index of the trivial triplet for
 // subgoal j and the given constraint — needed when the subgoal's list
 // was empty after conversion. For IDB children the trivial triplet is
@@ -439,23 +424,11 @@ func trivialIdx(res *Result, r ast.Rule, choice []int, j, icIdx int, edb []map[i
 	return 0
 }
 
-// restrictSigma keeps the variables that occur in some unmapped atom
-// or in a residue order atom.
-func restrictSigma(sigma map[string]ast.Term, ic ast.IC, plan rewrite.ICPlan, unmapped []int) map[string]ast.Term {
-	keep := map[string]bool{}
-	for _, ui := range unmapped {
-		for _, v := range ic.Pos[ui].Vars(nil) {
-			keep[v] = true
-		}
-	}
-	for _, c := range plan.ResidueCmps {
-		for _, v := range c.Vars(nil) {
-			keep[v] = true
-		}
-	}
-	out := map[string]ast.Term{}
+// Restrict returns the entries of sigma whose variable is in keep.
+func Restrict[V any](sigma map[string]V, keep []string) map[string]V {
+	out := map[string]V{}
 	for v, t := range sigma {
-		if keep[v] {
+		if slices.Contains(keep, v) {
 			out[v] = t
 		}
 	}
@@ -499,23 +472,22 @@ func projectHead(rt RuleTriplet, head ast.Atom) (Triplet, bool) {
 	return t, true
 }
 
-// mergeSigma unions two rule-space sigmas, requiring agreement on
-// shared variables.
-func mergeSigma(a, b map[string]ast.Term) (map[string]ast.Term, bool) {
-	out := make(map[string]ast.Term, len(a)+len(b))
-	for v, t := range a {
-		out[v] = t
-	}
-	for v, t := range b {
-		if prev, ok := out[v]; ok {
+// bindSigma adds src's bindings to the rule-space σ dst, which must
+// agree with it on shared variables, appending the variables it added
+// to bound. On disagreement it undoes its additions and fails.
+func bindSigma(dst unify.Subst, src map[string]ast.Term, bound []string) ([]string, bool) {
+	mark := len(bound)
+	for v, t := range src {
+		if prev, ok := dst[v]; ok {
 			if !prev.Equal(t) {
-				return nil, false
+				return dst.Undo(bound, mark), false
 			}
 			continue
 		}
-		out[v] = t
+		dst[v] = t
+		bound = append(bound, v)
 	}
-	return out, true
+	return bound, true
 }
 
 // intersect returns the sorted intersection of two sorted int slices.
@@ -550,8 +522,10 @@ func edbOccurrenceTriplets(r ast.Rule, occ ast.Atom, plan rewrite.ICPlan, ruleOr
 		all[i] = i
 	}
 	out := []EDBTriplet{{IC: plan.Index, Unmapped: all, Sigma: map[string]ast.Term{}}}
-	seen := map[string]bool{out[0].sigKey(): true}
+	key := out[0].appendKey(nil)
+	seen := map[string]bool{string(key): true}
 
+	var keep []string
 	for mask := 1; mask < 1<<n; mask++ {
 		var mapped []ast.Atom
 		var mappedIdx []int
@@ -567,6 +541,7 @@ func edbOccurrenceTriplets(r ast.Rule, occ ast.Atom, plan rewrite.ICPlan, ruleOr
 		if !allSamePred(mapped, occ.Pred) {
 			continue // Homomorphisms would also reject; skip cheaply.
 		}
+		keep = plan.VisibleVars(keep[:0], unmapped)
 		unify.Homomorphisms(mapped, []ast.Atom{occ}, func(h unify.Subst) bool {
 			// Section 4.2 condition: each mapped atom that anchors a
 			// local atom l requires h(l) (order) or ¬h(l) (negated
@@ -588,18 +563,22 @@ func edbOccurrenceTriplets(r ast.Rule, occ ast.Atom, plan rewrite.ICPlan, ruleOr
 					}
 				}
 			}
+			// σ: the images of the mapped atoms' variables that must
+			// stay visible.
 			sigma := map[string]ast.Term{}
 			for _, mi := range mappedIdx {
-				for _, v := range ic.Pos[mi].Vars(nil) {
-					if _, ok := h[v]; ok {
-						sigma[v] = h.Walk(ast.V(v))
+				for _, v := range ic.Pos[mi].Args {
+					if !v.IsVar() || !slices.Contains(keep, v.Name) {
+						continue
+					}
+					if _, ok := h[v.Name]; ok {
+						sigma[v.Name] = h.Walk(v)
 					}
 				}
 			}
-			t := EDBTriplet{IC: plan.Index, Unmapped: unmapped,
-				Sigma: restrictSigma(sigma, ic, plan, unmapped)}
-			if k := t.sigKey(); !seen[k] {
-				seen[k] = true
+			t := EDBTriplet{IC: plan.Index, Unmapped: unmapped, Sigma: sigma}
+			if key = t.appendKey(key[:0]); !seen[string(key)] {
+				seen[string(key)] = true
 				out = append(out, t)
 			}
 			return true
@@ -626,8 +605,8 @@ func atomIn(a ast.Atom, as []ast.Atom) bool {
 	return false
 }
 
-// sigKey canonicalizes an EDB triplet.
-func (t EDBTriplet) sigKey() string {
-	rt := RuleTriplet{IC: t.IC, Unmapped: t.Unmapped, Sigma: t.Sigma}
-	return rt.key()
+// appendKey appends the EDB triplet's key, in the rule-triplet
+// format, to dst.
+func (t EDBTriplet) appendKey(dst []byte) []byte {
+	return appendTripletKey(dst, t.IC, t.Unmapped, t.Sigma, ast.Term.AppendKey)
 }

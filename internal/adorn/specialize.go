@@ -89,24 +89,20 @@ func Specialize(p *ast.Program) (*SpecProgram, error) {
 		for _, r := range p.RulesFor(base) {
 			// Rename the rule apart from the pattern.
 			rr := ast.RenameRule(r, ren.Next(r.Vars()))
-			s, ok := unify.Unify(rr.Head, pattern.Clone(), nil)
+			s, ok := unify.Unify(rr.Head, pattern, nil)
 			if !ok {
 				continue // rule cannot produce this pattern
 			}
 			inst := s.ApplyRule(rr)
-			// Rebuild with specialized predicate names for IDB subgoals.
-			nr := ast.Rule{Head: inst.Head.Clone(), Neg: inst.Neg, Cmp: inst.Cmp}
+			// Rebuild with specialized predicate names for IDB subgoals
+			// (inst is a fresh copy: its atoms are ours to rename).
+			nr := ast.Rule{Head: inst.Head, Pos: inst.Pos, Neg: inst.Neg, Cmp: inst.Cmp}
 			nr.Head.Pred = name
-			for _, sub := range inst.Pos {
-				if !idb[sub.Pred] {
-					nr.Pos = append(nr.Pos, sub)
-					continue
+			for j, sub := range nr.Pos {
+				if idb[sub.Pred] {
+					canon, _ := ast.CanonicalizeAtom(sub)
+					nr.Pos[j].Pred = intern(sub.Pred, canon)
 				}
-				canon, _ := ast.CanonicalizeAtom(sub)
-				childName := intern(sub.Pred, canon)
-				child := sub.Clone()
-				child.Pred = childName
-				nr.Pos = append(nr.Pos, child)
 			}
 			sp.Prog.Rules = append(sp.Prog.Rules, nr)
 		}

@@ -1,8 +1,8 @@
 package adorn
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -17,16 +17,19 @@ type Image struct {
 	Const     *ast.Term
 }
 
-// key renders the image canonically.
-func (im Image) key() string {
+// appendKey appends the image's canonical rendering to dst.
+func (im Image) appendKey(dst []byte) []byte {
 	if im.Const != nil {
-		return "c" + im.Const.Key()
+		return im.Const.AppendKey(append(dst, 'c'))
 	}
-	parts := make([]string, len(im.Positions))
+	dst = append(dst, 'p')
 	for i, p := range im.Positions {
-		parts[i] = fmt.Sprintf("%d", p)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(p), 10)
 	}
-	return "p" + strings.Join(parts, ",")
+	return dst
 }
 
 // Triplet is the paper's (I, σ, s): I identifies an integrity
@@ -42,56 +45,77 @@ type Triplet struct {
 }
 
 // Key canonically identifies the triplet.
-func (t Triplet) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "I%d|", t.IC)
-	for i, u := range t.Unmapped {
+func (t Triplet) Key() string { return string(t.AppendKey(nil)) }
+
+// AppendKey appends the triplet's Key to dst and returns the extended
+// buffer.
+func (t Triplet) AppendKey(dst []byte) []byte {
+	return appendTripletKey(dst, t.IC, t.Unmapped, t.Sigma, Image.appendKey)
+}
+
+// appendTripletKey is the one writer of a triplet key, for node-space
+// triplets (σ images) and rule-space ones (σ terms) alike:
+// "I<ic>|<unmapped,...>|<var>=<value>;..." with the variables sorted.
+// The format orders a node's triplets, and so numbers adornments and
+// names the specialized predicates of the optimizer's output.
+func appendTripletKey[V any](dst []byte, ic int, unmapped []int, sigma map[string]V, appendValue func(V, []byte) []byte) []byte {
+	dst = append(strconv.AppendInt(append(dst, 'I'), int64(ic), 10), '|')
+	for i, u := range unmapped {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%d", u)
+		dst = strconv.AppendInt(dst, int64(u), 10)
 	}
-	b.WriteByte('|')
-	vars := make([]string, 0, len(t.Sigma))
-	for v := range t.Sigma {
+	dst = append(dst, '|')
+	var arr [8]string
+	vars := arr[:0]
+	for v := range sigma {
 		vars = append(vars, v)
 	}
-	sort.Strings(vars)
+	slices.Sort(vars)
 	for i, v := range vars {
 		if i > 0 {
-			b.WriteByte(';')
+			dst = append(dst, ';')
 		}
-		b.WriteString(v)
-		b.WriteByte('=')
-		b.WriteString(t.Sigma[v].key())
+		dst = appendValue(sigma[v], append(append(dst, v...), '='))
 	}
-	return b.String()
+	return dst
 }
 
 // Adornment is a set of triplets attached to a (specialized)
 // predicate, canonically ordered by Key.
 type Adornment struct {
 	Triplets []Triplet
+	keys     []string // keys[i] is Triplets[i].Key()
 	key      string
 }
 
 // NewAdornment canonicalizes and deduplicates the triplets.
 func NewAdornment(ts []Triplet) *Adornment {
-	seen := map[string]bool{}
-	var uniq []Triplet
-	for _, t := range ts {
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, t)
-		}
-	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i].Key() < uniq[j].Key() })
-	keys := make([]string, len(uniq))
-	for i, t := range uniq {
+	keys := make([]string, len(ts))
+	for i, t := range ts {
 		keys[i] = t.Key()
 	}
-	return &Adornment{Triplets: uniq, key: strings.Join(keys, "&")}
+	return newAdornment(ts, keys)
+}
+
+// newAdornment is NewAdornment over triplets whose keys are known.
+func newAdornment(ts []Triplet, keys []string) *Adornment {
+	idx := make([]int, 0, len(ts))
+	seen := make(map[string]bool, len(ts))
+	for i, k := range keys {
+		if !seen[k] {
+			seen[k] = true
+			idx = append(idx, i)
+		}
+	}
+	slices.SortFunc(idx, func(i, j int) int { return strings.Compare(keys[i], keys[j]) })
+	a := &Adornment{Triplets: make([]Triplet, len(idx)), keys: make([]string, len(idx))}
+	for i, ti := range idx {
+		a.Triplets[i], a.keys[i] = ts[ti], keys[ti]
+	}
+	a.key = strings.Join(a.keys, "&")
+	return a
 }
 
 // Key canonically identifies the adornment (set equality of triplets).
@@ -100,8 +124,8 @@ func (a *Adornment) Key() string { return a.key }
 // TripletIndex returns the index of the triplet with the given key, or
 // -1.
 func (a *Adornment) TripletIndex(key string) int {
-	for i, t := range a.Triplets {
-		if t.Key() == key {
+	for i, k := range a.keys {
+		if k == key {
 			return i
 		}
 	}
@@ -111,11 +135,7 @@ func (a *Adornment) TripletIndex(key string) int {
 // String renders the adornment compactly for diagnostics, showing for
 // each triplet the constraint index and unmapped atom indices.
 func (a *Adornment) String() string {
-	var parts []string
-	for _, t := range a.Triplets {
-		parts = append(parts, t.Key())
-	}
-	return "{" + strings.Join(parts, " ") + "}"
+	return "{" + strings.Join(a.keys, " ") + "}"
 }
 
 // imageOf computes the Image of a rule-space term on an atom: constant

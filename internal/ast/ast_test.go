@@ -336,6 +336,69 @@ func TestRuleString(t *testing.T) {
 	}
 }
 
+// TestKeysAndEquality: AppendKey appends exactly Key, CmpsKey and
+// AtomsKey are order-insensitive, and two rules are Equal iff they
+// print alike.
+func TestKeysAndEquality(t *testing.T) {
+	terms := []Term{V("X"), N(-2.5), N(1e21), S("a"), S("Hello world"), V("_")}
+	for _, x := range terms {
+		if got := string(x.AppendKey([]byte("pre"))); got != "pre"+x.Key() {
+			t.Fatalf("AppendKey(%v) = %q, want %q", x, got, "pre"+x.Key())
+		}
+	}
+	cs := []Cmp{NewCmp(V("Y"), GT, V("X")), NewCmp(N(3), EQ, V("X")), NewCmp(V("X"), NE, S("b"))}
+	rev := []Cmp{cs[2], cs[1], cs[0]}
+	if CmpsKey(cs) != CmpsKey(rev) || CmpsKey(cs) != "#3=?X;$b!=?X;?X<?Y" {
+		t.Fatalf("CmpsKey = %q / %q", CmpsKey(cs), CmpsKey(rev))
+	}
+	as := []Atom{NewAtom("q", N(1)), NewAtom("p", V("X"), S("c"))}
+	if AtomsKey(as) != "p(?X,$c);q(#1)" || AtomsKey([]Atom{as[1], as[0]}) != AtomsKey(as) {
+		t.Fatalf("AtomsKey = %q", AtomsKey(as))
+	}
+	base := Rule{Head: NewAtom("p", V("X")), Pos: []Atom{NewAtom("e", V("X"), N(1))},
+		Neg: []Atom{NewAtom("f", V("X"))}, Cmp: []Cmp{NewCmp(V("X"), LT, N(10))}}
+	variants := []Rule{base, base.Clone()}
+	for _, edit := range []func(r *Rule){
+		func(r *Rule) { r.Head.Args[0] = V("Y") },
+		func(r *Rule) { r.Pos[0].Args[1] = N(2) },
+		func(r *Rule) { r.Neg = nil },
+		func(r *Rule) { r.Cmp[0].Op = LE },
+		func(r *Rule) { r.Pos = append(r.Pos, NewAtom("e", V("X"), N(1))) },
+		func(r *Rule) { r.Cmp[0] = r.Cmp[0].Flip() },
+	} {
+		r := base.Clone()
+		edit(&r)
+		variants = append(variants, r)
+	}
+	for _, a := range variants {
+		for _, b := range variants {
+			if a.Equal(b) != (a.String() == b.String()) {
+				t.Fatalf("Equal(%s, %s) = %v, but they print alike: %v", a, b, a.Equal(b), a.String() == b.String())
+			}
+		}
+	}
+}
+
+// TestCanonicalString: CanonicalString is String of the renaming of
+// the variables to V0, V1, ... by first occurrence, so alphabetic
+// variants render alike and others do not.
+func TestCanonicalString(t *testing.T) {
+	r := Rule{Head: NewAtom("p", V("Y"), V("X")), Pos: []Atom{NewAtom("e", V("X"), V("Z"), S("k")), NewAtom("p", V("Z"), V("Y"))},
+		Neg: []Atom{NewAtom("f", V("W"))}, Cmp: []Cmp{NewCmp(V("W"), LT, N(3)), NewCmp(V("Y"), NE, V("X"))}}
+	if got, want := r.CanonicalString(), "p(V0, V1) :- e(V1, V2, k), p(V2, V0), !f(V3), V3 < 3, V0 != V1."; got != want {
+		t.Fatalf("CanonicalString = %q, want %q", got, want)
+	}
+	variant := RenameRule(r, func(v string) string { return v + "_9" })
+	if variant.CanonicalString() != r.CanonicalString() {
+		t.Fatalf("alphabetic variant renders %q", variant.CanonicalString())
+	}
+	other := r.Clone()
+	other.Pos[1].Args[0] = V("X")
+	if other.CanonicalString() == r.CanonicalString() {
+		t.Fatal("a rule with another equality pattern renders alike")
+	}
+}
+
 func TestICString(t *testing.T) {
 	ic := IC{
 		Pos: []Atom{NewAtom("a", V("X"), V("Y")), NewAtom("b", V("Y"), V("Z"))},

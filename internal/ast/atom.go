@@ -1,7 +1,8 @@
 package ast
 
 import (
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -79,17 +80,21 @@ func (a Atom) Ground() bool {
 // variable names included verbatim). Two atoms have the same Key iff
 // they are structurally equal.
 func (a Atom) Key() string {
-	var b strings.Builder
-	b.WriteString(a.Pred)
-	b.WriteByte('(')
+	var buf [64]byte
+	return string(a.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the atom's Key to dst and returns the extended
+// buffer.
+func (a Atom) AppendKey(dst []byte) []byte {
+	dst = append(append(dst, a.Pred...), '(')
 	for i, t := range a.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(t.Key())
+		dst = t.AppendKey(dst)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
 // PatternKey returns a key describing the predicate plus the pattern of
@@ -114,9 +119,10 @@ func (a Atom) PatternKey() string {
 				seen[t.Name] = id
 			}
 			b.WriteByte('v')
-			b.WriteString(itoa(id))
+			b.WriteString(strconv.Itoa(id))
 		} else {
-			b.WriteString(t.Key())
+			var buf [24]byte
+			b.Write(t.AppendKey(buf[:0]))
 		}
 	}
 	b.WriteByte(')')
@@ -162,30 +168,27 @@ func (a Atom) Isomorphic(b Atom) bool {
 
 // String renders the atom in source syntax.
 func (a Atom) String() string {
-	var b strings.Builder
-	b.WriteString(a.Pred)
-	if len(a.Args) == 0 {
-		return b.String()
-	}
-	b.WriteByte('(')
-	for i, t := range a.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(t.String())
-	}
-	b.WriteByte(')')
-	return b.String()
+	var w writer
+	w.Grow(len(a.Pred) + 2 + 4*len(a.Args))
+	w.atom(a)
+	return w.String()
 }
 
 // AtomsKey returns a canonical, order-insensitive key for a set of
 // atoms: the sorted concatenation of their Keys.
 func AtomsKey(atoms []Atom) string {
-	keys := make([]string, len(atoms))
-	for i, a := range atoms {
-		keys[i] = a.Key()
+	return sortedKeys(atoms, Atom.AppendKey)
+}
+
+// sortedKeys returns the Keys of xs sorted and joined by ';'.
+func sortedKeys[T any](xs []T, appendKey func(T, []byte) []byte) string {
+	keys := make([]string, len(xs))
+	var buf []byte
+	for i, x := range xs {
+		buf = appendKey(x, buf[:0])
+		keys[i] = string(buf)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return strings.Join(keys, ";")
 }
 
@@ -196,19 +199,4 @@ func containsStr(xs []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func itoa(n int) string {
-	// Tiny positive-int formatter; avoids strconv import churn here.
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,6 +1,6 @@
 package ast
 
-import "strings"
+import "bytes"
 
 // CmpOp is one of the six dense-order comparison predicates.
 type CmpOp uint8
@@ -127,12 +127,17 @@ func (op CmpOp) Holds(cmp int) bool {
 // operand order for the symmetric operators and orients < / <= left to
 // right, so x > y and y < x share a key.
 func (c Cmp) Key() string {
+	var buf [48]byte
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the comparison's Key to dst and returns the
+// extended buffer.
+func (c Cmp) AppendKey(dst []byte) []byte {
 	n := c.normalize()
-	var b strings.Builder
-	b.WriteString(n.Left.Key())
-	b.WriteString(n.Op.String())
-	b.WriteString(n.Right.Key())
-	return b.String()
+	dst = n.Left.AppendKey(dst)
+	dst = append(dst, n.Op.String()...)
+	return n.Right.AppendKey(dst)
 }
 
 // normalize orients the comparison: GT/GE become LT/LE with flipped
@@ -142,7 +147,8 @@ func (c Cmp) normalize() Cmp {
 	case GT, GE:
 		return c.Flip()
 	case EQ, NE:
-		if c.Left.Key() > c.Right.Key() {
+		var l, r [24]byte
+		if bytes.Compare(c.Left.AppendKey(l[:0]), c.Right.AppendKey(r[:0])) > 0 {
 			return c.Flip()
 		}
 	}
@@ -151,26 +157,13 @@ func (c Cmp) normalize() Cmp {
 
 // String renders the order atom in source syntax.
 func (c Cmp) String() string {
-	return c.Left.String() + " " + c.Op.String() + " " + c.Right.String()
+	var w writer
+	w.cmp(c)
+	return w.String()
 }
 
 // CmpsKey returns a canonical order-insensitive key for a set of order
 // atoms.
 func CmpsKey(cs []Cmp) string {
-	keys := make([]string, len(cs))
-	for i, c := range cs {
-		keys[i] = c.Key()
-	}
-	sortStrings(keys)
-	return strings.Join(keys, ";")
-}
-
-func sortStrings(xs []string) {
-	// insertion sort: the slices involved are tiny and this avoids an
-	// extra import in this file.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return sortedKeys(cs, Cmp.AppendKey)
 }

@@ -3,7 +3,6 @@ package ast
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Program is a datalog program: a set of rules together with a
@@ -332,12 +331,12 @@ func (p *Program) ValidateICs(ics []IC) error {
 
 // String renders the program in source syntax, one rule per line.
 func (p *Program) String() string {
-	var b strings.Builder
+	var w writer
 	for _, r := range p.Rules {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
+		w.rule(r)
+		w.WriteByte('\n')
 	}
-	return b.String()
+	return w.String()
 }
 
 // SortedPreds returns the program's predicates sorted by name,

@@ -30,15 +30,41 @@ func RenameCmp(c Cmp, f func(string) string) Cmp {
 
 // RenameRule returns a copy of r with every variable renamed by f.
 func RenameRule(r Rule, f func(string) string) Rule {
-	out := Rule{Head: RenameAtom(r.Head, f), At: r.At}
-	for _, a := range r.Pos {
-		out.Pos = append(out.Pos, RenameAtom(a, f))
+	return MapRule(r, func(t Term) Term {
+		if t.IsVar() {
+			return V(f(t.Name))
+		}
+		return t
+	})
+}
+
+// MapRule returns a copy of r with every term replaced by f of it, f
+// called on the terms in order of occurrence: head, positive and
+// negated subgoals, order atoms (left, then right). Empty body lists
+// come back nil.
+func MapRule(r Rule, f func(Term) Term) Rule {
+	out := r.Clone()
+	mapArgs := func(args []Term) {
+		for i, t := range args {
+			args[i] = f(t)
+		}
 	}
-	for _, a := range r.Neg {
-		out.Neg = append(out.Neg, RenameAtom(a, f))
+	mapArgs(out.Head.Args)
+	for _, a := range out.Pos {
+		mapArgs(a.Args)
 	}
-	for _, c := range r.Cmp {
-		out.Cmp = append(out.Cmp, RenameCmp(c, f))
+	for _, a := range out.Neg {
+		mapArgs(a.Args)
+	}
+	for i := range out.Cmp {
+		out.Cmp[i].Left = f(out.Cmp[i].Left)
+		out.Cmp[i].Right = f(out.Cmp[i].Right)
+	}
+	if len(out.Pos) == 0 {
+		out.Pos = nil
+	}
+	if len(out.Neg) == 0 {
+		out.Neg = nil
 	}
 	return out
 }

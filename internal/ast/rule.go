@@ -2,7 +2,7 @@ package ast
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // Rule is a function-free Horn rule with optional negated EDB subgoals
@@ -19,13 +19,18 @@ type Rule struct {
 	At Pos
 }
 
-// Clone returns a deep copy of the rule.
+// Clone returns a deep copy of the rule. The copy's argument lists
+// share one backing array, each capped at its own length.
 func (r Rule) Clone() Rule {
-	out := Rule{Head: r.Head.Clone(), At: r.At}
-	out.Pos = cloneAtoms(r.Pos)
-	out.Neg = cloneAtoms(r.Neg)
-	out.Cmp = append([]Cmp(nil), r.Cmp...)
-	return out
+	c := newCloner(len(r.Head.Args), r.Pos, r.Neg)
+	return Rule{Head: c.atom(r.Head), Pos: c.atoms(r.Pos), Neg: c.atoms(r.Neg), Cmp: append([]Cmp(nil), r.Cmp...), At: r.At}
+}
+
+// Equal reports structural equality (positions aside), the equality
+// String renders: two rules are Equal iff they print alike.
+func (r Rule) Equal(s Rule) bool {
+	return r.Head.Equal(s.Head) && slices.EqualFunc(r.Pos, s.Pos, Atom.Equal) &&
+		slices.EqualFunc(r.Neg, s.Neg, Atom.Equal) && slices.EqualFunc(r.Cmp, s.Cmp, Cmp.Equal)
 }
 
 // Vars returns the variables of the rule in order of first occurrence
@@ -99,9 +104,11 @@ func (r Rule) Safe() error {
 		}
 	}
 	for _, c := range r.Cmp {
-		for _, v := range c.Vars(nil) {
-			if err := check(v, "order atom"); err != nil {
-				return err
+		for _, t := range [2]Term{c.Left, c.Right} {
+			if t.IsVar() {
+				if err := check(t.Name, "order atom"); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -110,11 +117,18 @@ func (r Rule) Safe() error {
 
 // String renders the rule in source syntax.
 func (r Rule) String() string {
-	var b strings.Builder
-	b.WriteString(r.Head.String())
-	writeBody(&b, r.Pos, r.Neg, r.Cmp)
-	b.WriteByte('.')
-	return b.String()
+	var w writer
+	w.rule(r)
+	return w.String()
+}
+
+// CanonicalString renders the rule with its variables renamed V0, V1,
+// ... in order of first occurrence, so alphabetic variants render
+// alike: String of that renaming, without building the renamed copy.
+func (r Rule) CanonicalString() string {
+	w := writer{canon: true}
+	w.rule(r)
+	return w.String()
 }
 
 // IC is an integrity constraint: a rule with an empty head. The
@@ -131,7 +145,8 @@ type IC struct {
 
 // Clone returns a deep copy of the constraint.
 func (ic IC) Clone() IC {
-	return IC{Pos: cloneAtoms(ic.Pos), Neg: cloneAtoms(ic.Neg), Cmp: append([]Cmp(nil), ic.Cmp...), At: ic.At}
+	c := newCloner(0, ic.Pos, ic.Neg)
+	return IC{Pos: c.atoms(ic.Pos), Neg: c.atoms(ic.Neg), Cmp: append([]Cmp(nil), ic.Cmp...), At: ic.At}
 }
 
 // Vars returns the variables of the constraint in order of first
@@ -157,58 +172,46 @@ func (ic IC) Pure() bool { return len(ic.Neg) == 0 && len(ic.Cmp) == 0 }
 
 // String renders the constraint in source syntax.
 func (ic IC) String() string {
-	var b strings.Builder
-	b.WriteString(":-")
-	bb := strings.Builder{}
-	writeBody(&bb, ic.Pos, ic.Neg, ic.Cmp)
-	s := bb.String()
-	// writeBody emits a leading " :- " separator for rules; reuse the
-	// atom list portion only.
-	s = strings.TrimPrefix(s, " :- ")
-	if s != "" {
-		b.WriteByte(' ')
-		b.WriteString(s)
+	var w writer
+	w.WriteString(":-")
+	if len(ic.Pos)+len(ic.Neg)+len(ic.Cmp) > 0 {
+		w.WriteByte(' ')
+		w.body(ic.Pos, ic.Neg, ic.Cmp)
 	}
-	b.WriteByte('.')
-	return b.String()
+	w.WriteByte('.')
+	return w.String()
 }
 
-// writeBody writes " :- a1, ..., !n1, ..., c1, ..." to b, or nothing if
-// the body is empty.
-func writeBody(b *strings.Builder, pos, neg []Atom, cmp []Cmp) {
-	if len(pos)+len(neg)+len(cmp) == 0 {
-		return
-	}
-	b.WriteString(" :- ")
-	first := true
-	sep := func() {
-		if !first {
-			b.WriteString(", ")
+// cloner deep-copies atoms, their argument lists carved from one
+// backing array sized up front.
+type cloner struct{ terms []Term }
+
+// newCloner sizes a cloner for extra arguments plus those of the atom
+// lists.
+func newCloner(extra int, lists ...[]Atom) cloner {
+	for _, as := range lists {
+		for _, a := range as {
+			extra += len(a.Args)
 		}
-		first = false
 	}
-	for _, a := range pos {
-		sep()
-		b.WriteString(a.String())
-	}
-	for _, a := range neg {
-		sep()
-		b.WriteByte('!')
-		b.WriteString(a.String())
-	}
-	for _, c := range cmp {
-		sep()
-		b.WriteString(c.String())
-	}
+	return cloner{terms: make([]Term, 0, extra)}
 }
 
-func cloneAtoms(as []Atom) []Atom {
+func (c *cloner) atom(a Atom) Atom {
+	i := len(c.terms)
+	c.terms = append(c.terms, a.Args...)
+	a.Args = c.terms[i:len(c.terms):len(c.terms)]
+	return a
+}
+
+// atoms copies as (nil stays nil).
+func (c *cloner) atoms(as []Atom) []Atom {
 	if as == nil {
 		return nil
 	}
 	out := make([]Atom, len(as))
 	for i, a := range as {
-		out[i] = a.Clone()
+		out[i] = c.atom(a)
 	}
 	return out
 }

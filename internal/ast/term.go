@@ -10,7 +10,6 @@
 package ast
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -108,29 +107,31 @@ func (t Term) Compare(u Term) int {
 // Key returns a compact string key unique to the term, suitable for
 // use as a map key alongside terms of all kinds.
 func (t Term) Key() string {
+	var buf [24]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the term's Key to dst and returns the extended
+// buffer.
+func (t Term) AppendKey(dst []byte) []byte {
 	switch t.Kind {
 	case Var:
-		return "?" + t.Name
+		return append(append(dst, '?'), t.Name...)
 	case Num:
-		return "#" + strconv.FormatFloat(t.Val, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, '#'), t.Val, 'g', -1, 64)
 	default:
-		return "$" + t.Name
+		return append(append(dst, '$'), t.Name...)
 	}
 }
 
 // String renders the term in source syntax.
 func (t Term) String() string {
-	switch t.Kind {
-	case Var:
-		return t.Name
-	case Num:
-		return strconv.FormatFloat(t.Val, 'g', -1, 64)
-	default:
-		if needsQuote(t.Name) {
-			return fmt.Sprintf("%q", t.Name)
-		}
+	if t.Kind == Var || t.Kind == Str && !needsQuote(t.Name) {
 		return t.Name
 	}
+	var w writer
+	w.term(t)
+	return w.String()
 }
 
 // needsQuote reports whether a string constant cannot be written as a

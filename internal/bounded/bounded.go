@@ -337,7 +337,7 @@ func unfoldLevel(pred string, exit, rec, prev []ast.Rule, ren *ast.Renamer, o Op
 	next = dedupe(exit, keys)
 	prevKeys := map[string]bool{}
 	for _, d := range prev {
-		prevKeys[canonicalKey(d)] = true
+		prevKeys[d.CanonicalString()] = true
 	}
 	for _, r := range rec {
 		var occ []int
@@ -357,7 +357,7 @@ func unfoldLevel(pred string, exit, rec, prev []ast.Rule, ren *ast.Renamer, o Op
 				if len(d.Pos) > o.MaxBodyAtoms {
 					return false
 				}
-				key := canonicalKey(d)
+				key := d.CanonicalString()
 				if keys[key] {
 					return true
 				}
@@ -424,24 +424,6 @@ func expand(r ast.Rule, occ []int, choice []ast.Rule, ren *ast.Renamer) (ast.Rul
 	return out, true
 }
 
-// canonicalKey renames a rule's variables to V0, V1, ... in order of
-// first occurrence and prints it, so alphabetic variants map to one
-// key.
-func canonicalKey(r ast.Rule) string {
-	i := 0
-	seen := map[string]string{}
-	rr := ast.RenameRule(r, func(v string) string {
-		n, ok := seen[v]
-		if !ok {
-			n = fmt.Sprintf("V%d", i)
-			i++
-			seen[v] = n
-		}
-		return n
-	})
-	return rr.String()
-}
-
 // dedupe drops syntactic duplicates (modulo variable renaming),
 // recording canonical keys in keys when non-nil.
 func dedupe(rs []ast.Rule, keys map[string]bool) []ast.Rule {
@@ -450,7 +432,7 @@ func dedupe(rs []ast.Rule, keys map[string]bool) []ast.Rule {
 	}
 	out := make([]ast.Rule, 0, len(rs))
 	for _, r := range rs {
-		key := canonicalKey(r)
+		key := r.CanonicalString()
 		if keys[key] {
 			continue
 		}

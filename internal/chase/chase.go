@@ -178,6 +178,7 @@ type violation struct {
 func (c *chaser) findViolation(db map[string]ast.Atom) (violation, bool) {
 	atoms := dbAtoms(db)
 	var pending *violation
+	var key []byte
 	for _, ic := range c.ics {
 		found := false
 		var result violation
@@ -195,7 +196,8 @@ func (c *chaser) findViolation(db map[string]ast.Atom) (violation, bool) {
 				if !g.Ground() {
 					return true // unsafely quantified; cannot judge
 				}
-				if _, present := db[g.Key()]; present {
+				key = g.AppendKey(key[:0])
+				if _, present := db[string(key)]; present {
 					return true // some disjunct already satisfied
 				}
 				repairs = append(repairs, g)

@@ -34,38 +34,44 @@ func Contained(q1, q2 CQ) (bool, error) {
 	return containmentMapping(q1, q2, nil), nil
 }
 
-// containmentMapping searches for a homomorphism from q2 into q1
-// (body atoms into body atoms, head onto head). When check is non-nil
-// it is invoked per candidate mapping and must approve it.
-func containmentMapping(q1, q2 CQ, check func(unify.Subst) bool) bool {
+// containmentMapping searches for a containment mapping h from q2 into
+// q1 (body atoms into body atoms, head onto head); when q1Set is
+// non-nil, h must also satisfy q1Set ⊨ h(q2.Cmp).
+func containmentMapping(q1, q2 CQ, q1Set *order.Set) bool {
 	q2 = renameApart(q2, q1)
-	// The head must map exactly: seed the homomorphism search with the
-	// head match.
-	seed, ok := unify.Match(q2.Head, q1.Head, nil)
+	pv := unify.PatternVars(append([]ast.Atom{q2.Head}, q2.Pos...)...)
+	// The head must map exactly: seed the search with the head match.
+	s := unify.Subst{}
+	trail, ok := s.MatchBind(q2.Head, q1.Head, pv, make([]string, 0, len(pv)))
 	if !ok {
 		return false
 	}
-	found := false
-	var rec func(i int, s unify.Subst) bool
-	rec = func(i int, s unify.Subst) bool {
+	var rec func(i int) bool // reports whether a mapping was found
+	rec = func(i int) bool {
 		if i == len(q2.Pos) {
-			if check == nil || check(s) {
-				found = true
-				return false // stop
+			if q1Set == nil {
+				return true
+			}
+			for _, c := range q2.Cmp {
+				if !q1Set.Implies(s.ApplyCmp(c)) {
+					return false // keep searching
+				}
 			}
 			return true
 		}
 		for _, d := range q1.Pos {
-			if next, ok := unify.Match(q2.Pos[i], d, s); ok {
-				if !rec(i+1, next) {
-					return false
+			mark := len(trail)
+			if trail, ok = s.MatchBind(q2.Pos[i], d, pv, trail); ok {
+				found := rec(i + 1)
+				trail = s.Undo(trail, mark)
+				if found {
+					return true
 				}
 			}
 		}
-		return true
+		return false
 	}
-	rec(0, seed)
-	return found
+	return rec(0)
 }
 
 // renameApart renames q2's variables apart from q1's, so that a
@@ -87,44 +93,11 @@ func ContainedOrder(q1, q2 CQ) (bool, error) {
 	if q1.HasNeg() || q2.HasNeg() {
 		return false, fmt.Errorf("cqc: negation is not supported in CQ containment")
 	}
-	if !order.NewSet(q1.Cmp...).Satisfiable() {
+	q1Set := order.NewSet(q1.Cmp...)
+	if !q1Set.Satisfiable() {
 		return true, nil // the empty query is contained in anything
 	}
-	return containedOrderMapping(q1, q2), nil
-}
-
-// containedOrderMapping searches for a containment mapping h from q2
-// into q1 with q1.Cmp ⊨ h(q2.Cmp).
-func containedOrderMapping(q1, q2 CQ) bool {
-	q2r := renameApart(q2, q1)
-	seed, ok := unify.Match(q2r.Head, q1.Head, nil)
-	if !ok {
-		return false
-	}
-	q1Set := order.NewSet(q1.Cmp...)
-	found := false
-	var rec func(i int, s unify.Subst) bool
-	rec = func(i int, s unify.Subst) bool {
-		if i == len(q2r.Pos) {
-			for _, c := range q2r.Cmp {
-				if !q1Set.Implies(s.ApplyCmp(c)) {
-					return true // keep searching
-				}
-			}
-			found = true
-			return false
-		}
-		for _, d := range q1.Pos {
-			if next, ok := unify.Match(q2r.Pos[i], d, s); ok {
-				if !rec(i+1, next) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	rec(0, seed)
-	return found
+	return containmentMapping(q1, q2, q1Set), nil
 }
 
 // ContainedOrderComplete decides q1 ⊑ q2 for CQs with order atoms (no
@@ -147,7 +120,7 @@ func ContainedOrderComplete(q1, q2 CQ) (bool, error) {
 	order.Linearizations(terms, q1Set, func(groups [][]ast.Term) bool {
 		// For this linearization, is there a mapping?
 		q1lin.Cmp = appendPins(append(q1lin.Cmp[:0], q1.Cmp...), groups)
-		if !containedOrderMapping(q1lin, q2) {
+		if !containmentMapping(q1lin, q2, order.NewSet(q1lin.Cmp...)) {
 			all = false
 			return false
 		}

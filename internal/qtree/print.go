@@ -3,6 +3,7 @@ package qtree
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -26,11 +27,11 @@ func (t *Tree) Print() string {
 
 // nodeName renders a goal node compactly: pred^adornment{label}.
 func (t *Tree) nodeName(n *Node) string {
-	live := ""
+	name := n.Pred + "^a" + strconv.Itoa(n.AdornID) + "#" + strconv.Itoa(n.ID)
 	if !n.Live {
-		live = " [pruned]"
+		name += " [pruned]"
 	}
-	return fmt.Sprintf("%s^a%d#%d%s", n.Pred, n.AdornID, n.ID, live)
+	return name
 }
 
 func (t *Tree) printNode(b *strings.Builder, n *Node, depth int, printed map[int]bool) {

@@ -9,8 +9,9 @@ package qtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/adorn"
 	"repro/internal/ast"
@@ -30,20 +31,11 @@ type LabelTriplet struct {
 	AdornTriplet int
 }
 
-// key canonicalizes the label triplet, including the correspondence.
-func (lt LabelTriplet) key() string {
-	t := adorn.Triplet{IC: lt.IC, Unmapped: lt.Unmapped, Sigma: lt.Sigma}
-	return fmt.Sprintf("%s@%d", t.Key(), lt.AdornTriplet)
-}
-
-// labelKey canonicalizes a whole label (set semantics).
-func labelKey(label []LabelTriplet) string {
-	keys := make([]string, len(label))
-	for i, lt := range label {
-		keys[i] = lt.key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "&")
+// appendKey appends the label triplet's canonical key, including the
+// correspondence, to dst.
+func (lt LabelTriplet) appendKey(dst []byte) []byte {
+	dst = adorn.Triplet{IC: lt.IC, Unmapped: lt.Unmapped, Sigma: lt.Sigma}.AppendKey(dst)
+	return strconv.AppendInt(append(dst, '@'), int64(lt.AdornTriplet), 10)
 }
 
 // Node is an IDB goal node of the query tree — more precisely the
@@ -60,8 +52,6 @@ type Node struct {
 	RuleKids []*RuleNode
 	// Live marks nodes that survive pruning (productive and reachable).
 	Live bool
-
-	key string
 }
 
 // RuleNode is a rule node of the query tree.
@@ -82,6 +72,8 @@ type Tree struct {
 	Roots []*Node
 	Nodes []*Node
 	byKey map[string]*Node
+
+	keyBuf []byte // intern's reused key buffer
 }
 
 // Build constructs the query forest from the bottom-up result,
@@ -89,18 +81,20 @@ type Tree struct {
 func Build(res *adorn.Result) *Tree {
 	t := &Tree{Res: res, byKey: map[string]*Node{}}
 	q := res.Spec.Query
+	var keys []string
 	for adornID := range res.Adorn[q] {
 		if len(res.RulesByHead[q][adornID]) == 0 {
 			continue // no rule derives this adornment; cannot be a root
 		}
 		// Root label: the adornment itself, with identity correspondence.
 		var label []LabelTriplet
+		keys = keys[:0]
 		for ti, tr := range res.Adorn[q][adornID].Triplets {
-			label = append(label, LabelTriplet{
-				IC: tr.IC, Unmapped: tr.Unmapped, Sigma: tr.Sigma, AdornTriplet: ti,
-			})
+			lt := LabelTriplet{IC: tr.IC, Unmapped: tr.Unmapped, Sigma: tr.Sigma, AdornTriplet: ti}
+			label = append(label, lt)
+			keys = append(keys, string(lt.appendKey(nil)))
 		}
-		t.Roots = append(t.Roots, t.intern(q, adornID, label))
+		t.Roots = append(t.Roots, t.intern(q, adornID, label, keys))
 	}
 	// Expand breadth-first; intern enqueues by appending to t.Nodes.
 	for i := 0; i < len(t.Nodes); i++ {
@@ -110,14 +104,23 @@ func Build(res *adorn.Result) *Tree {
 }
 
 // intern returns the class representative for (pred, adornID, label),
-// creating it if new.
-func (t *Tree) intern(pred string, adornID int, label []LabelTriplet) *Node {
-	key := fmt.Sprintf("%s|%d|%s", pred, adornID, labelKey(label))
-	if n, ok := t.byKey[key]; ok {
+// creating it if new. keys holds the keys of the label's triplets; the
+// class key is "pred|adornID|" and those keys sorted, joined by '&'.
+func (t *Tree) intern(pred string, adornID int, label []LabelTriplet, keys []string) *Node {
+	slices.Sort(keys)
+	t.keyBuf = strconv.AppendInt(append(append(t.keyBuf[:0], pred...), '|'), int64(adornID), 10)
+	t.keyBuf = append(t.keyBuf, '|')
+	for i, k := range keys {
+		if i > 0 {
+			t.keyBuf = append(t.keyBuf, '&')
+		}
+		t.keyBuf = append(t.keyBuf, k...)
+	}
+	if n, ok := t.byKey[string(t.keyBuf)]; ok {
 		return n
 	}
-	n := &Node{ID: len(t.Nodes), Pred: pred, AdornID: adornID, Label: label, key: key}
-	t.byKey[key] = n
+	n := &Node{ID: len(t.Nodes), Pred: pred, AdornID: adornID, Label: label}
+	t.byKey[string(t.keyBuf)] = n
 	t.Nodes = append(t.Nodes, n)
 	return n
 }
@@ -133,8 +136,8 @@ func (t *Tree) expand(n *Node) {
 			if ar.ChildAdornIDs[j] < 0 {
 				continue // EDB leaf
 			}
-			childLabel := t.childLabel(n, ar, j)
-			rn.Children[j] = t.intern(sub.Pred, ar.ChildAdornIDs[j], childLabel)
+			childLabel, keys := t.childLabel(n, ar, j)
+			rn.Children[j] = t.intern(sub.Pred, ar.ChildAdornIDs[j], childLabel, keys)
 		}
 		n.RuleKids = append(n.RuleKids, rn)
 	}
@@ -145,12 +148,16 @@ func (t *Tree) expand(n *Node) {
 // triplet of n corresponds to a head-adornment triplet, which was
 // produced by rule triplets, each of which chose one triplet at every
 // subgoal; the child label triplet keeps the parent's unmapped set and
-// restricts the child triplet's σ to its variables.
-func (t *Tree) childLabel(n *Node, ar *adorn.AdornedRule, j int) []LabelTriplet {
+// restricts the child triplet's σ to its variables. It returns the
+// label and the keys of its triplets.
+func (t *Tree) childLabel(n *Node, ar *adorn.AdornedRule, j int) ([]LabelTriplet, []string) {
 	res := t.Res
 	childAd := res.Adorn[ar.Rule.Pos[j].Pred][ar.ChildAdornIDs[j]]
 	seen := map[string]bool{}
 	var out []LabelTriplet
+	var keys []string
+	var buf []byte
+	var keep []string
 	for _, lt := range n.Label {
 		for _, rt := range ar.Triplets {
 			if rt.IC != lt.IC || rt.HeadTriplet != lt.AdornTriplet {
@@ -161,42 +168,22 @@ func (t *Tree) childLabel(n *Node, ar *adorn.AdornedRule, j int) []LabelTriplet 
 				continue
 			}
 			ct := childAd.Triplets[ci]
+			keep = res.Plans[lt.IC].VisibleVars(keep[:0], lt.Unmapped)
 			nlt := LabelTriplet{
 				IC:           lt.IC,
 				Unmapped:     lt.Unmapped,
-				Sigma:        restrictImages(ct.Sigma, res.Plans[lt.IC], lt.Unmapped),
+				Sigma:        adorn.Restrict(ct.Sigma, keep),
 				AdornTriplet: ci,
 			}
-			if k := nlt.key(); !seen[k] {
+			if buf = nlt.appendKey(buf[:0]); !seen[string(buf)] {
+				k := string(buf)
 				seen[k] = true
 				out = append(out, nlt)
+				keys = append(keys, k)
 			}
 		}
 	}
-	return out
-}
-
-// restrictImages keeps the images of variables occurring in the given
-// unmapped atoms or in the constraint's residue order atoms.
-func restrictImages(sigma map[string]adorn.Image, plan rewrite.ICPlan, unmapped []int) map[string]adorn.Image {
-	keep := map[string]bool{}
-	for _, ui := range unmapped {
-		for _, v := range plan.IC.Pos[ui].Vars(nil) {
-			keep[v] = true
-		}
-	}
-	for _, c := range plan.ResidueCmps {
-		for _, v := range c.Vars(nil) {
-			keep[v] = true
-		}
-	}
-	out := map[string]adorn.Image{}
-	for v, im := range sigma {
-		if keep[v] {
-			out[v] = im
-		}
-	}
-	return out
+	return out, keys
 }
 
 // Prune computes liveness: a goal node is productive if some rule

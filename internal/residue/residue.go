@@ -186,7 +186,7 @@ func applyICToRule(r ast.Rule, ic ast.IC) ([]ast.Rule, bool) {
 						break
 					}
 				}
-				if len(next) > 0 && sameRule(next[len(next)-1], cur) {
+				if len(next) > 0 && next[len(next)-1].Equal(cur) {
 					continue
 				}
 				for _, c := range res.Cmp {
@@ -234,8 +234,6 @@ func applyICToRule(r ast.Rule, ic ast.IC) ([]ast.Rule, bool) {
 	}
 	return rules, false
 }
-
-func sameRule(a, b ast.Rule) bool { return a.String() == b.String() }
 
 func hasNeg(r ast.Rule, a ast.Atom) bool {
 	for _, n := range r.Neg {

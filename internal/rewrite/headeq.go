@@ -1,7 +1,7 @@
 package rewrite
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/unify"
@@ -49,7 +49,7 @@ func PropagateHeadEqualities(p *ast.Program) *ast.Program {
 			}
 			if len(s) > 0 {
 				nr := s.ApplyRule(r)
-				if nr.String() != r.String() {
+				if !nr.Equal(r) {
 					out.Rules[ri] = nr
 					changed = true
 				}
@@ -110,13 +110,12 @@ func forcedHeadShapes(p *ast.Program) map[string]headShape {
 // shapeOf extracts the equality/constant shape of one head atom.
 func shapeOf(h ast.Atom) headShape {
 	sh := headShape{class: make([]int, len(h.Args))}
-	byKey := map[string]int{}
+	byTerm := map[ast.Term]int{}
 	for i, t := range h.Args {
-		k := t.Key()
-		id, ok := byKey[k]
+		id, ok := byTerm[t]
 		if !ok {
 			id = len(sh.pin)
-			byKey[k] = id
+			byTerm[t] = id
 			if t.IsConst() {
 				sh.pin = append(sh.pin, t)
 			} else {
@@ -163,7 +162,7 @@ func shapeAtom(pred string, sh headShape, arity int) ast.Atom {
 		if sh.pin[c].IsConst() {
 			args[i] = sh.pin[c]
 		} else {
-			args[i] = ast.V(fmt.Sprintf("Hq#%s#%d", pred, c))
+			args[i] = ast.V("Hq#" + pred + "#" + strconv.Itoa(c))
 		}
 	}
 	return ast.NewAtom(pred, args...)

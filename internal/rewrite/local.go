@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/order"
@@ -139,7 +140,8 @@ func RewriteLocal(p *ast.Program, ics []ast.IC) (*ast.Program, []LocalPair, erro
 func splitOn(r ast.Rule, lp LocalPair, idb map[string]bool) (ast.Rule, ast.Rule, bool) {
 	// Rename the anchor (and local atom, whose variables are the
 	// anchor's) apart from the rule.
-	ren := ast.NewRenamer(r.Vars()...).Next(lp.Anchor.Vars(nil))
+	ruleVars := r.Vars()
+	ren := ast.NewRenamer(ruleVars...).Next(lp.Anchor.Vars(nil))
 	anchor := ast.RenameAtom(lp.Anchor, ren)
 	var lOrder *ast.Cmp
 	var lNeg *ast.Atom
@@ -152,6 +154,7 @@ func splitOn(r ast.Rule, lp LocalPair, idb map[string]bool) (ast.Rule, ast.Rule,
 	}
 
 	set := order.NewSet(r.Cmp...)
+	var vars []string // reused for the mapped local atom's variables
 	for _, aPrime := range r.Pos {
 		if idb[aPrime.Pred] {
 			continue
@@ -161,7 +164,7 @@ func splitOn(r ast.Rule, lp LocalPair, idb map[string]bool) (ast.Rule, ast.Rule,
 		unify.Homomorphisms([]ast.Atom{anchor}, []ast.Atom{aPrime}, func(h unify.Subst) bool {
 			if lOrder != nil {
 				hl := h.ApplyCmp(*lOrder)
-				if !groundedInRule(hl.Vars(nil), r) {
+				if vars = hl.Vars(vars[:0]); !allIn(vars, ruleVars) {
 					return true // mapping leaves variables free; skip
 				}
 				if set.Implies(hl) || set.Implies(hl.Negate()) {
@@ -175,7 +178,7 @@ func splitOn(r ast.Rule, lp LocalPair, idb map[string]bool) (ast.Rule, ast.Rule,
 				return false
 			}
 			hl := h.ApplyAtom(*lNeg)
-			if !groundedInRule(hl.Vars(nil), r) {
+			if vars = hl.Vars(vars[:0]); !allIn(vars, ruleVars) {
 				return true
 			}
 			if atomIn(hl, r.Pos) || atomIn(hl, r.Neg) {
@@ -195,13 +198,10 @@ func splitOn(r ast.Rule, lp LocalPair, idb map[string]bool) (ast.Rule, ast.Rule,
 	return ast.Rule{}, ast.Rule{}, false
 }
 
-func groundedInRule(vars []string, r ast.Rule) bool {
-	rv := map[string]bool{}
-	for _, v := range r.Vars() {
-		rv[v] = true
-	}
+// allIn reports whether every variable of vars is one of the rule's.
+func allIn(vars, ruleVars []string) bool {
 	for _, v := range vars {
-		if !rv[v] {
+		if !slices.Contains(ruleVars, v) {
 			return false
 		}
 	}

@@ -37,6 +37,19 @@ type ICPlan struct {
 // derivation inconsistent outright (no residue remains).
 func (p ICPlan) PruneMode() bool { return len(p.ResidueCmps) == 0 }
 
+// VisibleVars appends to dst, without duplicates, the constraint
+// variables a triplet whose unmapped atoms are unmapped must keep
+// visible: those of the unmapped atoms and of the residue order atoms.
+func (p ICPlan) VisibleVars(dst []string, unmapped []int) []string {
+	for _, ui := range unmapped {
+		dst = p.IC.Pos[ui].Vars(dst)
+	}
+	for _, c := range p.ResidueCmps {
+		dst = c.Vars(dst)
+	}
+	return dst
+}
+
 // PlanICs classifies every constraint. It never fails: constraints
 // that cannot be handled are returned with Unsupported set.
 func PlanICs(ics []ast.IC) []ICPlan {

@@ -62,19 +62,7 @@ func (s Subst) ApplyCmp(c ast.Cmp) ast.Cmp {
 }
 
 // ApplyRule returns r with the substitution applied throughout.
-func (s Subst) ApplyRule(r ast.Rule) ast.Rule {
-	out := ast.Rule{Head: s.ApplyAtom(r.Head), At: r.At}
-	for _, a := range r.Pos {
-		out.Pos = append(out.Pos, s.ApplyAtom(a))
-	}
-	for _, a := range r.Neg {
-		out.Neg = append(out.Neg, s.ApplyAtom(a))
-	}
-	for _, c := range r.Cmp {
-		out.Cmp = append(out.Cmp, s.ApplyCmp(c))
-	}
-	return out
-}
+func (s Subst) ApplyRule(r ast.Rule) ast.Rule { return ast.MapRule(r, s.Walk) }
 
 // ApplyIC returns ic with the substitution applied throughout.
 func (s Subst) ApplyIC(ic ast.IC) ast.IC {
@@ -167,19 +155,6 @@ func Unify(a, b ast.Atom, s Subst) (Subst, bool) {
 	return out, true
 }
 
-// matchTerm extends s so that pattern term p maps to target term t,
-// binding only variables in the pattern-variable set pv. A walked-to
-// term outside pv (a target variable already chosen as some pattern
-// variable's image, or a constant) must equal t exactly.
-func matchTerm(p, t ast.Term, s Subst, pv map[string]bool) bool {
-	p = s.Walk(p)
-	if p.IsVar() && pv[p.Name] {
-		s.Bind(p.Name, t)
-		return true
-	}
-	return p.Equal(t)
-}
-
 // Match computes a one-way matcher from pattern to target: a
 // substitution σ over the pattern's variables with σ(pattern) ==
 // target. Variables of the target are treated as constants, so
@@ -190,62 +165,97 @@ func matchTerm(p, t ast.Term, s Subst, pv map[string]bool) bool {
 // substitution is not modified; Match returns the extended
 // substitution on success.
 func Match(pattern, target ast.Atom, s Subst) (Subst, bool) {
-	pv := map[string]bool{}
-	for _, v := range pattern.Vars(nil) {
-		pv[v] = true
-	}
-	return matchWithVars(pattern, target, s, pv)
-}
-
-// matchWithVars is Match with an explicit pattern-variable set, shared
-// across the atoms of a conjunction during homomorphism search.
-func matchWithVars(pattern, target ast.Atom, s Subst, pv map[string]bool) (Subst, bool) {
-	if pattern.Pred != target.Pred || len(pattern.Args) != len(target.Args) {
-		return nil, false
-	}
 	out := Subst{}
 	if s != nil {
 		out = s.Clone()
 	}
-	for i := range pattern.Args {
-		if !matchTerm(pattern.Args[i], target.Args[i], out, pv) {
-			return nil, false
-		}
+	var trail [8]string
+	if _, ok := out.MatchBind(pattern, target, PatternVars(pattern), trail[:0]); !ok {
+		return nil, false
 	}
 	return out, true
+}
+
+// PatternVars returns the set of variables of the atoms, the pattern
+// side of MatchBind.
+func PatternVars(atoms ...ast.Atom) map[string]bool {
+	pv := map[string]bool{}
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			if t.IsVar() {
+				pv[t.Name] = true
+			}
+		}
+	}
+	return pv
+}
+
+// MatchBind is Match in place: it extends s so that pattern maps to
+// target, binding only variables of the pattern-variable set pv (a
+// walked-to term outside pv — a target variable already chosen as some
+// pattern variable's image, or a constant — must equal its target term
+// exactly), and appends the variables it bound to trail. On failure it
+// unbinds them again, leaving s as it found it. A search binds, recurses,
+// and hands the trail back to Undo, instead of cloning s per candidate.
+func (s Subst) MatchBind(pattern, target ast.Atom, pv map[string]bool, trail []string) ([]string, bool) {
+	if pattern.Pred != target.Pred || len(pattern.Args) != len(target.Args) {
+		return trail, false
+	}
+	mark := len(trail)
+	for i, p := range pattern.Args {
+		p = s.Walk(p)
+		if p.IsVar() && pv[p.Name] {
+			s.Bind(p.Name, target.Args[i])
+			trail = append(trail, p.Name)
+		} else if !p.Equal(target.Args[i]) {
+			return s.Undo(trail, mark), false
+		}
+	}
+	return trail, true
+}
+
+// Undo unbinds the variables trail[mark:] recorded and returns
+// trail[:mark].
+func (s Subst) Undo(trail []string, mark int) []string {
+	for _, v := range trail[mark:] {
+		delete(s, v)
+	}
+	return trail[:mark]
 }
 
 // Homomorphisms enumerates every homomorphism from the conjunction src
 // into the conjunction dst: substitutions σ over the variables of src
 // such that for every atom a ∈ src, σ(a) is (structurally equal to) an
 // atom of dst. The variable sets of src and dst must be disjoint
-// (rename apart first). fn is called once per homomorphism; returning
-// false stops the enumeration early. Homomorphisms reports whether at
-// least one homomorphism was found.
+// (rename apart first). fn is called once per homomorphism, with a
+// substitution of its own; returning false stops the enumeration
+// early. Homomorphisms reports whether at least one homomorphism was
+// found.
 func Homomorphisms(src, dst []ast.Atom, fn func(Subst) bool) bool {
-	pv := map[string]bool{}
-	for _, a := range src {
-		for _, v := range a.Vars(nil) {
-			pv[v] = true
-		}
-	}
+	pv := PatternVars(src...)
+	s := Subst{}
+	trail := make([]string, 0, len(pv))
 	found := false
-	var rec func(i int, s Subst) bool // returns false to abort everything
-	rec = func(i int, s Subst) bool {
+	var rec func(i int) bool // returns false to abort everything
+	rec = func(i int) bool {
 		if i == len(src) {
 			found = true
 			return fn(s.Clone())
 		}
 		for _, d := range dst {
-			if next, ok := matchWithVars(src[i], d, s, pv); ok {
-				if !rec(i+1, next) {
+			mark := len(trail)
+			var ok bool
+			if trail, ok = s.MatchBind(src[i], d, pv, trail); ok {
+				more := rec(i + 1)
+				trail = s.Undo(trail, mark)
+				if !more {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	rec(0, Subst{})
+	rec(0)
 	return found
 }
 

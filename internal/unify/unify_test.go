@@ -104,6 +104,33 @@ func TestMatchOneWay(t *testing.T) {
 	}
 }
 
+// TestMatchBindUndo: MatchBind binds in place and records what it
+// bound, a failed match leaves the substitution as it found it, and
+// Undo unbinds exactly the variables recorded after its mark.
+func TestMatchBindUndo(t *testing.T) {
+	pat := atom("a", ast.V("X"), ast.V("Y"), ast.V("X"))
+	pv := PatternVars(pat)
+	s := Subst{"Z": ast.N(7)}
+	// Fails at the third argument, after binding X and Y.
+	trail, ok := s.MatchBind(pat, atom("a", ast.V("U"), ast.V("V"), ast.V("W")), pv, nil)
+	if ok || len(trail) != 0 || len(s) != 1 {
+		t.Fatalf("failed match: ok=%v trail=%v s=%v, want s untouched", ok, trail, s)
+	}
+	trail, ok = s.MatchBind(pat, atom("a", ast.V("U"), ast.N(1), ast.V("U")), pv, trail)
+	if !ok || len(trail) != 2 || !s.Walk(ast.V("X")).Equal(ast.V("U")) || !s.Walk(ast.V("Y")).Equal(ast.N(1)) {
+		t.Fatalf("match: ok=%v trail=%v s=%v", ok, trail, s)
+	}
+	trail = s.Undo(trail, 0)
+	if len(trail) != 0 || len(s) != 1 || !s["Z"].Equal(ast.N(7)) {
+		t.Fatalf("after Undo: trail=%v s=%v, want only Z bound", trail, s)
+	}
+	// Match still leaves its input alone.
+	in := Subst{}
+	if _, ok := Match(pat, atom("a", ast.V("U"), ast.V("V"), ast.V("U")), in); !ok || len(in) != 0 {
+		t.Fatalf("Match: ok=%v, input became %v", ok, in)
+	}
+}
+
 func TestHomomorphismsEnumeration(t *testing.T) {
 	// Map {e(X,Y), e(Y,Z)} into {e(a,b), e(b,c)}.
 	src := []ast.Atom{
