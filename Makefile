@@ -77,7 +77,7 @@ bench-e2e:
 	bash bench/run.sh --workload eval-fixpoint --seed 1 --seconds 25 --trace 0
 	cd bench && $(GO) test ./...
 
-# A short native-fuzzing pass over every fuzz target, the nine the
+# A short native-fuzzing pass over every fuzz target, the ten the
 # nightly job runs for 5 minutes each: the parser, the order solver
 # (against its from-scratch reference), the linter (no panics,
 # deterministic findings), the response writer (against the
@@ -85,10 +85,11 @@ bench-e2e:
 # streaming and the one-root renaming fold against bottom-up), the engine
 # (against the reference evaluator, and a derived interned base against a
 # from-scratch one), bounded-recursion elimination (against bottom-up
-# and the reference evaluator), and the store's WAL replay and segment
-# loader (malformed input is ErrCorrupt, never a panic). Long enough to
-# exercise the mutator, short enough for CI; sustained campaigns should
-# raise -fuzztime by hand.
+# and the reference evaluator), view maintenance (a live view against
+# from-scratch evaluation after every add/retract batch), and the store's
+# WAL replay and segment loader (malformed input is ErrCorrupt, never a
+# panic). Long enough to exercise the mutator, short enough for CI;
+# sustained campaigns should raise -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/order -run='^$$' -fuzz=FuzzOrder -fuzztime=10s
@@ -97,13 +98,14 @@ fuzz-smoke:
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzMagic -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzPlan -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzElim -fuzztime=10s
+	$(GO) test ./internal/incr -run='^$$' -fuzz=FuzzView -fuzztime=10s
 	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzWAL -fuzztime=10s
 	$(GO) test ./internal/store -run='^$$' -fuzz=FuzzSegment -fuzztime=10s
 
 # Randomized differential check of incremental view maintenance under
 # the race detector: after every prefix of a random add/retract
-# sequence, View answers/counts/provenance must be bit-identical to a
-# from-scratch evaluation; the long-sequence run does the same over
+# sequence, a View's answers, every derived predicate's facts and its
+# provenance must be identical to a from-scratch evaluation; the long-sequence run does the same over
 # 2,000 batches per program, far enough to cross tombstone
 # compaction many times. The CI race job runs this too.
 incr-smoke:

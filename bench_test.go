@@ -466,7 +466,7 @@ func BenchmarkOrderImplies(b *testing.B) {
 }
 
 // BenchmarkPushOrder runs the selection-pushing pass over the programs
-// the optimizer hands it (after NormalizeOrder and RewriteLocal) for
+// the optimizer hands it (after NormalizeOrder and RewriteLocalPlanned) for
 // the 20 random programs of the optimize-cold workload.
 func BenchmarkPushOrder(b *testing.B) {
 	var inputs []*Program

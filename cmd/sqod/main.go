@@ -11,8 +11,7 @@
 // Datasets are mutable: facts can be added and retracted after
 // registration, and materialized views attached to a dataset are kept
 // consistent through those updates by incremental maintenance
-// (counting for non-recursive strata, delete-rederive for recursive
-// ones) instead of re-evaluation.
+// (delete-rederive) instead of re-evaluation.
 //
 // With -data-dir the daemon is durable: every dataset, fact, and view
 // mutation is appended to a write-ahead log (fsync policy selected by
@@ -20,7 +19,7 @@
 // checkpointed into an immutable segment file (-checkpoint-every), and
 // on startup the newest checkpoint is loaded and the WAL tail replayed
 // — registered views are repaired incrementally through the same
-// counting/delete-rederive machinery that maintains them live. A
+// delete-rederive machinery that maintains them live. A
 // graceful shutdown writes a final checkpoint so the next start
 // replays an empty tail. Without -data-dir nothing changes: the daemon
 // is purely in-memory, exactly as before.

@@ -9,12 +9,12 @@ package eval
 // stay stable for the life of the handle. The caller owns relation
 // storage (IRel) and decides, per run, which version of each relation
 // every subgoal reads (RelView: a row range and an epoch); that
-// per-subgoal old/new freedom is exactly what the counting and DRed
-// delta passes need and what the fixpoint never exposes.
+// per-subgoal old/new freedom is exactly what DRed's delta passes need
+// and what the fixpoint never exposes.
 //
 // There is one join implementation (join.go) and this file holds two of
 // its three callers. RunDelta hands every complete firing to the
-// caller's emit, which decides dedup and counting; Derivable
+// caller's emit, which decides what a firing is worth; Derivable
 // seeds the binding from a candidate head row and stops at the first
 // firing. The third caller is the fixpoint (compiled.go), whose emit
 // appends to the IDB relation being read. All three read each subgoal
@@ -214,15 +214,22 @@ type RelView struct {
 // Len returns the number of rows the view held when it was taken.
 func (v RelView) Len() int { return v.live }
 
-// Contains reports membership in O(1): the backing hash set stores row
-// indexes, so a hit outside [Lo, Hi) — a row appended after the view was
-// taken, say — reads as absent, like one the view's epoch hides.
-func (v RelView) Contains(row []uint32) bool {
+// Contains reports membership in O(1) (find).
+func (v RelView) Contains(row []uint32) bool { return v.find(row) >= 0 }
+
+// find returns the index of row in the view's relation, or -1 when the
+// view does not hold it. The relation's dedup set stores row indexes, so
+// a hit outside [Lo, Hi) — a row appended after the view was taken, say
+// — reads as absent, like one the view's epoch hides.
+func (v RelView) find(row []uint32) int {
 	if v.Rel == nil || v.Hi <= v.Lo {
-		return false
+		return -1
 	}
 	idx := int(v.Rel.set.findIdx(row, hashU32s(row)))
-	return idx >= v.Lo && idx < v.Hi && !v.Rel.rel().hidden(idx, v.Epoch)
+	if idx < v.Lo || idx >= v.Hi || v.Rel.rel().hidden(idx, v.Epoch) {
+		return -1
+	}
+	return idx
 }
 
 // Each calls f with every row of the view, in row order. The slice is
@@ -285,20 +292,6 @@ func (dp *DeltaProgram) InternFact(pred string, args []ast.Term, buf []uint32) (
 		buf = append(buf, dp.in.intern(t))
 	}
 	return buf, nil
-}
-
-// Tuple converts an interned row back to terms.
-func (dp *DeltaProgram) Tuple(row []uint32) Tuple {
-	out := make(Tuple, len(row))
-	for i, id := range row {
-		out[i] = dp.in.term(id)
-	}
-	return out
-}
-
-// Atom converts an interned row of pred back to a ground atom.
-func (dp *DeltaProgram) Atom(pred string, row []uint32) ast.Atom {
-	return ast.Atom{Pred: pred, Args: dp.Tuple(row)}
 }
 
 // Fixpoint runs the engine's fixpoint (compiled.go) — its rounds, its

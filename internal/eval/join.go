@@ -3,7 +3,7 @@ package eval
 // The join kernel: the one implementation of the nested-loop join over a
 // compiled plan. It reads each subgoal through a RelView (delta.go) — a
 // relation, a row range and an epoch — and hands every complete firing
-// to its caller; what a firing means (a new IDB tuple, a signed count, a
+// to its caller; what a firing means (a new IDB tuple, a delta row, a
 // derivability witness) is the caller's business. The fixpoint
 // (compiled.go), RunDelta and Derivable (delta.go) are its three
 // callers, and each starts a join with run, so a rule with an empty
@@ -113,10 +113,12 @@ func (tr *joinRun) run() error {
 }
 
 // join extends the slot binding over the plan's subgoals starting at the
-// given join depth. Every read is bounded by the subgoal's view: an
-// index chain is in ascending row order, so the first candidate at or
-// past Hi ends it, and both paths pass over the rows the view's epoch
-// hides — they are not candidates and count no probe. A relation with
+// given join depth. Every read is bounded by the subgoal's view: a
+// fully bound subgoal is one lookup in the relation's dedup set,
+// answered through the view as Contains answers it; an index chain is
+// in ascending row order, so the first candidate at or past Hi ends it;
+// and every path passes over the rows the view's epoch hides — they are
+// not candidates and count no probe. A relation with
 // no removed rows pays one length check of a nil slice for that. Rows
 // appended after the view was taken stay out of it, which is what lets
 // emit append to a relation the join is reading.
@@ -142,6 +144,21 @@ func (tr *joinRun) join(depth int) error {
 				vals[k] = tr.binding[sp.boundVal[k]]
 			}
 		}
+	}
+	if bound && len(vals) == rel.arity {
+		// Every position bound: the probe is a membership check, and the
+		// relation's dedup set already is its full-key index. Read
+		// through the view, it is the one candidate an index chain would
+		// yield, so it counts the same probe.
+		if ri := v.find(vals); ri >= 0 {
+			if err := tr.tryRow(depth, rel.row(ri), false); err != nil {
+				return err
+			}
+			if depth == 0 && tr.between != nil {
+				tr.between()
+			}
+		}
+		return nil
 	}
 	if bound && sp.src != srcDelta {
 		ix := tr.ixs[depth]

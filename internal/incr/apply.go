@@ -123,12 +123,8 @@ func (v *View) ApplyCtx(ctx context.Context, adds, dels []ast.Atom) (Changes, er
 			continue
 		}
 		err := ctx.Err()
-		switch {
-		case err != nil:
-		case st.recursive:
+		if err == nil {
 			err = v.applyDRed(ctx, st, oldViews, deltaPlus, deltaMinus)
-		default:
-			err = v.applyCounting(ctx, st, oldViews, deltaPlus, deltaMinus)
 		}
 		if err != nil {
 			v.broken = true
@@ -173,26 +169,21 @@ func (v *View) ingestEDB(plus, minus map[string]map[string][]uint32) (deltaPlus,
 		ar := v.arity[pred]
 		dm := v.irelFromMap(ar, minus[pred])
 		dpl := v.irelFromMap(ar, plus[pred])
-		if v.rels[pred] == nil {
-			v.rels[pred] = v.dp.NewIRel(ar)
+		rel := v.rels[pred]
+		if rel == nil {
+			rel = v.dp.NewIRel(ar)
+			v.rels[pred] = rel
 		}
-		v.commit(pred, dm, dpl, deltaPlus, deltaMinus)
+		dm.View().Each(func(row []uint32) { rel.Remove(row) })
+		dpl.View().Each(func(row []uint32) { rel.Add(row) })
+		if dm.Len() > 0 {
+			deltaMinus[pred] = dm
+		}
+		if dpl.Len() > 0 {
+			deltaPlus[pred] = dpl
+		}
 	}
 	return deltaPlus, deltaMinus
-}
-
-// commit takes the rows of dm out of pred's relation, puts those of dpl
-// in, and records the two as the predicate's deltas.
-func (v *View) commit(pred string, dm, dpl *eval.IRel, deltaPlus, deltaMinus map[string]*eval.IRel) {
-	rel := v.rels[pred]
-	dm.View().Each(func(row []uint32) { rel.Remove(row) })
-	dpl.View().Each(func(row []uint32) { rel.Add(row) })
-	if dm.Len() > 0 {
-		deltaMinus[pred] = dm
-	}
-	if dpl.Len() > 0 {
-		deltaPlus[pred] = dpl
-	}
 }
 
 // without returns the rows of a that b does not hold.
@@ -246,86 +237,7 @@ func (v *View) strAffected(st *stratum, deltaPlus, deltaMinus map[string]*eval.I
 	return false
 }
 
-// applyCounting maintains a non-recursive stratum (one predicate, no
-// self-dependency) by exact finite differencing of derivation counts.
-// For each rule and each subgoal occurrence, the delta join reads
-// post-update state at subgoal positions before the occurrence and
-// pre-update state at positions after it; summed with sign over Δ⁺ and
-// Δ⁻ occurrences, the telescoping enumerates every firing gained or
-// lost exactly once, so the per-tuple counts remain equal to a
-// from-scratch evaluation's and count>0 decides presence.
-func (v *View) applyCounting(ctx context.Context, st *stratum, oldViews map[string]eval.RelView, deltaPlus, deltaMinus map[string]*eval.IRel) error {
-	pred := st.preds[0]
-	cnts := v.counts[pred]
-	touched := map[string][]uint32{}
-	before := map[string]int64{}
-	for _, ri := range st.rules {
-		r := v.prog.Rules[ri]
-		for occ := range r.Pos {
-			q := r.Pos[occ].Pred
-			for _, sd := range [2]struct {
-				sign int64
-				d    *eval.IRel
-			}{{+1, deltaPlus[q]}, {-1, deltaMinus[q]}} {
-				if !nonEmpty(sd.d) {
-					continue
-				}
-				subs := make([]eval.RelView, len(r.Pos))
-				for j, a := range r.Pos {
-					switch {
-					case j == occ:
-						subs[j] = sd.d.View()
-					case j < occ:
-						subs[j] = v.curView(a.Pred)
-					default:
-						subs[j] = oldViews[a.Pred]
-					}
-				}
-				sign := sd.sign
-				probes, err := v.dp.RunDelta(ctx, ri, occ, subs, v.negView, func(h []uint32) error {
-					k := rowKey(h)
-					if _, ok := before[k]; !ok {
-						before[k] = cnts[k]
-						touched[k] = append([]uint32(nil), h...)
-					}
-					cnts[k] += sign
-					return nil
-				})
-				v.stats.DeltaProbes += probes
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	v.stats.DeltaRounds++
-	keys := make([]string, 0, len(touched))
-	for k := range touched {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dm, dpl := v.dp.NewIRel(v.arity[pred]), v.dp.NewIRel(v.arity[pred])
-	for _, k := range keys {
-		c := cnts[k]
-		if c < 0 {
-			return fmt.Errorf("incr: internal error: negative derivation count for %s", pred)
-		}
-		if c == 0 {
-			delete(cnts, k)
-		}
-		was, is := before[k] > 0, c > 0
-		switch {
-		case was && !is:
-			dm.Add(touched[k])
-		case !was && is:
-			dpl.Add(touched[k])
-		}
-	}
-	v.commit(pred, dm, dpl, deltaPlus, deltaMinus)
-	return nil
-}
-
-// applyDRed maintains a recursive stratum by delete-rederive:
+// applyDRed maintains a stratum by delete-rederive:
 //
 //  1. Overdelete: propagate the incoming deletions (and then the
 //     intra-stratum overdeletions, round by round) through the

@@ -3,39 +3,29 @@
 // Materialize evaluates a program once and keeps the result live:
 // View.Apply takes a batch of EDB fact insertions and retractions and
 // updates every derived relation by propagating deltas instead of
-// re-running the fixpoint — counting for non-recursive strata, DRed
-// (delete-rederive) for recursive ones — reusing the compiled join
-// plans of internal/eval through its exported delta surface
-// (eval.DeltaProgram). This serves the workload shape the paper
-// assumes: the semantic rewrite is computed once and stays valid as
-// the EDB changes, so the expensive static side (rewriting) and the
-// expensive dynamic side (re-evaluation) are both amortized.
+// re-running the fixpoint, reusing the compiled join plans of
+// internal/eval through its exported delta surface (eval.DeltaProgram).
+// This serves the workload shape the paper assumes: the semantic
+// rewrite is computed once and stays valid as the EDB changes, so the
+// expensive static side (rewriting) and the expensive dynamic side
+// (re-evaluation) are both amortized.
 //
-// Algorithms:
-//
-//   - Non-recursive strata (single predicate, no self-dependency)
-//     maintain an exact derivation count per tuple via finite
-//     differencing: for each rule and each subgoal occurrence, the
-//     delta join New_{<occ} ⋈ Δ_occ ⋈ Old_{>occ} (subgoal positions
-//     before occ read post-update state, positions after read
-//     pre-update state) enumerates precisely the firings gained or
-//     lost, so count>0 is presence and counts match a from-scratch
-//     evaluation exactly.
-//
-//   - Recursive strata use DRed: (1) overdelete — propagate deletions
-//     through the stratum's rules over pre-update state, collecting
-//     every tuple with a potentially-lost derivation; (2) rederive —
-//     put back overdeleted tuples still derivable from the surviving
-//     state, using head-bound derivability plans (eval.Derivable)
-//     seeded with the candidate tuple; (3) insert — semi-naive
-//     propagation of the gained tuples.
+// Every stratum (a strongly connected component of the IDB dependency
+// graph, recursive or not) is maintained by one algorithm, DRed
+// (delete-rederive): (1) overdelete — propagate deletions through the
+// stratum's rules over pre-update state, collecting every tuple with a
+// potentially-lost derivation; (2) rederive — put back overdeleted
+// tuples still derivable from the surviving state, using head-bound
+// derivability plans (eval.Derivable) seeded with the candidate tuple;
+// (3) insert — semi-naive propagation of the gained tuples. A stratum
+// without recursion is the case where each phase ends after one round.
 //
 // Updates that touch a negated predicate fall back to a full rebuild
-// (counting/DRed as implemented assume the delta rules are monotone;
-// negation is EDB-only and rare in rewritten programs). A failed or
-// cancelled Apply leaves the view marked broken with its EDB already
-// final; the next operation repairs it by rebuilding, so no sequence
-// of failures can produce wrong answers — only retried work.
+// (DRed as implemented assumes the delta rules are monotone; negation
+// is EDB-only and rare in rewritten programs). A failed or cancelled
+// Apply leaves the view marked broken with its EDB already final; the
+// next operation repairs it by rebuilding, so no sequence of failures
+// can produce wrong answers — only retried work.
 package incr
 
 import (
@@ -99,12 +89,9 @@ type View struct {
 	// ones over). A tuple a predicate loses is marked dead in place; the
 	// pre-update state an Apply reads is the same relation at the epoch
 	// before (eval.IRel.Freeze), and finishApply compacts between Applies.
-	rels map[string]*eval.IRel
-	// counts maps, for each counting-maintained predicate, packed row
-	// key → exact number of derivations.
-	counts map[string]map[string]int64
-	opts   Options
-	stats  Stats
+	rels  map[string]*eval.IRel
+	opts  Options
+	stats Stats
 	// broken is set when an Apply fails after the EDB was updated: the
 	// IDB is stale and the next operation must rebuild. The EDB irels
 	// are always final for every successfully-ingested delta.
@@ -147,7 +134,6 @@ func MaterializeCtx(ctx context.Context, p *ast.Program, edb *eval.DB, opts Opti
 		negPreds: map[string]bool{},
 		rulesFor: map[string][]int{},
 		rels:     map[string]*eval.IRel{},
-		counts:   map[string]map[string]int64{},
 		opts:     opts,
 	}
 	for i, r := range p.Rules {
@@ -187,20 +173,18 @@ func MaterializeCtx(ctx context.Context, p *ast.Program, edb *eval.DB, opts Opti
 	return v, nil
 }
 
-// rebuildIDB recomputes every IDB relation and derivation count from
-// the view's current EDB irels: join orders chosen for the EDB's current
-// lengths, as the engine would choose them, fresh empty IDB relations,
-// the engine's own fixpoint over them (eval.DeltaProgram.Fixpoint, which
-// reads each EDB relation through its View, tombstones hidden), then
-// one full-join pass per counting rule to establish counts. The delta
-// passes of later Applies keep these orders until the next rebuild.
-// Callers hold v.mu (or own the view exclusively, as Materialize does).
+// rebuildIDB recomputes every IDB relation from the view's current EDB
+// irels: join orders chosen for the EDB's current lengths, as the engine
+// would choose them, fresh empty IDB relations, and the engine's own
+// fixpoint over them (eval.DeltaProgram.Fixpoint, which reads each EDB
+// relation through its View, tombstones hidden). The delta passes of
+// later Applies keep these orders until the next rebuild. Callers hold
+// v.mu (or own the view exclusively, as Materialize does).
 func (v *View) rebuildIDB(ctx context.Context) error {
 	v.dp.OrderJoins(func(pred string) int { return v.rels[pred].Len() })
 	for pred := range v.idbPr {
 		v.rels[pred] = v.dp.NewIRel(v.arity[pred])
 	}
-	v.counts = map[string]map[string]int64{}
 	st, err := v.dp.Fixpoint(ctx, v.rels, v.opts.MaxTuples)
 	if err != nil {
 		return err
@@ -208,32 +192,6 @@ func (v *View) rebuildIDB(ctx context.Context) error {
 	v.stats.InitRounds += st.Iterations
 	v.stats.InitTuples += st.TuplesDerived
 	v.stats.InitProbes += st.JoinProbes
-	return v.initCounts(ctx)
-}
-
-// initCounts establishes exact derivation counts for every
-// counting-maintained predicate by enumerating all firings of its
-// rules over the final relations.
-func (v *View) initCounts(ctx context.Context) error {
-	for _, st := range v.strata {
-		if st.recursive {
-			continue
-		}
-		pred := st.preds[0]
-		cnts := map[string]int64{}
-		v.counts[pred] = cnts
-		for _, ri := range st.rules {
-			r := v.prog.Rules[ri]
-			probes, err := v.dp.RunDelta(ctx, ri, -1, v.curViews(r), v.negView, func(row []uint32) error {
-				cnts[rowKey(row)]++
-				return nil
-			})
-			v.stats.InitProbes += probes
-			if err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 
@@ -297,49 +255,6 @@ func (v *View) FactsOf(pred string) ([]eval.Tuple, error) {
 		return nil, err
 	}
 	return v.dp.SortedTuples(v.curView(pred)), nil
-}
-
-// Count returns the exact number of derivations of a ground fact, for
-// predicates maintained by counting (non-recursive strata). ok is
-// false for DRed-maintained, EDB, or unknown predicates.
-func (v *View) Count(fact ast.Atom) (n int64, ok bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.repairLocked(context.Background()); err != nil {
-		return 0, false
-	}
-	cnts, ok := v.counts[fact.Pred]
-	if !ok {
-		return 0, false
-	}
-	row, err := v.dp.InternFact(fact.Pred, fact.Args, nil)
-	if err != nil {
-		return 0, false
-	}
-	return cnts[rowKey(row)], true
-}
-
-// DerivationCounts returns fact-string → derivation count for a
-// counting-maintained predicate (nil otherwise). The rendering uses
-// the same source syntax as ast.Atom.String, so two views over equal
-// EDBs return deeply-equal maps.
-func (v *View) DerivationCounts(pred string) map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.repairLocked(context.Background()); err != nil {
-		return nil
-	}
-	cnts, ok := v.counts[pred]
-	if !ok {
-		return nil
-	}
-	out := make(map[string]int64, len(cnts))
-	v.curView(pred).Each(func(row []uint32) {
-		if c := cnts[rowKey(row)]; c > 0 {
-			out[v.dp.Atom(pred, row).String()] = c
-		}
-	})
-	return out
 }
 
 // Explain returns the derivation tree of a current IDB fact. The tree

@@ -90,8 +90,8 @@ func requireConsistent(t *testing.T, label string, v *View, p *ast.Program, fs f
 }
 
 // requireFreshEqual checks the view against a fresh Materialize over
-// the same EDB: derivation counts of every counting-maintained
-// predicate and the provenance of every query answer must match.
+// the same EDB: every IDB predicate's facts and the provenance of the
+// first query answers must match.
 func requireFreshEqual(t *testing.T, label string, v *View, p *ast.Program, fs factSet) {
 	t.Helper()
 	fresh, err := Materialize(p, fs.db(), Options{})
@@ -99,12 +99,8 @@ func requireFreshEqual(t *testing.T, label string, v *View, p *ast.Program, fs f
 		t.Fatalf("%s: fresh Materialize: %v", label, err)
 	}
 	for pred := range p.IDB() {
-		got, want := v.DerivationCounts(pred), fresh.DerivationCounts(pred)
-		if (got == nil) != (want == nil) {
-			t.Fatalf("%s: %s counting-maintained disagreement: view=%v fresh=%v", label, pred, got != nil, want != nil)
-		}
-		if got != nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: %s derivation counts diverged:\nview  %v\nfresh %v", label, pred, got, want)
+		if got, want := viewFacts(t, v, pred), viewFacts(t, fresh, pred); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s diverged from a fresh view:\nview  %v\nfresh %v", label, pred, got, want)
 		}
 	}
 	answers, err := fresh.Answers()
@@ -178,10 +174,14 @@ func diffStrings(old, new []string) (added, removed []string) {
 
 // --- directed examples -----------------------------------------------------
 
-// TestIncrCountingBasic exercises count maintenance on a predicate
-// with overlapping derivations (two rules, shared support): deleting
-// one support must not retract a tuple that keeps another derivation.
-func TestIncrCountingBasic(t *testing.T) {
+// TestIncrTwoDerivations: a tuple with two derivations (two rules,
+// shared support) survives losing one of them — overdeleted, then
+// rederived through the other rule — and leaves on losing both, taking
+// the answer it supports along; a fact deleted and re-added in one
+// batch changes nothing. Every step is checked by answers and FactsOf,
+// and by the derivability checks it costs: one per rule tried on each
+// overdeleted tuple, in rule order, until one fires.
+func TestIncrTwoDerivations(t *testing.T) {
 	p := parser.MustParseProgram(`
 		can(X) :- badge(X).
 		can(X) :- keycode(X).
@@ -194,36 +194,40 @@ func TestIncrCountingBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireConsistent(t, "init", v, p, fs)
-	if n, ok := v.Count(parser.MustParseFacts(`can(1).`)[0]); !ok || n != 2 {
-		t.Fatalf("can(1) count = %d, %v; want 2, true", n, ok)
+	step := func(label string, adds, dels string, wantRemoved []string, wantChecks int64, wantCan, wantEnter []string) {
+		t.Helper()
+		before := v.Stats()
+		a, d := parser.MustParseFacts(adds), parser.MustParseFacts(dels)
+		ch, err := v.Apply(a, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.apply(a, d)
+		requireConsistent(t, label, v, p, fs)
+		if got := renderTuples("enter", ch.Removed); len(ch.Added) != 0 || !equalSets(got, wantRemoved) {
+			t.Fatalf("%s: changes %+v, want only %v removed", label, ch, wantRemoved)
+		}
+		if got := v.Stats().RederiveChecks - before.RederiveChecks; got != wantChecks {
+			t.Fatalf("%s: %d rederive checks, want %d", label, got, wantChecks)
+		}
+		if got := viewFacts(t, v, "can"); !equalSets(got, wantCan) {
+			t.Fatalf("%s: can = %v, want %v", label, got, wantCan)
+		}
+		if got := answersOf(t, v); !equalSets(got, wantEnter) {
+			t.Fatalf("%s: answers = %v, want %v", label, got, wantEnter)
+		}
 	}
-
-	// Losing the badge keeps can(1) alive through the keycode.
-	dels := parser.MustParseFacts(`badge(1).`)
-	ch, err := v.Apply(nil, dels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.apply(nil, dels)
-	requireConsistent(t, "del badge(1)", v, p, fs)
-	if len(ch.Added) != 0 || len(ch.Removed) != 0 {
-		t.Fatalf("unexpected answer changes: %+v", ch)
-	}
-	if n, _ := v.Count(parser.MustParseFacts(`can(1).`)[0]); n != 1 {
-		t.Fatalf("can(1) count = %d; want 1", n)
-	}
-
-	// Losing the keycode too retracts can(1) and the answer enter(1).
-	dels = parser.MustParseFacts(`keycode(1).`)
-	ch, err = v.Apply(nil, dels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.apply(nil, dels)
-	requireConsistent(t, "del keycode(1)", v, p, fs)
-	if len(ch.Removed) != 1 || ast.NewAtom("enter", ch.Removed[0]...).String() != "enter(1)" {
-		t.Fatalf("want enter(1) removed, got %+v", ch)
-	}
+	// Losing the badge overdeletes can(1); the badge rule fails and the
+	// keycode rule puts it back, so enter never sees a delta.
+	step("del badge(1)", ``, `badge(1).`, nil, 2,
+		[]string{"can(1)", "can(2)"}, []string{"enter(1)", "enter(2)"})
+	// Losing the keycode too: both rules fail on can(1), and enter(1),
+	// overdeleted through it, fails its one rule.
+	step("del keycode(1)", ``, `keycode(1).`, []string{"enter(1)"}, 3,
+		[]string{"can(2)"}, []string{"enter(2)"})
+	// Delete-then-insert in one batch: the add wins and nothing moves.
+	step("del+add badge(2)", `badge(2).`, `badge(2).`, nil, 0,
+		[]string{"can(2)"}, []string{"enter(2)"})
 	requireFreshEqual(t, "final", v, p, fs)
 }
 
@@ -451,9 +455,9 @@ func (pc incrProgram) universe() []ast.Atom {
 // run under -race by `make incr-smoke`): randomized add/retract
 // sequences over several program shapes, checking after every batch
 // that the view matches from-scratch evaluation by the reference
-// evaluator and by the engine at workers {1,4}, that reported Changes equal the actual answer diff,
-// and (periodically) that derivation counts and provenance match a
-// fresh Materialize.
+// evaluator and by the engine, that reported Changes equal the actual
+// answer diff, and (periodically) that every IDB predicate's facts and
+// provenance match a fresh Materialize.
 func TestIncrRandomizedDifferential(t *testing.T) {
 	for _, pc := range incrPrograms {
 		pc := pc

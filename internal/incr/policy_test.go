@@ -15,16 +15,16 @@ import (
 // View maintenance must not depend on the join orders its delta passes
 // run in: a view keeps the orders chosen for the EDB it was materialized
 // over (eval.DeltaProgram.OrderJoins) while the EDB's lengths move under
-// it, so the same update can meet different orders in two views. The
-// counting and DRed passes are order-insensitive (signed sums and sets),
-// and these tests hold them to it.
+// it, so the same update can meet different orders in two views. DRed's
+// passes are order-insensitive (they build sets), and these tests hold
+// them to it.
 
 // TestIncrPolicyDifferentialApply maintains two views through an
 // identical randomized add/retract sequence over each program shape: one
 // as Materialize ordered it, one with every tie between two EDB subgoals
 // broken the other way (the longer relation first), and asserts that
-// answers, Changes, derivation counts, and provenance explanations never
-// diverge. The first view is also checked against from-scratch
+// answers, Changes, every IDB predicate's facts, and provenance
+// explanations never diverge. The first view is also checked against from-scratch
 // evaluation, anchoring the pair to ground truth.
 func TestIncrPolicyDifferentialApply(t *testing.T) {
 	for _, pc := range incrPrograms {
@@ -85,8 +85,8 @@ func TestIncrPolicyDifferentialApply(t *testing.T) {
 					t.Fatalf("%s: answers diverged:\n%v\n%v", label, baseAnswers, got)
 				}
 				for pred := range p.IDB() {
-					if got, want := other.DerivationCounts(pred), base.DerivationCounts(pred); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: %s derivation counts diverged:\n%v\n%v", label, pred, want, got)
+					if got, want := viewFacts(t, other, pred), viewFacts(t, base, pred); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: %s diverged:\n%v\n%v", label, pred, want, got)
 					}
 				}
 				for j := 0; j < len(baseAnswers) && j < 2; j++ {
@@ -133,7 +133,8 @@ func mustAnswerTuple(t *testing.T, v *View, j int) eval.Tuple {
 // tombstone (run under -race by `make incr-smoke`): sequences long
 // enough to cross compaction several times, checked after every batch
 // against a fresh Materialize of the same facts — answers, Changes,
-// derivation counts, Explain trees and every relation's live length —
+// every IDB predicate's facts, Explain trees and every relation's live
+// length —
 // which is what a view whose retractions rebuilt its relations would
 // show. The batches are random with the cases that
 // marking rows dead in place can get wrong dealt in on a schedule: a
@@ -294,9 +295,6 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 					t.Fatalf("%s: Changes.Removed %v, want %v", label, got, wantRemoved)
 				}
 				for pred := range p.IDB() {
-					if got, want := v.DerivationCounts(pred), fresh.DerivationCounts(pred); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: %s derivation counts\nview  %v\nfresh %v", label, pred, got, want)
-					}
 					if got, want := viewFacts(t, v, pred), viewFacts(t, fresh, pred); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: %s\nview  %v\nfresh %v", label, pred, got, want)
 					}

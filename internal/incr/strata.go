@@ -4,14 +4,11 @@ import "repro/internal/ast"
 
 // stratum is one maintenance unit: a strongly connected component of
 // the IDB dependency graph, in topological order (dependencies come in
-// earlier strata). Non-recursive strata hold exactly one predicate and
-// are maintained by counting; recursive ones (an SCC of size > 1, or a
-// self-dependent predicate) are maintained by DRed.
+// earlier strata), maintained by DRed (applyDRed).
 type stratum struct {
-	preds     []string // sorted
-	inStr     map[string]bool
-	recursive bool
-	rules     []int // indices of rules whose head is in preds, ascending
+	preds []string // sorted
+	inStr map[string]bool
+	rules []int // indices of rules whose head is in preds, ascending
 }
 
 // buildStrata turns the program's dependency components (ast's
@@ -19,8 +16,8 @@ type stratum struct {
 func buildStrata(p *ast.Program) []stratum {
 	rc := p.Recursion()
 	out := make([]stratum, 0, len(rc.Comps))
-	for ci, comp := range rc.Comps {
-		st := stratum{preds: comp, inStr: map[string]bool{}, recursive: rc.Cyclic[ci]}
+	for _, comp := range rc.Comps {
+		st := stratum{preds: comp, inStr: map[string]bool{}}
 		for _, pred := range comp {
 			st.inStr[pred] = true
 		}

@@ -34,36 +34,6 @@ func (lp LocalPair) String() string {
 	return fmt.Sprintf("(%s, !%s)", lp.Anchor, lp.NegEDB)
 }
 
-// LocalPairs associates every order atom and negated EDB atom of the
-// constraints with an anchoring positive EDB atom. It fails if some
-// atom is not local (no positive atom of the same constraint contains
-// all of its variables) — the undecidable territory of Theorems 5.3
-// and 5.4.
-func LocalPairs(ics []ast.IC) ([]LocalPair, error) {
-	var out []LocalPair
-	for i, ic := range ics {
-		for ci := range ic.Cmp {
-			c := ic.Cmp[ci]
-			a, ok := anchorFor(ic, c.Vars(nil))
-			if !ok {
-				return nil, fmt.Errorf("ic %d (%s): order atom %s is not local (no positive EDB atom contains all its variables)", i, ic, c)
-			}
-			cc := c
-			out = append(out, LocalPair{ICIndex: i, Anchor: a, OrderAtom: &cc})
-		}
-		for ni := range ic.Neg {
-			nAtom := ic.Neg[ni]
-			a, ok := anchorFor(ic, nAtom.Vars(nil))
-			if !ok {
-				return nil, fmt.Errorf("ic %d (%s): negated atom !%s is not local", i, ic, nAtom)
-			}
-			na := nAtom.Clone()
-			out = append(out, LocalPair{ICIndex: i, Anchor: a, NegEDB: &na})
-		}
-	}
-	return out, nil
-}
-
 // anchorFor finds a positive atom of the ic containing all the given
 // variables.
 func anchorFor(ic ast.IC, vars []string) (ast.Atom, bool) {
@@ -82,41 +52,35 @@ func anchorFor(ic ast.IC, vars []string) (ast.Atom, bool) {
 	return ast.Atom{}, false
 }
 
-// RewriteLocal performs the Section 4.2 program rewriting: repeatedly,
+// RewriteLocalPlanned performs the Section 4.2 program rewriting with
+// the pairs of the supported constraints' plans (PlanICs): repeatedly,
 // for every pair (a, l) and rule r with an EDB atom a' such that a
-// homomorphism h maps a to a', if neither h(l) nor ¬h(l) appears in
-// the body of r, r is replaced by two copies — one extended with h(l)
-// and one with ¬h(l). (For an order atom, ¬h(l) is the complementary
-// order atom; for an EDB atom, the two copies carry the atom
-// positively and under negation.) Rules whose order atoms become
-// unsatisfiable are dropped.
-//
-// The returned pairs feed the modified adornment computation of the
+// homomorphism h maps a to a', if neither h(l) nor ¬h(l) appears in the
+// body of r, r is replaced by two copies — one extended with h(l) and
+// one with ¬h(l). (For an order atom, ¬h(l) is the complementary order
+// atom; for an EDB atom, the two copies carry the atom positively and
+// under negation.) Rules whose order atoms become unsatisfiable are
+// dropped. The same pairs feed the modified adornment computation of the
 // query-tree algorithm.
-func RewriteLocal(p *ast.Program, ics []ast.IC) (*ast.Program, []LocalPair, error) {
-	pairs, err := LocalPairs(ics)
-	if err != nil {
-		return nil, nil, err
+func RewriteLocalPlanned(p *ast.Program, plans []ICPlan) *ast.Program {
+	var pairs []LocalPair
+	for _, plan := range plans {
+		if plan.Unsupported {
+			continue
+		}
+		pairs = append(pairs, plan.Pairs...)
 	}
 	idb := p.IDB()
 	work := make([]ast.Rule, len(p.Rules))
 	copy(work, p.Rules)
 	var done []ast.Rule
-
-	const maxSteps = 100000 // defensive bound; the rewriting terminates
-	steps := 0
 	for len(work) > 0 {
-		steps++
-		if steps > maxSteps {
-			return nil, nil, fmt.Errorf("rewrite: local-atom rewriting exceeded %d steps", maxSteps)
-		}
 		r := work[0]
 		work = work[1:]
 		split := false
 		for _, lp := range pairs {
 			r1, r2, didSplit := splitOn(r, lp, idb)
 			if didSplit {
-				// Re-normalize both branches; unsatisfiable ones vanish.
 				if nr, ok := NormalizeRule(r1); ok {
 					work = append(work, nr)
 				}
@@ -131,7 +95,7 @@ func RewriteLocal(p *ast.Program, ics []ast.IC) (*ast.Program, []LocalPair, erro
 			done = append(done, r)
 		}
 	}
-	return &ast.Program{Query: p.Query, Rules: done}, pairs, nil
+	return &ast.Program{Query: p.Query, Rules: done}
 }
 
 // splitOn looks for an EDB atom of r matching the pair's anchor whose

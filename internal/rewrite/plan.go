@@ -8,8 +8,8 @@ import "repro/internal/ast"
 //   - Pure constraints (no order atoms, no negated atoms) prune via
 //     inconsistent adornments (Section 4.1).
 //   - Local order atoms and local negated EDB atoms are anchored to a
-//     positive atom and enforced at mapping time after the RewriteLocal
-//     case split (Section 4.2, Theorem 4.2).
+//     positive atom and enforced at mapping time after the
+//     RewriteLocalPlanned case split (Section 4.2, Theorem 4.2).
 //   - Non-local order atoms are carried as a residue: when the
 //     constraint's EDB atoms map fully within a rule, the negation of
 //     the instantiated residue is attached to that rule (the
@@ -82,42 +82,4 @@ func PlanICs(ics []ast.IC) []ICPlan {
 		plans[i] = plan
 	}
 	return plans
-}
-
-// RewriteLocalPlanned is RewriteLocal driven by pre-computed plans:
-// only pairs of supported constraints trigger case splits.
-func RewriteLocalPlanned(p *ast.Program, plans []ICPlan) *ast.Program {
-	var pairs []LocalPair
-	for _, plan := range plans {
-		if plan.Unsupported {
-			continue
-		}
-		pairs = append(pairs, plan.Pairs...)
-	}
-	idb := p.IDB()
-	work := make([]ast.Rule, len(p.Rules))
-	copy(work, p.Rules)
-	var done []ast.Rule
-	for len(work) > 0 {
-		r := work[0]
-		work = work[1:]
-		split := false
-		for _, lp := range pairs {
-			r1, r2, didSplit := splitOn(r, lp, idb)
-			if didSplit {
-				if nr, ok := NormalizeRule(r1); ok {
-					work = append(work, nr)
-				}
-				if nr, ok := NormalizeRule(r2); ok {
-					work = append(work, nr)
-				}
-				split = true
-				break
-			}
-		}
-		if !split {
-			done = append(done, r)
-		}
-	}
-	return &ast.Program{Query: p.Query, Rules: done}
 }

@@ -85,148 +85,53 @@ func TestNormalizeOrderProgram(t *testing.T) {
 	}
 }
 
-func TestOrderSummariesMonotonePath(t *testing.T) {
-	// path built from increasing steps: summary must include A0 < A1.
-	p := parser.MustParseProgram(`
-		path(X, Y) :- step(X, Y), X < Y.
-		path(X, Y) :- step(X, Z), X < Z, path(Z, Y).
-		?- path.
-	`)
-	sums := OrderSummaries(p)
-	s := sums["path"]
-	if s == nil {
-		t.Fatal("no summary for path")
-	}
-	found := false
-	want := ast.NewCmp(ast.V("A0"), ast.LT, ast.V("A1"))
-	for _, c := range s.Cmps {
-		if c.Key() == want.Key() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("summary misses A0 < A1: %v", s.Cmps)
-	}
-}
-
-func TestOrderSummariesNoFalseGuarantee(t *testing.T) {
-	// One rule increases, the other decreases: nothing is guaranteed.
-	p := parser.MustParseProgram(`
-		conn(X, Y) :- step(X, Y), X < Y.
-		conn(X, Y) :- step(X, Y), X > Y.
-		?- conn.
-	`)
-	sums := OrderSummaries(p)
-	for _, c := range sums["conn"].Cmps {
-		if c.Key() == ast.NewCmp(ast.V("A0"), ast.LT, ast.V("A1")).Key() ||
-			c.Key() == ast.NewCmp(ast.V("A0"), ast.GT, ast.V("A1")).Key() {
-			t.Fatalf("false guarantee %v", c)
-		}
-	}
-	// But A0 != A1 IS guaranteed (both branches imply it).
-	found := false
-	for _, c := range sums["conn"].Cmps {
-		if c.Key() == ast.NewCmp(ast.V("A0"), ast.NE, ast.V("A1")).Key() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("A0 != A1 should be guaranteed")
-	}
-}
-
-func TestOrderSummariesThreshold(t *testing.T) {
-	// Every path endpoint is >= 100 when every step source is.
-	p := parser.MustParseProgram(`
-		path(X, Y) :- step(X, Y), X >= 100, X < Y.
-		path(X, Y) :- step(X, Z), X >= 100, X < Z, path(Z, Y).
-		?- path.
-	`)
-	sums := OrderSummaries(p)
-	wantA0 := ast.NewCmp(ast.V("A0"), ast.GE, ast.N(100))
-	found := false
-	for _, c := range sums["path"].Cmps {
-		if c.Key() == wantA0.Key() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("summary misses A0 >= 100: %v", sums["path"].Cmps)
-	}
-	// A1 > 100: base case gives A1 > A0 >= 100; recursive case gives
-	// A1 ... via path summary. The fixpoint should find A1 > 100.
-	wantA1 := ast.NewCmp(ast.V("A1"), ast.GT, ast.N(100))
-	found = false
-	for _, c := range sums["path"].Cmps {
-		if order.NewSet(c).Implies(wantA1) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("summary misses A1 > 100: %v", sums["path"].Cmps)
-	}
-}
-
-func TestStrengthenPreservesSemantics(t *testing.T) {
-	src := `
-		path(X, Y) :- step(X, Y), X < Y.
-		path(X, Y) :- step(X, Z), X < Z, path(Z, Y).
-		?- path.
-	`
-	p := parser.MustParseProgram(src)
-	sp := Strengthen(p)
-	db := eval.NewDB()
-	db.AddFacts(parser.MustParseFacts(`
-		step(1, 2). step(2, 3). step(3, 1). step(3, 4).
-	`))
-	want, _, err := eval.Eval(p, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := eval.Eval(sp, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, g := want.SortedFacts("path"), got.SortedFacts("path")
-	if len(w) != len(g) {
-		t.Fatalf("sizes differ: %v vs %v", w, g)
-	}
-	for i := range w {
-		if w[i] != g[i] {
-			t.Fatalf("differ at %d: %v vs %v", i, w, g)
-		}
-	}
-}
-
-func TestLocalPairsClassification(t *testing.T) {
-	ics := parser.MustParseICs(`
+func TestPlanICsClassification(t *testing.T) {
+	plans := PlanICs(parser.MustParseICs(`
 		:- e(X, Y), e(Y, Z), X < Y.
 		:- succ(X, Y), !dom(X).
-	`)
-	pairs, err := LocalPairs(ics)
-	if err != nil {
-		t.Fatal(err)
+	`))
+	if len(plans) != 2 {
+		t.Fatalf("got %d plans", len(plans))
 	}
-	if len(pairs) != 2 {
-		t.Fatalf("got %d pairs", len(pairs))
+	for i, pl := range plans {
+		if pl.Index != i || pl.Unsupported || len(pl.ResidueCmps) != 0 || len(pl.Pairs) != 1 {
+			t.Fatalf("plan %d: %+v, want one local pair", i, pl)
+		}
 	}
-	if pairs[0].OrderAtom == nil || pairs[0].Anchor.Pred != "e" {
-		t.Fatalf("pair 0 wrong: %s", pairs[0])
+	if lp := plans[0].Pairs[0]; lp.OrderAtom == nil || lp.Anchor.Pred != "e" {
+		t.Fatalf("pair 0 wrong: %s", lp)
 	}
-	if pairs[1].NegEDB == nil || pairs[1].NegEDB.Pred != "dom" || pairs[1].Anchor.Pred != "succ" {
-		t.Fatalf("pair 1 wrong: %s", pairs[1])
+	if lp := plans[1].Pairs[0]; lp.NegEDB == nil || lp.NegEDB.Pred != "dom" || lp.Anchor.Pred != "succ" {
+		t.Fatalf("pair 1 wrong: %s", lp)
 	}
 }
 
-func TestLocalPairsRejectsNonLocal(t *testing.T) {
-	// X < Z spans two atoms: not local (the paper's own example).
-	ics := parser.MustParseICs(`:- e(X, Y), e(Y, Z), X < Z.`)
-	if _, err := LocalPairs(ics); err == nil {
-		t.Fatal("X < Z is not local; expected error")
+func TestPlanICsNonLocal(t *testing.T) {
+	// X < Z spans two atoms: not local (the paper's own example), so it
+	// is carried as a residue.
+	pl := PlanICs(parser.MustParseICs(`:- e(X, Y), e(Y, Z), X < Z.`))[0]
+	if pl.Unsupported || len(pl.Pairs) != 0 || len(pl.ResidueCmps) != 1 || pl.ResidueCmps[0].String() != "X < Z" {
+		t.Fatalf("X < Z: %+v, want it as the one residue order atom", pl)
 	}
-	if _, err := LocalPairs(parser.MustParseICs(`:- e(X, Y), !f(Y, Z).`)); err == nil {
-		t.Fatal("!f(Y, Z) is not local; expected error")
+	// A non-local negated atom is the undecidable territory of Theorem
+	// 5.4: the constraint is not used at all.
+	pl = PlanICs(parser.MustParseICs(`:- e(X, Y), !f(Y, Z).`))[0]
+	if !pl.Unsupported || len(pl.Pairs) != 0 {
+		t.Fatalf("!f(Y, Z): %+v, want unsupported", pl)
 	}
+}
+
+// rewriteLocal runs the Section 4.2 rewriting as the optimizer does,
+// returning the pairs that drove it.
+func rewriteLocal(p *ast.Program, ics []ast.IC) (*ast.Program, []LocalPair) {
+	plans := PlanICs(ics)
+	var pairs []LocalPair
+	for _, pl := range plans {
+		if !pl.Unsupported {
+			pairs = append(pairs, pl.Pairs...)
+		}
+	}
+	return RewriteLocalPlanned(p, plans), pairs
 }
 
 func TestRewriteLocalSplitsOnOrderAtom(t *testing.T) {
@@ -235,10 +140,7 @@ func TestRewriteLocalSplitsOnOrderAtom(t *testing.T) {
 		?- p.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y), X < Y.`)
-	rp, pairs, err := RewriteLocal(p, ics)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp, pairs := rewriteLocal(p, ics)
 	if len(pairs) != 1 {
 		t.Fatalf("got %d pairs", len(pairs))
 	}
@@ -267,10 +169,7 @@ func TestRewriteLocalSplitsOnNegEDB(t *testing.T) {
 		?- p.
 	`)
 	ics := parser.MustParseICs(`:- succ(X, Y), !dom(X).`)
-	rp, _, err := RewriteLocal(p, ics)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp, _ := rewriteLocal(p, ics)
 	if len(rp.Rules) != 2 {
 		t.Fatalf("got %d rules, want 2:\n%s", len(rp.Rules), rp)
 	}
@@ -299,10 +198,7 @@ func TestRewriteLocalAlreadyDeterminedNoSplit(t *testing.T) {
 		?- p.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y), X < Y.`)
-	rp, _, err := RewriteLocal(p, ics)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp, _ := rewriteLocal(p, ics)
 	if len(rp.Rules) != 1 {
 		t.Fatalf("determined literal must not split:\n%s", rp)
 	}
@@ -315,10 +211,7 @@ func TestRewriteLocalPreservesSemanticsOnConsistentDB(t *testing.T) {
 		?- reach.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y), X >= Y.`)
-	rp, _, err := RewriteLocal(p, ics)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp, _ := rewriteLocal(p, ics)
 	// Consistent DB: strictly increasing edges only.
 	db := eval.NewDB()
 	db.AddFacts(parser.MustParseFacts(`e(1, 2). e(2, 3). e(2, 5).`))
@@ -345,10 +238,7 @@ func TestRewriteLocalMultipleICs(t *testing.T) {
 		:- e(X, Y), X < Y.
 		:- e(X, Y), !g(Y).
 	`)
-	rp, pairs, err := RewriteLocal(p, ics)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp, pairs := rewriteLocal(p, ics)
 	if len(pairs) != 2 {
 		t.Fatalf("pairs = %d", len(pairs))
 	}

@@ -12,8 +12,8 @@ import (
 // through the mutations of ops.go, with no store to log to: the
 // checkpoint base first, as the creation of each dataset and then of
 // its views, then the WAL tail in log order. A fact batch therefore
-// repairs every view registered before it incrementally (counting /
-// delete-rederive), as a live update does, rather than re-evaluating it.
+// repairs every view registered before it incrementally
+// (delete-rederive), as a live update does, rather than re-evaluating it.
 // Runs before the handler serves — or, under AsyncRestore, while it
 // answers not_ready — with no deadline: recovery must finish, not race a
 // timer. An operation that fails (a program that no longer optimizes, a

@@ -13,7 +13,7 @@
 // Datasets are mutable (fact-level insert/retract endpoints, replace
 // via PUT), and materialized views attached to a dataset survive
 // those updates: each mutation is pushed through sqo.View.Apply,
-// which maintains the answers incrementally (counting / DRed) under
+// which maintains the answers incrementally (DRed) under
 // the same admission control and a per-update deadline.
 //
 // Answers are written once. A query's answers reach its handler as an

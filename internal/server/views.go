@@ -13,7 +13,7 @@ import (
 // This file holds the handlers of the mutable-dataset surface: fact-level
 // insertions and retractions on registered datasets, and materialized
 // views that survive those updates through incremental maintenance
-// (counting / delete-rederive; see package incr). The mutations
+// (delete-rederive; see package incr). The mutations
 // themselves are the operations of ops.go. Fact updates and view
 // materializations are evaluation work, so they are admitted like
 // queries: a fact update runs under Config.UpdateTimeout, a view

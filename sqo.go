@@ -424,11 +424,10 @@ type Derivation = eval.Derivation
 
 // View is an incrementally maintained materialization of a program
 // over a mutable extensional database. Build one with Materialize,
-// then push fact-level updates through View.Apply; non-recursive
-// predicates are maintained by counting, recursive strata by
-// delete-rederive (DRed). Answers, derivation counts, and provenance
-// stay identical to evaluating the program from scratch on the
-// current database.
+// then push fact-level updates through View.Apply; every stratum,
+// recursive or not, is maintained by delete-rederive (DRed). Answers,
+// every derived predicate's facts, and provenance stay identical to
+// evaluating the program from scratch on the current database.
 type View = incr.View
 
 // ViewChanges reports the query-predicate tuples added and removed by
