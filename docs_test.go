@@ -12,12 +12,16 @@ import (
 )
 
 // TestDocsCiteExistingPaths: every repository path README.md,
-// DESIGN.md and EXPERIMENTS.md cite exists, and every file:line they
-// cite is within its file. (Removed code is history there, named
-// without its path.) A path is one under a top-level source directory
-// (`internal/eval`, `cmd/sqod`) or a file with a source or data
-// extension; one given by its trailing components alone (`compiled.go`,
-// `testdata/v1`) must be the tail of some repository path.
+// DESIGN.md, EXPERIMENTS.md and ROADMAP.md cite exists, and every
+// file:line they cite is within its file. (Removed code is history
+// there, named without its path.) Two files stay out: CHANGES.md is
+// the project's history and cites removed paths by design, and
+// bench/README.md belongs to the frozen benchmark module, which only a
+// change to the benchmark itself may edit. A path is one under a
+// top-level source directory (`internal/eval`, `cmd/sqod`) or a file
+// with a source or data extension; one given by its trailing
+// components alone (`compiled.go`, `testdata/v1`) must be the tail of
+// some repository path.
 func TestDocsCiteExistingPaths(t *testing.T) {
 	var repo []string
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -43,7 +47,7 @@ func TestDocsCiteExistingPaths(t *testing.T) {
 	}
 	dirRe := regexp.MustCompile(`(?:^|[^\w./-])((?:internal|cmd|examples|scripts|bench|\.github)/[\w./-]*\w)`)
 	fileRe := regexp.MustCompile(`(?:^|[^\w./:-])([\w./-]*\w\.(?:go|json|md|sh|dl|golden|yml)\b)(?::(\d+))?`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

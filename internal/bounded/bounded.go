@@ -286,7 +286,7 @@ func analyzePred(p *ast.Program, pred string, recursion *ast.Recursion, o Option
 		// Otherwise only the genuinely new disjuncts need the
 		// homomorphism test — the carried-over ones are contained in
 		// themselves.
-		if ucqContainedIn(grew, prev) {
+		if cqc.UCQContained(grew, prev) {
 			if err := safeDisjuncts(prev); err != nil {
 				res.Reason = fmt.Sprintf("witness UCQ at depth %d is unsafe (%v)", k, err)
 				return res
@@ -440,34 +440,6 @@ func dedupe(rs []ast.Rule, keys map[string]bool) []ast.Rule {
 		out = append(out, r)
 	}
 	return out
-}
-
-// ucqContainedIn reports whether every disjunct of qs1 is contained in
-// some disjunct of qs2 — the Sagiv–Yannakakis criterion, decided
-// per-pair by Contained for pure CQs and by the sound (incomplete)
-// ContainedOrder when either side carries order atoms. Incompleteness
-// only ever costs a Bounded verdict, never soundness.
-func ucqContainedIn(qs1, qs2 []ast.Rule) bool {
-	for _, q1 := range qs1 {
-		found := false
-		for _, q2 := range qs2 {
-			var ok bool
-			var err error
-			if q1.HasCmp() || q2.HasCmp() {
-				ok, err = cqc.ContainedOrder(q1, q2)
-			} else {
-				ok, err = cqc.Contained(q1, q2)
-			}
-			if err == nil && ok {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // safeDisjuncts verifies every witness disjunct is range-restricted;

@@ -171,24 +171,31 @@ func ruleTerms(r ast.Rule) []ast.Term {
 }
 
 // UCQContained reports whether the union of CQs qs1 is contained in
-// the union qs2 (pure CQs): by the Sagiv–Yannakakis theorem this holds
-// iff every disjunct of qs1 is contained in some disjunct of qs2.
-func UCQContained(qs1, qs2 []CQ) (bool, error) {
+// the union qs2: by the Sagiv–Yannakakis theorem, whether every
+// disjunct of qs1 is contained in some disjunct of qs2. Each pair is
+// decided by Contained for pure CQs and by the sound (incomplete)
+// ContainedOrder when either side carries order atoms; a pair that
+// errors (negation) counts as not contained and the search goes on.
+// Incompleteness only ever answers false, never a wrong true.
+func UCQContained(qs1, qs2 []CQ) bool {
 	for _, q1 := range qs1 {
-		ok := false
+		found := false
 		for _, q2 := range qs2 {
-			c, err := Contained(q1, q2)
-			if err != nil {
-				return false, err
+			var ok bool
+			var err error
+			if q1.HasCmp() || q2.HasCmp() {
+				ok, err = ContainedOrder(q1, q2)
+			} else {
+				ok, err = Contained(q1, q2)
 			}
-			if c {
-				ok = true
+			if err == nil && ok {
+				found = true
 				break
 			}
 		}
-		if !ok {
-			return false, nil
+		if !found {
+			return false
 		}
 	}
-	return true, nil
+	return true
 }

@@ -487,17 +487,3 @@ func constOrder(a, b ast.Term) ast.CmpOp {
 	}
 	return ast.EQ
 }
-
-// EvalGround evaluates a conjunction whose atoms are all ground,
-// reporting whether every atom holds.
-func EvalGround(cs []ast.Cmp) bool {
-	for _, c := range cs {
-		if c.Left.IsVar() || c.Right.IsVar() {
-			panic("order: EvalGround on non-ground atom " + c.String())
-		}
-		if !c.Eval() {
-			return false
-		}
-	}
-	return true
-}

@@ -230,24 +230,6 @@ func TestImpliesDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestEvalGround(t *testing.T) {
-	if !EvalGround([]ast.Cmp{cmp(ast.N(1), ast.LT, ast.N(2)), cmp(ast.N(2), ast.LE, ast.N(2))}) {
-		t.Fatal("ground conjunction should hold")
-	}
-	if EvalGround([]ast.Cmp{cmp(ast.N(3), ast.LT, ast.N(2))}) {
-		t.Fatal("3 < 2 is false")
-	}
-}
-
-func TestEvalGroundPanicsOnVariable(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	EvalGround([]ast.Cmp{cmp(x, ast.LT, ast.N(2))})
-}
-
 // TestSatisfiableAgainstBruteForce cross-checks the solver against a
 // brute-force assignment search on random small instances over a fixed
 // finite domain. A conjunction the brute force satisfies over

@@ -64,21 +64,6 @@ func (s Subst) ApplyCmp(c ast.Cmp) ast.Cmp {
 // ApplyRule returns r with the substitution applied throughout.
 func (s Subst) ApplyRule(r ast.Rule) ast.Rule { return ast.MapRule(r, s.Walk) }
 
-// ApplyIC returns ic with the substitution applied throughout.
-func (s Subst) ApplyIC(ic ast.IC) ast.IC {
-	out := ast.IC{At: ic.At}
-	for _, a := range ic.Pos {
-		out.Pos = append(out.Pos, s.ApplyAtom(a))
-	}
-	for _, a := range ic.Neg {
-		out.Neg = append(out.Neg, s.ApplyAtom(a))
-	}
-	for _, c := range ic.Cmp {
-		out.Cmp = append(out.Cmp, s.ApplyCmp(c))
-	}
-	return out
-}
-
 // String renders the substitution deterministically, e.g. {X->1, Y->Z}.
 func (s Subst) String() string {
 	keys := make([]string, 0, len(s))

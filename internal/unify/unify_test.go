@@ -247,19 +247,6 @@ func TestApplyRule(t *testing.T) {
 	}
 }
 
-func TestApplyIC(t *testing.T) {
-	ic := ast.IC{
-		Pos: []ast.Atom{atom("a", ast.V("X"))},
-		Neg: []ast.Atom{atom("b", ast.V("X"))},
-		Cmp: []ast.Cmp{ast.NewCmp(ast.V("X"), ast.NE, ast.N(0))},
-	}
-	s := Subst{"X": ast.S("c")}
-	out := s.ApplyIC(ic)
-	if !out.Pos[0].Args[0].Equal(ast.S("c")) || !out.Neg[0].Args[0].Equal(ast.S("c")) || !out.Cmp[0].Left.Equal(ast.S("c")) {
-		t.Fatalf("ApplyIC incomplete: %s", out)
-	}
-}
-
 func TestFreeze(t *testing.T) {
 	atoms := []ast.Atom{atom("e", ast.V("X"), ast.V("Y")), atom("f", ast.V("X"), ast.N(3))}
 	frozen, m := Freeze(atoms)

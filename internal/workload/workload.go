@@ -43,36 +43,7 @@ func GoodPath(lowN, highStart, highN int) []ast.Atom {
 	return facts
 }
 
-// GoodPathMulti is GoodPath with several start/end points spread over
-// the high chain (selectivity sweep support): starts are placed at the
-// beginning of the high chain, ends at its tail.
-func GoodPathMulti(lowN, highStart, highN, points int) []ast.Atom {
-	facts := Chain(-lowN-1, lowN)
-	facts = append(facts, Chain(highStart, highN)...)
-	for i := 0; i < points; i++ {
-		facts = append(facts,
-			ast.NewAtom("startPoint", num(highStart+i)),
-			ast.NewAtom("endPoint", num(highStart+highN-i)),
-		)
-	}
-	return facts
-}
-
-// ABChains builds the Figure 1 workload: a chain of bN b-edges
-// followed by a chain of aN a-edges (so the database satisfies the
-// constraint "no b after a"), sharing the junction node.
-func ABChains(bN, aN int) []ast.Atom {
-	var out []ast.Atom
-	for i := 0; i < bN; i++ {
-		out = append(out, ast.NewAtom("b", num(i), num(i+1)))
-	}
-	for i := bN; i < bN+aN; i++ {
-		out = append(out, ast.NewAtom("a", num(i), num(i+1)))
-	}
-	return out
-}
-
-// ABComb builds a denser Figure 1 workload: width parallel b-chains of
+// ABComb builds the Figure 1 workload: width parallel b-chains of
 // length bLen feeding into width parallel a-chains of length aLen via
 // a shared junction — many b-then-a paths, no a-then-b ones.
 func ABComb(width, bLen, aLen int) []ast.Atom {
@@ -189,52 +160,6 @@ func DB(facts []ast.Atom) *eval.DB {
 	db := eval.NewDB()
 	db.AddFacts(facts)
 	return db
-}
-
-// BiChainPoints builds the Example 3.1 stress workload: a
-// bidirectional chain over n nodes (steps in both directions, so the
-// path closure is the full n x n relation), start points on the
-// second quarter of the chain and end points on the last quarter (so
-// the database satisfies ":- startPoint(X), endPoint(Y), Y <= X").
-// Backward paths from the start points are pure waste that the
-// residue Y > X lets the optimizer skip.
-func BiChainPoints(n int) []ast.Atom {
-	var out []ast.Atom
-	for i := 1; i < n; i++ {
-		out = append(out,
-			ast.NewAtom("step", num(i), num(i+1)),
-			ast.NewAtom("step", num(i+1), num(i)),
-		)
-	}
-	for i := n / 4; i < n/2; i++ {
-		out = append(out, ast.NewAtom("startPoint", num(i)))
-	}
-	for j := 3*n/4 + 1; j <= n; j++ {
-		out = append(out, ast.NewAtom("endPoint", num(j)))
-	}
-	return out
-}
-
-// StarPoints builds the workload where Example 3.1's residue pays off
-// directly: k start points, each with m downward step edges (to nodes
-// below every start point) plus one upward edge to its own end point.
-// The database satisfies ":- startPoint(X), endPoint(Y), Y <= X", and
-// the Y > X residue lets the optimizer skip the m wasted endPoint
-// probes per start.
-func StarPoints(k, m int) []ast.Atom {
-	var out []ast.Atom
-	// Low nodes occupy 1..k*m, starts k*m+1..k*m+k, ends above that.
-	for i := 0; i < k; i++ {
-		start := k*m + 1 + i
-		end := k*m + k + 1 + i
-		out = append(out, ast.NewAtom("startPoint", num(start)))
-		out = append(out, ast.NewAtom("endPoint", num(end)))
-		out = append(out, ast.NewAtom("step", num(start), num(end)))
-		for j := 0; j < m; j++ {
-			out = append(out, ast.NewAtom("step", num(start), num(i*m+j+1)))
-		}
-	}
-	return out
 }
 
 // StarPaths is the Example 3.1 workload with the path relation
