@@ -33,11 +33,12 @@ test:
 # concurrency — N queries sharing one DB's interned base, readers of a
 # snapshot while its successors derive their bases from it, and readers
 # scanning a shared relation's indexes while another reader appends the
-# one it first needed — repeated so the detector sees more than one
-# interleaving.
+# one it first needed, and runs of one prepared query filling and hitting
+# a base's answer memo while another DB's base takes its plans — repeated
+# so the detector sees more than one interleaving.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently|TestDerivedBasesUnderConcurrentReaders|TestConcurrentLookupSameMask|TestFanoutReadsShareBase' ./internal/eval
+	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently|TestDerivedBasesUnderConcurrentReaders|TestConcurrentLookupSameMask|TestFanoutReadsShareBase|TestAnswerMemoConcurrent' ./internal/eval
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.

@@ -31,10 +31,17 @@ package eval
 // build plus growthSlack; the next derivation builds from scratch, which
 // keeps a new constant O(1) amortized and the interner about twice a
 // fresh one at most.
+//
+// A base also keeps the answers of the prepared queries run over it
+// (answerMemo): an answer is a function of the prepared query, the base
+// and the goal, and a base never changes, so the memo is never stale and
+// goes with its base.
 
 import (
+	"encoding/binary"
 	"maps"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ast"
@@ -57,7 +64,8 @@ type edbBase struct {
 	full int // terms of the last from-scratch build it derives from
 	// stamps record what the base was built from, for the currency check
 	// and for the next derivation.
-	stamps map[string]relStamp
+	stamps  map[string]relStamp
+	answers answerMemo
 }
 
 type relStamp struct {
@@ -78,6 +86,84 @@ func (b *edbBase) current(db *DB) bool {
 	return true
 }
 
+// memoBytes bounds what a base's answer memo keeps, in bytes as charge
+// counts them. An entry that would cross it empties the memo first, so a
+// hot set that moves is memoized again; an entry larger than the bound is
+// never kept.
+const memoBytes = 8 << 20
+
+// memoEntryBytes is what an entry keeps besides its key, answers and
+// round log: its Result, Stats and ordering headers, the evaluation's
+// overlay interner and the map slot. A one-answer magic point query's
+// entry keeps ≈ 0.75 KB in all; TestAnswerMemoBound holds the charge of
+// ~2,000 entries above the heap they keep.
+const memoEntryBytes = 1 << 10
+
+// answerMemo maps a key — a Prepared's id, then the goal's key — to the
+// Result and Stats of that Prepared's run at that goal over the base that
+// owns it. Entries are written once and never changed: every run with
+// the key would answer the same.
+type answerMemo struct {
+	mu    sync.RWMutex
+	m     map[string]memoEntry
+	bytes int
+}
+
+type memoEntry struct {
+	res   *Result
+	stats *Stats
+}
+
+// charge is what e keeps under a key of keyLen bytes once its Result has
+// been ordered: the answers' rows (their capacity), per cell an ordering
+// rank and at most one distinct constant's two string headers, per
+// answer a position, and the round log. A constant's rendering is
+// shared with the base's interner, except a string constant's quoted
+// form, which is not counted.
+func (e memoEntry) charge(keyLen int) int {
+	cells := e.res.n * e.res.arity
+	return memoEntryBytes + keyLen + 4*cap(e.res.data) + cells*(4+32) + 4*e.res.n + 8*len(e.stats.rounds.counts)
+}
+
+func (am *answerMemo) get(key []byte) (memoEntry, bool) {
+	am.mu.RLock()
+	e, ok := am.m[string(key)]
+	am.mu.RUnlock()
+	return e, ok
+}
+
+// put keeps e under key unless an entry is there already: two runs that
+// missed together keep the first one's Result.
+func (am *answerMemo) put(key []byte, e memoEntry) {
+	c := e.charge(len(key))
+	if c > memoBytes {
+		return
+	}
+	am.mu.Lock()
+	defer am.mu.Unlock()
+	if _, ok := am.m[string(key)]; ok {
+		return
+	}
+	if am.m == nil || am.bytes+c > memoBytes {
+		am.m, am.bytes = map[string]memoEntry{}, 0
+	}
+	am.m[string(key)] = e
+	am.bytes += c
+}
+
+// appendGoalKey appends a key for goal to dst: each term's Key, then its
+// length, so that no two goals of one length share a key (a string
+// constant's Key may hold any byte). Variables keep their names: p(X, X)
+// and p(X, Y) answer differently.
+func appendGoalKey(dst []byte, goal []ast.Term) []byte {
+	for _, t := range goal {
+		n := len(dst)
+		dst = t.AppendKey(dst)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(dst)-n))
+	}
+	return dst
+}
+
 // emptyBase serves evaluations over a nil DB.
 var emptyBase = func() *edbBase {
 	b := &edbBase{id: lastBaseID.Add(1), in: newInterner()}
@@ -86,20 +172,22 @@ var emptyBase = func() *edbBase {
 }()
 
 // interned returns the DB's interned base, building it — from the stale
-// one, if there is one — when there is none or it is not current. built
-// reports whether this call did the interning. Safe for concurrent
-// evaluations of one DB (the first builds, the rest wait); like every
-// read of a DB, not safe against a concurrent mutation of it.
-func (db *DB) interned() (base *edbBase, built bool) {
+// one, if there is one — when there is none or it is not current, and
+// the tuples this call looked up building it (Stats.EDBRowsInterned):
+// 0 when it reused the base. Safe for concurrent evaluations of one DB
+// (the first builds, the rest wait); like every read of a DB, not safe
+// against a concurrent mutation of it.
+func (db *DB) interned() (base *edbBase, rows int64) {
 	if db == nil {
-		return emptyBase, false
+		return emptyBase, 0
 	}
 	db.baseMu.Lock()
 	defer db.baseMu.Unlock()
 	if db.base == nil || !db.base.current(db) {
-		db.base, built = buildBase(db, db.base), true
+		db.base = buildBase(db, db.base)
+		rows = int64(db.base.rows)
 	}
-	return db.base, built
+	return db.base, rows
 }
 
 // buildBase interns every relation of db in sorted-predicate order and

@@ -57,7 +57,8 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 	if err != nil {
 		return nil, err
 	}
-	base := ev.base(edb)
+	base, rows := edb.interned()
+	ev.stats.EDBRowsInterned = rows
 	ev.use(ev.compileSlot(base, -1), base)
 	if err := ev.run(); err != nil {
 		return nil, err
@@ -140,16 +141,6 @@ type planSlot struct {
 	// over it.
 	consts *interner
 	plans  []*plan // by plan index; nil at skip and where nothing runs
-}
-
-// base returns edb's interned base, counting the tuples interned when
-// this evaluation had to build it.
-func (ev *cEvaluator) base(edb *DB) *edbBase {
-	base, built := edb.interned()
-	if built {
-		ev.stats.EDBRowsInterned = int64(base.rows)
-	}
-	return base
 }
 
 // compileSlot compiles, over base, each rule's full join and its plan
@@ -516,10 +507,29 @@ func (ev *cEvaluator) answers(pred string, goal []ast.Term) *Result {
 		return &Result{}
 	}
 	ir := ev.idb[k]
-	if len(goal) == 0 {
+	if len(goal) == 0 || (ir.n > 0 && selectsAll(goal, ir.arity)) {
 		return ev.result(ir.irel)
 	}
 	return ev.matching(ir.data, ir.arity, ir.n, goal)
+}
+
+// selectsAll reports whether goal matches every row of arity: it holds
+// arity variables, no two alike.
+func selectsAll(goal []ast.Term, arity int) bool {
+	if len(goal) != arity {
+		return false
+	}
+	for i, g := range goal {
+		if g.IsConst() {
+			return false
+		}
+		for _, h := range goal[:i] {
+			if h.Name == g.Name {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // unionAnswers is answers for a query predicate defined as the union of
@@ -562,7 +572,7 @@ func (ev *cEvaluator) unionAnswers(roots []int, goal []ast.Term) *Result {
 		}
 		copy(start, end)
 	}
-	if len(goal) == 0 {
+	if len(goal) == 0 || (res.n > 0 && selectsAll(goal, res.arity)) {
 		return res
 	}
 	return ev.matching(res.data, res.arity, res.n, goal)

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -98,6 +99,13 @@ type Stats struct {
 	// depends on what was evaluated over the DB before, not on the
 	// program, database, and options.
 	EDBRowsInterned int64
+	// MemoHit reports that the run evaluated nothing: a Prepared run over
+	// a base whose answer memo held its goal (Prepared.Run). The other
+	// fields are those of the run that filled the memo, which compared
+	// Equal to a fresh evaluation, except PlanNanos, PlansCompiled and
+	// EDBRowsInterned: a hit compiles and interns nothing. Excluded from
+	// Equal: a hit is an evaluation's outcome, not a different one.
+	MemoHit bool
 }
 
 // roundLog is the per-round record behind Stats.RoundDeltas, one flat
@@ -154,6 +162,7 @@ var statsEqualExcluded = map[string]bool{
 	"ElimApplied":      true,
 	"ElimChecked":      true,
 	"EDBRowsInterned":  true,
+	"MemoHit":          true,
 }
 
 // Equal reports whether two Stats are identical, including the
@@ -413,7 +422,14 @@ func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) 
 // nothing else. The slot names its base by number and keeps nothing of
 // it, so a Prepared held in a cache pins no database: only its plans and
 // the rule constants the base lacked.
+//
+// Its answers are kept by the base, not by the Prepared: a run that
+// reused the slot's plans leaves its Result and Stats in the base's
+// answer memo under the Prepared's number and the goal, and a later run
+// with that goal over that base returns them without evaluating
+// (Stats.MemoHit). A Prepared run once, as QueryCtx's is, never fills it.
 type Prepared struct {
+	id          uint64        // names it in a base's answer memo
 	prog        *ast.Program  // the rewritten program; magic.Program when the magic rewrite applied
 	magic       *magic.Result // non-nil when the magic rewrite applied
 	pattern     magic.BindingPattern
@@ -427,6 +443,10 @@ type Prepared struct {
 	slot  atomic.Pointer[planSlot]
 }
 
+// lastPreparedID numbers the Prepareds, so that a base's answer memo can
+// name one without keeping it alive.
+var lastPreparedID atomic.Uint64
+
 // Prepare runs QueryCtx's rewrites on p for p's goal binding pattern:
 // the one-root renaming fold, then — under opts.Elim and opts.Magic —
 // bounded-recursion elimination and the magic-sets rewrite, each falling
@@ -437,7 +457,7 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 	if err := opts.validateModes(); err != nil {
 		return nil, err
 	}
-	pq := &Prepared{prog: foldRenaming(p), pattern: magic.GoalPattern(p.Goal)}
+	pq := &Prepared{id: lastPreparedID.Add(1), prog: foldRenaming(p), pattern: magic.GoalPattern(p.Goal)}
 	if opts.effectiveElim() != ElimOff && len(pq.prog.Rules) > 0 {
 		res, err := bounded.Rewrite(pq.prog, bounded.Options{})
 		if res != nil {
@@ -485,67 +505,105 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 // Prepare's to read; Run ignores them.
 //
 // A run over the interned base the kept plans were compiled for
-// compiles only the magic seed's plan; a run over another base compiles
-// every plan and keeps them instead. Under opts.Stream a run compiles
-// every plan and keeps none: unfolding the bound program can inline the
-// seed's constants into any rule.
+// compiles only the magic seed's plan, and leaves its answers in the
+// base's memo; a run over another base compiles every plan and keeps
+// them instead. A run whose goal the base's memo holds returns the
+// memoized Result — the same pointer — and a copy of its Stats with
+// MemoHit set, unless ctx is done (its error) or opts.MaxTuples is below
+// the memoized TuplesDerived (it evaluates, and fails as that run would
+// have). Under opts.Stream a run compiles every plan, keeps none and
+// neither reads nor fills the memo: unfolding the bound program can
+// inline the seed's constants into any rule.
 func (pq *Prepared) Run(ctx context.Context, edb *DB, goal []ast.Term, opts Options) (*Result, *Stats, error) {
 	return pq.run(ctx, edb, goal, opts, nil)
 }
 
-// run is Run recording provenance steps into prov when non-nil.
+// run is Run recording provenance steps into prov when non-nil; such a
+// run neither reads nor fills the memo, whose entries record none.
 func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Options, prov *Provenance) (*Result, *Stats, error) {
 	if pat := magic.GoalPattern(goal); pat != pq.pattern {
 		return nil, nil, fmt.Errorf("eval: goal pattern %q, prepared for %q", pat, pq.pattern)
 	}
-	var ev *cEvaluator
-	var err error
 	if opts.Stream {
 		prog := pq.prog
 		if pq.magic != nil {
 			prog = pq.magic.Bind(goal)
 		}
 		prog, _ = magic.Unfold(prog)
-		ev, err = evalCompiled(ctx, prog, edb, opts, prov)
-	} else {
-		ev, err = pq.runSlot(ctx, edb, goal, opts, prov)
+		ev, err := evalCompiled(ctx, prog, edb, opts, prov)
+		if err != nil {
+			return nil, nil, err
+		}
+		return ev.answers(pq.prog.Query, goal), pq.flag(ev.stats), nil
 	}
+	if pq.layErr != nil {
+		return nil, nil, pq.layErr
+	}
+	if err := opts.validateModes(); err != nil {
+		return nil, nil, err
+	}
+	base, rows := edb.interned()
+	var buf [64]byte
+	key := appendGoalKey(binary.LittleEndian.AppendUint64(buf[:0], pq.id), goal)
+	if prov == nil {
+		if e, ok := base.answers.get(key); ok && (opts.MaxTuples <= 0 || e.stats.TuplesDerived <= opts.MaxTuples) {
+			if ctx != nil && ctx.Err() != nil {
+				return nil, nil, ctx.Err()
+			}
+			st := *e.stats
+			st.MemoHit = true
+			return e.res, &st, nil
+		}
+	}
+	ev, reused, err := pq.runSlot(ctx, base, rows, goal, opts, prov)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev.stats.MagicApplied = pq.magic != nil
-	ev.stats.ElimApplied = pq.elimApplied
-	ev.stats.ElimChecked = pq.elimChecked
 	// Restrict to the goal on both paths: bottom-up computes the whole
 	// relation, and the magic-rewritten relation can hold tuples for
 	// bindings demanded recursively beyond the goal's own constants.
 	// Only the query relation's matching rows leave the evaluation.
-	if pq.roots != nil && !opts.Stream {
-		return ev.unionAnswers(pq.roots, goal), ev.stats, nil
+	var res *Result
+	if pq.roots != nil {
+		res = ev.unionAnswers(pq.roots, goal)
+	} else {
+		res = ev.answers(pq.prog.Query, goal)
 	}
-	return ev.answers(pq.prog.Query, goal), ev.stats, nil
+	st := pq.flag(ev.stats)
+	if reused && prov == nil {
+		kept := *st
+		kept.PlansCompiled, kept.PlanNanos, kept.EDBRowsInterned = 0, 0, 0
+		base.answers.put(key, memoEntry{res, &kept})
+	}
+	return res, st, nil
+}
+
+// flag records in st which of Prepare's rewrites applied.
+func (pq *Prepared) flag(st *Stats) *Stats {
+	st.MagicApplied = pq.magic != nil
+	st.ElimApplied = pq.elimApplied
+	st.ElimChecked = pq.elimChecked
+	return st
 }
 
 // runSlot evaluates the prepared program at goal over the plans its slot
-// holds for edb's base, compiling them into a new slot first when the
-// slot holds another base's (or none). With the magic rewrite applied,
-// the seed — rule 0 — is compiled for goal alone, into the run's private
-// overlay, and is the only plan the run does not share.
-func (pq *Prepared) runSlot(ctx context.Context, edb *DB, goal []ast.Term, opts Options, prov *Provenance) (*cEvaluator, error) {
-	if pq.layErr != nil {
-		return nil, pq.layErr
-	}
-	ev, err := newEvaluator(ctx, pq.lay, opts, prov)
+// holds for base, compiling them into a new slot first when the slot
+// holds another base's (or none); reused reports that it did not. rows
+// are the tuples this run interned building base. With the magic rewrite
+// applied, the seed — rule 0 — is compiled for goal alone, into the run's
+// private overlay, and is the only plan the run does not share.
+func (pq *Prepared) runSlot(ctx context.Context, base *edbBase, rows int64, goal []ast.Term, opts Options, prov *Provenance) (ev *cEvaluator, reused bool, err error) {
+	ev, err = newEvaluator(ctx, pq.lay, opts, prov)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
+	ev.stats.EDBRowsInterned = rows
 	seed := -1
 	if pq.magic != nil {
 		seed = pq.lay.planIdx(0, -1)
 	}
-	base := ev.base(edb)
 	s := pq.slot.Load()
-	if s == nil || s.baseID != base.id {
+	if reused = s != nil && s.baseID == base.id; !reused {
 		s = ev.compileSlot(base, seed)
 		pq.slot.Store(s)
 	}
@@ -557,7 +615,7 @@ func (pq *Prepared) runSlot(ctx context.Context, edb *DB, goal []ast.Term, opts 
 		ev.stats.PlansCompiled++
 		ev.stats.PlanNanos += time.Since(start).Nanoseconds()
 	}
-	return ev, ev.run()
+	return ev, reused, ev.run()
 }
 
 // foldRenaming evaluates the optimizer's one-root union as what it is, a

@@ -493,7 +493,9 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 // its own constant and alternating between two databases, so that runs
 // swap the plans the Prepared keeps (one base's for the other's) while
 // others read them; every run answers as QueryCtx does at that constant
-// over that database, with the same Stats.
+// over that database, with the same Stats. Each run names its goal's
+// variable apart, so that no run is an answer-memo hit: every one reads
+// the shared plans.
 func TestPreparedRunsConcurrently(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
@@ -534,9 +536,15 @@ func TestPreparedRunsConcurrently(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for r := 0; r < runs; r++ {
-				res, stats, err := pq.Run(context.Background(), dbs[(i+r)%2], goal(i), opts)
+				at := goal(i)
+				at[1] = ast.V(fmt.Sprintf("Y%d", r))
+				res, stats, err := pq.Run(context.Background(), dbs[(i+r)%2], at, opts)
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				if stats.MemoHit {
+					t.Errorf("goroutine %d run %d: an answer-memo hit", i, r)
 					return
 				}
 				got[i][r] = answer{res.Tuples(), stats}

@@ -267,9 +267,11 @@ func runOverReplacedDataset(t *testing.T, pqs []*Prepared, replaces int, collect
 // BenchmarkPreparedRun is the fixed cost of a point query without HTTP,
 // parsing or the optimizer: a left-linear closure over 40 chains of 50
 // edges, prepared once and run at the head of a chain (50 answers) over
-// one base, so every run after the first reuses its plans. ns/round
-// spreads each run over the fixpoint's rounds — what a round costs when
-// it derives a tuple or two.
+// one base, so every run after the first reuses its plans. "evaluate"
+// empties the base's answer memo before each run, so each one runs the
+// fixpoint; ns/round spreads it over the fixpoint's rounds — what a round
+// costs when it derives a tuple or two. "memo hit" is every run after the
+// second as the memo serves it.
 func BenchmarkPreparedRun(b *testing.B) {
 	db := NewDB()
 	for c := 0; c < 40; c++ {
@@ -283,23 +285,37 @@ func BenchmarkPreparedRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	rounds := 0
-	run := func() {
-		res, stats, err := pq.Run(ctx, db, p.Goal, DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Len() != 50 {
-			b.Fatalf("%d answers, want 50", res.Len())
-		}
-		rounds += stats.Iterations
+	base, _ := db.interned()
+	for _, c := range []struct {
+		name string
+		hit  bool
+	}{{"evaluate", false}, {"memo hit", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			rounds := 0
+			run := func() {
+				if !c.hit {
+					base.answers = answerMemo{}
+				}
+				res, stats, err := pq.Run(ctx, db, p.Goal, DefaultOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Len() != 50 || stats.MemoHit != c.hit {
+					b.Fatalf("%d answers, hit %v; want 50, %v", res.Len(), stats.MemoHit, c.hit)
+				}
+				rounds += stats.Iterations
+			}
+			pq.Run(ctx, db, p.Goal, DefaultOptions()) // the base, the plans and the memo
+			run()
+			rounds = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			if !c.hit {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+			}
+		})
 	}
-	run() // the base and the plans
-	rounds = 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/ast"
 )
@@ -18,15 +19,28 @@ import (
 // query: the evaluation's overlay over the frozen interner of the
 // database's base) — nothing else of the evaluation: its dedup sets,
 // indexes and other relations are garbage once the Result is all that is
-// left. It is immutable: nothing it points to is written after it is
-// returned (it reads its interner and never fills the interner's key
-// cache), so it may be read from several goroutines, held across later
-// updates of its database, and outlive that database's snapshot.
+// left. Its answers are immutable: nothing they point to is written
+// after it is returned (it reads its interner and never fills the
+// interner's key cache), so it may be read from several goroutines, held
+// across later updates of its database, and outlive that database's
+// snapshot. Its one written field is the ordering Ordered computes,
+// published whole through an atomic pointer: a Result written out again
+// in the same Order, as a memoized answer is (Prepared.Run), is a walk.
 type Result struct {
 	in    *interner // nil: the query predicate derived nothing that matched
 	arity int
 	data  []uint32 // the answers in insertion order, arity values each
 	n     int
+	// ordered is the last Order's ordering, nil before the first.
+	ordered atomic.Pointer[ordering]
+}
+
+// ordering is what order returns for o.
+type ordering struct {
+	o      Order
+	perm   []int32
+	cells  []uint32
+	consts []constant
 }
 
 // Len returns the number of answers.
@@ -200,12 +214,20 @@ func rankDecides(sorted []constant, o Order) bool {
 // Term.String of column j passed through enc (nil: as it is). enc runs
 // once per distinct constant, not per occurrence — a JSON escaper costs
 // what the vocabulary costs — into one arena. visit must not keep cols
-// or write through it; returning false ends the walk.
+// or write through it; returning false ends the walk. The order is
+// computed by the first call with o and kept until a call with another
+// Order replaces it.
 func (r *Result) Ordered(o Order, enc func(dst []byte, text string) []byte, visit func(cols [][]byte) bool) {
 	if r.n == 0 {
 		return
 	}
-	perm, cells, consts := r.order(o)
+	od := r.ordered.Load()
+	if od == nil || od.o != o {
+		od = &ordering{o: o}
+		od.perm, od.cells, od.consts = r.order(o)
+		r.ordered.Store(od)
+	}
+	perm, cells, consts := od.perm, od.cells, od.consts
 	arena, offs := []byte(nil), make([]int, len(consts)+1)
 	for k, c := range consts {
 		if enc != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/parser"
 )
 
 // trickyConsts is a vocabulary chosen to break an order by constant rank
@@ -273,5 +274,34 @@ func TestResultOutlivesItsEvaluation(t *testing.T) {
 	}
 	if got := ordered(res, ByString); !reflect.DeepEqual(got, want) || len(got) != 61*60/2 {
 		t.Fatalf("the held Result changed: %d answers, want %d", len(got), len(want))
+	}
+}
+
+// TestDistinctVariableGoalReadsRows: a goal of distinct variables selects
+// every row, so it answers what the bare predicate does, in the same
+// order (it returns the relation's rows, not a copy:
+// TestQueryResponseAllocationGuard's "evaluated" row); a repeated
+// variable still filters, and a relation with no rows answers nil.
+func TestDistinctVariableGoalReadsRows(t *testing.T) {
+	ctx := context.Background()
+	db := memoDB()
+	db.AddFact(ast.NewAtom("e", ast.N(40), ast.N(40)))
+	const tc = "path(X, Y) :- e(X, Y). path(X, Y) :- path(X, Z), e(Z, Y). none(X, Y) :- e(X, Y), X > 1000.\n"
+	answers := func(goal string) []Tuple {
+		res, _, err := QueryResultCtx(ctx, parser.MustParseProgram(tc+goal), db, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Tuples()
+	}
+	whole := answers("?- path.")
+	if got := answers("?- path(A, B)."); len(whole) == 0 || !reflect.DeepEqual(got, whole) {
+		t.Fatalf("path(A, B): %v, want ?- path.'s %v", got, whole)
+	}
+	if got, want := answers("?- path(A, A)."), []Tuple{{ast.N(40), ast.N(40)}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("path(A, A): %v, want %v", got, want)
+	}
+	if got := answers("?- none(A, B)."); got != nil {
+		t.Fatalf("none(A, B): %v, want nil", got)
 	}
 }

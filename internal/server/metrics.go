@@ -50,6 +50,11 @@ type Metrics struct {
 	// compiled into flat joins).
 	EvalElim atomic.Int64
 
+	// AnswerMemoHits counts queries answered from their snapshot's answer
+	// memo (Stats.MemoHit): nothing was evaluated, so they add nothing to
+	// the engine-work counters above; each counts as a base reuse.
+	AnswerMemoHits atomic.Int64
+
 	// Request outcomes.
 	QueryTimeouts atomic.Int64
 	QueryCancels  atomic.Int64
@@ -130,8 +135,20 @@ func (m *Metrics) ObserveRequest(endpoint string, code int, d time.Duration) {
 	h.observe(d)
 }
 
-// AddStats folds one evaluation's engine counters into the registry.
+// AddStats folds one query's engine counters into the registry; a memo
+// hit's are the work of an earlier query, so it counts only the hit.
 func (m *Metrics) AddStats(st *sqo.Stats) {
+	if st.MemoHit {
+		m.AnswerMemoHits.Add(1)
+		m.EDBBaseReuses.Add(1)
+		return
+	}
+	if st.MagicApplied {
+		m.EvalMagic.Add(1)
+	}
+	if st.ElimApplied {
+		m.EvalElim.Add(1)
+	}
 	m.EvalRounds.Add(int64(st.Iterations))
 	m.TuplesDerived.Add(st.TuplesDerived)
 	m.RuleFirings.Add(st.RuleFirings)
@@ -170,7 +187,8 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	counter("sqod_join_probes_total", "Join probes across all evaluations.", m.JoinProbes.Load())
 
 	counter("sqod_edb_base_builds_total", "Query evaluations that interned facts: the first query on a snapshot whose update added facts, or one with per-request facts.", m.EDBBaseBuilds.Load())
-	counter("sqod_edb_base_reuses_total", "Query evaluations that interned no fact: they reused their snapshot's interned base, or derived it from the previous snapshot's by copying rows.", m.EDBBaseReuses.Load())
+	counter("sqod_edb_base_reuses_total", "Queries that interned no fact: they reused their snapshot's interned base (or its answer memo), or derived it from the previous snapshot's by copying rows.", m.EDBBaseReuses.Load())
+	counter("sqod_answer_memo_hits_total", "Queries answered from their snapshot's answer memo, evaluating nothing.", m.AnswerMemoHits.Load())
 
 	counter("sqod_eval_magic_total", "Queries evaluated via the magic-sets demand rewrite.", m.EvalMagic.Load())
 	counter("sqod_eval_elim_total", "Queries evaluated via bounded-recursion elimination.", m.EvalElim.Load())

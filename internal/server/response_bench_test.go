@@ -106,9 +106,21 @@ func BenchmarkQueryResponse(b *testing.B) {
 // fold or magic rewrite) and 1,822 → 518 for a constant no request used
 // before, which used to be a cold compile. The prepared query keeps its
 // plans for the dataset's base and its fixpoint addresses relations and
-// round deltas by dense id: 517 → 239 and 518 → 240, bounded at 260 each.
-// The race detector's sync.Pool drops add ~65 allocations (299–307
-// measured), bounded at 335.
+// round deltas by dense id: 517 → 239 and 518 → 240, bounded at 260 each
+// (under -race, whose sync.Pool drops add ~65 allocations, at 335).
+//
+// Since the base keeps its prepared queries' answers, a repeated body
+// over one snapshot is a memo hit: no fixpoint, and the Result's
+// ordering already published. The "50 answers" row is one: 213 → 132
+// allocations (143–146 under -race), bounded at 150 (170). The "new
+// constant" row is the miss path — it evaluates and fills the memo, 217
+// (277–285 under -race) — and keeps 260 (335). The "51,000 answers" row
+// is a hit too, so what it bounds is writing the answers out (≈ 2.1 MB);
+// the "evaluated" row renames the goal's variables per request, so each
+// one misses and evaluates and orders the whole relation (≈ 6.4 MB,
+// ≈ 320 allocations): it keeps the 8 MB bound on the fold. Each row
+// checks through /metrics that its measured requests hit the memo, or
+// that none does.
 func TestQueryResponseAllocationGuard(t *testing.T) {
 	h, full, point := responseFixture(t)
 	// The head of every other chain: a point query with 50 answers and a
@@ -117,23 +129,44 @@ func TestQueryResponseAllocationGuard(t *testing.T) {
 	for c := 1; c < respChains; c++ {
 		fresh = append(fresh, queryBody(fmt.Sprintf("?- path(%d, Y).\n", c*100)))
 	}
+	// The whole relation under variable names no request used before:
+	// one binding pattern, so one prepared query, but a goal the memo
+	// does not hold, so every request evaluates.
+	renamed := 0
+	evaluated := func() string {
+		renamed++
+		return queryBody(fmt.Sprintf("?- path(A%d, B%d).\n", renamed, renamed))
+	}
 	for _, c := range []struct {
 		name                  string
 		body                  func() string
 		maxAllocs, raceAllocs float64
 		maxBytes              uint64 // in a plain build
 		raceBytes             uint64 // under -race, whose instrumentation allocates too
+		hit                   bool   // every request is an answer-memo hit
 	}{
-		{"51,000 answers", func() string { return full }, 10000, 10000, 8 << 20, 10 << 20},
-		{"50 answers", func() string { return point }, 260, 335, 1 << 20, 1 << 20},
-		{"50 answers, new constant each request", func() string { b := fresh[0]; fresh = fresh[1:]; return b }, 260, 335, 1 << 20, 1 << 20},
+		{"51,000 answers", func() string { return full }, 10000, 10000, 8 << 20, 10 << 20, true},
+		{"51,000 answers, evaluated", evaluated, 10000, 10000, 8 << 20, 10 << 20, false},
+		{"50 answers", func() string { return point }, 150, 170, 1 << 20, 1 << 20, true},
+		{"50 answers, new constant each request", func() string { b := fresh[0]; fresh = fresh[1:]; return b }, 260, 335, 1 << 20, 1 << 20, false},
 	} {
-		run := func() { postQuery(t, h, c.body()) }
+		// Hits are counted from the second request on: the first, the
+		// warm-up AllocsPerRun does not measure, may refill an entry an
+		// earlier row's requests crowded out.
+		requests, hits := 0, 0
+		run := func() {
+			postQuery(t, h, c.body())
+			if requests++; requests == 1 {
+				hits = memoHits(t, h)
+			}
+		}
 		maxAllocs := c.maxAllocs
 		if raceDetector {
 			maxAllocs = c.raceAllocs
 		}
-		if got := testing.AllocsPerRun(3, run); got > maxAllocs {
+		got := testing.AllocsPerRun(3, run)
+		t.Logf("%s: %.0f allocations per request", c.name, got)
+		if got > maxAllocs {
 			t.Errorf("%s: %.0f allocations per request, want at most %.0f", c.name, got, maxAllocs)
 		}
 		var before, after runtime.MemStats
@@ -144,8 +177,32 @@ func TestQueryResponseAllocationGuard(t *testing.T) {
 		if raceDetector {
 			maxBytes = c.raceBytes
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
-			t.Errorf("%s: %d bytes per request, want at most %d", c.name, got, maxBytes)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes per request", c.name, bytes)
+		if bytes > maxBytes {
+			t.Errorf("%s: %d bytes per request, want at most %d", c.name, bytes, maxBytes)
+		}
+		want := 0
+		if c.hit {
+			want = requests - 1
+		}
+		if got := memoHits(t, h) - hits; got != want {
+			t.Errorf("%s: %d of %d measured requests hit the answer memo, want %d", c.name, got, requests-1, want)
 		}
 	}
+}
+
+// memoHits reads sqod_answer_memo_hits_total from h's /metrics.
+func memoHits(tb testing.TB, h http.Handler) int {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var n int
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "sqod_answer_memo_hits_total %d", &n); err == nil {
+			return n
+		}
+	}
+	tb.Fatalf("/metrics lacks sqod_answer_memo_hits_total:\n%s", rec.Body)
+	return 0
 }

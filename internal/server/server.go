@@ -203,6 +203,13 @@ func (s *Server) Handler() http.Handler {
 			fmt.Fprintln(w, "restoring")
 			return
 		}
+		// A store that failed stop takes no write until a restart
+		// recovers it from disk; reads go on.
+		if s.store != nil && s.store.Failed() != nil {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintln(w, "store failed")
+			return
+		}
 		fmt.Fprintln(w, "ok")
 	}))
 	mux.Handle("PUT /v1/datasets/{name}", s.api("dataset_put", true, s.handleDatasetCreate))
@@ -801,12 +808,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 			return err
 		}
 		s.metrics.AddStats(stats)
-		if stats.MagicApplied {
-			s.metrics.EvalMagic.Add(1)
-		}
-		if stats.ElimApplied {
-			s.metrics.EvalElim.Add(1)
-		}
 
 		resp := queryResponse{
 			Query:       prog.Query,

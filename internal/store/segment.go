@@ -499,7 +499,7 @@ func (s *Store) recover(rec *Recovered) error {
 	if err != nil {
 		return fmt.Errorf("store: opening wal for append: %w", err)
 	}
-	s.wal = f
+	s.wal, s.walSize = f, int64(res.goodBytes)
 	s.gc()
 	return nil
 }
@@ -567,7 +567,7 @@ func (s *Store) checkpointLocked() error {
 	if s.wal != nil {
 		s.wal.Close()
 	}
-	s.wal = f
+	s.wal, s.walSize = f, 0
 	s.seq, s.segName, s.walName = newSeq, segName, walName
 	s.checkpoints++
 	if oldWal != "" && oldWal != walName {

@@ -194,8 +194,24 @@ func newDsState() *dsState {
 	return &dsState{preds: map[string]*predState{}, views: map[string]ViewDef{}}
 }
 
+// walFile is what the store needs of its open log, an *os.File opened
+// O_APPEND: a seam for tests that fail a write or a sync.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // Store is the persistence subsystem. All methods are safe for
 // concurrent use; appends serialize.
+//
+// A failed append leaves no bytes behind: a failed write is truncated
+// off the log, so the next record follows the last acknowledged one.
+// When that truncate fails, or a sync under FsyncAlways does — after
+// which nothing says what reached the disk — the store fails stop: every
+// later append and checkpoint returns the error (Failed), and only a
+// restart, recovering from what the disk holds, appends again.
 type Store struct {
 	mu   sync.Mutex
 	dir  string // "" = ephemeral (no I/O)
@@ -204,10 +220,12 @@ type Store struct {
 	syms     *symtab
 	datasets map[string]*dsState
 
-	wal     *os.File
+	wal     walFile
+	walSize int64 // bytes of wal: where the next record starts
 	walName string
 	segName string
 	seq     uint64 // generation counter for wal/segment file names
+	failed  error  // non-nil once the store failed stop
 
 	appends     int64
 	walBytes    int64
@@ -277,6 +295,14 @@ func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Counters{Appends: s.appends, Bytes: s.walBytes, Checkpoints: s.checkpoints}
+}
+
+// Failed returns the error that stopped the store, or nil while it
+// appends.
+func (s *Store) Failed() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
 }
 
 // Dir returns the store's root directory ("" when ephemeral).
@@ -364,12 +390,15 @@ func (s *Store) AppendViewDrop(dataset, view string) error {
 // policy, applies it to the in-memory mirror, and auto-checkpoints
 // when the configured record count is reached. The operation is
 // durable (per the policy) when append returns nil; on error nothing
-// is applied.
+// is applied, and a failed store (see Store) returns its error.
 func (s *Store) append(build func(*symtab) *iop) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
+	}
+	if s.failed != nil {
+		return s.failed
 	}
 	nsyms := len(s.syms.syms)
 	op := build(s.syms)
@@ -377,17 +406,26 @@ func (s *Store) append(build func(*symtab) *iop) error {
 		rec := frame(encodePayload(op, s.syms, nsyms))
 		if _, err := s.wal.Write(rec); err != nil {
 			s.syms.rollback(nsyms)
-			return fmt.Errorf("store: wal append: %w", err)
+			err = fmt.Errorf("store: wal append: %w", err)
+			// Part of the record may be in the log; recovery would stop
+			// there, and every record after it would be lost.
+			if terr := s.wal.Truncate(s.walSize); terr != nil {
+				s.failed = fmt.Errorf("%w; failed stop: truncating the log back: %v", err, terr)
+				return s.failed
+			}
+			return err
 		}
 		if s.opts.Fsync == FsyncAlways {
 			if err := s.wal.Sync(); err != nil {
-				// The write may or may not be durable; the mirror stays
-				// behind it either way, matching replay (which would also
-				// apply the record if it survived).
+				// The write may or may not be durable, and its symbol ids
+				// are rolled back, so a later record would redefine them:
+				// only recovery can say what the log holds.
 				s.syms.rollback(nsyms)
-				return fmt.Errorf("store: wal fsync: %w", err)
+				s.failed = fmt.Errorf("store: failed stop: wal fsync: %w", err)
+				return s.failed
 			}
 		}
+		s.walSize += int64(len(rec))
 		s.walBytes += int64(len(rec))
 	}
 	s.appends++
@@ -637,6 +675,9 @@ func (s *Store) Checkpoint() error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
+	}
+	if s.failed != nil {
+		return s.failed
 	}
 	return s.checkpointLocked()
 }
