@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet vet-bench fmt test race bench bench-regression bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke ci
+.PHONY: build vet vet-bench fmt test race bench bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,8 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# The suite includes TestExperiments, which holds every counter
+# EXPERIMENTS.md reports to testdata/experiments.golden.
 test:
 	$(GO) test ./...
 
@@ -44,23 +46,6 @@ race:
 # compile and run, not a measurement.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Re-run the JSON-emitting experiments and diff against the committed
-# baselines — the same commands the CI bench-regression job runs.
-# Regenerate a baseline deliberately with e.g.
-#   go run ./cmd/sqobench -run P6 -out BENCH_6.json
-bench-regression:
-	mkdir -p bench-out
-	$(GO) run ./cmd/sqobench -run P4 -out bench-out/bench4.json
-	$(GO) run ./cmd/sqobench -run P6 -out bench-out/bench6.json
-	$(GO) run ./cmd/sqobench -run P7 -out bench-out/bench7.json
-	$(GO) run ./cmd/sqobench -run P8 -out bench-out/bench8.json
-	$(GO) run ./cmd/sqobench -run P10 -out bench-out/bench10.json
-	$(GO) run ./cmd/benchdiff -label P4 -baseline BENCH_4.json -current bench-out/bench4.json
-	$(GO) run ./cmd/benchdiff -label P6 -baseline BENCH_6.json -current bench-out/bench6.json
-	$(GO) run ./cmd/benchdiff -label P7 -baseline BENCH_7.json -current bench-out/bench7.json
-	$(GO) run ./cmd/benchdiff -label P8 -peak-mem -baseline BENCH_8.json -current bench-out/bench8.json
-	$(GO) run ./cmd/benchdiff -label P10 -baseline BENCH_10.json -current bench-out/bench10.json
 
 # The end-to-end benchmark (BENCHMARK.json, bench/): every workload —
 # point queries, the mixed run (the one with writes, a live view and a

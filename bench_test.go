@@ -2,7 +2,7 @@ package sqo
 
 // Benchmarks, one per experiment of DESIGN.md's per-experiment index.
 // `go test -bench=. -benchmem` regenerates the performance side of
-// EXPERIMENTS.md; the cmd/sqobench harness prints the full tables.
+// EXPERIMENTS.md; TestExperiments holds its counters.
 
 import (
 	"context"
@@ -227,7 +227,7 @@ func BenchmarkE7TwoCounter(b *testing.B) {
 
 // BenchmarkA1LabelsVsAdorn compares the full pipeline against the
 // core-only algorithm on optimization time (the ablation's evaluation
-// side lives in cmd/sqobench).
+// side is A1 in TestExperiments).
 func BenchmarkA1LabelsVsAdorn(b *testing.B) {
 	p := MustParseProgram(goodPathSrc)
 	ics := MustParseICs(`

@@ -18,7 +18,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updateCompile = flag.Bool("update", false, "rewrite testdata/compile.golden")
+var update = flag.Bool("update", false, "rewrite testdata/compile.golden and testdata/experiments.golden")
 
 // compileInput is one source of the compile corpus: a program with its
 // ic's, parsed from the text a cold request would carry.
@@ -159,7 +159,7 @@ func TestCompileGolden(t *testing.T) {
 	}
 	got := []byte(b.String())
 	path := filepath.Join("testdata", "compile.golden")
-	if *updateCompile {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

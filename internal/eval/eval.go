@@ -123,7 +123,7 @@ type roundLog struct {
 // nothing records an empty map). len(RoundDeltas()) == Iterations after
 // a completed run, and the contents are deterministic like every other
 // counter. This is what makes incremental-maintenance work
-// (internal/incr) comparable with full runs in sqobench and /metrics.
+// (internal/incr) comparable with full runs in /metrics.
 // The maps are built on every call from the evaluation's flat record.
 func (s *Stats) RoundDeltas() []map[string]int64 {
 	if s.rounds.n == 0 {

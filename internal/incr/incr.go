@@ -49,7 +49,7 @@ type Options struct {
 // Stats reports the cumulative work a view has done. Delta passes
 // account join probes through the same counter semantics as
 // eval.Stats.JoinProbes, which is what makes incremental and full runs
-// comparable in sqobench.
+// comparable.
 type Stats struct {
 	InitRounds     int   // fixpoint rounds during Materialize
 	InitTuples     int64 // IDB tuples derived during Materialize

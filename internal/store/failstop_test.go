@@ -6,10 +6,12 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 )
@@ -168,6 +170,145 @@ func TestFailedSyncStopsStore(t *testing.T) {
 	if strings.Contains(facts, chain(20, 1)[0].String()) {
 		t.Fatalf("an append refused after failing stop was recovered: %s", facts)
 	}
+}
+
+// TestFailedAppendDifferential runs a fixed sequence of appends under
+// FsyncAlways and fails, in turn, the write and then the sync of each
+// one. Recovery holds exactly the acknowledged appends. A failed write
+// is cut back off the log and the sequence goes on. A failed sync stops
+// the store: the later appends are refused and log nothing, and the
+// record whose sync failed, written but never acknowledged, survives
+// only as far as the disk kept it. Both disks are checked: one that kept
+// the whole record, and one cut back to the acknowledged bytes, as a
+// power loss before the sync leaves it.
+func TestFailedAppendDifferential(t *testing.T) {
+	const n = 6
+	// Append k adds two facts and retracts the first one append k-1 added.
+	op := func(k int) (adds, dels []ast.Atom) {
+		if k > 0 {
+			dels = chain(10*(k-1), 1)
+		}
+		return chain(10*k, 2), dels
+	}
+	apply := func(state map[string]bool, k int) {
+		adds, dels := op(k)
+		for _, f := range dels {
+			delete(state, f.String())
+		}
+		for _, f := range adds {
+			state[f.String()] = true
+		}
+	}
+	facts := func(state map[string]bool) []ast.Atom {
+		var out []ast.Atom
+		for k := 0; k < n; k++ {
+			for _, f := range chain(10*k, 2) {
+				if state[f.String()] {
+					out = append(out, f)
+				}
+			}
+		}
+		return out
+	}
+	for i := 0; i < n; i++ {
+		for _, fault := range []string{"write", "sync"} {
+			t.Run(fmt.Sprintf("%s-%d", fault, i), func(t *testing.T) {
+				dir := t.TempDir()
+				s, _ := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+				if err := s.AppendDatasetCreate("g", nil); err != nil {
+					t.Fatal(err)
+				}
+				good := s.wal
+				acked := map[string]bool{}
+				for k := 0; k < n; k++ {
+					s.wal = good
+					if k == i && fault == "write" {
+						s.wal = &faultyWAL{walFile: good, writeErr: errors.New("no space left"), partial: 5}
+					} else if k == i {
+						s.wal = &faultyWAL{walFile: good, syncErr: errors.New("EIO")}
+					}
+					adds, dels := op(k)
+					err := s.AppendFacts("g", adds, dels)
+					if wantAck := k != i && (fault == "write" || k < i); (err == nil) != wantAck {
+						t.Fatalf("append %d: err %v, want acknowledged %v", k, err, wantAck)
+					}
+					if err == nil {
+						apply(acked, k)
+					}
+				}
+				ackedBytes, wal := s.walSize, walPath(s)
+				s.wal = good
+				s.Close()
+				if fault == "write" {
+					requireRecovers(t, dir, facts(acked))
+					return
+				}
+				kept := maps.Clone(acked)
+				apply(kept, i)
+				requireRecovers(t, dir, facts(kept))
+				if err := os.Truncate(wal, ackedBytes); err != nil {
+					t.Fatal(err)
+				}
+				requireRecovers(t, dir, facts(acked))
+			})
+		}
+	}
+}
+
+// TestFailedIntervalSyncStopsStore: under FsyncInterval a failed timer
+// sync stops the store — the next append and checkpoint return the
+// error — and a restart recovers every acknowledged fact.
+func TestFailedIntervalSyncStopsStore(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{Fsync: FsyncInterval, FsyncInterval: time.Millisecond})
+	acked := chain(0, 3)
+	if err := s.AppendDatasetCreate("g", acked); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.wal = &faultyWAL{walFile: s.wal, syncErr: errors.New("EIO")}
+	s.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); s.Failed() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the store went on after its interval sync failed")
+		}
+	}
+	if !strings.Contains(s.Failed().Error(), "failed stop") {
+		t.Fatalf("failed with %v", s.Failed())
+	}
+	if err := s.AppendFacts("g", chain(10, 1), nil); err != s.Failed() {
+		t.Fatalf("append after failing stop: %v, want %v", err, s.Failed())
+	}
+	if err := s.Checkpoint(); err != s.Failed() {
+		t.Fatalf("checkpoint after failing stop: %v, want %v", err, s.Failed())
+	}
+	s.Close()
+	requireRecovers(t, dir, acked)
+}
+
+// TestFailedCheckpointSyncStopsStore: a checkpoint whose log sync fails
+// stops the store — it and every later append and checkpoint return the
+// error — and a restart recovers every acknowledged fact.
+func TestFailedCheckpointSyncStopsStore(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	acked := chain(0, 3)
+	if err := s.AppendDatasetCreate("g", acked); err != nil {
+		t.Fatal(err)
+	}
+	s.wal = &faultyWAL{walFile: s.wal, syncErr: errors.New("EIO")}
+	err := s.Checkpoint()
+	if err == nil || s.Failed() != err {
+		t.Fatalf("checkpoint with a failed sync: err %v, failed %v; want the store stopped with that error", err, s.Failed())
+	}
+	if err := s.AppendFacts("g", chain(10, 1), nil); err != s.Failed() {
+		t.Fatalf("append after failing stop: %v, want %v", err, s.Failed())
+	}
+	if err := s.Checkpoint(); err != s.Failed() {
+		t.Fatalf("checkpoint after failing stop: %v, want %v", err, s.Failed())
+	}
+	s.Close()
+	requireRecovers(t, dir, acked)
 }
 
 // walPath is the log s appends to.

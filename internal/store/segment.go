@@ -539,7 +539,8 @@ func (s *Store) checkpointLocked() error {
 	// consistent pair either way.
 	if s.wal != nil {
 		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("syncing wal: %w", err)
+			s.failed = fmt.Errorf("store: failed stop: checkpoint wal fsync: %w", err)
+			return s.failed
 		}
 	}
 

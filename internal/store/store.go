@@ -208,7 +208,8 @@ type walFile interface {
 //
 // A failed append leaves no bytes behind: a failed write is truncated
 // off the log, so the next record follows the last acknowledged one.
-// When that truncate fails, or a sync under FsyncAlways does — after
+// When that truncate fails, or any sync of the log does — under
+// FsyncAlways, on the FsyncInterval timer or before a checkpoint, after
 // which nothing says what reached the disk — the store fails stop: every
 // later append and checkpoint returns the error (Failed), and only a
 // restart, recovering from what the disk holds, appends again.
@@ -280,8 +281,10 @@ func (s *Store) syncLoop() {
 		select {
 		case <-t.C:
 			s.mu.Lock()
-			if s.wal != nil && !s.closed {
-				_ = s.wal.Sync()
+			if s.wal != nil && !s.closed && s.failed == nil {
+				if err := s.wal.Sync(); err != nil {
+					s.failed = fmt.Errorf("store: failed stop: interval wal fsync: %w", err)
+				}
 			}
 			s.mu.Unlock()
 		case <-s.stopSync:
