@@ -3,10 +3,16 @@
 
 GO ?= go
 
-.PHONY: build vet vet-bench fmt test race bench bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke ci
+.PHONY: build cross vet vet-bench fmt test race bench bench-e2e fuzz-smoke incr-smoke lint-smoke serve serve-smoke ci
 
 build:
 	$(GO) build ./...
+
+# The product builds on Windows and macOS too: it has no build-tagged
+# file, so the one path Linux runs is the path every platform builds.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -73,8 +79,9 @@ bench-e2e:
 # from-scratch one), bounded-recursion elimination (against bottom-up
 # and the reference evaluator), view maintenance (a live view against
 # from-scratch evaluation after every add/retract batch), and the store's
-# WAL replay and segment loader (malformed input is ErrCorrupt, never a
-# panic). Long enough to exercise the mutator, short enough for CI;
+# WAL replay and checkpoint reader (FuzzSegment: malformed input is
+# ErrCorrupt, never a panic, and a checkpoint that loads re-encodes to
+# itself). Long enough to exercise the mutator, short enough for CI;
 # sustained campaigns should raise -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s

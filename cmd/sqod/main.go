@@ -16,8 +16,9 @@
 // With -data-dir the daemon is durable: every dataset, fact, and view
 // mutation is appended to a write-ahead log (fsync policy selected by
 // -fsync) before it is acknowledged, the state is periodically
-// checkpointed into an immutable segment file (-checkpoint-every), and
-// on startup the newest checkpoint is loaded and the WAL tail replayed
+// checkpointed into an immutable file of the same records
+// (-checkpoint-every), and on startup the newest checkpoint is read and
+// the WAL tail replayed
 // — registered views are repaired incrementally through the same
 // delete-rederive machinery that maintains them live. A
 // graceful shutdown writes a final checkpoint so the next start
@@ -146,7 +147,7 @@ func main() {
 
 	serve(logger, *addr, srv.Handler(), *drain, func() error {
 		// All mutations drained; flush a final checkpoint so the next
-		// start opens a segment with an empty WAL tail instead of
+		// start reads a checkpoint with an empty WAL tail instead of
 		// replaying the whole log.
 		if st == nil {
 			return nil

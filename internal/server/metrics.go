@@ -75,7 +75,7 @@ type Metrics struct {
 	// Durable store instrumentation; both are set once before the
 	// handler serves (nil / zero when running in-memory). StoreStats
 	// reads the store's live counters at scrape time.
-	StoreStats      func() (walAppends, walBytes, checkpoints int64)
+	StoreStats      func() (walAppends, walBytes, checkpoints, checkpointFailures int64)
 	RecoverySeconds float64
 
 	mu        sync.Mutex
@@ -206,10 +206,11 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	counter("sqod_fact_updates_total", "Dataset mutations applied.", m.FactUpdates.Load())
 	counter("sqod_view_applies_total", "Incremental maintenance passes pushed to views.", m.ViewApplies.Load())
 	if m.StoreStats != nil {
-		appends, bytes, checkpoints := m.StoreStats()
+		appends, bytes, checkpoints, ckptFailures := m.StoreStats()
 		counter("sqod_wal_appends_total", "Operations appended to the write-ahead log.", appends)
 		counter("sqod_wal_bytes_total", "Bytes appended to the write-ahead log (framing included).", bytes)
-		counter("sqod_checkpoints_total", "Checkpoint segments written.", checkpoints)
+		counter("sqod_checkpoints_total", "Checkpoints written.", checkpoints)
+		counter("sqod_checkpoint_failures_total", "Automatic checkpoints that failed (the append was acknowledged).", ckptFailures)
 		fmt.Fprintf(&b, "# HELP sqod_recovery_seconds Wall-clock seconds spent recovering durable state at startup.\n# TYPE sqod_recovery_seconds gauge\nsqod_recovery_seconds %.6f\n",
 			m.RecoverySeconds)
 	}

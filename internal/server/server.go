@@ -153,9 +153,9 @@ func New(cfg Config) *Server {
 		datasets: &datasetStore{byName: map[string]*dataset{}},
 	}
 	if s.store != nil {
-		m.StoreStats = func() (int64, int64, int64) {
+		m.StoreStats = func() (int64, int64, int64, int64) {
 			c := s.store.Counters()
-			return c.Appends, c.Bytes, c.Checkpoints
+			return c.Appends, c.Bytes, c.Checkpoints, c.CheckpointFailures
 		}
 		if cfg.Recovered != nil {
 			restore := func() {

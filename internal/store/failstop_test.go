@@ -323,3 +323,118 @@ func walLen(t *testing.T, s *Store) int64 {
 	}
 	return fi.Size()
 }
+
+// TestAutoCheckpointFailureAcksAppend: an automatic checkpoint runs
+// after its append's record is in the log and the mirror, so its failure
+// does not fail the append. One that stops the store (here the log's
+// sync) shows in Failed and fails the next append; restarting recovers
+// the acknowledged fact. Any other failure (here the checkpoint file's
+// write) leaves the store appending and is retried after as many records
+// again. Either failure is counted in Counters.
+func TestAutoCheckpointFailureAcksAppend(t *testing.T) {
+	t.Run("stop", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, CheckpointEvery: 2})
+		acked := chain(0, 2)
+		if err := s.AppendDatasetCreate("g", acked); err != nil {
+			t.Fatal(err)
+		}
+		s.wal = &faultyWAL{walFile: s.wal, syncErr: errors.New("EIO")}
+		if err := s.AppendFacts("g", chain(10, 1), nil); err != nil {
+			t.Fatalf("append whose auto-checkpoint failed: %v, want it acknowledged", err)
+		}
+		acked = append(acked, chain(10, 1)...)
+		if s.Failed() == nil || !strings.Contains(s.Failed().Error(), "failed stop") {
+			t.Fatalf("failed = %v, want the store stopped", s.Failed())
+		}
+		if c := s.Counters(); c.CheckpointFailures != 1 {
+			t.Fatalf("checkpoint failures = %d, want 1", c.CheckpointFailures)
+		}
+		if err := s.AppendFacts("g", chain(20, 1), nil); err != s.Failed() {
+			t.Fatalf("append after failing stop: %v, want %v", err, s.Failed())
+		}
+		s.Close()
+		requireRecovers(t, dir, acked)
+	})
+	t.Run("retry", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever, CheckpointEvery: 2})
+		acked := chain(0, 2)
+		if err := s.AppendDatasetCreate("g", acked); err != nil {
+			t.Fatal(err)
+		}
+		s.writeFile = func(path string, data []byte) error {
+			if strings.HasPrefix(filepath.Base(path), ckptPrefix) {
+				return errors.New("no space left")
+			}
+			return writeFileAtomic(path, data)
+		}
+		for i, batch := range [][]ast.Atom{chain(10, 1), chain(20, 1), chain(30, 1)} {
+			if i == 1 {
+				s.writeFile = writeFileAtomic
+			}
+			if err := s.AppendFacts("g", batch, nil); err != nil || s.Failed() != nil {
+				t.Fatalf("append %d: err %v, failed %v", i, err, s.Failed())
+			}
+			acked = append(acked, batch...)
+		}
+		if c := s.Counters(); c.Checkpoints != 1 || c.CheckpointFailures != 1 {
+			t.Fatalf("checkpoints = %d, failures = %d; want the second threshold's, and the first's failure", c.Checkpoints, c.CheckpointFailures)
+		}
+		s.Close()
+		requireRecovers(t, dir, acked)
+	})
+}
+
+// TestFailedManifestStopsStore: a checkpoint whose manifest write fails
+// stops the store, whether the new manifest reached the disk or not —
+// if it did, recovery reads the new, empty WAL, and an append to the old
+// one would be acknowledged and lost. A failure before the manifest (the
+// checkpoint file's write) leaves the old pair current, and the store
+// goes on appending to it. Every acknowledged fact is recovered.
+func TestFailedManifestStopsStore(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fail     string // the file whose write fails
+		landed   bool   // the write reached the disk before it failed
+		stopping bool
+	}{
+		{"manifest-lost", manifestName, false, true},
+		{"manifest-landed", manifestName, true, true},
+		{"checkpoint-file", ckptPrefix, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			acked := chain(0, 3)
+			if err := s.AppendDatasetCreate("g", acked); err != nil {
+				t.Fatal(err)
+			}
+			s.writeFile = func(path string, data []byte) error {
+				if !strings.HasPrefix(filepath.Base(path), tc.fail) {
+					return writeFileAtomic(path, data)
+				}
+				if tc.landed {
+					if err := writeFileAtomic(path, data); err != nil {
+						return err
+					}
+				}
+				return errors.New("EIO")
+			}
+			err := s.Checkpoint()
+			s.writeFile = writeFileAtomic
+			if err == nil || (s.Failed() == err) != tc.stopping {
+				t.Fatalf("checkpoint: err %v, failed %v; want stopped %v", err, s.Failed(), tc.stopping)
+			}
+			err = s.AppendFacts("g", chain(10, 1), nil)
+			if tc.stopping && err != s.Failed() || !tc.stopping && err != nil {
+				t.Fatalf("append after the failed checkpoint: %v, failed %v", err, s.Failed())
+			}
+			if err == nil {
+				acked = append(acked, chain(10, 1)...)
+			}
+			s.Close()
+			requireRecovers(t, dir, acked)
+		})
+	}
+}

@@ -32,7 +32,7 @@ func FuzzWAL(f *testing.F) {
 		{kind: opViewDrop, ds: st.internStr("d"), view: st.internStr("v")},
 		{kind: opDatasetDelete, ds: st.internStr("d")},
 	} {
-		good = append(good, frame(encodePayload(op, st, 0))...)
+		good = appendRecord(good, op, st.syms, 0)
 	}
 	f.Add(good)
 	f.Add(good[:len(good)-3])            // torn tail
@@ -72,7 +72,7 @@ func FuzzWAL(f *testing.F) {
 			pub := publicFields(op, st2)
 			n := len(st3.syms)
 			op2 := reintern(pub, st3)
-			reenc = append(reenc, frame(encodePayload(op2, st3, n))...)
+			reenc = appendRecord(reenc, op2, st3.syms[n:], n)
 		}
 		res3 := replay(reenc, newSymtab())
 		if res3.records != res.records || res3.truncated != nil {
@@ -93,7 +93,10 @@ type pubOp struct {
 }
 
 func publicFields(op *iop, st *symtab) pubOp {
-	p := pubOp{kind: op.kind, ds: st.str(op.ds), prog: op.prog, ics: op.ics, optimized: op.optimized}
+	p := pubOp{kind: op.kind, prog: op.prog, ics: op.ics, optimized: op.optimized}
+	if op.kind != opSymbols && op.kind != opEnd {
+		p.ds = st.str(op.ds)
+	}
 	if op.kind == opViewRegister || op.kind == opViewDrop {
 		p.view = st.str(op.view)
 	}
@@ -116,43 +119,63 @@ func reintern(p pubOp, st *symtab) *iop {
 	return op
 }
 
-// FuzzSegment drives arbitrary bytes through the checkpoint-segment
-// loader: same contract as FuzzWAL — clean ErrCorrupt errors, never a
-// panic, and valid segments load completely.
+// FuzzSegment drives arbitrary bytes through the checkpoint loader (the
+// name is the one the fuzz jobs run): never a panic, every failure an
+// ErrCorrupt, a checkpoint that loads re-encodes to a canonical image
+// that loads back to itself — encode(load(x)) is a fixpoint — and no cut
+// of it between two records loads.
 func FuzzSegment(f *testing.F) {
 	s, _, err := Open("", Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
+	_ = s.AppendDatasetCreate("gone", []ast.Atom{ast.NewAtom("p", ast.S("x"))})
 	_ = s.AppendDatasetCreate("d", []ast.Atom{
 		ast.NewAtom("edge", ast.S("a"), ast.S("b")),
 		ast.NewAtom("w", ast.N(2.25)),
 	})
-	_ = s.AppendViewRegister("d", ViewDef{Name: "v", Program: "q(X) :- edge(X, Y).\n?- q.\n"})
-	good := s.encodeSegment()
+	_ = s.AppendViewRegister("d", ViewDef{Name: "v", Program: "q(X) :- edge(X, Y).\n?- q.\n", Optimized: true})
+	_ = s.AppendDatasetDelete("gone")
+	good := s.encodeCheckpoint()
 	f.Add(good)
-	f.Add(good[:len(good)-6])
+	f.Add(good[:len(good)-6])  // torn
+	f.Add(good[:len(good)-10]) // cut before the end record
 	mangled := append([]byte{}, good...)
 	mangled[10] ^= 0x40
-	f.Add(mangled)
-	f.Add([]byte("sqos"))
+	f.Add(mangled) // CRC mismatch
+	f.Add([]byte("sqos\x02\x00\x00\x00"))
+	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	load := func(data []byte) (*Store, error) {
 		fresh := &Store{syms: newSymtab(), datasets: map[string]*dsState{}}
-		if err := fresh.loadSegment(data); err != nil {
+		return fresh, fresh.loadCheckpoint(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, err := load(data)
+		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("segment error does not wrap ErrCorrupt: %v", err)
+				t.Fatalf("checkpoint error does not wrap ErrCorrupt: %v", err)
 			}
 			return
 		}
-		// A segment that loads must re-encode to a canonical image that
-		// round-trips to itself: encode(load(x)) is a fixpoint.
-		enc1 := fresh.encodeSegment()
-		again := &Store{syms: newSymtab(), datasets: map[string]*dsState{}}
-		if err := again.loadSegment(enc1); err != nil {
-			t.Fatalf("re-encoded segment fails to load: %v", err)
+		for off := 0; ; {
+			_, size, _ := decodeRecord(data[off:])
+			if off += size; off >= len(data) {
+				break
+			}
+			if _, err := load(data[:off]); err == nil {
+				t.Fatalf("checkpoint cut after %d of %d bytes loads", off, len(data))
+			}
 		}
-		if enc2 := again.encodeSegment(); !bytes.Equal(enc1, enc2) {
+		enc1 := fresh.encodeCheckpoint()
+		again, err := load(enc1)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint fails to load: %v", err)
+		}
+		if diff := fresh.DiffState(again); diff != "" {
+			t.Fatalf("re-encoded checkpoint loads to another state: %s", diff)
+		}
+		if enc2 := again.encodeCheckpoint(); !bytes.Equal(enc1, enc2) {
 			t.Fatalf("encode/load/encode is not a fixpoint: %d vs %d bytes", len(enc1), len(enc2))
 		}
 	})

@@ -1,18 +1,19 @@
 // Package store is sqod's persistence subsystem: a write-ahead log
-// plus immutable checkpoint segments underneath the interned row
-// representation that the compiled-plan engine evaluates over.
+// plus immutable checkpoints underneath the interned row representation
+// that the compiled-plan engine evaluates over.
 //
 // The durable state is the mutable-dataset surface of the server —
 // named datasets of ground facts and the views registered on them.
 // Every mutation is appended to the WAL as one checksummed record
 // (wal.go) before it is acknowledged; rows travel in the interned
 // []uint32 format against a persistent symbol table. At checkpoint the
-// whole state is written as an immutable, memory-mappable segment file
-// (segment.go) — flat little-endian row images and the symbol table —
-// after which the WAL is truncated. Recovery loads the newest segment and replays the WAL
-// tail; a torn or corrupt tail ends the log at the last complete
-// record, so an acknowledged operation is never lost and a partially
-// written one never partially applies.
+// whole state is written as a file of the same records (checkpoint.go)
+// — the symbol table, then each dataset's creation, views and facts —
+// after which the WAL is truncated. Recovery reads the newest checkpoint
+// and then the WAL tail with one decoder; the checkpoint must decode
+// completely, while a torn or corrupt tail ends the log at the last
+// complete record, so an acknowledged operation is never lost and a
+// partially written one never partially applies.
 //
 // The Store also maintains the recovered state in memory (datasets →
 // predicates → deduplicated interned rows), which is what checkpoints
@@ -26,7 +27,6 @@ package store
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -81,9 +81,11 @@ type Options struct {
 	// FsyncInterval is the timer period under FsyncInterval (default
 	// 100ms).
 	FsyncInterval time.Duration
-	// CheckpointEvery writes a checkpoint segment and truncates the WAL
-	// after this many appended records (0 = only explicit Checkpoint
-	// calls).
+	// CheckpointEvery writes a checkpoint and truncates the WAL after
+	// this many appended records (0 = only explicit Checkpoint calls). A
+	// failed automatic checkpoint does not fail the append that ran it:
+	// one that stops the store shows in Failed and the next append, any
+	// other is retried after as many records again.
 	CheckpointEvery int
 }
 
@@ -91,7 +93,10 @@ type Options struct {
 type Counters struct {
 	Appends     int64 // WAL records appended
 	Bytes       int64 // WAL bytes appended (framing included)
-	Checkpoints int64 // segments written
+	Checkpoints int64 // checkpoints written
+	// Automatic checkpoints that failed; the appends that ran them were
+	// acknowledged all the same (see Options.CheckpointEvery).
+	CheckpointFailures int64
 }
 
 // ViewDef is the durable description of one registered view: enough
@@ -210,9 +215,11 @@ type walFile interface {
 // off the log, so the next record follows the last acknowledged one.
 // When that truncate fails, or any sync of the log does — under
 // FsyncAlways, on the FsyncInterval timer or before a checkpoint, after
-// which nothing says what reached the disk — the store fails stop: every
-// later append and checkpoint returns the error (Failed), and only a
-// restart, recovering from what the disk holds, appends again.
+// which nothing says what reached the disk — or a checkpoint's manifest
+// write does, after which nothing says which log recovery reads, the
+// store fails stop: every later append and checkpoint returns the error
+// (Failed), and only a restart, recovering from what the disk holds,
+// appends again.
 type Store struct {
 	mu   sync.Mutex
 	dir  string // "" = ephemeral (no I/O)
@@ -221,17 +228,21 @@ type Store struct {
 	syms     *symtab
 	datasets map[string]*dsState
 
-	wal     walFile
-	walSize int64 // bytes of wal: where the next record starts
-	walName string
-	segName string
-	seq     uint64 // generation counter for wal/segment file names
-	failed  error  // non-nil once the store failed stop
+	wal      walFile
+	walSize  int64 // bytes of wal: where the next record starts
+	walName  string
+	ckptName string
+	seq      uint64 // generation counter for wal/checkpoint file names
+	failed   error  // non-nil once the store failed stop
 
-	appends     int64
-	walBytes    int64
-	checkpoints int64
-	sinceCkpt   int
+	// writeFile is writeFileAtomic, but in tests that fail a write.
+	writeFile func(path string, data []byte) error
+
+	appends      int64
+	walBytes     int64
+	checkpoints  int64
+	ckptFailures int64
+	sinceCkpt    int
 
 	closed   bool
 	stopSync chan struct{}
@@ -239,7 +250,7 @@ type Store struct {
 }
 
 // Open opens (or initializes) a store rooted at dir and recovers its
-// state: newest checkpoint segment first, then the WAL tail. An empty
+// state: newest checkpoint first, then the WAL tail. An empty
 // dir yields an ephemeral in-memory store (no files, no fsync), whose
 // mirror and statistics behave identically.
 func Open(dir string, opts Options) (*Store, *Recovered, error) {
@@ -248,10 +259,11 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		opts.FsyncInterval = 100 * time.Millisecond
 	}
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		syms:     newSymtab(),
-		datasets: map[string]*dsState{},
+		dir:       dir,
+		opts:      opts,
+		syms:      newSymtab(),
+		datasets:  map[string]*dsState{},
+		writeFile: writeFileAtomic,
 	}
 	rec := &Recovered{}
 	if dir == "" {
@@ -297,7 +309,7 @@ func (s *Store) syncLoop() {
 func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Counters{Appends: s.appends, Bytes: s.walBytes, Checkpoints: s.checkpoints}
+	return Counters{Appends: s.appends, Bytes: s.walBytes, Checkpoints: s.checkpoints, CheckpointFailures: s.ckptFailures}
 }
 
 // Failed returns the error that stopped the store, or nil while it
@@ -393,7 +405,9 @@ func (s *Store) AppendViewDrop(dataset, view string) error {
 // policy, applies it to the in-memory mirror, and auto-checkpoints
 // when the configured record count is reached. The operation is
 // durable (per the policy) when append returns nil; on error nothing
-// is applied, and a failed store (see Store) returns its error.
+// is applied, and a failed store (see Store) returns its error. The
+// auto-checkpoint's own error is not the operation's: the record is in
+// the log and the mirror by then (see Options.CheckpointEvery).
 func (s *Store) append(build func(*symtab) *iop) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,7 +420,7 @@ func (s *Store) append(build func(*symtab) *iop) error {
 	nsyms := len(s.syms.syms)
 	op := build(s.syms)
 	if s.wal != nil {
-		rec := frame(encodePayload(op, s.syms, nsyms))
+		rec := appendRecord(make([]byte, 0, 256), op, s.syms.syms[nsyms:], nsyms)
 		if _, err := s.wal.Write(rec); err != nil {
 			s.syms.rollback(nsyms)
 			err = fmt.Errorf("store: wal append: %w", err)
@@ -434,10 +448,8 @@ func (s *Store) append(build func(*symtab) *iop) error {
 	s.appends++
 	s.apply(op)
 	s.sinceCkpt++
-	if s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery {
-		if err := s.checkpointLocked(); err != nil {
-			return fmt.Errorf("store: auto-checkpoint: %w", err)
-		}
+	if s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery && s.checkpointLocked() != nil {
+		s.ckptFailures++
 	}
 	return nil
 }
@@ -446,6 +458,9 @@ func (s *Store) append(build func(*symtab) *iop) error {
 // live path with freshly encoded ones, so mirror state is always a
 // pure function of the durable operation sequence.
 func (s *Store) apply(op *iop) {
+	if op.kind == opSymbols || op.kind == opEnd {
+		return
+	}
 	name := s.syms.str(op.ds)
 	switch op.kind {
 	case opDatasetCreate:
@@ -476,7 +491,8 @@ func (s *Store) apply(op *iop) {
 }
 
 // applyFacts applies retractions then insertions. A fact in both lists
-// is a no-op.
+// is a no-op. A predicate whose last row leaves is dropped, so it
+// forgets its arity, as the server's dataset does.
 func (s *Store) applyFacts(ds *dsState, adds, dels []ifact) {
 	if len(dels) > 0 {
 		inAdds := make(map[uint32]map[string]bool)
@@ -490,8 +506,12 @@ func (s *Store) applyFacts(ds *dsState, adds, dels []ifact) {
 		}
 		for _, f := range dels {
 			k := rowKey(f.row)
-			if ps := ds.preds[s.syms.str(f.pred)]; ps != nil && !inAdds[f.pred][k] {
+			pname := s.syms.str(f.pred)
+			if ps := ds.preds[pname]; ps != nil && !inAdds[f.pred][k] {
 				delete(ps.rows, k)
+				if len(ps.rows) == 0 {
+					delete(ds.preds, pname)
+				}
 			}
 		}
 	}
@@ -532,14 +552,19 @@ func (s *Store) Facts(dataset string) []ast.Atom {
 	return s.factsLocked(ds)
 }
 
-func (s *Store) factsLocked(ds *dsState) []ast.Atom {
+// sortedPreds returns a dataset's predicate names, sorted.
+func sortedPreds(ds *dsState) []string {
 	preds := make([]string, 0, len(ds.preds))
 	for p := range ds.preds {
 		preds = append(preds, p)
 	}
 	sort.Strings(preds)
+	return preds
+}
+
+func (s *Store) factsLocked(ds *dsState) []ast.Atom {
 	var out []ast.Atom
-	for _, p := range preds {
+	for _, p := range sortedPreds(ds) {
 		ps := ds.preds[p]
 		pred := s.syms.internStr(p) // known: no new id
 		for _, row := range ps.sortedRows() {
@@ -598,26 +623,11 @@ func (s *Store) DiffState(o *Store) string {
 			return fmt.Sprintf("dataset %s views %v vs %v", name, av, bv)
 		}
 		s.mu.Lock()
-		preds := make([]string, 0)
-		for p := range s.datasets[name].preds {
-			preds = append(preds, p)
-		}
+		preds := sortedPreds(s.datasets[name])
 		s.mu.Unlock()
 		o.mu.Lock()
-		for p := range o.datasets[name].preds {
-			found := false
-			for _, q := range preds {
-				if q == p {
-					found = true
-					break
-				}
-			}
-			if !found {
-				preds = append(preds, p)
-			}
-		}
+		preds = append(preds, sortedPreds(o.datasets[name])...) // a name twice compares twice
 		o.mu.Unlock()
-		sort.Strings(preds)
 		for _, p := range preds {
 			ar, br := s.Rows(name, p), o.Rows(name, p)
 			if fmt.Sprint(ar) != fmt.Sprint(br) {
@@ -670,7 +680,7 @@ func (s *Store) publicOp(op *iop) Op {
 	return out
 }
 
-// Checkpoint writes the current state as an immutable segment,
+// Checkpoint writes the current state as an immutable checkpoint,
 // truncates the WAL, and updates the manifest. Ephemeral stores only
 // reset the auto-checkpoint counter.
 func (s *Store) Checkpoint() error {
@@ -683,8 +693,4 @@ func (s *Store) Checkpoint() error {
 		return s.failed
 	}
 	return s.checkpointLocked()
-}
-
-func filename(dir, prefix string, seq uint64, ext string) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-%06d%s", prefix, seq, ext))
 }

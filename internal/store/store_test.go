@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,8 +76,8 @@ func TestReopenRoundTrip(t *testing.T) {
 	}
 }
 
-// Checkpointing moves the state into a segment, truncates the WAL, and
-// recovery from the segment alone is bit-identical — interned rows
+// Checkpointing moves the state into a checkpoint, truncates the WAL,
+// and recovery from the checkpoint alone is bit-identical — interned rows
 // included, which depend on the symbol ids the WAL history assigned.
 func TestCheckpointAndSegmentRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -102,9 +105,18 @@ func TestCheckpointAndSegmentRecovery(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A checkpoint of the retired segment format that the manifest no
+	// longer names (an older version crashed mid-checkpoint) is garbage.
+	leftover := filepath.Join(dir, "seg-000001.sqos")
+	if err := os.WriteFile(leftover, []byte("sqos"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	r, rec := mustOpen(t, dir, Options{})
 	defer r.Close()
+	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+		t.Fatalf("leftover segment after recovery: %v", err)
+	}
 	if len(rec.Datasets) != 1 || rec.Datasets[0].Name != "big" || len(rec.Datasets[0].Facts) != 400 {
 		t.Fatalf("checkpoint base: %d datasets", len(rec.Datasets))
 	}
@@ -119,67 +131,211 @@ func TestCheckpointAndSegmentRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoverVersion1Segment: testdata/v1 is a store whose last
-// checkpoint was written in segment format 1, with one distinct-value
-// sketch per column — in exact and in spilled mode — between each
-// predicate's header and its rows. It recovers to the rows and views of
-// a store that ran the same operations, sketches skipped, and its next
-// checkpoint is written in format 2, without them.
-func TestRecoverVersion1Segment(t *testing.T) {
+// TestCheckpointReproducesStore: a checkpoint recovers to the state of
+// a store that ran the same operations without one — interned rows
+// included — and the next record the recovered store appends is the
+// one the uninterrupted store appends, byte for byte. That holds also
+// when every dataset was deleted before the checkpoint: the checkpoint
+// still defines their symbols, so no id is reassigned.
+func TestCheckpointReproducesStore(t *testing.T) {
+	for _, deleteAll := range []bool{false, true} {
+		t.Run(fmt.Sprintf("deleteAll=%v", deleteAll), func(t *testing.T) {
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			run := func(s *Store) {
+				must(s.AppendDatasetCreate("g", []ast.Atom{edge("a", "b"), edge("b", "c"), fact("weight", ast.S("a"), ast.N(1.5))}))
+				must(s.AppendDatasetCreate("h", []ast.Atom{fact("flag"), fact("p", ast.N(-2))}))
+				must(s.AppendViewRegister("g", ViewDef{Name: "tc", Program: "tc(X, Y) :- edge(X, Y).\n?- tc.\n", ICs: ":- edge(X, X).", Optimized: true}))
+				must(s.AppendViewRegister("g", ViewDef{Name: "bare", Program: "b(X) :- edge(X, Y).\n?- b.\n"}))
+				must(s.AppendFacts("g", []ast.Atom{edge("c", "d")}, []ast.Atom{edge("a", "b")}))
+				if deleteAll {
+					must(s.AppendDatasetDelete("g"))
+					must(s.AppendDatasetDelete("h"))
+				}
+			}
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, Options{})
+			run(s)
+			must(s.Checkpoint())
+			must(s.Close())
+			live, _ := mustOpen(t, t.TempDir(), Options{})
+			defer live.Close()
+			run(live)
+
+			r, rec := mustOpen(t, dir, Options{})
+			defer r.Close()
+			if rec.WALRecords != 0 || len(rec.Tail) != 0 {
+				t.Fatalf("recovered a tail after a checkpoint: %+v", rec)
+			}
+			if diff := live.DiffState(r); diff != "" {
+				t.Fatalf("recovered state differs: %s", diff)
+			}
+			// A record that reuses old symbols and brings a new one.
+			next := func(s *Store) []byte {
+				t.Helper()
+				at := s.walSize
+				must(s.AppendDatasetCreate("k", []ast.Atom{edge("b", "c"), edge("c", "new"), fact("p", ast.N(-2))}))
+				data, err := os.ReadFile(walPath(s))
+				must(err)
+				return data[at:]
+			}
+			if want, got := next(live), next(r); !bytes.Equal(want, got) {
+				t.Fatalf("next record after recovery:\n got %x\nwant %x", got, want)
+			}
+		})
+	}
+}
+
+// TestCheckpointSplitsRecords: a dataset too big for one record is
+// written as several fact records, and its symbols as several symbols
+// records, each payload under ckptRecordLen, and recovers whole.
+func TestCheckpointSplitsRecords(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"MANIFEST", "seg-000002.sqos", "wal-000002.log"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	var facts []ast.Atom
+	for i := 0; i < 12000; i++ {
+		facts = append(facts, fact("n", ast.N(float64(i)), ast.S(fmt.Sprintf("v%d", i%7))))
 	}
-	r, rec := mustOpen(t, dir, Options{})
-	defer r.Close()
-	if rec.WALRecords != 0 || len(rec.Datasets) != 2 {
-		t.Fatalf("recovered: %+v", rec)
+	if err := s.AppendDatasetCreate("big", facts); err != nil {
+		t.Fatal(err)
 	}
-
-	// The operations the fixture's store ran before its checkpoint.
-	want, _ := mustOpen(t, "", Options{})
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	must(want.AppendDatasetCreate("g", []ast.Atom{edge("a", "b"), edge("b", "c"), edge("c", "d"), fact("weight", ast.S("a"), ast.N(1.5))}))
-	var ns []ast.Atom
-	for i := 0; i < 200; i++ { // 200 values in column 0: a spilled sketch
-		ns = append(ns, fact("n", ast.N(float64(i)), ast.S(fmt.Sprintf("v%d", i%7))))
-	}
-	must(want.AppendFacts("g", ns, nil))
-	must(want.AppendViewRegister("g", ViewDef{Name: "tc", Program: "tc(X, Y) :- edge(X, Y).\ntc(X, Z) :- edge(X, Y), tc(Y, Z).\n?- tc.\n", ICs: ":- edge(X, X).", Optimized: true}))
-	must(want.AppendFacts("g", nil, []ast.Atom{edge("a", "b"), fact("n", ast.N(3), ast.S("v3"))}))
-	must(want.AppendDatasetCreate("h", []ast.Atom{fact("flag"), fact("p", ast.N(-2))}))
-	if diff := want.DiffState(r); diff != "" {
-		t.Fatalf("version-1 segment recovered to a different state: %s", diff)
-	}
-	if got := len(r.Rows("g", "n")); got != 199 {
-		t.Fatalf("n has %d rows, want 199", got)
-	}
-
-	must(r.Checkpoint())
-	seg, err := os.ReadFile(filepath.Join(dir, r.segName))
+	data, err := os.ReadFile(filepath.Join(dir, s.ckptName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(seg[4:]); v != segVersion {
-		t.Fatalf("checkpoint wrote format %d, want %d", v, segVersion)
+	st, kinds := newSymtab(), map[opKind]int{}
+	for off := 0; off < len(data); {
+		payload, size, err := decodeRecord(data[off:])
+		if err != nil || size == 0 {
+			t.Fatalf("record at %d: size %d, %v", off, size, err)
+		}
+		if len(payload) >= ckptRecordLen {
+			t.Fatalf("record at %d: payload of %d bytes", off, len(payload))
+		}
+		op, err := decodePayload(payload, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[op.kind]++
+		off += size
 	}
-	again, _ := mustOpen(t, "", Options{})
-	if err := again.loadSegment(seg); err != nil {
+	if kinds[opFacts] < 3 || kinds[opSymbols] < 2 || kinds[opDatasetCreate] != 1 || kinds[opEnd] != 1 {
+		t.Fatalf("records by kind: %v; want >= 3 fact records, >= 2 symbols records, 1 create, 1 end", kinds)
+	}
+	r, _ := mustOpen(t, dir, Options{})
+	defer r.Close()
+	if diff := s.DiffState(r); diff != "" {
+		t.Fatalf("recovered state differs: %s", diff)
+	}
+	if n := len(r.Facts("big")); n != len(facts) {
+		t.Fatalf("recovered %d facts, want %d", n, len(facts))
+	}
+}
+
+// TestCheckpointReadIsStrict: a checkpoint must decode whole and end
+// with its one end record. A torn or corrupted one, one cut between any
+// two records, an empty one and one with a second end record fail Open
+// with ErrCorrupt, and a checkpoint in the retired "sqos" segment format
+// fails it with an error naming the format; Open returns no store
+// either way.
+func TestCheckpointReadIsStrict(t *testing.T) {
+	src := t.TempDir()
+	s, _ := mustOpen(t, src, Options{})
+	if err := s.AppendDatasetCreate("d", []ast.Atom{fact("p", ast.N(1)), fact("p", ast.N(2))}); err != nil {
 		t.Fatal(err)
 	}
-	if diff := want.DiffState(again); diff != "" {
-		t.Fatalf("format-2 rewrite recovered to a different state: %s", diff)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	good, err := os.ReadFile(filepath.Join(src, s.ckptName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte{}, good...)
+	flipped[len(flipped)-1] ^= 0xff
+	end := good[len(good)-10:]
+	type strictCase struct {
+		name, want string
+		data       []byte
+	}
+	cases := []strictCase{
+		{"torn", "torn record", good[:len(good)-3]},
+		{"corrupt", "CRC mismatch", flipped},
+		{"two-ends", "end record at 4 of 5", append(append([]byte{}, good...), end...)},
+		{"sqos", `seg-000002.sqos is a "sqos" segment`, append([]byte("sqos\x02\x00\x00\x00"), make([]byte, 16)...)},
+	}
+	// Cut before each record: symbols, create, facts, end.
+	for off, i := 0, 0; off < len(good); i++ {
+		cases = append(cases, strictCase{fmt.Sprintf("cut-%d", i), fmt.Sprintf("no end record after %d records", i), good[:off]})
+		_, size, _ := decodeRecord(good[off:])
+		off += size
+	}
+	if len(cases) != 8 {
+		t.Fatalf("checkpoint of %d records, want 4", len(cases)-4)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			name := s.ckptName
+			if tc.name == "sqos" {
+				name = "seg-000002.sqos"
+			}
+			m := manifest{seq: 2, ckpt: name, wal: s.walName}
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(m.render()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, rec, err := Open(dir, Options{})
+			if st != nil || rec != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, %v, %v; want no store and an error naming %q", st, rec, err, tc.want)
+			}
+			if corrupt := errors.Is(err, ErrCorrupt); corrupt != (tc.name != "sqos") {
+				t.Fatalf("errors.Is(%v, ErrCorrupt) = %v", err, corrupt)
+			}
+		})
+	}
+}
+
+// TestEmptiedPredicateChangesArity: once every fact of a predicate
+// leaves, the predicate may come back at another arity — the server's
+// dataset allows it, and so must the mirror a checkpoint is written
+// from, or the checkpoint drops the new facts.
+func TestEmptiedPredicateChangesArity(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	if err := s.AppendDatasetCreate("d", []ast.Atom{fact("p", ast.N(1), ast.N(2))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendFacts("d", []ast.Atom{fact("p", ast.N(3))}, []ast.Atom{fact("p", ast.N(1), ast.N(2))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendFacts("d", nil, []ast.Atom{fact("p", ast.N(3))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendFacts("d", []ast.Atom{fact("p", ast.N(4), ast.N(5), ast.N(6))}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(s.Facts("d")); got != "[p(4, 5, 6)]" {
+		t.Fatalf("facts = %s", got)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	r, _ := mustOpen(t, dir, Options{})
+	defer r.Close()
+	if got := fmt.Sprint(r.Facts("d")); got != "[p(4, 5, 6)]" {
+		t.Fatalf("recovered facts = %s", got)
 	}
 }
 

@@ -1,8 +1,10 @@
 package store
 
-// Write-ahead log encoding. The WAL is a flat sequence of framed
-// records, each one complete logical operation (dataset create/delete,
-// fact assert/retract batch, view register/drop):
+// Record encoding, the store's one on-disk format. The WAL is a flat
+// sequence of framed records, each one complete logical operation
+// (dataset create/delete, fact assert/retract batch, view
+// register/drop); a checkpoint (checkpoint.go) is a file of the same
+// records, read by the same decoder:
 //
 //	uint32 LE  payload length
 //	uint32 LE  CRC32 (IEEE) of the payload
@@ -20,6 +22,10 @@ package store
 //	  nsyms × { uvarint id, byte kind, num: 8B LE float bits | str: uvarint len + bytes }
 //	...op fields (uvarint symbol ids, uvarint counts, length-prefixed
 //	   source strings for view programs)...
+//
+// A symbols record (opSymbols) is the definitions alone, with no
+// operation fields, and an end record (opEnd) closes a checkpoint;
+// only checkpoints write either.
 //
 // One record is one atomic unit: either its CRC verifies and the whole
 // operation (including its symbol definitions) applies, or recovery
@@ -39,9 +45,10 @@ import (
 	"repro/internal/ast"
 )
 
-// ErrCorrupt is wrapped by every WAL and segment decoding error caused
-// by malformed bytes (as opposed to I/O failures). Recovery treats a
-// corrupt record as the end of the log; FuzzWAL asserts arbitrary
+// ErrCorrupt is wrapped by every WAL and checkpoint decoding error
+// caused by malformed bytes (as opposed to I/O failures). Recovery
+// treats a corrupt record as the end of the log and a corrupt
+// checkpoint as a failed Open; FuzzWAL and FuzzSegment assert arbitrary
 // input yields this error or decodes cleanly, never panics.
 var ErrCorrupt = errors.New("store: corrupt data")
 
@@ -58,6 +65,8 @@ const (
 	opFacts         opKind = 3
 	opViewRegister  opKind = 4
 	opViewDrop      opKind = 5
+	opSymbols       opKind = 6
+	opEnd           opKind = 7
 )
 
 // symKind discriminates symbol-table entries.
@@ -134,7 +143,8 @@ func (st *symtab) rollback(n int) {
 
 // install adds a symbol definition read from the log at an explicit
 // id: either it matches an existing entry exactly, or it is the next
-// dense id. Anything else is corruption.
+// dense id and a symbol the table does not hold yet. Anything else is
+// corruption.
 func (st *symtab) install(id uint32, s symbol) error {
 	if int(id) < len(st.syms) {
 		have := st.syms[id]
@@ -147,8 +157,12 @@ func (st *symtab) install(id uint32, s symbol) error {
 	if int(id) != len(st.syms) {
 		return fmt.Errorf("%w: symbol id gap (%d, have %d)", ErrCorrupt, id, len(st.syms))
 	}
+	k := symKey(s)
+	if _, dup := st.byKey[k]; dup {
+		return fmt.Errorf("%w: symbol %d duplicates %d", ErrCorrupt, id, st.byKey[k])
+	}
 	st.syms = append(st.syms, s)
-	st.byKey[symKey(s)] = id
+	st.byKey[k] = id
 	return nil
 }
 
@@ -237,21 +251,22 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// encodePayload renders op, prefixed by the symbol definitions with
-// ids >= firstNewSym (the symbols this record introduces).
-func encodePayload(op *iop, st *symtab, firstNewSym int) []byte {
-	buf := make([]byte, 0, 256)
-	buf = append(buf, byte(op.kind))
-	news := st.syms[firstNewSym:]
+// appendRecord appends op to buf as one framed record, its payload
+// prefixed by the definitions of news, the symbols with ids first,
+// first+1, … that this record introduces.
+func appendRecord(buf []byte, op *iop, news []symbol, first int) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, byte(op.kind))
 	buf = binary.AppendUvarint(buf, uint64(len(news)))
 	for i, s := range news {
-		buf = appendSymDef(buf, uint32(firstNewSym+i), s)
+		buf = appendSymDef(buf, uint32(first+i), s)
 	}
-	buf = binary.AppendUvarint(buf, uint64(op.ds))
+	if op.kind != opSymbols && op.kind != opEnd {
+		buf = binary.AppendUvarint(buf, uint64(op.ds))
+	}
 	switch op.kind {
 	case opDatasetCreate:
 		buf = appendFacts(buf, op.adds)
-	case opDatasetDelete:
 	case opFacts:
 		buf = appendFacts(buf, op.adds)
 		buf = appendFacts(buf, op.dels)
@@ -267,16 +282,10 @@ func encodePayload(op *iop, st *symtab, firstNewSym int) []byte {
 	case opViewDrop:
 		buf = binary.AppendUvarint(buf, uint64(op.view))
 	}
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
-}
-
-// frame wraps a payload in the on-disk record framing.
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
 }
 
 // --- record decoding --------------------------------------------------
@@ -369,6 +378,16 @@ func (r *byteReader) sym(st *symtab) uint32 {
 	return uint32(v)
 }
 
+// name reads a symbol id that names a dataset, view or predicate: a
+// string symbol.
+func (r *byteReader) name(st *symtab) uint32 {
+	id := r.sym(st)
+	if r.err == nil && st.syms[id].kind != symStr {
+		r.fail("symbol %d is not a name", id)
+	}
+	return id
+}
+
 func (r *byteReader) facts(st *symtab) []ifact {
 	n := r.count(2)
 	if r.err != nil {
@@ -376,7 +395,7 @@ func (r *byteReader) facts(st *symtab) []ifact {
 	}
 	out := make([]ifact, 0, n)
 	for i := 0; i < n; i++ {
-		f := ifact{pred: r.sym(st)}
+		f := ifact{pred: r.name(st)}
 		arity := r.count(1)
 		if r.err != nil {
 			return nil
@@ -401,7 +420,7 @@ func decodePayload(payload []byte, st *symtab) (*iop, error) {
 	r := &byteReader{data: payload}
 	op := &iop{kind: opKind(r.byte())}
 	switch op.kind {
-	case opDatasetCreate, opDatasetDelete, opFacts, opViewRegister, opViewDrop:
+	case opDatasetCreate, opDatasetDelete, opFacts, opViewRegister, opViewDrop, opSymbols, opEnd:
 	default:
 		return nil, fmt.Errorf("%w: unknown op kind %d", ErrCorrupt, op.kind)
 	}
@@ -436,7 +455,10 @@ func decodePayload(payload []byte, st *symtab) (*iop, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	op.ds = r.sym(st)
+	if op.kind == opSymbols || op.kind == opEnd {
+		return op, nil
+	}
+	op.ds = r.name(st)
 	switch op.kind {
 	case opDatasetCreate:
 		op.adds = r.facts(st)
@@ -445,12 +467,12 @@ func decodePayload(payload []byte, st *symtab) (*iop, error) {
 		op.adds = r.facts(st)
 		op.dels = r.facts(st)
 	case opViewRegister:
-		op.view = r.sym(st)
+		op.view = r.name(st)
 		op.prog = r.string()
 		op.ics = r.string()
 		op.optimized = r.byte() != 0
 	case opViewDrop:
-		op.view = r.sym(st)
+		op.view = r.name(st)
 	}
 	if r.err != nil {
 		return nil, r.err
