@@ -39,14 +39,16 @@ test:
 
 # The whole suite under the race detector, then the tests whose point is
 # concurrency — N queries sharing one DB's interned base, readers of a
-# snapshot while its successors derive their bases from it, and readers
+# snapshot while its successors derive their bases from it, readers
+# probing a snapshot's relations through their dedup sets and indexes
+# while its successors carry them, and readers
 # scanning a shared relation's indexes while another reader appends the
 # one it first needed, and runs of one prepared query filling and hitting
 # a base's answer memo while another DB's base takes its plans — repeated
 # so the detector sees more than one interleaving.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently|TestDerivedBasesUnderConcurrentReaders|TestConcurrentLookupSameMask|TestFanoutReadsShareBase|TestAnswerMemoConcurrent' ./internal/eval
+	$(GO) test -race -count=10 -run='TestConcurrentQueriesShareBase|TestPreparedRunsConcurrently|TestDerivedBasesUnderConcurrentReaders|TestCarriedRelationsUnderConcurrentProbes|TestConcurrentLookupSameMask|TestFanoutReadsShareBase|TestAnswerMemoConcurrent' ./internal/eval
 
 # One iteration per benchmark: a smoke test that the benchmarks still
 # compile and run, not a measurement.

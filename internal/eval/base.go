@@ -19,18 +19,24 @@ package eval
 // direct Relation.Add — the next evaluation derives a new base from the
 // stale one, and a DB that Replace returns starts with its predecessor's
 // base, stale for it; Clone starts without one. A derivation costs what
-// changed: a relation whose stamp holds keeps its irel and indexes; a
-// changed one copies the row of every tuple whose backing array the old
-// relation held (tuples are never written once in a relation) and
-// interns the rest; the interner is shared while no constant is new, and
-// copied and extended otherwise. So ids depend on the DB's history, and
-// nothing observable may: answers are ordered by row order and
+// changed: a relation whose stamp holds keeps its irel and indexes. A
+// changed one is carried (carryRows): the rows of the tuples whose
+// backing arrays the old relation held (tuples are never written once in
+// a relation) are copied run by run, and the entries of the old dedup
+// set and of every index the old relation had built are renumbered and
+// placed again by the hashes they hold, so only the tuples that arrived
+// are hashed, and the first indexed probe finds its index built. The interner is shared while no constant
+// is new. New constants stack: a base's interner is a root or one small
+// delta level over a root, the delta copied and extended per derivation
+// that brings a constant, and folded into a new root once it holds
+// 1/deltaShare of the root's terms. So ids depend on the DB's history,
+// and nothing observable may: answers are ordered by row order and
 // rendering, join orders by exact lengths and key counts, index chains
-// by row order. Departed constants stay in a derived interner until it
-// holds more than maxGrowth times the terms of its last from-scratch
-// build plus growthSlack; the next derivation builds from scratch, which
-// keeps a new constant O(1) amortized and the interner about twice a
-// fresh one at most.
+// by row order. Departed constants stay in a derived interner until its
+// levels hold more than maxGrowth times the terms of its last
+// from-scratch build plus growthSlack; the next derivation builds from
+// scratch, which keeps a new constant O(1) amortized and the interner
+// about twice a fresh one at most.
 //
 // A base also keeps the answers of the prepared queries run over it
 // (answerMemo): an answer is a function of the prepared query, the base
@@ -50,6 +56,7 @@ import (
 const (
 	maxGrowth   = 2
 	growthSlack = 64
+	deltaShare  = 32
 )
 
 // lastBaseID numbers the bases built, so that what was compiled over one
@@ -230,42 +237,183 @@ func buildBase(db *DB, prev *edbBase) *edbBase {
 		b.in, b.full = in, len(in.terms)
 	case len(in.terms) == 0:
 		b.in, b.full = prev.in, prev.full
-	case len(prev.in.terms)+len(in.terms) > maxGrowth*prev.full+growthSlack:
+	case in.size() > maxGrowth*prev.full+growthSlack:
 		return buildBase(db, nil)
 	default:
-		b.in, b.full = in.flattened(), prev.full
+		b.in, b.full = in.stacked(), prev.full
 	}
 	return b
 }
 
-// carryRows interns rel's tuples into a new irel, in order. A tuple whose
-// backing array is that of one of oldTuples (the tuples old was built
-// from, row for row) gets that row copied; the rest are looked up in in,
-// and their number is returned. Two walks, one per slice, match identical
-// tuples and resynchronize through resync after any run of insertions
-// and deletions.
+// carryRows interns rel's tuples into a new irel, in order, and returns
+// it with the number of tuples it looked up in in. A tuple whose backing
+// array is that of one of oldTuples (the tuples old was built from, row
+// for row) is carried: its row is copied, run by run, and its entries in
+// old's dedup set and indexes are renumbered and placed again by the
+// hashes they hold (carried); only the fresh tuples are hashed. Two
+// walks, one per slice, match identical tuples and resynchronize through
+// resync after any run of insertions and deletions. old is only read.
 func carryRows(rel *Relation, oldTuples []Tuple, old *irel, in *interner) (*irel, int) {
-	tuples := rel.tuples
-	ir := newIrel(rel.Arity, len(tuples))
-	buf := make([]uint32, rel.Arity)
-	looked := 0
-	for i, j := 0, 0; i < len(tuples); {
+	tuples, a := rel.tuples, rel.Arity
+	if len(oldTuples) == 0 {
+		ir, buf := newIrel(a, len(tuples)), make([]uint32, a)
+		for _, t := range tuples {
+			for k, v := range t {
+				buf[k] = in.intern(v)
+			}
+			ir.add(buf)
+		}
+		return ir, len(tuples)
+	}
+	// runs lists the tuples in order: n carried rows from old row j, or
+	// (j < 0) the fresh row -1-j, whose n is 0 once an earlier tuple holds
+	// its row. remap[j] is the tuple carrying old row j (-1: none), then
+	// the row it becomes.
+	type run struct{ j, n int32 }
+	var runs []run
+	remap := make([]int32, len(oldTuples))
+	var fresh []uint32
+	i, j := 0, 0
+	for i < len(tuples) {
 		if j < len(oldTuples) && &tuples[i][0] == &oldTuples[j][0] {
-			ir.add(old.row(j))
+			if k := len(runs) - 1; k >= 0 && runs[k].j >= 0 && int(runs[k].j+runs[k].n) == j {
+				runs[k].n++
+			} else {
+				runs = append(runs, run{int32(j), 1})
+			}
+			remap[j] = int32(i)
 			i, j = i+1, j+1
 			continue
 		}
 		ni, nj := resync(tuples, oldTuples, i, j)
 		for ; i < ni; i++ {
-			for k, v := range tuples[i] {
-				buf[k] = in.intern(v)
+			for _, v := range tuples[i] {
+				fresh = append(fresh, in.intern(v))
 			}
-			ir.add(buf)
-			looked++
+			runs = append(runs, run{-int32(len(fresh) / a), 1})
 		}
-		j = nj
+		for ; j < nj; j++ {
+			remap[j] = -1
+		}
 	}
-	return ir, looked
+	for ; j < len(oldTuples); j++ {
+		remap[j] = -1
+	}
+	// Of the tuples holding one row the first keeps it, as in a
+	// from-scratch build: an earlier fresh tuple or a carried one (old's
+	// dedup set finds it) drops a fresh one, and a fresh one drops a later
+	// carried one.
+	seen, at := rowHash{data: &fresh, arity: a}, 0
+	for k, r := range runs {
+		if r.j < 0 {
+			row := fresh[int(-1-r.j)*a : int(-r.j)*a]
+			hv := hashU32s(row)
+			slot, dup := seen.insertLookup(row, hv)
+			if !dup {
+				seen.place(slot, hv, -1-r.j)
+			}
+			if j := old.set.findIdx(row, hv); dup || (j >= 0 && remap[j] >= 0 && int(remap[j]) < at) {
+				runs[k].n = 0
+			} else if j >= 0 && remap[j] >= 0 {
+				remap[j] = -1
+			}
+		}
+		at += int(r.n)
+	}
+	ir := &irel{arity: a, data: make([]uint32, 0, len(tuples)*a)}
+	var freshRows []int32
+	for _, r := range runs {
+		if r.j < 0 {
+			if r.n > 0 {
+				ir.data = append(ir.data, fresh[int(-1-r.j)*a:int(-r.j)*a]...)
+				freshRows, ir.n = append(freshRows, int32(ir.n)), ir.n+1
+			}
+			continue
+		}
+		for j, end := r.j, r.j+r.n; j < end; {
+			from := j
+			for ; j < end && remap[j] >= 0; j++ {
+				remap[j], ir.n = int32(ir.n), ir.n+1
+			}
+			ir.data = append(ir.data, old.data[int(from)*a:int(j)*a]...)
+			for ; j < end && remap[j] < 0; j++ {
+			}
+		}
+	}
+	// The dedup set: old's slots of the rows that stay, renumbered and
+	// placed again by the hash they hold, and the fresh rows.
+	ir.set = rowHash{data: &ir.data, arity: a, slots: make([]uint64, pow2(2*len(tuples)))}
+	for _, sl := range old.set.slots {
+		if sl != 0 && remap[uint32(sl)-1] >= 0 {
+			ir.set.put(sl>>32<<32 | uint64(remap[uint32(sl)-1]+1))
+			ir.set.n++
+		}
+	}
+	for _, ri := range freshRows {
+		hv := hashU32s(ir.row(int(ri)))
+		slot, _ := ir.set.insertLookup(ir.row(int(ri)), hv)
+		ir.set.place(slot, hv, ri)
+	}
+	old.mu.RLock()
+	ixs := old.indexes
+	old.mu.RUnlock()
+	for _, ox := range ixs {
+		ir.indexes = append(ir.indexes, ox.carried(ir, remap, freshRows))
+	}
+	return ir, len(fresh) / a
+}
+
+// carried returns ox, an index of a relation whose row j became ir's row
+// remap[j] (-1: it left), as the same index of ir; fresh are ir's new
+// rows, ascending. Each key with a row that stays is placed again by the
+// hash ox holds, its chain renumbered from its first to its last row that
+// stays, and each fresh row is linked in at its place in row order. Only
+// the fresh rows are hashed.
+func (ox *rowIndex) carried(ir *irel, remap, fresh []int32) *rowIndex {
+	ix := &rowIndex{mask: ox.mask, pos: ox.pos, next: make([]int32, ir.n), firsts: make([]int32, 0, len(ox.firsts)+len(fresh))}
+	ix.init(len(ox.heads))
+	for s, h := range ox.heads {
+		if h = ox.stays(h, remap); h >= 0 {
+			t := ox.tails[s]
+			if remap[t] < 0 { // the tail left: the last row that stays
+				for j := h; j >= 0; j = ox.next[j] {
+					if remap[j] >= 0 {
+						t = j
+					}
+				}
+			}
+			ix.put(ox.hashes[s], remap[h], remap[t])
+		}
+	}
+	for j, r := range remap {
+		if r >= 0 {
+			ix.next[r] = -1
+			if nx := ox.stays(ox.next[j], remap); nx >= 0 {
+				ix.next[r] = remap[nx]
+			}
+		}
+	}
+	for _, f := range ox.firsts {
+		if h := ox.stays(f, remap); h >= 0 {
+			ix.firsts = append(ix.firsts, remap[h])
+		}
+	}
+	if !slices.IsSorted(ix.firsts) {
+		slices.Sort(ix.firsts)
+	}
+	for _, ri := range fresh {
+		ix.appendRow(ir, ri)
+	}
+	return ix
+}
+
+// stays returns the first row of the chain from old row j that stays
+// (remap ≥ 0), or -1.
+func (ox *rowIndex) stays(j int32, remap []int32) int32 {
+	for j >= 0 && remap[j] < 0 {
+		j = ox.next[j]
+	}
+	return j
 }
 
 // resync returns the next pair of identical tuples at or after nt[i] and
@@ -295,20 +443,36 @@ func resync(nt, ot []Tuple, i, j int) (ni, nj int) {
 	return len(nt), len(ot)
 }
 
-// flattened returns a frozen root interner with the overlay's terms and
-// its frozen level's, at the ids they have through the overlay. The
-// frozen level is copied, never extended in place: older bases and held
-// Results still read it.
-func (ov *interner) flattened() *interner {
-	u := ov.under
-	in := &interner{
-		ids:   maps.Clone(u.ids),
-		terms: append(slices.Clip(u.terms), ov.terms...),
-		keys:  slices.Clip(u.keys),
+// stacked returns the frozen interner a derived base keeps, given the
+// overlay ov that took its new constants over the predecessor's, which is
+// a root or one delta level over a root. So is the result: one delta
+// level over that root holding the delta's terms and ov's, at the ids
+// they have through ov, or, once that level would hold more than
+// 1/deltaShare of the root's terms, a new root holding all of them.
+// Levels are copied, never extended in place: older bases and held
+// Results still read them.
+func (ov *interner) stacked() *interner {
+	ov.freeze()
+	lvls := []*interner{ov}
+	if ov.under.under != nil {
+		lvls = []*interner{ov.under, ov}
 	}
-	for i, t := range ov.terms {
-		in.ids[t] = ov.off + uint32(i)
-		in.keys = append(in.keys, t.Key())
+	from := lvls[0].under // the root
+	if (ov.size()-len(from.terms))*deltaShare <= len(from.terms) {
+		from, lvls = lvls[0], lvls[1:]
 	}
-	return in
+	out := &interner{
+		under: from.under,
+		off:   from.off,
+		ids:   maps.Clone(from.ids),
+		terms: slices.Clip(from.terms),
+		keys:  slices.Clip(from.keys),
+	}
+	for _, l := range lvls {
+		for i, t := range l.terms {
+			out.ids[t] = l.off + uint32(i)
+		}
+		out.terms, out.keys = append(out.terms, l.terms...), append(out.keys, l.keys...)
+	}
+	return out
 }

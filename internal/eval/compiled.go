@@ -38,6 +38,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ast"
@@ -53,7 +54,7 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 	if err != nil {
 		return nil, err
 	}
-	ev, err := newEvaluator(ctx, lay, opts, prov)
+	ev, err := newEvaluator(ctx, lay, opts, prov, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -67,8 +68,9 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 }
 
 // newEvaluator starts an evaluation of lay's program: its IDB relations
-// are empty, and use gives it plans and an EDB.
-func newEvaluator(ctx context.Context, lay *layout, opts Options, prov *Provenance) (*cEvaluator, error) {
+// are empty, sized for sizes' counts (nil: unsized), and use gives it
+// plans and an EDB.
+func newEvaluator(ctx context.Context, lay *layout, opts Options, prov *Provenance, sizes []atomic.Int32) (*cEvaluator, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -84,7 +86,11 @@ func newEvaluator(ctx context.Context, lay *layout, opts Options, prov *Provenan
 		idb:       make([]idbRel, lay.nIDB),
 	}
 	for k := range ev.idb {
-		ev.idb[k].irel = newIrel(lay.arity[k], 0)
+		hint := 0
+		if sizes != nil {
+			hint = int(sizes[k].Load())
+		}
+		ev.idb[k].irel = newIrel(lay.arity[k], hint)
 	}
 	return ev, nil
 }

@@ -400,7 +400,7 @@ func QueryCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) ([]Tup
 // one-root renaming folded (see QueryCtx) those rows are the root's own
 // row store.
 func QueryResultCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*Result, *Stats, error) {
-	pq, err := Prepare(p, opts)
+	pq, err := prepare(p, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -441,6 +441,11 @@ type Prepared struct {
 	// nil when Prepare split none (splitUnion).
 	roots []int
 	slot  atomic.Pointer[planSlot]
+	// sizes are the IDB relations' row counts at the end of the last run,
+	// by layout id, and what the next run sizes its relations for; nil
+	// when a magic seed makes them depend on the goal, and in
+	// QueryResultCtx's Prepared, which runs once.
+	sizes []atomic.Int32
 }
 
 // lastPreparedID numbers the Prepareds, so that a base's answer memo can
@@ -454,6 +459,15 @@ var lastPreparedID atomic.Uint64
 // apply, it splits off a k-root union (splitUnion). Only opts.Elim and
 // opts.Magic are read.
 func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
+	pq, err := prepare(p, opts)
+	if err == nil && pq.magic == nil && pq.lay != nil {
+		pq.sizes = make([]atomic.Int32, pq.lay.nIDB)
+	}
+	return pq, err
+}
+
+// prepare is Prepare for a query run once.
+func prepare(p *ast.Program, opts Options) (*Prepared, error) {
 	if err := opts.validateModes(); err != nil {
 		return nil, err
 	}
@@ -591,9 +605,11 @@ func (pq *Prepared) flag(st *Stats) *Stats {
 // holds another base's (or none); reused reports that it did not. rows
 // are the tuples this run interned building base. With the magic rewrite
 // applied, the seed — rule 0 — is compiled for goal alone, into the run's
-// private overlay, and is the only plan the run does not share.
+// private overlay, and is the only plan the run does not share. Without
+// one, the run sizes its relations by the last run's counts, and leaves
+// its own.
 func (pq *Prepared) runSlot(ctx context.Context, base *edbBase, rows int64, goal []ast.Term, opts Options, prov *Provenance) (ev *cEvaluator, reused bool, err error) {
-	ev, err = newEvaluator(ctx, pq.lay, opts, prov)
+	ev, err = newEvaluator(ctx, pq.lay, opts, prov, pq.sizes)
 	if err != nil {
 		return nil, false, err
 	}
@@ -615,7 +631,12 @@ func (pq *Prepared) runSlot(ctx context.Context, base *edbBase, rows int64, goal
 		ev.stats.PlansCompiled++
 		ev.stats.PlanNanos += time.Since(start).Nanoseconds()
 	}
-	return ev, reused, ev.run()
+	if err = ev.run(); err == nil {
+		for k := range pq.sizes {
+			pq.sizes[k].Store(int32(ev.idb[k].n))
+		}
+	}
+	return ev, reused, err
 }
 
 // foldRenaming evaluates the optimizer's one-root union as what it is, a

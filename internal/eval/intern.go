@@ -49,6 +49,9 @@ func (under *interner) overlay() *interner {
 	return &interner{under: under, off: under.off + uint32(len(under.terms)), ids: map[ast.Term]uint32{}}
 }
 
+// size is the number of ids the interner and the levels under it own.
+func (in *interner) size() int { return int(in.off) + len(in.terms) }
+
 // freeze renders every term's key, after which the interner is
 // immutable and safe to share between goroutines and overlays.
 func (in *interner) freeze() {
@@ -231,17 +234,22 @@ func (h *rowHash) reset(data *[]uint32, arity int) {
 func (h *rowHash) grow(size int) {
 	old := h.slots
 	h.slots = make([]uint64, size)
-	mask := len(h.slots) - 1
 	for _, s := range old {
-		if s == 0 {
-			continue
+		if s != 0 {
+			h.put(s)
 		}
-		i := int(s>>32) & mask
-		for h.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		h.slots[i] = s
 	}
+}
+
+// put stores the slot s of a row the table does not hold in the first
+// empty slot from the one its hash names: no row is read.
+func (h *rowHash) put(s uint64) {
+	mask := len(h.slots) - 1
+	i := int(s>>32) & mask
+	for h.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	h.slots[i] = s
 }
 
 // rowIndex is a hash index from the values at a fixed set of argument
@@ -257,11 +265,11 @@ func (h *rowHash) grow(size int) {
 type rowIndex struct {
 	mask   uint64 // pos as a bitmask, which tells a relation's indexes apart
 	pos    []int
-	firsts []int32 // first row of each key, in row order; len = keys
-	hashes []uint64
-	heads  []int32 // first row of the chain per slot; -1 = empty
-	tails  []int32 // last row of the chain per slot
-	next   []int32 // next[row] = next row with the same key; -1 = end
+	firsts []int32  // first row of each key, in row order; len = keys
+	hashes []uint32 // the low half of each key's hash
+	heads  []int32  // first row of the chain per slot; -1 = empty
+	tails  []int32  // last row of the chain per slot
+	next   []int32  // next[row] = next row with the same key; -1 = end
 }
 
 func buildRowIndex(r *irel, mask uint64, pos []int) *rowIndex {
@@ -275,7 +283,7 @@ func buildRowIndex(r *irel, mask uint64, pos []int) *rowIndex {
 }
 
 func (ix *rowIndex) init(size int) {
-	ix.hashes = make([]uint64, size)
+	ix.hashes = make([]uint32, size)
 	ix.heads = make([]int32, size)
 	ix.tails = make([]int32, size)
 	for i := range ix.heads {
@@ -283,13 +291,13 @@ func (ix *rowIndex) init(size int) {
 	}
 }
 
-func (ix *rowIndex) projHash(row []uint32) uint64 {
+func (ix *rowIndex) projHash(row []uint32) uint32 {
 	h := uint64(14695981039346656037)
 	for _, p := range ix.pos {
 		h ^= uint64(row[p])
 		h *= 1099511628211
 	}
-	return h
+	return uint32(h)
 }
 
 func (ix *rowIndex) projEqualRows(a, b []uint32) bool {
@@ -311,10 +319,15 @@ func projEqual(row []uint32, pos []int, vals []uint32) bool {
 	return true
 }
 
-// appendRow adds row ri (which must be the next row, len(ix.next)) to
-// the index, extending the chain for its key.
+// appendRow adds row ri to the index, extending the chain for its key.
+// ri is the next row (len(ix.next)), or a fresh row of a carried index
+// (carried), which is linked in at its place in row order.
 func (ix *rowIndex) appendRow(r *irel, ri int32) {
-	ix.next = append(ix.next, -1)
+	if int(ri) == len(ix.next) {
+		ix.next = append(ix.next, -1)
+	} else {
+		ix.next[ri] = -1
+	}
 	if (len(ix.firsts)+1)*4 > len(ix.heads)*3 {
 		ix.grow()
 	}
@@ -324,37 +337,57 @@ func (ix *rowIndex) appendRow(r *irel, ri int32) {
 	for i := int(hv) & mask; ; i = (i + 1) & mask {
 		head := ix.heads[i]
 		if head < 0 {
-			ix.hashes[i] = hv
-			ix.heads[i] = ri
-			ix.tails[i] = ri
+			ix.hashes[i], ix.heads[i], ix.tails[i] = hv, ri, ri
 			ix.firsts = append(ix.firsts, ri)
+			ix.sinkFirst(len(ix.firsts)-1, ri)
 			return
 		}
-		if ix.hashes[i] == hv && ix.projEqualRows(r.row(int(head)), row) {
-			ix.next[ix.tails[i]] = ri
-			ix.tails[i] = ri
-			return
+		if ix.hashes[i] != hv || !ix.projEqualRows(r.row(int(head)), row) {
+			continue
 		}
+		switch p := head; {
+		case ri > ix.tails[i]:
+			ix.next[ix.tails[i]], ix.tails[i] = ri, ri
+		case ri < head:
+			ix.next[ri], ix.heads[i] = head, ri
+			ix.sinkFirst(sort.Search(len(ix.firsts), func(k int) bool { return ix.firsts[k] >= head }), ri)
+		default:
+			for ix.next[p] < ri {
+				p = ix.next[p]
+			}
+			ix.next[ri], ix.next[p] = ix.next[p], ri
+		}
+		return
 	}
+}
+
+// sinkFirst puts ri at firsts[k] and moves it down to its place.
+func (ix *rowIndex) sinkFirst(k int, ri int32) {
+	for ; k > 0 && ix.firsts[k-1] > ri; k-- {
+		ix.firsts[k] = ix.firsts[k-1]
+	}
+	ix.firsts[k] = ri
 }
 
 func (ix *rowIndex) grow() {
 	oldHashes, oldHeads, oldTails := ix.hashes, ix.heads, ix.tails
 	ix.init(len(oldHeads) * 2)
-	mask := len(ix.heads) - 1
 	for s, head := range oldHeads {
-		if head < 0 {
-			continue
+		if head >= 0 {
+			ix.put(oldHashes[s], head, oldTails[s])
 		}
-		hv := oldHashes[s]
-		i := int(hv) & mask
-		for ix.heads[i] >= 0 {
-			i = (i + 1) & mask
-		}
-		ix.hashes[i] = hv
-		ix.heads[i] = head
-		ix.tails[i] = oldTails[s]
 	}
+}
+
+// put opens the first empty slot from the one hv names for a key the
+// index does not hold, hashing to hv, with the chain from head to tail.
+func (ix *rowIndex) put(hv uint32, head, tail int32) {
+	mask := len(ix.heads) - 1
+	i := int(hv) & mask
+	for ix.heads[i] >= 0 {
+		i = (i + 1) & mask
+	}
+	ix.hashes[i], ix.heads[i], ix.tails[i] = hv, head, tail
 }
 
 // keysBelow returns the number of distinct keys among rows [0, hi).
@@ -365,7 +398,7 @@ func (ix *rowIndex) keysBelow(hi int) int {
 // lookup returns the first row whose values at ix.pos equal vals, or
 // -1; follow ix.next for the rest of the chain. Read-only.
 func (ix *rowIndex) lookup(r *irel, vals []uint32) int32 {
-	hv := hashU32s(vals)
+	hv := uint32(hashU32s(vals))
 	mask := len(ix.heads) - 1
 	for i := int(hv) & mask; ; i = (i + 1) & mask {
 		head := ix.heads[i]

@@ -319,3 +319,66 @@ func BenchmarkPreparedRun(b *testing.B) {
 		})
 	}
 }
+
+// TestPreparedSizeHints: a whole-relation Prepared sizes its IDB
+// relations for its last run's row counts. Over a base that grew, then
+// shrank, then grew again, each run answers — in order — and counts
+// exactly as an unhinted evaluation does, and was sized for the run
+// before. A magic-seeded Prepared, whose sizes depend on the goal, keeps
+// no counts and so reads none, and neither does QueryResultCtx's one-shot.
+func TestPreparedSizeHints(t *testing.T) {
+	ctx := context.Background()
+	p := parser.MustParseProgram(`
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, Z), edge(Z, Y).
+		?- path(X, Y).`)
+	pq, err := Prepare(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pq.magic != nil || len(pq.sizes) != 1 {
+		t.Fatalf("a whole-relation query: magic=%v, %d counts kept, want no magic and 1", pq.magic != nil, len(pq.sizes))
+	}
+	for _, n := range []int{20, 40, 10, 30} {
+		db := chainDB(n)
+		hint := int(pq.sizes[0].Load())
+		base, rows := db.interned()
+		ev, _, err := pq.runSlot(ctx, base, rows, p.Goal, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n*(n+1)/2 <= hint && cap(ev.idb[0].data) != 2*hint {
+			t.Fatalf("chain %d: %d rows sized for %d values, want the last run's %d rows", n, ev.idb[0].n, cap(ev.idb[0].data), hint)
+		}
+		if got := int(pq.sizes[0].Load()); got != n*(n+1)/2 {
+			t.Fatalf("chain %d: the run left a count of %d, want %d", n, got, n*(n+1)/2)
+		}
+		got, gs, err := pq.Run(ctx, db.Clone(), p.Goal, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ws, err := QueryResultCtx(ctx, p, db.Clone(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Tuples(), want.Tuples()) || !gs.Equal(ws) {
+			t.Fatalf("chain %d after a hint of %d rows: hinted and unhinted runs differ:\n%v %+v\n%v %+v", n, hint, got.Tuples(), gs, want.Tuples(), ws)
+		}
+	}
+	seeded, err := Prepare(pointProgram(ast.N(1)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{20, 40} {
+		if _, _, err := seeded.Run(ctx, chainDB(n), pointProgram(ast.N(1)).Goal, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	once, err := prepare(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seeded.magic == nil || seeded.sizes != nil || once.sizes != nil {
+		t.Fatalf("magic=%v: a magic-seeded Prepared keeps %d counts, a one-shot %d; want none", seeded.magic != nil, len(seeded.sizes), len(once.sizes))
+	}
+}

@@ -125,12 +125,29 @@ type constant struct{ by, str string }
 // \x00 or \x01; then the tuples' strings themselves are sorted.
 func (r *Result) order(o Order) (perm []int32, cells []uint32, consts []constant) {
 	cells = make([]uint32, 0, r.n*r.arity)
-	first := map[uint32]uint32{} // id → first-seen number
+	// id → first-seen number + 1 (0: unseen), in a table over the id space
+	// when that is at most denseIDs ids per cell, in a map otherwise.
+	var dense []uint32
+	var first map[uint32]uint32
+	if space := r.in.size(); space <= denseIDs*cap(cells) {
+		dense = make([]uint32, space)
+	} else {
+		first = map[uint32]uint32{}
+	}
 	for _, id := range r.data[:r.n*r.arity] {
-		k, seen := first[id]
-		if !seen {
-			k = uint32(len(consts))
-			first[id] = k
+		var k uint32
+		if dense != nil {
+			k = dense[id]
+		} else {
+			k = first[id]
+		}
+		if k == 0 {
+			k = uint32(len(consts)) + 1
+			if dense != nil {
+				dense[id] = k
+			} else {
+				first[id] = k
+			}
 			t, key := r.in.term(id), r.in.renderedKey(id) // "" unless rendered before the Result was taken
 			if key == "" {
 				key = t.Key()
@@ -144,7 +161,7 @@ func (r *Result) order(o Order) (perm []int32, cells []uint32, consts []constant
 			}
 			consts = append(consts, c)
 		}
-		cells = append(cells, k)
+		cells = append(cells, k-1)
 	}
 	seq := make([]uint32, len(consts)) // first-seen numbers in rank order
 	for k := range seq {
@@ -192,6 +209,10 @@ func (r *Result) order(o Order) (perm []int32, cells []uint32, consts []constant
 	}
 	return perm, cells, ranked
 }
+
+// denseIDs is how many ids per answer cell order's first-seen table may
+// span before it becomes a map.
+const denseIDs = 4
 
 // rankDecides reports whether no rendering of the sorted constants
 // extends its predecessor with a byte at or below o's separator and
