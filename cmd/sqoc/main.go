@@ -9,8 +9,7 @@
 //
 // Usage:
 //
-//	sqoc [-facts file] [-explain] [-baseline] [-stats]
-//	     [-magic auto|on|off] [-elim auto|on|off]
+//	sqoc [-facts file] [-explain] [-baseline] [-stats] [-why] [-lint]
 //	     [-timeout d] [-budget n] [file]
 //
 // Exit status:
@@ -50,20 +49,9 @@ func main() {
 	stats := flag.Bool("stats", false, "print query-tree statistics")
 	why := flag.Bool("why", false, "print a derivation tree for each answer (requires facts)")
 	lintFlag := flag.Bool("lint", false, "run the semantic linter before optimizing; exit 1 on lint errors")
-	magicFlag := flag.String("magic", "", "magic-sets rewrite for goal queries like '?- path(a, Y).': auto (default), on, or off")
-	elimFlag := flag.String("elim", "", "bounded-recursion elimination (compile provably bounded fixpoints into flat joins): auto (default), on, or off")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on optimization + evaluation (0 = none)")
 	budget := flag.Int64("budget", 0, "derived-tuple budget per evaluation (0 = unlimited)")
 	flag.Parse()
-
-	magicMode, err := sqo.ParseMagicMode(*magicFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	elimMode, err := sqo.ParseElimMode(*elimFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -86,10 +74,7 @@ func main() {
 
 	if *lintFlag {
 		rep := sqo.Lint(ctx, unit.Program, unit.ICs, unit.Facts,
-			sqo.LintOptions{
-				MagicEnabled: magicMode != sqo.MagicOff,
-				ElimEnabled:  elimMode != sqo.ElimOff,
-			})
+			sqo.LintOptions{MagicEnabled: true, ElimEnabled: true})
 		if len(rep.Findings) > 0 {
 			if err := sqo.WriteLintText(os.Stderr, flag.Arg(0), rep); err != nil {
 				log.Fatal(err)
@@ -142,8 +127,6 @@ func main() {
 		db := sqo.NewDBFrom(facts)
 		opts := sqo.DefaultEvalOptions()
 		opts.MaxTuples = *budget
-		opts.Magic = magicMode
-		opts.Elim = elimMode
 		origTuples, origStats, err := sqo.QueryCtx(ctx, unit.Program, db, opts)
 		if err != nil {
 			fatal(err, *timeout, *budget)

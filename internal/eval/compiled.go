@@ -54,10 +54,7 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 	if err != nil {
 		return nil, err
 	}
-	ev, err := newEvaluator(ctx, lay, opts, prov, nil)
-	if err != nil {
-		return nil, err
-	}
+	ev := newEvaluator(ctx, lay, opts, prov, nil)
 	base, rows := edb.interned()
 	ev.stats.EDBRowsInterned = rows
 	ev.use(ev.compileSlot(base, -1), base)
@@ -70,12 +67,9 @@ func evalCompiled(ctx context.Context, p *ast.Program, edb *DB, opts Options, pr
 // newEvaluator starts an evaluation of lay's program: its IDB relations
 // are empty, sized for sizes' counts (nil: unsized), and use gives it
 // plans and an EDB.
-func newEvaluator(ctx context.Context, lay *layout, opts Options, prov *Provenance, sizes []atomic.Int32) (*cEvaluator, error) {
+func newEvaluator(ctx context.Context, lay *layout, opts Options, prov *Provenance, sizes []atomic.Int32) *cEvaluator {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if err := opts.validateModes(); err != nil {
-		return nil, err
 	}
 	ev := &cEvaluator{
 		ctx:       ctx,
@@ -92,7 +86,7 @@ func newEvaluator(ctx context.Context, lay *layout, opts Options, prov *Provenan
 		}
 		ev.idb[k].irel = newIrel(lay.arity[k], hint)
 	}
-	return ev, nil
+	return ev
 }
 
 // idbRel is an IDB relation with the two marks a round reads it

@@ -160,24 +160,6 @@ func TestElimFallbackTC(t *testing.T) {
 	}
 }
 
-// TestElimModeValidation: unknown mode strings are rejected up front.
-func TestElimModeValidation(t *testing.T) {
-	p := parser.MustParseProgram(`p(X) :- e(X). ?- p.`)
-	opts := DefaultOptions()
-	opts.Elim = "sometimes"
-	if _, _, err := QueryCtx(context.Background(), p, NewDB(), opts); err == nil {
-		t.Fatal("bad elim mode accepted by QueryCtx")
-	}
-	if _, _, err := EvalCtx(context.Background(), p, NewDB(), opts); err == nil {
-		t.Fatal("bad elim mode accepted by EvalCtx")
-	}
-	for _, name := range []string{"", "on", "auto"} {
-		if m, err := ParseElimMode(name); m != ElimAuto || err != nil {
-			t.Fatalf("ParseElimMode(%q) = %q, %v; want auto", name, m, err)
-		}
-	}
-}
-
 // FuzzElim drives arbitrary programs with arbitrary binding patterns
 // through the elimination path and asserts the one contract that
 // matters: elim on, stacked with magic and streaming, answers exactly

@@ -194,26 +194,14 @@ func (s *Stats) Equal(o *Stats) bool {
 type MagicMode string
 
 const (
-	// MagicAuto (the zero value) applies the rewrite whenever the goal
-	// binds at least one argument.
+	// MagicAuto applies the rewrite whenever the goal binds at least
+	// one argument, as does every other value but MagicOff (the zero
+	// value among them).
 	MagicAuto MagicMode = "auto"
 	// MagicOff disables the rewrite; goals are evaluated bottom-up and
 	// filtered afterwards.
 	MagicOff MagicMode = "off"
 )
-
-// ParseMagicMode parses a magic mode name; the empty string and "on"
-// mean MagicAuto ("on" is its older spelling: the rewrite falls back to
-// bottom-up when inapplicable either way).
-func ParseMagicMode(s string) (MagicMode, error) {
-	switch m := MagicMode(s); m {
-	case "", "on":
-		return MagicAuto, nil
-	case MagicAuto, MagicOff:
-		return m, nil
-	}
-	return "", fmt.Errorf("eval: unknown magic mode %q (want auto, on, or off)", s)
-}
 
 // ElimMode controls whether Query/QueryCtx run the boundedness
 // analysis (internal/bounded) and compile provably bounded recursion
@@ -225,28 +213,16 @@ func ParseMagicMode(s string) (MagicMode, error) {
 type ElimMode string
 
 const (
-	// ElimAuto (the zero value) analyzes every self-recursive
-	// predicate under the default budgets and rewrites the bounded
-	// ones. The structural pre-checks make this near-free on programs
-	// with no self-recursion.
+	// ElimAuto analyzes every self-recursive predicate under the
+	// default budgets and rewrites the bounded ones, as does every
+	// other value but ElimOff (the zero value among them). The
+	// structural pre-checks make this near-free on programs with no
+	// self-recursion.
 	ElimAuto ElimMode = "auto"
 	// ElimOff disables the analysis; recursion is always evaluated as
 	// a fixpoint.
 	ElimOff ElimMode = "off"
 )
-
-// ParseElimMode parses an elimination mode name; the empty string and
-// "on" mean ElimAuto ("on" is its older spelling: elimination falls back
-// when nothing is provably bounded either way).
-func ParseElimMode(s string) (ElimMode, error) {
-	switch m := ElimMode(s); m {
-	case "", "on":
-		return ElimAuto, nil
-	case ElimAuto, ElimOff:
-		return m, nil
-	}
-	return "", fmt.Errorf("eval: unknown elim mode %q (want auto, on, or off)", s)
-}
 
 // PolicyGreedy names the engine's join order, which is not a choice:
 // the greedy bound-position order with ties between EDB subgoals broken
@@ -265,12 +241,12 @@ type Options struct {
 	// tuples exceeds the bound (0 = unlimited). Guards runaway tests.
 	MaxTuples int64
 	// Magic controls the magic-sets demand rewrite in Query/QueryCtx
-	// (the empty string means MagicAuto). EvalCtx ignores it: its
+	// (only MagicOff turns it off). EvalCtx ignores it: its
 	// contract is the full IDB of the given program, which demand
 	// pruning deliberately does not compute.
 	Magic MagicMode
 	// Elim controls bounded-recursion elimination in Query/QueryCtx
-	// (the empty string means ElimAuto): predicates whose recursion is
+	// (only ElimOff turns it off): predicates whose recursion is
 	// statically provably bounded are compiled into flat unions of
 	// conjunctive queries before evaluation, ahead of the magic
 	// rewrite. EvalCtx ignores it for the same reason it ignores
@@ -286,33 +262,6 @@ type Options struct {
 // DefaultOptions are the options used by Eval: the zero Options.
 func DefaultOptions() Options {
 	return Options{}
-}
-
-// validateModes rejects unknown magic and elim modes.
-func (o Options) validateModes() error {
-	if _, err := ParseMagicMode(string(o.Magic)); err != nil {
-		return err
-	}
-	if _, err := ParseElimMode(string(o.Elim)); err != nil {
-		return err
-	}
-	return nil
-}
-
-// effectiveMagic resolves the empty string to MagicAuto.
-func (o Options) effectiveMagic() MagicMode {
-	if o.Magic == "" {
-		return MagicAuto
-	}
-	return o.Magic
-}
-
-// effectiveElim resolves the empty string to ElimAuto.
-func (o Options) effectiveElim() ElimMode {
-	if o.Elim == "" {
-		return ElimAuto
-	}
-	return o.Elim
 }
 
 // Eval evaluates the program bottom-up over the given EDB and returns
@@ -355,8 +304,8 @@ func QueryWith(p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
 // cancellation contract.
 //
 // When the program carries a goal (`?- pred(t1, ..., tn).`), QueryCtx
-// is goal-directed: under Options.Magic auto/on a goal with at least
-// one bound argument is evaluated through the magic-sets rewrite
+// is goal-directed: unless Options.Magic is MagicOff, a goal with at
+// least one bound argument is evaluated through the magic-sets rewrite
 // (internal/magic), which computes only the part of the fixpoint the
 // goal's bindings demand; when the rewrite is inapplicable — or under
 // MagicOff — the program is evaluated bottom-up. Either way the
@@ -365,7 +314,7 @@ func QueryWith(p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
 // equal across theirs), so the two paths are interchangeable
 // answer-wise; Stats.MagicApplied records which one ran.
 //
-// Under Options.Elim auto/on the boundedness analysis runs first:
+// Unless Options.Elim is ElimOff, the boundedness analysis runs first:
 // self-recursive predicates proven bounded (internal/bounded) are
 // compiled into flat unions of conjunctive queries, and the magic and
 // streaming rewrites then work on the flattened program — elimination
@@ -468,11 +417,8 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 
 // prepare is Prepare for a query run once.
 func prepare(p *ast.Program, opts Options) (*Prepared, error) {
-	if err := opts.validateModes(); err != nil {
-		return nil, err
-	}
 	pq := &Prepared{id: lastPreparedID.Add(1), prog: foldRenaming(p), pattern: magic.GoalPattern(p.Goal)}
-	if opts.effectiveElim() != ElimOff && len(pq.prog.Rules) > 0 {
+	if opts.Elim != ElimOff && len(pq.prog.Rules) > 0 {
 		res, err := bounded.Rewrite(pq.prog, bounded.Options{})
 		if res != nil {
 			pq.elimChecked = len(res.Analyses)
@@ -486,7 +432,7 @@ func prepare(p *ast.Program, opts Options) (*Prepared, error) {
 			return nil, err
 		}
 	}
-	if opts.effectiveMagic() != MagicOff && len(p.Goal) > 0 {
+	if opts.Magic != MagicOff && len(p.Goal) > 0 {
 		res, err := magic.Rewrite(pq.prog)
 		switch {
 		case err == nil:
@@ -553,9 +499,6 @@ func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Opti
 	if pq.layErr != nil {
 		return nil, nil, pq.layErr
 	}
-	if err := opts.validateModes(); err != nil {
-		return nil, nil, err
-	}
 	base, rows := edb.interned()
 	var buf [64]byte
 	key := appendGoalKey(binary.LittleEndian.AppendUint64(buf[:0], pq.id), goal)
@@ -609,10 +552,7 @@ func (pq *Prepared) flag(st *Stats) *Stats {
 // one, the run sizes its relations by the last run's counts, and leaves
 // its own.
 func (pq *Prepared) runSlot(ctx context.Context, base *edbBase, rows int64, goal []ast.Term, opts Options, prov *Provenance) (ev *cEvaluator, reused bool, err error) {
-	ev, err = newEvaluator(ctx, pq.lay, opts, prov, pq.sizes)
-	if err != nil {
-		return nil, false, err
-	}
+	ev = newEvaluator(ctx, pq.lay, opts, prov, pq.sizes)
 	ev.stats.EDBRowsInterned = rows
 	seed := -1
 	if pq.magic != nil {

@@ -220,24 +220,6 @@ func TestGoalFilterWithoutMagic(t *testing.T) {
 	}
 }
 
-// TestMagicModeValidation: unknown mode strings are rejected up front.
-func TestMagicModeValidation(t *testing.T) {
-	p := parser.MustParseProgram(`p(X) :- e(X). ?- p(1).`)
-	opts := DefaultOptions()
-	opts.Magic = "sometimes"
-	if _, _, err := QueryCtx(context.Background(), p, NewDB(), opts); err == nil {
-		t.Fatal("bad magic mode accepted by QueryCtx")
-	}
-	if _, _, err := EvalCtx(context.Background(), p, NewDB(), opts); err == nil {
-		t.Fatal("bad magic mode accepted by EvalCtx")
-	}
-	for _, name := range []string{"", "on", "auto"} {
-		if m, err := ParseMagicMode(name); m != MagicAuto || err != nil {
-			t.Fatalf("ParseMagicMode(%q) = %q, %v; want auto", name, m, err)
-		}
-	}
-}
-
 // TestStreamDifferential: streaming unfolding never changes answers
 // and lowers the materialized footprint on a pipeline-shaped program.
 func TestStreamDifferential(t *testing.T) {

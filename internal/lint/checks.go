@@ -406,7 +406,7 @@ func (l *linter) goalDirected() {
 		return
 	}
 	l.add(Finding{Check: "L6", ID: "bound-query-no-magic", Severity: Warning,
-		Message: fmt.Sprintf("query %s binds %d of %d argument(s) (adornment %s) but is evaluated without the magic-sets rewrite; bottom-up evaluation materializes the full %s relation to answer a point query — enable goal-directed evaluation (sqoc -magic auto, sqod's \"magic\" knob, or eval Options.Magic)",
+		Message: fmt.Sprintf("query %s binds %d of %d argument(s) (adornment %s) but is evaluated without the magic-sets rewrite; bottom-up evaluation materializes the full %s relation to answer a point query — evaluate it goal-directed (sqoc and sqod do; eval does unless Options.Magic is MagicOff)",
 			goal, len(pat.Bound()), len(pat), adorned, l.p.Query)})
 }
 
@@ -418,8 +418,9 @@ func (l *linter) goalDirected() {
 //     unfolding, so the fixpoint is equivalent to a flat union of
 //     conjunctive queries. A Warning cites the witness depth and
 //     disjunct count — unless the caller declared elimination enabled
-//     (eval Elim mode "auto" or "on"), in which case the evaluator
-//     compiles the recursion away and there is nothing to advise.
+//     (Options.ElimEnabled, as sqoc and sqod do), in which case the
+//     evaluator compiles the recursion away and there is nothing to
+//     advise.
 //   - not-bounded-within-budget: the unfolding ladder ran to its
 //     depth/size budget without a containment witness. An Info, so a
 //     genuinely recursive program (transitive closure) is never
@@ -442,7 +443,7 @@ func (l *linter) boundedRecursion() {
 				continue
 			}
 			l.addAt("L7", "bounded-recursion", Warning, ruleAt(a.Pred),
-				fmt.Sprintf("bounded recursive predicate %s — recursion is eliminable: the %d-fold unfolding adds nothing, so the fixpoint equals a union of %d conjunctive queries; enable elimination (sqoc -elim auto, sqod's \"elim\" knob, or eval Options.Elim) to evaluate it as flat joins",
+				fmt.Sprintf("bounded recursive predicate %s — recursion is eliminable: the %d-fold unfolding adds nothing, so the fixpoint equals a union of %d conjunctive queries; evaluate it as flat joins (sqoc and sqod do; eval does unless Options.Elim is ElimOff)",
 					a.Pred, a.Depth, len(a.Disjuncts)))
 		case bounded.NotWithinBudget:
 			l.addAt("L7", "boundedness-budget", Info, ruleAt(a.Pred),

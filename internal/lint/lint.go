@@ -135,16 +135,17 @@ type Options struct {
 	// predicate compared pairwise by L3 (default 16).
 	MaxSubsumptionRules int
 	// MagicEnabled declares that the caller evaluates goal queries
-	// with the magic-sets rewrite enabled (eval Magic mode "auto" or
-	// "on"); it suppresses the L6 bound-query advisory. Standalone
-	// lint runs leave it false — a source file alone says nothing
-	// about how it will be evaluated.
+	// with the magic-sets rewrite enabled (eval Options.Magic not
+	// MagicOff, as in sqoc and sqod); it suppresses the L6
+	// bound-query advisory. Standalone lint runs leave it false — a
+	// source file alone says nothing about how it will be evaluated.
 	MagicEnabled bool
 	// ElimEnabled declares that the caller evaluates with
-	// bounded-recursion elimination enabled (eval Elim mode "auto" or
-	// "on"); it suppresses the L7 bounded-recursion advisory the same
-	// way MagicEnabled suppresses L6. The negative-verdict Info
-	// findings of L7 are emitted regardless.
+	// bounded-recursion elimination enabled (eval Options.Elim not
+	// ElimOff, as in sqoc and sqod); it suppresses the L7
+	// bounded-recursion advisory the same way MagicEnabled suppresses
+	// L6. The negative-verdict Info findings of L7 are emitted
+	// regardless.
 	ElimEnabled bool
 }
 

@@ -313,19 +313,19 @@ func TestCacheCapacityFloor(t *testing.T) {
 }
 
 // TestServerCacheKeyedByBindingPattern: sqod keeps one prepared query per
-// program, constraints, optimize/magic/elim modes and goal binding
-// pattern, and binds each request's constants to it. Every case is a
-// run of /v1/query requests on a fresh server: each request must hit or
-// miss as stated, report the rewrites that apply, and answer what the
-// library answers for its own goal, and a hit must call neither the
-// optimizer nor Prepare (which runs elim and magic) — counted through the
-// package's rewrite variables; the answers come from the reference
-// evaluator (internal/refeval). The mutations the cases kill: binding the
-// seed from the cached goal ("constants": the hits answer for path(1, Y));
-// a key without the modes ("modes": the off requests hit the auto
-// entry); dropping the answer-time goal filter ("repeated variable":
-// path(X, X) answers every pair, and "constants" answers the demanded
-// bindings beyond the goal's).
+// program, constraints, optimize mode and goal binding pattern, and binds
+// each request's constants to it. Every case is a run of /v1/query
+// requests on a fresh server: each request must hit or miss as stated,
+// report the rewrites that apply, and answer what the library answers
+// for its own goal, and a hit must call neither the optimizer nor Prepare
+// (which runs elim and magic) — counted through the package's rewrite
+// variables; the answers come from the reference evaluator
+// (internal/refeval). The mutations the cases kill: binding the seed from
+// the cached goal ("constants": the hits answer for path(1, Y)); a key
+// without the optimize mode ("modes": the unoptimized request hits the
+// optimized entry); dropping the answer-time goal filter ("repeated
+// variable": path(X, X) answers every pair, and "constants" answers the
+// demanded bindings beyond the goal's).
 func TestServerCacheKeyedByBindingPattern(t *testing.T) {
 	const (
 		dataset = "step(1, 2). step(2, 3). step(3, 1). step(3, 4). step(5, 6). likes(a, 1). likes(b, 2). trendy(c)."
@@ -333,9 +333,8 @@ func TestServerCacheKeyedByBindingPattern(t *testing.T) {
 		buys    = "buys(X, Y) :- likes(X, Y).\nbuys(X, Y) :- trendy(X), buys(Z, Y).\n"
 	)
 	type request struct {
-		program     string
-		magic, elim string
-		noOpt, hit  bool
+		program    string
+		noOpt, hit bool
 	}
 	cases := []struct {
 		name string
@@ -363,19 +362,14 @@ func TestServerCacheKeyedByBindingPattern(t *testing.T) {
 		}},
 		{"modes", []request{
 			{program: tc + "?- path(1, Y)."},
-			{program: tc + "?- path(1, Y).", magic: "off"},
-			{program: tc + "?- path(1, Y).", elim: "off"},
-			{program: tc + "?- path(1, Y).", magic: "off", elim: "off"},
 			{program: tc + "?- path(1, Y).", noOpt: true},
-			{program: tc + "?- path(2, Y).", magic: "off", hit: true},
-			{program: tc + "?- path(2, Y).", elim: "off", hit: true},
+			{program: tc + "?- path(2, Y).", hit: true},
 			{program: tc + "?- path(2, Y).", noOpt: true, hit: true},
 		}},
 		{"elim verdict", []request{
 			{program: buys + "?- buys(a, Y).", noOpt: true},
 			{program: buys + "?- buys(b, Y).", noOpt: true, hit: true},
 			{program: buys + "?- buys(c, Y).", noOpt: true, hit: true},
-			{program: buys + "?- buys(b, Y).", noOpt: true, elim: "off"},
 		}},
 	}
 
@@ -398,11 +392,11 @@ func TestServerCacheKeyedByBindingPattern(t *testing.T) {
 			registerDataset(t, ts.URL, "d", dataset)
 			var hits int64
 			for _, r := range c.reqs {
-				label := fmt.Sprintf("%q magic=%q elim=%q optimize=%t", r.program[strings.Index(r.program, "?-"):], r.magic, r.elim, !r.noOpt)
+				label := fmt.Sprintf("%q optimize=%t", r.program[strings.Index(r.program, "?-"):], !r.noOpt)
 				before := [2]int{optimizes, prepares}
 				var resp queryResponse
 				code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
-					"program": r.program, "dataset": "d", "magic": r.magic, "elim": r.elim, "optimize": !r.noOpt,
+					"program": r.program, "dataset": "d", "optimize": !r.noOpt,
 				}, &resp)
 				if code != http.StatusOK {
 					t.Fatalf("%s: %d %s", label, code, raw)
@@ -422,10 +416,10 @@ func TestServerCacheKeyedByBindingPattern(t *testing.T) {
 				}
 				p := sqo.MustParseProgram(r.program)
 				bound := slices.ContainsFunc(p.Goal, sqo.Term.IsConst)
-				if wantMagic := r.magic != "off" && bound; resp.Magic != wantMagic {
-					t.Fatalf("%s: magic %t, want %t", label, resp.Magic, wantMagic)
+				if resp.Magic != bound {
+					t.Fatalf("%s: magic %t, want %t", label, resp.Magic, bound)
 				}
-				if wantElim := r.elim != "off" && p.Query == "buys"; resp.Elim != wantElim {
+				if wantElim := p.Query == "buys"; resp.Elim != wantElim {
 					t.Fatalf("%s: elim %t, want %t", label, resp.Elim, wantElim)
 				}
 				want := refeval.Answers(p, facts)

@@ -27,6 +27,7 @@ const (
 	envFull                   // MaxInflight 1, and its one slot taken
 	envClosed                 // durable, its store closed after the fixtures
 	envNanoTimout             // DefaultTimeout 1ns
+	envCapped                 // MaxTuples 1000
 )
 
 const chainProgram = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\n?- p."
@@ -48,6 +49,8 @@ func contractServer(t *testing.T, env contractEnv) (*Server, string) {
 		cfg.Store, cfg.Recovered = st, rec
 	case envNanoTimout:
 		cfg.DefaultTimeout = time.Nanosecond
+	case envCapped:
+		cfg.MaxTuples = 1000
 	}
 	s, ts := newTestServer(t, cfg)
 	registerDataset(t, ts.URL, "d", serverTestFacts)
@@ -108,14 +111,14 @@ func TestServerErrors(t *testing.T) {
 		{"no facts source", envPlain, "POST", q, `{"program": ` + prog + `}`, 400, "bad_request", 0, 0, 0},
 		{"multi-dataset body", envPlain, "POST", q, `{"program": ` + prog + `, "datasets": ["d"]}`, 400, "bad_request", 0, 0, 0},
 		{"no query decl", envPlain, "POST", q, `{"program": "p(X, Y) :- e(X, Y).", "dataset": "d"}`, 400, "bad_request", 0, 0, 0},
-		{"bad magic mode", envPlain, "POST", q, query(`, "magic": "sideways"`), 400, "bad_request", 0, 0, 0},
-		{"bad elim mode", envPlain, "POST", q, query(`, "elim": "sideways"`), 400, "bad_request", 0, 0, 0},
 		{"parse error", envPlain, "POST", q, `{"program": "p(X :-", "dataset": "d"}`, 400, "parse_error", 0, 0, 0},
 		{"bad ics", envPlain, "POST", q, query(`, "ics": ":- nope("`), 400, "parse_error", 0, 0, 0},
 		{"facts parse", envPlain, "POST", q, query(`, "facts": "step(1"`), 400, "parse_error", 0, 0, 0},
 		{"facts arity", envPlain, "POST", q, query(`, "facts": "step(3)."`), 400, "arity_mismatch", 0, 0, 0},
 		{"unknown dataset", envPlain, "POST", q, `{"program": ` + prog + `, "dataset": "nope"}`, 404, "unknown_dataset", 0, 0, 0},
 		{"budget", envPlain, "POST", q, chainQuery + `, "max_tuples": 10}`, 422, "budget_exceeded", 0, 1, 0},
+		// max_tuples lowers the server's budget, never raises it.
+		{"budget above cap", envCapped, "POST", q, chainQuery + `, "max_tuples": 1000000}`, 422, "budget_exceeded", 0, 1, 0},
 		{"eval error", envPlain, "POST", q, `{"program": ` + negIDB + `, "dataset": "chain", "optimize": false}`, 422, "eval_error", 0, 0, 0},
 		{"optimize error", envPlain, "POST", q, query(idbIC), 422, "optimize_error", 0, 0, 0},
 		{"overloaded", envFull, "POST", q, query(""), 429, "overloaded", 0, 0, 1},
@@ -165,6 +168,7 @@ func TestServerErrors(t *testing.T) {
 		{"view create/unknown dataset", envPlain, "POST", "/v1/datasets/nope/views/w", view(prog, ""), 404, "unknown_dataset", 0, 0, 0},
 		{"view create/exists", envPlain, "POST", "/v1/datasets/d/views/v", view(prog, ""), 409, "view_exists", 0, 0, 0},
 		{"view create/budget", envPlain, "POST", "/v1/datasets/chain/views/w", view(jsonString(chainProgram), `, "max_tuples": 10`), 422, "budget_exceeded", 0, 1, 0},
+		{"view create/budget above cap", envCapped, "POST", "/v1/datasets/chain/views/w", view(jsonString(chainProgram), `, "max_tuples": 1000000`), 422, "budget_exceeded", 0, 1, 0},
 		{"view create/eval error", envPlain, "POST", "/v1/datasets/chain/views/w", view(negIDB, `, "optimize": false`), 422, "eval_error", 0, 0, 0},
 		{"view create/optimize error", envPlain, "POST", "/v1/datasets/d/views/w", view(prog, idbIC), 422, "optimize_error", 0, 0, 0},
 		{"view create/overloaded", envFull, "POST", "/v1/datasets/d/views/w", view(prog, ""), 429, "overloaded", 0, 0, 1},

@@ -15,11 +15,9 @@ const magicTestProgram = `
 `
 
 // TestServerMagicPointQuery exercises the goal-directed surface end to
-// end: a bound point query evaluates through the magic rewrite by
-// default and reports magic:true, per-request "magic":"off" falls back
-// to bottom-up with identical answers, an unbound query never applies
-// magic, invalid modes answer 400, and sqod_eval_magic_total counts
-// exactly the magic evaluations.
+// end: a bound point query evaluates through the magic rewrite and
+// reports magic:true, an unbound query never applies magic, and
+// sqod_eval_magic_total counts exactly the magic evaluations.
 func TestServerMagicPointQuery(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerDataset(t, ts.URL, "g", serverTestFacts)
@@ -28,48 +26,29 @@ func TestServerMagicPointQuery(t *testing.T) {
 		Answers []string `json:"answers"`
 		Magic   bool     `json:"magic"`
 	}
-	query := func(program, mode string) resp {
+	query := func(program string) resp {
 		t.Helper()
 		var out resp
 		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 			"program": program,
 			"dataset": "g",
-			"magic":   mode,
 		}, &out)
 		if code != http.StatusOK {
-			t.Fatalf("query(magic=%q): %d %s", mode, code, raw)
+			t.Fatalf("query: %d %s", code, raw)
 		}
 		return out
 	}
 
-	withMagic := query(magicTestProgram, "")
+	withMagic := query(magicTestProgram)
 	if !withMagic.Magic {
-		t.Fatal("bound point query did not evaluate via magic by default")
+		t.Fatal("bound point query did not evaluate via magic")
 	}
 	// Reachable from 1: 2, 3, 4, 5.
-	if len(withMagic.Answers) != 4 {
-		t.Fatalf("answers = %v, want 4 nodes reachable from 1", withMagic.Answers)
+	if want := []string{"(1, 2)", "(1, 3)", "(1, 4)", "(1, 5)"}; !reflect.DeepEqual(withMagic.Answers, want) {
+		t.Fatalf("answers = %v, want %v", withMagic.Answers, want)
 	}
-	withoutMagic := query(magicTestProgram, "off")
-	if withoutMagic.Magic {
-		t.Fatal("magic=off still reports magic:true")
-	}
-	if !reflect.DeepEqual(withMagic.Answers, withoutMagic.Answers) {
-		t.Fatalf("magic changed answers:\n%v\nvs\n%v", withMagic.Answers, withoutMagic.Answers)
-	}
-
-	unbound := query(serverTestProgram, "on")
-	if unbound.Magic {
+	if unbound := query(serverTestProgram); unbound.Magic {
 		t.Fatal("goal-less query reports magic:true")
-	}
-
-	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
-		"program": magicTestProgram,
-		"dataset": "g",
-		"magic":   "sometimes",
-	}, nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("invalid magic mode: %d %s, want 400", code, raw)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -83,36 +62,48 @@ func TestServerMagicPointQuery(t *testing.T) {
 	}
 }
 
-// TestServerOnIsAuto: "on" is a spelling of "auto" for both the magic and
-// the elim mode, so a request that says "on" and one that says "auto"
-// (or nothing) prepare to one rewrite-cache entry: after the first, the
-// others hit it.
+// TestServerOnIsAuto: "magic" and "elim" were /v1/query fields, "on"
+// a spelling of "auto", until the engine chose its rewrites itself. Now
+// every value is auto: a request that still sends either field, with
+// any value, is the request without it: it hits the one
+// rewrite-cache entry the plain request made, goes through the rewrites
+// that apply (magic on a bound TC goal, magic and elimination on a
+// bounded one), and its body is byte-identical to the plain request's
+// but for the *_ms members and cache_hit.
 func TestServerOnIsAuto(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	registerDataset(t, ts.URL, "g", serverTestFacts)
-	var first []string
-	for i, modes := range [][2]string{{"on", "on"}, {"auto", "auto"}, {"", ""}, {"on", "auto"}} {
-		var out struct {
-			Answers  []string `json:"answers"`
-			CacheHit bool     `json:"cache_hit"`
-			Magic    bool     `json:"magic"`
+	s, ts := newTestServer(t, Config{})
+	registerDataset(t, ts.URL, "g", serverTestFacts+" likes(a, 1). likes(b, 2). trendy(c).")
+	const buys = `buys(X, Y) :- likes(X, Y). buys(X, Y) :- trendy(X), buys(Z, Y). ?- buys(a, Y).`
+	values := []string{`""`, `"on"`, `"auto"`, `"off"`, `"sideways"`, `false`, `0`, `{}`}
+	for _, c := range []struct {
+		program string
+		elim    bool
+	}{{magicTestProgram, false}, {buys, true}} {
+		prefix := `{"program": ` + jsonString(c.program) + `, "dataset": "g"`
+		body := func(extra string) string {
+			t.Helper()
+			code, raw := doRaw(t, http.MethodPost, ts.URL+"/v1/query", prefix+extra+`}`, nil)
+			if code != http.StatusOK {
+				t.Fatalf("%s: %d %s", extra, code, raw)
+			}
+			return msFields.ReplaceAllString(string(raw), `"$1_ms": 0`)
 		}
-		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
-			"program": magicTestProgram,
-			"dataset": "g",
-			"magic":   modes[0],
-			"elim":    modes[1],
-		}, &out)
-		if code != http.StatusOK || !out.Magic {
-			t.Fatalf("magic=%q elim=%q: %d %s", modes[0], modes[1], code, raw)
+		before := s.CacheStats()
+		want := strings.Replace(body(""), `"cache_hit": false`, `"cache_hit": true`, 1)
+		if !strings.Contains(want, `"magic": true`) || strings.Contains(want, `"elim": true`) != c.elim {
+			t.Fatalf("want magic:true and elim:%t, got %s", c.elim, want)
 		}
-		if out.CacheHit != (i > 0) {
-			t.Fatalf("magic=%q elim=%q: cache_hit = %v, want %v", modes[0], modes[1], out.CacheHit, i > 0)
+		n := 0
+		for _, v := range values {
+			for _, extra := range []string{`, "magic": ` + v, `, "elim": ` + v, `, "magic": ` + v + `, "elim": ` + v} {
+				if got := body(extra); got != want {
+					t.Fatalf("%s: body differs from the request without it:\n%s\nvs\n%s", extra, got, want)
+				}
+				n++
+			}
 		}
-		if i == 0 {
-			first = out.Answers
-		} else if !reflect.DeepEqual(out.Answers, first) {
-			t.Fatalf("magic=%q elim=%q: answers %v, want %v", modes[0], modes[1], out.Answers, first)
+		if st := s.CacheStats(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != int64(n) || st.Size-before.Size != 1 {
+			t.Fatalf("cache %+v after %+v, want 1 miss, %d hits and 1 entry more", st, before, n)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +91,53 @@ func TestRestoreMatchesLiveServer(t *testing.T) {
 				t.Fatalf("after replay: fact updates %d, view applies %d; want 0 and 0", fu, va)
 			}
 		})
+	}
+}
+
+// TestRequestBudgetCappedByServer: a request's max_tuples may lower the
+// server's MaxTuples but never raise it. Recovery replays a view's
+// creation under MaxTuples, so a view materialized above it would fail
+// its replay and be gone after a restart, its WAL record kept: its
+// creation is refused with 422 budget_exceeded instead, as is a query
+// above the cap, and every view the live server holds is restored.
+func TestRequestBudgetCappedByServer(t *testing.T) {
+	dir := t.TempDir()
+	st, rec, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, ts := newTestServer(t, Config{Store: st, Recovered: rec, MaxTuples: 100})
+	var chain strings.Builder
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&chain, "e(%d, %d).\n", i, i+1)
+	}
+	registerDataset(t, ts.URL, "chain", chain.String())
+	registerDataset(t, ts.URL, "short", "e(1, 2). e(2, 3). e(3, 4).")
+	above := func(path string, body any) {
+		t.Helper()
+		var eb errorBody
+		if code, raw := doJSON(t, http.MethodPost, ts.URL+path, body, &eb); code != http.StatusUnprocessableEntity || eb.Code != "budget_exceeded" {
+			t.Errorf("%s above the server's budget: %d %s, want 422 budget_exceeded", path, code, raw)
+		}
+	}
+	above("/v1/datasets/chain/views/big", viewRequest{Program: chainProgram, MaxTuples: 1_000_000})
+	above("/v1/query", queryRequest{Program: chainProgram, Dataset: "chain", MaxTuples: 1_000_000})
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/short/views/small", viewRequest{Program: chainProgram, MaxTuples: 1_000_000}, nil); code != http.StatusOK {
+		t.Fatalf("view within the server's budget: %d %s", code, raw)
+	}
+	want := observe(t, live, ts.URL)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	restored, ts2 := newTestServer(t, Config{Store: st2, Recovered: rec2, MaxTuples: 100})
+	if got := observe(t, restored, ts2.URL); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored server differs from the live one:\n got  %+v\n want %+v", got, want)
 	}
 }
 

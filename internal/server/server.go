@@ -471,6 +471,16 @@ func (s *Server) deadline(timeoutMS int) time.Duration {
 	return min(d, s.cfg.MaxTimeout)
 }
 
+// budget resolves a request's max_tuples (0 → MaxTuples): a request may
+// lower the server's derived-tuple budget but never raise it, so a view
+// created live is restored under MaxTuples too.
+func (s *Server) budget(maxTuples int64) int64 {
+	if maxTuples <= 0 || (s.cfg.MaxTuples > 0 && maxTuples > s.cfg.MaxTuples) {
+		return s.cfg.MaxTuples
+	}
+	return maxTuples
+}
+
 // decode reads a JSON request body into v.
 func decode(r *http.Request, v any) error {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
@@ -611,12 +621,12 @@ func (s *Server) optimizeCached(ctx context.Context, prog *sqo.Program, ics []sq
 // cache: one key, one lookup. Only a miss optimizes (when asked to) and
 // prepares, and the entry serves every goal of the request's binding
 // pattern; the caller runs it for the returned program's goal.
-func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, optimize bool, opts sqo.EvalOptions) (*sqo.Program, *compiled, bool, error) {
+func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, optimize bool) (*sqo.Program, *compiled, bool, error) {
 	prog, ics, err := parseRequest(programSrc, icsSrc, optimize)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	extra := fmt.Sprintf("query\x00%t\x00%s\x00%s", optimize, opts.Magic, opts.Elim)
+	extra := fmt.Sprintf("query\x00%t", optimize)
 	c, hit, err := s.cache.GetOrCompute(ctx, patternKey(prog, ics, sqo.DefaultOptions(), extra), func() (*compiled, error) {
 		c, p := &compiled{}, prog
 		if optimize {
@@ -627,7 +637,7 @@ func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, o
 			c.res, p = res, res.Program
 		}
 		var err error
-		if c.prep, err = prepareQuery(p, opts); err != nil {
+		if c.prep, err = prepareQuery(p, sqo.DefaultEvalOptions()); err != nil {
 			return nil, err
 		}
 		return c, nil
@@ -683,24 +693,12 @@ type queryRequest struct {
 	// evaluating (default true; false evaluates the program as sent,
 	// for A/B measurements).
 	Optimize *bool `json:"optimize,omitempty"`
-	// MaxTuples overrides the derived-tuple budget (0 → server
-	// default).
+	// MaxTuples lowers the derived-tuple budget (0 → server default;
+	// a value above the server's -max-tuples is clamped to it).
 	MaxTuples int64 `json:"max_tuples,omitempty"`
 	// IncludeRoundDeltas opts into per-round delta sizes in the
 	// response (round → relation → tuples derived that round).
 	IncludeRoundDeltas bool `json:"include_round_deltas,omitempty"`
-	// Magic controls the magic-sets demand rewrite for goal queries
-	// (`?- pred(a, Y).`): "auto" (the default — rewrite when the goal
-	// binds an argument), "on", or "off". Answers are identical in
-	// every mode; only the portion of the fixpoint computed differs.
-	Magic string `json:"magic,omitempty"`
-	// Elim controls bounded-recursion elimination: "auto" (the default
-	// — compile provably bounded fixpoints into flat joins), "on", or
-	// "off". Answers are identical in every mode; only the evaluation
-	// strategy differs. The boundedness verdict is part of the query's
-	// prepared entry in the rewrite cache, computed once per binding
-	// pattern: the goal's constants do not take an entry each.
-	Elim string `json:"elim,omitempty"`
 }
 
 type queryStats struct {
@@ -743,14 +741,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if req.Dataset == "" && req.Facts == "" {
 		return errorf(http.StatusBadRequest, "bad_request", "one of dataset or facts is required")
 	}
-	magicMode, err := sqo.ParseMagicMode(req.Magic)
-	if err != nil {
-		return errorf(http.StatusBadRequest, "bad_request", "%v", err)
-	}
-	elimMode, err := sqo.ParseElimMode(req.Elim)
-	if err != nil {
-		return errorf(http.StatusBadRequest, "bad_request", "%v", err)
-	}
 
 	// Resolve the database before admission: cheap, and 404s should
 	// not consume evaluation slots.
@@ -788,14 +778,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 
 	doOptimize := req.Optimize == nil || *req.Optimize
 	evalOpts := sqo.DefaultEvalOptions()
-	evalOpts.MaxTuples = s.cfg.MaxTuples
-	evalOpts.Magic, evalOpts.Elim = magicMode, elimMode
-	if req.MaxTuples > 0 {
-		evalOpts.MaxTuples = req.MaxTuples
-	}
+	evalOpts.MaxTuples = s.budget(req.MaxTuples)
 	return s.admitted(r, s.deadline(req.TimeoutMS), func(ctx context.Context) error {
 		optStart := time.Now()
-		prog, c, cacheHit, err := s.prepareCached(ctx, req.Program, req.ICs, doOptimize, evalOpts)
+		prog, c, cacheHit, err := s.prepareCached(ctx, req.Program, req.ICs, doOptimize)
 		if err != nil {
 			return err
 		}

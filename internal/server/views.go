@@ -110,7 +110,8 @@ type viewRequest struct {
 	// TimeoutMS bounds the initial materialization (0 → server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// MaxTuples bounds tuples materialized by the initial fixpoint and
-	// any full rebuild (0 → server default).
+	// any full rebuild (0 → server default; a value above the server's
+	// -max-tuples is clamped to it, the budget a restore replays under).
 	MaxTuples int64 `json:"max_tuples,omitempty"`
 }
 
@@ -172,13 +173,9 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) error 
 		return err
 	}
 	def := store.ViewDef{Name: r.PathValue("view"), Program: req.Program, ICs: req.ICs, Optimized: req.Optimize == nil || *req.Optimize}
-	maxTuples := s.cfg.MaxTuples
-	if req.MaxTuples > 0 {
-		maxTuples = req.MaxTuples
-	}
 	return s.admitted(r, s.deadline(req.TimeoutMS), func(ctx context.Context) error {
 		start := time.Now()
-		v, err := s.createView(ctx, s.store, ds, def, maxTuples)
+		v, err := s.createView(ctx, s.store, ds, def, s.budget(req.MaxTuples))
 		if err != nil {
 			return err
 		}

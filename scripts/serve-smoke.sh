@@ -106,16 +106,16 @@ curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$POIN
 jq -e '.cache_hit == true and .magic == true and .answers == ["(2, 3)", "(2, 4)", "(2, 5)"]' "$WORK/m3.json" >/dev/null \
 	|| fail "a new constant missed the prepared query or got another goal's answers: $(cat "$WORK/m3.json")"
 
-echo "serve-smoke: same point query with magic off — answers must match"
+echo "serve-smoke: a retired \"magic\" field is ignored — same rewrite, same answers"
 POINT_OFF='{
   "program": "path(X, Y) :- step(X, Y). path(X, Y) :- step(X, Z), path(Z, Y). ?- path(1, Y).",
   "dataset": "quickstart",
   "magic": "off"
 }'
-curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$POINT_OFF" >"$WORK/m2.json" || fail "magic=off query failed"
-jq -e '.magic == false' "$WORK/m2.json" >/dev/null || fail "magic=off still reports magic: $(cat "$WORK/m2.json")"
-[ "$(jq -cS '.answers | sort' "$WORK/m1.json")" = "$(jq -cS '.answers | sort' "$WORK/m2.json")" ] \
-	|| fail "magic changed the point-query answers"
+curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$POINT_OFF" >"$WORK/m2.json" || fail "query with \"magic\" failed"
+jq -e '.magic == true and .cache_hit == true' "$WORK/m2.json" >/dev/null || fail "\"magic\": \"off\" was not ignored: $(cat "$WORK/m2.json")"
+[ "$(jq -cS '.answers' "$WORK/m1.json")" = "$(jq -cS '.answers' "$WORK/m2.json")" ] \
+	|| fail "\"magic\": \"off\" changed the point-query answers"
 
 echo "serve-smoke: bounded recursive query (recursion elimination)"
 curl -fsS -X POST "$BASE/v1/datasets/quickstart/facts" --data-binary '
@@ -130,16 +130,16 @@ curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$BOUN
 jq -e '.elim == true and .answer_count == 4' "$WORK/e1.json" >/dev/null \
 	|| fail "bounded query did not evaluate via elim: $(cat "$WORK/e1.json")"
 
-echo "serve-smoke: same bounded query with elim off — answers must match"
+echo "serve-smoke: a retired \"elim\" field is ignored — same rewrite, same answers"
 BOUNDED_OFF='{
   "program": "buys(X, Y) :- likes(X, Y). buys(X, Y) :- trendy(X), buys(Z, Y). ?- buys.",
   "dataset": "quickstart",
   "elim": "off"
 }'
-curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$BOUNDED_OFF" >"$WORK/e2.json" || fail "elim=off query failed"
-jq -e '.elim == false' "$WORK/e2.json" >/dev/null || fail "elim=off still reports elim: $(cat "$WORK/e2.json")"
-[ "$(jq -cS '.answers | sort' "$WORK/e1.json")" = "$(jq -cS '.answers | sort' "$WORK/e2.json")" ] \
-	|| fail "elim changed the bounded-query answers"
+curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' -d "$BOUNDED_OFF" >"$WORK/e2.json" || fail "query with \"elim\" failed"
+jq -e '.elim == true and .cache_hit == true' "$WORK/e2.json" >/dev/null || fail "\"elim\": \"off\" was not ignored: $(cat "$WORK/e2.json")"
+[ "$(jq -cS '.answers' "$WORK/e1.json")" = "$(jq -cS '.answers' "$WORK/e2.json")" ] \
+	|| fail "\"elim\": \"off\" changed the bounded-query answers"
 
 echo "serve-smoke: linting a program with a known-dead rule"
 LINT='{

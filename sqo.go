@@ -194,13 +194,6 @@ const (
 	MagicOff  = eval.MagicOff
 )
 
-// ParseMagicMode parses a magic mode name ("auto" or "off"; the empty
-// string and "on" mean auto), for wiring flags and config knobs to
-// EvalOptions.Magic.
-func ParseMagicMode(s string) (MagicMode, error) {
-	return eval.ParseMagicMode(s)
-}
-
 // ElimMode controls the bounded-recursion elimination rewrite applied
 // by Query/QueryWith/QueryCtx ahead of the magic-sets rewrite:
 // ElimAuto (the default) runs the boundedness analyzer and, for
@@ -216,13 +209,6 @@ const (
 	ElimOff  = eval.ElimOff
 )
 
-// ParseElimMode parses an elim mode name ("auto" or "off"; the empty
-// string and "on" mean auto), for wiring flags and config knobs to
-// EvalOptions.Elim.
-func ParseElimMode(s string) (ElimMode, error) {
-	return eval.ParseElimMode(s)
-}
-
 // ErrNotBounded is returned by EliminateRecursion when no
 // self-recursive predicate of the program is provably bounded within
 // the analyzer's budgets; test with errors.Is. Query evaluation never
@@ -237,8 +223,8 @@ var ErrNotBounded = bounded.ErrNotBounded
 // returns an equivalent program with that predicate's fixpoint
 // compiled into a flat union of conjunctive queries. The input is not
 // mutated. Returns ErrNotBounded when nothing is eliminable — callers
-// that want the fallback applied automatically should set
-// EvalOptions.Elim instead of calling this directly.
+// that want the fallback applied automatically should call Query, which
+// eliminates unless EvalOptions.Elim is ElimOff.
 func EliminateRecursion(p *Program) (*Program, error) {
 	res, err := bounded.Rewrite(p, bounded.Options{})
 	if err != nil {
