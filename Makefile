@@ -107,16 +107,17 @@ incr-smoke:
 	$(GO) test ./internal/incr -race -count=1 -run='TestIncrRandomizedDifferential|TestIncrLongSequenceDifferential'
 
 # Run sqolint over the checked-in example programs: the clean examples
-# must exit 0, deadcode.dl must exit 1 (it contains an unsatisfiable
-# rule), and its JSON report must name the dead rules. The CI test job
-# runs this too.
+# must exit 0, unbounded.dl's JSON report must carry L7's
+# boundedness-budget note, deadcode.dl must exit 1 (it contains an
+# unsatisfiable rule), and its JSON report must name the dead rules.
+# The CI test job runs this too.
 lint-smoke:
 	$(GO) run ./cmd/sqolint examples/lint/figure1.dl
 	$(GO) run ./cmd/sqolint examples/lint/hygiene.dl
 	$(GO) run ./cmd/sqolint examples/lint/bounded.dl
 	$(GO) run ./cmd/sqolint examples/lint/unbounded.dl
-	@$(GO) run ./cmd/sqolint -json examples/lint/bounded.dl | grep -q '"id": "bounded-recursion"' \
-		|| { echo "lint-smoke: bounded-recursion finding missing from JSON report"; exit 1; }
+	@$(GO) run ./cmd/sqolint -json examples/lint/unbounded.dl | grep -q '"id": "boundedness-budget"' \
+		|| { echo "lint-smoke: boundedness-budget finding missing from JSON report"; exit 1; }
 	@if $(GO) run ./cmd/sqolint examples/lint/deadcode.dl; then \
 		echo "lint-smoke: deadcode.dl should exit non-zero"; exit 1; \
 	else \

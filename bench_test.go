@@ -610,7 +610,7 @@ func compileCold(tb testing.TB, u *Unit) (*Result, *LintReport) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return res, Lint(ctx, u.Program, u.ICs, u.Facts, compileLintOpts)
+	return res, Lint(ctx, u.Program, u.ICs, u.Facts, LintOptions{})
 }
 
 // BenchmarkCompileCold is the library twin of the end-to-end

@@ -73,8 +73,7 @@ func main() {
 	}
 
 	if *lintFlag {
-		rep := sqo.Lint(ctx, unit.Program, unit.ICs, unit.Facts,
-			sqo.LintOptions{MagicEnabled: true, ElimEnabled: true})
+		rep := sqo.Lint(ctx, unit.Program, unit.ICs, unit.Facts, sqo.LintOptions{})
 		if len(rep.Findings) > 0 {
 			if err := sqo.WriteLintText(os.Stderr, flag.Arg(0), rep); err != nil {
 				log.Fatal(err)

@@ -6,8 +6,10 @@
 // unsatisfiable, provably empty IDB predicates and the dead rules that
 // read them, rules subsumed by a sibling, constraint features that
 // fall outside the decidable fragments of the theory, plain hygiene
-// problems, and recursion that is provably bounded and therefore
-// eliminable. With no file arguments it reads standard input.
+// problems, point queries the magic-sets rewrite does not apply to, and
+// recursion that is not provably bounded. It reports what sqoc -lint
+// and sqod's /v1/lint report for the same input. With no file
+// arguments it reads standard input.
 //
 // Usage:
 //

@@ -2,9 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	sqo "repro"
 )
 
 // Exit-code parity: for the same input, the -json renderer must exit
@@ -28,7 +34,9 @@ q(X) :- p(X).
 			want: 1,
 		},
 		{
-			// A bounded recursive predicate: an L7 Warning, no Errors.
+			// The singleton Z of the recursive rule: an L5 Warning, no
+			// Errors. (buys is bounded, which the engine compiles away,
+			// so L7 reports nothing.)
 			name: "warnings only",
 			src: `buys(X, Y) :- likes(X, Y).
 buys(X, Y) :- trendy(X), buys(Z, Y).
@@ -68,6 +76,44 @@ func TestExitCodeParseFailure(t *testing.T) {
 		var out, stderr bytes.Buffer
 		if code := run(args, strings.NewReader(src), &out, &stderr); code != 2 {
 			t.Errorf("args %v: exit = %d, want 2", args, code)
+		}
+	}
+}
+
+// Every lint surface reports the same findings for the same input:
+// sqolint -json, sqo.Lint with the zero options (sqoc -lint, sqod's
+// /v1/lint and its optimize and view diagnostics), and sqo.Lint with
+// the deprecated MagicEnabled and ElimEnabled set, as the benchmark
+// harness still passes them.
+func TestLintSurfacesAgree(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/lint/*.dl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example programs under examples/lint/ (%v)", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := sqo.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lintWith := func(opts sqo.LintOptions) []sqo.LintFinding {
+			return sqo.Lint(context.Background(), unit.Program, unit.ICs, unit.Facts, opts).Findings
+		}
+		want := lintWith(sqo.LintOptions{})
+		if got := lintWith(sqo.LintOptions{MagicEnabled: true, ElimEnabled: true}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: LintOptions{MagicEnabled, ElimEnabled} reports\n%v\nwant\n%v", path, got, want)
+		}
+		var out, stderr bytes.Buffer
+		run([]string{"-json", path}, strings.NewReader(""), &out, &stderr)
+		var reports []fileReport
+		if err := json.Unmarshal(out.Bytes(), &reports); err != nil || len(reports) != 1 {
+			t.Fatalf("%s: sqolint -json: %v (%d reports)\n%s", path, err, len(reports), stderr.String())
+		}
+		if got := reports[0].Findings; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sqolint reports\n%v\nwant\n%v", path, got, want)
 		}
 	}
 }

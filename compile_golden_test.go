@@ -64,8 +64,6 @@ func compileCorpus(tb testing.TB) []compileInput {
 	return out
 }
 
-var compileLintOpts = LintOptions{MagicEnabled: true, ElimEnabled: true}
-
 // compileText renders everything the compiler emits for one input: the
 // optimizer's program, query forest and adornments (their triplet keys
 // are what orders triplets and numbers adornments), the recursion-elimination
@@ -140,7 +138,7 @@ func compileText(tb testing.TB, in compileInput) string {
 		tb.Fatalf("%s: magic: %v", in.name, err)
 	}
 	b.WriteString("--- lint\n")
-	if err := WriteLintText(&b, in.name, Lint(ctx, u.Program, u.ICs, u.Facts, compileLintOpts)); err != nil {
+	if err := WriteLintText(&b, in.name, Lint(ctx, u.Program, u.ICs, u.Facts, LintOptions{})); err != nil {
 		tb.Fatal(err)
 	}
 	return b.String()

@@ -44,32 +44,25 @@ import (
 // evaluation with errors.Is, mirroring magic.ErrNotApplicable.
 var ErrNotBounded = errors.New("recursion not provably bounded")
 
-// Options bound the analysis. Boundedness is undecidable, so these are
-// semantic knobs, not tuning parameters: raising them makes the
-// analyzer prove MORE programs bounded (never different answers).
-type Options struct {
-	// MaxDepth is the largest unfolding depth k for which the witness
-	// containment A_{k+1} ⊑ A_k is attempted (default 3).
-	MaxDepth int
-	// MaxDisjuncts caps the number of conjunctive queries in any A_k
-	// (default 48); past it the verdict is NotWithinBudget.
-	MaxDisjuncts int
-	// MaxBodyAtoms caps the positive body length of an expanded
-	// disjunct (default 12); past it the verdict is NotWithinBudget.
-	MaxBodyAtoms int
-}
+// Options has no field: the analysis budgets are the constants below.
+// Rewrite still takes it only because the benchmark harness passes
+// bounded.Options{}.
+type Options struct{}
 
-func (o *Options) defaults() {
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 3
-	}
-	if o.MaxDisjuncts == 0 {
-		o.MaxDisjuncts = 48
-	}
-	if o.MaxBodyAtoms == 0 {
-		o.MaxBodyAtoms = 12
-	}
-}
+// The analysis budgets. Boundedness is undecidable, so these are
+// semantic bounds, not tuning parameters: raising them would make the
+// analyzer prove MORE programs bounded (never different answers).
+const (
+	// maxDepth is the largest unfolding depth k for which the witness
+	// containment A_{k+1} ⊑ A_k is attempted.
+	maxDepth = 3
+	// maxDisjuncts caps the number of conjunctive queries in any A_k;
+	// past it the verdict is NotWithinBudget.
+	maxDisjuncts = 48
+	// maxBodyAtoms caps the positive body length of an expanded
+	// disjunct; past it the verdict is NotWithinBudget.
+	maxBodyAtoms = 12
+)
 
 // Verdict is the three-valued outcome of the analysis for one
 // predicate. Only Bounded licenses a rewrite; the other two differ in
@@ -143,8 +136,7 @@ type Result struct {
 // predicate of the program and returns the per-predicate verdicts
 // sorted by predicate name. It never fails: out-of-scope predicates
 // get verdict Unknown.
-func Analyze(p *ast.Program, opts Options) []Analysis {
-	opts.defaults()
+func Analyze(p *ast.Program) []Analysis {
 	rec := p.Recursion()
 	var preds []string
 	for pred := range rec.Self {
@@ -153,7 +145,7 @@ func Analyze(p *ast.Program, opts Options) []Analysis {
 	sort.Strings(preds)
 	out := make([]Analysis, 0, len(preds))
 	for _, pred := range preds {
-		out = append(out, analyzePred(p, pred, rec, opts))
+		out = append(out, analyzePred(p, pred, rec))
 	}
 	return out
 }
@@ -164,8 +156,8 @@ func Analyze(p *ast.Program, opts Options) []Analysis {
 // predicate is bounded it returns an error wrapping ErrNotBounded —
 // with the Result still carrying the per-predicate Analyses, so the
 // caller can report the honest verdicts.
-func Rewrite(p *ast.Program, opts Options) (*Result, error) {
-	res := &Result{Analyses: Analyze(p, opts)}
+func Rewrite(p *ast.Program, _ Options) (*Result, error) {
+	res := &Result{Analyses: Analyze(p)}
 	byPred := map[string][]ast.Rule{}
 	for _, a := range res.Analyses {
 		// A predicate with no exit rules is bounded with an EMPTY
@@ -221,7 +213,7 @@ func summarize(as []Analysis) string {
 
 // analyzePred runs the scope checks, structural pre-checks, and the
 // unfolding ladder for one self-recursive predicate.
-func analyzePred(p *ast.Program, pred string, recursion *ast.Recursion, o Options) Analysis {
+func analyzePred(p *ast.Program, pred string, recursion *ast.Recursion) Analysis {
 	res := Analysis{Pred: pred, Linear: true}
 	var exit, rec []ast.Rule
 	ren := ast.NewRenamer()
@@ -259,26 +251,26 @@ func analyzePred(p *ast.Program, pred string, recursion *ast.Recursion, o Option
 	// Σ_r |A_k|^(p-subgoals of r) disjuncts; if depth 2 already
 	// overflows the budget for a nonlinear program, no containment
 	// call can ever run to completion.
-	if projected := projectGrowth(len(exit), rec, pred); projected > o.MaxDisjuncts {
+	if projected := projectGrowth(len(exit), rec, pred); projected > maxDisjuncts {
 		res.Verdict = NotWithinBudget
 		res.Depth = 1
-		res.Reason = fmt.Sprintf("projected %d disjuncts at unfolding depth 2 exceeds the %d-disjunct budget", projected, o.MaxDisjuncts)
+		res.Reason = fmt.Sprintf("projected %d disjuncts at unfolding depth 2 exceeds the %d-disjunct budget", projected, maxDisjuncts)
 		return res
 	}
 
 	prev := dedupe(exit, nil)
-	if len(prev) > o.MaxDisjuncts {
+	if len(prev) > maxDisjuncts {
 		res.Verdict = NotWithinBudget
 		res.Depth = 1
-		res.Reason = fmt.Sprintf("%d exit disjuncts exceed the %d-disjunct budget", len(prev), o.MaxDisjuncts)
+		res.Reason = fmt.Sprintf("%d exit disjuncts exceed the %d-disjunct budget", len(prev), maxDisjuncts)
 		return res
 	}
-	for k := 1; k <= o.MaxDepth; k++ {
-		next, grew, ok := unfoldLevel(pred, exit, rec, prev, ren, o)
+	for k := 1; k <= maxDepth; k++ {
+		next, grew, ok := unfoldLevel(pred, exit, rec, prev, ren)
 		if !ok {
 			res.Verdict = NotWithinBudget
 			res.Depth = k
-			res.Reason = fmt.Sprintf("unfolding depth %d exceeds the disjunct/body budget (%d disjuncts, %d atoms)", k+1, o.MaxDisjuncts, o.MaxBodyAtoms)
+			res.Reason = fmt.Sprintf("unfolding depth %d exceeds the disjunct/body budget (%d disjuncts, %d atoms)", k+1, maxDisjuncts, maxBodyAtoms)
 			return res
 		}
 		// Syntactic fixpoint: the level added no new disjunct shape, so
@@ -299,8 +291,8 @@ func analyzePred(p *ast.Program, pred string, recursion *ast.Recursion, o Option
 		prev = next
 	}
 	res.Verdict = NotWithinBudget
-	res.Depth = o.MaxDepth
-	res.Reason = fmt.Sprintf("no containment witness up to unfolding depth %d", o.MaxDepth)
+	res.Depth = maxDepth
+	res.Reason = fmt.Sprintf("no containment witness up to unfolding depth %d", maxDepth)
 	return res
 }
 
@@ -332,7 +324,7 @@ func projectGrowth(exitN int, rec []ast.Rule, pred string) int {
 // the deduplicated next level, the disjuncts of that level that are
 // not already in prev (the only ones whose containment is in
 // question), and ok=false when a budget is exceeded.
-func unfoldLevel(pred string, exit, rec, prev []ast.Rule, ren *ast.Renamer, o Options) (next, grew []ast.Rule, ok bool) {
+func unfoldLevel(pred string, exit, rec, prev []ast.Rule, ren *ast.Renamer) (next, grew []ast.Rule, ok bool) {
 	keys := map[string]bool{}
 	next = dedupe(exit, keys)
 	prevKeys := map[string]bool{}
@@ -354,7 +346,7 @@ func unfoldLevel(pred string, exit, rec, prev []ast.Rule, ren *ast.Renamer, o Op
 				if !expanded {
 					return true // heads never unify; this combination derives nothing
 				}
-				if len(d.Pos) > o.MaxBodyAtoms {
+				if len(d.Pos) > maxBodyAtoms {
 					return false
 				}
 				key := d.CanonicalString()
@@ -366,7 +358,7 @@ func unfoldLevel(pred string, exit, rec, prev []ast.Rule, ren *ast.Renamer, o Op
 				if !prevKeys[key] {
 					grew = append(grew, d)
 				}
-				return len(next) <= o.MaxDisjuncts
+				return len(next) <= maxDisjuncts
 			}
 			for _, c := range prev {
 				choice[i] = c

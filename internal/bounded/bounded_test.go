@@ -29,7 +29,7 @@ buys(X, Y) :- trendy(X), buys(Z, Y).
 
 func TestAnalyzeTrendyBounded(t *testing.T) {
 	p := parse(t, trendySrc)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	if len(as) != 1 {
 		t.Fatalf("got %d analyses, want 1: %+v", len(as), as)
 	}
@@ -88,12 +88,12 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 ?- path.
 `)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	if len(as) != 1 || as[0].Verdict != NotWithinBudget {
 		t.Fatalf("got %+v, want path not-bounded-within-budget", as)
 	}
 	if as[0].Depth != 3 {
-		t.Errorf("deepest level tried = %d, want MaxDepth 3", as[0].Depth)
+		t.Errorf("deepest level tried = %d, want maxDepth 3", as[0].Depth)
 	}
 	if _, err := Rewrite(p, Options{}); !errors.Is(err, ErrNotBounded) {
 		t.Fatalf("Rewrite err = %v, want ErrNotBounded", err)
@@ -132,7 +132,7 @@ even(X) :- succ(Y, X), odd(Y).
 odd(X) :- succ(Y, X), even(Y).
 ?- even.
 `)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	// Neither even nor odd is SELF-recursive, so there is nothing to
 	// analyze at all.
 	if len(as) != 0 {
@@ -148,7 +148,7 @@ p(X) :- q(X).
 q(X) :- hop(X, Y), p(Y).
 ?- p.
 `)
-	as2 := Analyze(p2, Options{})
+	as2 := Analyze(p2)
 	if len(as2) != 1 || as2[0].Verdict != Unknown {
 		t.Fatalf("got %+v, want p unknown (mutual recursion)", as2)
 	}
@@ -164,7 +164,7 @@ keeps(X, Y) :- owns(X, Y), !sold(X, Y).
 keeps(X, Y) :- hoards(X), keeps(Z, Y), !sold(X, Y).
 ?- keeps.
 `)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	if len(as) != 1 || as[0].Verdict != Unknown {
 		t.Fatalf("got %+v, want keeps unknown (negation)", as)
 	}
@@ -180,7 +180,7 @@ q(X, Y) :- left(X), q(Z, Y).
 q(X, Y) :- right(Y), q(X, Z).
 ?- q.
 `)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	if len(as) != 1 || as[0].Verdict != Bounded {
 		t.Fatalf("got %+v, want q bounded", as)
 	}
@@ -200,7 +200,7 @@ r(X) :- seed(X).
 r(X) :- glue(X), r(Y), r(Z).
 ?- r.
 `)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	if len(as) != 1 || as[0].Verdict != Bounded {
 		t.Fatalf("got %+v, want r bounded", as)
 	}
@@ -216,7 +216,7 @@ cheap(X, Y) :- price(X, Y), Y < 100.
 cheap(X, Y) :- fad(X), cheap(Z, Y), Y < 100.
 ?- cheap.
 `)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	if len(as) != 1 {
 		t.Fatalf("got %d analyses, want 1", len(as))
 	}
@@ -243,7 +243,7 @@ big(X) :- g(X), big(A), big(B), big(C).
 ?- big.
 `
 	p := parse(t, src)
-	as := Analyze(p, Options{})
+	as := Analyze(p)
 	if len(as) != 1 || as[0].Verdict != NotWithinBudget {
 		t.Fatalf("got %+v, want big not-bounded-within-budget", as)
 	}

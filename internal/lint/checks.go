@@ -341,11 +341,11 @@ func (l *linter) subsumedRules() {
 	subsumed := map[int]bool{}
 	eligible := func(i int) bool {
 		r := l.p.Rules[i]
-		return !r.HasNeg() && len(r.Pos)+len(r.Cmp) <= l.opts.MaxSubsumptionAtoms
+		return !r.HasNeg() && len(r.Pos)+len(r.Cmp) <= maxSubsumptionAtoms
 	}
 	for _, pred := range preds {
 		idxs := byPred[pred]
-		if len(idxs) < 2 || len(idxs) > l.opts.MaxSubsumptionRules {
+		if len(idxs) < 2 || len(idxs) > maxSubsumptionRules {
 			continue
 		}
 		// Walk candidates from last to first so that among duplicated
@@ -377,15 +377,12 @@ func (l *linter) subsumedRules() {
 	}
 }
 
-// goalDirected is L6: goal-directed evaluation advisories. A goal that
-// binds arguments — a point query like '?- path(a, Y).' — asks for a
-// fraction of the query relation, yet bottom-up evaluation materializes
-// all of it and filters afterwards. When the magic-sets rewrite applies
-// and the caller has not declared it enabled, the check warns, citing
-// the adornment that would drive the demand propagation. When the goal
-// binds arguments but the rewrite is structurally inapplicable, the
-// check warns regardless of configuration: even with magic enabled the
-// engine falls back to full bottom-up evaluation.
+// goalDirected is L6: a goal that binds arguments — a point query
+// like '?- path(a, Y).' — asks for a fraction of the query relation.
+// The engine evaluates it goal-directed through the magic-sets rewrite
+// wherever that applies; when the rewrite is structurally inapplicable
+// the check warns, citing the goal's adornment, because the engine
+// then materializes the whole relation and filters afterwards.
 func (l *linter) goalDirected() {
 	if len(l.p.Goal) == 0 {
 		return
@@ -394,33 +391,21 @@ func (l *linter) goalDirected() {
 	if !pat.HasBound() {
 		return
 	}
-	goal := l.p.GoalAtom()
-	adorned := magic.AdornedName(l.p.Query, pat)
 	if _, err := magic.Rewrite(l.p); err != nil {
 		l.add(Finding{Check: "L6", ID: "bound-query-no-magic", Severity: Warning,
 			Message: fmt.Sprintf("query %s binds %d of %d argument(s) (adornment %s) but the magic-sets rewrite does not apply (%v); the full %s relation is materialized and the goal filtered after the fact",
-				goal, len(pat.Bound()), len(pat), adorned, err, l.p.Query)})
-		return
+				l.p.GoalAtom(), len(pat.Bound()), len(pat), magic.AdornedName(l.p.Query, pat), err, l.p.Query)})
 	}
-	if l.opts.MagicEnabled {
-		return
-	}
-	l.add(Finding{Check: "L6", ID: "bound-query-no-magic", Severity: Warning,
-		Message: fmt.Sprintf("query %s binds %d of %d argument(s) (adornment %s) but is evaluated without the magic-sets rewrite; bottom-up evaluation materializes the full %s relation to answer a point query — evaluate it goal-directed (sqoc and sqod do; eval does unless Options.Magic is MagicOff)",
-			goal, len(pat.Bound()), len(pat), adorned, l.p.Query)})
 }
 
 // boundedRecursion is L7: bounded-recursion advisories. The
 // boundedness analyzer's verdict per self-recursive predicate is
-// three-valued, and each value gets its own finding:
+// three-valued:
 //
 //   - bounded: the k-fold unfolding is contained in the (k-1)-fold
 //     unfolding, so the fixpoint is equivalent to a flat union of
-//     conjunctive queries. A Warning cites the witness depth and
-//     disjunct count — unless the caller declared elimination enabled
-//     (Options.ElimEnabled, as sqoc and sqod do), in which case the
-//     evaluator compiles the recursion away and there is nothing to
-//     advise.
+//     conjunctive queries. The engine compiles the recursion away, so
+//     there is nothing to advise.
 //   - not-bounded-within-budget: the unfolding ladder ran to its
 //     depth/size budget without a containment witness. An Info, so a
 //     genuinely recursive program (transitive closure) is never
@@ -436,20 +421,13 @@ func (l *linter) boundedRecursion() {
 		}
 		return ast.Pos{}
 	}
-	for _, a := range bounded.Analyze(l.p, bounded.Options{}) {
+	for _, a := range bounded.Analyze(l.p) {
 		switch a.Verdict {
-		case bounded.Bounded:
-			if l.opts.ElimEnabled {
-				continue
-			}
-			l.addAt("L7", "bounded-recursion", Warning, ruleAt(a.Pred),
-				fmt.Sprintf("bounded recursive predicate %s — recursion is eliminable: the %d-fold unfolding adds nothing, so the fixpoint equals a union of %d conjunctive queries; evaluate it as flat joins (sqoc and sqod do; eval does unless Options.Elim is ElimOff)",
-					a.Pred, a.Depth, len(a.Disjuncts)))
 		case bounded.NotWithinBudget:
 			l.addAt("L7", "boundedness-budget", Info, ruleAt(a.Pred),
 				fmt.Sprintf("recursion of %s is not provably bounded within budget (%s); the fixpoint is evaluated as written",
 					a.Pred, a.Reason))
-		default:
+		case bounded.Unknown:
 			l.addAt("L7", "boundedness-unknown", Info, ruleAt(a.Pred),
 				fmt.Sprintf("boundedness of %s is unknown: %s", a.Pred, a.Reason))
 		}

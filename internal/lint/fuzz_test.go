@@ -94,7 +94,6 @@ q(X) :- a(X), a(X).
 			ChaseSteps:        200,
 			MaxLinearizations: 500,
 		},
-		MaxSubsumptionAtoms: 6,
 	}
 	f.Fuzz(func(t *testing.T, src string, mask uint8) {
 		unit, err := parser.Parse(src)

@@ -18,14 +18,12 @@
 //   - L5 hygiene: arity mismatches, unsafe rules, IDB predicates in
 //     constraint bodies, singleton variables, unused EDB predicates.
 //   - L6 goal-directed: a query goal that binds arguments (a point
-//     query like '?- path(a, Y).') evaluated without the magic-sets
-//     rewrite materializes the whole relation; the check cites the
-//     goal's adornment.
-//   - L7 bounded-recursion: a self-recursive predicate whose recursion
-//     is provably bounded is eliminable — its fixpoint equals a flat
-//     union of conjunctive queries; the check cites the witness
-//     unfolding depth. The verdict is three-valued: bounded (Warning,
-//     unless the caller evaluates with elimination enabled),
+//     query like '?- path(a, Y).') to which the magic-sets rewrite
+//     does not apply materializes the whole relation; the check cites
+//     the goal's adornment.
+//   - L7 bounded-recursion: the boundedness analyzer's verdict on each
+//     self-recursive predicate. A bounded one the engine compiles
+//     away, so only the other two verdicts are reported:
 //     not-bounded-within-budget and unknown (both Info).
 //
 // Every semantic verdict the linter relies on is three-valued; budget
@@ -38,7 +36,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/emptiness"
@@ -114,9 +111,6 @@ type Report struct {
 	Errors   int       `json:"errors"`
 	Warnings int       `json:"warnings"`
 	Infos    int       `json:"infos"`
-	// Timings records wall-clock time per check family (L1..L7); it is
-	// excluded from JSON so renderings stay deterministic.
-	Timings map[string]time.Duration `json:"-"`
 }
 
 // HasErrors reports whether any Error-severity finding was emitted.
@@ -127,36 +121,24 @@ type Options struct {
 	// Emptiness bounds the satisfiability procedures behind L1 and L2
 	// (chase steps, linearization count).
 	Emptiness emptiness.Options
-	// MaxSubsumptionAtoms bounds the body size of rules considered by
-	// the L3 containment check (default 8); containment is NP-complete
-	// in the body size.
-	MaxSubsumptionAtoms int
-	// MaxSubsumptionRules bounds the number of rules per head
-	// predicate compared pairwise by L3 (default 16).
-	MaxSubsumptionRules int
-	// MagicEnabled declares that the caller evaluates goal queries
-	// with the magic-sets rewrite enabled (eval Options.Magic not
-	// MagicOff, as in sqoc and sqod); it suppresses the L6
-	// bound-query advisory. Standalone lint runs leave it false — a
-	// source file alone says nothing about how it will be evaluated.
+	// Deprecated: read by nothing. Every caller evaluates with the
+	// magic-sets rewrite wherever it applies, so L6 reports only goals
+	// it does not apply to.
 	MagicEnabled bool
-	// ElimEnabled declares that the caller evaluates with
-	// bounded-recursion elimination enabled (eval Options.Elim not
-	// ElimOff, as in sqoc and sqod); it suppresses the L7
-	// bounded-recursion advisory the same way MagicEnabled suppresses
-	// L6. The negative-verdict Info findings of L7 are emitted
-	// regardless.
+	// Deprecated: read by nothing. Every caller evaluates with
+	// bounded-recursion elimination, so L7 reports no bounded
+	// predicate.
 	ElimEnabled bool
 }
 
-func (o *Options) defaults() {
-	if o.MaxSubsumptionAtoms == 0 {
-		o.MaxSubsumptionAtoms = 8
-	}
-	if o.MaxSubsumptionRules == 0 {
-		o.MaxSubsumptionRules = 16
-	}
-}
+// The L3 containment budget: containment is NP-complete in the body
+// size, so only rules with at most maxSubsumptionAtoms body atoms, and
+// only head predicates with at most maxSubsumptionRules rules, are
+// compared pairwise.
+const (
+	maxSubsumptionAtoms = 8
+	maxSubsumptionRules = 16
+)
 
 // Run lints the program against its integrity constraints and optional
 // EDB facts. The context bounds the semantic checks: cancellation
@@ -166,7 +148,6 @@ func Run(ctx context.Context, p *ast.Program, ics []ast.IC, facts []ast.Atom, op
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts.defaults()
 	l := &linter{
 		ctx:   ctx,
 		p:     p,
@@ -174,20 +155,19 @@ func Run(ctx context.Context, p *ast.Program, ics []ast.IC, facts []ast.Atom, op
 		facts: facts,
 		opts:  opts,
 		idb:   p.IDB(),
-		rep:   &Report{Findings: []Finding{}, Timings: map[string]time.Duration{}},
+		rep:   &Report{Findings: []Finding{}},
 	}
-	structuralOK := true
-	l.timed("L5", func() { structuralOK = l.hygiene() })
-	l.timed("L4", func() { l.guardrails() })
+	structuralOK := l.hygiene()
+	l.guardrails()
 	// Semantic checks assume consistent arities, safe rules, and
 	// constraints free of IDB predicates; skip them when the structure
 	// is broken rather than report nonsense on top of the real defect.
 	if structuralOK {
-		l.timed("L1", func() { l.unsatRules() })
-		l.timed("L2", func() { l.emptyAndDead() })
-		l.timed("L3", func() { l.subsumedRules() })
-		l.timed("L6", func() { l.goalDirected() })
-		l.timed("L7", func() { l.boundedRecursion() })
+		l.unsatRules()
+		l.emptyAndDead()
+		l.subsumedRules()
+		l.goalDirected()
+		l.boundedRecursion()
 	}
 	if ctx.Err() != nil {
 		l.add(Finding{Check: "lint", ID: "aborted", Severity: Info,
@@ -240,10 +220,4 @@ func (l *linter) add(f Finding) { l.rep.Findings = append(l.rep.Findings, f) }
 
 func (l *linter) addAt(check, id string, sev Severity, at ast.Pos, msg string) {
 	l.add(Finding{Check: check, ID: id, Severity: sev, Line: at.Line, Col: at.Col, Message: msg})
-}
-
-func (l *linter) timed(name string, fn func()) {
-	start := time.Now()
-	fn()
-	l.rep.Timings[name] = time.Since(start)
 }

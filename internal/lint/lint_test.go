@@ -240,38 +240,18 @@ p(X, Y) :- a(X, Z), p(Z, Y).
 	}
 }
 
-// TestBoundedRecursionFindings drives L7's three verdicts and the
-// ElimEnabled suppression.
+// TestBoundedRecursionFindings drives L7's three verdicts: a bounded
+// predicate, which the engine compiles away, reports nothing.
 func TestBoundedRecursionFindings(t *testing.T) {
-	boundedSrc := `
+	rep := runOn(t, `
 buys(X, Y) :- likes(X, Y).
 buys(X, Y) :- trendy(X), buys(Z, Y).
 ?- buys.
-`
-	rep := runOn(t, boundedSrc, ``, ``)
-	ids := findingIDs(rep)
-	if ids["bounded-recursion"] != 1 {
-		t.Fatalf("want bounded-recursion warning, got %v", rep.Findings)
-	}
+`, ``, ``)
 	for _, f := range rep.Findings {
-		if f.ID == "bounded-recursion" {
-			if f.Severity != Warning {
-				t.Errorf("bounded-recursion severity = %v, want warning", f.Severity)
-			}
-			if !strings.Contains(f.Message, "2-fold unfolding") {
-				t.Errorf("message should cite the witness depth: %q", f.Message)
-			}
+		if f.Check == "L7" {
+			t.Fatalf("a bounded predicate must report no L7 finding, got %v", rep.Findings)
 		}
-	}
-
-	// Declaring elimination enabled suppresses the advisory.
-	unit, err := parser.Parse(boundedSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep = Run(context.Background(), unit.Program, nil, nil, Options{ElimEnabled: true})
-	if n := findingIDs(rep)["bounded-recursion"]; n != 0 {
-		t.Fatalf("ElimEnabled should suppress bounded-recursion, got %v", rep.Findings)
 	}
 
 	// Out-of-scope recursion (a self-recursive predicate entangled in
@@ -330,39 +310,19 @@ p(X) :- a(X, Y), b(Y, X).
 }
 
 func TestGoalDirectedAdvisory(t *testing.T) {
-	const tc = `
+	// A bound goal the magic-sets rewrite applies to: the engine
+	// evaluates it goal-directed, so there is nothing to advise.
+	p, err := parser.ParseProgram(`
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 ?- path(1, Y).
-`
-	p, err := parser.ParseProgram(tc)
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	rep := Run(context.Background(), p, nil, nil, Options{})
-	ids := findingIDs(rep)
-	if ids["bound-query-no-magic"] != 1 {
-		t.Fatalf("want one bound-query-no-magic finding, got %v", rep.Findings)
-	}
-	for _, f := range rep.Findings {
-		if f.ID != "bound-query-no-magic" {
-			continue
-		}
-		if f.Severity != Warning {
-			t.Errorf("severity = %v, want warning", f.Severity)
-		}
-		for _, want := range []string{"path#bf", "binds 1 of 2"} {
-			if !strings.Contains(f.Message, want) {
-				t.Errorf("message %q missing %q", f.Message, want)
-			}
-		}
-	}
-
-	// A caller that evaluates with magic enabled suppresses the advisory.
-	rep = Run(context.Background(), p, nil, nil, Options{MagicEnabled: true})
 	if ids := findingIDs(rep); ids["bound-query-no-magic"] != 0 {
-		t.Fatalf("MagicEnabled did not suppress the advisory: %v", rep.Findings)
+		t.Fatalf("a point query the rewrite applies to should not warn: %v", rep.Findings)
 	}
 
 	// Unbound goals and goal-less queries are not point queries.
@@ -381,8 +341,9 @@ path(X, Y) :- edge(X, Y).
 	}
 
 	// Bound goal where the rewrite is structurally inapplicable (the
-	// query predicate has no rules): the warning fires even with magic
-	// enabled, since the engine falls back to bottom-up evaluation.
+	// query predicate has no rules): the engine falls back to
+	// bottom-up evaluation, and the warning cites the adornment and
+	// says why.
 	p, err = parser.ParseProgram(`
 p(X, Y) :- e(X, Y).
 ?- q(1).
@@ -390,13 +351,19 @@ p(X, Y) :- e(X, Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep = Run(context.Background(), p, nil, nil, Options{MagicEnabled: true})
+	rep = Run(context.Background(), p, nil, nil, Options{})
 	found := false
 	for _, f := range rep.Findings {
-		if f.ID == "bound-query-no-magic" {
-			found = true
-			if !strings.Contains(f.Message, "does not apply") {
-				t.Errorf("inapplicable-rewrite message %q should say why", f.Message)
+		if f.ID != "bound-query-no-magic" {
+			continue
+		}
+		found = true
+		if f.Severity != Warning {
+			t.Errorf("severity = %v, want warning", f.Severity)
+		}
+		for _, want := range []string{"q#b", "binds 1 of 1", "does not apply"} {
+			if !strings.Contains(f.Message, want) {
+				t.Errorf("message %q missing %q", f.Message, want)
 			}
 		}
 	}

@@ -64,12 +64,9 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) error {
 	})
 }
 
-// lint runs the linter and counts the run and its findings. The
-// server's query path applies the magic-sets and
-// bounded-recursion-elimination rewrites by default, so the L6
-// bound-query and L7 bounded-recursion advisories do not apply here.
+// lint runs the linter and counts the run and its findings.
 func (s *Server) lint(ctx context.Context, prog *sqo.Program, ics []sqo.IC, facts []sqo.Atom) *sqo.LintReport {
-	rep := sqo.Lint(ctx, prog, ics, facts, sqo.LintOptions{MagicEnabled: true, ElimEnabled: true})
+	rep := sqo.Lint(ctx, prog, ics, facts, sqo.LintOptions{})
 	s.metrics.LintRuns.Add(1)
 	s.metrics.LintFindings.Add(int64(len(rep.Findings)))
 	return rep

@@ -309,10 +309,6 @@ func (s *Store) gc() {
 // the one the store would go on appending to.
 func (s *Store) checkpointLocked() error {
 	s.sinceCkpt = 0
-	if s.dir == "" {
-		s.checkpoints++
-		return nil
-	}
 	// The old WAL is deleted once the manifest commits, and the mirror
 	// the checkpoint is written from covers every appended record; sync
 	// it anyway so a crash between rename and delete leaves a consistent

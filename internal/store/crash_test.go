@@ -6,7 +6,7 @@ package store_test
 // line per completed operation; the parent hard-kills it (SIGKILL — no
 // drain, no final checkpoint) after a scenario-chosen number of acks,
 // then recovers the directory and proves the recovered state is
-// exactly the state an uninterrupted in-memory run reaches after some
+// exactly the state an uninterrupted run reaches after some
 // prefix of the schedule:
 //
 //   - the prefix covers every acknowledged operation (an acked write
@@ -229,7 +229,7 @@ func runChildUntilKilled(t *testing.T, exe, dir string, sc crashScenario) int {
 }
 
 // verifyRecovered recovers dir and searches for the schedule prefix
-// whose uninterrupted in-memory replay matches it bit-for-bit.
+// whose uninterrupted replay, into a fresh store, matches it bit-for-bit.
 func verifyRecovered(t *testing.T, dir string, sc crashScenario, acked int) {
 	t.Helper()
 	recSt, rec, err := store.Open(dir, store.Options{})
@@ -246,14 +246,15 @@ func verifyRecovered(t *testing.T, dir string, sc crashScenario, acked int) {
 	}
 	var lastDiff string
 	for i := acked; i <= total; i++ {
-		// An ephemeral store under a live server replays the prefix the
-		// way the child originally ran it: same handlers, same WAL-op
+		// A fresh store under a live server replays the prefix the way
+		// the child originally ran it: same handlers, same WAL-op
 		// order, same symbol-id assignment — so interned rows must
 		// match bit for bit.
-		memSt, memRec, err := store.Open("", store.Options{CheckpointEvery: sc.ckpt})
+		memSt, memRec, err := store.Open(t.TempDir(), store.Options{Fsync: store.FsyncNever, CheckpointEvery: sc.ckpt})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer memSt.Close()
 		memSrv := newServerOn(memSt, memRec)
 		h := memSrv.Handler()
 		for _, op := range schedule[:i] {

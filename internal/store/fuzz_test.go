@@ -125,10 +125,11 @@ func reintern(p pubOp, st *symtab) *iop {
 // that loads back to itself — encode(load(x)) is a fixpoint — and no cut
 // of it between two records loads.
 func FuzzSegment(f *testing.F) {
-	s, _, err := Open("", Options{})
+	s, _, err := Open(f.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		f.Fatal(err)
 	}
+	defer s.Close()
 	_ = s.AppendDatasetCreate("gone", []ast.Atom{ast.NewAtom("p", ast.S("x"))})
 	_ = s.AppendDatasetCreate("d", []ast.Atom{
 		ast.NewAtom("edge", ast.S("a"), ast.S("b")),

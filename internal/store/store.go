@@ -19,9 +19,7 @@
 // predicates → deduplicated interned rows), which is what checkpoints
 // serialize and what the crash-recovery
 // differential test compares bit-for-bit against an uninterrupted
-// run. A Store opened with an empty directory path is ephemeral: the
-// same mirror and statistics with no I/O, used by benchmarks to
-// isolate the durability overhead.
+// run. Every Store has a directory: there is no in-memory mode.
 package store
 
 import (
@@ -222,7 +220,7 @@ type walFile interface {
 // appends again.
 type Store struct {
 	mu   sync.Mutex
-	dir  string // "" = ephemeral (no I/O)
+	dir  string
 	opts Options
 
 	syms     *symtab
@@ -250,11 +248,13 @@ type Store struct {
 }
 
 // Open opens (or initializes) a store rooted at dir and recovers its
-// state: newest checkpoint first, then the WAL tail. An empty
-// dir yields an ephemeral in-memory store (no files, no fsync), whose
-// mirror and statistics behave identically.
+// state: newest checkpoint first, then the WAL tail. An empty dir is
+// an error.
 func Open(dir string, opts Options) (*Store, *Recovered, error) {
 	start := time.Now()
+	if dir == "" {
+		return nil, nil, fmt.Errorf("store: no directory")
+	}
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
 	}
@@ -266,10 +266,6 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		writeFile: writeFileAtomic,
 	}
 	rec := &Recovered{}
-	if dir == "" {
-		rec.Elapsed = time.Since(start)
-		return s, rec, nil
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
@@ -293,7 +289,7 @@ func (s *Store) syncLoop() {
 		select {
 		case <-t.C:
 			s.mu.Lock()
-			if s.wal != nil && !s.closed && s.failed == nil {
+			if !s.closed && s.failed == nil {
 				if err := s.wal.Sync(); err != nil {
 					s.failed = fmt.Errorf("store: failed stop: interval wal fsync: %w", err)
 				}
@@ -320,7 +316,7 @@ func (s *Store) Failed() error {
 	return s.failed
 }
 
-// Dir returns the store's root directory ("" when ephemeral).
+// Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Close syncs and closes the WAL. It does not checkpoint; callers
@@ -332,16 +328,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if s.wal != nil {
-		if serr := s.wal.Sync(); serr != nil {
-			err = serr
-		}
-		if cerr := s.wal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		s.wal = nil
+	err := s.wal.Sync()
+	if cerr := s.wal.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
+	s.wal = nil
 	stop := s.stopSync
 	done := s.syncDone
 	s.mu.Unlock()
@@ -419,32 +410,30 @@ func (s *Store) append(build func(*symtab) *iop) error {
 	}
 	nsyms := len(s.syms.syms)
 	op := build(s.syms)
-	if s.wal != nil {
-		rec := appendRecord(make([]byte, 0, 256), op, s.syms.syms[nsyms:], nsyms)
-		if _, err := s.wal.Write(rec); err != nil {
-			s.syms.rollback(nsyms)
-			err = fmt.Errorf("store: wal append: %w", err)
-			// Part of the record may be in the log; recovery would stop
-			// there, and every record after it would be lost.
-			if terr := s.wal.Truncate(s.walSize); terr != nil {
-				s.failed = fmt.Errorf("%w; failed stop: truncating the log back: %v", err, terr)
-				return s.failed
-			}
-			return err
+	rec := appendRecord(make([]byte, 0, 256), op, s.syms.syms[nsyms:], nsyms)
+	if _, err := s.wal.Write(rec); err != nil {
+		s.syms.rollback(nsyms)
+		err = fmt.Errorf("store: wal append: %w", err)
+		// Part of the record may be in the log; recovery would stop
+		// there, and every record after it would be lost.
+		if terr := s.wal.Truncate(s.walSize); terr != nil {
+			s.failed = fmt.Errorf("%w; failed stop: truncating the log back: %v", err, terr)
+			return s.failed
 		}
-		if s.opts.Fsync == FsyncAlways {
-			if err := s.wal.Sync(); err != nil {
-				// The write may or may not be durable, and its symbol ids
-				// are rolled back, so a later record would redefine them:
-				// only recovery can say what the log holds.
-				s.syms.rollback(nsyms)
-				s.failed = fmt.Errorf("store: failed stop: wal fsync: %w", err)
-				return s.failed
-			}
-		}
-		s.walSize += int64(len(rec))
-		s.walBytes += int64(len(rec))
+		return err
 	}
+	if s.opts.Fsync == FsyncAlways {
+		if err := s.wal.Sync(); err != nil {
+			// The write may or may not be durable, and its symbol ids
+			// are rolled back, so a later record would redefine them:
+			// only recovery can say what the log holds.
+			s.syms.rollback(nsyms)
+			s.failed = fmt.Errorf("store: failed stop: wal fsync: %w", err)
+			return s.failed
+		}
+	}
+	s.walSize += int64(len(rec))
+	s.walBytes += int64(len(rec))
 	s.appends++
 	s.apply(op)
 	s.sinceCkpt++
@@ -681,8 +670,7 @@ func (s *Store) publicOp(op *iop) Op {
 }
 
 // Checkpoint writes the current state as an immutable checkpoint,
-// truncates the WAL, and updates the manifest. Ephemeral stores only
-// reset the auto-checkpoint counter.
+// truncates the WAL, and updates the manifest.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -483,7 +483,8 @@ func TestDatasetDeleteAndRecreate(t *testing.T) {
 // a no-op, retraction of a missing fact is a no-op, and a retracted fact
 // leaves the state an insert-only history of the rest would have.
 func TestFactUpdateSemantics(t *testing.T) {
-	a, _ := mustOpen(t, "", Options{})
+	a, _ := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever})
+	defer a.Close()
 	if err := a.AppendDatasetCreate("d", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +503,8 @@ func TestFactUpdateSemantics(t *testing.T) {
 	if err := a.AppendFacts("d", nil, []ast.Atom{fact("p", ast.N(2))}); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := mustOpen(t, "", Options{})
+	b, _ := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever})
+	defer b.Close()
 	if err := b.AppendDatasetCreate("d", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -518,26 +520,11 @@ func TestFactUpdateSemantics(t *testing.T) {
 	}
 }
 
-// An ephemeral store ("" dir) keeps the same mirror with zero files.
-func TestEphemeralStore(t *testing.T) {
-	s, rec := mustOpen(t, "", Options{CheckpointEvery: 2})
-	if rec.WALRecords != 0 {
-		t.Fatalf("recovered: %+v", rec)
-	}
-	if err := s.AppendDatasetCreate("d", []ast.Atom{fact("p", ast.S("x"))}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendFacts("d", []ast.Atom{fact("p", ast.S("y"))}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(s.Facts("d")); got != "[p(x) p(y)]" {
-		t.Fatalf("facts = %s", got)
-	}
-	if c := s.Counters(); c.Appends != 2 || c.Bytes != 0 || c.Checkpoints != 1 {
-		t.Fatalf("counters: %+v", c)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+// A store has a directory: Open("") fails and opens nothing.
+func TestOpenWithoutDirFails(t *testing.T) {
+	if s, _, err := Open("", Options{}); err == nil {
+		s.Close()
+		t.Fatal(`Open("") succeeded; want an error`)
 	}
 }
 
