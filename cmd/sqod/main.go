@@ -30,8 +30,8 @@
 //	sqod [-addr :8351] [-max-inflight n] [-cache-size n]
 //	     [-timeout 30s] [-max-timeout 5m] [-update-timeout 30s]
 //	     [-max-tuples n] [-data-dir path] [-fsync always|interval|never]
-//	     [-fsync-interval 100ms] [-checkpoint-every 4096] [-async-restore]
-//	     [-drain 30s] [-log text|json] [-pprof=false]
+//	     [-fsync-interval 100ms] [-checkpoint-every 4096]
+//	     [-drain 30s] [-log text|json] [-pprof]
 //
 // Endpoints:
 //
@@ -49,8 +49,8 @@
 //	POST   /v1/lint                          {program, ics} → static-analysis findings
 //	GET    /metrics                          Prometheus text metrics
 //	GET    /healthz                          liveness
-//	GET    /readyz                           readiness: 503 until durable state is recovered
-//	GET    /debug/pprof/                     runtime profiles (disable with -pprof=false)
+//	GET    /readyz                           readiness: 503 once the store failed stop
+//	GET    /debug/pprof/                     runtime profiles (only with -pprof)
 //
 // On SIGTERM or SIGINT the daemon stops accepting connections, drains
 // in-flight requests (up to -drain), and exits 0.
@@ -86,8 +86,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "checkpoint after this many WAL records (0 = only at shutdown)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window")
 	logFormat := flag.String("log", "text", "log format: text or json")
-	enablePprof := flag.Bool("pprof", true, "serve net/http/pprof profiles under /debug/pprof/")
-	asyncRestore := flag.Bool("async-restore", false, "recover durable state in the background; /readyz reports 503 until done")
+	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (only on a trusted -addr)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -123,7 +122,7 @@ func main() {
 		logger.Info("store opened",
 			"data_dir", *dataDir,
 			"fsync", policy.String(),
-			"datasets", len(recovered.Datasets),
+			"ops", len(recovered.Ops),
 			"wal_records", recovered.WALRecords,
 			"wal_bytes", recovered.WALBytes,
 			"wal_truncated", recovered.Truncated,
@@ -142,7 +141,6 @@ func main() {
 		EnablePprof:    *enablePprof,
 		Store:          st,
 		Recovered:      recovered,
-		AsyncRestore:   *asyncRestore,
 	})
 
 	serve(logger, *addr, srv.Handler(), *drain, func() error {

@@ -475,12 +475,6 @@ func prepare(p *ast.Program, opts Options) (*Prepared, error) {
 // neither reads nor fills the memo: unfolding the bound program can
 // inline the seed's constants into any rule.
 func (pq *Prepared) Run(ctx context.Context, edb *DB, goal []ast.Term, opts Options) (*Result, *Stats, error) {
-	return pq.run(ctx, edb, goal, opts, nil)
-}
-
-// run is Run recording provenance steps into prov when non-nil; such a
-// run neither reads nor fills the memo, whose entries record none.
-func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Options, prov *Provenance) (*Result, *Stats, error) {
 	if pat := magic.GoalPattern(goal); pat != pq.pattern {
 		return nil, nil, fmt.Errorf("eval: goal pattern %q, prepared for %q", pat, pq.pattern)
 	}
@@ -490,7 +484,7 @@ func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Opti
 			prog = pq.magic.Bind(goal)
 		}
 		prog, _ = magic.Unfold(prog)
-		ev, err := evalCompiled(ctx, prog, edb, opts, prov)
+		ev, err := evalCompiled(ctx, prog, edb, opts, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -502,17 +496,15 @@ func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Opti
 	base, rows := edb.interned()
 	var buf [64]byte
 	key := appendGoalKey(binary.LittleEndian.AppendUint64(buf[:0], pq.id), goal)
-	if prov == nil {
-		if e, ok := base.answers.get(key); ok && (opts.MaxTuples <= 0 || e.stats.TuplesDerived <= opts.MaxTuples) {
-			if ctx != nil && ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			st := *e.stats
-			st.MemoHit = true
-			return e.res, &st, nil
+	if e, ok := base.answers.get(key); ok && (opts.MaxTuples <= 0 || e.stats.TuplesDerived <= opts.MaxTuples) {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, nil, ctx.Err()
 		}
+		st := *e.stats
+		st.MemoHit = true
+		return e.res, &st, nil
 	}
-	ev, reused, err := pq.runSlot(ctx, base, rows, goal, opts, prov)
+	ev, reused, err := pq.runSlot(ctx, base, rows, goal, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -527,7 +519,7 @@ func (pq *Prepared) run(ctx context.Context, edb *DB, goal []ast.Term, opts Opti
 		res = ev.answers(pq.prog.Query, goal)
 	}
 	st := pq.flag(ev.stats)
-	if reused && prov == nil {
+	if reused {
 		kept := *st
 		kept.PlansCompiled, kept.PlanNanos, kept.EDBRowsInterned = 0, 0, 0
 		base.answers.put(key, memoEntry{res, &kept})
@@ -551,8 +543,8 @@ func (pq *Prepared) flag(st *Stats) *Stats {
 // private overlay, and is the only plan the run does not share. Without
 // one, the run sizes its relations by the last run's counts, and leaves
 // its own.
-func (pq *Prepared) runSlot(ctx context.Context, base *edbBase, rows int64, goal []ast.Term, opts Options, prov *Provenance) (ev *cEvaluator, reused bool, err error) {
-	ev = newEvaluator(ctx, pq.lay, opts, prov, pq.sizes)
+func (pq *Prepared) runSlot(ctx context.Context, base *edbBase, rows int64, goal []ast.Term, opts Options) (ev *cEvaluator, reused bool, err error) {
+	ev = newEvaluator(ctx, pq.lay, opts, nil, pq.sizes)
 	ev.stats.EDBRowsInterned = rows
 	seed := -1
 	if pq.magic != nil {

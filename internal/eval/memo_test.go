@@ -199,9 +199,9 @@ func TestAnswerMemoBudgetAndContext(t *testing.T) {
 	}
 }
 
-// TestAnswerMemoBypassed: provenance runs and Options.Stream neither read
-// the memo nor fill it, and QueryCtx, whose Prepared runs once, leaves
-// the base's memo empty.
+// TestAnswerMemoBypassed: Options.Stream neither reads the memo nor
+// fills it, and QueryCtx, whose Prepared runs once, leaves the base's
+// memo empty.
 func TestAnswerMemoBypassed(t *testing.T) {
 	ctx := context.Background()
 	p := parser.MustParseProgram(memoQueries[0].src)
@@ -218,28 +218,22 @@ func TestAnswerMemoBypassed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov := func() *Provenance { return &Provenance{steps: map[string]provStep{}} }
 	stream := Options{Stream: true}
-	run := func(label string, opts Options, pv *Provenance, wantHit bool) {
+	run := func(label string, opts Options, wantHit bool) {
 		t.Helper()
-		_, st, err := pq.run(ctx, db, p.Goal, opts, pv)
+		_, st, err := pq.Run(ctx, db, p.Goal, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.MemoHit != wantHit {
 			t.Fatalf("%s: hit=%v, want %v", label, st.MemoHit, wantHit)
 		}
-		if pv != nil && len(pv.steps) == 0 {
-			t.Fatalf("%s: no provenance recorded", label)
-		}
 	}
-	run("first run", DefaultOptions(), nil, false)
-	run("provenance over the kept plans", DefaultOptions(), prov(), false)
-	run("stream", stream, nil, false)
-	run("after provenance and stream", DefaultOptions(), nil, false)
-	run("filled", DefaultOptions(), nil, true)
-	run("provenance over a filled memo", DefaultOptions(), prov(), false)
-	run("stream over a filled memo", stream, nil, false)
+	run("first run", DefaultOptions(), false)
+	run("stream", stream, false)
+	run("after stream", DefaultOptions(), false)
+	run("filled", DefaultOptions(), true)
+	run("stream over a filled memo", stream, false)
 }
 
 // TestAnswerMemoBound: an entry is charged what it keeps — rows, an

@@ -1,99 +1,22 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
-
-	"repro/internal/store"
 )
 
-// TestReadyzGating pins the readiness contract: while restore is in
-// flight, /healthz stays 200 (liveness), /readyz and every
-// dataset-touching endpoint answer 503 with code "not_ready", and
-// pure-compute endpoints keep serving.
+// TestReadyzGating pins the readiness contract: New replays recovered
+// state before it returns, so /healthz (liveness) and /readyz answer 200
+// from the first request, and /readyz turns 503 only for a store that
+// failed stop (internal/store's failstop_server_test.go).
 func TestReadyzGating(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	if !s.Ready() {
-		t.Fatal("in-memory server must be ready immediately")
-	}
-
-	s.ready.Store(false) // simulate a restore in flight
-	if code, _ := doRaw(t, http.MethodGet, ts.URL+"/healthz", "", nil); code != http.StatusOK {
-		t.Fatalf("/healthz during restore = %d, want 200 (liveness must not gate on readiness)", code)
-	}
-	if code, body := doRaw(t, http.MethodGet, ts.URL+"/readyz", "", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz during restore = %d %s, want 503", code, body)
-	}
-	gated := []struct{ method, path, body string }{
-		{http.MethodPut, "/v1/datasets/d", "e(1, 2)."},
-		{http.MethodGet, "/v1/datasets", ""},
-		{http.MethodPost, "/v1/datasets/d/facts", `{"add": ["e(1, 2)."]}`},
-		{http.MethodPost, "/v1/query", `{"program": "q(X) :- e(X, X).\n?- q.", "dataset": "d"}`},
-	}
-	for _, g := range gated {
-		code, raw := doRaw(t, g.method, ts.URL+g.path, g.body, nil)
-		if code != http.StatusServiceUnavailable {
-			t.Fatalf("%s %s during restore = %d %s, want 503", g.method, g.path, code, raw)
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if code, raw := doRaw(t, http.MethodGet, ts.URL+path, "", nil); code != http.StatusOK {
+			t.Fatalf("%s = %d %s", path, code, raw)
 		}
-		var eb errorBody
-		if err := json.Unmarshal(raw, &eb); err != nil || eb.Code != "not_ready" {
-			t.Fatalf("%s %s during restore body = %s, want code not_ready", g.method, g.path, raw)
-		}
-	}
-	if code, _ := doRaw(t, http.MethodGet, ts.URL+"/metrics", "", nil); code != http.StatusOK {
-		t.Fatalf("/metrics during restore must keep serving")
-	}
-
-	s.ready.Store(true)
-	if code, raw := doRaw(t, http.MethodGet, ts.URL+"/readyz", "", nil); code != http.StatusOK {
-		t.Fatalf("/readyz after restore = %d %s", code, raw)
 	}
 	if code, raw := doRaw(t, http.MethodPut, ts.URL+"/v1/datasets/d", "e(1, 2).", nil); code != http.StatusOK {
-		t.Fatalf("PUT after restore = %d %s", code, raw)
-	}
-}
-
-// TestAsyncRestore: a server opened with AsyncRestore serves /healthz
-// at once, flips /readyz when the replay finishes, and then has the
-// full durable state.
-func TestAsyncRestore(t *testing.T) {
-	dir := t.TempDir()
-	st, rec, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Store: st, Recovered: rec})
-	if code, raw := doRaw(t, http.MethodPut, ts.URL+"/v1/datasets/alpha", "e(1, 2). e(2, 3).", nil); code != http.StatusOK {
-		t.Fatalf("seed PUT = %d %s", code, raw)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, rec2, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st2.Close() })
-	s2, ts2 := newTestServer(t, Config{Store: st2, Recovered: rec2, AsyncRestore: true})
-	if code, _ := doRaw(t, http.MethodGet, ts2.URL+"/healthz", "", nil); code != http.StatusOK {
-		t.Fatal("/healthz must serve during async restore")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !s2.Ready() {
-		if time.Now().After(deadline) {
-			t.Fatal("async restore did not complete")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if code, _ := doRaw(t, http.MethodGet, ts2.URL+"/readyz", "", nil); code != http.StatusOK {
-		t.Fatal("/readyz must be 200 once restore completes")
-	}
-	var infos []DatasetInfo
-	doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets", nil, &infos)
-	if len(infos) != 1 || infos[0].Name != "alpha" || infos[0].Facts != 2 {
-		t.Fatalf("restored datasets = %+v", infos)
+		t.Fatalf("PUT = %d %s", code, raw)
 	}
 }

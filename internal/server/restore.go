@@ -7,30 +7,20 @@ import (
 	"repro/internal/store"
 )
 
-// restore rebuilds the datasets and views from recovered store state
-// and reports how long that took. It replays the state as operations
-// through the mutations of ops.go, with no store to log to: the
-// checkpoint base first, as the creation of each dataset and then of
-// its views, then the WAL tail in log order. A fact batch therefore
-// repairs every view registered before it incrementally
-// (delete-rederive), as a live update does, rather than re-evaluating it.
-// Runs before the handler serves — or, under AsyncRestore, while it
-// answers not_ready — with no deadline: recovery must finish, not race a
-// timer. An operation that fails (a program that no longer optimizes, a
-// budget blown by grown data) is logged and skipped, and must not take
-// the server down with it; its record stays in the store, so a later
-// restart retries it.
+// restore rebuilds the datasets and views and reports how long that
+// took. It replays the recovered operations in order through the
+// mutations of ops.go, with no store to log to: each checkpointed
+// dataset's creation and then its views, then the WAL tail. A fact batch therefore repairs every view registered
+// before it incrementally (delete-rederive), as a live update does,
+// rather than re-evaluating it. New runs it before the handler exists,
+// with no deadline: recovery must finish, not race a timer. An operation
+// that fails (a program that no longer optimizes, a budget blown by
+// grown data) is logged and skipped, and must not take the server down
+// with it; its record stays in the store, so a later restart retries it.
 func (s *Server) restore(rec *store.Recovered) time.Duration {
 	start := time.Now()
 	ctx := context.Background()
-	var ops []store.Op
-	for _, snap := range rec.Datasets {
-		ops = append(ops, store.Op{Kind: store.OpDatasetCreate, Dataset: snap.Name, Adds: snap.Facts})
-		for _, def := range snap.Views {
-			ops = append(ops, store.Op{Kind: store.OpViewRegister, Dataset: snap.Name, View: def})
-		}
-	}
-	for _, op := range append(ops, rec.Tail...) {
+	for _, op := range rec.Ops {
 		ds, err := s.datasets.get(op.Dataset)
 		switch {
 		case op.Kind == store.OpDatasetCreate:

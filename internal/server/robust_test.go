@@ -186,3 +186,38 @@ func TestSuffixedVariableNamesKeepSlots(t *testing.T) {
 		t.Fatalf("ordinary optimize after them: %d, %v; want 200", code, err)
 	}
 }
+
+// TestBodyLimit: a body one byte over 8 MiB answers 400 bad_request on
+// /v1/query and on a durable PUT, which registers and logs nothing, and
+// the server goes on serving: the next PUT, of exactly 8 MiB, succeeds.
+// The bodies are padded with whitespace, so only the limit rejects them.
+func TestBodyLimit(t *testing.T) {
+	st, rec, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Store: st, Recovered: rec})
+	pad := func(n int, head, tail string) string {
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	const limit = 8 << 20
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/query", pad(limit+1, `{"program": "q(X) :- e(X).\n?- q.", "facts": "e(1)."`, "}")},
+		{http.MethodPut, "/v1/datasets/d", pad(limit+1, "e(1).", "")},
+	} {
+		code, raw := doRaw(t, c.method, ts.URL+c.path, c.body, nil)
+		var eb errorBody
+		if code != http.StatusBadRequest || json.Unmarshal(raw, &eb) != nil || eb.Code != "bad_request" {
+			t.Fatalf("%s %s with a %d-byte body = %d %s, want 400 bad_request", c.method, c.path, len(c.body), code, raw)
+		}
+		var infos []DatasetInfo
+		if code, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &infos); code != http.StatusOK || len(infos) != 0 {
+			t.Fatalf("datasets after an oversized %s %s = %d %s", c.method, c.path, code, raw)
+		}
+		if n := st.Counters().Appends; n != 0 {
+			t.Fatalf("oversized %s %s appended %d WAL records", c.method, c.path, n)
+		}
+	}
+	registerDataset(t, ts.URL, "d", pad(limit, "e(1).", ""))
+}

@@ -46,7 +46,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	sqo "repro"
@@ -77,8 +76,6 @@ type Config struct {
 	UpdateTimeout time.Duration
 	// MaxTuples is the per-query derived-tuple budget (0 = unlimited).
 	MaxTuples int64
-	// MaxBodyBytes bounds request bodies. Default: 8 MiB.
-	MaxBodyBytes int64
 	// EnablePprof registers net/http/pprof handlers under /debug/pprof/
 	// on the server's mux. The profiles expose internals (goroutine
 	// stacks, heap contents), so only enable it where the listen
@@ -91,18 +88,14 @@ type Config struct {
 	// before the request is acknowledged. Nil (the default) keeps
 	// today's purely in-memory behavior.
 	Store *store.Store
-	// Recovered carries the state Store reconstructed at open; New
-	// replays it — checkpoint base first, then the WAL tail through the
-	// incremental view-maintenance path — before serving.
+	// Recovered carries the operations Store recovered at open; New
+	// replays them in order, the WAL tail through the incremental
+	// view-maintenance path, before it returns.
 	Recovered *store.Recovered
-	// AsyncRestore runs the Recovered replay in the background instead
-	// of blocking New. Until it completes, /readyz reports 503 and every
-	// dataset-touching endpoint fails fast with code "not_ready" —
-	// /healthz stays pure liveness so orchestrators don't kill a node
-	// for the crime of recovering a large WAL. Load balancers and
-	// orchestrators use /readyz to hold traffic off a still-restoring node.
-	AsyncRestore bool
 }
+
+// maxBodyBytes bounds request bodies.
+const maxBodyBytes = 8 << 20
 
 // Server is the sqod service. Create with New, expose via Handler.
 type Server struct {
@@ -112,7 +105,6 @@ type Server struct {
 	cache   *lru[*compiled]
 	sem     chan struct{} // admission-control semaphore
 	store   *store.Store  // nil when running in-memory
-	ready   atomic.Bool   // false until durable-state restore completes
 
 	datasets *datasetStore
 }
@@ -133,9 +125,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.UpdateTimeout <= 0 {
 		cfg.UpdateTimeout = cfg.DefaultTimeout
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -158,25 +147,11 @@ func New(cfg Config) *Server {
 			return c.Appends, c.Bytes, c.Checkpoints, c.CheckpointFailures
 		}
 		if cfg.Recovered != nil {
-			restore := func() {
-				m.RecoverySeconds = s.restore(cfg.Recovered).Seconds()
-				s.ready.Store(true)
-			}
-			if cfg.AsyncRestore {
-				go restore()
-			} else {
-				restore()
-			}
-			return s
+			m.RecoverySeconds = s.restore(cfg.Recovered).Seconds()
 		}
 	}
-	s.ready.Store(true)
 	return s
 }
-
-// Ready reports whether durable-state restore has completed (always
-// true without a store or with synchronous restore).
-func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Metrics exposes the server's registry (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -191,18 +166,13 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", s.instrument("metrics", s.metrics.ServeHTTP))
 	mux.Handle("GET /healthz", s.instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Pure liveness: true as long as the process serves HTTP, even
-		// mid-restore. Readiness is /readyz.
+		// Pure liveness: true as long as the process serves HTTP.
+		// Readiness is /readyz.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	}))
 	mux.Handle("GET /readyz", s.instrument("readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if !s.ready.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "restoring")
-			return
-		}
 		// A store that failed stop takes no write until a restart
 		// recovers it from disk; reads go on.
 		if s.store != nil && s.store.Failed() != nil {
@@ -212,18 +182,18 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprintln(w, "ok")
 	}))
-	mux.Handle("PUT /v1/datasets/{name}", s.api("dataset_put", true, s.handleDatasetCreate))
-	mux.Handle("POST /v1/datasets/{name}", s.api("dataset_post", true, s.handleDatasetCreate))
-	mux.Handle("DELETE /v1/datasets/{name}", s.api("dataset_delete", true, s.handleDatasetDelete))
-	mux.Handle("GET /v1/datasets", s.api("dataset_list", true, s.handleDatasetList))
-	mux.Handle("POST /v1/datasets/{name}/facts", s.api("facts_add", true, s.handleFacts))
-	mux.Handle("DELETE /v1/datasets/{name}/facts", s.api("facts_delete", true, s.handleFacts))
-	mux.Handle("POST /v1/datasets/{name}/views/{view}", s.api("view_create", true, s.handleViewCreate))
-	mux.Handle("GET /v1/datasets/{name}/views/{view}", s.api("view_get", true, s.handleViewGet))
-	mux.Handle("DELETE /v1/datasets/{name}/views/{view}", s.api("view_delete", true, s.handleViewDelete))
-	mux.Handle("POST /v1/optimize", s.api("optimize", false, s.handleOptimize))
-	mux.Handle("POST /v1/lint", s.api("lint", false, s.handleLint))
-	mux.Handle("POST /v1/query", s.api("query", true, s.handleQuery))
+	mux.Handle("PUT /v1/datasets/{name}", s.api("dataset_put", s.handleDatasetCreate))
+	mux.Handle("POST /v1/datasets/{name}", s.api("dataset_post", s.handleDatasetCreate))
+	mux.Handle("DELETE /v1/datasets/{name}", s.api("dataset_delete", s.handleDatasetDelete))
+	mux.Handle("GET /v1/datasets", s.api("dataset_list", s.handleDatasetList))
+	mux.Handle("POST /v1/datasets/{name}/facts", s.api("facts_add", s.handleFacts))
+	mux.Handle("DELETE /v1/datasets/{name}/facts", s.api("facts_delete", s.handleFacts))
+	mux.Handle("POST /v1/datasets/{name}/views/{view}", s.api("view_create", s.handleViewCreate))
+	mux.Handle("GET /v1/datasets/{name}/views/{view}", s.api("view_get", s.handleViewGet))
+	mux.Handle("DELETE /v1/datasets/{name}/views/{view}", s.api("view_delete", s.handleViewDelete))
+	mux.Handle("POST /v1/optimize", s.api("optimize", s.handleOptimize))
+	mux.Handle("POST /v1/lint", s.api("lint", s.handleLint))
+	mux.Handle("POST /v1/query", s.api("query", s.handleQuery))
 	if s.cfg.EnablePprof {
 		// net/http/pprof only self-registers on http.DefaultServeMux;
 		// a custom mux needs the handlers wired explicitly.
@@ -261,19 +231,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // api routes an endpoint whose handler returns its failure for fail to
-// answer. A gated endpoint touches datasets, so it fails fast with 503
-// "not_ready" while an asynchronous restore is still replaying durable
-// state — serving a partial dataset would silently return wrong answers.
-// Pure-compute endpoints (optimize, lint) stay ungated.
-func (s *Server) api(endpoint string, gated bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
+// answer.
+func (s *Server) api(endpoint string, h func(http.ResponseWriter, *http.Request) error) http.Handler {
 	return s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
-		var err error
-		if gated && !s.ready.Load() {
-			err = errorf(http.StatusServiceUnavailable, "not_ready", "server is restoring durable state; retry shortly")
-		} else {
-			err = h(w, r)
-		}
-		if err != nil {
+		if err := h(w, r); err != nil {
 			s.fail(w, err)
 		}
 	})
@@ -284,7 +245,7 @@ func (s *Server) api(endpoint string, gated bool, h func(http.ResponseWriter, *h
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		s.contain(endpoint, sw, r, h)
 		elapsed := time.Since(start)

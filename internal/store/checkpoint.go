@@ -107,26 +107,41 @@ func split(n int, size func(int) int, flush func(i, j int)) {
 }
 
 // loadCheckpoint applies a checkpoint image to the (empty) mirror and
-// symbol table. Every record must decode and the end record must come
-// last, and only there, or it fails with ErrCorrupt: a checkpoint cut
-// between two records, or empty, is as corrupt as a torn one. Caller
-// holds s.mu or owns the store.
-func (s *Store) loadCheckpoint(data []byte) error {
+// symbol table, and returns the operations that rebuild it: per dataset,
+// its create record carrying the facts of every fact record of the
+// dataset, in file order, then its view registrations. Facts fold by
+// dataset name, as views come before facts in the file. Every record
+// must decode and the end record must come last, and only there, or it
+// fails with ErrCorrupt: a checkpoint cut between two records, or empty,
+// is as corrupt as a torn one. Caller holds s.mu or owns the store.
+func (s *Store) loadCheckpoint(data []byte) ([]Op, error) {
 	res := replay(data, s.syms)
 	if res.truncated != nil {
-		return res.truncated
+		return nil, res.truncated
 	}
 	n := len(res.ops)
 	if n == 0 || res.ops[n-1].kind != opEnd {
-		return fmt.Errorf("%w: checkpoint cut short: no end record after %d records", ErrCorrupt, n)
+		return nil, fmt.Errorf("%w: checkpoint cut short: no end record after %d records", ErrCorrupt, n)
 	}
+	var ops []Op
+	creates := map[uint32]int{} // dataset name symbol → its create in ops
 	for i, op := range res.ops {
 		if op.kind == opEnd && i < n-1 {
-			return fmt.Errorf("%w: checkpoint end record at %d of %d records", ErrCorrupt, i+1, n)
+			return nil, fmt.Errorf("%w: checkpoint end record at %d of %d records", ErrCorrupt, i+1, n)
 		}
 		s.apply(op)
+		at, created := creates[op.ds]
+		switch {
+		case op.kind == opDatasetCreate && !created:
+			creates[op.ds] = len(ops)
+			ops = append(ops, s.publicOp(op))
+		case op.kind == opViewRegister && created:
+			ops = append(ops, s.publicOp(op))
+		case op.kind == opFacts && created:
+			ops[at].Adds = s.appendAtoms(ops[at].Adds, op.adds)
+		}
 	}
-	return nil
+	return ops, nil
 }
 
 // --- manifest ---------------------------------------------------------
@@ -244,11 +259,10 @@ func (s *Store) recover(rec *Recovered) error {
 		if bytes.HasPrefix(data, []byte("sqos")) {
 			return fmt.Errorf("store: checkpoint %s is a \"sqos\" segment, a format this version no longer reads", s.ckptName)
 		}
-		if err := s.loadCheckpoint(data); err != nil {
+		if rec.Ops, err = s.loadCheckpoint(data); err != nil {
 			return fmt.Errorf("store: checkpoint %s: %w", s.ckptName, err)
 		}
 	}
-	rec.Datasets = s.snapshotLocked()
 
 	wpath := filepath.Join(s.dir, s.walName)
 	wdata, err := os.ReadFile(wpath)
@@ -258,7 +272,7 @@ func (s *Store) recover(rec *Recovered) error {
 	res := replay(wdata, s.syms)
 	for _, op := range res.ops {
 		if op.kind != opSymbols && op.kind != opEnd {
-			rec.Tail = append(rec.Tail, s.publicOp(op))
+			rec.Ops = append(rec.Ops, s.publicOp(op))
 		}
 		s.apply(op)
 	}

@@ -149,7 +149,8 @@ func FuzzSegment(f *testing.F) {
 
 	load := func(data []byte) (*Store, error) {
 		fresh := &Store{syms: newSymtab(), datasets: map[string]*dsState{}}
-		return fresh, fresh.loadCheckpoint(data)
+		_, err := fresh.loadCheckpoint(data)
+		return fresh, err
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, err := load(data)

@@ -13,7 +13,8 @@
 // and then the WAL tail with one decoder; the checkpoint must decode
 // completely, while a torn or corrupt tail ends the log at the last
 // complete record, so an acknowledged operation is never lost and a
-// partially written one never partially applies.
+// partially written one never partially applies. Open hands what it
+// recovered to the server as one list of operations (Recovered).
 //
 // The Store also maintains the recovered state in memory (datasets →
 // predicates → deduplicated interned rows), which is what checkpoints
@@ -108,7 +109,8 @@ type ViewDef struct {
 	Optimized bool   // materialize over the Levy–Sagiv rewrite
 }
 
-// OpKind discriminates recovered WAL-tail operations.
+// OpKind discriminates recovered operations. Its values are the
+// record kinds of the log (wal.go).
 type OpKind int
 
 const (
@@ -119,8 +121,8 @@ const (
 	OpViewDrop
 )
 
-// Op is one recovered WAL-tail operation in public (atom-level) form,
-// replayed by the server after the checkpoint base is restored.
+// Op is one recovered operation in public (atom-level) form, replayed
+// by the server in order.
 type Op struct {
 	Kind    OpKind
 	Dataset string
@@ -129,22 +131,16 @@ type Op struct {
 	View    ViewDef    // OpViewRegister (full), OpViewDrop (Name only)
 }
 
-// DatasetSnapshot is one dataset's state at the newest checkpoint.
-type DatasetSnapshot struct {
-	Name  string
-	Facts []ast.Atom // deterministic order: predicate, then row
-	Views []ViewDef  // sorted by name
-}
-
-// Recovered describes what Open reconstructed: the checkpoint base
-// plus the WAL tail, in replay order.
+// Recovered describes what Open reconstructed, as the operations that
+// rebuild it: per checkpointed dataset, by name, one create carrying
+// all its facts, in (predicate, row) order, then its view registrations
+// by name; then the WAL tail's operations in log order.
 type Recovered struct {
-	Datasets   []DatasetSnapshot // state at the newest checkpoint
-	Tail       []Op              // WAL operations after the checkpoint
-	WALRecords int               // tail records replayed
-	WALBytes   int64             // tail bytes replayed
-	Truncated  bool              // a torn/corrupt tail was cut at the last good record
-	Elapsed    time.Duration     // wall clock spent in Open
+	Ops        []Op
+	WALRecords int           // tail records replayed
+	WALBytes   int64         // tail bytes replayed
+	Truncated  bool          // a torn/corrupt tail was cut at the last good record
+	Elapsed    time.Duration // wall clock spent in Open
 }
 
 // predState is one predicate's interned rows.
@@ -479,28 +475,17 @@ func (s *Store) apply(op *iop) {
 	}
 }
 
-// applyFacts applies retractions then insertions. A fact in both lists
-// is a no-op. A predicate whose last row leaves is dropped, so it
-// forgets its arity, as the server's dataset does.
+// applyFacts deletes every retraction, then adds every insertion: on a
+// set that leaves a fact in both lists present, as the server's update
+// does. A predicate whose last row leaves is dropped, so it forgets its
+// arity, as the server's dataset does.
 func (s *Store) applyFacts(ds *dsState, adds, dels []ifact) {
-	if len(dels) > 0 {
-		inAdds := make(map[uint32]map[string]bool)
-		for _, f := range adds {
-			m := inAdds[f.pred]
-			if m == nil {
-				m = map[string]bool{}
-				inAdds[f.pred] = m
-			}
-			m[rowKey(f.row)] = true
-		}
-		for _, f := range dels {
-			k := rowKey(f.row)
-			pname := s.syms.str(f.pred)
-			if ps := ds.preds[pname]; ps != nil && !inAdds[f.pred][k] {
-				delete(ps.rows, k)
-				if len(ps.rows) == 0 {
-					delete(ds.preds, pname)
-				}
+	for _, f := range dels {
+		pname := s.syms.str(f.pred)
+		if ps := ds.preds[pname]; ps != nil {
+			delete(ps.rows, rowKey(f.row))
+			if len(ps.rows) == 0 {
+				delete(ds.preds, pname)
 			}
 		}
 	}
@@ -627,44 +612,24 @@ func (s *Store) DiffState(o *Store) string {
 	return ""
 }
 
-// snapshotLocked renders the mirror as the public checkpoint-base
-// form, used both by Recovered and by tests.
-func (s *Store) snapshotLocked() []DatasetSnapshot {
-	names := make([]string, 0, len(s.datasets))
-	for name := range s.datasets {
-		names = append(names, name)
+// publicOp converts a decoded record to atom-level form.
+func (s *Store) publicOp(op *iop) Op {
+	out := Op{
+		Kind:    OpKind(op.kind),
+		Dataset: s.syms.str(op.ds),
+		Adds:    s.appendAtoms(nil, op.adds),
+		Dels:    s.appendAtoms(nil, op.dels),
 	}
-	sort.Strings(names)
-	out := make([]DatasetSnapshot, 0, len(names))
-	for _, name := range names {
-		ds := s.datasets[name]
-		out = append(out, DatasetSnapshot{Name: name, Facts: s.factsLocked(ds), Views: viewList(ds)})
+	if op.kind == opViewRegister || op.kind == opViewDrop {
+		out.View = ViewDef{Name: s.syms.str(op.view), Program: op.prog, ICs: op.ics, Optimized: op.optimized}
 	}
 	return out
 }
 
-// publicOp converts a decoded record to atom-level form.
-func (s *Store) publicOp(op *iop) Op {
-	out := Op{Dataset: s.syms.str(op.ds)}
-	switch op.kind {
-	case opDatasetCreate:
-		out.Kind = OpDatasetCreate
-	case opDatasetDelete:
-		out.Kind = OpDatasetDelete
-	case opFacts:
-		out.Kind = OpFacts
-	case opViewRegister:
-		out.Kind = OpViewRegister
-		out.View = ViewDef{Name: s.syms.str(op.view), Program: op.prog, ICs: op.ics, Optimized: op.optimized}
-	case opViewDrop:
-		out.Kind = OpViewDrop
-		out.View = ViewDef{Name: s.syms.str(op.view)}
-	}
-	for _, f := range op.adds {
-		out.Adds = append(out.Adds, s.syms.atom(f))
-	}
-	for _, f := range op.dels {
-		out.Dels = append(out.Dels, s.syms.atom(f))
+// appendAtoms appends facts to out in atom-level form.
+func (s *Store) appendAtoms(out []ast.Atom, facts []ifact) []ast.Atom {
+	for _, f := range facts {
+		out = append(out, s.syms.atom(f))
 	}
 	return out
 }

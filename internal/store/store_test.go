@@ -32,7 +32,7 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Store, *Recovered) {
 func TestReopenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := mustOpen(t, dir, Options{})
-	if len(rec.Datasets) != 0 || len(rec.Tail) != 0 {
+	if len(rec.Ops) != 0 {
 		t.Fatalf("fresh store recovered state: %+v", rec)
 	}
 	if err := s.AppendDatasetCreate("g", []ast.Atom{edge("a", "b"), edge("b", "c")}); err != nil {
@@ -71,8 +71,8 @@ func TestReopenRoundTrip(t *testing.T) {
 		t.Fatalf("views = %+v", views)
 	}
 	// The tail ops surface in replay order for the server to re-apply.
-	if len(rec2.Tail) != 4 || rec2.Tail[0].Kind != OpDatasetCreate || rec2.Tail[2].Kind != OpViewRegister {
-		t.Fatalf("tail = %+v", rec2.Tail)
+	if len(rec2.Ops) != 4 || rec2.Ops[0].Kind != OpDatasetCreate || rec2.Ops[2].Kind != OpViewRegister {
+		t.Fatalf("ops = %+v", rec2.Ops)
 	}
 }
 
@@ -117,10 +117,11 @@ func TestCheckpointAndSegmentRecovery(t *testing.T) {
 	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
 		t.Fatalf("leftover segment after recovery: %v", err)
 	}
-	if len(rec.Datasets) != 1 || rec.Datasets[0].Name != "big" || len(rec.Datasets[0].Facts) != 400 {
-		t.Fatalf("checkpoint base: %d datasets", len(rec.Datasets))
+	if len(rec.Ops) != 3 || rec.Ops[0].Kind != OpDatasetCreate || rec.Ops[0].Dataset != "big" ||
+		len(rec.Ops[0].Adds) != 400 || rec.Ops[1].Kind != OpViewRegister {
+		t.Fatalf("checkpoint ops: %+v", rec.Ops)
 	}
-	if rec.WALRecords != 1 || len(rec.Tail) != 1 || rec.Tail[0].Kind != OpFacts {
+	if rec.WALRecords != 1 || rec.Ops[2].Kind != OpFacts {
 		t.Fatalf("tail: %+v", rec)
 	}
 	if diff := s.DiffState(r); diff != "" {
@@ -168,8 +169,13 @@ func TestCheckpointReproducesStore(t *testing.T) {
 
 			r, rec := mustOpen(t, dir, Options{})
 			defer r.Close()
-			if rec.WALRecords != 0 || len(rec.Tail) != 0 {
+			if rec.WALRecords != 0 {
 				t.Fatalf("recovered a tail after a checkpoint: %+v", rec)
+			}
+			for _, op := range rec.Ops {
+				if op.Kind != OpDatasetCreate && op.Kind != OpViewRegister {
+					t.Fatalf("recovered a tail op after a checkpoint: %+v", op)
+				}
 			}
 			if diff := live.DiffState(r); diff != "" {
 				t.Fatalf("recovered state differs: %s", diff)
@@ -517,6 +523,121 @@ func TestFactUpdateSemantics(t *testing.T) {
 	}
 	if diff := a.DiffState(b); diff != "" || fmt.Sprint(a.Facts("d")) != "[p(1)]" {
 		t.Fatalf("state after retraction: %s %v", diff, a.Facts("d"))
+	}
+}
+
+// TestApplyFactsAsSet: a batch deletes every retraction and then adds
+// every insertion, so a fact in both lists ends present whether or not
+// it was there before, and a predicate that loses its last row in the
+// batch comes back at the arity of its insertions.
+func TestApplyFactsAsSet(t *testing.T) {
+	p := func(vs ...float64) ast.Atom {
+		args := make([]ast.Term, len(vs))
+		for i, v := range vs {
+			args[i] = ast.N(v)
+		}
+		return fact("p", args...)
+	}
+	q := func(v float64) ast.Atom { return fact("q", ast.N(v)) }
+	for _, c := range []struct {
+		name               string
+		before, adds, dels []ast.Atom
+		want               []ast.Atom // the state after, in Rows order
+	}{
+		{"both lists, present before", []ast.Atom{p(1), p(2)}, []ast.Atom{p(1)}, []ast.Atom{p(1)}, []ast.Atom{p(1), p(2)}},
+		{"both lists, absent before", []ast.Atom{p(1)}, []ast.Atom{p(3)}, []ast.Atom{p(3)}, []ast.Atom{p(1), p(3)}},
+		{"last row deleted and re-added", []ast.Atom{p(1), q(5)}, []ast.Atom{q(5)}, []ast.Atom{q(5)}, []ast.Atom{p(1), q(5)}},
+		{"every row deleted, another arity added", []ast.Atom{p(1), p(2), q(5)}, []ast.Atom{p(1, 2), p(3, 4)}, []ast.Atom{p(1), p(2)},
+			[]ast.Atom{p(1, 2), p(3, 4), q(5)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever})
+			defer s.Close()
+			if err := s.AppendDatasetCreate("d", c.before); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendFacts("d", c.adds, c.dels); err != nil {
+				t.Fatal(err)
+			}
+			want := map[string][][]uint32{}
+			for _, f := range s.syms.internFacts(c.want) { // every symbol is known: no new id
+				pred := s.syms.str(f.pred)
+				want[pred] = append(want[pred], f.row)
+			}
+			for _, pred := range []string{"p", "q"} {
+				if got := s.Rows("d", pred); fmt.Sprint(got) != fmt.Sprint(want[pred]) {
+					t.Fatalf("Rows(%s) = %v, want %v (%v)", pred, got, want[pred], c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoveredOps: Open returns, per checkpointed dataset in name
+// order, one create carrying every fact in Rows order — a predicate
+// split over several fact records included — then the dataset's views
+// by name, and then the WAL tail in log order: the list the server
+// replays.
+func TestRecoveredOps(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var edges []ast.Atom
+	for i := 0; i < 5000; i++ {
+		edges = append(edges, edge(fmt.Sprintf("n%d", i%97), fmt.Sprintf("n%d", i)))
+	}
+	must(s.AppendDatasetCreate("b", []ast.Atom{fact("flag")}))
+	must(s.AppendDatasetCreate("a", append(edges, fact("w", ast.N(2)))))
+	vz := ViewDef{Name: "zz", Program: "r(X) :- edge(X, Y).\n?- r.\n", Optimized: true}
+	va := ViewDef{Name: "aa", Program: "s(X) :- w(X).\n?- s.\n", ICs: ":- w(X), X < 0."}
+	must(s.AppendViewRegister("a", vz))
+	must(s.AppendViewRegister("a", va))
+	must(s.Checkpoint())
+	var want []Op
+	for _, name := range []string{"a", "b"} {
+		want = append(want, Op{Kind: OpDatasetCreate, Dataset: name, Adds: s.Facts(name)})
+		for _, v := range s.Views(name) {
+			want = append(want, Op{Kind: OpViewRegister, Dataset: name, View: v})
+		}
+	}
+	tail := []Op{
+		{Kind: OpFacts, Dataset: "a", Adds: []ast.Atom{edge("x", "y")}, Dels: []ast.Atom{fact("w", ast.N(2))}},
+		{Kind: OpViewDrop, Dataset: "a", View: ViewDef{Name: "zz"}},
+		{Kind: OpDatasetDelete, Dataset: "b"},
+		{Kind: OpDatasetCreate, Dataset: "c", Adds: []ast.Atom{fact("flag")}},
+	}
+	must(s.AppendFacts("a", tail[0].Adds, tail[0].Dels))
+	must(s.AppendViewDrop("a", "zz"))
+	must(s.AppendDatasetDelete("b"))
+	must(s.AppendDatasetCreate("c", tail[3].Adds))
+	ckpt := s.ckptName
+	must(s.Close())
+
+	data, err := os.ReadFile(filepath.Join(dir, ckpt))
+	must(err)
+	factRecords := 0
+	for _, op := range replay(data, newSymtab()).ops {
+		if op.kind == opFacts && len(op.adds) > 0 && len(op.adds[0].row) == 2 {
+			factRecords++
+		}
+	}
+	if factRecords < 2 {
+		t.Fatalf("edge spans %d fact records of the checkpoint, want at least 2", factRecords)
+	}
+
+	r, rec := mustOpen(t, dir, Options{})
+	defer r.Close()
+	want = append(want, tail...)
+	if got, w := fmt.Sprintf("%+v", rec.Ops), fmt.Sprintf("%+v", want); got != w {
+		t.Fatalf("recovered ops differ:\n got %.600s\nwant %.600s", got, w)
+	}
+	if len(rec.Ops[0].Adds) != len(edges)+1 || rec.Ops[1].View.Name != "aa" || rec.Ops[2].View.Name != "zz" {
+		t.Fatalf("recovered ops: create a with %d facts, then views %q %q", len(rec.Ops[0].Adds), rec.Ops[1].View.Name, rec.Ops[2].View.Name)
 	}
 }
 

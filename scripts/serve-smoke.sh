@@ -11,8 +11,10 @@
 # a second pass starts a durable daemon, populates it, stops it, and
 # restarts on the same directory asserting datasets, facts, and live
 # views all survive and a full-relation query's body is byte-identical
-# (SHA-256) across the restart. `make serve-smoke` and the CI serve-smoke job
-# both run exactly this script.
+# (SHA-256) across the restart; then it inserts a fact, kills the daemon
+# with SIGKILL, and asserts the fact and the view's answers survive a
+# restart that replays the checkpoint plus the WAL tail. `make
+# serve-smoke` and the CI serve-smoke job both run exactly this script.
 set -euo pipefail
 
 ADDR="${SQOD_ADDR:-127.0.0.1:18351}"
@@ -217,25 +219,22 @@ wait "$SQOD_PID" || STATUS=$?
 [ "$STATUS" -eq 0 ] || fail "durable sqod exited $STATUS after SIGTERM (want 0)"
 grep -q "final checkpoint written" "$WORK/sqod.log" || fail "no final-checkpoint line in the log"
 
-echo "serve-smoke: restarting on the same -data-dir (-async-restore)"
-# With -async-restore the daemon answers /healthz immediately while the
-# WAL replays in the background; /readyz (what a load balancer or
-# orchestrator probes) stays 503 until recovery completes and gates the
-# data plane.
-"$WORK/sqod" -addr "$ADDR" -data-dir "$DATA" -async-restore -drain 10s >"$WORK/sqod.log" 2>&1 &
-SQOD_PID=$!
-for i in $(seq 1 100); do
-	if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-	kill -0 "$SQOD_PID" 2>/dev/null || fail "restarted sqod exited during startup"
-	[ "$i" -eq 100 ] && fail "restarted sqod did not become healthy within 10s"
-	sleep 0.1
-done
-for i in $(seq 1 100); do
-	if curl -fsS "$BASE/readyz" >/dev/null 2>&1; then break; fi
-	kill -0 "$SQOD_PID" 2>/dev/null || fail "restarted sqod exited during recovery"
-	[ "$i" -eq 100 ] && fail "restarted sqod never became ready within 10s"
-	sleep 0.1
-done
+# sqod replays the recovered state before it listens, so the first 200
+# from /readyz (what a load balancer or orchestrator probes) comes with
+# every dataset and view in place.
+start_durable() {
+	"$WORK/sqod" -addr "$ADDR" -data-dir "$DATA" -drain 10s >"$WORK/sqod.log" 2>&1 &
+	SQOD_PID=$!
+	for i in $(seq 1 100); do
+		if curl -fsS "$BASE/readyz" >/dev/null 2>&1; then break; fi
+		kill -0 "$SQOD_PID" 2>/dev/null || fail "restarted sqod exited during recovery"
+		[ "$i" -eq 100 ] && fail "restarted sqod never became ready within 10s"
+		sleep 0.1
+	done
+}
+
+echo "serve-smoke: restarting on the same -data-dir"
+start_durable
 
 echo "serve-smoke: asserting datasets, facts, and views survived the restart"
 curl -fsS "$BASE/v1/datasets" >"$WORK/dlist.json" || fail "dataset list failed after restart"
@@ -253,6 +252,18 @@ jq -e '.answer_count == (.answers | length)' "$WORK/full2.json" >/dev/null || fa
 echo "serve-smoke: view still maintainable after recovery"
 curl -fsS -X POST "$BASE/v1/datasets/quickstart/facts" --data-binary 'step(6, 7).' >"$WORK/du1.json" || fail "post-recovery insert failed"
 jq -e '.views[0].answers_added >= 1' "$WORK/du1.json" >/dev/null || fail "recovered view not maintained: $(cat "$WORK/du1.json")"
+curl -fsS "$BASE/v1/datasets/quickstart/views/paths" >"$WORK/dv3.json" || fail "view get failed after the insert"
+
+echo "serve-smoke: SIGKILL, then a restart that replays the checkpoint and a WAL tail"
+kill -KILL "$SQOD_PID"
+{ wait "$SQOD_PID"; } 2>/dev/null || true # bash reports the kill
+start_durable
+grep -Eq 'store opened.* wal_records=[1-9]' "$WORK/sqod.log" || fail "the restart after SIGKILL replayed no WAL tail"
+curl -fsS "$BASE/v1/datasets" >"$WORK/dlist2.json" || fail "dataset list failed after SIGKILL"
+jq -e 'length == 1 and .[0].name == "quickstart" and .[0].facts == 10 and .[0].views == ["paths"]' "$WORK/dlist2.json" >/dev/null \
+	|| fail "inventory after SIGKILL wrong: $(cat "$WORK/dlist2.json")"
+curl -fsS "$BASE/v1/datasets/quickstart/views/paths" >"$WORK/dv4.json" || fail "view get failed after SIGKILL"
+[ "$(jq -cS .answers "$WORK/dv3.json")" = "$(jq -cS .answers "$WORK/dv4.json")" ] || fail "view answers differ across SIGKILL"
 
 echo "serve-smoke: final SIGTERM — expecting a clean drain"
 kill -TERM "$SQOD_PID"
