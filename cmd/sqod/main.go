@@ -75,7 +75,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8351", "listen address")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent evaluations (0 = 2x CPUs)")
-	cacheSize := flag.Int("cache-size", 128, "optimized-program LRU cache entries")
+	cacheSize := flag.Int("cache-size", 128, "optimized-program LRU cache entries; also bounds the memo of parsed request texts")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested timeouts")
 	updateTimeout := flag.Duration("update-timeout", 0, "per-update deadline for dataset mutations incl. view maintenance (0 = -timeout)")
@@ -89,14 +89,17 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/ (only on a trusted -addr)")
 	flag.Parse()
 
+	// Request records reach stderr within logFlushEvery; every other
+	// record, and every record logged before it, before its call returns.
+	logs := &logBuffer{out: os.Stderr, every: logFlushEvery}
 	var handler slog.Handler
 	switch *logFormat {
 	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
+		handler = slog.NewJSONHandler(logs, nil)
 	default:
-		handler = slog.NewTextHandler(os.Stderr, nil)
+		handler = slog.NewTextHandler(logs, nil)
 	}
-	logger := slog.New(handler)
+	logger := slog.New(flushing{handler, logs})
 
 	// Durable mode: open (and recover) the store before the server
 	// exists, so New can replay the recovered state into datasets and
@@ -173,6 +176,7 @@ func serve(logger *slog.Logger, addr string, h http.Handler, drain time.Duration
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
+		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelError),
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

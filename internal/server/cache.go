@@ -74,10 +74,6 @@ type lru[V any] struct {
 	entries map[string]*list.Element
 	flights map[string]*flight[V]
 	stats   CacheStats
-
-	// metrics, when non-nil, mirrors the stats counters into the
-	// server's registry as they change.
-	metrics *Metrics
 }
 
 type cacheEntry[V any] struct {
@@ -157,12 +153,6 @@ func (c *lru[V]) add(key string, res V) {
 		c.order.Remove(tail)
 		delete(c.entries, tail.Value.(*cacheEntry[V]).key)
 		c.stats.Evictions++
-		if c.metrics != nil {
-			c.metrics.CacheEvictions.Add(1)
-		}
-	}
-	if c.metrics != nil {
-		c.metrics.CacheSize.Store(int64(len(c.entries)))
 	}
 }
 
@@ -181,9 +171,6 @@ func (c *lru[V]) GetOrCompute(ctx context.Context, key string, compute func() (V
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
-		if c.metrics != nil {
-			c.metrics.CacheHits.Add(1)
-		}
 		res := el.Value.(*cacheEntry[V]).res
 		c.mu.Unlock()
 		return res, true, nil
@@ -192,10 +179,6 @@ func (c *lru[V]) GetOrCompute(ctx context.Context, key string, compute func() (V
 		// Someone is already rewriting this exact request: wait.
 		c.stats.Coalesced++
 		c.stats.Hits++
-		if c.metrics != nil {
-			c.metrics.CacheCoalesced.Add(1)
-			c.metrics.CacheHits.Add(1)
-		}
 		c.mu.Unlock()
 		select {
 		case <-f.done:
@@ -211,9 +194,6 @@ func (c *lru[V]) GetOrCompute(ctx context.Context, key string, compute func() (V
 	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
 	c.stats.Misses++
-	if c.metrics != nil {
-		c.metrics.CacheMisses.Add(1)
-	}
 	c.mu.Unlock()
 
 	f.res, f.err = compute()

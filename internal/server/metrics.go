@@ -17,12 +17,13 @@ import (
 // exposed in the Prometheus text format at /metrics. Everything is
 // hand-rolled on sync/atomic — the repository takes no dependencies.
 type Metrics struct {
-	// Cache effectiveness.
-	CacheHits      atomic.Int64
-	CacheMisses    atomic.Int64
-	CacheEvictions atomic.Int64
-	CacheCoalesced atomic.Int64 // requests that joined an in-flight rewrite
-	CacheSize      atomic.Int64
+	// CacheStats reads the rewrite cache's own counters at scrape time
+	// (set by New).
+	CacheStats func() CacheStats
+
+	// RequestMemoHits counts /v1/query and /v1/optimize requests whose
+	// text the request memo already held: parsed and keyed once.
+	RequestMemoHits atomic.Int64
 
 	// Admission control.
 	InflightEvals       atomic.Int64 // gauge: evaluations running right now
@@ -172,11 +173,16 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 
-	counter("sqod_cache_hits_total", "Optimized-program cache hits.", m.CacheHits.Load())
-	counter("sqod_cache_misses_total", "Optimized-program cache misses (fresh rewrites).", m.CacheMisses.Load())
-	counter("sqod_cache_evictions_total", "LRU evictions from the optimized-program cache.", m.CacheEvictions.Load())
-	counter("sqod_cache_coalesced_total", "Requests coalesced onto an in-flight identical rewrite.", m.CacheCoalesced.Load())
-	gauge("sqod_cache_entries", "Optimized programs currently cached.", m.CacheSize.Load())
+	var cs CacheStats
+	if m.CacheStats != nil {
+		cs = m.CacheStats()
+	}
+	counter("sqod_cache_hits_total", "Optimized-program cache hits.", cs.Hits)
+	counter("sqod_cache_misses_total", "Optimized-program cache misses (fresh rewrites).", cs.Misses)
+	counter("sqod_cache_evictions_total", "LRU evictions from the optimized-program cache.", cs.Evictions)
+	counter("sqod_cache_coalesced_total", "Requests coalesced onto an in-flight identical rewrite.", cs.Coalesced)
+	gauge("sqod_cache_entries", "Optimized programs currently cached.", int64(cs.Size))
+	counter("sqod_request_memo_hits_total", "Query and optimize requests whose program and ics text were parsed and keyed before.", m.RequestMemoHits.Load())
 
 	gauge("sqod_inflight_evals", "Evaluations currently running (admission queue depth).", m.InflightEvals.Load())
 	counter("sqod_admission_rejections_total", "Requests rejected with 429 by admission control.", m.AdmissionRejections.Load())

@@ -106,7 +106,7 @@ func (s *Server) createView(ctx context.Context, wal *store.Store, ds *dataset, 
 	v := &createdView{src: src, ics: ics, diagnose: true}
 	prog := src
 	if def.Optimized {
-		res, hit, err := s.optimizeCached(ctx, src, ics)
+		res, hit, err := s.optimizeCached(ctx, &parsed{src, ics, patternKey(src, ics, sqo.DefaultOptions(), "optimize")})
 		if err != nil {
 			return nil, err
 		}

@@ -112,9 +112,12 @@ func BenchmarkQueryResponse(b *testing.B) {
 // Since the base keeps its prepared queries' answers, a repeated body
 // over one snapshot is a memo hit: no fixpoint, and the Result's
 // ordering already published. The "50 answers" row is one: 213 → 132
-// allocations (143–146 under -race), bounded at 150 (170). The "new
+// allocations (143–146 under -race). Its text is a request-memo hit as
+// well, so it reads no program or ics and hashes no canonical program:
+// 130 → 68 (73–75 under -race), bounded at 75 (90). The "new
 // constant" row is the miss path — it evaluates and fills the memo, 217
-// (277–285 under -race) — and keeps 260 (335). The "51,000 answers" row
+// (277–285 under -race), 222 with the request memo's hash and entry —
+// and keeps 260 (335). The "51,000 answers" row
 // is a hit too, so what it bounds is writing the answers out (≈ 2.1 MB);
 // the "evaluated" row renames the goal's variables per request, so each
 // one misses and evaluates and orders the whole relation. Its prepared
@@ -150,7 +153,7 @@ func TestQueryResponseAllocationGuard(t *testing.T) {
 	}{
 		{"51,000 answers", func() string { return full }, 10000, 10000, 8 << 20, 10 << 20, true},
 		{"51,000 answers, evaluated", evaluated, 10000, 10000, 23 << 18, 8 << 20, false},
-		{"50 answers", func() string { return point }, 150, 170, 1 << 20, 1 << 20, true},
+		{"50 answers", func() string { return point }, 75, 90, 1 << 20, 1 << 20, true},
 		{"50 answers, new constant each request", func() string { b := fresh[0]; fresh = fresh[1:]; return b }, 260, 335, 1 << 20, 1 << 20, false},
 	} {
 		// Hits are counted from the second request on: the first, the

@@ -38,14 +38,17 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	sqo "repro"
@@ -62,7 +65,8 @@ type Config struct {
 	// 2×GOMAXPROCS.
 	MaxInflight int
 	// CacheSize bounds the rewrite cache (optimized programs and
-	// prepared queries). Default: 128.
+	// prepared queries), and the request memo in front of it (the
+	// parses and keys of request texts) to as many. Default: 128.
 	CacheSize int
 	// DefaultTimeout bounds every admitted request that sets no
 	// timeout_ms: a query, a view creation, a lint, an optimize.
@@ -103,8 +107,11 @@ type Server struct {
 	log     *slog.Logger
 	metrics *Metrics
 	cache   *lru[*compiled]
-	sem     chan struct{} // admission-control semaphore
-	store   *store.Store  // nil when running in-memory
+	// requests is the request memo: a request text's parse and cache
+	// key (parse), bounded by CacheSize like the cache.
+	requests *lru[*parsed]
+	sem      chan struct{} // admission-control semaphore
+	store    *store.Store  // nil when running in-memory
 
 	datasets *datasetStore
 }
@@ -131,12 +138,13 @@ func New(cfg Config) *Server {
 	}
 	m := NewMetrics()
 	c := newLRU[*compiled](cfg.CacheSize)
-	c.metrics = m
+	m.CacheStats = c.Stats
 	s := &Server{
 		cfg:      cfg,
 		log:      cfg.Logger,
 		metrics:  m,
 		cache:    c,
+		requests: newLRU[*parsed](cfg.CacheSize),
 		sem:      make(chan struct{}, cfg.MaxInflight),
 		store:    cfg.Store,
 		datasets: &datasetStore{byName: map[string]*dataset{}},
@@ -557,13 +565,48 @@ func parseRequest(programSrc, icsSrc string, withICs bool) (*sqo.Program, []sqo.
 	return prog, ics, nil
 }
 
-// optimizeCached hashes a parsed request and rewrites it through the
-// cache. The entry is shared by every goal of the request's binding
-// pattern, so the outcome returned carries the request's own goal.
-func (s *Server) optimizeCached(ctx context.Context, prog *sqo.Program, ics []sqo.IC) (*sqo.Result, bool, error) {
-	opts := sqo.DefaultOptions()
-	c, hit, err := s.cache.GetOrCompute(ctx, patternKey(prog, ics, opts, "optimize"), func() (*compiled, error) {
-		res, err := optimizeProgram(ctx, prog, ics, opts)
+// parsed is what a request's text decides before any rewrite: its
+// program, its integrity constraints and its rewrite-cache key.
+type parsed struct {
+	prog *sqo.Program
+	ics  []sqo.IC
+	key  string // patternKey
+}
+
+// parse parses a request's text (parseRequest) and keys it (patternKey
+// with extra), or finds both in the request memo when the same text came
+// before under the same extra. The memo is keyed by a SHA-256 of extra
+// and the text, so it holds no request text, and it is bounded like the
+// rewrite cache; a text that fails to parse is never kept. What it holds
+// is shared by every request of that text, and nothing writes to it.
+func (s *Server) parse(programSrc, icsSrc string, withICs bool, extra string) (*parsed, error) {
+	h := sha256.New()
+	buf := make([]byte, 0, 64)
+	buf = append(strconv.AppendInt(append(append(buf, extra...), 0), int64(len(programSrc)), 10), 0)
+	h.Write(buf)
+	io.WriteString(h, programSrc)
+	io.WriteString(h, icsSrc)
+	memoKey := string(h.Sum(buf[:0]))
+	if p, ok := s.requests.get(memoKey); ok {
+		s.metrics.RequestMemoHits.Add(1)
+		return p, nil
+	}
+	prog, ics, err := parseRequest(programSrc, icsSrc, withICs)
+	if err != nil {
+		return nil, err
+	}
+	p := &parsed{prog: prog, ics: ics, key: patternKey(prog, ics, sqo.DefaultOptions(), extra)}
+	s.requests.add(memoKey, p)
+	return p, nil
+}
+
+// optimizeCached rewrites a parsed request through the cache. The entry
+// is shared by every goal of the request's binding pattern, so the
+// outcome returned carries the request's own goal.
+func (s *Server) optimizeCached(ctx context.Context, p *parsed) (*sqo.Result, bool, error) {
+	prog := p.prog
+	c, hit, err := s.cache.GetOrCompute(ctx, p.key, func() (*compiled, error) {
+		res, err := optimizeProgram(ctx, prog, p.ics, sqo.DefaultOptions())
 		if err != nil {
 			return nil, optimizeError(err)
 		}
@@ -583,15 +626,19 @@ func (s *Server) optimizeCached(ctx context.Context, prog *sqo.Program, ics []sq
 // prepares, and the entry serves every goal of the request's binding
 // pattern; the caller runs it for the returned program's goal.
 func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, optimize bool) (*sqo.Program, *compiled, bool, error) {
-	prog, ics, err := parseRequest(programSrc, icsSrc, optimize)
+	extra := "query\x00false"
+	if optimize {
+		extra = "query\x00true"
+	}
+	pr, err := s.parse(programSrc, icsSrc, optimize, extra)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	extra := fmt.Sprintf("query\x00%t", optimize)
-	c, hit, err := s.cache.GetOrCompute(ctx, patternKey(prog, ics, sqo.DefaultOptions(), extra), func() (*compiled, error) {
+	prog := pr.prog
+	c, hit, err := s.cache.GetOrCompute(ctx, pr.key, func() (*compiled, error) {
 		c, p := &compiled{}, prog
 		if optimize {
-			res, err := optimizeProgram(ctx, prog, ics, sqo.DefaultOptions())
+			res, err := optimizeProgram(ctx, prog, pr.ics, sqo.DefaultOptions())
 			if err != nil {
 				return nil, optimizeError(err)
 			}
@@ -615,11 +662,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 	}
 	return s.admitted(r, s.deadline(0), func(ctx context.Context) error {
 		start := time.Now()
-		prog, ics, err := parseRequest(req.Program, req.ICs, true)
+		p, err := s.parse(req.Program, req.ICs, true, "optimize")
 		if err != nil {
 			return err
 		}
-		res, hit, err := s.optimizeCached(ctx, prog, ics)
+		res, hit, err := s.optimizeCached(ctx, p)
 		if err != nil {
 			return err
 		}
@@ -628,7 +675,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 			Satisfiable: res.Satisfiable,
 			Explain:     sqo.Explain(res),
 			Warnings:    res.Warnings,
-			Diagnostics: s.lintDiagnostics(ctx, prog, ics),
+			Diagnostics: s.lintDiagnostics(ctx, p.prog, p.ics),
 			CacheHit:    hit,
 			OptimizeMS:  sinceMS(start),
 		})

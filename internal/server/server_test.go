@@ -156,7 +156,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(r3.Answers, r1.Answers) {
 		t.Fatalf("optimized and unoptimized answers diverge: %v vs %v", r1.Answers, r3.Answers)
 	}
-	if hits := s.Metrics().CacheHits.Load(); hits == 0 {
+	if hits := s.CacheStats().Hits; hits == 0 {
 		t.Fatal("metrics report zero cache hits")
 	}
 }

@@ -13,7 +13,9 @@
 # views all survive and a full-relation query's body is byte-identical
 # (SHA-256) across the restart; then it inserts a fact, kills the daemon
 # with SIGKILL, and asserts the fact and the view's answers survive a
-# restart that replays the checkpoint plus the WAL tail. `make
+# restart that replays the checkpoint plus the WAL tail, and that the
+# log holds one request line for each request the last process answered
+# once it has drained. `make
 # serve-smoke` and the CI serve-smoke job both run exactly this script.
 set -euo pipefail
 
@@ -271,5 +273,10 @@ STATUS=0
 wait "$SQOD_PID" || STATUS=$?
 [ "$STATUS" -eq 0 ] || fail "restarted sqod exited $STATUS after SIGTERM (want 0)"
 grep -q "clean shutdown" "$WORK/sqod.log" || fail "no clean-shutdown line in the restart log"
+# sqod buffers its per-request log lines; the drain writes them out. This
+# process answered three requests: the /readyz that found it ready, the
+# dataset list and the view read.
+REQUEST_LINES="$(grep -c 'msg=request' "$WORK/sqod.log" || true)"
+[ "$REQUEST_LINES" -eq 3 ] || fail "the log holds $REQUEST_LINES request lines after the drain (want 3, one per request)"
 
 echo "serve-smoke: PASS"
