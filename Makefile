@@ -106,25 +106,29 @@ fuzz-smoke:
 incr-smoke:
 	$(GO) test ./internal/incr -race -count=1 -run='TestIncrRandomizedDifferential|TestIncrLongSequenceDifferential'
 
-# Run sqolint over the checked-in example programs: the clean examples
-# must exit 0, unbounded.dl's JSON report must carry L7's
-# boundedness-budget note, deadcode.dl must exit 1 (it contains an
-# unsatisfiable rule), and its JSON report must name the dead rules.
+# Lint the checked-in example programs with sqoc -lint, which prints its
+# findings to stderr (the optimized program on stdout is dropped): the
+# five clean examples must exit 0, unbounded.dl's report must carry L7's
+# boundedness-budget note, and deadcode.dl must exit non-zero (it
+# contains an unsatisfiable rule) with a report naming the dead rules.
 # The CI test job runs this too.
 lint-smoke:
-	$(GO) run ./cmd/sqolint examples/lint/figure1.dl
-	$(GO) run ./cmd/sqolint examples/lint/hygiene.dl
-	$(GO) run ./cmd/sqolint examples/lint/bounded.dl
-	$(GO) run ./cmd/sqolint examples/lint/unbounded.dl
-	@$(GO) run ./cmd/sqolint -json examples/lint/unbounded.dl | grep -q '"id": "boundedness-budget"' \
-		|| { echo "lint-smoke: boundedness-budget finding missing from JSON report"; exit 1; }
-	@if $(GO) run ./cmd/sqolint examples/lint/deadcode.dl; then \
+	$(GO) run ./cmd/sqoc -lint examples/lint/figure1.dl >/dev/null
+	$(GO) run ./cmd/sqoc -lint examples/lint/hygiene.dl >/dev/null
+	$(GO) run ./cmd/sqoc -lint examples/lint/bounded.dl >/dev/null
+	$(GO) run ./cmd/sqoc -lint examples/lint/pointquery.dl >/dev/null
+	@out="$$($(GO) run ./cmd/sqoc -lint examples/lint/unbounded.dl 2>&1 >/dev/null)" \
+		|| { echo "$$out"; echo "lint-smoke: unbounded.dl should exit 0"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -qF '[L7/boundedness-budget]' \
+		|| { echo "lint-smoke: boundedness-budget finding missing from unbounded.dl's report"; exit 1; }
+	@if out="$$($(GO) run ./cmd/sqoc -lint examples/lint/deadcode.dl 2>&1 >/dev/null)"; then \
 		echo "lint-smoke: deadcode.dl should exit non-zero"; exit 1; \
-	else \
-		echo "lint-smoke: deadcode.dl correctly rejected"; \
-	fi
-	@$(GO) run ./cmd/sqolint -json examples/lint/deadcode.dl | grep -q '"id": "dead-rule"' \
-		|| { echo "lint-smoke: dead-rule finding missing from JSON report"; exit 1; }
+	fi; \
+	echo "$$out"; \
+	echo "$$out" | grep -qF '[L2/dead-rule]' \
+		|| { echo "lint-smoke: dead-rule finding missing from deadcode.dl's report"; exit 1; }; \
+	echo "lint-smoke: deadcode.dl correctly rejected"
 	@echo "lint-smoke: PASS"
 
 # Run the query daemon locally with default settings.

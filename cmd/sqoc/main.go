@@ -5,7 +5,11 @@
 // file or standard input, rewrites the program to completely
 // incorporate the constraints, and prints the rewritten program. With
 // facts present (or a separate facts file) it also evaluates both
-// versions and reports the answers and the work saved.
+// versions and reports the answers and the work saved. With -lint it
+// first runs the semantic linter over the input and the facts file —
+// the findings sqod's POST /v1/lint returns as JSON — and prints them to
+// standard error; any parseable input is linted, and an Error-severity
+// finding stops the run with status 1.
 //
 // Usage:
 //
@@ -68,12 +72,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if unit.Program.Query == "" {
-		log.Fatal("no query declaration ('?- pred.') in input")
+	facts := unit.Facts
+	if *factsPath != "" {
+		fsrc, err := os.ReadFile(*factsPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		extra, err := sqo.ParseFacts(string(fsrc))
+		if err != nil {
+			log.Fatal(err)
+		}
+		facts = append(facts, extra...)
 	}
 
 	if *lintFlag {
-		rep := sqo.Lint(ctx, unit.Program, unit.ICs, unit.Facts, sqo.LintOptions{})
+		rep := sqo.Lint(ctx, unit.Program, unit.ICs, facts, sqo.LintOptions{})
 		if len(rep.Findings) > 0 {
 			if err := sqo.WriteLintText(os.Stderr, flag.Arg(0), rep); err != nil {
 				log.Fatal(err)
@@ -82,6 +95,9 @@ func main() {
 		if rep.HasErrors() {
 			log.Fatal("lint found errors; not optimizing")
 		}
+	}
+	if unit.Program.Query == "" {
+		log.Fatal("no query declaration ('?- pred.') in input")
 	}
 
 	res, err := sqo.OptimizeCtx(ctx, unit.Program, unit.ICs, sqo.DefaultOptions())
@@ -110,18 +126,6 @@ func main() {
 			s.GoalNodes, s.LiveGoals, s.RuleNodes, s.LiveRules, s.Roots, s.LiveRoots, s.Adornments)
 	}
 
-	facts := unit.Facts
-	if *factsPath != "" {
-		fsrc, err := os.ReadFile(*factsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		extra, err := sqo.ParseFacts(string(fsrc))
-		if err != nil {
-			log.Fatal(err)
-		}
-		facts = append(facts, extra...)
-	}
 	if len(facts) > 0 {
 		db := sqo.NewDBFrom(facts)
 		opts := sqo.DefaultEvalOptions()

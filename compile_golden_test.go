@@ -18,7 +18,7 @@ import (
 	"repro/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/compile.golden and testdata/experiments.golden")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 // compileInput is one source of the compile corpus: a program with its
 // ic's, parsed from the text a cold request would carry.

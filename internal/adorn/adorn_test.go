@@ -274,7 +274,7 @@ func TestTripletKeyCanonical(t *testing.T) {
 
 func TestAdornmentDedup(t *testing.T) {
 	tr := Triplet{IC: 0, Unmapped: []int{0}, Sigma: map[string]Image{}}
-	ad := NewAdornment([]Triplet{tr, tr, tr})
+	ad := newAdornment([]Triplet{tr, tr, tr}, []string{tr.Key(), tr.Key(), tr.Key()})
 	if len(ad.Triplets) != 1 {
 		t.Fatalf("got %d triplets, want 1", len(ad.Triplets))
 	}

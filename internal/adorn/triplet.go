@@ -90,16 +90,8 @@ type Adornment struct {
 	key      string
 }
 
-// NewAdornment canonicalizes and deduplicates the triplets.
-func NewAdornment(ts []Triplet) *Adornment {
-	keys := make([]string, len(ts))
-	for i, t := range ts {
-		keys[i] = t.Key()
-	}
-	return newAdornment(ts, keys)
-}
-
-// newAdornment is NewAdornment over triplets whose keys are known.
+// newAdornment canonicalizes and deduplicates the triplets, whose keys
+// are keys.
 func newAdornment(ts []Triplet, keys []string) *Adornment {
 	idx := make([]int, 0, len(ts))
 	seen := make(map[string]bool, len(ts))

@@ -69,16 +69,11 @@ type Options struct {
 	Forbidden []ast.Atom
 }
 
-// Run chases the given ground facts against the constraints.
-func Run(facts []ast.Atom, ics []ast.IC, opts Options) Result {
-	return RunCtx(context.Background(), facts, ics, opts)
-}
-
-// RunCtx is Run under a context: cancellation or deadline expiry stops
-// the chase at the next step boundary with an Unknown verdict — the
-// same honest "budget exhausted" outcome as running out of MaxSteps,
-// since an interrupted semi-decision procedure has not decided
-// anything.
+// RunCtx chases the given ground facts against the constraints.
+// Cancellation or deadline expiry of ctx stops the chase at the next
+// step boundary with an Unknown verdict — the same honest "budget
+// exhausted" outcome as running out of MaxSteps, since an interrupted
+// semi-decision procedure has not decided anything.
 func RunCtx(ctx context.Context, facts []ast.Atom, ics []ast.IC, opts Options) Result {
 	if ctx == nil {
 		ctx = context.Background()

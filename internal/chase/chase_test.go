@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -41,7 +42,7 @@ func TestRunDeterministicRepair(t *testing.T) {
 		:- succ(X, Y), !dom(X).
 		:- succ(X, Y), !dom(Y).
 	`)
-	res := Run(parser.MustParseFacts(`succ(1, 2). succ(2, 3).`), ics, Options{})
+	res := RunCtx(context.Background(), parser.MustParseFacts(`succ(1, 2). succ(2, 3).`), ics, Options{})
 	if res.Verdict != Consistent {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
@@ -63,7 +64,7 @@ func TestRunCascadingRepairs(t *testing.T) {
 		:- eq(X, Y), !eq(Y, X).
 		:- eq(X, Z), eq(Z, Y), !eq(X, Y).
 	`)
-	res := Run(parser.MustParseFacts(`dom(1). dom(2). eq(1, 2).`), ics, Options{})
+	res := RunCtx(context.Background(), parser.MustParseFacts(`dom(1). dom(2). eq(1, 2).`), ics, Options{})
 	if res.Verdict != Consistent {
 		t.Fatalf("verdict = %v", res.Verdict)
 	}
@@ -84,7 +85,7 @@ func TestRunHardViolation(t *testing.T) {
 		:- p(X, Y), !eq(X, Y).
 	`)
 	// p(1,2) forces eq(1,2), which collides with neq(1,2).
-	res := Run(parser.MustParseFacts(`p(1, 2). neq(1, 2).`), ics, Options{})
+	res := RunCtx(context.Background(), parser.MustParseFacts(`p(1, 2). neq(1, 2).`), ics, Options{})
 	if res.Verdict != Inconsistent {
 		t.Fatalf("verdict = %v, want inconsistent", res.Verdict)
 	}
@@ -94,7 +95,7 @@ func TestRunForbiddenFacts(t *testing.T) {
 	ics := parser.MustParseICs(`:- a(X), !b(X).`)
 	// Repair would add b(1), but b(1) is forbidden (e.g. the query
 	// body negates it).
-	res := Run(parser.MustParseFacts(`a(1).`), ics, Options{
+	res := RunCtx(context.Background(), parser.MustParseFacts(`a(1).`), ics, Options{
 		Forbidden: parser.MustParseFacts(`b(1).`),
 	})
 	if res.Verdict != Inconsistent {
@@ -108,7 +109,7 @@ func TestRunDisjunctiveBranching(t *testing.T) {
 		:- a(X), !b(X), !c(X).
 		:- b(X), bad(X).
 	`)
-	res := Run(parser.MustParseFacts(`a(1). bad(1).`), ics, Options{})
+	res := RunCtx(context.Background(), parser.MustParseFacts(`a(1). bad(1).`), ics, Options{})
 	if res.Verdict != Consistent {
 		t.Fatalf("verdict = %v, want consistent via c(1)", res.Verdict)
 	}
@@ -135,18 +136,18 @@ func TestRunBudgetExhaustion(t *testing.T) {
 	// pairing growth via two constants alternating... With function-free
 	// facts over a fixed domain the chase always terminates, so true
 	// divergence needs the budget to be tiny instead.
-	res := Run(parser.MustParseFacts(`dom(1). dom(2). dom(3).`), ics, Options{MaxSteps: 2})
+	res := RunCtx(context.Background(), parser.MustParseFacts(`dom(1). dom(2). dom(3).`), ics, Options{MaxSteps: 2})
 	if res.Verdict != Unknown {
 		t.Fatalf("verdict = %v, want unknown under a 2-step budget (3 repairs needed)", res.Verdict)
 	}
-	res = Run(parser.MustParseFacts(`dom(1). dom(2). dom(3).`), ics, Options{MaxSteps: 100})
+	res = RunCtx(context.Background(), parser.MustParseFacts(`dom(1). dom(2). dom(3).`), ics, Options{MaxSteps: 100})
 	if res.Verdict != Consistent {
 		t.Fatalf("verdict = %v, want consistent with budget", res.Verdict)
 	}
 }
 
 func TestRunEmptyICs(t *testing.T) {
-	res := Run(parser.MustParseFacts(`a(1).`), nil, Options{})
+	res := RunCtx(context.Background(), parser.MustParseFacts(`a(1).`), nil, Options{})
 	if res.Verdict != Consistent || len(res.Model) != 1 {
 		t.Fatalf("no constraints: trivially consistent; got %v", res.Verdict)
 	}
@@ -158,7 +159,7 @@ func TestRunPanicsOnNonGround(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Run([]ast.Atom{ast.NewAtom("a", ast.V("X"))}, nil, Options{})
+	RunCtx(context.Background(), []ast.Atom{ast.NewAtom("a", ast.V("X"))}, nil, Options{})
 }
 
 func TestVerdictString(t *testing.T) {

@@ -12,6 +12,7 @@
 package contain
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ast"
@@ -40,7 +41,7 @@ func ProgramContainedInUCQ(p *ast.Program, ucq []cqc.CQ) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	out, err := qtree.Optimize(prog, ics)
+	out, err := qtree.OptimizeCtx(context.TODO(), prog, ics, qtree.DefaultOptions())
 	if err != nil {
 		return false, err
 	}
@@ -150,7 +151,7 @@ func SatisfiabilityAsNonContainment(p *ast.Program, ics []ast.IC) (*ast.Program,
 // (Theorem 5.1's doubly-exponential decision procedure for the
 // decidable classes).
 func ProgramSatisfiable(p *ast.Program, ics []ast.IC) (bool, error) {
-	out, err := qtree.Optimize(p, ics)
+	out, err := qtree.OptimizeCtx(context.TODO(), p, ics, qtree.DefaultOptions())
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package contain
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -292,7 +293,7 @@ func TestContainmentAgainstBruteForce(t *testing.T) {
 	}
 	answersOn := func(q cqc.CQ, db *eval.DB) map[string]bool {
 		p := &ast.Program{Rules: []ast.Rule{q}, Query: q.Head.Pred}
-		idb, _, err := eval.Eval(p, db)
+		idb, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +388,7 @@ func TestProgramSatisfiableMatchesOptimizeFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := qtree.Optimize(p, ics)
+	out, err := qtree.OptimizeCtx(context.Background(), p, ics, qtree.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

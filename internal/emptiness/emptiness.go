@@ -53,18 +53,13 @@ func (o *Options) defaults() {
 	}
 }
 
-// RuleSatisfiable decides whether a single rule's body is satisfiable
-// with respect to the constraints: is there a database consistent with
-// ics on which the body has at least one match? This is the
-// conjunctive-query satisfiability at the heart of Proposition 5.2.
-func RuleSatisfiable(r ast.Rule, ics []ast.IC, opts Options) (Verdict, error) {
-	return RuleSatisfiableCtx(context.Background(), r, ics, opts)
-}
-
-// RuleSatisfiableCtx is RuleSatisfiable under a context: cancellation
-// or deadline expiry aborts the decision at the next check boundary
-// with an Unknown verdict, the same honest outcome as exhausting an
-// explicit budget.
+// RuleSatisfiableCtx decides whether a single rule's body is
+// satisfiable with respect to the constraints: is there a database
+// consistent with ics on which the body has at least one match? This
+// is the conjunctive-query satisfiability at the heart of Proposition
+// 5.2. Cancellation or deadline expiry of ctx aborts the decision at
+// the next check boundary with an Unknown verdict, the same honest
+// outcome as exhausting an explicit budget.
 func RuleSatisfiableCtx(ctx context.Context, r ast.Rule, ics []ast.IC, opts Options) (Verdict, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -286,17 +281,12 @@ func chaseSatisfiable(ctx context.Context, r ast.Rule, ics []ast.IC, opts Option
 	return res.Verdict, nil
 }
 
-// Empty decides program emptiness via Proposition 5.2: the program is
-// empty iff every initialization rule is unsatisfiable. decided is
+// EmptyCtx decides program emptiness via Proposition 5.2: the program
+// is empty iff every initialization rule is unsatisfiable. decided is
 // false when some rule's satisfiability could not be settled within
-// budget and no rule was found satisfiable.
-func Empty(p *ast.Program, ics []ast.IC, opts Options) (empty, decided bool, err error) {
-	return EmptyCtx(context.Background(), p, ics, opts)
-}
-
-// EmptyCtx is Empty under a context; cancellation mid-way leaves the
-// undecided rules Unknown, so the result degrades to decided == false
-// rather than an unsound emptiness claim.
+// budget and no rule was found satisfiable. Cancellation of ctx
+// mid-way leaves the undecided rules Unknown, so the result degrades
+// to decided == false rather than an unsound emptiness claim.
 func EmptyCtx(ctx context.Context, p *ast.Program, ics []ast.IC, opts Options) (empty, decided bool, err error) {
 	idb := p.IDB()
 	sawUnknown := false

@@ -1,6 +1,7 @@
 package emptiness
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -14,7 +15,7 @@ func TestRuleSatisfiableNPCase(t *testing.T) {
 	`)
 	// Unsatisfiable under the join-forbidding constraint.
 	ics := parser.MustParseICs(`:- a(X, Y), b(Y, Z).`)
-	v, err := RuleSatisfiable(p.Rules[0], ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), p.Rules[0], ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
@@ -23,7 +24,7 @@ func TestRuleSatisfiableNPCase(t *testing.T) {
 		q(X, Z) :- a(X, Y), b(W, Z).
 		?- q.
 	`)
-	v, err = RuleSatisfiable(p2.Rules[0], ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), p2.Rules[0], ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
@@ -33,20 +34,20 @@ func TestRuleSatisfiableSelfJoinPattern(t *testing.T) {
 	// The constraint forbids a 2-cycle; the rule requires one.
 	ics := parser.MustParseICs(`:- e(X, Y), e(Y, X).`)
 	r := parser.MustParseProgram(`q(X, Y) :- e(X, Y), e(Y, X).`).Rules[0]
-	v, err := RuleSatisfiable(r, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	// A plain edge is fine (freezing keeps X and Y distinct, so no
 	// 2-cycle appears in the canonical database).
 	r2 := parser.MustParseProgram(`q(X, Y) :- e(X, Y).`).Rules[0]
-	v, err = RuleSatisfiable(r2, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r2, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	// But a self-loop in the rule IS a 1-step 2-cycle.
 	r3 := parser.MustParseProgram(`q(X) :- e(X, X).`).Rules[0]
-	v, err = RuleSatisfiable(r3, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r3, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
@@ -57,18 +58,18 @@ func TestRuleSatisfiableOrderCase(t *testing.T) {
 	// is unsatisfiable; an increasing one is satisfiable.
 	ics := parser.MustParseICs(`:- step(X, Y), X >= Y.`)
 	rUp := parser.MustParseProgram(`q(X, Y) :- step(X, Y), X < Y.`).Rules[0]
-	v, err := RuleSatisfiable(rUp, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), rUp, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("up: verdict = %v, err = %v", v, err)
 	}
 	rDown := parser.MustParseProgram(`q(X, Y) :- step(X, Y), X > Y.`).Rules[0]
-	v, err = RuleSatisfiable(rDown, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), rDown, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("down: verdict = %v, err = %v", v, err)
 	}
 	// Unconstrained rule: satisfiable (choose an increasing witness).
 	rAny := parser.MustParseProgram(`q(X, Y) :- step(X, Y).`).Rules[0]
-	v, err = RuleSatisfiable(rAny, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), rAny, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("any: verdict = %v, err = %v", v, err)
 	}
@@ -79,13 +80,13 @@ func TestRuleSatisfiableOrderChain(t *testing.T) {
 	// ordering 1 < 2 < 3.
 	ics := parser.MustParseICs(`:- step(X, Y), X >= Y.`)
 	r := parser.MustParseProgram(`q(X, Z) :- step(X, Y), step(Y, Z).`).Rules[0]
-	v, err := RuleSatisfiable(r, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	// A cycle of steps can never satisfy monotonicity.
 	r2 := parser.MustParseProgram(`q(X) :- step(X, Y), step(Y, X).`).Rules[0]
-	v, err = RuleSatisfiable(r2, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r2, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("cycle: verdict = %v, err = %v", v, err)
 	}
@@ -94,12 +95,12 @@ func TestRuleSatisfiableOrderChain(t *testing.T) {
 func TestRuleSatisfiableWithConstants(t *testing.T) {
 	ics := parser.MustParseICs(`:- startPoint(X), X < 100.`)
 	r := parser.MustParseProgram(`q(X) :- startPoint(X), X < 50.`).Rules[0]
-	v, err := RuleSatisfiable(r, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	r2 := parser.MustParseProgram(`q(X) :- startPoint(X), X > 200.`).Rules[0]
-	v, err = RuleSatisfiable(r2, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r2, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
@@ -113,13 +114,13 @@ func TestRuleSatisfiableNegationChase(t *testing.T) {
 	`)
 	// The rule needs a(X) and c(X): chase adds b(X), then b∧c violates.
 	r := parser.MustParseProgram(`q(X) :- a(X), c(X).`).Rules[0]
-	v, err := RuleSatisfiable(r, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	// Without c the chase converges consistently.
 	r2 := parser.MustParseProgram(`q(X) :- a(X).`).Rules[0]
-	v, err = RuleSatisfiable(r2, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r2, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
@@ -130,7 +131,7 @@ func TestRuleSatisfiableRuleNegation(t *testing.T) {
 	// contradiction.
 	ics := parser.MustParseICs(`:- a(X), !b(X).`)
 	r := parser.MustParseProgram(`q(X) :- a(X), !b(X).`).Rules[0]
-	v, err := RuleSatisfiable(r, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
@@ -145,7 +146,7 @@ func TestEmptyProposition52(t *testing.T) {
 		?- q.
 	`)
 	ics := parser.MustParseICs(`:- a(X, Y), b(Y, Z).`)
-	empty, decided, err := Empty(p, ics, Options{})
+	empty, decided, err := EmptyCtx(context.Background(), p, ics, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestEmptyProposition52(t *testing.T) {
 		q(X, Z) :- c(X, Y), q(Y, Z).
 		?- q.
 	`)
-	empty, decided, err = Empty(p2, ics, Options{})
+	empty, decided, err = EmptyCtx(context.Background(), p2, ics, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestEmptyUndecidedUnderTinyBudget(t *testing.T) {
 		:- d(X), c(X).
 	`)
 	// With a 1-step budget the chase cannot finish.
-	_, decided, err := Empty(p, ics, Options{ChaseSteps: 1})
+	_, decided, err := EmptyCtx(context.Background(), p, ics, Options{ChaseSteps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestEmptyUndecidedUnderTinyBudget(t *testing.T) {
 		t.Fatal("tiny budget must leave the question undecided")
 	}
 	// With budget, the cascade a→b→d→(d∧c violation) settles it.
-	empty, decided, err := Empty(p, ics, Options{})
+	empty, decided, err := EmptyCtx(context.Background(), p, ics, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,19 +205,19 @@ func TestRuleSatisfiableTheorem53Shape(t *testing.T) {
 	ics := parser.MustParseICs(`:- e(X, Y), f(X, Z), Y != Z.`)
 	// Demanding disagreement is unsatisfiable.
 	r := parser.MustParseProgram(`q(X) :- e(X, Y), f(X, Z), Y < Z.`).Rules[0]
-	v, err := RuleSatisfiable(r, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	// Demanding agreement is satisfiable.
 	r2 := parser.MustParseProgram(`q(X) :- e(X, Y), f(X, Z), Y = Z.`).Rules[0]
-	v, err = RuleSatisfiable(r2, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r2, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	// Distinct keys are unconstrained.
 	r3 := parser.MustParseProgram(`q(X) :- e(X, Y), f(W, Z), Y < Z.`).Rules[0]
-	v, err = RuleSatisfiable(r3, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r3, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
@@ -226,12 +227,12 @@ func TestRuleSatisfiableFDTheorem55Shape(t *testing.T) {
 	// Theorem 5.5's constraint shape: a functional dependency with ≠.
 	ics := parser.MustParseICs(`:- e(X, Y1, Z1), e(X, Y2, Z2), Z1 != Z2.`)
 	r := parser.MustParseProgram(`q(X) :- e(X, A, B), e(X, C, D), B < D.`).Rules[0]
-	v, err := RuleSatisfiable(r, ics, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, ics, Options{})
 	if err != nil || v != Unsatisfiable {
 		t.Fatalf("verdict = %v, err = %v", v, err)
 	}
 	r2 := parser.MustParseProgram(`q(X) :- e(X, A, B), e(X, C, D), A < C.`).Rules[0]
-	v, err = RuleSatisfiable(r2, ics, Options{})
+	v, err = RuleSatisfiableCtx(context.Background(), r2, ics, Options{})
 	if err != nil || v != Satisfiable {
 		t.Fatalf("only the last column is functionally determined: verdict = %v, err = %v", v, err)
 	}
@@ -251,7 +252,7 @@ func TestRuleSatisfiableRealizesAroundConstants(t *testing.T) {
 		{`p(X, Y) :- e(X), e(Y), X > 2, Y > X, Y < "a".`, ``},
 	} {
 		r := parser.MustParseProgram(c.rule).Rules[0]
-		v, err := RuleSatisfiable(r, parser.MustParseICs(c.ics), Options{})
+		v, err := RuleSatisfiableCtx(context.Background(), r, parser.MustParseICs(c.ics), Options{})
 		if err != nil || v != Satisfiable {
 			t.Errorf("%s with {%s}: verdict = %v, err = %v; want satisfiable", c.rule, c.ics, v, err)
 		}
@@ -264,7 +265,7 @@ func TestRuleSatisfiableRealizesAroundConstants(t *testing.T) {
 func TestRuleSatisfiableUnrealizableIsUnknown(t *testing.T) {
 	r := parser.MustParseProgram(`p(X) :- e(X).`).Rules[0]
 	r.Cmp = []ast.Cmp{ast.NewCmp(ast.V("X"), ast.GT, ast.S("a")), ast.NewCmp(ast.V("X"), ast.LT, ast.S("a\x00"))}
-	v, err := RuleSatisfiable(r, nil, Options{})
+	v, err := RuleSatisfiableCtx(context.Background(), r, nil, Options{})
 	if v != Unknown || err == nil {
 		t.Fatalf("verdict = %v, err = %v; want Unknown with a reason", v, err)
 	}

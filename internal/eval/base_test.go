@@ -40,7 +40,7 @@ func TestSharedBaseDifferential(t *testing.T) {
 	shared := disjointChainsDB(8, 20)
 	shared.AddFact(ast.NewAtom("blocked", ast.N(1003)))
 	shared.AddFact(ast.NewAtom("unused", ast.S("x"), ast.N(7)))
-	if _, _, err := Eval(progs["tc-point"], shared); err != nil { // build the base up front
+	if _, _, err := EvalCtx(context.Background(), progs["tc-point"], shared, Options{}); err != nil { // build the base up front
 		t.Fatal(err)
 	}
 
@@ -97,7 +97,7 @@ func TestBaseSeesMutation(t *testing.T) {
 	db := chainDB(5)
 	count := func(pred string) (int, int64) {
 		t.Helper()
-		idb, stats, err := Eval(p, db)
+		idb, stats, err := EvalCtx(context.Background(), p, db, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,20 +128,20 @@ func TestBaseSeesMutation(t *testing.T) {
 // snapshot does not, and keeps serving from the base it already had.
 func TestCloneNeverSharesBase(t *testing.T) {
 	p, snapshot := tcPointQuery(t)
-	want, _, err := Query(p, snapshot)
+	want, _, err := QueryCtx(context.Background(), p, snapshot, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := snapshot.Clone()
 	req.AddFacts([]ast.Atom{ast.NewAtom("edge", ast.N(10), ast.N(77))})
-	got, _, err := Query(p, req)
+	got, _, err := QueryCtx(context.Background(), p, req, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want)+1 {
 		t.Fatalf("clone with an extra edge: %d answers, want %d", len(got), len(want)+1)
 	}
-	again, stats, err := Query(p, snapshot)
+	again, stats, err := QueryCtx(context.Background(), p, snapshot, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCloneNeverSharesBase(t *testing.T) {
 // DB agree, and exactly one of them builds the base. Run under -race.
 func TestConcurrentQueriesShareBase(t *testing.T) {
 	p, db := tcPointQuery(t)
-	want, _, err := Query(p, db.Clone())
+	want, _, err := QueryCtx(context.Background(), p, db.Clone(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

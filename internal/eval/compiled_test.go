@@ -114,13 +114,12 @@ func instanceOf(r, inst ast.Rule) bool {
 	}
 	pattern := append(append([]ast.Atom{r.Head}, r.Pos...), r.Neg...)
 	target := append(append([]ast.Atom{inst.Head}, inst.Pos...), inst.Neg...)
-	s := unify.Subst{}
+	s, pv := unify.Subst{}, unify.PatternVars(pattern...)
 	for i := range pattern {
-		ok := target[i].Ground()
-		if ok {
-			s, ok = unify.Match(pattern[i], target[i], s)
+		if !target[i].Ground() {
+			return false
 		}
-		if !ok {
+		if _, ok := s.MatchBind(pattern[i], target[i], pv, nil); !ok {
 			return false
 		}
 	}
@@ -433,7 +432,7 @@ func TestBudgetErrorWorkerInvariant(t *testing.T) {
 		path(X, Y) :- step(X, Z), path(Z, Y).
 		?- path.
 	`)
-	_, _, err := EvalWith(p, chainEDB(100), Options{MaxTuples: 50})
+	_, _, err := EvalCtx(context.Background(), p, chainEDB(100), Options{MaxTuples: 50})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected a budget error, got %v", err)
 	}

@@ -107,7 +107,7 @@ func wideRound(t testing.TB, n int) (*ast.Program, *DB) {
 func requireStopsAtPoll(t *testing.T, n, after int, want error) {
 	t.Helper()
 	p, db := wideRound(t, n)
-	if _, _, err := Eval(p, db); err != nil { // intern the base outside the measurement
+	if _, _, err := EvalCtx(context.Background(), p, db, Options{}); err != nil { // intern the base outside the measurement
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -144,7 +144,7 @@ func TestErrBudgetSentinel(t *testing.T) {
 	p, db := chainProgram(t, 100)
 	opts := DefaultOptions()
 	opts.MaxTuples = 10
-	_, _, err := EvalWith(p, db, opts)
+	_, _, err := EvalCtx(context.Background(), p, db, opts)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -154,10 +154,11 @@ func TestErrBudgetSentinel(t *testing.T) {
 }
 
 // TestEvalCtxDeterminismUnaffected: threading a live (never cancelled)
-// context must not change answers or stats relative to EvalWith.
+// context must not change answers or stats relative to
+// context.Background().
 func TestEvalCtxDeterminismUnaffected(t *testing.T) {
 	p, db := chainProgram(t, 60)
-	idb1, s1, err := EvalWith(p, db, DefaultOptions())
+	idb1, s1, err := EvalCtx(context.Background(), p, db, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ type Stats struct {
 	// tenfold, and the rest of the task ran in a new order.
 	AdaptiveReorders int64
 	// MagicApplied reports whether the query was evaluated through the
-	// magic-sets demand rewrite (Query/QueryCtx with a bound goal and
+	// magic-sets demand rewrite (QueryCtx with a bound goal and
 	// Options.Magic not off). Excluded from Equal like the other
 	// diagnostics: the magic-rewritten fixpoint legitimately differs
 	// from bottom-up in every counter — that difference is the point —
@@ -76,7 +76,7 @@ type Stats struct {
 	// diagnostic, not evaluation semantics.
 	PeakMaterialized int64
 	// ElimApplied reports whether the query was evaluated through the
-	// bounded-recursion elimination rewrite (Query/QueryCtx with
+	// bounded-recursion elimination rewrite (QueryCtx with
 	// Options.Elim not off and at least one predicate proven bounded,
 	// its fixpoint compiled into a flat union of conjunctive queries).
 	// Excluded from Equal like MagicApplied: the flattened program
@@ -186,7 +186,7 @@ func (s *Stats) Equal(o *Stats) bool {
 	return true
 }
 
-// MagicMode controls whether Query/QueryCtx apply the magic-sets
+// MagicMode controls whether QueryCtx applies the magic-sets
 // demand rewrite before evaluation. The rewrite only ever changes how
 // answers are computed, never the answers: when it does not apply
 // (unbound goal, query predicate without rules, adornment blowup),
@@ -203,7 +203,7 @@ const (
 	MagicOff MagicMode = "off"
 )
 
-// ElimMode controls whether Query/QueryCtx run the boundedness
+// ElimMode controls whether QueryCtx runs the boundedness
 // analysis (internal/bounded) and compile provably bounded recursion
 // into flat unions of conjunctive queries before evaluation. Like the
 // magic rewrite, elimination only ever changes how answers are
@@ -240,47 +240,37 @@ type Options struct {
 	// MaxTuples aborts evaluation when the total number of derived IDB
 	// tuples exceeds the bound (0 = unlimited). Guards runaway tests.
 	MaxTuples int64
-	// Magic controls the magic-sets demand rewrite in Query/QueryCtx
+	// Magic controls the magic-sets demand rewrite in QueryCtx
 	// (only MagicOff turns it off). EvalCtx ignores it: its
 	// contract is the full IDB of the given program, which demand
 	// pruning deliberately does not compute.
 	Magic MagicMode
-	// Elim controls bounded-recursion elimination in Query/QueryCtx
+	// Elim controls bounded-recursion elimination in QueryCtx
 	// (only ElimOff turns it off): predicates whose recursion is
 	// statically provably bounded are compiled into flat unions of
 	// conjunctive queries before evaluation, ahead of the magic
 	// rewrite. EvalCtx ignores it for the same reason it ignores
 	// Magic: its contract is the given program, evaluated as written.
 	Elim ElimMode
-	// Stream enables the streaming unfolding rewrite in Query/QueryCtx:
+	// Stream enables the streaming unfolding rewrite in QueryCtx:
 	// non-recursive IDB predicates consumed by exactly one subgoal are
 	// inlined into their consumer, so their tuples are never
 	// materialized. Applied after the magic rewrite when both are on.
 	Stream bool
 }
 
-// DefaultOptions are the options used by Eval: the zero Options.
+// DefaultOptions are the zero Options.
 func DefaultOptions() Options {
 	return Options{}
 }
 
-// Eval evaluates the program bottom-up over the given EDB and returns
-// a database containing the IDB relations (the EDB is not modified and
-// not included in the result).
-func Eval(p *ast.Program, edb *DB) (*DB, *Stats, error) {
-	return EvalWith(p, edb, DefaultOptions())
-}
-
-// EvalWith evaluates with explicit options.
-func EvalWith(p *ast.Program, edb *DB, opts Options) (*DB, *Stats, error) {
-	return EvalCtx(context.Background(), p, edb, opts)
-}
-
-// EvalCtx is EvalWith under a context: cancellation (or deadline
-// expiry) stops the fixpoint promptly — it is checked at every round
-// barrier and periodically inside long join scans — and the context's
-// error is returned. Results and Stats are deterministic whenever
-// evaluation runs to completion.
+// EvalCtx evaluates the program bottom-up over the given EDB and
+// returns a database containing the IDB relations (the EDB is not
+// modified and not included in the result). Cancellation (or deadline
+// expiry) of ctx stops the fixpoint promptly — it is checked at every
+// round barrier and periodically inside long join scans — and the
+// context's error is returned. Results and Stats are deterministic
+// whenever evaluation runs to completion.
 func EvalCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *Stats, error) {
 	ev, err := evalCompiled(ctx, p, edb, opts, nil)
 	if err != nil {
@@ -289,19 +279,8 @@ func EvalCtx(ctx context.Context, p *ast.Program, edb *DB, opts Options) (*DB, *
 	return ev.publicIDB(), ev.stats, nil
 }
 
-// Query evaluates the program and returns the tuples of its query
-// predicate.
-func Query(p *ast.Program, edb *DB) ([]Tuple, *Stats, error) {
-	return QueryWith(p, edb, DefaultOptions())
-}
-
-// QueryWith is Query with explicit engine options.
-func QueryWith(p *ast.Program, edb *DB, opts Options) ([]Tuple, *Stats, error) {
-	return QueryCtx(context.Background(), p, edb, opts)
-}
-
-// QueryCtx is QueryWith under a context; see EvalCtx for the
-// cancellation contract.
+// QueryCtx evaluates the program and returns the tuples of its query
+// predicate; see EvalCtx for the cancellation contract.
 //
 // When the program carries a goal (`?- pred(t1, ..., tn).`), QueryCtx
 // is goal-directed: unless Options.Magic is MagicOff, a goal with at

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -72,7 +73,7 @@ func TestTransitiveClosure(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(5) // 1→2→3→4→5
-	tuples, stats, err := Query(p, db)
+	tuples, stats, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestCycleTermination(t *testing.T) {
 	db := NewDB()
 	db.AddFact(ast.NewAtom("step", ast.N(1), ast.N(2)))
 	db.AddFact(ast.NewAtom("step", ast.N(2), ast.N(1)))
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestComparisonFilter(t *testing.T) {
 		?- big.
 	`)
 	db := chainEDB(6)
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestNegatedEDB(t *testing.T) {
 	}
 	db.AddFact(ast.NewAtom("blocked", ast.N(2)))
 	db.AddFact(ast.NewAtom("blocked", ast.N(4)))
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestNegationOnAbsentRelation(t *testing.T) {
 	`)
 	db := NewDB()
 	db.AddFact(ast.NewAtom("node", ast.N(1)))
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestZeroAryPredicates(t *testing.T) {
 	db := chainEDB(4)
 	db.AddFact(ast.NewAtom("start", ast.N(1)))
 	db.AddFact(ast.NewAtom("final", ast.N(4)))
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestZeroAryPredicates(t *testing.T) {
 	db2 := chainEDB(4)
 	db2.AddFact(ast.NewAtom("start", ast.N(3)))
 	db2.AddFact(ast.NewAtom("final", ast.N(1)))
-	tuples2, _, err := Query(p, db2)
+	tuples2, _, err := QueryCtx(context.Background(), p, db2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestConstantsInRuleHeadsAndBodies(t *testing.T) {
 		?- tagged.
 	`)
 	db := chainEDB(5)
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestRepeatedVariablesInSubgoal(t *testing.T) {
 	db.AddFact(ast.NewAtom("e", ast.N(1), ast.N(1)))
 	db.AddFact(ast.NewAtom("e", ast.N(1), ast.N(2)))
 	db.AddFact(ast.NewAtom("e", ast.N(3), ast.N(3)))
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestMaxTuplesBudget(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
-	_, _, err := EvalWith(prog, db, Options{MaxTuples: 50})
+	_, _, err := EvalCtx(context.Background(), prog, db, Options{MaxTuples: 50})
 	if err == nil {
 		t.Fatal("expected budget error")
 	}
@@ -259,7 +260,7 @@ func TestEvalRejectsInvalidProgram(t *testing.T) {
 	p := &ast.Program{Rules: []ast.Rule{
 		{Head: ast.NewAtom("p", ast.V("X"))}, // unsafe: X unbound
 	}}
-	if _, _, err := Eval(p, NewDB()); err == nil {
+	if _, _, err := EvalCtx(context.Background(), p, NewDB(), Options{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -300,7 +301,7 @@ func TestGoodPathExample(t *testing.T) {
 	db := chainEDB(6)
 	db.AddFact(ast.NewAtom("startPoint", ast.N(1)))
 	db.AddFact(ast.NewAtom("endPoint", ast.N(5)))
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +337,11 @@ func TestSelectionPushingReducesProbes(t *testing.T) {
 	db.AddFact(ast.NewAtom("startPoint", ast.N(100)))
 	db.AddFact(ast.NewAtom("endPoint", ast.N(140)))
 
-	t1, s1, err := Query(orig, db)
+	t1, s1, err := QueryCtx(context.Background(), orig, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, s2, err := Query(opt, db)
+	t2, s2, err := QueryCtx(context.Background(), opt, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestStatsProbesPositive(t *testing.T) {
 	`)
 	db := NewDB()
 	db.AddFact(ast.NewAtom("e", ast.N(1)))
-	_, stats, err := Query(p, db)
+	_, stats, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +383,7 @@ func TestLargeChainStress(t *testing.T) {
 	`)
 	n := 150
 	db := chainEDB(n)
-	tuples, _, err := Query(p, db)
+	tuples, _, err := QueryCtx(context.Background(), p, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func TestFactsStringRoundTrip(t *testing.T) {
 	}
 }
 
-func ExampleQuery() {
+func ExampleEvalCtx() {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- step(X, Y).
 		path(X, Y) :- step(X, Z), path(Z, Y).
@@ -413,7 +414,7 @@ func ExampleQuery() {
 	`)
 	db := NewDB()
 	db.AddFacts(parser.MustParseFacts(`step(1, 2). step(2, 3).`))
-	idb, _, _ := Eval(p, db)
+	idb, _, _ := EvalCtx(context.Background(), p, db, Options{})
 	for _, f := range idb.SortedFacts("path") {
 		fmt.Println(f)
 	}

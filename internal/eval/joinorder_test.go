@@ -359,7 +359,7 @@ func TestFanoutReadsShareBase(t *testing.T) {
 	p := parser.MustParseProgram(hotKeySrc)
 	db := hotKeyDB()
 	// Build the base without any of the indexes q reads.
-	if _, _, err := Eval(parser.MustParseProgram(`z(X) :- src(X). ?- z.`), db); err != nil {
+	if _, _, err := EvalCtx(context.Background(), parser.MustParseProgram(`z(X) :- src(X). ?- z.`), db, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	_, want, err := EvalCtx(context.Background(), p, db.Clone(), DefaultOptions())

@@ -30,7 +30,7 @@ type Derivation struct {
 	Children []*Derivation
 }
 
-// EvalProv evaluates like Eval but also returns provenance for the
+// EvalProv evaluates like EvalCtx but also returns provenance for the
 // derived facts: the step recorded for a fact is the firing that first
 // appended it to its relation, materialized from the live binding, so
 // it is fixed by the evaluation's task order.

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,7 +79,7 @@ func TestParallelLargeChain(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(80)
-	idb, stats, err := EvalWith(prog, db, Options{})
+	idb, stats, err := EvalCtx(context.Background(), prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestParallelMaxTuplesBudget(t *testing.T) {
 		?- path.
 	`)
 	db := chainEDB(100)
-	if _, _, err := EvalWith(prog, db, Options{MaxTuples: 50}); !errors.Is(err, ErrBudget) {
+	if _, _, err := EvalCtx(context.Background(), prog, db, Options{MaxTuples: 50}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected a budget error, got %v", err)
 	}
 }

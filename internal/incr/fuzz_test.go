@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -107,7 +108,7 @@ func FuzzView(f *testing.F) {
 				fs.apply([]ast.Atom{a}, nil)
 			}
 		}
-		v, err := Materialize(p, fs.db(), Options{})
+		v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Package incr maintains materialized datalog views incrementally.
 //
-// Materialize evaluates a program once and keeps the result live:
+// MaterializeCtx evaluates a program once and keeps the result live:
 // View.Apply takes a batch of EDB fact insertions and retractions and
 // updates every derived relation by propagating deltas instead of
 // re-running the fixpoint, reusing the compiled join plans of
@@ -38,7 +38,7 @@ import (
 	"repro/internal/eval"
 )
 
-// Options configures Materialize.
+// Options configures MaterializeCtx.
 type Options struct {
 	// MaxTuples bounds the number of IDB tuples materialized during the
 	// initial fixpoint and any full rebuild (0 = unlimited). Exceeding
@@ -51,9 +51,9 @@ type Options struct {
 // eval.Stats.JoinProbes, which is what makes incremental and full runs
 // comparable.
 type Stats struct {
-	InitRounds     int   // fixpoint rounds during Materialize
-	InitTuples     int64 // IDB tuples derived during Materialize
-	InitProbes     int64 // join probes during Materialize
+	InitRounds     int   // fixpoint rounds during MaterializeCtx
+	InitTuples     int64 // IDB tuples derived during MaterializeCtx
+	InitProbes     int64 // join probes during MaterializeCtx
 	Applies        int64 // Apply calls that completed successfully
 	FullRebuilds   int64 // applies (or repairs) that recomputed from scratch
 	DeltaRounds    int64 // delta propagation rounds across all applies
@@ -107,13 +107,8 @@ type View struct {
 	prov        *eval.Provenance
 }
 
-// Materialize evaluates p over edb and returns a live view.
-func Materialize(p *ast.Program, edb *eval.DB, opts Options) (*View, error) {
-	return MaterializeCtx(context.Background(), p, edb, opts)
-}
-
-// MaterializeCtx is Materialize under a context (checked at round
-// barriers and inside long joins).
+// MaterializeCtx evaluates p over edb and returns a live view; ctx is
+// checked at round barriers and inside long joins.
 func MaterializeCtx(ctx context.Context, p *ast.Program, edb *eval.DB, opts Options) (*View, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -179,7 +174,7 @@ func MaterializeCtx(ctx context.Context, p *ast.Program, edb *eval.DB, opts Opti
 // fixpoint over them (eval.DeltaProgram.Fixpoint, which reads each EDB
 // relation through its View, tombstones hidden). The delta passes of
 // later Applies keep these orders until the next rebuild. Callers hold
-// v.mu (or own the view exclusively, as Materialize does).
+// v.mu (or own the view exclusively, as MaterializeCtx does).
 func (v *View) rebuildIDB(ctx context.Context) error {
 	v.dp.OrderJoins(func(pred string) int { return v.rels[pred].Len() })
 	for pred := range v.idbPr {

@@ -89,14 +89,14 @@ func requireConsistent(t *testing.T, label string, v *View, p *ast.Program, fs f
 	}
 }
 
-// requireFreshEqual checks the view against a fresh Materialize over
+// requireFreshEqual checks the view against a fresh MaterializeCtx over
 // the same EDB: every IDB predicate's facts and the provenance of the
 // first query answers must match.
 func requireFreshEqual(t *testing.T, label string, v *View, p *ast.Program, fs factSet) {
 	t.Helper()
-	fresh, err := Materialize(p, fs.db(), Options{})
+	fresh, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 	if err != nil {
-		t.Fatalf("%s: fresh Materialize: %v", label, err)
+		t.Fatalf("%s: fresh MaterializeCtx: %v", label, err)
 	}
 	for pred := range p.IDB() {
 		if got, want := viewFacts(t, v, pred), viewFacts(t, fresh, pred); !reflect.DeepEqual(got, want) {
@@ -189,7 +189,7 @@ func TestIncrTwoDerivations(t *testing.T) {
 		?- enter.`)
 	fs := factSet{}
 	fs.apply(parser.MustParseFacts(`badge(1). keycode(1). badge(2). door(1). door(2).`), nil)
-	v, err := Materialize(p, fs.db(), Options{})
+	v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestIncrDRedKillAndRederive(t *testing.T) {
 		?- path.`)
 	fs := factSet{}
 	fs.apply(parser.MustParseFacts(`edge(1, 2). edge(2, 3). edge(1, 4). edge(4, 3). edge(3, 5).`), nil)
-	v, err := Materialize(p, fs.db(), Options{})
+	v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestIncrNegationFallback(t *testing.T) {
 		?- reach.`)
 	fs := factSet{}
 	fs.apply(parser.MustParseFacts(`node(1). node(2). blocked(2).`), nil)
-	v, err := Materialize(p, fs.db(), Options{})
+	v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestIncrApplyCancellationRepairs(t *testing.T) {
 		facts = append(facts, ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64(i+1))))
 	}
 	fs.apply(facts, nil)
-	v, err := Materialize(p, fs.db(), Options{})
+	v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +357,8 @@ func TestIncrBudget(t *testing.T) {
 		facts = append(facts, ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64(i+1))))
 	}
 	fs.apply(facts, nil)
-	if _, err := Materialize(p, fs.db(), Options{MaxTuples: 5}); !errors.Is(err, eval.ErrBudget) {
-		t.Fatalf("Materialize error = %v, want eval.ErrBudget", err)
+	if _, err := MaterializeCtx(context.Background(), p, fs.db(), Options{MaxTuples: 5}); !errors.Is(err, eval.ErrBudget) {
+		t.Fatalf("MaterializeCtx error = %v, want eval.ErrBudget", err)
 	}
 }
 
@@ -367,7 +367,7 @@ func TestIncrRejectsIDBUpdate(t *testing.T) {
 	p := parser.MustParseProgram(`
 		path(X, Y) :- edge(X, Y).
 		?- path.`)
-	v, err := Materialize(p, eval.NewDB(), Options{})
+	v, err := MaterializeCtx(context.Background(), p, eval.NewDB(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func (pc incrProgram) universe() []ast.Atom {
 // that the view matches from-scratch evaluation by the reference
 // evaluator and by the engine, that reported Changes equal the actual
 // answer diff, and (periodically) that every IDB predicate's facts and
-// provenance match a fresh Materialize.
+// provenance match a fresh MaterializeCtx.
 func TestIncrRandomizedDifferential(t *testing.T) {
 	for _, pc := range incrPrograms {
 		pc := pc
@@ -474,7 +474,7 @@ func TestIncrRandomizedDifferential(t *testing.T) {
 					}
 				}
 				fs.apply(seed, nil)
-				v, err := Materialize(p, fs.db(), Options{})
+				v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -524,7 +524,7 @@ func TestIncrStatsAccounting(t *testing.T) {
 		?- path.`)
 	fs := factSet{}
 	fs.apply(parser.MustParseFacts(`edge(1, 2). edge(2, 3).`), nil)
-	v, err := Materialize(p, fs.db(), Options{})
+	v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 	"repro/internal/parser"
 )
 
-// TestInitFixpointMatchesEngine: Materialize's initial fixpoint is the
+// TestInitFixpointMatchesEngine: MaterializeCtx's initial fixpoint is the
 // engine's own round loop (eval.DeltaProgram.Fixpoint) run over the
 // view's relations with the view's plans, so on the engine's six named
 // workloads (internal/eval's TestNamedWorkloads) it must count the same
-// rounds, the same derived tuples and the same join probes as EvalWith —
+// rounds, the same derived tuples and the same join probes as EvalCtx —
 // which holds only while the view orders its plans as the engine orders
 // its own and reads the EDB it interned as the engine reads its base.
 // Nothing else runs at materialization, so the figures are equal with no
@@ -107,11 +107,11 @@ func TestInitFixpointMatchesEngine(t *testing.T) {
 			?- r.`, tieDB},
 	} {
 		p := parser.MustParseProgram(w.src)
-		_, es, err := eval.EvalWith(p, w.db, eval.Options{})
+		_, es, err := eval.EvalCtx(context.Background(), p, w.db, eval.Options{})
 		if err != nil {
 			t.Fatalf("%s: eval: %v", w.name, err)
 		}
-		v, err := Materialize(p, w.db, Options{})
+		v, err := MaterializeCtx(context.Background(), p, w.db, Options{})
 		if err != nil {
 			t.Fatalf("%s: materialize: %v", w.name, err)
 		}
@@ -153,7 +153,7 @@ func TestRebuildReadsTombstones(t *testing.T) {
 	}
 	facts = append(facts, ast.NewAtom("blocked", n(40)))
 	fs.apply(facts, nil)
-	v, err := Materialize(p, fs.db(), Options{})
+	v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

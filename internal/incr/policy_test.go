@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,7 +22,7 @@ import (
 
 // TestIncrPolicyDifferentialApply maintains two views through an
 // identical randomized add/retract sequence over each program shape: one
-// as Materialize ordered it, one with every tie between two EDB subgoals
+// as MaterializeCtx ordered it, one with every tie between two EDB subgoals
 // broken the other way (the longer relation first), and asserts that
 // answers, Changes, every IDB predicate's facts, and provenance
 // explanations never diverge. The first view is also checked against from-scratch
@@ -44,9 +45,9 @@ func TestIncrPolicyDifferentialApply(t *testing.T) {
 
 			views := make([]*View, 2)
 			for i := range views {
-				v, err := Materialize(p, fs.db(), Options{})
+				v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 				if err != nil {
-					t.Fatalf("Materialize: %v", err)
+					t.Fatalf("MaterializeCtx: %v", err)
 				}
 				views[i] = v
 			}
@@ -132,7 +133,7 @@ func mustAnswerTuple(t *testing.T, v *View, j int) eval.Tuple {
 // TestIncrLongSequenceDifferential is the gate on retraction by
 // tombstone (run under -race by `make incr-smoke`): sequences long
 // enough to cross compaction several times, checked after every batch
-// against a fresh Materialize of the same facts — answers, Changes,
+// against a fresh MaterializeCtx of the same facts — answers, Changes,
 // every IDB predicate's facts, Explain trees and every relation's live
 // length —
 // which is what a view whose retractions rebuilt its relations would
@@ -180,9 +181,9 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 				}
 			}
 			fs.apply(seed, nil)
-			v, err := Materialize(p, fs.db(), Options{})
+			v, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 			if err != nil {
-				t.Fatalf("Materialize: %v", err)
+				t.Fatalf("MaterializeCtx: %v", err)
 			}
 			physical := func() map[string]int {
 				out := map[string]int{}
@@ -264,9 +265,9 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 
 				before := answersOf(t, v)
 				fs.apply(adds, dels)
-				fresh, err := Materialize(p, fs.db(), Options{})
+				fresh, err := MaterializeCtx(context.Background(), p, fs.db(), Options{})
 				if err != nil {
-					t.Fatalf("%s: fresh Materialize: %v", label, err)
+					t.Fatalf("%s: fresh MaterializeCtx: %v", label, err)
 				}
 				after := answersOf(t, fresh)
 				wantAdded, wantRemoved := diffStrings(before, after)

@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,7 +25,7 @@ func TestResultIsReadWhileTheViewMoves(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		db.AddFact(ast.NewAtom("edge", ast.N(float64(i)), ast.N(float64(i+1))))
 	}
-	v, err := Materialize(prog, db, Options{})
+	v, err := MaterializeCtx(context.Background(), prog, db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestDeadRulesDeletableDifferential(t *testing.T) {
 
 			db := eval.NewDB()
 			db.AddFacts(facts)
-			origIDB, _, err := eval.Eval(p, db)
+			origIDB, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestDeadRulesDeletableDifferential(t *testing.T) {
 			// populated by sibling rules, so the check is on the
 			// pruned program's output, below.
 			pruned := pruneRules(p, deletable)
-			prunedIDB, _, err := eval.Eval(pruned, db)
+			prunedIDB, _, err := eval.EvalCtx(context.Background(), pruned, db, eval.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,12 +77,12 @@ func TestDeadRulesDeletableDifferential(t *testing.T) {
 
 			// Unreachable rules preserve only the query answers.
 			if len(queryOnly) > 0 {
-				q1, _, err := eval.Query(p, db)
+				q1, _, err := eval.QueryCtx(context.Background(), p, db, eval.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				pruned2 := pruneRules(pruned, queryOnly)
-				q2, _, err := eval.Query(pruned2, db)
+				q2, _, err := eval.QueryCtx(context.Background(), pruned2, db, eval.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

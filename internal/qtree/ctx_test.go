@@ -31,11 +31,13 @@ func TestOptimizeCtxLiveMatchesOptimize(t *testing.T) {
 		?- p.
 	`)
 	ics := parser.MustParseICs(`:- a(X, Y), b(Y, Z).`)
-	plain, err := Optimize(p, ics)
+	plain, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := OptimizeCtx(live, p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

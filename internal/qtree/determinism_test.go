@@ -1,6 +1,7 @@
 package qtree
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 	for i, s := range srcs {
 		var progs, forests []string
 		for run := 0; run < 4; run++ {
-			out, err := Optimize(parser.MustParseProgram(s.prog), parser.MustParseICs(s.ics))
+			out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(s.prog), parser.MustParseICs(s.ics), DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +67,7 @@ func TestMixedConstraintClasses(t *testing.T) {
 		:- hop(X, Y), X >= Y.
 		:- origin(X), dest(Y), Y <= X.
 	`)
-	out, err := Optimize(prog, ics)
+	out, err := OptimizeCtx(context.Background(), prog, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +81,11 @@ func TestMixedConstraintClasses(t *testing.T) {
 		dest(9). dest(7).
 		closed(11).
 	`))
-	want, _, err := eval.Eval(prog, db)
+	want, _, err := eval.EvalCtx(context.Background(), prog, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Eval(out.Program, db)
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out.Program)
 	}
@@ -110,7 +111,7 @@ func TestMixedNegationAndOrder(t *testing.T) {
 		:- link(X, Y), !registered(X).
 		:- link(X, Y), X = Y.
 	`)
-	out, err := Optimize(prog, ics)
+	out, err := OptimizeCtx(context.Background(), prog, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestMixedNegationAndOrder(t *testing.T) {
 		down(9).
 	`))
 	db.Rel("down", 1)
-	want, _, err := eval.Eval(prog, db)
+	want, _, err := eval.EvalCtx(context.Background(), prog, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Eval(out.Program, db)
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out.Program)
 	}
@@ -145,7 +146,7 @@ func TestMixedNegationAndOrder(t *testing.T) {
 // TestFigure1ForestGolden pins the forest's high-level shape: three
 // trees, each mentioning the expected non-trivial residue sets.
 func TestFigure1ForestGolden(t *testing.T) {
-	out, err := Optimize(parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC))
+	out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestZeroAryQueryOptimizes(t *testing.T) {
 		:- succ(X, Y), !dom(X).
 		:- start(X), final(X).
 	`)
-	out, err := Optimize(prog, ics)
+	out, err := OptimizeCtx(context.Background(), prog, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,11 @@ func TestZeroAryQueryOptimizes(t *testing.T) {
 		start(1). succ(1, 2). succ(2, 3). final(3).
 		dom(1). dom(2).
 	`))
-	want, _, err := eval.Eval(prog, db)
+	want, _, err := eval.EvalCtx(context.Background(), prog, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Eval(out.Program, db)
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out.Program)
 	}
@@ -210,14 +211,14 @@ func TestZeroAryQueryOptimizes(t *testing.T) {
 // most of them unsupported (non-local negation) and correctly skipped.
 func TestTwoCounterEncodingOptimizes(t *testing.T) {
 	m := tcmHalting()
-	out, err := Optimize(m.prog, m.ics)
+	out, err := OptimizeCtx(context.Background(), m.prog, m.ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Warnings) == 0 {
 		t.Fatal("the encoding's non-local negations should produce warnings")
 	}
-	got, _, err := eval.Eval(out.Program, m.db)
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, m.db, eval.Options{})
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out.Program)
 	}

@@ -53,21 +53,12 @@ type PipelinePrograms struct {
 	Spec       *adorn.SpecProgram
 }
 
-// Optimize runs the complete semantic-query-optimization pipeline of
-// the paper on a program and a set of integrity constraints.
-func Optimize(p *ast.Program, ics []ast.IC) (*Outcome, error) {
-	return OptimizeWith(p, ics, DefaultOptions())
-}
-
-// OptimizeWith is Optimize with explicit pass selection.
-func OptimizeWith(p *ast.Program, ics []ast.IC, opts Options) (*Outcome, error) {
-	return OptimizeCtx(context.Background(), p, ics, opts)
-}
-
-// OptimizeCtx is OptimizeWith under a context. The rewrite pipeline is
-// pass-structured rather than tuple-at-a-time, so cancellation is
-// checked at every pass boundary: a cancelled optimization returns the
-// context's error before starting its next pass.
+// OptimizeCtx runs the complete semantic-query-optimization pipeline
+// of the paper on a program and a set of integrity constraints. The
+// rewrite pipeline is pass-structured rather than tuple-at-a-time, so
+// cancellation is checked at every pass boundary: a cancelled
+// optimization returns the context's error before starting its next
+// pass.
 func OptimizeCtx(ctx context.Context, p *ast.Program, ics []ast.IC, opts Options) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()

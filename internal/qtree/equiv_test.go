@@ -1,6 +1,7 @@
 package qtree
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -25,7 +26,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		prog, ics := randomProgram(rng)
-		out, err := Optimize(prog, ics)
+		out, err := OptimizeCtx(context.Background(), prog, ics, DefaultOptions())
 		if err != nil {
 			t.Fatalf("trial %d: optimize failed: %v\nprogram:\n%sics: %v", trial, err, prog, ics)
 		}
@@ -34,11 +35,11 @@ func TestRandomizedEquivalence(t *testing.T) {
 			if !ok {
 				continue
 			}
-			origIdb, _, err := eval.Eval(prog, db)
+			origIdb, _, err := eval.EvalCtx(context.Background(), prog, db, eval.Options{})
 			if err != nil {
 				t.Fatalf("trial %d: eval original: %v", trial, err)
 			}
-			optIdb, _, err := eval.Eval(out.Program, db)
+			optIdb, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 			if err != nil {
 				t.Fatalf("trial %d: eval rewritten: %v\n%s", trial, err, out.Program)
 			}
@@ -69,7 +70,7 @@ func TestSatisfiabilitySoundness(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		prog, ics := randomProgram(rng)
-		out, err := Optimize(prog, ics)
+		out, err := OptimizeCtx(context.Background(), prog, ics, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestSatisfiabilitySoundness(t *testing.T) {
 			if !ok {
 				continue
 			}
-			idb, _, err := eval.Eval(prog, db)
+			idb, _, err := eval.EvalCtx(context.Background(), prog, db, eval.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +199,7 @@ func TestRandomizedEquivalenceWithOrderICs(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		ics := icsChoices[rng.Intn(len(icsChoices))]
-		out, err := Optimize(prog, ics)
+		out, err := OptimizeCtx(context.Background(), prog, ics, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +224,11 @@ func TestRandomizedEquivalenceWithOrderICs(t *testing.T) {
 			db.Rel("e0", 2)
 			db.Rel("s", 1)
 			db.Rel("t", 1)
-			want, _, err := eval.Eval(prog, db)
+			want, _, err := eval.EvalCtx(context.Background(), prog, db, eval.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := eval.Eval(out.Program, db)
+			got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 			if err != nil {
 				t.Fatalf("eval rewritten: %v\n%s", err, out.Program)
 			}

@@ -1,6 +1,7 @@
 package qtree
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestFDMakesConflictingJoinUnsatisfiable(t *testing.T) {
 		?- conflict.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y1), e(X, Y2), Y1 != Y2.`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestFDEqualityResidueAttached(t *testing.T) {
 		?- pair.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y1), e(X, Y2), Y1 != Y2.`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFDEqualityResidueAttached(t *testing.T) {
 	// to the equal pairs (the residue is part of the program now).
 	db := eval.NewDB()
 	db.AddFacts(parser.MustParseFacts(`e(1, 2). e(1, 3).`)) // violates the FD
-	idb, _, err := eval.Eval(out.Program, db)
+	idb, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +73,17 @@ func TestFDEquivalenceOnFunctionalDatabases(t *testing.T) {
 		?- reach.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y1), e(X, Y2), Y1 != Y2.`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := eval.NewDB()
 	db.AddFacts(parser.MustParseFacts(`e(1, 2). e(2, 3). e(3, 1).`)) // functional cycle
-	want, _, err := eval.Eval(p, db)
+	want, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Eval(out.Program, db)
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestKeyConstraintPrunesMultiKeyJoin(t *testing.T) {
 		?- bad.
 	`)
 	ics := parser.MustParseICs(`:- r(X, Y, Z1), r(X, Y, Z2), Z1 != Z2.`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestUnsatProgramEvaluatesEmpty(t *testing.T) {
 		?- q.
 	`)
 	ics := parser.MustParseICs(`:- a(X, Y), b(Y, Z).`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestUnsatProgramEvaluatesEmpty(t *testing.T) {
 		ast.NewAtom("a", ast.N(1), ast.N(2)),
 		ast.NewAtom("b", ast.N(5), ast.N(6)),
 	})
-	tuples, _, err := eval.Query(out.Program, db)
+	tuples, _, err := eval.QueryCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatalf("unsat program must evaluate to empty, not error: %v", err)
 	}

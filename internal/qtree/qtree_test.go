@@ -1,6 +1,7 @@
 package qtree
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ const figure1IC = `:- a(X, Y), b(Y, Z).`
 func TestFigure1Adornments(t *testing.T) {
 	// The bottom-up phase must discover exactly the three adornments
 	// p1, p2, p3 of the paper.
-	out, err := Optimize(parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC))
+	out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFigure1RewrittenRules(t *testing.T) {
 	// wrapper rules): in particular there is NO rule combining an
 	// a-edge with the b-then-a class, and no rule combining a b-edge
 	// step with the a-closure class in the forbidden order.
-	out, err := Optimize(parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC))
+	out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFigure1RewrittenRules(t *testing.T) {
 func TestFigure1SemanticsPreserved(t *testing.T) {
 	p := parser.MustParseProgram(figure1Program)
 	ics := parser.MustParseICs(figure1IC)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestFigure1SemanticsPreserved(t *testing.T) {
 		b(1, 2). b(2, 3).
 		a(3, 4). a(4, 5).
 	`))
-	want, _, err := eval.Eval(p, db)
+	want, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Eval(out.Program, db)
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +116,13 @@ func TestFigure1AvoidsForbiddenJoins(t *testing.T) {
 	// On an inconsistent database (a-edge followed by b-edge), the
 	// REWRITTEN program must not derive the paths that cross a→b,
 	// demonstrating that the forbidden join was compiled away.
-	out, err := Optimize(parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC))
+	out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := eval.NewDB()
 	db.AddFacts(parser.MustParseFacts(`a(1, 2). b(2, 3).`))
-	idb, _, err := eval.Eval(out.Program, db)
+	idb, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFigure1AvoidsForbiddenJoins(t *testing.T) {
 }
 
 func TestFigure1Print(t *testing.T) {
-	out, err := Optimize(parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC))
+	out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestExample31ResidueAttached(t *testing.T) {
 		?- goodPath.
 	`)
 	ics := parser.MustParseICs(`:- startPoint(X), endPoint(Y), Y <= X.`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestExample31SemanticsPreserved(t *testing.T) {
 		?- goodPath.
 	`)
 	ics := parser.MustParseICs(`:- startPoint(X), endPoint(Y), Y <= X.`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestExample31SemanticsPreserved(t *testing.T) {
 		startPoint(1). startPoint(2).
 		endPoint(4). endPoint(5).
 	`))
-	want, _, err := eval.Eval(p, db)
+	want, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Eval(out.Program, db)
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestSection3ThresholdPushed(t *testing.T) {
 		:- startPoint(X), step(X, Y), X < 100.
 		:- step(X, Y), X >= Y.
 	`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestSection3ThresholdPushed(t *testing.T) {
 	db.AddFact(ast.NewAtom("startPoint", ast.N(100)))
 	db.AddFact(ast.NewAtom("endPoint", ast.N(120)))
 
-	wantIdb, wantStats, err := eval.Eval(p, db)
+	wantIdb, wantStats, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIdb, gotStats, err := eval.Eval(out.Program, db)
+	gotIdb, gotStats, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestUnsatisfiableQueryDetected(t *testing.T) {
 		?- q.
 	`)
 	ics := parser.MustParseICs(`:- a(X, Y), b(Y, Z).`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestRecursiveUnsatisfiability(t *testing.T) {
 		?- q.
 	`)
 	ics := parser.MustParseICs(`:- a(X, Y), b(Y, Z).`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestNegatedICLocal(t *testing.T) {
 	ics := parser.MustParseICs(`:- e(X, Y), !dom(X).`)
 	// Wait: the ic says e(X,Y) ∧ ¬dom(X) is forbidden, so the rule q
 	// can never fire on a consistent database.
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestNegatedICLocalPositiveSide(t *testing.T) {
 		?- q.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y), !dom(X).`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestNonLocalNegationWarned(t *testing.T) {
 		?- q.
 	`)
 	ics := parser.MustParseICs(`:- e(X, Y), !f(Y, Z).`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,14 +379,14 @@ func TestNoICsIdentity(t *testing.T) {
 		path(X, Y) :- step(X, Z), path(Z, Y).
 		?- path.
 	`)
-	out, err := Optimize(p, nil)
+	out, err := OptimizeCtx(context.Background(), p, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := eval.NewDB()
 	db.AddFacts(parser.MustParseFacts(`step(1, 2). step(2, 3). step(3, 1).`))
-	want, _, _ := eval.Eval(p, db)
-	got, _, err := eval.Eval(out.Program, db)
+	want, _, _ := eval.EvalCtx(context.Background(), p, db, eval.Options{})
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,14 +404,14 @@ func TestMultipleICsCombination(t *testing.T) {
 		:- a(X, Y), b(Y, Z).
 		:- b(X, Y), a(Y, Z).
 	`)
-	out, err := Optimize(p, ics)
+	out, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := eval.NewDB()
 	db.AddFacts(parser.MustParseFacts(`a(1, 2). a(2, 3). b(10, 11). b(11, 12).`))
-	want, _, _ := eval.Eval(p, db)
-	got, _, err := eval.Eval(out.Program, db)
+	want, _, _ := eval.EvalCtx(context.Background(), p, db, eval.Options{})
+	got, _, err := eval.EvalCtx(context.Background(), out.Program, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestMultipleICsCombination(t *testing.T) {
 }
 
 func TestStatsPopulated(t *testing.T) {
-	out, err := Optimize(parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC))
+	out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(figure1Program), parser.MustParseICs(figure1IC), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +438,7 @@ func TestStatsPopulated(t *testing.T) {
 func TestOptimizeRejectsBadInput(t *testing.T) {
 	// No query predicate.
 	p := parser.MustParseProgram(`q(X) :- e(X).`)
-	if _, err := Optimize(p, nil); err == nil {
+	if _, err := OptimizeCtx(context.Background(), p, nil, DefaultOptions()); err == nil {
 		t.Fatal("expected missing-query error")
 	}
 	// IC mentions an IDB predicate.
@@ -446,7 +447,7 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 		?- q.
 	`)
 	ics := parser.MustParseICs(`:- q(X).`)
-	if _, err := Optimize(p2, ics); err == nil {
+	if _, err := OptimizeCtx(context.Background(), p2, ics, DefaultOptions()); err == nil {
 		t.Fatal("expected IDB-in-ic error")
 	}
 }
@@ -454,7 +455,7 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 func TestAblationCoreOnly(t *testing.T) {
 	// The core algorithm alone (no pre-passes) must still handle the
 	// pure Figure 1 example identically.
-	out, err := OptimizeWith(parser.MustParseProgram(figure1Program),
+	out, err := OptimizeCtx(context.Background(), parser.MustParseProgram(figure1Program),
 		parser.MustParseICs(figure1IC), Options{})
 	if err != nil {
 		t.Fatal(err)

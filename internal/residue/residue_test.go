@@ -1,6 +1,7 @@
 package residue
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -197,19 +198,19 @@ func TestOptimizeProgramPreservesSemantics(t *testing.T) {
 		startPoint(1). startPoint(3).
 		endPoint(4). endPoint(5).
 	`))
-	want, _, err := eval.Query(p, db)
+	want, _, err := eval.QueryCtx(context.Background(), p, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Query(opt, db)
+	got, _, err := eval.QueryCtx(context.Background(), opt, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
 		t.Fatalf("answer sizes differ: %d vs %d", len(want), len(got))
 	}
-	wantIdb, _, _ := eval.Eval(p, db)
-	gotIdb, _, _ := eval.Eval(opt, db)
+	wantIdb, _, _ := eval.EvalCtx(context.Background(), p, db, eval.Options{})
+	gotIdb, _, _ := eval.EvalCtx(context.Background(), opt, db, eval.Options{})
 	w := wantIdb.SortedFacts("goodPath")
 	g := gotIdb.SortedFacts("goodPath")
 	for i := range w {

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -215,11 +216,11 @@ func TestRewriteLocalPreservesSemanticsOnConsistentDB(t *testing.T) {
 	// Consistent DB: strictly increasing edges only.
 	db := eval.NewDB()
 	db.AddFacts(parser.MustParseFacts(`e(1, 2). e(2, 3). e(2, 5).`))
-	want, _, err := eval.Eval(p, db)
+	want, _, err := eval.EvalCtx(context.Background(), p, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := eval.Eval(rp, db)
+	got, _, err := eval.EvalCtx(context.Background(), rp, db, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,4 +177,78 @@ func TestServerMetricsExposeLintCounters(t *testing.T) {
 	if !strings.Contains(body, "sqod_lint_findings_total 5") {
 		t.Errorf("metrics missing sqod_lint_findings_total 5")
 	}
+}
+
+// TestLintSurfacesAgree: every lint surface reports the same findings on
+// every examples/lint program — sqo.Lint with the zero options (what
+// sqoc -lint prints, and what sqod runs for its optimize and view
+// diagnostics), sqo.Lint with the deprecated MagicEnabled and
+// ElimEnabled set, as the benchmark harness still passes them, and the
+// findings of POST /v1/lint.
+func TestLintSurfacesAgree(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/lint/*.dl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example programs under examples/lint/ (%v)", err)
+	}
+	_, ts := newTestServer(t, Config{})
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := sqo.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lintWith := func(opts sqo.LintOptions) []sqo.LintFinding {
+			return sqo.Lint(context.Background(), unit.Program, unit.ICs, unit.Facts, opts).Findings
+		}
+		want := lintWith(sqo.LintOptions{})
+		if got := lintWith(sqo.LintOptions{MagicEnabled: true, ElimEnabled: true}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: LintOptions{MagicEnabled, ElimEnabled} reports\n%v\nwant\n%v", path, got, want)
+		}
+		program, ics, facts := splitSource(t, string(src), unit)
+		var resp struct {
+			Findings []sqo.LintFinding `json:"findings"`
+		}
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/lint",
+			map[string]any{"program": program, "ics": ics, "facts": facts}, &resp)
+		if code != http.StatusOK {
+			t.Fatalf("%s: /v1/lint: status %d, body %s", path, code, raw)
+		}
+		if !reflect.DeepEqual(resp.Findings, want) {
+			t.Errorf("%s: /v1/lint reports\n%v\nwant\n%v", path, resp.Findings, want)
+		}
+	}
+}
+
+// splitSource returns src three times, for /v1/lint's program, ics and
+// facts fields: each keeps the lines on which the unit's rules and query
+// (program), constraints (ics) or facts (facts) start and blanks the
+// rest, so a finding's line and column are those of the file.
+func splitSource(t *testing.T, src string, unit *sqo.Unit) (program, ics, facts string) {
+	t.Helper()
+	part := map[int]int{} // line -> 1 for a constraint, 2 for a fact
+	for _, ic := range unit.ICs {
+		part[ic.At.Line] = 1
+	}
+	for _, f := range unit.Facts {
+		part[f.At.Line] = 2
+	}
+	for _, r := range unit.Program.Rules {
+		if part[r.At.Line] != 0 {
+			t.Fatalf("line %d holds a rule and a constraint or fact", r.At.Line)
+		}
+	}
+	var parts [3]strings.Builder
+	for i, line := range strings.SplitAfter(src, "\n") {
+		for p := range parts {
+			if part[i+1] == p {
+				parts[p].WriteString(line)
+			} else if strings.HasSuffix(line, "\n") {
+				parts[p].WriteByte('\n')
+			}
+		}
+	}
+	return parts[0].String(), parts[1].String(), parts[2].String()
 }

@@ -11,14 +11,13 @@ package tcm
 
 import "fmt"
 
-// CounterTest is a transition's guard on one counter.
+// CounterTest is a transition's guard on one counter. The zero
+// CounterTest matches regardless of the counter value.
 type CounterTest int
 
 const (
-	// Any matches regardless of the counter value.
-	Any CounterTest = iota
 	// IfZero matches only when the counter is zero.
-	IfZero
+	IfZero CounterTest = iota + 1
 	// IfPos matches only when the counter is positive.
 	IfPos
 )

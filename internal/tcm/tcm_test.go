@@ -1,6 +1,7 @@
 package tcm
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -145,7 +146,7 @@ func TestTraceDBDerivesHalt(t *testing.T) {
 	trace, _ := m.Run(10)
 	edb := eval.NewDB()
 	edb.AddFacts(TraceDB(m, trace))
-	tuples, _, err := eval.Query(enc.Program, edb)
+	tuples, _, err := eval.QueryCtx(context.Background(), enc.Program, edb, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestTraceDBDivergingNoHalt(t *testing.T) {
 	}
 	edb := eval.NewDB()
 	edb.AddFacts(db)
-	tuples, _, err := eval.Query(enc.Program, edb)
+	tuples, _, err := eval.QueryCtx(context.Background(), enc.Program, edb, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestReachComputesTimes(t *testing.T) {
 	}
 	edb := eval.NewDB()
 	edb.AddFacts(TraceDB(m, trace))
-	idb, _, err := eval.Eval(enc.Program, edb)
+	idb, _, err := eval.EvalCtx(context.Background(), enc.Program, edb, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,27 +140,6 @@ func Unify(a, b ast.Atom, s Subst) (Subst, bool) {
 	return out, true
 }
 
-// Match computes a one-way matcher from pattern to target: a
-// substitution σ over the pattern's variables with σ(pattern) ==
-// target. Variables of the target are treated as constants, so
-// distinct target variables stay distinct. The pattern's and target's
-// variable sets must be disjoint (rename apart first; see
-// ast.Renamer) — otherwise a shared name is treated as a pattern
-// variable, and a binding of it to itself never resolves. The input
-// substitution is not modified; Match returns the extended
-// substitution on success.
-func Match(pattern, target ast.Atom, s Subst) (Subst, bool) {
-	out := Subst{}
-	if s != nil {
-		out = s.Clone()
-	}
-	var trail [8]string
-	if _, ok := out.MatchBind(pattern, target, PatternVars(pattern), trail[:0]); !ok {
-		return nil, false
-	}
-	return out, true
-}
-
 // PatternVars returns the set of variables of the atoms, the pattern
 // side of MatchBind.
 func PatternVars(atoms ...ast.Atom) map[string]bool {
@@ -175,11 +154,16 @@ func PatternVars(atoms ...ast.Atom) map[string]bool {
 	return pv
 }
 
-// MatchBind is Match in place: it extends s so that pattern maps to
-// target, binding only variables of the pattern-variable set pv (a
-// walked-to term outside pv — a target variable already chosen as some
-// pattern variable's image, or a constant — must equal its target term
-// exactly), and appends the variables it bound to trail. On failure it
+// MatchBind extends s to a one-way matcher from pattern to target — a
+// substitution σ with σ(pattern) == target — binding only variables of
+// the pattern-variable set pv (a walked-to term outside pv — a target
+// variable already chosen as some pattern variable's image, or a
+// constant — must equal its target term exactly), and appends the
+// variables it bound to trail. Variables of the target are treated as
+// constants, so distinct target variables stay distinct. The pattern's
+// and target's variable sets must be disjoint (rename apart first; see
+// ast.Renamer) — otherwise a shared name is treated as a pattern
+// variable, and a binding of it to itself never resolves. On failure it
 // unbinds them again, leaving s as it found it. A search binds, recurses,
 // and hands the trail back to Undo, instead of cloning s per candidate.
 func (s Subst) MatchBind(pattern, target ast.Atom, pv map[string]bool, trail []string) ([]string, bool) {
@@ -242,12 +226,6 @@ func Homomorphisms(src, dst []ast.Atom, fn func(Subst) bool) bool {
 	}
 	rec(0)
 	return found
-}
-
-// HasHomomorphism reports whether any homomorphism exists from src
-// into dst.
-func HasHomomorphism(src, dst []ast.Atom) bool {
-	return Homomorphisms(src, dst, func(Subst) bool { return false })
 }
 
 // Freeze replaces every variable of the atoms with a distinct fresh

@@ -18,8 +18,8 @@ import (
 
 // TestKnobCensus holds every value a user or caller can set to
 // testdata/knobs.golden, one sorted line each: the exported fields of
-// the option structs (struct-valued fields expanded), every flag the
-// commands register, the JSON fields of sqod's request bodies, and
+// the option structs (struct-valued fields expanded), every flag each
+// command under cmd/ registers, the JSON fields of sqod's request bodies, and
 // every environment variable the product reads. A new option, flag,
 // request field or environment variable fails this test until the
 // golden is re-pinned with -update, so the added line shows in review.
@@ -41,8 +41,14 @@ func TestKnobCensus(t *testing.T) {
 		p := c.pkg(root.dir)
 		c.fields(p, p.name+"."+root.typ, root.typ)
 	}
-	for _, cmd := range []string{"sqod", "sqoc", "sqolint"} {
-		c.flags(cmd)
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range cmds {
+		if cmd.IsDir() {
+			c.flags(cmd.Name())
+		}
 	}
 	c.requests()
 	c.env()

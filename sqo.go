@@ -126,12 +126,12 @@ func DefaultOptions() Options { return qtree.DefaultOptions() }
 // rewriting, selection pushing, bottom-up adornments, top-down query
 // tree, pruning, and residue attachment).
 func Optimize(p *Program, ics []IC) (*Result, error) {
-	return qtree.Optimize(p, ics)
+	return OptimizeWith(p, ics, DefaultOptions())
 }
 
 // OptimizeWith is Optimize with explicit pass selection.
 func OptimizeWith(p *Program, ics []IC, opts Options) (*Result, error) {
-	return qtree.OptimizeWith(p, ics, opts)
+	return qtree.OptimizeCtx(context.Background(), p, ics, opts)
 }
 
 // OptimizeCtx is OptimizeWith under a context: cancellation or
@@ -160,7 +160,7 @@ func NewDBFrom(facts []Atom) *DB {
 // Eval evaluates the program bottom-up (semi-naive, hash-indexed, on
 // the calling goroutine) over the extensional database, returning the
 // IDB relations. Results and Stats are deterministic.
-func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return eval.Eval(p, edb) }
+func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return EvalWith(p, edb, EvalOptions{}) }
 
 // EvalOptions configures the evaluation engine: the derived-tuple
 // budget (MaxTuples) and the goal-directed rewrites of Query/QueryCtx (Elim, Magic, Stream). The
@@ -239,7 +239,7 @@ func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
 
 // EvalWith evaluates with explicit engine options.
 func EvalWith(p *Program, edb *DB, opts EvalOptions) (*DB, *Stats, error) {
-	return eval.EvalWith(p, edb, opts)
+	return eval.EvalCtx(context.Background(), p, edb, opts)
 }
 
 // EvalCtx is EvalWith under a context: cancellation (or deadline
@@ -257,11 +257,13 @@ func EvalCtx(ctx context.Context, p *Program, edb *DB, opts EvalOptions) (*DB, *
 var ErrBudget = eval.ErrBudget
 
 // Query evaluates the program and returns the query predicate's tuples.
-func Query(p *Program, edb *DB) ([]eval.Tuple, *Stats, error) { return eval.Query(p, edb) }
+func Query(p *Program, edb *DB) ([]eval.Tuple, *Stats, error) {
+	return QueryWith(p, edb, EvalOptions{})
+}
 
 // QueryWith is Query with explicit engine options.
 func QueryWith(p *Program, edb *DB, opts EvalOptions) ([]eval.Tuple, *Stats, error) {
-	return eval.QueryWith(p, edb, opts)
+	return eval.QueryCtx(context.Background(), p, edb, opts)
 }
 
 // QueryCtx is QueryWith under a context; see EvalCtx for the
@@ -338,7 +340,7 @@ type EmptinessOptions = emptiness.Options
 // budget was exhausted (the {¬}-constraint cases are only
 // semi-decidable, Theorem 5.4).
 func Empty(p *Program, ics []IC, opts EmptinessOptions) (empty, decided bool, err error) {
-	return emptiness.Empty(p, ics, opts)
+	return emptiness.EmptyCtx(context.Background(), p, ics, opts)
 }
 
 // CQContained decides containment of pure conjunctive queries by
