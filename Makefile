@@ -110,8 +110,10 @@ incr-smoke:
 # findings to stderr (the optimized program on stdout is dropped): the
 # five clean examples must exit 0, unbounded.dl's report must carry L7's
 # boundedness-budget note, and deadcode.dl must exit non-zero (it
-# contains an unsatisfiable rule) with a report naming the dead rules.
-# The CI test job runs this too.
+# contains an unsatisfiable rule) with a report naming the dead rules;
+# and with -facts, a finding on a fact of the facts file must print under
+# that file's name, one on the input under the input's. The CI test job
+# runs this too.
 lint-smoke:
 	$(GO) run ./cmd/sqoc -lint examples/lint/figure1.dl >/dev/null
 	$(GO) run ./cmd/sqoc -lint examples/lint/hygiene.dl >/dev/null
@@ -129,6 +131,13 @@ lint-smoke:
 	echo "$$out" | grep -qF '[L2/dead-rule]' \
 		|| { echo "lint-smoke: dead-rule finding missing from deadcode.dl's report"; exit 1; }; \
 	echo "lint-smoke: deadcode.dl correctly rejected"
+	@out="$$($(GO) run ./cmd/sqoc -lint -facts examples/lint/stray.facts examples/lint/figure1.dl 2>&1 >/dev/null)" \
+		|| { echo "$$out"; echo "lint-smoke: figure1.dl with stray.facts should exit 0"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -qF 'examples/lint/stray.facts:1:1: info: [L5/unused-edb]' \
+		|| { echo "lint-smoke: the facts file's finding is not under its name"; exit 1; }; \
+	echo "$$out" | grep -qF 'examples/lint/figure1.dl:8:1: info: [L7/boundedness-budget]' \
+		|| { echo "lint-smoke: the input's finding is not under its name"; exit 1; }
 	@echo "lint-smoke: PASS"
 
 # Run the query daemon locally with default settings.

@@ -236,14 +236,14 @@ func BenchmarkA1LabelsVsAdorn(b *testing.B) {
 	`)
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := OptimizeWith(p, ics, DefaultOptions()); err != nil {
+			if _, err := OptimizeCtx(context.Background(), p, ics, DefaultOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("core-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := OptimizeWith(p, ics, Options{}); err != nil {
+			if _, err := OptimizeCtx(context.Background(), p, ics, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -294,7 +294,7 @@ func benchPointQuery(b *testing.B, prog *Program, db func() *DB) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tuples, _, err := QueryWith(prog, db(), opts)
+		tuples, _, err := QueryCtx(context.Background(), prog, db(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func BenchmarkQueryFixpoint(b *testing.B) {
 	opts.Elim = ElimOff // as sqod evaluates: it caches the boundedness verdict
 	for _, w := range fixpointBenches() {
 		b.Run(w.name, func(b *testing.B) {
-			_, stats, err := QueryWith(w.prog, w.db, opts) // builds the interned base
+			_, stats, err := QueryCtx(context.Background(), w.prog, w.db, opts) // builds the interned base
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -388,7 +388,7 @@ func BenchmarkQueryFixpoint(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := QueryWith(w.prog, w.db, opts); err != nil {
+				if _, _, err := QueryCtx(context.Background(), w.prog, w.db, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -422,7 +422,7 @@ func TestQueryAllocationGuard(t *testing.T) {
 		{"point query, shared EDB", point, NewDBFrom(facts), 500},
 	} {
 		run := func() {
-			if _, _, err := QueryWith(c.prog, c.db, opts); err != nil {
+			if _, _, err := QueryCtx(context.Background(), c.prog, c.db, opts); err != nil {
 				t.Fatal(err)
 			}
 		}

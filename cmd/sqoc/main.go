@@ -8,8 +8,9 @@
 // versions and reports the answers and the work saved. With -lint it
 // first runs the semantic linter over the input and the facts file —
 // the findings sqod's POST /v1/lint returns as JSON — and prints them to
-// standard error; any parseable input is linted, and an Error-severity
-// finding stops the run with status 1.
+// standard error, each under the file it points into; any parseable
+// input is linted, and an Error-severity finding stops the run with
+// status 1.
 //
 // Usage:
 //
@@ -32,6 +33,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	sqo "repro"
@@ -73,22 +75,31 @@ func main() {
 		log.Fatal(err)
 	}
 	facts := unit.Facts
+	var extra []sqo.Atom
 	if *factsPath != "" {
 		fsrc, err := os.ReadFile(*factsPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		extra, err := sqo.ParseFacts(string(fsrc))
-		if err != nil {
+		if extra, err = sqo.ParseFacts(string(fsrc)); err != nil {
 			log.Fatal(err)
 		}
 		facts = append(facts, extra...)
 	}
 
 	if *lintFlag {
-		rep := sqo.Lint(ctx, unit.Program, unit.ICs, facts, sqo.LintOptions{})
+		// The linter reads the facts file as if it followed the input,
+		// its lines numbered on from the input's last, so that each
+		// finding prints under the file it points into.
+		files := []sqo.LintFile{{Name: flag.Arg(0), Lines: strings.Count(src, "\n") + 1}, {Name: *factsPath}}
+		lintFacts := append([]sqo.Atom(nil), unit.Facts...)
+		for _, a := range extra {
+			a.At.Line += files[0].Lines
+			lintFacts = append(lintFacts, a)
+		}
+		rep := sqo.Lint(ctx, unit.Program, unit.ICs, lintFacts, sqo.LintOptions{})
 		if len(rep.Findings) > 0 {
-			if err := sqo.WriteLintText(os.Stderr, flag.Arg(0), rep); err != nil {
+			if err := sqo.WriteLintText(os.Stderr, rep, files...); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -22,16 +22,20 @@
 // — registered views are repaired incrementally through the same
 // delete-rederive machinery that maintains them live. A
 // graceful shutdown writes a final checkpoint so the next start
-// replays an empty tail. Without -data-dir nothing changes: the daemon
-// is purely in-memory, exactly as before.
+// replays an empty tail. Without -data-dir the daemon keeps its datasets
+// and views in memory only.
 //
 // Usage:
 //
-//	sqod [-addr :8351] [-max-inflight n] [-cache-size n]
-//	     [-timeout 30s] [-max-timeout 5m] [-update-timeout 30s]
+//	sqod [-addr :8351] [-cache-size n] [-timeout 30s] [-max-timeout 5m]
 //	     [-max-tuples n] [-data-dir path] [-fsync always|interval|never]
 //	     [-fsync-interval 100ms] [-checkpoint-every 4096]
 //	     [-drain 30s] [-log text|json] [-pprof]
+//
+// At most 2×GOMAXPROCS requests evaluate, rewrite, lint or mutate at
+// once (the GOMAXPROCS environment variable sets it); one more is
+// answered 429 at once. A request that sets no timeout_ms, a fact
+// update among them, runs under -timeout; none runs past -max-timeout.
 //
 // Endpoints:
 //
@@ -74,11 +78,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8351", "listen address")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrent evaluations (0 = 2x CPUs)")
 	cacheSize := flag.Int("cache-size", 128, "optimized-program LRU cache entries; also bounds the memo of parsed request texts")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout")
+	timeout := flag.Duration("timeout", 30*time.Second, "default per-request timeout, dataset mutations included")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested timeouts")
-	updateTimeout := flag.Duration("update-timeout", 0, "per-update deadline for dataset mutations incl. view maintenance (0 = -timeout)")
 	maxTuples := flag.Int64("max-tuples", 0, "per-query derived-tuple budget (0 = unlimited)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory, no persistence)")
 	fsyncPolicy := flag.String("fsync", "always", "WAL durability: always, interval, or never (with -data-dir)")
@@ -134,11 +136,9 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		MaxInflight:    *maxInflight,
 		CacheSize:      *cacheSize,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		UpdateTimeout:  *updateTimeout,
 		MaxTuples:      *maxTuples,
 		Logger:         logger,
 		EnablePprof:    *enablePprof,

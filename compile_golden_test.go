@@ -138,7 +138,7 @@ func compileText(tb testing.TB, in compileInput) string {
 		tb.Fatalf("%s: magic: %v", in.name, err)
 	}
 	b.WriteString("--- lint\n")
-	if err := WriteLintText(&b, in.name, Lint(ctx, u.Program, u.ICs, u.Facts, LintOptions{})); err != nil {
+	if err := WriteLintText(&b, Lint(ctx, u.Program, u.ICs, u.Facts, LintOptions{}), LintFile{Name: in.name}); err != nil {
 		tb.Fatal(err)
 	}
 	return b.String()

@@ -145,7 +145,7 @@ func TestFoldedQueryMatchesUnfolded(t *testing.T) {
 		// The rows of the roots the query predicate's rules copy, when
 		// every one of them is a one-atom rule (the engine decides
 		// whether it is a renaming; the Stats below say whether it did).
-		idb, _, err := EvalWith(c.prog, c.db, EvalOptions{Magic: MagicOff, Elim: ElimOff})
+		idb, _, err := EvalCtx(context.Background(), c.prog, c.db, EvalOptions{Magic: MagicOff, Elim: ElimOff})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -174,7 +174,7 @@ func TestFoldedQueryMatchesUnfolded(t *testing.T) {
 			// The reference interpreter is a nested loop: held to it while
 			// the program as written derives little (goodpath's chain does not).
 			var want []string
-			if _, st, err := QueryWith(&orig, c.db, EvalOptions{Magic: MagicOff, Elim: ElimOff}); err != nil {
+			if _, st, err := QueryCtx(context.Background(), &orig, c.db, EvalOptions{Magic: MagicOff, Elim: ElimOff}); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			} else if st.TuplesDerived <= 2000 {
 				want = refeval.Answers(&orig, facts)

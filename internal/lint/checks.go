@@ -203,7 +203,7 @@ func (l *linter) unsatRules() {
 			// satisfiable.
 			return
 		}
-		v, err := emptiness.RuleSatisfiableCtx(l.ctx, r, l.ics, l.opts.Emptiness)
+		v, err := emptiness.RuleSatisfiableCtx(l.ctx, r, l.ics, satBudget)
 		l.sat[i] = v
 		switch v {
 		case emptiness.Unsatisfiable:

@@ -89,12 +89,8 @@ q(X) :- a(X), a(X).
 	f.Add("h(A) :- e(A, X_1), f(X_1), k(A).\nh(A) :- e(A, X), f(X).\n?- h.", uint8(0))
 	f.Add("h(A) :- e(A, X), f(X), k(A).\nh(A) :- e(A, X), f(X).\n?- h.", uint8(2))
 
-	opts := Options{
-		Emptiness: emptiness.Options{
-			ChaseSteps:        200,
-			MaxLinearizations: 500,
-		},
-	}
+	satBudget = emptiness.Options{ChaseSteps: 200, MaxLinearizations: 500}
+	f.Cleanup(func() { satBudget = emptiness.Options{} })
 	f.Fuzz(func(t *testing.T, src string, mask uint8) {
 		unit, err := parser.Parse(src)
 		if err != nil {
@@ -103,7 +99,7 @@ q(X) :- a(X), a(X).
 		respell(unit, mask)
 		run := func() *Report {
 			done := make(chan *Report, 1)
-			go func() { done <- Run(context.Background(), unit.Program, unit.ICs, unit.Facts, opts) }()
+			go func() { done <- Run(context.Background(), unit.Program, unit.ICs, unit.Facts, Options{}) }()
 			select {
 			case rep := <-done:
 				return rep

@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -41,10 +42,12 @@ func TestGoldenExamples(t *testing.T) {
 			rep := Run(context.Background(), unit.Program, unit.ICs, unit.Facts, Options{})
 
 			var text, js bytes.Buffer
-			if err := WriteText(&text, name+".dl", rep); err != nil {
+			if err := WriteText(&text, rep, File{Name: name + ".dl"}); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteJSON(&js, rep); err != nil {
+			enc := json.NewEncoder(&js)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(rep); err != nil {
 				t.Fatal(err)
 			}
 			compareGolden(t, filepath.Join("testdata", name+".txt"), text.Bytes())

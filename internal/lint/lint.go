@@ -116,11 +116,10 @@ type Report struct {
 // HasErrors reports whether any Error-severity finding was emitted.
 func (r *Report) HasErrors() bool { return r.Errors > 0 }
 
-// Options bounds the semantic checks.
+// Options is the linter's options struct. It sets nothing: the
+// semantic checks run under fixed budgets (emptiness's own for L1 and
+// L2, the constants below for L3).
 type Options struct {
-	// Emptiness bounds the satisfiability procedures behind L1 and L2
-	// (chase steps, linearization count).
-	Emptiness emptiness.Options
 	// Deprecated: read by nothing. Every caller evaluates with the
 	// magic-sets rewrite wherever it applies, so L6 reports only goals
 	// it does not apply to.
@@ -140,11 +139,15 @@ const (
 	maxSubsumptionRules = 16
 )
 
+// satBudget bounds L1's satisfiability decisions: the zero Options,
+// emptiness's own budgets. The fuzz test lowers it.
+var satBudget emptiness.Options
+
 // Run lints the program against its integrity constraints and optional
 // EDB facts. The context bounds the semantic checks: cancellation
 // degrades verdicts to Unknown (reported as Info), never to a wrong
 // answer. Run always returns a report; it has no error mode.
-func Run(ctx context.Context, p *ast.Program, ics []ast.IC, facts []ast.Atom, opts Options) *Report {
+func Run(ctx context.Context, p *ast.Program, ics []ast.IC, facts []ast.Atom, _ Options) *Report {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -153,7 +156,6 @@ func Run(ctx context.Context, p *ast.Program, ics []ast.IC, facts []ast.Atom, op
 		p:     p,
 		ics:   ics,
 		facts: facts,
-		opts:  opts,
 		idb:   p.IDB(),
 		rep:   &Report{Findings: []Finding{}},
 	}
@@ -204,7 +206,6 @@ type linter struct {
 	p     *ast.Program
 	ics   []ast.IC
 	facts []ast.Atom
-	opts  Options
 	idb   map[string]bool
 	rep   *Report
 

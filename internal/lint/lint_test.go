@@ -371,3 +371,28 @@ p(X, Y) :- e(X, Y).
 		t.Fatalf("inapplicable rewrite on a bound goal should warn: %v", rep.Findings)
 	}
 }
+
+// TestWriteTextFiles holds WriteText's attribution: a finding prints
+// under the file its line falls in, at its line within that file, and a
+// finding with no position under the first file.
+func TestWriteTextFiles(t *testing.T) {
+	rep := &Report{Findings: []Finding{
+		{Check: "lint", ID: "aborted", Message: "m0"},
+		{Check: "L7", ID: "x", Line: 3, Col: 1, Message: "m1"},
+		{Check: "L5", ID: "y", Line: 4, Col: 2, Message: "m2"},
+		{Check: "L5", ID: "z", Line: 9, Col: 1, Message: "m3"},
+	}, Infos: 4}
+	var b strings.Builder
+	if err := WriteText(&b, rep, File{Name: "in.dl", Lines: 3}, File{Name: "f.facts", Lines: 2}, File{Name: "g.facts"}); err != nil {
+		t.Fatal(err)
+	}
+	want := `in.dl: info: [lint/aborted] m0
+in.dl:3:1: info: [L7/x] m1
+f.facts:1:2: info: [L5/y] m2
+g.facts:4:1: info: [L5/z] m3
+0 error(s), 0 warning(s), 4 info(s)
+`
+	if b.String() != want {
+		t.Errorf("got\n%swant\n%s", b.String(), want)
+	}
+}

@@ -1,28 +1,45 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 )
+
+// A File is one source a report's positions point into. A lint run over
+// several files reads them as one, each numbered on from the last line
+// of the one before, so Lines, how many lines the file spans, tells a
+// position in it from one in the next. The last file's Lines is unread.
+type File struct {
+	Name  string
+	Lines int
+}
 
 // WriteText renders the report in the conventional compiler-diagnostic
 // format, one finding per line:
 //
 //	name:line:col: severity: [check/id] message
 //
-// name is the source name to prefix (usually a file path); it is
-// omitted when empty, as is the position when a finding has none. A
-// summary line follows the findings.
-func WriteText(w io.Writer, name string, rep *Report) error {
+// name is the file the finding points into, and line its line there; a
+// finding with no position names the first file. The name is omitted
+// when empty, as is the position when a finding has none. A summary
+// line follows the findings.
+func WriteText(w io.Writer, rep *Report, files ...File) error {
 	for _, f := range rep.Findings {
+		name, line := "", f.Line
+		for i, file := range files {
+			name = file.Name
+			if !f.Pos().IsValid() || i == len(files)-1 || line <= file.Lines {
+				break
+			}
+			line -= file.Lines
+		}
 		prefix := ""
 		if name != "" {
 			prefix = name + ":"
 		}
 		if f.Pos().IsValid() {
-			prefix += strconv.Itoa(f.Line) + ":" + strconv.Itoa(f.Col) + ":"
+			prefix += strconv.Itoa(line) + ":" + strconv.Itoa(f.Col) + ":"
 		}
 		if prefix != "" {
 			prefix += " "
@@ -33,12 +50,4 @@ func WriteText(w io.Writer, name string, rep *Report) error {
 	}
 	_, err := fmt.Fprintf(w, "%d error(s), %d warning(s), %d info(s)\n", rep.Errors, rep.Warnings, rep.Infos)
 	return err
-}
-
-// WriteJSON renders the report as indented JSON. The output is
-// deterministic: findings are pre-sorted and timings are excluded.
-func WriteJSON(w io.Writer, rep *Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

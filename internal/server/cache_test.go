@@ -433,7 +433,7 @@ func TestServerCacheKeyedByBindingPattern(t *testing.T) {
 					hits++
 				}
 			}
-			if st := s.CacheStats(); st.Hits != hits || st.Misses != int64(len(c.reqs))-hits || st.Size != len(c.reqs)-int(hits) {
+			if st := s.cache.Stats(); st.Hits != hits || st.Misses != int64(len(c.reqs))-hits || st.Size != len(c.reqs)-int(hits) {
 				t.Fatalf("cache %+v, want %d hits, %d misses and as many entries", st, hits, int64(len(c.reqs))-hits)
 			}
 		})

@@ -24,7 +24,7 @@ type contractEnv int
 
 const (
 	envPlain      contractEnv = iota
-	envFull                   // MaxInflight 1, and its one slot taken
+	envFull                   // one admission slot, and it taken
 	envClosed                 // durable, its store closed after the fixtures
 	envNanoTimout             // DefaultTimeout 1ns
 	envCapped                 // MaxTuples 1000
@@ -35,11 +35,11 @@ const chainProgram = "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\n?- p."
 // contractServer boots a server for env with the fixtures in place.
 func contractServer(t *testing.T, env contractEnv) (*Server, string) {
 	t.Helper()
-	cfg := Config{}
+	cfg, slots := Config{}, []int(nil)
 	var st *store.Store
 	switch env {
 	case envFull:
-		cfg.MaxInflight = 1
+		slots = []int{1}
 	case envClosed:
 		var rec *store.Recovered
 		var err error
@@ -52,7 +52,7 @@ func contractServer(t *testing.T, env contractEnv) (*Server, string) {
 	case envCapped:
 		cfg.MaxTuples = 1000
 	}
-	s, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, cfg, slots...)
 	registerDataset(t, ts.URL, "d", serverTestFacts)
 	var chain strings.Builder
 	for i := 0; i < 400; i++ {
@@ -177,7 +177,8 @@ func TestServerErrors(t *testing.T) {
 		{"view create/optimize error", envPlain, "POST", "/v1/datasets/d/views/w", view(prog, idbIC), 422, "optimize_error", 0, 0, 0},
 		{"view create/overloaded", envFull, "POST", "/v1/datasets/d/views/w", view(prog, ""), 429, "overloaded", 0, 0, 1},
 		{"view create/store", envClosed, "POST", "/v1/datasets/d/views/w", view(prog, `, "ics": `+ics), 500, "store_error", 0, 0, 0},
-		{"view create/timeout", envPlain, "POST", "/v1/datasets/chain/views/w", view(jsonString(chainProgram), `, "timeout_ms": 1`), 504, "timeout", 1, 0, 0},
+		// Under the 1ns default deadline, like "timeout".
+		{"view create/timeout", envNanoTimout, "POST", "/v1/datasets/chain/views/w", view(jsonString(chainProgram), ""), 504, "timeout", 1, 0, 0},
 		{"view get/unknown dataset", envPlain, "GET", "/v1/datasets/nope/views/v", "", 404, "unknown_dataset", 0, 0, 0},
 		{"view get/unknown view", envPlain, "GET", "/v1/datasets/d/views/nope", "", 404, "unknown_view", 0, 0, 0},
 		{"view delete/unknown dataset", envPlain, "DELETE", "/v1/datasets/nope/views/v", "", 404, "unknown_dataset", 0, 0, 0},
@@ -189,7 +190,7 @@ func TestServerErrors(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			s, base := contractServer(t, row.env)
-			m := s.Metrics()
+			m := s.metrics
 			t0, b0, r0 := m.QueryTimeouts.Load(), m.QueryBudgets.Load(), m.AdmissionRejections.Load()
 			code, raw := doRaw(t, row.method, base+row.path, row.body, nil)
 			fmt.Fprintf(&golden, "%s\t%d\t%s", row.name, code, raw)

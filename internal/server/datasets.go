@@ -16,13 +16,14 @@ import (
 // views. The query-facing database is an immutable snapshot, published
 // through an atomic pointer: a query loads it and never touches d.mu, so
 // reads do not queue behind a writer's WAL append or view maintenance.
-// A mutation does not rebuild the snapshot; its successor shares every
-// relation the batch leaves alone and replaces the rest, each fact
-// entering or leaving at its key-sorted position, so the order of a
-// relation's tuples — which evaluation order and provenance follow — is
-// the one a from-scratch load of the same facts would give, whatever the
-// update history. A snapshot also carries its interned base (eval's
-// base.go) from query to query: the first query to evaluate a new
+// The snapshot is the fact set: nothing else holds it. A mutation does
+// not rebuild the snapshot; its successor shares every relation the
+// batch leaves alone and replaces the rest, each fact entering or leaving
+// at its key-sorted position (factKey), so the order of a relation's
+// tuples — which evaluation order and provenance follow — is the one a
+// from-scratch load of the same facts would give, whatever the update
+// history. A snapshot also carries its interned base (eval's base.go)
+// from query to query: the first query to evaluate a new
 // snapshot derives it from its predecessor's, interning only the facts
 // the update added, and every later query on that snapshot reuses it.
 //
@@ -44,29 +45,34 @@ type dataset struct {
 	db   atomic.Pointer[sqo.DB] // the published snapshot of facts
 
 	mu           sync.Mutex
-	preds        map[string]*predFacts // the fact set, by predicate
 	lastModified time.Time
 
 	views atomic.Pointer[map[string]*matView] // read with viewMap; replaced under mu
 }
 
-// predFacts is one predicate's share of the fact set: its arity and its
-// facts' keys — their renderings — in ascending order, parallel to the
-// tuples of the snapshot's relation for it.
-type predFacts struct {
-	arity int
-	keys  []string
+// factKey is the key of pred's fact t: its rendering, Atom.String.
+func factKey(pred string, t sqo.Tuple) string { return sqo.Atom{Pred: pred, Args: t}.String() }
+
+// search returns where the fact with key k sits in tuples, pred's
+// relation in key order, or would sit, and whether it is there.
+func search(pred string, tuples []sqo.Tuple, k string) (int, bool) {
+	i := sort.Search(len(tuples), func(i int) bool { return factKey(pred, tuples[i]) >= k })
+	return i, i < len(tuples) && factKey(pred, tuples[i]) == k
+}
+
+// tuples returns pred's relation in a snapshot, in key order.
+func tuples(db *sqo.DB, pred string) []sqo.Tuple {
+	if r := db.Lookup(pred); r != nil {
+		return r.Tuples()
+	}
+	return nil
 }
 
 // has reports whether the fact set holds pred's fact with key k. The
 // caller holds d.mu or owns the dataset.
 func (d *dataset) has(pred, k string) bool {
-	pf := d.preds[pred]
-	if pf == nil {
-		return false
-	}
-	i := sort.SearchStrings(pf.keys, k)
-	return i < len(pf.keys) && pf.keys[i] == k
+	_, ok := search(pred, tuples(d.db.Load(), pred), k)
+	return ok
 }
 
 // matView is one materialized view attached to a dataset.
@@ -75,13 +81,11 @@ type matView struct {
 	program   *sqo.Program
 	optimized bool
 	view      *sqo.View
-	createdAt time.Time
 }
 
 func newDataset(name string, facts []sqo.Atom, now time.Time) *dataset {
 	ds := &dataset{
 		name:         name,
-		preds:        map[string]*predFacts{},
 		lastModified: now,
 	}
 	ds.views.Store(&map[string]*matView{})
@@ -137,10 +141,11 @@ func (d *dataset) describe() DatasetInfo {
 }
 
 func (d *dataset) describeLocked() DatasetInfo {
+	db := d.db.Load()
 	preds, facts := map[string]int{}, 0
-	for p, pf := range d.preds {
-		preds[p] = len(pf.keys)
-		facts += len(pf.keys)
+	for _, p := range db.Preds() {
+		preds[p] = db.Count(p)
+		facts += preds[p]
 	}
 	views := make([]string, 0, len(d.viewMap()))
 	for name := range d.viewMap() {
@@ -215,10 +220,10 @@ func (d *dataset) update(ctx context.Context, adds, dels []sqo.Atom, replace boo
 			}
 		}
 	}
-	arity := map[string]int{}
+	arity, db := map[string]int{}, d.db.Load()
 	for _, a := range adds {
-		if pf := d.preds[a.Pred]; pf != nil && len(pf.keys) > leaving[a.Pred] {
-			arity[a.Pred] = pf.arity
+		if r := db.Lookup(a.Pred); r != nil && r.Len() > leaving[a.Pred] {
+			arity[a.Pred] = r.Arity
 		}
 	}
 	if err := arityConflict(arity, adds); err != nil {
@@ -246,8 +251,9 @@ type edit struct {
 // from it: the predecessor with the relations of the touched predicates
 // replaced. What lies between two edits of a relation is copied in one
 // piece, so a fact costs a binary search for its place and the relation
-// one copy of its tuple headers; nothing is sorted, keyed or hashed but
-// the batch. The caller holds d.mu or owns the dataset.
+// one copy of its tuple headers; nothing is sorted or hashed but the
+// batch, and nothing keyed but the batch and the tuples its searches
+// pass. The caller holds d.mu or owns the dataset.
 func (d *dataset) applyFacts(adds, dels []sqo.Atom) (added, removed int) {
 	addKeys := make(map[string]bool, len(adds))
 	for _, a := range adds {
@@ -276,28 +282,18 @@ func (d *dataset) applyFacts(adds, dels []sqo.Atom) (added, removed int) {
 	db := d.db.Load()
 	for pred, es := range edits {
 		sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
-		var keys []string
-		var tuples []sqo.Tuple
-		if pf := d.preds[pred]; pf != nil {
-			keys, tuples = pf.keys, db.Lookup(pred).Tuples()
-		}
-		n := len(keys) + len(es)
-		nk, nt, at := make([]string, 0, n), make([]sqo.Tuple, 0, n), 0
+		ts := tuples(db, pred)
+		nt, at := make([]sqo.Tuple, 0, len(ts)+len(es)), 0
 		for _, e := range es {
-			i := at + sort.SearchStrings(keys[at:], e.key)
-			nk, nt, at = append(nk, keys[at:i]...), append(nt, tuples[at:i]...), i
+			i, _ := search(pred, ts[at:], e.key)
+			nt, at = append(nt, ts[at:at+i]...), at+i
 			if e.add {
-				nk, nt = append(nk, e.key), append(nt, e.args)
+				nt = append(nt, e.args)
 			} else {
-				at++ // keys[i] is the fact that leaves
+				at++ // ts[at] is the fact that leaves
 			}
 		}
-		nk, nt = append(nk, keys[at:]...), append(nt, tuples[at:]...)
-		delete(d.preds, pred)
-		if len(nk) > 0 {
-			d.preds[pred] = &predFacts{arity: len(nt[0]), keys: nk}
-		}
-		db = db.Replace(pred, nt)
+		db = db.Replace(pred, append(nt, ts[at:]...))
 	}
 	d.db.Store(db)
 	return added, removed
@@ -341,33 +337,32 @@ func (d *dataset) updateLocked(ctx context.Context, adds, dels []sqo.Atom, now t
 // fact set into target, for PUT-replacement of a dataset with live
 // views. Callers hold d.mu.
 func (d *dataset) diffLocked(target []sqo.Atom) (adds, dels []sqo.Atom) {
-	targetKeys := make(map[string]bool, len(target))
-	for _, a := range target {
-		k := a.String()
-		if !targetKeys[k] {
-			targetKeys[k] = true
-			if !d.has(a.Pred, k) {
-				adds = append(adds, a)
+	keys, wanted := make([]string, len(target)), make(map[string]bool, len(target))
+	for i, a := range target {
+		keys[i] = a.String()
+		wanted[keys[i]] = true
+	}
+	// The facts that leave, in key order: the predicates in order, and
+	// each one's tuples, which are in key order already. That is the
+	// order of all the keys sorted at once, because a key is its
+	// predicate followed by "(" or by nothing, and "(" sorts below every
+	// character a predicate name can hold.
+	held := map[string]bool{}
+	db := d.db.Load()
+	for _, p := range db.Preds() {
+		for _, t := range db.Lookup(p).Tuples() {
+			k := factKey(p, t)
+			held[k] = true
+			if !wanted[k] {
+				dels = append(dels, sqo.Atom{Pred: p, Args: t})
 			}
 		}
 	}
-	// The facts that leave, in key order: the predicates in order, and
-	// each one's keys, which are in order already. That is the order of
-	// all the keys sorted at once, because a key is its predicate followed
-	// by "(" or by nothing, and "(" sorts below every character a
-	// predicate name can hold.
-	preds := make([]string, 0, len(d.preds))
-	for p := range d.preds {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-	db := d.db.Load()
-	for _, p := range preds {
-		tuples := db.Lookup(p).Tuples()
-		for i, k := range d.preds[p].keys {
-			if !targetKeys[k] {
-				dels = append(dels, sqo.Atom{Pred: p, Args: tuples[i]})
-			}
+	// The facts that enter, in target order, each once.
+	for i, a := range target {
+		if !held[keys[i]] {
+			held[keys[i]] = true
+			adds = append(adds, a)
 		}
 	}
 	return adds, dels

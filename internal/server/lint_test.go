@@ -106,10 +106,10 @@ func TestServerOptimizeCarriesDiagnostics(t *testing.T) {
 	if findingIDs(resp.Diagnostics)["unsat-body"] != 1 {
 		t.Errorf("optimize response missing unsat-body diagnostic: %s", raw)
 	}
-	if s.Metrics().LintFindings.Load() == 0 {
+	if s.metrics.LintFindings.Load() == 0 {
 		t.Error("lint findings metric not incremented")
 	}
-	if s.Metrics().LintRuns.Load() == 0 {
+	if s.metrics.LintRuns.Load() == 0 {
 		t.Error("lint runs metric not incremented")
 	}
 }

@@ -88,7 +88,7 @@ func TestServerOnIsAuto(t *testing.T) {
 			}
 			return msFields.ReplaceAllString(string(raw), `"$1_ms": 0`)
 		}
-		before := s.CacheStats()
+		before := s.cache.Stats()
 		want := strings.Replace(body(""), `"cache_hit": false`, `"cache_hit": true`, 1)
 		if !strings.Contains(want, `"magic": true`) || strings.Contains(want, `"elim": true`) != c.elim {
 			t.Fatalf("want magic:true and elim:%t, got %s", c.elim, want)
@@ -102,7 +102,7 @@ func TestServerOnIsAuto(t *testing.T) {
 				n++
 			}
 		}
-		if st := s.CacheStats(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != int64(n) || st.Size-before.Size != 1 {
+		if st := s.cache.Stats(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != int64(n) || st.Size-before.Size != 1 {
 			t.Fatalf("cache %+v after %+v, want 1 miss, %d hits and 1 entry more", st, before, n)
 		}
 	}

@@ -23,7 +23,7 @@ var msFields = regexp.MustCompile(`"(optimize|eval)_ms": [0-9.e+-]+`)
 func TestRepeatedQueryAnswersFromMemo(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerDataset(t, ts.URL, "d", serverTestFacts)
-	m := s.Metrics()
+	m := s.metrics
 	engine := func() [6]int64 {
 		return [6]int64{m.EvalRounds.Load(), m.TuplesDerived.Load(), m.RuleFirings.Load(),
 			m.JoinProbes.Load(), m.EvalMagic.Load(), m.EvalElim.Load()}

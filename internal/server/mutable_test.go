@@ -222,7 +222,7 @@ func TestServerMaterializedViewSurvivesUpdates(t *testing.T) {
 	if infos[0].LastModified.IsZero() || time.Since(infos[0].LastModified) > time.Minute {
 		t.Fatalf("last_modified not maintained: %v", infos[0].LastModified)
 	}
-	if g := s.Metrics().Views.Load(); g != 1 {
+	if g := s.metrics.Views.Load(); g != 1 {
 		t.Fatalf("views gauge = %d, want 1", g)
 	}
 
@@ -233,8 +233,43 @@ func TestServerMaterializedViewSurvivesUpdates(t *testing.T) {
 	if code, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/d/views/paths", nil, nil); code != http.StatusNotFound {
 		t.Fatal("deleted view still answers")
 	}
-	if g := s.Metrics().Views.Load(); g != 0 {
+	if g := s.metrics.Views.Load(); g != 0 {
 		t.Fatalf("views gauge = %d, want 0", g)
+	}
+}
+
+// TestServerUpdateUnderRequestDeadline: a fact update runs under the
+// request deadline, DefaultTimeout. With it already passed, the update
+// still answers 200 — the facts change — while the view's maintenance
+// reports the deadline, and the view repairs itself on the next read.
+func TestServerUpdateUnderRequestDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{DefaultTimeout: time.Nanosecond})
+	registerDataset(t, ts.URL, "d", "step(1, 2). step(2, 3).")
+	noOpt := false
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/d/views/paths", viewRequest{
+		Program: viewTestProgram, Optimize: &noOpt, TimeoutMS: 60_000,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("view create: %d %s", code, raw)
+	}
+	var up updateResponse
+	if code, raw := doRaw(t, http.MethodPost, ts.URL+"/v1/datasets/d/facts", "step(3, 4).", &up); code != http.StatusOK {
+		t.Fatalf("facts add: %d %s", code, raw)
+	}
+	if up.FactsAdded != 1 || up.Dataset.Facts != 3 {
+		t.Fatalf("update = %+v, want one fact added of three", up)
+	}
+	if len(up.Views) != 1 || !strings.Contains(up.Views[0].Error, "deadline exceeded") {
+		t.Fatalf("update views = %+v, want the view's error to name the deadline", up.Views)
+	}
+	if got := s.metrics.QueryTimeouts.Load(); got != 0 {
+		t.Fatalf("timeout counter = %d, want 0: the update itself succeeded", got)
+	}
+	var vr viewResponse
+	if code, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/d/views/paths", nil, &vr); code != http.StatusOK {
+		t.Fatalf("view get: %d %s", code, raw)
+	}
+	if want := []string{"(1, 2)", "(1, 3)", "(1, 4)", "(2, 3)", "(2, 4)", "(3, 4)"}; !reflect.DeepEqual(vr.Answers, want) {
+		t.Fatalf("repaired answers = %v, want %v", vr.Answers, want)
 	}
 }
 
@@ -328,7 +363,7 @@ func TestServerSnapshotBaseReuse(t *testing.T) {
 	}
 	expect := func(step string, builds, reuses int64) {
 		t.Helper()
-		m := s.Metrics()
+		m := s.metrics
 		if b, r := m.EDBBaseBuilds.Load(), m.EDBBaseReuses.Load(); b != builds || r != reuses {
 			t.Fatalf("%s: builds=%d reuses=%d, want %d and %d", step, b, r, builds, reuses)
 		}

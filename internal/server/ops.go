@@ -131,7 +131,7 @@ func (s *Server) createView(ctx context.Context, wal *store.Store, ds *dataset, 
 			return nil, &storeError{"view create", def.Name, err}
 		}
 	}
-	v.mv = &matView{name: def.Name, program: prog, optimized: def.Optimized, view: view, createdAt: time.Now()}
+	v.mv = &matView{name: def.Name, program: prog, optimized: def.Optimized, view: view}
 	ds.putView(def.Name, v.mv)
 	s.metrics.Views.Add(1)
 	return v, nil

@@ -87,7 +87,7 @@ func TestRestoreMatchesLiveServer(t *testing.T) {
 			if n := len(want.views); n != 3 {
 				t.Fatalf("live server has %d views, want 3", n)
 			}
-			if fu, va := restored.Metrics().FactUpdates.Load(), restored.Metrics().ViewApplies.Load(); fu != 0 || va != 0 {
+			if fu, va := restored.metrics.FactUpdates.Load(), restored.metrics.ViewApplies.Load(); fu != 0 || va != 0 {
 				t.Fatalf("after replay: fact updates %d, view applies %d; want 0 and 0", fu, va)
 			}
 		})
@@ -165,7 +165,7 @@ func observe(t *testing.T, s *Server, base string) serverState {
 			st.views[info.Name+"/"+v] = vr
 		}
 	}
-	st.ndatasets, st.nviews = s.Metrics().Datasets.Load(), s.Metrics().Views.Load()
+	st.ndatasets, st.nviews = s.metrics.Datasets.Load(), s.metrics.Views.Load()
 	if st.ndatasets != int64(len(st.datasets)) || st.nviews != int64(len(st.views)) {
 		t.Fatalf("gauges say %d datasets and %d views; the server lists %d and %d", st.ndatasets, st.nviews, len(st.datasets), len(st.views))
 	}

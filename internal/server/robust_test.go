@@ -116,7 +116,7 @@ func TestPanicContained(t *testing.T) {
 		t.Fatalf("response = %d %s, want 500 internal_error", rr.Code, rr.Body)
 	}
 	mr := httptest.NewRecorder()
-	s.Metrics().ServeHTTP(mr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	s.metrics.ServeHTTP(mr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{"sqod_panics_total 1", `sqod_requests_total{endpoint="boom",code="500"} 1`} {
 		if !strings.Contains(mr.Body.String(), want) {
 			t.Errorf("/metrics lacks %q", want)
@@ -137,7 +137,8 @@ func TestPanicContained(t *testing.T) {
 // and an ordinary request after them must be served.
 func TestSuffixedVariableNamesKeepSlots(t *testing.T) {
 	const inflight = 2
-	s := New(Config{MaxInflight: inflight, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s.sem = make(chan struct{}, inflight)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

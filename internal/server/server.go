@@ -14,7 +14,7 @@
 // via PUT), and materialized views attached to a dataset survive
 // those updates: each mutation is pushed through sqo.View.Apply,
 // which maintains the answers incrementally (DRed) under
-// the same admission control and a per-update deadline.
+// the same admission control and deadline as a query.
 //
 // Answers are written once. A query's answers reach its handler as an
 // interned result (sqo.QueryResult), a view's as a copy of its rows taken
@@ -59,25 +59,17 @@ import (
 // Config tunes the server; the zero value is usable (see defaults in
 // New).
 type Config struct {
-	// MaxInflight bounds concurrently running evaluations; requests
-	// beyond the bound are rejected immediately with 429 rather than
-	// queued behind work that may never finish in time. Default:
-	// 2×GOMAXPROCS.
-	MaxInflight int
 	// CacheSize bounds the rewrite cache (optimized programs and
 	// prepared queries), and the request memo in front of it (the
 	// parses and keys of request texts) to as many. Default: 128.
 	CacheSize int
 	// DefaultTimeout bounds every admitted request that sets no
-	// timeout_ms: a query, a view creation, a lint, an optimize.
+	// timeout_ms: a query, a view creation, a lint, an optimize, and
+	// every dataset mutation, the maintenance of its views included.
 	// Default: 30s.
 	DefaultTimeout time.Duration
 	// MaxTimeout caps client-requested timeouts. Default: 5m.
 	MaxTimeout time.Duration
-	// UpdateTimeout bounds one dataset mutation end to end, including
-	// incremental maintenance of every attached view. Default:
-	// DefaultTimeout.
-	UpdateTimeout time.Duration
 	// MaxTuples is the per-query derived-tuple budget (0 = unlimited).
 	MaxTuples int64
 	// EnablePprof registers net/http/pprof handlers under /debug/pprof/
@@ -89,8 +81,8 @@ type Config struct {
 	Logger *slog.Logger
 	// Store, when set, makes the mutable-dataset surface durable: every
 	// dataset/fact/view mutation is appended to its write-ahead log
-	// before the request is acknowledged. Nil (the default) keeps
-	// today's purely in-memory behavior.
+	// before the request is acknowledged. Nil (the default) keeps the
+	// datasets in memory only.
 	Store *store.Store
 	// Recovered carries the operations Store recovered at open; New
 	// replays them in order, the WAL tail through the incremental
@@ -110,7 +102,7 @@ type Server struct {
 	// requests is the request memo: a request text's parse and cache
 	// key (parse), bounded by CacheSize like the cache.
 	requests *lru[*parsed]
-	sem      chan struct{} // admission-control semaphore
+	sem      chan struct{} // admission slots: 2×GOMAXPROCS
 	store    *store.Store  // nil when running in-memory
 
 	datasets *datasetStore
@@ -118,9 +110,6 @@ type Server struct {
 
 // New returns a configured server.
 func New(cfg Config) *Server {
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 2 * runtime.GOMAXPROCS(0)
-	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 128
 	}
@@ -129,9 +118,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 5 * time.Minute
-	}
-	if cfg.UpdateTimeout <= 0 {
-		cfg.UpdateTimeout = cfg.DefaultTimeout
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -145,7 +131,7 @@ func New(cfg Config) *Server {
 		metrics:  m,
 		cache:    c,
 		requests: newLRU[*parsed](cfg.CacheSize),
-		sem:      make(chan struct{}, cfg.MaxInflight),
+		sem:      make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
 		store:    cfg.Store,
 		datasets: &datasetStore{byName: map[string]*dataset{}},
 	}
@@ -160,13 +146,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// Metrics exposes the server's registry (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// CacheStats reports the rewrite cache's counters (for tests and
-// embedding).
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
 // Handler returns the server's routed HTTP handler with request
 // logging and latency instrumentation applied.
@@ -398,7 +377,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 }
 
 // admit reserves an evaluation slot, or reports failure immediately
-// (fast 429) when MaxInflight slots are taken. The caller must invoke
+// (fast 429) when every slot is taken. The caller must invoke
 // the returned release exactly once on success.
 func (s *Server) admit() (release func(), ok bool) {
 	select {
@@ -422,7 +401,7 @@ func (s *Server) admit() (release func(), ok bool) {
 func (s *Server) admitted(r *http.Request, timeout time.Duration, op func(ctx context.Context) error) error {
 	release, ok := s.admit()
 	if !ok {
-		return errorf(http.StatusTooManyRequests, "overloaded", "too many in-flight requests (limit %d)", s.cfg.MaxInflight)
+		return errorf(http.StatusTooManyRequests, "overloaded", "too many in-flight requests (limit %d)", cap(s.sem))
 	}
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)

@@ -15,12 +15,17 @@ import (
 	"time"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer serves New(cfg) over HTTP. slots, when given, is the
+// number of admission slots in place of 2×GOMAXPROCS.
+func newTestServer(t *testing.T, cfg Config, slots ...int) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := New(cfg)
+	if len(slots) > 0 {
+		s.sem = make(chan struct{}, slots[0])
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -156,13 +161,13 @@ func TestServerEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(r3.Answers, r1.Answers) {
 		t.Fatalf("optimized and unoptimized answers diverge: %v vs %v", r1.Answers, r3.Answers)
 	}
-	if hits := s.CacheStats().Hits; hits == 0 {
+	if hits := s.cache.Stats().Hits; hits == 0 {
 		t.Fatal("metrics report zero cache hits")
 	}
 }
 
 func TestServerConcurrentIdenticalRequests(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInflight: 32})
+	s, ts := newTestServer(t, Config{}, 32)
 	registerDataset(t, ts.URL, "d", serverTestFacts)
 
 	const n = 12
@@ -191,7 +196,7 @@ func TestServerConcurrentIdenticalRequests(t *testing.T) {
 		}
 	}
 	// One prepared query, compiled exactly once across all n requests.
-	if st := s.CacheStats(); st.Size != 1 || st.Misses != 1 || st.Hits != n-1 {
+	if st := s.cache.Stats(); st.Size != 1 || st.Misses != 1 || st.Hits != n-1 {
 		t.Fatalf("cache %+v, want one entry, one miss and %d hits", st, n-1)
 	}
 }
@@ -215,7 +220,7 @@ func doJSONNoFatal(url string, body any, out any) (int, []byte) {
 }
 
 func TestServerAdmissionControl(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInflight: 2})
+	s, ts := newTestServer(t, Config{}, 2)
 	registerDataset(t, ts.URL, "d", serverTestFacts)
 
 	// Occupy both slots directly; the next request must 429 fast.
@@ -242,7 +247,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("429 took %v; admission rejection must be fast", elapsed)
 	}
-	if got := s.Metrics().AdmissionRejections.Load(); got != 1 {
+	if got := s.metrics.AdmissionRejections.Load(); got != 1 {
 		t.Fatalf("rejections = %d, want 1", got)
 	}
 	rel1()
@@ -258,9 +263,11 @@ func TestServerAdmissionControl(t *testing.T) {
 }
 
 func TestServerQueryTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	// A long chain makes the fixpoint slow enough that a 1ms deadline
-	// fires mid-evaluation.
+	// The 1ns default deadline has passed before the evaluation starts,
+	// so the answer does not hang on how the host schedules a timer
+	// against the fixpoint (TestEvalCtxDeadline in internal/eval stops a
+	// fixpoint at a deadline mid-round).
+	s, ts := newTestServer(t, Config{DefaultTimeout: time.Nanosecond})
 	var facts strings.Builder
 	for i := 0; i < 400; i++ {
 		fmt.Fprintf(&facts, "e(%d, %d).\n", i, i+1)
@@ -269,9 +276,8 @@ func TestServerQueryTimeout(t *testing.T) {
 
 	var eb errorBody
 	code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/query", queryRequest{
-		Program:   "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\n?- p.",
-		Dataset:   "chain",
-		TimeoutMS: 1,
+		Program: "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\n?- p.",
+		Dataset: "chain",
 	}, &eb)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%+v), want 504", code, eb)
@@ -279,7 +285,7 @@ func TestServerQueryTimeout(t *testing.T) {
 	if eb.Code != "timeout" {
 		t.Fatalf("error code = %q, want timeout", eb.Code)
 	}
-	if got := s.Metrics().QueryTimeouts.Load(); got != 1 {
+	if got := s.metrics.QueryTimeouts.Load(); got != 1 {
 		t.Fatalf("timeout counter = %d, want 1", got)
 	}
 }
@@ -304,7 +310,7 @@ func TestServerBudgetExceeded(t *testing.T) {
 	if eb.Code != "budget_exceeded" {
 		t.Fatalf("error code = %q, want budget_exceeded", eb.Code)
 	}
-	if got := s.Metrics().QueryBudgets.Load(); got != 1 {
+	if got := s.metrics.QueryBudgets.Load(); got != 1 {
 		t.Fatalf("budget counter = %d, want 1", got)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // (delete-rederive; see package incr). The mutations
 // themselves are the operations of ops.go. Fact updates and view
 // materializations are evaluation work, so they are admitted like
-// queries: a fact update runs under Config.UpdateTimeout, a view
-// creation under its request's timeout_ms.
+// queries: a fact update runs under DefaultTimeout, a view creation
+// under its request's timeout_ms.
 
 // --- fact mutations ---------------------------------------------------
 
@@ -44,10 +44,10 @@ func parseFactsBody(r *http.Request) ([]sqo.Atom, error) {
 }
 
 // updateDataset is the shared tail of every mutation handler: the
-// mutation (updateFacts) as an admitted request under the update
+// mutation (updateFacts) as an admitted request under the request
 // deadline, accounted and answered.
 func (s *Server) updateDataset(w http.ResponseWriter, r *http.Request, ds *dataset, adds, dels []sqo.Atom, replace bool) error {
-	return s.admitted(r, s.cfg.UpdateTimeout, func(ctx context.Context) error {
+	return s.admitted(r, s.deadline(0), func(ctx context.Context) error {
 		start := time.Now()
 		up, info, err := s.updateFacts(ctx, s.store, ds, adds, dels, replace)
 		if err != nil {
@@ -219,7 +219,7 @@ func (s *Server) handleViewDelete(w http.ResponseWriter, r *http.Request) error 
 
 // respondView renders a view's current answers and statistics.
 // Result() repairs a broken view first, so a view that failed an
-// update deadline serves correct (rebuilt) answers here; it copies the
+// request deadline serves correct (rebuilt) answers here; it copies the
 // rows out under the view's lock, and they are ordered and written with
 // no lock held.
 func (s *Server) respondView(w http.ResponseWriter, ds *dataset, mv *matView, cacheHit bool, materializeMS float64, diagnostics []sqo.LintFinding) error {

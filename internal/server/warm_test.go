@@ -27,9 +27,9 @@ func serveBody(h http.Handler, method, path, body string) (int, string) {
 }
 
 // warmServer is a server over serverTestFacts as dataset "d".
-func warmServer(t *testing.T, cfg Config) (*Server, http.Handler) {
+func warmServer(t *testing.T, cfg Config, slots ...int) (*Server, http.Handler) {
 	t.Helper()
-	s, _ := newTestServer(t, cfg)
+	s, _ := newTestServer(t, cfg, slots...)
 	h := s.Handler()
 	if code, body := serveBody(h, http.MethodPut, "/v1/datasets/d", serverTestFacts); code != http.StatusOK {
 		t.Fatalf("dataset put: %d %s", code, body)
@@ -40,8 +40,8 @@ func warmServer(t *testing.T, cfg Config) (*Server, http.Handler) {
 type cacheTicks struct{ hits, misses, coalesced, memoHits int64 }
 
 func ticks(s *Server) cacheTicks {
-	c := s.CacheStats()
-	return cacheTicks{c.Hits, c.Misses, c.Coalesced, s.Metrics().RequestMemoHits.Load()}
+	c := s.cache.Stats()
+	return cacheTicks{c.Hits, c.Misses, c.Coalesced, s.metrics.RequestMemoHits.Load()}
 }
 
 func (a cacheTicks) minus(b cacheTicks) cacheTicks {
@@ -118,7 +118,7 @@ func TestRequestMemoKeepsNoParseError(t *testing.T) {
 			}
 		}
 	}
-	if n, hits := s.requests.Len(), s.Metrics().RequestMemoHits.Load(); n != 0 || hits != 0 {
+	if n, hits := s.requests.Len(), s.metrics.RequestMemoHits.Load(); n != 0 || hits != 0 {
 		t.Fatalf("the memo holds %d entries and was hit %d times after failed parses alone", n, hits)
 	}
 }
@@ -128,7 +128,7 @@ func TestRequestMemoKeepsNoParseError(t *testing.T) {
 // coalesce onto it and count as hits — whether each read the text itself
 // or found it in the memo.
 func TestRequestMemoCoalescing(t *testing.T) {
-	s, h := warmServer(t, Config{MaxInflight: 8})
+	s, h := warmServer(t, Config{}, 8)
 	release := make(chan struct{})
 	realPrepare := prepareQuery
 	t.Cleanup(func() { prepareQuery = realPrepare })
@@ -150,7 +150,7 @@ func TestRequestMemoCoalescing(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for s.CacheStats().Coalesced-before.coalesced < n-1 && ctx.Err() == nil {
+	for s.cache.Stats().Coalesced-before.coalesced < n-1 && ctx.Err() == nil {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -170,7 +170,7 @@ func TestRequestMemoCoalescing(t *testing.T) {
 // parsed program and constraints, which the optimizer, lint and the
 // engine only read; -race holds them to that, and every body agrees.
 func TestRequestMemoSharedConcurrently(t *testing.T) {
-	s, h := warmServer(t, Config{MaxInflight: 16})
+	s, h := warmServer(t, Config{}, 16)
 	optimize := `{"program": ` + jsonString(serverTestProgram) + `, "ics": ` + jsonString(serverTestICs) + `}`
 	query := `{"program": ` + jsonString(serverTestProgram) + `, "ics": ` + jsonString(serverTestICs) + `, "dataset": "d"}`
 	const workers, rounds = 6, 5
@@ -199,7 +199,7 @@ func TestRequestMemoSharedConcurrently(t *testing.T) {
 			}
 		}
 	}
-	if hits := s.Metrics().RequestMemoHits.Load(); hits < 2*workers*rounds-2*workers {
+	if hits := s.metrics.RequestMemoHits.Load(); hits < 2*workers*rounds-2*workers {
 		t.Fatalf("%d request-memo hits of %d requests", hits, 2*workers*rounds)
 	}
 }

@@ -9,6 +9,7 @@ package workload_test
 // demand-reaches-something and demand-reaches-nothing paths run.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -29,7 +30,7 @@ func TestRandomProgramMagicDifferential(t *testing.T) {
 
 		off := sqo.DefaultEvalOptions()
 		off.Magic = sqo.MagicOff
-		all, _, err := sqo.QueryWith(prog, db, off)
+		all, _, err := sqo.QueryCtx(context.Background(), prog, db, off)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -9,6 +9,7 @@ package workload_test
 // with the original on them.
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"strings"
@@ -21,7 +22,7 @@ import (
 
 func answers(t *testing.T, p *sqo.Program, db *sqo.DB, opts sqo.EvalOptions) []string {
 	t.Helper()
-	tuples, _, err := sqo.QueryWith(p, db, opts)
+	tuples, _, err := sqo.QueryCtx(context.Background(), p, db, opts)
 	if err != nil {
 		t.Fatalf("evaluating %q: %v", p.Query, err)
 	}

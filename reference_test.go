@@ -10,6 +10,7 @@ package sqo
 // stay.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -124,7 +125,7 @@ func exampleCases(t *testing.T) []struct {
 // not) — the relations are the reference evaluator's.
 func assertReference(t *testing.T, label string, prog *Program, db *DB) {
 	t.Helper()
-	idb, stats, err := EvalWith(prog, db, EvalOptions{})
+	idb, stats, err := EvalCtx(context.Background(), prog, db, EvalOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -1,8 +1,8 @@
 package sqo
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -73,9 +73,8 @@ func TestRenameApartFromSuffixedNames(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			var b bytes.Buffer
-			err = WriteLintJSON(&b, Lint(ctx, u.Program, u.ICs, u.Facts, LintOptions{}))
-			return b.String(), err
+			b, err := json.Marshal(Lint(ctx, u.Program, u.ICs, u.Facts, LintOptions{}))
+			return string(b), err
 		}},
 		{"Contained", "p(X_1) :- e(X_1, Y_1).\np(X) :- e(X, Y).\n", func(_ context.Context, src string) (string, error) {
 			rs := parser.MustParseProgram(src).Rules

@@ -126,17 +126,12 @@ func DefaultOptions() Options { return qtree.DefaultOptions() }
 // rewriting, selection pushing, bottom-up adornments, top-down query
 // tree, pruning, and residue attachment).
 func Optimize(p *Program, ics []IC) (*Result, error) {
-	return OptimizeWith(p, ics, DefaultOptions())
+	return OptimizeCtx(context.Background(), p, ics, DefaultOptions())
 }
 
-// OptimizeWith is Optimize with explicit pass selection.
-func OptimizeWith(p *Program, ics []IC, opts Options) (*Result, error) {
-	return qtree.OptimizeCtx(context.Background(), p, ics, opts)
-}
-
-// OptimizeCtx is OptimizeWith under a context: cancellation or
-// deadline expiry aborts the rewrite at the next pass boundary and
-// returns the context's error.
+// OptimizeCtx is Optimize with explicit pass selection, under a
+// context: cancellation or deadline expiry aborts the rewrite at the
+// next pass boundary and returns the context's error.
 func OptimizeCtx(ctx context.Context, p *Program, ics []IC, opts Options) (*Result, error) {
 	return qtree.OptimizeCtx(ctx, p, ics, opts)
 }
@@ -160,7 +155,9 @@ func NewDBFrom(facts []Atom) *DB {
 // Eval evaluates the program bottom-up (semi-naive, hash-indexed, on
 // the calling goroutine) over the extensional database, returning the
 // IDB relations. Results and Stats are deterministic.
-func Eval(p *Program, edb *DB) (*DB, *Stats, error) { return EvalWith(p, edb, EvalOptions{}) }
+func Eval(p *Program, edb *DB) (*DB, *Stats, error) {
+	return EvalCtx(context.Background(), p, edb, EvalOptions{})
+}
 
 // EvalOptions configures the evaluation engine: the derived-tuple
 // budget (MaxTuples) and the goal-directed rewrites of Query/QueryCtx (Elim, Magic, Stream). The
@@ -181,7 +178,7 @@ type EvalOptions = eval.Options
 const PolicyGreedy = eval.PolicyGreedy
 
 // MagicMode controls the magic-sets demand rewrite applied by
-// Query/QueryWith/QueryCtx when the program's query carries a goal
+// Query/QueryCtx when the program's query carries a goal
 // with bound arguments (written `?- pred(a, Y).`): MagicAuto (the
 // default) rewrites such queries for goal-directed evaluation, falling
 // back to bottom-up when the rewrite is inapplicable; MagicOff always
@@ -195,7 +192,7 @@ const (
 )
 
 // ElimMode controls the bounded-recursion elimination rewrite applied
-// by Query/QueryWith/QueryCtx ahead of the magic-sets rewrite:
+// by Query/QueryCtx ahead of the magic-sets rewrite:
 // ElimAuto (the default) runs the boundedness analyzer and, for
 // predicates whose recursion is provably bounded, replaces the fixpoint
 // with the equivalent flat union of conjunctive queries, falling back to
@@ -237,13 +234,8 @@ func EliminateRecursion(p *Program) (*Program, error) {
 // are the zero EvalOptions: every evaluation is semi-naive.
 func DefaultEvalOptions() EvalOptions { return eval.DefaultOptions() }
 
-// EvalWith evaluates with explicit engine options.
-func EvalWith(p *Program, edb *DB, opts EvalOptions) (*DB, *Stats, error) {
-	return eval.EvalCtx(context.Background(), p, edb, opts)
-}
-
-// EvalCtx is EvalWith under a context: cancellation (or deadline
-// expiry) stops the fixpoint promptly — it is checked at every round
+// EvalCtx is Eval with explicit engine options, under a context:
+// cancellation (or deadline expiry) stops the fixpoint promptly — it is checked at every round
 // barrier and periodically inside long join scans — returning the
 // context's error. Use it to bound per-request evaluation time or to
 // stop work when a client disconnects.
@@ -258,18 +250,13 @@ var ErrBudget = eval.ErrBudget
 
 // Query evaluates the program and returns the query predicate's tuples.
 func Query(p *Program, edb *DB) ([]eval.Tuple, *Stats, error) {
-	return QueryWith(p, edb, EvalOptions{})
+	return QueryCtx(context.Background(), p, edb, EvalOptions{})
 }
 
-// QueryWith is Query with explicit engine options.
-func QueryWith(p *Program, edb *DB, opts EvalOptions) ([]eval.Tuple, *Stats, error) {
-	return eval.QueryCtx(context.Background(), p, edb, opts)
-}
-
-// QueryCtx is QueryWith under a context; see EvalCtx for the
-// cancellation contract.
+// QueryCtx is Query with explicit engine options, under a context; see
+// EvalCtx for the cancellation contract.
 //
-// Query, QueryWith, QueryCtx and QueryResultCtx evaluate an optimized
+// Query, QueryCtx and QueryResultCtx evaluate an optimized
 // program's one-root union — `p(X, Y) :- p_q0(X, Y).`, the only rule
 // of the query predicate — as the renaming it is: the query relation is
 // the root's relation, so every answer is derived once, not twice.
@@ -483,13 +470,12 @@ func Lint(ctx context.Context, p *Program, ics []IC, facts []Atom, opts LintOpti
 	return lint.Run(ctx, p, ics, facts, opts)
 }
 
-// WriteLintText renders a lint report in compiler-diagnostic text
-// form, prefixing each finding with name when non-empty.
-func WriteLintText(w io.Writer, name string, rep *LintReport) error {
-	return lint.WriteText(w, name, rep)
-}
+// LintFile is one source a lint report's positions point into.
+type LintFile = lint.File
 
-// WriteLintJSON renders a lint report as deterministic indented JSON.
-func WriteLintJSON(w io.Writer, rep *LintReport) error {
-	return lint.WriteJSON(w, rep)
+// WriteLintText renders a lint report in compiler-diagnostic text
+// form, prefixing each finding with the name of the file it points
+// into when non-empty (see LintFile).
+func WriteLintText(w io.Writer, rep *LintReport, files ...LintFile) error {
+	return lint.WriteText(w, rep, files...)
 }
