@@ -71,12 +71,15 @@ bench-e2e:
 	bash bench/run.sh --workload eval-fixpoint --seed 1 --seconds 25 --trace 0
 	cd bench && $(GO) test ./...
 
-# A short native-fuzzing pass over every fuzz target, the ten the
+# A short native-fuzzing pass over every fuzz target, the eleven the
 # nightly job runs for 5 minutes each: the parser, the order solver
 # (against its from-scratch reference), the linter (no panics,
-# deterministic findings), the response writer (against the
-# render-sort-encode path it replaced), goal-directed evaluation (magic,
-# streaming and the one-root renaming fold against bottom-up), the engine
+# deterministic findings), the optimizer (deterministic program and
+# forest, every adornment registered with a rule that reads only earlier
+# ones, extraction's pairs exactly the forest's), the response writer
+# (against the render-sort-encode path it replaced), goal-directed
+# evaluation (magic, streaming and the one-root renaming fold against
+# bottom-up), the engine
 # (against the reference evaluator, and a derived interned base against a
 # from-scratch one), bounded-recursion elimination (against bottom-up
 # and the reference evaluator), view maintenance (a live view against
@@ -89,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/parser -run='^$$' -fuzz=FuzzParse -fuzztime=10s
 	$(GO) test ./internal/order -run='^$$' -fuzz=FuzzOrder -fuzztime=10s
 	$(GO) test ./internal/lint -run='^$$' -fuzz=FuzzLint -fuzztime=10s
+	$(GO) test ./internal/qtree -run='^$$' -fuzz=FuzzOptimize -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswerWriter -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzMagic -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzPlan -fuzztime=10s
@@ -112,8 +116,9 @@ incr-smoke:
 # boundedness-budget note, and deadcode.dl must exit non-zero (it
 # contains an unsatisfiable rule) with a report naming the dead rules;
 # and with -facts, a finding on a fact of the facts file must print under
-# that file's name, one on the input under the input's. The CI test job
-# runs this too.
+# that file's name, one on the input under the input's, and an arity
+# mismatch inside the facts file must cite its first sighting at that
+# sighting's own line there. The CI test job runs this too.
 lint-smoke:
 	$(GO) run ./cmd/sqoc -lint examples/lint/figure1.dl >/dev/null
 	$(GO) run ./cmd/sqoc -lint examples/lint/hygiene.dl >/dev/null
@@ -138,6 +143,14 @@ lint-smoke:
 		|| { echo "lint-smoke: the facts file's finding is not under its name"; exit 1; }; \
 	echo "$$out" | grep -qF 'examples/lint/figure1.dl:8:1: info: [L7/boundedness-budget]' \
 		|| { echo "lint-smoke: the input's finding is not under its name"; exit 1; }
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	printf 'q(X) :- e(X).\n?- q.\n' > "$$d/in.dl"; printf 'e(1).\nz(1).\nz(1, 2).\n' > "$$d/x.facts"; \
+	if out="$$($(GO) run ./cmd/sqoc -lint -facts "$$d/x.facts" "$$d/in.dl" 2>&1 >/dev/null)"; then \
+		echo "lint-smoke: a facts file with an arity mismatch should exit non-zero"; exit 1; \
+	fi; \
+	echo "$$out"; \
+	echo "$$out" | grep -qF "$$d/x.facts:3:1: error: [L5/arity-mismatch] predicate z used with arity 2 here but arity 1 at 2:1" \
+		|| { echo "lint-smoke: the arity mismatch does not cite its first sighting at its line in the facts file"; exit 1; }
 	@echo "lint-smoke: PASS"
 
 # Run the query daemon locally with default settings.

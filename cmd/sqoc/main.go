@@ -133,8 +133,8 @@ func main() {
 	}
 	if *stats {
 		s := res.Tree.Stats()
-		fmt.Printf("\n%% goal nodes=%d (live %d) rule nodes=%d (live %d) roots=%d (live %d) adornments=%d\n",
-			s.GoalNodes, s.LiveGoals, s.RuleNodes, s.LiveRules, s.Roots, s.LiveRoots, s.Adornments)
+		fmt.Printf("\n%% goal nodes=%d rule nodes=%d roots=%d adornments=%d\n",
+			s.GoalNodes, s.RuleNodes, s.Roots, s.Adornments)
 	}
 
 	if len(facts) > 0 {

@@ -35,9 +35,9 @@ func (l *linter) hygiene() bool {
 		}
 		if prev.arity != a.Arity() {
 			ok = false
-			l.addAt("L5", "arity-mismatch", Error, a.At,
-				fmt.Sprintf("predicate %s used with arity %d here but arity %d at %s",
-					a.Pred, a.Arity(), prev.arity, prev.at))
+			l.add(Finding{Check: "L5", ID: "arity-mismatch", Severity: Error, Line: a.At.Line, Col: a.At.Col, Ref: prev.at,
+				Message: fmt.Sprintf("predicate %s used with arity %d here but arity %d at %s",
+					a.Pred, a.Arity(), prev.arity, prev.at)})
 		}
 	}
 	for _, r := range l.p.Rules {

@@ -100,6 +100,10 @@ type Finding struct {
 	Line     int      `json:"line"`
 	Col      int      `json:"col"`
 	Message  string   `json:"message"`
+	// Ref is a second position the finding cites, when it has one (an
+	// arity mismatch's first sighting); Message ends with it as
+	// "line:col", which WriteText re-renders in the file it falls in.
+	Ref ast.Pos `json:"-"`
 }
 
 // Pos returns the finding's source position.

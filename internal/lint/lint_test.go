@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 )
 
@@ -374,14 +375,17 @@ p(X, Y) :- e(X, Y).
 
 // TestWriteTextFiles holds WriteText's attribution: a finding prints
 // under the file its line falls in, at its line within that file, and a
-// finding with no position under the first file.
+// finding with no position under the first file; a position its message
+// cites prints at its line in its own file, named when that is another.
 func TestWriteTextFiles(t *testing.T) {
 	rep := &Report{Findings: []Finding{
 		{Check: "lint", ID: "aborted", Message: "m0"},
 		{Check: "L7", ID: "x", Line: 3, Col: 1, Message: "m1"},
 		{Check: "L5", ID: "y", Line: 4, Col: 2, Message: "m2"},
 		{Check: "L5", ID: "z", Line: 9, Col: 1, Message: "m3"},
-	}, Infos: 4}
+		{Check: "L5", ID: "r", Line: 5, Col: 1, Ref: ast.At(4, 1), Message: "m4 at 4:1"},
+		{Check: "L5", ID: "r", Line: 5, Col: 1, Ref: ast.At(2, 3), Message: "m5 at 2:3"},
+	}, Infos: 6}
 	var b strings.Builder
 	if err := WriteText(&b, rep, File{Name: "in.dl", Lines: 3}, File{Name: "f.facts", Lines: 2}, File{Name: "g.facts"}); err != nil {
 		t.Fatal(err)
@@ -390,7 +394,9 @@ func TestWriteTextFiles(t *testing.T) {
 in.dl:3:1: info: [L7/x] m1
 f.facts:1:2: info: [L5/y] m2
 g.facts:4:1: info: [L5/z] m3
-0 error(s), 0 warning(s), 4 info(s)
+f.facts:2:1: info: [L5/r] m4 at 1:1
+f.facts:2:1: info: [L5/r] m5 at in.dl:2:3
+0 error(s), 0 warning(s), 6 info(s)
 `
 	if b.String() != want {
 		t.Errorf("got\n%swant\n%s", b.String(), want)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
+
+	"repro/internal/ast"
 )
 
 // A File is one source a report's positions point into. A lint run over
@@ -22,17 +25,21 @@ type File struct {
 //
 // name is the file the finding points into, and line its line there; a
 // finding with no position names the first file. The name is omitted
-// when empty, as is the position when a finding has none. A summary
+// when empty, as is the position when a finding has none. A position
+// the message cites (Finding.Ref) is rendered at its line in its own
+// file, under that file's name when it is not the finding's. A summary
 // line follows the findings.
 func WriteText(w io.Writer, rep *Report, files ...File) error {
 	for _, f := range rep.Findings {
-		name, line := "", f.Line
-		for i, file := range files {
-			name = file.Name
-			if !f.Pos().IsValid() || i == len(files)-1 || line <= file.Lines {
-				break
+		name, line := locate(files, f.Pos())
+		msg := f.Message
+		if f.Ref.IsValid() {
+			refName, refLine := locate(files, f.Ref)
+			ref := strconv.Itoa(refLine) + ":" + strconv.Itoa(f.Ref.Col)
+			if refName != name {
+				ref = refName + ":" + ref
 			}
-			line -= file.Lines
+			msg = strings.TrimSuffix(msg, f.Ref.String()) + ref
 		}
 		prefix := ""
 		if name != "" {
@@ -44,10 +51,24 @@ func WriteText(w io.Writer, rep *Report, files ...File) error {
 		if prefix != "" {
 			prefix += " "
 		}
-		if _, err := fmt.Fprintf(w, "%s%s: [%s/%s] %s\n", prefix, f.Severity, f.Check, f.ID, f.Message); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s: [%s/%s] %s\n", prefix, f.Severity, f.Check, f.ID, msg); err != nil {
 			return err
 		}
 	}
 	_, err := fmt.Fprintf(w, "%d error(s), %d warning(s), %d info(s)\n", rep.Errors, rep.Warnings, rep.Infos)
 	return err
+}
+
+// locate returns the name of the file pos falls in and its line there;
+// a position that is not valid falls in the first file.
+func locate(files []File, pos ast.Pos) (name string, line int) {
+	line = pos.Line
+	for i, file := range files {
+		name = file.Name
+		if !pos.IsValid() || i == len(files)-1 || line <= file.Lines {
+			break
+		}
+		line -= file.Lines
+	}
+	return name, line
 }

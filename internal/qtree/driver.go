@@ -128,12 +128,11 @@ func OptimizeCtx(ctx context.Context, p *ast.Program, ics []ast.IC, opts Options
 		return nil, err
 	}
 	tree := Build(res)
-	tree.Prune()
 	out.Tree = tree
 	out.Program = tree.Extract()
-	// Satisfiability per the tree, tightened by extraction: attached
-	// order residues may have normalized away every rule of the query.
-	out.Satisfiable = tree.Satisfiable() && len(out.Program.RulesFor(out.Program.Query)) > 0
+	// Every root of the forest is productive, but attached order
+	// residues may have normalized away every rule of the query.
+	out.Satisfiable = len(out.Program.RulesFor(out.Program.Query)) > 0
 
 	// Residue atoms were attached where their mappings complete; a
 	// final selection-pushing pass moves them "to the earliest possible

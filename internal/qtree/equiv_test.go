@@ -171,6 +171,24 @@ func randomConsistentDB(rng *rand.Rand, ics []ast.IC) (*eval.DB, bool) {
 	return nil, false
 }
 
+// orderICProgram and orderICChoices are the program and the
+// constraint sets TestRandomizedEquivalenceWithOrderICs draws from.
+const orderICProgram = `
+	q(X, Y) :- e0(X, Y).
+	q(X, Y) :- e0(X, Z), q(Z, Y).
+	top(X, Y) :- s(X), q(X, Y), t(Y).
+	?- top.
+`
+
+var orderICChoices = []string{
+	`:- e0(X, Y), X >= Y.`,
+	`:- s(X), t(Y), Y <= X.`,
+	`:- e0(X, Y), X >= Y.
+	 :- s(X), t(Y), Y <= X.`,
+	`:- s(X), e0(X, Y), X < 2.
+	 :- e0(X, Y), X >= Y.`,
+}
+
 // TestRandomizedEquivalenceWithOrderICs extends the property to
 // constraints with (local and non-local) order atoms.
 func TestRandomizedEquivalenceWithOrderICs(t *testing.T) {
@@ -179,23 +197,10 @@ func TestRandomizedEquivalenceWithOrderICs(t *testing.T) {
 	if testing.Short() {
 		trials = 15
 	}
-	prog := parser.MustParseProgram(`
-		q(X, Y) :- e0(X, Y).
-		q(X, Y) :- e0(X, Z), q(Z, Y).
-		top(X, Y) :- s(X), q(X, Y), t(Y).
-		?- top.
-	`)
-	icsChoices := [][]ast.IC{
-		parser.MustParseICs(`:- e0(X, Y), X >= Y.`),
-		parser.MustParseICs(`:- s(X), t(Y), Y <= X.`),
-		parser.MustParseICs(`
-			:- e0(X, Y), X >= Y.
-			:- s(X), t(Y), Y <= X.
-		`),
-		parser.MustParseICs(`
-			:- s(X), e0(X, Y), X < 2.
-			:- e0(X, Y), X >= Y.
-		`),
+	prog := parser.MustParseProgram(orderICProgram)
+	var icsChoices [][]ast.IC
+	for _, src := range orderICChoices {
+		icsChoices = append(icsChoices, parser.MustParseICs(src))
 	}
 	for trial := 0; trial < trials; trial++ {
 		ics := icsChoices[rng.Intn(len(icsChoices))]

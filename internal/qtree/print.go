@@ -27,11 +27,7 @@ func (t *Tree) Print() string {
 
 // nodeName renders a goal node compactly: pred^adornment{label}.
 func (t *Tree) nodeName(n *Node) string {
-	name := n.Pred + "^a" + strconv.Itoa(n.AdornID) + "#" + strconv.Itoa(n.ID)
-	if !n.Live {
-		name += " [pruned]"
-	}
-	return name
+	return n.Pred + "^a" + strconv.Itoa(n.AdornID) + "#" + strconv.Itoa(n.ID)
 }
 
 func (t *Tree) printNode(b *strings.Builder, n *Node, depth int, printed map[int]bool) {
@@ -43,11 +39,7 @@ func (t *Tree) printNode(b *strings.Builder, n *Node, depth int, printed map[int
 	}
 	printed[n.ID] = true
 	for _, rn := range n.RuleKids {
-		live := ""
-		if !rn.Live {
-			live = " [pruned]"
-		}
-		fmt.Fprintf(b, "%s  rule: %s%s\n", ind, rn.AR.Rule, live)
+		fmt.Fprintf(b, "%s  rule: %s\n", ind, rn.AR.Rule)
 		for _, c := range rn.Children {
 			if c != nil {
 				t.printNode(b, c, depth+2, printed)

@@ -1,17 +1,20 @@
 // Package qtree implements the top-down phase of the query-tree
 // algorithm (Section 4.1 of the paper): construction of the query
 // tree/forest with labels pushed from parents to children along the
-// provenance recorded by the bottom-up phase (package adorn), pruning
-// of nodes unreachable from the EDB leaves or the root, and extraction
-// of the rewritten program that completely incorporates the integrity
-// constraints (Theorems 4.1 and 4.2).
+// provenance recorded by the bottom-up phase (package adorn), and
+// extraction of the rewritten program that completely incorporates the
+// integrity constraints (Theorems 4.1 and 4.2). The paper's pruning
+// finds nothing here: the bottom-up phase registers an adornment only
+// with a rule whose IDB children it registered before, and the forest
+// grows from its roots, so every node is productive and reachable.
 package qtree
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/adorn"
 	"repro/internal/ast"
@@ -50,8 +53,6 @@ type Node struct {
 	// RuleKids are the rule-node children (one per adorned rule whose
 	// head matches the node's predicate and adornment).
 	RuleKids []*RuleNode
-	// Live marks nodes that survive pruning (productive and reachable).
-	Live bool
 }
 
 // RuleNode is a rule node of the query tree.
@@ -62,7 +63,6 @@ type RuleNode struct {
 	// Children holds the goal-node child per positive subgoal (nil for
 	// EDB subgoals, which are leaves and carry no labels).
 	Children []*Node
-	Live     bool
 }
 
 // Tree is the query forest: one root per adornment of the query
@@ -83,9 +83,6 @@ func Build(res *adorn.Result) *Tree {
 	q := res.Spec.Query
 	var keys []string
 	for adornID := range res.Adorn[q] {
-		if len(res.RulesByHead[q][adornID]) == 0 {
-			continue // no rule derives this adornment; cannot be a root
-		}
 		// Root label: the adornment itself, with identity correspondence.
 		var label []LabelTriplet
 		keys = keys[:0]
@@ -186,125 +183,71 @@ func (t *Tree) childLabel(n *Node, ar *adorn.AdornedRule, j int) ([]LabelTriplet
 	return out, keys
 }
 
-// Prune computes liveness: a goal node is productive if some rule
-// child has all its IDB children productive (least fixpoint), and a
-// node is live if it is productive and reachable from a productive
-// root. Rule nodes are live when all their IDB children are live.
-func (t *Tree) Prune() {
-	// Productivity (reachable from the EDB leaves).
-	productive := make([]bool, len(t.Nodes))
-	for changed := true; changed; {
-		changed = false
-		for _, n := range t.Nodes {
-			if productive[n.ID] {
-				continue
-			}
-			for _, rn := range n.RuleKids {
-				ok := true
-				for _, c := range rn.Children {
-					if c != nil && !productive[c.ID] {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					productive[n.ID] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	// Reachability from productive roots through productive rule nodes.
-	reachable := make([]bool, len(t.Nodes))
-	var stack []*Node
-	for _, r := range t.Roots {
-		if productive[r.ID] && !reachable[r.ID] {
-			reachable[r.ID] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, rn := range n.RuleKids {
-			allProd := true
-			for _, c := range rn.Children {
-				if c != nil && !productive[c.ID] {
-					allProd = false
-					break
-				}
-			}
-			if !allProd {
-				continue
-			}
-			for _, c := range rn.Children {
-				if c != nil && !reachable[c.ID] {
-					reachable[c.ID] = true
-					stack = append(stack, c)
-				}
-			}
-		}
-	}
-	for _, n := range t.Nodes {
-		n.Live = productive[n.ID] && reachable[n.ID]
-		for _, rn := range n.RuleKids {
-			rn.Live = n.Live
-			for _, c := range rn.Children {
-				if c != nil && !(productive[c.ID] && reachable[c.ID]) {
-					rn.Live = false
-					break
-				}
-			}
-		}
-	}
+// Prune does nothing.
+//
+// Deprecated: every node is productive and reachable (package doc).
+func (t *Tree) Prune() {}
+
+// Satisfiable reports whether the forest has a root: whether the query
+// predicate has a consistent symbolic derivation.
+func (t *Tree) Satisfiable() bool { return len(t.Roots) > 0 }
+
+// Extract emits the rewritten program P′ (see extract).
+func (t *Tree) Extract() *ast.Program { return extract(t.Res) }
+
+// pair is a (specialized predicate, adornment id) pair of P1.
+type pair struct {
+	pred    string
+	adornID int
 }
 
-// Satisfiable reports whether any root survived pruning — i.e.
-// whether the query predicate is satisfiable with respect to the
-// constraints (has at least one consistent symbolic derivation).
-func (t *Tree) Satisfiable() bool {
-	for _, r := range t.Roots {
-		if r.Live {
-			return true
+// reachablePairs returns the pairs the query predicate's adornments
+// reach through the adorned rules — the pairs of the forest's goal
+// nodes — sorted by predicate and adornment id.
+func reachablePairs(res *adorn.Result) []pair {
+	q := res.Spec.Query
+	seen := map[pair]bool{}
+	var pairs []pair
+	visit := func(p pair) {
+		if !seen[p] {
+			seen[p] = true
+			pairs = append(pairs, p)
 		}
 	}
-	return false
+	for id := range res.Adorn[q] {
+		visit(pair{q, id})
+	}
+	for i := 0; i < len(pairs); i++ {
+		p := pairs[i]
+		for _, ri := range res.RulesByHead[p.pred][p.adornID] {
+			ar := res.Rules[ri]
+			for j, sub := range ar.Rule.Pos {
+				if ar.ChildAdornIDs[j] >= 0 {
+					visit(pair{sub.Pred, ar.ChildAdornIDs[j]})
+				}
+			}
+		}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int {
+		return cmp.Or(strings.Compare(a.pred, b.pred), cmp.Compare(a.adornID, b.adornID))
+	})
+	return pairs
 }
 
-// Extract emits the rewritten program P′. The paper forms "a rule for
+// extract emits the rewritten program P′. The paper forms "a rule for
 // every rule node in the tree"; distinct tree nodes carrying the same
 // adorned rule of P1 yield the same rule, so the program is P1
-// restricted to the live (predicate, adornment) pairs — each pair
-// becomes a fresh predicate, order residues are attached (negated,
-// splitting rules when a residue has several atoms), and a wrapper
-// rule binds the original query predicate to each live root.
-func (t *Tree) Extract() *ast.Program {
-	res := t.Res
+// restricted to the pairs the query reaches — each pair becomes a
+// fresh predicate, order residues are attached (negated, splitting
+// rules when a residue has several atoms), and a wrapper rule binds
+// the original query predicate to each root.
+func extract(res *adorn.Result) *ast.Program {
 	base := res.Spec.Base
 	out := &ast.Program{Query: res.Spec.Base[res.Spec.Query]}
 
-	live := t.livePairs()
-
-	// Deterministic naming: number live pairs in (pred, adornID) order.
-	type pair struct {
-		pred    string
-		adornID int
-	}
-	var pairs []pair
-	for pred, ids := range live {
-		for id := range ids {
-			pairs = append(pairs, pair{pred, id})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].pred != pairs[j].pred {
-			return pairs[i].pred < pairs[j].pred
-		}
-		return pairs[i].adornID < pairs[j].adornID
-	})
+	// Deterministic naming: number the pairs in (pred, adornID) order.
 	names := map[pair]string{}
-	for i, p := range pairs {
+	for i, p := range reachablePairs(res) {
 		names[p] = fmt.Sprintf("%s_q%d", base[p.pred], i)
 	}
 
@@ -319,23 +262,9 @@ func (t *Tree) Extract() *ast.Program {
 	}
 
 	for _, ar := range res.Rules {
-		headPair := pair{ar.HeadPred, ar.HeadAdornID}
-		hName, ok := names[headPair]
+		hName, ok := names[pair{ar.HeadPred, ar.HeadAdornID}]
 		if !ok {
-			continue // head pair not live
-		}
-		allLive := true
-		for j, sub := range ar.Rule.Pos {
-			if ar.ChildAdornIDs[j] < 0 {
-				continue
-			}
-			if _, ok := names[pair{sub.Pred, ar.ChildAdornIDs[j]}]; !ok {
-				allLive = false
-				break
-			}
-		}
-		if !allLive {
-			continue
+			continue // the query does not reach the head pair
 		}
 		r := ast.Rule{
 			Head: ast.NewAtom(hName, ar.Rule.Head.Args...),
@@ -378,129 +307,28 @@ func (t *Tree) Extract() *ast.Program {
 	qSpec := res.Spec.Query
 	pattern := res.Spec.Pattern[qSpec]
 	for id := range res.Adorn[qSpec] {
-		if n, ok := names[pair{qSpec, id}]; ok {
-			emit(ast.Rule{
-				Head: ast.NewAtom(out.Query, pattern.Args...),
-				Pos:  []ast.Atom{ast.NewAtom(n, pattern.Args...)},
-			})
-		}
+		emit(ast.Rule{
+			Head: ast.NewAtom(out.Query, pattern.Args...),
+			Pos:  []ast.Atom{ast.NewAtom(names[pair{qSpec, id}], pattern.Args...)},
+		})
 	}
 
-	// Residue attachment can normalize away every rule of a pair that
-	// the adornment-level analysis considered live; drop rules whose
-	// body references a generated predicate that ended up rule-less,
-	// to a fixpoint.
+	// Residue attachment can normalize away every rule of a pair; drop
+	// rules whose body references a generated predicate that ended up
+	// rule-less, to a fixpoint.
 	gen := map[string]bool{}
 	for _, n := range names {
 		gen[n] = true
 	}
-	for {
+	for n := -1; n != len(out.Rules); {
+		n = len(out.Rules)
 		heads := map[string]bool{}
 		for _, r := range out.Rules {
 			heads[r.Head.Pred] = true
 		}
-		var kept []ast.Rule
-		for _, r := range out.Rules {
-			ok := true
-			for _, a := range r.Pos {
-				if gen[a.Pred] && !heads[a.Pred] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, r)
-			}
-		}
-		if len(kept) == len(out.Rules) {
-			break
-		}
-		out.Rules = kept
-	}
-	return out
-}
-
-// livePairs computes liveness at (predicate, adornment) granularity:
-// a pair is productive if some adorned rule with that head has all its
-// IDB children productive (least fixpoint), and live if additionally
-// reachable from a productive root pair.
-func (t *Tree) livePairs() map[string]map[int]bool {
-	res := t.Res
-	productive := map[string]map[int]bool{}
-	mark := func(m map[string]map[int]bool, pred string, id int) bool {
-		ids, ok := m[pred]
-		if !ok {
-			ids = map[int]bool{}
-			m[pred] = ids
-		}
-		if ids[id] {
-			return false
-		}
-		ids[id] = true
-		return true
-	}
-	has := func(m map[string]map[int]bool, pred string, id int) bool {
-		return m[pred] != nil && m[pred][id]
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, ar := range res.Rules {
-			ok := true
-			for j, sub := range ar.Rule.Pos {
-				if ar.ChildAdornIDs[j] >= 0 && !has(productive, sub.Pred, ar.ChildAdornIDs[j]) {
-					ok = false
-					break
-				}
-			}
-			if ok && mark(productive, ar.HeadPred, ar.HeadAdornID) {
-				changed = true
-			}
-		}
-	}
-	// Reachability from productive roots.
-	reach := map[string]map[int]bool{}
-	type pair struct {
-		pred string
-		id   int
-	}
-	var stack []pair
-	q := res.Spec.Query
-	for id := range res.Adorn[q] {
-		if has(productive, q, id) {
-			mark(reach, q, id)
-			stack = append(stack, pair{q, id})
-		}
-	}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ri := range res.RulesByHead[p.pred][p.id] {
-			ar := res.Rules[ri]
-			ok := true
-			for j, sub := range ar.Rule.Pos {
-				if ar.ChildAdornIDs[j] >= 0 && !has(productive, sub.Pred, ar.ChildAdornIDs[j]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for j, sub := range ar.Rule.Pos {
-				if ar.ChildAdornIDs[j] >= 0 && mark(reach, sub.Pred, ar.ChildAdornIDs[j]) {
-					stack = append(stack, pair{sub.Pred, ar.ChildAdornIDs[j]})
-				}
-			}
-		}
-	}
-	// live = productive ∧ reachable
-	out := map[string]map[int]bool{}
-	for pred, ids := range reach {
-		for id := range ids {
-			if has(productive, pred, id) {
-				mark(out, pred, id)
-			}
-		}
+		out.Rules = slices.DeleteFunc(out.Rules, func(r ast.Rule) bool {
+			return slices.ContainsFunc(r.Pos, func(a ast.Atom) bool { return gen[a.Pred] && !heads[a.Pred] })
+		})
 	}
 	return out
 }
@@ -520,10 +348,7 @@ func alreadyRefuted(ruleSet *order.Set, residue []ast.Cmp) bool {
 type Stats struct {
 	GoalNodes  int
 	RuleNodes  int
-	LiveGoals  int
-	LiveRules  int
 	Roots      int
-	LiveRoots  int
 	Adornments int
 }
 
@@ -533,20 +358,7 @@ func (t *Tree) Stats() Stats {
 	s.GoalNodes = len(t.Nodes)
 	s.Roots = len(t.Roots)
 	for _, n := range t.Nodes {
-		if n.Live {
-			s.LiveGoals++
-		}
 		s.RuleNodes += len(n.RuleKids)
-		for _, rn := range n.RuleKids {
-			if rn.Live {
-				s.LiveRules++
-			}
-		}
-	}
-	for _, r := range t.Roots {
-		if r.Live {
-			s.LiveRoots++
-		}
 	}
 	for _, ads := range t.Res.Adorn {
 		s.Adornments += len(ads)

@@ -298,10 +298,9 @@ func TestUnsatisfiableQueryDetected(t *testing.T) {
 
 func TestRecursiveUnsatisfiability(t *testing.T) {
 	// The base case is unsatisfiable, so the whole recursion is empty —
-	// visible only by looking across rules (per-rule residues cannot
-	// see it... here even the base rule alone is enough, but the
-	// recursive rule survives per-rule analysis and must be pruned by
-	// the tree's productivity computation).
+	// visible only by looking across rules: the recursive rule survives
+	// per-rule analysis, but the bottom-up phase never registers an
+	// adornment for it, because no adornment of its q subgoal exists.
 	p := parser.MustParseProgram(`
 		q(X, Y) :- a(X, Z), b(Z, Y).
 		q(X, Y) :- c(X, Z), q(Z, Y).
@@ -427,7 +426,7 @@ func TestStatsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.Tree.Stats()
-	if s.GoalNodes == 0 || s.RuleNodes == 0 || s.Roots != 3 || s.LiveRoots != 3 {
+	if s.GoalNodes == 0 || s.RuleNodes == 0 || s.Roots != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if s.Adornments < 3 {

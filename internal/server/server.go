@@ -703,12 +703,12 @@ type queryResponse struct {
 	Optimized   bool     `json:"optimized"`
 	CacheHit    bool     `json:"cache_hit"`
 	// Magic reports whether this evaluation went through the
-	// magic-sets demand rewrite (false for unbound or absent goals,
-	// magic "off", or rewrite fallback).
+	// magic-sets demand rewrite (false for unbound or absent goals, or
+	// rewrite fallback).
 	Magic bool `json:"magic"`
 	// Elim reports whether this evaluation went through the
 	// bounded-recursion elimination rewrite (false when no predicate
-	// is provably bounded, or elim "off").
+	// is provably bounded).
 	Elim  bool       `json:"elim"`
 	Stats queryStats `json:"stats"`
 	// RoundDeltas is present only when the request set

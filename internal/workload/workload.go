@@ -155,6 +155,23 @@ func RandomProgram(seed int64) (progSrc, icsSrc string, facts []ast.Atom) {
 	return b.String(), icsSrc, facts
 }
 
+// Theorem51 returns the family behind the paper's Theorem 5.1 at k, in
+// source syntax: p(X) :- base(X), and for each i in 1..k the recursive
+// rules p(X) :- ai(X), p(X) and p(X) :- bi(X), p(X) under the
+// constraint :- ai(X), bi(X). Each constraint leaves a derivation three
+// states — no ai seen, no bi seen, neither seen — so the query predicate
+// has 3^k adornments and the query tree grows as 7^k goal nodes.
+func Theorem51(k int) (progSrc, icsSrc string) {
+	var p, ics strings.Builder
+	p.WriteString("p(X) :- base(X).\n")
+	for i := 1; i <= k; i++ {
+		fmt.Fprintf(&p, "p(X) :- a%d(X), p(X).\np(X) :- b%d(X), p(X).\n", i, i)
+		fmt.Fprintf(&ics, ":- a%d(X), b%d(X).\n", i, i)
+	}
+	p.WriteString("?- p.\n")
+	return p.String(), ics.String()
+}
+
 // DB materializes facts into a fresh evaluation database.
 func DB(facts []ast.Atom) *eval.DB {
 	db := eval.NewDB()
