@@ -71,13 +71,15 @@ bench-e2e:
 	bash bench/run.sh --workload eval-fixpoint --seed 1 --seconds 25 --trace 0
 	cd bench && $(GO) test ./...
 
-# A short native-fuzzing pass over every fuzz target, the eleven the
+# A short native-fuzzing pass over every fuzz target, the twelve the
 # nightly job runs for 5 minutes each: the parser, the order solver
 # (against its from-scratch reference), the linter (no panics,
 # deterministic findings), the optimizer (deterministic program and
 # forest, every adornment registered with a rule that reads only earlier
 # ones, extraction's pairs exactly the forest's), the response writer
-# (against the render-sort-encode path it replaced), goal-directed
+# (against the render-sort-encode path it replaced), sqod's request
+# scanner (FuzzDecodeRequest: it declines a body, or takes it as
+# encoding/json does), goal-directed
 # evaluation (magic, streaming and the one-root renaming fold against
 # bottom-up), the engine
 # (against the reference evaluator, and a derived interned base against a
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/lint -run='^$$' -fuzz=FuzzLint -fuzztime=10s
 	$(GO) test ./internal/qtree -run='^$$' -fuzz=FuzzOptimize -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzAnswerWriter -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzMagic -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzPlan -fuzztime=10s
 	$(GO) test ./internal/eval -run='^$$' -fuzz=FuzzElim -fuzztime=10s

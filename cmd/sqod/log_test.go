@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,7 +33,7 @@ func testLog(t *testing.T, every time.Duration) (*slog.Logger, *logBuffer, func(
 		}
 		return string(b)
 	}
-	return slog.New(flushing{slog.NewTextHandler(buf, nil), buf}), buf, read
+	return slog.New(flushing{slog.NewTextHandler(buf, nil), buf, formText}), buf, read
 }
 
 // Request records wait in the buffer; any other record, and a request
@@ -117,6 +121,74 @@ func TestLogConcurrentWholeLines(t *testing.T) {
 			t.Fatalf("writer %d: record %d after %d", w, i, next[w]-1)
 		}
 		next[w]++
+	}
+}
+
+// TestRequestRecordIsSlogs: a request record handled by flushing, over
+// the text and over the JSON handler, writes the bytes that handler
+// writes for it, whether flushing appends it itself or hands it on; both
+// paths are taken, the second for every value the handler quotes or
+// escapes and for a record of another shape.
+func TestRequestRecordIsSlogs(t *testing.T) {
+	forms := []struct {
+		form logForm
+		new  func(io.Writer) slog.Handler
+	}{
+		{formText, func(w io.Writer) slog.Handler { return slog.NewTextHandler(w, nil) }},
+		{formJSON, func(w io.Writer) slog.Handler { return slog.NewJSONHandler(w, nil) }},
+	}
+	times := []time.Time{
+		time.Date(2026, 3, 4, 5, 6, 7, 891_234_567, time.UTC),
+		time.Date(999, 12, 31, 23, 59, 59, 0, time.FixedZone("", -(3*3600+30*60))),
+		time.Date(2026, 1, 1, 0, 0, 0, 1_000_000, time.FixedZone("", 5*3600)),
+	}
+	paths := []string{"/v1/query", "/v1/datasets/g/views/v", "/metrics", "/v1/datasets/a b/facts", `/v1/"x"`, "/v1/a=b",
+		"/v1/a\nb", "/v1/\xff\xfe", "/v1/é", "/v1/a\\b", ""}
+	durs := []float64{0, 0.001, 1e-7, 1e21, 12.345, math.Copysign(0, -1)}
+	var records []slog.Record
+	request := func(at time.Time, path string, status int, dur float64, size int, remote string) {
+		r := slog.NewRecord(at, slog.LevelInfo, "request", 0)
+		r.AddAttrs(slog.String("endpoint", "query"), slog.String("method", "POST"), slog.String("path", path),
+			slog.Int("status", status), slog.Float64("dur_ms", dur), slog.Int("bytes", size), slog.String("remote", remote))
+		records = append(records, r)
+	}
+	for i, path := range paths {
+		for j, dur := range durs {
+			request(times[(i+j)%len(times)], path, 200+i, dur, -j*1000, "127.0.0.1:40000")
+		}
+	}
+	request(times[0], "/v1/query", 200, 0.5, 1234, "")
+	odd := slog.NewRecord(times[0], slog.LevelInfo, "request", 0)
+	odd.AddAttrs(slog.Bool("ok", true), slog.Group("g", slog.Int("n", 1)), slog.Duration("d", time.Second))
+	records = append(records, odd, slog.NewRecord(time.Time{}, slog.LevelInfo, "request", 0))
+
+	for _, f := range forms {
+		appended, handedOn := 0, 0
+		for _, r := range records {
+			var want, got bytes.Buffer
+			if err := f.new(&want).Handle(context.Background(), r); err != nil {
+				t.Fatal(err)
+			}
+			buf := &logBuffer{out: &got, every: time.Hour}
+			if err := (flushing{f.new(buf), buf, f.form}).Handle(context.Background(), r); err != nil {
+				t.Fatal(err)
+			}
+			if err := buf.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Errorf("form %d:\n got %q\nwant %q", f.form, got.String(), want.String())
+			}
+			if _, ok := appendRecord(nil, r, f.form); ok {
+				appended++
+			} else {
+				handedOn++
+			}
+		}
+		t.Logf("form %d: %d records appended by flushing, %d handed on", f.form, appended, handedOn)
+		if appended == 0 || handedOn == 0 {
+			t.Errorf("form %d: %d records appended by flushing, %d handed on; want both paths taken", f.form, appended, handedOn)
+		}
 	}
 }
 

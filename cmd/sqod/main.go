@@ -94,14 +94,11 @@ func main() {
 	// Request records reach stderr within logFlushEvery; every other
 	// record, and every record logged before it, before its call returns.
 	logs := &logBuffer{out: os.Stderr, every: logFlushEvery}
-	var handler slog.Handler
-	switch *logFormat {
-	case "json":
-		handler = slog.NewJSONHandler(logs, nil)
-	default:
-		handler = slog.NewTextHandler(logs, nil)
+	handler, form := slog.Handler(slog.NewTextHandler(logs, nil)), formText
+	if *logFormat == "json" {
+		handler, form = slog.NewJSONHandler(logs, nil), formJSON
 	}
-	logger := slog.New(flushing{handler, logs})
+	logger := slog.New(flushing{handler, logs, form})
 
 	// Durable mode: open (and recover) the store before the server
 	// exists, so New can replay the recovered state into datasets and

@@ -111,9 +111,12 @@ const memoEntryBytes = 1 << 10
 // owns it. Entries are written once and never changed: every run with
 // the key would answer the same.
 type answerMemo struct {
-	mu    sync.RWMutex
-	m     map[string]memoEntry
-	bytes int
+	mu sync.RWMutex
+	m  map[string]memoEntry
+	// charge is the bytes m's entries keep as charge counts them, and
+	// the renderings their Results keep (Result.Keep adds those); a new
+	// m starts a new count.
+	charge *atomic.Int64
 }
 
 type memoEntry struct {
@@ -126,7 +129,8 @@ type memoEntry struct {
 // rank and at most one distinct constant's two string headers, per
 // answer a position, and the round log. A constant's rendering is
 // shared with the base's interner, except a string constant's quoted
-// form, which is not counted.
+// form, which is not counted. A rendering the Result keeps is charged
+// when it is kept (Result.Keep).
 func (e memoEntry) charge(keyLen int) int {
 	cells := e.res.n * e.res.arity
 	return memoEntryBytes + keyLen + 4*cap(e.res.data) + cells*(4+32) + 4*e.res.n + 8*len(e.stats.rounds.counts)
@@ -140,9 +144,10 @@ func (am *answerMemo) get(key []byte) (memoEntry, bool) {
 }
 
 // put keeps e under key unless an entry is there already: two runs that
-// missed together keep the first one's Result.
+// missed together keep the first one's Result. e's Result must be new to
+// the memo and not yet shared: put tells it the charge it is kept under.
 func (am *answerMemo) put(key []byte, e memoEntry) {
-	c := e.charge(len(key))
+	c := int64(e.charge(len(key)))
 	if c > memoBytes {
 		return
 	}
@@ -151,11 +156,12 @@ func (am *answerMemo) put(key []byte, e memoEntry) {
 	if _, ok := am.m[string(key)]; ok {
 		return
 	}
-	if am.m == nil || am.bytes+c > memoBytes {
-		am.m, am.bytes = map[string]memoEntry{}, 0
+	if am.m == nil || am.charge.Load()+c > memoBytes {
+		am.m, am.charge = map[string]memoEntry{}, new(atomic.Int64)
 	}
 	am.m[string(key)] = e
-	am.bytes += c
+	am.charge.Add(c)
+	e.res.charge = am.charge
 }
 
 // appendGoalKey appends a key for goal to dst: each term's Key, then its

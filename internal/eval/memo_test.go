@@ -239,8 +239,10 @@ func TestAnswerMemoBypassed(t *testing.T) {
 // TestAnswerMemoBound: an entry is charged what it keeps — rows, an
 // ordering, its round log, its key and a fixed part — against memoBytes;
 // the entry that would cross the bound empties the memo first, and one
-// larger than the bound is never kept. Filled by real one-answer runs,
-// the memo's charge covers the heap its entries hold once ordered.
+// larger than the bound is never kept. Filled by real one-answer runs
+// whose Results each keep a rendering, the memo's charge covers the heap
+// its entries hold once ordered and rendered, and a rendering that would
+// cross the bound is not kept.
 func TestAnswerMemoBound(t *testing.T) {
 	var am answerMemo
 	entry := func(n int) memoEntry {
@@ -250,16 +252,16 @@ func TestAnswerMemoBound(t *testing.T) {
 	half := (memoBytes/2 - entry(0).charge(1)) / per
 	am.put([]byte("a"), entry(half))
 	am.put([]byte("b"), entry(half))
-	if _, ok := am.get([]byte("a")); !ok || am.bytes != 2*entry(half).charge(1) {
-		t.Fatalf("bytes %d, want both entries' %d", am.bytes, 2*entry(half).charge(1))
+	if _, ok := am.get([]byte("a")); !ok || am.charge.Load() != int64(2*entry(half).charge(1)) {
+		t.Fatalf("bytes %d, want both entries' %d", am.charge.Load(), 2*entry(half).charge(1))
 	}
 	am.put([]byte("c"), entry(half))
-	if _, ok := am.get([]byte("a")); ok || am.bytes != entry(half).charge(1) {
-		t.Fatalf("after crossing the bound: bytes %d, old entry kept %v", am.bytes, ok)
+	if _, ok := am.get([]byte("a")); ok || am.charge.Load() != int64(entry(half).charge(1)) {
+		t.Fatalf("after crossing the bound: bytes %d, old entry kept %v", am.charge.Load(), ok)
 	}
 	am.put([]byte("d"), entry(memoBytes/per))
 	if _, ok := am.get([]byte("d")); ok {
-		t.Fatalf("an entry above the bound was kept (bytes %d)", am.bytes)
+		t.Fatalf("an entry above the bound was kept (bytes %d)", am.charge.Load())
 	}
 	if a, b := appendGoalKey(nil, []ast.Term{ast.S("a$b"), ast.S("c")}), appendGoalKey(nil, []ast.Term{ast.S("a"), ast.S("b$c")}); string(a) == string(b) {
 		t.Fatalf("two goals share the key %q", a)
@@ -275,6 +277,7 @@ func TestAnswerMemoBound(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.AddFact(ast.NewAtom("e", ast.N(float64(1e6+i)), ast.N(float64(1e6+i+1))))
 	}
+	db.AddFact(ast.NewAtom("e", ast.N(-1), ast.N(-2))) // a goal run only at the end
 	p := parser.MustParseProgram(memoQueries[0].src)
 	pq, err := Prepare(p, DefaultOptions())
 	if err != nil {
@@ -286,7 +289,21 @@ func TestAnswerMemoBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Ordered(ByString, nil, func([][]byte) bool { return true })
+		var rendering []byte
+		res.Ordered(ByString, nil, func(cols [][]byte) bool {
+			rendering = append(rendering, "\n    \"("...)
+			for j, c := range cols {
+				if j > 0 {
+					rendering = append(rendering, ", "...)
+				}
+				rendering = append(rendering, c...)
+			}
+			rendering = append(rendering, ")\""...)
+			return true
+		})
+		if _, keepable := res.Rendered(ByString); keepable {
+			res.Keep(ByString, rendering)
+		}
 		return res
 	}
 	run(1e6) // compiles the plans over the base; the next runs fill the memo
@@ -309,10 +326,43 @@ func TestAnswerMemoBound(t *testing.T) {
 		t.Fatalf("%d entries, want %d", len(base.answers.m), goals+50)
 	}
 	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	charged := base.answers.bytes - base.answers.m[string(appendGoalKey(binary.LittleEndian.AppendUint64(nil, pq.id), []ast.Term{ast.N(1e6), ast.V("Y")}))].charge(8+2*(len(ast.N(1e6).Key())+4))
+	first := base.answers.m[string(appendGoalKey(binary.LittleEndian.AppendUint64(nil, pq.id), []ast.Term{ast.N(1e6), ast.V("Y")}))]
+	kept, _ := first.res.Rendered(ByString)
+	charged := base.answers.charge.Load() - int64(first.charge(8+2*(len(ast.N(1e6).Key())+4))+cap(kept)+32)
 	t.Logf("%d entries: %d bytes of heap, charged %d", goals+49, held, charged)
-	if held > int64(charged) {
+	if held > charged {
 		t.Fatalf("%d entries hold %d bytes of heap, charged only %d", goals+49, held, charged)
+	}
+	for k := 0; k < goals; k += 500 {
+		if kept, keepable := run(float64(2 * k)).Rendered(ByString); len(kept) == 0 || keepable {
+			t.Fatalf("goal %d: a memo hit keeps no rendering (%q), or would keep another", 2*k, kept)
+		}
+	}
+
+	// A Result the memo holds keeps nothing before it is ordered — a
+	// writer's first pass — and then no rendering that would take the
+	// charge past the bound; nor does one no memo holds.
+	res, _, err := pq.Run(ctx, db, []ast.Term{ast.N(-1), ast.V("Y")}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept, keepable := res.Rendered(ByString); kept != nil || keepable {
+		t.Fatalf("a Result never ordered keeps %q (keepable %v)", kept, keepable)
+	}
+	res.Ordered(ByString, nil, func([][]byte) bool { return true })
+	before0 := base.answers.charge.Load()
+	res.Keep(ByString, make([]byte, memoBytes-before0+1))
+	if kept, keepable := res.Rendered(ByString); kept != nil || !keepable || base.answers.charge.Load() != before0 {
+		t.Fatalf("a rendering past the bound: kept %d bytes (keepable %v), charge %d → %d", len(kept), keepable, before0, base.answers.charge.Load())
+	}
+	fresh, _, err := QueryResultCtx(ctx, p, db, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Ordered(ByString, nil, func([][]byte) bool { return true })
+	fresh.Keep(ByString, []byte("[]"))
+	if kept, keepable := fresh.Rendered(ByString); kept != nil || keepable {
+		t.Fatalf("a Result no memo holds kept %q (keepable %v)", kept, keepable)
 	}
 }
 

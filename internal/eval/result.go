@@ -23,9 +23,11 @@ import (
 // after it is returned (it reads its interner and never fills the
 // interner's key cache), so it may be read from several goroutines, held
 // across later updates of its database, and outlive that database's
-// snapshot. Its one written field is the ordering Ordered computes,
-// published whole through an atomic pointer: a Result written out again
-// in the same Order, as a memoized answer is (Prepared.Run), is a walk.
+// snapshot. Its written fields are the ordering Ordered computes,
+// published whole through an atomic pointer, and the rendering Keep
+// keeps beside it: a Result written out again in the same Order, as a
+// memoized answer is (Prepared.Run), is a walk, or a copy of its kept
+// rendering.
 type Result struct {
 	in    *interner // nil: the query predicate derived nothing that matched
 	arity int
@@ -33,14 +35,18 @@ type Result struct {
 	n     int
 	// ordered is the last Order's ordering, nil before the first.
 	ordered atomic.Pointer[ordering]
+	// charge is the charge of the answer memo that holds the Result, nil
+	// when none does; a kept rendering is added to it.
+	charge *atomic.Int64
 }
 
-// ordering is what order returns for o.
+// ordering is what order returns for o, and the rendering kept for o.
 type ordering struct {
-	o      Order
-	perm   []int32
-	cells  []uint32
-	consts []constant
+	o        Order
+	perm     []int32
+	cells    []uint32
+	consts   []constant
+	rendered atomic.Pointer[[]byte]
 }
 
 // Len returns the number of answers.
@@ -266,5 +272,42 @@ func (r *Result) Ordered(o Order, enc func(dst []byte, text string) []byte, visi
 		if !visit(cols) {
 			return
 		}
+	}
+}
+
+// Rendered returns the rendering of the answers in the order o that Keep
+// kept, or nil; and whether Keep would keep one now: the Result is an
+// answer memo's, it was ordered in o before — it is being written again,
+// so a memo hit pays for the rendering and a Result never served twice
+// keeps none — and it keeps no rendering for o.
+func (r *Result) Rendered(o Order) (kept []byte, keepable bool) {
+	if r.charge == nil {
+		return nil, false
+	}
+	od := r.ordered.Load()
+	if od == nil || od.o != o {
+		return nil, false
+	}
+	if b := od.rendered.Load(); b != nil {
+		return *b, false
+	}
+	return nil, true
+}
+
+// Keep keeps b, the answers in the order o rendered by a writer — they
+// are Ordered's, in whatever form the writer gives them — for Rendered
+// to return, so that a Result written again the same way is written
+// from them. It keeps b only while the Result is an answer memo's, its
+// ordering is o's, it keeps no rendering yet, and the memo's charge with
+// b stays within memoBytes; b is charged to that memo, and must not be
+// written to once kept.
+func (r *Result) Keep(o Order, b []byte) {
+	od := r.ordered.Load()
+	if r.charge == nil || od == nil || od.o != o {
+		return
+	}
+	n := int64(cap(b)) + 32 // the bytes, and the slice header kept for them
+	if r.charge.Add(n) > memoBytes || !od.rendered.CompareAndSwap(nil, &b) {
+		r.charge.Add(-n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 
 	sqo "repro"
 	"repro/internal/ast"
+	"repro/internal/lint"
 )
 
 // The response path this package used to have, kept as the oracle for
@@ -70,23 +72,44 @@ func copyProgram(arity int, tuples []sqo.Tuple) (*sqo.Program, *sqo.DB) {
 }
 
 // requireAnswerBodies writes the tuples through both envelopes and both
-// paths and requires equal bytes.
-func requireAnswerBodies(t testing.TB, label string, arity int, tuples []sqo.Tuple, deltas bool) {
+// paths and requires equal bytes. Each result is written three times:
+// the query's is an answer memo's, as a repeated request's is, so its
+// second write keeps its array when that fits one chunk, and its third
+// body is written from that array. rare adds the members an envelope seldom carries: the query's
+// round deltas, the view's cache hit and diagnostics.
+func requireAnswerBodies(t testing.TB, label string, arity int, tuples []sqo.Tuple, rare bool) {
 	t.Helper()
 	prog, db := copyProgram(arity, tuples)
-	result, stats, err := sqo.QueryResultCtx(context.Background(), prog, db, sqo.DefaultEvalOptions())
+	prep, err := sqo.Prepare(prog, sqo.DefaultEvalOptions())
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	var result *sqo.QueryResult
+	var stats *sqo.Stats
+	for i := 0; i < 2; i++ { // the first run compiles the plans; the second fills the memo
+		if result, stats, err = prep.Run(context.Background(), db, prog.Goal, sqo.DefaultEvalOptions()); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
 	qenv := queryResponse{Query: "q <&>", Answers: []string{}, AnswerCount: result.Len(), Satisfiable: true, Optimized: true,
 		Stats: queryStats{Rounds: stats.Iterations, TuplesDerived: stats.TuplesDerived}, OptimizeMS: 0.25, EvalMS: 1.5}
-	if deltas {
+	if rare {
 		qenv.RoundDeltas = stats.RoundDeltas()
 	}
-	rec := httptest.NewRecorder()
-	writeAnswers(rec, qenv, result, sqo.ByString)
-	if want := referenceQueryBody(qenv, result.Tuples()); !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Fatalf("%s: query body differs from render-sort-encode\n got %.2000s\nwant %.2000s", label, rec.Body, want)
+	want := referenceQueryBody(qenv, result.Tuples())
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		writeAnswers(rec, qenv, result, sqo.ByString)
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s, write %d: query body differs from render-sort-encode\n got %.2000s\nwant %.2000s", label, i+1, rec.Body, want)
+		}
+		// The first write keeps nothing. From the second, a body inside
+		// one 64 KB chunk keeps its array; one a kilobyte (more than the
+		// envelope's tail) past it does not.
+		kept, _ := result.Rendered(sqo.ByString)
+		if small, large := i > 0 && result.Len() > 0 && len(want) < 64<<10, i == 0 || len(want) > 65<<10; small && kept == nil || large && kept != nil {
+			t.Fatalf("%s, write %d: the result keeps %d bytes of a %d-byte body", label, i+1, len(kept), len(want))
+		}
 	}
 
 	view, err := sqo.Materialize(prog, db, sqo.ViewOptions{})
@@ -100,10 +123,17 @@ func requireAnswerBodies(t testing.TB, label string, arity int, tuples []sqo.Tup
 	sorted, _ := view.Answers()
 	venv := viewResponse{Name: "v", Dataset: "d", Query: "q", Answers: []string{}, AnswerCount: vres.Len(), Optimized: true,
 		Stats: toViewStats(view.Stats()), MaterializeMS: 2.5}
-	rec = httptest.NewRecorder()
-	writeAnswers(rec, venv, vres, sqo.ByKey)
-	if want := referenceViewBody(venv, sorted); !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Fatalf("%s: view body differs from Answers-render-encode\n got %.2000s\nwant %.2000s", label, rec.Body, want)
+	if rare {
+		venv.CacheHit, venv.MaterializeMS = true, 0
+		venv.Diagnostics = []sqo.LintFinding{{Check: "reach", ID: "unreachable-rule", Severity: lint.Warning, Line: 2, Col: 1,
+			Message: "rule for \"p<q>\" & é\u2028 never reached"}}
+	}
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		writeAnswers(rec, venv, vres, sqo.ByKey)
+		if want := referenceViewBody(venv, sorted); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s, write %d: view body differs from Answers-render-encode\n got %.2000s\nwant %.2000s", label, i+1, rec.Body, want)
+		}
 	}
 }
 
@@ -340,5 +370,102 @@ func TestViewReadDoesNotWaitForWriter(t *testing.T) {
 	}
 	if after := read(); len(after) != 6 {
 		t.Fatalf("view after the update = %v, want 6 answers", after)
+	}
+}
+
+// TestMemoHitWritesKeptArray: a repeated query's answers come from the
+// array its memoized result kept on its first memo hit, not from a fresh
+// rendering. The test marks one byte of the kept array and finds it in
+// the next response, then unmarks it.
+func TestMemoHitWritesKeptArray(t *testing.T) {
+	s, h := warmServer(t, Config{})
+	program := "path(X, Y) :- step(X, Y). path(X, Y) :- step(X, Z), path(Z, Y). ?- path(1, Y)."
+	body := `{"program": "` + program + `", "dataset": "d"}`
+	var first string
+	// The first run compiles the plans, the second fills the memo and the
+	// third, its first hit, keeps its array.
+	for i := 0; i < 3; i++ {
+		_, first = serveBody(h, http.MethodPost, "/v1/query", body)
+	}
+	p, err := s.parse(program, "", true, "query\x00true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := s.cache.get(p.key)
+	ds, _ := s.datasets.get("d")
+	if !ok || ds == nil {
+		t.Fatal("the query's cache entry or its dataset is gone")
+	}
+	res, st, err := c.prep.Run(context.Background(), ds.snapshot(), p.prog.Goal, sqo.DefaultEvalOptions())
+	if err != nil || !st.MemoHit {
+		t.Fatalf("the memo does not hold the query's result (err %v)", err)
+	}
+	kept, keepable := res.Rendered(sqo.ByString)
+	at := bytes.IndexByte(kept, '(')
+	if at < 0 || keepable {
+		t.Fatalf("the memoized result keeps %q (another would be kept: %v)", kept, keepable)
+	}
+	kept[at] = '['
+	_, marked := serveBody(h, http.MethodPost, "/v1/query", body)
+	kept[at] = '('
+	_, again := serveBody(h, http.MethodPost, "/v1/query", body)
+	if !strings.Contains(marked, `"[`) {
+		t.Fatalf("a memo hit rendered its answers afresh:\n%s", marked)
+	}
+	if luckFields.ReplaceAllString(again, "$1") != luckFields.ReplaceAllString(first, "$1") {
+		t.Fatalf("the body after the kept array's first use differs:\n%s\nvs\n%s", again, first)
+	}
+}
+
+// TestAnswerBodiesCarryContentLength, over a real connection: a body
+// held whole — a 50-answer point query, a 300-answer one and a
+// 465-answer view read, 2 to 64 KB, each served twice so that the second
+// comes from a kept array — carries its Content-Length and no
+// Transfer-Encoding, and a 51,000-answer body still streams, chunked.
+func TestAnswerBodiesCarryContentLength(t *testing.T) {
+	h, full, point := responseFixture(t)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	var long strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&long, "edge(%d, %d).\n", i, i+1)
+	}
+	registerDataset(t, ts.URL, "long", long.String())
+	longQuery := fmt.Sprintf(`{"program": %q, "ics": %q, "dataset": "long"}`, respTC+"?- path(0, Y).\n", respICs)
+	registerDataset(t, ts.URL, "short", strings.Join(strings.SplitAfter(long.String(), "\n")[:30], ""))
+	if code, raw := doRaw(t, http.MethodPost, ts.URL+"/v1/datasets/short/views/v", fmt.Sprintf(`{"program": %q}`, respTC+"?- path.\n"), nil); code != http.StatusOK {
+		t.Fatalf("view create: %d %s", code, raw)
+	}
+	for _, c := range []struct {
+		name, method, path, body string
+		whole                    bool
+	}{
+		{"50 answers", http.MethodPost, "/v1/query", point, true},
+		{"300 answers", http.MethodPost, "/v1/query", longQuery, true},
+		{"465-answer view", http.MethodGet, "/v1/datasets/short/views/v", "", true},
+		{"51,000 answers", http.MethodPost, "/v1/query", full, false},
+	} {
+		for i := 0; i < 2; i++ {
+			req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %d %v %.200s", c.name, resp.StatusCode, err, raw)
+			}
+			t.Logf("%s: %d bytes, Content-Length %d, Transfer-Encoding %v", c.name, len(raw), resp.ContentLength, resp.TransferEncoding)
+			if c.whole && (resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) > 0) {
+				t.Errorf("%s: a %d-byte body with Content-Length %d and Transfer-Encoding %v", c.name, len(raw), resp.ContentLength, resp.TransferEncoding)
+			}
+			if !c.whole && (resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked") {
+				t.Errorf("%s: a %d-byte body with Content-Length %d and Transfer-Encoding %v, want it streamed", c.name, len(raw), resp.ContentLength, resp.TransferEncoding)
+			}
+		}
 	}
 }

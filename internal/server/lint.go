@@ -36,8 +36,8 @@ type lintResponse struct {
 
 // handleLint lints a program against its constraints (POST /v1/lint).
 func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) error {
-	var req lintRequest
-	if err := decode(r, &req); err != nil {
+	req, err := decode[lintRequest](r)
+	if err != nil {
 		return err
 	}
 	prog, err := sqo.ParseProgram(req.Program)

@@ -19,14 +19,23 @@
 // Answers are written once. A query's answers reach its handler as an
 // interned result (sqo.QueryResult), a view's as a copy of its rows taken
 // under the view's lock, and writeAnswers streams either through
-// internal/jsonresp: each distinct constant rendered and JSON-escaped
-// once, rows ordered by constant rank, the body leaving in 64 KB chunks.
-// The body is byte for byte what json.Encoder with SetIndent("", "  ")
-// wrote when the envelope held a []string of Tuple.String renderings
-// (answers_test.go keeps that path as the oracle); /v1/query orders by
-// Tuple.String (sqo.ByString) and view reads by Tuple.Key (sqo.ByKey),
-// both through Result.Ordered; and no dataset or view mutex is held while
-// bytes go to a ResponseWriter, so a stalled client holds up only itself.
+// internal/jsonresp: the envelope's members appended by hand, each
+// distinct constant rendered and JSON-escaped once, rows ordered by
+// constant rank, the body leaving in 64 KB chunks, or in one Write with
+// its Content-Length when it fits one. A result an answer memo holds
+// keeps its rendered answers array on its first memo hit when that fits
+// one chunk, and later hits copy it. The body is byte for byte what
+// json.Encoder with SetIndent("", "  ") wrote when the envelope held a
+// []string of Tuple.String renderings (answers_test.go keeps that path
+// as the oracle); /v1/query orders by Tuple.String (sqo.ByString) and view
+// reads by Tuple.Key (sqo.ByKey), both through Result.Ordered; and no
+// dataset or view mutex is held while bytes go to a ResponseWriter, so a
+// stalled client holds up only itself.
+//
+// A JSON request body (query, optimize, lint, view creation) is read
+// whole and scanned by hand (decode.go); one the scanner declines goes
+// to json.Decoder on the same bytes, so every answer, a 400's text
+// included, is encoding/json's.
 //
 // Every request takes one path. A handler returns its failure, and fail
 // alone turns an error into its status, code and counters; a request
@@ -237,14 +246,14 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		s.contain(endpoint, sw, r, h)
 		elapsed := time.Since(start)
 		s.metrics.ObserveRequest(endpoint, sw.code, elapsed)
-		s.log.Info("request",
-			"endpoint", endpoint,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.code,
-			"dur_ms", float64(elapsed.Microseconds())/1000,
-			"bytes", sw.bytes,
-			"remote", r.RemoteAddr,
+		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
+			slog.String("endpoint", endpoint),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", sw.code),
+			slog.Float64("dur_ms", float64(elapsed.Microseconds())/1000),
+			slog.Int("bytes", sw.bytes),
+			slog.String("remote", r.RemoteAddr),
 		)
 	})
 }
@@ -281,21 +290,50 @@ type errorBody struct {
 	Code  string `json:"code"`
 }
 
+// writeJSON writes v as json.Encoder with SetIndent("", "  ") does, in
+// one Write with its Content-Length.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		w.WriteHeader(status)
+		return // what json.Encoder writes for a value it cannot encode: nothing
+	}
+	body = append(body, '\n')
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
 }
 
-// writeAnswers is writeJSON for the two envelopes that carry answers
+// writeAnswers writes one of the two envelopes that carry answers
 // (queryResponse, viewResponse): a 200 whose "answers" member is the
-// result's tuples in the given order, each written as Tuple.String.
-func writeAnswers(w http.ResponseWriter, envelope any, result *sqo.QueryResult, order sqo.AnswerOrder) {
-	jsonresp.Write(w, http.StatusOK, envelope, func(a *jsonresp.Array) {
+// result's tuples in the given order, each written as Tuple.String. A
+// result an answer memo holds keeps its rendered array when it is written
+// the second time, if that fits one chunk, and is written from it after.
+func writeAnswers(w http.ResponseWriter, envelope jsonresp.Envelope, result *sqo.QueryResult, order sqo.AnswerOrder) {
+	kept, keep := result.Rendered(order)
+	array := jsonresp.Write(w, http.StatusOK, envelope, kept, keep, func(a *jsonresp.Array) {
 		result.Ordered(order, jsonresp.AppendEscaped, a.Tuple)
 	})
+	if array != nil {
+		result.Keep(order, array)
+	}
+}
+
+// The members of an answer envelope are appended as the indenting
+// encoder writes them: appendString a string, appendIndented a nested
+// value at depth 1.
+
+func appendString(b []byte, s string) []byte {
+	return append(jsonresp.AppendEscaped(append(b, '"'), s), '"')
+}
+
+func appendIndented(b []byte, v any) []byte {
+	nested, err := json.MarshalIndent(v, "  ", "  ")
+	if err != nil {
+		panic(err) // round deltas and lint findings always encode
+	}
+	return append(b, nested...)
 }
 
 // requestError is a failure whose answer is decided where it arises: a
@@ -427,14 +465,6 @@ func (s *Server) budget(maxTuples int64) int64 {
 		return s.cfg.MaxTuples
 	}
 	return maxTuples
-}
-
-// decode reads a JSON request body into v.
-func decode(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return errorf(http.StatusBadRequest, "bad_request", "decoding JSON: %v", err)
-	}
-	return nil
 }
 
 // sinceMS is the time since start in milliseconds, to the microsecond.
@@ -635,8 +665,8 @@ func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, o
 // handleOptimize rewrites a program against its constraints (POST
 // /v1/optimize), under DefaultTimeout like every admitted request.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
-	var req optimizeRequest
-	if err := decode(r, &req); err != nil {
+	req, err := decode[optimizeRequest](r)
+	if err != nil {
 		return err
 	}
 	return s.admitted(r, s.deadline(0), func(ctx context.Context) error {
@@ -695,6 +725,9 @@ type queryStats struct {
 	JoinProbes    int64 `json:"join_probes"`
 }
 
+// queryResponse is /v1/query's answer. writeAnswers writes it through
+// AppendHead and AppendTail, with the result's answers in place of
+// Answers, which only the tests' reference encoding fills.
 type queryResponse struct {
 	Query       string   `json:"query"`
 	Answers     []string `json:"answers"`
@@ -720,9 +753,34 @@ type queryResponse struct {
 	EvalMS      float64            `json:"eval_ms"`
 }
 
+func (q queryResponse) AppendHead(b []byte) []byte {
+	b = appendString(append(b, "{\n  \"query\": "...), q.Query)
+	return append(b, ",\n  \"answers\": "...)
+}
+
+func (q queryResponse) AppendTail(b []byte) []byte {
+	b = strconv.AppendInt(append(b, ",\n  \"answer_count\": "...), int64(q.AnswerCount), 10)
+	b = strconv.AppendBool(append(b, ",\n  \"satisfiable\": "...), q.Satisfiable)
+	b = strconv.AppendBool(append(b, ",\n  \"optimized\": "...), q.Optimized)
+	b = strconv.AppendBool(append(b, ",\n  \"cache_hit\": "...), q.CacheHit)
+	b = strconv.AppendBool(append(b, ",\n  \"magic\": "...), q.Magic)
+	b = strconv.AppendBool(append(b, ",\n  \"elim\": "...), q.Elim)
+	b = strconv.AppendInt(append(b, ",\n  \"stats\": {\n    \"rounds\": "...), int64(q.Stats.Rounds), 10)
+	b = strconv.AppendInt(append(b, ",\n    \"tuples_derived\": "...), q.Stats.TuplesDerived, 10)
+	b = strconv.AppendInt(append(b, ",\n    \"rule_firings\": "...), q.Stats.RuleFirings, 10)
+	b = strconv.AppendInt(append(b, ",\n    \"join_probes\": "...), q.Stats.JoinProbes, 10)
+	b = append(b, "\n  }"...)
+	if len(q.RoundDeltas) > 0 {
+		b = appendIndented(append(b, ",\n  \"round_deltas\": "...), q.RoundDeltas)
+	}
+	b = jsonresp.AppendFloat(append(b, ",\n  \"optimize_ms\": "...), q.OptimizeMS)
+	b = jsonresp.AppendFloat(append(b, ",\n  \"eval_ms\": "...), q.EvalMS)
+	return append(b, "\n}\n"...)
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	var req queryRequest
-	if err := decode(r, &req); err != nil {
+	req, err := decode[queryRequest](r)
+	if err != nil {
 		return err
 	}
 	if req.Dataset == "" && req.Facts == "" {

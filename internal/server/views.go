@@ -4,9 +4,11 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	sqo "repro"
+	"repro/internal/jsonresp"
 	"repro/internal/store"
 )
 
@@ -144,6 +146,7 @@ func toViewStats(s sqo.ViewStats) viewStatsJSON {
 	}
 }
 
+// viewResponse is a view's answer, written as queryResponse is.
 type viewResponse struct {
 	Name        string   `json:"name"`
 	Dataset     string   `json:"dataset"`
@@ -159,6 +162,41 @@ type viewResponse struct {
 	MaterializeMS float64           `json:"materialize_ms,omitempty"`
 }
 
+func (v viewResponse) AppendHead(b []byte) []byte {
+	b = appendString(append(b, "{\n  \"name\": "...), v.Name)
+	b = appendString(append(b, ",\n  \"dataset\": "...), v.Dataset)
+	b = appendString(append(b, ",\n  \"query\": "...), v.Query)
+	return append(b, ",\n  \"answers\": "...)
+}
+
+func (v viewResponse) AppendTail(b []byte) []byte {
+	b = strconv.AppendInt(append(b, ",\n  \"answer_count\": "...), int64(v.AnswerCount), 10)
+	b = strconv.AppendBool(append(b, ",\n  \"optimized\": "...), v.Optimized)
+	if v.CacheHit {
+		b = append(b, ",\n  \"cache_hit\": true"...)
+	}
+	if len(v.Diagnostics) > 0 {
+		b = appendIndented(append(b, ",\n  \"diagnostics\": "...), v.Diagnostics)
+	}
+	st := v.Stats
+	b = strconv.AppendInt(append(b, ",\n  \"stats\": {\n    \"init_rounds\": "...), int64(st.InitRounds), 10)
+	for _, m := range [...]struct {
+		key string
+		n   int64
+	}{
+		{"init_tuples", st.InitTuples}, {"init_probes", st.InitProbes}, {"applies", st.Applies},
+		{"full_rebuilds", st.FullRebuilds}, {"delta_rounds", st.DeltaRounds}, {"delta_probes", st.DeltaProbes},
+		{"rederive_checks", st.RederiveChecks}, {"answers_added", st.AnswersAdded}, {"answers_removed", st.AnswersRemoved},
+	} {
+		b = strconv.AppendInt(append(append(append(b, ",\n    \""...), m.key...), "\": "...), m.n, 10)
+	}
+	b = append(b, "\n  }"...)
+	if v.MaterializeMS != 0 {
+		b = jsonresp.AppendFloat(append(b, ",\n  \"materialize_ms\": "...), v.MaterializeMS)
+	}
+	return append(b, "\n}\n"...)
+}
+
 // handleViewCreate materializes a program over a dataset and keeps it
 // live across fact updates (POST /v1/datasets/{name}/views/{view},
 // body: {program, ics, optimize, timeout_ms, max_tuples}). Duplicate
@@ -168,8 +206,8 @@ func (s *Server) handleViewCreate(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return err
 	}
-	var req viewRequest
-	if err := decode(r, &req); err != nil {
+	req, err := decode[viewRequest](r)
+	if err != nil {
 		return err
 	}
 	def := store.ViewDef{Name: r.PathValue("view"), Program: req.Program, ICs: req.ICs, Optimized: req.Optimize == nil || *req.Optimize}
