@@ -107,7 +107,7 @@ fuzz-smoke:
 # Randomized differential check of incremental view maintenance under
 # the race detector: after every prefix of a random add/retract
 # sequence, a View's answers, every derived predicate's facts and its
-# provenance must be identical to a from-scratch evaluation; the long-sequence run does the same over
+# EDB facts must be identical to a from-scratch evaluation; the long-sequence run does the same over
 # 2,000 batches per program, far enough to cross tombstone
 # compaction many times. The CI race job runs this too.
 incr-smoke:

@@ -472,11 +472,8 @@ func BenchmarkPushOrder(b *testing.B) {
 	var inputs []*Program
 	for seed := int64(1); seed <= 20; seed++ {
 		src, ics, _ := workload.RandomProgram(seed)
-		res, err := Optimize(MustParseProgram(src), MustParseICs(ics))
-		if err != nil {
-			b.Fatal(err)
-		}
-		inputs = append(inputs, res.Pipeline.Local)
+		p := rewrite.NormalizeOrder(MustParseProgram(src))
+		inputs = append(inputs, rewrite.RewriteLocalPlanned(p, rewrite.PlanICs(MustParseICs(ics))))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -561,7 +561,7 @@ func expP7(t *testing.T) *expTable {
 	} {
 		s := build(t.TempDir(), store.Options{Fsync: m.policy}, m.records)
 		c := s.Counters()
-		tab.add(fmt.Sprintf("update(%d)", m.records), m.name, c.Appends, c.Bytes, "", len(s.Facts("bench")))
+		tab.add(fmt.Sprintf("update(%d)", m.records), m.name, c.Appends, c.Bytes, "", len(s.Rows("bench", "step")))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -580,7 +580,7 @@ func expP7(t *testing.T) *expTable {
 			if ckpt > 0 {
 				mode = fmt.Sprintf("ckpt-%d", ckpt)
 			}
-			tab.add(fmt.Sprintf("recovery(%d)", w), mode, w, "", rec.WALRecords, len(s.Facts("bench")))
+			tab.add(fmt.Sprintf("recovery(%d)", w), mode, w, "", rec.WALRecords, len(s.Rows("bench", "step")))
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}

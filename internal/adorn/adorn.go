@@ -47,8 +47,6 @@ type EDBTriplet struct {
 
 // AdornedRule is a rule of the adorned program P1.
 type AdornedRule struct {
-	// RuleIdx indexes the specialized program's rule list.
-	RuleIdx int
 	// Rule is the specialized rule (head predicate is the specialized
 	// name; adorned names are carried alongside, not in the AST).
 	Rule ast.Rule
@@ -59,11 +57,6 @@ type AdornedRule struct {
 	// ChildAdornIDs holds, per positive subgoal, the adornment id of
 	// the IDB child (-1 for EDB subgoals).
 	ChildAdornIDs []int
-	// EDBTriplets holds, per positive subgoal, the computed triplets
-	// of EDB occurrences (nil for IDB subgoals), indexed per
-	// constraint: EDBTriplets[j][ic] lists the triplets of subgoal j
-	// for constraint ic.
-	EDBTriplets []map[int][]EDBTriplet
 	// Triplets are the combined rule triplets with provenance.
 	Triplets []RuleTriplet
 	// Residues are order residues attached to this rule: for each, the
@@ -173,7 +166,7 @@ func combineRuleAll(res *Result, ri int, r ast.Rule, idb map[string]bool, seen m
 				return
 			}
 			seen[string(key)] = true
-			if buildAdornedRule(res, ri, r, choice) {
+			if buildAdornedRule(res, r, choice) {
 				added = true
 			}
 			return
@@ -208,7 +201,7 @@ func appendComboKey(dst []byte, tag byte, n int, choice []int) []byte {
 // child adornments, projects the head adornment Ap, and registers both
 // (unless the combination is inconsistent). It reports whether a new
 // adornment or adorned rule was added.
-func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
+func buildAdornedRule(res *Result, r ast.Rule, choice []int) bool {
 	ruleOrder := order.NewSet(r.Cmp...)
 
 	// Per-subgoal, per-constraint triplet lists in rule space, plus
@@ -263,11 +256,9 @@ func buildAdornedRule(res *Result, ri int, r ast.Rule, choice []int) bool {
 	}
 
 	ar := &AdornedRule{
-		RuleIdx:       ri,
 		Rule:          r.Clone(),
 		HeadPred:      r.Head.Pred,
 		ChildAdornIDs: append([]int(nil), choice...),
-		EDBTriplets:   edbTriplets,
 	}
 
 	// Combine per constraint.

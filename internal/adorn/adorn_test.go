@@ -24,7 +24,7 @@ func TestSpecializeIdentityForDistinctVars(t *testing.T) {
 		?- path.
 	`)
 	if len(sp.Base) != 1 {
-		t.Fatalf("expected one specialized predicate, got %v", sp.SortedSpecPreds())
+		t.Fatalf("expected one specialized predicate, got %v", sp.Base)
 	}
 	if sp.Base[sp.Query] != "path" {
 		t.Fatalf("Base[%s] = %s", sp.Query, sp.Base[sp.Query])
@@ -47,7 +47,7 @@ func TestSpecializeSplitsRepeatedVarPattern(t *testing.T) {
 	`)
 	// Specialized predicates: q (all-distinct) and p with pattern (V0, V0).
 	if len(sp.Base) != 2 {
-		t.Fatalf("expected 2 specialized predicates, got %v", sp.SortedSpecPreds())
+		t.Fatalf("expected 2 specialized predicates, got %v", sp.Base)
 	}
 	var pSpec string
 	for name, base := range sp.Base {
@@ -83,7 +83,7 @@ func TestSpecializeConstantPattern(t *testing.T) {
 		}
 	}
 	if pSpec == "" {
-		t.Fatalf("p not specialized: %v", sp.SortedSpecPreds())
+		t.Fatalf("p not specialized: %v", sp.Base)
 	}
 	if !sp.Pattern[pSpec].Args[1].Equal(ast.N(5)) {
 		t.Fatalf("pattern lacks the constant: %s", sp.Pattern[pSpec])

@@ -7,7 +7,6 @@ package adorn
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/unify"
@@ -109,14 +108,4 @@ func Specialize(p *ast.Program) (*SpecProgram, error) {
 	}
 	sp.Prog.Query = sp.Query
 	return sp, nil
-}
-
-// SortedSpecPreds returns the specialized predicate names, sorted.
-func (sp *SpecProgram) SortedSpecPreds() []string {
-	out := make([]string, 0, len(sp.Base))
-	for name := range sp.Base {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

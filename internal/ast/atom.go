@@ -129,43 +129,6 @@ func (a Atom) PatternKey() string {
 	return b.String()
 }
 
-// Isomorphic reports whether a and b are equal up to a bijective
-// renaming of variables.
-func (a Atom) Isomorphic(b Atom) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	fwd := map[string]string{}
-	rev := map[string]string{}
-	for i := range a.Args {
-		ta, tb := a.Args[i], b.Args[i]
-		if ta.IsVar() != tb.IsVar() {
-			return false
-		}
-		if !ta.IsVar() {
-			if !ta.Equal(tb) {
-				return false
-			}
-			continue
-		}
-		if m, ok := fwd[ta.Name]; ok {
-			if m != tb.Name {
-				return false
-			}
-		} else {
-			fwd[ta.Name] = tb.Name
-		}
-		if m, ok := rev[tb.Name]; ok {
-			if m != ta.Name {
-				return false
-			}
-		} else {
-			rev[tb.Name] = ta.Name
-		}
-	}
-	return true
-}
-
 // String renders the atom in source syntax.
 func (a Atom) String() string {
 	var w writer

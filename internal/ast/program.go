@@ -190,26 +190,6 @@ func (p *Program) Recursion() *Recursion {
 	return rc
 }
 
-// EDB returns the set of EDB predicates: those appearing only in rule
-// bodies (positively or negatively), never in heads.
-func (p *Program) EDB() map[string]bool {
-	idb := p.IDB()
-	edb := map[string]bool{}
-	for _, r := range p.Rules {
-		for _, a := range r.Pos {
-			if !idb[a.Pred] {
-				edb[a.Pred] = true
-			}
-		}
-		for _, a := range r.Neg {
-			if !idb[a.Pred] {
-				edb[a.Pred] = true
-			}
-		}
-	}
-	return edb
-}
-
 // PredArity returns the arity of every predicate mentioned in the
 // program, or an error if some predicate is used with two different
 // arities.
@@ -337,25 +317,4 @@ func (p *Program) String() string {
 		w.WriteByte('\n')
 	}
 	return w.String()
-}
-
-// SortedPreds returns the program's predicates sorted by name,
-// IDB and EDB combined; handy for deterministic output.
-func (p *Program) SortedPreds() []string {
-	set := map[string]bool{}
-	for _, r := range p.Rules {
-		set[r.Head.Pred] = true
-		for _, a := range r.Pos {
-			set[a.Pred] = true
-		}
-		for _, a := range r.Neg {
-			set[a.Pred] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

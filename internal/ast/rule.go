@@ -143,12 +143,6 @@ type IC struct {
 	At Pos
 }
 
-// Clone returns a deep copy of the constraint.
-func (ic IC) Clone() IC {
-	c := newCloner(0, ic.Pos, ic.Neg)
-	return IC{Pos: c.atoms(ic.Pos), Neg: c.atoms(ic.Neg), Cmp: append([]Cmp(nil), ic.Cmp...), At: ic.At}
-}
-
 // Vars returns the variables of the constraint in order of first
 // occurrence.
 func (ic IC) Vars() []string {
@@ -164,11 +158,6 @@ func (ic IC) Vars() []string {
 	}
 	return vs
 }
-
-// Pure reports whether the constraint has neither order atoms nor
-// negated EDB atoms (the class the core algorithm of Section 4.1
-// handles directly).
-func (ic IC) Pure() bool { return len(ic.Neg) == 0 && len(ic.Cmp) == 0 }
 
 // String renders the constraint in source syntax.
 func (ic IC) String() string {

@@ -54,8 +54,6 @@ type Result struct {
 	Verdict Verdict
 	// Model holds the chased fact set for a consistent branch.
 	Model []ast.Atom
-	// Steps is the total number of chase steps taken across branches.
-	Steps int
 }
 
 // Options bounds the chase.
@@ -96,7 +94,7 @@ func RunCtx(ctx context.Context, facts []ast.Atom, ics []ast.IC, opts Options) R
 		db[f.Key()] = f
 	}
 	verdict, model := c.chase(db)
-	res := Result{Verdict: verdict, Steps: c.steps}
+	res := Result{Verdict: verdict}
 	if verdict == Consistent {
 		res.Model = model
 	}
@@ -109,7 +107,6 @@ type chaser struct {
 	budget    int
 	steps     int
 	forbidden map[string]bool
-	exhausted bool
 }
 
 // chase returns the verdict for the given database (branching over
@@ -117,7 +114,6 @@ type chaser struct {
 func (c *chaser) chase(db map[string]ast.Atom) (Verdict, []ast.Atom) {
 	for {
 		if c.steps >= c.budget || (c.ctx != nil && c.ctx.Err() != nil) {
-			c.exhausted = true
 			return Unknown, nil
 		}
 		v, ok := c.findViolation(db)

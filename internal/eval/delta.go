@@ -92,9 +92,6 @@ func (dp *DeltaProgram) OrderJoins(edbLen func(pred string) int) {
 	}
 }
 
-// Program returns the compiled program. Callers must not mutate it.
-func (dp *DeltaProgram) Program() *ast.Program { return dp.lay.prog }
-
 // PredArity returns the arity of a predicate the program mentions.
 func (dp *DeltaProgram) PredArity(pred string) (int, bool) {
 	k, ok := dp.lay.ids[pred]
@@ -130,9 +127,6 @@ func (ir *IRel) Len() int {
 	}
 	return ir.n - ir.nDead
 }
-
-// Arity returns the relation's arity.
-func (ir *IRel) Arity() int { return ir.arity }
 
 // Row returns the i-th row ever appended, live or not (View().Each
 // lists the live ones). The slice aliases internal storage: callers

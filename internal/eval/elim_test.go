@@ -210,7 +210,7 @@ buys(X, Y) :- buys_q0(X, Y).
 			db.AddFact(fact)
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
-		for pred := range p.EDB() {
+		for pred := range edbPreds(p) {
 			ar := arity[pred]
 			if ar == 0 || ar > 4 {
 				continue

@@ -66,7 +66,7 @@ odd(Y) :- even(X), succ(X, Y).
 			db.AddFact(fact)
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
-		for pred := range p.EDB() {
+		for pred := range edbPreds(p) {
 			ar := arity[pred]
 			if ar == 0 || ar > 4 {
 				continue
@@ -145,4 +145,18 @@ odd(Y) :- even(X), succ(X, Y).
 			t.Fatalf("derived vs fresh base stats diverged:\n%+v\n%+v", stats3, stats4)
 		}
 	})
+}
+
+// edbPreds returns the predicates p's rules read and none derives.
+func edbPreds(p *ast.Program) map[string]bool {
+	idb := p.IDB()
+	edb := map[string]bool{}
+	for _, r := range p.Rules {
+		for _, a := range append(append([]ast.Atom(nil), r.Pos...), r.Neg...) {
+			if !idb[a.Pred] {
+				edb[a.Pred] = true
+			}
+		}
+	}
+	return edb
 }

@@ -389,7 +389,7 @@ q(X, Y) :- mid(X, Z), f(Z, Y).
 			db.AddFact(fact)
 		}
 		rng := rand.New(rand.NewSource(int64(seed)))
-		for pred := range p.EDB() {
+		for pred := range edbPreds(p) {
 			ar := arity[pred]
 			if ar == 0 || ar > 4 {
 				continue

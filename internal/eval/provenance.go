@@ -96,23 +96,3 @@ func (d *Derivation) render(b *strings.Builder, depth int) {
 		c.render(b, depth+1)
 	}
 }
-
-// Size counts the nodes of the derivation tree.
-func (d *Derivation) Size() int {
-	n := 1
-	for _, c := range d.Children {
-		n += c.Size()
-	}
-	return n
-}
-
-// Depth returns the height of the derivation tree (a leaf has depth 1).
-func (d *Derivation) Depth() int {
-	max := 0
-	for _, c := range d.Children {
-		if dd := c.Depth(); dd > max {
-			max = dd
-		}
-	}
-	return max + 1
-}

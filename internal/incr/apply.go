@@ -216,7 +216,6 @@ func (v *View) irelFromMap(arity int, m map[string][]uint32) *eval.IRel {
 // relations drop the rows their dead outnumber.
 func (v *View) finishApply() {
 	v.stats.Applies++
-	v.version++
 	for _, rel := range v.rels {
 		rel.Compact()
 	}
@@ -462,6 +461,5 @@ func (v *View) repairLocked(ctx context.Context) error {
 	}
 	v.broken = false
 	v.lastGood = eval.RelView{}
-	v.version++
 	return nil
 }

@@ -100,11 +100,6 @@ type View struct {
 	// state, so the repairing Apply can report Changes relative to what
 	// the caller last saw. Only set while broken.
 	lastGood eval.RelView
-	version  int64
-	// Lazy provenance cache (see Explain).
-	provVersion int64
-	provDB      *eval.DB
-	prov        *eval.Provenance
 }
 
 // MaterializeCtx evaluates p over edb and returns a live view; ctx is
@@ -250,56 +245,6 @@ func (v *View) FactsOf(pred string) ([]eval.Tuple, error) {
 		return nil, err
 	}
 	return v.dp.SortedTuples(v.curView(pred)), nil
-}
-
-// Explain returns the derivation tree of a current IDB fact. The tree
-// is recomputed canonically from the view's current EDB (and cached
-// until the next successful Apply), so it is bit-identical to what a
-// from-scratch evaluation of the same EDB would explain — including
-// after any sequence of adds and retracts.
-func (v *View) Explain(fact ast.Atom) (*eval.Derivation, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.repairLocked(context.Background()); err != nil {
-		return nil, err
-	}
-	if v.prov == nil || v.provVersion != v.version {
-		db := v.edbMirror()
-		_, prov, _, err := eval.EvalProv(v.prog, db)
-		if err != nil {
-			return nil, err
-		}
-		v.provDB, v.prov, v.provVersion = db, prov, v.version
-	}
-	return v.prov.Tree(fact, v.idbPr, v.provDB)
-}
-
-// EDB returns a fresh public DB mirroring the view's current EDB.
-func (v *View) EDB() *eval.DB {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.edbMirror()
-}
-
-// edbMirror snapshots the current EDB as a public DB with every
-// relation in canonical (key-sorted) tuple order. Sorting matters for
-// Explain: the derivation recorded for a fact is the first one found,
-// which follows relation iteration order, so a canonical order makes
-// the tree independent of the view's update history — the same tree a
-// from-scratch evaluation of a key-sorted load of the same facts
-// explains.
-func (v *View) edbMirror() *eval.DB {
-	db := eval.NewDB()
-	for pred, rel := range v.rels {
-		if v.idbPr[pred] {
-			continue
-		}
-		r := db.Rel(pred, rel.Arity())
-		for _, t := range v.dp.SortedTuples(rel.View()) {
-			r.Add(t)
-		}
-	}
-	return db
 }
 
 // rowKey packs an interned row into a string map key.

@@ -129,7 +129,7 @@ func TestInitFixpointMatchesEngine(t *testing.T) {
 // edges and marks (kept as tombstones), then takes an update that touches
 // the negated blocked — a full rebuild — and then a cancelled Apply,
 // which the next read repairs by rebuilding. After each rebuild its
-// answers, its facts and provenance, and the counters the rebuild added
+// answers, its facts and EDB, and the counters the rebuild added
 // — rounds, tuples and probes — must equal a from-scratch evaluation of
 // the same facts.
 //

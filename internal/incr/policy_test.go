@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/eval"
 	"repro/internal/parser"
 )
 
@@ -24,8 +23,8 @@ import (
 // identical randomized add/retract sequence over each program shape: one
 // as MaterializeCtx ordered it, one with every tie between two EDB subgoals
 // broken the other way (the longer relation first), and asserts that
-// answers, Changes, every IDB predicate's facts, and provenance
-// explanations never diverge. The first view is also checked against from-scratch
+// answers, Changes, every IDB predicate's facts and the EDB facts
+// (which fix every answer's derivation tree) never diverge. The first view is also checked against from-scratch
 // evaluation, anchoring the pair to ground truth.
 func TestIncrPolicyDifferentialApply(t *testing.T) {
 	for _, pc := range incrPrograms {
@@ -90,51 +89,17 @@ func TestIncrPolicyDifferentialApply(t *testing.T) {
 						t.Fatalf("%s: %s diverged:\n%v\n%v", label, pred, want, got)
 					}
 				}
-				for j := 0; j < len(baseAnswers) && j < 2; j++ {
-					// Explain recomputes provenance; keep it cheap.
-					fact := ast.NewAtom(p.Query, mustAnswerTuple(t, base, j)...)
-					want, err := base.Explain(fact)
-					if err != nil {
-						t.Fatalf("%s: Explain(%s): %v", label, fact, err)
-					}
-					got, err := other.Explain(fact)
-					if err != nil {
-						t.Fatalf("%s: Explain(%s), ties reversed: %v", label, fact, err)
-					}
-					if got.String() != want.String() {
-						t.Fatalf("%s: provenance of %s diverged:\n%s\n%s", label, fact, want, got)
-					}
-				}
+				requireSameEDB(t, label, base, other)
 			}
 		})
 	}
-}
-
-// mustAnswerTuple returns the j-th answer tuple in sorted render order,
-// so every view explains the same facts.
-func mustAnswerTuple(t *testing.T, v *View, j int) eval.Tuple {
-	t.Helper()
-	ts, err := v.Answers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	type kt struct {
-		k string
-		t eval.Tuple
-	}
-	all := make([]kt, len(ts))
-	for i, tup := range ts {
-		all[i] = kt{ast.NewAtom(v.Program().Query, tup...).String(), tup}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].k < all[b].k })
-	return all[j].t
 }
 
 // TestIncrLongSequenceDifferential is the gate on retraction by
 // tombstone (run under -race by `make incr-smoke`): sequences long
 // enough to cross compaction several times, checked after every batch
 // against a fresh MaterializeCtx of the same facts — answers, Changes,
-// every IDB predicate's facts, Explain trees and every relation's live
+// every IDB predicate's facts, the EDB and every relation's live
 // length —
 // which is what a view whose retractions rebuilt its relations would
 // show. The batches are random with the cases that
@@ -300,20 +265,7 @@ func TestIncrLongSequenceDifferential(t *testing.T) {
 						t.Fatalf("%s: %s\nview  %v\nfresh %v", label, pred, got, want)
 					}
 				}
-				for j := 0; j < len(after) && j < 2; j++ {
-					fact := ast.NewAtom(p.Query, mustAnswerTuple(t, fresh, j)...)
-					dv, err := v.Explain(fact)
-					if err != nil {
-						t.Fatalf("%s: Explain(%s): %v", label, fact, err)
-					}
-					df, err := fresh.Explain(fact)
-					if err != nil {
-						t.Fatalf("%s: fresh Explain(%s): %v", label, fact, err)
-					}
-					if dv.String() != df.String() {
-						t.Fatalf("%s: provenance of %s\nview  %s\nfresh %s", label, fact, dv, df)
-					}
-				}
+				requireSameEDB(t, label, v, fresh)
 				if got, want := lengths(v), lengths(fresh); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: live lengths\nview  %v\nfresh %v", label, got, want)
 				}

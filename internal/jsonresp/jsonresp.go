@@ -153,12 +153,6 @@ func (a *Array) Tuple(cols [][]byte) bool {
 	return !a.failed
 }
 
-// String appends s as one element.
-func (a *Array) String(s string) bool {
-	a.set(append(AppendEscaped(a.open(), s), '"'))
-	return !a.failed
-}
-
 // open starts the next element, through its opening quote.
 func (a *Array) open() []byte {
 	b := a.body()

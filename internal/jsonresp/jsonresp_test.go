@@ -46,6 +46,13 @@ func reference(v any) []byte {
 	return b.Bytes()
 }
 
+// appendString appends s as one element, escaped as encoding/json
+// escapes it, and reports whether the response is still being delivered.
+func appendString(a *Array, s string) bool {
+	a.set(append(AppendEscaped(a.open(), s), '"'))
+	return !a.failed
+}
+
 // written is Write's body for the envelope with its answers appended by
 // fill, or copied from kept, and the array Write returned for keeping.
 func written(t testing.TB, env envelope, answers []string, kept []byte) (*httptest.ResponseRecorder, []byte) {
@@ -53,7 +60,7 @@ func written(t testing.TB, env envelope, answers []string, kept []byte) (*httpte
 	rec := httptest.NewRecorder()
 	array := Write(rec, http.StatusOK, env, kept, true, func(a *Array) {
 		for _, s := range answers {
-			if !a.String(s) {
+			if !appendString(a, s) {
 				t.Fatal("a write to a recorder failed")
 			}
 		}
@@ -168,7 +175,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // one, with fill told to stop.
 func TestWriteChunks(t *testing.T) {
 	small := &countingWriter{ResponseWriter: httptest.NewRecorder()}
-	Write(small, http.StatusOK, envelope{}, nil, false, func(a *Array) { a.String("(1, 2)") })
+	Write(small, http.StatusOK, envelope{}, nil, false, func(a *Array) { appendString(a, "(1, 2)") })
 	if len(small.sizes) != 1 || small.Header().Get("Content-Length") != strconv.Itoa(small.sizes[0]) {
 		t.Fatalf("a small body took %d Writes with Content-Length %q, want exactly 1 with its length",
 			len(small.sizes), small.Header().Get("Content-Length"))
@@ -183,7 +190,7 @@ func TestWriteChunks(t *testing.T) {
 	env := envelope{Query: "q", Count: len(answers)}
 	array := Write(large, http.StatusOK, env, nil, true, func(a *Array) {
 		for _, s := range answers {
-			a.String(s)
+			appendString(a, s)
 		}
 	})
 	env.Answers = answers
@@ -221,7 +228,7 @@ func TestWriteChunks(t *testing.T) {
 	appended, refused := 0, 0
 	Write(failing, http.StatusOK, envelope{}, nil, false, func(a *Array) {
 		for _, s := range answers {
-			if appended++; !a.String(s) {
+			if appended++; !appendString(a, s) {
 				refused++
 				break
 			}

@@ -173,8 +173,8 @@ func agree(t *testing.T, s *Set, atoms []ast.Cmp, queries []ast.Cmp) {
 			if got := s.Implies(q); got != imp {
 				t.Fatalf("{%s}: Implies(%v) = %v, reference %v (round %d)", s, q, got, imp, round)
 			}
-			if got := s.Contradicts(q); got != con {
-				t.Fatalf("{%s}: Contradicts(%v) = %v, reference %v (round %d)", s, q, got, con, round)
+			if got := s.unsatWith(q); got != con {
+				t.Fatalf("{%s}: unsatWith(%v) = %v, reference %v (round %d)", s, q, got, con, round)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ import (
 // (trivially satisfiable) conjunction.
 //
 // A Set is not safe for concurrent use, not even for reads: Implies
-// and Contradicts scribble scratch rows into its closure. Give each
+// scribbles scratch rows into its closure. Give each
 // goroutine its own Set (Clone shares nothing).
 type Set struct {
 	atoms []ast.Cmp
@@ -127,10 +127,6 @@ func (s *Set) Reset() {
 	s.atoms, s.terms, s.neq, s.unsat = s.atoms[:0], s.terms[:0], s.neq[:0], false
 }
 
-// Atoms returns the atoms of the conjunction (shared slice; callers
-// must not modify it).
-func (s *Set) Atoms() []ast.Cmp { return s.atoms }
-
 // Clone returns a copy of the set, closure included.
 func (s *Set) Clone() *Set {
 	return &Set{
@@ -138,9 +134,6 @@ func (s *Set) Clone() *Set {
 		terms: slices.Clone(s.terms), w: s.w, adj: slices.Clone(s.adj), neq: slices.Clone(s.neq),
 	}
 }
-
-// Len returns the number of distinct atoms.
-func (s *Set) Len() int { return len(s.atoms) }
 
 // String renders the conjunction deterministically.
 func (s *Set) String() string {
@@ -342,10 +335,6 @@ func (s *Set) ImpliesAll(cs []ast.Cmp) bool {
 	}
 	return true
 }
-
-// Contradicts reports whether adding c makes the conjunction
-// unsatisfiable.
-func (s *Set) Contradicts(c ast.Cmp) bool { return s.unsatWith(c) }
 
 // ForcedEqualities returns the pairs of distinct terms the conjunction
 // forces to be equal, as a list of (representative, term) pairs: each

@@ -148,10 +148,10 @@ func TestUnsatImpliesEverything(t *testing.T) {
 
 func TestContradicts(t *testing.T) {
 	s := NewSet(cmp(x, ast.LT, y))
-	if !s.Contradicts(cmp(y, ast.LT, x)) {
+	if !s.unsatWith(cmp(y, ast.LT, x)) {
 		t.Fatal("should contradict")
 	}
-	if s.Contradicts(cmp(y, ast.LT, z)) {
+	if s.unsatWith(cmp(y, ast.LT, z)) {
 		t.Fatal("should not contradict")
 	}
 }
@@ -185,8 +185,8 @@ func TestForcedEqualitiesNoneForStrict(t *testing.T) {
 
 func TestAddDeduplicates(t *testing.T) {
 	s := NewSet(cmp(x, ast.LT, y), cmp(x, ast.LT, y), cmp(y, ast.GT, x))
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (x<y, x<y, y>x are the same atom)", s.Len())
+	if len(s.atoms) != 1 {
+		t.Fatalf("%d atoms, want 1 (x<y, x<y, y>x are the same atom)", len(s.atoms))
 	}
 }
 
@@ -204,8 +204,8 @@ func TestNegativeZeroIsZero(t *testing.T) {
 	if rep, ok := s.ForcedEqualities()["X"]; !ok || !rep.Equal(zero) {
 		t.Fatalf("%s must pin X to 0, got %v", s, s.ForcedEqualities())
 	}
-	if n := NewSet(cmp(x, ast.NE, zero), cmp(negZero, ast.NE, x)).Len(); n != 1 {
-		t.Fatalf("X != 0 and -0 != X are one atom, Len = %d", n)
+	if n := len(NewSet(cmp(x, ast.NE, zero), cmp(negZero, ast.NE, x)).atoms); n != 1 {
+		t.Fatalf("X != 0 and -0 != X are one atom, got %d", n)
 	}
 }
 
@@ -223,10 +223,10 @@ func TestImpliesDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		for _, q := range queries {
 			s.Implies(q)
-			s.Contradicts(q)
+			s.unsatWith(q)
 		}
 	}); n != 0 {
-		t.Fatalf("Implies/Contradicts on an unchanged Set allocate %v times per run, want 0", n)
+		t.Fatalf("Implies/unsatWith on an unchanged Set allocate %v times per run, want 0", n)
 	}
 }
 
@@ -282,7 +282,7 @@ func bruteSatDense(s *Set) bool {
 
 func bruteOver(s *Set, domain []float64) bool {
 	varNames := map[string]bool{}
-	for _, a := range s.Atoms() {
+	for _, a := range s.atoms {
 		for _, v := range a.Vars(nil) {
 			varNames[v] = true
 		}
@@ -295,7 +295,7 @@ func bruteOver(s *Set, domain []float64) bool {
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(names) {
-			for _, a := range s.Atoms() {
+			for _, a := range s.atoms {
 				l, r := groundTerm(a.Left, assign), groundTerm(a.Right, assign)
 				if !ast.NewCmp(l, a.Op, r).Eval() {
 					return false
@@ -343,7 +343,7 @@ func TestImpliesAgainstBruteForce(t *testing.T) {
 		var rec func(i int)
 		rec = func(i int) {
 			if i == len(names) {
-				for _, a := range s.Atoms() {
+				for _, a := range s.atoms {
 					if !ast.NewCmp(groundTerm(a.Left, assign), a.Op, groundTerm(a.Right, assign)).Eval() {
 						return
 					}

@@ -66,7 +66,7 @@ func TestImplicationReflexiveOnMembers(t *testing.T) {
 	}
 }
 
-// Property: Implies(c) and Contradicts(c.Negate()) coincide for
+// Property: Implies(c) and unsatWith(c.Negate()) coincide for
 // satisfiable sets — both say "every model satisfies c".
 func TestImpliesContradictsDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
@@ -82,8 +82,8 @@ func TestImpliesContradictsDuality(t *testing.T) {
 			continue
 		}
 		goal := cmp(vars[rng.Intn(3)], ops[rng.Intn(len(ops))], vars[rng.Intn(3)])
-		if s.Implies(goal) != s.Contradicts(goal.Negate()) {
-			t.Fatalf("trial %d: Implies/Contradicts disagree on %v for %s", trial, goal, s)
+		if s.Implies(goal) != s.unsatWith(goal.Negate()) {
+			t.Fatalf("trial %d: Implies/unsatWith disagree on %v for %s", trial, goal, s)
 		}
 	}
 }
@@ -114,7 +114,7 @@ func TestForcedEqualitiesSound(t *testing.T) {
 			if !s.Implies(cmp(ast.V(v), ast.EQ, rep)) {
 				t.Fatalf("trial %d: %s reports %s = %v but does not imply it", trial, s, v, rep)
 			}
-			if !s.Contradicts(cmp(ast.V(v), ast.NE, rep)) {
+			if !s.unsatWith(cmp(ast.V(v), ast.NE, rep)) {
 				t.Fatalf("trial %d: %s allows %s != %v despite forcing equality", trial, s, v, rep)
 			}
 		}

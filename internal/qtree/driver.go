@@ -41,11 +41,14 @@ type Outcome struct {
 	// Warnings lists constraints that were skipped (non-local negated
 	// atoms — Theorem 5.4 territory).
 	Warnings []string
-	// Pipeline records the intermediate programs for inspection.
+	// Deprecated: OptimizeCtx leaves Pipeline zero: nothing reads the
+	// intermediate programs. It stays because bench/ fills it.
 	Pipeline PipelinePrograms
 }
 
-// PipelinePrograms exposes the intermediate stages.
+// PipelinePrograms names the intermediate stages.
+//
+// Deprecated: see Outcome.Pipeline.
 type PipelinePrograms struct {
 	Normalized *ast.Program // after order normalization
 	Local      *ast.Program // after the Section 4.2 case split
@@ -78,7 +81,6 @@ func OptimizeCtx(ctx context.Context, p *ast.Program, ics []ast.IC, opts Options
 	if opts.NormalizeOrder {
 		cur = rewrite.NormalizeOrder(cur)
 	}
-	out.Pipeline.Normalized = cur
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -87,7 +89,6 @@ func OptimizeCtx(ctx context.Context, p *ast.Program, ics []ast.IC, opts Options
 		plans := rewrite.PlanICs(ics)
 		cur = rewrite.RewriteLocalPlanned(cur, plans)
 	}
-	out.Pipeline.Local = cur
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -99,7 +100,6 @@ func OptimizeCtx(ctx context.Context, p *ast.Program, ics []ast.IC, opts Options
 		}
 		cur = pushed
 	}
-	out.Pipeline.Pushed = cur
 
 	// Footnote-1 equating: equalities forced by every head of a
 	// predicate are propagated into its callers. Always on — it is a
@@ -113,7 +113,6 @@ func OptimizeCtx(ctx context.Context, p *ast.Program, ics []ast.IC, opts Options
 	if err != nil {
 		return nil, err
 	}
-	out.Pipeline.Spec = sp
 
 	if err := ctx.Err(); err != nil {
 		return nil, err

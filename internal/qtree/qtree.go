@@ -57,9 +57,7 @@ type Node struct {
 
 // RuleNode is a rule node of the query tree.
 type RuleNode struct {
-	// ARIdx indexes adorn.Result.Rules.
-	ARIdx int
-	AR    *adorn.AdornedRule
+	AR *adorn.AdornedRule
 	// Children holds the goal-node child per positive subgoal (nil for
 	// EDB subgoals, which are leaves and carry no labels).
 	Children []*Node
@@ -128,7 +126,7 @@ func (t *Tree) expand(n *Node) {
 	res := t.Res
 	for _, arIdx := range res.RulesByHead[n.Pred][n.AdornID] {
 		ar := res.Rules[arIdx]
-		rn := &RuleNode{ARIdx: arIdx, AR: ar, Children: make([]*Node, len(ar.Rule.Pos))}
+		rn := &RuleNode{AR: ar, Children: make([]*Node, len(ar.Rule.Pos))}
 		for j, sub := range ar.Rule.Pos {
 			if ar.ChildAdornIDs[j] < 0 {
 				continue // EDB leaf

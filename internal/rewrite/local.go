@@ -14,8 +14,6 @@ import (
 // (the anchor) of the same constraint that contains all of l's
 // variables. Exactly one of OrderAtom and NegEDB is set.
 type LocalPair struct {
-	// ICIndex identifies the constraint the pair came from.
-	ICIndex int
 	// Anchor is the positive EDB atom containing all variables of the
 	// local atom.
 	Anchor ast.Atom

@@ -60,7 +60,7 @@ func PlanICs(ics []ast.IC) []ICPlan {
 			c := ic.Cmp[ci]
 			if a, ok := anchorFor(ic, c.Vars(nil)); ok {
 				cc := c
-				plan.Pairs = append(plan.Pairs, LocalPair{ICIndex: i, Anchor: a, OrderAtom: &cc})
+				plan.Pairs = append(plan.Pairs, LocalPair{Anchor: a, OrderAtom: &cc})
 			} else {
 				plan.ResidueCmps = append(plan.ResidueCmps, c)
 			}
@@ -69,7 +69,7 @@ func PlanICs(ics []ast.IC) []ICPlan {
 			nAtom := ic.Neg[ni]
 			if a, ok := anchorFor(ic, nAtom.Vars(nil)); ok {
 				na := nAtom.Clone()
-				plan.Pairs = append(plan.Pairs, LocalPair{ICIndex: i, Anchor: a, NegEDB: &na})
+				plan.Pairs = append(plan.Pairs, LocalPair{Anchor: a, NegEDB: &na})
 			} else {
 				plan.Unsupported = true
 				plan.Reason = "negated atom !" + nAtom.String() + " is not local"

@@ -114,13 +114,6 @@ func (c *lru[V]) Stats() CacheStats {
 	return s
 }
 
-// Len returns the number of stored entries.
-func (c *lru[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // get looks the key up and promotes it to most-recently-used. It does
 // not touch the hit/miss counters; GetOrCompute owns those.
 func (c *lru[V]) get(key string) (V, bool) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	sqo "repro"
 	"repro/internal/refeval"
+	"repro/internal/workload"
 )
 
 const cacheTestProgram = `
@@ -184,8 +186,8 @@ func TestCacheSingleflight(t *testing.T) {
 	if misses != 1 {
 		t.Fatalf("%d requests reported a miss, want exactly 1 (the flight leader)", misses)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache has %d entries after coalesced requests, want 1", c.Len())
+	if c.Stats().Size != 1 {
+		t.Fatalf("cache has %d entries after coalesced requests, want 1", c.Stats().Size)
 	}
 	st := c.Stats()
 	if st.Coalesced != n-1 {
@@ -209,7 +211,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("failed computation was cached: %d calls, want 2", calls)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Size != 0 {
 		t.Fatal("error outcome was stored")
 	}
 }
@@ -307,8 +309,8 @@ func TestCacheCapacityFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	if c.Stats().Size != 1 {
+		t.Fatalf("len = %d, want 1", c.Stats().Size)
 	}
 }
 
@@ -437,5 +439,63 @@ func TestServerCacheKeyedByBindingPattern(t *testing.T) {
 				t.Fatalf("cache %+v, want %d hits, %d misses and as many entries", st, hits, int64(len(c.reqs))-hits)
 			}
 		})
+	}
+}
+
+// TestRewriteCacheKeepsNoForest: a rewrite-cache entry keeps what its
+// requests read and not the optimizer's query forest. Sixteen distinct
+// /v1/query bodies of Theorem 5.1's family at k = 4 (2,401 goal nodes
+// each; kept whole, an entry holds about 9 MB) may grow the live heap by
+// at most 2 MB per entry. And a /v1/optimize hit answers the miss's
+// program and explain text, byte for byte.
+func TestRewriteCacheKeepsNoForest(t *testing.T) {
+	const entries = 16
+	s, ts := newTestServer(t, Config{})
+	prog, ics := workload.Theorem51(4)
+	post := func(i int) {
+		base := fmt.Sprintf("base%d", i)
+		body := map[string]any{"program": strings.ReplaceAll(prog, "base", base), "ics": ics, "facts": base + "(1)."}
+		var resp struct {
+			AnswerCount int  `json:"answer_count"`
+			Satisfiable bool `json:"satisfiable"`
+			CacheHit    bool `json:"cache_hit"`
+		}
+		if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/query", body, &resp); code != http.StatusOK {
+			t.Fatalf("query %d: %d %s", i, code, raw)
+		}
+		if resp.AnswerCount != 1 || !resp.Satisfiable || resp.CacheHit {
+			t.Fatalf("query %d: %+v, want one answer, satisfiable, a miss", i, resp)
+		}
+	}
+	post(0) // the server's own first-use allocations are not an entry's
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= entries; i++ {
+		post(i)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st := s.cache.Stats(); st.Size != entries+1 || st.Misses != entries+1 {
+		t.Fatalf("cache %+v, want %d entries from as many misses", st, entries+1)
+	}
+	perEntry := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / entries
+	t.Logf("live heap: %d bytes per entry", perEntry)
+	if perEntry > 2<<20 {
+		t.Fatalf("each k = 4 entry keeps %d bytes of live heap, want at most 2 MB", perEntry)
+	}
+
+	optimize := map[string]any{"program": prog, "ics": ics}
+	var miss, hit optimizeResponse
+	for _, out := range []*optimizeResponse{&miss, &hit} {
+		if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/optimize", optimize, out); code != http.StatusOK {
+			t.Fatalf("optimize: %d %s", code, raw)
+		}
+	}
+	if miss.CacheHit || !hit.CacheHit {
+		t.Fatalf("cache_hit %v then %v, want a miss then a hit", miss.CacheHit, hit.CacheHit)
+	}
+	if hit.Program != miss.Program || hit.Explain != miss.Explain || !strings.HasPrefix(miss.Explain, "=== tree 1: root") {
+		t.Fatalf("the hit's program or explain differs from the miss's:\n--- miss ---\n%.500s\n--- hit ---\n%.500s", miss.Explain, hit.Explain)
 	}
 }

@@ -106,11 +106,11 @@ func (s *Server) createView(ctx context.Context, wal *store.Store, ds *dataset, 
 	v := &createdView{src: src, ics: ics, diagnose: true}
 	prog := src
 	if def.Optimized {
-		res, hit, err := s.optimizeCached(ctx, &parsed{src, ics, patternKey(src, ics, sqo.DefaultOptions(), "optimize")})
+		_, opt, hit, err := s.optimizeCached(ctx, &parsed{src, ics, patternKey(src, ics, sqo.DefaultOptions(), "optimize")})
 		if err != nil {
 			return nil, err
 		}
-		prog, v.cacheHit = res.Program, hit
+		prog, v.cacheHit = opt, hit
 	} else if v.ics, err = sqo.ParseICs(def.ICs); err != nil {
 		// Unoptimized, the ics only feed the diagnostics: ones that do
 		// not parse cost those, not the view.

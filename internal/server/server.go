@@ -246,7 +246,15 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		s.contain(endpoint, sw, r, h)
 		elapsed := time.Since(start)
 		s.metrics.ObserveRequest(endpoint, sw.code, elapsed)
-		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
+		// What Logger.LogAttrs does, less the stack walk for the caller's
+		// PC, which only a handler with AddSource reads: the record has
+		// none.
+		ctx, log := context.Background(), s.log.Handler()
+		if !log.Enabled(ctx, slog.LevelInfo) {
+			return
+		}
+		rec := slog.NewRecord(time.Now(), slog.LevelInfo, "request", 0)
+		rec.AddAttrs(
 			slog.String("endpoint", endpoint),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
@@ -255,6 +263,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			slog.Int("bytes", sw.bytes),
 			slog.String("remote", r.RemoteAddr),
 		)
+		_ = log.Handle(ctx, rec)
 	})
 }
 
@@ -537,14 +546,21 @@ type optimizeResponse struct {
 	OptimizeMS  float64           `json:"optimize_ms"`
 }
 
-// compiled is one entry of the rewrite cache, keyed by patternKey: the
-// optimizer's outcome for a program at a goal binding pattern (optimize,
-// view creation), or the query prepared for that pattern (query). The key
-// names no dataset, and an entry keeps none alive: a Prepared keeps the
-// plans of its last run, which hold nothing of that run's snapshot.
+// compiled is one entry of the rewrite cache, keyed by patternKey. It
+// keeps what its requests read and not the optimizer's query forest,
+// which only explains how the rewrite was built and grows as 7^k goal
+// nodes (Theorem 5.1). An optimize entry, shared with view creation,
+// keeps the rewritten program, its verdict, its warnings and the forest
+// rendered once on the miss; a query entry keeps the query prepared for
+// that pattern and the verdict. The key names no dataset, and an entry
+// keeps none alive: a Prepared keeps the plans of its last run, which
+// hold nothing of that run's snapshot.
 type compiled struct {
-	res  *sqo.Result   // nil in a query entry that asked for no optimization
-	prep *sqo.Prepared // nil in an optimize entry
+	program     *sqo.Program // the rewrite, with the miss's goal; nil in a query entry
+	satisfiable bool
+	warnings    []string
+	explain     string
+	prep        *sqo.Prepared // nil in an optimize entry
 }
 
 // The rewrites a cache miss runs, as variables so that a test can count
@@ -611,23 +627,21 @@ func (s *Server) parse(programSrc, icsSrc string, withICs bool, extra string) (*
 
 // optimizeCached rewrites a parsed request through the cache. The entry
 // is shared by every goal of the request's binding pattern, so the
-// outcome returned carries the request's own goal.
-func (s *Server) optimizeCached(ctx context.Context, p *parsed) (*sqo.Result, bool, error) {
-	prog := p.prog
+// program returned carries the request's own goal.
+func (s *Server) optimizeCached(ctx context.Context, p *parsed) (*compiled, *sqo.Program, bool, error) {
 	c, hit, err := s.cache.GetOrCompute(ctx, p.key, func() (*compiled, error) {
-		res, err := optimizeProgram(ctx, prog, p.ics, sqo.DefaultOptions())
+		res, err := optimizeProgram(ctx, p.prog, p.ics, sqo.DefaultOptions())
 		if err != nil {
 			return nil, optimizeError(err)
 		}
-		return &compiled{res: res}, nil
+		return &compiled{program: res.Program, satisfiable: res.Satisfiable, warnings: res.Warnings, explain: sqo.Explain(res)}, nil
 	})
 	if err != nil {
-		return nil, hit, err
+		return nil, nil, hit, err
 	}
-	res, withGoal := *c.res, *c.res.Program
-	withGoal.Goal = prog.Goal
-	res.Program = &withGoal
-	return &res, hit, nil
+	withGoal := *c.program
+	withGoal.Goal = p.prog.Goal
+	return c, &withGoal, hit, nil
 }
 
 // prepareCached parses a query and looks its prepared form up in the
@@ -645,13 +659,13 @@ func (s *Server) prepareCached(ctx context.Context, programSrc, icsSrc string, o
 	}
 	prog := pr.prog
 	c, hit, err := s.cache.GetOrCompute(ctx, pr.key, func() (*compiled, error) {
-		c, p := &compiled{}, prog
+		c, p := &compiled{satisfiable: true}, prog
 		if optimize {
 			res, err := optimizeProgram(ctx, prog, pr.ics, sqo.DefaultOptions())
 			if err != nil {
 				return nil, optimizeError(err)
 			}
-			c.res, p = res, res.Program
+			c.satisfiable, p = res.Satisfiable, res.Program
 		}
 		var err error
 		if c.prep, err = prepareQuery(p, sqo.DefaultEvalOptions()); err != nil {
@@ -675,15 +689,15 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		res, hit, err := s.optimizeCached(ctx, p)
+		c, prog, hit, err := s.optimizeCached(ctx, p)
 		if err != nil {
 			return err
 		}
 		writeJSON(w, http.StatusOK, optimizeResponse{
-			Program:     sqo.FormatProgram(res.Program),
-			Satisfiable: res.Satisfiable,
-			Explain:     sqo.Explain(res),
-			Warnings:    res.Warnings,
+			Program:     sqo.FormatProgram(prog),
+			Satisfiable: c.satisfiable,
+			Explain:     c.explain,
+			Warnings:    c.warnings,
 			Diagnostics: s.lintDiagnostics(ctx, p.prog, p.ics),
 			CacheHit:    hit,
 			OptimizeMS:  sinceMS(start),
@@ -844,7 +858,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 			Query:       prog.Query,
 			Answers:     []string{}, // written by writeAnswers
 			AnswerCount: result.Len(),
-			Satisfiable: c.res == nil || c.res.Satisfiable,
+			Satisfiable: c.satisfiable,
 			Optimized:   doOptimize,
 			CacheHit:    cacheHit,
 			Magic:       stats.MagicApplied,

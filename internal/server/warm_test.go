@@ -94,7 +94,7 @@ func TestWarmRequestPath(t *testing.T) {
 		if got, want := luckFields.ReplaceAllString(body, "$1"), luckFields.ReplaceAllString(want, "$1"); got != want {
 			t.Errorf("%s: body differs from a fresh server's:\n%s\nvs\n%s", step.name, body, want)
 		}
-		if n := s.requests.Len(); n > 2 {
+		if n := s.requests.Stats().Size; n > 2 {
 			t.Errorf("%s: the request memo holds %d entries, want at most CacheSize 2", step.name, n)
 		}
 	}
@@ -118,7 +118,7 @@ func TestRequestMemoKeepsNoParseError(t *testing.T) {
 			}
 		}
 	}
-	if n, hits := s.requests.Len(), s.metrics.RequestMemoHits.Load(); n != 0 || hits != 0 {
+	if n, hits := s.requests.Stats().Size, s.metrics.RequestMemoHits.Load(); n != 0 || hits != 0 {
 		t.Fatalf("the memo holds %d entries and was hit %d times after failed parses alone", n, hits)
 	}
 }

@@ -66,16 +66,16 @@ func requireRecovers(t *testing.T, dir string, want []ast.Atom) {
 		t.Fatalf("recovery cut a torn tail: %+v", rec)
 	}
 	got := map[string]bool{}
-	for _, f := range r.Facts("g") {
+	for _, f := range datasetFacts(r, "g") {
 		got[f.String()] = true
 	}
 	for _, f := range want {
 		if !got[f.String()] {
-			t.Fatalf("acknowledged fact %s lost; recovered %v", f, r.Facts("g"))
+			t.Fatalf("acknowledged fact %s lost; recovered %v", f, datasetFacts(r, "g"))
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("recovered %d facts, want %d: %v", len(got), len(want), r.Facts("g"))
+		t.Fatalf("recovered %d facts, want %d: %v", len(got), len(want), datasetFacts(r, "g"))
 	}
 }
 
@@ -161,7 +161,7 @@ func TestFailedSyncStopsStore(t *testing.T) {
 	r.Close()
 	r, _ = mustOpen(t, dir, Options{})
 	defer r.Close()
-	facts := fmt.Sprint(r.Facts("g"))
+	facts := fmt.Sprint(datasetFacts(r, "g"))
 	for _, f := range append(acked, chain(30, 1)...) {
 		if !strings.Contains(facts, f.String()) {
 			t.Fatalf("acknowledged %s lost: %s", f, facts)

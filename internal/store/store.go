@@ -514,18 +514,6 @@ func (s *Store) Datasets() []string {
 	return out
 }
 
-// Facts returns a dataset's facts in deterministic (predicate, row)
-// order, or nil when the dataset does not exist.
-func (s *Store) Facts(dataset string) []ast.Atom {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ds := s.datasets[dataset]
-	if ds == nil {
-		return nil
-	}
-	return s.factsLocked(ds)
-}
-
 // sortedPreds returns a dataset's predicate names, sorted.
 func sortedPreds(ds *dsState) []string {
 	preds := make([]string, 0, len(ds.preds))
@@ -534,18 +522,6 @@ func sortedPreds(ds *dsState) []string {
 	}
 	sort.Strings(preds)
 	return preds
-}
-
-func (s *Store) factsLocked(ds *dsState) []ast.Atom {
-	var out []ast.Atom
-	for _, p := range sortedPreds(ds) {
-		ps := ds.preds[p]
-		pred := s.syms.internStr(p) // known: no new id
-		for _, row := range ps.sortedRows() {
-			out = append(out, s.syms.atom(ifact{pred: pred, row: row}))
-		}
-	}
-	return out
 }
 
 // Views returns a dataset's registered views sorted by name.

@@ -42,9 +42,6 @@ func (s Subst) Walk(t ast.Term) ast.Term {
 // name under s.
 func (s Subst) Bind(v string, t ast.Term) { s[v] = t }
 
-// Apply returns t with the substitution applied (fully resolved).
-func (s Subst) Apply(t ast.Term) ast.Term { return s.Walk(t) }
-
 // ApplyAtom returns a with the substitution applied to every argument.
 func (s Subst) ApplyAtom(a ast.Atom) ast.Atom {
 	out := a.Clone()

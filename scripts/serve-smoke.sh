@@ -2,8 +2,9 @@
 # serve-smoke.sh — end-to-end smoke test of the sqod daemon.
 #
 # Boots sqod on a private port, registers a dataset, runs the same
-# optimized query twice (the second must hit the rewrite cache), runs a
-# point query at a second constant (it must hit the query prepared for
+# optimized query twice (the second must hit the rewrite cache), posts
+# one /v1/optimize body twice (the second must hit and answer the first's
+# program and explain), runs a point query at a second constant (it must hit the query prepared for
 # the first one's binding pattern and answer for its own constant),
 # scrapes /metrics for the cache counters, then sends SIGTERM and
 # asserts the daemon drains and exits 0. The first pass runs without
@@ -72,6 +73,18 @@ jq -e '.cache_hit == true' "$WORK/q2.json" >/dev/null || fail "second query miss
 curl -fsS "$BASE/metrics" >"$WORK/base-metrics.txt" || fail "metrics scrape failed"
 grep -q '^sqod_edb_base_builds_total 1$' "$WORK/base-metrics.txt" || fail "expected one interned-base build after two queries on one snapshot"
 grep -q '^sqod_edb_base_reuses_total 1$' "$WORK/base-metrics.txt" || fail "second identical query did not reuse the snapshot's interned base"
+
+echo "serve-smoke: one optimize body twice (the second is served from the cache)"
+OPTIMIZE='{
+  "program": "path(X, Y) :- step(X, Y). path(X, Y) :- step(X, Z), path(Z, Y). goodPath(X, Y) :- startPoint(X), path(X, Y), endPoint(Y). ?- goodPath.",
+  "ics": ":- startPoint(X), endPoint(Y), Y <= X."
+}'
+curl -fsS -X POST "$BASE/v1/optimize" -H 'Content-Type: application/json' -d "$OPTIMIZE" >"$WORK/o1.json" || fail "first optimize failed"
+curl -fsS -X POST "$BASE/v1/optimize" -H 'Content-Type: application/json' -d "$OPTIMIZE" >"$WORK/o2.json" || fail "second optimize failed"
+jq -e '.cache_hit == false and (.explain | length) > 0' "$WORK/o1.json" >/dev/null || fail "unexpected first optimize: $(cat "$WORK/o1.json")"
+jq -e '.cache_hit == true' "$WORK/o2.json" >/dev/null || fail "second optimize missed the cache: $(cat "$WORK/o2.json")"
+[ "$(jq -c '[.program, .explain]' "$WORK/o1.json")" = "$(jq -c '[.program, .explain]' "$WORK/o2.json")" ] \
+	|| fail "the cached optimize's program or explain differs from the first"
 
 echo "serve-smoke: materialized view over a mutable dataset"
 curl -fsS -X POST "$BASE/v1/datasets/quickstart/views/paths" -H 'Content-Type: application/json' \
